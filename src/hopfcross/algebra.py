@@ -6,6 +6,8 @@ Vectors of coefficients are dense tuples.  Tensor indices are row-major:
 basis element ``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j``.
 """
 
+from itertools import chain, islice
+
 from .errors import (
     InvalidGroupTableError,
     NoAntipodeError,
@@ -16,7 +18,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     basis_vec,
-    is_zero_vec,
     solve_linear,
     vadd,
     vscale,
@@ -84,21 +85,6 @@ class FAlgebra:
         cols = [self.mult(x, basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
         return Matrix.from_cols(self.field, cols)
 
-    def right_mult_matrix(self, x):
-        cols = [self.mult(basis_vec(self.field, self.dim, j), x) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
-
-    def product_matrix(self):
-        """dim x dim^2 matrix of the multiplication A (x) A -> A."""
-        cols = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v = [self.field.zero] * self.dim
-                for k, c in self.mult_basis(i, j).items():
-                    v[k] = c
-                cols.append(tuple(v))
-        return Matrix.from_cols(self.field, cols)
-
     def is_commutative(self):
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -144,17 +130,6 @@ class FCoalgebra:
             if a and e:
                 s = s + a * e
         return s
-
-    def coproduct_matrix(self):
-        """dim^2 x dim matrix of Delta."""
-        z = self.field.zero
-        cols = []
-        for i in range(self.dim):
-            v = [z] * (self.dim * self.dim)
-            for (j, k), c in self.delta_basis(i).items():
-                v[ti(j, k, self.dim)] = c
-            cols.append(tuple(v))
-        return Matrix.from_cols(self.field, cols)
 
     def delta2_basis(self, i):
         """Canonical three-fold coproduct (Delta (x) id) o Delta on e_i.
@@ -260,6 +235,11 @@ class FHopf(FBialgebra):
 
 # ---------------------------------------------------------------------------
 # axiom checking
+#
+# A Hopf superalgebra obeys the Hopf algebra laws with Koszul signs, and an
+# ungraded presentation is the case where every basis element is even.  Each
+# law below is a generator of witnesses (name, indices) computed from the
+# sparse structure constants, so a check stops as soon as it has enough.
 
 
 class AxiomReport:
@@ -284,153 +264,203 @@ class AxiomReport:
 MAX_VIOLATIONS = 10
 
 
-def _check_algebra(a, out):
-    f = a.field
+def _clean(sparse):
+    return {k: c for k, c in sparse.items() if c}
+
+
+def _add_scaled(out, c, terms, zero):
+    """out += c * terms on sparse dicts."""
+    for k, u in terms.items():
+        out[k] = out.get(k, zero) + c * u
+
+
+def _parity_laws(h, p):
+    for i in range(h.dim):
+        for j in range(h.dim):
+            for k in h.mult_basis(i, j):
+                if p[k] != (p[i] + p[j]) % 2:
+                    yield ("product-parity", (i, j, k))
+        for (j, k) in h.delta_basis(i):
+            if (p[j] + p[k]) % 2 != p[i]:
+                yield ("coproduct-parity", (i, j, k))
+        if p[i] and h.counit[i]:
+            yield ("counit-parity", (i,))
+        if p[i] and h.unit[i]:
+            yield ("unit-parity", (i,))
+        for k, c in enumerate(h.antipode.col(i)):
+            if c and p[k] != p[i]:
+                yield ("antipode-parity", (i, k))
+
+
+def _algebra_laws(a):
+    z = a.field.zero
     dim = a.dim
+    unit = {t: c for t, c in enumerate(a.unit) if c}
     for i in range(dim):
-        e = basis_vec(f, dim, i)
-        if a.mult(a.unit, e) != e:
-            out.append(("left-unit", (i,)))
-        if a.mult(e, a.unit) != e:
-            out.append(("right-unit", (i,)))
-        if len(out) >= MAX_VIOLATIONS:
-            return
+        e = {i: a.field.one}
+        left, right = {}, {}
+        for t, c in unit.items():
+            _add_scaled(left, c, a.mult_basis(t, i), z)
+            _add_scaled(right, c, a.mult_basis(i, t), z)
+        if _clean(left) != e:
+            yield ("left-unit", (i,))
+        if _clean(right) != e:
+            yield ("right-unit", (i,))
     for i in range(dim):
         for j in range(dim):
-            eij = a.mult(basis_vec(f, dim, i), basis_vec(f, dim, j))
+            eij = a.mult_basis(i, j)
             for l in range(dim):
-                el = basis_vec(f, dim, l)
-                lhs = a.mult(eij, el)
-                rhs = a.mult(
-                    basis_vec(f, dim, i),
-                    a.mult(basis_vec(f, dim, j), el),
-                )
-                if lhs != rhs:
-                    out.append(("associativity", (i, j, l)))
-                    if len(out) >= MAX_VIOLATIONS:
-                        return
+                lhs, rhs = {}, {}
+                for k, c in eij.items():
+                    _add_scaled(lhs, c, a.mult_basis(k, l), z)
+                for k, c in a.mult_basis(j, l).items():
+                    _add_scaled(rhs, c, a.mult_basis(i, k), z)
+                if _clean(lhs) != _clean(rhs):
+                    yield ("associativity", (i, j, l))
 
 
-def _check_coalgebra(c, out):
+def _coalgebra_laws(c):
     f = c.field
     for i in range(c.dim):
-        lhs = c.delta2_basis(i)
         rhs = {}
         for (j, k), u in c.delta_basis(i).items():
             for (a, b), v in c.delta_basis(k).items():
                 key = (j, a, b)
                 rhs[key] = rhs.get(key, f.zero) + u * v
-        rhs = {key: v for key, v in rhs.items() if v}
-        if lhs != rhs:
-            out.append(("coassociativity", (i,)))
-        left = [f.zero] * c.dim
-        right = [f.zero] * c.dim
+        if c.delta2_basis(i) != _clean(rhs):
+            yield ("coassociativity", (i,))
+        left, right = {}, {}
         for (j, k), u in c.delta_basis(i).items():
-            left[k] = left[k] + c.counit[j] * u
-            right[j] = right[j] + u * c.counit[k]
-        e = basis_vec(f, c.dim, i)
-        if tuple(left) != e:
-            out.append(("counit-left", (i,)))
-        if tuple(right) != e:
-            out.append(("counit-right", (i,)))
-        if len(out) >= MAX_VIOLATIONS:
-            return
+            if c.counit[j]:
+                left[k] = left.get(k, f.zero) + c.counit[j] * u
+            if c.counit[k]:
+                right[j] = right.get(j, f.zero) + u * c.counit[k]
+        e = {i: f.one}
+        if _clean(left) != e:
+            yield ("counit-left", (i,))
+        if _clean(right) != e:
+            yield ("counit-right", (i,))
 
 
-def _delta_of_product(b, i, j):
-    """Delta(e_i e_j) as a sparse dict over basis pairs."""
+def _bialgebra_laws(b, p):
+    """Delta and eps are algebra maps; in A (x) A the crossing of two odd
+    tensor legs carries the Koszul sign -1."""
     f = b.field
-    out = {}
-    for k, c in b.mult_basis(i, j).items():
-        for jk, d in b.delta_basis(k).items():
-            out[jk] = out.get(jk, f.zero) + c * d
-    return {jk: c for jk, c in out.items() if c}
-
-
-def _product_of_deltas(b, i, j):
-    """Delta(e_i) Delta(e_j) in the tensor-square algebra."""
-    f = b.field
-    out = {}
-    for (a1, a2), c in b.delta_basis(i).items():
-        for (b1, b2), d in b.delta_basis(j).items():
-            cd = c * d
-            for x, u in b.mult_basis(a1, b1).items():
-                for y, v in b.mult_basis(a2, b2).items():
-                    key = (x, y)
-                    out[key] = out.get(key, f.zero) + cd * u * v
-    return {key: c for key, c in out.items() if c}
-
-
-def _check_bialgebra(b, out):
-    f = b.field
+    z = f.zero
     dim = b.dim
-    # Delta(1) = 1 (x) 1 and eps(1) = 1
-    d1 = b.delta(b.unit)
-    expected = {}
-    for i, a in enumerate(b.unit):
-        for j, c in enumerate(b.unit):
-            if a and c:
-                expected[(i, j)] = a * c
-    if d1 != expected:
-        out.append(("coproduct-of-unit", ()))
+    unit = [(i, c) for i, c in enumerate(b.unit) if c]
+    if b.delta(b.unit) != {(i, j): x * y for i, x in unit for j, y in unit}:
+        yield ("coproduct-of-unit", ())
     if b.eps(b.unit) != f.one:
-        out.append(("counit-of-unit", ()))
+        yield ("counit-of-unit", ())
     for i in range(dim):
+        di = b.delta_basis(i)
         for j in range(dim):
-            if _delta_of_product(b, i, j) != _product_of_deltas(b, i, j):
-                out.append(("coproduct-multiplicative", (i, j)))
-            ei = basis_vec(f, dim, i)
-            ej = basis_vec(f, dim, j)
-            if b.eps(b.mult(ei, ej)) != b.counit[i] * b.counit[j]:
-                out.append(("counit-multiplicative", (i, j)))
-            if len(out) >= MAX_VIOLATIONS:
-                return
+            lhs = {}
+            s = z
+            for k, c in b.mult_basis(i, j).items():
+                _add_scaled(lhs, c, b.delta_basis(k), z)
+                if b.counit[k]:
+                    s = s + c * b.counit[k]
+            rhs = {}
+            for (a1, a2), c in di.items():
+                for (b1, b2), d in b.delta_basis(j).items():
+                    cd = c * d
+                    if p[a2] and p[b1]:
+                        cd = -cd
+                    right = b.mult_basis(a2, b2)
+                    for x, u in b.mult_basis(a1, b1).items():
+                        cdu = cd * u
+                        for y, v in right.items():
+                            key = (x, y)
+                            rhs[key] = rhs.get(key, z) + cdu * v
+            if _clean(lhs) != _clean(rhs):
+                yield ("coproduct-multiplicative", (i, j))
+            if s != b.counit[i] * b.counit[j]:
+                yield ("counit-multiplicative", (i, j))
 
 
-def _check_antipode(h, out):
-    f = h.field
-    dim = h.dim
-    for i in range(dim):
-        lhs = [f.zero] * dim
-        rhs = [f.zero] * dim
+def _antipode_laws(h):
+    """id * S = eta eps = S * id in the convolution algebra End(H)."""
+    z = h.field.zero
+    s_cols = [
+        {m: s for m, s in enumerate(h.antipode.col(k)) if s} for k in range(h.dim)
+    ]
+    unit = {t: c for t, c in enumerate(h.unit) if c}
+    for i in range(h.dim):
+        lhs, rhs = {}, {}
         for (j, k), c in h.delta_basis(i).items():
-            sj = h.antipode.col(j)
-            sk = h.antipode.col(k)
-            lhs = vadd(lhs, vscale(c, h.mult(basis_vec(f, dim, j), sk)))
-            rhs = vadd(rhs, vscale(c, h.mult(sj, basis_vec(f, dim, k))))
-        target = vscale(h.counit[i], h.unit)
-        if tuple(lhs) != target:
-            out.append(("antipode-right", (i,)))
-        if tuple(rhs) != target:
-            out.append(("antipode-left", (i,)))
-        if len(out) >= MAX_VIOLATIONS:
-            return
+            for m, s in s_cols[k].items():
+                _add_scaled(lhs, c * s, h.mult_basis(j, m), z)
+            for m, s in s_cols[j].items():
+                _add_scaled(rhs, c * s, h.mult_basis(m, k), z)
+        target = _clean({t: h.counit[i] * c for t, c in unit.items()})
+        if _clean(lhs) != target:
+            yield ("antipode-right", (i,))
+        if _clean(rhs) != target:
+            yield ("antipode-left", (i,))
 
 
 def check_axioms(kind, data):
     """Check structure axioms up to the requested level.
 
-    kind is one of "algebra", "coalgebra", "bialgebra", "hopf".
+    kind is one of "algebra", "coalgebra", "bialgebra", "hopf" or
+    "super-hopf".  The last takes a SuperPresentation: its parity laws come
+    first, then the Hopf laws with the Koszul sign.  The report keeps the
+    first MAX_VIOLATIONS witnesses in law order.
     """
-    out = []
     if kind == "algebra":
-        _check_algebra(data, out)
+        laws = _algebra_laws(data)
     elif kind == "coalgebra":
-        _check_coalgebra(data, out)
-    elif kind == "bialgebra":
-        _check_algebra(data.as_algebra(), out)
-        if len(out) < MAX_VIOLATIONS:
-            _check_coalgebra(data.as_coalgebra(), out)
-        if len(out) < MAX_VIOLATIONS:
-            _check_bialgebra(data, out)
-    elif kind == "hopf":
-        report = check_axioms("bialgebra", data)
-        out = list(report.violations)
-        if len(out) < MAX_VIOLATIONS:
-            _check_antipode(data, out)
+        laws = _coalgebra_laws(data)
+    elif kind in ("bialgebra", "hopf", "super-hopf"):
+        h, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
+        laws = chain(_algebra_laws(h), _coalgebra_laws(h), _bialgebra_laws(h, parity))
+        if kind != "bialgebra":
+            laws = chain(laws, _antipode_laws(h))
+        if kind == "super-hopf":
+            laws = chain(_parity_laws(h, parity), laws)
     else:
         raise ValueError("unknown axiom kind %r" % (kind,))
-    return AxiomReport(kind, out[:MAX_VIOLATIONS])
+    return AxiomReport(kind, list(islice(laws, MAX_VIOLATIONS)))
+
+
+def algebra_map_violations(src, dst, m):
+    """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
+    matrix) is not a unital algebra map: ("unit", ()), then
+    ("multiplicative", (i, j)) for each basis pair in order."""
+    if m.apply(src.unit) != dst.unit:
+        yield ("unit", ())
+    z = dst.field.zero
+    cols = [m.col(k) for k in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = [z] * dst.dim
+            for k, c in src.mult_basis(i, j).items():
+                for x, u in enumerate(cols[k]):
+                    if u:
+                        lhs[x] = lhs[x] + c * u
+            if tuple(lhs) != dst.mult(cols[i], cols[j]):
+                yield ("multiplicative", (i, j))
+
+
+def colinear_violations(src_rho_basis, dst_rho, m):
+    """Witnesses ("colinear", (i,)) that the linear map m between two right
+    comodules fails dst_rho(m e_i) = (m (x) id) src_rho(e_i).
+
+    src_rho_basis(i) is the sparse coaction {(x, t): c} of a source basis
+    element; dst_rho(vec) is the sparse coaction of a dense target vector.
+    """
+    z = m.field.zero
+    cols = [m.col(k) for k in range(m.cols)]
+    for i in range(m.cols):
+        rhs = {}
+        for (x, t), c in src_rho_basis(i).items():
+            for y, d in enumerate(cols[x]):
+                if d:
+                    rhs[(y, t)] = rhs.get((y, t), z) + c * d
+        if dst_rho(cols[i]) != _clean(rhs):
+            yield ("colinear", (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +579,7 @@ def compute_antipode(b):
     except NotConvolutionInvertibleError as exc:
         raise NoAntipodeError("identity map is not convolution-invertible") from exc
     h = FHopf.from_bialgebra(b, s.matrix)
-    violations = []
-    _check_antipode(h, violations)
-    if violations:
+    if next(_antipode_laws(h), None) is not None:
         raise NoAntipodeError("computed antipode fails the antipode law")
     return h
 

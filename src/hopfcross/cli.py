@@ -18,6 +18,7 @@ from .algebra import (
     FCoalgebra,
     FHopf,
     check_axioms,
+    colinear_violations,
     compute_antipode,
     convolution_invert,
     ConvElement,
@@ -518,11 +519,8 @@ def _mj(field, m):
 
 def _semantic_check(pres):
     kind, obj = pres.kind, pres.payload
-    if kind in ("algebra", "coalgebra", "bialgebra", "hopf"):
-        report = check_axioms(kind, obj)
-        return report.violations
-    if kind == "super-hopf":
-        return obj.check_super_axioms()
+    if kind in ("algebra", "coalgebra", "bialgebra", "hopf", "super-hopf"):
+        return check_axioms(kind, obj).violations
     if kind == "graded-algebra":
         return list(check_grading(obj).violations)
     if kind == "comodule-algebra":
@@ -681,10 +679,9 @@ def cmd_find_section(args):
                             definitive=e.definitive,
                             budget_exhausted=not e.definitive), args)
     if args.certify:
-        from .comodule import _check_colinear
-
-        _check_colinear(ca, sec.phi.matrix)
-        if sec.phi.matrix.apply(ca.hopf.unit) != ca.algebra.one():
+        phi = sec.phi.matrix
+        if (next(colinear_violations(ca.hopf.delta_basis, ca.rho, phi), None)
+                or phi.apply(ca.hopf.unit) != ca.algebra.one()):
             raise ValidationError("section certificate failed re-verification")
     return _emit(Report("find-section", "found", 0, certificates={
         "phi": _mj(ca.field, sec.phi.matrix),

@@ -7,11 +7,22 @@ Cochains C^n = Hom(H^(x)n, B+) are stored as (dim B+) x (dim H)^n matrices
 with the usual row-major flattening of tensor indices.
 """
 
-from .algebra import ConvElement, FAlgebra, convolution_invert, ti
+import itertools
+
+from .algebra import (
+    ConvElement,
+    FAlgebra,
+    algebra_map_violations,
+    colinear_violations,
+    convolution_invert,
+    ti,
+)
 from .comodule import (
     ComoduleAlgebra,
     CrossedSystem,
     Section,
+    _normalized_section,
+    check_crossed_system,
     coinvariants,
     crossed_product,
     find_section,
@@ -157,25 +168,6 @@ class NormalizedCochain:
             raise ValidationError("cochain degree must be 1, 2 or 3")
         self.degree = degree
         self.matrix = matrix
-
-    def value1(self, hvec):
-        return self.matrix.apply(hvec)
-
-    def value2_basis(self, g, h):
-        return self.matrix.col(ti(g, h, self.matrix_cols_minor()))
-
-    def matrix_cols_minor(self):
-        # dH for the second tensor slot of a 2-cochain
-        return isqrt_exact(self.matrix.cols)
-
-
-def isqrt_exact(n):
-    from math import isqrt
-
-    r = isqrt(n)
-    if r * r != n:
-        raise ShapeMismatchError("2-cochain matrix has non-square column count")
-    return r
 
 
 def _check_normalized(act, cochain):
@@ -332,9 +324,6 @@ class HH2Result:
             raise CocycleViolationError("cocycle lies outside the computed cocycle space")
         return tuple(res.solution[: len(self.representatives)])
 
-    def is_zero_class(self, cochain):
-        return all(not c for c in self.decide(cochain))
-
 
 def hh2(hopf, act):
     """ker d2 / im d1 on normalized cochains, by exact rank computation."""
@@ -419,8 +408,6 @@ def crossed_system_from_cocycle(act, s, aug=None):
         Matrix.from_cols(f, sig_cols),
         Matrix.from_cols(f, inv_cols),
     )
-    from .comodule import check_crossed_system
-
     violations = check_crossed_system(system)
     if violations:
         raise ValidationError("cocycle data fails the crossed-system laws: %r" % (violations,))
@@ -578,18 +565,11 @@ def gauge_iso(t, source, target):
     ident = Matrix.identity(f, db * dh)
     if ft * fneg != ident or fneg * ft != ident:
         raise ValidationError("f_t is not inverted by f_{-t}")
-    src = crossed_product(source)
-    dst = crossed_product(target)
-    a1, a2 = src.algebra, dst.algebra
-    if ft.apply(a1.one()) != a2.one():
-        raise NotAlgebraMapError("gauge map does not preserve the unit")
-    for i in range(a1.dim):
-        for j in range(a1.dim):
-            ei, ej = basis_vec(f, a1.dim, i), basis_vec(f, a1.dim, j)
-            if ft.apply(a1.mult(ei, ej)) != a2.mult(ft.apply(ei), ft.apply(ej)):
-                raise NotAlgebraMapError(
-                    "gauge map is not multiplicative at basis pair (%d, %d)" % (i, j)
-                )
+    a1 = crossed_product(source).algebra
+    a2 = crossed_product(target).algebra
+    bad = next(algebra_map_violations(a1, a2, ft), None)
+    if bad:
+        raise NotAlgebraMapError("gauge map is not an algebra map: %r" % (bad,))
     return LinearMap(ft, a1.basis, a2.basis)
 
 
@@ -658,18 +638,10 @@ def split_extension(ext):
     psi = Matrix.from_cols(f, cols)
     a = ca.algebra
     # verify: algebra map, colinear, augmented
-    for g in range(dh):
-        for u in range(dh):
-            lhs = vzero(f, a.dim)
-            for k, c in h.mult_basis(g, u).items():
-                lhs = vadd(lhs, vscale(c, psi.col(k)))
-            if lhs != a.mult(psi.col(g), psi.col(u)):
-                raise ValidationError("computed splitting is not multiplicative")
-    if psi.apply(h.unit) != a.one():
-        raise ValidationError("computed splitting does not preserve the unit")
-    from .comodule import _check_colinear
-
-    _check_colinear(ca, psi)
+    bad = next(itertools.chain(algebra_map_violations(h, a, psi),
+                               colinear_violations(h.delta_basis, ca.rho, psi)), None)
+    if bad:
+        raise ValidationError("computed splitting fails %r" % (bad,))
     for g in range(dh):
         if ext.eps(psi.col(g)) != h.counit[g]:
             raise ValidationError("computed splitting is not augmented")
@@ -826,29 +798,14 @@ def hopf_module_decompose(module):
 def _check_surjection(ca, hopf, pi):
     """pi : A -> H must be a colinear algebra surjection."""
     a = ca.algebra
-    f = ca.field
     if pi.rows != hopf.dim or pi.cols != a.dim:
         raise ShapeMismatchError("surjection matrix shape mismatch")
     if pi.rank() != hopf.dim:
         raise ValidationError("map onto the Hopf algebra is not surjective")
-    if pi.apply(a.one()) != hopf.one():
-        raise ValidationError("map does not preserve the unit")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ei, ej = basis_vec(f, a.dim, i), basis_vec(f, a.dim, j)
-            if pi.apply(a.mult(ei, ej)) != hopf.mult(pi.apply(ei), pi.apply(ej)):
-                raise ValidationError("map is not multiplicative at (%d, %d)" % (i, j))
-    for i in range(a.dim):
-        img = pi.apply(basis_vec(f, a.dim, i))
-        lhs = hopf.delta(img)
-        rhs = {}
-        for (x, t), c in ca.rho_basis(i).items():
-            for y, d in enumerate(pi.col(x)):
-                if d:
-                    key = (y, t)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-        if lhs != {k: v for k, v in rhs.items() if v}:
-            raise ValidationError("map is not colinear at index %d" % i)
+    bad = next(itertools.chain(algebra_map_violations(a, hopf, pi),
+                               colinear_violations(ca.rho_basis, hopf.delta, pi)), None)
+    if bad:
+        raise ValidationError("map onto the Hopf algebra fails %r" % (bad,))
 
 
 def ideal_power_chain(algebra, ideal_basis):
@@ -957,7 +914,7 @@ def colinear_splitting_nilpotent(ca, pi):
         )
         decomp = hopf_module_decompose(module)
         dv = len(decomp.coinvariant_basis)
-        iso_inv = _matrix_inverse(decomp.iso.matrix)
+        iso_inv = decomp.iso.matrix.inverse()
         # linear retraction r0 : X -> K along the echelon complement of K
         r0 = _retraction_onto(f, kbasis, x_quot.dim)
         # v-map X -> V and the colinear retraction r = iso o (v (x) id) o rho_X
@@ -998,9 +955,9 @@ def colinear_splitting_nilpotent(ca, pi):
     phi_a = Matrix.from_cols(f, final_cols)
     if pi * phi_a != Matrix.identity(f, dh):
         raise ValidationError("computed splitting does not split pi")
-    from .comodule import _check_colinear, _normalized_section
-
-    _check_colinear(ca, phi_a)
+    bad = next(colinear_violations(h.delta_basis, ca.rho, phi_a), None)
+    if bad:
+        raise ValidationError("computed splitting is not colinear: %r" % (bad,))
     sec = _normalized_section(ca, phi_a)
     if pi * sec.phi.matrix != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
@@ -1015,10 +972,6 @@ def _sparse_apply(rho_list, vec, f):
         for key, d in rho_list[i].items():
             out[key] = out.get(key, f.zero) + c * d
     return {k: v for k, v in out.items() if v}
-
-
-def _matrix_inverse(m):
-    return m.inverse()
 
 
 def _retraction_onto(f, kbasis, ambient):
@@ -1065,27 +1018,10 @@ class LiftResult:
 
 
 def _check_comodule_algebra_map(src_hopf, dst, psi):
-    f = dst.field
-    a = dst.algebra
-    if psi.apply(src_hopf.unit) != a.one():
-        raise ValidationError("map does not preserve the unit")
-    for g in range(src_hopf.dim):
-        for t in range(src_hopf.dim):
-            lhs = vzero(f, a.dim)
-            for k, c in src_hopf.mult_basis(g, t).items():
-                lhs = vadd(lhs, vscale(c, psi.col(k)))
-            if lhs != a.mult(psi.col(g), psi.col(t)):
-                raise ValidationError("map is not multiplicative at (%d, %d)" % (g, t))
-    for g in range(src_hopf.dim):
-        lhs = dst.rho(psi.col(g))
-        rhs = {}
-        for (p, q), c in src_hopf.delta_basis(g).items():
-            for x, d in enumerate(psi.col(p)):
-                if d:
-                    key = (x, q)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-        if lhs != {k: v for k, v in rhs.items() if v}:
-            raise ValidationError("map is not colinear at index %d" % g)
+    bad = next(itertools.chain(algebra_map_violations(src_hopf, dst.algebra, psi),
+                               colinear_violations(src_hopf.delta_basis, dst.rho, psi)), None)
+    if bad:
+        raise ValidationError("map H -> A is not a comodule algebra map: %r" % (bad,))
 
 
 def quotient_comodule_algebra(ca, ideal_vectors):
@@ -1173,23 +1109,10 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     # varpi verification
     if varpi.rank() != d_alg.dim:
         raise ValidationError("map C -> D is not surjective")
-    if varpi.apply(ca_alg.one()) != d_alg.one():
-        raise ValidationError("map C -> D does not preserve the unit")
-    for i in range(ca_alg.dim):
-        for j in range(ca_alg.dim):
-            ei, ej = basis_vec(f, ca_alg.dim, i), basis_vec(f, ca_alg.dim, j)
-            if varpi.apply(ca_alg.mult(ei, ej)) != d_alg.mult(varpi.apply(ei), varpi.apply(ej)):
-                raise ValidationError("map C -> D is not multiplicative")
-    for i in range(ca_alg.dim):
-        lhs = d_ca.rho(varpi.apply(basis_vec(f, ca_alg.dim, i)))
-        rhs = {}
-        for (x, t), c in c_ca.rho_basis(i).items():
-            for y, d in enumerate(varpi.col(x)):
-                if d:
-                    key = (y, t)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-        if lhs != {k: v for k, v in rhs.items() if v}:
-            raise ValidationError("map C -> D is not colinear")
+    bad = next(itertools.chain(algebra_map_violations(ca_alg, d_alg, varpi),
+                               colinear_violations(c_ca.rho_basis, d_ca.rho, varpi)), None)
+    if bad:
+        raise ValidationError("map C -> D is not a comodule algebra map: %r" % (bad,))
     ideal = kernel_basis(varpi)
     chain = ideal_power_chain(ca_alg, list(ideal))
     n = len(chain)  # J^n = 0

@@ -5,11 +5,14 @@ Coactions are matrices A -> A (x) H against the flat basis index
 ti(a, h, dim H) (a-index major).
 """
 
+from itertools import chain
 from math import isqrt
 
 from .algebra import (
     ConvElement,
     FAlgebra,
+    algebra_map_violations,
+    colinear_violations,
     convolution_invert,
     convolution_left_operator,
     convolution_unit,
@@ -602,10 +605,6 @@ class Section:
         self.phi = phi
         self.phi_inv = phi_inv
 
-    def phi_conv(self):
-        return ConvElement(self.parent.hopf.as_coalgebra(), self.parent.algebra,
-                           self.phi.matrix)
-
 
 def colinear_map_space(ca):
     """Kernel basis of the colinearity constraint rho o phi = (phi (x) id) o Delta.
@@ -685,23 +684,10 @@ def _normalized_section(ca, phi_matrix):
         LinearMap(normalized, h.basis, a.basis),
         LinearMap(fixed_inv.matrix, h.basis, a.basis),
     )
-    _check_colinear(ca, normalized)
+    bad = next(colinear_violations(h.delta_basis, ca.rho, normalized), None)
+    if bad:
+        raise ValidationError("normalized section is not colinear: %r" % (bad,))
     return sec
-
-
-def _check_colinear(ca, phi_matrix):
-    a, h = ca.algebra, ca.hopf
-    f = ca.field
-    for j in range(h.dim):
-        lhs = ca.rho(phi_matrix.col(j))
-        rhs = {}
-        for (p, q), c in h.delta_basis(j).items():
-            for x, d in enumerate(phi_matrix.col(p)):
-                if d:
-                    key = (x, q)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-        if lhs != _clean(rhs):
-            raise ValidationError("map is not colinear at basis index %d" % j)
 
 
 def section_to_crossed_system(sec):
@@ -775,28 +761,12 @@ def _embed_sparse(f, i, hvec, dh, db):
 
 def _verify_comodule_algebra_iso(src, dst, alpha):
     """alpha must be bijective, unital, multiplicative, and H-colinear."""
-    a, b = src.algebra, dst.algebra
-    f = a.field
     if not alpha.is_invertible():
         raise ValidationError("candidate isomorphism is not bijective")
-    if alpha.apply(a.one()) != b.one():
-        raise ValidationError("candidate isomorphism does not preserve the unit")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ei, ej = basis_vec(f, a.dim, i), basis_vec(f, a.dim, j)
-            if alpha.apply(a.mult(ei, ej)) != b.mult(alpha.apply(ei), alpha.apply(ej)):
-                raise ValidationError("candidate isomorphism is not multiplicative at (%d, %d)" % (i, j))
-    dh = src.hopf.dim
-    for i in range(a.dim):
-        lhs = dst.rho(alpha.apply(basis_vec(f, a.dim, i)))
-        rhs = {}
-        for (x, t), c in src.rho_basis(i).items():
-            for y, d in enumerate(alpha.col(x)):
-                if d:
-                    key = (y, t)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-        if lhs != _clean(rhs):
-            raise ValidationError("candidate isomorphism is not colinear at index %d" % i)
+    bad = next(chain(algebra_map_violations(src.algebra, dst.algebra, alpha),
+                     colinear_violations(src.rho_basis, dst.rho, alpha)), None)
+    if bad:
+        raise ValidationError("candidate isomorphism fails %r" % (bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -851,16 +821,7 @@ def _solve_quadratics_exactly(constraints):
 
 
 def _is_algebra_map(a, h, phi):
-    f = a.field
-    for g in range(h.dim):
-        for t in range(h.dim):
-            rhs = a.mult(phi.col(g), phi.col(t))
-            lhs = vzero(f, a.dim)
-            for k, c in h.mult_basis(g, t).items():
-                lhs = vadd(lhs, vscale(c, phi.col(k)))
-            if lhs != rhs:
-                return False
-    return True
+    return next(algebra_map_violations(h, a, phi), None) is None
 
 
 def find_comodule_algebra_map(ca, budget=DEFAULT_BUDGET):

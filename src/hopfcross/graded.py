@@ -6,7 +6,7 @@ Morita-context product maps A_g (x)_B A_{g^-1} -> B, and crossed products are
 recognized by hunting for a unit of A inside each component.
 """
 
-from .algebra import FAlgebra, ti
+from .algebra import FAlgebra, algebra_map_violations, ti
 from .errors import NotCrossedProductError, ValidationError
 from .linalg import (
     LinearMap,
@@ -236,13 +236,11 @@ def check_group_crossed_system(s):
     one = b.one()
     for g in range(grp.order):
         act = s.action[g]
-        if act.apply(one) != one:
-            violations.append(("action-not-unital-endomorphism", (g,)))
-        for i in range(b.dim):
-            for j in range(b.dim):
-                ei, ej = basis_vec(f, b.dim, i), basis_vec(f, b.dim, j)
-                if act.apply(b.mult(ei, ej)) != b.mult(act.apply(ei), act.apply(ej)):
-                    violations.append(("action-not-multiplicative", (g, i, j)))
+        for name, idx in algebra_map_violations(b, b, act):
+            if name == "unit":
+                violations.append(("action-not-unital-endomorphism", (g,)))
+            else:
+                violations.append(("action-not-multiplicative", (g,) + idx))
         if not act.is_invertible():
             violations.append(("action-not-bijective", (g,)))
     for (g, h), val in s.sigma.items():
@@ -420,13 +418,9 @@ def _verify_graded_iso(src, dst, alpha):
     f = a.field
     if not alpha.is_invertible():
         raise ValidationError("candidate isomorphism is not bijective")
-    if alpha.apply(a.one()) != b.one():
-        raise ValidationError("candidate isomorphism does not preserve the unit")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ei, ej = basis_vec(f, a.dim, i), basis_vec(f, a.dim, j)
-            if alpha.apply(a.mult(ei, ej)) != b.mult(alpha.apply(ei), alpha.apply(ej)):
-                raise ValidationError("candidate isomorphism is not multiplicative at (%d, %d)" % (i, j))
+    bad = next(algebra_map_violations(a, b, alpha), None)
+    if bad:
+        raise ValidationError("candidate isomorphism is not an algebra map: %r" % (bad,))
     for i in range(a.dim):
         img = alpha.apply(basis_vec(f, a.dim, i))
         for k, c in enumerate(img):

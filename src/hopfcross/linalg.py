@@ -109,11 +109,6 @@ class PrimeField:
         self.characteristic = p
         self.zero = FpElement(0, p)
         self.one = FpElement(1, p)
-        # precomputed inverse table for small p; larger p falls back to pow()
-        if p < 2 ** 16:
-            self._inv = [0] * p
-            for i in range(1, p):
-                self._inv[i] = pow(i, p - 2, p)
 
     def from_int(self, n):
         return FpElement(n, self.p)
@@ -197,10 +192,6 @@ class Matrix:
     def identity(field, n):
         z, o = field.zero, field.one
         return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_rows(field, rows):
-        return Matrix(field, rows)
 
     @staticmethod
     def from_cols(field, cols):
@@ -391,10 +382,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def column_space_pivots(self):
-        _, pivots, _ = self.rref()
-        return pivots
-
     def inverse(self):
         if self.rows != self.cols:
             raise ShapeMismatchError("inverse of non-square matrix")
@@ -464,10 +451,6 @@ def solve_linear(m, b):
     return SolveResult(solution=tuple(sol), kernel=m.kernel_basis())
 
 
-def invert_matrix(m):
-    return m.inverse()
-
-
 def kernel_basis(m):
     return m.kernel_basis()
 
@@ -530,10 +513,3 @@ class QuotientSpace:
         for j, c in zip(self.complement, coords):
             v[j] = c
         return tuple(v)
-
-    def projection_matrix(self):
-        n = self.ambient_dim
-        return Matrix(
-            self.field,
-            [self.project(basis_vec(self.field, n, j)) for j in range(n)],
-        ).transpose() if n else Matrix(self.field, [[]] * self.dim)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,9 +24,56 @@ from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
+from hopfcross.superalg import SuperPresentation
 
 Q = Rationals()
 F5 = PrimeField(5)
+
+PARTS = ("product", "coproduct", "unit", "counit", "antipode")
+STOCK = (("kz2", kz2), ("kz3", kz3), ("ks3", ks3), ("sweedler", sweedler))
+
+
+def corrupt(h, part, seed):
+    """h with one structure constant of the named part shifted by a seeded
+    nonzero amount."""
+    f = h.field
+    dim = h.dim
+    rng = random.Random(seed)
+    bump = f.from_int(rng.randrange(1, 5))
+    product = {key: dict(terms) for key, terms in h.product.items()}
+    coproduct = {i: dict(terms) for i, terms in h.coproduct.items()}
+    unit, counit = list(h.unit), list(h.counit)
+    antipode = [list(row) for row in h.antipode.data]
+    if part == "product":
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        terms = product.setdefault((i, j), {})
+        terms[k] = terms.get(k, f.zero) + bump
+    elif part == "coproduct":
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        terms = coproduct.setdefault(i, {})
+        terms[(j, k)] = terms.get((j, k), f.zero) + bump
+    elif part == "unit":
+        unit[rng.randrange(dim)] += bump
+    elif part == "counit":
+        counit[rng.randrange(dim)] += bump
+    else:
+        antipode[rng.randrange(dim)][rng.randrange(dim)] += bump
+    return FHopf(f, h.basis, product, tuple(unit), coproduct, tuple(counit),
+                 Matrix(f, antipode))
+
+
+def corrupted_inputs():
+    """((stock name, field name, part), corrupted Hopf presentation) for every
+    stock Hopf algebra over Q and F5 and every part."""
+    for name, make in STOCK:
+        for fname, field in (("Q", Q), ("F5", F5)):
+            for part in PARTS:
+                yield (name, fname, part), corrupt(make(field), part, "%s/%s/%s" % (name, fname, part))
+
+
+def views(h):
+    """The presentation each axiom kind is checked on."""
+    return {"algebra": h.as_algebra(), "coalgebra": h.as_coalgebra(), "bialgebra": h, "hopf": h}
 
 
 # --- axiom checks -----------------------------------------------------------
@@ -56,6 +104,20 @@ def test_sweedler_passes_hopf_axioms_brute_force():
             ei, ej, ek = (basis_vec(field, dim, t) for t in (i, j, k))
             assert h.mult(h.mult(ei, ej), ek) == h.mult(ei, h.mult(ej, ek))
         assert check_axioms("hopf", h).ok
+
+
+def test_check_axioms_witness_lists_are_frozen():
+    # GOLDEN holds every nonempty witness list of the seeded corruptions,
+    # recorded from the checker before the super laws were merged into it
+    for key, h in corrupted_inputs():
+        for kind, data in views(h).items():
+            assert check_axioms(kind, data).violations == GOLDEN.get(key + (kind,), []), key + (kind,)
+
+
+def test_all_even_super_check_is_the_hopf_check():
+    for key, h in corrupted_inputs():
+        even = SuperPresentation(h, (0,) * h.dim)
+        assert even.check_super_axioms() == check_axioms("hopf", h).violations, key
 
 
 # --- convolution ------------------------------------------------------------
@@ -284,3 +346,521 @@ def test_every_hopf_satisfies_antipode_convolution_identity():
         unit = convolution_unit(h.as_coalgebra(), h.as_algebra())
         assert convolve(identity_conv(h), s) == unit
         assert convolve(s, identity_conv(h)) == unit
+
+
+GOLDEN = {
+    ('kz2', 'Q', 'product', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 1, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 1, 0)),
+    ],
+    ('kz2', 'Q', 'product', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 1, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 1, 0)), ('coproduct-multiplicative', (0, 0)),
+        ('counit-multiplicative', (0, 0)),
+    ],
+    ('kz2', 'Q', 'product', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 1, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 1, 0)), ('coproduct-multiplicative', (0, 0)),
+        ('counit-multiplicative', (0, 0)), ('antipode-right', (0,)), ('antipode-left', (0,)),
+    ],
+    ('kz2', 'Q', 'coproduct', 'coalgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)),
+    ],
+    ('kz2', 'Q', 'coproduct', 'bialgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('coproduct-of-unit', ()),
+        ('coproduct-multiplicative', (0, 0)), ('coproduct-multiplicative', (0, 1)),
+        ('coproduct-multiplicative', (1, 0)), ('coproduct-multiplicative', (1, 1)),
+    ],
+    ('kz2', 'Q', 'coproduct', 'hopf'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('coproduct-of-unit', ()),
+        ('coproduct-multiplicative', (0, 0)), ('coproduct-multiplicative', (0, 1)),
+        ('coproduct-multiplicative', (1, 0)), ('coproduct-multiplicative', (1, 1)),
+        ('antipode-right', (0,)), ('antipode-left', (0,)),
+    ],
+    ('kz2', 'Q', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+    ],
+    ('kz2', 'Q', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()),
+    ],
+    ('kz2', 'Q', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()), ('antipode-right', (0,)),
+        ('antipode-left', (0,)), ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz2', 'Q', 'counit', 'coalgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)),
+    ],
+    ('kz2', 'Q', 'counit', 'bialgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-of-unit', ()),
+        ('counit-multiplicative', (0, 0)), ('counit-multiplicative', (0, 1)),
+        ('counit-multiplicative', (1, 0)), ('counit-multiplicative', (1, 1)),
+    ],
+    ('kz2', 'Q', 'counit', 'hopf'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-of-unit', ()),
+        ('counit-multiplicative', (0, 0)), ('counit-multiplicative', (0, 1)),
+        ('counit-multiplicative', (1, 0)), ('counit-multiplicative', (1, 1)),
+        ('antipode-right', (0,)), ('antipode-left', (0,)),
+    ],
+    ('kz2', 'Q', 'antipode', 'hopf'): [
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz2', 'F5', 'product', 'bialgebra'): [
+        ('coproduct-multiplicative', (1, 1)), ('counit-multiplicative', (1, 1)),
+    ],
+    ('kz2', 'F5', 'product', 'hopf'): [
+        ('coproduct-multiplicative', (1, 1)), ('counit-multiplicative', (1, 1)),
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz2', 'F5', 'coproduct', 'coalgebra'): [
+        ('counit-left', (1,)), ('counit-right', (1,)),
+    ],
+    ('kz2', 'F5', 'coproduct', 'bialgebra'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('coproduct-multiplicative', (1, 1)),
+    ],
+    ('kz2', 'F5', 'coproduct', 'hopf'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('coproduct-multiplicative', (1, 1)),
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz2', 'F5', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+    ],
+    ('kz2', 'F5', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()),
+    ],
+    ('kz2', 'F5', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()), ('antipode-right', (0,)),
+        ('antipode-left', (0,)), ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz2', 'F5', 'counit', 'coalgebra'): [
+        ('counit-left', (1,)), ('counit-right', (1,)),
+    ],
+    ('kz2', 'F5', 'counit', 'bialgebra'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('counit-multiplicative', (1, 1)),
+    ],
+    ('kz2', 'F5', 'counit', 'hopf'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('counit-multiplicative', (1, 1)),
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz2', 'F5', 'antipode', 'hopf'): [
+        ('antipode-right', (0,)), ('antipode-left', (0,)),
+    ],
+    ('kz3', 'Q', 'product', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 0, 2)), ('associativity', (0, 1, 2)),
+        ('associativity', (0, 2, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 2, 0)), ('associativity', (2, 0, 0)),
+        ('associativity', (2, 1, 0)),
+    ],
+    ('kz3', 'Q', 'product', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 0, 2)), ('associativity', (0, 1, 2)),
+        ('associativity', (0, 2, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 2, 0)), ('associativity', (2, 0, 0)),
+        ('associativity', (2, 1, 0)),
+    ],
+    ('kz3', 'Q', 'product', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 0, 2)), ('associativity', (0, 1, 2)),
+        ('associativity', (0, 2, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 2, 0)), ('associativity', (2, 0, 0)),
+        ('associativity', (2, 1, 0)),
+    ],
+    ('kz3', 'Q', 'coproduct', 'coalgebra'): [
+        ('coassociativity', (1,)), ('counit-left', (1,)), ('counit-right', (1,)),
+    ],
+    ('kz3', 'Q', 'coproduct', 'bialgebra'): [
+        ('coassociativity', (1,)), ('counit-left', (1,)), ('counit-right', (1,)),
+        ('coproduct-multiplicative', (1, 1)), ('coproduct-multiplicative', (1, 2)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 2)),
+    ],
+    ('kz3', 'Q', 'coproduct', 'hopf'): [
+        ('coassociativity', (1,)), ('counit-left', (1,)), ('counit-right', (1,)),
+        ('coproduct-multiplicative', (1, 1)), ('coproduct-multiplicative', (1, 2)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 2)),
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz3', 'Q', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)),
+    ],
+    ('kz3', 'Q', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('coproduct-of-unit', ()),
+        ('counit-of-unit', ()),
+    ],
+    ('kz3', 'Q', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('coproduct-of-unit', ()),
+        ('counit-of-unit', ()), ('antipode-right', (0,)), ('antipode-left', (0,)),
+    ],
+    ('kz3', 'Q', 'counit', 'coalgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)),
+    ],
+    ('kz3', 'Q', 'counit', 'bialgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-of-unit', ()),
+        ('counit-multiplicative', (0, 0)), ('counit-multiplicative', (0, 1)),
+        ('counit-multiplicative', (0, 2)), ('counit-multiplicative', (1, 0)),
+        ('counit-multiplicative', (1, 2)), ('counit-multiplicative', (2, 0)),
+        ('counit-multiplicative', (2, 1)),
+    ],
+    ('kz3', 'Q', 'counit', 'hopf'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-of-unit', ()),
+        ('counit-multiplicative', (0, 0)), ('counit-multiplicative', (0, 1)),
+        ('counit-multiplicative', (0, 2)), ('counit-multiplicative', (1, 0)),
+        ('counit-multiplicative', (1, 2)), ('counit-multiplicative', (2, 0)),
+        ('counit-multiplicative', (2, 1)),
+    ],
+    ('kz3', 'Q', 'antipode', 'hopf'): [
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('kz3', 'F5', 'product', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 0, 2)), ('associativity', (0, 1, 2)),
+        ('associativity', (0, 2, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 2, 0)), ('associativity', (2, 0, 0)),
+        ('associativity', (2, 1, 0)),
+    ],
+    ('kz3', 'F5', 'product', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 0, 2)), ('associativity', (0, 1, 2)),
+        ('associativity', (0, 2, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 2, 0)), ('associativity', (2, 0, 0)),
+        ('associativity', (2, 1, 0)),
+    ],
+    ('kz3', 'F5', 'product', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('associativity', (0, 0, 1)),
+        ('associativity', (0, 0, 2)), ('associativity', (0, 1, 2)),
+        ('associativity', (0, 2, 1)), ('associativity', (1, 0, 0)),
+        ('associativity', (1, 2, 0)), ('associativity', (2, 0, 0)),
+        ('associativity', (2, 1, 0)),
+    ],
+    ('kz3', 'F5', 'coproduct', 'coalgebra'): [
+        ('coassociativity', (2,)), ('counit-left', (2,)), ('counit-right', (2,)),
+    ],
+    ('kz3', 'F5', 'coproduct', 'bialgebra'): [
+        ('coassociativity', (2,)), ('counit-left', (2,)), ('counit-right', (2,)),
+        ('coproduct-multiplicative', (1, 1)), ('coproduct-multiplicative', (1, 2)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 2)),
+    ],
+    ('kz3', 'F5', 'coproduct', 'hopf'): [
+        ('coassociativity', (2,)), ('counit-left', (2,)), ('counit-right', (2,)),
+        ('coproduct-multiplicative', (1, 1)), ('coproduct-multiplicative', (1, 2)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 2)),
+        ('antipode-right', (2,)), ('antipode-left', (2,)),
+    ],
+    ('kz3', 'F5', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)),
+    ],
+    ('kz3', 'F5', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('coproduct-of-unit', ()),
+        ('counit-of-unit', ()),
+    ],
+    ('kz3', 'F5', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('coproduct-of-unit', ()),
+        ('counit-of-unit', ()), ('antipode-right', (0,)), ('antipode-left', (0,)),
+    ],
+    ('kz3', 'F5', 'counit', 'coalgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)),
+    ],
+    ('kz3', 'F5', 'counit', 'bialgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-of-unit', ()),
+        ('counit-multiplicative', (0, 0)), ('counit-multiplicative', (0, 1)),
+        ('counit-multiplicative', (0, 2)), ('counit-multiplicative', (1, 0)),
+        ('counit-multiplicative', (1, 2)), ('counit-multiplicative', (2, 0)),
+        ('counit-multiplicative', (2, 1)),
+    ],
+    ('kz3', 'F5', 'counit', 'hopf'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-of-unit', ()),
+        ('counit-multiplicative', (0, 0)), ('counit-multiplicative', (0, 1)),
+        ('counit-multiplicative', (0, 2)), ('counit-multiplicative', (1, 0)),
+        ('counit-multiplicative', (1, 2)), ('counit-multiplicative', (2, 0)),
+        ('counit-multiplicative', (2, 1)),
+    ],
+    ('kz3', 'F5', 'antipode', 'hopf'): [
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('ks3', 'Q', 'product', 'algebra'): [
+        ('associativity', (1, 1, 2)), ('associativity', (1, 1, 3)),
+        ('associativity', (1, 1, 4)), ('associativity', (1, 1, 5)),
+        ('associativity', (1, 2, 3)), ('associativity', (1, 3, 5)),
+        ('associativity', (1, 4, 2)), ('associativity', (1, 5, 4)),
+        ('associativity', (2, 1, 1)), ('associativity', (2, 3, 1)),
+    ],
+    ('ks3', 'Q', 'product', 'bialgebra'): [
+        ('associativity', (1, 1, 2)), ('associativity', (1, 1, 3)),
+        ('associativity', (1, 1, 4)), ('associativity', (1, 1, 5)),
+        ('associativity', (1, 2, 3)), ('associativity', (1, 3, 5)),
+        ('associativity', (1, 4, 2)), ('associativity', (1, 5, 4)),
+        ('associativity', (2, 1, 1)), ('associativity', (2, 3, 1)),
+    ],
+    ('ks3', 'Q', 'product', 'hopf'): [
+        ('associativity', (1, 1, 2)), ('associativity', (1, 1, 3)),
+        ('associativity', (1, 1, 4)), ('associativity', (1, 1, 5)),
+        ('associativity', (1, 2, 3)), ('associativity', (1, 3, 5)),
+        ('associativity', (1, 4, 2)), ('associativity', (1, 5, 4)),
+        ('associativity', (2, 1, 1)), ('associativity', (2, 3, 1)),
+    ],
+    ('ks3', 'Q', 'coproduct', 'coalgebra'): [
+        ('coassociativity', (3,)), ('counit-left', (3,)), ('counit-right', (3,)),
+    ],
+    ('ks3', 'Q', 'coproduct', 'bialgebra'): [
+        ('coassociativity', (3,)), ('counit-left', (3,)), ('counit-right', (3,)),
+        ('coproduct-multiplicative', (1, 3)), ('coproduct-multiplicative', (1, 5)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 3)),
+        ('coproduct-multiplicative', (3, 1)), ('coproduct-multiplicative', (3, 2)),
+        ('coproduct-multiplicative', (3, 3)),
+    ],
+    ('ks3', 'Q', 'coproduct', 'hopf'): [
+        ('coassociativity', (3,)), ('counit-left', (3,)), ('counit-right', (3,)),
+        ('coproduct-multiplicative', (1, 3)), ('coproduct-multiplicative', (1, 5)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 3)),
+        ('coproduct-multiplicative', (3, 1)), ('coproduct-multiplicative', (3, 2)),
+        ('coproduct-multiplicative', (3, 3)),
+    ],
+    ('ks3', 'Q', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('left-unit', (4,)), ('right-unit', (4,)),
+    ],
+    ('ks3', 'Q', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('left-unit', (4,)), ('right-unit', (4,)),
+    ],
+    ('ks3', 'Q', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('left-unit', (4,)), ('right-unit', (4,)),
+    ],
+    ('ks3', 'Q', 'counit', 'coalgebra'): [
+        ('counit-left', (5,)), ('counit-right', (5,)),
+    ],
+    ('ks3', 'Q', 'counit', 'bialgebra'): [
+        ('counit-left', (5,)), ('counit-right', (5,)), ('counit-multiplicative', (1, 3)),
+        ('counit-multiplicative', (1, 5)), ('counit-multiplicative', (2, 4)),
+        ('counit-multiplicative', (2, 5)), ('counit-multiplicative', (3, 2)),
+        ('counit-multiplicative', (3, 5)), ('counit-multiplicative', (4, 1)),
+        ('counit-multiplicative', (4, 5)),
+    ],
+    ('ks3', 'Q', 'counit', 'hopf'): [
+        ('counit-left', (5,)), ('counit-right', (5,)), ('counit-multiplicative', (1, 3)),
+        ('counit-multiplicative', (1, 5)), ('counit-multiplicative', (2, 4)),
+        ('counit-multiplicative', (2, 5)), ('counit-multiplicative', (3, 2)),
+        ('counit-multiplicative', (3, 5)), ('counit-multiplicative', (4, 1)),
+        ('counit-multiplicative', (4, 5)),
+    ],
+    ('ks3', 'Q', 'antipode', 'hopf'): [
+        ('antipode-right', (2,)), ('antipode-left', (2,)),
+    ],
+    ('ks3', 'F5', 'product', 'algebra'): [
+        ('associativity', (1, 3, 1)), ('associativity', (1, 5, 1)),
+        ('associativity', (2, 4, 1)), ('associativity', (2, 5, 1)),
+        ('associativity', (3, 2, 1)), ('associativity', (3, 5, 1)),
+        ('associativity', (4, 1, 1)), ('associativity', (4, 5, 1)),
+        ('associativity', (5, 1, 1)), ('associativity', (5, 1, 2)),
+    ],
+    ('ks3', 'F5', 'product', 'bialgebra'): [
+        ('associativity', (1, 3, 1)), ('associativity', (1, 5, 1)),
+        ('associativity', (2, 4, 1)), ('associativity', (2, 5, 1)),
+        ('associativity', (3, 2, 1)), ('associativity', (3, 5, 1)),
+        ('associativity', (4, 1, 1)), ('associativity', (4, 5, 1)),
+        ('associativity', (5, 1, 1)), ('associativity', (5, 1, 2)),
+    ],
+    ('ks3', 'F5', 'product', 'hopf'): [
+        ('associativity', (1, 3, 1)), ('associativity', (1, 5, 1)),
+        ('associativity', (2, 4, 1)), ('associativity', (2, 5, 1)),
+        ('associativity', (3, 2, 1)), ('associativity', (3, 5, 1)),
+        ('associativity', (4, 1, 1)), ('associativity', (4, 5, 1)),
+        ('associativity', (5, 1, 1)), ('associativity', (5, 1, 2)),
+    ],
+    ('ks3', 'F5', 'coproduct', 'coalgebra'): [
+        ('coassociativity', (3,)), ('counit-left', (3,)), ('counit-right', (3,)),
+    ],
+    ('ks3', 'F5', 'coproduct', 'bialgebra'): [
+        ('coassociativity', (3,)), ('counit-left', (3,)), ('counit-right', (3,)),
+        ('coproduct-multiplicative', (1, 3)), ('coproduct-multiplicative', (1, 5)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 3)),
+        ('coproduct-multiplicative', (3, 1)), ('coproduct-multiplicative', (3, 2)),
+        ('coproduct-multiplicative', (3, 3)),
+    ],
+    ('ks3', 'F5', 'coproduct', 'hopf'): [
+        ('coassociativity', (3,)), ('counit-left', (3,)), ('counit-right', (3,)),
+        ('coproduct-multiplicative', (1, 3)), ('coproduct-multiplicative', (1, 5)),
+        ('coproduct-multiplicative', (2, 1)), ('coproduct-multiplicative', (2, 3)),
+        ('coproduct-multiplicative', (3, 1)), ('coproduct-multiplicative', (3, 2)),
+        ('coproduct-multiplicative', (3, 3)),
+    ],
+    ('ks3', 'F5', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('left-unit', (4,)), ('right-unit', (4,)),
+    ],
+    ('ks3', 'F5', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('left-unit', (4,)), ('right-unit', (4,)),
+    ],
+    ('ks3', 'F5', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('left-unit', (4,)), ('right-unit', (4,)),
+    ],
+    ('ks3', 'F5', 'counit', 'coalgebra'): [
+        ('counit-left', (3,)), ('counit-right', (3,)),
+    ],
+    ('ks3', 'F5', 'counit', 'bialgebra'): [
+        ('counit-left', (3,)), ('counit-right', (3,)), ('counit-multiplicative', (1, 3)),
+        ('counit-multiplicative', (1, 5)), ('counit-multiplicative', (2, 1)),
+        ('counit-multiplicative', (2, 3)), ('counit-multiplicative', (3, 1)),
+        ('counit-multiplicative', (3, 2)), ('counit-multiplicative', (3, 3)),
+        ('counit-multiplicative', (3, 4)),
+    ],
+    ('ks3', 'F5', 'counit', 'hopf'): [
+        ('counit-left', (3,)), ('counit-right', (3,)), ('counit-multiplicative', (1, 3)),
+        ('counit-multiplicative', (1, 5)), ('counit-multiplicative', (2, 1)),
+        ('counit-multiplicative', (2, 3)), ('counit-multiplicative', (3, 1)),
+        ('counit-multiplicative', (3, 2)), ('counit-multiplicative', (3, 3)),
+        ('counit-multiplicative', (3, 4)),
+    ],
+    ('ks3', 'F5', 'antipode', 'hopf'): [
+        ('antipode-right', (5,)), ('antipode-left', (5,)),
+    ],
+    ('sweedler', 'Q', 'product', 'algebra'): [
+        ('right-unit', (2,)), ('associativity', (1, 2, 0)), ('associativity', (1, 3, 0)),
+        ('associativity', (2, 0, 0)), ('associativity', (2, 0, 1)),
+        ('associativity', (2, 1, 1)), ('associativity', (3, 1, 0)),
+    ],
+    ('sweedler', 'Q', 'product', 'bialgebra'): [
+        ('right-unit', (2,)), ('associativity', (1, 2, 0)), ('associativity', (1, 3, 0)),
+        ('associativity', (2, 0, 0)), ('associativity', (2, 0, 1)),
+        ('associativity', (2, 1, 1)), ('associativity', (3, 1, 0)),
+        ('coproduct-multiplicative', (2, 2)), ('coproduct-multiplicative', (2, 3)),
+    ],
+    ('sweedler', 'Q', 'product', 'hopf'): [
+        ('right-unit', (2,)), ('associativity', (1, 2, 0)), ('associativity', (1, 3, 0)),
+        ('associativity', (2, 0, 0)), ('associativity', (2, 0, 1)),
+        ('associativity', (2, 1, 1)), ('associativity', (3, 1, 0)),
+        ('coproduct-multiplicative', (2, 2)), ('coproduct-multiplicative', (2, 3)),
+        ('antipode-right', (2,)),
+    ],
+    ('sweedler', 'Q', 'coproduct', 'coalgebra'): [
+        ('coassociativity', (2,)),
+    ],
+    ('sweedler', 'Q', 'coproduct', 'bialgebra'): [
+        ('coassociativity', (2,)), ('coproduct-multiplicative', (1, 2)),
+        ('coproduct-multiplicative', (1, 3)), ('coproduct-multiplicative', (2, 1)),
+        ('coproduct-multiplicative', (3, 1)),
+    ],
+    ('sweedler', 'Q', 'coproduct', 'hopf'): [
+        ('coassociativity', (2,)), ('coproduct-multiplicative', (1, 2)),
+        ('coproduct-multiplicative', (1, 3)), ('coproduct-multiplicative', (2, 1)),
+        ('coproduct-multiplicative', (3, 1)),
+    ],
+    ('sweedler', 'Q', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+    ],
+    ('sweedler', 'Q', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()),
+    ],
+    ('sweedler', 'Q', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()),
+    ],
+    ('sweedler', 'Q', 'counit', 'coalgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-right', (2,)),
+        ('counit-left', (3,)),
+    ],
+    ('sweedler', 'Q', 'counit', 'bialgebra'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-right', (2,)),
+        ('counit-left', (3,)), ('counit-of-unit', ()), ('counit-multiplicative', (0, 0)),
+        ('counit-multiplicative', (0, 1)), ('counit-multiplicative', (1, 0)),
+        ('counit-multiplicative', (1, 1)),
+    ],
+    ('sweedler', 'Q', 'counit', 'hopf'): [
+        ('counit-left', (0,)), ('counit-right', (0,)), ('counit-right', (2,)),
+        ('counit-left', (3,)), ('counit-of-unit', ()), ('counit-multiplicative', (0, 0)),
+        ('counit-multiplicative', (0, 1)), ('counit-multiplicative', (1, 0)),
+        ('counit-multiplicative', (1, 1)), ('antipode-right', (0,)),
+    ],
+    ('sweedler', 'Q', 'antipode', 'hopf'): [
+        ('antipode-right', (2,)), ('antipode-left', (2,)),
+    ],
+    ('sweedler', 'F5', 'product', 'algebra'): [
+        ('associativity', (1, 1, 2)), ('associativity', (1, 1, 3)),
+        ('associativity', (1, 2, 1)), ('associativity', (1, 2, 2)),
+        ('associativity', (1, 2, 3)), ('associativity', (1, 3, 1)),
+        ('associativity', (2, 1, 2)), ('associativity', (3, 1, 2)),
+    ],
+    ('sweedler', 'F5', 'product', 'bialgebra'): [
+        ('associativity', (1, 1, 2)), ('associativity', (1, 1, 3)),
+        ('associativity', (1, 2, 1)), ('associativity', (1, 2, 2)),
+        ('associativity', (1, 2, 3)), ('associativity', (1, 3, 1)),
+        ('associativity', (2, 1, 2)), ('associativity', (3, 1, 2)),
+        ('coproduct-multiplicative', (1, 2)), ('counit-multiplicative', (1, 2)),
+    ],
+    ('sweedler', 'F5', 'product', 'hopf'): [
+        ('associativity', (1, 1, 2)), ('associativity', (1, 1, 3)),
+        ('associativity', (1, 2, 1)), ('associativity', (1, 2, 2)),
+        ('associativity', (1, 2, 3)), ('associativity', (1, 3, 1)),
+        ('associativity', (2, 1, 2)), ('associativity', (3, 1, 2)),
+        ('coproduct-multiplicative', (1, 2)), ('counit-multiplicative', (1, 2)),
+    ],
+    ('sweedler', 'F5', 'coproduct', 'coalgebra'): [
+        ('coassociativity', (0,)), ('coassociativity', (2,)), ('coassociativity', (3,)),
+    ],
+    ('sweedler', 'F5', 'coproduct', 'bialgebra'): [
+        ('coassociativity', (0,)), ('coassociativity', (2,)), ('coassociativity', (3,)),
+        ('coproduct-of-unit', ()), ('coproduct-multiplicative', (0, 0)),
+        ('coproduct-multiplicative', (0, 1)), ('coproduct-multiplicative', (1, 0)),
+        ('coproduct-multiplicative', (1, 1)),
+    ],
+    ('sweedler', 'F5', 'coproduct', 'hopf'): [
+        ('coassociativity', (0,)), ('coassociativity', (2,)), ('coassociativity', (3,)),
+        ('coproduct-of-unit', ()), ('coproduct-multiplicative', (0, 0)),
+        ('coproduct-multiplicative', (0, 1)), ('coproduct-multiplicative', (1, 0)),
+        ('coproduct-multiplicative', (1, 1)),
+    ],
+    ('sweedler', 'F5', 'unit', 'algebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+    ],
+    ('sweedler', 'F5', 'unit', 'bialgebra'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()),
+    ],
+    ('sweedler', 'F5', 'unit', 'hopf'): [
+        ('left-unit', (0,)), ('right-unit', (0,)), ('left-unit', (1,)), ('right-unit', (1,)),
+        ('left-unit', (2,)), ('right-unit', (2,)), ('left-unit', (3,)), ('right-unit', (3,)),
+        ('coproduct-of-unit', ()), ('counit-of-unit', ()),
+    ],
+    ('sweedler', 'F5', 'counit', 'coalgebra'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('counit-left', (2,)),
+        ('counit-right', (3,)),
+    ],
+    ('sweedler', 'F5', 'counit', 'bialgebra'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('counit-left', (2,)),
+        ('counit-right', (3,)),
+    ],
+    ('sweedler', 'F5', 'counit', 'hopf'): [
+        ('counit-left', (1,)), ('counit-right', (1,)), ('counit-left', (2,)),
+        ('counit-right', (3,)), ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+    ('sweedler', 'F5', 'antipode', 'hopf'): [
+        ('antipode-right', (1,)), ('antipode-left', (1,)),
+    ],
+}

@@ -94,6 +94,27 @@ def test_axiom_failure_is_a_verdict_not_an_input_error(tmp_path, capsys):
     assert report["witnesses"]["violations"]
 
 
+def test_super_check_covers_the_counit_laws(tmp_path, capsys):
+    # Lambda(1) with Delta(v) = 0 respects parity and is super-commutative,
+    # but v fails both counit laws
+    doc = {
+        "format_version": 1, "kind": "super-hopf", "field": {"kind": "Q"},
+        "basis": ["1", "v"], "parity": [0, 1],
+        "product": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]],
+        "unit": [[0, 1]], "counit": [[0, 1]],
+        "coproduct": [[0, 0, 0, 1]],
+        "antipode": {"rows": 2, "cols": 2, "entries": [[0, 0, 1]]},
+    }
+    path = tmp_path / "lambda1-zero-delta.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1
+    assert report["witnesses"]["violations"] == [["counit-left", [1]], ["counit-right", [1]]]
+    code, report = run_json(capsys, ["super-decompose", str(path)])
+    assert code == 2
+    assert report["error"].startswith("super axiom violations")
+
+
 # ---------------------------------------------------------------------------
 # command verdicts over the corpus
 

@@ -1,6 +1,7 @@
 """Koszul-sign arithmetic, exterior Hopf superalgebras, the duality pairing,
 even quotients, odd cotangents/primitives, and the tensor decomposition."""
 
+import itertools
 import random
 
 import pytest
@@ -363,3 +364,70 @@ def test_odd_squares_vanish_on_supercommutative():
             v[i] = Q.from_int(rng.randrange(-5, 6))
         sq = A.hopf.mult(tuple(v), tuple(v))
         assert all(c == Q.zero for c in sq)
+
+
+# ---------------------------------------------------------------------------
+# laws the super check leaves to the Hopf laws
+
+
+def f3_family(parity):
+    """Every two-dimensional presentation over F3 on the basis (1, v) with 1
+    the unit, Delta(1) = 1 (x) 1, eps(1) = 1 and S(1) = 1: v.v, Delta(v),
+    eps(v) and S(v) take all 3^9 values."""
+    f3 = PrimeField(3)
+    o, z = f3.one, f3.zero
+    for a, b, c00, c01, c10, c11, e, s0, s1 in itertools.product(f3.elements(), repeat=9):
+        product = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}, (1, 1): {0: a, 1: b}}
+        coproduct = {0: {(0, 0): o}, 1: {(0, 0): c00, (0, 1): c01, (1, 0): c10, (1, 1): c11}}
+        antipode = Matrix(f3, [[o, s0], [z, s1]])
+        h = FHopf(f3, ("1", "v"), product, (o, z), coproduct, (o, e), antipode)
+        yield SuperPresentation(h, parity)
+
+
+def implied_law_witnesses(sp):
+    """Reference check of S o mu = mu o (S (x) S) o c, of
+    Delta o S = c o (S (x) S) o Delta, and of v.v = 0 for odd v in a
+    super-commutative algebra, where c is the Koszul swap."""
+    h = sp.hopf
+    f = h.field
+    p = sp.parity
+    s = h.antipode
+    dim = h.dim
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            lhs = [f.zero] * dim
+            for k, c in h.mult_basis(i, j).items():
+                lhs = [x + c * y for x, y in zip(lhs, s.col(k))]
+            sign = f.one if p[i] * p[j] == 0 else -f.one
+            rhs = [sign * x for x in h.mult(s.col(j), s.col(i))]
+            if lhs != rhs:
+                out.append(("antipode-antimultiplicative", (i, j)))
+    for i in range(dim):
+        lhs = {}
+        for x, c in enumerate(s.col(i)):
+            for key, d in h.delta_basis(x).items():
+                lhs[key] = lhs.get(key, f.zero) + c * d
+        rhs = {}
+        for (j, k), c in h.delta_basis(i).items():
+            sign = f.one if p[j] * p[k] == 0 else -f.one
+            for x, u in enumerate(s.col(k)):
+                for y, v in enumerate(s.col(j)):
+                    rhs[(x, y)] = rhs.get((x, y), f.zero) + sign * c * u * v
+        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            out.append(("antipode-anticomultiplicative", (i,)))
+    if sp.is_super_commutative():
+        for i in range(dim):
+            if p[i] and h.mult_basis(i, i):
+                out.append(("odd-square-nonzero", (i,)))
+    return out
+
+
+def test_super_check_implies_the_antipode_and_odd_square_laws():
+    for parity in ((0, 0), (0, 1)):
+        passed = 0
+        for sp in f3_family(parity):
+            if not sp.check_super_axioms():
+                passed += 1
+                assert implied_law_witnesses(sp) == [], sp.hopf.canonical_constants()
+        assert passed
