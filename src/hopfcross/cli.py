@@ -18,10 +18,7 @@ from .algebra import (
     FCoalgebra,
     FHopf,
     check_axioms,
-    colinear_violations,
     compute_antipode,
-    convolution_invert,
-    ConvElement,
     dual_hopf,
     smash_coproduct,
 )
@@ -566,12 +563,6 @@ def cmd_antipode(args):
         s = compute_antipode(b).antipode
     except NoAntipodeError:
         return _emit(Report("antipode", "not-found", 1), args)
-    if args.certify:
-        inv = convolution_invert(ConvElement(
-            b.as_coalgebra(), b.as_algebra(), Matrix.identity(b.field, b.dim)
-        ))
-        if inv.matrix != s:
-            raise ValidationError("antipode certificate failed re-verification")
     return _emit(Report("antipode", "found", 0, certificates={
         "antipode": _mj(b.field, s),
     }), args)
@@ -582,10 +573,6 @@ def cmd_dual(args):
     if pres.kind != "hopf":
         raise ValidationError("dual needs a hopf file")
     d = dual_hopf(pres.payload)
-    if args.certify:
-        rep = check_axioms("hopf", d)
-        if not rep.ok:
-            raise ValidationError("dual failed re-verification: %r" % (rep,))
     return _emit(Report("dual", "pass", 0, witnesses={
         "presentation": encode_hopf(d),
     }), args)
@@ -612,13 +599,10 @@ def cmd_coinvariants(args):
 def cmd_galois(args):
     ca = _as_comodule_algebra(parse_presentation(args.file))
     rep = galois_map(ca)
-    if args.certify and rep.bijective:
-        if not rep.beta.matrix.is_invertible():
-            raise ValidationError("Galois certificate failed re-verification")
     verdict = "pass" if rep.bijective else "fail"
     return _emit(Report("galois", verdict, 0 if rep.bijective else 1, witnesses={
         "bijective": rep.bijective,
-        "rank": rep.beta.matrix.rank(),
+        "rank": rep.rank,
     }, certificates={"beta": _mj(ca.field, rep.beta.matrix)}), args)
 
 
@@ -678,11 +662,6 @@ def cmd_find_section(args):
         return _emit(Report("find-section", "not-found", 1,
                             definitive=e.definitive,
                             budget_exhausted=not e.definitive), args)
-    if args.certify:
-        phi = sec.phi.matrix
-        if (next(colinear_violations(ca.hopf.delta_basis, ca.rho, phi), None)
-                or phi.apply(ca.hopf.unit) != ca.algebra.one()):
-            raise ValidationError("section certificate failed re-verification")
     return _emit(Report("find-section", "found", 0, certificates={
         "phi": _mj(ca.field, sec.phi.matrix),
         "phi_inv": _mj(ca.field, sec.phi_inv.matrix),
@@ -757,12 +736,6 @@ def cmd_split(args):
     res = split_extension(ext)
     f = ext.comodule_algebra.field
     if res.split:
-        if args.certify:
-            psi = res.splitting.matrix
-            h = ext.comodule_algebra.hopf
-            a = ext.comodule_algebra.algebra
-            if psi.apply(h.unit) != a.one():
-                raise ValidationError("splitting certificate failed re-verification")
         return _emit(Report("split", "found", 0, certificates={
             "splitting": _mj(f, res.splitting.matrix),
         }), args)
@@ -779,8 +752,6 @@ def cmd_lift(args):
     res = lift_comodule_algebra_map(domain, target, varpi, psi)
     f = domain.field
     if res.lifted:
-        if args.certify and varpi * res.lift.matrix != psi:
-            raise ValidationError("lift certificate failed re-verification")
         return _emit(Report("lift", "found", 0, certificates={
             "lift": _mj(f, res.lift.matrix),
         }), args)
@@ -795,10 +766,6 @@ def cmd_smash_coproduct(args):
     if pres.kind != "comodule-coalgebra":
         raise ValidationError("smash-coproduct needs a comodule-coalgebra file")
     out = smash_coproduct(pres.payload)
-    if args.certify:
-        rep = check_axioms("coalgebra", out.coalgebra)
-        if not rep.ok:
-            raise ValidationError("smash coproduct failed re-verification: %r" % (rep,))
     return _emit(Report("smash-coproduct", "pass", 0, witnesses={
         "presentation": encode_coalgebra(out.coalgebra),
     }), args)
@@ -810,8 +777,6 @@ def cmd_super_decompose(args):
         raise ValidationError("super-decompose needs a super-hopf file")
     res = decompose(pres.payload)
     f = pres.payload.field
-    if args.certify and not res.alpha.matrix.is_invertible():
-        raise ValidationError("decomposition certificate failed re-verification")
     return _emit(Report("super-decompose", "pass", 0, witnesses={
         "h_dimension": res.h.dim,
         "w_dimension": res.w.odd_dim,
@@ -827,8 +792,6 @@ def cmd_super_decompose(args):
 def cmd_pairing(args):
     field = PrimeField(args.prime) if args.prime else Rationals()
     pairing = duality_pairing(args.n, field)
-    if args.certify and not pairing.matrix.is_invertible():
-        raise ValidationError("pairing certificate failed re-verification")
     return _emit(Report("pairing", "pass", 0, witnesses={
         "n": args.n,
         "nondegenerate": True,

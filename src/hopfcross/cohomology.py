@@ -10,9 +10,11 @@ with the usual row-major flattening of tensor indices.
 import itertools
 
 from .algebra import (
+    MAX_VIOLATIONS,
     ConvElement,
     FAlgebra,
     algebra_map_violations,
+    coaction_violations,
     colinear_violations,
     convolution_invert,
     ti,
@@ -459,7 +461,7 @@ def reaugment_section(ext, sec):
 
 
 class Classification:
-    def __init__(self, aug, act, cochain, hh2_result, class_coords, system, section):
+    def __init__(self, aug, act, cochain, hh2_result, class_coords, system, section, iso):
         self.aug = aug
         self.act = act
         self.cochain = cochain
@@ -467,6 +469,7 @@ class Classification:
         self.class_coords = class_coords
         self.system = system
         self.section = section
+        self.iso = iso  # B x|_sigma H -> A, b (x) h |-> b phi(h)
 
     @property
     def is_split(self):
@@ -493,7 +496,7 @@ def classify_cleft_extension(ext):
     # above (both canonical), so the system base is baug.algebra
     if system.base.canonical_constants() != b.canonical_constants():
         raise ValidationError("coinvariant presentations disagree")
-    dh, db = h.dim, b.dim
+    dh = h.dim
     dp = baug.plus_dim
     # invert (hit): the action on B+ is the measuring restricted to B+
     act_cols = [None] * (dh * dp)
@@ -519,7 +522,7 @@ def classify_cleft_extension(ext):
     s = NormalizedCochain(2, Matrix.from_cols(f, s_cols) if dp else Matrix.zeros(f, 0, dh * dh))
     result = hh2(h, act)
     coords = result.decide(s) if dp else ()
-    return Classification(baug, act, s, result, coords, system, sec)
+    return Classification(baug, act, s, result, coords, system, sec, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +627,6 @@ def split_extension(ext):
     system = cls.system
     emb = embed_cochain(cls.aug, t) if dp else NormalizedCochain(1, Matrix.zeros(f, cls.aug.algebra.dim, dh))
     fneg = gauge_map_matrix(system, emb.matrix.scale(-f.one))
-    # iso : B x| H -> A from the stored section
-    _, iso = section_to_crossed_system(cls.section)
     db = system.base.dim
     cols = []
     for g in range(dh):
@@ -634,7 +635,7 @@ def split_extension(ext):
         for i, c in enumerate(system.base.unit):
             if c:
                 v[ti(i, g, dh)] = c
-        cols.append(iso.matrix.apply(fneg.apply(tuple(v))))
+        cols.append(cls.iso.matrix.apply(fneg.apply(tuple(v))))
     psi = Matrix.from_cols(f, cols)
     a = ca.algebra
     # verify: algebra map, colinear, augmented
@@ -694,14 +695,21 @@ class HopfModule:
         return {divmod(flat, dh): c for flat, c in enumerate(col) if c}
 
     def validate(self):
+        """The first MAX_VIOLATIONS witnesses: the module laws, the comodule
+        laws, then rho(m a) = rho(m) rho(a)."""
+        laws = itertools.chain(self._module_laws(),
+                               coaction_violations(self.rho_basis, self.hopf, self.dim),
+                               self._compatibility_laws())
+        return list(itertools.islice(laws, MAX_VIOLATIONS))
+
+    def _module_laws(self):
         h = self.hopf
         f = self.field
         dm, dh = self.dim, h.dim
-        violations = []
         for m in range(dm):
             em = basis_vec(f, dm, m)
             if self.act(em, h.unit) != em:
-                violations.append(("module-not-unital", (m,)))
+                yield ("module-not-unital", (m,))
             for g in range(dh):
                 for t in range(dh):
                     lhs = self.act(self.act_basis(m, g), basis_vec(f, dh, t))
@@ -709,28 +717,12 @@ class HopfModule:
                     for k, c in h.mult_basis(g, t).items():
                         gh[k] = c
                     if lhs != self.act(em, tuple(gh)):
-                        violations.append(("module-not-associative", (m, g, t)))
-            # comodule axioms
-            rm = self.rho_basis(m)
-            out = [f.zero] * dm
-            for (x, t), c in rm.items():
-                if h.counit[t]:
-                    out[x] = out[x] + c * h.counit[t]
-            if tuple(out) != em:
-                violations.append(("comodule-not-counital", (m,)))
-            lhs = {}
-            for (x, t), c in rm.items():
-                for (y, s), d in self.rho_basis(x).items():
-                    key = (y, s, t)
-                    lhs[key] = lhs.get(key, f.zero) + c * d
-            rhs = {}
-            for (x, t), c in rm.items():
-                for (u, v), d in h.delta_basis(t).items():
-                    key = (x, u, v)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                violations.append(("comodule-not-coassociative", (m,)))
-        # compatibility rho(m a) = rho(m) rho(a)
+                        yield ("module-not-associative", (m, g, t))
+
+    def _compatibility_laws(self):
+        h = self.hopf
+        f = self.field
+        dm, dh = self.dim, h.dim
         for m in range(dm):
             rm = self.rho_basis(m)
             for g in range(dh):
@@ -749,8 +741,7 @@ class HopfModule:
                                     key = (y, k)
                                     rhs[key] = rhs.get(key, f.zero) + c * d * u * e
                 if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                    violations.append(("hopf-module-compatibility", (m, g)))
-        return violations
+                    yield ("hopf-module-compatibility", (m, g))
 
 
 class HopfModuleDecomposition:

@@ -5,13 +5,16 @@ Coactions are matrices A -> A (x) H against the flat basis index
 ti(a, h, dim H) (a-index major).
 """
 
-from itertools import chain
+from fractions import Fraction
+from itertools import chain, islice, product as iproduct
 from math import isqrt
 
 from .algebra import (
+    MAX_VIOLATIONS,
     ConvElement,
     FAlgebra,
     algebra_map_violations,
+    coaction_violations,
     colinear_violations,
     convolution_invert,
     convolution_left_operator,
@@ -20,6 +23,7 @@ from .algebra import (
     group_hopf_algebra,
     group_table_from_hopf,
     is_group_like_basis,
+    tensor_algebra,
     tensor_coalgebra,
     ti,
 )
@@ -80,45 +84,14 @@ class ComoduleAlgebra:
         return {key: c for key, c in out.items() if c}
 
     def validate(self):
-        a, h = self.algebra, self.hopf
-        f = self.field
-        violations = []
-        # rho(1) = 1 (x) 1
-        expected = _tensor_sparse(f, {i: c for i, c in enumerate(a.unit) if c},
-                                  {i: c for i, c in enumerate(h.unit) if c})
-        if self.rho(a.one()) != expected:
-            violations.append(("coaction-not-unital", ()))
-        for i in range(a.dim):
-            ri = self.rho_basis(i)
-            # counital
-            out = [f.zero] * a.dim
-            for (x, t), c in ri.items():
-                if h.counit[t]:
-                    out[x] = out[x] + c * h.counit[t]
-            if tuple(out) != basis_vec(f, a.dim, i):
-                violations.append(("coaction-not-counital", (i,)))
-            # coassociative
-            lhs = {}
-            for (x, t), c in ri.items():
-                for (y, s), d in self.rho_basis(x).items():
-                    key = (y, s, t)
-                    lhs[key] = lhs.get(key, f.zero) + c * d
-            rhs = {}
-            for (x, t), c in ri.items():
-                for (u, v), d in h.delta_basis(t).items():
-                    key = (x, u, v)
-                    rhs[key] = rhs.get(key, f.zero) + c * d
-            if _clean(lhs) != _clean(rhs):
-                violations.append(("coaction-not-coassociative", (i,)))
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = self.rho(a.mult(basis_vec(f, a.dim, i), basis_vec(f, a.dim, j)))
-                rhs = _sparse_tensor_mult(a, h, self.rho_basis(i), self.rho_basis(j))
-                if lhs != _clean(rhs):
-                    violations.append(("coaction-not-multiplicative", (i, j)))
-                    if len(violations) > 10:
-                        return violations
-        return violations
+        """The first MAX_VIOLATIONS witnesses: the comodule laws, then rho is
+        a unital algebra map A -> A (x) H."""
+        a = self.algebra
+        rename = {"unit": "coaction-not-unital", "multiplicative": "coaction-not-multiplicative"}
+        algebra_map = ((rename[name], idx) for name, idx in
+                       algebra_map_violations(a, tensor_algebra(a, self.hopf), self.coaction))
+        laws = chain(coaction_violations(self.rho_basis, self.hopf, a.dim), algebra_map)
+        return list(islice(laws, MAX_VIOLATIONS))
 
     def require_valid(self):
         violations = self.validate()
@@ -128,28 +101,6 @@ class ComoduleAlgebra:
 
 def _clean(sparse):
     return {k: c for k, c in sparse.items() if c}
-
-
-def _tensor_sparse(field, u, v):
-    out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            out[(i, j)] = a * b
-    return _clean(out)
-
-
-def _sparse_tensor_mult(a, h, left, right):
-    """Product of two sparse elements of A (x) H (componentwise)."""
-    f = a.field
-    out = {}
-    for (x1, t1), c1 in left.items():
-        for (x2, t2), c2 in right.items():
-            c = c1 * c2
-            for xk, ca in a.mult_basis(x1, x2).items():
-                for tk, ch in h.mult_basis(t1, t2).items():
-                    key = (xk, tk)
-                    out[key] = out.get(key, f.zero) + c * ca * ch
-    return out
 
 
 def _flatten_sparse(field, sparse, dim_minor, total):
@@ -217,9 +168,10 @@ def coinvariants(ca):
 
 
 class GaloisReport:
-    def __init__(self, tensor_square, beta, bijective, inverse=None):
+    def __init__(self, tensor_square, beta, rank, bijective, inverse=None):
         self.tensor_square = tensor_square
         self.beta = beta
+        self.rank = rank  # of beta
         self.bijective = bijective
         self.inverse = inverse
 
@@ -272,7 +224,8 @@ def galois_map(ca, section=None):
                         acc[key] = acc.get(key, f.zero) + c * d * e
         cols.append(_flatten_sparse(f, _clean(acc), dh, da * dh))
     beta_m = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da * dh, 0)
-    bijective = quot.dim == da * dh and beta_m.rank() == da * dh
+    rank = beta_m.rank()
+    bijective = quot.dim == da * dh and rank == da * dh
     inverse = None
     if section is not None:
         inv_cols = []
@@ -301,7 +254,7 @@ def galois_map(ca, section=None):
                             ["t%d" % i for i in range(quot.dim)])
     beta = LinearMap(beta_m, ["t%d" % i for i in range(quot.dim)],
                      ["ah%d" % i for i in range(da * dh)])
-    return GaloisReport(quot, beta, bijective, inverse)
+    return GaloisReport(quot, beta, rank, bijective, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +622,6 @@ def find_section(ca, budget=DEFAULT_BUDGET):
 def _normalized_section(ca, phi_matrix):
     """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its inverse."""
     a, h = ca.algebra, ca.hopf
-    f = ca.field
     hc = h.as_coalgebra()
     raw = ConvElement(hc, a, phi_matrix)
     raw_inv = convolution_invert(raw)
@@ -731,10 +683,7 @@ def section_to_crossed_system(sec):
         ConvElement(tensor_coalgebra(hc, hc), base, sigma)
     ).matrix
     system = CrossedSystem(h, base, Matrix.from_cols(f, meas_cols), sigma, sigma_inv)
-    violations = check_crossed_system(system)
-    if violations:
-        raise ValidationError("extracted data fails the crossed-system laws: %r" % (violations,))
-    product = crossed_product(system)
+    product = crossed_product(system)  # checks the crossed-system laws
     # alpha : B x| H -> A, b (x) h |-> b phi(h)
     cols = []
     for i in range(db):
@@ -785,8 +734,6 @@ def _rational_sqrt(x):
     """Exact square root of a Fraction, or None."""
     if x < 0:
         return None
-    from fractions import Fraction
-
     n, d = x.numerator, x.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn != n or rd * rd != d:
@@ -868,8 +815,6 @@ def find_comodule_algebra_map(ca, budget=DEFAULT_BUDGET):
             found = phi
         definitive = True
     elif f.order is not None and f.order ** m <= budget.enumeration_bound:
-        from itertools import product as iproduct
-
         elems = list(f.elements())
         for params in iproduct(elems, repeat=m):
             phi = at(params)

@@ -196,8 +196,8 @@ def morita_context(ga, g):
     grp = ga.group
     ginv = grp.inv[g]
     e = grp.identity
-    quot_f, mu_f = relative_tensor_over_neutral(ga, g, ginv)
-    quot_b, mu_b = relative_tensor_over_neutral(ga, ginv, g)
+    _, mu_f = relative_tensor_over_neutral(ga, g, ginv)
+    _, mu_b = relative_tensor_over_neutral(ga, ginv, g)
     db = ga.component_dim(e)
     fwd_surj = mu_f.rank() == db
     bwd_surj = mu_b.rank() == db
@@ -390,11 +390,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
             sigma[(g, h)] = ga.restrict(e, val)
             sigma_inv[(g, h)] = ga.restrict(e, ival)
     system = GroupCrossedSystem(base, grp, action, sigma, sigma_inv)
-    sysreport = check_group_crossed_system(system)
-    if not sysreport.ok:
-        raise ValidationError("extracted system fails the crossed-system laws: %r" % (sysreport,))
-
-    product = group_crossed_product(system)
+    product = group_crossed_product(system)  # checks the crossed-system laws
     # alpha : A -> B x| Gamma, a |-> (a u_g^{-1}) (x) u_g on each component
     n = grp.order
     cols = []

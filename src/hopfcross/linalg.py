@@ -385,7 +385,7 @@ class Matrix:
     def inverse(self):
         if self.rows != self.cols:
             raise ShapeMismatchError("inverse of non-square matrix")
-        r, pivots, t = self.rref()
+        _, pivots, t = self.rref()
         if len(pivots) != self.rows:
             raise SingularMatrixError("matrix of rank %d < %d" % (len(pivots), self.rows))
         return t
@@ -436,15 +436,12 @@ def solve_linear(m, b):
     if len(b) != m.rows:
         raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
     f = m.field
-    r, pivots, t = m.rref()
+    _, pivots, t = m.rref()
     tb = t.apply(b)
     for i in range(len(pivots), m.rows):
         if tb[i]:
             return SolveResult(certificate=t.row(i))
-    x = [f.zero] * m.cols
-    for ri, pc in enumerate(pivots):
-        x[ri] = tb[ri]
-    # pivot rows of r have a 1 in column pc; back substitution is immediate
+    # pivot rows of the rref have a 1 in column pc; back substitution is immediate
     sol = [f.zero] * m.cols
     for ri, pc in enumerate(pivots):
         sol[pc] = tb[ri]

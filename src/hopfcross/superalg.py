@@ -270,12 +270,13 @@ def exterior_hopf(n, field):
 
 
 class DualityPairing:
-    def __init__(self, n, field, matrix, iso, dual_presentation):
+    def __init__(self, n, field, matrix, iso, dual_presentation, exterior):
         self.n = n
         self.field = field
         self.matrix = matrix  # <e*_S, e_T> on subset bases
         self.iso = iso        # Lambda(V*) -> (Lambda(V))*
         self.dual_presentation = dual_presentation
+        self.exterior = exterior  # Lambda(V), checked
 
 
 def _super_dual_hopf(sp):
@@ -317,7 +318,6 @@ def duality_pairing(n, field):
     _require_odd_characteristic(field)
     ext = exterior_hopf(n, field)
     f = field
-    dim = ext.dim
     rows = []
     for s in ext.subsets:
         row = []
@@ -335,15 +335,14 @@ def duality_pairing(n, field):
                 row.append(Matrix(f, rows_).det())
         rows.append(row)
     pairing = Matrix(f, rows)
-    if not pairing.is_invertible():
-        raise ValidationError("duality pairing is degenerate")
     dual = _super_dual_hopf(ext.presentation)
-    # the iso Lambda(V*) -> Lambda(V)* sends e*_S to <e*_S, -> = row S
+    # the iso Lambda(V*) -> Lambda(V)* sends e*_S to <e*_S, -> = row S; its
+    # check includes that the pairing is nondegenerate
     iso = pairing.transpose()
     _check_super_hopf_iso(ext.presentation, dual, iso)
     return DualityPairing(n, field, pairing, LinearMap(
         iso, tuple("%s*" % l for l in ext.hopf.basis), dual.hopf.basis
-    ), dual)
+    ), dual, ext)
 
 
 def _check_super_hopf_iso(src_sp, dst_sp, m):
@@ -627,7 +626,8 @@ def decompose(sp):
     cot = odd_cotangent(sp)
     if m != cot.dim:
         raise ValidationError("odd primitive count disagrees with the odd cotangent")
-    ext = exterior_hopf(m, f)
+    duality = duality_pairing(m, f)
+    ext = duality.exterior
     # iota : Lambda(U) -> A*, subset |-> ordered dual product
     iota = []
     for s in ext.subsets:
@@ -639,8 +639,7 @@ def decompose(sp):
                 acc = _dual_product(sp, acc, u_basis[idx - 1])
             iota.append(acc)
     # delta : A -> Lambda(W); coordinates through the duality pairing
-    pairing = duality_pairing(m, f).matrix
-    pinv = pairing.inverse()
+    pinv = duality.matrix.inverse()
     raw = Matrix(f, [list(v) for v in iota])  # (2^m) x dim, row S = iota(e_S) as functional
     delta = pinv * raw
     # B = coinvariants, gamma = delta|_B

@@ -328,6 +328,20 @@ def test_smash_coproduct_rejects_non_colinear_coaction():
         smash_coproduct(data)
 
 
+def test_comodule_coalgebra_witnesses_coaction_laws_first():
+    # a doubled trivial coaction breaks every law at every basis element; the
+    # report keeps the first ten, the comodule laws before the colinearity
+    h = kz2(Q)
+    d = kz3(Q).as_coalgebra()
+    doubled = ComoduleCoalgebraData(
+        d, h, _trivial_coaction_data(h, d).coaction.scale(2 * Q.one))
+    assert doubled.validate() == (
+        [(kind, (i,)) for i in range(3)
+         for kind in ("coaction-not-counital", "coaction-not-coassociative")]
+        + [(kind, (i,)) for i in range(2)
+           for kind in ("coproduct-not-colinear", "counit-not-colinear")])
+
+
 def test_smash_coproduct_counit_formula():
     h = kz2(Q)
     d = kz3(Q).as_coalgebra()

@@ -1,10 +1,15 @@
 import json
 import os
+import sys
 
 import pytest
 
+import hopfcross.algebra
+import hopfcross.comodule
+import hopfcross.graded
 from hopfcross.cli import main, parse_presentation
 from hopfcross.errors import ParseError, ValidationError
+from hopfcross.superalg import SuperPresentation
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
 
@@ -126,6 +131,14 @@ def test_antipode_found_and_not_found(capsys):
     assert main(["antipode", corpus("monoid2.json")]) == 1
 
 
+def test_failed_antipode_law_is_an_internal_error(monkeypatch):
+    # the final law check repeats what convolution_invert has verified, so a
+    # failure is a fault in the program (exit 2), never "no antipode" (exit 1)
+    monkeypatch.setattr(hopfcross.algebra, "_antipode_laws",
+                        lambda h: iter([("antipode-right", (0,))]))
+    assert main(["antipode", corpus("ks3.json")]) == 2
+
+
 def test_strongly_graded_verdicts(capsys):
     assert main(["strongly-graded", corpus("m2-z2-graded.json"), "--certify"]) == 0
     code, report = run_json(capsys, ["strongly-graded", corpus("kx2-graded.json")])
@@ -228,3 +241,65 @@ def test_machine_reports_are_byte_identical(argv, capsys):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first)  # stays valid JSON
+
+
+# ---------------------------------------------------------------------------
+# one verification per result
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name: rebind it on owner when owner is a
+    class, else in every hopfcross module that holds the function."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, wrapper)
+    else:
+        for modname, mod in list(sys.modules.items()):
+            if mod is not None and modname.split(".")[0] == "hopfcross":
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv, owner, name, expected", [
+    (["antipode", "ks3.json", "--certify"], hopfcross.algebra, "convolution_invert", 1),
+    (["dual", "kz2.json", "--certify"], hopfcross.algebra, "check_axioms", 1),
+    (["lift", "lift-split.json"], hopfcross.comodule, "section_to_crossed_system", 1),
+    (["lift", "lift-split.json"], hopfcross.comodule, "check_crossed_system", 1),
+    (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded,
+     "check_group_crossed_system", 1),
+    (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
+])
+def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
+    calls = count_calls(monkeypatch, owner, name)
+    assert main([argv[0], corpus(argv[1])] + argv[2:]) == 0
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["antipode", corpus("ks3.json")],
+    ["antipode", corpus("monoid2.json")],
+    ["dual", corpus("kz2.json")],
+    ["galois", corpus("f3z3-cleft.json")],
+    ["galois", corpus("kx2-graded.json")],
+    ["find-section", corpus("f3z3-cleft.json")],
+    ["split", corpus("f3z3-cleft.json")],
+    ["lift", corpus("lift-split.json")],
+    ["smash-coproduct", corpus("smash-example.json")],
+    ["super-decompose", corpus("lambda3.json")],
+    ["pairing", "--n", "2"],
+])
+def test_certify_leaves_the_report_unchanged(argv, capsys):
+    capsys.readouterr()
+    plain_code = main(argv + ["--json"])
+    plain = capsys.readouterr().out
+    certified_code = main(argv + ["--json", "--certify"])
+    assert certified_code == plain_code
+    assert capsys.readouterr().out == plain

@@ -395,6 +395,18 @@ def test_broken_compatibility_rejected():
         hopf_module_decompose(broken)
 
 
+def test_broken_hopf_module_coaction_witnesses():
+    # doubling the coaction keeps the compatibility law, which is linear in
+    # rho, but breaks counitality and coassociativity
+    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
+    mod = regular_hopf_module(h)
+    doubled = HopfModule(h, mod.action, mod.coaction.scale(2 * Q.one))
+    assert doubled.validate() == [
+        (kind, (m,)) for m in range(2)
+        for kind in ("coaction-not-counital", "coaction-not-coassociative")
+    ]
+
+
 def test_dimension_multiple_of_hopf_dimension():
     h = group_hopf_algebra(GroupTable.cyclic(3), F3)
     dec = hopf_module_decompose(regular_hopf_module(h))

@@ -97,6 +97,16 @@ def test_bad_coaction_rejected():
     assert any(v[0] == "coaction-not-counital" for v in violations)
 
 
+def test_comodule_algebra_validation_stops_at_ten_witnesses():
+    # doubling the coaction breaks counitality and coassociativity at every
+    # basis element, the unit, and multiplicativity at every nonzero product
+    ca = matrix2_comodule()
+    doubled = ComoduleAlgebra(ca.algebra, ca.hopf, ca.coaction.scale(2 * Q.one))
+    kinds = [kind for kind, _ in doubled.validate()]
+    assert kinds == (["coaction-not-counital", "coaction-not-coassociative"] * 4
+                     + ["coaction-not-unital", "coaction-not-multiplicative"])
+
+
 def test_coinvariants_of_regular_comodule_is_scalars():
     coinv = coinvariants(regular_comodule(sweedler(Q)))
     assert coinv.dim == 1
