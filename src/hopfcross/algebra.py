@@ -235,6 +235,42 @@ class FHopf(FBialgebra):
 
 
 # ---------------------------------------------------------------------------
+# structure carried to a subalgebra or a quotient
+#
+# basis lists vectors of the ambient space: the inclusion of a subspace, or
+# lifts of the classes of a quotient.  coords maps an ambient vector to
+# coordinates against that basis (solving, restricting or projecting) and
+# raises when the vector has none.
+
+
+def induced_algebra(a, basis, coords, labels):
+    """The algebra on span(basis): e_s e_t = coords(basis[s] basis[t]) and
+    1 = coords(1)."""
+    product = {}
+    for s, u in enumerate(basis):
+        for t, v in enumerate(basis):
+            product[(s, t)] = {k: c for k, c in enumerate(coords(a.mult(u, v))) if c}
+    return FAlgebra(a.field, labels, product, tuple(coords(a.one())))
+
+
+def induced_coproduct(c, basis, coords):
+    """{s: (coords (x) coords) Delta(basis[s])} as sparse coproduct terms."""
+    f = c.field
+    out = {}
+    for s, vec in enumerate(basis):
+        terms = {}
+        for (j, k), d in c.delta(vec).items():
+            pj = coords(basis_vec(f, c.dim, j))
+            pk = coords(basis_vec(f, c.dim, k))
+            for x, u in enumerate(pj):
+                for y, w in enumerate(pk):
+                    if u and w:
+                        terms[(x, y)] = terms.get((x, y), f.zero) + d * u * w
+        out[s] = _clean(terms)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # axiom checking
 #
 # A Hopf superalgebra obeys the Hopf algebra laws with Koszul signs, and an
@@ -670,8 +706,10 @@ def group_table_from_hopf(h):
 # duals
 
 
-def dual_hopf(h):
-    """The dual Hopf algebra of a finite-dimensional Hopf algebra."""
+def dual_structure(h):
+    """The dual presentation of a finite-dimensional Hopf algebra, unchecked:
+    product dual to the coproduct, coproduct dual to the product, unit and
+    counit swapped, transposed antipode, on the dual basis."""
     f = h.field
     product = {}
     for k, terms in h.coproduct.items():
@@ -685,17 +723,20 @@ def dual_hopf(h):
             coproduct.setdefault(k, {})[(i, j)] = (
                 coproduct.get(k, {}).get((i, j), f.zero) + c
             )
-    unit = h.counit
-    counit = h.unit
-    dual = FHopf(
+    return FHopf(
         f,
         tuple("%s*" % lbl for lbl in h.basis),
         product,
-        unit,
+        h.counit,
         coproduct,
-        counit,
+        h.unit,
         h.antipode.transpose(),
     )
+
+
+def dual_hopf(h):
+    """The dual Hopf algebra of a finite-dimensional Hopf algebra."""
+    dual = dual_structure(h)
     report = check_axioms("hopf", dual)
     if not report.ok:
         raise ValidationError("dual presentation fails Hopf axioms: %r" % (report,))

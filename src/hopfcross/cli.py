@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .algebra import (
     ComoduleCoalgebraData,
+    FAlgebra,
     FBialgebra,
     FCoalgebra,
     FHopf,
@@ -45,6 +46,7 @@ from .comodule import (
 )
 from .errors import (
     HopfcrossError,
+    InvalidCrossedSystemError,
     InvalidGroupTableError,
     NoAntipodeError,
     NoSectionFoundError,
@@ -63,7 +65,6 @@ from .groups import GroupTable
 from .linalg import Matrix, PrimeField, Rationals
 from .search import SearchBudget
 from .superalg import SuperPresentation, decompose, duality_pairing
-from .algebra import FAlgebra
 
 FORMAT_VERSION = 1
 
@@ -642,12 +643,12 @@ def cmd_crossed_product(args):
     pres = parse_presentation(args.file)
     if pres.kind != "crossed-system":
         raise ValidationError("crossed-product needs a crossed-system file")
-    violations = check_crossed_system(pres.payload)
-    if violations:
+    try:
+        ca = crossed_product(pres.payload)
+    except InvalidCrossedSystemError as e:
         return _emit(Report("crossed-product", "fail", 1, witnesses={
-            "violations": [[v[0], list(v[1])] for v in violations[:10]],
+            "violations": [[v[0], list(v[1])] for v in e.violations[:10]],
         }), args)
-    ca = crossed_product(pres.payload)
     return _emit(Report("crossed-product", "pass", 0, witnesses={
         "presentation": encode_comodule_algebra(ca),
     }), args)

@@ -12,11 +12,11 @@ import itertools
 from .algebra import (
     MAX_VIOLATIONS,
     ConvElement,
-    FAlgebra,
     algebra_map_violations,
     coaction_violations,
     colinear_violations,
     convolution_invert,
+    induced_algebra,
     ti,
 )
 from .comodule import (
@@ -25,9 +25,11 @@ from .comodule import (
     Section,
     _normalized_section,
     check_crossed_system,
+    coaction_kernel,
     coinvariants,
     crossed_product,
     find_section,
+    induced_coaction,
     section_to_crossed_system,
 )
 from .errors import (
@@ -294,11 +296,10 @@ def _normalization_constraints(act, degree):
 
 
 class HH2Result:
-    def __init__(self, act, dimension, representatives, cocycle_span, coboundary_span):
+    def __init__(self, act, dimension, representatives, coboundary_span):
         self.act = act
         self.dimension = dimension
         self.representatives = representatives  # flat vectors
-        self._cocycle_span = cocycle_span
         self._coboundary_span = coboundary_span
 
     def representative_cochains(self):
@@ -336,7 +337,7 @@ def hh2(hopf, act):
     dh, dp = hopf.dim, act.plus_dim
     n2 = dp * dh * dh
     if dp == 0:
-        return HH2Result(act, 0, [], [], [])
+        return HH2Result(act, 0, [], [])
     d2 = _differential_matrix(act, 2)
     constraints = _normalization_constraints(act, 2)
     stacked = Matrix(f, list(d2.data) + constraints)
@@ -363,7 +364,7 @@ def hh2(hopf, act):
         full_b = d1.rank()
         if full_z - full_b != dim:
             raise ValidationError("normalized and full complexes disagree")
-    return HH2Result(act, dim, reps, cocycles, coboundaries)
+    return HH2Result(act, dim, reps, coboundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -759,18 +760,7 @@ def hopf_module_decompose(module):
     h = module.hopf
     f = module.field
     dm, dh = module.dim, h.dim
-    cols = []
-    for m in range(dm):
-        sparse = dict(module.rho_basis(m))
-        for t, c in enumerate(h.unit):
-            if c:
-                sparse[(m, t)] = sparse.get((m, t), f.zero) - c
-        v = [f.zero] * (dm * dh)
-        for (x, t), c in sparse.items():
-            if c:
-                v[ti(x, t, dh)] = c
-        cols.append(tuple(v))
-    coinv = kernel_basis(Matrix.from_cols(f, cols))
+    coinv = coaction_kernel(module.rho_basis, dm, h, h.unit)
     iso_cols = []
     for v in coinv:
         for t in range(dh):
@@ -817,24 +807,6 @@ def ideal_power_chain(algebra, ideal_basis):
     return chain
 
 
-def _quotient_coaction(ca, quot):
-    """The induced sparse coaction on a quotient of A by a subcomodule ideal."""
-    f = ca.field
-    out = []
-    for t in range(quot.dim):
-        amb = quot.lift(basis_vec(f, quot.dim, t))
-        sparse = {}
-        for key, c in ca.rho(amb).items():
-            x, s = key
-            proj = quot.project(basis_vec(f, ca.algebra.dim, x))
-            for y, d in enumerate(proj):
-                if d:
-                    k2 = (y, s)
-                    sparse[k2] = sparse.get(k2, f.zero) + c * d
-        out.append({k: v for k, v in sparse.items() if v})
-    return out
-
-
 def colinear_splitting_nilpotent(ca, pi):
     """A unit-preserving, convolution-invertible colinear splitting of a
     comodule-algebra surjection pi : A -> H with nilpotent kernel.
@@ -867,7 +839,8 @@ def colinear_splitting_nilpotent(ca, pi):
     for step in range(1, n):
         x_quot = quots[step]
         y_quot = quots[step - 1]
-        rho_x = _quotient_coaction(ca, x_quot)
+        x_lifts = [x_quot.lift(basis_vec(f, x_quot.dim, t)) for t in range(x_quot.dim)]
+        rho_x = induced_coaction(ca, x_lifts, x_quot.project)
         # K = image of I^step in X
         kbasis = row_space_basis(f, [x_quot.project(v) for v in chain[step - 1]], x_quot.dim)
         kmat = Matrix.from_cols(f, kbasis) if kbasis else Matrix.zeros(f, x_quot.dim, 0)
@@ -886,7 +859,10 @@ def colinear_splitting_nilpotent(ca, pi):
             # coaction restricted to K, in K coordinates; group the tensor
             # terms by the H-leg first, since only those sums lie in K
             by_t = {}
-            for (x, t), c in _sparse_apply(rho_x, kbasis[s], f).items():
+            for idx, c in enumerate(rho_x.apply(kbasis[s])):
+                if not c:
+                    continue
+                x, t = divmod(idx, dh)
                 leg = by_t.setdefault(t, [f.zero] * x_quot.dim)
                 leg[x] = leg[x] + c
             v = [f.zero] * (dk * dh)
@@ -912,7 +888,10 @@ def colinear_splitting_nilpotent(ca, pi):
         r_cols = []
         for xidx in range(x_quot.dim):
             acc = [f.zero] * dk
-            for (x0, t), c in rho_x[xidx].items():
+            for idx, c in enumerate(rho_x.col(xidx)):
+                if not c:
+                    continue
+                x0, t = divmod(idx, dh)
                 vcoords = _v_of(f, r0, iso_inv, dv, dh, h, x0)
                 # (v (x) id): v(x0) (x) e_t, then iso back into K
                 flat = [f.zero] * (dv * dh)
@@ -953,16 +932,6 @@ def colinear_splitting_nilpotent(ca, pi):
     if pi * sec.phi.matrix != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
     return sec
-
-
-def _sparse_apply(rho_list, vec, f):
-    out = {}
-    for i, c in enumerate(vec):
-        if not c:
-            continue
-        for key, d in rho_list[i].items():
-            out[key] = out.get(key, f.zero) + c * d
-    return {k: v for k, v in out.items() if v}
 
 
 def _retraction_onto(f, kbasis, ambient):
@@ -1021,26 +990,10 @@ def quotient_comodule_algebra(ca, ideal_vectors):
     a = ca.algebra
     f = ca.field
     quot = QuotientSpace(f, a.dim, ideal_vectors)
-    dq = quot.dim
-    product = {}
-    for s in range(dq):
-        ls = quot.lift(basis_vec(f, dq, s))
-        for t in range(dq):
-            lt = quot.lift(basis_vec(f, dq, t))
-            prod = quot.project(a.mult(ls, lt))
-            product[(s, t)] = {k: c for k, c in enumerate(prod) if c}
-    unit = quot.project(a.one())
-    labels = tuple("q%d" % s for s in range(dq))
-    alg = FAlgebra(f, labels, product, unit)
-    rho_list = _quotient_coaction(ca, quot)
-    dh = ca.hopf.dim
-    cols = []
-    for s in range(dq):
-        v = [f.zero] * (dq * dh)
-        for (x, t), c in rho_list[s].items():
-            v[ti(x, t, dh)] = c
-        cols.append(tuple(v))
-    out = ComoduleAlgebra(alg, ca.hopf, Matrix.from_cols(f, cols))
+    lifts = [quot.lift(basis_vec(f, quot.dim, s)) for s in range(quot.dim)]
+    labels = tuple("q%d" % s for s in range(quot.dim))
+    out = ComoduleAlgebra(induced_algebra(a, lifts, quot.project, labels), ca.hopf,
+                          induced_coaction(ca, lifts, quot.project))
     out.require_valid()
     proj_cols = [quot.project(basis_vec(f, a.dim, j)) for j in range(a.dim)]
     return out, Matrix.from_cols(f, proj_cols)
@@ -1054,7 +1007,6 @@ def sub_comodule_algebra(ca, span_vectors):
     f = ca.field
     basis = row_space_basis(f, span_vectors, a.dim)
     inc = Matrix.from_cols(f, basis)
-    ds = len(basis)
 
     def coords(vec):
         res = solve_linear(inc, vec)
@@ -1062,25 +1014,9 @@ def sub_comodule_algebra(ca, span_vectors):
             raise ValidationError("subspace is not closed")
         return res.solution
 
-    product = {}
-    for s in range(ds):
-        for t in range(ds):
-            prod = coords(a.mult(basis[s], basis[t]))
-            product[(s, t)] = {k: c for k, c in enumerate(prod) if c}
-    unit = coords(a.one())
-    labels = tuple("s%d" % s for s in range(ds))
-    alg = FAlgebra(f, labels, product, unit)
-    dh = ca.hopf.dim
-    cols = []
-    for s in range(ds):
-        v = [f.zero] * (ds * dh)
-        for (x, t), c in ca.rho(basis[s]).items():
-            sub = coords(basis_vec(f, a.dim, x))
-            for y, d in enumerate(sub):
-                if d:
-                    v[ti(y, t, dh)] = v[ti(y, t, dh)] + c * d
-        cols.append(tuple(v))
-    out = ComoduleAlgebra(alg, ca.hopf, Matrix.from_cols(f, cols))
+    labels = tuple("s%d" % s for s in range(len(basis)))
+    out = ComoduleAlgebra(induced_algebra(a, basis, coords, labels), ca.hopf,
+                          induced_coaction(ca, basis, coords))
     out.require_valid()
     return out, LinearMap(inc, labels, a.basis)
 

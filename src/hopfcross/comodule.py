@@ -22,12 +22,14 @@ from .algebra import (
     convolve,
     group_hopf_algebra,
     group_table_from_hopf,
+    induced_algebra,
     is_group_like_basis,
     tensor_algebra,
     tensor_coalgebra,
     ti,
 )
 from .errors import (
+    InvalidCrossedSystemError,
     NoAlgebraSectionError,
     NoSectionFoundError,
     NotConvolutionInvertibleError,
@@ -99,6 +101,40 @@ class ComoduleAlgebra:
             raise ValidationError("not a comodule algebra: %r" % (violations,))
 
 
+def induced_coaction(ca, basis, coords):
+    """The coaction matrix (coords (x) id) rho on span(basis), for a
+    subcomodule (basis spans it) or a quotient by one (basis lifts its
+    classes); coords as in algebra.induced_algebra."""
+    f = ca.field
+    da, dh = ca.algebra.dim, ca.hopf.dim
+    cols = []
+    for vec in basis:
+        v = [f.zero] * (len(basis) * dh)
+        for (x, t), c in ca.rho(vec).items():
+            for y, d in enumerate(coords(basis_vec(f, da, x))):
+                if d:
+                    v[ti(y, t, dh)] = v[ti(y, t, dh)] + c * d
+        cols.append(tuple(v))
+    return Matrix.from_cols(f, cols)
+
+
+def coaction_kernel(rho_basis, dim, hopf, hvec):
+    """Kernel basis of a |-> rho(a) - a (x) hvec on a dim-dimensional right
+    hopf-comodule; rho_basis(i) is the sparse coaction {(x, t): c} of e_i."""
+    f = hopf.field
+    dh = hopf.dim
+    cols = []
+    for i in range(dim):
+        v = [f.zero] * (dim * dh)
+        for (x, t), c in rho_basis(i).items():
+            v[ti(x, t, dh)] = c
+        for t, c in enumerate(hvec):
+            if c:
+                v[ti(i, t, dh)] = v[ti(i, t, dh)] - c
+        cols.append(tuple(v))
+    return kernel_basis(Matrix.from_cols(f, cols))
+
+
 def _clean(sparse):
     return {k: c for k, c in sparse.items() if c}
 
@@ -139,27 +175,12 @@ class Coinvariants:
 def coinvariants(ca):
     a, h = ca.algebra, ca.hopf
     f = ca.field
-    da, dh = a.dim, h.dim
-    cols = []
-    for i in range(da):
-        sparse = dict(ca.rho_basis(i))
-        for t, c in enumerate(h.unit):
-            if c:
-                sparse[(i, t)] = sparse.get((i, t), f.zero) - c
-        cols.append(_flatten_sparse(f, _clean(sparse), dh, da * dh))
-    basis = kernel_basis(Matrix.from_cols(f, cols))
-    inc = Matrix.from_cols(f, basis) if basis else Matrix.zeros(f, da, 0)
+    basis = coaction_kernel(ca.rho_basis, a.dim, h, h.unit)
+    inc = Matrix.from_cols(f, basis) if basis else Matrix.zeros(f, a.dim, 0)
     labels = tuple("b%d" % t for t in range(len(basis)))
     coinv = Coinvariants(ca, None, LinearMap(inc, labels, a.basis))
-    # closure under product and unit, extracting the structure constants
-    product = {}
-    for s, u in enumerate(basis):
-        for t, v in enumerate(basis):
-            product[(s, t)] = {
-                k: c for k, c in enumerate(coinv.coords(a.mult(u, v))) if c
-            }
-    unit = coinv.coords(a.one())
-    coinv.subalgebra = FAlgebra(f, labels, product, unit)
+    # coinv.coords raises unless B is closed under the product and holds 1
+    coinv.subalgebra = induced_algebra(a, basis, coinv.coords, labels)
     return coinv
 
 
@@ -294,13 +315,7 @@ def _comodule_to_graded(ca):
     hom_basis = []
     degrees = []
     for g in range(dh):
-        # kernel of a |-> rho(a) - a (x) g
-        cols = []
-        for i in range(da):
-            sparse = dict(ca.rho_basis(i))
-            sparse[(i, g)] = sparse.get((i, g), f.zero) - f.one
-            cols.append(_flatten_sparse(f, _clean(sparse), dh, da * dh))
-        for v in kernel_basis(Matrix.from_cols(f, cols)):
+        for v in coaction_kernel(ca.rho_basis, da, h, basis_vec(f, dh, g)):
             hom_basis.append(v)
             degrees.append(g)
     if len(hom_basis) != da:
@@ -308,15 +323,8 @@ def _comodule_to_graded(ca):
     change = Matrix.from_cols(f, hom_basis)
     if not change.is_invertible():
         raise NotGroupLikeCoactionError("no homogeneous basis exists for this coaction")
-    inv = change.inverse()
-    product = {}
-    for s in range(da):
-        for t in range(da):
-            prod = inv.apply(a.mult(hom_basis[s], hom_basis[t]))
-            product[(s, t)] = {k: c for k, c in enumerate(prod) if c}
-    unit = inv.apply(a.one())
     labels = tuple("a%d" % s for s in range(da))
-    alg = FAlgebra(f, labels, product, tuple(unit))
+    alg = induced_algebra(a, hom_basis, change.inverse().apply, labels)
     ga = GradedAlgebra(alg, grp, tuple(degrees))
     return ga, LinearMap(change, labels, a.basis)
 
@@ -477,7 +485,7 @@ def crossed_product(s):
     coaction id (x) Delta."""
     violations = check_crossed_system(s)
     if violations:
-        raise ValidationError("invalid crossed system: %r" % (violations,))
+        raise InvalidCrossedSystemError(violations)
     h, b = s.hopf, s.base
     f = b.field
     dh, db = h.dim, b.dim
@@ -694,18 +702,11 @@ def section_to_crossed_system(sec):
     _verify_comodule_algebra_iso(product, ca, alpha)
     # identity on B: b (x) 1 must map to the inclusion of b
     for i in range(db):
-        if alpha.apply(_embed_sparse(f, i, h.unit, dh, db)) != coinv.embed(basis_vec(f, db, i)):
+        bv = basis_vec(f, db, i)
+        if alpha.apply(_embed_b(system, bv)) != coinv.embed(bv):
             raise ValidationError("isomorphism is not the identity on the coinvariants")
     iso = LinearMap(alpha, product.algebra.basis, a.basis)
     return system, iso
-
-
-def _embed_sparse(f, i, hvec, dh, db):
-    v = [f.zero] * (db * dh)
-    for t, c in enumerate(hvec):
-        if c:
-            v[ti(i, t, dh)] = c
-    return tuple(v)
 
 
 def _verify_comodule_algebra_iso(src, dst, alpha):

@@ -86,5 +86,14 @@ class ValidationError(HopfcrossError):
     pass
 
 
+class InvalidCrossedSystemError(ValidationError):
+    """A crossed system that fails its laws; `violations` lists the
+    witnesses of check_crossed_system."""
+
+    def __init__(self, violations):
+        super().__init__("invalid crossed system: %r" % (violations,))
+        self.violations = violations
+
+
 class ParseError(HopfcrossError):
     pass

@@ -6,7 +6,7 @@ Morita-context product maps A_g (x)_B A_{g^-1} -> B, and crossed products are
 recognized by hunting for a unit of A inside each component.
 """
 
-from .algebra import FAlgebra, algebra_map_violations, ti
+from .algebra import FAlgebra, algebra_map_violations, induced_algebra, ti
 from .errors import NotCrossedProductError, ValidationError
 from .linalg import (
     LinearMap,
@@ -54,21 +54,14 @@ class GradedAlgebra:
         return tuple(vec[i] for i in comp)
 
     def neutral_subalgebra(self):
-        """A_1 as an FAlgebra on its component basis."""
+        """A_1 as an FAlgebra on its component basis; raises ValidationError
+        when a product of A_1 or the unit leaves A_1."""
         e = self.group.identity
         comp = self.component_indices(e)
-        pos = {idx: t for t, idx in enumerate(comp)}
         a = self.algebra
-        product = {}
-        for s, i in enumerate(comp):
-            for t, j in enumerate(comp):
-                terms = {}
-                for k, c in a.mult_basis(i, j).items():
-                    if k in pos:
-                        terms[pos[k]] = c
-                product[(s, t)] = terms
-        unit = tuple(a.unit[i] for i in comp)
-        return FAlgebra(a.field, tuple(a.basis[i] for i in comp), product, unit)
+        return induced_algebra(a, [basis_vec(a.field, a.dim, i) for i in comp],
+                               lambda vec: self.restrict(e, vec),
+                               tuple(a.basis[i] for i in comp))
 
 
 class GradingReport:

@@ -197,10 +197,6 @@ class Matrix:
     def from_cols(field, cols):
         return Matrix(field, list(zip(*cols))) if cols else Matrix(field, [])
 
-    @staticmethod
-    def column(field, vec):
-        return Matrix(field, [[a] for a in vec])
-
     # -- basics -------------------------------------------------------------
 
     def __eq__(self, other):
@@ -285,16 +281,6 @@ class Matrix:
                     row.extend(a * b for b in r2)
                 out.append(row)
         return Matrix(self.field, out)
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ShapeMismatchError("hstack row mismatch")
-        return Matrix(self.field, [a + b for a, b in zip(self.data, other.data)])
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ShapeMismatchError("vstack col mismatch")
-        return Matrix(self.field, self.data + other.data)
 
     def is_zero(self):
         return all(is_zero_vec(r) for r in self.data)

@@ -16,6 +16,9 @@ from .algebra import (
     algebra_map_violations,
     check_axioms,
     colinear_violations,
+    dual_structure,
+    induced_algebra,
+    induced_coproduct,
     tensor_algebra,
     ti,
 )
@@ -58,7 +61,6 @@ class SuperVectorSpace:
         self.parity = tuple(int(p) for p in parity)
         if any(p not in (0, 1) for p in self.parity):
             raise ValidationError("parities must be 0 or 1")
-        self.even_dim = sum(1 for p in self.parity if p == 0)
         self.odd_dim = sum(1 for p in self.parity if p == 1)
         self.dim = len(self.parity)
 
@@ -279,39 +281,6 @@ class DualityPairing:
         self.exterior = exterior  # Lambda(V), checked
 
 
-def _super_dual_hopf(sp):
-    """The dual Hopf superalgebra on the dual basis of a finite-dimensional
-    Hopf superalgebra: product dual to the coproduct, coproduct dual to the
-    product, transposed antipode."""
-    h = sp.hopf
-    f = h.field
-    dim = h.dim
-    labels = tuple("%s*" % lab for lab in h.basis)
-    product = {}
-    for i in range(dim):
-        for j in range(dim):
-            out = {}
-            for k in range(dim):
-                c = h.delta_basis(k).get((i, j), f.zero)
-                if c:
-                    out[k] = c
-            product[(i, j)] = out
-    unit = tuple(h.counit)
-    coproduct = {}
-    for k in range(dim):
-        out = {}
-        for i in range(dim):
-            for j in range(dim):
-                c = h.mult_basis(i, j).get(k, f.zero)
-                if c:
-                    out[(i, j)] = c
-        coproduct[k] = out
-    counit = tuple(h.unit)
-    antipode = h.antipode.transpose()
-    dual = FHopf(f, labels, product, unit, coproduct, counit, antipode)
-    return SuperPresentation(dual, sp.parity)
-
-
 def duality_pairing(n, field):
     """<f_1 ^ ... ^ f_m, v_1 ^ ... ^ v_m> = sum_sigma sgn(sigma) prod
     f_i(v_{sigma(i)}); zero across distinct exterior degrees."""
@@ -335,7 +304,7 @@ def duality_pairing(n, field):
                 row.append(Matrix(f, rows_).det())
         rows.append(row)
     pairing = Matrix(f, rows)
-    dual = _super_dual_hopf(ext.presentation)
+    dual = SuperPresentation(dual_structure(ext.hopf), ext.parity)
     # the iso Lambda(V*) -> Lambda(V)* sends e*_S to <e*_S, -> = row S; its
     # check includes that the pairing is nondegenerate
     iso = pairing.transpose()
@@ -414,43 +383,15 @@ def even_quotient(sp):
         if any(c for c in quot.project(h.antipode.apply(v))):
             raise ValidationError("ideal is not antipode-stable")
         # Delta(v) must vanish in (A/I) (x) (A/I)
-        acc = {}
-        for (j, k), c in h.delta(v).items():
-            pj = quot.project(basis_vec(f, dim, j))
-            pk = quot.project(basis_vec(f, dim, k))
-            for x, u in enumerate(pj):
-                for y, w in enumerate(pk):
-                    if u and w:
-                        key = (x, y)
-                        acc[key] = acc.get(key, f.zero) + c * u * w
-        if any(c for c in acc.values()):
+        if induced_coproduct(h, [v], quot.project)[0]:
             raise ValidationError("ideal is not a coideal")
-    product = {}
-    for s in range(dq):
-        ls = quot.lift(basis_vec(f, dq, s))
-        for t in range(dq):
-            lt = quot.lift(basis_vec(f, dq, t))
-            prod = quot.project(h.mult(ls, lt))
-            product[(s, t)] = {k: c for k, c in enumerate(prod) if c}
-    unit = quot.project(h.one())
-    coproduct = {}
-    for s in range(dq):
-        ls = quot.lift(basis_vec(f, dq, s))
-        out = {}
-        for (j, k), c in h.delta(ls).items():
-            pj = quot.project(basis_vec(f, dim, j))
-            pk = quot.project(basis_vec(f, dim, k))
-            for x, u in enumerate(pj):
-                for y, w in enumerate(pk):
-                    if u and w:
-                        key = (x, y)
-                        out[key] = out.get(key, f.zero) + c * u * w
-        coproduct[s] = {k: v for k, v in out.items() if v}
-    counit = tuple(h.eps(quot.lift(basis_vec(f, dq, s))) for s in range(dq))
-    anti_cols = [quot.project(h.antipode.apply(quot.lift(basis_vec(f, dq, s))))
-                 for s in range(dq)]
+    lifts = [quot.lift(basis_vec(f, dq, s)) for s in range(dq)]
     labels = tuple("h%d" % s for s in range(dq))
-    quotient_hopf = FHopf(f, labels, product, unit, coproduct, counit,
+    alg = induced_algebra(h, lifts, quot.project, labels)
+    counit = tuple(h.eps(v) for v in lifts)
+    anti_cols = [quot.project(h.antipode.apply(v)) for v in lifts]
+    quotient_hopf = FHopf(f, labels, alg.product, alg.unit,
+                          induced_coproduct(h, lifts, quot.project), counit,
                           Matrix.from_cols(f, anti_cols))
     # purely even: every complement coordinate must be an even basis index
     for t in quot.complement:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -215,6 +216,20 @@ def test_crossed_product_and_smash(capsys):
     assert main(["smash-coproduct", corpus("smash-example.json"), "--certify"]) == 0
 
 
+def test_crossed_product_reports_the_laws_a_broken_cocycle_fails(tmp_path, capsys):
+    doc = load("f3z3-crossed.json")
+    doc["sigma"]["entries"][9] = [1, 4, 2]
+    path = tmp_path / "bad-sigma.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["crossed-product", str(path)])
+    assert code == 1
+    assert report["witnesses"]["violations"] == [
+        ["sigma-not-convolution-invertible", []],
+        ["cocycle-law", [1, 1, 2]], ["cocycle-law", [1, 2, 2]],
+        ["cocycle-law", [2, 1, 1]], ["cocycle-law", [2, 2, 1]],
+    ]
+
+
 def test_dual_roundtrip_through_files(tmp_path, capsys):
     code, report = run_json(capsys, ["dual", corpus("kz2.json"), "--certify"])
     assert code == 0
@@ -241,6 +256,41 @@ def test_machine_reports_are_byte_identical(argv, capsys):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first)  # stays valid JSON
+
+
+# SHA-256 of the --json report of commands that build subalgebras, quotients,
+# their coactions and duals: a change to how they are built must leave every
+# report byte-identical.
+@pytest.mark.parametrize("argv, digest", [
+    (["coinvariants", "f3z3-cleft.json"],
+     "fc12aaaf659196fdb4444a4abd84526b23fd2491936b6d46f8ac86bdba4f17af"),
+    (["recognize-cleft", "f3z3-cleft.json"],
+     "b3acc0e3e7b3492876063bf2abe4f4810217c710138b1ffc67c239ff950b7350"),
+    (["classify-cleft", "f3z3-cleft.json"],
+     "5a91c5407fcc40b312adc7a711f1493826910c803c7c4ae8cf7f05e94e1ed37c"),
+    (["split", "f3z3-cleft.json"],
+     "7d12db4f5ae150f24beb4c8ee6eba10cdbbcff86dd8b068101a9dc8c3d009187"),
+    (["lift", "lift-split.json"],
+     "3a478fa8b9c720c9cc057d8e8e977fe84a6b0a98133ccd69fe3fef84c0ab5def"),
+    (["lift", "lift-obstructed.json"],
+     "df4a2b96f84bed3439092a900a123bdfea101ee6ada57188213590c4f333659f"),
+    (["super-decompose", "lambda3.json"],
+     "28ee540ea75d6e91f8fd7631bc143064991e317061d24c5e622d59406792fc26"),
+    (["pairing", "--n", "3"],
+     "7a2c514e0d46f3edf3c037564048e713e18db4588611cb22488a3c45194b1e5a"),
+    (["recognize-crossed", "m2-z2-graded.json"],
+     "9a51b165e8543ed759d279e8451254a66eec1a472201642c54b1576154017147"),
+    (["crossed-product", "f3z3-crossed.json"],
+     "a8446268ffe3e1ecf9f45be7234d583366c6773242b611da7389ff0c35b14239"),
+    (["dual", "sweedler.json"],
+     "cb7a7d4389b4241734f1d8757d27bce9dc9cc05cb2637041a858b90b74681ac1"),
+    (["hh2", "f3z3-hmodule.json"],
+     "8e05c6f34bf2b4981c4073c37227f61a33a4821c57609990e2b815395f755d01"),
+])
+def test_reports_match_their_recorded_digests(argv, digest, capsys):
+    capsys.readouterr()
+    main([corpus(a) if a.endswith(".json") else a for a in argv] + ["--json"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +325,7 @@ def count_calls(monkeypatch, owner, name):
     (["lift", "lift-split.json"], hopfcross.comodule, "check_crossed_system", 1),
     (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded,
      "check_group_crossed_system", 1),
+    (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
     (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):

@@ -23,7 +23,9 @@ from hopfcross.cohomology import (
     hh2,
     hopf_module_decompose,
     lift_comodule_algebra_map,
+    quotient_comodule_algebra,
     split_extension,
+    sub_comodule_algebra,
 )
 from hopfcross.comodule import (
     ComoduleAlgebra,
@@ -506,3 +508,24 @@ def test_lift_over_rationals():
     res = lift_comodule_algebra_map(cp, regular_comodule(h), varpi,
                                     Matrix.identity(Q, 2))
     assert res.lifted
+
+
+# ---------------------------------------------------------------------------
+# quotient and sub comodule algebras
+
+
+def test_quotient_by_the_zero_ideal_keeps_the_structure():
+    h, _, aug, act = trivial_setup(F3)
+    s = hh2(h, act).representative_cochains()[0]
+    cp = crossed_product(crossed_system_from_cocycle(act, s))
+    quot, proj = quotient_comodule_algebra(cp, [])
+    assert quot.algebra.product == cp.algebra.product
+    assert quot.algebra.unit == cp.algebra.unit
+    assert quot.coaction == cp.coaction
+    assert proj == Matrix.identity(F3, cp.algebra.dim)
+
+
+def test_sub_comodule_algebra_rejects_a_span_not_closed_under_the_product():
+    h = group_hopf_algebra(GroupTable.cyclic(3), F3)
+    with pytest.raises(ValidationError, match="not closed"):
+        sub_comodule_algebra(regular_comodule(h), [basis_vec(F3, 3, 0), basis_vec(F3, 3, 1)])
