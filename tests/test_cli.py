@@ -325,8 +325,8 @@ def count_calls(monkeypatch, owner, name):
     (["lift", "lift-split.json"], hopfcross.comodule, "check_crossed_system", 1),
     (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded,
      "check_group_crossed_system", 1),
-    (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
     (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
+    (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
