@@ -46,6 +46,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     basis_vec,
+    column_coordinates,
     in_span,
     kernel_basis,
     row_space_basis,
@@ -82,6 +83,7 @@ class AugmentedAlgebra:
             if self.plus_basis
             else Matrix.zeros(f, algebra.dim, 0)
         )
+        self._plus_coords = column_coordinates(self._plus_matrix)
         self.square_zero = all(
             algebra.mult(u, v) == vzero(f, algebra.dim)
             for u in self.plus_basis
@@ -106,10 +108,10 @@ class AugmentedAlgebra:
         """b = c.1 + b+, returned as (c, coordinates of b+ in the plus basis)."""
         c = self.eps(bvec)
         plus = vsub(bvec, vscale(c, self.algebra.one()))
-        res = solve_linear(self._plus_matrix, plus)
-        if not res.consistent:
+        coords = self._plus_coords(plus)
+        if coords is None:
             raise ValidationError("vector fails to decompose against the plus basis")
-        return c, res.solution
+        return c, coords
 
 
 class HModuleStructure:
@@ -845,6 +847,7 @@ def colinear_splitting_nilpotent(ca, pi):
         kbasis = row_space_basis(f, [x_quot.project(v) for v in chain[step - 1]], x_quot.dim)
         kmat = Matrix.from_cols(f, kbasis) if kbasis else Matrix.zeros(f, x_quot.dim, 0)
         dk = len(kbasis)
+        in_k = column_coordinates(kmat)
         # Hopf module structure on K: right H-action k . h = k * lambda(h)
         act_cols = [None] * (dk * dh)
         coact_cols = []
@@ -852,10 +855,10 @@ def colinear_splitting_nilpotent(ca, pi):
             lift_k = x_quot.lift(kbasis[s])
             for g in range(dh):
                 prod = x_quot.project(a.mult(lift_k, lam.col(g)))
-                res = solve_linear(kmat, prod)
-                if not res.consistent:
+                sol = in_k(prod)
+                if sol is None:
                     raise ValidationError("kernel is not stable under the H-action")
-                act_cols[ti(s, g, dh)] = res.solution
+                act_cols[ti(s, g, dh)] = sol
             # coaction restricted to K, in K coordinates; group the tensor
             # terms by the H-leg first, since only those sums lie in K
             by_t = {}
@@ -867,10 +870,10 @@ def colinear_splitting_nilpotent(ca, pi):
                 leg[x] = leg[x] + c
             v = [f.zero] * (dk * dh)
             for t, leg in by_t.items():
-                res = solve_linear(kmat, tuple(leg))
-                if not res.consistent:
+                sol = in_k(tuple(leg))
+                if sol is None:
                     raise ValidationError("kernel is not a subcomodule")
-                for y, d in enumerate(res.solution):
+                for y, d in enumerate(sol):
                     if d:
                         v[ti(y, t, dh)] = d
             coact_cols.append(tuple(v))
@@ -1007,12 +1010,13 @@ def sub_comodule_algebra(ca, span_vectors):
     f = ca.field
     basis = row_space_basis(f, span_vectors, a.dim)
     inc = Matrix.from_cols(f, basis)
+    in_basis = column_coordinates(inc)
 
     def coords(vec):
-        res = solve_linear(inc, vec)
-        if not res.consistent:
+        x = in_basis(vec)
+        if x is None:
             raise ValidationError("subspace is not closed")
-        return res.solution
+        return x
 
     labels = tuple("s%d" % s for s in range(len(basis)))
     out = ComoduleAlgebra(induced_algebra(a, basis, coords, labels), ca.hopf,

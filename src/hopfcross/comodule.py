@@ -43,6 +43,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     basis_vec,
+    column_coordinates,
     in_span,
     kernel_basis,
     row_space_basis,
@@ -109,11 +110,14 @@ def induced_coaction(ca, basis, coords):
     da, dh = ca.algebra.dim, ca.hopf.dim
     cols = []
     for vec in basis:
-        v = [f.zero] * (len(basis) * dh)
+        legs = {}  # t -> the A-leg of rho(vec) at h_t
         for (x, t), c in ca.rho(vec).items():
-            for y, d in enumerate(coords(basis_vec(f, da, x))):
+            legs.setdefault(t, [f.zero] * da)[x] = c
+        v = [f.zero] * (len(basis) * dh)
+        for t, leg in legs.items():
+            for y, d in enumerate(coords(tuple(leg))):
                 if d:
-                    v[ti(y, t, dh)] = v[ti(y, t, dh)] + c * d
+                    v[ti(y, t, dh)] = d
         cols.append(tuple(v))
     return Matrix.from_cols(f, cols)
 
@@ -157,6 +161,7 @@ class Coinvariants:
         self.parent = parent
         self.subalgebra = subalgebra
         self.inclusion = inclusion
+        self._coords = column_coordinates(inclusion.matrix)
 
     @property
     def dim(self):
@@ -166,10 +171,10 @@ class Coinvariants:
         return self.inclusion.matrix.apply(bcoords)
 
     def coords(self, avec):
-        res = solve_linear(self.inclusion.matrix, avec)
-        if not res.consistent:
+        x = self._coords(avec)
+        if x is None:
             raise ValidationError("vector does not lie in the coinvariant subalgebra")
-        return res.solution
+        return x
 
 
 def coinvariants(ca):

@@ -434,6 +434,26 @@ def solve_linear(m, b):
     return SolveResult(solution=tuple(sol), kernel=m.kernel_basis())
 
 
+def column_coordinates(m):
+    """The map b -> the solution x of M x = b that solve_linear returns, or
+    None when b is outside the column space.  M is eliminated once, here,
+    and the transform is reused for every b."""
+    f = m.field
+    _, pivots, t = m.rref()
+    rank = len(pivots)
+
+    def coords(b):
+        tb = t.apply(b)
+        if any(tb[rank:]):
+            return None
+        x = [f.zero] * m.cols
+        for ri, pc in enumerate(pivots):
+            x[pc] = tb[ri]
+        return tuple(x)
+
+    return coords
+
+
 def kernel_basis(m):
     return m.kernel_basis()
 

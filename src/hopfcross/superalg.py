@@ -39,10 +39,10 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     basis_vec,
+    column_coordinates,
     in_span,
     kernel_basis,
     row_space_basis,
-    solve_linear,
     vscale,
 )
 
@@ -451,17 +451,16 @@ def odd_cotangent_of_algebra(algebra, counit_vec, parity):
         f, list(rel1) + [basis_vec(f, dim, i) for i in range(dim) if parity[i] == 0], dim
     )
     quot = QuotientSpace(f, dim, ambient_rels)
-    rep_mat = Matrix.from_cols(f, [quot.project(v) for v in reps]) if reps else None
-    cols = []
-    for j in range(dim):
-        if reps:
-            res = solve_linear(rep_mat, quot.project(basis_vec(f, dim, j)))
-            if not res.consistent:
+    proj = Matrix.zeros(f, 0, dim)
+    if reps:
+        in_reps = column_coordinates(Matrix.from_cols(f, [quot.project(v) for v in reps]))
+        cols = []
+        for j in range(dim):
+            sol = in_reps(quot.project(basis_vec(f, dim, j)))
+            if sol is None:
                 raise ValidationError("odd coordinate escapes the representative span")
-            cols.append(res.solution)
-        else:
-            cols.append(())
-    proj = Matrix.from_cols(f, cols) if reps else Matrix.zeros(f, 0, dim)
+            cols.append(sol)
+        proj = Matrix.from_cols(f, cols)
     return OddCotangent(SuperVectorSpace((1,) * len(reps)), reps, proj)
 
 

@@ -286,6 +286,8 @@ def test_machine_reports_are_byte_identical(argv, capsys):
      "cb7a7d4389b4241734f1d8757d27bce9dc9cc05cb2637041a858b90b74681ac1"),
     (["hh2", "f3z3-hmodule.json"],
      "8e05c6f34bf2b4981c4073c37227f61a33a4821c57609990e2b815395f755d01"),
+    (["find-section", "f3z3-cleft.json"],
+     "d89be0b38ae812794b88cdc68ae73b8e086ca7a44960d6072e2bd38c5fc162e3"),
 ])
 def test_reports_match_their_recorded_digests(argv, digest, capsys):
     capsys.readouterr()

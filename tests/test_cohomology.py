@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hopfcross.algebra import group_hopf_algebra, ti
+from hopfcross.algebra import group_hopf_algebra, induced_algebra, tensor_algebra, ti
 from hopfcross.cohomology import (
     AugmentedAlgebra,
     AugmentedCleftExtension,
@@ -31,6 +31,7 @@ from hopfcross.comodule import (
     ComoduleAlgebra,
     CrossedSystem,
     crossed_product,
+    induced_coaction,
     trivial_sigma,
 )
 from hopfcross.errors import (
@@ -42,7 +43,7 @@ from hopfcross.errors import (
     ValidationError,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd
 from hopfcross.standard import dual_numbers, product_field
 
 F3 = PrimeField(3)
@@ -529,3 +530,23 @@ def test_sub_comodule_algebra_rejects_a_span_not_closed_under_the_product():
     h = group_hopf_algebra(GroupTable.cyclic(3), F3)
     with pytest.raises(ValidationError, match="not closed"):
         sub_comodule_algebra(regular_comodule(h), [basis_vec(F3, 3, 0), basis_vec(F3, 3, 1)])
+
+
+def test_sub_comodule_algebra_accepts_a_span_holding_no_basis_vector():
+    # A = Q[Z/2] (x) Q[Z/2] coacting on its second leg, read in the basis
+    # a'_i = a_i + a_3 (i < 3), a'_3 = a_3: the comodule subalgebra 1 (x) H =
+    # span(a_0, a_1) = span(a'_0 - a'_3, a'_1 - a'_3) holds no a'_x
+    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
+    a = tensor_algebra(h.as_algebra(), h.as_algebra())
+    ca = ComoduleAlgebra(a, h, Matrix.from_cols(Q, [basis_vec(Q, 8, ti(x, x % 2, 2))
+                                                   for x in range(4)]))
+    new = [vadd(basis_vec(Q, 4, i), basis_vec(Q, 4, 3)) for i in range(3)] + [basis_vec(Q, 4, 3)]
+    to_new = Matrix.from_cols(Q, new).inverse().apply
+    changed = ComoduleAlgebra(induced_algebra(a, new, to_new, ("a0", "a1", "a2", "a3")), h,
+                              induced_coaction(ca, new, to_new))
+    changed.require_valid()
+    sub, inc = sub_comodule_algebra(changed, [(1, 0, 0, -1), (0, 1, 0, -1)])
+    assert inc.matrix == Matrix.from_cols(Q, [(1, 0, 0, -1), (0, 1, 0, -1)])
+    assert sub.coaction == Matrix.from_cols(Q, [basis_vec(Q, 4, ti(0, 0, 2)),
+                                                basis_vec(Q, 4, ti(1, 1, 2))])
+    assert sub.algebra.mult_basis(1, 1) == {0: 1}
