@@ -828,11 +828,8 @@ def colinear_splitting_nilpotent(ca, pi):
     # quots[i] = A / I^{i+1}; quots[n-1] has no relations (identity on A)
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
     # lambda : H -> A, a fixed linear right inverse of pi
-    lam_cols = []
-    for g in range(dh):
-        res = solve_linear(pi, basis_vec(f, dh, g))
-        lam_cols.append(res.solution)
-    lam = Matrix.from_cols(f, lam_cols)
+    preimage = column_coordinates(pi)
+    lam = Matrix.from_cols(f, [preimage(basis_vec(f, dh, g)) for g in range(dh)])
     # phi on A/I: H -> A/I, h |-> class of lambda(h); bijective by dimensions
     phi_cols = [quots[0].project(lam.col(g)) for g in range(dh)]
     if len(phi_cols[0]) != dh:
@@ -913,10 +910,10 @@ def colinear_splitting_nilpotent(ca, pi):
         p_cols = [y_quot.project(x_quot.lift(basis_vec(f, x_quot.dim, t)))
                   for t in range(x_quot.dim)]
         pmat = Matrix.from_cols(f, p_cols)
+        preimage = column_coordinates(pmat)
         s_cols = []
         for yidx in range(y_quot.dim):
-            res = solve_linear(pmat, basis_vec(f, y_quot.dim, yidx))
-            x = res.solution
+            x = preimage(basis_vec(f, y_quot.dim, yidx))
             corr = kmat.apply(rmat.apply(x)) if dk else vzero(f, x_quot.dim)
             s_cols.append(vsub(x, corr))
         smat = Matrix.from_cols(f, s_cols)
@@ -1059,11 +1056,10 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     # psi_0 : H -> C/J, obtained from psi through the iso C/J ~ D
     q0, proj0 = stages[0]
     # varpi factors as iso o proj0; compute iso : C/J -> D and its inverse
-    iso_cols = []
-    for t in range(q0.algebra.dim):
-        # any preimage of the class under proj0
-        res = solve_linear(proj0, basis_vec(f, q0.algebra.dim, t))
-        iso_cols.append(varpi.apply(res.solution))
+    # from any preimage of each class under proj0
+    preimage = column_coordinates(proj0)
+    iso_cols = [varpi.apply(preimage(basis_vec(f, q0.algebra.dim, t)))
+                for t in range(q0.algebra.dim)]
     iso0 = Matrix.from_cols(f, iso_cols)
     if not iso0.is_invertible():
         raise ValidationError("C/J is not isomorphic to D")
@@ -1073,10 +1069,9 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         upper, proj_upper = stages[step]
         lower, proj_lower = stages[step - 1]
         # the step surjection C/J^{2^i} -> C/J^{2^{i-1}}
-        step_cols = []
-        for t in range(upper.algebra.dim):
-            res = solve_linear(proj_upper, basis_vec(f, upper.algebra.dim, t))
-            step_cols.append(proj_lower.apply(res.solution))
+        preimage = column_coordinates(proj_upper)
+        step_cols = [proj_lower.apply(preimage(basis_vec(f, upper.algebra.dim, t)))
+                     for t in range(upper.algebra.dim)]
         step_pi = Matrix.from_cols(f, step_cols)
         # pull-back A = step_pi^{-1}(image of psi_{step-1})
         image = [current.col(g) for g in range(h.dim)]
@@ -1092,15 +1087,13 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
             avecs = kernel_basis(comp_proj)
         sub, inc = sub_comodule_algebra(upper, [tuple(v) for v in avecs])
         # pi : A -> H through psi_{step-1}^{-1} on the image
-        psi_cols = [current.col(g) for g in range(h.dim)]
-        psi_mat = Matrix.from_cols(f, psi_cols)
+        in_psi = column_coordinates(current)
         pi_cols = []
         for t in range(sub.algebra.dim):
-            img = step_pi.apply(inc.matrix.col(t))
-            res = solve_linear(psi_mat, img)
-            if not res.consistent:
+            sol = in_psi(step_pi.apply(inc.matrix.col(t)))
+            if sol is None:
                 raise ValidationError("pull-back image escapes the embedded copy of H")
-            pi_cols.append(res.solution)
+            pi_cols.append(sol)
         pi = Matrix.from_cols(f, pi_cols)
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)

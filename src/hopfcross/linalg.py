@@ -355,18 +355,8 @@ class Matrix:
 
     def kernel_basis(self):
         """Canonical basis of the right kernel (reduced echelon complement)."""
-        f = self.field
         r, pivots, _ = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
-        basis = []
-        for j in free:
-            v = [f.zero] * self.cols
-            v[j] = f.one
-            for ri, pc in enumerate(pivots):
-                v[pc] = -r.data[ri][j]
-            basis.append(tuple(v))
-        return basis
+        return _kernel_of_rref(r, pivots)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -378,6 +368,23 @@ class Matrix:
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def _kernel_of_rref(r, pivots):
+    """The kernel basis read off a reduced echelon form R with its pivots:
+    one vector per free column j, with 1 at j and -R[row, j] at each pivot."""
+    f = r.field
+    pivset = set(pivots)
+    basis = []
+    for j in range(r.cols):
+        if j in pivset:
+            continue
+        v = [f.zero] * r.cols
+        v[j] = f.one
+        for ri, pc in enumerate(pivots):
+            v[pc] = -r.data[ri][j]
+        basis.append(tuple(v))
+    return basis
 
 
 class LinearMap:
@@ -422,7 +429,7 @@ def solve_linear(m, b):
     if len(b) != m.rows:
         raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
     f = m.field
-    _, pivots, t = m.rref()
+    r, pivots, t = m.rref()
     tb = t.apply(b)
     for i in range(len(pivots), m.rows):
         if tb[i]:
@@ -431,7 +438,7 @@ def solve_linear(m, b):
     sol = [f.zero] * m.cols
     for ri, pc in enumerate(pivots):
         sol[pc] = tb[ri]
-    return SolveResult(solution=tuple(sol), kernel=m.kernel_basis())
+    return SolveResult(solution=tuple(sol), kernel=_kernel_of_rref(r, pivots))
 
 
 def column_coordinates(m):

@@ -10,6 +10,7 @@ import hopfcross.comodule
 import hopfcross.graded
 from hopfcross.cli import main, parse_presentation
 from hopfcross.errors import ParseError, ValidationError
+from hopfcross.linalg import Matrix
 from hopfcross.superalg import SuperPresentation
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
@@ -288,6 +289,10 @@ def test_machine_reports_are_byte_identical(argv, capsys):
      "8e05c6f34bf2b4981c4073c37227f61a33a4821c57609990e2b815395f755d01"),
     (["find-section", "f3z3-cleft.json"],
      "d89be0b38ae812794b88cdc68ae73b8e086ca7a44960d6072e2bd38c5fc162e3"),
+    (["check", "super-scrambled.json"],
+     "a20138e366a6b1c8e84ac3a8f78120c36ef72de1df549d34895f3718368533bd"),
+    (["super-decompose", "super-scrambled.json"],
+     "696984bc4df19ea097f4aa085f905f7f29bb681913d3add57bf13f9eaa9a5f26"),
 ])
 def test_reports_match_their_recorded_digests(argv, digest, capsys):
     capsys.readouterr()
@@ -334,6 +339,14 @@ def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
     assert main([argv[0], corpus(argv[1])] + argv[2:]) == 0
     assert len(calls) == expected
+
+
+def test_lift_eliminates_each_matrix_once(monkeypatch):
+    # solve_linear reads its kernel off the elimination it already made, and
+    # each matrix solved for several right-hand sides is eliminated once
+    calls = count_calls(monkeypatch, Matrix, "rref")
+    assert main(["lift", corpus("lift-split.json")]) == 0
+    assert len(calls) == 47
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from hopfcross.algebra import FHopf, group_hopf_algebra, ti
+from hopfcross.algebra import (
+    MAX_VIOLATIONS,
+    FHopf,
+    _bialgebra_laws,
+    check_axioms,
+    group_hopf_algebra,
+    ti,
+)
 from hopfcross.errors import (
     CharacteristicTwoError,
     NotSuperCommutativeError,
@@ -431,3 +438,100 @@ def test_super_check_implies_the_antipode_and_odd_square_laws():
                 passed += 1
                 assert implied_law_witnesses(sp) == [], sp.hopf.canonical_constants()
         assert passed
+
+
+# ---------------------------------------------------------------------------
+# the staged Delta-multiplicativity contraction against the nested loop
+
+
+def nested_loop_multiplicativity(b, p):
+    """Reference for the multiplicativity laws: Delta(e_i) Delta(e_j) formed
+    from every pair of coproduct terms, m(a1, b1) (x) m(a2, b2) with the
+    Koszul sign of a2 crossing b1, in the checker's witness order."""
+    f = b.field
+    z = f.zero
+    unit = [(i, c) for i, c in enumerate(b.unit) if c]
+    if b.delta(b.unit) != {(i, j): x * y for i, x in unit for j, y in unit}:
+        yield ("coproduct-of-unit", ())
+    if b.eps(b.unit) != f.one:
+        yield ("counit-of-unit", ())
+    for i in range(b.dim):
+        for j in range(b.dim):
+            lhs = {}
+            s = z
+            for k, c in b.mult_basis(i, j).items():
+                for key, u in b.delta_basis(k).items():
+                    lhs[key] = lhs.get(key, z) + c * u
+                s = s + c * b.counit[k]
+            rhs = {}
+            for (a1, a2), c in b.delta_basis(i).items():
+                for (b1, b2), d in b.delta_basis(j).items():
+                    cd = -c * d if p[a2] and p[b1] else c * d
+                    for x, u in b.mult_basis(a1, b1).items():
+                        cdu = cd * u
+                        for y, v in b.mult_basis(a2, b2).items():
+                            rhs[(x, y)] = rhs.get((x, y), z) + cdu * v
+            if {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}:
+                yield ("coproduct-multiplicative", (i, j))
+            if s != b.counit[i] * b.counit[j]:
+                yield ("counit-multiplicative", (i, j))
+
+
+def corrupt_constant(sp, seed):
+    """sp with one product or coproduct constant shifted by a seeded nonzero
+    amount."""
+    h = sp.hopf
+    f = h.field
+    rng = random.Random(seed)
+    bump = f.from_int(rng.randrange(1, 5))
+    product = {key: dict(terms) for key, terms in h.product.items()}
+    coproduct = {i: dict(terms) for i, terms in h.coproduct.items()}
+    i, j, k = (rng.randrange(h.dim) for _ in range(3))
+    if rng.randrange(2):
+        terms = product.setdefault((i, j), {})
+        terms[k] = terms.get(k, f.zero) + bump
+    else:
+        terms = coproduct.setdefault(i, {})
+        terms[(j, k)] = terms.get((j, k), f.zero) + bump
+    hopf = FHopf(f, h.basis, product, h.unit, coproduct, h.counit, h.antipode)
+    return SuperPresentation(hopf, sp.parity)
+
+
+def first_witnesses(laws):
+    return list(itertools.islice(laws, MAX_VIOLATIONS))
+
+
+@pytest.mark.parametrize("field, m, n", [(Q, 2, 2), (Q, 1, 3), (F5, 2, 2), (F5, 1, 3)])
+def test_staged_multiplicativity_matches_the_nested_loop(field, m, n):
+    even = even_presentation(group_hopf_algebra(GroupTable.cyclic(n), field))
+    sp = scramble(super_tensor_product(exterior_hopf(m, field).presentation, even), seed=7)
+    assert 1 in sp.parity
+    for seed in range(4):
+        bad = corrupt_constant(sp, seed)
+        expected = first_witnesses(nested_loop_multiplicativity(bad.hopf, bad.parity))
+        assert expected
+        assert first_witnesses(_bialgebra_laws(bad.hopf, bad.parity)) == expected, seed
+
+
+def test_staged_multiplicativity_keeps_a_long_witness_list_and_the_cap(monkeypatch):
+    even = even_presentation(group_hopf_algebra(GroupTable.cyclic(2), F5))
+    sp = scramble(super_tensor_product(exterior_hopf(2, F5).presentation, even), seed=7)
+    bad = corrupt_constant(sp, 0)
+    expected = list(nested_loop_multiplicativity(bad.hopf, bad.parity))
+    assert len(expected) > MAX_VIOLATIONS
+    assert list(_bialgebra_laws(bad.hopf, bad.parity)) == expected
+    # here the coalgebra laws leave room, so the cap falls inside these laws
+    capped = corrupt_constant(sp, 3)
+    report = check_axioms("super-hopf", capped).violations
+    assert len(report) == MAX_VIOLATIONS and report[-1][0] == "coproduct-multiplicative"
+    monkeypatch.setattr("hopfcross.algebra._bialgebra_laws", nested_loop_multiplicativity)
+    assert check_axioms("super-hopf", capped).violations == report
+
+
+def test_staged_multiplicativity_matches_the_nested_loop_on_the_f3_family():
+    failing = 0
+    for sp in f3_family((0, 1)):
+        expected = list(nested_loop_multiplicativity(sp.hopf, sp.parity))
+        assert list(_bialgebra_laws(sp.hopf, sp.parity)) == expected, sp.hopf.canonical_constants()
+        failing += bool(expected)
+    assert failing
