@@ -105,15 +105,17 @@ def _scal_json(field, c):
 
 
 def _scal_parse(field, parts, where):
-    if not parts or len(parts) > 2:
+    # ints only (bool is not one): the elimination kernel takes F_p entries
+    # as plain ints and relies on exact integer arithmetic
+    if not parts or len(parts) > 2 or any(type(x) is not int for x in parts):
         raise ParseError("bad scalar in %s" % where)
     if field.characteristic:
         if len(parts) != 1:
             raise ParseError("no denominators over Fp (%s)" % where)
         return field.from_int(parts[0])
-    if len(parts) == 1:
-        return field.from_fraction(parts[0])
-    return field.from_fraction(parts[0], parts[1])
+    if len(parts) == 2 and parts[1] == 0:
+        raise ParseError("zero denominator in %s" % where)
+    return field.from_fraction(*parts)
 
 
 def _matrix_to_json(field, m):
@@ -136,7 +138,7 @@ def _matrix_from_json(field, obj, where):
         if not (0 <= i < r and 0 <= j < c):
             raise ParseError("entry (%d, %d) out of range in %s" % (i, j, where))
         data[i][j] = _scal_parse(field, e[2:], where)
-    return Matrix(field, data)
+    return Matrix(field, data, c)
 
 
 def _vector_from_json(field, obj, dim, where):

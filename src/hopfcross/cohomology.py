@@ -346,9 +346,7 @@ def hh2(hopf, act):
     cocycles = kernel_basis(stacked)
     d1 = _differential_matrix(act, 1)
     n1_constraints = _normalization_constraints(act, 1)
-    n1_basis = kernel_basis(Matrix(f, n1_constraints)) if n1_constraints else [
-        basis_vec(f, dp * dh, i) for i in range(dp * dh)
-    ]
+    n1_basis = kernel_basis(Matrix(f, n1_constraints, dp * dh))
     coboundaries = row_space_basis(f, [d1.apply(t) for t in n1_basis], n2)
     dim = len(cocycles) - len(coboundaries)
     # representatives: echelon complement of the coboundaries in the cocycles

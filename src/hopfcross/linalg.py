@@ -1,8 +1,16 @@
-"""Exact scalar fields and the dense linear-algebra kernel.
+"""Exact scalar fields and the linear-algebra kernel.
 
 Scalars are `fractions.Fraction` over the rationals and `FpElement` over a
-prime field.  Both support the arithmetic operators, so the matrix code below
-is field-agnostic.  Everything is exact; there is no floating point anywhere.
+prime field.  Both support the arithmetic operators, so the dense `Matrix`
+code below is field-agnostic.  Everything is exact; there is no floating
+point anywhere.
+
+Elimination (`Matrix.rref`, `Matrix.det`) works on sparse rows, one dict
+{column: nonzero scalar} per row, over native scalars: plain ints mod p over
+F_p (inverses by `pow(a, p - 2, p)`) and `Fraction` over Q.  Entries become
+`FpElement` again only in the matrices it returns.  The transform T with
+T * M = R is carried only when a caller asks for it (`inverse`,
+`column_coordinates`, the certificate of an inconsistent `solve_linear`).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
@@ -167,18 +175,24 @@ def basis_vec(field, n, i):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
+
+    `cols` is needed only for a matrix with no rows; otherwise it is read
+    off the rows (and checked when given).
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field, data):
+    def __init__(self, field, data, cols=None):
         self.field = field
         rows = tuple(tuple(r) for r in data)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
         for r in rows:
-            if len(r) != self.cols:
+            if len(r) != cols:
                 raise ShapeMismatchError("ragged rows")
+        self.rows = len(rows)
+        self.cols = cols
         self.data = rows
 
     # -- constructors -------------------------------------------------------
@@ -186,7 +200,7 @@ class Matrix:
     @staticmethod
     def zeros(field, rows, cols):
         z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)])
+        return Matrix(field, [[z] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field, n):
@@ -195,7 +209,7 @@ class Matrix:
 
     @staticmethod
     def from_cols(field, cols):
-        return Matrix(field, list(zip(*cols))) if cols else Matrix(field, [])
+        return Matrix(field, list(zip(*cols)), len(cols))
 
     # -- basics -------------------------------------------------------------
 
@@ -203,6 +217,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.cols == other.cols
             and self.data == other.data
         )
 
@@ -221,18 +236,18 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("matrix addition shape mismatch")
-        return Matrix(self.field, [vadd(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix(self.field, [vadd(a, b) for a, b in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("matrix subtraction shape mismatch")
-        return Matrix(self.field, [vsub(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix(self.field, [vsub(a, b) for a, b in zip(self.data, other.data)], self.cols)
 
     def __neg__(self):
         return self.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix(self.field, [vscale(c, r) for r in self.data])
+        return Matrix(self.field, [vscale(c, r) for r in self.data], self.cols)
 
     def __mul__(self, other):
         if self.cols != other.rows:
@@ -240,7 +255,7 @@ class Matrix:
                 "cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
         z = self.field.zero
-        ot = list(zip(*other.data))
+        ot = other.transpose().data
         out = []
         for r in self.data:
             nz = [(j, a) for j, a in enumerate(r) if a]
@@ -252,7 +267,7 @@ class Matrix:
                         s = s + a * c[j]
                 row.append(s)
             out.append(row)
-        return Matrix(self.field, out)
+        return Matrix(self.field, out, other.cols)
 
     def apply(self, vec):
         """Matrix times column vector (vec as tuple)."""
@@ -269,7 +284,8 @@ class Matrix:
         return tuple(out)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
+        cols = list(zip(*self.data)) if self.rows else [()] * self.cols
+        return Matrix(self.field, cols, self.rows)
 
     def kron(self, other):
         """Kronecker product; index (i,k) maps to i*other.rows + k."""
@@ -280,83 +296,88 @@ class Matrix:
                 for a in r1:
                     row.extend(a * b for b in r2)
                 out.append(row)
-        return Matrix(self.field, out)
+        return Matrix(self.field, out, self.cols * other.cols)
 
     def is_zero(self):
         return all(is_zero_vec(r) for r in self.data)
 
     # -- echelon machinery ---------------------------------------------------
 
-    def rref(self):
+    def rref(self, transform=True):
         """Reduced row echelon form.
 
-        Returns (R, pivots, T) with T * self == R, T invertible.  Pivot choice
-        is leftmost nonzero column, topmost available row.
+        Returns (R, pivots, T) with T * self == R, T invertible; T is None
+        when `transform` is false, and is then never built.  Pivot choice is
+        leftmost nonzero column, topmost available row.
         """
         f = self.field
-        m = [list(r) for r in self.data]
-        t = [list(r) for r in Matrix.identity(f, self.rows).data]
+        p = f.characteristic
+        one = 1 if p else f.one
+        m = _sparse_rows(self)
+        t = [{i: one} for i in range(self.rows)] if transform else None
+        n = self.rows
         pivots = []
         pr = 0
         for pc in range(self.cols):
-            sel = None
-            for i in range(pr, self.rows):
-                if m[i][pc]:
-                    sel = i
-                    break
+            if pr == n:
+                break
+            sel = next((i for i in range(pr, n) if pc in m[i]), None)
             if sel is None:
                 continue
             if sel != pr:
                 m[pr], m[sel] = m[sel], m[pr]
-                t[pr], t[sel] = t[sel], t[pr]
-            inv = f.one / m[pr][pc]
-            m[pr] = [inv * a for a in m[pr]]
-            t[pr] = [inv * a for a in t[pr]]
-            for i in range(self.rows):
-                if i != pr and m[i][pc]:
-                    c = m[i][pc]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[pr])]
-                    t[i] = [a - c * b for a, b in zip(t[i], t[pr])]
+                if t is not None:
+                    t[pr], t[sel] = t[sel], t[pr]
+            inv = pow(m[pr][pc], p - 2, p) if p else one / m[pr][pc]
+            m[pr] = _scaled(m[pr], inv, p)
+            if t is not None:
+                t[pr] = _scaled(t[pr], inv, p)
+            for i in range(n):
+                c = m[i].get(pc)
+                if c and i != pr:
+                    _subtract(m[i], c, m[pr], p)
+                    if t is not None:
+                        _subtract(t[i], c, t[pr], p)
             pivots.append(pc)
             pr += 1
-            if pr == self.rows:
-                break
-        return Matrix(f, m), tuple(pivots), Matrix(f, t)
+        r = _dense(f, m, self.cols)
+        return r, tuple(pivots), (_dense(f, t, n) if t is not None else None)
 
     def rank(self):
-        _, pivots, _ = self.rref()
-        return len(pivots)
+        return len(self.rref(transform=False)[1])
 
     def det(self):
         if self.rows != self.cols:
             raise ShapeMismatchError("determinant of non-square matrix")
         f = self.field
-        m = [list(r) for r in self.data]
+        p = f.characteristic
+        m = _sparse_rows(self)
         n = self.rows
-        det = f.one
+        det = 1 if p else f.one
         for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if m[i][c]:
-                    sel = i
-                    break
+            sel = next((i for i in range(c, n) if c in m[i]), None)
             if sel is None:
                 return f.zero
             if sel != c:
                 m[c], m[sel] = m[sel], m[c]
                 det = -det
-            det = det * m[c][c]
-            inv = f.one / m[c][c]
+            a = m[c][c]
+            if p:
+                det = det * a % p
+                inv = pow(a, p - 2, p)
+            else:
+                det = det * a
+                inv = f.one / a
             for i in range(c + 1, n):
-                if m[i][c]:
-                    factor = m[i][c] * inv
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-        return det
+                x = m[i].get(c)
+                if x:
+                    _subtract(m[i], x * inv % p if p else x * inv, m[c], p)
+        return f.from_int(det) if p else det
 
     def kernel_basis(self):
         """Canonical basis of the right kernel (reduced echelon complement)."""
-        r, pivots, _ = self.rref()
-        return _kernel_of_rref(r, pivots)
+        r, pivots, _ = self.rref(transform=False)
+        return _kernel_of_rref(r, pivots, self.cols)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -370,16 +391,68 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _kernel_of_rref(r, pivots):
-    """The kernel basis read off a reduced echelon form R with its pivots:
-    one vector per free column j, with 1 at j and -R[row, j] at each pivot."""
+# ---------------------------------------------------------------------------
+# sparse rows of native scalars: {column: nonzero}, ints mod p over F_p
+# (p = the characteristic) and Fractions over Q (p = 0)
+
+_QZERO = Fraction(0)
+
+
+def _sparse_rows(m):
+    if m.field.characteristic:
+        return [{j: a.value for j, a in enumerate(r) if a.value} for r in m.data]
+    return [{j: a for j, a in enumerate(r) if a} for r in m.data]
+
+
+def _dense(field, rows, cols):
+    """The Matrix of sparse rows, with entries back in the field's type."""
+    z = field.zero
+    p = field.characteristic
+    out = []
+    for row in rows:
+        v = [z] * cols
+        for j, a in row.items():
+            v[j] = FpElement(a, p) if p else a
+        out.append(v)
+    return Matrix(field, out, cols)
+
+
+def _scaled(row, c, p):
+    if p:
+        return {j: a * c % p for j, a in row.items()}
+    return {j: a * c for j, a in row.items()}
+
+
+def _subtract(row, c, pivot_row, p):
+    """row -= c * pivot_row, in place, keeping only nonzero entries."""
+    get = row.get
+    if p:
+        for j, a in pivot_row.items():
+            v = (get(j, 0) - c * a) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        return
+    for j, a in pivot_row.items():
+        v = get(j, _QZERO) - c * a  # int - Fraction would take the slow reflected path
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _kernel_of_rref(r, pivots, cols):
+    """The kernel basis read off a reduced echelon form R with its pivots,
+    over the first `cols` columns: one vector per free column j, with 1 at j
+    and -R[row, j] at each pivot."""
     f = r.field
     pivset = set(pivots)
     basis = []
-    for j in range(r.cols):
+    for j in range(cols):
         if j in pivset:
             continue
-        v = [f.zero] * r.cols
+        v = [f.zero] * cols
         v[j] = f.one
         for ri, pc in enumerate(pivots):
             v[pc] = -r.data[ri][j]
@@ -425,20 +498,28 @@ class SolveResult:
 
 
 def solve_linear(m, b):
-    """Solve M x = b exactly; see SolveResult."""
+    """Solve M x = b exactly; see SolveResult.
+
+    [M | b] is eliminated once: its pivots are those of M, plus the last
+    column exactly when the system is inconsistent, and the solution and
+    the kernel are read off that R.  Only an inconsistent system eliminates
+    M again, with the transform, for the certificate."""
     if len(b) != m.rows:
         raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
     f = m.field
-    r, pivots, t = m.rref()
-    tb = t.apply(b)
-    for i in range(len(pivots), m.rows):
-        if tb[i]:
-            return SolveResult(certificate=t.row(i))
+    n = m.cols
+    r, pivots, _ = Matrix(f, [row + (x,) for row, x in zip(m.data, b)], n + 1).rref(
+        transform=False)
+    if pivots and pivots[-1] == n:
+        _, pivots, t = m.rref()
+        tb = t.apply(b)
+        i = next(i for i in range(len(pivots), m.rows) if tb[i])
+        return SolveResult(certificate=t.row(i))
     # pivot rows of the rref have a 1 in column pc; back substitution is immediate
-    sol = [f.zero] * m.cols
+    sol = [f.zero] * n
     for ri, pc in enumerate(pivots):
-        sol[pc] = tb[ri]
-    return SolveResult(solution=tuple(sol), kernel=_kernel_of_rref(r, pivots))
+        sol[pc] = r.data[ri][n]
+    return SolveResult(solution=tuple(sol), kernel=_kernel_of_rref(r, pivots, n))
 
 
 def column_coordinates(m):
@@ -470,7 +551,7 @@ def row_space_basis(field, vectors, n):
     if not vectors:
         return []
     m = Matrix(field, list(vectors))
-    r, pivots, _ = m.rref()
+    r, pivots, _ = m.rref(transform=False)
     return [r.row(i) for i in range(len(pivots))]
 
 

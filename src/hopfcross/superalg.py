@@ -496,9 +496,7 @@ def odd_primitives(sp):
             row[j] = row[j] - h.counit[i]
             if any(c for c in row):
                 rows.append(tuple(row))
-    if not rows:
-        return [basis_vec(f, dim, i) for i in range(dim)]
-    return kernel_basis(Matrix(f, rows))
+    return kernel_basis(Matrix(f, rows, dim))
 
 
 # ---------------------------------------------------------------------------

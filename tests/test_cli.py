@@ -83,6 +83,25 @@ def test_out_of_range_index_rejected(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("name, scalar", [
+    ("kz2.json", [1, 0]),     # zero denominator
+    ("kz2.json", ["1"]),      # a string
+    ("kz2.json", [1.0]),      # a float over Q
+    ("kz3-f3.json", [1.0]),   # a float over F_3
+    ("kz3-f3.json", [True]),  # a bool over F_3
+])
+@pytest.mark.parametrize("command", ["check", "antipode"])
+def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, capsys):
+    doc = load(name)
+    doc["product"][1] = doc["product"][1][:3] + scalar
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate", corpus("kz2.json")])

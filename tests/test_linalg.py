@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from hopfcross.errors import ShapeMismatchError, SingularMatrixError
 from hopfcross.linalg import (
+    FpElement,
     Matrix,
     PrimeField,
     QuotientSpace,
     Rationals,
     in_span,
     is_prime,
+    kernel_basis,
     row_space_basis,
     solve_linear,
 )
@@ -197,3 +199,189 @@ def test_kron_indexing():
     assert k.rows == 2 and k.cols == 2
     assert k.data[0] == (Fraction(3), Fraction(6))
     assert k.data[1] == (Fraction(4), Fraction(8))
+
+
+def test_zero_row_matrices_keep_their_columns():
+    assert Matrix.zeros(Q, 0, 3).cols == 3
+    assert Matrix.from_cols(Q, [(), ()]).cols == 2
+    assert Matrix.zeros(Q, 0, 3).transpose().rows == 3
+    assert (Matrix.zeros(Q, 2, 0) * Matrix.zeros(Q, 0, 3)) == Matrix.zeros(Q, 2, 3)
+    # no constraints: every vector is in the kernel
+    assert kernel_basis(Matrix(F5, [], 3)) == [
+        (F5.one, F5.zero, F5.zero), (F5.zero, F5.one, F5.zero), (F5.zero, F5.zero, F5.one)]
+    assert Matrix.zeros(Q, 0, 3) != Matrix.zeros(Q, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the dense elimination the sparse kernel replaced, kept as its oracle
+
+
+def dense_rref(m):
+    f = m.field
+    rows = [list(r) for r in m.data]
+    t = [list(r) for r in Matrix.identity(f, m.rows).data]
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        sel = None
+        for i in range(pr, m.rows):
+            if rows[i][pc]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != pr:
+            rows[pr], rows[sel] = rows[sel], rows[pr]
+            t[pr], t[sel] = t[sel], t[pr]
+        inv = f.one / rows[pr][pc]
+        rows[pr] = [inv * a for a in rows[pr]]
+        t[pr] = [inv * a for a in t[pr]]
+        for i in range(m.rows):
+            if i != pr and rows[i][pc]:
+                c = rows[i][pc]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[pr])]
+                t[i] = [a - c * b for a, b in zip(t[i], t[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    return Matrix(f, rows, m.cols), tuple(pivots), Matrix(f, t, m.rows)
+
+
+def dense_det(m):
+    f = m.field
+    rows = [list(r) for r in m.data]
+    n = m.rows
+    det = f.one
+    for c in range(n):
+        sel = None
+        for i in range(c, n):
+            if rows[i][c]:
+                sel = i
+                break
+        if sel is None:
+            return f.zero
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = f.one / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                factor = rows[i][c] * inv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def dense_solve(m, b):
+    """(solution, kernel) or None, from the dense transform."""
+    f = m.field
+    r, pivots, t = dense_rref(m)
+    tb = t.apply(b)
+    if any(tb[len(pivots):]):
+        return None
+    sol = [f.zero] * m.cols
+    for ri, pc in enumerate(pivots):
+        sol[pc] = tb[ri]
+    kernel = []
+    for j in range(m.cols):
+        if j not in pivots:
+            v = [f.zero] * m.cols
+            v[j] = f.one
+            for ri, pc in enumerate(pivots):
+                v[pc] = -r.data[ri][j]
+            kernel.append(tuple(v))
+    return tuple(sol), kernel
+
+
+ORACLE_FIELDS = [Q, PrimeField(2), PrimeField(3), F5, PrimeField(7)]
+
+
+def nonzero(field, rng):
+    x = field.random(rng)
+    return x if x else field.one
+
+
+def oracle_matrices(field, rng):
+    """Seeded matrices of each kind the kernel meets."""
+    z = field.zero
+    out = [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 3, 0), Matrix.zeros(field, 4, 5),
+           Matrix.zeros(field, 3, 3)]
+    for _ in range(6):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        out.append(Matrix(field, [[field.random(rng) for _ in range(c)] for _ in range(r)]))
+        sparse = [[z] * c for _ in range(r)]
+        for _ in range(rng.randint(1, r * c // 3 + 1)):
+            sparse[rng.randrange(r)][rng.randrange(c)] = field.random(rng)
+        out.append(Matrix(field, sparse))
+        # rank-deficient: a product through a narrower middle
+        k = rng.randint(1, min(r, c))
+        left = Matrix(field, [[field.random(rng) for _ in range(k)] for _ in range(r)])
+        right = Matrix(field, [[field.random(rng) for _ in range(c)] for _ in range(k)])
+        out.append(left * right)
+    # block-permutation, like the convolution operator of k[G]: blocks of size
+    # d placed by a permutation of n blocks, each block a scaled permutation
+    for n, d in ((4, 1), (5, 2), (3, 3)):
+        data = [[z] * (n * d) for _ in range(n * d)]
+        for blk, img in enumerate(rng.sample(range(n), n)):
+            for i, j in enumerate(rng.sample(range(d), d)):
+                data[blk * d + i][img * d + j] = nonzero(field, rng)
+        out.append(Matrix(field, data))
+    return out
+
+
+def scalar_type(field):
+    return Fraction if field.characteristic == 0 else FpElement
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_sparse_elimination_matches_the_dense_oracle(field):
+    rng = random.Random(7 * (field.characteristic or 1) + 11)
+    for m in oracle_matrices(field, rng):
+        r, pivots, t = m.rref()
+        assert (r, pivots, t) == dense_rref(m)
+        assert m.rref(transform=False) == (r, pivots, None)
+        typ = scalar_type(field)
+        assert all(type(a) is typ for mat in (r, t) for row in mat.data for a in row)
+        if m.rows == m.cols:
+            det = m.det()
+            assert det == dense_det(m) and type(det) is typ
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_solve_linear_matches_the_dense_oracle(field):
+    rng = random.Random(13 * (field.characteristic or 1) + 5)
+    inconsistent = 0
+    for m in oracle_matrices(field, rng):
+        x = tuple(field.random(rng) for _ in range(m.cols))
+        targets = [m.apply(x), tuple(field.random(rng) for _ in range(m.rows))]
+        for b in targets:
+            res = solve_linear(m, b)
+            expected = dense_solve(m, b)
+            if expected is not None:
+                assert (res.solution, res.kernel) == expected
+                continue
+            inconsistent += 1
+            y = res.certificate
+            assert all(not sum((y[i] * m.data[i][j] for i in range(m.rows)), field.zero)
+                       for j in range(m.cols))
+            assert sum((a * c for a, c in zip(y, b)), field.zero)
+    assert inconsistent >= 5
+
+
+def test_questions_without_a_transform_eliminate_once(monkeypatch):
+    rref = Matrix.rref
+    transforms = []
+
+    def counting(self, *args, **kwargs):
+        out = rref(self, *args, **kwargs)
+        transforms.append(out[2])
+        return out
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    m = fpmat(F5, [[1, 2, 0], [2, 4, 1], [0, 0, 3]])
+    for question in (lambda: solve_linear(m, m.apply((F5.one, F5.one, F5.zero))),
+                     m.rank, m.kernel_basis, m.is_invertible):
+        transforms.clear()
+        question()
+        assert transforms == [None]
