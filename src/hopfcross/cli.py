@@ -118,6 +118,13 @@ def _scal_parse(field, parts, where):
     return field.from_fraction(*parts)
 
 
+def _entries(obj, width, where):
+    """The entries of a sparse block: lists of `width` indices and a scalar."""
+    if not isinstance(obj, list) or any(not isinstance(e, list) or len(e) <= width for e in obj):
+        raise ParseError("%s must be a list of [index, ..., scalar] lists" % where)
+    return obj
+
+
 def _matrix_to_json(field, m):
     entries = []
     for i in range(m.rows):
@@ -133,7 +140,7 @@ def _matrix_from_json(field, obj, where):
         raise ParseError("matrix block %s needs 'rows' and 'cols'" % where)
     r, c = obj["rows"], obj["cols"]
     data = [[field.zero] * c for _ in range(r)]
-    for e in obj.get("entries", []):
+    for e in _entries(obj.get("entries", []), 2, where):
         i, j = e[0], e[1]
         if not (0 <= i < r and 0 <= j < c):
             raise ParseError("entry (%d, %d) out of range in %s" % (i, j, where))
@@ -143,7 +150,7 @@ def _matrix_from_json(field, obj, where):
 
 def _vector_from_json(field, obj, dim, where):
     v = [field.zero] * dim
-    for e in obj:
+    for e in _entries(obj, 1, where):
         i = e[0]
         if not 0 <= i < dim:
             raise ParseError("index %d out of range in %s" % (i, where))
@@ -157,7 +164,7 @@ def _vector_to_json(field, v):
 
 def _sparse3_from_json(field, obj, dim, where):
     out = {}
-    for e in obj:
+    for e in _entries(obj, 3, where):
         i, j, k = e[0], e[1], e[2]
         for idx in (i, j, k):
             if not 0 <= idx < dim:
@@ -186,7 +193,7 @@ def _coproduct_to_json(field, coalg):
 
 def _coproduct_from_json(field, obj, dim, where):
     out = {}
-    for e in obj:
+    for e in _entries(obj, 3, where):
         i, j, k = e[0], e[1], e[2]
         for idx in (i, j, k):
             if not 0 <= idx < dim:
@@ -199,6 +206,13 @@ def _require(doc, key, kind):
     if key not in doc:
         raise ValidationError("kind %r is missing the %r block" % (kind, key))
     return doc[key]
+
+
+def _basis(doc, kind):
+    basis = _require(doc, "basis", kind)
+    if not isinstance(basis, list):
+        raise ParseError("basis must be a list of labels")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +354,7 @@ class Presentation:
 
 
 def _parse_algebra(doc, field, kind):
-    basis = _require(doc, "basis", kind)
+    basis = _basis(doc, kind)
     dim = len(basis)
     product = _sparse3_from_json(field, _require(doc, "product", kind), dim, "product")
     unit = _vector_from_json(field, _require(doc, "unit", kind), dim, "unit")
@@ -348,7 +362,7 @@ def _parse_algebra(doc, field, kind):
 
 
 def _parse_coalgebra(doc, field, kind):
-    basis = _require(doc, "basis", kind)
+    basis = _basis(doc, kind)
     dim = len(basis)
     coproduct = _coproduct_from_json(
         field, _require(doc, "coproduct", kind), dim, "coproduct"
@@ -370,8 +384,15 @@ def _parse_hopf(doc, field, kind="hopf"):
 
 def _parse_group(doc, kind):
     block = _require(doc, "group", kind)
+    if not isinstance(block, dict) or "elements" not in block or "table" not in block:
+        raise ParseError("group block needs 'elements' and 'table'")
+    elements, rows = block["elements"], block["table"]
+    # GroupTable searches the table for its identity before validate() checks its shape
+    square = isinstance(elements, list) and isinstance(rows, list) and len(rows) == len(elements)
+    if not square or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
+        raise ParseError("group table must be a square list of lists, one row per element")
     try:
-        table = GroupTable(block["elements"], block["table"])
+        table = GroupTable(elements, rows)
         table.validate()
     except InvalidGroupTableError as e:
         raise ValidationError("group table is invalid: %s" % (e,))
@@ -390,6 +411,8 @@ def parse_presentation(path_or_doc):
             raise ParseError("cannot read %s: %s" % (path_or_doc, e))
         except json.JSONDecodeError as e:
             raise ParseError("invalid JSON in %s: %s" % (path_or_doc, e))
+    if not isinstance(doc, dict):
+        raise ParseError("a presentation must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError("unsupported format_version %r" % (doc.get("format_version"),))
     kind = doc.get("kind")
@@ -812,59 +835,59 @@ def _budget_from(args):
     return SearchBudget(seed=args.seed, draws=args.budget)
 
 
-def _add_common(sub, with_file=True):
-    if with_file:
-        sub.add_argument("file")
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=int, default=1000)
-    sub.add_argument("--certify", action="store_true")
+COMMANDS = {
+    "check": cmd_check,
+    "antipode": cmd_antipode,
+    "dual": cmd_dual,
+    "coinvariants": cmd_coinvariants,
+    "galois": cmd_galois,
+    "strongly-graded": cmd_strongly_graded,
+    "recognize-crossed": cmd_recognize_crossed,
+    "crossed-product": cmd_crossed_product,
+    "find-section": cmd_find_section,
+    "recognize-cleft": cmd_recognize_cleft,
+    "classify-cleft": cmd_classify_cleft,
+    "hh2": cmd_hh2,
+    "split": cmd_split,
+    "lift": cmd_lift,
+    "smash-coproduct": cmd_smash_coproduct,
+    "super-decompose": cmd_super_decompose,
+    "pairing": cmd_pairing,
+}
 
 
 def build_parser():
+    # one flat parser: main rejects the options a command does not take
     parser = argparse.ArgumentParser(
         prog="hopfcross",
         description="exact-arithmetic checks and constructions for Hopf-algebraic structures",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "check": cmd_check,
-        "antipode": cmd_antipode,
-        "dual": cmd_dual,
-        "coinvariants": cmd_coinvariants,
-        "galois": cmd_galois,
-        "strongly-graded": cmd_strongly_graded,
-        "recognize-crossed": cmd_recognize_crossed,
-        "crossed-product": cmd_crossed_product,
-        "find-section": cmd_find_section,
-        "recognize-cleft": cmd_recognize_cleft,
-        "classify-cleft": cmd_classify_cleft,
-        "hh2": cmd_hh2,
-        "split": cmd_split,
-        "lift": cmd_lift,
-        "smash-coproduct": cmd_smash_coproduct,
-        "super-decompose": cmd_super_decompose,
-        "pairing": cmd_pairing,
-    }
-    for name, func in commands.items():
-        sub = subs.add_parser(name)
-        if name == "pairing":
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--prime", type=int, default=None)
-            _add_common(sub, with_file=False)
-        else:
-            _add_common(sub)
-        if name == "check":
-            sub.add_argument("--kind", default=None)
-        sub.set_defaults(func=func)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("file", nargs="?", help="the input presentation (not for pairing)")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int, default=1000)
+    parser.add_argument("--certify", action="store_true")
+    parser.add_argument("--kind", help="check only: the kind the file must declare")
+    parser.add_argument("--n", type=int, help="pairing only (required): dim V of Lambda(V)")
+    parser.add_argument("--prime", type=int, help="pairing only: work over F_p, not Q")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
+    if args.command == "pairing":
+        if args.n is None or args.file is not None:
+            parser.error("pairing needs --n and takes no file")
+    elif args.file is None:
+        parser.error("%s needs a file" % args.command)
+    elif args.n is not None or args.prime is not None:
+        parser.error("--n and --prime are for pairing only")
+    if args.kind is not None and args.command != "check":
+        parser.error("--kind is for check only")
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except HopfcrossError as e:
         sys.stderr.write("error: %s\n" % (e,))
         if args.json:

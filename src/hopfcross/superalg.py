@@ -324,32 +324,34 @@ def _check_super_hopf_iso(src_sp, dst_sp, m):
     bad = next(algebra_map_violations(src, dst, m), None)
     if bad:
         raise ValidationError("candidate map is not an algebra map: %r" % (bad,))
+    # the sparse columns {row: entry} of m, read once
+    cols = [{} for _ in range(m.cols)]
+    for x, row in enumerate(m.data):
+        for j, c in enumerate(row):
+            if c:
+                cols[j][x] = c
     for i in range(src.dim):
         # coalgebra map: (m (x) m) Delta = Delta m
         lhs = {}
         for (j, k), c in src.delta_basis(i).items():
-            for x, u in enumerate(m.col(j)):
-                for y, v in enumerate(m.col(k)):
-                    if u and v:
-                        key = (x, y)
-                        lhs[key] = lhs.get(key, f.zero) + c * u * v
+            for x, u in cols[j].items():
+                cu = c * u
+                for y, v in cols[k].items():
+                    lhs[x, y] = lhs.get((x, y), f.zero) + cu * v
         rhs = {}
-        for x, c in enumerate(m.col(i)):
-            if c:
-                for key, d in dst.delta_basis(x).items():
-                    rhs[key] = rhs.get(key, f.zero) + c * d
+        for x, c in cols[i].items():
+            for key, d in dst.delta_basis(x).items():
+                rhs[key] = rhs.get(key, f.zero) + c * d
         if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
             raise ValidationError("candidate map not comultiplicative at %d" % i)
-        if src_sp.parity[i] == 1:
-            # parity must be preserved: image supported on odd indices
-            for x, c in enumerate(m.col(i)):
-                if c and dst_sp.parity[x] != 1:
-                    raise ValidationError("candidate map does not preserve parity")
+        # parity must be preserved: an odd image is supported on odd indices
+        if src_sp.parity[i] == 1 and any(dst_sp.parity[x] != 1 for x in cols[i]):
+            raise ValidationError("candidate map does not preserve parity")
     if m * src.antipode != dst.antipode * m:
         raise ValidationError("candidate map does not commute with the antipode")
     for i in range(src.dim):
         s = f.zero
-        for x, c in enumerate(m.col(i)):
+        for x, c in cols[i].items():
             s = s + c * dst.counit[x]
         if s != src.counit[i]:
             raise ValidationError("candidate map does not preserve the counit")

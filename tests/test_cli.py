@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -98,6 +99,26 @@ def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, cap
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("kz2.json", lambda d: [d]),
+    ("kz2.json", lambda d: {**d, "basis": 3}),
+    ("kz2.json", lambda d: {**d, "product": d["product"][:1] + [5] + d["product"][2:]}),
+    ("kz2.json", lambda d: {**d, "unit": {"0": [1]}}),
+    ("m2-z2-graded.json", lambda d: {**d, "group": {"table": d["group"]["table"]}}),
+    ("m2-z2-graded.json", lambda d: {**d, "group": {**d["group"], "table": [[0, 1], [1]]}}),
+], ids=["top-level-list", "int-basis", "int-entry", "object-unit", "no-group-elements",
+        "ragged-group-table"])
+def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(mutate(load(name))))
+    with pytest.raises((ParseError, ValidationError)):
+        parse_presentation(str(path))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -388,3 +409,40 @@ def test_certify_leaves_the_report_unchanged(argv, capsys):
     certified_code = main(argv + ["--json", "--certify"])
     assert certified_code == plain_code
     assert capsys.readouterr().out == plain
+
+
+# ---------------------------------------------------------------------------
+# argv handling and the module entry point
+
+
+@pytest.mark.parametrize("argv, rejected", [
+    (["check", "--kind", "hopf", "kz2.json"], False),  # options may precede the file
+    (["antipode", "kz2.json", "--kind", "hopf"], True),  # --kind is for check only
+    (["antipode", "kz2.json", "--n", "3"], True),  # --n is for pairing only
+    (["pairing", "kz2.json", "--n", "3"], True),  # pairing takes no file
+    (["pairing"], True),  # pairing needs --n
+    (["check"], True),  # every other command needs a file
+])
+def test_argv_handling(argv, rejected, capsys):
+    argv = [corpus(a) if a.endswith(".json") else a for a in argv]
+    if rejected:
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+    else:
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairing", "--n", "2", "--json"],
+    ["check", corpus("kz2.json"), "--json"],
+])
+def test_module_entry_point_matches_main(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    # the child inherits this environment, PYTHONPATH included
+    proc = subprocess.run([sys.executable, "-m", "hopfcross.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

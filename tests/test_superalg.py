@@ -25,6 +25,7 @@ from hopfcross.superalg import (
     ExteriorHopf,
     SuperPresentation,
     SuperVectorSpace,
+    _check_super_hopf_iso,
     decompose,
     duality_pairing,
     even_quotient,
@@ -227,6 +228,19 @@ def test_pairing_diagonal_and_block_orthogonal():
                     assert entry == Q.zero
         assert p.matrix.is_invertible()
         assert p.iso.matrix.is_invertible()
+
+
+def test_iso_check_rejects_an_algebra_map_that_is_not_comultiplicative():
+    # v1 -> v1 + v1^v2^v3, every other basis vector fixed: a bijective
+    # algebra map of Lambda(3) that sends the primitive v1 to a non-primitive
+    ext = exterior_hopf(3, Q)
+    v1, v123 = ext.index[(1,)], ext.index[(1, 2, 3)]
+    rows = [[Q.one if x == j else Q.zero for j in range(ext.dim)] for x in range(ext.dim)]
+    rows[v123][v1] = Q.one
+    m = Matrix(Q, rows)
+    assert m.is_invertible()
+    with pytest.raises(ValidationError, match="candidate map not comultiplicative at 1$"):
+        _check_super_hopf_iso(ext.presentation, ext.presentation, m)
 
 
 # ---------------------------------------------------------------------------
