@@ -7,6 +7,7 @@ basis element ``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j``.
 """
 
 from itertools import chain, islice
+from math import lcm
 
 from .errors import (
     InvalidGroupTableError,
@@ -277,6 +278,18 @@ def induced_coproduct(c, basis, coords):
 # ungraded presentation is the case where every basis element is even.  Each
 # law below is a generator of witnesses (name, indices) computed from the
 # sparse structure constants, so a check stops as soon as it has enough.
+#
+# The laws contract on native ints, never on Fraction or FpElement: each one
+# lowers the constants it reads once per call (`_lowering`), over F_p to
+# their residues and over Q to D * c, with D the lcm of their denominators.
+# Sums stay unreduced until `clean`, at the comparison.  Over Q a term with
+# r lowered constants carries D^r, so the side of a comparison with fewer
+# constants per term is scaled to match: the 1 of the unit and counit laws
+# and of counit-of-unit becomes D^2, Delta(e_i e_j) is multiplied by D^2 in
+# Delta-multiplicativity, the target eps(e_i) 1 by D in the antipode laws,
+# and in algebra_map_violations the image of the unit and of each product
+# by D.  Associativity, coassociativity, coproduct-of-unit and
+# counit-multiplicative have the same count on both sides.  Over F_p, D = 1.
 
 
 class AxiomReport:
@@ -312,6 +325,44 @@ def _add_scaled(out, c, terms):
         out[k] = out[k] + cu if k in out else cu
 
 
+def _lowering(field, *constants):
+    """(lower, D, clean) for contracting structure constants on native ints.
+
+    constants are iterables of the nonzero scalars a law reads.  Over F_p,
+    lower(c) is the residue of c, D = 1 and clean reduces mod p; over Q, D
+    is the lcm of their denominators, lower(c) = D * c and clean drops the
+    zeros.  clean returns a sparse dict of exact representatives, so two
+    cleaned sides compare equal exactly when the field elements do."""
+    p = field.characteristic
+    if p:
+        def reduced(sparse):
+            return {k: r for k, v in sparse.items() if (r := v % p)}
+        return (lambda c: c.value), 1, reduced
+    d = lcm(*{c.denominator for c in chain.from_iterable(constants)})
+    return (lambda c: c.numerator * (d // c.denominator)), d, _clean
+
+
+def _values(tables):
+    """The scalars of a sequence of sparse dicts."""
+    return chain.from_iterable(t.values() for t in tables)
+
+
+def _nonzero(vec):
+    return {t: c for t, c in enumerate(vec) if c}
+
+
+def _lowered(sparse, lower):
+    return {t: lower(c) for t, c in sparse.items()}
+
+
+def _product_rows(product, lower):
+    """The lowered product {i: {j: {k: c}}}, indexed by its left factor."""
+    rows = {}
+    for (i, j), terms in product.items():
+        rows.setdefault(i, {})[j] = _lowered(terms, lower)
+    return rows
+
+
 def _parity_laws(h, p):
     for i in range(h.dim):
         for j in range(h.dim):
@@ -331,63 +382,82 @@ def _parity_laws(h, p):
 
 
 def _algebra_laws(a):
-    dim = a.dim
-    unit = {t: c for t, c in enumerate(a.unit) if c}
-    for i in range(dim):
-        e = {i: a.field.one}
+    unit = _nonzero(a.unit)
+    lower, d, clean = _lowering(a.field, _values(a.product.values()), unit.values())
+    rows = _product_rows(a.product, lower)
+    unit = _lowered(unit, lower)
+    for i in range(a.dim):
         left, right = {}, {}
         for t, c in unit.items():
-            _add_scaled(left, c, a.mult_basis(t, i))
-            _add_scaled(right, c, a.mult_basis(i, t))
-        if _clean(left) != e:
+            _add_scaled(left, c, rows.get(t, {}).get(i, {}))
+            _add_scaled(right, c, rows.get(i, {}).get(t, {}))
+        e = {i: d * d}
+        if clean(left) != e:
             yield ("left-unit", (i,))
-        if _clean(right) != e:
+        if clean(right) != e:
             yield ("right-unit", (i,))
-    for i in range(dim):
-        for j in range(dim):
-            eij = a.mult_basis(i, j)
-            for l in range(dim):
-                lhs, rhs = {}, {}
-                for k, c in eij.items():
-                    _add_scaled(lhs, c, a.mult_basis(k, l))
-                for k, c in a.mult_basis(j, l).items():
-                    _add_scaled(rhs, c, a.mult_basis(i, k))
-                if _clean(lhs) != _clean(rhs):
+    # (e_i e_j) e_l against e_i (e_j e_l) for every l at once, keyed (l, m)
+    # over the nonzero products only; the failing l are then read off in order
+    for i in range(a.dim):
+        row_i = rows.get(i, {})
+        for j in range(a.dim):
+            lhs, rhs = {}, {}
+            for k, c in row_i.get(j, {}).items():
+                for l, terms in rows.get(k, {}).items():
+                    for m, u in terms.items():
+                        key = (l, m)
+                        cu = c * u
+                        lhs[key] = lhs[key] + cu if key in lhs else cu
+            for l, terms in rows.get(j, {}).items():
+                for k, c in terms.items():
+                    for m, u in row_i.get(k, {}).items():
+                        key = (l, m)
+                        cu = c * u
+                        rhs[key] = rhs[key] + cu if key in rhs else cu
+            lhs, rhs = clean(lhs), clean(rhs)
+            if lhs != rhs:
+                keys = lhs.keys() | rhs.keys()
+                for l in sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))}):
                     yield ("associativity", (i, j, l))
 
 
 def _coalgebra_laws(c):
-    f = c.field
+    counit = _nonzero(c.counit)
+    lower, d, clean = _lowering(c.field, _values(c.coproduct.values()), counit.values())
+    coproduct = {i: _lowered(terms, lower) for i, terms in c.coproduct.items()}
+    counit = _lowered(counit, lower)
     for i in range(c.dim):
-        rhs = {}
-        for (j, k), u in c.delta_basis(i).items():
-            for (a, b), v in c.delta_basis(k).items():
+        delta = coproduct.get(i, {})
+        lhs, rhs = {}, {}
+        for (j, k), u in delta.items():
+            for (a, b), v in coproduct.get(j, {}).items():
+                key = (a, b, k)
+                lhs[key] = lhs.get(key, 0) + u * v
+            for (a, b), v in coproduct.get(k, {}).items():
                 key = (j, a, b)
-                rhs[key] = rhs.get(key, f.zero) + u * v
-        if c.delta2_basis(i) != _clean(rhs):
+                rhs[key] = rhs.get(key, 0) + u * v
+        if clean(lhs) != clean(rhs):
             yield ("coassociativity", (i,))
         left, right = {}, {}
-        for (j, k), u in c.delta_basis(i).items():
-            if c.counit[j]:
-                left[k] = left.get(k, f.zero) + c.counit[j] * u
-            if c.counit[k]:
-                right[j] = right.get(j, f.zero) + u * c.counit[k]
-        e = {i: f.one}
-        if _clean(left) != e:
+        for (j, k), u in delta.items():
+            if j in counit:
+                left[k] = left.get(k, 0) + counit[j] * u
+            if k in counit:
+                right[j] = right.get(j, 0) + u * counit[k]
+        e = {i: d * d}
+        if clean(left) != e:
             yield ("counit-left", (i,))
-        if _clean(right) != e:
+        if clean(right) != e:
             yield ("counit-right", (i,))
 
 
-def _left_legs(b, i):
-    """{b1: {a2: sum_a1 Delta_i^{a1 a2} e_a1 e_b1}} over the nonzero products."""
-    product = b.product
+def _left_legs(rows, delta):
+    """{b1: {a2: sum_a1 Delta_i^{a1 a2} e_a1 e_b1}} over the nonzero products,
+    from the lowered product rows and the lowered Delta(e_i)."""
     out = {}
-    for (a1, a2), c in b.delta_basis(i).items():
-        for b1 in range(b.dim):
-            prod = product.get((a1, b1))
-            if prod:
-                _add_scaled(out.setdefault(b1, {}).setdefault(a2, {}), c, prod)
+    for (a1, a2), c in delta.items():
+        for b1, prod in rows.get(a1, {}).items():
+            _add_scaled(out.setdefault(b1, {}).setdefault(a2, {}), c, prod)
     return out
 
 
@@ -399,59 +469,80 @@ def _bialgebra_laws(b, p):
     constants where the pairs of coproduct terms cost O(d^8): the left legs
     U[b1][a2] of e_i once per i, then per pair
     V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
-    and the sum of V[a2, b2] (x) e_a2 e_b2."""
-    f = b.field
-    z = f.zero
-    dim = b.dim
-    product, coproduct, counit = b.product, b.coproduct, b.counit
-    unit = [(i, c) for i, c in enumerate(b.unit) if c]
-    if b.delta(b.unit) != {(i, j): x * y for i, x in unit for j, y in unit}:
+    and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
+    native ints; each term of that sum carries D^4 and each term of
+    Delta(e_i e_j) D^2, so the latter is multiplied by D^2."""
+    unit, counit = _nonzero(b.unit), _nonzero(b.counit)
+    lower, d, clean = _lowering(
+        b.field, _values(b.product.values()), _values(b.coproduct.values()),
+        unit.values(), counit.values(),
+    )
+    rows = _product_rows(b.product, lower)
+    coproduct = {i: _lowered(terms, lower) for i, terms in b.coproduct.items()}
+    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
+    d2 = d * d
+    lhs = {}
+    for t, c in unit.items():
+        _add_scaled(lhs, c, coproduct.get(t, {}))
+    if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
         yield ("coproduct-of-unit", ())
-    if b.eps(b.unit) != f.one:
+    if clean({0: sum(c * counit.get(t, 0) for t, c in unit.items()) - d2}):
         yield ("counit-of-unit", ())
-    for i in range(dim):
-        legs = _left_legs(b, i)
-        for j in range(dim):
+    for i in range(b.dim):
+        legs = _left_legs(rows, coproduct.get(i, {}))
+        row_i = rows.get(i, {})
+        for j in range(b.dim):
             lhs = {}
-            s = z
-            for k, c in product.get((i, j), {}).items():
-                _add_scaled(lhs, c, coproduct.get(k, {}))
-                if counit[k]:
-                    s = s + c * counit[k]
+            s = 0
+            for k, c in row_i.get(j, {}).items():
+                _add_scaled(lhs, c * d2, coproduct.get(k, {}))
+                s += c * counit.get(k, 0)
             v = {}
-            for (b1, b2), d in coproduct.get(j, {}).items():
+            for (b1, b2), e in coproduct.get(j, {}).items():
                 for a2, u in legs.get(b1, {}).items():
-                    _add_scaled(v.setdefault((a2, b2), {}), -d if p[a2] and p[b1] else d, u)
+                    if b2 not in rows.get(a2, ()):
+                        continue  # e_a2 e_b2 = 0
+                    out = v.setdefault((a2, b2), {})
+                    sign = -e if p[a2] and p[b1] else e
+                    for x, w in u.items():
+                        ew = sign * w
+                        out[x] = out[x] + ew if x in out else ew
             rhs = {}
             for (a2, b2), vx in v.items():
-                for y, w in product.get((a2, b2), {}).items():
+                for y, w in rows[a2][b2].items():
                     for x, u in vx.items():
                         key = (x, y)
                         uw = u * w
                         rhs[key] = rhs[key] + uw if key in rhs else uw
-            if _clean(lhs) != _clean(rhs):
+            if clean(lhs) != clean(rhs):
                 yield ("coproduct-multiplicative", (i, j))
-            if s != counit[i] * counit[j]:
+            if clean({0: s - counit.get(i, 0) * counit.get(j, 0)}):
                 yield ("counit-multiplicative", (i, j))
 
 
 def _antipode_laws(h):
     """id * S = eta eps = S * id in the convolution algebra End(H)."""
-    s_cols = [
-        {m: s for m, s in enumerate(h.antipode.col(k)) if s} for k in range(h.dim)
-    ]
-    unit = {t: c for t, c in enumerate(h.unit) if c}
+    s_cols = h.antipode.sparse_cols()
+    unit, counit = _nonzero(h.unit), _nonzero(h.counit)
+    lower, d, clean = _lowering(
+        h.field, _values(h.product.values()), _values(h.coproduct.values()),
+        _values(s_cols), unit.values(), counit.values(),
+    )
+    rows = _product_rows(h.product, lower)
+    s_cols = [_lowered(col, lower) for col in s_cols]
+    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
     for i in range(h.dim):
         lhs, rhs = {}, {}
-        for (j, k), c in h.delta_basis(i).items():
+        for (j, k), c in _lowered(h.coproduct.get(i, {}), lower).items():
+            row_j = rows.get(j, {})
             for m, s in s_cols[k].items():
-                _add_scaled(lhs, c * s, h.mult_basis(j, m))
+                _add_scaled(lhs, c * s, row_j.get(m, {}))
             for m, s in s_cols[j].items():
-                _add_scaled(rhs, c * s, h.mult_basis(m, k))
-        target = _clean({t: h.counit[i] * c for t, c in unit.items()})
-        if _clean(lhs) != target:
+                _add_scaled(rhs, c * s, rows.get(m, {}).get(k, {}))
+        target = clean({t: d * counit.get(i, 0) * c for t, c in unit.items()})
+        if clean(lhs) != target:
             yield ("antipode-right", (i,))
-        if _clean(rhs) != target:
+        if clean(rhs) != target:
             yield ("antipode-left", (i,))
 
 
@@ -483,18 +574,33 @@ def algebra_map_violations(src, dst, m):
     """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
     matrix) is not a unital algebra map: ("unit", ()), then
     ("multiplicative", (i, j)) for each basis pair in order."""
-    if m.apply(src.unit) != dst.unit:
+    cols = m.sparse_cols()
+    src_unit, dst_unit = _nonzero(src.unit), _nonzero(dst.unit)
+    lower, d, clean = _lowering(
+        dst.field, _values(cols), _values(src.product.values()), _values(dst.product.values()),
+        src_unit.values(), dst_unit.values(),
+    )
+    cols = [_lowered(col, lower) for col in cols]
+    rows = _product_rows(dst.product, lower)
+    image = {}
+    for t, c in src_unit.items():
+        _add_scaled(image, lower(c), cols[t])
+    if clean(image) != clean({t: d * lower(c) for t, c in dst_unit.items()}):
         yield ("unit", ())
-    z = dst.field.zero
-    cols = [m.col(k) for k in range(src.dim)]
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = [z] * dst.dim
-            for k, c in src.mult_basis(i, j).items():
-                for x, u in enumerate(cols[k]):
-                    if u:
-                        lhs[x] = lhs[x] + c * u
-            if tuple(lhs) != dst.mult(cols[i], cols[j]):
+            lhs = {}
+            for k, c in src.product.get((i, j), {}).items():
+                _add_scaled(lhs, d * lower(c), cols[k])
+            rhs = {}
+            for a, u in cols[i].items():
+                row_a = rows.get(a)
+                if row_a:
+                    for b, v in cols[j].items():
+                        prod = row_a.get(b)
+                        if prod:
+                            _add_scaled(rhs, u * v, prod)
+            if clean(lhs) != clean(rhs):
                 yield ("multiplicative", (i, j))
 
 

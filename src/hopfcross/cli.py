@@ -119,10 +119,20 @@ def _scal_parse(field, parts, where):
 
 
 def _entries(obj, width, where):
-    """The entries of a sparse block: lists of `width` indices and a scalar."""
+    """The entries of a sparse block: lists of `width` indices and a scalar.
+    Each reader requires its indices to be ints in range and rejects a
+    repeated entry.  Here and below, `type(x) is int` also rejects a bool."""
     if not isinstance(obj, list) or any(not isinstance(e, list) or len(e) <= width for e in obj):
         raise ParseError("%s must be a list of [index, ..., scalar] lists" % where)
     return obj
+
+
+def _bad_index(x, bound, where):
+    return ParseError("index %r is not an int in range(%d) in %s" % (x, bound, where))
+
+
+def _duplicate(where):
+    return ParseError("duplicate entry in %s" % where)
 
 
 def _matrix_to_json(field, m):
@@ -139,21 +149,33 @@ def _matrix_from_json(field, obj, where):
     if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
         raise ParseError("matrix block %s needs 'rows' and 'cols'" % where)
     r, c = obj["rows"], obj["cols"]
+    if not (type(r) is int and type(c) is int and r >= 0 and c >= 0):
+        raise ParseError("matrix block %s needs int 'rows' and 'cols' >= 0" % where)
     data = [[field.zero] * c for _ in range(r)]
+    seen = set()
     for e in _entries(obj.get("entries", []), 2, where):
         i, j = e[0], e[1]
-        if not (0 <= i < r and 0 <= j < c):
-            raise ParseError("entry (%d, %d) out of range in %s" % (i, j, where))
+        if type(i) is not int or not 0 <= i < r:
+            raise _bad_index(i, r, where)
+        if type(j) is not int or not 0 <= j < c:
+            raise _bad_index(j, c, where)
+        if (i, j) in seen:
+            raise _duplicate(where)
+        seen.add((i, j))
         data[i][j] = _scal_parse(field, e[2:], where)
     return Matrix(field, data, c)
 
 
 def _vector_from_json(field, obj, dim, where):
     v = [field.zero] * dim
+    seen = set()
     for e in _entries(obj, 1, where):
         i = e[0]
-        if not 0 <= i < dim:
-            raise ParseError("index %d out of range in %s" % (i, where))
+        if type(i) is not int or not 0 <= i < dim:
+            raise _bad_index(i, dim, where)
+        if i in seen:
+            raise _duplicate(where)
+        seen.add(i)
         v[i] = _scal_parse(field, e[1:], where)
     return tuple(v)
 
@@ -167,9 +189,12 @@ def _sparse3_from_json(field, obj, dim, where):
     for e in _entries(obj, 3, where):
         i, j, k = e[0], e[1], e[2]
         for idx in (i, j, k):
-            if not 0 <= idx < dim:
-                raise ParseError("index %d out of range in %s" % (idx, where))
-        out.setdefault((i, j), {})[k] = _scal_parse(field, e[3:], where)
+            if type(idx) is not int or not 0 <= idx < dim:
+                raise _bad_index(idx, dim, where)
+        terms = out.setdefault((i, j), {})
+        if k in terms:
+            raise _duplicate(where)
+        terms[k] = _scal_parse(field, e[3:], where)
     return out
 
 
@@ -196,9 +221,12 @@ def _coproduct_from_json(field, obj, dim, where):
     for e in _entries(obj, 3, where):
         i, j, k = e[0], e[1], e[2]
         for idx in (i, j, k):
-            if not 0 <= idx < dim:
-                raise ParseError("index %d out of range in %s" % (idx, where))
-        out.setdefault(i, {})[(j, k)] = _scal_parse(field, e[3:], where)
+            if type(idx) is not int or not 0 <= idx < dim:
+                raise _bad_index(idx, dim, where)
+        terms = out.setdefault(i, {})
+        if (j, k) in terms:
+            raise _duplicate(where)
+        terms[(j, k)] = _scal_parse(field, e[3:], where)
     return out
 
 
@@ -206,6 +234,14 @@ def _require(doc, key, kind):
     if key not in doc:
         raise ValidationError("kind %r is missing the %r block" % (kind, key))
     return doc[key]
+
+
+def _nested(doc, key, kind):
+    """A presentation nested in the block `key`: an object, never a path."""
+    block = _require(doc, key, kind)
+    if not isinstance(block, dict):
+        raise ParseError("the %r block of kind %r must be an object" % (key, kind))
+    return block
 
 
 def _basis(doc, kind):
@@ -387,6 +423,8 @@ def _parse_group(doc, kind):
     if not isinstance(block, dict) or "elements" not in block or "table" not in block:
         raise ParseError("group block needs 'elements' and 'table'")
     elements, rows = block["elements"], block["table"]
+    if not isinstance(elements, list) or any(not isinstance(x, str) for x in elements):
+        raise ParseError("group elements must be a list of labels")
     # GroupTable searches the table for its identity before validate() checks its shape
     square = isinstance(elements, list) and isinstance(rows, list) and len(rows) == len(elements)
     if not square or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
@@ -426,17 +464,21 @@ def parse_presentation(path_or_doc):
     if kind == "super-hopf":
         h = _parse_hopf(doc, field, "hopf")
         parity = _require(doc, "parity", kind)
+        if not isinstance(parity, list) or any(type(x) is not int for x in parity):
+            raise ParseError("parity must be a list of ints")
         return Presentation(kind, SuperPresentation(h, tuple(parity)))
     if kind == "graded-algebra":
         alg = _parse_algebra(doc, field, kind)
         group = _parse_group(doc, kind)
         degree = _require(doc, "degree", kind)
+        if not isinstance(degree, list) or any(type(g) is not int for g in degree):
+            raise ParseError("degree must be a list of ints")
         if any(not (0 <= g < group.order) for g in degree):
             raise ParseError("degree entry out of group range")
         return Presentation(kind, GradedAlgebra(alg, group, tuple(degree)))
     if kind == "comodule-algebra":
         alg = _parse_algebra(doc, field, kind)
-        hopf = _parse_hopf(_require(doc, "hopf", kind), field, "hopf")
+        hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
         ca = ComoduleAlgebra(alg, hopf, coaction)
         aug = None
@@ -444,8 +486,8 @@ def parse_presentation(path_or_doc):
             aug = _vector_from_json(field, doc["augmentation"], alg.dim, "augmentation")
         return Presentation(kind, ca, augmentation=aug)
     if kind == "crossed-system":
-        hopf = _parse_hopf(_require(doc, "hopf", kind), field, "hopf")
-        base = _parse_algebra(_require(doc, "base", kind), field, "algebra")
+        hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
+        base = _parse_algebra(_nested(doc, "base", kind), field, "algebra")
         return Presentation(kind, CrossedSystem(
             hopf,
             base,
@@ -454,8 +496,8 @@ def parse_presentation(path_or_doc):
             _matrix_from_json(field, _require(doc, "sigma_inv", kind), "sigma_inv"),
         ))
     if kind == "hmodule":
-        hopf = _parse_hopf(_require(doc, "hopf", kind), field, "hopf")
-        base = _parse_algebra(_require(doc, "base", kind), field, "algebra")
+        hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
+        base = _parse_algebra(_nested(doc, "base", kind), field, "algebra")
         augvec = _vector_from_json(
             field, _require(doc, "augmentation", kind), base.dim, "augmentation"
         )
@@ -470,14 +512,14 @@ def parse_presentation(path_or_doc):
             )
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
-        domain = parse_presentation(_require(doc, "domain", kind)).payload
-        target = parse_presentation(_require(doc, "target", kind)).payload
+        domain = parse_presentation(_nested(doc, "domain", kind)).payload
+        target = parse_presentation(_nested(doc, "target", kind)).payload
         varpi = _matrix_from_json(field, _require(doc, "surjection", kind), "surjection")
         psi = _matrix_from_json(field, _require(doc, "map", kind), "map")
         return Presentation(kind, (domain, target, varpi, psi))
     if kind == "comodule-coalgebra":
         coalg = _parse_coalgebra(doc, field, kind)
-        hopf = _parse_hopf(_require(doc, "hopf", kind), field, "hopf")
+        hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
         return Presentation(kind, ComoduleCoalgebraData(coalg, hopf, coaction))
     raise ParseError("unknown presentation kind %r" % (kind,))

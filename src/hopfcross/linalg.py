@@ -233,6 +233,15 @@ class Matrix:
     def col(self, j):
         return tuple(r[j] for r in self.data)
 
+    def sparse_cols(self):
+        """Every column as a dict {row: nonzero entry}, in one pass."""
+        cols = [{} for _ in range(self.cols)]
+        for x, row in enumerate(self.data):
+            for j, c in enumerate(row):
+                if c:
+                    cols[j][x] = c
+        return cols
+
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("matrix addition shape mismatch")

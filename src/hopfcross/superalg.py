@@ -324,12 +324,7 @@ def _check_super_hopf_iso(src_sp, dst_sp, m):
     bad = next(algebra_map_violations(src, dst, m), None)
     if bad:
         raise ValidationError("candidate map is not an algebra map: %r" % (bad,))
-    # the sparse columns {row: entry} of m, read once
-    cols = [{} for _ in range(m.cols)]
-    for x, row in enumerate(m.data):
-        for j, c in enumerate(row):
-            if c:
-                cols[j][x] = c
+    cols = m.sparse_cols()
     for i in range(src.dim):
         # coalgebra map: (m (x) m) Delta = Delta m
         lhs = {}

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -9,6 +12,11 @@ from hopfcross.algebra import (
     FBialgebra,
     FCoalgebra,
     FHopf,
+    _algebra_laws,
+    _antipode_laws,
+    _bialgebra_laws,
+    _coalgebra_laws,
+    algebra_map_violations,
     check_axioms,
     compute_antipode,
     convolution_invert,
@@ -20,26 +28,30 @@ from hopfcross.algebra import (
     smash_coproduct,
     ti,
 )
+from hopfcross.cli import parse_presentation
 from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
-from hopfcross.superalg import SuperPresentation
+from hopfcross.superalg import SuperPresentation, exterior_hopf
 
 Q = Rationals()
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 PARTS = ("product", "coproduct", "unit", "counit", "antipode")
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
 STOCK = (("kz2", kz2), ("kz3", kz3), ("ks3", ks3), ("sweedler", sweedler))
 
 
-def corrupt(h, part, seed):
+def corrupt(h, part, seed, bump=None):
     """h with one structure constant of the named part shifted by a seeded
-    nonzero amount."""
+    nonzero amount, or by bump when it is given."""
     f = h.field
     dim = h.dim
     rng = random.Random(seed)
-    bump = f.from_int(rng.randrange(1, 5))
+    drawn = f.from_int(rng.randrange(1, 5))
+    bump = drawn if bump is None else bump
     product = {key: dict(terms) for key, terms in h.product.items()}
     coproduct = {i: dict(terms) for i, terms in h.coproduct.items()}
     unit, counit = list(h.unit), list(h.counit)
@@ -118,6 +130,347 @@ def test_all_even_super_check_is_the_hopf_check():
     for key, h in corrupted_inputs():
         even = SuperPresentation(h, (0,) * h.dim)
         assert even.check_super_axioms() == check_axioms("hopf", h).violations, key
+
+
+# --- the native-int laws against the field-scalar loops ----------------------
+#
+# The ref_* generators below are the law loops as they ran on Fraction and
+# FpElement scalars, kept as the oracle for the checker, which lowers the
+# constants to native ints (scaled by the lcm D of their denominators over Q,
+# reduced mod p only at each comparison).
+
+
+def ref_clean(sparse):
+    return {k: c for k, c in sparse.items() if c}
+
+
+def ref_add_scaled(out, c, terms):
+    """out += c * terms on sparse dicts."""
+    for k, u in terms.items():
+        cu = c * u
+        out[k] = out[k] + cu if k in out else cu
+
+
+def ref_algebra_laws(a):
+    dim = a.dim
+    unit = {t: c for t, c in enumerate(a.unit) if c}
+    for i in range(dim):
+        e = {i: a.field.one}
+        left, right = {}, {}
+        for t, c in unit.items():
+            ref_add_scaled(left, c, a.mult_basis(t, i))
+            ref_add_scaled(right, c, a.mult_basis(i, t))
+        if ref_clean(left) != e:
+            yield ("left-unit", (i,))
+        if ref_clean(right) != e:
+            yield ("right-unit", (i,))
+    for i in range(dim):
+        for j in range(dim):
+            eij = a.mult_basis(i, j)
+            for l in range(dim):
+                lhs, rhs = {}, {}
+                for k, c in eij.items():
+                    ref_add_scaled(lhs, c, a.mult_basis(k, l))
+                for k, c in a.mult_basis(j, l).items():
+                    ref_add_scaled(rhs, c, a.mult_basis(i, k))
+                if ref_clean(lhs) != ref_clean(rhs):
+                    yield ("associativity", (i, j, l))
+
+
+def ref_coalgebra_laws(c):
+    f = c.field
+    for i in range(c.dim):
+        rhs = {}
+        for (j, k), u in c.delta_basis(i).items():
+            for (a, b), v in c.delta_basis(k).items():
+                key = (j, a, b)
+                rhs[key] = rhs.get(key, f.zero) + u * v
+        if c.delta2_basis(i) != ref_clean(rhs):
+            yield ("coassociativity", (i,))
+        left, right = {}, {}
+        for (j, k), u in c.delta_basis(i).items():
+            if c.counit[j]:
+                left[k] = left.get(k, f.zero) + c.counit[j] * u
+            if c.counit[k]:
+                right[j] = right.get(j, f.zero) + u * c.counit[k]
+        e = {i: f.one}
+        if ref_clean(left) != e:
+            yield ("counit-left", (i,))
+        if ref_clean(right) != e:
+            yield ("counit-right", (i,))
+
+
+def ref_left_legs(b, i):
+    """{b1: {a2: sum_a1 Delta_i^{a1 a2} e_a1 e_b1}} over the nonzero products."""
+    product = b.product
+    out = {}
+    for (a1, a2), c in b.delta_basis(i).items():
+        for b1 in range(b.dim):
+            prod = product.get((a1, b1))
+            if prod:
+                ref_add_scaled(out.setdefault(b1, {}).setdefault(a2, {}), c, prod)
+    return out
+
+
+def ref_bialgebra_laws(b, p):
+    """Delta and eps are algebra maps; in A (x) A the crossing of two odd
+    tensor legs carries the Koszul sign -1.
+
+    Delta(e_i) Delta(e_j) is contracted in stages, O(d^6) in all on dense
+    constants where the pairs of coproduct terms cost O(d^8): the left legs
+    U[b1][a2] of e_i once per i, then per pair
+    V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
+    and the sum of V[a2, b2] (x) e_a2 e_b2."""
+    f = b.field
+    z = f.zero
+    dim = b.dim
+    product, coproduct, counit = b.product, b.coproduct, b.counit
+    unit = [(i, c) for i, c in enumerate(b.unit) if c]
+    if b.delta(b.unit) != {(i, j): x * y for i, x in unit for j, y in unit}:
+        yield ("coproduct-of-unit", ())
+    if b.eps(b.unit) != f.one:
+        yield ("counit-of-unit", ())
+    for i in range(dim):
+        legs = ref_left_legs(b, i)
+        for j in range(dim):
+            lhs = {}
+            s = z
+            for k, c in product.get((i, j), {}).items():
+                ref_add_scaled(lhs, c, coproduct.get(k, {}))
+                if counit[k]:
+                    s = s + c * counit[k]
+            v = {}
+            for (b1, b2), d in coproduct.get(j, {}).items():
+                for a2, u in legs.get(b1, {}).items():
+                    ref_add_scaled(v.setdefault((a2, b2), {}), -d if p[a2] and p[b1] else d, u)
+            rhs = {}
+            for (a2, b2), vx in v.items():
+                for y, w in product.get((a2, b2), {}).items():
+                    for x, u in vx.items():
+                        key = (x, y)
+                        uw = u * w
+                        rhs[key] = rhs[key] + uw if key in rhs else uw
+            if ref_clean(lhs) != ref_clean(rhs):
+                yield ("coproduct-multiplicative", (i, j))
+            if s != counit[i] * counit[j]:
+                yield ("counit-multiplicative", (i, j))
+
+
+def ref_antipode_laws(h):
+    """id * S = eta eps = S * id in the convolution algebra End(H)."""
+    s_cols = [
+        {m: s for m, s in enumerate(h.antipode.col(k)) if s} for k in range(h.dim)
+    ]
+    unit = {t: c for t, c in enumerate(h.unit) if c}
+    for i in range(h.dim):
+        lhs, rhs = {}, {}
+        for (j, k), c in h.delta_basis(i).items():
+            for m, s in s_cols[k].items():
+                ref_add_scaled(lhs, c * s, h.mult_basis(j, m))
+            for m, s in s_cols[j].items():
+                ref_add_scaled(rhs, c * s, h.mult_basis(m, k))
+        target = ref_clean({t: h.counit[i] * c for t, c in unit.items()})
+        if ref_clean(lhs) != target:
+            yield ("antipode-right", (i,))
+        if ref_clean(rhs) != target:
+            yield ("antipode-left", (i,))
+
+
+def ref_algebra_map_violations(src, dst, m):
+    """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
+    matrix) is not a unital algebra map: ("unit", ()), then
+    ("multiplicative", (i, j)) for each basis pair in order."""
+    if m.apply(src.unit) != dst.unit:
+        yield ("unit", ())
+    z = dst.field.zero
+    cols = [m.col(k) for k in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = [z] * dst.dim
+            for k, c in src.mult_basis(i, j).items():
+                for x, u in enumerate(cols[k]):
+                    if u:
+                        lhs[x] = lhs[x] + c * u
+            if tuple(lhs) != dst.mult(cols[i], cols[j]):
+                yield ("multiplicative", (i, j))
+
+
+def ref_hopf_laws(h, parity):
+    return list(chain(ref_algebra_laws(h), ref_coalgebra_laws(h), ref_bialgebra_laws(h, parity),
+                      ref_antipode_laws(h)))
+
+
+def native_hopf_laws(h, parity):
+    return list(chain(_algebra_laws(h), _coalgebra_laws(h), _bialgebra_laws(h, parity),
+                      _antipode_laws(h)))
+
+
+def rational_bump(seed):
+    """A seeded non-integer rational such as 1/3 or -5/7."""
+    rng = random.Random(seed)
+    return Fraction(rng.choice((1, -1, 2, 4, -5)), rng.choice((3, 7, 9)))
+
+
+def has_denominators(h):
+    """Whether h is over Q and some structure constant is not an integer."""
+    scalars = chain(sparse_values(h.product), sparse_values(h.coproduct), h.unit, h.counit,
+                    chain.from_iterable(h.antipode.data) if isinstance(h, FHopf) else ())
+    return h.field == Q and any(c.denominator != 1 for c in scalars)
+
+
+def sparse_values(sparse):
+    return chain.from_iterable(terms.values() for terms in sparse.values())
+
+
+def oracle_inputs():
+    """(key, Hopf presentation, parity): the stock corruptions over Q and F5,
+    the same with non-integer rational bumps over Q, the stock corruptions
+    over F7, and Lambda(n) for n <= 4 over Q and F7, intact and with a
+    rational or F7 bump in each part."""
+    for key, h in corrupted_inputs():
+        yield key, h, (0,) * h.dim
+    for name, make in STOCK:
+        for part in PARTS:
+            seed = "%s/%s/rational" % (name, part)
+            h = corrupt(make(Q), part, seed, rational_bump(seed))
+            yield (name, "Q", part, "rational"), h, (0,) * h.dim
+            h = corrupt(make(F7), part, "%s/%s/F7" % (name, part))
+            yield (name, "F7", part), h, (0,) * h.dim
+    for n in range(5):
+        for fname, field in (("Q", Q), ("F7", F7)):
+            ext = exterior_hopf(n, field)
+            yield ("lambda", n, fname), ext.hopf, ext.parity
+            for part in PARTS:
+                seed = "lambda%d/%s/%s" % (n, fname, part)
+                bump = rational_bump(seed) if field == Q else None
+                yield ("lambda", n, fname, part), corrupt(ext.hopf, part, seed, bump), ext.parity
+
+
+def test_native_laws_match_the_scalar_loops():
+    failing = scaled = 0
+    for key, h, parity in oracle_inputs():
+        expected = ref_hopf_laws(h, parity)
+        assert native_hopf_laws(h, parity) == expected, key
+        failing += bool(expected)
+        scaled += has_denominators(h)
+    assert failing > 100 and scaled > 20
+
+
+def test_native_algebra_map_check_matches_the_scalar_loop():
+    """Maps with and without witnesses: the identity onto a corrupted copy,
+    a seeded dense matrix, and the change of basis from a transported
+    presentation back to the original, which is an algebra map."""
+    rng = random.Random(5)
+    cases = 0
+    for name, make in STOCK:
+        for field in (Q, F5, F7):
+            h = make(field)
+            dim = h.dim
+            bad = corrupt(h, "product", name, rational_bump(name) if field == Q else None)
+            dense = Matrix(field, [[field.from_fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                                    if field == Q else field.from_int(rng.randrange(-3, 4))
+                                    for _ in range(dim)] for _ in range(dim)])
+            t = change_of_basis(field, (0,) * dim, name)
+            for src, dst, m in ((bad, h, Matrix.identity(field, dim)), (h, bad, Matrix.identity(field, dim)),
+                                (h, h, dense), (transport(h, t), h, t), (h, h, h.antipode)):
+                expected = list(ref_algebra_map_violations(src, dst, m))
+                assert list(algebra_map_violations(src, dst, m)) == expected, (name, field)
+                cases += bool(expected)
+    assert cases > 10
+
+
+# --- metamorphic: the verdict does not depend on the basis --------------------
+
+
+def change_of_basis(field, parity, seed):
+    """A seeded dense invertible matrix with entries in -3..3 that preserves
+    parity; over Q its determinant is not +-1, so its inverse has
+    denominators."""
+    rng = random.Random("basis:%s" % (seed,))
+    dim = len(parity)
+    while True:
+        rows = [[field.from_int(rng.randrange(-3, 4)) if parity[i] == parity[j] else field.zero
+                 for j in range(dim)] for i in range(dim)]
+        t = Matrix(field, rows)
+        det = t.det()
+        if det and (field != Q or abs(det) != 1):
+            return t
+
+
+def transport(b, t):
+    """The bialgebra or Hopf structure of b in the basis given by the columns
+    of t (the test's own copy, so a change in the library cannot change what
+    is checked)."""
+    f = b.field
+    dim = b.dim
+    tinv = t.inverse()
+    product = {}
+    for i in range(dim):
+        for j in range(dim):
+            prod = tinv.apply(b.mult(t.col(i), t.col(j)))
+            product[(i, j)] = {k: c for k, c in enumerate(prod) if c}
+    unit = tinv.apply(b.one())
+    coproduct = {}
+    for i in range(dim):
+        out = {}
+        for (j, k), c in b.delta(t.col(i)).items():
+            for x, u in enumerate(tinv.col(j)):
+                if not u:
+                    continue
+                for y, v in enumerate(tinv.col(k)):
+                    if v:
+                        out[(x, y)] = out.get((x, y), f.zero) + c * u * v
+        coproduct[i] = {key: c for key, c in out.items() if c}
+    counit = t.transpose().apply(b.counit)
+    if isinstance(b, FHopf):
+        return FHopf(f, b.basis, product, unit, coproduct, counit, tinv * b.antipode * t)
+    return FBialgebra(f, b.basis, product, unit, coproduct, counit)
+
+
+def doubled(h, part):
+    """h with one part multiplied by 2.  The first failing law is then the
+    same in every basis: left-unit for the product and the unit, counit-left
+    for the coproduct and the counit, antipode-right for the antipode."""
+    f = h.field
+    two = f.from_int(2)
+    product = {key: {k: two * c for k, c in terms.items()} if part == "product" else terms
+               for key, terms in h.product.items()}
+    coproduct = {i: {jk: two * c for jk, c in terms.items()} if part == "coproduct" else terms
+                 for i, terms in h.coproduct.items()}
+    unit = tuple(two * c for c in h.unit) if part == "unit" else h.unit
+    counit = tuple(two * c for c in h.counit) if part == "counit" else h.counit
+    if isinstance(h, FHopf):
+        antipode = h.antipode.scale(two) if part == "antipode" else h.antipode
+        return FHopf(f, h.basis, product, unit, coproduct, counit, antipode)
+    return FBialgebra(f, h.basis, product, unit, coproduct, counit)
+
+
+HOPF_CORPUS = ("kz2.json", "kz3-f3.json", "ks3.json", "sweedler.json", "monoid2.json",
+               "lambda3.json", "super-scrambled.json")
+
+
+@pytest.mark.parametrize("name", HOPF_CORPUS)
+def test_check_verdict_is_invariant_under_a_change_of_basis(name):
+    pres = parse_presentation(os.path.join(CORPUS, name))
+    kind = pres.kind
+    if kind == "super-hopf":
+        h, parity = pres.payload.hopf, pres.payload.parity
+    else:
+        h, parity = pres.payload, (0,) * pres.payload.dim
+
+    def verdict(b):
+        data = SuperPresentation(b, parity) if kind == "super-hopf" else b
+        return check_axioms(kind, data).violations
+
+    t = change_of_basis(h.field, parity, name)
+    moved = transport(h, t)
+    assert verdict(h) == [] and verdict(moved) == []
+    assert has_denominators(moved) or h.field != Q
+    parts = PARTS if isinstance(h, FHopf) else PARTS[:4]
+    for part in parts:
+        bad = verdict(doubled(h, part))
+        assert bad, part
+        assert verdict(transport(doubled(h, part), t))[0][0] == bad[0][0], part
 
 
 # --- convolution ------------------------------------------------------------

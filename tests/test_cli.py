@@ -110,8 +110,25 @@ def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, cap
     ("kz2.json", lambda d: {**d, "unit": {"0": [1]}}),
     ("m2-z2-graded.json", lambda d: {**d, "group": {"table": d["group"]["table"]}}),
     ("m2-z2-graded.json", lambda d: {**d, "group": {**d["group"], "table": [[0, 1], [1]]}}),
+    ("kz2.json", lambda d: {**d, "product": [["0"] + d["product"][0][1:]] + d["product"][1:]}),
+    ("kz2.json", lambda d: {**d, "product": [[0.5] + d["product"][0][1:]] + d["product"][1:]}),
+    ("kz2.json", lambda d: {**d, "coproduct": [[True] + d["coproduct"][0][1:]] + d["coproduct"][1:]}),
+    ("kz2.json", lambda d: {**d, "product": d["product"] + [d["product"][0][:3] + [5]]}),
+    ("kz2.json", lambda d: {**d, "counit": d["counit"] + d["counit"][:1]}),
+    ("kz2.json", lambda d: {**d, "antipode": {**d["antipode"], "rows": "2"}}),
+    ("kz2.json", lambda d: {**d, "antipode": {**d["antipode"], "cols": -1}}),
+    ("lift-split.json", lambda d: {**d, "domain": [d["domain"]]}),
+    ("f3z3-cleft.json", lambda d: {**d, "hopf": "basis"}),
+    ("lambda3.json", lambda d: {**d, "parity": 3}),
+    ("lambda3.json", lambda d: {**d, "parity": [str(x) for x in d["parity"]]}),
+    ("m2-z2-graded.json", lambda d: {**d, "degree": [str(g) for g in d["degree"]]}),
+    ("kx2-graded.json",
+     lambda d: {**d, "group": {**d["group"], "elements": d["group"]["elements"][:1] + [-1]}}),
 ], ids=["top-level-list", "int-basis", "int-entry", "object-unit", "no-group-elements",
-        "ragged-group-table"])
+        "ragged-group-table", "string-index", "float-index", "bool-index",
+        "duplicate-product-entry", "duplicate-counit-entry", "string-rows", "negative-cols",
+        "list-domain", "string-hopf", "int-parity", "string-parity", "string-degree",
+        "int-group-element"])
 def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(mutate(load(name))))
