@@ -12,6 +12,7 @@ import itertools
 from .algebra import (
     MAX_VIOLATIONS,
     ConvElement,
+    FAlgebra,
     algebra_map_violations,
     coaction_violations,
     colinear_violations,
@@ -67,13 +68,12 @@ class AugmentedAlgebra:
         self.algebra = algebra
         self.augmentation = tuple(augmentation)
         f = algebra.field
-        if self.eps(algebra.one()) != f.one:
+        ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
+        bad = next(algebra_map_violations(algebra, ground, Matrix(f, [self.augmentation])), None)
+        if bad == ("unit", ()):
             raise ValidationError("augmentation does not send 1 to 1")
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                prod = algebra.mult(basis_vec(f, algebra.dim, i), basis_vec(f, algebra.dim, j))
-                if self.eps(prod) != self.augmentation[i] * self.augmentation[j]:
-                    raise ValidationError("augmentation is not multiplicative at (%d, %d)" % (i, j))
+        if bad:
+            raise ValidationError("augmentation is not multiplicative at (%d, %d)" % bad[1])
         self.plus_basis = kernel_basis(Matrix(f, [self.augmentation]))
         self.plus_dim = len(self.plus_basis)
         if self.plus_dim != algebra.dim - 1:

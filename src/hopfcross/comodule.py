@@ -5,9 +5,7 @@ Coactions are matrices A -> A (x) H against the flat basis index
 ti(a, h, dim H) (a-index major).
 """
 
-from fractions import Fraction
-from itertools import chain, islice, product as iproduct
-from math import isqrt
+from itertools import chain, islice
 
 from .algebra import (
     MAX_VIOLATIONS,
@@ -17,7 +15,6 @@ from .algebra import (
     coaction_violations,
     colinear_violations,
     convolution_invert,
-    convolution_left_operator,
     convolution_unit,
     convolve,
     group_hopf_algebra,
@@ -30,7 +27,6 @@ from .algebra import (
 )
 from .errors import (
     InvalidCrossedSystemError,
-    NoAlgebraSectionError,
     NoSectionFoundError,
     NotConvolutionInvertibleError,
     NotGroupLikeCoactionError,
@@ -47,7 +43,6 @@ from .linalg import (
     in_span,
     kernel_basis,
     row_space_basis,
-    solve_linear,
     vadd,
     vscale,
     vzero,
@@ -609,7 +604,18 @@ def _unflatten_phi(f, flat, da, dh):
 
 
 def find_section(ca, budget=DEFAULT_BUDGET):
-    """Search the colinear maps H -> A for a *-invertible one and normalize it."""
+    """Search the colinear maps H -> A for a *-invertible one and normalize it.
+
+    Each candidate phi is tested in the normal-basis form of cleftness
+    (Doi-Takeuchi, Comm. Algebra 14 (1986); Montgomery, Hopf Algebras and
+    Their Actions on Rings, Thm 8.2.4): with B = A^{co H}, the map
+    Phi : B (x) H -> A, b (x) h |-> b phi(h), a dim A x dim A matrix, is
+    bijective whenever phi is *-invertible, and phi is *-invertible whenever
+    Phi is bijective and A/B is H-Galois.  So the first phi with det Phi != 0
+    is the first *-invertible one, unless A/B is not Galois; then that phi
+    has no *-inverse, nothing is cleft, and the negative is definitive.  It
+    is definitive without a search when dim B * dim H != dim A.
+    """
     ca.require_valid()
     a, h = ca.algebra, ca.hopf
     f = ca.field
@@ -617,11 +623,16 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     space = colinear_map_space(ca)
     if not space:
         raise NoSectionFoundError("no nonzero colinear maps exist", definitive=True)
-    hc = h.as_coalgebra()
-    mats = [convolution_left_operator(hc, a, _unflatten_phi(f, v, da, dh)) for v in space]
+    absent = "no convolution-invertible colinear map"
+    coinv = coinvariants(ca)
+    if coinv.dim * dh != da:
+        raise NoSectionFoundError(absent, definitive=True)
+    left = [a.left_mult_matrix(coinv.embed(basis_vec(f, coinv.dim, t)))
+            for t in range(coinv.dim)]
+    mats = [_normal_basis_map(left, _unflatten_phi(f, v, da, dh)) for v in space]
     outcome = find_invertible_combination(f, mats, budget)
     if not outcome.found:
-        msg = "no convolution-invertible colinear map"
+        msg = absent
         if not outcome.definitive:
             msg += " found within budget; absence not proved"
         raise NoSectionFoundError(msg, definitive=outcome.definitive)
@@ -629,7 +640,20 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     for c, v in zip(outcome.coeffs, space):
         if c:
             flat = [x + c * y for x, y in zip(flat, v)]
-    return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh))
+    try:
+        # normalizing multiplies phi by a unit, so only the first inversion
+        # can fail on a valid comodule algebra
+        return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh))
+    except NotConvolutionInvertibleError:
+        # Phi is bijective, so A/B is not H-Galois: no colinear map is a section
+        raise NoSectionFoundError(absent, definitive=True) from None
+
+
+def _normal_basis_map(left, phi):
+    """The matrix of b_t (x) h_g |-> b_t phi(h_g) at column ti(t, g, dH);
+    left[t] is left multiplication by the coinvariant b_t."""
+    blocks = [(lt * phi).data for lt in left]
+    return Matrix(phi.field, [sum(rows, ()) for rows in zip(*blocks)])
 
 
 def _normalized_section(ca, phi_matrix):
@@ -722,173 +746,3 @@ def _verify_comodule_algebra_iso(src, dst, alpha):
                      colinear_violations(src.rho_basis, dst.rho, alpha)), None)
     if bad:
         raise ValidationError("candidate isomorphism fails %r" % (bad,))
-
-
-# ---------------------------------------------------------------------------
-# comodule algebra maps H -> A (smash-product recognition)
-
-
-class AlgebraSection:
-    def __init__(self, phi, section, system, iso):
-        self.phi = phi
-        self.section = section
-        self.system = system
-        self.iso = iso
-
-
-def _rational_sqrt(x):
-    """Exact square root of a Fraction, or None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
-
-
-def _solve_quadratics_exactly(constraints):
-    """Common rational roots of a list of quadratics a t^2 + b t + c = 0.
-
-    Returns a sorted list, or None when every rational t works.
-    """
-    roots = None  # None = unconstrained so far
-    for (a, b, c) in constraints:
-        if not a and not b:
-            if c:
-                return []
-            continue
-        if not a:
-            cur = {-c / b}
-        else:
-            disc = b * b - 4 * a * c
-            r = _rational_sqrt(disc)
-            if r is None:
-                cur = set()
-            else:
-                cur = {(-b + r) / (2 * a), (-b - r) / (2 * a)}
-        roots = cur if roots is None else roots & cur
-        if roots is not None and not roots:
-            return []
-    return None if roots is None else sorted(roots)
-
-
-def _is_algebra_map(a, h, phi):
-    return next(algebra_map_violations(h, a, phi), None) is None
-
-
-def find_comodule_algebra_map(ca, budget=DEFAULT_BUDGET):
-    """Find a colinear algebra map H -> A; success means A is a smash product."""
-    ca.require_valid()
-    a, h = ca.algebra, ca.hopf
-    f = ca.field
-    da, dh = a.dim, h.dim
-    n = da * dh
-    space = colinear_map_space(ca)
-    # affine constraint phi(1_H) = 1_A inside the colinear space
-    cols = []
-    for v in space:
-        phi = _unflatten_phi(f, v, da, dh)
-        cols.append(phi.apply(h.unit))
-    m0 = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da, 0)
-    res = solve_linear(m0, a.one())
-    if not res.consistent:
-        raise NoAlgebraSectionError("no unital colinear map exists", definitive=True)
-
-    def candidate(coeffs):
-        flat = [f.zero] * n
-        for c, v in zip(coeffs, space):
-            if c:
-                flat = [x + c * y for x, y in zip(flat, v)]
-        return _unflatten_phi(f, tuple(flat), da, dh)
-
-    base_coeffs = res.solution
-    kernel = res.kernel
-    m = len(kernel)
-
-    def at(params):
-        coeffs = list(base_coeffs)
-        for p, kv in zip(params, kernel):
-            if p:
-                coeffs = [c + p * k for c, k in zip(coeffs, kv)]
-        return candidate(tuple(coeffs))
-
-    found = None
-    definitive = False
-    if m == 0:
-        phi = at(())
-        if _is_algebra_map(a, h, phi):
-            found = phi
-        definitive = True
-    elif f.order is not None and f.order ** m <= budget.enumeration_bound:
-        elems = list(f.elements())
-        for params in iproduct(elems, repeat=m):
-            phi = at(params)
-            if _is_algebra_map(a, h, phi):
-                found = phi
-                break
-        definitive = True
-    elif f.order is None and m == 1:
-        # one free parameter over the rationals: every multiplicativity
-        # constraint is an exact quadratic in t, solved in closed form
-        p0, p1 = at((f.zero,)), at((f.one,))
-        k1 = p1 - p0
-        constraints = []
-        for g in range(dh):
-            for t in range(dh):
-                lin0 = vzero(f, da)
-                for k, c in h.mult_basis(g, t).items():
-                    lin0 = vadd(lin0, vscale(c, p0.col(k)))
-                lin1 = vzero(f, da)
-                for k, c in h.mult_basis(g, t).items():
-                    lin1 = vadd(lin1, vscale(c, k1.col(k)))
-                # phi_t(g) phi_t(t'): expand (p0 + t k1) columns
-                q0 = a.mult(p0.col(g), p0.col(t))
-                q1 = vadd(a.mult(p0.col(g), k1.col(t)), a.mult(k1.col(g), p0.col(t)))
-                q2 = a.mult(k1.col(g), k1.col(t))
-                for x in range(da):
-                    constraints.append((q2[x], q1[x] - lin1[x], q0[x] - lin0[x]))
-        roots = _solve_quadratics_exactly(constraints)
-        if roots is None:
-            found = at((f.zero,))
-        elif roots:
-            found = at((roots[0],))
-        definitive = True
-    else:
-        # the ladder skips the all-zero coefficient vector, so try the
-        # particular solution first
-        phi = at((f.zero,) * m)
-        if _is_algebra_map(a, h, phi):
-            found = phi
-            definitive = True
-        else:
-            outcome = find_invertible_combination(
-                f,
-                [Matrix.identity(f, 1)] * m,
-                budget,
-                test=lambda params: _is_algebra_map(a, h, at(params)),
-            )
-            if outcome.found:
-                found = at(outcome.coeffs)
-            definitive = outcome.definitive
-    if found is None:
-        msg = "no colinear algebra map exists" if definitive else (
-            "no colinear algebra map found within budget; absence not proved")
-        raise NoAlgebraSectionError(msg, definitive=definitive)
-    if not _is_algebra_map(a, h, found):
-        raise ValidationError("candidate algebra map failed re-verification")
-    # an algebra map is *-invertible with inverse phi o S
-    phi_inv = found * h.antipode
-    hc = h.as_coalgebra()
-    unit = convolution_unit(hc, a)
-    fe = ConvElement(hc, a, found)
-    ge = ConvElement(hc, a, phi_inv)
-    if convolve(fe, ge) != unit or convolve(ge, fe) != unit:
-        raise NotConvolutionInvertibleError("algebra map has no convolution inverse")
-    sec = Section(ca, LinearMap(found, h.basis, a.basis),
-                  LinearMap(phi_inv, h.basis, a.basis))
-    system, iso = section_to_crossed_system(sec)
-    # the extracted sigma must be trivial
-    if system.sigma != trivial_sigma(h, system.base):
-        raise ValidationError("algebra-map section produced a nontrivial cocycle")
-    return AlgebraSection(sec.phi, sec, system, iso)

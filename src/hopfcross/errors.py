@@ -44,12 +44,6 @@ class NoSectionFoundError(HopfcrossError):
         self.definitive = definitive
 
 
-class NoAlgebraSectionError(HopfcrossError):
-    def __init__(self, message, definitive=False):
-        super().__init__(message)
-        self.definitive = definitive
-
-
 class NotGroupLikeCoactionError(HopfcrossError):
     pass
 

@@ -1,13 +1,14 @@
 """Budgeted search for invertible elements in a linear family of matrices.
 
 Used wherever an invertible element must be found inside a linear subspace:
-units of a graded component (left-multiplication matrices) and
-convolution-invertible colinear maps.  The determinant of the family is a
-polynomial in the coefficients; invertible elements form its non-vanishing
-locus, so random evaluation succeeds whenever any exists.  The deterministic
-ladder is exhausted in a fixed order before any randomness so results are
-reproducible; over a finite field small families are enumerated exhaustively,
-which makes a negative answer definitive.
+units of a graded component (left-multiplication matrices) and sections of
+a comodule algebra (the normal-basis maps B (x) H -> A of colinear maps).
+The determinant of the family is a polynomial in the coefficients;
+invertible elements form its non-vanishing locus, so random evaluation
+succeeds whenever any exists.  The deterministic ladder is exhausted in a
+fixed order before any randomness so results are reproducible; over a
+finite field small families are enumerated exhaustively, which makes a
+negative answer definitive.
 
 The determinant is homogeneous: det(l * M) = l^n det(M).  So among the
 multiples {l * c} of a coefficient vector the enumeration and the -1/0/1
@@ -16,7 +17,6 @@ order both walk (0 before 1 before every other scalar) that member comes
 first, so the first witness found is the same as with every vector tried.
 """
 
-import itertools
 import random
 
 from .linalg import Matrix
@@ -39,7 +39,7 @@ class SearchOutcome:
     def __init__(self, coeffs, definitive, tried):
         self.coeffs = coeffs
         self.definitive = definitive
-        self.tried = tried  # candidates whose determinant or test was evaluated
+        self.tried = tried  # candidates whose determinant was evaluated
 
     @property
     def found(self):
@@ -92,51 +92,29 @@ def _walk(values, base, mats):
         yield tuple(values[x] for x in idx), s
 
 
-def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET, test=None):
-    """Search for coefficients c with sum(c_i * mats[i]) invertible.
-
-    `test` may replace the default invertibility test (it receives the
-    coefficient tuple and returns True on acceptance); the ladder and
-    budget semantics are unchanged, no matrix is combined, and no
-    coefficient vector is skipped as a multiple of another.
-    """
+def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
+    """Search for coefficients c with sum(c_i * mats[i]) invertible."""
     if not mats:
         return SearchOutcome(None, True, 0)
     m = len(mats)
     n = mats[0].rows
     zero, one = field.zero, field.one
     basis = [tuple(one if j == i else zero for j in range(m)) for i in range(m)]
+    rows = [mat.data for mat in mats]
+    zero_rows = Matrix.zeros(field, n, mats[0].cols).data
 
-    if test is None:
-        rows = [mat.data for mat in mats]
-        zero_rows = Matrix.zeros(field, n, mats[0].cols).data
+    def combination(coeffs):
+        data = zero_rows
+        for c, mat in zip(coeffs, rows):
+            if c:
+                data = [tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(data, mat)]
+        return data
 
-        def accepts(coeffs, data):
-            return bool(Matrix(field, data).det())
-
-        def combination(coeffs):
-            data = zero_rows
-            for c, mat in zip(coeffs, rows):
-                if c:
-                    data = [tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(data, mat)]
-            return data
-
-        def family(values):
-            # leading coefficient 1 only: (0,..,0, 1, rest) for k = m-1 down to 0
-            for k in reversed(range(m)):
-                for rest, data in _walk(values, rows[k], mats[k + 1:]):
-                    yield basis[k][:k + 1] + rest, data
-    else:
-        rows = [None] * m
-
-        def accepts(coeffs, _):
-            return test(coeffs)
-
-        def combination(coeffs):
-            return None
-
-        def family(values):
-            return ((c, None) for c in itertools.product(values, repeat=m) if any(c))
+    def family(values):
+        # leading coefficient 1 only: (0,..,0, 1, rest) for k = m-1 down to 0
+        for k in reversed(range(m)):
+            for rest, data in _walk(values, rows[k], mats[k + 1:]):
+                yield basis[k][:k + 1] + rest, data
 
     tried = 0
 
@@ -144,7 +122,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET, test=None):
         nonlocal tried
         for coeffs, data in candidates:
             tried += 1
-            if accepts(coeffs, data):
+            if Matrix(field, data).det():
                 return coeffs
         return None
 
@@ -163,7 +141,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET, test=None):
     # certify det == 0 as a polynomial when the evaluation grid is affordable:
     # total degree <= n, so a grid of n+1 points per variable decides, and a
     # grid point where det is nonzero is itself a witness
-    if test is None and (n + 1) ** m <= budget.zero_cert_bound:
+    if (n + 1) ** m <= budget.zero_cert_bound:
         points = [field.from_int(v) for v in range(n + 1)]
         coeffs = first_witness(_walk(points, zero_rows, mats))
         return SearchOutcome(coeffs, True, tried)

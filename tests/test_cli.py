@@ -206,9 +206,14 @@ def test_strongly_graded_verdicts(capsys):
 
 
 def test_find_section_negative_is_definitive(capsys):
-    code, report = run_json(capsys, ["find-section", corpus("kx2-graded.json")])
-    assert code == 1
-    assert report["definitive"] is True
+    # Phi : B (x) H -> A is bijective at a colinear map with no convolution
+    # inverse, which proves that nothing is cleft
+    for command in ("find-section", "recognize-cleft"):
+        code, report = run_json(capsys, [command, corpus("kx2-graded.json")])
+        assert code == 1
+        assert report["verdict"] == "not-found"
+        assert report["definitive"] is True and report["budget_exhausted"] is False
+    assert report["witnesses"]["galois_bijective"] is False
 
 
 def test_recognize_crossed_and_cleft_agree_on_m2(capsys):

@@ -128,8 +128,16 @@ def test_augmented_algebra_square_zero_flag():
 
 
 def test_augmented_algebra_rejects_non_multiplicative():
-    with pytest.raises(ValidationError):
-        AugmentedAlgebra(dual_numbers(Q), (Q.one, Q.one))
+    cases = [
+        ((1, 1), r"not multiplicative at \(1, 1\)"),
+        # unital is checked first, then the pairs in order
+        ((2, 0), "does not send 1 to 1"),
+        ((2, 1), "does not send 1 to 1"),
+    ]
+    for field in (Q, F3):
+        for aug, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                AugmentedAlgebra(dual_numbers(field), tuple(field.from_int(c) for c in aug))
 
 
 def test_decompose_roundtrip():

@@ -1,16 +1,28 @@
 """Comodule algebras: coinvariants, Galois maps, crossed products, sections."""
 
+import itertools
+import os
+import random
+
 import pytest
 
-from hopfcross.algebra import group_hopf_algebra, ti
+from hopfcross import comodule
+from hopfcross.algebra import FAlgebra, convolution_left_operator, group_hopf_algebra, ti
+from hopfcross.cli import parse_presentation
+from hopfcross.cohomology import (
+    AugmentedAlgebra,
+    HModuleStructure,
+    NormalizedCochain,
+    crossed_system_from_cocycle,
+    differential,
+)
 from hopfcross.comodule import (
-    AlgebraSection,
     ComoduleAlgebra,
     CrossedSystem,
     check_crossed_system,
     coinvariants,
+    colinear_map_space,
     crossed_product,
-    find_comodule_algebra_map,
     find_section,
     galois_map,
     graded_bridge,
@@ -18,7 +30,6 @@ from hopfcross.comodule import (
     trivial_sigma,
 )
 from hopfcross.errors import (
-    NoAlgebraSectionError,
     NoSectionFoundError,
     NotGroupLikeCoactionError,
     ValidationError,
@@ -26,9 +37,11 @@ from hopfcross.errors import (
 from hopfcross.graded import GradedAlgebra, is_strongly_graded
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.search import find_invertible_combination
 from hopfcross.standard import dual_numbers, kz2, matrix2, sweedler
 
 Q = Rationals()
+F3 = PrimeField(3)
 Z2 = GroupTable.cyclic(2)
 
 
@@ -300,6 +313,155 @@ def test_find_section_dual_numbers_fails_exhaustively_over_f3():
     assert exc.value.definitive
 
 
+# The search tests Phi : B (x) H -> A, b (x) h |-> b phi(h); until the
+# normal-basis test it tested the convolution operator g |-> phi * g.  The
+# helpers below rebuild both families from the product and the coproduct,
+# sharing no code with find_section.
+
+
+def colinear_basis(ca):
+    f = ca.field
+    da, dh = ca.algebra.dim, ca.hopf.dim
+    return [Matrix(f, [[v[ti(x, j, dh)] for j in range(dh)] for x in range(da)])
+            for v in colinear_map_space(ca)]
+
+
+def convolution_family(ca, phis):
+    hc = ca.hopf.as_coalgebra()
+    return [convolution_left_operator(hc, ca.algebra, phi) for phi in phis]
+
+
+def normal_basis_family(ca, phis):
+    a, f = ca.algebra, ca.field
+    coinv = coinvariants(ca)
+    bs = [coinv.embed(basis_vec(f, coinv.dim, t)) for t in range(coinv.dim)]
+    return [Matrix.from_cols(f, [a.mult(b, phi.col(g)) for b in bs for g in range(phi.cols)])
+            for phi in phis]
+
+
+def combine(field, coeffs, mats):
+    out = Matrix.zeros(field, mats[0].rows, mats[0].cols)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+def twisted_crossed_product(field, n, seed=0):
+    """B x|_sigma k[Z/n] for B = k[x]/(x^2) acted on trivially, with sigma
+    the carry cocycle plus the coboundary of a seeded 1-cochain."""
+    h = group_hopf_algebra(GroupTable.cyclic(n), field)
+    aug = AugmentedAlgebra(dual_numbers(field), (field.one, field.zero))
+    act = HModuleStructure(h, aug, Matrix.from_cols(field, [basis_vec(field, 1, 0)] * n))
+    rng = random.Random(seed)
+    t = Matrix(field, [[field.zero] + [field.from_int(rng.randrange(-2, 3)) for _ in range(n - 1)]])
+    carry = Matrix(field, [[field.one if a + b >= n else field.zero
+                            for a in range(n) for b in range(n)]])
+    s = carry + differential(NormalizedCochain(1, t), act).matrix
+    return crossed_product(crossed_system_from_cocycle(act, NormalizedCochain(2, s)))
+
+
+def f3z3_cleft():
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus",
+                        "f3z3-cleft.json")
+    return parse_presentation(path).payload
+
+
+def spy_search(monkeypatch):
+    """Record (mats, outcome) of each search find_section runs."""
+    calls = []
+    real = comodule.find_invertible_combination
+
+    def spy(field, mats, budget):
+        outcome = real(field, mats, budget)
+        calls.append((mats, outcome))
+        return outcome
+
+    monkeypatch.setattr(comodule, "find_invertible_combination", spy)
+    return calls
+
+
+def assert_same_invertibility(ca, points):
+    phis = colinear_basis(ca)
+    conv, normal = convolution_family(ca, phis), normal_basis_family(ca, phis)
+    verdicts = set()
+    for c in points:
+        nb = bool(combine(ca.field, c, normal).det())
+        assert nb == bool(combine(ca.field, c, conv).det()), c
+        verdicts.add(nb)
+    assert verdicts == {False, True}
+
+
+def test_normal_basis_determinant_agrees_with_the_convolution_operator():
+    for ca in (f3z3_cleft(), twisted_crossed_product(F3, 3)):
+        m = len(colinear_map_space(ca))
+        assert 3 ** m == 729
+        assert_same_invertibility(ca, itertools.product(F3.elements(), repeat=m))
+    ca = twisted_crossed_product(Q, 4)
+    rng = random.Random(11)
+    m = len(colinear_map_space(ca))
+    assert_same_invertibility(ca, [tuple(Q.from_int(rng.choice((-1, 0, 0, 1, 2))) for _ in range(m))
+                                   for _ in range(200)])
+
+
+def test_first_witness_matches_the_convolution_search(monkeypatch):
+    calls = spy_search(monkeypatch)
+    for field, n in ((F3, 3), (Q, 3), (Q, 4), (PrimeField(5), 5)):
+        ca = twisted_crossed_product(field, n, seed=n)
+        sec = find_section(ca)
+        (mats, outcome), = calls
+        calls.clear()
+        # the grid certificate's degree bound is the matrix size, dim A
+        assert {(m.rows, m.cols) for m in mats} == {(ca.algebra.dim, ca.algebra.dim)}
+        oracle = find_invertible_combination(field, convolution_family(ca, colinear_basis(ca)))
+        assert oracle.found
+        assert (outcome.coeffs, outcome.definitive, outcome.tried) == (
+            oracle.coeffs, oracle.definitive, oracle.tried)
+        assert sec.phi.matrix.apply(ca.hopf.unit) == ca.algebra.one()
+
+
+def test_a_bijective_normal_basis_map_without_convolution_inverse_is_definitive(monkeypatch):
+    # k[x]/(x^2) graded by Z/2 with x odd: Phi is bijective at phi(g) = x,
+    # but phi(g) phi(g) = 0, so A/B is not Galois and nothing is cleft
+    calls = spy_search(monkeypatch)
+    for field in (Q, F3):
+        with pytest.raises(NoSectionFoundError, match="^no convolution-invertible") as exc:
+            find_section(dual_numbers_comodule(field))
+        assert exc.value.definitive
+        (_, outcome), = calls
+        calls.clear()
+        assert outcome.found
+
+
+def test_mismatched_dimensions_are_definitive_without_search(monkeypatch):
+    # a trivial coaction has B = A, so dim B * dim H = 2 dim A
+    calls = spy_search(monkeypatch)
+    for alg in (matrix2(Q), dual_numbers(Q)):
+        with pytest.raises(NoSectionFoundError, match="^no convolution-invertible") as exc:
+            find_section(trivial_comodule(alg, kz2(Q)))
+        assert exc.value.definitive
+    assert not calls
+
+
+def test_the_grid_certifies_absence_with_degree_dim_a():
+    # A = Q{1, x, y, z} with every product of x, y, z zero, x even, y and z
+    # odd: x Phi(h) = 0 in degree 1, so det Phi is identically zero.  The
+    # ladder finds nothing; the grid of (dim A + 1)^4 points is affordable
+    # and certifies absence, where the convolution operators' degree bound
+    # dim A * dim H would need 9^4 > 4096 points and leave it open.
+    unit = (Q.one, Q.zero, Q.zero, Q.zero)
+    product = {}
+    for j in range(4):
+        product[(0, j)] = product[(j, 0)] = {j: Q.one}
+    alg = FAlgebra(Q, ("1", "x", "y", "z"), product, unit)
+    ca = graded_bridge(GradedAlgebra(alg, Z2, (0, 0, 1, 1)))
+    with pytest.raises(NoSectionFoundError) as exc:
+        find_section(ca)
+    assert exc.value.definitive
+    oracle = find_invertible_combination(Q, convolution_family(ca, colinear_basis(ca)))
+    assert not oracle.found and not oracle.definitive
+
+
 def test_section_to_crossed_system_regular():
     h = kz2(Q)
     ca = regular_comodule(h)
@@ -330,46 +492,6 @@ def test_section_roundtrip_recovers_cocycle():
     assert val != (Q.zero,)
     again = crossed_product(system)
     assert iso.matrix.apply(again.algebra.one()) == ca.algebra.one()
-
-
-# -- comodule algebra maps ------------------------------------------------------
-
-
-def test_algebra_map_on_regular_comodule_is_identity_like():
-    h = kz2(Q)
-    res = find_comodule_algebra_map(regular_comodule(h))
-    assert isinstance(res, AlgebraSection)
-    assert res.system.sigma == trivial_sigma(h, res.system.base)
-
-
-def test_algebra_map_on_smash_product_found():
-    ca = crossed_product(scalar_crossed_system(Q, Q.one))
-    res = find_comodule_algebra_map(ca)
-    assert res.iso.is_bijective()
-
-
-def test_no_algebra_map_for_nonsquare_cocycle_over_q():
-    # A = Q[u]/(u^2 = 2): needs phi(g) = a u with 2 a^2 = 1, no rational a
-    ca = crossed_product(scalar_crossed_system(Q, Q.from_int(2)))
-    with pytest.raises(NoAlgebraSectionError) as exc:
-        find_comodule_algebra_map(ca)
-    assert exc.value.definitive
-
-
-def test_no_algebra_map_for_nonsquare_cocycle_over_f3():
-    f3 = PrimeField(3)
-    ca = crossed_product(scalar_crossed_system(f3, f3.from_int(2)))
-    with pytest.raises(NoAlgebraSectionError) as exc:
-        find_comodule_algebra_map(ca)
-    assert exc.value.definitive
-
-
-def test_algebra_map_for_square_cocycle_over_q():
-    # u^2 = 4 splits: phi(g) = u/2
-    ca = crossed_product(scalar_crossed_system(Q, Q.from_int(4)))
-    res = find_comodule_algebra_map(ca)
-    phi_g = res.phi.matrix.col(1)
-    assert ca.algebra.mult(phi_g, phi_g) == ca.algebra.one()
 
 
 # -- three-way agreement --------------------------------------------------------

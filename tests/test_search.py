@@ -166,32 +166,3 @@ def test_random_draws_leave_an_all_singular_family_open():
     outcome = check_against_oracle(Q, [Matrix.zeros(Q, 4, 4)] * 6, SMALL)
     assert not outcome.found and not outcome.definitive
     assert outcome.tried == 6 + (3 ** 6 - 1) // 2 + SMALL.draws
-
-
-def test_a_test_callback_sees_every_multiple(monkeypatch):
-    f3 = FIELDS["F3"]
-    two = f3.from_int(2)
-    seen = []
-
-    def leads_with_two(coeffs):
-        seen.append(coeffs)
-        return next(c for c in coeffs if c) == two
-
-    dets = count_dets(monkeypatch)
-    outcome = find_invertible_combination(f3, [Matrix.identity(f3, 1)] * 2,
-                                          test=leads_with_two)
-    assert outcome.coeffs == (f3.zero, two) and outcome.definitive
-    assert seen == [(f3.zero, f3.one), (f3.zero, two)]
-    assert outcome.tried == len(seen) and not dets
-
-
-def test_a_test_callback_sees_the_negatives_on_the_ladder():
-    seen = []
-
-    def leads_with_minus_one(coeffs):
-        seen.append(coeffs)
-        return next(c for c in coeffs if c) == -1
-
-    outcome = find_invertible_combination(Q, [Matrix.identity(Q, 1)] * 2,
-                                          test=leads_with_minus_one)
-    assert outcome.coeffs == (0, -1) and outcome.tried == len(seen) == 4
