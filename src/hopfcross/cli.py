@@ -46,6 +46,7 @@ from .comodule import (
 )
 from .errors import (
     HopfcrossError,
+    InvalidComoduleAlgebraError,
     InvalidCrossedSystemError,
     InvalidGroupTableError,
     NoAntipodeError,
@@ -437,8 +438,10 @@ def _parse_group(doc, kind):
     return table
 
 
-def parse_presentation(path_or_doc):
-    """Load and structurally validate a presentation file (or parsed dict)."""
+def parse_presentation(path_or_doc, kinds=None, message=None):
+    """Load and structurally validate a presentation file (or parsed dict).
+    When kinds is given, a file of no kind in it raises message (by default,
+    its declared and the expected kind) before anything in it is built."""
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
     else:
@@ -455,6 +458,11 @@ def parse_presentation(path_or_doc):
         raise ParseError("unsupported format_version %r" % (doc.get("format_version"),))
     kind = doc.get("kind")
     field = _field_from_json(_require(doc, "field", kind))
+    if kinds is not None:
+        augmented = kind == "comodule-algebra" and "augmentation" in doc
+        if kind not in kinds and not (augmented and AUGMENTED in kinds):
+            raise ValidationError(
+                message or "file declares kind %r, expected %r" % (kind, kinds[0]))
     if kind == "algebra":
         return Presentation(kind, _parse_algebra(doc, field, kind))
     if kind == "coalgebra":
@@ -512,11 +520,24 @@ def parse_presentation(path_or_doc):
             )
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
-        domain = parse_presentation(_nested(doc, "domain", kind)).payload
-        target = parse_presentation(_nested(doc, "target", kind)).payload
+        parts, violations = [], []
+        for key in ("domain", "target"):
+            try:
+                parts.append(parse_presentation(_nested(doc, key, kind), ("comodule-algebra",),
+                             "the %r block of a lift-problem must be a comodule-algebra" % key))
+            except InvalidComoduleAlgebraError as e:
+                violations += [(key + "-" + name, w) for name, w in e.violations]
         varpi = _matrix_from_json(field, _require(doc, "surjection", kind), "surjection")
         psi = _matrix_from_json(field, _require(doc, "map", kind), "map")
-        return Presentation(kind, (domain, target, varpi, psi))
+        # varpi : C -> D and psi : H -> D; the parts parsed, so their bases are lists
+        dc, dd = (len(doc[key]["basis"]) for key in ("domain", "target"))
+        if (varpi.rows, varpi.cols) != (dd, dc):
+            violations.append(("surjection-shape", (varpi.rows, varpi.cols)))
+        if (psi.rows, psi.cols) != (dd, len(doc["target"]["hopf"]["basis"])):
+            violations.append(("map-shape", (psi.rows, psi.cols)))
+        if violations:
+            raise InvalidComoduleAlgebraError(violations, "a lift problem")
+        return Presentation(kind, tuple(p.payload for p in parts) + (varpi, psi))
     if kind == "comodule-coalgebra":
         coalg = _parse_coalgebra(doc, field, kind)
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
@@ -588,33 +609,24 @@ def _semantic_check(pres):
         return check_axioms(kind, obj).violations
     if kind == "graded-algebra":
         return list(check_grading(obj).violations)
-    if kind == "comodule-algebra":
-        return obj.validate()
+    if kind in ("comodule-algebra", "lift-problem"):
+        return []  # checked while parsing
     if kind == "crossed-system":
         return check_crossed_system(obj)
     if kind == "hmodule":
         return obj[0].validate()
     if kind == "comodule-coalgebra":
         return obj.validate()
-    if kind == "lift-problem":
-        domain, target, varpi, psi = obj
-        violations = [("domain-" + n, w) for n, w in domain.validate()]
-        violations += [("target-" + n, w) for n, w in target.validate()]
-        if (varpi.rows, varpi.cols) != (target.algebra.dim, domain.algebra.dim):
-            violations.append(("surjection-shape", (varpi.rows, varpi.cols)))
-        if (psi.rows, psi.cols) != (target.algebra.dim, target.hopf.dim):
-            violations.append(("map-shape", (psi.rows, psi.cols)))
-        return violations
     raise ValidationError("kind %r has no checker" % (kind,))
 
 
 def cmd_check(args):
-    pres = parse_presentation(args.file)
-    if args.kind and args.kind != pres.kind:
-        raise ValidationError(
-            "file declares kind %r, expected %r" % (pres.kind, args.kind)
-        )
-    violations = _semantic_check(pres)
+    try:
+        pres = _load(args)
+    except InvalidComoduleAlgebraError as e:
+        violations = e.violations
+    else:
+        violations = _semantic_check(pres)
     if violations:
         return _emit(Report("check", "fail", 1, witnesses={
             "violations": [[v[0], list(v[1])] for v in violations[:10]],
@@ -623,10 +635,7 @@ def cmd_check(args):
 
 
 def cmd_antipode(args):
-    pres = parse_presentation(args.file)
-    if pres.kind not in ("bialgebra", "hopf"):
-        raise ValidationError("antipode needs a bialgebra or hopf file")
-    b = pres.payload
+    b = _load(args).payload
     try:
         s = compute_antipode(b).antipode
     except NoAntipodeError:
@@ -637,25 +646,21 @@ def cmd_antipode(args):
 
 
 def cmd_dual(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "hopf":
-        raise ValidationError("dual needs a hopf file")
-    d = dual_hopf(pres.payload)
+    d = dual_hopf(_load(args).payload)
     return _emit(Report("dual", "pass", 0, witnesses={
         "presentation": encode_hopf(d),
     }), args)
 
 
-def _as_comodule_algebra(pres):
-    if pres.kind == "comodule-algebra":
-        return pres.payload
+def _load_comodule_algebra(args):
+    pres = _load(args)
     if pres.kind == "graded-algebra":
         return graded_bridge(pres.payload)
-    raise ValidationError("expected a comodule-algebra or graded-algebra file")
+    return pres.payload
 
 
 def cmd_coinvariants(args):
-    ca = _as_comodule_algebra(parse_presentation(args.file))
+    ca = _load_comodule_algebra(args)
     coinv = coinvariants(ca)
     return _emit(Report("coinvariants", "pass", 0, witnesses={
         "dimension": coinv.subalgebra.dim,
@@ -665,7 +670,7 @@ def cmd_coinvariants(args):
 
 
 def cmd_galois(args):
-    ca = _as_comodule_algebra(parse_presentation(args.file))
+    ca = _load_comodule_algebra(args)
     rep = galois_map(ca)
     verdict = "pass" if rep.bijective else "fail"
     return _emit(Report("galois", verdict, 0 if rep.bijective else 1, witnesses={
@@ -675,9 +680,7 @@ def cmd_galois(args):
 
 
 def cmd_strongly_graded(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "graded-algebra":
-        raise ValidationError("strongly-graded needs a graded-algebra file")
+    pres = _load(args)
     ok, table = is_strongly_graded(pres.payload)
     if args.certify and ok:
         for g in range(pres.payload.group.order):
@@ -689,9 +692,7 @@ def cmd_strongly_graded(args):
 
 
 def cmd_recognize_crossed(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "graded-algebra":
-        raise ValidationError("recognize-crossed needs a graded-algebra file")
+    pres = _load(args)
     budget = _budget_from(args)
     try:
         rec = recognize_group_crossed_product(pres.payload, budget)
@@ -707,11 +708,8 @@ def cmd_recognize_crossed(args):
 
 
 def cmd_crossed_product(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "crossed-system":
-        raise ValidationError("crossed-product needs a crossed-system file")
     try:
-        ca = crossed_product(pres.payload)
+        ca = crossed_product(_load(args).payload)
     except InvalidCrossedSystemError as e:
         return _emit(Report("crossed-product", "fail", 1, witnesses={
             "violations": [[v[0], list(v[1])] for v in e.violations[:10]],
@@ -722,7 +720,7 @@ def cmd_crossed_product(args):
 
 
 def cmd_find_section(args):
-    ca = _as_comodule_algebra(parse_presentation(args.file))
+    ca = _load_comodule_algebra(args)
     budget = _budget_from(args)
     try:
         sec = find_section(ca, budget)
@@ -737,7 +735,7 @@ def cmd_find_section(args):
 
 
 def cmd_recognize_cleft(args):
-    ca = _as_comodule_algebra(parse_presentation(args.file))
+    ca = _load_comodule_algebra(args)
     budget = _budget_from(args)
     galois = galois_map(ca)
     try:
@@ -760,17 +758,9 @@ def cmd_recognize_cleft(args):
     }), args)
 
 
-def _augmented_extension(pres):
-    ca = pres.payload
-    if pres.kind != "comodule-algebra" or pres.augmentation is None:
-        raise ValidationError(
-            "this command needs a comodule-algebra file with an augmentation block"
-        )
-    return AugmentedCleftExtension(ca, pres.augmentation)
-
-
 def cmd_classify_cleft(args):
-    ext = _augmented_extension(parse_presentation(args.file))
+    pres = _load(args)
+    ext = AugmentedCleftExtension(pres.payload, pres.augmentation)
     cls = classify_cleft_extension(ext)
     f = ext.comodule_algebra.field
     return _emit(Report("classify-cleft", "pass", 0, witnesses={
@@ -783,10 +773,7 @@ def cmd_classify_cleft(args):
 
 
 def cmd_hh2(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "hmodule":
-        raise ValidationError("hh2 needs an hmodule file")
-    act, cochain = pres.payload
+    act, cochain = _load(args).payload
     result = hh2(act.hopf, act)
     f = act.hopf.field
     witnesses = {"dimension": result.dimension}
@@ -800,7 +787,8 @@ def cmd_hh2(args):
 
 
 def cmd_split(args):
-    ext = _augmented_extension(parse_presentation(args.file))
+    pres = _load(args)
+    ext = AugmentedCleftExtension(pres.payload, pres.augmentation)
     res = split_extension(ext)
     f = ext.comodule_algebra.field
     if res.split:
@@ -813,10 +801,7 @@ def cmd_split(args):
 
 
 def cmd_lift(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "lift-problem":
-        raise ValidationError("lift needs a lift-problem file")
-    domain, target, varpi, psi = pres.payload
+    domain, target, varpi, psi = _load(args).payload
     res = lift_comodule_algebra_map(domain, target, varpi, psi)
     f = domain.field
     if res.lifted:
@@ -830,21 +815,16 @@ def cmd_lift(args):
 
 
 def cmd_smash_coproduct(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "comodule-coalgebra":
-        raise ValidationError("smash-coproduct needs a comodule-coalgebra file")
-    out = smash_coproduct(pres.payload)
+    out = smash_coproduct(_load(args).payload)
     return _emit(Report("smash-coproduct", "pass", 0, witnesses={
         "presentation": encode_coalgebra(out.coalgebra),
     }), args)
 
 
 def cmd_super_decompose(args):
-    pres = parse_presentation(args.file)
-    if pres.kind != "super-hopf":
-        raise ValidationError("super-decompose needs a super-hopf file")
-    res = decompose(pres.payload)
-    f = pres.payload.field
+    sp = _load(args).payload
+    res = decompose(sp)
+    f = sp.field
     return _emit(Report("super-decompose", "pass", 0, witnesses={
         "h_dimension": res.h.dim,
         "w_dimension": res.w.odd_dim,
@@ -877,24 +857,48 @@ def _budget_from(args):
     return SearchBudget(seed=args.seed, draws=args.budget)
 
 
+def _load(args):
+    """Parse args.file, rejecting a kind the command does not read (for
+    check, the one --kind names) before anything in the file is built."""
+    _, kinds, message = COMMANDS[args.command]
+    if args.kind is not None:
+        kinds = (args.kind,)
+    return parse_presentation(args.file, kinds, message)
+
+
+COMODULE = ("comodule-algebra", "graded-algebra")
+NOT_COMODULE = "expected a comodule-algebra or graded-algebra file"
+AUGMENTED = ("comodule-algebra", "augmentation")  # a tuple, so no --kind names it
+NOT_AUGMENTED = "this command needs a comodule-algebra file with an augmentation block"
+
+# Each command with the kinds of file it reads and the error (exit 2) that a
+# file of any other kind gets as soon as its kind and field are read, before
+# anything in it is built.  AUGMENTED is a comodule-algebra file with an
+# augmentation block.  check reads every kind, or the one --kind names;
+# pairing reads no file.
 COMMANDS = {
-    "check": cmd_check,
-    "antipode": cmd_antipode,
-    "dual": cmd_dual,
-    "coinvariants": cmd_coinvariants,
-    "galois": cmd_galois,
-    "strongly-graded": cmd_strongly_graded,
-    "recognize-crossed": cmd_recognize_crossed,
-    "crossed-product": cmd_crossed_product,
-    "find-section": cmd_find_section,
-    "recognize-cleft": cmd_recognize_cleft,
-    "classify-cleft": cmd_classify_cleft,
-    "hh2": cmd_hh2,
-    "split": cmd_split,
-    "lift": cmd_lift,
-    "smash-coproduct": cmd_smash_coproduct,
-    "super-decompose": cmd_super_decompose,
-    "pairing": cmd_pairing,
+    "check": (cmd_check, None, None),
+    "antipode": (cmd_antipode, ("bialgebra", "hopf"), "antipode needs a bialgebra or hopf file"),
+    "dual": (cmd_dual, ("hopf",), "dual needs a hopf file"),
+    "coinvariants": (cmd_coinvariants, COMODULE, NOT_COMODULE),
+    "galois": (cmd_galois, COMODULE, NOT_COMODULE),
+    "strongly-graded": (cmd_strongly_graded, ("graded-algebra",),
+                        "strongly-graded needs a graded-algebra file"),
+    "recognize-crossed": (cmd_recognize_crossed, ("graded-algebra",),
+                          "recognize-crossed needs a graded-algebra file"),
+    "crossed-product": (cmd_crossed_product, ("crossed-system",),
+                        "crossed-product needs a crossed-system file"),
+    "find-section": (cmd_find_section, COMODULE, NOT_COMODULE),
+    "recognize-cleft": (cmd_recognize_cleft, COMODULE, NOT_COMODULE),
+    "classify-cleft": (cmd_classify_cleft, (AUGMENTED,), NOT_AUGMENTED),
+    "hh2": (cmd_hh2, ("hmodule",), "hh2 needs an hmodule file"),
+    "split": (cmd_split, (AUGMENTED,), NOT_AUGMENTED),
+    "lift": (cmd_lift, ("lift-problem",), "lift needs a lift-problem file"),
+    "smash-coproduct": (cmd_smash_coproduct, ("comodule-coalgebra",),
+                        "smash-coproduct needs a comodule-coalgebra file"),
+    "super-decompose": (cmd_super_decompose, ("super-hopf",),
+                        "super-decompose needs a super-hopf file"),
+    "pairing": (cmd_pairing, None, None),
 }
 
 
@@ -929,7 +933,7 @@ def main(argv=None):
     if args.kind is not None and args.command != "check":
         parser.error("--kind is for check only")
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except HopfcrossError as e:
         sys.stderr.write("error: %s\n" % (e,))
         if args.json:

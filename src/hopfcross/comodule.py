@@ -26,6 +26,7 @@ from .algebra import (
     ti,
 )
 from .errors import (
+    InvalidComoduleAlgebraError,
     InvalidCrossedSystemError,
     NoSectionFoundError,
     NotConvolutionInvertibleError,
@@ -51,7 +52,9 @@ from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
 class ComoduleAlgebra:
-    """An algebra A with a right coaction rho : A -> A (x) H."""
+    """An algebra A with a right coaction rho : A -> A (x) H that is
+    coassociative, counital and an algebra map; the constructor raises
+    InvalidComoduleAlgebraError otherwise, so every instance is valid."""
 
     def __init__(self, algebra, hopf, coaction):
         if algebra.field != hopf.field:
@@ -61,6 +64,9 @@ class ComoduleAlgebra:
         self.algebra = algebra
         self.hopf = hopf
         self.coaction = coaction
+        violations = self.validate()
+        if violations:
+            raise InvalidComoduleAlgebraError(violations)
 
     @property
     def field(self):
@@ -90,11 +96,6 @@ class ComoduleAlgebra:
                        algebra_map_violations(a, tensor_algebra(a, self.hopf), self.coaction))
         laws = chain(coaction_violations(self.rho_basis, self.hopf, a.dim), algebra_map)
         return list(islice(laws, MAX_VIOLATIONS))
-
-    def require_valid(self):
-        violations = self.validate()
-        if violations:
-            raise ValidationError("not a comodule algebra: %r" % (violations,))
 
 
 def induced_coaction(ca, basis, coords):
@@ -197,13 +198,12 @@ class GaloisReport:
         self.inverse = inverse
 
 
-def relative_tensor_square(ca, coinv=None):
-    """A (x)_B A as a quotient of A (x) A by span{ab (x) a' - a (x) ba'}."""
+def relative_tensor_square(ca, coinv):
+    """A (x)_B A as a quotient of A (x) A by span{ab (x) a' - a (x) ba'},
+    for B = coinv, the coinvariants of ca."""
     a = ca.algebra
     f = ca.field
     da = a.dim
-    if coinv is None:
-        coinv = coinvariants(ca)
     relations = []
     for i in range(da):
         ei = basis_vec(f, da, i)
@@ -223,7 +223,6 @@ def relative_tensor_square(ca, coinv=None):
 
 
 def galois_map(ca, section=None):
-    ca.require_valid()
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
@@ -300,9 +299,7 @@ def _graded_to_comodule(ga):
         v = [f.zero] * (a.dim * dh)
         v[ti(i, ga.degree[i], dh)] = f.one
         cols.append(tuple(v))
-    ca = ComoduleAlgebra(a, hopf, Matrix.from_cols(f, cols))
-    ca.require_valid()
-    return ca
+    return ComoduleAlgebra(a, hopf, Matrix.from_cols(f, cols))
 
 
 def _comodule_to_graded(ca):
@@ -318,11 +315,8 @@ def _comodule_to_graded(ca):
         for v in coaction_kernel(ca.rho_basis, da, h, basis_vec(f, dh, g)):
             hom_basis.append(v)
             degrees.append(g)
-    if len(hom_basis) != da:
-        raise NotGroupLikeCoactionError("no homogeneous basis exists for this coaction")
+    # a coaction of k[G] is a G-grading: A is the direct sum of the A_g
     change = Matrix.from_cols(f, hom_basis)
-    if not change.is_invertible():
-        raise NotGroupLikeCoactionError("no homogeneous basis exists for this coaction")
     labels = tuple("a%d" % s for s in range(da))
     alg = induced_algebra(a, hom_basis, change.inverse().apply, labels)
     ga = GradedAlgebra(alg, grp, tuple(degrees))
@@ -528,7 +522,6 @@ def crossed_product(s):
                 v[ti(ti(i, g1, dh), g2, dh)] = c
             cols.append(tuple(v))
     ca = ComoduleAlgebra(algebra, h, Matrix.from_cols(f, cols))
-    ca.require_valid()
     # the coinvariants must be exactly B (x) k1
     coinv = coinvariants(ca)
     if coinv.dim != db:
@@ -559,12 +552,13 @@ def _embed_b(s, bvec):
 
 
 class Section:
-    """A convolution-invertible colinear map phi : H -> A with phi(1) = 1."""
+    """A convolution-invertible colinear map phi : H -> A with phi(1) = 1,
+    with the coinvariants B of A (coinvariants.parent) that it was built from."""
 
-    def __init__(self, parent, phi, phi_inv):
-        self.parent = parent
+    def __init__(self, phi, phi_inv, coinvariants):
         self.phi = phi
         self.phi_inv = phi_inv
+        self.coinvariants = coinvariants
 
 
 def colinear_map_space(ca):
@@ -616,7 +610,6 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     has no *-inverse, nothing is cleft, and the negative is definitive.  It
     is definitive without a search when dim B * dim H != dim A.
     """
-    ca.require_valid()
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
@@ -643,7 +636,7 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     try:
         # normalizing multiplies phi by a unit, so only the first inversion
         # can fail on a valid comodule algebra
-        return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh))
+        return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh), coinv)
     except NotConvolutionInvertibleError:
         # Phi is bijective, so A/B is not H-Galois: no colinear map is a section
         raise NoSectionFoundError(absent, definitive=True) from None
@@ -656,8 +649,9 @@ def _normal_basis_map(left, phi):
     return Matrix(phi.field, [sum(rows, ()) for rows in zip(*blocks)])
 
 
-def _normalized_section(ca, phi_matrix):
-    """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its inverse."""
+def _normalized_section(ca, phi_matrix, coinv):
+    """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its
+    inverse and coinv, the coinvariants of ca."""
     a, h = ca.algebra, ca.hopf
     hc = h.as_coalgebra()
     raw = ConvElement(hc, a, phi_matrix)
@@ -669,9 +663,9 @@ def _normalized_section(ca, phi_matrix):
     if normalized.apply(h.unit) != a.one():
         raise ValidationError("normalization failed to fix phi(1) = 1")
     sec = Section(
-        ca,
         LinearMap(normalized, h.basis, a.basis),
         LinearMap(fixed_inv.matrix, h.basis, a.basis),
+        coinv,
     )
     bad = next(colinear_violations(h.delta_basis, ca.rho, normalized), None)
     if bad:
@@ -682,11 +676,11 @@ def _normalized_section(ca, phi_matrix):
 def section_to_crossed_system(sec):
     """Extract (measuring, sigma) from a section and the isomorphism
     B x|_sigma H -> A, b (x) h |-> b phi(h)."""
-    ca = sec.parent
+    coinv = sec.coinvariants
+    ca = coinv.parent
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
-    coinv = coinvariants(ca)
     db = coinv.dim
     phi = sec.phi.matrix
     phi_inv = sec.phi_inv.matrix

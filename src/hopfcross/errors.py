@@ -89,5 +89,14 @@ class InvalidCrossedSystemError(ValidationError):
         self.violations = violations
 
 
+class InvalidComoduleAlgebraError(ValidationError):
+    """A coaction that fails the comodule-algebra laws, or a lift problem whose
+    parts do or whose maps have the wrong shape; `violations` lists the witnesses."""
+
+    def __init__(self, violations, what="a comodule algebra"):
+        super().__init__("not %s: %r" % (what, violations))
+        self.violations = violations
+
+
 class ParseError(HopfcrossError):
     pass

@@ -546,7 +546,6 @@ def decompose(sp):
                     v[ti(j, x, dh)] = v[ti(j, x, dh)] + c * d
         cols.append(tuple(v))
     ca = ComoduleAlgebra(h.as_algebra(), quotient_hopf, Matrix.from_cols(f, cols))
-    ca.require_valid()
     # Step A: colinear splitting phi : H -> A_0 of pi_0
     even_idx = [i for i in range(dim) if sp.parity[i] == 0]
     a0, inc0 = sub_comodule_algebra(ca, [basis_vec(f, dim, i) for i in even_idx])

@@ -1,15 +1,20 @@
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfcross.algebra
 import hopfcross.comodule
 import hopfcross.graded
-from hopfcross.cli import main, parse_presentation
+from hopfcross.cli import COMMANDS, main, parse_presentation
+from hopfcross.comodule import ComoduleAlgebra
 from hopfcross.errors import ParseError, ValidationError
 from hopfcross.linalg import Matrix
 from hopfcross.superalg import SuperPresentation
@@ -24,6 +29,38 @@ def corpus(name):
 def load(name):
     with open(corpus(name)) as fh:
         return json.load(fh)
+
+
+def bump_coaction(doc):
+    """Add one to the scalar of coaction entry 1 (mod p over F_p): the
+    coaction then breaks the comodule and algebra-map laws."""
+    entry = doc["coaction"]["entries"][1]
+    p = doc["field"].get("p")
+    entry[-1] = (entry[-1] + 1) % p if p else entry[-1] + 1
+    return doc
+
+
+def bump_lift_part(part):
+    doc = load("lift-split.json")
+    bump_coaction(doc[part])
+    return doc
+
+
+# documents made from the corpus by one corruption
+DERIVED = {
+    "f3z3-cleft-bad-coaction.json": lambda: bump_coaction(load("f3z3-cleft.json")),
+    "lift-bad-domain.json": lambda: bump_lift_part("domain"),
+    "lift-bad-target.json": lambda: bump_lift_part("target"),
+}
+
+
+def input_path(name, tmp_path):
+    """The corpus file `name`, or the derived document `name` written to tmp_path."""
+    if name not in DERIVED:
+        return corpus(name)
+    path = tmp_path / name
+    path.write_text(json.dumps(DERIVED[name]()))
+    return str(path)
 
 
 def run_json(capsys, argv):
@@ -124,11 +161,12 @@ def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, cap
     ("m2-z2-graded.json", lambda d: {**d, "degree": [str(g) for g in d["degree"]]}),
     ("kx2-graded.json",
      lambda d: {**d, "group": {**d["group"], "elements": d["group"]["elements"][:1] + [-1]}}),
+    ("lift-split.json", lambda d: {**d, "target": {**d["target"], "kind": "algebra"}}),
 ], ids=["top-level-list", "int-basis", "int-entry", "object-unit", "no-group-elements",
         "ragged-group-table", "string-index", "float-index", "bool-index",
         "duplicate-product-entry", "duplicate-counit-entry", "string-rows", "negative-cols",
         "list-domain", "string-hopf", "int-parity", "string-parity", "string-degree",
-        "int-group-element"])
+        "int-group-element", "algebra-target"])
 def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(mutate(load(name))))
@@ -138,6 +176,66 @@ def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# every kind the parser reads; no corpus file is a bare algebra or coalgebra
+KINDS = sorted({load(name)["kind"] for name in ALL_CORPUS} | {"algebra", "coalgebra"})
+# every command but check reads super-scrambled.json in well under a second
+# (check takes seconds), so the fuzz leaves that one file out
+FUZZ_CORPUS = [name for name in ALL_CORPUS if name != "super-scrambled.json"]
+
+
+def json_nodes(node, path=()):
+    """Every (path, node) of a JSON document, depth first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_command_survives_a_mutated_document(data):
+    # one mutation of a corpus document: drop a key, change a scalar, swap a
+    # presentation's kind, or duplicate a list entry; every command must give
+    # a verdict or an input error, never a traceback
+    doc = load(data.draw(st.sampled_from(FUZZ_CORPUS)))
+    nodes = list(json_nodes(doc))
+    mutation = data.draw(st.sampled_from(["drop", "scalar", "kind", "duplicate"]))
+    if mutation == "drop":
+        path, key = data.draw(st.sampled_from(
+            [(p, k) for p, n in nodes if isinstance(n, dict) for k in n]))
+        del node_at(doc, path)[key]
+    elif mutation == "scalar":
+        path = data.draw(st.sampled_from([p for p, n in nodes if p and type(n) is int]))
+        node_at(doc, path[:-1])[path[-1]] = data.draw(
+            st.one_of(st.integers(-3, 9), st.sampled_from([0.5, "1", None, True])))
+    elif mutation == "kind":
+        path = data.draw(st.sampled_from(
+            [p for p, n in nodes if isinstance(n, dict) and n.get("kind") in KINDS]))
+        node_at(doc, path)["kind"] = data.draw(st.sampled_from(KINDS))
+    else:
+        path = data.draw(st.sampled_from([p for p, n in nodes if isinstance(n, list) and n]))
+        entries = node_at(doc, path)
+        entries.append(copy.deepcopy(data.draw(st.sampled_from(entries))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in COMMANDS:
+            if command != "pairing":
+                assert main([command, path]) in (0, 1, 2)
 
 
 def test_unknown_command_exits_2():
@@ -355,11 +453,67 @@ def test_machine_reports_are_byte_identical(argv, capsys):
      "a20138e366a6b1c8e84ac3a8f78120c36ef72de1df549d34895f3718368533bd"),
     (["super-decompose", "super-scrambled.json"],
      "696984bc4df19ea097f4aa085f905f7f29bb681913d3add57bf13f9eaa9a5f26"),
+    # invalid comodule algebras: the first ten witnesses, and a wrong --kind
+    (["check", "f3z3-cleft-bad-coaction.json"],
+     "ad6a08e6837b29a127ce27560a16641ef99c7acd469f958d95a5966ce57fe850"),
+    (["check", "lift-bad-domain.json"],
+     "0ca3200fbd414733cdebb535b2561c71b83075676b563c1c93837da364766d7a"),
+    (["check", "lift-bad-target.json"],
+     "884409d2ee33e5eda09744b195583f83e49171c68e60768762ad49f9f33b6dbd"),
+    (["check", "--kind", "hopf", "f3z3-cleft-bad-coaction.json"],
+     "7515fcbf718375569056a4e0b35b2c351c01383a9d4c0c4bfbed534a5040836d"),
+    # one file of a kind the command does not read, for each error message
+    (["antipode", "f3z3-cleft.json"],
+     "853c378748a6d307d7149834554f3b88e30dea11f3af23bc73c638418c71d096"),
+    (["dual", "monoid2.json"],
+     "bf0c15523d3e080e31371a9962f86265f89a37cf4f630fdd0e2b41d345e28468"),
+    (["coinvariants", "kz2.json"],
+     "544067e0378a5919203c99cd470e1996a4e93cc11aef5871a935f7d9187cfad3"),
+    (["strongly-graded", "f3z3-cleft.json"],
+     "f7dc062c1567cb8274a3d9fa03e77ce03f01397c05d64b929c1623dfffe12b3d"),
+    (["recognize-crossed", "kz2.json"],
+     "c20549935d370c3568cb1f00797e8ed52108630a8201a2196a4894f824b831a4"),
+    (["crossed-product", "kz2.json"],
+     "14a0bcb58f7e8b067118015097e46dd733b3d09bef413b59dcd747911db99ea0"),
+    (["classify-cleft", "m2-z2-graded.json"],
+     "ccff767d4acca67db851cd18c1f9c04b581b1a2656a91ba68446995b087acb77"),
+    (["hh2", "kz2.json"],
+     "d8772a5cd3d28856ab95fe9a26cfaf3e2eb7c301ce3b81a7f7c167aed68a836a"),
+    (["lift", "kz2.json"],
+     "1db45e44e3e68b08784809de07355adb74dc1db16d92d4393edf31f0cfa42b8a"),
+    (["smash-coproduct", "kz2.json"],
+     "7d429d6349fa5910fbd4d2876b28ea177972ccc986ed024cad0efcda03be92db"),
+    (["super-decompose", "kz2.json"],
+     "35765dec022efd67d9970e72f38b6daabc4383ef7ebb69a1a3183c1a0f80c327"),
 ])
-def test_reports_match_their_recorded_digests(argv, digest, capsys):
+def test_reports_match_their_recorded_digests(argv, digest, tmp_path, capsys):
     capsys.readouterr()
-    main([corpus(a) if a.endswith(".json") else a for a in argv] + ["--json"])
+    main([input_path(a, tmp_path) if a.endswith(".json") else a for a in argv] + ["--json"])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("block, grow, witness", [
+    ("surjection", "cols", ["surjection-shape", [2, 5]]),
+    ("map", "rows", ["map-shape", [3, 2]]),
+])
+def test_lift_problem_maps_of_the_wrong_shape(block, grow, witness, tmp_path, capsys):
+    # check reports the shape; lift rejects it before lifting (an extra
+    # surjection column used to end in an IndexError)
+    doc = load("lift-split.json")
+    doc[block][grow] += 1
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1 and report["witnesses"]["violations"] == [witness]
+    code, report = run_json(capsys, ["lift", str(path)])
+    assert code == 2 and report["error"].startswith("not a lift problem")
+
+
+def test_coinvariants_rejects_an_invalid_coaction(tmp_path, capsys):
+    code, report = run_json(capsys, ["coinvariants",
+                                     input_path("f3z3-cleft-bad-coaction.json", tmp_path)])
+    assert code == 2
+    assert report["error"].startswith("not a comodule algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +550,23 @@ def count_calls(monkeypatch, owner, name):
      "check_group_crossed_system", 1),
     (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
     (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
+    # the constructor checks each comodule algebra that is parsed or built:
+    # the input, the crossed product B x|_sigma H, and in lift the quotients
+    # C/J^e and the pull-backs
+    (["recognize-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
+    (["classify-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
+    (["split", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
+    (["lift", "lift-split.json"], ComoduleAlgebra, "validate", 6),
+    (["super-decompose", "lambda3.json"], ComoduleAlgebra, "validate", 2),
+    (["coinvariants", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 1),
+    # B of the input, carried by the section, and B of the crossed product
+    (["classify-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
+    (["split", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
-    assert main([argv[0], corpus(argv[1])] + argv[2:]) == 0
+    # the class of f3z3-cleft.json is nonzero, so split reports the obstruction
+    assert main([argv[0], corpus(argv[1])] + argv[2:]) == (1 if argv[0] == "split" else 0)
     assert len(calls) == expected
 
 
@@ -408,7 +575,7 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # each matrix solved for several right-hand sides is eliminated once
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 47
+    assert len(calls) == 45
 
 
 @pytest.mark.parametrize("argv", [

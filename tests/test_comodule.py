@@ -30,6 +30,7 @@ from hopfcross.comodule import (
     trivial_sigma,
 )
 from hopfcross.errors import (
+    InvalidComoduleAlgebraError,
     NoSectionFoundError,
     NotGroupLikeCoactionError,
     ValidationError,
@@ -97,7 +98,7 @@ def scalar_crossed_system(field, c):
 
 
 def test_regular_comodule_is_valid():
-    regular_comodule(sweedler(Q)).require_valid()
+    regular_comodule(sweedler(Q))  # the constructor checks the laws
 
 
 def test_bad_coaction_rejected():
@@ -105,17 +106,19 @@ def test_bad_coaction_rejected():
     # rho(x) = x (x) 1 + x (x) g applies the counit to 2x, not x
     a = dual_numbers(Q)
     bad_x = (Q.zero, Q.zero, Q.one, Q.one)
-    ca = ComoduleAlgebra(a, h, Matrix.from_cols(Q, [basis_vec(Q, 4, 0), bad_x]))
-    violations = ca.validate()
-    assert any(v[0] == "coaction-not-counital" for v in violations)
+    with pytest.raises(InvalidComoduleAlgebraError, match="not a comodule algebra") as e:
+        ComoduleAlgebra(a, h, Matrix.from_cols(Q, [basis_vec(Q, 4, 0), bad_x]))
+    assert e.value.violations == [("coaction-not-counital", (1,)),
+                                  ("coaction-not-coassociative", (1,))]
 
 
 def test_comodule_algebra_validation_stops_at_ten_witnesses():
     # doubling the coaction breaks counitality and coassociativity at every
     # basis element, the unit, and multiplicativity at every nonzero product
     ca = matrix2_comodule()
-    doubled = ComoduleAlgebra(ca.algebra, ca.hopf, ca.coaction.scale(2 * Q.one))
-    kinds = [kind for kind, _ in doubled.validate()]
+    with pytest.raises(InvalidComoduleAlgebraError) as e:
+        ComoduleAlgebra(ca.algebra, ca.hopf, ca.coaction.scale(2 * Q.one))
+    kinds = [kind for kind, _ in e.value.violations]
     assert kinds == (["coaction-not-counital", "coaction-not-coassociative"] * 4
                      + ["coaction-not-unital", "coaction-not-multiplicative"])
 
@@ -199,15 +202,19 @@ def test_bridge_roundtrip_on_regular_group_comodule():
 
 
 def test_bridge_rejects_non_homogeneous_coaction():
-    # a map that is not a valid coaction has too-small weight spaces
+    # a map that is not a valid coaction has too-small weight spaces; the
+    # constructor rejects it before the bridge could look for a grading
     from hopfcross.standard import product_field
 
     h = group_hopf_algebra(Z2, Q)
     a = product_field(Q)
     bad = Matrix.from_cols(Q, [basis_vec(Q, 4, 0), basis_vec(Q, 4, 1)])
-    ca = ComoduleAlgebra(a, h, bad)
-    with pytest.raises(NotGroupLikeCoactionError):
-        graded_bridge(ca)
+    with pytest.raises(InvalidComoduleAlgebraError) as e:
+        ComoduleAlgebra(a, h, bad)
+    assert e.value.violations == [
+        ("coaction-not-counital", (1,)), ("coaction-not-coassociative", (1,)),
+        ("coaction-not-unital", ()), ("coaction-not-multiplicative", (0, 1)),
+        ("coaction-not-multiplicative", (1, 0)), ("coaction-not-multiplicative", (1, 1))]
 
 
 # -- crossed systems ----------------------------------------------------------
