@@ -288,8 +288,10 @@ def induced_coproduct(c, basis, coords):
 # and of counit-of-unit becomes D^2, Delta(e_i e_j) is multiplied by D^2 in
 # Delta-multiplicativity, the target eps(e_i) 1 by D in the antipode laws,
 # and in algebra_map_violations the image of the unit and of each product
-# by D.  Associativity, coassociativity, coproduct-of-unit and
-# counit-multiplicative have the same count on both sides.  Over F_p, D = 1.
+# by D (into a tensor product A (x) B, whose constants carry D^2, each
+# product by D^2 and the unit not at all).  Associativity,
+# coassociativity, coproduct-of-unit and counit-multiplicative have the
+# same count on both sides.  Over F_p, D = 1.
 
 
 class AxiomReport:
@@ -570,34 +572,71 @@ def check_axioms(kind, data):
     return AxiomReport(kind, list(islice(laws, MAX_VIOLATIONS)))
 
 
+def _tensor_rows(rows_a, rows_b, db, support):
+    """The lowered product rows of A (x) B (flat index ti(a, b, db)) between
+    the basis elements in support, from the lowered rows of the factors; the
+    rest of A (x) B is never formed."""
+    rows = {}
+    for x in support:
+        row_a, row_b = rows_a.get(x // db), rows_b.get(x % db)
+        if not (row_a and row_b):
+            continue
+        for y in support:
+            pa, pb = row_a.get(y // db), row_b.get(y % db)
+            if pa and pb:
+                rows.setdefault(x, {})[y] = {ti(k, l, db): c * e
+                                             for k, c in pa.items() for l, e in pb.items()}
+    return rows
+
+
 def algebra_map_violations(src, dst, m):
     """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
     matrix) is not a unital algebra map: ("unit", ()), then
-    ("multiplicative", (i, j)) for each basis pair in order."""
+    ("multiplicative", (i, j)) for each basis pair in order.
+
+    dst is an algebra, or a pair (A, B) standing for the tensor-product
+    algebra A (x) B (componentwise product, no signs, flat index ti), whose
+    products are formed only between the basis elements that m reaches.  A
+    constant of A (x) B is the product of two lowered constants and carries
+    D^2, so its unit needs no scale and each product of src is multiplied by
+    D^2 rather than D."""
+    factors = dst if isinstance(dst, tuple) else (dst,)
     cols = m.sparse_cols()
-    src_unit, dst_unit = _nonzero(src.unit), _nonzero(dst.unit)
+    src_unit = _nonzero(src.unit)
+    dst_units = [_nonzero(x.unit) for x in factors]
     lower, d, clean = _lowering(
-        dst.field, _values(cols), _values(src.product.values()), _values(dst.product.values()),
-        src_unit.values(), dst_unit.values(),
+        src.field, _values(cols), _values(src.product.values()),
+        *(_values(x.product.values()) for x in factors),
+        src_unit.values(), *(u.values() for u in dst_units),
     )
     cols = [_lowered(col, lower) for col in cols]
-    rows = _product_rows(dst.product, lower)
+    if len(factors) == 1:
+        rows = _product_rows(dst.product, lower)
+        target = {t: d * lower(c) for t, c in dst_units[0].items()}
+        scale = d
+    else:
+        (a, b), (unit_a, unit_b) = factors, dst_units
+        rows = _tensor_rows(_product_rows(a.product, lower), _product_rows(b.product, lower),
+                            b.dim, set().union(*cols))
+        target = {ti(s, t, b.dim): lower(x) * lower(y)
+                  for s, x in unit_a.items() for t, y in unit_b.items()}
+        scale = d * d
     image = {}
     for t, c in src_unit.items():
         _add_scaled(image, lower(c), cols[t])
-    if clean(image) != clean({t: d * lower(c) for t, c in dst_unit.items()}):
+    if clean(image) != clean(target):
         yield ("unit", ())
     for i in range(src.dim):
         for j in range(src.dim):
             lhs = {}
             for k, c in src.product.get((i, j), {}).items():
-                _add_scaled(lhs, d * lower(c), cols[k])
+                _add_scaled(lhs, scale * lower(c), cols[k])
             rhs = {}
-            for a, u in cols[i].items():
-                row_a = rows.get(a)
-                if row_a:
-                    for b, v in cols[j].items():
-                        prod = row_a.get(b)
+            for x, u in cols[i].items():
+                row_x = rows.get(x)
+                if row_x:
+                    for y, v in cols[j].items():
+                        prod = row_x.get(y)
                         if prod:
                             _add_scaled(rhs, u * v, prod)
             if clean(lhs) != clean(rhs):
@@ -867,39 +906,7 @@ def dual_hopf(h):
 
 
 # ---------------------------------------------------------------------------
-# tensor products of algebras (ordinary, no signs)
-
-
-def tensor_algebra(a, b, labels=None):
-    """The tensor-product algebra A (x) B with componentwise product."""
-    if a.field != b.field:
-        raise ShapeMismatchError("tensor factors over different fields")
-    f = a.field
-    da, db = a.dim, b.dim
-    if labels is None:
-        labels = tuple(
-            "%s(x)%s" % (x, y) for x in a.basis for y in b.basis
-        )
-    product = {}
-    for (i1, i2) in [(i, j) for i in range(da) for j in range(da)]:
-        pa = a.mult_basis(i1, i2)
-        if not pa:
-            continue
-        for (j1, j2) in [(i, j) for i in range(db) for j in range(db)]:
-            pb = b.mult_basis(j1, j2)
-            if not pb:
-                continue
-            terms = {}
-            for ka, ca in pa.items():
-                for kb, cb in pb.items():
-                    terms[ti(ka, kb, db)] = ca * cb
-            product[(ti(i1, j1, db), ti(i2, j2, db))] = terms
-    unit = [f.zero] * (da * db)
-    for i, x in enumerate(a.unit):
-        for j, y in enumerate(b.unit):
-            if x and y:
-                unit[ti(i, j, db)] = x * y
-    return FAlgebra(f, labels, product, tuple(unit))
+# tensor products of coalgebras (ordinary, no signs)
 
 
 def tensor_coalgebra(c, d, labels=None):

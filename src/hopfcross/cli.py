@@ -1,7 +1,8 @@
 """Command-line entry point: load JSON presentations, run any library
 operation, and emit deterministic verdict reports.
 
-Exit codes: 0 = pass/found, 1 = fail/not-found/obstruction, 2 = input error.
+Exit codes: 0 = pass/found, 1 = fail/not-found/obstruction, 2 = input error,
+3 = internal error (a fault in the program, not a verdict on the input).
 Scalars are (numerator, denominator) pairs over Q (denominator omitted when
 1) and bare residues over Fp. Machine reports (--json) are byte-identical
 across runs with identical inputs and flags.
@@ -36,6 +37,7 @@ from .cohomology import (
 from .comodule import (
     ComoduleAlgebra,
     CrossedSystem,
+    _galois_map,
     check_crossed_system,
     coinvariants,
     crossed_product,
@@ -518,6 +520,9 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             cochain = NormalizedCochain(
                 2, _matrix_from_json(field, doc["cochain"], "cochain")
             )
+            shape = (aug.plus_dim, hopf.dim ** 2)
+            if (cochain.matrix.rows, cochain.matrix.cols) != shape:
+                raise ParseError("cochain must be a %d x %d matrix" % shape)
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
         parts, violations = [], []
@@ -737,17 +742,18 @@ def cmd_find_section(args):
 def cmd_recognize_cleft(args):
     ca = _load_comodule_algebra(args)
     budget = _budget_from(args)
-    galois = galois_map(ca)
     try:
         sec = find_section(ca, budget)
     except NoSectionFoundError as e:
+        galois = galois_map(ca)
         if galois.bijective and e.definitive:
             raise ValidationError("cleftness verdicts disagree")
         return _emit(Report("recognize-cleft", "not-found", 1,
                             definitive=e.definitive,
                             budget_exhausted=not e.definitive,
                             witnesses={"galois_bijective": galois.bijective}), args)
-    if not galois.bijective:
+    # the section carries B, so the Galois map does not compute it again
+    if not _galois_map(ca, sec.coinvariants).bijective:
         raise ValidationError("cleftness verdicts disagree")
     system, iso = section_to_crossed_system(sec)
     return _emit(Report("recognize-cleft", "found", 0, witnesses={
@@ -935,15 +941,27 @@ def main(argv=None):
     try:
         return COMMANDS[args.command][0](args)
     except HopfcrossError as e:
-        sys.stderr.write("error: %s\n" % (e,))
-        if args.json:
-            sys.stdout.write(json.dumps({
-                "command": args.command,
-                "verdict": "error",
-                "exit_code": 2,
-                "error": str(e),
-            }, sort_keys=True, separators=(",", ":")) + "\n")
-        return 2
+        return _fail(args, "error", 2, e)
+    except Exception as e:
+        # imported only here: importing traceback adds 0.4 MB to every run
+        import traceback
+
+        code = _fail(args, "internal error", 3, e)
+        traceback.print_exc()
+        return code
+
+
+def _fail(args, prefix, code, exc):
+    """Report an exception that ends a command and return its exit code."""
+    sys.stderr.write("%s: %s\n" % (prefix, exc))
+    if args.json:
+        sys.stdout.write(json.dumps({
+            "command": args.command,
+            "verdict": "error",
+            "exit_code": code,
+            "error": str(exc),
+        }, sort_keys=True, separators=(",", ":")) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -8,11 +8,18 @@ with the usual row-major flattening of tensor indices.
 """
 
 import itertools
+from fractions import Fraction
 
 from .algebra import (
     MAX_VIOLATIONS,
     ConvElement,
     FAlgebra,
+    _add_scaled,
+    _lowered,
+    _lowering,
+    _nonzero,
+    _product_rows,
+    _values,
     algebra_map_violations,
     coaction_violations,
     colinear_violations,
@@ -27,7 +34,6 @@ from .comodule import (
     _normalized_section,
     check_crossed_system,
     coaction_kernel,
-    coinvariants,
     crossed_product,
     find_section,
     induced_coaction,
@@ -145,21 +151,32 @@ class HModuleStructure:
         return out
 
     def validate(self):
+        """Every violated module law: for each p, 1 . e_p = e_p and then
+        g . (t . e_p) = (g t) . e_p for each (g, t), on lowered ints
+        (algebra._lowering); e_p is scaled by D^2 to match 1 . e_p."""
         h = self.hopf
-        f = h.field
-        dp = self.plus_dim
+        dh, dp = h.dim, self.plus_dim
+        acts = self.action.sparse_cols()
+        unit = _nonzero(h.unit)
+        lower, d, clean = _lowering(h.field, _values(acts), _values(h.product.values()),
+                                    unit.values())
+        acts = [_lowered(col, lower) for col in acts]
+        rows = _product_rows(h.product, lower)
         violations = []
         for p in range(dp):
-            ep = basis_vec(f, dp, p)
-            if self.act(h.unit, ep) != ep:
+            acted = {}
+            for t, c in unit.items():
+                _add_scaled(acted, lower(c), acts[ti(t, p, dp)])
+            if clean(acted) != clean({p: d * d}):
                 violations.append(("action-not-unital", (p,)))
-            for g in range(h.dim):
-                for t in range(h.dim):
-                    lhs = self.act(basis_vec(f, h.dim, g), self.act_basis(t, p))
-                    gh = [f.zero] * h.dim
-                    for k, c in h.mult_basis(g, t).items():
-                        gh[k] = c
-                    if lhs != self.act(tuple(gh), ep):
+            for g in range(dh):
+                for t in range(dh):
+                    lhs, rhs = {}, {}
+                    for x, c in acts[ti(t, p, dp)].items():
+                        _add_scaled(lhs, c, acts[ti(g, x, dp)])
+                    for k, c in rows.get(g, {}).get(t, {}).items():
+                        _add_scaled(rhs, c, acts[ti(k, p, dp)])
+                    if clean(lhs) != clean(rhs):
                         violations.append(("action-not-associative", (g, t, p)))
         return violations
 
@@ -177,69 +194,76 @@ class NormalizedCochain:
 
 
 def _check_normalized(act, cochain):
+    flat = _flatten_cochain(cochain.matrix)
+    rows = _normalization_constraints(act, cochain.degree)
+    return not any(Matrix(act.hopf.field, rows, len(flat)).apply(flat))
+
+
+def _differential_entries(act, degree):
+    """The nonzero entries {(row, col): scalar} of the flat matrix of the
+    Hochschild differential d : C^n -> C^(n+1), n = degree, with H acting on
+    B+ on the left through act and on the right through eps:
+
+        (d f)(h_0, ..., h_n) = h_0 . f(h_1, ..., h_n)
+            + sum_{i=1..n} (-1)^i f(h_0, ..., h_{i-1} h_i, ..., h_n)
+            + (-1)^(n+1) f(h_0, ..., h_{n-1}) eps(h_n).
+
+    A cochain is flat at j * dP + p for coordinate p of its value at the
+    row-major index j of (h_1, ..., h_n).  Every entry is a sum of single
+    structure constants, so it is summed on lowered ints (algebra._lowering)
+    as D times its value."""
     h = act.hopf
     f = h.field
-    dp = act.plus_dim
-    zero = vzero(f, dp)
-    if cochain.degree == 1:
-        return cochain.matrix.apply(h.unit) == zero
-    dh = h.dim
-    unit = h.unit
-    for g in range(dh):
-        left = vzero(f, dp)
-        right = vzero(f, dp)
-        for t, c in enumerate(unit):
-            if c:
-                left = vadd(left, vscale(c, cochain.matrix.col(ti(g, t, dh))))
-                right = vadd(right, vscale(c, cochain.matrix.col(ti(t, g, dh))))
-        if left != zero or right != zero:
-            return False
-    return True
+    dh, dp = h.dim, act.plus_dim
+    acts = act.action.sparse_cols()
+    counit = _nonzero(h.counit)
+    lower, d, clean = _lowering(f, _values(acts), _values(h.product.values()), counit.values())
+    acts = [_lowered(col, lower) for col in acts]
+    rows = _product_rows(h.product, lower)
+    counit = _lowered(counit, lower)
+
+    def flat(hs):
+        j = 0
+        for x in hs:
+            j = j * dh + x
+        return j
+
+    out = {}
+
+    def add(row, col, c):
+        key = (row, col)
+        out[key] = out.get(key, 0) + c
+
+    for row, hs in enumerate(itertools.product(range(dh), repeat=degree + 1)):
+        col = flat(hs[1:])
+        for p in range(dp):
+            for q, c in acts[ti(hs[0], p, dp)].items():
+                add(row * dp + q, col * dp + p, c)
+        for i in range(1, degree + 1):
+            for k, c in rows.get(hs[i - 1], {}).get(hs[i], {}).items():
+                col = flat(hs[:i - 1] + (k,) + hs[i + 1:])
+                for p in range(dp):
+                    add(row * dp + p, col * dp + p, -c if i % 2 else c)
+        e = counit.get(hs[degree])
+        if e:
+            col = flat(hs[:degree])
+            for p in range(dp):
+                add(row * dp + p, col * dp + p, e if degree % 2 else -e)
+    value = f.from_int if f.characteristic else (lambda c: Fraction(c, d))
+    return {key: value(c) for key, c in clean(out).items()}
 
 
 def differential(cochain, act):
     """The Hochschild differential into the next degree."""
     h = act.hopf
     f = h.field
-    dh, dp = h.dim, act.plus_dim
-    if cochain.degree == 1:
-        t = cochain.matrix
-        cols = []
-        for g in range(dh):
-            for u in range(dh):
-                gh = [f.zero] * dh
-                for k, c in h.mult_basis(g, u).items():
-                    gh[k] = c
-                val = act.act(basis_vec(f, dh, g), t.col(u))
-                val = vsub(val, t.apply(tuple(gh)))
-                val = vadd(val, vscale(h.counit[u], t.col(g)))
-                cols.append(val)
-        return NormalizedCochain(2, Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, dp, 0))
-    s = cochain.matrix
-    cols = []
-    for g in range(dh):
-        for u in range(dh):
-            gu = [f.zero] * dh
-            for k, c in h.mult_basis(g, u).items():
-                gu[k] = c
-            for l in range(dh):
-                ul = [f.zero] * dh
-                for k, c in h.mult_basis(u, l).items():
-                    ul[k] = c
-                val = act.act(basis_vec(f, dh, g), s.col(ti(u, l, dh)))
-                acc = vzero(f, dp)
-                for k, c in enumerate(gu):
-                    if c:
-                        acc = vadd(acc, vscale(c, s.col(ti(k, l, dh))))
-                val = vsub(val, acc)
-                acc = vzero(f, dp)
-                for k, c in enumerate(ul):
-                    if c:
-                        acc = vadd(acc, vscale(c, s.col(ti(g, k, dh))))
-                val = vadd(val, acc)
-                val = vsub(val, vscale(h.counit[l], s.col(ti(g, u, dh))))
-                cols.append(val)
-    return NormalizedCochain(3, Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, dp, 0))
+    dp, ncols = act.plus_dim, h.dim ** (cochain.degree + 1)
+    flat = _flatten_cochain(cochain.matrix)
+    out = [f.zero] * (dp * ncols)
+    for (row, col), c in _differential_entries(act, cochain.degree).items():
+        if flat[col]:
+            out[row] = out[row] + c * flat[col]
+    return NormalizedCochain(cochain.degree + 1, _unflatten_cochain(f, out, dp, ncols))
 
 
 def _flatten_cochain(m):
@@ -255,19 +279,12 @@ def _unflatten_cochain(f, flat, dp, ncols):
 
 def _differential_matrix(act, degree):
     """The flat matrix of the degree-(degree) differential C^degree -> C^(degree+1)."""
-    h = act.hopf
-    f = h.field
-    dh, dp = h.dim, act.plus_dim
-    ncols = dh ** degree
-    cols = []
-    for j in range(ncols):
-        for p in range(dp):
-            flat = [f.zero] * (dp * ncols)
-            flat[j * dp + p] = f.one
-            c = NormalizedCochain(degree, _unflatten_cochain(f, flat, dp, ncols))
-            cols.append(_flatten_cochain(differential(c, act).matrix))
-    out_len = dp * dh ** (degree + 1)
-    return Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, out_len, 0)
+    f = act.hopf.field
+    dh, dp = act.hopf.dim, act.plus_dim
+    data = [[f.zero] * (dp * dh ** degree) for _ in range(dp * dh ** (degree + 1))]
+    for (row, col), c in _differential_entries(act, degree).items():
+        data[row][col] = c
+    return Matrix(f, data, dp * dh ** degree)
 
 
 def _normalization_constraints(act, degree):
@@ -458,7 +475,7 @@ def reaugment_section(ext, sec):
         if ext.eps(new_phi.col(j)) != h.counit[j]:
             raise ValidationError("re-augmented section fails the augmentation identity")
     return Section(LinearMap(new_phi, h.basis, a.basis),
-                   LinearMap(new_inv, h.basis, a.basis), sec.coinvariants)
+                   LinearMap(new_inv, h.basis, a.basis), ca, sec.coinvariants)
 
 
 class Classification:
@@ -921,7 +938,7 @@ def colinear_splitting_nilpotent(ca, pi):
     bad = next(colinear_violations(h.delta_basis, ca.rho, phi_a), None)
     if bad:
         raise ValidationError("computed splitting is not colinear: %r" % (bad,))
-    sec = _normalized_section(ca, phi_a, coinvariants(ca))
+    sec = _normalized_section(ca, phi_a)
     if pi * sec.phi.matrix != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
     return sec

@@ -11,17 +11,21 @@ from .algebra import (
     MAX_VIOLATIONS,
     ConvElement,
     FAlgebra,
+    _add_scaled,
+    _clean,
+    _lowered,
+    _lowering,
+    _nonzero,
+    _product_rows,
+    _values,
     algebra_map_violations,
     coaction_violations,
     colinear_violations,
     convolution_invert,
-    convolution_unit,
-    convolve,
     group_hopf_algebra,
     group_table_from_hopf,
     induced_algebra,
     is_group_like_basis,
-    tensor_algebra,
     tensor_coalgebra,
     ti,
 )
@@ -93,7 +97,7 @@ class ComoduleAlgebra:
         a = self.algebra
         rename = {"unit": "coaction-not-unital", "multiplicative": "coaction-not-multiplicative"}
         algebra_map = ((rename[name], idx) for name, idx in
-                       algebra_map_violations(a, tensor_algebra(a, self.hopf), self.coaction))
+                       algebra_map_violations(a, (a, self.hopf), self.coaction))
         laws = chain(coaction_violations(self.rho_basis, self.hopf, a.dim), algebra_map)
         return list(islice(laws, MAX_VIOLATIONS))
 
@@ -133,10 +137,6 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
                 v[ti(i, t, dh)] = v[ti(i, t, dh)] - c
         cols.append(tuple(v))
     return kernel_basis(Matrix.from_cols(f, cols))
-
-
-def _clean(sparse):
-    return {k: c for k, c in sparse.items() if c}
 
 
 def _flatten_sparse(field, sparse, dim_minor, total):
@@ -223,10 +223,15 @@ def relative_tensor_square(ca, coinv):
 
 
 def galois_map(ca, section=None):
+    return _galois_map(ca, coinvariants(ca), section)
+
+
+def _galois_map(ca, coinv, section=None):
+    """The Galois map beta : A (x)_B A -> A (x) H for B = coinv, the
+    coinvariants of ca, with its inverse built from section when given."""
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
-    coinv = coinvariants(ca)
     quot = relative_tensor_square(ca, coinv)
     cols = []
     for t in range(quot.dim):
@@ -364,14 +369,6 @@ class CrossedSystem:
     def sigma_basis(self, g, h):
         return self.sigma.col(ti(g, h, self.hopf.dim))
 
-    def sigma_conv(self):
-        hc = self.hopf.as_coalgebra()
-        return ConvElement(tensor_coalgebra(hc, hc), self.base, self.sigma)
-
-    def sigma_inv_conv(self):
-        hc = self.hopf.as_coalgebra()
-        return ConvElement(tensor_coalgebra(hc, hc), self.base, self.sigma_inv)
-
 
 def trivial_sigma(hopf, base):
     """sigma = eps (x) eps, with its own inverse."""
@@ -385,91 +382,118 @@ def trivial_sigma(hopf, base):
 
 
 def check_crossed_system(s):
+    """Every violated crossed-system law, in order: for each g the measuring
+    is unital and multiplicative; sigma is *-invertible; for each g sigma is
+    normalized, and the first i on which 1_H does not act as the identity;
+    the twisted-module law for each (g, t, i); the cocycle law for each
+    (g, t, l).
+
+    The laws contract on native ints (algebra._lowering).  Over Q a term
+    with r lowered constants carries D^r, so g . (b_i b_j), the convolution
+    unit, e_i in the neutral action and the right side of the cocycle law are
+    scaled by D^2; the other laws have the same count on both sides."""
     h, b = s.hopf, s.base
-    f = b.field
     dh, db = h.dim, b.dim
+    cols = [m.sparse_cols() for m in (s.measuring, s.sigma, s.sigma_inv)]
+    hunit, bunit, counit = _nonzero(h.unit), _nonzero(b.unit), _nonzero(h.counit)
+    lower, d, clean = _lowering(
+        b.field, *map(_values, cols), _values(b.product.values()),
+        _values(h.product.values()), _values(h.coproduct.values()),
+        hunit.values(), bunit.values(), counit.values(),
+    )
+    # meas[g][x] = g . b_x and sig[g][t] = sigma(g, t), lowered; *_t transposed
+    meas, sig, sig_inv = ([[_lowered(col, lower) for col in c[g * n:(g + 1) * n]]
+                           for g in range(dh)] for c, n in zip(cols, (db, dh, dh)))
+    meas_t, sig_t = list(zip(*meas)), list(zip(*sig))
+    brows, hrows = _product_rows(b.product, lower), _product_rows(h.product, lower)
+    cop = {g: _lowered(terms, lower) for g, terms in h.coproduct.items()}
+    hunit, bunit, counit = (_lowered(v, lower) for v in (hunit, bunit, counit))
+    d2 = d * d
+
+    def combine(terms, vecs):
+        """sum_k c_k vecs[k] over the sparse terms {k: c_k}."""
+        out = {}
+        for k, c in terms.items():
+            _add_scaled(out, c, vecs[k])
+        return out
+
+    def mult(u, v):
+        out = {}
+        for x, c in u.items():
+            row = brows.get(x)
+            if row:
+                for y, e in v.items():
+                    prod = row.get(y)
+                    if prod:
+                        _add_scaled(out, c * e, prod)
+        return out
+
+    def pairs(g, t):
+        """The terms of Delta(g) (x) Delta(t)."""
+        return [(g1, g2, t1, t2, c * e) for (g1, g2), c in cop.get(g, {}).items()
+                for (t1, t2), e in cop.get(t, {}).items()]
+
+    def convolves_to_unit(x, y):
+        for g in range(dh):
+            for t in range(dh):
+                out = {}
+                for g1, g2, t1, t2, c in pairs(g, t):
+                    _add_scaled(out, c, mult(x[g1][t1], y[g2][t2]))
+                eps = d2 * counit.get(g, 0) * counit.get(t, 0)
+                if clean(out) != clean({z: eps * c for z, c in bunit.items()}):
+                    return False
+        return True
+
     violations = []
-    one = b.one()
-    # measuring laws
     for g in range(dh):
-        if s.act(basis_vec(f, dh, g), one) != vscale(h.counit[g], one):
+        if clean(combine(bunit, meas[g])) != clean({x: counit.get(g, 0) * c
+                                                    for x, c in bunit.items()}):
             violations.append(("measuring-not-unital", (g,)))
         for i in range(db):
             for j in range(db):
-                bi, bj = basis_vec(f, db, i), basis_vec(f, db, j)
-                lhs = s.act(basis_vec(f, dh, g), b.mult(bi, bj))
-                rhs = vzero(f, db)
-                for (g1, g2), c in h.delta_basis(g).items():
-                    rhs = vadd(rhs, vscale(c, b.mult(s.act_basis(g1, i), s.act_basis(g2, j))))
-                if lhs != rhs:
+                lhs = combine({k: d2 * c for k, c in brows.get(i, {}).get(j, {}).items()},
+                              meas[g])
+                rhs = {}
+                for (g1, g2), c in cop.get(g, {}).items():
+                    _add_scaled(rhs, c, mult(meas[g1][i], meas[g2][j]))
+                if clean(lhs) != clean(rhs):
                     violations.append(("measuring-not-multiplicative", (g, i, j)))
-    # sigma *-invertibility
-    sig, sig_inv = s.sigma_conv(), s.sigma_inv_conv()
-    unit = convolution_unit(sig.coalgebra, b)
-    if convolve(sig, sig_inv) != unit or convolve(sig_inv, sig) != unit:
+    if not (convolves_to_unit(sig, sig_inv) and convolves_to_unit(sig_inv, sig)):
         violations.append(("sigma-not-convolution-invertible", ()))
-    # normalization
-    hunit = {t: c for t, c in enumerate(h.unit) if c}
+    # the neutral action does not depend on g but is reported for each g
+    neutral = next((i for i in range(db)
+                    if clean(combine(hunit, meas_t[i])) != clean({i: d2})), None)
     for g in range(dh):
-        left = vzero(f, db)
-        right = vzero(f, db)
-        for t, c in hunit.items():
-            left = vadd(left, vscale(c, s.sigma_basis(g, t)))
-            right = vadd(right, vscale(c, s.sigma_basis(t, g)))
-        target = vscale(h.counit[g], one)
-        if left != target or right != target:
+        target = clean({x: counit.get(g, 0) * c for x, c in bunit.items()})
+        if (clean(combine(hunit, sig[g])) != target
+                or clean(combine(hunit, sig_t[g])) != target):
             violations.append(("sigma-not-normalized", (g,)))
-        for i in range(db):
-            acted = vzero(f, db)
-            for t, c in hunit.items():
-                acted = vadd(acted, vscale(c, s.act_basis(t, i)))
-            if acted != basis_vec(f, db, i):
-                violations.append(("neutral-action-not-identity", (i,)))
-                break
-    # twisted module law
+        if neutral is not None:
+            violations.append(("neutral-action-not-identity", (neutral,)))
+    # g1 . (t1 . b_i) sigma(g2, t2) = sigma(g1, t1) (g2 t2) . b_i
     for g in range(dh):
-        dg = h.delta_basis(g)
         for t in range(dh):
-            dt = h.delta_basis(t)
             for i in range(db):
-                lhs = vzero(f, db)
-                rhs = vzero(f, db)
-                for (g1, g2), c in dg.items():
-                    for (t1, t2), d in dt.items():
-                        inner = s.act_basis(t1, i)
-                        lhs = vadd(lhs, vscale(c * d, b.mult(
-                            s.act(basis_vec(f, dh, g1), inner), s.sigma_basis(g2, t2))))
-                        gh = [f.zero] * dh
-                        for k, e in h.mult_basis(g2, t2).items():
-                            gh[k] = e
-                        rhs = vadd(rhs, vscale(c * d, b.mult(
-                            s.sigma_basis(g1, t1), s.act(tuple(gh), basis_vec(f, db, i)))))
-                if lhs != rhs:
+                lhs, rhs = {}, {}
+                for g1, g2, t1, t2, c in pairs(g, t):
+                    _add_scaled(lhs, c, mult(combine(meas[t1][i], meas[g1]), sig[g2][t2]))
+                    gt = hrows.get(g2, {}).get(t2, {})
+                    _add_scaled(rhs, c, mult(sig[g1][t1], combine(gt, meas_t[i])))
+                if clean(lhs) != clean(rhs):
                     violations.append(("twisted-module-law", (g, t, i)))
-    # cocycle law
+    # g1 . sigma(t1, l1) sigma(g2, t2 l2) = sigma(g1, t1) sigma(g2 t2, l)
     for g in range(dh):
-        dg = h.delta_basis(g)
         for t in range(dh):
-            dt = h.delta_basis(t)
             for l in range(dh):
-                dl = h.delta_basis(l)
-                lhs = vzero(f, db)
-                for (g1, g2), c in dg.items():
-                    for (t1, t2), d in dt.items():
-                        for (l1, l2), e in dl.items():
-                            inner = s.act(basis_vec(f, dh, g1), s.sigma_basis(t1, l1))
-                            second = vzero(f, db)
-                            for k, u in h.mult_basis(t2, l2).items():
-                                second = vadd(second, vscale(u, s.sigma_basis(g2, k)))
-                            lhs = vadd(lhs, vscale(c * d * e, b.mult(inner, second)))
-                rhs = vzero(f, db)
-                for (g1, g2), c in dg.items():
-                    for (t1, t2), d in dt.items():
-                        second = vzero(f, db)
-                        for k, u in h.mult_basis(g2, t2).items():
-                            second = vadd(second, vscale(u, s.sigma_basis(k, l)))
-                        rhs = vadd(rhs, vscale(c * d, b.mult(s.sigma_basis(g1, t1), second)))
-                if lhs != rhs:
+                lhs, rhs = {}, {}
+                for g1, g2, t1, t2, c in pairs(g, t):
+                    for (l1, l2), e in cop.get(l, {}).items():
+                        tl = hrows.get(t2, {}).get(l2, {})
+                        _add_scaled(lhs, c * e, mult(combine(sig[t1][l1], meas[g1]),
+                                                     combine(tl, sig[g2])))
+                    gt = hrows.get(g2, {}).get(t2, {})
+                    _add_scaled(rhs, d2 * c, mult(sig[g1][t1], combine(gt, sig_t[l])))
+                if clean(lhs) != clean(rhs):
                     violations.append(("cocycle-law", (g, t, l)))
     return violations
 
@@ -552,13 +576,21 @@ def _embed_b(s, bvec):
 
 
 class Section:
-    """A convolution-invertible colinear map phi : H -> A with phi(1) = 1,
-    with the coinvariants B of A (coinvariants.parent) that it was built from."""
+    """A convolution-invertible colinear map phi : H -> A with phi(1) = 1 on
+    the comodule algebra ca, with the coinvariants B of A: the ones it was
+    built from, or else computed when first read."""
 
-    def __init__(self, phi, phi_inv, coinvariants):
+    def __init__(self, phi, phi_inv, ca, coinv=None):
         self.phi = phi
         self.phi_inv = phi_inv
-        self.coinvariants = coinvariants
+        self.comodule_algebra = ca
+        self._coinvariants = coinv
+
+    @property
+    def coinvariants(self):
+        if self._coinvariants is None:
+            self._coinvariants = coinvariants(self.comodule_algebra)
+        return self._coinvariants
 
 
 def colinear_map_space(ca):
@@ -649,9 +681,9 @@ def _normal_basis_map(left, phi):
     return Matrix(phi.field, [sum(rows, ()) for rows in zip(*blocks)])
 
 
-def _normalized_section(ca, phi_matrix, coinv):
+def _normalized_section(ca, phi_matrix, coinv=None):
     """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its
-    inverse and coinv, the coinvariants of ca."""
+    inverse and coinv, the coinvariants of ca when already known."""
     a, h = ca.algebra, ca.hopf
     hc = h.as_coalgebra()
     raw = ConvElement(hc, a, phi_matrix)
@@ -665,6 +697,7 @@ def _normalized_section(ca, phi_matrix, coinv):
     sec = Section(
         LinearMap(normalized, h.basis, a.basis),
         LinearMap(fixed_inv.matrix, h.basis, a.basis),
+        ca,
         coinv,
     )
     bad = next(colinear_violations(h.delta_basis, ca.rho, normalized), None)

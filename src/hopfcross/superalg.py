@@ -19,7 +19,6 @@ from .algebra import (
     dual_structure,
     induced_algebra,
     induced_coproduct,
-    tensor_algebra,
     ti,
 )
 from .cohomology import (
@@ -639,9 +638,6 @@ def _verify_decomposition(sp, ca, ext, alpha):
     dh = quotient_hopf.dim
     if not alpha.is_invertible():
         raise ValidationError("alpha is not bijective")
-    # target Lambda(W) (x) H: H is purely even, so the Koszul sign on every
-    # crossing is +1 and the plain tensor product algebra is the right one
-    target = tensor_algebra(ext.hopf, quotient_hopf)
 
     def target_rho(vec):
         """Coaction id (x) Delta_H on Lambda(W) (x) H."""
@@ -654,7 +650,9 @@ def _verify_decomposition(sp, ca, ext, alpha):
                     out[key] = out.get(key, f.zero) + c * d
         return {k: v for k, v in out.items() if v}
 
-    bad = next(itertools.chain(algebra_map_violations(h, target, alpha),
+    # target Lambda(W) (x) H: H is purely even, so the Koszul sign on every
+    # crossing is +1 and the plain tensor product algebra is the right one
+    bad = next(itertools.chain(algebra_map_violations(h, (ext.hopf, quotient_hopf), alpha),
                                colinear_violations(ca.rho_basis, target_rho, alpha)), None)
     if bad:
         raise ValidationError("alpha fails %r" % (bad,))

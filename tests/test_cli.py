@@ -162,11 +162,14 @@ def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, cap
     ("kx2-graded.json",
      lambda d: {**d, "group": {**d["group"], "elements": d["group"]["elements"][:1] + [-1]}}),
     ("lift-split.json", lambda d: {**d, "target": {**d["target"], "kind": "algebra"}}),
+    ("f3z3-hmodule.json", lambda d: {**d, "cochain": {"rows": 3, "cols": 3,
+                                                      "entries": [[0, 1, 1]]}}),
+    ("f3z3-hmodule.json", lambda d: {**d, "cochain": {**d["cochain"], "cols": 8}}),
 ], ids=["top-level-list", "int-basis", "int-entry", "object-unit", "no-group-elements",
         "ragged-group-table", "string-index", "float-index", "bool-index",
         "duplicate-product-entry", "duplicate-counit-entry", "string-rows", "negative-cols",
         "list-domain", "string-hopf", "int-parity", "string-parity", "string-degree",
-        "int-group-element", "algebra-target"])
+        "int-group-element", "algebra-target", "square-cochain", "short-cochain"])
 def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(mutate(load(name))))
@@ -236,6 +239,24 @@ def test_every_command_survives_a_mutated_document(data):
         for command in COMMANDS:
             if command != "pairing":
                 assert main([command, path]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_internal_fault_exits_3(as_json, monkeypatch, capsys):
+    # a fault in the program is neither a verdict (0, 1) nor an input error (2)
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(COMMANDS, "check", (broken,) + COMMANDS["check"][1:])
+    capsys.readouterr()
+    assert main(["check", corpus("kz2.json")] + (["--json"] if as_json else [])) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("internal error: 'lost'\nTraceback")
+    if as_json:
+        assert json.loads(out.out) == {"command": "check", "verdict": "error",
+                                       "exit_code": 3, "error": "'lost'"}
+    else:
+        assert out.out == ""
 
 
 def test_unknown_command_exits_2():
@@ -562,6 +583,10 @@ def count_calls(monkeypatch, owner, name):
     # B of the input, carried by the section, and B of the crossed product
     (["classify-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
     (["split", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
+    # recognize-cleft: B of the input, carried by the section to the Galois
+    # map, and B of the crossed product; super-decompose: B of A only
+    (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
+    (["super-decompose", "lambda3.json"], hopfcross.comodule, "coinvariants", 1),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hopfcross.algebra import group_hopf_algebra, induced_algebra, tensor_algebra, ti
+from hopfcross.algebra import group_hopf_algebra, induced_algebra, ti
 from hopfcross.cohomology import (
     AugmentedAlgebra,
     AugmentedCleftExtension,
@@ -545,7 +545,9 @@ def test_sub_comodule_algebra_accepts_a_span_holding_no_basis_vector():
     # a'_i = a_i + a_3 (i < 3), a'_3 = a_3: the comodule subalgebra 1 (x) H =
     # span(a_0, a_1) = span(a'_0 - a'_3, a'_1 - a'_3) holds no a'_x
     h = group_hopf_algebra(GroupTable.cyclic(2), Q)
-    a = tensor_algebra(h.as_algebra(), h.as_algebra())
+    # Q[Z/2 x Z/2] on the basis ti(x, y, 2), the tensor square of Q[Z/2]
+    a = group_hopf_algebra(GroupTable(["e", "b", "a", "ab"], [[x ^ y for y in range(4)]
+                                                             for x in range(4)]), Q).as_algebra()
     ca = ComoduleAlgebra(a, h, Matrix.from_cols(Q, [basis_vec(Q, 8, ti(x, x % 2, 2))
                                                    for x in range(4)]))
     new = [vadd(basis_vec(Q, 4, i), basis_vec(Q, 4, 3)) for i in range(3)] + [basis_vec(Q, 4, 3)]

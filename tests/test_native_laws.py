@@ -1,0 +1,463 @@
+"""The laws of the cleft layer on native ints against the dense loops they
+replaced: the Hochschild differentials and the module laws of an H-action on
+B+, the comodule-algebra laws of a coaction (checked there through the
+tensor-product algebra A (x) H), and the crossed-system laws.  The ref_*
+functions below are those dense loops on field scalars; each comparison is
+of whole matrices or of whole ordered witness lists, over F3, F5 and Q, on
+valid inputs and on copies with one entry bumped."""
+
+import itertools
+import os
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from hopfcross import cohomology
+from hopfcross.algebra import (
+    MAX_VIOLATIONS,
+    ConvElement,
+    FAlgebra,
+    algebra_map_violations,
+    coaction_violations,
+    convolution_unit,
+    convolve,
+    group_hopf_algebra,
+    tensor_coalgebra,
+    ti,
+)
+from hopfcross.cli import main, parse_presentation
+from hopfcross.cohomology import (
+    AugmentedAlgebra,
+    HModuleStructure,
+    NormalizedCochain,
+    _differential_matrix,
+    crossed_system_from_cocycle,
+    differential,
+    hh2,
+)
+from hopfcross.comodule import (
+    ComoduleAlgebra,
+    CrossedSystem,
+    check_crossed_system,
+    crossed_product,
+    find_section,
+    section_to_crossed_system,
+)
+from hopfcross.groups import GroupTable
+from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd, vscale, vsub, vzero
+from hopfcross.standard import dual_numbers, sweedler
+
+Q = Rationals()
+F3 = PrimeField(3)
+F5 = PrimeField(5)
+FIELDS = (("F3", F3), ("F5", F5), ("Q", Q))
+
+
+# ---------------------------------------------------------------------------
+# the dense oracles
+
+
+def ref_differential(cochain, act):
+    h = act.hopf
+    f = h.field
+    dh, dp = h.dim, act.plus_dim
+    if cochain.degree == 1:
+        t = cochain.matrix
+        cols = []
+        for g in range(dh):
+            for u in range(dh):
+                gh = [f.zero] * dh
+                for k, c in h.mult_basis(g, u).items():
+                    gh[k] = c
+                val = act.act(basis_vec(f, dh, g), t.col(u))
+                val = vsub(val, t.apply(tuple(gh)))
+                val = vadd(val, vscale(h.counit[u], t.col(g)))
+                cols.append(val)
+        return NormalizedCochain(2, Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, dp, 0))
+    s = cochain.matrix
+    cols = []
+    for g in range(dh):
+        for u in range(dh):
+            gu = [f.zero] * dh
+            for k, c in h.mult_basis(g, u).items():
+                gu[k] = c
+            for l in range(dh):
+                ul = [f.zero] * dh
+                for k, c in h.mult_basis(u, l).items():
+                    ul[k] = c
+                val = act.act(basis_vec(f, dh, g), s.col(ti(u, l, dh)))
+                acc = vzero(f, dp)
+                for k, c in enumerate(gu):
+                    if c:
+                        acc = vadd(acc, vscale(c, s.col(ti(k, l, dh))))
+                val = vsub(val, acc)
+                acc = vzero(f, dp)
+                for k, c in enumerate(ul):
+                    if c:
+                        acc = vadd(acc, vscale(c, s.col(ti(g, k, dh))))
+                val = vadd(val, acc)
+                val = vsub(val, vscale(h.counit[l], s.col(ti(g, u, dh))))
+                cols.append(val)
+    return NormalizedCochain(3, Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, dp, 0))
+
+
+def ref_differential_matrix(act, degree):
+    h = act.hopf
+    f = h.field
+    dh, dp = h.dim, act.plus_dim
+    ncols = dh ** degree
+    cols = []
+    for j in range(ncols):
+        for p in range(dp):
+            flat = [f.zero] * (dp * ncols)
+            flat[j * dp + p] = f.one
+            c = NormalizedCochain(degree, Matrix.from_cols(
+                f, [tuple(flat[k * dp:(k + 1) * dp]) for k in range(ncols)]))
+            m = ref_differential(c, act).matrix
+            cols.append(tuple(x for k in range(m.cols) for x in m.col(k)))
+    out_len = dp * dh ** (degree + 1)
+    return Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, out_len, 0)
+
+
+def ref_module_violations(act):
+    h = act.hopf
+    f = h.field
+    dp = act.plus_dim
+    violations = []
+    for p in range(dp):
+        ep = basis_vec(f, dp, p)
+        if act.act(h.unit, ep) != ep:
+            violations.append(("action-not-unital", (p,)))
+        for g in range(h.dim):
+            for t in range(h.dim):
+                lhs = act.act(basis_vec(f, h.dim, g), act.act_basis(t, p))
+                gh = [f.zero] * h.dim
+                for k, c in h.mult_basis(g, t).items():
+                    gh[k] = c
+                if lhs != act.act(tuple(gh), ep):
+                    violations.append(("action-not-associative", (g, t, p)))
+    return violations
+
+
+def ref_tensor_algebra(a, b):
+    f = a.field
+    da, db = a.dim, b.dim
+    labels = tuple("%s(x)%s" % (x, y) for x in a.basis for y in b.basis)
+    product = {}
+    for (i1, i2) in [(i, j) for i in range(da) for j in range(da)]:
+        pa = a.mult_basis(i1, i2)
+        if not pa:
+            continue
+        for (j1, j2) in [(i, j) for i in range(db) for j in range(db)]:
+            pb = b.mult_basis(j1, j2)
+            if not pb:
+                continue
+            terms = {}
+            for ka, ca in pa.items():
+                for kb, cb in pb.items():
+                    terms[ti(ka, kb, db)] = ca * cb
+            product[(ti(i1, j1, db), ti(i2, j2, db))] = terms
+    unit = [f.zero] * (da * db)
+    for i, x in enumerate(a.unit):
+        for j, y in enumerate(b.unit):
+            if x and y:
+                unit[ti(i, j, db)] = x * y
+    return FAlgebra(f, labels, product, tuple(unit))
+
+
+def ref_coaction_witnesses(ca):
+    """Every witness of validate, uncapped, with rho checked through A (x) H."""
+    a = ca.algebra
+    rename = {"unit": "coaction-not-unital", "multiplicative": "coaction-not-multiplicative"}
+    algebra_map = ((rename[name], idx) for name, idx in
+                   algebra_map_violations(a, ref_tensor_algebra(a, ca.hopf), ca.coaction))
+    return list(itertools.chain(coaction_violations(ca.rho_basis, ca.hopf, a.dim), algebra_map))
+
+
+def ref_check_crossed_system(s):
+    h, b = s.hopf, s.base
+    f = b.field
+    dh, db = h.dim, b.dim
+    violations = []
+    one = b.one()
+    for g in range(dh):
+        if s.act(basis_vec(f, dh, g), one) != vscale(h.counit[g], one):
+            violations.append(("measuring-not-unital", (g,)))
+        for i in range(db):
+            for j in range(db):
+                bi, bj = basis_vec(f, db, i), basis_vec(f, db, j)
+                lhs = s.act(basis_vec(f, dh, g), b.mult(bi, bj))
+                rhs = vzero(f, db)
+                for (g1, g2), c in h.delta_basis(g).items():
+                    rhs = vadd(rhs, vscale(c, b.mult(s.act_basis(g1, i), s.act_basis(g2, j))))
+                if lhs != rhs:
+                    violations.append(("measuring-not-multiplicative", (g, i, j)))
+    hc = h.as_coalgebra()
+    sig = ConvElement(tensor_coalgebra(hc, hc), b, s.sigma)
+    sig_inv = ConvElement(tensor_coalgebra(hc, hc), b, s.sigma_inv)
+    unit = convolution_unit(sig.coalgebra, b)
+    if convolve(sig, sig_inv) != unit or convolve(sig_inv, sig) != unit:
+        violations.append(("sigma-not-convolution-invertible", ()))
+    hunit = {t: c for t, c in enumerate(h.unit) if c}
+    for g in range(dh):
+        left = vzero(f, db)
+        right = vzero(f, db)
+        for t, c in hunit.items():
+            left = vadd(left, vscale(c, s.sigma_basis(g, t)))
+            right = vadd(right, vscale(c, s.sigma_basis(t, g)))
+        target = vscale(h.counit[g], one)
+        if left != target or right != target:
+            violations.append(("sigma-not-normalized", (g,)))
+        for i in range(db):
+            acted = vzero(f, db)
+            for t, c in hunit.items():
+                acted = vadd(acted, vscale(c, s.act_basis(t, i)))
+            if acted != basis_vec(f, db, i):
+                violations.append(("neutral-action-not-identity", (i,)))
+                break
+    for g in range(dh):
+        dg = h.delta_basis(g)
+        for t in range(dh):
+            dt = h.delta_basis(t)
+            for i in range(db):
+                lhs = vzero(f, db)
+                rhs = vzero(f, db)
+                for (g1, g2), c in dg.items():
+                    for (t1, t2), d in dt.items():
+                        inner = s.act_basis(t1, i)
+                        lhs = vadd(lhs, vscale(c * d, b.mult(
+                            s.act(basis_vec(f, dh, g1), inner), s.sigma_basis(g2, t2))))
+                        gh = [f.zero] * dh
+                        for k, e in h.mult_basis(g2, t2).items():
+                            gh[k] = e
+                        rhs = vadd(rhs, vscale(c * d, b.mult(
+                            s.sigma_basis(g1, t1), s.act(tuple(gh), basis_vec(f, db, i)))))
+                if lhs != rhs:
+                    violations.append(("twisted-module-law", (g, t, i)))
+    for g in range(dh):
+        dg = h.delta_basis(g)
+        for t in range(dh):
+            dt = h.delta_basis(t)
+            for l in range(dh):
+                dl = h.delta_basis(l)
+                lhs = vzero(f, db)
+                for (g1, g2), c in dg.items():
+                    for (t1, t2), d in dt.items():
+                        for (l1, l2), e in dl.items():
+                            inner = s.act(basis_vec(f, dh, g1), s.sigma_basis(t1, l1))
+                            second = vzero(f, db)
+                            for k, u in h.mult_basis(t2, l2).items():
+                                second = vadd(second, vscale(u, s.sigma_basis(g2, k)))
+                            lhs = vadd(lhs, vscale(c * d * e, b.mult(inner, second)))
+                rhs = vzero(f, db)
+                for (g1, g2), c in dg.items():
+                    for (t1, t2), d in dt.items():
+                        second = vzero(f, db)
+                        for k, u in h.mult_basis(g2, t2).items():
+                            second = vadd(second, vscale(u, s.sigma_basis(k, l)))
+                        rhs = vadd(rhs, vscale(c * d, b.mult(s.sigma_basis(g1, t1), second)))
+                if lhs != rhs:
+                    violations.append(("cocycle-law", (g, t, l)))
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# inputs: H-actions on B+, cocycles, crossed systems and their crossed products
+
+
+def square_zero(field):
+    """B = k[x, y]/(x, y)^2 with its augmentation; B+ = span(x, y)."""
+    o = field.one
+    product = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}, (0, 2): {2: o}, (2, 0): {2: o}}
+    b = FAlgebra(field, ("1", "x", "y"), product, basis_vec(field, 3, 0))
+    return AugmentedAlgebra(b, (o, field.zero, field.zero))
+
+
+def module(h, aug, images):
+    """The action with h_k . e_p = images[k][p] (vectors of B+)."""
+    cols = [tuple(images[k][p]) for k in range(h.dim) for p in range(aug.plus_dim)]
+    return HModuleStructure(h, aug, Matrix.from_cols(h.field, cols))
+
+
+def scalar(field, x):
+    x = Fraction(x)
+    return field.from_fraction(x.numerator, x.denominator)
+
+
+def actions(field):
+    """(name, H-module on B+) for a trivial, a faithful and a non-group action;
+    over Q the faithful one is conjugated by a matrix with fractions."""
+    o, z = field.one, field.zero
+    kz3 = group_hopf_algebra(GroupTable.cyclic(3), field)
+    aug = AugmentedAlgebra(dual_numbers(field), (o, z))
+    yield "trivial-z3", module(kz3, aug, [[(o,)]] * 3)
+    # g acts by the order-3 matrix R = [[0, -1], [1, -1]], conjugated by P
+    p = Matrix(field, [[o, scalar(field, "1/3") if field == Q else o], [z, field.from_int(2)]])
+    r = p * Matrix(field, [[z, -o], [o, -o]]) * p.inverse()
+    powers = [Matrix.identity(field, 2), r, r * r]
+    yield "rotation-z3", module(kz3, square_zero(field),
+                                [[m.col(0), m.col(1)] for m in powers])
+    # Sweedler's algebra (basis 1, g, x, gx): g = diag(1, -1), x e_0 = e_1
+    images = [[(o, z), (z, o)], [(o, z), (z, -o)], [(z, o), (z, z)], [(z, -o), (z, z)]]
+    yield "sweedler", module(sweedler(field), square_zero(field), images)
+    yield "sweedler-sign", module(sweedler(field), aug, [[(o,)], [(-o,)], [(z,)], [(z,)]])
+
+
+def random_cochain(field, rng, degree, act, normalized=False):
+    dp, dh = act.plus_dim, act.hopf.dim
+    draws = [-1, 0, 1, 2] if field != Q else [-1, 0, 1, Fraction(2, 3), Fraction(-5, 7)]
+    cols = [tuple(scalar(field, rng.choice(draws)) for _ in range(dp))
+            for _ in range(dh ** degree)]
+    if normalized:  # the unit of each H here is e_0
+        cols[0] = (field.zero,) * dp
+    return NormalizedCochain(degree, Matrix.from_cols(field, cols) if cols
+                             else Matrix.zeros(field, dp, 0))
+
+
+def bumped(m, rng, field):
+    """m with one seeded entry shifted by a seeded nonzero amount."""
+    data = [list(row) for row in m.data]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    data[i][j] = data[i][j] + scalar(field, rng.choice([1, 2] if field != Q else [1, "-2/3"]))
+    return Matrix(field, data, m.cols)
+
+
+def crossed_systems(field, rng):
+    """(name, valid crossed system): a cocycle of each action (an HH^2
+    representative plus the coboundary of a seeded 1-cochain), and over F3
+    the system read off the section of f3z3-cleft.json."""
+    for name, act in actions(field):
+        reps = hh2(act.hopf, act).representative_cochains()
+        t = random_cochain(field, rng, 1, act, normalized=True)
+        s = differential(t, act).matrix
+        if reps:
+            s = s + reps[0].matrix
+        yield name, crossed_system_from_cocycle(act, NormalizedCochain(2, s))
+    if field == F3:
+        ca = parse_presentation(corpus("f3z3-cleft.json")).payload
+        yield "f3z3-cleft", section_to_crossed_system(find_section(ca))[0]
+
+
+def corpus(name):
+    return os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus", name)
+
+
+def unchecked(algebra, hopf, coaction):
+    """A ComoduleAlgebra built without its constructor's check."""
+    ca = ComoduleAlgebra.__new__(ComoduleAlgebra)
+    ca.algebra, ca.hopf, ca.coaction = algebra, hopf, coaction
+    return ca
+
+
+# ---------------------------------------------------------------------------
+# the comparisons
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_differentials_match_the_dense_loops(fname, field):
+    rng = random.Random("differentials/" + fname)
+    for name, act in actions(field):
+        copies = [act] + [HModuleStructure(act.hopf, act.aug, bumped(act.action, rng, field))
+                          for _ in range(3)]
+        for copy in copies:
+            for degree in (1, 2):
+                assert _differential_matrix(copy, degree) == ref_differential_matrix(copy, degree)
+                c = random_cochain(field, rng, degree, copy)
+                assert differential(c, copy).matrix == ref_differential(c, copy).matrix, name
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_module_laws_match_the_dense_loops(fname, field):
+    rng = random.Random("modules/" + fname)
+    seen = set()
+    for name, act in actions(field):
+        assert act.validate() == ref_module_violations(act) == [], name
+        for _ in range(4):
+            bad = HModuleStructure(act.hopf, act.aug, bumped(act.action, rng, field))
+            violations = bad.validate()
+            assert violations == ref_module_violations(bad), name
+            seen.update(v[0] for v in violations)
+    assert seen == {"action-not-unital", "action-not-associative"}
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_crossed_system_laws_match_the_dense_loops(fname, field):
+    rng = random.Random("crossed/" + fname)
+    seen = set()
+    for name, system in crossed_systems(field, rng):
+        assert check_crossed_system(system) == ref_check_crossed_system(system) == [], name
+        for part in ("measuring", "sigma", "sigma_inv"):
+            for _ in range(3):
+                parts = {"measuring": system.measuring, "sigma": system.sigma,
+                         "sigma_inv": system.sigma_inv}
+                parts[part] = bumped(parts[part], rng, field)
+                bad = CrossedSystem(system.hopf, system.base, parts["measuring"],
+                                    parts["sigma"], parts["sigma_inv"])
+                violations = check_crossed_system(bad)
+                assert violations == ref_check_crossed_system(bad), (name, part)
+                assert violations
+                seen.update(v[0] for v in violations)
+    assert seen == {"measuring-not-unital", "measuring-not-multiplicative",
+                    "sigma-not-convolution-invertible", "sigma-not-normalized",
+                    "neutral-action-not-identity", "twisted-module-law", "cocycle-law"}
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_coaction_laws_match_the_tensor_product_check(fname, field):
+    rng = random.Random("coactions/" + fname)
+    seen = set()
+    for name, system in crossed_systems(field, rng):
+        ca = crossed_product(system)
+        assert ref_coaction_witnesses(ca) == ca.validate() == [], name
+        for _ in range(4):
+            bad = unchecked(ca.algebra, ca.hopf, bumped(ca.coaction, rng, field))
+            expected = ref_coaction_witnesses(bad)
+            assert bad.validate() == expected[:MAX_VIOLATIONS], name
+            pair = (bad.algebra, bad.hopf)
+            assert (list(algebra_map_violations(bad.algebra, pair, bad.coaction))
+                    == list(algebra_map_violations(bad.algebra, ref_tensor_algebra(*pair),
+                                                   bad.coaction))), name
+            seen.update(v[0] for v in expected)
+    assert {"coaction-not-unital", "coaction-not-multiplicative"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# guards: no tensor-product algebra is built, and hh2 assembles its
+# differentials without applying them to unit cochains
+
+
+def test_coactions_are_checked_without_building_a_tensor_product(monkeypatch):
+    assert not any(hasattr(mod, "tensor_algebra") for name, mod in list(sys.modules.items())
+                   if mod is not None and name.split(".")[0] == "hopfcross")
+    built = []
+    real = FAlgebra.__init__
+
+    def spy(self, *args):
+        built.append(tuple(args[1]))
+        real(self, *args)
+
+    ca = parse_presentation(corpus("f3z3-cleft.json")).payload
+    monkeypatch.setattr(FAlgebra, "__init__", spy)
+    ComoduleAlgebra(ca.algebra, ca.hopf, ca.coaction)
+    assert built == []
+    # super-decompose checks alpha : A -> Lambda(W) (x) H the same way; an
+    # algebra on a tensor basis has labels "a(x)b"
+    assert main(["super-decompose", corpus("lambda3.json")]) == 0
+    assert built and not any("(x)" in label for basis in built for label in basis)
+
+
+def test_hh2_applies_no_differential(monkeypatch):
+    calls = []
+    real = cohomology.differential
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cohomology, "differential", spy)
+    for fname, field in FIELDS:
+        for name, act in actions(field):
+            hh2(act.hopf, act)
+    assert calls == []
