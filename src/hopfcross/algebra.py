@@ -6,7 +6,8 @@ Vectors of coefficients are dense tuples.  Tensor indices are row-major:
 basis element ``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j``.
 """
 
-from itertools import chain, islice
+from functools import cache
+from itertools import chain, islice, repeat
 from math import lcm
 
 from .errors import (
@@ -292,6 +293,22 @@ def induced_coproduct(c, basis, coords):
 # product by D^2 and the unit not at all).  Associativity,
 # coassociativity, coproduct-of-unit and counit-multiplicative have the
 # same count on both sides.  Over F_p, D = 1.
+#
+# Associativity and Delta-multiplicativity need not be checked on every pair.
+# Let G be a set of basis indices whose left words e_g1 (e_g2 (... (e_gk 1)))
+# span A (`_generating_set`).
+# - If the unit laws hold, the left nucleus {x : (xy)z = x(yz) for all y, z}
+#   is a subalgebra containing 1, so A is associative once (e_g e_j) e_l =
+#   e_g (e_j e_l) for every g in G and all j, l.
+# - If moreover A is associative, every product is parity-homogeneous (so the
+#   Koszul-signed A (x) A is associative), 1 is even and Delta(1) = 1 (x) 1,
+#   then {a : Delta(ax) = Delta(a) Delta(x) for all x} is a subalgebra
+#   containing 1, so Delta is multiplicative once it is on every (g, j).
+# check_axioms hands both laws G only while every law before them has held,
+# which covers these prerequisites.  Each law first runs its kernel over
+# i in G, all j; when that finds a failure, or G is not at hand, it runs the
+# same kernel over every pair, so the witnesses, their order and the cap are
+# those of the full loops.  counit-multiplicative always runs on every pair.
 
 
 class AxiomReport:
@@ -365,6 +382,19 @@ def _product_rows(product, lower):
     return rows
 
 
+def _sparse_product(rows, u, v):
+    """u v for sparse vectors {index: c}, from lowered product rows."""
+    out = {}
+    for x, c in u.items():
+        row = rows.get(x)
+        if row:
+            for y, e in v.items():
+                prod = row.get(y)
+                if prod:
+                    _add_scaled(out, c * e, prod)
+    return out
+
+
 def _parity_laws(h, p):
     for i in range(h.dim):
         for j in range(h.dim):
@@ -383,7 +413,78 @@ def _parity_laws(h, p):
                 yield ("antipode-parity", (i, k))
 
 
-def _algebra_laws(a):
+WORD_PRIME = 2 ** 61 - 1
+
+
+def _generating_set(a):
+    """The basis indices G, in index order, whose left words
+    e_g1 (e_g2 (... (e_gk 1))) span a: e_i joins G when it is not in the span
+    of the words of the indices before it.  None when the words of all
+    indices do not span a, which needs the right unit law to fail (or, over
+    Q, WORD_PRIME to divide D).
+
+    The words are built on the lowered product rows and eliminated mod p,
+    over Q mod WORD_PRIME: each eliminated row reduces an integer combination
+    of lowered words, and integer vectors of full rank mod a prime have full
+    rank over Q."""
+    p = a.field.characteristic or WORD_PRIME
+    unit = _nonzero(a.unit)
+    lower = _lowering(a.field, _values(a.product.values()), unit.values())[0]
+    rows = _product_rows(a.product, lower)
+    pivots = {}  # leading column -> echelon row with leading entry 1
+
+    def reduce(v):
+        v = {k: r for k, c in v.items() if (r := c % p)}
+        while v:
+            col = min(v)
+            row = pivots.get(col)
+            if row is None:
+                return v
+            c = v[col]
+            for k, u in row.items():
+                r = (v.get(k, 0) - c * u) % p
+                if r:
+                    v[k] = r
+                else:
+                    del v[k]
+        return v
+
+    words, gens, pending = [], [], []
+
+    def admit(v):
+        v = reduce(v)
+        if v:
+            col = min(v)
+            inv = pow(v[col], -1, p)
+            pivots[col] = {k: c * inv % p for k, c in v.items()}
+            words.append(v)
+            pending.extend((g, v) for g in gens)
+
+    admit(_lowered(unit, lower))
+    for i in range(a.dim):
+        if len(words) == a.dim:
+            break
+        if not reduce({i: 1}):
+            continue
+        gens.append(i)
+        pending.extend((i, w) for w in words)
+        while pending and len(words) < a.dim:
+            g, w = pending.pop()
+            admit(_sparse_product(rows, {g: 1}, w))
+    return gens if len(words) == a.dim else None
+
+
+def _holds_by_generators(generators, law):
+    """Whether law(i), which yields a truthy failure report for each j that
+    fails with e_i on the left, fails for no i in G: then the law holds on
+    every pair (see above).  False when generators is None or gives None."""
+    gens = generators() if generators else None
+    return gens is not None and not any(any(law(i)) for i in gens)
+
+
+def _algebra_laws(a, generators=None):
+    """The unit laws and associativity; generators, when given, is a
+    callable returning G or None (see check_axioms)."""
     unit = _nonzero(a.unit)
     lower, d, clean = _lowering(a.field, _values(a.product.values()), unit.values())
     rows = _product_rows(a.product, lower)
@@ -398,9 +499,10 @@ def _algebra_laws(a):
             yield ("left-unit", (i,))
         if clean(right) != e:
             yield ("right-unit", (i,))
-    # (e_i e_j) e_l against e_i (e_j e_l) for every l at once, keyed (l, m)
-    # over the nonzero products only; the failing l are then read off in order
-    for i in range(a.dim):
+
+    def associative(i):
+        """For each j in order, the l with (e_i e_j) e_l != e_i (e_j e_l),
+        sorted: every l at once, keyed (l, m) over the nonzero products."""
         row_i = rows.get(i, {})
         for j in range(a.dim):
             lhs, rhs = {}, {}
@@ -417,10 +519,18 @@ def _algebra_laws(a):
                         cu = c * u
                         rhs[key] = rhs[key] + cu if key in rhs else cu
             lhs, rhs = clean(lhs), clean(rhs)
-            if lhs != rhs:
+            if lhs == rhs:
+                yield ()
+            else:
                 keys = lhs.keys() | rhs.keys()
-                for l in sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))}):
-                    yield ("associativity", (i, j, l))
+                yield sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))})
+
+    if _holds_by_generators(generators, associative):
+        return
+    for i in range(a.dim):
+        for j, failing in enumerate(associative(i)):
+            for l in failing:
+                yield ("associativity", (i, j, l))
 
 
 def _coalgebra_laws(c):
@@ -463,7 +573,7 @@ def _left_legs(rows, delta):
     return out
 
 
-def _bialgebra_laws(b, p):
+def _bialgebra_laws(b, p, generators=None):
     """Delta and eps are algebra maps; in A (x) A the crossing of two odd
     tensor legs carries the Koszul sign -1.
 
@@ -473,7 +583,8 @@ def _bialgebra_laws(b, p):
     V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
     and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
     native ints; each term of that sum carries D^4 and each term of
-    Delta(e_i e_j) D^2, so the latter is multiplied by D^2."""
+    Delta(e_i e_j) D^2, so the latter is multiplied by D^2.  generators,
+    when given, is a callable returning G or None (see check_axioms)."""
     unit, counit = _nonzero(b.unit), _nonzero(b.counit)
     lower, d, clean = _lowering(
         b.field, _values(b.product.values()), _values(b.coproduct.values()),
@@ -490,15 +601,15 @@ def _bialgebra_laws(b, p):
         yield ("coproduct-of-unit", ())
     if clean({0: sum(c * counit.get(t, 0) for t, c in unit.items()) - d2}):
         yield ("counit-of-unit", ())
-    for i in range(b.dim):
+
+    def not_multiplicative(i):
+        """For each j in order, whether Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
         legs = _left_legs(rows, coproduct.get(i, {}))
         row_i = rows.get(i, {})
         for j in range(b.dim):
             lhs = {}
-            s = 0
             for k, c in row_i.get(j, {}).items():
                 _add_scaled(lhs, c * d2, coproduct.get(k, {}))
-                s += c * counit.get(k, 0)
             v = {}
             for (b1, b2), e in coproduct.get(j, {}).items():
                 for a2, u in legs.get(b1, {}).items():
@@ -516,8 +627,16 @@ def _bialgebra_laws(b, p):
                         key = (x, y)
                         uw = u * w
                         rhs[key] = rhs[key] + uw if key in rhs else uw
-            if clean(lhs) != clean(rhs):
+            yield clean(lhs) != clean(rhs)
+
+    holds = _holds_by_generators(generators, not_multiplicative)
+    for i in range(b.dim):
+        failures = repeat(False) if holds else not_multiplicative(i)
+        row_i = rows.get(i, {})
+        for j, fails in zip(range(b.dim), failures):
+            if fails:
                 yield ("coproduct-multiplicative", (i, j))
+            s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
             if clean({0: s - counit.get(i, 0) * counit.get(j, 0)}):
                 yield ("counit-multiplicative", (i, j))
 
@@ -555,21 +674,37 @@ def check_axioms(kind, data):
     "super-hopf".  The last takes a SuperPresentation: its parity laws come
     first, then the Hopf laws with the Koszul sign.  The report keeps the
     first MAX_VIOLATIONS witnesses in law order.
+
+    Associativity and Delta-multiplicativity are handed the generating set
+    G of the algebra while every earlier law has held (see above); G is
+    computed at most once per call.
     """
+    found = []
+    generating_set = cache(lambda: _generating_set(a))
+
+    def generators():
+        return None if found else generating_set()
+
     if kind == "algebra":
-        laws = _algebra_laws(data)
+        a = data
+        laws = _algebra_laws(a, generators)
     elif kind == "coalgebra":
         laws = _coalgebra_laws(data)
     elif kind in ("bialgebra", "hopf", "super-hopf"):
-        h, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
-        laws = chain(_algebra_laws(h), _coalgebra_laws(h), _bialgebra_laws(h, parity))
+        a, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
+        laws = chain(_algebra_laws(a, generators), _coalgebra_laws(a),
+                     _bialgebra_laws(a, parity, generators))
         if kind != "bialgebra":
-            laws = chain(laws, _antipode_laws(h))
+            laws = chain(laws, _antipode_laws(a))
         if kind == "super-hopf":
-            laws = chain(_parity_laws(h, parity), laws)
+            laws = chain(_parity_laws(a, parity), laws)
     else:
         raise ValueError("unknown axiom kind %r" % (kind,))
-    return AxiomReport(kind, list(islice(laws, MAX_VIOLATIONS)))
+    for witness in laws:
+        found.append(witness)
+        if len(found) == MAX_VIOLATIONS:
+            break
+    return AxiomReport(kind, found)
 
 
 def _tensor_rows(rows_a, rows_b, db, support):
@@ -631,15 +766,7 @@ def algebra_map_violations(src, dst, m):
             lhs = {}
             for k, c in src.product.get((i, j), {}).items():
                 _add_scaled(lhs, scale * lower(c), cols[k])
-            rhs = {}
-            for x, u in cols[i].items():
-                row_x = rows.get(x)
-                if row_x:
-                    for y, v in cols[j].items():
-                        prod = row_x.get(y)
-                        if prod:
-                            _add_scaled(rhs, u * v, prod)
-            if clean(lhs) != clean(rhs):
+            if clean(lhs) != clean(_sparse_product(rows, cols[i], cols[j])):
                 yield ("multiplicative", (i, j))
 
 

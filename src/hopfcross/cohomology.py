@@ -90,11 +90,13 @@ class AugmentedAlgebra:
             else Matrix.zeros(f, algebra.dim, 0)
         )
         self._plus_coords = column_coordinates(self._plus_matrix)
-        self.square_zero = all(
-            algebra.mult(u, v) == vzero(f, algebra.dim)
-            for u in self.plus_basis
-            for v in self.plus_basis
-        )
+
+    @property
+    def square_zero(self):
+        """Whether B+ B+ = 0 (computed on each read; parsing never needs it)."""
+        a = self.algebra
+        zero = vzero(a.field, a.dim)
+        return all(a.mult(u, v) == zero for u in self.plus_basis for v in self.plus_basis)
 
     @property
     def field(self):

@@ -17,6 +17,7 @@ from .algebra import (
     _lowering,
     _nonzero,
     _product_rows,
+    _sparse_product,
     _values,
     algebra_map_violations,
     coaction_violations,
@@ -418,15 +419,7 @@ def check_crossed_system(s):
         return out
 
     def mult(u, v):
-        out = {}
-        for x, c in u.items():
-            row = brows.get(x)
-            if row:
-                for y, e in v.items():
-                    prod = row.get(y)
-                    if prod:
-                        _add_scaled(out, c * e, prod)
-        return out
+        return _sparse_product(brows, u, v)
 
     def pairs(g, t):
         """The terms of Delta(g) (x) Delta(t)."""
@@ -509,25 +502,41 @@ def crossed_product(s):
     dh, db = h.dim, b.dim
     dim = db * dh
     labels = tuple("%s(x)%s" % (bl, hl) for bl in b.basis for hl in h.basis)
+    # (b_i (x) g)(b_j (x) t) = sum b_i (g1 . b_j) sigma(g2, t1) (x) g3 t2 on
+    # lowered constants: each term carries D^8 (two constants of Delta^2(g),
+    # one each of Delta(t), g3 t2, g1 . b_j, sigma(g2, t1) and the two
+    # products in B)
+    meas, sig = (m.sparse_cols() for m in (s.measuring, s.sigma))
+    lower, d, clean = _lowering(
+        f, _values(meas), _values(sig), _values(b.product.values()),
+        _values(h.product.values()), _values(h.coproduct.values()),
+    )
+    meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
+    brows, hrows = _product_rows(b.product, lower), _product_rows(h.product, lower)
+    cop = {g: _lowered(terms, lower) for g, terms in h.coproduct.items()}
+    scale = d ** 8
     product = {}
     for i in range(db):
-        bi = basis_vec(f, db, i)
+        bi = {i: 1}
         for g in range(dh):
-            d2g = h.delta2_basis(g)
+            d2g = {}
+            for (x, g3), c in cop.get(g, {}).items():
+                for (g1, g2), e in cop.get(x, {}).items():
+                    key = (g1, g2, g3)
+                    d2g[key] = d2g.get(key, 0) + c * e
             for j in range(db):
                 for t in range(dh):
                     acc = {}
                     for (g1, g2, g3), c in d2g.items():
-                        left = b.mult(bi, s.act_basis(g1, j))
-                        for (t1, t2), d in h.delta_basis(t).items():
-                            bpart = b.mult(left, s.sigma_basis(g2, t1))
-                            for k, u in h.mult_basis(g3, t2).items():
-                                cu = c * d * u
-                                for x, v in enumerate(bpart):
-                                    if v:
-                                        key = ti(x, k, dh)
-                                        acc[key] = acc.get(key, f.zero) + cu * v
-                    terms = {k: c for k, c in acc.items() if c}
+                        left = _sparse_product(brows, bi, meas[ti(g1, j, db)])
+                        for (t1, t2), e in cop.get(t, {}).items():
+                            bpart = _sparse_product(brows, left, sig[ti(g2, t1, dh)])
+                            for k, u in hrows.get(g3, {}).get(t2, {}).items():
+                                ceu = c * e * u
+                                for x, v in bpart.items():
+                                    key = ti(x, k, dh)
+                                    acc[key] = acc.get(key, 0) + ceu * v
+                    terms = {k: f.from_fraction(c, scale) for k, c in clean(acc).items()}
                     if terms:
                         product[(ti(i, g, dh), ti(j, t, dh))] = terms
     unit = [f.zero] * dim

@@ -12,10 +12,13 @@ from hopfcross.algebra import (
     FBialgebra,
     FCoalgebra,
     FHopf,
+    MAX_VIOLATIONS,
     _algebra_laws,
     _antipode_laws,
     _bialgebra_laws,
     _coalgebra_laws,
+    _generating_set,
+    _left_legs,
     algebra_map_violations,
     check_axioms,
     compute_antipode,
@@ -471,6 +474,133 @@ def test_check_verdict_is_invariant_under_a_change_of_basis(name):
         bad = verdict(doubled(h, part))
         assert bad, part
         assert verdict(transport(doubled(h, part), t))[0][0] == bad[0][0], part
+
+
+# --- the generating-set pass --------------------------------------------------
+#
+# check_axioms checks associativity and Delta-multiplicativity on e_g, g in G,
+# first, and on every pair only when that finds a failure.  These inputs pass
+# every law before the one that fails, so the pass is engaged, and the report
+# must be the reference loops' witnesses cut at the cap.
+
+
+def bumped_product(h, a, b, c):
+    """h with e_a e_b multiplied by c (a unital change when a, b are not the
+    unit's index)."""
+    product = {key: dict(terms) for key, terms in h.product.items()}
+    product[(a, b)] = {k: c * u for k, u in product[(a, b)].items()}
+    return FHopf(h.field, h.basis, product, h.unit, h.coproduct, h.counit, h.antipode)
+
+
+def rescaled_coproduct(h, t, s):
+    """h with the coproduct and counit carried along the linear map that
+    multiplies e_t by s: a coalgebra again, with the same Delta(1) when t is
+    not the unit's index, whose Delta is multiplicative only when that map
+    is an algebra map."""
+    f = h.field
+    scale = [f.one] * h.dim
+    scale[t] = s
+    coproduct = {i: {(j, k): c * scale[j] * scale[k] / scale[i] for (j, k), c in terms.items()}
+                 for i, terms in h.coproduct.items()}
+    counit = tuple(c / scale[i] for i, c in enumerate(h.counit))
+    return FHopf(f, h.basis, h.product, h.unit, coproduct, counit, h.antipode)
+
+
+def generator_pass_inputs():
+    """(key, Hopf presentation, parity, first failing law) over Q with a
+    non-integer factor, F5 and F7: k[Z/n] with g^a g^b rescaled for a, b >= 2
+    (not in G = [1]); k[Z/n] and Lambda(m) with the coproduct rescaled at an
+    even basis element that is a product; and dense changes of basis of
+    some of them."""
+    for fname, field in (("Q", Q), ("F5", F5), ("F7", F7)):
+        for n in (3, 4, 5):
+            seed = "z%d/%s" % (n, fname)
+            c = 1 + rational_bump(seed) if field == Q else field.from_int(2)
+            h = group_hopf_algebra(GroupTable.cyclic(n), field)
+            for a, b in sorted({(2, 2), (n - 1, 2)}):
+                yield (seed, "product", a, b), bumped_product(h, a, b, c), (0,) * n, "associativity"
+            yield (seed, "coproduct"), rescaled_coproduct(h, 2, c), (0,) * n, "coproduct-multiplicative"
+        for m in (2, 3):
+            seed = "lambda%d/%s" % (m, fname)
+            c = rational_bump(seed) if field == Q else field.from_int(3)
+            ext = exterior_hopf(m, field)
+            bad = rescaled_coproduct(ext.hopf, m + 1, c)  # e_{m+1} = v1^v2
+            yield (seed, "coproduct"), bad, ext.parity, "coproduct-multiplicative"
+            if m == 2:
+                t = change_of_basis(field, ext.parity, seed)
+                yield (seed, "moved"), transport(bad, t), ext.parity, "coproduct-multiplicative"
+        h = bumped_product(group_hopf_algebra(GroupTable.cyclic(3), field), 2, 2, field.from_int(2))
+        t = change_of_basis(field, (0,) * 3, fname)
+        yield (fname, "moved z3"), transport(h, t), (0,) * 3, "associativity"
+
+
+def test_the_generating_set_pass_reports_what_the_full_loops_report():
+    engaged = scaled = 0
+    for key, h, parity, law in generator_pass_inputs():
+        gens = _generating_set(h)
+        assert gens is not None and len(gens) < h.dim, key
+        expected = ref_hopf_laws(h, parity)
+        assert expected[0][0] == law, key
+        kind, data = ("super-hopf", SuperPresentation(h, parity)) if any(parity) else ("hopf", h)
+        assert check_axioms(kind, data).violations == expected[:MAX_VIOLATIONS], key
+        if law == "associativity":
+            expected = list(ref_algebra_laws(h.as_algebra()))[:MAX_VIOLATIONS]
+            assert check_axioms("algebra", h.as_algebra()).violations == expected, key
+            engaged += any(i not in gens for _, (i, j, l) in expected)
+        else:
+            engaged += any(name == "coproduct-multiplicative" and i not in gens
+                           for name, (i, *_) in expected[:MAX_VIOLATIONS])
+        scaled += has_denominators(h)
+    # the full loops report witnesses outside G, and the Q inputs have
+    # non-integer constants
+    assert engaged > 10 and scaled > 5
+
+
+def degree_one(h):
+    return [i for i, label in enumerate(h.basis) if label.startswith("v") and "^" not in label]
+
+
+@pytest.mark.parametrize("field", [Q, F7])
+def test_exterior_algebras_are_generated_in_degree_one(field):
+    for n in range(6):
+        h = exterior_hopf(n, field).hopf
+        assert _generating_set(h) == degree_one(h)
+    assert _generating_set(kz3(field)) == [1]
+
+
+def count_left_legs(monkeypatch):
+    calls = []
+
+    def counted(rows, delta):
+        calls.append(delta)
+        return _left_legs(rows, delta)
+
+    monkeypatch.setattr("hopfcross.algebra._left_legs", counted)
+    return calls
+
+
+def test_lambda6_builds_left_legs_for_its_generators_only(monkeypatch):
+    ext = exterior_hopf(6, F7)
+    calls = count_left_legs(monkeypatch)
+    assert check_axioms("super-hopf", ext).ok
+    assert len(calls) == 6
+
+
+def test_a_failed_unit_law_takes_the_full_loops(monkeypatch):
+    # e_1 e_0 rescaled breaks the left unit law at 1, so neither law gets G;
+    # the witnesses are the reference loops' and e_i's left legs are built
+    # for every i
+    ext = exterior_hopf(2, Q)
+    h = bumped_product(ext.hopf, 0, 1, Fraction(2, 3))
+    expected = ref_hopf_laws(h, ext.parity)
+    # the list fits under the cap and ends in the antipode laws, so every
+    # law before them ran to its end
+    assert len(expected) <= MAX_VIOLATIONS
+    assert expected[0] == ("left-unit", (1,)) and expected[-1][0] == "antipode-left"
+    assert ("coproduct-multiplicative", (3, 1)) in expected  # e_3 is not in G
+    calls = count_left_legs(monkeypatch)
+    assert check_axioms("super-hopf", SuperPresentation(h, ext.parity)).violations == expected
+    assert len(calls) == h.dim
 
 
 # --- convolution ------------------------------------------------------------

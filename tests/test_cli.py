@@ -211,11 +211,12 @@ def node_at(doc, path):
 @given(st.data())
 def test_every_command_survives_a_mutated_document(data):
     # one mutation of a corpus document: drop a key, change a scalar, swap a
-    # presentation's kind, or duplicate a list entry; every command must give
-    # a verdict or an input error, never a traceback
+    # presentation's kind, duplicate a list entry, or bump one product or
+    # coproduct constant (the shape stays valid, so the laws run); every
+    # command must give a verdict or an input error, never a traceback
     doc = load(data.draw(st.sampled_from(FUZZ_CORPUS)))
     nodes = list(json_nodes(doc))
-    mutation = data.draw(st.sampled_from(["drop", "scalar", "kind", "duplicate"]))
+    mutation = data.draw(st.sampled_from(["drop", "scalar", "kind", "duplicate", "bump"]))
     if mutation == "drop":
         path, key = data.draw(st.sampled_from(
             [(p, k) for p, n in nodes if isinstance(n, dict) for k in n]))
@@ -228,10 +229,14 @@ def test_every_command_survives_a_mutated_document(data):
         path = data.draw(st.sampled_from(
             [p for p, n in nodes if isinstance(n, dict) and n.get("kind") in KINDS]))
         node_at(doc, path)["kind"] = data.draw(st.sampled_from(KINDS))
-    else:
+    elif mutation == "duplicate":
         path = data.draw(st.sampled_from([p for p, n in nodes if isinstance(n, list) and n]))
         entries = node_at(doc, path)
         entries.append(copy.deepcopy(data.draw(st.sampled_from(entries))))
+    else:
+        path = data.draw(st.sampled_from(
+            [p for p, n in nodes if len(p) > 1 and p[-2] in ("product", "coproduct")]))
+        node_at(doc, path)[3] += data.draw(st.integers(1, 4))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutated.json")
         with open(path, "w") as fh:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hopfcross.algebra import group_hopf_algebra, induced_algebra, ti
+from hopfcross.algebra import FAlgebra, group_hopf_algebra, induced_algebra, ti
 from hopfcross.cohomology import (
     AugmentedAlgebra,
     AugmentedCleftExtension,
@@ -125,6 +125,20 @@ def test_augmented_algebra_square_zero_flag():
     assert aug.square_zero and aug.plus_dim == 1
     aug2 = AugmentedAlgebra(product_field(Q), (Q.one, Q.zero))
     assert not aug2.square_zero  # the idempotent q spans B+ and q^2 = q
+
+
+def test_square_zero_is_computed_only_where_it_is_read(monkeypatch):
+    calls = []
+    real = FAlgebra.mult
+
+    def spy(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(FAlgebra, "mult", spy)
+    aug = AugmentedAlgebra(dual_numbers(Q), (Q.one, Q.zero))
+    assert calls == []
+    assert aug.square_zero and len(calls) == 1
 
 
 def test_augmented_algebra_rejects_non_multiplicative():

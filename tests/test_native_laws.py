@@ -263,6 +263,36 @@ def ref_check_crossed_system(s):
     return violations
 
 
+def ref_crossed_product_table(s):
+    """The product table of B x|_sigma H:
+    (b_i (x) g)(b_j (x) t) = sum b_i (g1 . b_j) sigma(g2, t1) (x) g3 t2."""
+    h, b = s.hopf, s.base
+    f = b.field
+    dh, db = h.dim, b.dim
+    product = {}
+    for i in range(db):
+        bi = basis_vec(f, db, i)
+        for g in range(dh):
+            d2g = h.delta2_basis(g)
+            for j in range(db):
+                for t in range(dh):
+                    acc = {}
+                    for (g1, g2, g3), c in d2g.items():
+                        left = b.mult(bi, s.act_basis(g1, j))
+                        for (t1, t2), d in h.delta_basis(t).items():
+                            bpart = b.mult(left, s.sigma_basis(g2, t1))
+                            for k, u in h.mult_basis(g3, t2).items():
+                                cu = c * d * u
+                                for x, v in enumerate(bpart):
+                                    if v:
+                                        key = ti(x, k, dh)
+                                        acc[key] = acc.get(key, f.zero) + cu * v
+                    terms = {k: c for k, c in acc.items() if c}
+                    if terms:
+                        product[(ti(i, g, dh), ti(j, t, dh))] = terms
+    return product
+
+
 # ---------------------------------------------------------------------------
 # inputs: H-actions on B+, cocycles, crossed systems and their crossed products
 
@@ -421,6 +451,16 @@ def test_coaction_laws_match_the_tensor_product_check(fname, field):
                                                    bad.coaction))), name
             seen.update(v[0] for v in expected)
     assert {"coaction-not-unital", "coaction-not-multiplicative"} <= seen
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_crossed_product_table_matches_the_dense_loop(fname, field):
+    rng = random.Random("tables/" + fname)
+    for name, system in crossed_systems(field, rng):
+        product = crossed_product(system).algebra.product
+        assert product == ref_crossed_product_table(system), name
+        if field == Q and name == "rotation-z3":
+            assert any(c.denominator != 1 for terms in product.values() for c in terms.values())
 
 
 # ---------------------------------------------------------------------------
