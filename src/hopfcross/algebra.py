@@ -594,12 +594,18 @@ def _bialgebra_laws(b, p, generators=None):
     coproduct = {i: _lowered(terms, lower) for i, terms in b.coproduct.items()}
     unit, counit = _lowered(unit, lower), _lowered(counit, lower)
     d2 = d * d
+    char = b.field.characteristic
+
+    def nonzero(x):
+        """Whether the lowered scalar x is not 0 in the field."""
+        return x % char if char else x
+
     lhs = {}
     for t, c in unit.items():
         _add_scaled(lhs, c, coproduct.get(t, {}))
     if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
         yield ("coproduct-of-unit", ())
-    if clean({0: sum(c * counit.get(t, 0) for t, c in unit.items()) - d2}):
+    if nonzero(sum(c * counit.get(t, 0) for t, c in unit.items()) - d2):
         yield ("counit-of-unit", ())
 
     def not_multiplicative(i):
@@ -632,12 +638,12 @@ def _bialgebra_laws(b, p, generators=None):
     holds = _holds_by_generators(generators, not_multiplicative)
     for i in range(b.dim):
         failures = repeat(False) if holds else not_multiplicative(i)
-        row_i = rows.get(i, {})
+        row_i, counit_i = rows.get(i, {}), counit.get(i, 0)
         for j, fails in zip(range(b.dim), failures):
             if fails:
                 yield ("coproduct-multiplicative", (i, j))
             s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
-            if clean({0: s - counit.get(i, 0) * counit.get(j, 0)}):
+            if nonzero(s - counit_i * counit.get(j, 0)):
                 yield ("counit-multiplicative", (i, j))
 
 

@@ -909,7 +909,9 @@ COMMANDS = {
 
 
 def build_parser():
-    # one flat parser: main rejects the options a command does not take
+    """The one flat parser: main rejects the options a command does not
+    take.  Its usage line is laid out here, once, so that
+    parse_intermixed_args does not lay it out again on every call."""
     parser = argparse.ArgumentParser(
         prog="hopfcross",
         description="exact-arithmetic checks and constructions for Hopf-algebraic structures",
@@ -923,11 +925,18 @@ def build_parser():
     parser.add_argument("--kind", help="check only: the kind the file must declare")
     parser.add_argument("--n", type=int, help="pairing only (required): dim V of Lambda(V)")
     parser.add_argument("--prime", type=int, help="pairing only: work over F_p, not Q")
+    parser.usage = parser.format_usage()[len("usage: "):].rstrip("\n")
     return parser
 
 
+# Built once per process.  It holds configuration only: parse_intermixed_args
+# restores the nargs, defaults and required flags it switches, in finally
+# blocks, so a rejected call leaves nothing behind for the next one.
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = PARSER
     args = parser.parse_intermixed_args(argv)
     if args.command == "pairing":
         if args.n is None or args.file is not None:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import os
 import random
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -31,7 +33,7 @@ from hopfcross.algebra import (
     smash_coproduct,
     ti,
 )
-from hopfcross.cli import parse_presentation
+from hopfcross.cli import _matrix_from_json, _matrix_to_json, encode_hopf, main, parse_presentation
 from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
@@ -448,8 +450,8 @@ def doubled(h, part):
     return FBialgebra(f, h.basis, product, unit, coproduct, counit)
 
 
-HOPF_CORPUS = ("kz2.json", "kz3-f3.json", "ks3.json", "sweedler.json", "monoid2.json",
-               "lambda3.json", "super-scrambled.json")
+BIALGEBRA_CORPUS = ("kz2.json", "kz3-f3.json", "ks3.json", "sweedler.json", "monoid2.json")
+HOPF_CORPUS = BIALGEBRA_CORPUS + ("lambda3.json", "super-scrambled.json")
 
 
 @pytest.mark.parametrize("name", HOPF_CORPUS)
@@ -474,6 +476,39 @@ def test_check_verdict_is_invariant_under_a_change_of_basis(name):
         bad = verdict(doubled(h, part))
         assert bad, part
         assert verdict(transport(doubled(h, part), t))[0][0] == bad[0][0], part
+
+
+@pytest.mark.parametrize("name", BIALGEBRA_CORPUS)
+def test_antipode_verdict_is_invariant_under_a_change_of_basis(name, tmp_path, capsys):
+    pres = parse_presentation(os.path.join(CORPUS, name))
+    h = pres.payload
+    t = change_of_basis(h.field, (0,) * h.dim, name)
+
+    def antipode(b, label):
+        """The exit code and --json report of the antipode command on b."""
+        path = tmp_path / ("%s.json" % label)
+        path.write_text(json.dumps(encode_hopf(b, pres.kind)))
+        capsys.readouterr()
+        code = main(["antipode", str(path), "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def first_law(report):
+        return re.search(r"first \('([a-z-]+)'", report["error"]).group(1)
+
+    code, report = antipode(h, "natural")
+    moved_code, moved_report = antipode(transport(h, t), "moved")
+    assert code == moved_code == (1 if name == "monoid2.json" else 0)
+    if code == 0:
+        # the antipode is unique, so the one found in the new basis is t^-1 S t
+        s = _matrix_from_json(h.field, report["certificates"]["antipode"], "antipode")
+        assert moved_report["certificates"]["antipode"] == _matrix_to_json(
+            h.field, t.inverse() * s * t)
+    # the command reads no antipode, so only the bialgebra parts can break it
+    for part in PARTS[:4]:
+        code, report = antipode(doubled(h, part), part)
+        moved_code, moved_report = antipode(transport(doubled(h, part), t), "moved-" + part)
+        assert code == moved_code == 2, part
+        assert first_law(report) == first_law(moved_report), part
 
 
 # --- the generating-set pass --------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcross.algebra
+import hopfcross.cli
 import hopfcross.comodule
 import hopfcross.graded
 from hopfcross.cli import COMMANDS, main, parse_presentation
@@ -592,6 +594,15 @@ def count_calls(monkeypatch, owner, name):
     # map, and B of the crossed product; super-decompose: B of A only
     (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
     (["super-decompose", "lambda3.json"], hopfcross.comodule, "coinvariants", 1),
+    # the colinear maps H -> A are spanned once, by the section search
+    (["find-section", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 1),
+    (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 1),
+    (["recognize-cleft", "m2-z2-graded.json"], hopfcross.comodule, "colinear_map_space", 1),
+    (["classify-cleft", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 1),
+    (["split", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 1),
+    (["lift", "lift-split.json"], hopfcross.comodule, "colinear_map_space", 0),
+    (["galois", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 0),
+    (["super-decompose", "lambda3.json"], hopfcross.comodule, "colinear_map_space", 0),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
@@ -665,3 +676,108 @@ def test_module_entry_point_matches_main(argv, capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+
+
+def call(argv):
+    """The exit code of main(argv), also when argparse exits by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_main_builds_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    mixed = [
+        ["check", corpus("kz2.json"), "--json"],
+        ["pairing", "--n", "2"],
+        ["pairing"],
+        ["hh2", corpus("kz2.json")],  # a kind rejection: exit 2 without SystemExit
+        ["find-section", corpus("f3z3-cleft.json"), "--seed", "x"],
+    ]
+    codes = [call(mixed[k % len(mixed)]) for k in range(50)]
+    assert codes == [0, 0, 2, 2, 2] * 10
+    assert built == []
+
+
+# every rejected argv of test_argv_handling, an unknown command, help, an
+# extra positional and a bad int
+REJECTED = [
+    ["antipode", "kz2.json", "--kind", "hopf"],
+    ["antipode", "kz2.json", "--n", "3"],
+    ["pairing", "kz2.json", "--n", "3"],
+    ["pairing"],
+    ["check"],
+    ["frobnicate", "kz2.json"],
+    ["-h"],
+    ["check", "kz2.json", "kz3-f3.json"],
+    ["find-section", "f3z3-cleft.json", "--seed", "x"],
+]
+
+
+def with_corpus(argv):
+    return [corpus(a) if a.endswith(".json") else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_a_repeated_call_gives_the_same_bytes(argv, capsys):
+    argv = with_corpus(argv)
+    capsys.readouterr()
+    first = call(argv), capsys.readouterr()
+    again = call(argv), capsys.readouterr()
+    assert first[0] == (0 if argv == ["-h"] else 2)
+    assert again == first
+    assert (first[1].out != "") == (argv == ["-h"])
+
+
+PAIRING_USAGE_ERROR = """\
+usage: hopfcross [-h] [--json] [--seed SEED] [--budget BUDGET] [--certify]
+                 [--kind KIND] [--n N] [--prime PRIME]
+                 {check,antipode,dual,coinvariants,galois,strongly-graded,\
+recognize-crossed,crossed-product,find-section,recognize-cleft,classify-cleft,\
+hh2,split,lift,smash-coproduct,super-decompose,pairing}
+                 [file]
+hopfcross: error: pairing needs --n and takes no file
+"""
+
+
+def test_pairing_without_n_prints_the_usage_block(monkeypatch, capsys):
+    # the usage line is laid out when the parser is built, at the terminal
+    # width of that moment: pin 80 columns and build it again under them
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(hopfcross.cli, "PARSER", hopfcross.cli.build_parser())
+    capsys.readouterr()
+    for _ in range(2):
+        assert call(["pairing"]) == 2
+        assert capsys.readouterr() == ("", PAIRING_USAGE_ERROR)
+
+
+def parser_state():
+    parser = hopfcross.cli.PARSER
+    return parser.usage, [(a.dest, a.nargs, a.default, a.required) for a in parser._actions]
+
+
+def test_a_rejected_call_leaves_nothing_for_the_next(capsys):
+    argv = ["check", corpus("kz2.json"), "--json"]
+    # the report of the call alone, in a process of its own
+    alone = subprocess.run([sys.executable, "-m", "hopfcross.cli"] + argv,
+                           capture_output=True, text=True)
+    assert alone.returncode == 0, alone.stderr
+    state = parser_state()
+    for rejected in REJECTED + [["check", "kz2.json", "--kind"], []]:
+        call(with_corpus(rejected))
+        assert parser_state() == state
+        capsys.readouterr()
+        assert call(argv) == 0
+        assert capsys.readouterr() == (alone.stdout, "")

@@ -1,0 +1,67 @@
+"""Print the exit code, stdout and stderr of `hopfcross.cli.main` on a fixed
+list of argument vectors, each run twice in one process, as one JSON document.
+
+Run from the root of a checkout, under any CPython the project supports:
+
+    python tools/argv_outputs.py > outputs.json
+
+Two such files, from two interpreters or from two trees, can then be compared
+byte for byte.  It needs nothing beyond the standard library.  File arguments
+are corpus names and the calls run in the corpus directory, so the output does
+not depend on where the checkout lives; COLUMNS is fixed at 80, so the usage
+and help text do not depend on the terminal.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+CASES = [
+    # rejected by argparse or by main's own checks (exit 2 through SystemExit)
+    ["antipode", "kz2.json", "--kind", "hopf"],
+    ["antipode", "kz2.json", "--n", "3"],
+    ["pairing", "kz2.json", "--n", "3"],
+    ["pairing"],
+    ["check"],
+    ["frobnicate", "kz2.json"],
+    [],
+    ["check", "kz2.json", "--kind"],
+    ["dual", "kz2.json", "--prime", "5"],
+    ["check", "kz2.json", "--budget", "many"],
+    # help, an abbreviated option, a bad int and an extra positional
+    ["-h"],
+    ["antipode", "ks3.json", "--cert", "--json"],
+    ["find-section", "f3z3-cleft.json", "--seed", "x"],
+    ["check", "kz2.json", "kz3-f3.json"],
+    # accepted
+    ["check", "--kind", "hopf", "kz2.json", "--json"],
+    ["pairing", "--n", "2", "--json"],
+]
+
+
+def run(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = "SystemExit(%r)" % (e.code,)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def outputs():
+    os.environ["COLUMNS"] = "80"
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from hopfcross.cli import main
+
+    os.chdir(os.path.join(ROOT, "src", "hopfcross", "corpus"))
+    return [run(main, argv) for _ in range(2) for argv in CASES]
+
+
+if __name__ == "__main__":
+    json.dump(outputs(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
