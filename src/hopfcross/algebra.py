@@ -287,12 +287,13 @@ def induced_coproduct(c, basis, coords):
 # r lowered constants carries D^r, so the side of a comparison with fewer
 # constants per term is scaled to match: the 1 of the unit and counit laws
 # and of counit-of-unit becomes D^2, Delta(e_i e_j) is multiplied by D^2 in
-# Delta-multiplicativity, the target eps(e_i) 1 by D in the antipode laws,
-# and in algebra_map_violations the image of the unit and of each product
-# by D (into a tensor product A (x) B, whose constants carry D^2, each
-# product by D^2 and the unit not at all).  Associativity,
-# coassociativity, coproduct-of-unit and counit-multiplicative have the
-# same count on both sides.  Over F_p, D = 1.
+# Delta-multiplicativity, the target eps(e_i) 1 by D^2 in the convolution
+# identities f * g = eta eps = g * f (the antipode laws, with f = id and
+# g = S, and the check of convolution_invert), and in algebra_map_violations
+# the image of the unit and of each product by D (into a tensor product
+# A (x) B, whose constants carry D^2, each product by D^2 and the unit not
+# at all).  Associativity, coassociativity, coproduct-of-unit and
+# counit-multiplicative have the same count on both sides.  Over F_p, D = 1.
 #
 # Associativity and Delta-multiplicativity need not be checked on every pair.
 # Let G be a set of basis indices whose left words e_g1 (e_g2 (... (e_gk 1)))
@@ -421,7 +422,10 @@ def _generating_set(a):
     e_g1 (e_g2 (... (e_gk 1))) span a: e_i joins G when it is not in the span
     of the words of the indices before it.  None when the words of all
     indices do not span a, which needs the right unit law to fail (or, over
-    Q, WORD_PRIME to divide D).
+    Q, WORD_PRIME to divide D), and None as soon as G would keep more than
+    half the basis, where the pass over G saves less than it costs (on a
+    basis of orthogonal idempotents, such as k^G, G would keep all but one
+    index).
 
     The words are built on the lowered product rows and eliminated mod p,
     over Q mod WORD_PRIME: each eliminated row reduces an integer combination
@@ -467,6 +471,8 @@ def _generating_set(a):
         if not reduce({i: 1}):
             continue
         gens.append(i)
+        if 2 * len(gens) > a.dim:
+            return None
         pending.extend((i, w) for w in words)
         while pending and len(words) < a.dim:
             g, w = pending.pop()
@@ -647,29 +653,50 @@ def _bialgebra_laws(b, p, generators=None):
                 yield ("counit-multiplicative", (i, j))
 
 
+def _convolution_failures(c, a, f_cols, g_cols):
+    """For each i in order, (i, (f * g)(e_i) != eps(e_i) 1,
+    (g * f)(e_i) != eps(e_i) 1) in the convolution algebra Hom(C, A), for f
+    and g given by their sparse columns.  Each term of a product carries D^4,
+    so eps(e_i) 1 is multiplied by D^2."""
+    unit, counit = _nonzero(a.unit), _nonzero(c.counit)
+    lower, d, clean = _lowering(
+        a.field, _values(a.product.values()), _values(c.coproduct.values()),
+        _values(f_cols), _values(g_cols), unit.values(), counit.values(),
+    )
+    rows = _product_rows(a.product, lower)
+    f_cols = [_lowered(col, lower) for col in f_cols]
+    g_cols = [_lowered(col, lower) for col in g_cols]
+    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
+    d2 = d * d
+
+    def add_product(out, u, left, right):
+        """out += u * left right for sparse vectors left and right."""
+        for x, v in left.items():
+            row = rows.get(x)
+            if row:
+                uv = u * v
+                for y, w in right.items():
+                    prod = row.get(y)
+                    if prod:
+                        _add_scaled(out, uv * w, prod)
+
+    for i in range(c.dim):
+        fg, gf = {}, {}
+        for (j, k), u in c.coproduct.get(i, {}).items():
+            u = lower(u)
+            add_product(fg, u, f_cols[j], g_cols[k])
+            add_product(gf, u, g_cols[j], f_cols[k])
+        target = clean({t: d2 * counit.get(i, 0) * x for t, x in unit.items()})
+        yield i, clean(fg) != target, clean(gf) != target
+
+
 def _antipode_laws(h):
     """id * S = eta eps = S * id in the convolution algebra End(H)."""
-    s_cols = h.antipode.sparse_cols()
-    unit, counit = _nonzero(h.unit), _nonzero(h.counit)
-    lower, d, clean = _lowering(
-        h.field, _values(h.product.values()), _values(h.coproduct.values()),
-        _values(s_cols), unit.values(), counit.values(),
-    )
-    rows = _product_rows(h.product, lower)
-    s_cols = [_lowered(col, lower) for col in s_cols]
-    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
-    for i in range(h.dim):
-        lhs, rhs = {}, {}
-        for (j, k), c in _lowered(h.coproduct.get(i, {}), lower).items():
-            row_j = rows.get(j, {})
-            for m, s in s_cols[k].items():
-                _add_scaled(lhs, c * s, row_j.get(m, {}))
-            for m, s in s_cols[j].items():
-                _add_scaled(rhs, c * s, rows.get(m, {}).get(k, {}))
-        target = clean({t: d * counit.get(i, 0) * c for t, c in unit.items()})
-        if clean(lhs) != target:
+    identity = [{i: h.field.one} for i in range(h.dim)]
+    for i, right, left in _convolution_failures(h, h, identity, h.antipode.sparse_cols()):
+        if right:
             yield ("antipode-right", (i,))
-        if clean(rhs) != target:
+        if left:
             yield ("antipode-left", (i,))
 
 
@@ -871,52 +898,89 @@ def convolve(f, g):
     return ConvElement(c, a, Matrix.from_cols(a.field, cols))
 
 
-def convolution_left_operator(coalgebra, algebra, fmat):
-    """The operator g |-> f*g on Hom(C, A), flattened at index (k, r) =
-    coefficient of e_r in g(e_k)."""
-    fld = algebra.field
-    dc, da = coalgebra.dim, algebra.dim
-    n = dc * da
-    rows = [[fld.zero] * n for _ in range(n)]
-    cache = {}
-    for i in range(dc):
-        for (j, k), u in coalgebra.delta_basis(i).items():
-            for r_src in range(da):
-                key = (j, r_src)
-                if key not in cache:
-                    cache[key] = algebra.mult(fmat.col(j), basis_vec(fld, da, r_src))
-                vec = cache[key]
-                colidx = ti(k, r_src, da)
-                for r_out, val in enumerate(vec):
-                    if val:
-                        rows[ti(i, r_out, da)][colidx] = (
-                            rows[ti(i, r_out, da)][colidx] + u * val
-                        )
-    return Matrix(fld, rows)
+def _coalgebra_components(c):
+    """The connected components of C's Delta-support graph, each a sorted
+    list of basis indices, in the order of their least index: i is joined to
+    j and k whenever e_j (x) e_k occurs in Delta(e_i).  Each component spans
+    a subcoalgebra D, and Hom(C, A) is the product of the algebras Hom(D, A);
+    a group-like basis gives one component per basis element."""
+    parent = list(range(c.dim))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, terms in c.coproduct.items():
+        for jk in terms:
+            for x in jk:
+                ri, rx = root(i), root(x)
+                if ri != rx:
+                    parent[max(ri, rx)] = min(ri, rx)
+    components = {}
+    for i in range(c.dim):
+        components.setdefault(root(i), []).append(i)
+    return list(components.values())
 
 
 def convolution_invert(f):
-    """Invert f in Hom(C, A) by solving the linear system L_f(g) = unit.
+    """Invert f in Hom(C, A) by solving L_f(g) = f * g = eta eps.
+
+    (f * g)(e_i) reads g only on the component of i (`_coalgebra_components`),
+    so L_f is block diagonal and each component is solved on its own, with g
+    flattened at (k, r) = the coefficient of e_r in g(e_k) for k in it.  The
+    reduced echelon form of a block-diagonal system has as pivots the union
+    of its blocks' pivots, so g is the solution that solve_linear reads off
+    the whole operator.  A block is built on native ints from the lowered
+    product rows: each entry carries D^3, and its right-hand side eps(e_i) 1
+    is multiplied by D, a scaling of whole rows that keeps the solution.
 
     The two-sided identity is always re-verified, guarding against
     non-coassociative or non-associative corrupt inputs.
     """
     c, a = f.coalgebra, f.algebra
-    fld = a.field
-    dc, da = c.dim, a.dim
-    op = convolution_left_operator(c, a, f.matrix)
-    unit = convolution_unit(c, a)
-    rhs = []
-    for i in range(dc):
-        rhs.extend(unit.matrix.col(i))
-    res = solve_linear(op, tuple(rhs))
-    if not res.consistent:
-        raise NotConvolutionInvertibleError("left convolution by f is not surjective")
-    g_cols = [
-        tuple(res.solution[ti(k, r, da)] for r in range(da)) for k in range(dc)
-    ]
+    fld, da = a.field, a.dim
+    cols = f.matrix.sparse_cols()
+    unit, counit = _nonzero(a.unit), _nonzero(c.counit)
+    lower, d, _ = _lowering(
+        fld, _values(a.product.values()), _values(c.coproduct.values()),
+        _values(cols), unit.values(), counit.values(),
+    )
+    rows = _product_rows(a.product, lower)
+    f_cols = [_lowered(col, lower) for col in cols]
+    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
+    lift = fld.from_int
+    g_cols = [None] * c.dim
+    for component in _coalgebra_components(c):
+        at = {k: t * da for t, k in enumerate(component)}
+        n = len(component) * da
+        block, rhs = [], []
+        for i in component:
+            out = [{} for _ in range(da)]  # out[z][column]: the rows (i, z)
+            for (j, k), u in c.coproduct.get(i, {}).items():
+                u = lower(u)
+                for x, fx in f_cols[j].items():
+                    ufx = u * fx
+                    for r, prod in rows.get(x, {}).items():
+                        col = at[k] + r
+                        for z, m in prod.items():
+                            row = out[z]
+                            row[col] = row.get(col, 0) + ufx * m
+            e = d * counit.get(i, 0)
+            for z, row in enumerate(out):
+                dense = [fld.zero] * n
+                for col, v in row.items():
+                    dense[col] = lift(v)
+                block.append(dense)
+                rhs.append(lift(e * unit.get(z, 0)))
+        res = solve_linear(Matrix(fld, block, n), tuple(rhs))
+        if not res.consistent:
+            raise NotConvolutionInvertibleError("left convolution by f is not surjective")
+        for k, t in at.items():
+            g_cols[k] = res.solution[t:t + da]
     g = ConvElement(c, a, Matrix.from_cols(fld, g_cols))
-    if convolve(f, g) != unit or convolve(g, f) != unit:
+    failures = _convolution_failures(c, a, cols, g.matrix.sparse_cols())
+    if any(right or left for _, right, left in failures):
         raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
     return g
 

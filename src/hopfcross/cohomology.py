@@ -9,6 +9,7 @@ with the usual row-major flattening of tensor indices.
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     MAX_VIOLATIONS,
@@ -80,16 +81,24 @@ class AugmentedAlgebra:
             raise ValidationError("augmentation does not send 1 to 1")
         if bad:
             raise ValidationError("augmentation is not multiplicative at (%d, %d)" % bad[1])
-        self.plus_basis = kernel_basis(Matrix(f, [self.augmentation]))
-        self.plus_dim = len(self.plus_basis)
-        if self.plus_dim != algebra.dim - 1:
-            raise ValidationError("B is not k.1 (+) B+")
-        self._plus_matrix = (
-            Matrix.from_cols(f, self.plus_basis)
-            if self.plus_basis
-            else Matrix.zeros(f, algebra.dim, 0)
-        )
-        self._plus_coords = column_coordinates(self._plus_matrix)
+        # eps(1) = 1, so eps is a nonzero functional and B+ = ker eps has
+        # dimension dim B - 1; its basis is computed where it is read
+        self.plus_dim = algebra.dim - 1
+
+    @cached_property
+    def plus_basis(self):
+        """The canonical basis of B+ = ker eps."""
+        return kernel_basis(Matrix(self.field, [self.augmentation]))
+
+    @cached_property
+    def _plus_matrix(self):
+        if not self.plus_basis:
+            return Matrix.zeros(self.field, self.algebra.dim, 0)
+        return Matrix.from_cols(self.field, self.plus_basis)
+
+    @cached_property
+    def _plus_coords(self):
+        return column_coordinates(self._plus_matrix)
 
     @property
     def square_zero(self):

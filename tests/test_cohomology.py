@@ -141,6 +141,25 @@ def test_square_zero_is_computed_only_where_it_is_read(monkeypatch):
     assert aug.square_zero and len(calls) == 1
 
 
+def test_the_plus_basis_is_computed_only_where_it_is_read(monkeypatch):
+    calls = []
+    real = Matrix.rref
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "rref", spy)
+    aug = AugmentedAlgebra(dual_numbers(Q), (Q.one, Q.zero))
+    assert calls == [] and aug.plus_dim == 1
+    c, plus = aug.decompose((Q.from_int(5), Q.from_int(7)))
+    assert (c, plus) == (Q.from_int(5), (Q.from_int(7),))
+    # kernel_basis for the plus basis, column_coordinates for its coordinates
+    assert len(calls) == 2
+    aug.decompose((Q.one, Q.one))
+    assert aug.plus_basis == [(Q.zero, Q.one)] and len(calls) == 2
+
+
 def test_augmented_algebra_rejects_non_multiplicative():
     cases = [
         ((1, 1), r"not multiplicative at \(1, 1\)"),

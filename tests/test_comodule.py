@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hopfcross import comodule
-from hopfcross.algebra import FAlgebra, convolution_left_operator, group_hopf_algebra, ti
+from hopfcross.algebra import FAlgebra, group_hopf_algebra, ti
 from hopfcross.cli import parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
@@ -334,6 +334,7 @@ def colinear_basis(ca):
 
 
 def convolution_family(ca, phis):
+    from tests.test_native_laws import convolution_left_operator
     hc = ca.hopf.as_coalgebra()
     return [convolution_left_operator(hc, ca.algebra, phi) for phi in phis]
 

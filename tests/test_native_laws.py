@@ -4,7 +4,11 @@ B+, the comodule-algebra laws of a coaction (checked there through the
 tensor-product algebra A (x) H), and the crossed-system laws.  The ref_*
 functions below are those dense loops on field scalars; each comparison is
 of whole matrices or of whole ordered witness lists, over F3, F5 and Q, on
-valid inputs and on copies with one entry bumped."""
+valid inputs and on copies with one entry bumped.
+
+Convolution inverses are compared the same way: convolution_invert solves
+one component of C at a time on native ints, ref_convolution_invert the
+whole operator g |-> f * g on field scalars."""
 
 import itertools
 import os
@@ -14,16 +18,19 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcross import cohomology
+from hopfcross import algebra, cohomology
 from hopfcross.algebra import (
     MAX_VIOLATIONS,
     ConvElement,
     FAlgebra,
     algebra_map_violations,
     coaction_violations,
+    convolution_invert,
     convolution_unit,
     convolve,
+    dual_structure,
     group_hopf_algebra,
+    identity_conv,
     tensor_coalgebra,
     ti,
 )
@@ -45,9 +52,20 @@ from hopfcross.comodule import (
     find_section,
     section_to_crossed_system,
 )
+from hopfcross.errors import NotConvolutionInvertibleError
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd, vscale, vsub, vzero
-from hopfcross.standard import dual_numbers, sweedler
+from hopfcross.linalg import (
+    Matrix,
+    PrimeField,
+    Rationals,
+    basis_vec,
+    solve_linear,
+    vadd,
+    vscale,
+    vsub,
+    vzero,
+)
+from hopfcross.standard import dual_numbers, ks3, sweedler
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -293,6 +311,47 @@ def ref_crossed_product_table(s):
     return product
 
 
+def convolution_left_operator(coalgebra, algebra, fmat):
+    """The operator g |-> f*g on Hom(C, A), flattened at index (k, r) =
+    coefficient of e_r in g(e_k)."""
+    fld = algebra.field
+    dc, da = coalgebra.dim, algebra.dim
+    n = dc * da
+    rows = [[fld.zero] * n for _ in range(n)]
+    cache = {}
+    for i in range(dc):
+        for (j, k), u in coalgebra.delta_basis(i).items():
+            for r_src in range(da):
+                key = (j, r_src)
+                if key not in cache:
+                    cache[key] = algebra.mult(fmat.col(j), basis_vec(fld, da, r_src))
+                vec = cache[key]
+                colidx = ti(k, r_src, da)
+                for r_out, val in enumerate(vec):
+                    if val:
+                        rows[ti(i, r_out, da)][colidx] = (
+                            rows[ti(i, r_out, da)][colidx] + u * val
+                        )
+    return Matrix(fld, rows)
+
+
+def ref_convolution_invert(f):
+    """Solve L_f(g) = eta eps on the whole operator, then check
+    f * g = eta eps = g * f with the dense convolve."""
+    c, a = f.coalgebra, f.algebra
+    da = a.dim
+    unit = convolution_unit(c, a)
+    rhs = tuple(x for i in range(c.dim) for x in unit.matrix.col(i))
+    res = solve_linear(convolution_left_operator(c, a, f.matrix), rhs)
+    if not res.consistent:
+        raise NotConvolutionInvertibleError("left convolution by f is not surjective")
+    g_cols = [res.solution[ti(k, 0, da):ti(k + 1, 0, da)] for k in range(c.dim)]
+    g = ConvElement(c, a, Matrix.from_cols(a.field, g_cols))
+    if convolve(f, g) != unit or convolve(g, f) != unit:
+        raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
+    return g
+
+
 # ---------------------------------------------------------------------------
 # inputs: H-actions on B+, cocycles, crossed systems and their crossed products
 
@@ -461,6 +520,123 @@ def test_crossed_product_table_matches_the_dense_loop(fname, field):
         assert product == ref_crossed_product_table(system), name
         if field == Q and name == "rotation-z3":
             assert any(c.denominator != 1 for terms in product.values() for c in terms.values())
+
+
+# ---------------------------------------------------------------------------
+# convolution inverses
+
+
+def shuffled_group(table, seed):
+    """table with its elements in a seeded order, so the identity is not e_0."""
+    order = list(range(table.order))
+    random.Random(seed).shuffle(order)
+    at = {g: t for t, g in enumerate(order)}
+    return GroupTable([table.elements[g] for g in order],
+                      [[at[table.mult[g][h]] for h in order] for g in order])
+
+
+def one_sided(field):
+    """The unital, non-associative algebra on 1, a, b with a b = 1 and every
+    other product of a and b zero: b is a right inverse of a, not a left one."""
+    o = field.one
+    product = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}, (0, 2): {2: o}, (2, 0): {2: o},
+               (1, 2): {0: o}}
+    return FAlgebra(field, ("1", "a", "b"), product, basis_vec(field, 3, 0))
+
+
+def convolution_inputs(field, rng):
+    """(name, f in Hom(C, A)): for each (C, A) a seeded f, zero and, where
+    they exist, the identity and a structured f.  C is k[G] in a shuffled
+    element order (Z/12, S3, S4), H (x) H for H = k[Z/3], Sweedler's H4, k^S3
+    and k[S3] under a dense change of basis; the last two pairs, from k[Z/2]
+    and k^(Z/3), map into an algebra where a right inverse is not a left
+    one."""
+    from tests.test_algebra import change_of_basis, transport
+    draws = [-1, 0, 1, 2] if field != Q else [-1, 0, 1, Fraction(2, 3), Fraction(-5, 7)]
+    s3 = ks3(field)
+    hopfs = [(name, group_hopf_algebra(shuffled_group(table, name), field))
+             for name, table in (("z12", GroupTable.cyclic(12)), ("s3", GroupTable.symmetric(3)),
+                                 ("s4", GroupTable.symmetric(4)))]
+    hopfs += [("sweedler", sweedler(field)), ("k^s3", dual_structure(s3)),
+              ("moved s3", transport(s3, change_of_basis(field, (0,) * 6, "convolution")))]
+    pairs = []
+    for name, h in hopfs:
+        yield name + " identity", identity_conv(h)
+        pairs.append((name, h.as_coalgebra(), h.as_algebra()))
+    kz3 = group_hopf_algebra(GroupTable.cyclic(3), field)
+    hc = kz3.as_coalgebra()
+    hh = tensor_coalgebra(hc, hc)
+    # the product e_g (x) e_h |-> e_gh, inverted by e_g (x) e_h |-> e_(gh)^-1
+    cols = [basis_vec(field, 3, (g + h) % 3) for g in range(3) for h in range(3)]
+    yield "z3(x)z3 product", ConvElement(hh, kz3.as_algebra(), Matrix.from_cols(field, cols))
+    pairs.append(("z3(x)z3", hh, kz3.as_algebra()))
+    z2 = group_hopf_algebra(GroupTable.cyclic(2), field).as_coalgebra()
+    bad = one_sided(field)
+    swap = Matrix.from_cols(field, [basis_vec(field, 3, 1), basis_vec(field, 3, 0)])
+    yield "one-sided a", ConvElement(z2, bad, swap)
+    pairs.append(("one-sided", z2, bad))
+    # k^(Z/3) is one component, and this f's system has a kernel, so the
+    # particular solution read off the echelon form decides the verdict
+    kernel = Matrix(field, [[field.from_int(x) for x in row]
+                            for row in ((-1, 1, 0), (0, 1, 1), (-1, 0, -1))])
+    yield "k^z3 kernel", ConvElement(dual_structure(kz3).as_coalgebra(), bad, kernel)
+    for name, c, a in pairs:
+        seeded = [[scalar(field, rng.choice(draws)) for _ in range(c.dim)] for _ in range(a.dim)]
+        yield name + " seeded", ConvElement(c, a, Matrix(field, seeded))
+        yield name + " zero", ConvElement(c, a, Matrix.zeros(field, a.dim, c.dim))
+
+
+def inversion(invert, f):
+    """invert(f)'s matrix, or the type and message of what it raised."""
+    try:
+        return invert(f).matrix
+    except NotConvolutionInvertibleError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_convolution_inverses_match_the_whole_operator_solve(fname, field):
+    rng = random.Random("convolution/" + fname)
+    seen = set()
+    for name, f in convolution_inputs(field, rng):
+        expected = inversion(ref_convolution_invert, f)
+        assert inversion(convolution_invert, f) == expected, name
+        seen.add(expected[1] if isinstance(expected, tuple) else "inverse")
+    assert seen == {"inverse", "left convolution by f is not surjective",
+                    "candidate inverse fails the two-sided identity"}
+
+
+def block_shapes(monkeypatch):
+    shapes = []
+    real = algebra.solve_linear
+
+    def spy(m, b):
+        shapes.append((m.rows, m.cols))
+        return real(m, b)
+
+    monkeypatch.setattr(algebra, "solve_linear", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_a_group_like_coalgebra_gives_one_block_per_basis_element(fname, field, monkeypatch):
+    shapes = block_shapes(monkeypatch)
+    s4 = group_hopf_algebra(shuffled_group(GroupTable.symmetric(4), fname), field)
+    assert convolution_invert(identity_conv(s4)).matrix == s4.antipode
+    assert shapes == [(24, 24)] * 24
+    # H (x) H -> k[Z/3] for H = k[Z/3]: dim C = 9 blocks of size dim A = 3
+    del shapes[:]
+    kz3 = group_hopf_algebra(GroupTable.cyclic(3), field)
+    hc = kz3.as_coalgebra()
+    cols = [basis_vec(field, 3, (g + h) % 3) for g in range(3) for h in range(3)]
+    convolution_invert(ConvElement(tensor_coalgebra(hc, hc), kz3.as_algebra(),
+                                   Matrix.from_cols(field, cols)))
+    assert shapes == [(3, 3)] * 9
+    # Sweedler's H4 and k^S3 are one component each, as before the split
+    for h in (sweedler(field), dual_structure(ks3(field))):
+        del shapes[:]
+        convolution_invert(identity_conv(h))
+        assert shapes == [(h.dim ** 2, h.dim ** 2)]
 
 
 # ---------------------------------------------------------------------------
