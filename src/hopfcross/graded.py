@@ -1,21 +1,17 @@
-"""Finite-group-graded algebras and group crossed products.
+"""Finite-group-graded algebras and the recognition of group crossed products.
 
 A grading assigns a group element to every basis vector; components A_g are
 spanned by the basis vectors of degree g.  Strong grading is detected via the
-Morita-context product maps A_g (x)_B A_{g^-1} -> B, and crossed products are
-recognized by hunting for a unit of A inside each component.
+Morita-context product maps A_g (x)_B A_{g^-1} -> B.  A group crossed product
+B x|_sigma Gamma is recognized by finding a unit u_g of A inside each
+component A_g; the units are a section k[Gamma] -> A of the grading read as
+a k[Gamma]-coaction, and the crossed system, the product and the isomorphism
+are those of the Hopf crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
-from .algebra import FAlgebra, algebra_map_violations, induced_algebra, ti
-from .errors import NotCrossedProductError, ValidationError
-from .linalg import (
-    LinearMap,
-    Matrix,
-    QuotientSpace,
-    basis_vec,
-    row_space_basis,
-    solve_linear,
-)
+from .algebra import ConvElement, convolution_invert, ti
+from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
+from .linalg import LinearMap, Matrix, QuotientSpace, basis_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -52,16 +48,6 @@ class GradedAlgebra:
             if c and i not in comp_set:
                 raise ValidationError("vector is not supported in component %r" % (g,))
         return tuple(vec[i] for i in comp)
-
-    def neutral_subalgebra(self):
-        """A_1 as an FAlgebra on its component basis; raises ValidationError
-        when a product of A_1 or the unit leaves A_1."""
-        e = self.group.identity
-        comp = self.component_indices(e)
-        a = self.algebra
-        return induced_algebra(a, [basis_vec(a.field, a.dim, i) for i in comp],
-                               lambda vec: self.restrict(e, vec),
-                               tuple(a.basis[i] for i in comp))
 
 
 class GradingReport:
@@ -206,109 +192,14 @@ def morita_context(ga, g):
 
 
 # ---------------------------------------------------------------------------
-# group crossed systems and crossed products
-
-
-class GroupCrossedSystem:
-    """Per-g algebra automorphisms of B plus a unit-valued 2-cocycle sigma."""
-
-    def __init__(self, base, group, action, sigma, sigma_inv):
-        self.base = base
-        self.group = group
-        self.action = tuple(action)          # list of dB x dB matrices
-        self.sigma = dict(sigma)             # (g, h) -> vector in B
-        self.sigma_inv = dict(sigma_inv)
-
-
-def check_group_crossed_system(s):
-    b = s.base
-    grp = s.group
-    f = b.field
-    e = grp.identity
-    violations = []
-    one = b.one()
-    for g in range(grp.order):
-        act = s.action[g]
-        for name, idx in algebra_map_violations(b, b, act):
-            if name == "unit":
-                violations.append(("action-not-unital-endomorphism", (g,)))
-            else:
-                violations.append(("action-not-multiplicative", (g,) + idx))
-        if not act.is_invertible():
-            violations.append(("action-not-bijective", (g,)))
-    for (g, h), val in s.sigma.items():
-        inv = s.sigma_inv[(g, h)]
-        if b.mult(val, inv) != one or b.mult(inv, val) != one:
-            violations.append(("sigma-not-a-unit", (g, h)))
-    # (1.1)
-    if s.action[e] != Matrix.identity(f, b.dim):
-        violations.append(("neutral-action-not-identity", ()))
-    for g in range(grp.order):
-        if s.sigma[(g, e)] != one or s.sigma[(e, g)] != one:
-            violations.append(("sigma-not-normalized", (g,)))
-    # (1.2)
-    for g in range(grp.order):
-        for h in range(grp.order):
-            gh = grp.mul(g, h)
-            sig = s.sigma[(g, h)]
-            for i in range(b.dim):
-                bi = basis_vec(f, b.dim, i)
-                lhs = b.mult(s.action[g].apply(s.action[h].apply(bi)), sig)
-                rhs = b.mult(sig, s.action[gh].apply(bi))
-                if lhs != rhs:
-                    violations.append(("twisted-module-law", (g, h, i)))
-    # (1.3)
-    for g in range(grp.order):
-        for h in range(grp.order):
-            for l in range(grp.order):
-                lhs = b.mult(s.action[g].apply(s.sigma[(h, l)]), s.sigma[(g, grp.mul(h, l))])
-                rhs = b.mult(s.sigma[(g, h)], s.sigma[(grp.mul(g, h), l)])
-                if lhs != rhs:
-                    violations.append(("cocycle-law", (g, h, l)))
-    return GradingReport(violations)
-
-
-def group_crossed_product(s):
-    """B x|_sigma Gamma on the basis {b_i u_g}, index b-major."""
-    report = check_group_crossed_system(s)
-    if not report.ok:
-        raise ValidationError("invalid group crossed system: %r" % (report,))
-    b = s.base
-    grp = s.group
-    f = b.field
-    n = grp.order
-    dim = b.dim * n
-    labels = tuple("%s.u_%s" % (bl, grp.elements[g]) for bl in b.basis for g in range(n))
-    product = {}
-    for i in range(b.dim):
-        for g in range(n):
-            for j in range(b.dim):
-                for h in range(n):
-                    # b_i (g -> b_j) sigma(g, h) u_{gh}
-                    acted = s.action[g].apply(basis_vec(f, b.dim, j))
-                    coeff = b.mult(b.mult(basis_vec(f, b.dim, i), acted), s.sigma[(g, h)])
-                    gh = grp.mul(g, h)
-                    terms = {ti(k, gh, n): c for k, c in enumerate(coeff) if c}
-                    if terms:
-                        product[(ti(i, g, n), ti(j, h, n))] = terms
-    unit = [f.zero] * dim
-    for i, c in enumerate(b.unit):
-        if c:
-            unit[ti(i, grp.identity, n)] = c
-    algebra = FAlgebra(f, labels, product, tuple(unit))
-    degree = tuple(g for _ in range(b.dim) for g in range(n))
-    ga = GradedAlgebra(algebra, grp, degree)
-    grading = check_grading(ga)
-    if not grading.ok:
-        raise ValidationError("crossed product fails grading: %r" % (grading,))
-    return ga
+# recognizing group crossed products
 
 
 class RecognizedCrossedProduct:
     def __init__(self, system, units, iso):
-        self.system = system
+        self.system = system  # a comodule.CrossedSystem over k[Gamma]
         self.units = units    # per group element: the invertible element of A_g
-        self.iso = iso        # LinearMap A -> B x| Gamma
+        self.iso = iso        # LinearMap A -> B x|_sigma k[Gamma]
 
 
 def _find_component_unit(ga, g, budget):
@@ -325,25 +216,20 @@ def _find_component_unit(ga, g, budget):
     return ga.embed(g, outcome.coeffs), True
 
 
-def _inverse_in_algebra(a, x):
-    res = solve_linear(a.left_mult_matrix(x), a.one())
-    if not res.consistent:
-        return None
-    inv = res.solution
-    # confirm right invertibility separately
-    if a.mult(inv, x) != a.one() or a.mult(x, inv) != a.one():
-        return None
-    return inv
-
-
 def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
-    """Extract a crossed system and an isomorphism, or raise NotCrossedProduct."""
+    """Extract a crossed system and an isomorphism, or raise NotCrossedProduct.
+
+    The units u_g give the section phi(g) = u_g of A as a k[Gamma]-comodule
+    algebra, so A is the Hopf crossed product B #_sigma k[Gamma] with
+    g . b = u_g b u_g^-1 and sigma(g, h) = u_g u_h u_gh^-1."""
+    # comodule imports this module for GradedAlgebra
+    from .comodule import Section, graded_bridge, section_to_crossed_system
+
     report = check_grading(ga)
     if not report.ok:
         raise ValidationError("input is not a graded algebra: %r" % (report,))
     a = ga.algebra
     grp = ga.group
-    f = a.field
     e = grp.identity
     units = [None] * grp.order
     units[e] = a.one()  # u_1 is forced to the algebra unit
@@ -357,71 +243,15 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
                 msg += " (not found within budget; absence not proved)"
             raise NotCrossedProductError(msg, definitive=definitive)
         units[g] = u
-    unit_invs = []
-    for g in range(grp.order):
-        inv = _inverse_in_algebra(a, units[g])
-        if inv is None:
-            raise NotCrossedProductError("candidate unit is one-sided only", definitive=False)
-        unit_invs.append(inv)
-
-    base = ga.neutral_subalgebra()
-    comp_b = ga.component_indices(e)
-    action = []
-    for g in range(grp.order):
-        cols = []
-        for i in comp_b:
-            conj = a.mult(a.mult(units[g], basis_vec(f, a.dim, i)), unit_invs[g])
-            cols.append(ga.restrict(e, conj))
-        action.append(Matrix.from_cols(f, cols))
-    sigma = {}
-    sigma_inv = {}
-    for g in range(grp.order):
-        for h in range(grp.order):
-            gh = grp.mul(g, h)
-            val = a.mult(a.mult(units[g], units[h]), unit_invs[gh])
-            ival = a.mult(a.mult(units[gh], unit_invs[h]), unit_invs[g])
-            sigma[(g, h)] = ga.restrict(e, val)
-            sigma_inv[(g, h)] = ga.restrict(e, ival)
-    system = GroupCrossedSystem(base, grp, action, sigma, sigma_inv)
-    product = group_crossed_product(system)  # checks the crossed-system laws
-    # alpha : A -> B x| Gamma, a |-> (a u_g^{-1}) (x) u_g on each component
-    n = grp.order
-    cols = []
-    for i in range(a.dim):
-        g = ga.degree[i]
-        bcoords = ga.restrict(e, a.mult(basis_vec(f, a.dim, i), unit_invs[g]))
-        v = [f.zero] * (base.dim * n)
-        for s, c in enumerate(bcoords):
-            v[ti(s, g, n)] = c
-        cols.append(tuple(v))
-    alpha = Matrix.from_cols(f, cols)
-    _verify_graded_iso(ga, product, alpha)
-    iso = LinearMap(alpha, a.basis, product.algebra.basis)
-    return RecognizedCrossedProduct(system, units, iso)
-
-
-def _verify_graded_iso(src, dst, alpha):
-    """alpha must be bijective, multiplicative, unital, grading-preserving,
-    and restrict to the identity on the neutral component."""
-    a, b = src.algebra, dst.algebra
-    f = a.field
-    if not alpha.is_invertible():
-        raise ValidationError("candidate isomorphism is not bijective")
-    bad = next(algebra_map_violations(a, b, alpha), None)
-    if bad:
-        raise ValidationError("candidate isomorphism is not an algebra map: %r" % (bad,))
-    for i in range(a.dim):
-        img = alpha.apply(basis_vec(f, a.dim, i))
-        for k, c in enumerate(img):
-            if c and dst.degree[k] != src.degree[i]:
-                raise ValidationError("candidate isomorphism does not preserve the grading")
-    # identity on B: the neutral component of dst is {b (x) u_1}
-    e = src.group.identity
-    comp = src.component_indices(e)
-    n = src.group.order
-    for s, i in enumerate(comp):
-        img = alpha.apply(basis_vec(f, a.dim, i))
-        expected = [f.zero] * b.dim
-        expected[ti(s, e, n)] = f.one
-        if img != tuple(expected):
-            raise ValidationError("candidate isomorphism is not the identity on B")
+    ca = graded_bridge(ga)
+    h = ca.hopf
+    phi = Matrix.from_cols(a.field, units)
+    try:
+        # over k[Gamma] this solves u_g x = 1 in A once for each g
+        phi_inv = convolution_invert(ConvElement(h.as_coalgebra(), a, phi)).matrix
+    except NotConvolutionInvertibleError:
+        raise NotCrossedProductError("candidate unit is one-sided only", definitive=False) from None
+    section = Section(LinearMap(phi, h.basis, a.basis), LinearMap(phi_inv, h.basis, a.basis), ca)
+    system, iso = section_to_crossed_system(section)  # checks the laws and the iso
+    return RecognizedCrossedProduct(
+        system, units, LinearMap(iso.matrix.inverse(), a.basis, iso.domain_labels))

@@ -513,6 +513,9 @@ def test_machine_reports_are_byte_identical(argv, capsys):
      "7d429d6349fa5910fbd4d2876b28ea177972ccc986ed024cad0efcda03be92db"),
     (["super-decompose", "kz2.json"],
      "35765dec022efd67d9970e72f38b6daabc4383ef7ebb69a1a3183c1a0f80c327"),
+    # a negative recognize-crossed: A_g of k[x]/(x^2) holds no unit
+    (["recognize-crossed", "kx2-graded.json"],
+     "d681a48890c1bfebd228df01f7caecc1c57751cf45c2ac5cbfdaade11f44b1de"),
 ])
 def test_reports_match_their_recorded_digests(argv, digest, tmp_path, capsys):
     capsys.readouterr()
@@ -574,8 +577,8 @@ def count_calls(monkeypatch, owner, name):
     (["dual", "kz2.json", "--certify"], hopfcross.algebra, "check_axioms", 1),
     (["lift", "lift-split.json"], hopfcross.comodule, "section_to_crossed_system", 1),
     (["lift", "lift-split.json"], hopfcross.comodule, "check_crossed_system", 1),
-    (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded,
-     "check_group_crossed_system", 1),
+    (["recognize-crossed", "m2-z2-graded.json"], hopfcross.comodule,
+     "check_crossed_system", 1),
     (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
     (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
     # the constructor checks each comodule algebra that is parsed or built:
@@ -603,6 +606,9 @@ def count_calls(monkeypatch, owner, name):
     (["lift", "lift-split.json"], hopfcross.comodule, "colinear_map_space", 0),
     (["galois", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 0),
     (["super-decompose", "lambda3.json"], hopfcross.comodule, "colinear_map_space", 0),
+    # recognize-crossed builds A as a k[Gamma]-comodule algebra from its
+    # grading, and the crossed product B #_sigma k[Gamma]
+    (["recognize-crossed", "m2-z2-graded.json"], ComoduleAlgebra, "validate", 2),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)

@@ -244,19 +244,21 @@ def test_non_invertible_sigma_fails():
 
 
 def test_group_algebra_system_matches_graded_module():
-    # the same data expressed as a group crossed system passes there too
-    from hopfcross.graded import GroupCrossedSystem, check_group_crossed_system
+    # the group data sigma(g, g) = c, read over k[Z/2], is this system, and
+    # the group-side oracle accepts it too
+    from tests.test_graded import (
+        over_group_algebra,
+        ref_check_group_crossed_system,
+        scalar_system,
+    )
 
     c = Q.from_int(5)
     s = scalar_crossed_system(Q, c)
     assert check_crossed_system(s) == []
-    one = (Q.one,)
-    gsys = GroupCrossedSystem(
-        s.base, Z2, (Matrix.identity(Q, 1), Matrix.identity(Q, 1)),
-        {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): (c,)},
-        {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): (Q.one / c,)},
-    )
-    assert check_group_crossed_system(gsys).ok
+    group_data = scalar_system(Q, c)
+    again = over_group_algebra(group_data)
+    assert (again.measuring, again.sigma, again.sigma_inv) == (s.measuring, s.sigma, s.sigma_inv)
+    assert ref_check_group_crossed_system(group_data).ok
 
 
 # -- crossed products ----------------------------------------------------------
@@ -275,12 +277,14 @@ def test_crossed_product_scalar_cocycle_gives_quadratic_extension():
     a = ca.algebra
     u = basis_vec(Q, 2, 1)  # 1 (x) g
     assert a.mult(u, u) == (c, Q.zero)
-    # matches the group crossed product on the same data
-    from hopfcross.graded import group_crossed_product
-    from tests.test_graded import scalar_system
+    # matches the group-side oracle on the same data, and the same data read
+    # over k[Z/2]
+    from tests.test_graded import over_group_algebra, ref_group_crossed_product, scalar_system
 
-    ga = group_crossed_product(scalar_system(Q, c))
+    ga = ref_group_crossed_product(scalar_system(Q, c))
     assert a.canonical_constants()[1:] == ga.algebra.canonical_constants()[1:]
+    again = crossed_product(over_group_algebra(scalar_system(Q, c))).algebra
+    assert again.canonical_constants() == a.canonical_constants()
 
 
 def test_crossed_product_coinvariants_are_base():

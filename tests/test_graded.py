@@ -1,15 +1,31 @@
 """Group-graded algebras, Morita contexts, and crossed products."""
 
+import itertools
+import random
+
 import pytest
 
-from hopfcross.algebra import ti
+from hopfcross import graded
+from hopfcross.algebra import (
+    FAlgebra,
+    algebra_map_violations,
+    group_hopf_algebra,
+    induced_algebra,
+    ti,
+)
+from hopfcross.comodule import (
+    CrossedSystem,
+    _verify_comodule_algebra_iso,
+    check_crossed_system,
+    coinvariants,
+    crossed_product,
+    graded_bridge,
+)
 from hopfcross.errors import NotCrossedProductError, ValidationError
 from hopfcross.graded import (
     GradedAlgebra,
-    GroupCrossedSystem,
+    GradingReport,
     check_grading,
-    check_group_crossed_system,
-    group_crossed_product,
     is_strongly_graded,
     morita_context,
     recognize_group_crossed_product,
@@ -19,12 +35,26 @@ from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
 from hopfcross.standard import dual_numbers, matrix2, product_field
 
 Q = Rationals()
+F3 = PrimeField(3)
+F5 = PrimeField(5)
 Z2 = GroupTable.cyclic(2)
 
 
 def matrix2_graded(field=Q):
     # diagonal part in degree 0, antidiagonal part in degree 1
     return GradedAlgebra(matrix2(field), Z2, (0, 0, 1, 1))
+
+
+def matrix_graded(field, n):
+    """M_n(k) on the e_ij, graded by Z/n with deg e_ij = j - i."""
+    o = field.one
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    at = {ij: k for k, ij in enumerate(pairs)}
+    product = {(x, y): {at[(i, l)]: o} for x, (i, j) in enumerate(pairs)
+               for y, (k, l) in enumerate(pairs) if j == k}
+    unit = tuple(o if i == j else field.zero for i, j in pairs)
+    alg = FAlgebra(field, tuple("e%d%d" % ij for ij in pairs), product, unit)
+    return GradedAlgebra(alg, GroupTable.cyclic(n), tuple((j - i) % n for i, j in pairs))
 
 
 def dual_numbers_graded(field=Q, square=None):
@@ -36,8 +66,6 @@ def group_algebra_graded(grp, field=Q):
     n = grp.order
     o = field.one
     product = {(i, j): {grp.mul(i, j): o} for i in range(n) for j in range(n)}
-    from hopfcross.algebra import FAlgebra
-
     alg = FAlgebra(field, grp.elements, product, basis_vec(field, n, grp.identity))
     return GradedAlgebra(alg, grp, tuple(range(n)))
 
@@ -120,60 +148,254 @@ def test_strongly_graded_implies_all_pairs_bijective():
             assert mu.rank() == ga.component_dim(Z2.mul(g, h)) == quot.dim
 
 
+# -- the group crossed product engine, kept as a test oracle ----------------
+#
+# recognize_group_crossed_product goes through the Hopf crossed product over
+# k[Gamma] in hopfcross.comodule.  The functions below are the group-side
+# engine it replaced: per-g automorphisms of B and a unit-valued sigma on
+# Gamma x Gamma, checked and multiplied out directly from (1.1)-(1.3).
+
+
+class RefGroupCrossedSystem:
+    """Per-g algebra automorphisms of B plus a unit-valued 2-cocycle sigma."""
+
+    def __init__(self, base, group, action, sigma, sigma_inv):
+        self.base = base
+        self.group = group
+        self.action = tuple(action)          # list of dB x dB matrices
+        self.sigma = dict(sigma)             # (g, h) -> vector in B
+        self.sigma_inv = dict(sigma_inv)
+
+
+def ref_check_group_crossed_system(s):
+    b = s.base
+    grp = s.group
+    f = b.field
+    e = grp.identity
+    violations = []
+    one = b.one()
+    for g in range(grp.order):
+        act = s.action[g]
+        for name, idx in algebra_map_violations(b, b, act):
+            if name == "unit":
+                violations.append(("action-not-unital-endomorphism", (g,)))
+            else:
+                violations.append(("action-not-multiplicative", (g,) + idx))
+        if not act.is_invertible():
+            violations.append(("action-not-bijective", (g,)))
+    for (g, h), val in s.sigma.items():
+        inv = s.sigma_inv[(g, h)]
+        if b.mult(val, inv) != one or b.mult(inv, val) != one:
+            violations.append(("sigma-not-a-unit", (g, h)))
+    # (1.1)
+    if s.action[e] != Matrix.identity(f, b.dim):
+        violations.append(("neutral-action-not-identity", ()))
+    for g in range(grp.order):
+        if s.sigma[(g, e)] != one or s.sigma[(e, g)] != one:
+            violations.append(("sigma-not-normalized", (g,)))
+    # (1.2)
+    for g in range(grp.order):
+        for h in range(grp.order):
+            gh = grp.mul(g, h)
+            sig = s.sigma[(g, h)]
+            for i in range(b.dim):
+                bi = basis_vec(f, b.dim, i)
+                lhs = b.mult(s.action[g].apply(s.action[h].apply(bi)), sig)
+                rhs = b.mult(sig, s.action[gh].apply(bi))
+                if lhs != rhs:
+                    violations.append(("twisted-module-law", (g, h, i)))
+    # (1.3)
+    for g in range(grp.order):
+        for h in range(grp.order):
+            for l in range(grp.order):
+                lhs = b.mult(s.action[g].apply(s.sigma[(h, l)]), s.sigma[(g, grp.mul(h, l))])
+                rhs = b.mult(s.sigma[(g, h)], s.sigma[(grp.mul(g, h), l)])
+                if lhs != rhs:
+                    violations.append(("cocycle-law", (g, h, l)))
+    return GradingReport(violations)
+
+
+def ref_group_crossed_product(s):
+    """B x|_sigma Gamma on the basis {b_i u_g}, index b-major."""
+    report = ref_check_group_crossed_system(s)
+    if not report.ok:
+        raise ValidationError("invalid group crossed system: %r" % (report,))
+    b = s.base
+    grp = s.group
+    f = b.field
+    n = grp.order
+    dim = b.dim * n
+    labels = tuple("%s.u_%s" % (bl, grp.elements[g]) for bl in b.basis for g in range(n))
+    product = {}
+    for i in range(b.dim):
+        for g in range(n):
+            for j in range(b.dim):
+                for h in range(n):
+                    # b_i (g -> b_j) sigma(g, h) u_{gh}
+                    acted = s.action[g].apply(basis_vec(f, b.dim, j))
+                    coeff = b.mult(b.mult(basis_vec(f, b.dim, i), acted), s.sigma[(g, h)])
+                    gh = grp.mul(g, h)
+                    terms = {ti(k, gh, n): c for k, c in enumerate(coeff) if c}
+                    if terms:
+                        product[(ti(i, g, n), ti(j, h, n))] = terms
+    unit = [f.zero] * dim
+    for i, c in enumerate(b.unit):
+        if c:
+            unit[ti(i, grp.identity, n)] = c
+    algebra = FAlgebra(f, labels, product, tuple(unit))
+    degree = tuple(g for _ in range(b.dim) for g in range(n))
+    ga = GradedAlgebra(algebra, grp, degree)
+    grading = check_grading(ga)
+    if not grading.ok:
+        raise ValidationError("crossed product fails grading: %r" % (grading,))
+    return ga
+
+
+def over_group_algebra(s):
+    """The same data as a crossed system over k[Gamma]: g . b = action[g] b
+    and sigma(g (x) h) = sigma[(g, h)] on the group-like basis."""
+    b, grp = s.base, s.group
+    f = b.field
+    n = grp.order
+    measuring = Matrix.from_cols(f, [s.action[g].col(i) for g in range(n) for i in range(b.dim)])
+    sigma, sigma_inv = (Matrix.from_cols(f, [table[(g, h)] for g in range(n) for h in range(n)])
+                        for table in (s.sigma, s.sigma_inv))
+    return CrossedSystem(group_hopf_algebra(grp, f), b, measuring, sigma, sigma_inv)
+
+
+def graded_crossed_product(s):
+    """B #_sigma k[Gamma] for the group data s, read as a Gamma-graded algebra."""
+    return graded_bridge(crossed_product(over_group_algebra(s)))[0]
+
+
 # -- group crossed systems ---------------------------------------------------
 
 
 def scalar_system(field, c):
     """B = k, Gamma = Z/2, trivial action, sigma(g, g) = c."""
-    from hopfcross.algebra import FAlgebra
-
     base = FAlgebra(field, ("1",), {(0, 0): {0: field.one}}, (field.one,))
     ident = Matrix.identity(field, 1)
     one = (field.one,)
     sigma = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): (c,)}
     cinv = field.one / c
     sigma_inv = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): (cinv,)}
-    return GroupCrossedSystem(base, Z2, (ident, ident), sigma, sigma_inv)
+    return RefGroupCrossedSystem(base, Z2, (ident, ident), sigma, sigma_inv)
+
+
+def permutation_system(field, grp, n, move):
+    """B = k^n on its idempotents p_i, Gamma acting by g . p_i = p_move(g, i),
+    sigma = 1."""
+    base = FAlgebra(field, tuple("p%d" % i for i in range(n)),
+                    {(i, i): {i: field.one} for i in range(n)}, (field.one,) * n)
+    action = [Matrix.from_cols(field, [basis_vec(field, n, move(g, i)) for i in range(n)])
+              for g in range(grp.order)]
+    one = base.one()
+    sigma = {(g, h): one for g in range(grp.order) for h in range(grp.order)}
+    return RefGroupCrossedSystem(base, grp, action, sigma, dict(sigma))
+
+
+def shift_system(field, n):
+    """Z/n shifting the idempotents of k^n: the crossed product is M_n(k)
+    graded by deg e_ij = j - i."""
+    return permutation_system(field, GroupTable.cyclic(n), n, lambda g, i: (i + g) % n)
+
+
+def s3_system(field):
+    """S_3 permuting the idempotents of k^3, in the order of GroupTable.symmetric."""
+    perms = sorted(itertools.permutations(range(3)))
+    return permutation_system(field, GroupTable.symmetric(3), 3, lambda g, i: perms[g][i])
 
 
 def swap_system(field):
     """B = k x k, Gamma = Z/2 with the swap action, sigma = 1."""
-    base = product_field(field)
-    one = base.one()
-    ident = Matrix.identity(field, 2)
-    swap = Matrix(field, [[field.zero, field.one], [field.one, field.zero]])
-    sigma = {(g, h): one for g in range(2) for h in range(2)}
-    return GroupCrossedSystem(base, Z2, (ident, swap), sigma, dict(sigma))
+    return shift_system(field, 2)
 
 
 def test_trivial_system_passes():
-    assert check_group_crossed_system(scalar_system(Q, Q.one)).ok
+    assert check_crossed_system(over_group_algebra(scalar_system(Q, Q.one))) == []
 
 
 def test_scalar_cocycle_passes():
     c = Q.from_int(5)
-    assert check_group_crossed_system(scalar_system(Q, c)).ok
+    assert check_crossed_system(over_group_algebra(scalar_system(Q, c))) == []
 
 
 def test_unnormalized_sigma_fails():
+    violations = check_crossed_system(over_group_algebra(_unnormalized_sigma()))
+    assert ("sigma-not-normalized", (1,)) in violations
+
+
+def test_swap_system_passes():
+    assert check_crossed_system(over_group_algebra(swap_system(Q))) == []
+
+
+@pytest.mark.parametrize("system", [
+    scalar_system(Q, Q.one), scalar_system(Q, Q.from_int(3)), scalar_system(F5, F5.from_int(2)),
+    swap_system(Q), shift_system(Q, 3), shift_system(F3, 3), shift_system(Q, 4), s3_system(F5),
+], ids=lambda s: "dimB%d-%s" % (s.base.dim, "-".join(s.group.elements)))
+def test_crossed_product_over_group_algebra_matches_the_oracle(system):
+    # graded_bridge lists A_1 first, then A_g, ...: the oracle is moved to
+    # that homogeneous basis before the structure constants are compared
+    ga, change = graded_bridge(crossed_product(over_group_algebra(system)))
+    ref = ref_group_crossed_product(system)
+    homogeneous = [change.matrix.col(t) for t in range(change.matrix.cols)]
+    for vec, g in zip(homogeneous, ga.degree):
+        assert ref.restrict(g, vec)  # lies in the oracle's A_g
+    moved = induced_algebra(ref.algebra, homogeneous, change.matrix.inverse().apply,
+                            ga.algebra.basis)
+    assert ga.algebra.canonical_constants() == moved.canonical_constants()
+
+
+def _unnormalized_sigma():
     s = scalar_system(Q, Q.one)
     two = Q.from_int(2)
     s.sigma[(1, 0)] = (two,)
     s.sigma_inv[(1, 0)] = (Q.one / two,)
-    report = check_group_crossed_system(s)
-    assert ("sigma-not-normalized", (1,)) in report.violations
+    return s
 
 
-def test_swap_system_passes():
-    assert check_group_crossed_system(swap_system(Q)).ok
+def _zero_sigma():
+    s = scalar_system(Q, Q.one)
+    s.sigma[(1, 1)] = (Q.zero,)
+    s.sigma_inv[(1, 1)] = (Q.zero,)
+    return s
 
 
-# -- group_crossed_product ---------------------------------------------------
+def _non_multiplicative():
+    # g sends p to 2p and q to q - p on B = k x k: unital, but g . p is not
+    # an idempotent
+    s = swap_system(Q)
+    s.action = (s.action[0], Matrix(Q, [[Q.from_int(2), -Q.one], [Q.zero, Q.one]]))
+    return s
+
+
+def _non_bijective():
+    # g sends B = k x k onto k 1, a unital algebra map that is not onto
+    s = swap_system(Q)
+    s.action = (s.action[0], Matrix(Q, [[Q.one, Q.zero], [Q.one, Q.zero]]))
+    return s
+
+
+@pytest.mark.parametrize("make, witness", [
+    (_unnormalized_sigma, "sigma-not-normalized"),
+    (_zero_sigma, "sigma-not-convolution-invertible"),
+    (_non_multiplicative, "measuring-not-multiplicative"),
+    (_non_bijective, "twisted-module-law"),
+], ids=["unnormalized-sigma", "zero-sigma", "non-multiplicative-action",
+        "non-bijective-action"])
+def test_the_oracle_and_the_crossed_system_check_agree_on_corruptions(make, witness):
+    s = make()
+    violations = check_crossed_system(over_group_algebra(s))
+    assert ref_check_group_crossed_system(s).ok == (violations == [])
+    assert violations and violations[0][0] == witness
+
+
+# -- crossed products over k[Gamma] -----------------------------------------
 
 
 def test_scalar_crossed_product_is_quadratic_extension():
     c = Q.from_int(3)
-    ga = group_crossed_product(scalar_system(Q, c))
+    ga = graded_crossed_product(scalar_system(Q, c))
     a = ga.algebra
     assert a.dim == 2
     u = basis_vec(Q, 2, 1)  # the u_g basis vector
@@ -183,15 +405,14 @@ def test_scalar_crossed_product_is_quadratic_extension():
 
 
 def test_trivial_crossed_product_is_group_algebra():
-    ga = group_crossed_product(scalar_system(Q, Q.one))
+    ga = graded_crossed_product(scalar_system(Q, Q.one))
     a = ga.algebra
     u = basis_vec(Q, 2, 1)
     assert a.mult(u, u) == a.one()
 
 
 def test_swap_crossed_product_isomorphic_to_matrix2():
-    ga = group_crossed_product(swap_system(Q))
-    a = ga.algebra
+    a = crossed_product(over_group_algebra(swap_system(Q))).algebra
     m2 = matrix2(Q)
     # candidate: p(x)u_1 -> e11, q(x)u_1 -> e22, p(x)u_g -> e12, q(x)u_g -> e21
     # basis order of a is b-major: p.u_1, p.u_g, q.u_1, q.u_g
@@ -211,18 +432,14 @@ def test_swap_crossed_product_isomorphic_to_matrix2():
 
 
 def test_crossed_product_neutral_component_is_base():
-    ga = group_crossed_product(swap_system(Q))
-    base = ga.neutral_subalgebra()
+    base = coinvariants(crossed_product(over_group_algebra(swap_system(Q)))).subalgebra
     ref = product_field(Q)
     assert base.canonical_constants() == ref.canonical_constants()
 
 
 def test_invalid_system_rejected():
-    s = scalar_system(Q, Q.one)
-    s.sigma[(1, 1)] = (Q.zero,)
-    s.sigma_inv[(1, 1)] = (Q.zero,)
     with pytest.raises(ValidationError):
-        group_crossed_product(s)
+        crossed_product(over_group_algebra(_zero_sigma()))
 
 
 # -- recognize_group_crossed_product ----------------------------------------
@@ -233,10 +450,9 @@ def test_recognize_matrix2():
     # unit of the antidiagonal component: the swap matrix e12 + e21
     assert rec.units[1] == (Q.zero, Q.zero, Q.one, Q.one)
     # sigma(g, g) = swap^2 = identity
-    assert rec.system.sigma[(1, 1)] == (Q.one, Q.one)
+    assert rec.system.sigma_basis(1, 1) == (Q.one, Q.one)
     # the action by g swaps the two diagonal idempotents
-    act = rec.system.action[1]
-    assert act.apply(basis_vec(Q, 2, 0)) == basis_vec(Q, 2, 1)
+    assert rec.system.act_basis(1, 0) == basis_vec(Q, 2, 1)
     assert rec.iso.is_bijective()
 
 
@@ -260,17 +476,27 @@ def test_recognize_group_algebra_is_identity():
     rec = recognize_group_crossed_product(ga)
     assert rec.iso.matrix == Matrix.identity(Q, 6)
     one = rec.system.base.one()
-    assert all(v == one for v in rec.system.sigma.values())
+    assert all(rec.system.sigma_basis(g, h) == one for g in range(6) for h in range(6))
 
 
 def test_recognize_roundtrip_on_scalar_product():
     c = Q.from_int(7)
-    ga = group_crossed_product(scalar_system(Q, c))
+    ga = graded_crossed_product(scalar_system(Q, c))
     rec = recognize_group_crossed_product(ga)
-    again = group_crossed_product(rec.system)
+    again = crossed_product(rec.system)
     assert rec.iso.matrix.apply(ga.algebra.one()) == again.algebra.one()
     # u^2 = c survives the roundtrip (sigma(g,g) must still be a unit times c)
-    assert rec.system.sigma[(1, 1)] != (Q.zero,)
+    assert rec.system.sigma_basis(1, 1) != (Q.zero,)
+
+
+def test_recognize_one_sided_unit_is_not_definitive(monkeypatch):
+    # a unit candidate without a two-sided inverse stops recognition with the
+    # same non-definitive negative as a search that ran out of budget
+    monkeypatch.setattr(graded, "_find_component_unit",
+                        lambda ga, g, budget: (basis_vec(Q, 4, 2), True))
+    with pytest.raises(NotCrossedProductError, match="one-sided") as exc:
+        recognize_group_crossed_product(matrix2_graded())
+    assert not exc.value.definitive
 
 
 def test_theorem_consistency_three_verdicts_agree():
@@ -280,7 +506,7 @@ def test_theorem_consistency_three_verdicts_agree():
         (matrix2_graded(), True),
         (dual_numbers_graded(), False),
         (group_algebra_graded(GroupTable.cyclic(3)), True),
-        (group_crossed_product(swap_system(Q)), True),
+        (graded_crossed_product(swap_system(Q)), True),
         (dual_numbers_graded(PrimeField(3)), False),
     ]
     for ga, expected in cases:
@@ -296,3 +522,59 @@ def test_theorem_consistency_three_verdicts_agree():
             recognized = False
         assert recognized == expected
         assert (strong and free_ranks) == expected
+
+
+# -- recognition under a homogeneous change of basis -------------------------
+
+
+def homogeneous_change(ga, rng):
+    """ga on a new basis that keeps the grading: the basis is permuted, then
+    each A_g gets a dense invertible change of basis of its own."""
+    a = ga.algebra
+    f = a.field
+    order = list(range(a.dim))
+    rng.shuffle(order)
+    basis = [None] * a.dim
+    for g in range(ga.group.order):
+        slots = [k for k in range(a.dim) if ga.degree[order[k]] == g]
+        while True:
+            m = Matrix(f, [[f.from_int(rng.choice((-2, -1, 1, 2))) for _ in slots]
+                           for _ in slots])
+            if not slots or m.is_invertible():
+                break
+        for t, k in enumerate(slots):
+            v = [f.zero] * a.dim
+            for r, slot in enumerate(slots):
+                v[order[slot]] = m.data[r][t]
+            basis[k] = tuple(v)
+    change = Matrix.from_cols(f, basis)
+    alg = induced_algebra(a, basis, change.inverse().apply, tuple("v%d" % k for k in range(a.dim)))
+    return GradedAlgebra(alg, ga.group, tuple(ga.degree[order[k]] for k in range(a.dim)))
+
+
+def recognition_verdict(ga):
+    try:
+        return "found", recognize_group_crossed_product(ga)
+    except NotCrossedProductError as e:
+        return ("not-found", e.definitive), None
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+@pytest.mark.parametrize("make", [
+    matrix2_graded,
+    lambda f: matrix_graded(f, 3),
+    lambda f: group_algebra_graded(GroupTable.symmetric(3), f),
+    dual_numbers_graded,
+], ids=["M2-Z2", "M3-Z3", "kS3", "kx2"])
+def test_recognition_is_invariant_under_a_homogeneous_change_of_basis(make, field):
+    ga = make(field)
+    verdict, _ = recognition_verdict(ga)
+    for seed in range(3):
+        changed = homogeneous_change(ga, random.Random(seed))
+        assert check_grading(changed).ok
+        again, rec = recognition_verdict(changed)
+        assert again == verdict
+        if rec is not None:
+            # A -> B #_sigma k[Gamma] is an isomorphism of k[Gamma]-comodule algebras
+            _verify_comodule_algebra_iso(graded_bridge(changed), crossed_product(rec.system),
+                                         rec.iso.matrix)
