@@ -27,7 +27,6 @@ from .algebra import (
     group_table_from_hopf,
     induced_algebra,
     is_group_like_basis,
-    tensor_coalgebra,
     ti,
 )
 from .errors import (
@@ -735,26 +734,34 @@ def section_to_crossed_system(sec):
             for (g1, g2), c in dg.items():
                 acc = vadd(acc, vscale(c, a.mult(a.mult(phi.col(g1), bv), phi_inv.col(g2))))
             meas_cols[ti(g, t, db)] = coinv.coords(acc)
-    sig_cols = [None] * (dh * dh)
+
+    def on_product(m, g, t):
+        """m(e_g e_t) for the matrix m of a map H -> A."""
+        out = vzero(f, da)
+        for k, u in h.mult_basis(g, t).items():
+            out = vadd(out, vscale(u, m.col(k)))
+        return out
+
+    # sigma(g, t) = phi(g1) phi(t1) phi^-1(g2 t2) and its convolution inverse
+    # phi(g1 t1) phi^-1(t2) phi^-1(g2), both read in B; check_crossed_system
+    # verifies that they convolve to the unit on both sides
+    sig_cols, sig_inv_cols = [None] * (dh * dh), [None] * (dh * dh)
     for g in range(dh):
         dg = h.delta_basis(g)
         for t in range(dh):
             dt = h.delta_basis(t)
-            acc = vzero(f, da)
+            acc, inv = vzero(f, da), vzero(f, da)
             for (g1, g2), c in dg.items():
                 for (t1, t2), d in dt.items():
                     head = a.mult(phi.col(g1), phi.col(t1))
-                    tail = vzero(f, da)
-                    for k, u in h.mult_basis(g2, t2).items():
-                        tail = vadd(tail, vscale(u, phi_inv.col(k)))
-                    acc = vadd(acc, vscale(c * d, a.mult(head, tail)))
+                    acc = vadd(acc, vscale(c * d, a.mult(head, on_product(phi_inv, g2, t2))))
+                    tail = a.mult(phi_inv.col(t2), phi_inv.col(g2))
+                    inv = vadd(inv, vscale(c * d, a.mult(on_product(phi, g1, t1), tail)))
             sig_cols[ti(g, t, dh)] = coinv.coords(acc)
+            sig_inv_cols[ti(g, t, dh)] = coinv.coords(inv)
     base = coinv.subalgebra
     sigma = Matrix.from_cols(f, sig_cols)
-    hc = h.as_coalgebra()
-    sigma_inv = convolution_invert(
-        ConvElement(tensor_coalgebra(hc, hc), base, sigma)
-    ).matrix
+    sigma_inv = Matrix.from_cols(f, sig_inv_cols)
     system = CrossedSystem(h, base, Matrix.from_cols(f, meas_cols), sigma, sigma_inv)
     product = crossed_product(system)  # checks the crossed-system laws
     # alpha : B x| H -> A, b (x) h |-> b phi(h)

@@ -15,6 +15,26 @@ multiples {l * c} of a coefficient vector the enumeration and the -1/0/1
 ladder test only the one whose first nonzero coefficient is 1.  In the
 order both walk (0 before 1 before every other scalar) that member comes
 first, so the first witness found is the same as with every vector tried.
+
+The family splits into independent blocks: two matrices share a block when
+their row supports or their column supports meet.  Then
+det(sum c_i M_i) = +-prod_k det(block_k), and a block that is not square, or
+a row no matrix touches, makes it vanish identically: a definitive negative
+without a search.  The witnesses form the Cartesian product of the blocks'
+witnesses (an all-zero matrix takes any coefficient), so the first witness in
+itertools.product order is the tuple of the blocks' firsts, 0 on all-zero
+matrices.  The ladder's stages stay global, gated on the whole family's m
+and n as before, and each stage walks the blocks one by one:
+  - the F_p enumeration and the -1/0/1 stage take per-block firsts;
+  - the basis vectors are skipped: with two blocks or more none is a
+    witness, and they come out of product order, so per block they would
+    change it;
+  - the grid takes per-block firsts on the same points 0..n, and a block
+    with none certifies det == 0 for the whole family;
+  - where the whole family would fall to random draws, each block is
+    searched on its own, with its own m and n.  Only there do answers
+    change: families the draws left open may be decided.
+A family of one block is searched whole, all-zero matrices included.
 """
 
 import random
@@ -92,30 +112,63 @@ def _walk(values, base, mats):
         yield tuple(values[x] for x in idx), s
 
 
+def _blocks(mats):
+    """The independent blocks of the family as (indices, rows, cols), rows
+    and cols sorted; None when a row is in no support or a block is not
+    square.  All-zero matrices are in no block."""
+    parent = list(range(len(mats)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}  # ("r", row) or ("c", col) -> first matrix whose support has it
+    supports = []
+    for i, mat in enumerate(mats):
+        rows = {r for r, row in enumerate(mat.data) if any(row)}
+        cols = {c for row in mat.data for c, x in enumerate(row) if x}
+        supports.append((rows, cols))
+        for line in [("r", r) for r in rows] + [("c", c) for c in cols]:
+            parent[root(owner.setdefault(line, i))] = root(i)
+    blocks = {}
+    for i, (rows, cols) in enumerate(supports):
+        if rows:
+            idx, rs, cs = blocks.setdefault(root(i), ([], set(), set()))
+            idx.append(i)
+            rs |= rows
+            cs |= cols
+    if (sum(len(rs) for _, rs, _ in blocks.values()) < mats[0].rows
+            or any(len(rs) != len(cs) for _, rs, cs in blocks.values())):
+        return None
+    return [(idx, sorted(rs), sorted(cs)) for idx, rs, cs in blocks.values()]
+
+
+def _leading_one(values, mats):
+    """Yield (coeffs, rows of sum(c_i * mats[i])) for the coefficient vectors
+    over values whose first nonzero entry is values[1], in product order:
+    (0,..,0, 1, rest) for k = m-1 down to 0."""
+    for k in reversed(range(len(mats))):
+        for rest, data in _walk(values, mats[k].data, mats[k + 1:]):
+            yield (values[0],) * k + (values[1],) + rest, data
+
+
 def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     """Search for coefficients c with sum(c_i * mats[i]) invertible."""
     if not mats:
         return SearchOutcome(None, True, 0)
+    blocks = _blocks(mats)
+    if blocks is None:
+        return SearchOutcome(None, True, 0)
     m = len(mats)
     n = mats[0].rows
     zero, one = field.zero, field.one
-    basis = [tuple(one if j == i else zero for j in range(m)) for i in range(m)]
-    rows = [mat.data for mat in mats]
-    zero_rows = Matrix.zeros(field, n, mats[0].cols).data
-
-    def combination(coeffs):
-        data = zero_rows
-        for c, mat in zip(coeffs, rows):
-            if c:
-                data = [tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(data, mat)]
-        return data
-
-    def family(values):
-        # leading coefficient 1 only: (0,..,0, 1, rest) for k = m-1 down to 0
-        for k in reversed(range(m)):
-            for rest, data in _walk(values, rows[k], mats[k + 1:]):
-                yield basis[k][:k + 1] + rest, data
-
+    if len(blocks) < 2:
+        parts = [(range(m), mats)]
+    else:
+        parts = [(idx, [Matrix(field, [[mats[i].data[r][c] for c in cols] for r in rows])
+                        for i in idx]) for idx, rows, cols in blocks]
     tried = 0
 
     def first_witness(candidates):
@@ -126,15 +179,30 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
                 return coeffs
         return None
 
+    def per_block(walk):
+        # the tuple of the blocks' first witnesses, None if a block has none
+        coeffs = [zero] * m
+        for idx, sub in parts:
+            found = first_witness(walk(sub))
+            if found is None:
+                return None
+            for i, c in zip(idx, found):
+                coeffs[i] = c
+        return tuple(coeffs)
+
     # exhaustive enumeration over small finite families: definitive either way
     if field.order is not None and field.order ** m <= budget.enumeration_bound:
-        return SearchOutcome(first_witness(family(field.elements())), True, tried)
+        values = field.elements()
+        return SearchOutcome(per_block(lambda sub: _leading_one(values, sub)), True, tried)
 
-    # deterministic ladder: standard basis vectors first, then all -1/0/1
-    # vectors for small families
-    coeffs = first_witness(zip(basis, rows))
+    # deterministic ladder: standard basis vectors first (a witness only for
+    # one block), then all -1/0/1 vectors for small families
+    coeffs = None
+    if len(parts) == 1:
+        basis = [tuple(one if j == i else zero for j in range(m)) for i in range(m)]
+        coeffs = first_witness(zip(basis, (mat.data for mat in mats)))
     if coeffs is None and m <= budget.ladder_dim_cap:
-        coeffs = first_witness(family((zero, one, -one)))
+        coeffs = per_block(lambda sub: _leading_one((zero, one, -one), sub))
     if coeffs is not None:
         return SearchOutcome(coeffs, True, tried)
 
@@ -143,10 +211,35 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     # grid point where det is nonzero is itself a witness
     if (n + 1) ** m <= budget.zero_cert_bound:
         points = [field.from_int(v) for v in range(n + 1)]
-        coeffs = first_witness(_walk(points, zero_rows, mats))
-        return SearchOutcome(coeffs, True, tried)
+        return SearchOutcome(per_block(lambda sub: _walk(
+            points, Matrix.zeros(field, sub[0].rows, sub[0].cols).data, sub)), True, tried)
+
+    if len(parts) > 1:
+        # each block searched on its own, with its own m and n
+        coeffs, definitive = [zero] * m, True
+        for idx, sub in parts:
+            outcome = find_invertible_combination(field, sub, budget)
+            tried += outcome.tried
+            if outcome.found:
+                for i, c in zip(idx, outcome.coeffs):
+                    coeffs[i] = c
+            elif outcome.definitive:
+                return SearchOutcome(None, True, tried)
+            else:
+                definitive = False
+        return SearchOutcome(tuple(coeffs) if definitive else None, definitive, tried)
 
     # seeded random draws
+    rows = [mat.data for mat in mats]
+    zero_rows = Matrix.zeros(field, n, mats[0].cols).data
+
+    def combination(coeffs):
+        data = zero_rows
+        for c, mat in zip(coeffs, rows):
+            if c:
+                data = [tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(data, mat)]
+        return data
+
     rng = random.Random(budget.seed)
     draws = (tuple(field.random(rng) for _ in range(m)) for _ in range(budget.draws))
     coeffs = first_witness((c, combination(c)) for c in draws)

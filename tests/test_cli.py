@@ -342,6 +342,26 @@ def test_find_section_negative_is_definitive(capsys):
     assert report["witnesses"]["galois_bijective"] is False
 
 
+@pytest.mark.parametrize("name,code,tried", [
+    ("f3z3-cleft.json", 0, 6),
+    ("m2-z2-graded.json", 0, 4),
+    ("kx2-graded.json", 1, 2),
+])
+def test_find_section_searches_each_block_on_its_own(name, code, tried, monkeypatch, capsys):
+    # over k[G] the normal-basis family splits into one block per group
+    # element; searched whole, these took 230, 31 and 5 determinants
+    outcomes = []
+    search = hopfcross.comodule.find_invertible_combination
+
+    def recorded(*args):
+        outcomes.append(search(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(hopfcross.comodule, "find_invertible_combination", recorded)
+    assert run_json(capsys, ["find-section", corpus(name)])[0] == code
+    assert [outcome.tried for outcome in outcomes] == [tried]
+
+
 def test_recognize_crossed_and_cleft_agree_on_m2(capsys):
     assert main(["recognize-crossed", corpus("m2-z2-graded.json")]) == 0
     code, report = run_json(capsys, ["recognize-cleft", corpus("m2-z2-graded.json")])
@@ -621,11 +641,11 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # solve_linear reads its kernel off the elimination it already made, and
     # each matrix solved for several right-hand sides is eliminated once.
     # convolution_invert eliminates once per component of the coalgebra: 2
-    # in each of its three calls over k[Z/2] and 4 in the one over
-    # k[Z/2] (x) k[Z/2], where one whole operator made 1 each
+    # in each of its three calls over k[Z/2], where one whole operator made
+    # 1 each; sigma^-1 is read off phi^-1, not inverted over k[Z/2] (x) k[Z/2]
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 51
+    assert len(calls) == 47
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,14 @@ import random
 import pytest
 
 from hopfcross import comodule
-from hopfcross.algebra import FAlgebra, group_hopf_algebra, ti
+from hopfcross.algebra import (
+    ConvElement,
+    FAlgebra,
+    convolution_invert,
+    group_hopf_algebra,
+    tensor_coalgebra,
+    ti,
+)
 from hopfcross.cli import parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
@@ -38,7 +45,7 @@ from hopfcross.errors import (
 from hopfcross.graded import GradedAlgebra, is_strongly_graded
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
-from hopfcross.search import find_invertible_combination
+from hopfcross.search import DEFAULT_BUDGET, find_invertible_combination
 from hopfcross.standard import dual_numbers, kz2, matrix2, sweedler
 
 Q = Rationals()
@@ -470,8 +477,13 @@ def test_the_grid_certifies_absence_with_degree_dim_a():
     with pytest.raises(NoSectionFoundError) as exc:
         find_section(ca)
     assert exc.value.definitive
-    oracle = find_invertible_combination(Q, convolution_family(ca, colinear_basis(ca)))
-    assert not oracle.found and not oracle.definitive
+    # the convolution family splits: searched whole it stays open, split
+    # into its blocks it is decided
+    from tests.test_search import oracle
+    mats = convolution_family(ca, colinear_basis(ca))
+    assert oracle(Q, mats, DEFAULT_BUDGET) == (None, False)
+    outcome = find_invertible_combination(Q, mats)
+    assert not outcome.found and outcome.definitive
 
 
 def test_section_to_crossed_system_regular():
@@ -504,6 +516,21 @@ def test_section_roundtrip_recovers_cocycle():
     assert val != (Q.zero,)
     again = crossed_product(system)
     assert iso.matrix.apply(again.algebra.one()) == ca.algebra.one()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: twisted_crossed_product(Q, 3, seed=5),
+    lambda: twisted_crossed_product(PrimeField(3), 3, seed=5),
+    lambda: regular_comodule(sweedler(Q)),
+], ids=["Q[Z/3]", "F3[Z/3]", "sweedler-regular"])
+def test_sigma_inverse_is_its_convolution_inverse(make):
+    # section_to_crossed_system reads sigma^-1 off phi^-1; inverting sigma
+    # over H (x) H gives the same map
+    ca = make()
+    system, _ = section_to_crossed_system(find_section(ca))
+    hc = ca.hopf.as_coalgebra()
+    expected = convolution_invert(ConvElement(tensor_coalgebra(hc, hc), system.base, system.sigma))
+    assert system.sigma_inv == expected.matrix
 
 
 # -- three-way agreement --------------------------------------------------------

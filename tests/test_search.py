@@ -112,6 +112,10 @@ def test_first_witness_on_the_f5_ladder_matches_the_oracle(m, kind):
                          SearchBudget(draws=40, enumeration_bound=1))
 
 
+def matrix(field, rows):
+    return Matrix(field, [[field.from_int(x) for x in row] for row in rows])
+
+
 def diagonal(field, *entries):
     n = len(entries)
     return Matrix(field, [[field.from_int(entries[i]) if i == j else field.zero
@@ -149,8 +153,10 @@ def test_the_grid_finds_what_the_ladder_misses(fname, monkeypatch):
 
 
 def test_the_grid_certifies_an_all_singular_family(monkeypatch):
+    # one block: det(c1 M1 + c2 M2) = (c1 + 2 c2)(c1 - c2) - (same) = 0
+    mats = [matrix(Q, [[1, 1], [1, 1]]), matrix(Q, [[2, 2], [-1, -1]])]
     dets = count_dets(monkeypatch)
-    outcome = check_against_oracle(Q, [Matrix.zeros(Q, 2, 2)] * 2, SMALL, dets)
+    outcome = check_against_oracle(Q, mats, SMALL, dets)
     assert not outcome.found and outcome.definitive
     assert outcome.tried == 2 + 4 + 9
 
@@ -163,6 +169,104 @@ def test_random_draws_find_what_the_grid_cannot_afford(monkeypatch):
 
 
 def test_random_draws_leave_an_all_singular_family_open():
-    outcome = check_against_oracle(Q, [Matrix.zeros(Q, 4, 4)] * 6, SMALL)
+    mats = family(Q, "all-singular", 6, random.Random("draws-open"), n=4)
+    outcome = check_against_oracle(Q, mats, SMALL)
     assert not outcome.found and not outcome.definitive
     assert outcome.tried == 6 + (3 ** 6 - 1) // 2 + SMALL.draws
+
+
+def test_zero_families_are_definitive_negatives_without_a_search(monkeypatch):
+    dets = count_dets(monkeypatch)
+    for mats in ([Matrix.zeros(Q, 2, 2)] * 2, [Matrix.zeros(Q, 4, 4)] * 6):
+        outcome = find_invertible_combination(Q, mats, SMALL)
+        assert (outcome.coeffs, outcome.definitive, outcome.tried) == (None, True, 0)
+    assert not dets
+
+
+# families that split into independent blocks
+
+
+def block_family(field, rng):
+    """Two or three blocks of one to three rows, each a small family() of
+    its own kind, embedded block-diagonally under seeded row and column
+    permutations, the matrices shuffled, sometimes with an all-zero one."""
+    blocks = []
+    for k in range(rng.choice([2, 3])):
+        n = rng.choice([1, 2, 3])
+        kind = rng.choice(["full-rank"] * 3 + ["rank-deficient"] * (n > 1) + ["all-singular"])
+        blocks.append((n, family(field, kind, rng.choice([1, 2]) if k < 2 else 1, rng, n=n)))
+    size = sum(n for n, _ in blocks)
+    rows, cols = list(range(size)), list(range(size))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    mats, offset = [], 0
+    for n, block in blocks:
+        for mat in block:
+            data = [[field.zero] * size for _ in range(size)]
+            for i in range(n):
+                for j in range(n):
+                    data[rows[offset + i]][cols[offset + j]] = mat.data[i][j]
+            mats.append(Matrix(field, data))
+        offset += n
+    if len(mats) < 5:
+        mats += [Matrix.zeros(field, size, size)] * rng.choice([0, 0, 1])
+    rng.shuffle(mats)
+    return mats
+
+
+SPLIT_CASES = [(fname, None) for fname in sorted(FIELDS)] + [("F5", 1)]
+
+
+@pytest.mark.parametrize("fname,enumeration_bound", SPLIT_CASES)
+def test_split_families_keep_the_first_witness(fname, enumeration_bound):
+    # where the whole-family oracle decides, the split search gives its
+    # answer; elsewhere (the draws) a witness it gives must be one
+    field = FIELDS[fname]
+    budget = SearchBudget(draws=40, zero_cert_bound=1000,
+                          enumeration_bound=enumeration_bound or 10 ** 6)
+    rng = random.Random("split-%s-%s" % (fname, enumeration_bound))
+    compared = 0
+    for _ in range(40):
+        mats = block_family(field, rng)
+        outcome = find_invertible_combination(field, mats, budget)
+        coeffs, definitive = oracle(field, mats, budget)
+        if definitive:
+            assert (outcome.coeffs, outcome.definitive) == (coeffs, definitive)
+            compared += 1
+        elif outcome.found:
+            assert combine(field, mats, outcome.coeffs).det()
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("fname", ["F2", "Q"])
+def test_basis_vectors_stay_out_of_a_split_search(fname):
+    # the whole family's ladder tries (1,0,0) only after (0,1,1); the
+    # standard basis vectors, tried per block, would give (1,0,1)
+    field = FIELDS[fname]
+    mats = [diagonal(field, 1, 1, 0), matrix(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+            diagonal(field, 0, 0, 1)]
+    expected = tuple(field.from_int(c) for c in (0, 1, 1))
+    assert oracle(field, mats, SMALL) == (expected, True)
+    assert check_against_oracle(field, mats, SMALL).coeffs == expected
+
+
+@pytest.mark.parametrize("fname", ["F2", "Q"])
+def test_an_all_zero_matrix_beside_two_blocks_gets_zero(fname):
+    field = FIELDS[fname]
+    mats = [diagonal(field, 1, 0), Matrix.zeros(field, 2, 2), diagonal(field, 0, 1)]
+    outcome = check_against_oracle(field, mats, SMALL)
+    assert outcome.coeffs == (field.one, field.zero, field.one)
+
+
+@pytest.mark.parametrize("mats", [
+    # blocks of 2 x 1 and 1 x 2
+    [matrix(Q, [[1, 0, 0], [1, 0, 0], [0, 0, 0]]), matrix(Q, [[0, 0, 0], [0, 0, 0], [0, 1, 1]])],
+    # row 1 is in no support
+    [matrix(Q, [[1, 0], [0, 0]]), matrix(Q, [[0, 1], [0, 0]])],
+], ids=["non-square-block", "untouched-row"])
+def test_a_shape_that_forces_det_zero_is_decided_without_a_search(mats, monkeypatch):
+    dets = count_dets(monkeypatch)
+    outcome = find_invertible_combination(Q, mats, SMALL)
+    assert (outcome.coeffs, outcome.definitive, outcome.tried) == (None, True, 0)
+    assert not dets
+    assert oracle(Q, mats, SMALL) == (None, True)
