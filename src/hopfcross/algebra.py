@@ -22,9 +22,7 @@ from .linalg import (
     Matrix,
     basis_vec,
     solve_linear,
-    vadd,
     vscale,
-    vzero,
 )
 
 
@@ -222,6 +220,9 @@ class FBialgebra:
 
     def is_cocommutative(self):
         return self._coalg.is_cocommutative()
+
+    def canonical_constants(self):
+        return self._alg.canonical_constants() + self._coalg.canonical_constants()
 
 
 class FHopf(FBialgebra):
@@ -854,50 +855,6 @@ def coaction_violations(rho_basis, hopf, dim):
 # convolution algebra Hom(C, A)
 
 
-class ConvElement:
-    """A linear map C -> A inside the convolution algebra Hom(C, A)."""
-
-    def __init__(self, coalgebra, algebra, matrix):
-        if matrix.rows != algebra.dim or matrix.cols != coalgebra.dim:
-            raise ShapeMismatchError("convolution element shape mismatch")
-        self.coalgebra = coalgebra
-        self.algebra = algebra
-        self.matrix = matrix
-
-    def __call__(self, vec):
-        return self.matrix.apply(vec)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConvElement)
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-
-def convolution_unit(coalgebra, algebra):
-    cols = [vscale(coalgebra.counit[i], algebra.unit) for i in range(coalgebra.dim)]
-    return ConvElement(coalgebra, algebra, Matrix.from_cols(algebra.field, cols))
-
-
-def convolve(f, g):
-    if f.coalgebra is not g.coalgebra and f.coalgebra.canonical_constants() != g.coalgebra.canonical_constants():
-        raise ShapeMismatchError("convolution with mismatched coalgebras")
-    if f.algebra is not g.algebra and f.algebra.canonical_constants() != g.algebra.canonical_constants():
-        raise ShapeMismatchError("convolution with mismatched algebras")
-    c, a = f.coalgebra, g.algebra
-    z = vzero(a.field, a.dim)
-    cols = []
-    for i in range(c.dim):
-        acc = z
-        for (j, k), u in c.delta_basis(i).items():
-            acc = vadd(acc, vscale(u, a.mult(f.matrix.col(j), g.matrix.col(k))))
-        cols.append(acc)
-    return ConvElement(c, a, Matrix.from_cols(a.field, cols))
-
-
 def _coalgebra_components(c):
     """The connected components of C's Delta-support graph, each a sorted
     list of basis indices, in the order of their least index: i is joined to
@@ -923,8 +880,9 @@ def _coalgebra_components(c):
     return list(components.values())
 
 
-def convolution_invert(f):
-    """Invert f in Hom(C, A) by solving L_f(g) = f * g = eta eps.
+def convolution_invert(c, a, f):
+    """Invert f, the matrix of a map C -> A, in Hom(C, A) by solving
+    L_f(g) = f * g = eta eps; return the matrix of g.
 
     (f * g)(e_i) reads g only on the component of i (`_coalgebra_components`),
     so L_f is block diagonal and each component is solved on its own, with g
@@ -938,9 +896,10 @@ def convolution_invert(f):
     The two-sided identity is always re-verified, guarding against
     non-coassociative or non-associative corrupt inputs.
     """
-    c, a = f.coalgebra, f.algebra
+    if f.rows != a.dim or f.cols != c.dim:
+        raise ShapeMismatchError("convolution element shape mismatch")
     fld, da = a.field, a.dim
-    cols = f.matrix.sparse_cols()
+    cols = f.sparse_cols()
     unit, counit = _nonzero(a.unit), _nonzero(c.counit)
     lower, d, _ = _lowering(
         fld, _values(a.product.values()), _values(c.coproduct.values()),
@@ -978,19 +937,11 @@ def convolution_invert(f):
             raise NotConvolutionInvertibleError("left convolution by f is not surjective")
         for k, t in at.items():
             g_cols[k] = res.solution[t:t + da]
-    g = ConvElement(c, a, Matrix.from_cols(fld, g_cols))
-    failures = _convolution_failures(c, a, cols, g.matrix.sparse_cols())
+    g = Matrix.from_cols(fld, g_cols)
+    failures = _convolution_failures(c, a, cols, g.sparse_cols())
     if any(right or left for _, right, left in failures):
         raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
     return g
-
-
-def identity_conv(bialgebra):
-    return ConvElement(
-        bialgebra.as_coalgebra(),
-        bialgebra.as_algebra(),
-        Matrix.identity(bialgebra.field, bialgebra.dim),
-    )
 
 
 def compute_antipode(b):
@@ -999,10 +950,10 @@ def compute_antipode(b):
     if not report.ok:
         raise ValidationError("not a bialgebra: %r" % (report,))
     try:
-        s = convolution_invert(identity_conv(b))
+        s = convolution_invert(b.as_coalgebra(), b.as_algebra(), Matrix.identity(b.field, b.dim))
     except NotConvolutionInvertibleError as exc:
         raise NoAntipodeError("identity map is not convolution-invertible") from exc
-    h = FHopf.from_bialgebra(b, s.matrix)
+    h = FHopf.from_bialgebra(b, s)
     bad = next(_antipode_laws(h), None)
     if bad:
         # convolution_invert has verified id * S = eta eps = S * id, so a
@@ -1100,32 +1051,6 @@ def dual_hopf(h):
     if not report.ok:
         raise ValidationError("dual presentation fails Hopf axioms: %r" % (report,))
     return dual
-
-
-# ---------------------------------------------------------------------------
-# tensor products of coalgebras (ordinary, no signs)
-
-
-def tensor_coalgebra(c, d, labels=None):
-    """The tensor-product coalgebra C (x) D (middle-leg swap, no signs)."""
-    if c.field != d.field:
-        raise ShapeMismatchError("tensor factors over different fields")
-    f = c.field
-    dc, dd = c.dim, d.dim
-    if labels is None:
-        labels = tuple("%s(x)%s" % (x, y) for x in c.basis for y in d.basis)
-    coproduct = {}
-    for i in range(dc):
-        for j in range(dd):
-            terms = {}
-            for (a1, a2), u in c.delta_basis(i).items():
-                for (b1, b2), v in d.delta_basis(j).items():
-                    terms[(ti(a1, b1, dd), ti(a2, b2, dd))] = u * v
-            coproduct[ti(i, j, dd)] = terms
-    counit = tuple(
-        c.counit[i] * d.counit[j] for i in range(dc) for j in range(dd)
-    )
-    return FCoalgebra(f, labels, coproduct, counit)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .cohomology import (
 from .comodule import (
     ComoduleAlgebra,
     CrossedSystem,
-    _galois_map,
     check_crossed_system,
     coinvariants,
     crossed_product,
@@ -600,10 +599,6 @@ def _emit(report, args):
     return report.exit_code
 
 
-def _mj(field, m):
-    return _matrix_to_json(field, m)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -646,7 +641,7 @@ def cmd_antipode(args):
     except NoAntipodeError:
         return _emit(Report("antipode", "not-found", 1), args)
     return _emit(Report("antipode", "found", 0, certificates={
-        "antipode": _mj(b.field, s),
+        "antipode": _matrix_to_json(b.field, s),
     }), args)
 
 
@@ -670,7 +665,7 @@ def cmd_coinvariants(args):
     return _emit(Report("coinvariants", "pass", 0, witnesses={
         "dimension": coinv.subalgebra.dim,
     }, certificates={
-        "inclusion": _mj(ca.field, coinv.inclusion.matrix),
+        "inclusion": _matrix_to_json(ca.field, coinv.inclusion),
     }), args)
 
 
@@ -681,7 +676,7 @@ def cmd_galois(args):
     return _emit(Report("galois", verdict, 0 if rep.bijective else 1, witnesses={
         "bijective": rep.bijective,
         "rank": rep.rank,
-    }, certificates={"beta": _mj(ca.field, rep.beta.matrix)}), args)
+    }, certificates={"beta": _matrix_to_json(ca.field, rep.beta)}), args)
 
 
 def cmd_strongly_graded(args):
@@ -708,7 +703,7 @@ def cmd_recognize_crossed(args):
     f = pres.payload.field
     return _emit(Report("recognize-crossed", "found", 0, certificates={
         "units": {str(g): _vector_to_json(f, u) for g, u in enumerate(rec.units)},
-        "iso": _mj(f, rec.iso.matrix),
+        "iso": _matrix_to_json(f, rec.iso),
     }), args)
 
 
@@ -734,8 +729,8 @@ def cmd_find_section(args):
                             definitive=e.definitive,
                             budget_exhausted=not e.definitive), args)
     return _emit(Report("find-section", "found", 0, certificates={
-        "phi": _mj(ca.field, sec.phi.matrix),
-        "phi_inv": _mj(ca.field, sec.phi_inv.matrix),
+        "phi": _matrix_to_json(ca.field, sec.phi),
+        "phi_inv": _matrix_to_json(ca.field, sec.phi_inv),
     }), args)
 
 
@@ -753,14 +748,14 @@ def cmd_recognize_cleft(args):
                             budget_exhausted=not e.definitive,
                             witnesses={"galois_bijective": galois.bijective}), args)
     # the section carries B, so the Galois map does not compute it again
-    if not _galois_map(ca, sec.coinvariants).bijective:
+    if not galois_map(ca, sec.coinvariants).bijective:
         raise ValidationError("cleftness verdicts disagree")
     system, iso = section_to_crossed_system(sec)
     return _emit(Report("recognize-cleft", "found", 0, witnesses={
         "galois_bijective": True,
     }, certificates={
         "system": encode_crossed_system(system),
-        "iso": _mj(ca.field, iso.matrix),
+        "iso": _matrix_to_json(ca.field, iso),
     }), args)
 
 
@@ -774,7 +769,7 @@ def cmd_classify_cleft(args):
         "class": [_scal_json(f, c) for c in cls.class_coords],
         "is_split": cls.is_split,
     }, certificates={
-        "cocycle": _mj(f, cls.cochain.matrix),
+        "cocycle": _matrix_to_json(f, cls.cochain.matrix),
     }), args)
 
 
@@ -787,7 +782,7 @@ def cmd_hh2(args):
         witnesses["class"] = [_scal_json(f, c) for c in result.decide(cochain)]
     return _emit(Report("hh2", "pass", 0, witnesses=witnesses, certificates={
         "representatives": [
-            _mj(f, c.matrix) for c in result.representative_cochains()
+            _matrix_to_json(f, c.matrix) for c in result.representative_cochains()
         ],
     }), args)
 
@@ -799,7 +794,7 @@ def cmd_split(args):
     f = ext.comodule_algebra.field
     if res.split:
         return _emit(Report("split", "found", 0, certificates={
-            "splitting": _mj(f, res.splitting.matrix),
+            "splitting": _matrix_to_json(f, res.splitting),
         }), args)
     return _emit(Report("split", "not-found", 1, witnesses={
         "obstruction": [_scal_json(f, c) for c in res.obstruction],
@@ -812,7 +807,7 @@ def cmd_lift(args):
     f = domain.field
     if res.lifted:
         return _emit(Report("lift", "found", 0, certificates={
-            "lift": _mj(f, res.lift.matrix),
+            "lift": _matrix_to_json(f, res.lift),
         }), args)
     return _emit(Report("lift", "not-found", 1, witnesses={
         "obstruction_step": res.obstruction_step,
@@ -836,10 +831,10 @@ def cmd_super_decompose(args):
         "w_dimension": res.w.odd_dim,
         "h": encode_hopf(res.h),
     }, certificates={
-        "pi": _mj(f, res.pi.matrix),
-        "phi": _mj(f, res.phi.matrix),
-        "delta": _mj(f, res.delta.matrix),
-        "alpha": _mj(f, res.alpha.matrix),
+        "pi": _matrix_to_json(f, res.pi),
+        "phi": _matrix_to_json(f, res.phi),
+        "delta": _matrix_to_json(f, res.delta),
+        "alpha": _matrix_to_json(f, res.alpha),
     }), args)
 
 
@@ -850,8 +845,8 @@ def cmd_pairing(args):
         "n": args.n,
         "nondegenerate": True,
     }, certificates={
-        "pairing": _mj(field, pairing.matrix),
-        "iso": _mj(field, pairing.iso.matrix),
+        "pairing": _matrix_to_json(field, pairing.matrix),
+        "iso": _matrix_to_json(field, pairing.iso),
     }), args)
 
 

@@ -13,7 +13,6 @@ from functools import cached_property
 
 from .algebra import (
     MAX_VIOLATIONS,
-    ConvElement,
     FAlgebra,
     _add_scaled,
     _lowered,
@@ -50,13 +49,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    LinearMap,
     Matrix,
     QuotientSpace,
     basis_vec,
     column_coordinates,
     in_span,
-    kernel_basis,
     row_space_basis,
     solve_linear,
     vadd,
@@ -88,7 +85,7 @@ class AugmentedAlgebra:
     @cached_property
     def plus_basis(self):
         """The canonical basis of B+ = ker eps."""
-        return kernel_basis(Matrix(self.field, [self.augmentation]))
+        return Matrix(self.field, [self.augmentation]).kernel_basis()
 
     @cached_property
     def _plus_matrix(self):
@@ -371,10 +368,10 @@ def hh2(hopf, act):
     d2 = _differential_matrix(act, 2)
     constraints = _normalization_constraints(act, 2)
     stacked = Matrix(f, list(d2.data) + constraints)
-    cocycles = kernel_basis(stacked)
+    cocycles = stacked.kernel_basis()
     d1 = _differential_matrix(act, 1)
     n1_constraints = _normalization_constraints(act, 1)
-    n1_basis = kernel_basis(Matrix(f, n1_constraints, dp * dh))
+    n1_basis = Matrix(f, n1_constraints, dp * dh).kernel_basis()
     coboundaries = row_space_basis(f, [d1.apply(t) for t in n1_basis], n2)
     dim = len(cocycles) - len(coboundaries)
     # representatives: echelon complement of the coboundaries in the cocycles
@@ -388,7 +385,7 @@ def hh2(hopf, act):
         raise ValidationError("representative count disagrees with the computed dimension")
     # guard the normalized-complex convention against the full complex
     if dh <= 4:
-        full_z = len(kernel_basis(d2))
+        full_z = len(d2.kernel_basis())
         full_b = d1.rank()
         if full_z - full_b != dim:
             raise ValidationError("normalized and full complexes disagree")
@@ -471,8 +468,7 @@ def reaugment_section(ext, sec):
     ca = ext.comodule_algebra
     a, h = ca.algebra, ca.hopf
     f = ca.field
-    phi = sec.phi.matrix
-    phi_inv = sec.phi_inv.matrix
+    phi, phi_inv = sec.phi, sec.phi_inv
     cols = []
     for j in range(h.dim):
         acc = vzero(f, a.dim)
@@ -480,13 +476,11 @@ def reaugment_section(ext, sec):
             acc = vadd(acc, vscale(c * ext.eps(phi_inv.col(p)), phi.col(q)))
         cols.append(acc)
     new_phi = Matrix.from_cols(f, cols)
-    hc = h.as_coalgebra()
-    new_inv = convolution_invert(ConvElement(hc, a, new_phi)).matrix
+    new_inv = convolution_invert(h.as_coalgebra(), a, new_phi)
     for j in range(h.dim):
         if ext.eps(new_phi.col(j)) != h.counit[j]:
             raise ValidationError("re-augmented section fails the augmentation identity")
-    return Section(LinearMap(new_phi, h.basis, a.basis),
-                   LinearMap(new_inv, h.basis, a.basis), ca, sec.coinvariants)
+    return Section(new_phi, new_inv, ca, sec.coinvariants)
 
 
 class Classification:
@@ -598,7 +592,7 @@ def gauge_iso(t, source, target):
     bad = next(algebra_map_violations(a1, a2, ft), None)
     if bad:
         raise NotAlgebraMapError("gauge map is not an algebra map: %r" % (bad,))
-    return LinearMap(ft, a1.basis, a2.basis)
+    return ft
 
 
 def embed_cochain(aug, cochain):
@@ -614,7 +608,7 @@ def embed_cochain(aug, cochain):
 
 class SplitResult:
     def __init__(self, splitting, obstruction):
-        self.splitting = splitting      # LinearMap H -> A, or None
+        self.splitting = splitting      # matrix H -> A, or None
         self.obstruction = obstruction  # class coordinates, or None
 
     @property
@@ -660,7 +654,7 @@ def split_extension(ext):
         for i, c in enumerate(system.base.unit):
             if c:
                 v[ti(i, g, dh)] = c
-        cols.append(cls.iso.matrix.apply(fneg.apply(tuple(v))))
+        cols.append(cls.iso.apply(fneg.apply(tuple(v))))
     psi = Matrix.from_cols(f, cols)
     a = ca.algebra
     # verify: algebra map, colinear, augmented
@@ -671,7 +665,7 @@ def split_extension(ext):
     for g in range(dh):
         if ext.eps(psi.col(g)) != h.counit[g]:
             raise ValidationError("computed splitting is not augmented")
-    return SplitResult(LinearMap(psi, h.basis, a.basis), None)
+    return SplitResult(psi, None)
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +786,7 @@ def hopf_module_decompose(module):
     iso_m = Matrix.from_cols(f, iso_cols) if iso_cols else Matrix.zeros(f, dm, 0)
     if len(coinv) * dh != dm or not iso_m.is_invertible():
         raise NotHopfModuleError("the Hopf-module decomposition map is not bijective")
-    labels = ["v%d(x)%s" % (i, h.basis[t]) for i in range(len(coinv)) for t in range(dh)]
-    return HopfModuleDecomposition(coinv, LinearMap(iso_m, labels, ["m%d" % i for i in range(dm)]))
+    return HopfModuleDecomposition(coinv, iso_m)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +836,7 @@ def colinear_splitting_nilpotent(ca, pi):
     f = ca.field
     da, dh = a.dim, h.dim
     _check_surjection(ca, h, pi)
-    ideal = kernel_basis(pi)
+    ideal = pi.kernel_basis()
     chain = ideal_power_chain(a, list(ideal))  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] has no relations (identity on A)
@@ -902,7 +895,7 @@ def colinear_splitting_nilpotent(ca, pi):
         )
         decomp = hopf_module_decompose(module)
         dv = len(decomp.coinvariant_basis)
-        iso_inv = decomp.iso.matrix.inverse()
+        iso_inv = decomp.iso.inverse()
         # linear retraction r0 : X -> K along the echelon complement of K
         r0 = _retraction_onto(f, kbasis, x_quot.dim)
         # v-map X -> V and the colinear retraction r = iso o (v (x) id) o rho_X
@@ -919,7 +912,7 @@ def colinear_splitting_nilpotent(ca, pi):
                 for i, u in enumerate(vcoords):
                     if u:
                         flat[ti(i, t, dh)] = u
-                img = decomp.iso.matrix.apply(tuple(flat))
+                img = decomp.iso.apply(tuple(flat))
                 acc = [p + c * q for p, q in zip(acc, img)]
             r_cols.append(tuple(acc))
         rmat = Matrix.from_cols(f, r_cols)
@@ -950,7 +943,7 @@ def colinear_splitting_nilpotent(ca, pi):
     if bad:
         raise ValidationError("computed splitting is not colinear: %r" % (bad,))
     sec = _normalized_section(ca, phi_a)
-    if pi * sec.phi.matrix != Matrix.identity(f, dh):
+    if pi * sec.phi != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
     return sec
 
@@ -1038,7 +1031,7 @@ def sub_comodule_algebra(ca, span_vectors):
     labels = tuple("s%d" % s for s in range(len(basis)))
     out = ComoduleAlgebra(induced_algebra(a, basis, coords, labels), ca.hopf,
                           induced_coaction(ca, basis, coords))
-    return out, LinearMap(inc, labels, a.basis)
+    return out, inc
 
 
 def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
@@ -1058,7 +1051,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
                                colinear_violations(c_ca.rho_basis, d_ca.rho, varpi)), None)
     if bad:
         raise ValidationError("map C -> D is not a comodule algebra map: %r" % (bad,))
-    ideal = kernel_basis(varpi)
+    ideal = varpi.kernel_basis()
     chain = ideal_power_chain(ca_alg, list(ideal))
     n = len(chain)  # J^n = 0
     # exponents 1 = 2^0 < 2 < 4 < ... >= n
@@ -1101,13 +1094,13 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
             comp_proj = Matrix.from_cols(
                 f, [comp.project(step_pi.col(j)) for j in range(upper.algebra.dim)]
             )
-            avecs = kernel_basis(comp_proj)
+            avecs = comp_proj.kernel_basis()
         sub, inc = sub_comodule_algebra(upper, [tuple(v) for v in avecs])
         # pi : A -> H through psi_{step-1}^{-1} on the image
         in_psi = column_coordinates(current)
         pi_cols = []
         for t in range(sub.algebra.dim):
-            sol = in_psi(step_pi.apply(inc.matrix.col(t)))
+            sol = in_psi(step_pi.apply(inc.col(t)))
             if sol is None:
                 raise ValidationError("pull-back image escapes the embedded copy of H")
             pi_cols.append(sol)
@@ -1119,7 +1112,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         res = split_extension(ext)
         if not res.split:
             return LiftResult(None, step, res.obstruction)
-        current = inc.matrix * res.splitting.matrix  # H -> C/J^{2^step}
+        current = inc * res.splitting  # H -> C/J^{2^step}
         _check_comodule_algebra_map(h, upper, current)
     # the last stage has no relations; lift to ambient C coordinates
     top_quot = QuotientSpace(f, ca_alg.dim,
@@ -1128,4 +1121,4 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     _check_comodule_algebra_map(h, c_ca, final)
     if varpi * final != psi:
         raise ValidationError("computed lift does not project to the given map")
-    return LiftResult(LinearMap(final, h.basis, ca_alg.basis), None, None)
+    return LiftResult(final, None, None)

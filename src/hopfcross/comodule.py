@@ -9,7 +9,6 @@ from itertools import chain, islice
 
 from .algebra import (
     MAX_VIOLATIONS,
-    ConvElement,
     FAlgebra,
     _add_scaled,
     _clean,
@@ -40,13 +39,11 @@ from .errors import (
 )
 from .graded import GradedAlgebra
 from .linalg import (
-    LinearMap,
     Matrix,
     QuotientSpace,
     basis_vec,
     column_coordinates,
     in_span,
-    kernel_basis,
     row_space_basis,
     vadd,
     vscale,
@@ -136,7 +133,7 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
             if c:
                 v[ti(i, t, dh)] = v[ti(i, t, dh)] - c
         cols.append(tuple(v))
-    return kernel_basis(Matrix.from_cols(f, cols))
+    return Matrix.from_cols(f, cols).kernel_basis()
 
 
 def _flatten_sparse(field, sparse, dim_minor, total):
@@ -157,14 +154,14 @@ class Coinvariants:
         self.parent = parent
         self.subalgebra = subalgebra
         self.inclusion = inclusion
-        self._coords = column_coordinates(inclusion.matrix)
+        self._coords = column_coordinates(inclusion)
 
     @property
     def dim(self):
         return self.subalgebra.dim
 
     def embed(self, bcoords):
-        return self.inclusion.matrix.apply(bcoords)
+        return self.inclusion.apply(bcoords)
 
     def coords(self, avec):
         x = self._coords(avec)
@@ -179,7 +176,7 @@ def coinvariants(ca):
     basis = coaction_kernel(ca.rho_basis, a.dim, h, h.unit)
     inc = Matrix.from_cols(f, basis) if basis else Matrix.zeros(f, a.dim, 0)
     labels = tuple("b%d" % t for t in range(len(basis)))
-    coinv = Coinvariants(ca, None, LinearMap(inc, labels, a.basis))
+    coinv = Coinvariants(ca, None, inc)
     # coinv.coords raises unless B is closed under the product and holds 1
     coinv.subalgebra = induced_algebra(a, basis, coinv.coords, labels)
     return coinv
@@ -222,13 +219,12 @@ def relative_tensor_square(ca, coinv):
     return QuotientSpace(f, da * da, relations)
 
 
-def galois_map(ca, section=None):
-    return _galois_map(ca, coinvariants(ca), section)
-
-
-def _galois_map(ca, coinv, section=None):
+def galois_map(ca, coinv=None, section=None):
     """The Galois map beta : A (x)_B A -> A (x) H for B = coinv, the
-    coinvariants of ca, with its inverse built from section when given."""
+    coinvariants of ca, computed here when not given, with its inverse built
+    from section when given."""
+    if coinv is None:
+        coinv = coinvariants(ca)
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
@@ -248,14 +244,13 @@ def _galois_map(ca, coinv, section=None):
                         key = (y, s)
                         acc[key] = acc.get(key, f.zero) + c * d * e
         cols.append(_flatten_sparse(f, _clean(acc), dh, da * dh))
-    beta_m = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da * dh, 0)
-    rank = beta_m.rank()
+    beta = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da * dh, 0)
+    rank = beta.rank()
     bijective = quot.dim == da * dh and rank == da * dh
     inverse = None
     if section is not None:
         inv_cols = []
-        phi = section.phi.matrix
-        phi_inv = section.phi_inv.matrix
+        phi, phi_inv = section.phi, section.phi_inv
         for i in range(da):
             ei = basis_vec(f, da, i)
             for t in range(dh):
@@ -270,15 +265,11 @@ def _galois_map(ca, coinv, section=None):
                             if v:
                                 amb[ti(x, y, da)] = amb[ti(x, y, da)] + c * u * v
                 inv_cols.append(quot.project(tuple(amb)))
-        inv_m = Matrix.from_cols(f, inv_cols)
-        if beta_m * inv_m != Matrix.identity(f, da * dh):
+        inverse = Matrix.from_cols(f, inv_cols)
+        if beta * inverse != Matrix.identity(f, da * dh):
             raise ValidationError("section-derived inverse fails beta o inv = id")
-        if inv_m * beta_m != Matrix.identity(f, quot.dim):
+        if inverse * beta != Matrix.identity(f, quot.dim):
             raise ValidationError("section-derived inverse fails inv o beta = id")
-        inverse = LinearMap(inv_m, ["ah%d" % i for i in range(da * dh)],
-                            ["t%d" % i for i in range(quot.dim)])
-    beta = LinearMap(beta_m, ["t%d" % i for i in range(quot.dim)],
-                     ["ah%d" % i for i in range(da * dh)])
     return GaloisReport(quot, beta, rank, bijective, inverse)
 
 
@@ -325,7 +316,7 @@ def _comodule_to_graded(ca):
     labels = tuple("a%d" % s for s in range(da))
     alg = induced_algebra(a, hom_basis, change.inverse().apply, labels)
     ga = GradedAlgebra(alg, grp, tuple(degrees))
-    return ga, LinearMap(change, labels, a.basis)
+    return ga, change
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +621,7 @@ def colinear_map_space(ca):
     data = [[f.zero] * n for _ in range(m)]
     for (eq, col), val in rows.items():
         data[eq][col] = val
-    return kernel_basis(Matrix(f, data))
+    return Matrix(f, data).kernel_basis()
 
 
 def _unflatten_phi(f, flat, da, dh):
@@ -694,20 +685,12 @@ def _normalized_section(ca, phi_matrix, coinv=None):
     inverse and coinv, the coinvariants of ca when already known."""
     a, h = ca.algebra, ca.hopf
     hc = h.as_coalgebra()
-    raw = ConvElement(hc, a, phi_matrix)
-    raw_inv = convolution_invert(raw)
-    u = raw_inv.matrix.apply(h.unit)
+    u = convolution_invert(hc, a, phi_matrix).apply(h.unit)
     normalized = a.left_mult_matrix(u) * phi_matrix
-    fixed = ConvElement(hc, a, normalized)
-    fixed_inv = convolution_invert(fixed)
+    normalized_inv = convolution_invert(hc, a, normalized)
     if normalized.apply(h.unit) != a.one():
         raise ValidationError("normalization failed to fix phi(1) = 1")
-    sec = Section(
-        LinearMap(normalized, h.basis, a.basis),
-        LinearMap(fixed_inv.matrix, h.basis, a.basis),
-        ca,
-        coinv,
-    )
+    sec = Section(normalized, normalized_inv, ca, coinv)
     bad = next(colinear_violations(h.delta_basis, ca.rho, normalized), None)
     if bad:
         raise ValidationError("normalized section is not colinear: %r" % (bad,))
@@ -723,8 +706,7 @@ def section_to_crossed_system(sec):
     f = ca.field
     da, dh = a.dim, h.dim
     db = coinv.dim
-    phi = sec.phi.matrix
-    phi_inv = sec.phi_inv.matrix
+    phi, phi_inv = sec.phi, sec.phi_inv
     meas_cols = [None] * (dh * db)
     for g in range(dh):
         dg = h.delta_basis(g)
@@ -777,8 +759,7 @@ def section_to_crossed_system(sec):
         bv = basis_vec(f, db, i)
         if alpha.apply(_embed_b(system, bv)) != coinv.embed(bv):
             raise ValidationError("isomorphism is not the identity on the coinvariants")
-    iso = LinearMap(alpha, product.algebra.basis, a.basis)
-    return system, iso
+    return system, alpha
 
 
 def _verify_comodule_algebra_iso(src, dst, alpha):

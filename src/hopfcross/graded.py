@@ -9,9 +9,9 @@ a k[Gamma]-coaction, and the crossed system, the product and the isomorphism
 are those of the Hopf crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
-from .algebra import ConvElement, convolution_invert, ti
+from .algebra import convolution_invert, ti
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
-from .linalg import LinearMap, Matrix, QuotientSpace, basis_vec, row_space_basis
+from .linalg import Matrix, QuotientSpace, basis_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -185,10 +185,7 @@ def morita_context(ga, g):
     if fwd_surj and bwd_surj and not (fwd_bij and bwd_bij):
         # Lemma-level consequence: a strict Morita context here is bijective
         raise ValidationError("strict Morita context with non-bijective product maps")
-    labels_b = tuple(ga.algebra.basis[i] for i in ga.component_indices(e))
-    fwd = LinearMap(mu_f, ["t%d" % i for i in range(mu_f.cols)], labels_b)
-    bwd = LinearMap(mu_b, ["t%d" % i for i in range(mu_b.cols)], labels_b)
-    return MoritaReport(grp.elements[g], fwd, bwd, fwd_surj, bwd_surj, fwd_bij, bwd_bij)
+    return MoritaReport(grp.elements[g], mu_f, mu_b, fwd_surj, bwd_surj, fwd_bij, bwd_bij)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +196,7 @@ class RecognizedCrossedProduct:
     def __init__(self, system, units, iso):
         self.system = system  # a comodule.CrossedSystem over k[Gamma]
         self.units = units    # per group element: the invertible element of A_g
-        self.iso = iso        # LinearMap A -> B x|_sigma k[Gamma]
+        self.iso = iso        # matrix A -> B x|_sigma k[Gamma]
 
 
 def _find_component_unit(ga, g, budget):
@@ -244,14 +241,12 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
             raise NotCrossedProductError(msg, definitive=definitive)
         units[g] = u
     ca = graded_bridge(ga)
-    h = ca.hopf
     phi = Matrix.from_cols(a.field, units)
     try:
         # over k[Gamma] this solves u_g x = 1 in A once for each g
-        phi_inv = convolution_invert(ConvElement(h.as_coalgebra(), a, phi)).matrix
+        phi_inv = convolution_invert(ca.hopf.as_coalgebra(), a, phi)
     except NotConvolutionInvertibleError:
         raise NotCrossedProductError("candidate unit is one-sided only", definitive=False) from None
-    section = Section(LinearMap(phi, h.basis, a.basis), LinearMap(phi_inv, h.basis, a.basis), ca)
-    system, iso = section_to_crossed_system(section)  # checks the laws and the iso
-    return RecognizedCrossedProduct(
-        system, units, LinearMap(iso.matrix.inverse(), a.basis, iso.domain_labels))
+    # section_to_crossed_system checks the laws and the iso
+    system, iso = section_to_crossed_system(Section(phi, phi_inv, ca))
+    return RecognizedCrossedProduct(system, units, iso.inverse())

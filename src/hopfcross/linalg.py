@@ -10,7 +10,8 @@ Elimination (`Matrix.rref`, `Matrix.det`) works on sparse rows, one dict
 F_p (inverses by `pow(a, p - 2, p)`) and `Fraction` over Q.  Entries become
 `FpElement` again only in the matrices it returns.  The transform T with
 T * M = R is carried only when a caller asks for it (`inverse`,
-`column_coordinates`, the certificate of an inconsistent `solve_linear`).
+`column_coordinates`, the certificate of an inconsistent `solve_linear`
+when it is read).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
@@ -18,6 +19,7 @@ canonical and reproducible.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ShapeMismatchError, SingularMatrixError
 
@@ -469,41 +471,32 @@ def _kernel_of_rref(r, pivots, cols):
     return basis
 
 
-class LinearMap:
-    """A matrix with named domain/codomain bases (shape codomain x domain)."""
-
-    def __init__(self, matrix, domain_labels, codomain_labels):
-        if matrix.cols != len(domain_labels) or matrix.rows != len(codomain_labels):
-            raise ShapeMismatchError("linear map label/shape mismatch")
-        self.matrix = matrix
-        self.domain_dim = matrix.cols
-        self.codomain_dim = matrix.rows
-        self.domain_labels = tuple(domain_labels)
-        self.codomain_labels = tuple(codomain_labels)
-
-    def __call__(self, vec):
-        return self.matrix.apply(vec)
-
-    def is_bijective(self):
-        return self.matrix.is_invertible()
-
-
 class SolveResult:
     """Outcome of solve_linear.
 
     Either `solution` is a vector with M x = b and `kernel` spans the
     homogeneous solutions, or `certificate` is a row combination y with
-    y^T M = 0 and y^T b != 0 proving inconsistency.
-    """
+    y^T M = 0 and y^T b != 0 proving inconsistency.  The certificate
+    eliminates M again, with the transform, so it is built only when it is
+    first read."""
 
-    def __init__(self, solution=None, kernel=None, certificate=None):
+    def __init__(self, solution=None, kernel=None, inconsistent=None):
         self.solution = solution
         self.kernel = kernel
-        self.certificate = certificate
+        self._inconsistent = inconsistent  # (M, b) when there is no solution
 
     @property
     def consistent(self):
         return self.solution is not None
+
+    @cached_property
+    def certificate(self):
+        if self._inconsistent is None:
+            return None
+        m, b = self._inconsistent
+        _, pivots, t = m.rref()
+        tb = t.apply(b)
+        return t.row(next(i for i in range(len(pivots), m.rows) if tb[i]))
 
 
 def solve_linear(m, b):
@@ -511,8 +504,7 @@ def solve_linear(m, b):
 
     [M | b] is eliminated once: its pivots are those of M, plus the last
     column exactly when the system is inconsistent, and the solution and
-    the kernel are read off that R.  Only an inconsistent system eliminates
-    M again, with the transform, for the certificate."""
+    the kernel are read off that R."""
     if len(b) != m.rows:
         raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
     f = m.field
@@ -520,10 +512,7 @@ def solve_linear(m, b):
     r, pivots, _ = Matrix(f, [row + (x,) for row, x in zip(m.data, b)], n + 1).rref(
         transform=False)
     if pivots and pivots[-1] == n:
-        _, pivots, t = m.rref()
-        tb = t.apply(b)
-        i = next(i for i in range(len(pivots), m.rows) if tb[i])
-        return SolveResult(certificate=t.row(i))
+        return SolveResult(inconsistent=(m, b))
     # pivot rows of the rref have a 1 in column pc; back substitution is immediate
     sol = [f.zero] * n
     for ri, pc in enumerate(pivots):
@@ -549,10 +538,6 @@ def column_coordinates(m):
         return tuple(x)
 
     return coords
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
 
 
 def row_space_basis(field, vectors, n):

@@ -34,13 +34,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    LinearMap,
     Matrix,
     QuotientSpace,
     basis_vec,
     column_coordinates,
     in_span,
-    kernel_basis,
     row_space_basis,
     vscale,
 )
@@ -308,9 +306,7 @@ def duality_pairing(n, field):
     # check includes that the pairing is nondegenerate
     iso = pairing.transpose()
     _check_super_hopf_iso(ext.presentation, dual, iso)
-    return DualityPairing(n, field, pairing, LinearMap(
-        iso, tuple("%s*" % l for l in ext.hopf.basis), dual.hopf.basis
-    ), dual, ext)
+    return DualityPairing(n, field, pairing, iso, dual, ext)
 
 
 def _check_super_hopf_iso(src_sp, dst_sp, m):
@@ -399,7 +395,7 @@ def even_quotient(sp):
     if ideal:
         ideal_power_chain(h.as_algebra(), list(ideal))  # raises when not nilpotent
     pi = Matrix.from_cols(f, [quot.project(basis_vec(f, dim, j)) for j in range(dim)])
-    return quotient_hopf, LinearMap(pi, h.basis, labels)
+    return quotient_hopf, pi
 
 
 class OddCotangent:
@@ -426,7 +422,7 @@ def odd_cotangent_of_algebra(algebra, counit_vec, parity):
         return s
     odd = [basis_vec(f, dim, i) for i in range(dim) if parity[i] == 1]
     odd_span = row_space_basis(f, odd, dim)
-    aplus = kernel_basis(Matrix(f, [tuple(counit_vec)]))
+    aplus = Matrix(f, [tuple(counit_vec)]).kernel_basis()
     # A^+ is parity-graded, so its even part is the componentwise projection
     even_plus = row_space_basis(f, _even_part(f, aplus, parity), dim)
     rel1 = row_space_basis(f, [algebra.mult(x, y) for x in even_plus for y in odd_span], dim)
@@ -492,7 +488,7 @@ def odd_primitives(sp):
             row[j] = row[j] - h.counit[i]
             if any(c for c in row):
                 rows.append(tuple(row))
-    return kernel_basis(Matrix(f, rows, dim))
+    return Matrix(f, rows, dim).kernel_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,7 @@ def decompose(sp):
     for i in range(dim):
         v = [f.zero] * (dim * dh)
         for (j, k), c in h.delta_basis(i).items():
-            for x, d in enumerate(pi.matrix.col(k)):
+            for x, d in enumerate(pi.col(k)):
                 if d:
                     v[ti(j, x, dh)] = v[ti(j, x, dh)] + c * d
         cols.append(tuple(v))
@@ -549,10 +545,10 @@ def decompose(sp):
     even_idx = [i for i in range(dim) if sp.parity[i] == 0]
     a0, inc0 = sub_comodule_algebra(ca, [basis_vec(f, dim, i) for i in even_idx])
     pi0 = Matrix.from_cols(
-        f, [pi.matrix.apply(inc0.matrix.col(t)) for t in range(a0.algebra.dim)]
+        f, [pi.apply(inc0.col(t)) for t in range(a0.algebra.dim)]
     )
     sec0 = colinear_splitting_nilpotent(a0, pi0)
-    phi = inc0.matrix * sec0.phi.matrix  # H -> A, lands in A_0
+    phi = inc0 * sec0.phi  # H -> A, lands in A_0
     # Step B: odd primitives and the exterior target
     u_basis = odd_primitives(sp)
     m = len(u_basis)
@@ -600,7 +596,7 @@ def decompose(sp):
         out = [f.zero] * (ext.dim * dh)
         for (j, k), c in h.delta_basis(i).items():
             dj = delta.col(j)
-            pk = pi.matrix.col(k)
+            pk = pi.col(k)
             for x, u in enumerate(dj):
                 for y, v in enumerate(pk):
                     if u and v:
@@ -610,22 +606,7 @@ def decompose(sp):
     _verify_decomposition(sp, ca, ext, alpha)
     _verify_step1_claims(sp, coinv, b_parity, cot)
     w = SuperVectorSpace((1,) * m)
-    labels_t = tuple(
-        "%s(x)%s" % (ext.hopf.basis[x], quotient_hopf.basis[y])
-        for x in range(ext.dim)
-        for y in range(dh)
-    )
-    return DecompositionResult(
-        quotient_hopf,
-        pi,
-        w,
-        LinearMap(phi, quotient_hopf.basis, h.basis),
-        u_basis,
-        LinearMap(delta, h.basis, ext.hopf.basis),
-        LinearMap(gamma, b_alg.basis, ext.hopf.basis),
-        LinearMap(alpha, h.basis, labels_t),
-        ext,
-    )
+    return DecompositionResult(quotient_hopf, pi, w, phi, u_basis, delta, gamma, alpha, ext)
 
 
 def _verify_decomposition(sp, ca, ext, alpha):
@@ -673,7 +654,7 @@ def _verify_step1_claims(sp, coinv, b_parity, cot):
     f = b.field
     h = sp.hopf
     eps_b = tuple(h.eps(coinv.embed(basis_vec(f, b.dim, t))) for t in range(b.dim))
-    bplus = kernel_basis(Matrix(f, [eps_b]))
+    bplus = Matrix(f, [eps_b]).kernel_basis()
     b0_plus = row_space_basis(f, _even_part(f, bplus, b_parity), b.dim)
     odd_b = [basis_vec(f, b.dim, t) for t in range(b.dim) if b_parity[t] == 1]
     odd_span = row_space_basis(f, odd_b, b.dim)

@@ -10,7 +10,6 @@ import pytest
 
 from hopfcross.algebra import (
     ComoduleCoalgebraData,
-    ConvElement,
     FBialgebra,
     FCoalgebra,
     FHopf,
@@ -25,19 +24,16 @@ from hopfcross.algebra import (
     check_axioms,
     compute_antipode,
     convolution_invert,
-    convolution_unit,
-    convolve,
     dual_hopf,
     dual_structure,
     group_hopf_algebra,
-    identity_conv,
     smash_coproduct,
     ti,
 )
 from hopfcross.cli import _matrix_from_json, _matrix_to_json, encode_hopf, main, parse_presentation
 from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd, vscale, vzero
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
 from hopfcross.superalg import SuperPresentation, exterior_hopf
 
@@ -657,49 +653,88 @@ def test_a_failed_unit_law_takes_the_full_loops(monkeypatch):
 
 
 # --- convolution ------------------------------------------------------------
+# the dense oracles below are shared with test_native_laws and test_comodule
+
+
+def convolution_unit(c, a):
+    """The matrix of eta eps, the unit of Hom(C, A)."""
+    return Matrix.from_cols(a.field, [vscale(c.counit[i], a.unit) for i in range(c.dim)])
+
+
+def convolve(c, a, f, g):
+    """The matrix of f * g in Hom(C, A), one product per Delta term."""
+    z = vzero(a.field, a.dim)
+    cols = []
+    for i in range(c.dim):
+        acc = z
+        for (j, k), u in c.delta_basis(i).items():
+            acc = vadd(acc, vscale(u, a.mult(f.col(j), g.col(k))))
+        cols.append(acc)
+    return Matrix.from_cols(a.field, cols)
+
+
+def identity(h):
+    return Matrix.identity(h.field, h.dim)
+
+
+def tensor_coalgebra(c, d):
+    """The tensor-product coalgebra C (x) D (middle-leg swap, no signs)."""
+    dc, dd = c.dim, d.dim
+    labels = tuple("%s(x)%s" % (x, y) for x in c.basis for y in d.basis)
+    coproduct = {}
+    for i in range(dc):
+        for j in range(dd):
+            terms = {}
+            for (a1, a2), u in c.delta_basis(i).items():
+                for (b1, b2), v in d.delta_basis(j).items():
+                    terms[(ti(a1, b1, dd), ti(a2, b2, dd))] = u * v
+            coproduct[ti(i, j, dd)] = terms
+    counit = tuple(
+        c.counit[i] * d.counit[j] for i in range(dc) for j in range(dd)
+    )
+    return FCoalgebra(c.field, labels, coproduct, counit)
 
 
 def test_convolution_unit_is_neutral():
     h = kz3(Q)
     c, a = h.as_coalgebra(), h.as_algebra()
     unit = convolution_unit(c, a)
-    f = ConvElement(c, a, Matrix(Q, [[Q.from_int((i + j) % 3) for j in range(3)] for i in range(3)]))
-    assert convolve(unit, f) == f
-    assert convolve(f, unit) == f
+    f = Matrix(Q, [[Q.from_int((i + j) % 3) for j in range(3)] for i in range(3)])
+    assert convolve(c, a, unit, f) == f
+    assert convolve(c, a, f, unit) == f
 
 
 def test_convolve_id_with_antipode_is_unit():
     h = kz3(Q)
-    s = ConvElement(h.as_coalgebra(), h.as_algebra(), h.antipode)
-    assert convolve(identity_conv(h), s) == convolution_unit(h.as_coalgebra(), h.as_algebra())
+    c, a = h.as_coalgebra(), h.as_algebra()
+    assert convolve(c, a, identity(h), h.antipode) == convolution_unit(c, a)
 
 
 def test_convolution_on_group_likes_is_pointwise():
     h = ks3(Q)
     c, a = h.as_coalgebra(), h.as_algebra()
-    f = ConvElement(c, a, Matrix.from_cols(Q, [basis_vec(Q, 6, (i + 1) % 6) for i in range(6)]))
-    g = ConvElement(c, a, Matrix.from_cols(Q, [basis_vec(Q, 6, (2 * i) % 6) for i in range(6)]))
-    fg = convolve(f, g)
+    f = Matrix.from_cols(Q, [basis_vec(Q, 6, (i + 1) % 6) for i in range(6)])
+    g = Matrix.from_cols(Q, [basis_vec(Q, 6, (2 * i) % 6) for i in range(6)])
+    fg = convolve(c, a, f, g)
     for i in range(6):
         e = basis_vec(Q, 6, i)
-        assert fg(e) == a.mult(f(e), g(e))
+        assert fg.apply(e) == a.mult(f.apply(e), g.apply(e))
 
 
 def test_invert_unit_and_identity():
     h = kz3(Q)
     c, a = h.as_coalgebra(), h.as_algebra()
     unit = convolution_unit(c, a)
-    assert convolution_invert(unit) == unit
-    inv = convolution_invert(identity_conv(h))
+    assert convolution_invert(c, a, unit) == unit
+    inv = convolution_invert(c, a, identity(h))
     # the antipode g -> g^{-1}
-    assert inv.matrix == h.antipode
+    assert inv == h.antipode
 
 
 def test_invert_zero_fails():
     h = kz3(Q)
-    z = ConvElement(h.as_coalgebra(), h.as_algebra(), Matrix.zeros(Q, 3, 3))
     with pytest.raises(NotConvolutionInvertibleError):
-        convolution_invert(z)
+        convolution_invert(h.as_coalgebra(), h.as_algebra(), Matrix.zeros(Q, 3, 3))
 
 
 # --- antipode computation ---------------------------------------------------
@@ -724,9 +759,6 @@ def test_antipode_sweedler():
 
 def test_monoid_bialgebra_has_no_antipode():
     b = monoid_bialgebra(Q)
-    # oracle: L_id singular by direct rank computation
-    from hopfcross.algebra import convolution_unit as cu
-
     with pytest.raises(NoAntipodeError):
         compute_antipode(b)
 
@@ -735,6 +767,14 @@ def test_antipode_recomputation_is_idempotent():
     for h in (kz3(Q), sweedler(Q)):
         bial = FBialgebra(h.field, h.basis, h.product, h.unit, h.coproduct, h.counit)
         assert compute_antipode(bial).antipode == compute_antipode(bial).antipode == h.antipode
+
+
+def test_bialgebra_constants_are_its_algebra_then_coalgebra_constants():
+    h = sweedler(Q)
+    assert h.canonical_constants() == (h.as_algebra().canonical_constants()
+                                       + h.as_coalgebra().canonical_constants())
+    assert kz3(Q) is not kz3(Q) and kz3(Q).canonical_constants() == kz3(Q).canonical_constants()
+    assert kz3(Q).canonical_constants() != dual_hopf(kz3(Q)).canonical_constants()
 
 
 # --- group Hopf algebras ----------------------------------------------------
@@ -813,8 +853,6 @@ def test_smash_coproduct_trivial_coaction_is_tensor_coalgebra():
     h = kz2(Q)
     d = kz3(Q).as_coalgebra()
     sc = smash_coproduct(_trivial_coaction_data(h, d))
-    from hopfcross.algebra import tensor_coalgebra
-
     plain = tensor_coalgebra(h.as_coalgebra(), d)
     assert sc.coalgebra.coproduct == plain.coproduct
     assert sc.coalgebra.counit == plain.counit
@@ -892,10 +930,10 @@ def test_smash_coproduct_counit_formula():
 
 def test_every_hopf_satisfies_antipode_convolution_identity():
     for h in (kz2(Q), kz3(F5), ks3(Q), sweedler(Q), sweedler(F5), dual_hopf(sweedler(Q))):
-        s = ConvElement(h.as_coalgebra(), h.as_algebra(), h.antipode)
-        unit = convolution_unit(h.as_coalgebra(), h.as_algebra())
-        assert convolve(identity_conv(h), s) == unit
-        assert convolve(s, identity_conv(h)) == unit
+        c, a = h.as_coalgebra(), h.as_algebra()
+        unit = convolution_unit(c, a)
+        assert convolve(c, a, identity(h), h.antipode) == unit
+        assert convolve(c, a, h.antipode, identity(h)) == unit
 
 
 GOLDEN = {

@@ -629,6 +629,9 @@ def count_calls(monkeypatch, owner, name):
     # recognize-crossed builds A as a k[Gamma]-comodule algebra from its
     # grading, and the crossed product B #_sigma k[Gamma]
     (["recognize-crossed", "m2-z2-graded.json"], ComoduleAlgebra, "validate", 2),
+    # recognize-cleft reaches the Galois map through the public galois_map
+    (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "galois_map", 1),
+    (["recognize-cleft", "m2-z2-graded.json"], hopfcross.comodule, "galois_map", 1),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)

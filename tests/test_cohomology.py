@@ -40,6 +40,7 @@ from hopfcross.errors import (
     NotAlgebraMapError,
     NotHopfModuleError,
     NotSquareZeroError,
+    ShapeMismatchError,
     ValidationError,
 )
 from hopfcross.groups import GroupTable
@@ -331,7 +332,7 @@ def test_gauge_between_cohomologous_systems():
         source = crossed_system_from_cocycle(act, s)
         target = crossed_system_from_cocycle(act, s2)
         iso = gauge_iso(embed_cochain(aug, t), source, target)
-        assert iso.matrix.is_invertible()
+        assert iso.is_invertible()
 
 
 def test_gauge_fails_across_distinct_classes():
@@ -345,6 +346,25 @@ def test_gauge_fails_across_distinct_classes():
         t = cochain1(F3, (F3.zero, F3.from_int(tv[0]), F3.from_int(tv[1])))
         with pytest.raises(NotAlgebraMapError):
             gauge_iso(embed_cochain(aug, t), source, target)
+
+
+def test_gauge_compares_distinct_hopf_objects_by_their_constants():
+    # two trivial_setup calls build equal Hopf algebras as distinct objects;
+    # the gauge checks that they agree by their structure constants
+    h, _, aug, act = trivial_setup(F3)
+    _, _, _, again = trivial_setup(F3)
+    s = hh2(h, act).representative_cochains()[0]
+    t = cochain1(F3, (F3.zero, F3.one, F3.from_int(2)))
+    source = crossed_system_from_cocycle(act, s)
+    target = crossed_system_from_cocycle(again, NormalizedCochain(
+        2, s.matrix - differential(t, again).matrix))
+    assert target.hopf is not source.hopf
+    assert gauge_iso(embed_cochain(aug, t), source, target).is_invertible()
+    # over k[Z/2] the constants differ, and the gauge is refused
+    _, _, _, z2 = trivial_setup(F3, n=2)
+    other = crossed_system_from_cocycle(z2, NormalizedCochain(2, Matrix.zeros(F3, 1, 4)))
+    with pytest.raises(ShapeMismatchError, match="different Hopf algebras"):
+        gauge_iso(embed_cochain(aug, t), source, other)
 
 
 def test_gauge_equivalence_matches_class_equality_exhaustively():
@@ -384,7 +404,7 @@ def test_split_extension_zero_class():
     ext = AugmentedCleftExtension(cp, eps_on_crossed_product(aug, h))
     res = split_extension(ext)
     assert res.split
-    psi = res.splitting.matrix
+    psi = res.splitting
     a = cp.algebra
     assert psi.apply(h.unit) == a.one()
 
@@ -423,7 +443,7 @@ def test_regular_hopf_module_decomposes():
         h = group_hopf_algebra(GroupTable.cyclic(3), field)
         dec = hopf_module_decompose(regular_hopf_module(h))
         assert len(dec.coinvariant_basis) == 1
-        assert dec.iso.matrix.is_invertible()
+        assert dec.iso.is_invertible()
 
 
 def test_broken_compatibility_rejected():
@@ -469,8 +489,8 @@ def test_colinear_splitting_of_crossed_product():
     cp = crossed_product(system)
     pi = counit_times_identity(aug, h)
     sec = colinear_splitting_nilpotent(cp, pi)
-    assert sec.phi.matrix.apply(h.unit) == cp.algebra.one()
-    assert pi * sec.phi.matrix == Matrix.identity(F3, h.dim)
+    assert sec.phi.apply(h.unit) == cp.algebra.one()
+    assert pi * sec.phi == Matrix.identity(F3, h.dim)
 
 
 def test_colinear_splitting_deeper_nilpotency():
@@ -487,7 +507,7 @@ def test_colinear_splitting_deeper_nilpotency():
     cp = crossed_product(system)
     pi = counit_times_identity(aug, h)
     sec = colinear_splitting_nilpotent(cp, pi)
-    assert pi * sec.phi.matrix == Matrix.identity(Q, 2)
+    assert pi * sec.phi == Matrix.identity(Q, 2)
 
 
 def test_non_nilpotent_kernel_rejected():
@@ -520,7 +540,7 @@ def test_lift_through_split_extension():
     psi = Matrix.identity(F3, h.dim)
     res = lift_comodule_algebra_map(cp, target, varpi, psi)
     assert res.lifted
-    assert varpi * res.lift.matrix == psi
+    assert varpi * res.lift == psi
 
 
 def test_lift_obstructed_by_nonzero_class():
@@ -588,7 +608,7 @@ def test_sub_comodule_algebra_accepts_a_span_holding_no_basis_vector():
     changed = ComoduleAlgebra(induced_algebra(a, new, to_new, ("a0", "a1", "a2", "a3")), h,
                               induced_coaction(ca, new, to_new))
     sub, inc = sub_comodule_algebra(changed, [(1, 0, 0, -1), (0, 1, 0, -1)])
-    assert inc.matrix == Matrix.from_cols(Q, [(1, 0, 0, -1), (0, 1, 0, -1)])
+    assert inc == Matrix.from_cols(Q, [(1, 0, 0, -1), (0, 1, 0, -1)])
     assert sub.coaction == Matrix.from_cols(Q, [basis_vec(Q, 4, ti(0, 0, 2)),
                                                 basis_vec(Q, 4, ti(1, 1, 2))])
     assert sub.algebra.mult_basis(1, 1) == {0: 1}

@@ -14,7 +14,6 @@ from hopfcross.linalg import (
     Rationals,
     in_span,
     is_prime,
-    kernel_basis,
     row_space_basis,
     solve_linear,
 )
@@ -207,7 +206,7 @@ def test_zero_row_matrices_keep_their_columns():
     assert Matrix.zeros(Q, 0, 3).transpose().rows == 3
     assert (Matrix.zeros(Q, 2, 0) * Matrix.zeros(Q, 0, 3)) == Matrix.zeros(Q, 2, 3)
     # no constraints: every vector is in the kernel
-    assert kernel_basis(Matrix(F5, [], 3)) == [
+    assert Matrix(F5, [], 3).kernel_basis() == [
         (F5.one, F5.zero, F5.zero), (F5.zero, F5.one, F5.zero), (F5.zero, F5.zero, F5.one)]
     assert Matrix.zeros(Q, 0, 3) != Matrix.zeros(Q, 0, 2)
 
@@ -385,3 +384,21 @@ def test_questions_without_a_transform_eliminate_once(monkeypatch):
         transforms.clear()
         question()
         assert transforms == [None]
+
+
+def test_an_inconsistent_system_eliminates_again_only_for_its_certificate(monkeypatch):
+    rref = Matrix.rref
+    transforms = []
+
+    def counting(self, *args, **kwargs):
+        out = rref(self, *args, **kwargs)
+        transforms.append(out[2])
+        return out
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    res = solve_linear(qmat([[1, 1], [1, 1]]), (Fraction(1), Fraction(0)))
+    assert not res.consistent
+    assert transforms == [None]
+    y = res.certificate
+    assert len(transforms) == 2 and transforms[1] is not None
+    assert res.certificate is y and len(transforms) == 2

@@ -21,17 +21,12 @@ import pytest
 from hopfcross import algebra, cohomology
 from hopfcross.algebra import (
     MAX_VIOLATIONS,
-    ConvElement,
     FAlgebra,
     algebra_map_violations,
     coaction_violations,
     convolution_invert,
-    convolution_unit,
-    convolve,
     dual_structure,
     group_hopf_algebra,
-    identity_conv,
-    tensor_coalgebra,
     ti,
 )
 from hopfcross.cli import main, parse_presentation
@@ -66,6 +61,7 @@ from hopfcross.linalg import (
     vzero,
 )
 from hopfcross.standard import dual_numbers, ks3, sweedler
+from tests.test_algebra import convolution_unit, convolve, identity, tensor_coalgebra
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -213,10 +209,10 @@ def ref_check_crossed_system(s):
                 if lhs != rhs:
                     violations.append(("measuring-not-multiplicative", (g, i, j)))
     hc = h.as_coalgebra()
-    sig = ConvElement(tensor_coalgebra(hc, hc), b, s.sigma)
-    sig_inv = ConvElement(tensor_coalgebra(hc, hc), b, s.sigma_inv)
-    unit = convolution_unit(sig.coalgebra, b)
-    if convolve(sig, sig_inv) != unit or convolve(sig_inv, sig) != unit:
+    hh = tensor_coalgebra(hc, hc)
+    unit = convolution_unit(hh, b)
+    if (convolve(hh, b, s.sigma, s.sigma_inv) != unit
+            or convolve(hh, b, s.sigma_inv, s.sigma) != unit):
         violations.append(("sigma-not-convolution-invertible", ()))
     hunit = {t: c for t, c in enumerate(h.unit) if c}
     for g in range(dh):
@@ -335,19 +331,18 @@ def convolution_left_operator(coalgebra, algebra, fmat):
     return Matrix(fld, rows)
 
 
-def ref_convolution_invert(f):
+def ref_convolution_invert(c, a, f):
     """Solve L_f(g) = eta eps on the whole operator, then check
     f * g = eta eps = g * f with the dense convolve."""
-    c, a = f.coalgebra, f.algebra
     da = a.dim
     unit = convolution_unit(c, a)
-    rhs = tuple(x for i in range(c.dim) for x in unit.matrix.col(i))
-    res = solve_linear(convolution_left_operator(c, a, f.matrix), rhs)
+    rhs = tuple(x for i in range(c.dim) for x in unit.col(i))
+    res = solve_linear(convolution_left_operator(c, a, f), rhs)
     if not res.consistent:
         raise NotConvolutionInvertibleError("left convolution by f is not surjective")
     g_cols = [res.solution[ti(k, 0, da):ti(k + 1, 0, da)] for k in range(c.dim)]
-    g = ConvElement(c, a, Matrix.from_cols(a.field, g_cols))
-    if convolve(f, g) != unit or convolve(g, f) != unit:
+    g = Matrix.from_cols(a.field, g_cols)
+    if convolve(c, a, f, g) != unit or convolve(c, a, g, f) != unit:
         raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
     return g
 
@@ -545,7 +540,7 @@ def one_sided(field):
 
 
 def convolution_inputs(field, rng):
-    """(name, f in Hom(C, A)): for each (C, A) a seeded f, zero and, where
+    """(name, C, A, f in Hom(C, A)): for each (C, A) a seeded f, zero and, where
     they exist, the identity and a structured f.  C is k[G] in a shuffled
     element order (Z/12, S3, S4), H (x) H for H = k[Z/3], Sweedler's H4, k^S3
     and k[S3] under a dense change of basis; the last two pairs, from k[Z/2]
@@ -561,35 +556,35 @@ def convolution_inputs(field, rng):
               ("moved s3", transport(s3, change_of_basis(field, (0,) * 6, "convolution")))]
     pairs = []
     for name, h in hopfs:
-        yield name + " identity", identity_conv(h)
+        yield name + " identity", h.as_coalgebra(), h.as_algebra(), identity(h)
         pairs.append((name, h.as_coalgebra(), h.as_algebra()))
     kz3 = group_hopf_algebra(GroupTable.cyclic(3), field)
     hc = kz3.as_coalgebra()
     hh = tensor_coalgebra(hc, hc)
     # the product e_g (x) e_h |-> e_gh, inverted by e_g (x) e_h |-> e_(gh)^-1
     cols = [basis_vec(field, 3, (g + h) % 3) for g in range(3) for h in range(3)]
-    yield "z3(x)z3 product", ConvElement(hh, kz3.as_algebra(), Matrix.from_cols(field, cols))
+    yield "z3(x)z3 product", hh, kz3.as_algebra(), Matrix.from_cols(field, cols)
     pairs.append(("z3(x)z3", hh, kz3.as_algebra()))
     z2 = group_hopf_algebra(GroupTable.cyclic(2), field).as_coalgebra()
     bad = one_sided(field)
     swap = Matrix.from_cols(field, [basis_vec(field, 3, 1), basis_vec(field, 3, 0)])
-    yield "one-sided a", ConvElement(z2, bad, swap)
+    yield "one-sided a", z2, bad, swap
     pairs.append(("one-sided", z2, bad))
     # k^(Z/3) is one component, and this f's system has a kernel, so the
     # particular solution read off the echelon form decides the verdict
     kernel = Matrix(field, [[field.from_int(x) for x in row]
                             for row in ((-1, 1, 0), (0, 1, 1), (-1, 0, -1))])
-    yield "k^z3 kernel", ConvElement(dual_structure(kz3).as_coalgebra(), bad, kernel)
+    yield "k^z3 kernel", dual_structure(kz3).as_coalgebra(), bad, kernel
     for name, c, a in pairs:
         seeded = [[scalar(field, rng.choice(draws)) for _ in range(c.dim)] for _ in range(a.dim)]
-        yield name + " seeded", ConvElement(c, a, Matrix(field, seeded))
-        yield name + " zero", ConvElement(c, a, Matrix.zeros(field, a.dim, c.dim))
+        yield name + " seeded", c, a, Matrix(field, seeded)
+        yield name + " zero", c, a, Matrix.zeros(field, a.dim, c.dim)
 
 
-def inversion(invert, f):
+def inversion(invert, c, a, f):
     """invert(f)'s matrix, or the type and message of what it raised."""
     try:
-        return invert(f).matrix
+        return invert(c, a, f)
     except NotConvolutionInvertibleError as exc:
         return type(exc), str(exc)
 
@@ -598,9 +593,9 @@ def inversion(invert, f):
 def test_convolution_inverses_match_the_whole_operator_solve(fname, field):
     rng = random.Random("convolution/" + fname)
     seen = set()
-    for name, f in convolution_inputs(field, rng):
-        expected = inversion(ref_convolution_invert, f)
-        assert inversion(convolution_invert, f) == expected, name
+    for name, c, a, f in convolution_inputs(field, rng):
+        expected = inversion(ref_convolution_invert, c, a, f)
+        assert inversion(convolution_invert, c, a, f) == expected, name
         seen.add(expected[1] if isinstance(expected, tuple) else "inverse")
     assert seen == {"inverse", "left convolution by f is not surjective",
                     "candidate inverse fails the two-sided identity"}
@@ -622,20 +617,19 @@ def block_shapes(monkeypatch):
 def test_a_group_like_coalgebra_gives_one_block_per_basis_element(fname, field, monkeypatch):
     shapes = block_shapes(monkeypatch)
     s4 = group_hopf_algebra(shuffled_group(GroupTable.symmetric(4), fname), field)
-    assert convolution_invert(identity_conv(s4)).matrix == s4.antipode
+    assert convolution_invert(s4.as_coalgebra(), s4.as_algebra(), identity(s4)) == s4.antipode
     assert shapes == [(24, 24)] * 24
     # H (x) H -> k[Z/3] for H = k[Z/3]: dim C = 9 blocks of size dim A = 3
     del shapes[:]
     kz3 = group_hopf_algebra(GroupTable.cyclic(3), field)
     hc = kz3.as_coalgebra()
     cols = [basis_vec(field, 3, (g + h) % 3) for g in range(3) for h in range(3)]
-    convolution_invert(ConvElement(tensor_coalgebra(hc, hc), kz3.as_algebra(),
-                                   Matrix.from_cols(field, cols)))
+    convolution_invert(tensor_coalgebra(hc, hc), kz3.as_algebra(), Matrix.from_cols(field, cols))
     assert shapes == [(3, 3)] * 9
     # Sweedler's H4 and k^S3 are one component each, as before the split
     for h in (sweedler(field), dual_structure(ks3(field))):
         del shapes[:]
-        convolution_invert(identity_conv(h))
+        convolution_invert(h.as_coalgebra(), h.as_algebra(), identity(h))
         assert shapes == [(h.dim ** 2, h.dim ** 2)]
 
 
