@@ -2,8 +2,11 @@
 
 A presentation stores structure constants sparsely: the product as
 ``{(i, j): {k: scalar}}`` and the coproduct as ``{i: {(j, k): scalar}}``.
-Vectors of coefficients are dense tuples.  Tensor indices are row-major:
-basis element ``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j``.
+Vectors of coefficients cross the API as dense tuples of field scalars;
+inside, products, coordinates and the axiom laws read only their nonzeros
+(the laws as sparse rows of native ints, see `_lowering`).  Tensor indices
+are row-major: basis element ``e_i (x) e_j`` of ``A (x) B`` has index
+``i * dim(B) + j``.
 """
 
 from functools import cache
@@ -70,16 +73,21 @@ class FAlgebra:
         return self.product.get((i, j), {})
 
     def mult(self, x, y):
-        out = [self.field.zero] * self.dim
+        z = self.field.zero
+        out = [z] * self.dim
+        product = self.product
+        # most zeros are the field's own zero object, which `is` skips
+        # without a call to __bool__
+        ys = [(j, b) for j, b in enumerate(y) if b is not z and b]
         for i, a in enumerate(x):
-            if not a:
+            if a is z or not a:
                 continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in self.mult_basis(i, j).items():
-                    out[k] = out[k] + ab * c
+            for j, b in ys:
+                terms = product.get((i, j))
+                if terms:
+                    ab = a * b
+                    for k, c in terms.items():
+                        out[k] = out[k] + ab * c
         return tuple(out)
 
     def left_mult_matrix(self, x):
@@ -257,18 +265,25 @@ def induced_algebra(a, basis, coords, labels):
 
 
 def induced_coproduct(c, basis, coords):
-    """{s: (coords (x) coords) Delta(basis[s])} as sparse coproduct terms."""
+    """{s: (coords (x) coords) Delta(basis[s])} as sparse coproduct terms;
+    coords(e_j) is read once per j."""
     f = c.field
+    images = {}
+
+    def image(j):
+        if j not in images:
+            images[j] = _nonzero(coords(basis_vec(f, c.dim, j))).items()
+        return images[j]
+
     out = {}
     for s, vec in enumerate(basis):
         terms = {}
         for (j, k), d in c.delta(vec).items():
-            pj = coords(basis_vec(f, c.dim, j))
-            pk = coords(basis_vec(f, c.dim, k))
-            for x, u in enumerate(pj):
-                for y, w in enumerate(pk):
-                    if u and w:
-                        terms[(x, y)] = terms.get((x, y), f.zero) + d * u * w
+            pj, pk = image(j), image(k)
+            for x, u in pj:
+                du = d * u
+                for y, w in pk:
+                    terms[(x, y)] = terms.get((x, y), f.zero) + du * w
         out[s] = _clean(terms)
     return out
 

@@ -172,8 +172,14 @@ class Coinvariants:
 
 def coinvariants(ca):
     a, h = ca.algebra, ca.hopf
+    return coinvariants_on(ca, coaction_kernel(ca.rho_basis, a.dim, h, h.unit))
+
+
+def coinvariants_on(ca, basis):
+    """The coinvariants of ca on a basis of B already known, in its order:
+    the canonical kernel basis of coinvariants, or one read off a grading."""
+    a = ca.algebra
     f = ca.field
-    basis = coaction_kernel(ca.rho_basis, a.dim, h, h.unit)
     inc = Matrix.from_cols(f, basis) if basis else Matrix.zeros(f, a.dim, 0)
     labels = tuple("b%d" % t for t in range(len(basis)))
     coinv = Coinvariants(ca, None, inc)
@@ -187,12 +193,11 @@ def coinvariants(ca):
 
 
 class GaloisReport:
-    def __init__(self, tensor_square, beta, rank, bijective, inverse=None):
+    def __init__(self, tensor_square, beta, rank, bijective):
         self.tensor_square = tensor_square
         self.beta = beta
         self.rank = rank  # of beta
         self.bijective = bijective
-        self.inverse = inverse
 
 
 def relative_tensor_square(ca, coinv):
@@ -219,10 +224,9 @@ def relative_tensor_square(ca, coinv):
     return QuotientSpace(f, da * da, relations)
 
 
-def galois_map(ca, coinv=None, section=None):
+def galois_map(ca, coinv=None):
     """The Galois map beta : A (x)_B A -> A (x) H for B = coinv, the
-    coinvariants of ca, computed here when not given, with its inverse built
-    from section when given."""
+    coinvariants of ca, computed here when not given."""
     if coinv is None:
         coinv = coinvariants(ca)
     a, h = ca.algebra, ca.hopf
@@ -247,30 +251,7 @@ def galois_map(ca, coinv=None, section=None):
     beta = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da * dh, 0)
     rank = beta.rank()
     bijective = quot.dim == da * dh and rank == da * dh
-    inverse = None
-    if section is not None:
-        inv_cols = []
-        phi, phi_inv = section.phi, section.phi_inv
-        for i in range(da):
-            ei = basis_vec(f, da, i)
-            for t in range(dh):
-                amb = [f.zero] * (da * da)
-                for (p, q), c in h.delta_basis(t).items():
-                    left = a.mult(ei, phi_inv.col(p))
-                    right = phi.col(q)
-                    for x, u in enumerate(left):
-                        if not u:
-                            continue
-                        for y, v in enumerate(right):
-                            if v:
-                                amb[ti(x, y, da)] = amb[ti(x, y, da)] + c * u * v
-                inv_cols.append(quot.project(tuple(amb)))
-        inverse = Matrix.from_cols(f, inv_cols)
-        if beta * inverse != Matrix.identity(f, da * dh):
-            raise ValidationError("section-derived inverse fails beta o inv = id")
-        if inverse * beta != Matrix.identity(f, quot.dim):
-            raise ValidationError("section-derived inverse fails inv o beta = id")
-    return GaloisReport(quot, beta, rank, bijective, inverse)
+    return GaloisReport(quot, beta, rank, bijective)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,18 @@ def _find_component_unit(ga, g, budget):
     return ga.embed(g, outcome.coeffs), True
 
 
+def neutral_coinvariants(ga, ca):
+    """B = A_e as the coinvariants of ca = graded_bridge(ga), with no
+    elimination: the coaction e_i |-> e_i (x) g_i fixes exactly the basis
+    vectors of degree e, and these, in index order, are the canonical kernel
+    basis that comodule.coinvariants reads off."""
+    from .comodule import coinvariants_on
+
+    f, dim = ga.field, ga.algebra.dim
+    return coinvariants_on(ca, [basis_vec(f, dim, i)
+                                for i in ga.component_indices(ga.group.identity)])
+
+
 def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     """Extract a crossed system and an isomorphism, or raise NotCrossedProduct.
 
@@ -248,5 +260,6 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     except NotConvolutionInvertibleError:
         raise NotCrossedProductError("candidate unit is one-sided only", definitive=False) from None
     # section_to_crossed_system checks the laws and the iso
-    system, iso = section_to_crossed_system(Section(phi, phi_inv, ca))
+    sec = Section(phi, phi_inv, ca, neutral_coinvariants(ga, ca))
+    system, iso = section_to_crossed_system(sec)
     return RecognizedCrossedProduct(system, units, iso.inverse())

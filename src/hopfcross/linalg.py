@@ -5,13 +5,17 @@ prime field.  Both support the arithmetic operators, so the dense `Matrix`
 code below is field-agnostic.  Everything is exact; there is no floating
 point anywhere.
 
-Elimination (`Matrix.rref`, `Matrix.det`) works on sparse rows, one dict
-{column: nonzero scalar} per row, over native scalars: plain ints mod p over
-F_p (inverses by `pow(a, p - 2, p)`) and `Fraction` over Q.  Entries become
-`FpElement` again only in the matrices it returns.  The transform T with
-T * M = R is carried only when a caller asks for it (`inverse`,
-`column_coordinates`, the certificate of an inconsistent `solve_linear`
-when it is read).
+The API is dense: vectors come in and go out as tuples of field scalars, and
+a `Matrix` holds tuples of rows.  The kernels inside are sparse: they work on
+dicts {index: nonzero scalar} over native scalars, plain ints mod p over F_p
+(inverses by `pow(a, p - 2, p)`) and `Fraction` over Q, and touch only the
+nonzeros.  Elimination (`Matrix.rref`, `Matrix.det`) runs on sparse rows,
+`Matrix.apply` reads the nonzeros of its vector once, `column_coordinates`
+keeps its transform as sparse columns, and `QuotientSpace` and `in_span`
+reduce over the nonzeros of sparse pivot rows.  Entries become `FpElement`
+again only in what these return.  The transform T with T * M = R is carried
+only when a caller asks for it (`inverse`, `column_coordinates`, the
+certificate of an inconsistent `solve_linear` when it is read).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
@@ -281,15 +285,19 @@ class Matrix:
         return Matrix(self.field, out, other.cols)
 
     def apply(self, vec):
-        """Matrix times column vector (vec as tuple)."""
+        """Matrix times column vector (vec as tuple), over the nonzeros of vec."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("vector length %d != cols %d" % (len(vec), self.cols))
-        z = self.field.zero
+        p = self.field.characteristic
+        nz = _native(vec, self.field).items()
+        if p:
+            return tuple(FpElement(sum([r[j].value * x for j, x in nz]), p) for r in self.data)
         out = []
         for r in self.data:
-            s = z
-            for a, x in zip(r, vec):
-                if a and x:
+            s = self.field.zero
+            for j, x in nz:
+                a = r[j]
+                if a:
                     s = s + a * x
             out.append(s)
         return tuple(out)
@@ -409,23 +417,32 @@ class Matrix:
 _QZERO = Fraction(0)
 
 
+def _native(vec, field):
+    """The nonzeros of a dense vector of field scalars, as {index: native}.
+    Most zeros are the field's own zero object, which `is` skips without a
+    call to __bool__."""
+    z = field.zero
+    if field.characteristic:
+        return {j: a.value for j, a in enumerate(vec) if a is not z and a.value}
+    return {j: a for j, a in enumerate(vec) if a is not z and a}
+
+
 def _sparse_rows(m):
-    if m.field.characteristic:
-        return [{j: a.value for j, a in enumerate(r) if a.value} for r in m.data]
-    return [{j: a for j, a in enumerate(r) if a} for r in m.data]
+    return [_native(r, m.field) for r in m.data]
+
+
+def _dense_vec(field, row, n):
+    """The length-n tuple of a sparse native row, in the field's type."""
+    v = [field.zero] * n
+    p = field.characteristic
+    for j, a in row.items():
+        v[j] = FpElement(a, p) if p else a
+    return tuple(v)
 
 
 def _dense(field, rows, cols):
     """The Matrix of sparse rows, with entries back in the field's type."""
-    z = field.zero
-    p = field.characteristic
-    out = []
-    for row in rows:
-        v = [z] * cols
-        for j, a in row.items():
-            v[j] = FpElement(a, p) if p else a
-        out.append(v)
-    return Matrix(field, out, cols)
+    return Matrix(field, [_dense_vec(field, row, cols) for row in rows], cols)
 
 
 def _scaled(row, c, p):
@@ -451,6 +468,17 @@ def _subtract(row, c, pivot_row, p):
             row[j] = v
         else:
             del row[j]
+
+
+def _reduce(vec, pivot_rows, p):
+    """vec minus c * row for each pivot row of a reduced echelon form, with c
+    the entry of vec at the row's pivot (its first key), in place: the
+    remainder of vec modulo their span, zero at every pivot column."""
+    for row in pivot_rows:
+        c = vec.get(next(iter(row)))
+        if c is not None:
+            _subtract(vec, c, row, p)
+    return vec
 
 
 def _kernel_of_rref(r, pivots, cols):
@@ -522,20 +550,24 @@ def solve_linear(m, b):
 
 def column_coordinates(m):
     """The map b -> the solution x of M x = b that solve_linear returns, or
-    None when b is outside the column space.  M is eliminated once, here,
-    and the transform is reused for every b."""
+    None when b is outside the column space.  M is eliminated once, here;
+    its transform T is kept as sparse native columns, and T b adds only the
+    columns that the nonzeros of b hit."""
     f = m.field
+    p = f.characteristic
     _, pivots, t = m.rref()
     rank = len(pivots)
+    tcols = [_native(col, f) for col in zip(*t.data)]
 
     def coords(b):
-        tb = t.apply(b)
-        if any(tb[rank:]):
+        if len(b) != m.rows:
+            raise ShapeMismatchError("vector length %d != cols %d" % (len(b), m.rows))
+        tb = {}
+        for j, x in _native(b, f).items():
+            _subtract(tb, -x, tcols[j], p)
+        if any(i >= rank for i in tb):
             return None
-        x = [f.zero] * m.cols
-        for ri, pc in enumerate(pivots):
-            x[pc] = tb[ri]
-        return tuple(x)
+        return _dense_vec(f, {pc: tb[ri] for ri, pc in enumerate(pivots) if ri in tb}, m.cols)
 
     return coords
 
@@ -551,13 +583,8 @@ def row_space_basis(field, vectors, n):
 
 def in_span(field, basis_rref, vec):
     """Membership test against an RREF row basis (as from row_space_basis)."""
-    v = list(vec)
-    for row in basis_rref:
-        pc = next(j for j, a in enumerate(row) if a)
-        if v[pc]:
-            c = v[pc]
-            v = [a - c * b for a, b in zip(v, row)]
-    return all(not a for a in v)
+    p = field.characteristic
+    return not _reduce(_native(vec, field), [_native(row, field) for row in basis_rref], p)
 
 
 class QuotientSpace:
@@ -565,32 +592,29 @@ class QuotientSpace:
 
     The complement basis consists of the standard basis vectors at the
     non-pivot coordinates of the relation RREF, so projection and lifting are
-    reproducible across runs.
+    reproducible across runs.  The RREF is kept as sparse native pivot rows.
     """
 
     def __init__(self, field, ambient_dim, relations):
         self.field = field
         self.ambient_dim = ambient_dim
-        rels = row_space_basis(field, relations, ambient_dim)
-        self.relations = rels
-        self._pivots = [next(j for j, a in enumerate(r) if a) for r in rels]
-        pivset = set(self._pivots)
+        self._rows = [_native(r, field) for r in row_space_basis(field, relations, ambient_dim)]
+        pivset = {next(iter(row)) for row in self._rows}
         self.complement = [j for j in range(ambient_dim) if j not in pivset]
         self.dim = len(self.complement)
 
+    def _remainder(self, vec):
+        return _reduce(_native(vec, self.field), self._rows, self.field.characteristic)
+
     def reduce(self, vec):
         """Canonical representative of vec modulo the relations."""
-        v = list(vec)
-        for pc, row in zip(self._pivots, self.relations):
-            if v[pc]:
-                c = v[pc]
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return _dense_vec(self.field, self._remainder(vec), self.ambient_dim)
 
     def project(self, vec):
         """Coordinates of the class of vec in the complement basis."""
-        v = self.reduce(vec)
-        return tuple(v[j] for j in self.complement)
+        v = self._remainder(vec)
+        return _dense_vec(self.field, {t: v[j] for t, j in enumerate(self.complement)
+                                       if j in v}, self.dim)
 
     def lift(self, coords):
         """Standard-basis lift of quotient coordinates to the ambient space."""

@@ -10,6 +10,7 @@ import pytest
 
 from hopfcross.algebra import (
     ComoduleCoalgebraData,
+    FAlgebra,
     FBialgebra,
     FCoalgebra,
     FHopf,
@@ -27,15 +28,27 @@ from hopfcross.algebra import (
     dual_hopf,
     dual_structure,
     group_hopf_algebra,
+    induced_coproduct,
     smash_coproduct,
     ti,
 )
 from hopfcross.cli import _matrix_from_json, _matrix_to_json, encode_hopf, main, parse_presentation
 from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd, vscale, vzero
+from hopfcross.linalg import (
+    FpElement,
+    Matrix,
+    PrimeField,
+    QuotientSpace,
+    Rationals,
+    basis_vec,
+    vadd,
+    vscale,
+    vzero,
+)
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
 from hopfcross.superalg import SuperPresentation, exterior_hopf
+from tests.test_linalg import ORACLE_FIELDS, draw
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -1452,3 +1465,91 @@ GOLDEN = {
         ('antipode-right', (1,)), ('antipode-left', (1,)),
     ],
 }
+
+
+# ---------------------------------------------------------------------------
+# the dense product and induced coproduct the sparse ones replaced, kept as
+# their oracle
+
+
+def ref_mult(a, x, y):
+    out = [a.field.zero] * a.dim
+    for i, u in enumerate(x):
+        if not u:
+            continue
+        for j, v in enumerate(y):
+            if not v:
+                continue
+            uv = u * v
+            for k, c in a.mult_basis(i, j).items():
+                out[k] = out[k] + uv * c
+    return tuple(out)
+
+
+def ref_induced_coproduct(c, basis, coords):
+    f = c.field
+    out = {}
+    for s, vec in enumerate(basis):
+        terms = {}
+        for (j, k), d in c.delta(vec).items():
+            pj = coords(basis_vec(f, c.dim, j))
+            pk = coords(basis_vec(f, c.dim, k))
+            for x, u in enumerate(pj):
+                for y, w in enumerate(pk):
+                    if u and w:
+                        terms[(x, y)] = terms.get((x, y), f.zero) + d * u * w
+        out[s] = {key: v for key, v in terms.items() if v}
+    return out
+
+
+def drawn_vector(field, rng, n, density):
+    return tuple(draw(field, rng) if rng.random() < density else field.zero for _ in range(n))
+
+
+def drawn_algebra(field, rng, dim, density):
+    """Seeded structure constants, not associative: mult only reads them."""
+    product = {(i, j): {k: draw(field, rng) for k in range(dim) if rng.random() < density}
+               for i in range(dim) for j in range(dim)}
+    return FAlgebra(field, tuple("e%d" % i for i in range(dim)), product,
+                    drawn_vector(field, rng, dim, 1.0))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_mult_matches_the_dense_oracle(field):
+    rng = random.Random(31 * (field.characteristic or 1) + 2)
+    scalar = Fraction if field.characteristic == 0 else FpElement
+    algebras = [FAlgebra(field, (), {}, ()),
+                group_hopf_algebra(GroupTable.symmetric(3), field).as_algebra()]
+    algebras += [drawn_algebra(field, rng, dim, density)
+                 for dim in (1, 3, 6) for density in (0.2, 0.7)]
+    for a in algebras:
+        vectors = [(field.zero,) * a.dim] + [basis_vec(field, a.dim, i) for i in range(a.dim)]
+        vectors += [drawn_vector(field, rng, a.dim, d) for d in (0.2, 0.5, 1.0)]
+        for x in vectors:
+            for y in vectors:
+                out = a.mult(x, y)
+                assert out == ref_mult(a, x, y)
+                assert all(type(c) is scalar for c in out)
+            left = a.left_mult_matrix(x)
+            assert left == Matrix.from_cols(field, [ref_mult(a, x, basis_vec(field, a.dim, j))
+                                                    for j in range(a.dim)])
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=repr)
+def test_induced_coproduct_matches_the_dense_oracle_and_reads_each_image_once(field):
+    rng = random.Random(37 * (field.characteristic or 1))
+    h = group_hopf_algebra(GroupTable.symmetric(3), field)
+    # A/I for I spanned by a seeded vector and the difference of two group-likes
+    quot = QuotientSpace(field, h.dim, [drawn_vector(field, rng, h.dim, 0.5),
+                                        vadd(basis_vec(field, h.dim, 1),
+                                             vscale(-field.one, basis_vec(field, h.dim, 2)))])
+    basis = [quot.lift(basis_vec(field, quot.dim, t)) for t in range(quot.dim)]
+    basis += [drawn_vector(field, rng, h.dim, 0.5), vzero(field, h.dim)]
+    reads = []
+
+    def counted(vec):
+        reads.append(vec)
+        return quot.project(vec)
+
+    assert induced_coproduct(h, basis, counted) == ref_induced_coproduct(h, basis, quot.project)
+    assert len(reads) == len(set(reads)) <= h.dim

@@ -1,11 +1,12 @@
 """Group-graded algebras, Morita contexts, and crossed products."""
 
 import itertools
+import os
 import random
 
 import pytest
 
-from hopfcross import graded
+from hopfcross import comodule, graded
 from hopfcross.algebra import (
     FAlgebra,
     algebra_map_violations,
@@ -13,6 +14,7 @@ from hopfcross.algebra import (
     induced_algebra,
     ti,
 )
+from hopfcross.cli import parse_presentation
 from hopfcross.comodule import (
     CrossedSystem,
     _verify_comodule_algebra_iso,
@@ -28,6 +30,7 @@ from hopfcross.graded import (
     check_grading,
     is_strongly_graded,
     morita_context,
+    neutral_coinvariants,
     recognize_group_crossed_product,
 )
 from hopfcross.groups import GroupTable
@@ -559,13 +562,16 @@ def recognition_verdict(ga):
         return ("not-found", e.definitive), None
 
 
-@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
-@pytest.mark.parametrize("make", [
+CHANGE_OF_BASIS_INPUTS = pytest.mark.parametrize("make", [
     matrix2_graded,
     lambda f: matrix_graded(f, 3),
     lambda f: group_algebra_graded(GroupTable.symmetric(3), f),
     dual_numbers_graded,
 ], ids=["M2-Z2", "M3-Z3", "kS3", "kx2"])
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+@CHANGE_OF_BASIS_INPUTS
 def test_recognition_is_invariant_under_a_homogeneous_change_of_basis(make, field):
     ga = make(field)
     verdict, _ = recognition_verdict(ga)
@@ -578,3 +584,42 @@ def test_recognition_is_invariant_under_a_homogeneous_change_of_basis(make, fiel
             # A -> B #_sigma k[Gamma] is an isomorphism of k[Gamma]-comodule algebras
             _verify_comodule_algebra_iso(graded_bridge(changed), crossed_product(rec.system),
                                          rec.iso)
+
+
+# -- the coinvariants of a grading, read off without elimination --------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
+
+
+def assert_neutral_coinvariants_are_the_eliminated_ones(ga):
+    ca = graded_bridge(ga)
+    read, eliminated = neutral_coinvariants(ga, ca), coinvariants(ca)
+    assert read.inclusion == eliminated.inclusion
+    assert read.subalgebra.basis == eliminated.subalgebra.basis
+    assert read.subalgebra.canonical_constants() == eliminated.subalgebra.canonical_constants()
+
+
+@pytest.mark.parametrize("name", ["kx2-graded.json", "m2-z2-graded.json"])
+def test_neutral_coinvariants_of_the_graded_corpus(name):
+    assert_neutral_coinvariants_are_the_eliminated_ones(
+        parse_presentation(os.path.join(CORPUS, name)).payload)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+@CHANGE_OF_BASIS_INPUTS
+def test_neutral_coinvariants_under_a_homogeneous_change_of_basis(make, field):
+    ga = make(field)
+    assert_neutral_coinvariants_are_the_eliminated_ones(ga)
+    for seed in range(3):
+        assert_neutral_coinvariants_are_the_eliminated_ones(
+            homogeneous_change(ga, random.Random(seed)))
+
+
+def test_recognition_eliminates_the_coaction_only_to_check_its_product(monkeypatch):
+    eliminated = []
+    real = comodule.coinvariants
+    monkeypatch.setattr(comodule, "coinvariants", lambda ca: eliminated.append(ca) or real(ca))
+    rec = recognize_group_crossed_product(matrix_graded(Q, 3))
+    # one elimination: crossed_product's check that its coinvariants are B (x) 1
+    assert len(eliminated) == 1 and eliminated[0].hopf.dim == 3
+    assert rec.system.base.dim == 3

@@ -12,6 +12,7 @@ from hopfcross.linalg import (
     PrimeField,
     QuotientSpace,
     Rationals,
+    column_coordinates,
     in_span,
     is_prime,
     row_space_basis,
@@ -402,3 +403,189 @@ def test_an_inconsistent_system_eliminates_again_only_for_its_certificate(monkey
     y = res.certificate
     assert len(transforms) == 2 and transforms[1] is not None
     assert res.certificate is y and len(transforms) == 2
+
+
+# ---------------------------------------------------------------------------
+# the dense coordinate layer the sparse kernels replaced, kept as its oracle
+
+
+def ref_apply(m, vec):
+    if len(vec) != m.cols:
+        raise ShapeMismatchError("vector length %d != cols %d" % (len(vec), m.cols))
+    z = m.field.zero
+    out = []
+    for r in m.data:
+        s = z
+        for a, x in zip(r, vec):
+            if a and x:
+                s = s + a * x
+        out.append(s)
+    return tuple(out)
+
+
+def ref_column_coordinates(m):
+    f = m.field
+    _, pivots, t = dense_rref(m)
+    rank = len(pivots)
+
+    def coords(b):
+        tb = ref_apply(t, b)
+        if any(tb[rank:]):
+            return None
+        x = [f.zero] * m.cols
+        for ri, pc in enumerate(pivots):
+            x[pc] = tb[ri]
+        return tuple(x)
+
+    return coords
+
+
+def ref_in_span(field, basis_rref, vec):
+    v = list(vec)
+    for row in basis_rref:
+        pc = next(j for j, a in enumerate(row) if a)
+        if v[pc]:
+            c = v[pc]
+            v = [a - c * b for a, b in zip(v, row)]
+    return all(not a for a in v)
+
+
+class RefQuotientSpace:
+    def __init__(self, field, ambient_dim, relations):
+        rels = row_space_basis(field, relations, ambient_dim)
+        self.relations = rels
+        self._pivots = [next(j for j, a in enumerate(r) if a) for r in rels]
+        pivset = set(self._pivots)
+        self.complement = [j for j in range(ambient_dim) if j not in pivset]
+
+    def reduce(self, vec):
+        v = list(vec)
+        for pc, row in zip(self._pivots, self.relations):
+            if v[pc]:
+                c = v[pc]
+                v = [a - c * b for a, b in zip(v, row)]
+        return tuple(v)
+
+    def project(self, vec):
+        v = self.reduce(vec)
+        return tuple(v[j] for j in self.complement)
+
+
+def draw(field, rng):
+    """A seeded scalar; over Q a fraction with denominator up to 6."""
+    if field.characteristic:
+        return field.random(rng)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def drawn_matrix(field, rng, r, c, density=1.0):
+    return Matrix(field, [[draw(field, rng) if rng.random() < density else field.zero
+                           for _ in range(c)] for _ in range(r)], c)
+
+
+def coordinate_matrices(field, rng):
+    """Seeded matrices M, as in column_coordinates(M) and the Coinvariants
+    inclusions: empty, zero, dense, sparse, rank-deficient and invertible."""
+    out = [Matrix.zeros(field, 0, 3), Matrix.zeros(field, 4, 0), Matrix.zeros(field, 0, 0),
+           Matrix.zeros(field, 4, 3), Matrix.identity(field, 5)]
+    for _ in range(5):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        out.append(drawn_matrix(field, rng, r, c))
+        out.append(drawn_matrix(field, rng, r, c, density=0.25))
+        k = rng.randint(1, min(r, c))
+        out.append(drawn_matrix(field, rng, r, k) * drawn_matrix(field, rng, k, c))
+    return out
+
+
+def coordinate_vectors(field, rng, n, image_of=None):
+    """Seeded length-n vectors: zero, a basis vector, sparse and dense, and
+    when given a matrix, two vectors of its column space."""
+    out = [(field.zero,) * n]
+    if n:
+        out.append(tuple(field.one if j == n - 1 else field.zero for j in range(n)))
+    out += [tuple(draw(field, rng) if rng.random() < density else field.zero
+                  for _ in range(n)) for density in (0.2, 1.0)]
+    if image_of is not None:
+        out += [image_of.apply(v) for v in coordinate_vectors(field, rng, image_of.cols)[2:]]
+    return out
+
+
+def assert_field_typed(field, vec):
+    assert all(type(a) is scalar_type(field) for a in vec)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_apply_matches_the_dense_oracle(field):
+    rng = random.Random(17 * (field.characteristic or 1) + 3)
+    for m in coordinate_matrices(field, rng):
+        for v in coordinate_vectors(field, rng, m.cols):
+            out = m.apply(v)
+            assert out == ref_apply(m, v)
+            assert_field_typed(field, out)
+        for apply in (m.apply, lambda v: ref_apply(m, v)):
+            with pytest.raises(ShapeMismatchError):
+                apply((field.zero,) * (m.cols + 1))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_column_coordinates_match_the_dense_oracle(field):
+    rng = random.Random(19 * (field.characteristic or 1) + 7)
+    outside = 0
+    for m in coordinate_matrices(field, rng):
+        coords, ref = column_coordinates(m), ref_column_coordinates(m)
+        for b in coordinate_vectors(field, rng, m.rows, image_of=m):
+            x = coords(b)
+            assert x == ref(b)
+            if x is None:
+                outside += 1
+                continue
+            assert m.apply(x) == b
+            assert_field_typed(field, x)
+        for wrong in (m.rows + 1, m.rows - 1):
+            if wrong >= 0:
+                with pytest.raises(ShapeMismatchError):
+                    coords((field.zero,) * wrong)
+                with pytest.raises(ShapeMismatchError):
+                    ref((field.zero,) * wrong)
+    assert outside >= 5
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_quotients_and_spans_match_the_dense_oracle(field):
+    rng = random.Random(23 * (field.characteristic or 1) + 1)
+    hits = 0
+    for m in coordinate_matrices(field, rng):
+        n = m.cols
+        # the rows of M as relations: none, rank-deficient, full rank (identity)
+        quot, ref = QuotientSpace(field, n, list(m.data)), RefQuotientSpace(field, n, m.data)
+        assert quot.complement == ref.complement and quot.dim == len(ref.complement)
+        basis = row_space_basis(field, list(m.data), n)
+        for v in coordinate_vectors(field, rng, n, image_of=m.transpose()):
+            for out, expected in ((quot.reduce(v), ref.reduce(v)),
+                                  (quot.project(v), ref.project(v))):
+                assert out == expected
+                assert_field_typed(field, out)
+            assert quot.project(quot.lift(quot.project(v))) == quot.project(v)
+            member = in_span(field, basis, v)
+            assert member == ref_in_span(field, basis, v)
+            hits += member and any(v)
+    assert hits >= 5
+
+
+def test_coordinate_queries_eliminate_once_and_never_apply(monkeypatch):
+    rref, calls = Matrix.rref, []
+
+    def counting_rref(self, *args, **kwargs):
+        calls.append("rref")
+        return rref(self, *args, **kwargs)
+
+    rng = random.Random(29)
+    m = drawn_matrix(Q, rng, 6, 4, density=0.5)
+    queries = [m.apply(tuple(draw(Q, rng) for _ in range(4))) for _ in range(25)]
+    queries += [tuple(draw(Q, rng) for _ in range(6)) for _ in range(25)]
+    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    monkeypatch.setattr(Matrix, "apply", lambda self, vec: calls.append("apply"))
+    coords = column_coordinates(m)
+    answers = [coords(b) for b in queries]
+    assert calls == ["rref"]
+    assert len(answers) == 50 and all(x is not None for x in answers[:25])
