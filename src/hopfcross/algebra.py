@@ -65,6 +65,16 @@ class FAlgebra:
             raise ShapeMismatchError("unit vector has wrong length")
         self.product = _clean_sparse_product(field, self.dim, product)
         self.unit = tuple(unit)
+        self._rows = {}
+
+    def lowered_rows(self, d):
+        """The product as rows {i: {j: {k: c}}} of native ints at scale d
+        (see `_lowering`), built once per d: nothing changes the constants
+        after construction."""
+        rows = self._rows.get(d)
+        if rows is None:
+            rows = self._rows[d] = _product_rows(self.product, _lower(self.field, d))
+        return rows
 
     def one(self):
         return self.unit
@@ -119,6 +129,16 @@ class FCoalgebra:
             raise ShapeMismatchError("counit vector has wrong length")
         self.coproduct = _clean_sparse_coproduct(field, self.dim, coproduct)
         self.counit = tuple(counit)
+        self._terms = {}
+
+    def lowered_coproduct(self, d):
+        """The coproduct {i: {(j, k): c}} on native ints at scale d (see
+        `_lowering`), built once per d."""
+        terms = self._terms.get(d)
+        if terms is None:
+            lower = _lower(self.field, d)
+            terms = self._terms[d] = {i: _lowered(t, lower) for i, t in self.coproduct.items()}
+        return terms
 
     def delta_basis(self, i):
         return self.coproduct.get(i, {})
@@ -205,6 +225,12 @@ class FBialgebra:
     def one(self):
         return self._alg.unit
 
+    def lowered_rows(self, d):
+        return self._alg.lowered_rows(d)
+
+    def lowered_coproduct(self, d):
+        return self._coalg.lowered_coproduct(d)
+
     def mult(self, x, y):
         return self._alg.mult(x, y)
 
@@ -242,7 +268,11 @@ class FHopf(FBialgebra):
 
     @staticmethod
     def from_bialgebra(b, antipode):
-        return FHopf(b.field, b.basis, b.product, b.unit, b.coproduct, b.counit, antipode)
+        """b with the antipode of its computed convolution inverse, sharing
+        b's algebra and coalgebra and with them their lowered constants."""
+        h = FHopf.__new__(FHopf)
+        h.__dict__.update(b.__dict__, antipode=antipode)
+        return h
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +327,12 @@ def induced_coproduct(c, basis, coords):
 # sparse structure constants, so a check stops as soon as it has enough.
 #
 # The laws contract on native ints, never on Fraction or FpElement: each one
-# lowers the constants it reads once per call (`_lowering`), over F_p to
-# their residues and over Q to D * c, with D the lcm of their denominators.
+# reads the constants lowered (`_lowering`), over F_p to their residues and
+# over Q to D * c, with D the lcm of the denominators of every constant the
+# law reads.  A product table or a coproduct is lowered once per scale D and
+# kept on its FAlgebra or FCoalgebra (`lowered_rows`, `lowered_coproduct`),
+# so the laws, the kernels and the checks of one structure share its rows;
+# a map's columns and the units are lowered in each call.
 # Sums stay unreduced until `clean`, at the comparison.  Over Q a term with
 # r lowered constants carries D^r, so the side of a comparison with fewer
 # constants per term is scaled to match: the 1 of the unit and counit laws
@@ -361,6 +395,14 @@ def _add_scaled(out, c, terms):
         out[k] = out[k] + cu if k in out else cu
 
 
+def _lower(field, d):
+    """c -> its native int at scale d: the residue over F_p (d = 1), d * c
+    over Q."""
+    if field.characteristic:
+        return lambda c: c.value
+    return lambda c: c.numerator * (d // c.denominator)
+
+
 def _lowering(field, *constants):
     """(lower, D, clean) for contracting structure constants on native ints.
 
@@ -373,9 +415,9 @@ def _lowering(field, *constants):
     if p:
         def reduced(sparse):
             return {k: r for k, v in sparse.items() if (r := v % p)}
-        return (lambda c: c.value), 1, reduced
+        return _lower(field, 1), 1, reduced
     d = lcm(*{c.denominator for c in chain.from_iterable(constants)})
-    return (lambda c: c.numerator * (d // c.denominator)), d, _clean
+    return _lower(field, d), d, _clean
 
 
 def _values(tables):
@@ -449,8 +491,8 @@ def _generating_set(a):
     rank over Q."""
     p = a.field.characteristic or WORD_PRIME
     unit = _nonzero(a.unit)
-    lower = _lowering(a.field, _values(a.product.values()), unit.values())[0]
-    rows = _product_rows(a.product, lower)
+    lower, d, _ = _lowering(a.field, _values(a.product.values()), unit.values())
+    rows = a.lowered_rows(d)
     pivots = {}  # leading column -> echelon row with leading entry 1
 
     def reduce(v):
@@ -509,7 +551,7 @@ def _algebra_laws(a, generators=None):
     callable returning G or None (see check_axioms)."""
     unit = _nonzero(a.unit)
     lower, d, clean = _lowering(a.field, _values(a.product.values()), unit.values())
-    rows = _product_rows(a.product, lower)
+    rows = a.lowered_rows(d)
     unit = _lowered(unit, lower)
     for i in range(a.dim):
         left, right = {}, {}
@@ -558,7 +600,7 @@ def _algebra_laws(a, generators=None):
 def _coalgebra_laws(c):
     counit = _nonzero(c.counit)
     lower, d, clean = _lowering(c.field, _values(c.coproduct.values()), counit.values())
-    coproduct = {i: _lowered(terms, lower) for i, terms in c.coproduct.items()}
+    coproduct = c.lowered_coproduct(d)
     counit = _lowered(counit, lower)
     for i in range(c.dim):
         delta = coproduct.get(i, {})
@@ -612,8 +654,7 @@ def _bialgebra_laws(b, p, generators=None):
         b.field, _values(b.product.values()), _values(b.coproduct.values()),
         unit.values(), counit.values(),
     )
-    rows = _product_rows(b.product, lower)
-    coproduct = {i: _lowered(terms, lower) for i, terms in b.coproduct.items()}
+    rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
     unit, counit = _lowered(unit, lower), _lowered(counit, lower)
     d2 = d * d
     char = b.field.characteristic
@@ -679,7 +720,7 @@ def _convolution_failures(c, a, f_cols, g_cols):
         a.field, _values(a.product.values()), _values(c.coproduct.values()),
         _values(f_cols), _values(g_cols), unit.values(), counit.values(),
     )
-    rows = _product_rows(a.product, lower)
+    rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in f_cols]
     g_cols = [_lowered(col, lower) for col in g_cols]
     unit, counit = _lowered(unit, lower), _lowered(counit, lower)
@@ -698,8 +739,7 @@ def _convolution_failures(c, a, f_cols, g_cols):
 
     for i in range(c.dim):
         fg, gf = {}, {}
-        for (j, k), u in c.coproduct.get(i, {}).items():
-            u = lower(u)
+        for (j, k), u in coproduct.get(i, {}).items():
             add_product(fg, u, f_cols[j], g_cols[k])
             add_product(gf, u, g_cols[j], f_cols[k])
         target = clean({t: d2 * counit.get(i, 0) * x for t, x in unit.items()})
@@ -795,13 +835,12 @@ def algebra_map_violations(src, dst, m):
     )
     cols = [_lowered(col, lower) for col in cols]
     if len(factors) == 1:
-        rows = _product_rows(dst.product, lower)
+        rows = dst.lowered_rows(d)
         target = {t: d * lower(c) for t, c in dst_units[0].items()}
         scale = d
     else:
         (a, b), (unit_a, unit_b) = factors, dst_units
-        rows = _tensor_rows(_product_rows(a.product, lower), _product_rows(b.product, lower),
-                            b.dim, set().union(*cols))
+        rows = _tensor_rows(a.lowered_rows(d), b.lowered_rows(d), b.dim, set().union(*cols))
         target = {ti(s, t, b.dim): lower(x) * lower(y)
                   for s, x in unit_a.items() for t, y in unit_b.items()}
         scale = d * d
@@ -810,11 +849,13 @@ def algebra_map_violations(src, dst, m):
         _add_scaled(image, lower(c), cols[t])
     if clean(image) != clean(target):
         yield ("unit", ())
+    src_rows = src.lowered_rows(d)
     for i in range(src.dim):
+        row_i = src_rows.get(i, {})
         for j in range(src.dim):
             lhs = {}
-            for k, c in src.product.get((i, j), {}).items():
-                _add_scaled(lhs, scale * lower(c), cols[k])
+            for k, c in row_i.get(j, {}).items():
+                _add_scaled(lhs, scale * c, cols[k])
             if clean(lhs) != clean(_sparse_product(rows, cols[i], cols[j])):
                 yield ("multiplicative", (i, j))
 
@@ -920,7 +961,7 @@ def convolution_invert(c, a, f):
         fld, _values(a.product.values()), _values(c.coproduct.values()),
         _values(cols), unit.values(), counit.values(),
     )
-    rows = _product_rows(a.product, lower)
+    rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in cols]
     unit, counit = _lowered(unit, lower), _lowered(counit, lower)
     lift = fld.from_int
@@ -931,8 +972,7 @@ def convolution_invert(c, a, f):
         block, rhs = [], []
         for i in component:
             out = [{} for _ in range(da)]  # out[z][column]: the rows (i, z)
-            for (j, k), u in c.coproduct.get(i, {}).items():
-                u = lower(u)
+            for (j, k), u in coproduct.get(i, {}).items():
                 for x, fx in f_cols[j].items():
                     ufx = u * fx
                     for r, prod in rows.get(x, {}).items():

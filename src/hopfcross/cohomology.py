@@ -18,7 +18,6 @@ from .algebra import (
     _lowered,
     _lowering,
     _nonzero,
-    _product_rows,
     _values,
     algebra_map_violations,
     coaction_violations,
@@ -169,7 +168,7 @@ class HModuleStructure:
         lower, d, clean = _lowering(h.field, _values(acts), _values(h.product.values()),
                                     unit.values())
         acts = [_lowered(col, lower) for col in acts]
-        rows = _product_rows(h.product, lower)
+        rows = h.lowered_rows(d)
         violations = []
         for p in range(dp):
             acted = {}
@@ -227,7 +226,7 @@ def _differential_entries(act, degree):
     counit = _nonzero(h.counit)
     lower, d, clean = _lowering(f, _values(acts), _values(h.product.values()), counit.values())
     acts = [_lowered(col, lower) for col in acts]
-    rows = _product_rows(h.product, lower)
+    rows = h.lowered_rows(d)
     counit = _lowered(counit, lower)
 
     def flat(hs):

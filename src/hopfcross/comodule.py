@@ -15,7 +15,6 @@ from .algebra import (
     _lowered,
     _lowering,
     _nonzero,
-    _product_rows,
     _sparse_product,
     _values,
     algebra_map_violations,
@@ -377,8 +376,7 @@ def check_crossed_system(s):
     meas, sig, sig_inv = ([[_lowered(col, lower) for col in c[g * n:(g + 1) * n]]
                            for g in range(dh)] for c, n in zip(cols, (db, dh, dh)))
     meas_t, sig_t = list(zip(*meas)), list(zip(*sig))
-    brows, hrows = _product_rows(b.product, lower), _product_rows(h.product, lower)
-    cop = {g: _lowered(terms, lower) for g, terms in h.coproduct.items()}
+    brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
     hunit, bunit, counit = (_lowered(v, lower) for v in (hunit, bunit, counit))
     d2 = d * d
 
@@ -483,8 +481,7 @@ def crossed_product(s):
         _values(h.product.values()), _values(h.coproduct.values()),
     )
     meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
-    brows, hrows = _product_rows(b.product, lower), _product_rows(h.product, lower)
-    cop = {g: _lowered(terms, lower) for g, terms in h.coproduct.items()}
+    brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
     scale = d ** 8
     product = {}
     for i in range(db):

@@ -6,13 +6,16 @@ A ~ Lambda(W) (x) H for super-commutative Hopf superalgebras.
 
 All bases are homogeneous; `parity` assigns 0 (even) or 1 (odd) to each basis
 index. Exterior bases are indexed by subsets of {1..n} ordered by (size,
-tuple); every sign is the parity of the merge inversion count.
+tuple) and held as bitmasks; every sign is the parity of a merge inversion
+count, taken with popcounts.
 """
 
 import itertools
 
 from .algebra import (
     FHopf,
+    _add_scaled,
+    _clean,
     algebra_map_violations,
     check_axioms,
     colinear_violations,
@@ -40,7 +43,6 @@ from .linalg import (
     column_coordinates,
     in_span,
     row_space_basis,
-    vscale,
 )
 
 
@@ -195,59 +197,54 @@ def super_tensor_product(sa, sb, labels=None):
 # exterior Hopf superalgebras
 
 
-def _merge_inversions(s, t):
-    """Number of pairs (a, b) in s x t with a > b; None when s and t meet."""
-    if set(s) & set(t):
-        return None
+def _inversions(s, t):
+    """Number of pairs (a, b) in s x t with a > b, for disjoint bitmasks."""
     inv = 0
-    for a in s:
-        for b in t:
-            if a > b:
-                inv += 1
+    while t:
+        low = t & -t  # the least element b of t
+        inv += (s & -(low << 1)).bit_count()  # the elements of s above b
+        t ^= low
     return inv
 
 
 class ExteriorHopf:
     """Lambda(V) on a purely odd n-dimensional V; basis indexed by subsets of
-    {1..n} ordered by (size, tuple)."""
+    {1..n} ordered by (size, tuple), held as bitmasks with bit i - 1 for i."""
 
     def __init__(self, n, field):
         _require_odd_characteristic(field)
         self.n = n
         self.field = field
-        self.subsets = sorted(
-            (tuple(c) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)),
-            key=lambda s: (len(s), s),
-        )
+        # combinations come in (size, tuple) order
+        self.subsets = [c for r in range(n + 1)
+                        for c in itertools.combinations(range(1, n + 1), r)]
         self.index = {s: i for i, s in enumerate(self.subsets)}
         f = field
         dim = len(self.subsets)
+        masks = [sum(1 << (x - 1) for x in s) for s in self.subsets]
+        at = {m: i for i, m in enumerate(masks)}
+        sign = (f.one, -f.one)  # by the parity of an inversion count
         labels = tuple("1" if not s else "^".join("v%d" % i for i in s) for s in self.subsets)
         product = {}
-        for i, s in enumerate(self.subsets):
-            for j, t in enumerate(self.subsets):
-                inv = _merge_inversions(s, t)
-                if inv is None:
-                    product[(i, j)] = {}
-                else:
-                    product[(i, j)] = {self.index[tuple(sorted(s + t))]: _sign(f, inv)}
-        unit = basis_vec(f, dim, self.index[()])
+        for i, s in enumerate(masks):
+            for j, t in enumerate(masks):
+                if not s & t:
+                    product[(i, j)] = {at[s | t]: sign[_inversions(s, t) & 1]}
+        unit = basis_vec(f, dim, 0)  # e_{}, which is also the counit
         coproduct = {}
-        for i, s in enumerate(self.subsets):
+        for i, s in enumerate(masks):
+            bits = [1 << (x - 1) for x in self.subsets[i]]
             out = {}
-            for r in range(len(s) + 1):
-                for left in itertools.combinations(s, r):
-                    right = tuple(x for x in s if x not in left)
-                    out[(self.index[left], self.index[right])] = _sign(
-                        f, _merge_inversions(left, right)
-                    )
+            for r in range(len(bits) + 1):
+                for part in itertools.combinations(bits, r):
+                    left = sum(part)
+                    out[(at[left], at[s ^ left])] = sign[_inversions(left, s ^ left) & 1]
             coproduct[i] = out
-        counit = tuple(f.one if not s else f.zero for s in self.subsets)
-        antipode = Matrix.from_cols(
-            f,
-            [vscale(_sign(f, len(s)), basis_vec(f, dim, i)) for i, s in enumerate(self.subsets)],
-        )
-        self.hopf = FHopf(f, labels, product, unit, coproduct, counit, antipode)
+        # the antipode is (-1)^|S| on e_S
+        rows = [[f.zero] * dim for _ in range(dim)]
+        for i, s in enumerate(self.subsets):
+            rows[i][i] = sign[len(s) & 1]
+        self.hopf = FHopf(f, labels, product, unit, coproduct, unit, Matrix(f, rows))
         self.parity = tuple(len(s) % 2 for s in self.subsets)
         self.presentation = SuperPresentation(self.hopf, self.parity)
 
@@ -280,27 +277,13 @@ class DualityPairing:
 
 def duality_pairing(n, field):
     """<f_1 ^ ... ^ f_m, v_1 ^ ... ^ v_m> = sum_sigma sgn(sigma) prod
-    f_i(v_{sigma(i)}); zero across distinct exterior degrees."""
+    f_i(v_{sigma(i)}); zero across distinct exterior degrees.  On the subset
+    bases <e*_S, e_T> is the determinant of the 0/1 matrix [s = t] over
+    s in S, t in T, which is the identity when S = T and has a zero row when
+    S != T are of one size: the pairing matrix is the identity."""
     _require_odd_characteristic(field)
     ext = exterior_hopf(n, field)
-    f = field
-    rows = []
-    for s in ext.subsets:
-        row = []
-        for t in ext.subsets:
-            if len(s) != len(t):
-                row.append(f.zero)
-            elif not s:
-                row.append(f.one)
-            else:
-                # det of the evaluation matrix f_i(v_j) = delta_{s_i, t_j}
-                rows_ = [
-                    [f.one if a == b else f.zero for b in t]
-                    for a in s
-                ]
-                row.append(Matrix(f, rows_).det())
-        rows.append(row)
-    pairing = Matrix(f, rows)
+    pairing = Matrix.identity(field, ext.dim)
     dual = SuperPresentation(dual_structure(ext.hopf), ext.parity)
     # the iso Lambda(V*) -> Lambda(V)* sends e*_S to <e*_S, -> = row S; its
     # check includes that the pairing is nondegenerate
@@ -337,8 +320,16 @@ def _check_super_hopf_iso(src_sp, dst_sp, m):
         # parity must be preserved: an odd image is supported on odd indices
         if src_sp.parity[i] == 1 and any(dst_sp.parity[x] != 1 for x in cols[i]):
             raise ValidationError("candidate map does not preserve parity")
-    if m * src.antipode != dst.antipode * m:
-        raise ValidationError("candidate map does not commute with the antipode")
+    # m S = S' m, with S' the antipode of dst, column by column on the nonzeros
+    src_anti, dst_anti = src.antipode.sparse_cols(), dst.antipode.sparse_cols()
+    for i in range(src.dim):
+        lhs, rhs = {}, {}
+        for k, c in src_anti[i].items():
+            _add_scaled(lhs, c, cols[k])
+        for x, c in cols[i].items():
+            _add_scaled(rhs, c, dst_anti[x])
+        if _clean(lhs) != _clean(rhs):
+            raise ValidationError("candidate map does not commute with the antipode")
     for i in range(src.dim):
         s = f.zero
         for x, c in cols[i].items():

@@ -21,6 +21,9 @@ from hopfcross.algebra import (
     _coalgebra_laws,
     _generating_set,
     _left_legs,
+    _lower,
+    _lowered,
+    _product_rows,
     algebra_map_violations,
     check_axioms,
     compute_antipode,
@@ -47,7 +50,7 @@ from hopfcross.linalg import (
     vzero,
 )
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
-from hopfcross.superalg import SuperPresentation, exterior_hopf
+from hopfcross.superalg import ExteriorHopf, SuperPresentation, exterior_hopf
 from tests.test_linalg import ORACLE_FIELDS, draw
 
 Q = Rationals()
@@ -663,6 +666,130 @@ def test_a_failed_unit_law_takes_the_full_loops(monkeypatch):
     calls = count_left_legs(monkeypatch)
     assert check_axioms("super-hopf", SuperPresentation(h, ext.parity)).violations == expected
     assert len(calls) == h.dim
+
+
+# --- lowered constants, once per structure and scale -------------------------
+
+
+def rescaled(h, s):
+    """h in the basis e_0, e_1 / s, ..., e_(d-1) / s: over Q and with e_0 the
+    unit, its products carry the denominator s."""
+    f = h.field
+    inv = f.one / f.from_int(s)
+    return transport(h, Matrix(f, [[(f.one if i == 0 else inv) if i == j else f.zero
+                                     for j in range(h.dim)] for i in range(h.dim)]))
+
+
+def ref_lowered_per_call(run):
+    """run(), with every product table and coproduct lowered afresh each time
+    a kernel reads it, as nothing is cached."""
+    def rows(a, d):
+        return _product_rows(a.product, _lower(a.field, d))
+
+    def coproduct(c, d):
+        return {i: _lowered(terms, _lower(c.field, d)) for i, terms in c.coproduct.items()}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FAlgebra, "lowered_rows", rows)
+        mp.setattr(FCoalgebra, "lowered_coproduct", coproduct)
+        return run()
+
+
+def cached_scales_inputs(field):
+    """(name, src, dst, bad, maps) per stock Hopf algebra, with bad a copy of
+    src with one product bumped.  Over Q the products of src
+    carry the denominator 2, those of dst 3, and every map but the algebra
+    map src -> dst (diag(1, 3/2, ...)) the denominator 5, so the kernels read
+    one object's rows at several scales in turn; over F5 the 1/5 is a 2."""
+    fifth = field.one / field.from_int(5) if field == Q else field.from_int(2)
+    for name, make in STOCK:
+        h = make(field)
+        src, dst = rescaled(h, 2), rescaled(h, 3)
+        ratio = field.from_int(3) / field.from_int(2)
+        m = Matrix(field, [[(field.one if i == 0 else ratio) if i == j else field.zero
+                            for j in range(h.dim)] for i in range(h.dim)])
+        nudged = [list(row) for row in m.data]
+        nudged[0][1] += fifth
+        rng = random.Random(name)
+        dense = Matrix(field, [[fifth * field.from_int(rng.randrange(-3, 4)) for _ in range(h.dim)]
+                               for _ in range(h.dim)])
+        bad = corrupt(src, "product", name, fifth)
+        yield name, src, dst, bad, (m, Matrix(field, nudged), dense)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_cached_lowering_gives_the_witnesses_of_a_lowering_per_call(field):
+    cases = 0
+    for name, src, dst, bad, maps in cached_scales_inputs(field):
+        for _ in range(2):  # the second pass reads what the first one cached
+            for x, y, m in [(src, dst, mm) for mm in maps] + [(bad, dst, maps[0])]:
+                expected = list(ref_algebra_map_violations(x, y, m))
+                assert list(algebra_map_violations(x, y, m)) == expected, name
+                assert ref_lowered_per_call(lambda: list(algebra_map_violations(x, y, m))) == expected
+                cases += bool(expected)
+            for x in (src, dst, bad):
+                for kind, view in views(x).items():
+                    found = check_axioms(kind, view).violations
+                    assert found == ref_lowered_per_call(lambda: check_axioms(kind, view).violations)
+                    cases += bool(found)
+    assert cases > 20
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_cached_rows_equal_a_fresh_lowering(field):
+    for name, src, dst, bad, maps in cached_scales_inputs(field):
+        for m in maps:
+            list(algebra_map_violations(src, dst, m))
+            list(algebra_map_violations(bad, dst, m))
+        for x in (src, dst, bad):
+            check_axioms("hopf", x)
+            convolution_invert(x.as_coalgebra(), x.as_algebra(), Matrix.identity(field, x.dim))
+            alg, coalg = x.as_algebra(), x.as_coalgebra()
+            assert alg._rows and coalg._terms
+            if field == Q and x is src:
+                assert len(alg._rows) > 1  # read at more than one scale
+            for d, rows in alg._rows.items():
+                assert rows == _product_rows(x.product, _lower(field, d)), (name, d)
+            for d, terms in coalg._terms.items():
+                assert terms == {i: _lowered(t, _lower(field, d)) for i, t in x.coproduct.items()}
+
+
+def count_lowerings(monkeypatch):
+    calls = []
+
+    def counted(product, lower):
+        calls.append(product)
+        return _product_rows(product, lower)
+
+    monkeypatch.setattr("hopfcross.algebra._product_rows", counted)
+    return calls
+
+
+def test_compute_antipode_lowers_the_product_table_once(monkeypatch):
+    # the bialgebra check, the convolution inverse, its two-sided check and
+    # the antipode laws of the result all read one lowering of k[Z/12]
+    h = group_hopf_algebra(GroupTable.cyclic(12), Q)
+    b = FBialgebra(Q, h.basis, h.product, h.unit, h.coproduct, h.counit)
+    calls = count_lowerings(monkeypatch)
+    assert compute_antipode(b).antipode == h.antipode
+    assert len(calls) == 1
+
+
+def test_a_super_axiom_check_lowers_the_product_table_once(monkeypatch):
+    ext = ExteriorHopf(4, Q)  # not yet checked
+    calls = count_lowerings(monkeypatch)
+    assert check_axioms("super-hopf", ext.presentation).ok
+    assert len(calls) == 1
+
+
+def test_equal_presentations_keep_their_own_lowered_rows(monkeypatch):
+    a, b = kz3(Q), kz3(Q)
+    assert a.product == b.product and a is not b
+    calls = count_lowerings(monkeypatch)
+    rows = a.lowered_rows(1)
+    assert a.lowered_rows(1) is rows and len(calls) == 1
+    assert b.lowered_rows(1) is not rows and len(calls) == 2
+    assert b.lowered_rows(1) == rows and len(calls) == 2
 
 
 # --- convolution ------------------------------------------------------------

@@ -22,6 +22,7 @@ from hopfcross.cohomology import (
     gauge_iso,
     hh2,
     hopf_module_decompose,
+    ideal_power_chain,
     lift_comodule_algebra_map,
     quotient_comodule_algebra,
     split_extension,
@@ -524,6 +525,19 @@ def test_non_nilpotent_kernel_rejected():
     pi = counit_times_identity(aug, h)
     with pytest.raises(KernelNotNilpotentError):
         colinear_splitting_nilpotent(cp, pi)
+
+
+def test_ideal_power_chain_rejects_an_ideal_with_an_idempotent():
+    # A = span(1, e, v) with e^2 = e and ev = ve = v^2 = 0, I = span(e, v):
+    # V = span(v) lifts a basis of I/I^2 and I V = 0, yet I^2 = I^3 = span(e).
+    # So I^(k+1) = I^k V may stand in for the power chain only once I is known
+    # to be nilpotent, and the chain must see the stabilization.
+    product = {(0, j): {j: Q.one} for j in range(3)}
+    product.update({(j, 0): {j: Q.one} for j in range(3)})
+    product[(1, 1)] = {1: Q.one}
+    a = FAlgebra(Q, ("1", "e", "v"), product, basis_vec(Q, 3, 0))
+    with pytest.raises(KernelNotNilpotentError, match="stabilized above zero"):
+        ideal_power_chain(a, [basis_vec(Q, 3, 1), basis_vec(Q, 3, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hopfcross.errors import (
     ValidationError,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vscale
 from hopfcross.superalg import (
     ExteriorHopf,
     SuperPresentation,
@@ -196,6 +196,97 @@ def test_exterior_antipode_sign():
         assert ext.hopf.antipode.col(i) == expected
 
 
+# The construction on subset tuples that the bitmask one replaced, and the
+# pairing read off determinants, kept as oracles.
+
+
+def ref_merge_inversions(s, t):
+    """Number of pairs (a, b) in s x t with a > b; None when s and t meet."""
+    if set(s) & set(t):
+        return None
+    inv = 0
+    for a in s:
+        for b in t:
+            if a > b:
+                inv += 1
+    return inv
+
+
+def ref_sign(f, exponent):
+    return f.one if exponent % 2 == 0 else -f.one
+
+
+def ref_exterior(n, field):
+    """(subsets, index, hopf, parity) of Lambda(V), dim V = n."""
+    f = field
+    subsets = sorted(
+        (tuple(c) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)),
+        key=lambda s: (len(s), s),
+    )
+    index = {s: i for i, s in enumerate(subsets)}
+    dim = len(subsets)
+    labels = tuple("1" if not s else "^".join("v%d" % i for i in s) for s in subsets)
+    product = {}
+    for i, s in enumerate(subsets):
+        for j, t in enumerate(subsets):
+            inv = ref_merge_inversions(s, t)
+            if inv is None:
+                product[(i, j)] = {}
+            else:
+                product[(i, j)] = {index[tuple(sorted(s + t))]: ref_sign(f, inv)}
+    unit = basis_vec(f, dim, index[()])
+    coproduct = {}
+    for i, s in enumerate(subsets):
+        out = {}
+        for r in range(len(s) + 1):
+            for left in itertools.combinations(s, r):
+                right = tuple(x for x in s if x not in left)
+                out[(index[left], index[right])] = ref_sign(f, ref_merge_inversions(left, right))
+        coproduct[i] = out
+    counit = tuple(f.one if not s else f.zero for s in subsets)
+    antipode = Matrix.from_cols(
+        f, [vscale(ref_sign(f, len(s)), basis_vec(f, dim, i)) for i, s in enumerate(subsets)]
+    )
+    hopf = FHopf(f, labels, product, unit, coproduct, counit, antipode)
+    return subsets, index, hopf, tuple(len(s) % 2 for s in subsets)
+
+
+def ref_pairing_matrix(subsets, f):
+    """<e*_S, e_T> as the determinant of the evaluation matrix f_s(v_t)."""
+    rows = []
+    for s in subsets:
+        row = []
+        for t in subsets:
+            if len(s) != len(t):
+                row.append(f.zero)
+            elif not s:
+                row.append(f.one)
+            else:
+                row.append(Matrix(f, [[f.one if a == b else f.zero for b in t] for a in s]).det())
+        rows.append(row)
+    return Matrix(f, rows)
+
+
+def ordered(sparse):
+    """A sparse table with the key order of its outer and inner dicts."""
+    return [(key, list(terms.items())) for key, terms in sparse.items()]
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F5, PrimeField(7)], ids=repr)
+def test_exterior_construction_and_pairing_match_the_subset_oracle(field):
+    for n in range(7):
+        subsets, index, ref, parity = ref_exterior(n, field)
+        pairing = duality_pairing(n, field)
+        ext, h = pairing.exterior, pairing.exterior.hopf
+        assert (ext.subsets, ext.index, ext.parity) == (subsets, index, parity)
+        assert list(ext.index) == list(index)
+        assert h.basis == ref.basis
+        assert ordered(h.product) == ordered(ref.product)
+        assert ordered(h.coproduct) == ordered(ref.coproduct)
+        assert (h.unit, h.counit, h.antipode) == (ref.unit, ref.counit, ref.antipode)
+        assert pairing.matrix == ref_pairing_matrix(subsets, field)
+
+
 # ---------------------------------------------------------------------------
 # duality pairing
 
@@ -241,6 +332,38 @@ def test_iso_check_rejects_an_algebra_map_that_is_not_comultiplicative():
     assert m.is_invertible()
     with pytest.raises(ValidationError, match="candidate map not comultiplicative at 1$"):
         _check_super_hopf_iso(ext.presentation, ext.presentation, m)
+
+
+def with_part(h, **part):
+    """h with one of its structure maps replaced."""
+    parts = dict(field=h.field, basis=h.basis, product=h.product, unit=h.unit,
+                 coproduct=h.coproduct, counit=h.counit, antipode=h.antipode)
+    parts.update(part)
+    return FHopf(**parts)
+
+
+def test_iso_check_rejects_a_map_that_does_not_commute_with_the_antipode():
+    # the identity onto Lambda(2) with its antipode negated on the odd v1:
+    # bijective, an algebra and a coalgebra map, and parity-preserving
+    ext = exterior_hopf(2, Q)
+    v1 = ext.index[(1,)]
+    anti = ext.hopf.antipode
+    cols = [tuple(-c for c in anti.col(i)) if i == v1 else anti.col(i) for i in range(ext.dim)]
+    target = SuperPresentation(with_part(ext.hopf, antipode=Matrix.from_cols(Q, cols)),
+                               ext.parity)
+    with pytest.raises(ValidationError, match="does not commute with the antipode$"):
+        _check_super_hopf_iso(ext.presentation, target, Matrix.identity(Q, ext.dim))
+
+
+def test_iso_check_rejects_a_map_that_does_not_preserve_the_counit():
+    # the identity onto Lambda(2) with eps(v1) = 1: every earlier check
+    # reads only the product, the coproduct, the parity and the antipode
+    ext = exterior_hopf(2, Q)
+    v1 = ext.index[(1,)]
+    counit = tuple(Q.one if i == v1 else c for i, c in enumerate(ext.hopf.counit))
+    target = SuperPresentation(with_part(ext.hopf, counit=counit), ext.parity)
+    with pytest.raises(ValidationError, match="does not preserve the counit$"):
+        _check_super_hopf_iso(ext.presentation, target, Matrix.identity(Q, ext.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ CASES = [
     # accepted
     ["check", "--kind", "hopf", "kz2.json", "--json"],
     ["pairing", "--n", "2", "--json"],
+    # the exterior construction on bitmasks, over F_p and inside a decomposition
+    ["pairing", "--n", "4", "--prime", "7", "--json"],
+    ["super-decompose", "lambda3.json", "--json"],
 ]
 
 
