@@ -4,12 +4,15 @@ A presentation stores structure constants sparsely: the product as
 ``{(i, j): {k: scalar}}`` and the coproduct as ``{i: {(j, k): scalar}}``.
 Vectors of coefficients cross the API as dense tuples of field scalars;
 inside, products, coordinates and the axiom laws read only their nonzeros
-(the laws as sparse rows of native ints, see `_lowering`).  Tensor indices
+(the laws as sparse rows of native ints, see `_lowering`).  FAlgebra and
+FCoalgebra take their operations from `_Algebra` and `_Coalgebra`, and
+FBialgebra from both.  Each structure keeps, beside its constants, the lcm
+of their denominators and its tables lowered to native ints.  Tensor indices
 are row-major: basis element ``e_i (x) e_j`` of ``A (x) B`` has index
 ``i * dim(B) + j``.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, islice, repeat
 from math import lcm
 
@@ -23,7 +26,9 @@ from .errors import (
 from .groups import GroupTable
 from .linalg import (
     Matrix,
+    _subtract,
     basis_vec,
+    connected_components,
     solve_linear,
     vscale,
 )
@@ -56,21 +61,43 @@ def _clean_sparse_coproduct(field, dim, coproduct):
     return out
 
 
-class FAlgebra:
-    def __init__(self, field, basis, product, unit):
+class _Structure:
+    """A presentation on a basis over a field.  Nothing changes its constants
+    after construction, so it keeps what it derives from them."""
+
+    def __init__(self, field, basis):
         self.field = field
         self.basis = tuple(basis)
         self.dim = len(self.basis)
+
+    @cached_property
+    def denominator(self):
+        """Over Q the lcm of the denominators of the structure constants,
+        which the scale D of every `_lowering` that reads this structure is a
+        multiple of; 1 over F_p."""
+        if self.field.characteristic:
+            return 1
+        return lcm(*{c.denominator for c in self._scalars()})
+
+
+class _Algebra(_Structure):
+    """The algebra operations on a product table and a unit, shared by
+    FAlgebra and FBialgebra."""
+
+    def __init__(self, field, basis, product, unit):
+        _Structure.__init__(self, field, basis)
         if len(unit) != self.dim:
             raise ShapeMismatchError("unit vector has wrong length")
         self.product = _clean_sparse_product(field, self.dim, product)
         self.unit = tuple(unit)
         self._rows = {}
 
+    def _scalars(self):
+        return chain(_values(self.product.values()), self.unit)
+
     def lowered_rows(self, d):
         """The product as rows {i: {j: {k: c}}} of native ints at scale d
-        (see `_lowering`), built once per d: nothing changes the constants
-        after construction."""
+        (see `_lowering`), built once per d."""
         rows = self._rows.get(d)
         if rows is None:
             rows = self._rows[d] = _product_rows(self.product, _lower(self.field, d))
@@ -120,16 +147,20 @@ class FAlgebra:
         return ("algebra", self.dim, prod, self.unit)
 
 
-class FCoalgebra:
+class _Coalgebra(_Structure):
+    """The coalgebra operations on a coproduct and a counit, shared by
+    FCoalgebra and FBialgebra."""
+
     def __init__(self, field, basis, coproduct, counit):
-        self.field = field
-        self.basis = tuple(basis)
-        self.dim = len(self.basis)
+        _Structure.__init__(self, field, basis)
         if len(counit) != self.dim:
             raise ShapeMismatchError("counit vector has wrong length")
         self.coproduct = _clean_sparse_coproduct(field, self.dim, coproduct)
         self.counit = tuple(counit)
         self._terms = {}
+
+    def _scalars(self):
+        return chain(_values(self.coproduct.values()), self.counit)
 
     def lowered_coproduct(self, d):
         """The coproduct {i: {(j, k): c}} on native ints at scale d (see
@@ -154,11 +185,7 @@ class FCoalgebra:
         return {jk: c for jk, c in out.items() if c}
 
     def eps(self, vec):
-        s = self.field.zero
-        for a, e in zip(vec, self.counit):
-            if a and e:
-                s = s + a * e
-        return s
+        return evaluate(self.field, self.counit, vec)
 
     def delta2_basis(self, i):
         """Canonical three-fold coproduct (Delta (x) id) o Delta on e_i.
@@ -189,74 +216,41 @@ class FCoalgebra:
         return ("coalgebra", self.dim, cop, self.counit)
 
 
-class FBialgebra:
-    """Algebra and coalgebra on one basis, with compatible structures."""
+class FAlgebra(_Algebra):
+    """A finite-dimensional unital algebra."""
+
+
+class FCoalgebra(_Coalgebra):
+    """A finite-dimensional counital coalgebra."""
+
+
+class FBialgebra(_Algebra, _Coalgebra):
+    """Algebra and coalgebra on one basis, with compatible structures.  It is
+    not an FAlgebra or an FCoalgebra; as_algebra and as_coalgebra give it as
+    one, sharing its constants and lowered tables."""
 
     def __init__(self, field, basis, product, unit, coproduct, counit):
-        self.field = field
-        self.basis = tuple(basis)
-        self.dim = len(self.basis)
-        self._alg = FAlgebra(field, basis, product, unit)
-        self._coalg = FCoalgebra(field, basis, coproduct, counit)
+        _Algebra.__init__(self, field, basis, product, unit)
+        _Coalgebra.__init__(self, field, basis, coproduct, counit)
 
-    # algebra / coalgebra views and delegated accessors
+    def _scalars(self):
+        return chain(_Algebra._scalars(self), _Coalgebra._scalars(self))
+
     def as_algebra(self):
-        return self._alg
+        return _view(FAlgebra, self, "product", "unit", "_rows")
 
     def as_coalgebra(self):
-        return self._coalg
-
-    @property
-    def product(self):
-        return self._alg.product
-
-    @property
-    def unit(self):
-        return self._alg.unit
-
-    @property
-    def coproduct(self):
-        return self._coalg.coproduct
-
-    @property
-    def counit(self):
-        return self._coalg.counit
-
-    def one(self):
-        return self._alg.unit
-
-    def lowered_rows(self, d):
-        return self._alg.lowered_rows(d)
-
-    def lowered_coproduct(self, d):
-        return self._coalg.lowered_coproduct(d)
-
-    def mult(self, x, y):
-        return self._alg.mult(x, y)
-
-    def mult_basis(self, i, j):
-        return self._alg.mult_basis(i, j)
-
-    def delta(self, vec):
-        return self._coalg.delta(vec)
-
-    def delta_basis(self, i):
-        return self._coalg.delta_basis(i)
-
-    def delta2_basis(self, i):
-        return self._coalg.delta2_basis(i)
-
-    def eps(self, vec):
-        return self._coalg.eps(vec)
-
-    def is_commutative(self):
-        return self._alg.is_commutative()
-
-    def is_cocommutative(self):
-        return self._coalg.is_cocommutative()
+        return _view(FCoalgebra, self, "coproduct", "counit", "_terms")
 
     def canonical_constants(self):
-        return self._alg.canonical_constants() + self._coalg.canonical_constants()
+        return _Algebra.canonical_constants(self) + _Coalgebra.canonical_constants(self)
+
+
+def _view(cls, s, *names):
+    """A cls on the basis of s holding the named attributes of s itself."""
+    view = cls.__new__(cls)
+    view.__dict__.update((n, s.__dict__[n]) for n in ("field", "basis", "dim") + names)
+    return view
 
 
 class FHopf(FBialgebra):
@@ -269,10 +263,20 @@ class FHopf(FBialgebra):
     @staticmethod
     def from_bialgebra(b, antipode):
         """b with the antipode of its computed convolution inverse, sharing
-        b's algebra and coalgebra and with them their lowered constants."""
+        b's constants and what b derived from them."""
         h = FHopf.__new__(FHopf)
         h.__dict__.update(b.__dict__, antipode=antipode)
         return h
+
+
+def evaluate(field, functional, vec):
+    """The value on vec of the functional with the given values on the
+    basis: a counit or an augmentation."""
+    s = field.zero
+    for a, e in zip(vec, functional):
+        if a and e:
+            s = s + a * e
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +332,13 @@ def induced_coproduct(c, basis, coords):
 #
 # The laws contract on native ints, never on Fraction or FpElement: each one
 # reads the constants lowered (`_lowering`), over F_p to their residues and
-# over Q to D * c, with D the lcm of the denominators of every constant the
-# law reads.  A product table or a coproduct is lowered once per scale D and
-# kept on its FAlgebra or FCoalgebra (`lowered_rows`, `lowered_coproduct`),
-# so the laws, the kernels and the checks of one structure share its rows;
-# a map's columns and the units are lowered in each call.
+# over Q to D * c, with D the lcm of the denominators of the structures and
+# maps the law reads.  Each structure keeps, beside its constants, the lcm of
+# their denominators (`denominator`) and its product table or coproduct
+# lowered once per scale D (`lowered_rows`, `lowered_coproduct`), so the
+# laws, the kernels and the checks of one structure share them; a map's
+# columns and the units are lowered in each call.  Every comparison below
+# is exact for any common multiple D of the denominators it reads.
 # Sums stay unreduced until `clean`, at the comparison.  Over Q a term with
 # r lowered constants carries D^r, so the side of a comparison with fewer
 # constants per term is scaled to match: the 1 of the unit and counit laws
@@ -403,20 +409,24 @@ def _lower(field, d):
     return lambda c: c.numerator * (d // c.denominator)
 
 
-def _lowering(field, *constants):
-    """(lower, D, clean) for contracting structure constants on native ints.
+def _lowering(structures, maps=()):
+    """(lower, D, clean) for contracting on native ints the constants of the
+    structures a kernel reads and the maps it reads, each map given by its
+    sparse columns.
 
-    constants are iterables of the nonzero scalars a law reads.  Over F_p,
-    lower(c) is the residue of c, D = 1 and clean reduces mod p; over Q, D
-    is the lcm of their denominators, lower(c) = D * c and clean drops the
-    zeros.  clean returns a sparse dict of exact representatives, so two
+    Over F_p, lower(c) is the residue of c, D = 1 and clean reduces mod p;
+    over Q, D is the lcm of the structures' denominators (each kept on its
+    structure) and of the maps' entries, lower(c) = D * c and clean drops
+    the zeros.  clean returns a sparse dict of exact representatives, so two
     cleaned sides compare equal exactly when the field elements do."""
+    field = structures[0].field
     p = field.characteristic
     if p:
         def reduced(sparse):
             return {k: r for k, v in sparse.items() if (r := v % p)}
         return _lower(field, 1), 1, reduced
-    d = lcm(*{c.denominator for c in chain.from_iterable(constants)})
+    d = lcm(*(s.denominator for s in structures),
+            *{c.denominator for cols in maps for c in _values(cols)})
     return _lower(field, d), d, _clean
 
 
@@ -490,8 +500,7 @@ def _generating_set(a):
     of lowered words, and integer vectors of full rank mod a prime have full
     rank over Q."""
     p = a.field.characteristic or WORD_PRIME
-    unit = _nonzero(a.unit)
-    lower, d, _ = _lowering(a.field, _values(a.product.values()), unit.values())
+    lower, d, _ = _lowering((a,))
     rows = a.lowered_rows(d)
     pivots = {}  # leading column -> echelon row with leading entry 1
 
@@ -502,13 +511,7 @@ def _generating_set(a):
             row = pivots.get(col)
             if row is None:
                 return v
-            c = v[col]
-            for k, u in row.items():
-                r = (v.get(k, 0) - c * u) % p
-                if r:
-                    v[k] = r
-                else:
-                    del v[k]
+            _subtract(v, v[col], row, p)
         return v
 
     words, gens, pending = [], [], []
@@ -522,7 +525,7 @@ def _generating_set(a):
             words.append(v)
             pending.extend((g, v) for g in gens)
 
-    admit(_lowered(unit, lower))
+    admit(_lowered(_nonzero(a.unit), lower))
     for i in range(a.dim):
         if len(words) == a.dim:
             break
@@ -549,10 +552,9 @@ def _holds_by_generators(generators, law):
 def _algebra_laws(a, generators=None):
     """The unit laws and associativity; generators, when given, is a
     callable returning G or None (see check_axioms)."""
-    unit = _nonzero(a.unit)
-    lower, d, clean = _lowering(a.field, _values(a.product.values()), unit.values())
+    lower, d, clean = _lowering((a,))
     rows = a.lowered_rows(d)
-    unit = _lowered(unit, lower)
+    unit = _lowered(_nonzero(a.unit), lower)
     for i in range(a.dim):
         left, right = {}, {}
         for t, c in unit.items():
@@ -598,10 +600,9 @@ def _algebra_laws(a, generators=None):
 
 
 def _coalgebra_laws(c):
-    counit = _nonzero(c.counit)
-    lower, d, clean = _lowering(c.field, _values(c.coproduct.values()), counit.values())
+    lower, d, clean = _lowering((c,))
     coproduct = c.lowered_coproduct(d)
-    counit = _lowered(counit, lower)
+    counit = _lowered(_nonzero(c.counit), lower)
     for i in range(c.dim):
         delta = coproduct.get(i, {})
         lhs, rhs = {}, {}
@@ -649,13 +650,9 @@ def _bialgebra_laws(b, p, generators=None):
     native ints; each term of that sum carries D^4 and each term of
     Delta(e_i e_j) D^2, so the latter is multiplied by D^2.  generators,
     when given, is a callable returning G or None (see check_axioms)."""
-    unit, counit = _nonzero(b.unit), _nonzero(b.counit)
-    lower, d, clean = _lowering(
-        b.field, _values(b.product.values()), _values(b.coproduct.values()),
-        unit.values(), counit.values(),
-    )
+    lower, d, clean = _lowering((b,))
     rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
-    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
+    unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
     d2 = d * d
     char = b.field.characteristic
 
@@ -715,15 +712,11 @@ def _convolution_failures(c, a, f_cols, g_cols):
     (g * f)(e_i) != eps(e_i) 1) in the convolution algebra Hom(C, A), for f
     and g given by their sparse columns.  Each term of a product carries D^4,
     so eps(e_i) 1 is multiplied by D^2."""
-    unit, counit = _nonzero(a.unit), _nonzero(c.counit)
-    lower, d, clean = _lowering(
-        a.field, _values(a.product.values()), _values(c.coproduct.values()),
-        _values(f_cols), _values(g_cols), unit.values(), counit.values(),
-    )
+    lower, d, clean = _lowering((a, c), (f_cols, g_cols))
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in f_cols]
     g_cols = [_lowered(col, lower) for col in g_cols]
-    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
+    unit, counit = _lowered(_nonzero(a.unit), lower), _lowered(_nonzero(c.counit), lower)
     d2 = d * d
 
     def add_product(out, u, left, right):
@@ -826,26 +819,20 @@ def algebra_map_violations(src, dst, m):
     D^2 rather than D."""
     factors = dst if isinstance(dst, tuple) else (dst,)
     cols = m.sparse_cols()
-    src_unit = _nonzero(src.unit)
-    dst_units = [_nonzero(x.unit) for x in factors]
-    lower, d, clean = _lowering(
-        src.field, _values(cols), _values(src.product.values()),
-        *(_values(x.product.values()) for x in factors),
-        src_unit.values(), *(u.values() for u in dst_units),
-    )
+    lower, d, clean = _lowering((src, *factors), (cols,))
     cols = [_lowered(col, lower) for col in cols]
     if len(factors) == 1:
         rows = dst.lowered_rows(d)
-        target = {t: d * lower(c) for t, c in dst_units[0].items()}
+        target = {t: d * lower(c) for t, c in _nonzero(dst.unit).items()}
         scale = d
     else:
-        (a, b), (unit_a, unit_b) = factors, dst_units
+        a, b = factors
         rows = _tensor_rows(a.lowered_rows(d), b.lowered_rows(d), b.dim, set().union(*cols))
         target = {ti(s, t, b.dim): lower(x) * lower(y)
-                  for s, x in unit_a.items() for t, y in unit_b.items()}
+                  for s, x in _nonzero(a.unit).items() for t, y in _nonzero(b.unit).items()}
         scale = d * d
     image = {}
-    for t, c in src_unit.items():
+    for t, c in _nonzero(src.unit).items():
         _add_scaled(image, lower(c), cols[t])
     if clean(image) != clean(target):
         yield ("unit", ())
@@ -917,23 +904,8 @@ def _coalgebra_components(c):
     j and k whenever e_j (x) e_k occurs in Delta(e_i).  Each component spans
     a subcoalgebra D, and Hom(C, A) is the product of the algebras Hom(D, A);
     a group-like basis gives one component per basis element."""
-    parent = list(range(c.dim))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, terms in c.coproduct.items():
-        for jk in terms:
-            for x in jk:
-                ri, rx = root(i), root(x)
-                if ri != rx:
-                    parent[max(ri, rx)] = min(ri, rx)
-    components = {}
-    for i in range(c.dim):
-        components.setdefault(root(i), []).append(i)
-    return list(components.values())
+    return connected_components(c.dim, ((i, x) for i, terms in c.coproduct.items()
+                                        for jk in terms for x in jk))
 
 
 def convolution_invert(c, a, f):
@@ -956,14 +928,10 @@ def convolution_invert(c, a, f):
         raise ShapeMismatchError("convolution element shape mismatch")
     fld, da = a.field, a.dim
     cols = f.sparse_cols()
-    unit, counit = _nonzero(a.unit), _nonzero(c.counit)
-    lower, d, _ = _lowering(
-        fld, _values(a.product.values()), _values(c.coproduct.values()),
-        _values(cols), unit.values(), counit.values(),
-    )
+    lower, d, _ = _lowering((a, c), (cols,))
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in cols]
-    unit, counit = _lowered(unit, lower), _lowered(counit, lower)
+    unit, counit = _lowered(_nonzero(a.unit), lower), _lowered(_nonzero(c.counit), lower)
     lift = fld.from_int
     g_cols = [None] * c.dim
     for component in _coalgebra_components(c):
@@ -1000,21 +968,17 @@ def convolution_invert(c, a, f):
 
 
 def compute_antipode(b):
-    """Upgrade a bialgebra to a Hopf algebra by inverting id in Hom(B, B)."""
+    """Upgrade a bialgebra to a Hopf algebra by inverting id in Hom(B, B).
+    convolution_invert re-verifies id * S = eta eps = S * id, which are the
+    antipode laws."""
     report = check_axioms("bialgebra", b)
     if not report.ok:
         raise ValidationError("not a bialgebra: %r" % (report,))
     try:
-        s = convolution_invert(b.as_coalgebra(), b.as_algebra(), Matrix.identity(b.field, b.dim))
+        s = convolution_invert(b, b, Matrix.identity(b.field, b.dim))
     except NotConvolutionInvertibleError as exc:
         raise NoAntipodeError("identity map is not convolution-invertible") from exc
-    h = FHopf.from_bialgebra(b, s)
-    bad = next(_antipode_laws(h), None)
-    if bad:
-        # convolution_invert has verified id * S = eta eps = S * id, so a
-        # failure here is a fault in the program, not a verdict on the input
-        raise ValidationError("computed antipode fails %r" % (bad,))
-    return h
+    return FHopf.from_bialgebra(b, s)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1076,23 @@ def dual_hopf(h):
 # smash coproduct
 
 
-class ComoduleCoalgebraData:
+class _RightComodule:
+    """A right comodule over self.hopf with its coaction matrix
+    self.coaction, whose flat row index is ti(x, t, dim H)."""
+
+    @cached_property
+    def _coaction_terms(self):
+        dh = self.hopf.dim
+        return [{divmod(flat, dh): c for flat, c in col.items()}
+                for col in self.coaction.sparse_cols()]
+
+    def rho_basis(self, i):
+        """Sparse coaction of e_i: dict {(x, t): scalar}.  The columns of
+        the coaction matrix are read once, on the first call."""
+        return self._coaction_terms[i]
+
+
+class ComoduleCoalgebraData(_RightComodule):
     """A right H-comodule coalgebra: D with coaction rho_D : D -> D (x) H."""
 
     def __init__(self, coalgebra, hopf, coaction):
@@ -1121,14 +1101,6 @@ class ComoduleCoalgebraData:
         if coaction.rows != coalgebra.dim * hopf.dim or coaction.cols != coalgebra.dim:
             raise ShapeMismatchError("coaction matrix shape mismatch")
         self.coaction = coaction
-
-    def rho_basis(self, i):
-        """Sparse coaction of e_i: dict {(d, h): scalar}."""
-        col = self.coaction.col(i)
-        dh = self.hopf.dim
-        return {
-            (idx // dh, idx % dh): c for idx, c in enumerate(col) if c
-        }
 
     def validate(self):
         laws = chain(coaction_violations(self.rho_basis, self.hopf, self.coalgebra.dim),

@@ -14,15 +14,16 @@ from functools import cached_property
 from .algebra import (
     MAX_VIOLATIONS,
     FAlgebra,
+    _RightComodule,
     _add_scaled,
     _lowered,
     _lowering,
     _nonzero,
-    _values,
     algebra_map_violations,
     coaction_violations,
     colinear_violations,
     convolution_invert,
+    evaluate,
     induced_algebra,
     ti,
 )
@@ -108,11 +109,7 @@ class AugmentedAlgebra:
         return self.algebra.field
 
     def eps(self, vec):
-        s = self.field.zero
-        for a, e in zip(vec, self.augmentation):
-            if a and e:
-                s = s + a * e
-        return s
+        return evaluate(self.field, self.augmentation, vec)
 
     def embed_plus(self, coords):
         return self._plus_matrix.apply(coords)
@@ -164,16 +161,15 @@ class HModuleStructure:
         h = self.hopf
         dh, dp = h.dim, self.plus_dim
         acts = self.action.sparse_cols()
-        unit = _nonzero(h.unit)
-        lower, d, clean = _lowering(h.field, _values(acts), _values(h.product.values()),
-                                    unit.values())
+        lower, d, clean = _lowering((h,), (acts,))
         acts = [_lowered(col, lower) for col in acts]
         rows = h.lowered_rows(d)
+        unit = _lowered(_nonzero(h.unit), lower)
         violations = []
         for p in range(dp):
             acted = {}
             for t, c in unit.items():
-                _add_scaled(acted, lower(c), acts[ti(t, p, dp)])
+                _add_scaled(acted, c, acts[ti(t, p, dp)])
             if clean(acted) != clean({p: d * d}):
                 violations.append(("action-not-unital", (p,)))
             for g in range(dh):
@@ -223,11 +219,10 @@ def _differential_entries(act, degree):
     f = h.field
     dh, dp = h.dim, act.plus_dim
     acts = act.action.sparse_cols()
-    counit = _nonzero(h.counit)
-    lower, d, clean = _lowering(f, _values(acts), _values(h.product.values()), counit.values())
+    lower, d, clean = _lowering((h,), (acts,))
     acts = [_lowered(col, lower) for col in acts]
     rows = h.lowered_rows(d)
-    counit = _lowered(counit, lower)
+    counit = _lowered(_nonzero(h.counit), lower)
 
     def flat(hs):
         j = 0
@@ -454,12 +449,7 @@ class AugmentedCleftExtension:
         self.section = section
 
     def eps(self, vec):
-        f = self.comodule_algebra.field
-        s = f.zero
-        for a, e in zip(vec, self.augmentation):
-            if a and e:
-                s = s + a * e
-        return s
+        return evaluate(self.comodule_algebra.field, self.augmentation, vec)
 
 
 def reaugment_section(ext, sec):
@@ -475,7 +465,7 @@ def reaugment_section(ext, sec):
             acc = vadd(acc, vscale(c * ext.eps(phi_inv.col(p)), phi.col(q)))
         cols.append(acc)
     new_phi = Matrix.from_cols(f, cols)
-    new_inv = convolution_invert(h.as_coalgebra(), a, new_phi)
+    new_inv = convolution_invert(h, a, new_phi)
     for j in range(h.dim):
         if ext.eps(new_phi.col(j)) != h.counit[j]:
             raise ValidationError("re-augmented section fails the augmentation identity")
@@ -671,7 +661,7 @@ def split_extension(ext):
 # Hopf modules
 
 
-class HopfModule:
+class HopfModule(_RightComodule):
     """A right H-module and right H-comodule with rho(m a) = rho(m) rho(a).
 
     action: dM x (dM * dH) matrix, column index ti(m, h, dH);
@@ -706,11 +696,6 @@ class HopfModule:
                 if d:
                     out = vadd(out, vscale(c * d, self.act_basis(m, t)))
         return out
-
-    def rho_basis(self, m):
-        dh = self.hopf.dim
-        col = self.coaction.col(m)
-        return {divmod(flat, dh): c for flat, c in enumerate(col) if c}
 
     def validate(self):
         """The first MAX_VIOLATIONS witnesses: the module laws, the comodule

@@ -10,13 +10,13 @@ from itertools import chain, islice
 from .algebra import (
     MAX_VIOLATIONS,
     FAlgebra,
+    _RightComodule,
     _add_scaled,
     _clean,
     _lowered,
     _lowering,
     _nonzero,
     _sparse_product,
-    _values,
     algebra_map_violations,
     coaction_violations,
     colinear_violations,
@@ -51,7 +51,7 @@ from .linalg import (
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
-class ComoduleAlgebra:
+class ComoduleAlgebra(_RightComodule):
     """An algebra A with a right coaction rho : A -> A (x) H that is
     coassociative, counital and an algebra map; the constructor raises
     InvalidComoduleAlgebraError otherwise, so every instance is valid."""
@@ -71,12 +71,6 @@ class ComoduleAlgebra:
     @property
     def field(self):
         return self.algebra.field
-
-    def rho_basis(self, i):
-        """Sparse coaction of e_i: dict {(a, h): scalar}."""
-        dh = self.hopf.dim
-        col = self.coaction.col(i)
-        return {divmod(flat, dh): c for flat, c in enumerate(col) if c}
 
     def rho(self, vec):
         out = {}
@@ -366,18 +360,13 @@ def check_crossed_system(s):
     h, b = s.hopf, s.base
     dh, db = h.dim, b.dim
     cols = [m.sparse_cols() for m in (s.measuring, s.sigma, s.sigma_inv)]
-    hunit, bunit, counit = _nonzero(h.unit), _nonzero(b.unit), _nonzero(h.counit)
-    lower, d, clean = _lowering(
-        b.field, *map(_values, cols), _values(b.product.values()),
-        _values(h.product.values()), _values(h.coproduct.values()),
-        hunit.values(), bunit.values(), counit.values(),
-    )
+    lower, d, clean = _lowering((b, h), cols)
     # meas[g][x] = g . b_x and sig[g][t] = sigma(g, t), lowered; *_t transposed
     meas, sig, sig_inv = ([[_lowered(col, lower) for col in c[g * n:(g + 1) * n]]
                            for g in range(dh)] for c, n in zip(cols, (db, dh, dh)))
     meas_t, sig_t = list(zip(*meas)), list(zip(*sig))
     brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
-    hunit, bunit, counit = (_lowered(v, lower) for v in (hunit, bunit, counit))
+    hunit, bunit, counit = (_lowered(_nonzero(v), lower) for v in (h.unit, b.unit, h.counit))
     d2 = d * d
 
     def combine(terms, vecs):
@@ -476,10 +465,7 @@ def crossed_product(s):
     # one each of Delta(t), g3 t2, g1 . b_j, sigma(g2, t1) and the two
     # products in B)
     meas, sig = (m.sparse_cols() for m in (s.measuring, s.sigma))
-    lower, d, clean = _lowering(
-        f, _values(meas), _values(sig), _values(b.product.values()),
-        _values(h.product.values()), _values(h.coproduct.values()),
-    )
+    lower, d, clean = _lowering((b, h), (meas, sig))
     meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
     brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
     scale = d ** 8
@@ -662,10 +648,9 @@ def _normalized_section(ca, phi_matrix, coinv=None):
     """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its
     inverse and coinv, the coinvariants of ca when already known."""
     a, h = ca.algebra, ca.hopf
-    hc = h.as_coalgebra()
-    u = convolution_invert(hc, a, phi_matrix).apply(h.unit)
+    u = convolution_invert(h, a, phi_matrix).apply(h.unit)
     normalized = a.left_mult_matrix(u) * phi_matrix
-    normalized_inv = convolution_invert(hc, a, normalized)
+    normalized_inv = convolution_invert(h, a, normalized)
     if normalized.apply(h.unit) != a.one():
         raise ValidationError("normalization failed to fix phi(1) = 1")
     sec = Section(normalized, normalized_inv, ca, coinv)

@@ -256,7 +256,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     phi = Matrix.from_cols(a.field, units)
     try:
         # over k[Gamma] this solves u_g x = 1 in A once for each g
-        phi_inv = convolution_invert(ca.hopf.as_coalgebra(), a, phi)
+        phi_inv = convolution_invert(ca.hopf, a, phi)
     except NotConvolutionInvertibleError:
         raise NotCrossedProductError("candidate unit is one-sided only", definitive=False) from None
     # section_to_crossed_system checks the laws and the iso

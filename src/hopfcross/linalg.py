@@ -470,6 +470,24 @@ def _subtract(row, c, pivot_row, p):
             del row[j]
 
 
+def connected_components(n, links):
+    """The classes of range(n) under the equivalence generated by the pairs
+    (i, j) in links, each a sorted list, in the order of their least member."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in links:
+        parent[root(i)] = root(j)
+    classes = {}  # filled in index order, so each class by its least member
+    for i in range(n):
+        classes.setdefault(root(i), []).append(i)
+    return list(classes.values())
+
+
 def _reduce(vec, pivot_rows, p):
     """vec minus c * row for each pivot row of a reduced echelon form, with c
     the entry of vec at the row's pivot (its first key), in place: the

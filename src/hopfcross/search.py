@@ -39,7 +39,7 @@ A family of one block is searched whole, all-zero matrices included.
 
 import random
 
-from .linalg import Matrix
+from .linalg import Matrix, connected_components
 
 
 class SearchBudget:
@@ -116,33 +116,24 @@ def _blocks(mats):
     """The independent blocks of the family as (indices, rows, cols), rows
     and cols sorted; None when a row is in no support or a block is not
     square.  All-zero matrices are in no block."""
-    parent = list(range(len(mats)))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     owner = {}  # ("r", row) or ("c", col) -> first matrix whose support has it
-    supports = []
+    supports, links = [], []
     for i, mat in enumerate(mats):
         rows = {r for r, row in enumerate(mat.data) if any(row)}
         cols = {c for row in mat.data for c, x in enumerate(row) if x}
         supports.append((rows, cols))
         for line in [("r", r) for r in rows] + [("c", c) for c in cols]:
-            parent[root(owner.setdefault(line, i))] = root(i)
-    blocks = {}
-    for i, (rows, cols) in enumerate(supports):
-        if rows:
-            idx, rs, cs = blocks.setdefault(root(i), ([], set(), set()))
-            idx.append(i)
-            rs |= rows
-            cs |= cols
-    if (sum(len(rs) for _, rs, _ in blocks.values()) < mats[0].rows
-            or any(len(rs) != len(cs) for _, rs, cs in blocks.values())):
+            links.append((owner.setdefault(line, i), i))
+    blocks = []
+    for idx in connected_components(len(mats), links):
+        rows = set().union(*(supports[i][0] for i in idx))
+        if rows:  # an all-zero matrix is a class of its own
+            cols = set().union(*(supports[i][1] for i in idx))
+            blocks.append((idx, sorted(rows), sorted(cols)))
+    if (sum(len(rs) for _, rs, _ in blocks) < mats[0].rows
+            or any(len(rs) != len(cs) for _, rs, cs in blocks)):
         return None
-    return [(idx, sorted(rs), sorted(cs)) for idx, rs, cs in blocks.values()]
+    return blocks
 
 
 def _leading_one(values, mats):

@@ -405,12 +405,6 @@ def odd_cotangent_of_algebra(algebra, counit_vec, parity):
     odd part of A^+/(A^+)^2 and asserted equal."""
     f = algebra.field
     dim = algebra.dim
-    def eps(vec):
-        s = f.zero
-        for a, e in zip(vec, counit_vec):
-            if a and e:
-                s = s + a * e
-        return s
     odd = [basis_vec(f, dim, i) for i in range(dim) if parity[i] == 1]
     odd_span = row_space_basis(f, odd, dim)
     aplus = Matrix(f, [tuple(counit_vec)]).kernel_basis()

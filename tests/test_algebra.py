@@ -15,9 +15,12 @@ from hopfcross.algebra import (
     FCoalgebra,
     FHopf,
     MAX_VIOLATIONS,
+    _Algebra,
+    _Coalgebra,
     _algebra_laws,
     _antipode_laws,
     _bialgebra_laws,
+    _coalgebra_components,
     _coalgebra_laws,
     _generating_set,
     _left_legs,
@@ -689,9 +692,11 @@ def ref_lowered_per_call(run):
     def coproduct(c, d):
         return {i: _lowered(terms, _lower(c.field, d)) for i, terms in c.coproduct.items()}
 
+    # the shared implementations, which algebras, coalgebras and bialgebras
+    # all read
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FAlgebra, "lowered_rows", rows)
-        mp.setattr(FCoalgebra, "lowered_coproduct", coproduct)
+        mp.setattr(_Algebra, "lowered_rows", rows)
+        mp.setattr(_Coalgebra, "lowered_coproduct", coproduct)
         return run()
 
 
@@ -790,6 +795,112 @@ def test_equal_presentations_keep_their_own_lowered_rows(monkeypatch):
     assert a.lowered_rows(1) is rows and len(calls) == 1
     assert b.lowered_rows(1) is not rows and len(calls) == 2
     assert b.lowered_rows(1) == rows and len(calls) == 2
+
+
+def fractional_kz3():
+    """k[Z/3] over Q in the basis e_0 / 3, e_1 / 2, e_2 / 5: its constants
+    have the denominators 2, 3 and 5 (lcm 300, 30 in the coproduct and
+    counit)."""
+    h = kz3(Q)
+    return transport(h, Matrix(Q, [[Fraction(1, 3), 0, 0], [0, Fraction(1, 2), 0],
+                                   [0, 0, Fraction(1, 5)]]))
+
+
+def test_a_structure_gathers_its_denominators_once(monkeypatch):
+    h = fractional_kz3()
+    b = FBialgebra(Q, h.basis, h.product, h.unit, h.coproduct, h.counit)
+    gathered = []  # every denominator is gathered through these two readers
+    for cls in (_Algebra, _Coalgebra):
+        scalars = cls._scalars
+
+        def counted(self, scalars=scalars, cls=cls):
+            gathered.append((cls, self))
+            return scalars(self)
+
+        monkeypatch.setattr(cls, "_scalars", counted)
+    for _ in range(2):
+        for x in (h, b):
+            assert check_axioms("hopf" if x is h else "bialgebra", x).ok
+            identity = Matrix.identity(Q, 3)
+            assert not list(algebra_map_violations(x, x, identity))
+            assert convolution_invert(x, x, identity) == h.antipode
+        assert compute_antipode(b).antipode == h.antipode
+    # a dozen kernels read h and b, and each object gathered its
+    # denominators once; the views gather their own
+    assert gathered == [(_Algebra, h), (_Coalgebra, h), (_Algebra, b), (_Coalgebra, b)]
+    assert h.denominator == b.denominator == 300
+    alg, coalg = h.as_algebra(), h.as_coalgebra()
+    assert check_axioms("algebra", alg).ok and check_axioms("coalgebra", coalg).ok
+    assert (alg.denominator, coalg.denominator) == (300, 30)
+    assert gathered[4:] == [(_Algebra, alg), (_Coalgebra, coalg)]
+
+
+STRUCTURE_OPERATIONS = ("mult", "mult_basis", "one", "lowered_rows", "left_mult_matrix",
+                        "is_commutative", "delta", "delta_basis", "delta2_basis", "eps",
+                        "lowered_coproduct", "is_cocommutative")
+
+
+def test_a_bialgebra_shares_the_operations_of_algebras_and_coalgebras():
+    for name in STRUCTURE_OPERATIONS:
+        owners = [cls for cls in (FAlgebra, FCoalgebra) if hasattr(cls, name)]
+        assert len(owners) == 1, name
+        assert getattr(FBialgebra, name) is getattr(owners[0], name), name
+    # a bialgebra defines no operation of its own and is neither an FAlgebra
+    # nor an FCoalgebra, so code that tells the kinds apart by isinstance
+    # keeps its coalgebra
+    own = {name for name in vars(FBialgebra) if not name.startswith("__")}
+    assert own == {"_scalars", "as_algebra", "as_coalgebra", "canonical_constants"}
+    h = sweedler(Q)
+    assert not isinstance(h, (FAlgebra, FCoalgebra))
+    alg, coalg = h.as_algebra(), h.as_coalgebra()
+    assert type(alg) is FAlgebra and type(coalg) is FCoalgebra
+    assert alg.product is h.product and alg.unit is h.unit and alg._rows is h._rows
+    assert coalg.coproduct is h.coproduct and coalg.counit is h.counit
+    assert coalg._terms is h._terms
+
+
+def ref_coalgebra_components(c):
+    """algebra._coalgebra_components before it shared
+    linalg.connected_components: its own union-find."""
+    parent = list(range(c.dim))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, terms in c.coproduct.items():
+        for jk in terms:
+            for x in jk:
+                ri, rx = root(i), root(x)
+                if ri != rx:
+                    parent[max(ri, rx)] = min(ri, rx)
+    components = {}
+    for i in range(c.dim):
+        components.setdefault(root(i), []).append(i)
+    return list(components.values())
+
+
+def corpus_coalgebras():
+    """(file name, coalgebra) for every coalgebra a corpus file holds, and
+    the dual of every Hopf algebra among them."""
+    for name in sorted(os.listdir(CORPUS)):
+        payload = parse_presentation(os.path.join(CORPUS, name)).payload
+        for part in payload if isinstance(payload, tuple) else (payload,):
+            for c in (part, getattr(part, "hopf", None), getattr(part, "coalgebra", None)):
+                if hasattr(c, "coproduct"):
+                    yield name, c
+                    if isinstance(c, FHopf):
+                        yield name + " dual", dual_structure(c)
+
+
+def test_coalgebra_components_match_their_own_union_find():
+    sizes = set()
+    for name, c in corpus_coalgebras():
+        components = _coalgebra_components(c)
+        assert components == ref_coalgebra_components(c), name
+        sizes.add(len(components) == c.dim)
+    assert sizes == {True, False}  # group-like bases and connected coalgebras
 
 
 # --- convolution ------------------------------------------------------------

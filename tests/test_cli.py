@@ -316,14 +316,6 @@ def test_antipode_found_and_not_found(capsys):
     assert main(["antipode", corpus("monoid2.json")]) == 1
 
 
-def test_failed_antipode_law_is_an_internal_error(monkeypatch):
-    # the final law check repeats what convolution_invert has verified, so a
-    # failure is a fault in the program (exit 2), never "no antipode" (exit 1)
-    monkeypatch.setattr(hopfcross.algebra, "_antipode_laws",
-                        lambda h: iter([("antipode-right", (0,))]))
-    assert main(["antipode", corpus("ks3.json")]) == 2
-
-
 def test_strongly_graded_verdicts(capsys):
     assert main(["strongly-graded", corpus("m2-z2-graded.json"), "--certify"]) == 0
     code, report = run_json(capsys, ["strongly-graded", corpus("kx2-graded.json")])
@@ -632,6 +624,12 @@ def count_calls(monkeypatch, owner, name):
     # recognize-cleft reaches the Galois map through the public galois_map
     (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "galois_map", 1),
     (["recognize-cleft", "m2-z2-graded.json"], hopfcross.comodule, "galois_map", 1),
+    # the antipode laws id * S = eta eps = S * id are checked by
+    # convolution_invert alone
+    (["antipode", "ks3.json"], hopfcross.algebra, "_convolution_failures", 1),
+    # a strong grading builds the Morita context of each element of Z/2,
+    # with or without --certify
+    (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "morita_context", 2),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
@@ -663,6 +661,7 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     ["smash-coproduct", corpus("smash-example.json")],
     ["super-decompose", corpus("lambda3.json")],
     ["pairing", "--n", "2"],
+    ["strongly-graded", corpus("m2-z2-graded.json")],
 ])
 def test_certify_leaves_the_report_unchanged(argv, capsys):
     capsys.readouterr()

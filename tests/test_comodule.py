@@ -8,6 +8,7 @@ import pytest
 
 from hopfcross import comodule
 from hopfcross.algebra import (
+    ComoduleCoalgebraData,
     FAlgebra,
     convolution_invert,
     group_hopf_algebra,
@@ -17,6 +18,7 @@ from hopfcross.cli import parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
     HModuleStructure,
+    HopfModule,
     NormalizedCochain,
     crossed_system_from_cocycle,
     differential,
@@ -126,6 +128,32 @@ def test_comodule_algebra_validation_stops_at_ten_witnesses():
     kinds = [kind for kind, _ in e.value.violations]
     assert kinds == (["coaction-not-counital", "coaction-not-coassociative"] * 4
                      + ["coaction-not-unital", "coaction-not-multiplicative"])
+
+
+def test_a_comodule_algebra_reads_its_coaction_columns_once(monkeypatch):
+    # construction (the comodule laws and rho as an algebra map),
+    # coinvariants and the Galois map all read rho(e_i) through rho_basis
+    ca = matrix2_comodule()
+    reads = []
+    for name in ("col", "sparse_cols"):
+        read = getattr(Matrix, name)
+
+        def counted(m, *args, read=read, name=name):
+            if m is ca.coaction:
+                reads.append(name)
+            return read(m, *args)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    fresh = ComoduleAlgebra(ca.algebra, ca.hopf, ca.coaction)
+    assert coinvariants(fresh).dim == 2
+    assert galois_map(fresh).bijective
+    # one read for rho_basis, however often it is called, and one for the
+    # check that rho is an algebra map, which lowers rho like any map it checks
+    assert reads == ["sparse_cols", "sparse_cols"]
+    assert fresh.rho_basis(1) is fresh.rho_basis(1)
+    # one reader of the coaction columns serves every right comodule
+    assert (ComoduleAlgebra.rho_basis is HopfModule.rho_basis
+            is ComoduleCoalgebraData.rho_basis)
 
 
 def test_coinvariants_of_regular_comodule_is_scalars():

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from hopfcross.linalg import Matrix, PrimeField, Rationals
-from hopfcross.search import SearchBudget, find_invertible_combination
+from hopfcross.search import SearchBudget, _blocks, find_invertible_combination
 
 Q = Rationals()
 FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5), "Q": Q}
@@ -270,3 +270,57 @@ def test_a_shape_that_forces_det_zero_is_decided_without_a_search(mats, monkeypa
     assert (outcome.coeffs, outcome.definitive, outcome.tried) == (None, True, 0)
     assert not dets
     assert oracle(Q, mats, SMALL) == (None, True)
+
+
+def ref_blocks(mats):
+    """search._blocks before it shared linalg.connected_components: its own
+    union-find over the matrices."""
+    parent = list(range(len(mats)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}
+    supports = []
+    for i, mat in enumerate(mats):
+        rows = {r for r, row in enumerate(mat.data) if any(row)}
+        cols = {c for row in mat.data for c, x in enumerate(row) if x}
+        supports.append((rows, cols))
+        for line in [("r", r) for r in rows] + [("c", c) for c in cols]:
+            parent[root(owner.setdefault(line, i))] = root(i)
+    blocks = {}
+    for i, (rows, cols) in enumerate(supports):
+        if rows:
+            idx, rs, cs = blocks.setdefault(root(i), ([], set(), set()))
+            idx.append(i)
+            rs |= rows
+            cs |= cols
+    if (sum(len(rs) for _, rs, _ in blocks.values()) < mats[0].rows
+            or any(len(rs) != len(cs) for _, rs, cs in blocks.values())):
+        return None
+    return [(idx, sorted(rs), sorted(cs)) for idx, rs, cs in blocks.values()]
+
+
+def test_blocks_match_their_own_union_find():
+    families = []
+    for fname, field in sorted(FIELDS.items()):
+        for kind in ["full-rank", "rank-deficient", "all-singular"]:
+            for m in range(1, 7):
+                rng = random.Random("%s-%d-%s" % (fname, m, kind))
+                families.append(family(field, kind, m, rng))
+        rng = random.Random("split-%s-None" % fname)
+        families += [block_family(field, rng) for _ in range(40)]
+        families += [[diagonal(field, 1, 0), Matrix.zeros(field, 2, 2), diagonal(field, 0, 1)],
+                     [diagonal(field, 1, 1, 0), matrix(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+                      diagonal(field, 0, 0, 1)],
+                     [Matrix.zeros(field, 4, 4)] * 6,
+                     [matrix(field, [[1, 0], [0, 0]]), matrix(field, [[0, 1], [0, 0]])]]
+    shapes = set()
+    for mats in families:
+        blocks = _blocks(mats)
+        assert blocks == ref_blocks(mats)
+        shapes.add(0 if blocks is None else min(len(blocks), 2))
+    assert shapes == {0, 1, 2}  # refused, whole and split families

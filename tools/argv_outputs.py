@@ -43,6 +43,10 @@ CASES = [
     # the exterior construction on bitmasks, over F_p and inside a decomposition
     ["pairing", "--n", "4", "--prime", "7", "--json"],
     ["super-decompose", "lambda3.json", "--json"],
+    # the Morita contexts of a strong grading, built without --certify
+    ["strongly-graded", "m2-z2-graded.json", "--json"],
+    # a bialgebra whose identity has no convolution inverse
+    ["antipode", "monoid2.json", "--json"],
 ]
 
 
