@@ -9,7 +9,11 @@ FCoalgebra take their operations from `_Algebra` and `_Coalgebra`, and
 FBialgebra from both.  Each structure keeps, beside its constants, the lcm
 of their denominators and its tables lowered to native ints.  Tensor indices
 are row-major: basis element ``e_i (x) e_j`` of ``A (x) B`` has index
-``i * dim(B) + j``.
+``i * dim(B) + j`` (`ti`; `linalg.vtensor` forms u (x) v in that order).
+
+Structure maps are certified by one checker, `require_morphism`: it checks
+the laws its caller names (bijective, a unital algebra map, colinear,
+counital) with one implementation of each and raises at the first witness.
 """
 
 from functools import cache, cached_property
@@ -31,6 +35,7 @@ from .linalg import (
     connected_components,
     solve_linear,
     vscale,
+    vtensor,
 )
 
 
@@ -366,6 +371,12 @@ def induced_coproduct(c, basis, coords):
 # i in G, all j; when that finds a failure, or G is not at hand, it runs the
 # same kernel over every pair, so the witnesses, their order and the cap are
 # those of the full loops.  counit-multiplicative always runs on every pair.
+#
+# A structure map m is checked by require_morphism against the laws its
+# caller names, in this order, up to the first witness: bijective; a unital
+# algebra map (algebra_map_violations, into an algebra or a tensor pair
+# (A, B)); colinear (colinear_violations); counital, eps_dst(m e_i) =
+# eps_src(e_i) for counits or augmentations (counit_violations).
 
 
 class AxiomReport:
@@ -808,8 +819,9 @@ def _tensor_rows(rows_a, rows_b, db, support):
 
 def algebra_map_violations(src, dst, m):
     """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
-    matrix) is not a unital algebra map: ("unit", ()), then
-    ("multiplicative", (i, j)) for each basis pair in order.
+    matrix, or its columns as sparse dicts {row: nonzero entry}) is not a
+    unital algebra map: ("unit", ()), then ("multiplicative", (i, j)) for
+    each basis pair in order.
 
     dst is an algebra, or a pair (A, B) standing for the tensor-product
     algebra A (x) B (componentwise product, no signs, flat index ti), whose
@@ -818,7 +830,7 @@ def algebra_map_violations(src, dst, m):
     D^2, so its unit needs no scale and each product of src is multiplied by
     D^2 rather than D."""
     factors = dst if isinstance(dst, tuple) else (dst,)
-    cols = m.sparse_cols()
+    cols = m.sparse_cols() if isinstance(m, Matrix) else m
     lower, d, clean = _lowering((src, *factors), (cols,))
     cols = [_lowered(col, lower) for col in cols]
     if len(factors) == 1:
@@ -864,6 +876,31 @@ def colinear_violations(src_rho_basis, dst_rho, m):
                     rhs[(y, t)] = rhs.get((y, t), z) + c * d
         if dst_rho(cols[i]) != _clean(rhs):
             yield ("colinear", (i,))
+
+
+def counit_violations(src_counit, dst_counit, m):
+    """Witnesses ("counit", (i,)) that the linear map m fails
+    eps_dst(m e_i) = eps_src(e_i), for counits or augmentations given by
+    their values on the basis."""
+    for i in range(m.cols):
+        if evaluate(m.field, dst_counit, m.col(i)) != src_counit[i]:
+            yield ("counit", (i,))
+
+
+def require_morphism(m, what, bijective=False, algebra=None, rho=None, counit=None):
+    """Raise ValidationError("<what>: <witness>") at the first witness that
+    the linear map m fails a law the caller names, in this order: bijective
+    (witness ("bijective", ())); a unital algebra map, algebra = (src, dst)
+    as in algebra_map_violations; colinear, rho = (src_rho_basis, dst_rho) as
+    in colinear_violations; counital, counit = (src_counit, dst_counit) as in
+    counit_violations."""
+    laws = chain([("bijective", ())] if bijective and not m.is_invertible() else (),
+                 algebra_map_violations(*algebra, m) if algebra else (),
+                 colinear_violations(*rho, m) if rho else (),
+                 counit_violations(*counit, m) if counit else ())
+    bad = next(laws, None)
+    if bad:
+        raise ValidationError("%s: %r" % (what, bad))
 
 
 def coaction_violations(rho_basis, hopf, dim):
@@ -1081,10 +1118,16 @@ class _RightComodule:
     self.coaction, whose flat row index is ti(x, t, dim H)."""
 
     @cached_property
+    def _coaction_cols(self):
+        """The columns of the coaction matrix as sparse dicts
+        {ti(x, t, dim H): c}, read once."""
+        return self.coaction.sparse_cols()
+
+    @cached_property
     def _coaction_terms(self):
         dh = self.hopf.dim
         return [{divmod(flat, dh): c for flat, c in col.items()}
-                for col in self.coaction.sparse_cols()]
+                for col in self._coaction_cols]
 
     def rho_basis(self, i):
         """Sparse coaction of e_i: dict {(x, t): scalar}.  The columns of
@@ -1165,10 +1208,7 @@ def smash_coproduct(data):
                             key = (ti(h1, d10, dd), ti(x, d2, dd))
                             terms[key] = terms.get(key, f.zero) + u * v * w * m
             coproduct[ti(hi, di, dd)] = {k: v for k, v in terms.items() if v}
-    counit = tuple(
-        h.counit[hi] * d.counit[di] for hi in range(dh) for di in range(dd)
-    )
-    coalg = FCoalgebra(f, labels, coproduct, counit)
+    coalg = FCoalgebra(f, labels, coproduct, vtensor(h.counit, d.counit))
     report = check_axioms("coalgebra", coalg)
     if not report.ok:
         raise ValidationError("smash coproduct fails coalgebra axioms: %r" % (report,))

@@ -186,50 +186,29 @@ def _vector_to_json(field, v):
     return [[i] + _scal_json(field, c) for i, c in enumerate(v) if c]
 
 
-def _sparse3_from_json(field, obj, dim, where):
+def _sparse3_from_json(field, obj, dim, where, key):
+    """A product {(i, j): {k: c}} or a coproduct {i: {(j, k): c}} from its
+    [i, j, k, scalar] entries; key(i, j, k) splits the indices into the outer
+    and the inner key."""
     out = {}
     for e in _entries(obj, 3, where):
         i, j, k = e[0], e[1], e[2]
         for idx in (i, j, k):
             if type(idx) is not int or not 0 <= idx < dim:
                 raise _bad_index(idx, dim, where)
-        terms = out.setdefault((i, j), {})
-        if k in terms:
+        outer, inner = key(i, j, k)
+        terms = out.setdefault(outer, {})
+        if inner in terms:
             raise _duplicate(where)
-        terms[k] = _scal_parse(field, e[3:], where)
+        terms[inner] = _scal_parse(field, e[3:], where)
     return out
 
 
-def _product_to_json(field, alg):
-    entries = []
-    for (i, j), terms in sorted(alg.product.items()):
-        for k, c in sorted(terms.items()):
-            if c:
-                entries.append([i, j, k] + _scal_json(field, c))
-    return entries
-
-
-def _coproduct_to_json(field, coalg):
-    entries = []
-    for i in sorted(coalg.coproduct):
-        for (j, k), c in sorted(coalg.coproduct[i].items()):
-            if c:
-                entries.append([i, j, k] + _scal_json(field, c))
-    return entries
-
-
-def _coproduct_from_json(field, obj, dim, where):
-    out = {}
-    for e in _entries(obj, 3, where):
-        i, j, k = e[0], e[1], e[2]
-        for idx in (i, j, k):
-            if type(idx) is not int or not 0 <= idx < dim:
-                raise _bad_index(idx, dim, where)
-        terms = out.setdefault(i, {})
-        if (j, k) in terms:
-            raise _duplicate(where)
-        terms[(j, k)] = _scal_parse(field, e[3:], where)
-    return out
+def _sparse3_to_json(field, s):
+    """The [i, j, k, scalar] entries of the product of an algebra or the
+    coproduct of a coalgebra (of a bialgebra, through its `as_algebra()` or
+    `as_coalgebra()` view), in the order of its canonical_constants()."""
+    return [[i, j, k] + _scal_json(field, c) for i, j, k, c in s.canonical_constants()[2]]
 
 
 def _require(doc, key, kind):
@@ -263,7 +242,7 @@ def encode_algebra(alg):
         "kind": "algebra",
         "field": _field_to_json(alg.field),
         "basis": list(alg.basis),
-        "product": _product_to_json(alg.field, alg),
+        "product": _sparse3_to_json(alg.field, alg),
         "unit": _vector_to_json(alg.field, alg.unit),
     }
 
@@ -275,9 +254,9 @@ def encode_hopf(h, kind="hopf"):
         "kind": kind,
         "field": _field_to_json(f),
         "basis": list(h.basis),
-        "product": _product_to_json(f, h.as_algebra()),
+        "product": _sparse3_to_json(f, h.as_algebra()),
         "unit": _vector_to_json(f, h.unit),
-        "coproduct": _coproduct_to_json(f, h.as_coalgebra()),
+        "coproduct": _sparse3_to_json(f, h.as_coalgebra()),
         "counit": _vector_to_json(f, h.counit),
     }
     if kind in ("hopf", "super-hopf"):
@@ -362,7 +341,7 @@ def encode_comodule_coalgebra(data):
         "kind": "comodule-coalgebra",
         "field": _field_to_json(f),
         "basis": list(data.coalgebra.basis),
-        "coproduct": _coproduct_to_json(f, data.coalgebra),
+        "coproduct": _sparse3_to_json(f, data.coalgebra),
         "counit": _vector_to_json(f, data.coalgebra.counit),
         "hopf": encode_hopf(data.hopf),
         "coaction": _matrix_to_json(f, data.coaction),
@@ -375,7 +354,7 @@ def encode_coalgebra(c):
         "kind": "coalgebra",
         "field": _field_to_json(c.field),
         "basis": list(c.basis),
-        "coproduct": _coproduct_to_json(c.field, c),
+        "coproduct": _sparse3_to_json(c.field, c),
         "counit": _vector_to_json(c.field, c.counit),
     }
 
@@ -394,7 +373,8 @@ class Presentation:
 def _parse_algebra(doc, field, kind):
     basis = _basis(doc, kind)
     dim = len(basis)
-    product = _sparse3_from_json(field, _require(doc, "product", kind), dim, "product")
+    product = _sparse3_from_json(field, _require(doc, "product", kind), dim, "product",
+                                 lambda i, j, k: ((i, j), k))
     unit = _vector_from_json(field, _require(doc, "unit", kind), dim, "unit")
     return FAlgebra(field, tuple(basis), product, unit)
 
@@ -402,9 +382,8 @@ def _parse_algebra(doc, field, kind):
 def _parse_coalgebra(doc, field, kind):
     basis = _basis(doc, kind)
     dim = len(basis)
-    coproduct = _coproduct_from_json(
-        field, _require(doc, "coproduct", kind), dim, "coproduct"
-    )
+    coproduct = _sparse3_from_json(field, _require(doc, "coproduct", kind), dim, "coproduct",
+                                   lambda i, j, k: (i, (j, k)))
     counit = _vector_from_json(field, _require(doc, "counit", kind), dim, "counit")
     return FCoalgebra(field, tuple(basis), coproduct, counit)
 

@@ -21,10 +21,10 @@ from .algebra import (
     _nonzero,
     algebra_map_violations,
     coaction_violations,
-    colinear_violations,
     convolution_invert,
     evaluate,
     induced_algebra,
+    require_morphism,
     ti,
 )
 from .comodule import (
@@ -59,6 +59,7 @@ from .linalg import (
     vadd,
     vscale,
     vsub,
+    vtensor,
     vzero,
 )
 
@@ -144,15 +145,7 @@ class HModuleStructure:
         return self.action.col(ti(h, p, self.plus_dim))
 
     def act(self, hvec, pvec):
-        f = self.hopf.field
-        out = vzero(f, self.plus_dim)
-        for h, c in enumerate(hvec):
-            if not c:
-                continue
-            for p, d in enumerate(pvec):
-                if d:
-                    out = vadd(out, vscale(c * d, self.act_basis(h, p)))
-        return out
+        return self.action.apply(vtensor(hvec, pvec))
 
     def validate(self):
         """Every violated module law: for each p, 1 . e_p = e_p and then
@@ -466,9 +459,8 @@ def reaugment_section(ext, sec):
         cols.append(acc)
     new_phi = Matrix.from_cols(f, cols)
     new_inv = convolution_invert(h, a, new_phi)
-    for j in range(h.dim):
-        if ext.eps(new_phi.col(j)) != h.counit[j]:
-            raise ValidationError("re-augmented section fails the augmentation identity")
+    require_morphism(new_phi, "re-augmented section fails the augmentation identity",
+                     counit=(h.counit, ext.augmentation))
     return Section(new_phi, new_inv, ca, sec.coinvariants)
 
 
@@ -635,25 +627,13 @@ def split_extension(ext):
     system = cls.system
     emb = embed_cochain(cls.aug, t) if dp else NormalizedCochain(1, Matrix.zeros(f, cls.aug.algebra.dim, dh))
     fneg = gauge_map_matrix(system, emb.matrix.scale(-f.one))
-    db = system.base.dim
-    cols = []
-    for g in range(dh):
-        v = [f.zero] * (db * dh)
-        # 1_B (x) e_g
-        for i, c in enumerate(system.base.unit):
-            if c:
-                v[ti(i, g, dh)] = c
-        cols.append(cls.iso.apply(fneg.apply(tuple(v))))
+    # psi(e_g) is the image of 1_B (x) e_g
+    cols = [cls.iso.apply(fneg.apply(vtensor(system.base.unit, basis_vec(f, dh, g))))
+            for g in range(dh)]
     psi = Matrix.from_cols(f, cols)
-    a = ca.algebra
-    # verify: algebra map, colinear, augmented
-    bad = next(itertools.chain(algebra_map_violations(h, a, psi),
-                               colinear_violations(h.delta_basis, ca.rho, psi)), None)
-    if bad:
-        raise ValidationError("computed splitting fails %r" % (bad,))
-    for g in range(dh):
-        if ext.eps(psi.col(g)) != h.counit[g]:
-            raise ValidationError("computed splitting is not augmented")
+    require_morphism(psi, "computed splitting is not an augmented comodule algebra map",
+                     algebra=(h, ca.algebra), rho=(h.delta_basis, ca.rho),
+                     counit=(h.counit, ext.augmentation))
     return SplitResult(psi, None)
 
 
@@ -687,15 +667,7 @@ class HopfModule(_RightComodule):
         return self.action.col(ti(m, h, self.hopf.dim))
 
     def act(self, mvec, hvec):
-        f = self.field
-        out = vzero(f, self.dim)
-        for m, c in enumerate(mvec):
-            if not c:
-                continue
-            for t, d in enumerate(hvec):
-                if d:
-                    out = vadd(out, vscale(c * d, self.act_basis(m, t)))
-        return out
+        return self.action.apply(vtensor(mvec, hvec))
 
     def validate(self):
         """The first MAX_VIOLATIONS witnesses: the module laws, the comodule
@@ -777,19 +749,6 @@ def hopf_module_decompose(module):
 # colinear splitting through a nilpotent kernel
 
 
-def _check_surjection(ca, hopf, pi):
-    """pi : A -> H must be a colinear algebra surjection."""
-    a = ca.algebra
-    if pi.rows != hopf.dim or pi.cols != a.dim:
-        raise ShapeMismatchError("surjection matrix shape mismatch")
-    if pi.rank() != hopf.dim:
-        raise ValidationError("map onto the Hopf algebra is not surjective")
-    bad = next(itertools.chain(algebra_map_violations(a, hopf, pi),
-                               colinear_violations(ca.rho_basis, hopf.delta, pi)), None)
-    if bad:
-        raise ValidationError("map onto the Hopf algebra fails %r" % (bad,))
-
-
 def ideal_power_chain(algebra, ideal_basis):
     """[I, I^2, ...] as echelon bases, stopping at zero or stabilization."""
     f = algebra.field
@@ -819,7 +778,13 @@ def colinear_splitting_nilpotent(ca, pi):
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
-    _check_surjection(ca, h, pi)
+    # pi must be a colinear algebra surjection
+    if pi.rows != dh or pi.cols != da:
+        raise ShapeMismatchError("surjection matrix shape mismatch")
+    if pi.rank() != dh:
+        raise ValidationError("map onto the Hopf algebra is not surjective")
+    require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
+                     algebra=(a, h), rho=(ca.rho_basis, h.delta))
     ideal = pi.kernel_basis()
     chain = ideal_power_chain(a, list(ideal))  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
@@ -892,11 +857,7 @@ def colinear_splitting_nilpotent(ca, pi):
                 x0, t = divmod(idx, dh)
                 vcoords = _v_of(f, r0, iso_inv, dv, dh, h, x0)
                 # (v (x) id): v(x0) (x) e_t, then iso back into K
-                flat = [f.zero] * (dv * dh)
-                for i, u in enumerate(vcoords):
-                    if u:
-                        flat[ti(i, t, dh)] = u
-                img = decomp.iso.apply(tuple(flat))
+                img = decomp.iso.apply(vtensor(vcoords, basis_vec(f, dh, t)))
                 acc = [p + c * q for p, q in zip(acc, img)]
             r_cols.append(tuple(acc))
         rmat = Matrix.from_cols(f, r_cols)
@@ -923,9 +884,7 @@ def colinear_splitting_nilpotent(ca, pi):
     phi_a = Matrix.from_cols(f, final_cols)
     if pi * phi_a != Matrix.identity(f, dh):
         raise ValidationError("computed splitting does not split pi")
-    bad = next(colinear_violations(h.delta_basis, ca.rho, phi_a), None)
-    if bad:
-        raise ValidationError("computed splitting is not colinear: %r" % (bad,))
+    require_morphism(phi_a, "computed splitting is not colinear", rho=(h.delta_basis, ca.rho))
     sec = _normalized_section(ca, phi_a)
     if pi * sec.phi != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
@@ -976,10 +935,8 @@ class LiftResult:
 
 
 def _check_comodule_algebra_map(src_hopf, dst, psi):
-    bad = next(itertools.chain(algebra_map_violations(src_hopf, dst.algebra, psi),
-                               colinear_violations(src_hopf.delta_basis, dst.rho, psi)), None)
-    if bad:
-        raise ValidationError("map H -> A is not a comodule algebra map: %r" % (bad,))
+    require_morphism(psi, "map H -> A is not a comodule algebra map",
+                     algebra=(src_hopf, dst.algebra), rho=(src_hopf.delta_basis, dst.rho))
 
 
 def quotient_comodule_algebra(ca, ideal_vectors):
@@ -1031,10 +988,8 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     # varpi verification
     if varpi.rank() != d_alg.dim:
         raise ValidationError("map C -> D is not surjective")
-    bad = next(itertools.chain(algebra_map_violations(ca_alg, d_alg, varpi),
-                               colinear_violations(c_ca.rho_basis, d_ca.rho, varpi)), None)
-    if bad:
-        raise ValidationError("map C -> D is not a comodule algebra map: %r" % (bad,))
+    require_morphism(varpi, "map C -> D is not a comodule algebra map",
+                     algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho))
     ideal = varpi.kernel_basis()
     chain = ideal_power_chain(ca_alg, list(ideal))
     n = len(chain)  # J^n = 0

@@ -19,12 +19,12 @@ from .algebra import (
     _sparse_product,
     algebra_map_violations,
     coaction_violations,
-    colinear_violations,
     convolution_invert,
     group_hopf_algebra,
     group_table_from_hopf,
     induced_algebra,
     is_group_like_basis,
+    require_morphism,
     ti,
 )
 from .errors import (
@@ -46,6 +46,7 @@ from .linalg import (
     row_space_basis,
     vadd,
     vscale,
+    vtensor,
     vzero,
 )
 from .search import DEFAULT_BUDGET, find_invertible_combination
@@ -87,7 +88,7 @@ class ComoduleAlgebra(_RightComodule):
         a = self.algebra
         rename = {"unit": "coaction-not-unital", "multiplicative": "coaction-not-multiplicative"}
         algebra_map = ((rename[name], idx) for name, idx in
-                       algebra_map_violations(a, (a, self.hopf), self.coaction))
+                       algebra_map_violations(a, (a, self.hopf), self._coaction_cols))
         laws = chain(coaction_violations(self.rho_basis, self.hopf, a.dim), algebra_map)
         return list(islice(laws, MAX_VIOLATIONS))
 
@@ -321,15 +322,7 @@ class CrossedSystem:
         return self.measuring.col(ti(h, b, self.base.dim))
 
     def act(self, hvec, bvec):
-        f = self.base.field
-        out = vzero(f, self.base.dim)
-        for h, c in enumerate(hvec):
-            if not c:
-                continue
-            for b, d in enumerate(bvec):
-                if d:
-                    out = vadd(out, vscale(c * d, self.act_basis(h, b)))
-        return out
+        return self.measuring.apply(vtensor(hvec, bvec))
 
     def sigma_basis(self, g, h):
         return self.sigma.col(ti(g, h, self.hopf.dim))
@@ -493,14 +486,7 @@ def crossed_product(s):
                     terms = {k: f.from_fraction(c, scale) for k, c in clean(acc).items()}
                     if terms:
                         product[(ti(i, g, dh), ti(j, t, dh))] = terms
-    unit = [f.zero] * dim
-    for i, c in enumerate(b.unit):
-        if not c:
-            continue
-        for t, d in enumerate(h.unit):
-            if d:
-                unit[ti(i, t, dh)] = c * d
-    algebra = FAlgebra(f, labels, product, tuple(unit))
+    algebra = FAlgebra(f, labels, product, vtensor(b.unit, h.unit))
     cols = []
     for i in range(db):
         for g in range(dh):
@@ -513,25 +499,11 @@ def crossed_product(s):
     coinv = coinvariants(ca)
     if coinv.dim != db:
         raise ValidationError("crossed product coinvariants have wrong dimension")
-    span = row_space_basis(f, [_embed_b(s, basis_vec(f, db, i)) for i in range(db)], dim)
+    span = row_space_basis(f, [vtensor(basis_vec(f, db, i), h.unit) for i in range(db)], dim)
     for t in range(db):
         if not in_span(f, span, coinv.embed(basis_vec(f, db, t))):
             raise ValidationError("crossed product coinvariants differ from B (x) k")
     return ca
-
-
-def _embed_b(s, bvec):
-    """b |-> b (x) 1 inside B (x) H."""
-    f = s.base.field
-    dh = s.hopf.dim
-    v = [f.zero] * (s.base.dim * dh)
-    for i, c in enumerate(bvec):
-        if not c:
-            continue
-        for t, d in enumerate(s.hopf.unit):
-            if d:
-                v[ti(i, t, dh)] = c * d
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +625,9 @@ def _normalized_section(ca, phi_matrix, coinv=None):
     normalized_inv = convolution_invert(h, a, normalized)
     if normalized.apply(h.unit) != a.one():
         raise ValidationError("normalization failed to fix phi(1) = 1")
-    sec = Section(normalized, normalized_inv, ca, coinv)
-    bad = next(colinear_violations(h.delta_basis, ca.rho, normalized), None)
-    if bad:
-        raise ValidationError("normalized section is not colinear: %r" % (bad,))
-    return sec
+    require_morphism(normalized, "normalized section is not colinear",
+                     rho=(h.delta_basis, ca.rho))
+    return Section(normalized, normalized_inv, ca, coinv)
 
 
 def section_to_crossed_system(sec):
@@ -716,20 +686,12 @@ def section_to_crossed_system(sec):
         for g in range(dh):
             cols.append(a.mult(bv, phi.col(g)))
     alpha = Matrix.from_cols(f, cols)
-    _verify_comodule_algebra_iso(product, ca, alpha)
+    require_morphism(alpha, "candidate isomorphism B x|_sigma H -> A", bijective=True,
+                     algebra=(product.algebra, a), rho=(product.rho_basis, ca.rho))
     # identity on B: b (x) 1 must map to the inclusion of b
     for i in range(db):
         bv = basis_vec(f, db, i)
-        if alpha.apply(_embed_b(system, bv)) != coinv.embed(bv):
+        if alpha.apply(vtensor(bv, h.unit)) != coinv.embed(bv):
             raise ValidationError("isomorphism is not the identity on the coinvariants")
     return system, alpha
 
-
-def _verify_comodule_algebra_iso(src, dst, alpha):
-    """alpha must be bijective, unital, multiplicative, and H-colinear."""
-    if not alpha.is_invertible():
-        raise ValidationError("candidate isomorphism is not bijective")
-    bad = next(chain(algebra_map_violations(src.algebra, dst.algebra, alpha),
-                     colinear_violations(src.rho_basis, dst.rho, alpha)), None)
-    if bad:
-        raise ValidationError("candidate isomorphism fails %r" % (bad,))

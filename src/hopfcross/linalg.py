@@ -180,6 +180,12 @@ def basis_vec(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
+def vtensor(u, v):
+    """u (x) v, with the coordinate of e_i (x) e_j at i * len(v) + j (the
+    flat index `algebra.ti`).  A zero coordinate is a zero of u or of v."""
+    return tuple((a * b if b else b) if a else a for a in u for b in v)
+
+
 class Matrix:
     """Immutable dense matrix over an exact field.
 
@@ -305,17 +311,6 @@ class Matrix:
     def transpose(self):
         cols = list(zip(*self.data)) if self.rows else [()] * self.cols
         return Matrix(self.field, cols, self.rows)
-
-    def kron(self, other):
-        """Kronecker product; index (i,k) maps to i*other.rows + k."""
-        out = []
-        for r1 in self.data:
-            for r2 in other.data:
-                row = []
-                for a in r1:
-                    row.extend(a * b for b in r2)
-                out.append(row)
-        return Matrix(self.field, out, self.cols * other.cols)
 
     def is_zero(self):
         return all(is_zero_vec(r) for r in self.data)

@@ -31,15 +31,17 @@ from hopfcross.algebra import (
     check_axioms,
     compute_antipode,
     convolution_invert,
+    counit_violations,
     dual_hopf,
     dual_structure,
     group_hopf_algebra,
     induced_coproduct,
+    require_morphism,
     smash_coproduct,
     ti,
 )
 from hopfcross.cli import _matrix_from_json, _matrix_to_json, encode_hopf, main, parse_presentation
-from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError
+from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError, ValidationError
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import (
     FpElement,
@@ -50,6 +52,7 @@ from hopfcross.linalg import (
     basis_vec,
     vadd,
     vscale,
+    vtensor,
     vzero,
 )
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
@@ -1791,3 +1794,72 @@ def test_induced_coproduct_matches_the_dense_oracle_and_reads_each_image_once(fi
 
     assert induced_coproduct(h, basis, counted) == ref_induced_coproduct(h, basis, quot.project)
     assert len(reads) == len(set(reads)) <= h.dim
+
+
+# -- one checker for structure maps -------------------------------------------
+
+
+def morphism_witness(m, **laws):
+    """The first witness require_morphism raises on, or None."""
+    try:
+        require_morphism(m, "m", **laws)
+    except ValidationError as e:
+        what, _, witness = str(e).partition(": ")
+        assert what == "m"
+        return witness
+    return None
+
+
+def scaled_cols(h, cols, scales):
+    """The matrix whose column i is cols[i] times scales[i]."""
+    return Matrix.from_cols(h.field, [vscale(h.field.from_int(c), col)
+                                      for c, col in zip(scales, cols)])
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_require_morphism_reports_the_first_law_a_map_fails_in_order(field):
+    # on k[Z/2] (basis 1, g) with the regular coaction: 2 id is bijective and
+    # fails the unit; 1 |-> 1, g |-> 2g is unital and fails g g = 1; g |-> -g
+    # is a colinear algebra automorphism that fails the counit; the identity
+    # onto the trivial coaction is an algebra map that is not colinear
+    h = kz2(field)
+    ident = [basis_vec(field, 2, i) for i in range(2)]
+    trivial = lambda vec: {(x, 0): c for x, c in enumerate(vec) if c}
+    regular = (h.delta_basis, h.delta)
+    laws = dict(bijective=True, algebra=(h, h), rho=regular, counit=(h.counit, h.counit))
+    cases = [
+        (Matrix.zeros(field, 2, 2), "('bijective', ())"),
+        (scaled_cols(h, ident, (2, 2)), "('unit', ())"),
+        (scaled_cols(h, ident, (1, 2)), "('multiplicative', (1, 1))"),
+        (scaled_cols(h, ident, (1, -1)), "('counit', (1,))"),
+        (Matrix.identity(field, 2), None),
+    ]
+    for m, witness in cases:
+        assert morphism_witness(m, **laws) == witness
+    identity = Matrix.identity(field, 2)
+    assert morphism_witness(identity, **dict(laws, rho=(h.delta_basis, trivial))) == \
+        "('colinear', (1,))"
+    # a law that is not named is not checked
+    zero = Matrix.zeros(field, 2, 2)
+    assert morphism_witness(zero, algebra=(h, h)) == "('unit', ())"
+    assert morphism_witness(zero, rho=regular) is None  # 0 is colinear
+    assert morphism_witness(identity, rho=(h.delta_basis, trivial)) == "('colinear', (1,))"
+    assert morphism_witness(zero, counit=(h.counit, h.counit)) == "('counit', (0,))"
+    assert morphism_witness(zero) is None
+    assert list(counit_violations(h.counit, h.counit, zero)) == [("counit", (0,)), ("counit", (1,))]
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_require_morphism_checks_maps_into_a_tensor_product(field):
+    # Delta : k[Z/2] -> k[Z/2] (x) k[Z/2] is a counital algebra map into the
+    # pair (A, B), whose counit is eps (x) eps
+    h = kz2(field)
+    cols = [vtensor(basis_vec(field, 2, i), basis_vec(field, 2, i)) for i in range(2)]
+    laws = dict(bijective=False, algebra=(h, (h, h)), counit=(h.counit, vtensor(h.counit, h.counit)))
+    assert morphism_witness(Matrix.from_cols(field, cols), **laws) is None
+    assert morphism_witness(scaled_cols(h, cols, (1, 2)), **laws) == "('multiplicative', (1, 1))"
+    assert morphism_witness(scaled_cols(h, cols, (1, -1)), **laws) == "('counit', (1,))"
+    assert morphism_witness(scaled_cols(h, cols, (-1, 1)), **laws) == "('unit', ())"
+    # not square, so never bijective
+    assert morphism_witness(Matrix.from_cols(field, cols), **dict(laws, bijective=True)) == \
+        "('bijective', ())"

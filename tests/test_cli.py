@@ -552,6 +552,39 @@ def test_lift_problem_maps_of_the_wrong_shape(block, grow, witness, tmp_path, ca
     assert code == 2 and report["error"].startswith("not a lift problem")
 
 
+def double_map_at_g(doc):
+    """psi(g) = 2g: still colinear, but psi(g) psi(g) = 4 != psi(g g)."""
+    doc["map"]["entries"][1][-1] = 2
+    return doc
+
+
+def trivialize_domain_coaction(doc):
+    """rho_C(c) = c (x) 1, so the unchanged surjection C -> D, which sends
+    1 (x) g to g, is an algebra map that is not colinear.  (For the bundled
+    coactions every surjective algebra map C -> D is colinear.)"""
+    dh = len(doc["domain"]["hopf"]["basis"])
+    doc["domain"]["coaction"]["entries"] = [[i * dh, i, 1] for i in range(4)]
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (double_map_at_g,
+     "map H -> A is not a comodule algebra map: ('multiplicative', (1, 1))"),
+    (trivialize_domain_coaction,
+     "map C -> D is not a comodule algebra map: ('colinear', (1,))"),
+], ids=["map-not-multiplicative", "surjection-not-colinear"])
+def test_lift_rejects_maps_that_are_not_comodule_algebra_maps(edit, message, tmp_path, capsys):
+    # bad input, so exit 2 with the first witness, in these exact words
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(edit(load("lift-split.json"))))
+    capsys.readouterr()
+    assert main(["lift", str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: %s\n" % message)
+    code, report = run_json(capsys, ["lift", str(path)])
+    assert code == 2 and report["error"] == message
+
+
 def test_coinvariants_rejects_an_invalid_coaction(tmp_path, capsys):
     code, report = run_json(capsys, ["coinvariants",
                                      input_path("f3z3-cleft-bad-coaction.json", tmp_path)])

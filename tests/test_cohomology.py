@@ -3,11 +3,13 @@ maps, Hopf-module decomposition, and splitting/lifting through nilpotent
 kernels."""
 
 import itertools
+import os
 import random
 
 import pytest
 
 from hopfcross.algebra import FAlgebra, group_hopf_algebra, induced_algebra, ti
+from hopfcross.cli import parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
     AugmentedCleftExtension,
@@ -45,8 +47,9 @@ from hopfcross.errors import (
     ValidationError,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd
-from hopfcross.standard import dual_numbers, product_field
+from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd, vscale, vzero
+from hopfcross.standard import dual_numbers, product_field, sweedler
+from tests.test_linalg import draw
 
 F3 = PrimeField(3)
 Q = Rationals()
@@ -626,3 +629,69 @@ def test_sub_comodule_algebra_accepts_a_span_holding_no_basis_vector():
     assert sub.coaction == Matrix.from_cols(Q, [basis_vec(Q, 4, ti(0, 0, 2)),
                                                 basis_vec(Q, 4, ti(1, 1, 2))])
     assert sub.algebra.mult_basis(1, 1) == {0: 1}
+
+
+# -- each act method applies its matrix to u (x) v ------------------------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
+
+
+def ref_act(field, dim, act_basis, x, y):
+    """The loop CrossedSystem.act, HModuleStructure.act and HopfModule.act
+    each ran before they applied their matrix to x (x) y: the sum of
+    c d act_basis(i, j) over the nonzeros x_i = c and y_j = d."""
+    out = vzero(field, dim)
+    for i, c in enumerate(x):
+        if not c:
+            continue
+        for j, d in enumerate(y):
+            if d:
+                out = vadd(out, vscale(c * d, act_basis(i, j)))
+    return out
+
+
+def act_inputs(field, rng, n):
+    """Zero, every basis vector and seeded vectors of three densities."""
+    out = [vzero(field, n)] + [basis_vec(field, n, i) for i in range(n)]
+    return out + [tuple(draw(field, rng) if rng.random() < d else field.zero for _ in range(n))
+                  for d in (0.3, 0.6, 1.0)]
+
+
+def assert_act_matches_the_loop(field, dim, act, act_basis, n_left, n_right, seed):
+    rng = random.Random(seed)
+    for x in act_inputs(field, rng, n_left):
+        for y in act_inputs(field, rng, n_right):
+            assert act(x, y) == ref_act(field, dim, act_basis, x, y)
+
+
+def corpus_payload(name):
+    return parse_presentation(os.path.join(CORPUS, name)).payload
+
+
+def test_h_module_act_matches_the_loop():
+    acts = [trivial_setup(Q)[3], trivial_setup(F3, 2)[3],
+            corpus_payload("qz3-hmodule.json")[0], corpus_payload("f3z3-hmodule.json")[0]]
+    for seed, act in enumerate(acts):
+        f = act.hopf.field
+        assert_act_matches_the_loop(f, act.plus_dim, act.act, act.act_basis,
+                                    act.hopf.dim, act.plus_dim, seed)
+
+
+def test_crossed_system_act_matches_the_loop():
+    systems = [corpus_payload("f3z3-crossed.json")]
+    for field in (F3, Q):
+        h, _, _, act = trivial_setup(field)
+        for s in hh2(h, act).representative_cochains():
+            systems.append(crossed_system_from_cocycle(act, s))
+    for seed, system in enumerate(systems):
+        f = system.base.field
+        assert_act_matches_the_loop(f, system.base.dim, system.act, system.act_basis,
+                                    system.hopf.dim, system.base.dim, seed)
+
+
+def test_hopf_module_act_matches_the_loop():
+    modules = [regular_hopf_module(sweedler(Q)),
+               regular_hopf_module(group_hopf_algebra(GroupTable.symmetric(3), F3))]
+    for seed, module in enumerate(modules):
+        assert_act_matches_the_loop(module.field, module.dim, module.act, module.act_basis,
+                                    module.dim, module.hopf.dim, seed)

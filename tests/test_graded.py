@@ -12,12 +12,12 @@ from hopfcross.algebra import (
     algebra_map_violations,
     group_hopf_algebra,
     induced_algebra,
+    require_morphism,
     ti,
 )
 from hopfcross.cli import parse_presentation
 from hopfcross.comodule import (
     CrossedSystem,
-    _verify_comodule_algebra_iso,
     check_crossed_system,
     coinvariants,
     crossed_product,
@@ -582,8 +582,9 @@ def test_recognition_is_invariant_under_a_homogeneous_change_of_basis(make, fiel
         assert again == verdict
         if rec is not None:
             # A -> B #_sigma k[Gamma] is an isomorphism of k[Gamma]-comodule algebras
-            _verify_comodule_algebra_iso(graded_bridge(changed), crossed_product(rec.system),
-                                         rec.iso)
+            src, dst = graded_bridge(changed), crossed_product(rec.system)
+            require_morphism(rec.iso, "iso", bijective=True, algebra=(src.algebra, dst.algebra),
+                             rho=(src.rho_basis, dst.rho))
 
 
 # -- the coinvariants of a grading, read off without elimination --------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcross.algebra import ti
 from hopfcross.errors import ShapeMismatchError, SingularMatrixError
 from hopfcross.linalg import (
     FpElement,
@@ -17,6 +18,7 @@ from hopfcross.linalg import (
     is_prime,
     row_space_basis,
     solve_linear,
+    vtensor,
 )
 
 Q = Rationals()
@@ -192,13 +194,19 @@ def test_quotient_space():
     assert q.project(rels[0]) == (Fraction(0), Fraction(0))
 
 
-def test_kron_indexing():
-    a = qmat([[1, 2]])
-    b = qmat([[3], [4]])
-    k = a.kron(b)
-    assert k.rows == 2 and k.cols == 2
-    assert k.data[0] == (Fraction(3), Fraction(6))
-    assert k.data[1] == (Fraction(4), Fraction(8))
+def test_vtensor_indexing():
+    # the coordinate of e_i (x) e_j sits at i * len(v) + j, the flat index ti
+    u, v = (Fraction(1), Fraction(2)), (Fraction(3), Fraction(4), Fraction(0))
+    w = vtensor(u, v)
+    assert len(w) == 6
+    assert all(w[ti(i, j, len(v))] == u[i] * v[j] for i in range(2) for j in range(3))
+    assert w == tuple(Fraction(c) for c in (3, 4, 0, 6, 8, 0))
+    # a zero coordinate is a zero of a factor, so it is the field's own zero
+    z = F5.zero
+    x = vtensor((z, F5.one), (F5.from_int(2), z))
+    assert x == (z, z, F5.from_int(2), z)
+    assert x[0] is z and x[3] is z
+    assert vtensor((), v) == () and vtensor(u, ()) == ()
 
 
 def test_zero_row_matrices_keep_their_columns():

@@ -47,6 +47,11 @@ CASES = [
     ["strongly-graded", "m2-z2-graded.json", "--json"],
     # a bialgebra whose identity has no convolution inverse
     ["antipode", "monoid2.json", "--json"],
+    # the structure-map checks of sections, splittings and lifts
+    ["recognize-cleft", "f3z3-cleft.json", "--json"],
+    ["classify-cleft", "f3z3-cleft.json", "--json"],
+    ["lift", "lift-split.json", "--json"],
+    ["lift", "lift-obstructed.json", "--json"],
 ]
 
 

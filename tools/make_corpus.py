@@ -17,8 +17,8 @@ from hopfcross.algebra import (
     ti,
 )
 from hopfcross.cli import (
-    _coproduct_to_json,
     _field_to_json,
+    _sparse3_to_json,
     _vector_to_json,
     encode_algebra,
     encode_comodule_algebra,
@@ -70,7 +70,7 @@ def write(name, doc):
 def bialgebra_doc(b):
     doc = encode_algebra(b.as_algebra())
     doc["kind"] = "bialgebra"
-    doc["coproduct"] = _coproduct_to_json(b.field, b.as_coalgebra())
+    doc["coproduct"] = _sparse3_to_json(b.field, b.as_coalgebra())
     doc["counit"] = _vector_to_json(b.field, b.counit)
     return doc
 
