@@ -30,6 +30,7 @@ from .errors import (
 from .groups import GroupTable
 from .linalg import (
     Matrix,
+    QuotientSpace,
     _subtract,
     basis_vec,
     connected_components,
@@ -325,6 +326,34 @@ def induced_coproduct(c, basis, coords):
                     terms[(x, y)] = terms.get((x, y), f.zero) + du * w
         out[s] = _clean(terms)
     return out
+
+
+def relative_tensor(a, b_vectors, left, right, image):
+    """X (x)_B Y for X = span(e_x : x in left) and Y = span(e_y : y in right)
+    inside A, with XB in X and BY in Y for B = span(b_vectors): the quotient
+    of X (x) Y (flat index ti(s, t, len(right)) for e_left[s] (x) e_right[t])
+    by xb (x) y - x (x) by, and the sparse columns {row: c} of the map that a
+    B-balanced image(x, y) of e_x (x) e_y induces on it, one per quotient
+    basis vector (each lifts to one e_x (x) e_y)."""
+    f = a.field
+    n = len(right)
+    at_left = {x: s for s, x in enumerate(left)}
+    at_right = {y: t for t, y in enumerate(right)}
+    e = lambda i: basis_vec(f, a.dim, i)
+    by = [[_nonzero(a.mult(b, e(y))).items() for y in right] for b in b_vectors]
+    relations = []
+    for s, x in enumerate(left):
+        for b, b_right in zip(b_vectors, by):
+            xb = _nonzero(a.mult(e(x), b)).items()
+            for t, terms in enumerate(b_right):
+                rel = [f.zero] * (len(left) * n)
+                for k, c in xb:
+                    rel[ti(at_left[k], t, n)] += c
+                for k, c in terms:
+                    rel[ti(s, at_right[k], n)] -= c
+                relations.append(tuple(rel))
+    quot = QuotientSpace(f, len(left) * n, relations)
+    return quot, [image(left[j // n], right[j % n]) for j in quot.complement]
 
 
 # ---------------------------------------------------------------------------

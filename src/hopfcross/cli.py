@@ -399,6 +399,16 @@ def _parse_hopf(doc, field, kind="hopf"):
                  coalg.coproduct, coalg.counit, antipode)
 
 
+def _check_nested_hopf(hopf):
+    """Raise the failed Hopf laws of a nested hopf block, named hopf-<law>.
+    Each caller runs it once the block's structure is built, so that any
+    malformed part of the file exits 2 first."""
+    violations = check_axioms("hopf", hopf).violations
+    if violations:
+        raise InvalidComoduleAlgebraError([("hopf-" + name, w) for name, w in violations],
+                                          "a Hopf algebra")
+
+
 def _parse_group(doc, kind):
     block = _require(doc, "group", kind)
     if not isinstance(block, dict) or "elements" not in block or "table" not in block:
@@ -421,7 +431,9 @@ def _parse_group(doc, kind):
 def parse_presentation(path_or_doc, kinds=None, message=None):
     """Load and structurally validate a presentation file (or parsed dict).
     When kinds is given, a file of no kind in it raises message (by default,
-    its declared and the expected kind) before anything in it is built."""
+    its declared and the expected kind) before anything in it is built.  A
+    nested hopf block that fails the Hopf laws raises
+    InvalidComoduleAlgebraError with the laws named hopf-<law>."""
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
     else:
@@ -469,6 +481,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
         ca = ComoduleAlgebra(alg, hopf, coaction)
+        _check_nested_hopf(hopf)
         aug = None
         if "augmentation" in doc:
             aug = _vector_from_json(field, doc["augmentation"], alg.dim, "augmentation")
@@ -476,13 +489,15 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
     if kind == "crossed-system":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         base = _parse_algebra(_nested(doc, "base", kind), field, "algebra")
-        return Presentation(kind, CrossedSystem(
+        system = CrossedSystem(
             hopf,
             base,
             _matrix_from_json(field, _require(doc, "measuring", kind), "measuring"),
             _matrix_from_json(field, _require(doc, "sigma", kind), "sigma"),
             _matrix_from_json(field, _require(doc, "sigma_inv", kind), "sigma_inv"),
-        ))
+        )
+        _check_nested_hopf(hopf)
+        return Presentation(kind, system)
     if kind == "hmodule":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         base = _parse_algebra(_nested(doc, "base", kind), field, "algebra")
@@ -501,6 +516,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             shape = (aug.plus_dim, hopf.dim ** 2)
             if (cochain.matrix.rows, cochain.matrix.cols) != shape:
                 raise ParseError("cochain must be a %d x %d matrix" % shape)
+        _check_nested_hopf(hopf)
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
         parts, violations = [], []
@@ -525,7 +541,9 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         coalg = _parse_coalgebra(doc, field, kind)
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
-        return Presentation(kind, ComoduleCoalgebraData(coalg, hopf, coaction))
+        data = ComoduleCoalgebraData(coalg, hopf, coaction)
+        _check_nested_hopf(hopf)
+        return Presentation(kind, data)
     raise ParseError("unknown presentation kind %r" % (kind,))
 
 

@@ -750,7 +750,8 @@ def hopf_module_decompose(module):
 
 
 def ideal_power_chain(algebra, ideal_basis):
-    """[I, I^2, ...] as echelon bases, stopping at zero or stabilization."""
+    """[I, I^2, ..., I^n = 0] as echelon bases; raises when the powers
+    stabilize above zero."""
     f = algebra.field
     n = algebra.dim
     chain = [row_space_basis(f, ideal_basis, n)]
@@ -788,7 +789,7 @@ def colinear_splitting_nilpotent(ca, pi):
     ideal = pi.kernel_basis()
     chain = ideal_power_chain(a, list(ideal))  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
-    # quots[i] = A / I^{i+1}; quots[n-1] has no relations (identity on A)
+    # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
     # lambda : H -> A, a fixed linear right inverse of pi
     preimage = column_coordinates(pi)
@@ -808,40 +809,22 @@ def colinear_splitting_nilpotent(ca, pi):
         kmat = Matrix.from_cols(f, kbasis) if kbasis else Matrix.zeros(f, x_quot.dim, 0)
         dk = len(kbasis)
         in_k = column_coordinates(kmat)
-        # Hopf module structure on K: right H-action k . h = k * lambda(h)
-        act_cols = [None] * (dk * dh)
-        coact_cols = []
-        for s in range(dk):
-            lift_k = x_quot.lift(kbasis[s])
-            for g in range(dh):
-                prod = x_quot.project(a.mult(lift_k, lam.col(g)))
-                sol = in_k(prod)
-                if sol is None:
-                    raise ValidationError("kernel is not stable under the H-action")
-                act_cols[ti(s, g, dh)] = sol
-            # coaction restricted to K, in K coordinates; group the tensor
-            # terms by the H-leg first, since only those sums lie in K
-            by_t = {}
-            for idx, c in enumerate(rho_x.apply(kbasis[s])):
-                if not c:
-                    continue
-                x, t = divmod(idx, dh)
-                leg = by_t.setdefault(t, [f.zero] * x_quot.dim)
-                leg[x] = leg[x] + c
-            v = [f.zero] * (dk * dh)
-            for t, leg in by_t.items():
-                sol = in_k(tuple(leg))
-                if sol is None:
-                    raise ValidationError("kernel is not a subcomodule")
-                for y, d in enumerate(sol):
-                    if d:
-                        v[ti(y, t, dh)] = d
-            coact_cols.append(tuple(v))
-        module = HopfModule(
-            h,
-            Matrix.from_cols(f, act_cols) if act_cols else Matrix.zeros(f, dk, 0),
-            Matrix.from_cols(f, coact_cols) if coact_cols else Matrix.zeros(f, dk * dh, 0),
-        )
+        k_lifts = [x_quot.lift(k) for k in kbasis]
+
+        def k_coords(vec, failure):
+            """K-coordinates of the class of the A-vector vec in X."""
+            sol = in_k(x_quot.project(vec))
+            if sol is None:
+                raise ValidationError(failure)
+            return sol
+
+        # Hopf module structure on K: right H-action k . h = k * lambda(h),
+        # and the coaction rho_X(k) = (proj (x) id) rho(lift k) restricted to K
+        act_cols = [k_coords(a.mult(k, lam.col(g)), "kernel is not stable under the H-action")
+                    for k in k_lifts for g in range(dh)]
+        coaction = induced_coaction(ca, k_lifts,
+                                    lambda v: k_coords(v, "kernel is not a subcomodule"))
+        module = HopfModule(h, Matrix.from_cols(f, act_cols), coaction)
         decomp = hopf_module_decompose(module)
         dv = len(decomp.coinvariant_basis)
         iso_inv = decomp.iso.inverse()
@@ -879,13 +862,11 @@ def colinear_splitting_nilpotent(ca, pi):
         if pmat * smat != Matrix.identity(f, y_quot.dim):
             raise ValidationError("colinear section fails to split the quotient step")
         phi = smat * phi
-    # lift phi from A/I^n (no relations) back to ambient A coordinates
-    final_cols = [quots[n - 1].lift(phi.col(g)) for g in range(dh)]
-    phi_a = Matrix.from_cols(f, final_cols)
-    if pi * phi_a != Matrix.identity(f, dh):
+    # phi lands in A/I^n = A/0, whose coordinates are those of A
+    if pi * phi != Matrix.identity(f, dh):
         raise ValidationError("computed splitting does not split pi")
-    require_morphism(phi_a, "computed splitting is not colinear", rho=(h.delta_basis, ca.rho))
-    sec = _normalized_section(ca, phi_a)
+    require_morphism(phi, "computed splitting is not colinear", rho=(h.delta_basis, ca.rho))
+    sec = _normalized_section(ca, phi)
     if pi * sec.phi != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
     return sec
@@ -997,11 +978,9 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     exps = [1]
     while exps[-1] < n:
         exps.append(exps[-1] * 2)
-    # quotient comodule algebras C/J^e and the projections from C
-    stages = []
-    for e in exps:
-        vecs = chain[e - 1] if e - 1 < len(chain) else []
-        stages.append(quotient_comodule_algebra(c_ca, vecs))
+    # quotient comodule algebras C/J^e and the projections from C; chain
+    # ends at J^n = 0, the ideal of every e >= n
+    stages = [quotient_comodule_algebra(c_ca, chain[min(e, n) - 1]) for e in exps]
     # psi_0 : H -> C/J, obtained from psi through the iso C/J ~ D
     q0, proj0 = stages[0]
     # varpi factors as iso o proj0; compute iso : C/J -> D and its inverse
@@ -1053,11 +1032,8 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
             return LiftResult(None, step, res.obstruction)
         current = inc * res.splitting  # H -> C/J^{2^step}
         _check_comodule_algebra_map(h, upper, current)
-    # the last stage has no relations; lift to ambient C coordinates
-    top_quot = QuotientSpace(f, ca_alg.dim,
-                             chain[exps[-1] - 1] if exps[-1] - 1 < len(chain) else [])
-    final = Matrix.from_cols(f, [top_quot.lift(current.col(g)) for g in range(h.dim)])
-    _check_comodule_algebra_map(h, c_ca, final)
-    if varpi * final != psi:
+    # the last stage is C/J^n = C/0, whose coordinates are those of C
+    _check_comodule_algebra_map(h, c_ca, current)
+    if varpi * current != psi:
         raise ValidationError("computed lift does not project to the given map")
-    return LiftResult(final, None, None)
+    return LiftResult(current, None, None)

@@ -12,7 +12,6 @@ from .algebra import (
     FAlgebra,
     _RightComodule,
     _add_scaled,
-    _clean,
     _lowered,
     _lowering,
     _nonzero,
@@ -24,6 +23,7 @@ from .algebra import (
     group_table_from_hopf,
     induced_algebra,
     is_group_like_basis,
+    relative_tensor,
     require_morphism,
     ti,
 )
@@ -39,7 +39,6 @@ from .errors import (
 from .graded import GradedAlgebra
 from .linalg import (
     Matrix,
-    QuotientSpace,
     basis_vec,
     column_coordinates,
     in_span,
@@ -130,13 +129,6 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
     return Matrix.from_cols(f, cols).kernel_basis()
 
 
-def _flatten_sparse(field, sparse, dim_minor, total):
-    v = [field.zero] * total
-    for (i, j), c in sparse.items():
-        v[ti(i, j, dim_minor)] = c
-    return tuple(v)
-
-
 # ---------------------------------------------------------------------------
 # coinvariants
 
@@ -194,55 +186,25 @@ class GaloisReport:
         self.bijective = bijective
 
 
-def relative_tensor_square(ca, coinv):
-    """A (x)_B A as a quotient of A (x) A by span{ab (x) a' - a (x) ba'},
-    for B = coinv, the coinvariants of ca."""
-    a = ca.algebra
-    f = ca.field
-    da = a.dim
-    relations = []
-    for i in range(da):
-        ei = basis_vec(f, da, i)
-        for t in range(coinv.dim):
-            b = coinv.embed(basis_vec(f, coinv.dim, t))
-            ab = a.mult(ei, b)
-            for j in range(da):
-                ej = basis_vec(f, da, j)
-                ba = a.mult(b, ej)
-                rel = [f.zero] * (da * da)
-                for x, c in enumerate(ab):
-                    rel[ti(x, j, da)] = rel[ti(x, j, da)] + c
-                for y, c in enumerate(ba):
-                    rel[ti(i, y, da)] = rel[ti(i, y, da)] - c
-                relations.append(tuple(rel))
-    return QuotientSpace(f, da * da, relations)
-
-
 def galois_map(ca, coinv=None):
-    """The Galois map beta : A (x)_B A -> A (x) H for B = coinv, the
-    coinvariants of ca, computed here when not given."""
+    """The Galois map beta : A (x)_B A -> A (x) H, a (x) a' |-> a rho(a'), for
+    B = coinv, the coinvariants of ca, computed here when not given."""
     if coinv is None:
         coinv = coinvariants(ca)
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
-    quot = relative_tensor_square(ca, coinv)
-    cols = []
-    for t in range(quot.dim):
-        amb = quot.lift(basis_vec(f, quot.dim, t))
-        acc = {}
-        for flat, c in enumerate(amb):
-            if not c:
-                continue
-            i, j = divmod(flat, da)
-            for (x, s), d in ca.rho_basis(j).items():
-                prod = a.mult(basis_vec(f, da, i), basis_vec(f, da, x))
-                for y, e in enumerate(prod):
-                    if e:
-                        key = (y, s)
-                        acc[key] = acc.get(key, f.zero) + c * d * e
-        cols.append(_flatten_sparse(f, _clean(acc), dh, da * dh))
-    beta = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da * dh, 0)
+
+    def image(x, y):
+        """e_x rho(e_y)."""
+        out = {}
+        for (z, s), d in ca.rho_basis(y).items():
+            _add_scaled(out, d, {ti(k, s, dh): e for k, e in a.mult_basis(x, z).items()})
+        return out
+
+    b_vectors = [coinv.embed(basis_vec(f, coinv.dim, t)) for t in range(coinv.dim)]
+    quot, cols = relative_tensor(a, b_vectors, range(da), range(da), image)
+    beta = Matrix.from_sparse_cols(f, da * dh, cols)
     rank = beta.rank()
     bijective = quot.dim == da * dh and rank == da * dh
     return GaloisReport(quot, beta, rank, bijective)

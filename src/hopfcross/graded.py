@@ -9,9 +9,9 @@ a k[Gamma]-coaction, and the crossed system, the product and the isomorphism
 are those of the Hopf crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
-from .algebra import convolution_invert, ti
+from .algebra import convolution_invert, relative_tensor
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
-from .linalg import Matrix, QuotientSpace, basis_vec, row_space_basis
+from .linalg import Matrix, basis_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -126,52 +126,21 @@ class MoritaReport:
 
 
 def relative_tensor_over_neutral(ga, g, h):
-    """A_g (x)_B A_h as a quotient of A_g (x) A_h by the middle-B relations.
-
-    Returns (quotient, mu) where mu maps quotient coordinates to A_{gh}
-    component coordinates.
-    """
+    """A_g (x)_B A_h for B = A_e, with the product map mu into A_gh:
+    (quotient, mu), mu in A_gh component coordinates.  ga must be a grading
+    (check_grading passes)."""
     a = ga.algebra
-    f = a.field
-    e = ga.group.identity
-    gi = ga.component_indices(g)
-    hi = ga.component_indices(h)
-    dg, dh = len(gi), len(hi)
-    ambient = dg * dh
-    relations = []
-    for s, i in enumerate(gi):
-        for bidx in ga.component_indices(e):
-            xb = ga.restrict(g, a.mult(basis_vec(f, a.dim, i), basis_vec(f, a.dim, bidx)))
-            for t, j in enumerate(hi):
-                by = ga.restrict(h, a.mult(basis_vec(f, a.dim, bidx), basis_vec(f, a.dim, j)))
-                rel = [f.zero] * ambient
-                for s2, c in enumerate(xb):
-                    rel[ti(s2, t, dh)] = rel[ti(s2, t, dh)] + c
-                for t2, c in enumerate(by):
-                    rel[ti(s, t2, dh)] = rel[ti(s, t2, dh)] - c
-                relations.append(tuple(rel))
-    quot = QuotientSpace(f, ambient, relations)
-    gh = ga.group.mul(g, h)
-    cols = []
-    for coords in [basis_vec(f, quot.dim, t) for t in range(quot.dim)]:
-        amb = quot.lift(coords)
-        acc = [f.zero] * ga.component_dim(gh)
-        for flat, c in enumerate(amb):
-            if not c:
-                continue
-            s, t = divmod(flat, dh)
-            prod = a.mult(basis_vec(f, a.dim, gi[s]), basis_vec(f, a.dim, hi[t]))
-            for idx, val in enumerate(ga.restrict(gh, prod)):
-                acc[idx] = acc[idx] + c * val
-        cols.append(tuple(acc))
-    mu = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, ga.component_dim(gh), 0)
-    return quot, mu
+    grp = ga.group
+    at = {k: u for u, k in enumerate(ga.component_indices(grp.mul(g, h)))}
+    neutral = [basis_vec(a.field, a.dim, i) for i in ga.component_indices(grp.identity)]
+    quot, cols = relative_tensor(a, neutral, ga.component_indices(g), ga.component_indices(h),
+                                 lambda x, y: {at[k]: c for k, c in a.mult_basis(x, y).items()})
+    return quot, Matrix.from_sparse_cols(a.field, len(at), cols)
 
 
 def morita_context(ga, g):
-    report = check_grading(ga)
-    if not report.ok:
-        raise ValidationError("input is not a graded algebra: %r" % (report,))
+    """The product maps A_g (x)_B A_{g^-1} -> B and A_{g^-1} (x)_B A_g -> B
+    for B = A_e; ga must be a grading (check_grading passes)."""
     grp = ga.group
     ginv = grp.inv[g]
     e = grp.identity

@@ -223,6 +223,15 @@ class Matrix:
     def from_cols(field, cols):
         return Matrix(field, list(zip(*cols)), len(cols))
 
+    @staticmethod
+    def from_sparse_cols(field, rows, cols):
+        """The rows x len(cols) matrix with the sparse columns {row: entry}."""
+        data = [[field.zero] * len(cols) for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                data[i][j] = c
+        return Matrix(field, data, len(cols))
+
     # -- basics -------------------------------------------------------------
 
     def __eq__(self, other):

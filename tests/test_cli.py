@@ -592,6 +592,57 @@ def test_coinvariants_rejects_an_invalid_coaction(tmp_path, capsys):
     assert report["error"].startswith("not a comodule algebra")
 
 
+def set_antipode(doc, path, entries):
+    """doc with the antipode of the hopf block at path (a list of keys)
+    replaced by the matrix of the given [i, j, scalar] entries."""
+    block = doc
+    for key in path:
+        block = block[key]
+    block["antipode"]["entries"] = entries
+    return doc
+
+
+IDENTITY_3 = [[0, 0, 1], [1, 1, 1], [2, 2, 1]]
+
+
+@pytest.mark.parametrize("name, path, entries, commands", [
+    # S = id is not the antipode of F3[Z/3]
+    ("f3z3-cleft.json", ["hopf"], IDENTITY_3,
+     ["coinvariants", "galois", "find-section", "recognize-cleft", "classify-cleft", "split"]),
+    ("f3z3-crossed.json", ["hopf"], IDENTITY_3, ["crossed-product"]),
+    ("f3z3-hmodule.json", ["hopf"], IDENTITY_3, ["hh2"]),
+    # over k[Z/2] S = id is right, S = 0 is not
+    ("smash-example.json", ["hopf"], [], ["smash-coproduct"]),
+    ("lift-split.json", ["domain", "hopf"], [], ["lift"]),
+    ("lift-split.json", ["target", "hopf"], [], ["lift"]),
+], ids=["comodule-algebra", "crossed-system", "hmodule", "comodule-coalgebra",
+        "lift-domain", "lift-target"])
+def test_a_nested_hopf_block_is_checked(name, path, entries, commands, tmp_path, capsys):
+    file = tmp_path / name
+    file.write_text(json.dumps(set_antipode(load(name), path, entries)))
+    prefix = "-".join(path) + "-antipode-"  # hopf-..., or domain-hopf-... in a lift problem
+    code, report = run_json(capsys, ["check", str(file)])
+    assert code == 1 and report["verdict"] == "fail"
+    names = [v[0] for v in report["witnesses"]["violations"]]
+    assert names and all(n.startswith(prefix) for n in names)
+    for command in commands:
+        capsys.readouterr()
+        assert main([command, str(file)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: not a ")
+        assert prefix in out.err and out.err.count("\n") == 1  # no traceback
+
+
+def test_a_malformed_file_exits_2_before_its_hopf_block_is_checked(tmp_path, capsys):
+    doc = set_antipode(load("f3z3-cleft.json"), ["hopf"], IDENTITY_3)
+    doc["coaction"]["rows"] += 1
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: coaction matrix shape mismatch\n"
+
+
 # ---------------------------------------------------------------------------
 # one verification per result
 
@@ -663,6 +714,7 @@ def count_calls(monkeypatch, owner, name):
     # a strong grading builds the Morita context of each element of Z/2,
     # with or without --certify
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "morita_context", 2),
+    (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)

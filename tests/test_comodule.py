@@ -44,13 +44,14 @@ from hopfcross.errors import (
 )
 from hopfcross.graded import GradedAlgebra, is_strongly_graded
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.linalg import Matrix, PrimeField, QuotientSpace, Rationals, basis_vec
 from hopfcross.search import DEFAULT_BUDGET, find_invertible_combination
 from hopfcross.standard import dual_numbers, kz2, matrix2, sweedler
 
 Q = Rationals()
 F3 = PrimeField(3)
 Z2 = GroupTable.cyclic(2)
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
 
 
 def regular_comodule(h):
@@ -231,6 +232,101 @@ def test_galois_map_regular_with_identity_section():
 
 
 R_NONE = None
+
+
+# -- galois_map against the builder it replaced -------------------------------
+
+
+def ref_relative_tensor_square(ca, coinv):
+    """A (x)_B A as a quotient of A (x) A by span{ab (x) a' - a (x) ba'}, for
+    B = coinv: the builder galois_map used before algebra.relative_tensor."""
+    a = ca.algebra
+    f = ca.field
+    da = a.dim
+    relations = []
+    for i in range(da):
+        ei = basis_vec(f, da, i)
+        for t in range(coinv.dim):
+            b = coinv.embed(basis_vec(f, coinv.dim, t))
+            ab = a.mult(ei, b)
+            for j in range(da):
+                ba = a.mult(b, basis_vec(f, da, j))
+                rel = [f.zero] * (da * da)
+                for x, c in enumerate(ab):
+                    rel[ti(x, j, da)] = rel[ti(x, j, da)] + c
+                for y, c in enumerate(ba):
+                    rel[ti(i, y, da)] = rel[ti(i, y, da)] - c
+                relations.append(tuple(rel))
+    return QuotientSpace(f, da * da, relations)
+
+
+def ref_galois_map(ca):
+    """(quotient, beta) with beta on the lift of each quotient basis vector,
+    e_i (x) e_j |-> e_i rho(e_j) from dense basis products."""
+    coinv = coinvariants(ca)
+    a, h = ca.algebra, ca.hopf
+    f = ca.field
+    da, dh = a.dim, h.dim
+    quot = ref_relative_tensor_square(ca, coinv)
+    cols = []
+    for t in range(quot.dim):
+        amb = quot.lift(basis_vec(f, quot.dim, t))
+        acc = [f.zero] * (da * dh)
+        for flat, c in enumerate(amb):
+            if not c:
+                continue
+            i, j = divmod(flat, da)
+            for (x, s), d in ca.rho_basis(j).items():
+                prod = a.mult(basis_vec(f, da, i), basis_vec(f, da, x))
+                for y, e in enumerate(prod):
+                    if e:
+                        acc[ti(y, s, dh)] = acc[ti(y, s, dh)] + c * d * e
+        cols.append(tuple(acc))
+    beta = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, da * dh, 0)
+    return quot, beta
+
+
+def corpus_comodule_algebras():
+    """(name, comodule algebra) for every comodule algebra a corpus file
+    holds, a graded algebra read as a k[G]-comodule algebra."""
+    for name in sorted(os.listdir(CORPUS)):
+        payload = parse_presentation(os.path.join(CORPUS, name)).payload
+        if isinstance(payload, GradedAlgebra):
+            payload = graded_bridge(payload)
+        for part in payload if isinstance(payload, tuple) else (payload,):
+            if isinstance(part, ComoduleAlgebra):
+                yield name, part
+
+
+def galois_oracle_cases():
+    from tests.test_graded import group_algebra_graded
+
+    cases = list(corpus_comodule_algebras())
+    for field in (PrimeField(3), PrimeField(5), Q):
+        for seed in (1, 2):
+            cases.append(("crossed %r seed %d" % (field, seed),
+                          twisted_crossed_product(field, 3, seed)))
+    for field in (Q, F3):
+        cases.append(("k[S3] %r" % (field,),
+                      graded_bridge(group_algebra_graded(GroupTable.symmetric(3), field))))
+    return cases
+
+
+def test_galois_map_matches_the_builder_it_replaced():
+    names = set()
+    for name, ca in galois_oracle_cases():
+        names.add(name)
+        quot, beta = ref_galois_map(ca)
+        rep = galois_map(ca)
+        assert rep.tensor_square.dim == quot.dim, name
+        assert rep.beta == beta, name
+        assert rep.rank == beta.rank(), name
+        assert rep.bijective == (quot.dim == beta.rows == rep.rank), name
+    assert {"f3z3-cleft.json", "kx2-graded.json", "m2-z2-graded.json",
+            "lift-split.json", "lift-obstructed.json"} <= names
+    # a case that is not Galois
+    assert not galois_map(graded_bridge(parse_presentation(
+        os.path.join(CORPUS, "kx2-graded.json")).payload)).bijective
 
 
 # -- graded_bridge ------------------------------------------------------------

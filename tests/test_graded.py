@@ -32,9 +32,10 @@ from hopfcross.graded import (
     morita_context,
     neutral_coinvariants,
     recognize_group_crossed_product,
+    relative_tensor_over_neutral,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.linalg import Matrix, PrimeField, QuotientSpace, Rationals, basis_vec
 from hopfcross.standard import dual_numbers, matrix2, product_field
 
 Q = Rationals()
@@ -140,8 +141,6 @@ def test_neutral_morita_context_is_product():
 
 def test_strongly_graded_implies_all_pairs_bijective():
     # mu_{g,g^-1} surjective forces bijectivity of every mu_{g,h}
-    from hopfcross.graded import relative_tensor_over_neutral
-
     ga = matrix2_graded()
     ok, _ = is_strongly_graded(ga)
     assert ok
@@ -149,6 +148,76 @@ def test_strongly_graded_implies_all_pairs_bijective():
         for h in range(2):
             quot, mu = relative_tensor_over_neutral(ga, g, h)
             assert mu.rank() == ga.component_dim(Z2.mul(g, h)) == quot.dim
+
+
+def ref_relative_tensor_over_neutral(ga, g, h):
+    """(A_g (x)_B A_h, mu into A_gh) from the middle-B relations and dense
+    basis products: the builder before algebra.relative_tensor."""
+    a = ga.algebra
+    f = a.field
+    e = ga.group.identity
+    gi = ga.component_indices(g)
+    hi = ga.component_indices(h)
+    dg, dh = len(gi), len(hi)
+    relations = []
+    for s, i in enumerate(gi):
+        for bidx in ga.component_indices(e):
+            xb = ga.restrict(g, a.mult(basis_vec(f, a.dim, i), basis_vec(f, a.dim, bidx)))
+            for t, j in enumerate(hi):
+                by = ga.restrict(h, a.mult(basis_vec(f, a.dim, bidx), basis_vec(f, a.dim, j)))
+                rel = [f.zero] * (dg * dh)
+                for s2, c in enumerate(xb):
+                    rel[ti(s2, t, dh)] = rel[ti(s2, t, dh)] + c
+                for t2, c in enumerate(by):
+                    rel[ti(s, t2, dh)] = rel[ti(s, t2, dh)] - c
+                relations.append(tuple(rel))
+    quot = QuotientSpace(f, dg * dh, relations)
+    gh = ga.group.mul(g, h)
+    cols = []
+    for t in range(quot.dim):
+        amb = quot.lift(basis_vec(f, quot.dim, t))
+        acc = [f.zero] * ga.component_dim(gh)
+        for flat, c in enumerate(amb):
+            if c:
+                s, u = divmod(flat, dh)
+                prod = a.mult(basis_vec(f, a.dim, gi[s]), basis_vec(f, a.dim, hi[u]))
+                for idx, val in enumerate(ga.restrict(gh, prod)):
+                    acc[idx] = acc[idx] + c * val
+        cols.append(tuple(acc))
+    mu = Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, ga.component_dim(gh), 0)
+    return quot, mu
+
+
+def morita_oracle_cases():
+    from tests.test_comodule import twisted_crossed_product
+
+    cases = []
+    for name in sorted(os.listdir(CORPUS)):
+        payload = parse_presentation(os.path.join(CORPUS, name)).payload
+        if isinstance(payload, GradedAlgebra):
+            cases.append((name, payload))
+    for field in (F3, F5, Q):
+        for seed in (1, 2):
+            ga, _ = graded_bridge(twisted_crossed_product(field, 3, seed))
+            cases.append(("crossed %r seed %d" % (field, seed), ga))
+    for field in (Q, F3):
+        cases.append(("k[S3] %r" % (field,), group_algebra_graded(GroupTable.symmetric(3), field)))
+    cases.append(("M3 by Z/3 over F5", matrix_graded(F5, 3)))
+    return cases
+
+
+def test_relative_tensor_over_neutral_matches_the_builder_it_replaced():
+    names = set()
+    for name, ga in morita_oracle_cases():
+        names.add(name)
+        for g in range(ga.group.order):
+            for h in range(ga.group.order):
+                quot, mu = ref_relative_tensor_over_neutral(ga, g, h)
+                got_quot, got_mu = relative_tensor_over_neutral(ga, g, h)
+                assert got_quot.dim == quot.dim, (name, g, h)
+                assert got_mu == mu, (name, g, h)
+                assert got_mu.rank() == mu.rank(), (name, g, h)
+    assert {"kx2-graded.json", "m2-z2-graded.json"} <= names
 
 
 # -- the group crossed product engine, kept as a test oracle ----------------

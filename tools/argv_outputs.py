@@ -52,6 +52,9 @@ CASES = [
     ["classify-cleft", "f3z3-cleft.json", "--json"],
     ["lift", "lift-split.json", "--json"],
     ["lift", "lift-obstructed.json", "--json"],
+    # the Galois map out of A (x)_B A, bijective and not
+    ["galois", "f3z3-cleft.json", "--json"],
+    ["galois", "kx2-graded.json", "--json"],
 ]
 
 
