@@ -16,6 +16,7 @@ the laws its caller names (bijective, a unital algebra map, colinear,
 counital) with one implementation of each and raises at the first witness.
 """
 
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice, repeat
 from math import lcm
@@ -983,9 +984,10 @@ def convolution_invert(c, a, f):
     flattened at (k, r) = the coefficient of e_r in g(e_k) for k in it.  The
     reduced echelon form of a block-diagonal system has as pivots the union
     of its blocks' pivots, so g is the solution that solve_linear reads off
-    the whole operator.  A block is built on native ints from the lowered
-    product rows: each entry carries D^3, and its right-hand side eps(e_i) 1
-    is multiplied by D, a scaling of whole rows that keeps the solution.
+    the whole operator.  A block's sparse rows are summed on native ints
+    from the lowered product rows: each entry carries D^3, and its
+    right-hand side eps(e_i) 1 is multiplied by D, a scaling of whole rows
+    that keeps the solution.
 
     The two-sided identity is always re-verified, guarding against
     non-coassociative or non-associative corrupt inputs.
@@ -999,10 +1001,11 @@ def convolution_invert(c, a, f):
     f_cols = [_lowered(col, lower) for col in cols]
     unit, counit = _lowered(_nonzero(a.unit), lower), _lowered(_nonzero(c.counit), lower)
     lift = fld.from_int
+    p = fld.characteristic
+    native = (lambda v: v % p) if p else Fraction
     g_cols = [None] * c.dim
     for component in _coalgebra_components(c):
         at = {k: t * da for t, k in enumerate(component)}
-        n = len(component) * da
         block, rhs = [], []
         for i in component:
             out = [{} for _ in range(da)]  # out[z][column]: the rows (i, z)
@@ -1016,12 +1019,9 @@ def convolution_invert(c, a, f):
                             row[col] = row.get(col, 0) + ufx * m
             e = d * counit.get(i, 0)
             for z, row in enumerate(out):
-                dense = [fld.zero] * n
-                for col, v in row.items():
-                    dense[col] = lift(v)
-                block.append(dense)
+                block.append({col: x for col, v in row.items() if (x := native(v))})
                 rhs.append(lift(e * unit.get(z, 0)))
-        res = solve_linear(Matrix(fld, block, n), tuple(rhs))
+        res = solve_linear(Matrix.from_sparse_rows(fld, block, len(at) * da), tuple(rhs))
         if not res.consistent:
             raise NotConvolutionInvertibleError("left convolution by f is not surjective")
         for k, t in at.items():
@@ -1242,14 +1242,7 @@ def smash_coproduct(data):
     if not report.ok:
         raise ValidationError("smash coproduct fails coalgebra axioms: %r" % (report,))
     # left H-module structure: h' . (h (x) d) = h'h (x) d
-    n = dh * dd
-    cols = []
-    for hp in range(dh):
-        for hi in range(dh):
-            for di in range(dd):
-                v = [f.zero] * n
-                for x, c in h.mult_basis(hp, hi).items():
-                    v[ti(x, di, dd)] = c
-                cols.append(tuple(v))
-    action = Matrix.from_cols(f, cols)
+    cols = [{ti(x, di, dd): c for x, c in h.mult_basis(hp, hi).items()}
+            for hp in range(dh) for hi in range(dh) for di in range(dd)]
+    action = Matrix.from_sparse_cols(f, dh * dd, cols)
     return SmashCoproduct(coalg, action, h, data)

@@ -138,12 +138,8 @@ def _duplicate(where):
 
 
 def _matrix_to_json(field, m):
-    entries = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            c = m.data[i][j]
-            if c:
-                entries.append([i, j] + _scal_json(field, c))
+    entries = [[i, j] + _scal_json(field, c)
+               for i, row in enumerate(m.data) for j, c in enumerate(row) if c]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -480,11 +476,13 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         alg = _parse_algebra(doc, field, kind)
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
-        ca = ComoduleAlgebra(alg, hopf, coaction)
-        _check_nested_hopf(hopf)
+        # the augmentation block is read before the laws run, so a malformed
+        # block is an input error whatever the coaction
         aug = None
         if "augmentation" in doc:
             aug = _vector_from_json(field, doc["augmentation"], alg.dim, "augmentation")
+        ca = ComoduleAlgebra(alg, hopf, coaction)
+        _check_nested_hopf(hopf)
         return Presentation(kind, ca, augmentation=aug)
     if kind == "crossed-system":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")

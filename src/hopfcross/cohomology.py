@@ -51,6 +51,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     QuotientSpace,
+    _native,
     basis_vec,
     column_coordinates,
     in_span,
@@ -190,15 +191,16 @@ class NormalizedCochain:
 
 
 def _check_normalized(act, cochain):
-    flat = _flatten_cochain(cochain.matrix)
+    """Whether the cochain meets its normalization constraints."""
     rows = _normalization_constraints(act, cochain.degree)
-    return not any(Matrix(act.hopf.field, rows, len(flat)).apply(flat))
+    constraints = Matrix.from_sparse_rows(act.hopf.field, rows, act.plus_dim * cochain.matrix.cols)
+    return not any(constraints.apply(_flatten_cochain(cochain.matrix)))
 
 
-def _differential_entries(act, degree):
-    """The nonzero entries {(row, col): scalar} of the flat matrix of the
-    Hochschild differential d : C^n -> C^(n+1), n = degree, with H acting on
-    B+ on the left through act and on the right through eps:
+def _differential_rows(act, degree):
+    """The sparse native rows of the flat matrix of the Hochschild
+    differential d : C^n -> C^(n+1), n = degree, with H acting on B+ on the
+    left through act and on the right through eps:
 
         (d f)(h_0, ..., h_n) = h_0 . f(h_1, ..., h_n)
             + sum_{i=1..n} (-1)^i f(h_0, ..., h_{i-1} h_i, ..., h_n)
@@ -223,11 +225,11 @@ def _differential_entries(act, degree):
             j = j * dh + x
         return j
 
-    out = {}
+    out = [{} for _ in range(dp * dh ** (degree + 1))]
 
     def add(row, col, c):
-        key = (row, col)
-        out[key] = out.get(key, 0) + c
+        entries = out[row]
+        entries[col] = entries.get(col, 0) + c
 
     for row, hs in enumerate(itertools.product(range(dh), repeat=degree + 1)):
         col = flat(hs[1:])
@@ -244,21 +246,17 @@ def _differential_entries(act, degree):
             col = flat(hs[:degree])
             for p in range(dp):
                 add(row * dp + p, col * dp + p, e if degree % 2 else -e)
-    value = f.from_int if f.characteristic else (lambda c: Fraction(c, d))
-    return {key: value(c) for key, c in clean(out).items()}
+    if f.characteristic:
+        return [clean(entries) for entries in out]
+    return [{col: Fraction(c, d) for col, c in clean(entries).items()} for entries in out]
 
 
 def differential(cochain, act):
     """The Hochschild differential into the next degree."""
     h = act.hopf
-    f = h.field
-    dp, ncols = act.plus_dim, h.dim ** (cochain.degree + 1)
-    flat = _flatten_cochain(cochain.matrix)
-    out = [f.zero] * (dp * ncols)
-    for (row, col), c in _differential_entries(act, cochain.degree).items():
-        if flat[col]:
-            out[row] = out[row] + c * flat[col]
-    return NormalizedCochain(cochain.degree + 1, _unflatten_cochain(f, out, dp, ncols))
+    out = _differential_matrix(act, cochain.degree).apply(_flatten_cochain(cochain.matrix))
+    return NormalizedCochain(cochain.degree + 1, _unflatten_cochain(
+        h.field, out, act.plus_dim, h.dim ** (cochain.degree + 1)))
 
 
 def _flatten_cochain(m):
@@ -274,38 +272,23 @@ def _unflatten_cochain(f, flat, dp, ncols):
 
 def _differential_matrix(act, degree):
     """The flat matrix of the degree-(degree) differential C^degree -> C^(degree+1)."""
-    f = act.hopf.field
-    dh, dp = act.hopf.dim, act.plus_dim
-    data = [[f.zero] * (dp * dh ** degree) for _ in range(dp * dh ** (degree + 1))]
-    for (row, col), c in _differential_entries(act, degree).items():
-        data[row][col] = c
-    return Matrix(f, data, dp * dh ** degree)
+    return Matrix.from_sparse_rows(act.hopf.field, _differential_rows(act, degree),
+                                   act.plus_dim * act.hopf.dim ** degree)
 
 
 def _normalization_constraints(act, degree):
-    """Linear constraints expressing t(1) = 0 or s(h,1) = 0 = s(1,h)."""
+    """The sparse native rows of the linear constraints t(1) = 0 (degree
+    1) or s(h,1) = 0 = s(1,h) (degree 2) on flat cochains."""
     h = act.hopf
-    f = h.field
     dh, dp = h.dim, act.plus_dim
-    rows = []
+    unit = _native(h.unit, h.field).items()
     if degree == 1:
-        for p in range(dp):
-            row = [f.zero] * (dp * dh)
-            for t, c in enumerate(h.unit):
-                if c:
-                    row[t * dp + p] = c
-            rows.append(tuple(row))
-        return rows
+        return [{t * dp + p: c for t, c in unit} for p in range(dp)]
+    rows = []
     for g in range(dh):
         for p in range(dp):
-            left = [f.zero] * (dp * dh * dh)
-            right = [f.zero] * (dp * dh * dh)
-            for t, c in enumerate(h.unit):
-                if c:
-                    left[ti(g, t, dh) * dp + p] = c
-                    right[ti(t, g, dh) * dp + p] = c
-            rows.append(tuple(left))
-            rows.append(tuple(right))
+            rows.append({ti(g, t, dh) * dp + p: c for t, c in unit})
+            rows.append({ti(t, g, dh) * dp + p: c for t, c in unit})
     return rows
 
 
@@ -352,13 +335,12 @@ def hh2(hopf, act):
     n2 = dp * dh * dh
     if dp == 0:
         return HH2Result(act, 0, [], [])
-    d2 = _differential_matrix(act, 2)
+    d2_rows = _differential_rows(act, 2)
     constraints = _normalization_constraints(act, 2)
-    stacked = Matrix(f, list(d2.data) + constraints)
-    cocycles = stacked.kernel_basis()
+    cocycles = Matrix.from_sparse_rows(f, d2_rows + constraints, n2).kernel_basis()
     d1 = _differential_matrix(act, 1)
     n1_constraints = _normalization_constraints(act, 1)
-    n1_basis = Matrix(f, n1_constraints, dp * dh).kernel_basis()
+    n1_basis = Matrix.from_sparse_rows(f, n1_constraints, dp * dh).kernel_basis()
     coboundaries = row_space_basis(f, [d1.apply(t) for t in n1_basis], n2)
     dim = len(cocycles) - len(coboundaries)
     # representatives: echelon complement of the coboundaries in the cocycles
@@ -372,7 +354,7 @@ def hh2(hopf, act):
         raise ValidationError("representative count disagrees with the computed dimension")
     # guard the normalized-complex convention against the full complex
     if dh <= 4:
-        full_z = len(d2.kernel_basis())
+        full_z = len(Matrix.from_sparse_rows(f, d2_rows, n2).kernel_basis())
         full_b = d1.rank()
         if full_z - full_b != dim:
             raise ValidationError("normalized and full complexes disagree")
@@ -612,9 +594,8 @@ def split_extension(ext):
     if dp == 0 or cls.cochain.matrix.is_zero():
         t_flat = (f.zero,) * (dp * dh)
     else:
-        d1 = _differential_matrix(act, 1)
         constraints = _normalization_constraints(act, 1)
-        stacked = Matrix(f, list(d1.data) + constraints)
+        stacked = Matrix.from_sparse_rows(f, _differential_rows(act, 1) + constraints, dp * dh)
         rhs = list(_flatten_cochain(cls.cochain.matrix)) + [f.zero] * len(constraints)
         res = solve_linear(stacked, tuple(rhs))
         if not res.consistent:
@@ -889,15 +870,8 @@ def _retraction_onto(f, kbasis, ambient):
 
 def _v_of(f, r0, iso_inv, dv, dh, h, xidx):
     """v = (id (x) eps) o iso^{-1} o r0, evaluated on the basis vector xidx."""
-    k = r0.col(xidx)
-    flat = iso_inv.apply(k)
-    out = [f.zero] * dv
-    for i in range(dv):
-        for t in range(dh):
-            c = flat[ti(i, t, dh)]
-            if c and h.counit[t]:
-                out[i] = out[i] + c * h.counit[t]
-    return tuple(out)
+    flat = iso_inv.apply(r0.col(xidx))
+    return tuple(evaluate(f, h.counit, flat[i * dh:(i + 1) * dh]) for i in range(dv))
 
 
 # ---------------------------------------------------------------------------
@@ -978,9 +952,10 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     exps = [1]
     while exps[-1] < n:
         exps.append(exps[-1] * 2)
-    # quotient comodule algebras C/J^e and the projections from C; chain
-    # ends at J^n = 0, the ideal of every e >= n
-    stages = [quotient_comodule_algebra(c_ca, chain[min(e, n) - 1]) for e in exps]
+    # quotient comodule algebras C/J^e and the projections from C; the last
+    # exponent is >= n, where J^e = 0 and the stage is C itself
+    stages = [quotient_comodule_algebra(c_ca, chain[e - 1]) for e in exps[:-1]]
+    stages.append((c_ca, Matrix.identity(f, ca_alg.dim)))
     # psi_0 : H -> C/J, obtained from psi through the iso C/J ~ D
     q0, proj0 = stages[0]
     # varpi factors as iso o proj0; compute iso : C/J -> D and its inverse
@@ -1032,8 +1007,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
             return LiftResult(None, step, res.obstruction)
         current = inc * res.splitting  # H -> C/J^{2^step}
         _check_comodule_algebra_map(h, upper, current)
-    # the last stage is C/J^n = C/0, whose coordinates are those of C
-    _check_comodule_algebra_map(h, c_ca, current)
+    # the last stage is C, so current is now checked as a map H -> C
     if varpi * current != psi:
         raise ValidationError("computed lift does not project to the given map")
     return LiftResult(current, None, None)

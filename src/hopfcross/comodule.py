@@ -39,6 +39,7 @@ from .errors import (
 from .graded import GradedAlgebra
 from .linalg import (
     Matrix,
+    _native,
     basis_vec,
     column_coordinates,
     in_span,
@@ -117,16 +118,15 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
     hopf-comodule; rho_basis(i) is the sparse coaction {(x, t): c} of e_i."""
     f = hopf.field
     dh = hopf.dim
-    cols = []
+    rows = [{} for _ in range(dim * dh)]
     for i in range(dim):
-        v = [f.zero] * (dim * dh)
         for (x, t), c in rho_basis(i).items():
-            v[ti(x, t, dh)] = c
+            rows[ti(x, t, dh)][i] = c
         for t, c in enumerate(hvec):
             if c:
-                v[ti(i, t, dh)] = v[ti(i, t, dh)] - c
-        cols.append(tuple(v))
-    return Matrix.from_cols(f, cols).kernel_basis()
+                row = rows[ti(i, t, dh)]
+                row[i] = row.get(i, f.zero) - c
+    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], dim).kernel_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +227,8 @@ def _graded_to_comodule(ga):
     f = a.field
     hopf = group_hopf_algebra(ga.group, f)
     dh = hopf.dim
-    cols = []
-    for i in range(a.dim):
-        v = [f.zero] * (a.dim * dh)
-        v[ti(i, ga.degree[i], dh)] = f.one
-        cols.append(tuple(v))
-    return ComoduleAlgebra(a, hopf, Matrix.from_cols(f, cols))
+    cols = [{ti(i, ga.degree[i], dh): f.one} for i in range(a.dim)]
+    return ComoduleAlgebra(a, hopf, Matrix.from_sparse_cols(f, a.dim * dh, cols))
 
 
 def _comodule_to_graded(ca):
@@ -449,14 +445,9 @@ def crossed_product(s):
                     if terms:
                         product[(ti(i, g, dh), ti(j, t, dh))] = terms
     algebra = FAlgebra(f, labels, product, vtensor(b.unit, h.unit))
-    cols = []
-    for i in range(db):
-        for g in range(dh):
-            v = [f.zero] * (dim * dh)
-            for (g1, g2), c in h.delta_basis(g).items():
-                v[ti(ti(i, g1, dh), g2, dh)] = c
-            cols.append(tuple(v))
-    ca = ComoduleAlgebra(algebra, h, Matrix.from_cols(f, cols))
+    cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in h.delta_basis(g).items()}
+            for i in range(db) for g in range(dh)]
+    ca = ComoduleAlgebra(algebra, h, Matrix.from_sparse_cols(f, dim * dh, cols))
     # the coinvariants must be exactly B (x) k1
     coinv = coinvariants(ca)
     if coinv.dim != db:
@@ -498,28 +489,22 @@ def colinear_map_space(ca):
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
-    n = da * dh
-    rows = {}
+    # equation (j * da + x) * dh + t: the coefficient of e_x (x) e_t in block j
+    rows = [{} for _ in range(dh * da * dh)]
 
     def add(eq, col, val):
-        key = (eq, col)
-        rows[key] = rows.get(key, f.zero) + val
+        row = rows[eq]
+        row[col] = row.get(col, f.zero) + val
 
-    # equation index: (j, x, t) for the coefficient of e_x (x) e_t in block j
-    eqidx = lambda j, x, t: (j * da + x) * dh + t
     for j in range(dh):
         for aidx in range(da):
             col = ti(aidx, j, dh)
             for (x, t), c in ca.rho_basis(aidx).items():
-                add(eqidx(j, x, t), col, c)
+                add((j * da + x) * dh + t, col, c)
         for (p, q), c in h.delta_basis(j).items():
             for aidx in range(da):
-                add(eqidx(j, aidx, q), ti(aidx, p, dh), -c)
-    m = dh * da * dh
-    data = [[f.zero] * n for _ in range(m)]
-    for (eq, col), val in rows.items():
-        data[eq][col] = val
-    return Matrix(f, data).kernel_basis()
+                add((j * da + aidx) * dh + q, ti(aidx, p, dh), -c)
+    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], da * dh).kernel_basis()
 
 
 def _unflatten_phi(f, flat, da, dh):

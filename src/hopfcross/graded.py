@@ -10,7 +10,8 @@ are those of the Hopf crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
 from .algebra import convolution_invert, relative_tensor
-from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
+from .errors import (InvalidComoduleAlgebraError, NotConvolutionInvertibleError,
+                     NotCrossedProductError, ValidationError)
 from .linalg import Matrix, basis_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
@@ -203,9 +204,12 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     # comodule imports this module for GradedAlgebra
     from .comodule import Section, graded_bridge, section_to_crossed_system
 
-    report = check_grading(ga)
-    if not report.ok:
-        raise ValidationError("input is not a graded algebra: %r" % (report,))
+    try:
+        # the coaction e_i |-> e_i (x) g_i is a comodule algebra exactly when
+        # 1 is in A_e and A_g A_h lies in A_gh, so its laws check the grading
+        ca = graded_bridge(ga)
+    except InvalidComoduleAlgebraError:
+        raise ValidationError("input is not a graded algebra: %r" % (check_grading(ga),)) from None
     a = ga.algebra
     grp = ga.group
     e = grp.identity
@@ -221,7 +225,6 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
                 msg += " (not found within budget; absence not proved)"
             raise NotCrossedProductError(msg, definitive=definitive)
         units[g] = u
-    ca = graded_bridge(ga)
     phi = Matrix.from_cols(a.field, units)
     try:
         # over k[Gamma] this solves u_g x = 1 in A once for each g

@@ -1,21 +1,26 @@
 """Exact scalar fields and the linear-algebra kernel.
 
 Scalars are `fractions.Fraction` over the rationals and `FpElement` over a
-prime field.  Both support the arithmetic operators, so the dense `Matrix`
-code below is field-agnostic.  Everything is exact; there is no floating
-point anywhere.
+prime field.  Both support the arithmetic operators, so the `Matrix` code
+below is field-agnostic.  Everything is exact; there is no floating point
+anywhere.
 
-The API is dense: vectors come in and go out as tuples of field scalars, and
-a `Matrix` holds tuples of rows.  The kernels inside are sparse: they work on
-dicts {index: nonzero scalar} over native scalars, plain ints mod p over F_p
-(inverses by `pow(a, p - 2, p)`) and `Fraction` over Q, and touch only the
-nonzeros.  Elimination (`Matrix.rref`, `Matrix.det`) runs on sparse rows,
-`Matrix.apply` reads the nonzeros of its vector once, `column_coordinates`
-keeps its transform as sparse columns, and `QuotientSpace` and `in_span`
-reduce over the nonzeros of sparse pivot rows.  Entries become `FpElement`
-again only in what these return.  The transform T with T * M = R is carried
-only when a caller asks for it (`inverse`, `column_coordinates`, the
-certificate of an inconsistent `solve_linear` when it is read).
+Vectors come in and go out as tuples of field scalars.  The kernels work on
+dicts {index: nonzero native scalar}, ints mod p over F_p (inverses by
+`pow(a, p - 2, p)`) and `Fraction` over Q, and touch only the nonzeros.  A
+`Matrix` keeps the form it is built in: dense rows of field scalars
+(`Matrix(field, data)`) or sparse native rows (`Matrix.from_sparse_rows`).
+Every elimination (`rref`, `det`, hence `rank`, `kernel_basis`, `inverse`,
+`solve_linear`, `column_coordinates`) reads the sparse rows, which a dense
+matrix derives once, at its first elimination, and R and T come back sparse.
+`data`, `row`, `col` and the other operations read the dense view, which a
+sparse matrix derives once, when first read; `apply` reads the dense rows if
+there are any, else the sparse rows.  So no system built sparse is densified
+to be solved.  `QuotientSpace` and `in_span` reduce over sparse pivot rows.
+Entries become `FpElement` again only in what these return.  The transform T
+with T * M = R is carried only when a caller asks for it (`inverse`,
+`column_coordinates`, the certificate of an inconsistent `solve_linear` when
+it is read).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
@@ -187,13 +192,13 @@ def vtensor(u, v):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable matrix over an exact field, in the form it is built in.
 
     `cols` is needed only for a matrix with no rows; otherwise it is read
     off the rows (and checked when given).
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_data", "_sparse")
 
     def __init__(self, field, data, cols=None):
         self.field = field
@@ -205,14 +210,23 @@ class Matrix:
                 raise ShapeMismatchError("ragged rows")
         self.rows = len(rows)
         self.cols = cols
-        self.data = rows
+        self._data = rows
+        self._sparse = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def from_sparse_rows(field, rows, cols):
+        """The len(rows) x cols matrix whose rows are the dicts {column:
+        nonzero native scalar}.  It keeps the dicts, which nothing may change
+        afterwards; two rows may be the same dict."""
+        m = object.__new__(Matrix)
+        m.field, m.rows, m.cols, m._data, m._sparse = field, len(rows), cols, None, tuple(rows)
+        return m
+
+    @staticmethod
     def zeros(field, rows, cols):
-        z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)], cols)
+        return Matrix.from_sparse_rows(field, [{}] * rows, cols)
 
     @staticmethod
     def identity(field, n):
@@ -232,18 +246,34 @@ class Matrix:
                 data[i][j] = c
         return Matrix(field, data, len(cols))
 
+    # -- the two forms ------------------------------------------------------
+
+    @property
+    def data(self):
+        """The dense rows, derived and kept on the first read if built sparse."""
+        if self._data is None:
+            self._data = tuple(_dense_vec(self.field, r, self.cols) for r in self._sparse)
+        return self._data
+
+    def _native_rows(self):
+        """The sparse rows, derived and kept on the first call if built dense;
+        a caller copies a row before it changes it."""
+        if self._sparse is None:
+            self._sparse = tuple(_native(r, self.field) for r in self._data)
+        return self._sparse
+
     # -- basics -------------------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.cols == other.cols
-            and self.data == other.data
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self._native_rows() == other._native_rows()
         )
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash((self.field, self.rows, self.cols))
 
     def __repr__(self):
         return "Matrix(%r, %d x %d)" % (self.field, self.rows, self.cols)
@@ -300,16 +330,22 @@ class Matrix:
         return Matrix(self.field, out, other.cols)
 
     def apply(self, vec):
-        """Matrix times column vector (vec as tuple), over the nonzeros of vec."""
+        """Matrix times column vector (vec as tuple), over the nonzeros of
+        vec, on the dense rows if the matrix has them, else the sparse rows."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("vector length %d != cols %d" % (len(vec), self.cols))
-        p = self.field.characteristic
-        nz = _native(vec, self.field).items()
+        f = self.field
+        p = f.characteristic
+        nz = _native(vec, f)
+        if self._data is None:
+            out = {i: s for i, row in enumerate(self._sparse) if (s := _dot(row, nz, p))}
+            return _dense_vec(f, out, self.rows)
+        nz = nz.items()
         if p:
-            return tuple(FpElement(sum([r[j].value * x for j, x in nz]), p) for r in self.data)
+            return tuple(FpElement(sum([r[j].value * x for j, x in nz]), p) for r in self._data)
         out = []
-        for r in self.data:
-            s = self.field.zero
+        for r in self._data:
+            s = f.zero
             for j, x in nz:
                 a = r[j]
                 if a:
@@ -327,7 +363,7 @@ class Matrix:
     # -- echelon machinery ---------------------------------------------------
 
     def rref(self, transform=True):
-        """Reduced row echelon form.
+        """Reduced row echelon form, on the sparse rows.
 
         Returns (R, pivots, T) with T * self == R, T invertible; T is None
         when `transform` is false, and is then never built.  Pivot choice is
@@ -336,9 +372,9 @@ class Matrix:
         f = self.field
         p = f.characteristic
         one = 1 if p else f.one
-        m = _sparse_rows(self)
-        t = [{i: one} for i in range(self.rows)] if transform else None
         n = self.rows
+        m = [dict(r) for r in self._native_rows()]
+        t = [{i: one} for i in range(n)] if transform else None
         pivots = []
         pr = 0
         for pc in range(self.cols):
@@ -363,8 +399,8 @@ class Matrix:
                         _subtract(t[i], c, t[pr], p)
             pivots.append(pc)
             pr += 1
-        r = _dense(f, m, self.cols)
-        return r, tuple(pivots), (_dense(f, t, n) if t is not None else None)
+        r = Matrix.from_sparse_rows(f, m, self.cols)
+        return r, tuple(pivots), (Matrix.from_sparse_rows(f, t, n) if t is not None else None)
 
     def rank(self):
         return len(self.rref(transform=False)[1])
@@ -374,8 +410,8 @@ class Matrix:
             raise ShapeMismatchError("determinant of non-square matrix")
         f = self.field
         p = f.characteristic
-        m = _sparse_rows(self)
         n = self.rows
+        m = [dict(r) for r in self._native_rows()]
         det = 1 if p else f.one
         for c in range(n):
             sel = next((i for i in range(c, n) if c in m[i]), None)
@@ -422,17 +458,14 @@ _QZERO = Fraction(0)
 
 
 def _native(vec, field):
-    """The nonzeros of a dense vector of field scalars, as {index: native}.
-    Most zeros are the field's own zero object, which `is` skips without a
-    call to __bool__."""
+    """The nonzeros of a vector of field scalars, dense (a sequence) or
+    sparse (a dict {index: scalar}), as {index: native}.  Most zeros are the
+    field's own zero object, which `is` skips without a call to __bool__."""
     z = field.zero
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     if field.characteristic:
-        return {j: a.value for j, a in enumerate(vec) if a is not z and a.value}
-    return {j: a for j, a in enumerate(vec) if a is not z and a}
-
-
-def _sparse_rows(m):
-    return [_native(r, m.field) for r in m.data]
+        return {j: a.value for j, a in items if a is not z and a.value}
+    return {j: a for j, a in items if a is not z and a}
 
 
 def _dense_vec(field, row, n):
@@ -444,9 +477,13 @@ def _dense_vec(field, row, n):
     return tuple(v)
 
 
-def _dense(field, rows, cols):
-    """The Matrix of sparse rows, with entries back in the field's type."""
-    return Matrix(field, [_dense_vec(field, row, cols) for row in rows], cols)
+def _dot(u, v, p):
+    """The native sum of u[j] * v[j] over the indices of the smaller dict."""
+    if len(v) < len(u):
+        u, v = v, u
+    if p:
+        return sum([a * v[j] for j, a in u.items() if j in v]) % p
+    return sum([a * v[j] for j, a in u.items() if j in v], _QZERO)
 
 
 def _scaled(row, c, p):
@@ -493,11 +530,11 @@ def connected_components(n, links):
 
 
 def _reduce(vec, pivot_rows, p):
-    """vec minus c * row for each pivot row of a reduced echelon form, with c
-    the entry of vec at the row's pivot (its first key), in place: the
+    """vec minus c * row for each (pivot column, pivot row) of a reduced
+    echelon form, with c the entry of vec at the pivot, in place: the
     remainder of vec modulo their span, zero at every pivot column."""
-    for row in pivot_rows:
-        c = vec.get(next(iter(row)))
+    for pc, row in pivot_rows:
+        c = vec.get(pc)
         if c is not None:
             _subtract(vec, c, row, p)
     return vec
@@ -506,19 +543,17 @@ def _reduce(vec, pivot_rows, p):
 def _kernel_of_rref(r, pivots, cols):
     """The kernel basis read off a reduced echelon form R with its pivots,
     over the first `cols` columns: one vector per free column j, with 1 at j
-    and -R[row, j] at each pivot."""
+    and -R[row, j] at each pivot, read off the nonzeros of R's pivot rows."""
     f = r.field
+    p = f.characteristic
     pivset = set(pivots)
-    basis = []
-    for j in range(cols):
-        if j in pivset:
-            continue
-        v = [f.zero] * cols
-        v[j] = f.one
-        for ri, pc in enumerate(pivots):
-            v[pc] = -r.data[ri][j]
-        basis.append(tuple(v))
-    return basis
+    free = {j: {j: 1 if p else f.one} for j in range(cols) if j not in pivset}
+    for row, pc in zip(r._native_rows(), pivots):
+        for j, a in row.items():
+            v = free.get(j)
+            if v is not None:
+                v[pc] = -a % p if p else -a
+    return [_dense_vec(f, v, cols) for v in free.values()]
 
 
 class SolveResult:
@@ -546,7 +581,8 @@ class SolveResult:
         m, b = self._inconsistent
         _, pivots, t = m.rref()
         tb = t.apply(b)
-        return t.row(next(i for i in range(len(pivots), m.rows) if tb[i]))
+        i = next(i for i in range(len(pivots), m.rows) if tb[i])
+        return _dense_vec(m.field, t._native_rows()[i], m.rows)
 
 
 def solve_linear(m, b):
@@ -554,20 +590,20 @@ def solve_linear(m, b):
 
     [M | b] is eliminated once: its pivots are those of M, plus the last
     column exactly when the system is inconsistent, and the solution and
-    the kernel are read off that R."""
+    the kernel are read off that R.  Its sparse rows are those of M, with
+    b's nonzeros appended at column n."""
     if len(b) != m.rows:
         raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
     f = m.field
     n = m.cols
-    r, pivots, _ = Matrix(f, [row + (x,) for row, x in zip(m.data, b)], n + 1).rref(
-        transform=False)
+    rhs = _native(b, f)
+    rows = [{**row, n: rhs[i]} if i in rhs else row for i, row in enumerate(m._native_rows())]
+    r, pivots, _ = Matrix.from_sparse_rows(f, rows, n + 1).rref(transform=False)
     if pivots and pivots[-1] == n:
         return SolveResult(inconsistent=(m, b))
     # pivot rows of the rref have a 1 in column pc; back substitution is immediate
-    sol = [f.zero] * n
-    for ri, pc in enumerate(pivots):
-        sol[pc] = r.data[ri][n]
-    return SolveResult(solution=tuple(sol), kernel=_kernel_of_rref(r, pivots, n))
+    sol = {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}
+    return SolveResult(solution=_dense_vec(f, sol, n), kernel=_kernel_of_rref(r, pivots, n))
 
 
 def column_coordinates(m):
@@ -579,7 +615,10 @@ def column_coordinates(m):
     p = f.characteristic
     _, pivots, t = m.rref()
     rank = len(pivots)
-    tcols = [_native(col, f) for col in zip(*t.data)]
+    tcols = [{} for _ in range(m.rows)]
+    for i, row in enumerate(t._native_rows()):
+        for j, a in row.items():
+            tcols[j][i] = a
 
     def coords(b):
         if len(b) != m.rows:
@@ -594,19 +633,25 @@ def column_coordinates(m):
     return coords
 
 
-def row_space_basis(field, vectors, n):
-    """Canonical (RREF) basis of the span of the given length-n vectors."""
+def _rref_rows(field, vectors):
+    """(pivot column, sparse native row) for each pivot row of the RREF of
+    the given vectors."""
     if not vectors:
         return []
-    m = Matrix(field, list(vectors))
-    r, pivots, _ = m.rref(transform=False)
-    return [r.row(i) for i in range(len(pivots))]
+    r, pivots, _ = Matrix(field, list(vectors)).rref(transform=False)
+    return list(zip(pivots, r._native_rows()))
+
+
+def row_space_basis(field, vectors, n):
+    """Canonical (RREF) basis of the span of the given length-n vectors."""
+    return [_dense_vec(field, row, n) for _, row in _rref_rows(field, vectors)]
 
 
 def in_span(field, basis_rref, vec):
     """Membership test against an RREF row basis (as from row_space_basis)."""
-    p = field.characteristic
-    return not _reduce(_native(vec, field), [_native(row, field) for row in basis_rref], p)
+    rows = [_native(row, field) for row in basis_rref]  # keys in order: the pivot first
+    return not _reduce(_native(vec, field), [(next(iter(r)), r) for r in rows],
+                       field.characteristic)
 
 
 class QuotientSpace:
@@ -620,8 +665,8 @@ class QuotientSpace:
     def __init__(self, field, ambient_dim, relations):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows = [_native(r, field) for r in row_space_basis(field, relations, ambient_dim)]
-        pivset = {next(iter(row)) for row in self._rows}
+        self._rows = _rref_rows(field, relations)
+        pivset = {pc for pc, _ in self._rows}
         self.complement = [j for j in range(ambient_dim) if j not in pivset]
         self.dim = len(self.complement)
 

@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     QuotientSpace,
+    _native,
     basis_vec,
     column_coordinates,
     in_span,
@@ -434,22 +435,16 @@ def odd_primitives(sp):
     h = sp.hopf
     f = h.field
     dim = h.dim
-    rows = []
     # u vanishes on even basis indices
-    for i in range(dim):
-        if sp.parity[i] == 0:
-            rows.append(tuple(basis_vec(f, dim, i)))
+    rows = [{i: f.one} for i in range(dim) if sp.parity[i] == 0]
     # primitivity, one linear constraint per basis pair
     for i in range(dim):
         for j in range(dim):
-            row = [f.zero] * dim
-            for k, c in h.mult_basis(i, j).items():
-                row[k] = row[k] + c
-            row[i] = row[i] - h.counit[j]
-            row[j] = row[j] - h.counit[i]
-            if any(c for c in row):
-                rows.append(tuple(row))
-    return Matrix(f, rows, dim).kernel_basis()
+            row = dict(h.mult_basis(i, j))
+            row[i] = row.get(i, f.zero) - h.counit[j]
+            row[j] = row.get(j, f.zero) - h.counit[i]
+            rows.append(row)
+    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], dim).kernel_basis()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hopfcross.algebra
 import hopfcross.cli
+import hopfcross.cohomology
 import hopfcross.comodule
 import hopfcross.graded
 from hopfcross.cli import COMMANDS, main, parse_presentation
@@ -167,11 +168,16 @@ def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, cap
     ("f3z3-hmodule.json", lambda d: {**d, "cochain": {"rows": 3, "cols": 3,
                                                       "entries": [[0, 1, 1]]}}),
     ("f3z3-hmodule.json", lambda d: {**d, "cochain": {**d["cochain"], "cols": 8}}),
+    # a coaction that fails the laws must not hide a malformed augmentation
+    ("f3z3-cleft.json", lambda d: {**d, "augmentation": "bad", "coaction": {
+        **d["coaction"], "entries": [d["coaction"]["entries"][0][:2] + [2]]
+        + d["coaction"]["entries"][1:]}}),
 ], ids=["top-level-list", "int-basis", "int-entry", "object-unit", "no-group-elements",
         "ragged-group-table", "string-index", "float-index", "bool-index",
         "duplicate-product-entry", "duplicate-counit-entry", "string-rows", "negative-cols",
         "list-domain", "string-hopf", "int-parity", "string-parity", "string-degree",
-        "int-group-element", "algebra-target", "square-cochain", "short-cochain"])
+        "int-group-element", "algebra-target", "square-cochain", "short-cochain",
+        "string-augmentation-on-a-bumped-coaction"])
 def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(mutate(load(name))))
@@ -678,12 +684,12 @@ def count_calls(monkeypatch, owner, name):
     (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
     (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
     # the constructor checks each comodule algebra that is parsed or built:
-    # the input, the crossed product B x|_sigma H, and in lift the quotients
-    # C/J^e and the pull-backs
+    # the input, the crossed product B x|_sigma H, and in lift the proper
+    # quotients C/J^e and the pull-backs
     (["recognize-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
     (["classify-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
     (["split", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
-    (["lift", "lift-split.json"], ComoduleAlgebra, "validate", 6),
+    (["lift", "lift-split.json"], ComoduleAlgebra, "validate", 5),
     (["super-decompose", "lambda3.json"], ComoduleAlgebra, "validate", 2),
     (["coinvariants", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 1),
     # B of the input, carried by the section, and B of the crossed product
@@ -715,6 +721,12 @@ def count_calls(monkeypatch, owner, name):
     # with or without --certify
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "morita_context", 2),
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1),
+    # lift checks psi, psi_0 and the map into each later stage, the last
+    # of which is C itself
+    (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 3),
+    # recognize-crossed checks its grading through the comodule algebra it
+    # builds from it, and reads check_grading only to word a failure
+    (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)

@@ -517,6 +517,17 @@ def test_invalid_system_rejected():
 # -- recognize_group_crossed_product ----------------------------------------
 
 
+@pytest.mark.parametrize("ga", [GradedAlgebra(matrix2(Q), Z2, (0, 0, 0, 1)),
+                                GradedAlgebra(product_field(Q), Z2, (0, 1))],
+                         ids=["product-leaves-component", "unit-outside-neutral-component"])
+def test_recognition_words_a_bad_grading_as_check_grading_does(ga):
+    # the grading is checked by the comodule algebra built from it; the
+    # message is the one check_grading gives
+    with pytest.raises(ValidationError) as info:
+        recognize_group_crossed_product(ga)
+    assert str(info.value) == "input is not a graded algebra: %r" % (check_grading(ga),)
+
+
 def test_recognize_matrix2():
     rec = recognize_group_crossed_product(matrix2_graded())
     # unit of the antidiagonal component: the swap matrix e12 + e21

@@ -597,3 +597,86 @@ def test_coordinate_queries_eliminate_once_and_never_apply(monkeypatch):
     answers = [coords(b) for b in queries]
     assert calls == ["rref"]
     assert len(answers) == 50 and all(x is not None for x in answers[:25])
+
+
+# ---------------------------------------------------------------------------
+# a matrix built from sparse rows against the same matrix built dense
+
+
+def sparse_twin(m):
+    """m rebuilt by Matrix.from_sparse_rows, from its nonzeros as native
+    scalars: ints mod p over F_p, Fractions over Q."""
+    p = m.field.characteristic
+    rows = [{j: a.value if p else a for j, a in enumerate(r) if a} for r in m.data]
+    return Matrix.from_sparse_rows(m.field, rows, m.cols)
+
+
+def twin_matrices(field, rng):
+    """The oracle matrices with the empty, zero-row and zero-column cases."""
+    edge = [Matrix.zeros(field, 0, 0), Matrix(field, [], 3), Matrix(field, [(), ()], 0),
+            Matrix.identity(field, 4)]
+    return edge + oracle_matrices(field, rng)
+
+
+def assert_same_typed(field, got, expected):
+    assert got == expected
+    for vec in (got if isinstance(got, list) else [got]):
+        assert_field_typed(field, vec)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(7)], ids=repr)
+def test_a_matrix_built_sparse_matches_it_built_dense(field):
+    rng = random.Random(31 * (field.characteristic or 1) + 2)
+    inconsistent = 0
+    for m in twin_matrices(field, rng):
+        s = sparse_twin(m)
+        assert s._data is None
+        assert s.rref() == m.rref() and s.rref(transform=False) == m.rref(transform=False)
+        assert s.rank() == m.rank()
+        assert_same_typed(field, s.kernel_basis(), m.kernel_basis())
+        if m.rows == m.cols:
+            det = s.det()
+            assert det == m.det() and type(det) is scalar_type(field)
+            if m.is_invertible():
+                assert s.inverse() == m.inverse()
+            else:
+                with pytest.raises(SingularMatrixError):
+                    s.inverse()
+        coords, ref = column_coordinates(s), column_coordinates(m)
+        for b in coordinate_vectors(field, rng, m.rows, image_of=m):
+            x = coords(b)
+            assert x == ref(b)
+            if x is not None:
+                assert_field_typed(field, x)
+            res, expected = solve_linear(s, b), solve_linear(m, b)
+            assert res.consistent == expected.consistent
+            if res.consistent:
+                assert_same_typed(field, res.solution, expected.solution)
+                assert_same_typed(field, res.kernel, expected.kernel)
+            else:
+                inconsistent += 1
+                assert_same_typed(field, res.certificate, expected.certificate)
+        for v in coordinate_vectors(field, rng, m.cols):
+            assert_same_typed(field, s.apply(v), m.apply(v))
+        # none of the above derived the dense view of s
+        assert s._data is None
+        assert s == m and hash(s) == hash(m)
+        assert s.data == m.data and all(type(a) is scalar_type(field)
+                                        for row in s.data for a in row)
+    assert inconsistent >= 5
+
+
+def test_eliminations_return_their_forms_built_sparse():
+    m = fpmat(F5, [[1, 2, 0], [2, 4, 1], [0, 0, 3]])
+    r, _, t = m.rref()
+    assert r._data is None and t._data is None
+    # a dense matrix derives its sparse rows once, and keeps them
+    rows = m._native_rows()
+    m.rank()
+    assert m._native_rows() is rows
+    # an elimination leaves the rows it read unchanged
+    assert rows == (({0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}, {2: 3}))
+    s = Matrix.from_sparse_rows(F5, rows, 3)
+    s.det()
+    s.rref()
+    assert rows == (({0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}, {2: 3}))

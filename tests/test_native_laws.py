@@ -32,17 +32,21 @@ from hopfcross.algebra import (
 from hopfcross.cli import main, parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
+    AugmentedCleftExtension,
     HModuleStructure,
     NormalizedCochain,
     _differential_matrix,
     crossed_system_from_cocycle,
     differential,
     hh2,
+    split_extension,
 )
 from hopfcross.comodule import (
     ComoduleAlgebra,
     CrossedSystem,
     check_crossed_system,
+    coaction_kernel,
+    colinear_map_space,
     crossed_product,
     find_section,
     section_to_crossed_system,
@@ -62,6 +66,7 @@ from hopfcross.linalg import (
 )
 from hopfcross.standard import dual_numbers, ks3, sweedler
 from tests.test_algebra import convolution_unit, convolve, identity, tensor_coalgebra
+from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -671,3 +676,82 @@ def test_hh2_applies_no_differential(monkeypatch):
         for name, act in actions(field):
             hh2(act.hopf, act)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# guard: the linear systems of the convolution and cleft layers reach the
+# elimination as the sparse rows they are summed in
+
+
+def build_and_eliminate(monkeypatch, run):
+    """Run `run`; return its value, the (rows, cols) of each matrix built
+    dense and the matrices eliminated while it ran."""
+    dense, eliminated = [], []
+    init, rref = Matrix.__init__, Matrix.rref
+
+    def spy_init(self, *args):
+        init(self, *args)
+        dense.append((self.rows, self.cols))
+
+    def spy_rref(self, *args, **kwargs):
+        eliminated.append(self)
+        return rref(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__init__", spy_init)
+        patch.setattr(Matrix, "rref", spy_rref)
+        out = run()
+    return out, dense, eliminated
+
+
+def assert_sparse_systems(dense, eliminated, shapes):
+    """Each system shape is eliminated, never built dense, and what was
+    eliminated has no dense view even afterwards."""
+    systems = [m for m in eliminated if (m.rows, m.cols) in shapes]
+    assert {(m.rows, m.cols) for m in systems} == shapes
+    assert all(m._data is None for m in systems)
+    assert not set(dense) & shapes
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeypatch):
+    # convolution_invert: k^S3 is one component, a 36 x 36 block solved with
+    # its right-hand side appended; the only dense matrix is the inverse
+    h = dual_structure(ks3(field))
+    c, a, f = h.as_coalgebra(), h.as_algebra(), identity(h)
+    _, dense, eliminated = build_and_eliminate(monkeypatch, lambda: convolution_invert(c, a, f))
+    assert_sparse_systems(dense, eliminated, {(36, 37)})
+    assert dense == [(6, 6)]
+    # colinear_map_space and coaction_kernel on a crossed product build no
+    # dense matrix at all
+    ca = crossed_product(next(crossed_systems(field, random.Random(3)))[1])
+    da, dh = ca.algebra.dim, ca.hopf.dim
+    _, dense, eliminated = build_and_eliminate(monkeypatch, lambda: colinear_map_space(ca))
+    assert_sparse_systems(dense, eliminated, {(dh * da * dh, da * dh)})
+    assert dense == []
+    _, dense, eliminated = build_and_eliminate(
+        monkeypatch, lambda: coaction_kernel(ca.rho_basis, da, ca.hopf, ca.hopf.unit))
+    assert_sparse_systems(dense, eliminated, {(da * dh, da)})
+    assert dense == []
+    # hh2: the stacked cocycle system, d2 on its own, the degree-1
+    # constraints and d1; a normalization check builds no matrix
+    for name, act in actions(field):
+        dp, dh = act.plus_dim, act.hopf.dim
+        n1, n2 = dp * dh, dp * dh * dh
+        result, dense, eliminated = build_and_eliminate(monkeypatch, lambda: hh2(act.hopf, act))
+        assert_sparse_systems(dense, eliminated, {(dp * dh ** 3 + 2 * n2 // dh, n2),
+                                                  (dp * dh ** 3, n2), (dp, n1), (n2, n1)})
+        for rep in result.representative_cochains():
+            normalized, dense, _ = build_and_eliminate(
+                monkeypatch, lambda: cohomology._check_normalized(act, rep))
+            assert normalized and dense == []
+    # split_extension: d1 stacked on the degree-1 constraints, with the
+    # cocycle appended, for a nonzero coboundary
+    hz, _, aug, act = trivial_setup(field)
+    s = differential(cochain1(field, (field.zero, field.one, field.zero)), act)
+    ext = AugmentedCleftExtension(crossed_product(crossed_system_from_cocycle(act, s)),
+                                  eps_on_crossed_product(aug, hz))
+    out, dense, eliminated = build_and_eliminate(monkeypatch, lambda: split_extension(ext))
+    assert out.split
+    assert_sparse_systems(dense, eliminated, {(10, 4)})
+    assert (10, 3) not in dense
