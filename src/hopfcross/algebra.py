@@ -347,12 +347,14 @@ def relative_tensor(a, b_vectors, left, right, image):
         for b, b_right in zip(b_vectors, by):
             xb = _nonzero(a.mult(e(x), b)).items()
             for t, terms in enumerate(b_right):
-                rel = [f.zero] * (len(left) * n)
+                rel = {}
                 for k, c in xb:
-                    rel[ti(at_left[k], t, n)] += c
+                    j = ti(at_left[k], t, n)
+                    rel[j] = rel.get(j, f.zero) + c
                 for k, c in terms:
-                    rel[ti(s, at_right[k], n)] -= c
-                relations.append(tuple(rel))
+                    j = ti(s, at_right[k], n)
+                    rel[j] = rel.get(j, f.zero) - c
+                relations.append(rel)
     quot = QuotientSpace(f, len(left) * n, relations)
     return quot, [image(left[j // n], right[j % n]) for j in quot.complement]
 

@@ -90,11 +90,15 @@ def _field_from_json(obj):
         p = obj.get("p")
         if not isinstance(p, int):
             raise ParseError("Fp field needs an integer 'p'")
-        try:
-            return PrimeField(p)
-        except ValueError:
-            raise ValidationError("p = %d is not prime" % p)
+        return _prime_field(p)
     raise ParseError("unknown field kind %r" % (obj["kind"],))
+
+
+def _prime_field(p):
+    try:
+        return PrimeField(p)
+    except ValueError:
+        raise ValidationError("p = %d is not prime" % p)
 
 
 def _scal_json(field, c):
@@ -836,7 +840,7 @@ def cmd_super_decompose(args):
 
 
 def cmd_pairing(args):
-    field = PrimeField(args.prime) if args.prime else Rationals()
+    field = Rationals() if args.prime is None else _prime_field(args.prime)
     pairing = duality_pairing(args.n, field)
     return _emit(Report("pairing", "pass", 0, witnesses={
         "n": args.n,
@@ -900,6 +904,22 @@ COMMANDS = {
 }
 
 
+# Each option by name: the type of its value (None for a flag, which is
+# False unless given), its default and its help.  build_parser and
+# _read_plain both read them from here, in this order, which is the order of
+# the usage line.
+OPTIONS = {
+    "--json": (None, False, None),
+    "--seed": (int, 0, None),
+    "--budget": (int, 1000, None),
+    "--certify": (None, False, None),
+    "--kind": (str, None, "check only: the kind the file must declare"),
+    "--n": (int, None, "pairing only (required): dim V of Lambda(V)"),
+    "--prime": (int, None, "pairing only: work over F_p, not Q"),
+}
+_DEFAULTS = {name[2:]: default for name, (_, default, _) in OPTIONS.items()}
+
+
 def build_parser():
     """The one flat parser: main rejects the options a command does not
     take.  Its usage line is laid out here, once, so that
@@ -910,13 +930,11 @@ def build_parser():
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("file", nargs="?", help="the input presentation (not for pairing)")
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=1000)
-    parser.add_argument("--certify", action="store_true")
-    parser.add_argument("--kind", help="check only: the kind the file must declare")
-    parser.add_argument("--n", type=int, help="pairing only (required): dim V of Lambda(V)")
-    parser.add_argument("--prime", type=int, help="pairing only: work over F_p, not Q")
+    for name, (convert, default, text) in OPTIONS.items():
+        if convert is None:
+            parser.add_argument(name, action="store_true", help=text)
+        else:
+            parser.add_argument(name, type=convert, default=default, help=text)
     parser.usage = parser.format_usage()[len("usage: "):].rstrip("\n")
     return parser
 
@@ -927,9 +945,49 @@ def build_parser():
 PARSER = build_parser()
 
 
+def _read_plain(argv):
+    """The Namespace that PARSER.parse_intermixed_args(argv) gives a plain
+    argv, read in one pass, or None if argv is not plain.  In a plain argv
+    each token is either an exact option name of OPTIONS, given at most
+    once and followed by its value if it takes one, or a positional: the
+    command, then at most the file.  No value or positional starts with '-',
+    and each value converts by its type.  Every other argv (help, '--',
+    abbreviations, --opt=value, repeats, negative numbers, bad values,
+    unknown commands, extra positionals) is argparse's to read or reject."""
+    values = dict(_DEFAULTS)
+    positionals = []
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            positionals.append(token)
+            continue
+        if token not in OPTIONS or token in seen:
+            return None
+        seen.add(token)
+        convert = OPTIONS[token][0]
+        if convert is None:
+            values[token[2:]] = True
+            continue
+        value = next(tokens, "-")  # a missing value is not plain
+        if value[:1] == "-":
+            return None
+        try:
+            values[token[2:]] = convert(value)
+        except ValueError:
+            return None
+    if not 1 <= len(positionals) <= 2 or positionals[0] not in COMMANDS:
+        return None
+    command, file = (positionals + [None])[:2]
+    return argparse.Namespace(command=command, file=file, **values)
+
+
 def main(argv=None):
     parser = PARSER
-    args = parser.parse_intermixed_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = parser.parse_intermixed_args(argv)
     if args.command == "pairing":
         if args.n is None or args.file is not None:
             parser.error("pairing needs --n and takes no file")

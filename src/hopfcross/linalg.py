@@ -633,18 +633,19 @@ def column_coordinates(m):
     return coords
 
 
-def _rref_rows(field, vectors):
+def _rref_rows(field, vectors, n):
     """(pivot column, sparse native row) for each pivot row of the RREF of
-    the given vectors."""
+    the given length-n vectors, each dense or a dict {index: scalar}."""
     if not vectors:
         return []
-    r, pivots, _ = Matrix(field, list(vectors)).rref(transform=False)
+    m = Matrix.from_sparse_rows(field, [_native(v, field) for v in vectors], n)
+    r, pivots, _ = m.rref(transform=False)
     return list(zip(pivots, r._native_rows()))
 
 
 def row_space_basis(field, vectors, n):
     """Canonical (RREF) basis of the span of the given length-n vectors."""
-    return [_dense_vec(field, row, n) for _, row in _rref_rows(field, vectors)]
+    return [_dense_vec(field, row, n) for _, row in _rref_rows(field, vectors, n)]
 
 
 def in_span(field, basis_rref, vec):
@@ -659,13 +660,14 @@ class QuotientSpace:
 
     The complement basis consists of the standard basis vectors at the
     non-pivot coordinates of the relation RREF, so projection and lifting are
-    reproducible across runs.  The RREF is kept as sparse native pivot rows.
+    reproducible across runs.  A relation is dense or a dict {index: scalar};
+    the RREF is kept as sparse native pivot rows.
     """
 
     def __init__(self, field, ambient_dim, relations):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows = _rref_rows(field, relations)
+        self._rows = _rref_rows(field, relations, ambient_dim)
         pivset = {pc for pc, _ in self._rows}
         self.complement = [j for j in range(ambient_dim) if j not in pivset]
         self.dim = len(self.complement)

@@ -199,6 +199,8 @@ class ExteriorHopf:
 
     def __init__(self, n, field):
         _require_odd_characteristic(field)
+        if n < 0:
+            raise ValidationError("Lambda(V) needs dim V = n >= 0, got n = %d" % n)
         self.n = n
         self.field = field
         # combinations come in (size, tuple) order

@@ -780,13 +780,28 @@ def test_certify_leaves_the_report_unchanged(argv, capsys):
     (["pairing", "kz2.json", "--n", "3"], True),  # pairing takes no file
     (["pairing"], True),  # pairing needs --n
     (["check"], True),  # every other command needs a file
+    # a modulus that is not prime, and a negative n, are input errors
+    (["pairing", "--n", "2", "--prime", "4"], "p = 4 is not prime"),
+    (["pairing", "--n", "2", "--prime", "1"], "p = 1 is not prime"),
+    (["pairing", "--n", "2", "--prime", "-7"], "p = -7 is not prime"),
+    (["pairing", "--n", "-1"], "Lambda(V) needs dim V = n >= 0, got n = -1"),
+    (["pairing", "--n", "0"], False),  # Lambda(0) = k
 ])
 def test_argv_handling(argv, rejected, capsys):
+    # rejected: True for a usage error (SystemExit), or the message of the
+    # error that main reports with exit 2
     argv = [corpus(a) if a.endswith(".json") else a for a in argv]
-    if rejected:
+    if rejected is True:
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
+    elif rejected:
+        capsys.readouterr()
+        assert main(argv + ["--json"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: %s\n" % rejected
+        assert json.loads(out.out) == {"command": argv[0], "verdict": "error",
+                                       "exit_code": 2, "error": rejected}
     else:
         assert main(argv) == 0
 
@@ -867,6 +882,43 @@ def test_a_repeated_call_gives_the_same_bytes(argv, capsys):
     assert first[0] == (0 if argv == ["-h"] else 2)
     assert again == first
     assert (first[1].out != "") == (argv == ["-h"])
+
+
+# the plain reader of main, beside the argparse parser it stands in for
+
+ARGV_TOKENS = list(COMMANDS) + [
+    "--json", "--seed", "--budget", "--certify", "--kind", "--n", "--prime",
+    # near misses: an abbreviation, the --opt=value form, the end of options,
+    # help, a negative number, a hex int, an empty token, an option-like
+    # value, a spaced int, and files and values
+    "--js", "--cert", "--seed=3", "--", "-h", "-", "-1", "0x1", "", "-x", " 5",
+    "kz2.json", "other.json", "3", "07", "hopf",
+]
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+def test_the_plain_reader_agrees_with_argparse(argv):
+    args = hopfcross.cli._read_plain(argv)
+    if args is not None:
+        try:
+            expected = hopfcross.cli.PARSER.parse_intermixed_args(argv)
+        except SystemExit:
+            pytest.fail("argparse rejects %r, which the plain reader accepts" % (argv,))
+        assert vars(args) == vars(expected)
+
+
+def test_a_plain_argv_does_not_reach_argparse(monkeypatch, capsys):
+    def refuse(argv):
+        raise AssertionError("parse_intermixed_args(%r)" % (argv,))
+
+    monkeypatch.setattr(hopfcross.cli.PARSER, "parse_intermixed_args", refuse)
+    capsys.readouterr()
+    assert main(["check", corpus("kz2.json"), "--json"]) == 0
+    assert main(["hh2", corpus("kz2.json"), "--json"]) == 2  # a kind rejection
+    assert main(["pairing", "--n", "2", "--json"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["verdict"] for r in reports] == ["pass", "error", "pass"]
 
 
 PAIRING_USAGE_ERROR = """\

@@ -291,6 +291,14 @@ def test_exterior_construction_and_pairing_match_the_subset_oracle(field):
 # duality pairing
 
 
+@pytest.mark.parametrize("build", [ExteriorHopf, exterior_hopf, duality_pairing])
+def test_a_negative_dimension_is_named(build):
+    for field in (Q, F5):
+        with pytest.raises(ValidationError, match=r"dim V = n >= 0, got n = -1$"):
+            build(-1, field)
+    assert build(0, Q).n == 0  # Lambda(0) = k
+
+
 def test_pairing_n1_is_evaluation():
     p = duality_pairing(1, Q)
     assert p.matrix == Matrix.identity(Q, 2)

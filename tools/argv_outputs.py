@@ -55,6 +55,17 @@ CASES = [
     # the Galois map out of A (x)_B A, bijective and not
     ["galois", "f3z3-cleft.json", "--json"],
     ["galois", "kx2-graded.json", "--json"],
+    # on each side of the plain argv that main reads without argparse: an
+    # option first (plain), then a repeated option, the --opt=value form, a
+    # negative value and the end of options (each read by argparse)
+    ["--json", "check", "kz2.json"],
+    ["check", "kz2.json", "--json", "--json"],
+    ["find-section", "f3z3-cleft.json", "--seed=3", "--json"],
+    ["find-section", "f3z3-cleft.json", "--seed", "-1", "--json"],
+    ["check", "--", "kz2.json"],
+    # input errors of pairing: a modulus that is not prime, a negative n
+    ["pairing", "--n", "2", "--prime", "4", "--json"],
+    ["pairing", "--n", "-1", "--json"],
 ]
 
 
