@@ -1,15 +1,16 @@
 """Finite-group-graded algebras and the recognition of group crossed products.
 
 A grading assigns a group element to every basis vector; components A_g are
-spanned by the basis vectors of degree g.  Strong grading is detected via the
-Morita-context product maps A_g (x)_B A_{g^-1} -> B.  A group crossed product
-B x|_sigma Gamma is recognized by finding a unit u_g of A inside each
-component A_g; the units are a section k[Gamma] -> A of the grading read as
-a k[Gamma]-coaction, and the crossed system, the product and the isomorphism
-are those of the Hopf crossed product B #_sigma k[Gamma] in comodule.py.
+spanned by the basis vectors of degree g.  Strong grading, A_g A_h = A_{gh}
+for every pair, is decided by the rank of the products of basis vectors of
+A_g and A_h, pair by pair.  A group crossed product B x|_sigma Gamma is
+recognized by finding a unit u_g of A inside each component A_g; the units
+are a section k[Gamma] -> A of the grading read as a k[Gamma]-coaction, and
+the crossed system, the product and the isomorphism are those of the Hopf
+crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
-from .algebra import convolution_invert, relative_tensor
+from .algebra import convolution_invert
 from .errors import (InvalidComoduleAlgebraError, NotConvolutionInvertibleError,
                      NotCrossedProductError, ValidationError)
 from .linalg import Matrix, basis_vec, row_space_basis
@@ -110,52 +111,6 @@ def is_strongly_graded(ga):
             table[(grp.elements[g], grp.elements[h])] = surj
             ok = ok and surj
     return ok, table
-
-
-class MoritaReport:
-    """The two product maps out of A_g (x)_B A_{g^-1} and their ranks."""
-
-    def __init__(self, g, mu_fwd, mu_bwd, fwd_surjective, bwd_surjective,
-                 fwd_bijective, bwd_bijective):
-        self.g = g
-        self.mu_fwd = mu_fwd
-        self.mu_bwd = mu_bwd
-        self.fwd_surjective = fwd_surjective
-        self.bwd_surjective = bwd_surjective
-        self.fwd_bijective = fwd_bijective
-        self.bwd_bijective = bwd_bijective
-
-
-def relative_tensor_over_neutral(ga, g, h):
-    """A_g (x)_B A_h for B = A_e, with the product map mu into A_gh:
-    (quotient, mu), mu in A_gh component coordinates.  ga must be a grading
-    (check_grading passes)."""
-    a = ga.algebra
-    grp = ga.group
-    at = {k: u for u, k in enumerate(ga.component_indices(grp.mul(g, h)))}
-    neutral = [basis_vec(a.field, a.dim, i) for i in ga.component_indices(grp.identity)]
-    quot, cols = relative_tensor(a, neutral, ga.component_indices(g), ga.component_indices(h),
-                                 lambda x, y: {at[k]: c for k, c in a.mult_basis(x, y).items()})
-    return quot, Matrix.from_sparse_cols(a.field, len(at), cols)
-
-
-def morita_context(ga, g):
-    """The product maps A_g (x)_B A_{g^-1} -> B and A_{g^-1} (x)_B A_g -> B
-    for B = A_e; ga must be a grading (check_grading passes)."""
-    grp = ga.group
-    ginv = grp.inv[g]
-    e = grp.identity
-    _, mu_f = relative_tensor_over_neutral(ga, g, ginv)
-    _, mu_b = relative_tensor_over_neutral(ga, ginv, g)
-    db = ga.component_dim(e)
-    fwd_surj = mu_f.rank() == db
-    bwd_surj = mu_b.rank() == db
-    fwd_bij = fwd_surj and mu_f.cols == db
-    bwd_bij = bwd_surj and mu_b.cols == db
-    if fwd_surj and bwd_surj and not (fwd_bij and bwd_bij):
-        # Lemma-level consequence: a strict Morita context here is bijective
-        raise ValidationError("strict Morita context with non-bijective product maps")
-    return MoritaReport(grp.elements[g], mu_f, mu_b, fwd_surj, bwd_surj, fwd_bij, bwd_bij)
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,18 @@ import random
 from .linalg import Matrix, connected_components
 
 
+# the ladder's limits: F_p families of at most this many candidates are
+# enumerated, families of at most this many matrices walk the -1/0/1 vectors,
+# and an evaluation grid of at most this many points certifies det == 0
+ENUMERATION_BOUND = 10 ** 6
+LADDER_DIM_CAP = 12
+ZERO_CERT_BOUND = 4096
+
+
 class SearchBudget:
-    def __init__(self, seed=0, draws=1000, enumeration_bound=10 ** 6,
-                 ladder_dim_cap=12, zero_cert_bound=4096):
+    def __init__(self, seed=0, draws=1000):
         self.seed = seed
         self.draws = draws
-        self.enumeration_bound = enumeration_bound
-        self.ladder_dim_cap = ladder_dim_cap
-        self.zero_cert_bound = zero_cert_bound
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -182,7 +186,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
         return tuple(coeffs)
 
     # exhaustive enumeration over small finite families: definitive either way
-    if field.order is not None and field.order ** m <= budget.enumeration_bound:
+    if field.order is not None and field.order ** m <= ENUMERATION_BOUND:
         values = field.elements()
         return SearchOutcome(per_block(lambda sub: _leading_one(values, sub)), True, tried)
 
@@ -192,7 +196,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     if len(parts) == 1:
         basis = [tuple(one if j == i else zero for j in range(m)) for i in range(m)]
         coeffs = first_witness(zip(basis, (mat.data for mat in mats)))
-    if coeffs is None and m <= budget.ladder_dim_cap:
+    if coeffs is None and m <= LADDER_DIM_CAP:
         coeffs = per_block(lambda sub: _leading_one((zero, one, -one), sub))
     if coeffs is not None:
         return SearchOutcome(coeffs, True, tried)
@@ -200,7 +204,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     # certify det == 0 as a polynomial when the evaluation grid is affordable:
     # total degree <= n, so a grid of n+1 points per variable decides, and a
     # grid point where det is nonzero is itself a witness
-    if (n + 1) ** m <= budget.zero_cert_bound:
+    if (n + 1) ** m <= ZERO_CERT_BOUND:
         points = [field.from_int(v) for v in range(n + 1)]
         return SearchOutcome(per_block(lambda sub: _walk(
             points, Matrix.zeros(field, sub[0].rows, sub[0].cols).data, sub)), True, tried)

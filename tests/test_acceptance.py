@@ -49,7 +49,7 @@ from hopfcross.errors import (
     NotAlgebraMapError,
     NotCrossedProductError,
 )
-from hopfcross.graded import GradedAlgebra, morita_context, recognize_group_crossed_product
+from hopfcross.graded import GradedAlgebra, recognize_group_crossed_product
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
 from hopfcross.standard import dual_numbers, ks3, kz2, kz3, matrix2, monoid_bialgebra, sweedler
@@ -60,6 +60,7 @@ from hopfcross.superalg import (
     exterior_hopf,
     super_tensor_product,
 )
+from tests.test_graded import ref_morita_context as morita_context
 
 Q = Rationals()
 F3 = PrimeField(3)

@@ -16,12 +16,21 @@ import hopfcross.cli
 import hopfcross.cohomology
 import hopfcross.comodule
 import hopfcross.graded
-from hopfcross.cli import COMMANDS, main, parse_presentation
-from hopfcross.comodule import ComoduleAlgebra
+from hopfcross.cli import (
+    COMMANDS,
+    _matrix_from_json,
+    encode_comodule_algebra,
+    main,
+    parse_presentation,
+)
+from hopfcross.cohomology import crossed_system_from_cocycle, differential
+from hopfcross.comodule import ComoduleAlgebra, crossed_product
 from hopfcross.errors import ParseError, ValidationError
-from hopfcross.linalg import Matrix
+from hopfcross.linalg import Matrix, PrimeField
 from hopfcross.superalg import SuperPresentation
+from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
+F3 = PrimeField(3)
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
 
 
@@ -329,6 +338,18 @@ def test_strongly_graded_verdicts(capsys):
     assert report["witnesses"]["table"]["g,g"] is False
 
 
+def test_a_wrong_strong_grading_verdict_is_caught(monkeypatch, capsys):
+    # k[x]/(x^2) graded by Z/2 is not strongly graded, and A/A_e is not
+    # k[Z/2]-Galois, so a positive verdict on it must not be reported
+    decide = hopfcross.cli.is_strongly_graded
+    monkeypatch.setattr(hopfcross.cli, "is_strongly_graded", lambda ga: (True, decide(ga)[1]))
+    capsys.readouterr()
+    assert main(["strongly-graded", corpus("kx2-graded.json"), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: strong-grading verdicts disagree\n"
+    assert json.loads(out.out)["error"] == "strong-grading verdicts disagree"
+
+
 def test_find_section_negative_is_definitive(capsys):
     # Phi : B (x) H -> A is bijective at a colinear map with no convolution
     # inverse, which proves that nothing is cleft
@@ -380,6 +401,31 @@ def test_classify_split_lift_chain(capsys):
     code, report = run_json(capsys, ["lift", corpus("lift-obstructed.json")])
     assert code == 1
     assert report["witnesses"]["obstruction_step"] == 1
+
+
+def test_split_finds_the_splitting_of_a_coboundary(tmp_path, capsys):
+    # B #_sigma F3[Z/3] for sigma = d(t), t(g^a) = 0, 1, 1: the class is zero
+    # but the cocycle is not, so the splitting comes from solving for t
+    h, _, aug, act = trivial_setup(F3)
+    s = differential(cochain1(F3, [F3.zero, F3.one, F3.one]), act)
+    assert not s.matrix.is_zero()
+    cp = crossed_product(crossed_system_from_cocycle(act, s))
+    eps = eps_on_crossed_product(aug, h)
+    path = tmp_path / "coboundary.json"
+    path.write_text(json.dumps(encode_comodule_algebra(cp, augmentation=eps)))
+    code, report = run_json(capsys, ["split", str(path)])
+    assert (code, report["verdict"]) == (0, "found")
+    psi = _matrix_from_json(F3, report["certificates"]["splitting"], "splitting")
+    # an augmented comodule-algebra map on the group-like basis g of Z/3:
+    # psi(1) = 1, psi(g) psi(g') = psi(gg'), rho(psi(g)) = psi(g) (x) g and
+    # eps(psi(g)) = 1
+    a, cols = cp.algebra, [psi.col(g) for g in range(3)]
+    assert cols[0] == a.one()
+    for g in range(3):
+        assert cp.rho(cols[g]) == {(k, g): c for k, c in enumerate(cols[g]) if c}
+        assert sum((e * c for e, c in zip(eps, cols[g])), F3.zero) == F3.one
+        for t in range(3):
+            assert a.mult(cols[g], cols[t]) == cols[(g + t) % 3]
 
 
 def test_hh2_reports_dimension_and_class(capsys):
@@ -717,9 +763,9 @@ def count_calls(monkeypatch, owner, name):
     # the antipode laws id * S = eta eps = S * id are checked by
     # convolution_invert alone
     (["antipode", "ks3.json"], hopfcross.algebra, "_convolution_failures", 1),
-    # a strong grading builds the Morita context of each element of Z/2,
-    # with or without --certify
-    (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "morita_context", 2),
+    # a strong grading is re-checked through one Galois map, with or
+    # without --certify; a negative verdict builds none (last row)
+    (["strongly-graded", "m2-z2-graded.json"], hopfcross.comodule, "galois_map", 1),
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1),
     # lift checks psi, psi_0 and the map into each later stage, the last
     # of which is C itself
@@ -727,11 +773,14 @@ def count_calls(monkeypatch, owner, name):
     # recognize-crossed checks its grading through the comodule algebra it
     # builds from it, and reads check_grading only to word a failure
     (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
+    (["strongly-graded", "kx2-graded.json"], hopfcross.comodule, "galois_map", 0),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
-    # the class of f3z3-cleft.json is nonzero, so split reports the obstruction
-    assert main([argv[0], corpus(argv[1])] + argv[2:]) == (1 if argv[0] == "split" else 0)
+    # the class of f3z3-cleft.json is nonzero, so split reports the
+    # obstruction; kx2-graded.json is not strongly graded
+    negative = argv[0] == "split" or argv[:2] == ["strongly-graded", "kx2-graded.json"]
+    assert main([argv[0], corpus(argv[1])] + argv[2:]) == (1 if negative else 0)
     assert len(calls) == expected
 
 
@@ -786,6 +835,13 @@ def test_certify_leaves_the_report_unchanged(argv, capsys):
     (["pairing", "--n", "2", "--prime", "-7"], "p = -7 is not prime"),
     (["pairing", "--n", "-1"], "Lambda(V) needs dim V = n >= 0, got n = -1"),
     (["pairing", "--n", "0"], False),  # Lambda(0) = k
+    # Lambda(n) has dimension 2^n: n above the bound is rejected before it
+    # is built, also over F_p and before a bad modulus is read
+    (["pairing", "--n", "8"], False),
+    (["pairing", "--n", "9"], "pairing takes n <= 8, got n = 9"),
+    (["pairing", "--n", "30"], "pairing takes n <= 8, got n = 30"),
+    (["pairing", "--n", "9", "--prime", "7"], "pairing takes n <= 8, got n = 9"),
+    (["pairing", "--n", "30", "--prime", "4"], "pairing takes n <= 8, got n = 30"),
 ])
 def test_argv_handling(argv, rejected, capsys):
     # rejected: True for a usage error (SystemExit), or the message of the

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import hopfcross.cohomology
 from hopfcross.algebra import FAlgebra, group_hopf_algebra, induced_algebra, ti
 from hopfcross.cli import parse_presentation
 from hopfcross.cohomology import (
@@ -587,6 +588,35 @@ def test_lift_over_rationals():
     res = lift_comodule_algebra_map(cp, regular_comodule(h), varpi,
                                     Matrix.identity(Q, 2))
     assert res.lifted
+
+
+def test_lift_pulls_back_where_psi_does_not_span_the_lower_stage(monkeypatch):
+    # C = F3[x]/(x^3) (x) F3[Z/3] onto D = H: J = x C has J^2 != 0, so the
+    # stages are C/J, C/J^2 and C.  At the last step psi's image spans 3 of
+    # the 6 dimensions of C/J^2, and the pull-back is a proper subalgebra
+    h = group_hopf_algebra(GroupTable.cyclic(3), F3)
+    o = F3.one
+    b = FAlgebra(F3, ("1", "x", "x2"),
+                 {(i, j): {i + j: o} for i in range(3) for j in range(3) if i + j < 3},
+                 basis_vec(F3, 3, 0))
+    aug = AugmentedAlgebra(b, basis_vec(F3, 3, 0))
+    meas = Matrix.from_cols(F3, [tuple(h.counit[g] * c for c in basis_vec(F3, 3, i))
+                                 for g in range(3) for i in range(3)])
+    cp = crossed_product(CrossedSystem(h, b, meas, trivial_sigma(h, b), trivial_sigma(h, b)))
+    varpi = counit_times_identity(aug, h)
+    pulled = []
+
+    def recorded(ca, span_vectors):
+        out = sub_comodule_algebra(ca, span_vectors)
+        pulled.append((ca.algebra.dim, out[0].algebra.dim))
+        return out
+
+    monkeypatch.setattr(hopfcross.cohomology, "sub_comodule_algebra", recorded)
+    psi = Matrix.identity(F3, 3)
+    res = lift_comodule_algebra_map(cp, regular_comodule(h), varpi, psi)
+    assert res.lifted and varpi * res.lift == psi
+    # the pull-back inside C/J^2 is all of it; inside C it is proper
+    assert pulled == [(6, 6), (9, 6)]
 
 
 # ---------------------------------------------------------------------------

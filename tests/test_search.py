@@ -12,6 +12,7 @@ import random
 import pytest
 
 from hopfcross.linalg import Matrix, PrimeField, Rationals
+from hopfcross import search
 from hopfcross.search import SearchBudget, _blocks, find_invertible_combination
 
 Q = Rationals()
@@ -35,15 +36,15 @@ def oracle(field, mats, budget):
     def nonzero(values):
         return (c for c in itertools.product(values, repeat=m) if any(c))
 
-    if field.order is not None and field.order ** m <= budget.enumeration_bound:
+    if field.order is not None and field.order ** m <= search.ENUMERATION_BOUND:
         return first(nonzero(field.elements())), True
     ladder = [tuple(field.one if j == i else field.zero for j in range(m)) for i in range(m)]
-    if m <= budget.ladder_dim_cap:
+    if m <= search.LADDER_DIM_CAP:
         ladder = itertools.chain(ladder, nonzero((field.zero, field.one, -field.one)))
     found = first(ladder)
     if found is not None:
         return found, True
-    if (n + 1) ** m <= budget.zero_cert_bound:
+    if (n + 1) ** m <= search.ZERO_CERT_BOUND:
         points = [field.from_int(v) for v in range(n + 1)]
         return first(itertools.product(points, repeat=m)), True
     rng = random.Random(budget.seed)
@@ -104,12 +105,12 @@ def test_first_witness_matches_the_oracle(fname, m, kind):
 
 @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "all-singular"])
 @pytest.mark.parametrize("m", [2, 4, 6])
-def test_first_witness_on_the_f5_ladder_matches_the_oracle(m, kind):
+def test_first_witness_on_the_f5_ladder_matches_the_oracle(m, kind, monkeypatch):
     # an enumeration bound of 1 sends F5 up the ladder, as Q goes
+    monkeypatch.setattr(search, "ENUMERATION_BOUND", 1)
     field = FIELDS["F5"]
     rng = random.Random("F5-ladder-%d-%s" % (m, kind))
-    check_against_oracle(field, family(field, kind, m, rng),
-                         SearchBudget(draws=40, enumeration_bound=1))
+    check_against_oracle(field, family(field, kind, m, rng), SMALL)
 
 
 def matrix(field, rows):
@@ -143,9 +144,9 @@ def count_dets(monkeypatch):
 @pytest.mark.parametrize("fname", ["Q", "F5"])
 def test_the_grid_finds_what_the_ladder_misses(fname, monkeypatch):
     field = FIELDS[fname]
-    budget = SearchBudget(enumeration_bound=1)
+    monkeypatch.setattr(search, "ENUMERATION_BOUND", 1)
     dets = count_dets(monkeypatch)
-    outcome = check_against_oracle(field, hidden_from_the_ladder(field, 2), budget, dets)
+    outcome = check_against_oracle(field, hidden_from_the_ladder(field, 2), SearchBudget(), dets)
     assert outcome.coeffs == (field.one, field.from_int(2)) and outcome.definitive
     # 2 basis vectors, the 4 of 8 nonzero -1/0/1 vectors that lead with 1,
     # and the grid points (0,0)..(0,4), (1,0), (1,1), (1,2)
@@ -218,18 +219,19 @@ SPLIT_CASES = [(fname, None) for fname in sorted(FIELDS)] + [("F5", 1)]
 
 
 @pytest.mark.parametrize("fname,enumeration_bound", SPLIT_CASES)
-def test_split_families_keep_the_first_witness(fname, enumeration_bound):
+def test_split_families_keep_the_first_witness(fname, enumeration_bound, monkeypatch):
     # where the whole-family oracle decides, the split search gives its
     # answer; elsewhere (the draws) a witness it gives must be one
     field = FIELDS[fname]
-    budget = SearchBudget(draws=40, zero_cert_bound=1000,
-                          enumeration_bound=enumeration_bound or 10 ** 6)
+    monkeypatch.setattr(search, "ZERO_CERT_BOUND", 1000)
+    if enumeration_bound is not None:
+        monkeypatch.setattr(search, "ENUMERATION_BOUND", enumeration_bound)
     rng = random.Random("split-%s-%s" % (fname, enumeration_bound))
     compared = 0
     for _ in range(40):
         mats = block_family(field, rng)
-        outcome = find_invertible_combination(field, mats, budget)
-        coeffs, definitive = oracle(field, mats, budget)
+        outcome = find_invertible_combination(field, mats, SMALL)
+        coeffs, definitive = oracle(field, mats, SMALL)
         if definitive:
             assert (outcome.coeffs, outcome.definitive) == (coeffs, definitive)
             compared += 1

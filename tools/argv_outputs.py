@@ -43,7 +43,7 @@ CASES = [
     # the exterior construction on bitmasks, over F_p and inside a decomposition
     ["pairing", "--n", "4", "--prime", "7", "--json"],
     ["super-decompose", "lambda3.json", "--json"],
-    # the Morita contexts of a strong grading, built without --certify
+    # a strong grading, re-checked through the Galois map without --certify
     ["strongly-graded", "m2-z2-graded.json", "--json"],
     # a bialgebra whose identity has no convolution inverse
     ["antipode", "monoid2.json", "--json"],
@@ -66,6 +66,10 @@ CASES = [
     # input errors of pairing: a modulus that is not prime, a negative n
     ["pairing", "--n", "2", "--prime", "4", "--json"],
     ["pairing", "--n", "-1", "--json"],
+    # a grading that is not strong, which gets no Galois check
+    ["strongly-graded", "kx2-graded.json", "--json"],
+    # the first n above the bound of pairing, rejected before Lambda(n) is built
+    ["pairing", "--n", "9", "--json"],
 ]
 
 
