@@ -16,7 +16,6 @@ the laws its caller names (bijective, a unital algebra map, colinear,
 counital) with one implementation of each and raises at the first witness.
 """
 
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice, repeat
 from math import lcm
@@ -367,7 +366,7 @@ def relative_tensor(a, b_vectors, left, right, image):
 # law below is a generator of witnesses (name, indices) computed from the
 # sparse structure constants, so a check stops as soon as it has enough.
 #
-# The laws contract on native ints, never on Fraction or FpElement: each one
+# The laws contract on native ints, never on Rational or FpElement: each one
 # reads the constants lowered (`_lowering`), over F_p to their residues and
 # over Q to D * c, with D the lcm of the denominators of the structures and
 # maps the law reads.  Each structure keeps, beside its constants, the lcm of
@@ -1004,7 +1003,7 @@ def convolution_invert(c, a, f):
     unit, counit = _lowered(_nonzero(a.unit), lower), _lowered(_nonzero(c.counit), lower)
     lift = fld.from_int
     p = fld.characteristic
-    native = (lambda v: v % p) if p else Fraction
+    native = (lambda v: v % p) if p else lift
     g_cols = [None] * c.dim
     for component in _coalgebra_components(c):
         at = {k: t * da for t, k in enumerate(component)}

@@ -11,7 +11,6 @@ across runs with identical inputs and flags.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import (
     ComoduleCoalgebraData,
@@ -104,10 +103,9 @@ def _prime_field(p):
 def _scal_json(field, c):
     if field.characteristic:
         return [c.value]
-    fr = Fraction(c)
-    if fr.denominator == 1:
-        return [fr.numerator]
-    return [fr.numerator, fr.denominator]
+    if c.denominator == 1:
+        return [c.numerator]
+    return [c.numerator, c.denominator]
 
 
 def _scal_parse(field, parts, where):

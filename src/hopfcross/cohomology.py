@@ -8,7 +8,6 @@ with the usual row-major flattening of tensor indices.
 """
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
@@ -248,7 +247,7 @@ def _differential_rows(act, degree):
                 add(row * dp + p, col * dp + p, e if degree % 2 else -e)
     if f.characteristic:
         return [clean(entries) for entries in out]
-    return [{col: Fraction(c, d) for col, c in clean(entries).items()} for entries in out]
+    return [{col: f.from_fraction(c, d) for col, c in clean(entries).items()} for entries in out]
 
 
 def differential(cochain, act):

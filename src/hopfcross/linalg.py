@@ -1,13 +1,14 @@
 """Exact scalar fields and the linear-algebra kernel.
 
-Scalars are `fractions.Fraction` over the rationals and `FpElement` over a
-prime field.  Both support the arithmetic operators, so the `Matrix` code
-below is field-agnostic.  Everything is exact; there is no floating point
-anywhere.
+Scalars are `Rational` over the rationals and `FpElement` over a prime
+field.  Both support the arithmetic operators, so the `Matrix` code below is
+field-agnostic.  Everything is exact; there is no floating point anywhere.
+`Rational` is a `fractions.Fraction` that does its own arithmetic when both
+operands are `Rational`, and `Rationals` makes every Q scalar as one.
 
 Vectors come in and go out as tuples of field scalars.  The kernels work on
 dicts {index: nonzero native scalar}, ints mod p over F_p (inverses by
-`pow(a, p - 2, p)`) and `Fraction` over Q, and touch only the nonzeros.  A
+`pow(a, p - 2, p)`) and `Rational` over Q, and touch only the nonzeros.  A
 `Matrix` keeps the form it is built in: dense rows of field scalars
 (`Matrix(field, data)`) or sparse native rows (`Matrix.from_sparse_rows`).
 Every elimination (`rref`, `det`, hence `rank`, `kernel_basis`, `inverse`,
@@ -29,6 +30,7 @@ canonical and reproducible.
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import ShapeMismatchError, SingularMatrixError
 
@@ -87,21 +89,132 @@ class FpElement:
         return "%d" % self.value
 
 
+def _rational(n, d):
+    """The Rational n/d, for coprime ints n and d > 0."""
+    r = object.__new__(Rational)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _lift(x):
+    """A Fraction result as a Rational; anything else (a float, NotImplemented)
+    as it is."""
+    return _rational(x._numerator, x._denominator) if type(x) is Fraction else x
+
+
+class Rational(Fraction):
+    """A Fraction whose +, -, * and / with another Rational skip Fraction's
+    generic operator dispatch and its constructor: they run CPython's own
+    normalizing algorithms on the two slots.  With any other operand they
+    take Fraction's method and lift a Fraction result back.  Equality, hash
+    and str are Fraction's."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is not Rational:
+            return _lift(Fraction.__add__(a, b))
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _rational(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _rational(t, s * db)
+        return _rational(t // g2, s * (db // g2))
+
+    def __sub__(a, b):
+        if type(b) is not Rational:
+            return _lift(Fraction.__sub__(a, b))
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _rational(na * db - da * nb, da * db)
+        s = da // g
+        t = na * (db // g) - nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _rational(t, s * db)
+        return _rational(t // g2, s * (db // g2))
+
+    def __mul__(a, b):
+        if type(b) is not Rational:
+            return _lift(Fraction.__mul__(a, b))
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _rational(na * nb, db * da)
+
+    def __truediv__(a, b):
+        if type(b) is not Rational:
+            return _lift(Fraction.__truediv__(a, b))
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        if nb == 0:
+            raise ZeroDivisionError("Fraction(%s, 0)" % (na * db))
+        g1 = gcd(na, nb)
+        if g1 > 1:
+            na //= g1
+            nb //= g1
+        g2 = gcd(db, da)
+        if g2 > 1:
+            da //= g2
+            db //= g2
+        n, d = na * db, nb * da
+        return _rational(-n, -d) if d < 0 else _rational(n, d)
+
+    def __radd__(b, a):
+        return _lift(Fraction.__radd__(b, a))
+
+    def __rsub__(b, a):
+        return _lift(Fraction.__rsub__(b, a))
+
+    def __rmul__(b, a):
+        return _lift(Fraction.__rmul__(b, a))
+
+    def __rtruediv__(b, a):
+        return _lift(Fraction.__rtruediv__(b, a))
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+    def __bool__(a):
+        return a._numerator != 0
+
+
 class Rationals:
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = _rational(0, 1)
+        self.one = _rational(1, 1)
 
     def from_int(self, n):
-        return Fraction(n)
+        return _rational(n, 1)
 
     def from_fraction(self, num, den=1):
-        return Fraction(num, den)
+        """num/den for ints num and den, normalized with one gcd."""
+        if den == 0:
+            raise ZeroDivisionError("Fraction(%s, 0)" % num)
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return _rational(num // g, den // g)
 
     def random(self, rng):
-        return Fraction(rng.randint(-9, 9))
+        return _rational(rng.randint(-9, 9), 1)
 
     def elements(self):
         raise ValueError("the rationals are not enumerable")
@@ -452,9 +565,9 @@ class Matrix:
 
 # ---------------------------------------------------------------------------
 # sparse rows of native scalars: {column: nonzero}, ints mod p over F_p
-# (p = the characteristic) and Fractions over Q (p = 0)
+# (p = the characteristic) and Rationals over Q (p = 0)
 
-_QZERO = Fraction(0)
+_QZERO = _rational(0, 1)
 
 
 def _native(vec, field):
@@ -504,7 +617,7 @@ def _subtract(row, c, pivot_row, p):
                 del row[j]
         return
     for j, a in pivot_row.items():
-        v = get(j, _QZERO) - c * a  # int - Fraction would take the slow reflected path
+        v = get(j, _QZERO) - c * a  # int - Rational would take the slow reflected path
         if v:
             row[j] = v
         else:

@@ -11,6 +11,7 @@ count, taken with popcounts.
 """
 
 import itertools
+from functools import cached_property
 
 from .algebra import (
     FHopf,
@@ -112,6 +113,13 @@ class SuperPresentation:
         return self.hopf.dim
 
     def is_super_commutative(self):
+        """Whether xy = (-1)^{|x||y|} yx on every pair of basis elements,
+        decided on the first call and kept on the presentation, so a
+        decomposition and its even quotient share one test."""
+        return self._super_commutative
+
+    @cached_property
+    def _super_commutative(self):
         h = self.hopf
         f = h.field
         for i in range(h.dim):

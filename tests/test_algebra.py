@@ -48,6 +48,7 @@ from hopfcross.linalg import (
     Matrix,
     PrimeField,
     QuotientSpace,
+    Rational,
     Rationals,
     basis_vec,
     vadd,
@@ -1758,7 +1759,7 @@ def drawn_algebra(field, rng, dim, density):
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_mult_matches_the_dense_oracle(field):
     rng = random.Random(31 * (field.characteristic or 1) + 2)
-    scalar = Fraction if field.characteristic == 0 else FpElement
+    scalar = Rational if field.characteristic == 0 else FpElement
     algebras = [FAlgebra(field, (), {}, ()),
                 group_hopf_algebra(GroupTable.symmetric(3), field).as_algebra()]
     algebras += [drawn_algebra(field, rng, dim, density)

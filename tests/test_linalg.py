@@ -1,5 +1,7 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hopfcross.linalg import (
     Matrix,
     PrimeField,
     QuotientSpace,
+    Rational,
     Rationals,
     column_coordinates,
     in_span,
@@ -339,7 +342,7 @@ def oracle_matrices(field, rng):
 
 
 def scalar_type(field):
-    return Fraction if field.characteristic == 0 else FpElement
+    return Rational if field.characteristic == 0 else FpElement
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -480,10 +483,10 @@ class RefQuotientSpace:
 
 
 def draw(field, rng):
-    """A seeded scalar; over Q a fraction with denominator up to 6."""
+    """A seeded field scalar; over Q a fraction with denominator up to 6."""
     if field.characteristic:
         return field.random(rng)
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return field.from_fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
 def drawn_matrix(field, rng, r, c, density=1.0):
@@ -605,7 +608,7 @@ def test_coordinate_queries_eliminate_once_and_never_apply(monkeypatch):
 
 def sparse_twin(m):
     """m rebuilt by Matrix.from_sparse_rows, from its nonzeros as native
-    scalars: ints mod p over F_p, Fractions over Q."""
+    scalars: ints mod p over F_p, Rationals over Q."""
     p = m.field.characteristic
     rows = [{j: a.value if p else a for j, a in enumerate(r) if a} for r in m.data]
     return Matrix.from_sparse_rows(m.field, rows, m.cols)
@@ -680,3 +683,68 @@ def test_eliminations_return_their_forms_built_sparse():
     s.det()
     s.rref()
     assert rows == (({0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}, {2: 3}))
+
+
+# ---------------------------------------------------------------------------
+# Rational against Fraction: it reads and writes Fraction's private slots, so
+# every operator is checked for the value, the type and the normal form
+
+BIG = 2 ** 80
+numerators = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-BIG, BIG))
+denominators = st.one_of(st.integers(1, 12), st.integers(1, BIG))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two operands, at least one a Rational, the other a Rational, a base
+    Fraction or an int; their denominators are often equal or coprime."""
+    d1 = draw(denominators)
+    d2 = draw(st.one_of(st.just(d1), st.just(d1 + 1), denominators))
+    x, y = (Fraction(draw(numerators), d) for d in (d1, d2))
+    kinds = draw(st.sampled_from([("Q", "Q"), ("Q", "F"), ("F", "Q"), ("Q", "int"),
+                                  ("int", "Q")]))
+
+    def make(kind, v):
+        if kind == "Q":
+            return Q.from_fraction(v.numerator, v.denominator)
+        return v if kind == "F" else v.numerator
+
+    return make(kinds[0], x), make(kinds[1], y)
+
+
+def assert_normal_rational(r, expected):
+    assert type(r) is Rational and type(expected) is Fraction
+    assert r == expected and expected == r
+    assert hash(r) == hash(expected) and str(r) == str(expected)
+    n, d = r.numerator, r.denominator
+    assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+    assert bool(r) == bool(expected)
+
+
+def as_fraction(x):
+    return Fraction(x.numerator, x.denominator)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs())
+def test_rational_operators_match_fraction(pair):
+    x, y = pair
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and y == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+        else:
+            assert_normal_rational(op(x, y), op(as_fraction(x), as_fraction(y)))
+    q = x if type(x) is Rational else y
+    assert_normal_rational(-q, -as_fraction(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerators, st.one_of(denominators, denominators.map(operator.neg)))
+def test_rationals_make_normal_rationals(n, d):
+    assert_normal_rational(Q.from_fraction(n, d), Fraction(n, d))
+    assert_normal_rational(Q.from_int(n), Fraction(n))
+    with pytest.raises(ZeroDivisionError):
+        Q.from_fraction(n, 0)
+    for c in (Q.zero, Q.one, Q.random(random.Random(n))):
+        assert type(c) is Rational

@@ -61,3 +61,17 @@ def test_every_private_definition_is_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg.py"])
+def test_q_scalars_are_made_by_the_field(name):
+    """Outside linalg, a Q scalar comes from `Rationals` (a `Rational`), never
+    from a `Fraction(...)` call, which would leave the fast arithmetic."""
+    calls = [
+        node.lineno
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Fraction"
+             or getattr(node.func, "attr", None) == "Fraction")
+    ]
+    assert calls == []

@@ -3,6 +3,7 @@ even quotients, odd cotangents/primitives, and the tensor decomposition."""
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
@@ -409,6 +410,36 @@ def test_even_quotient_rejects_non_supercommutative():
     sp.parity = (0, 1)
     with pytest.raises(NotSuperCommutativeError):
         even_quotient(sp)
+
+
+def test_decompose_rejects_non_supercommutative_before_the_axioms():
+    # k[Z/2] with g odd is not super-commutative (g g = 1 != -g g), and it
+    # also breaks the parity laws (Delta g = g (x) g is even); the
+    # super-commutativity test answers first
+    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
+    sp = SuperPresentation(h, (0, 1))
+    assert sp.check_super_axioms()
+    with pytest.raises(NotSuperCommutativeError):
+        decompose(sp)
+
+
+def test_a_decomposition_tests_super_commutativity_once(monkeypatch):
+    tested = []
+    test = SuperPresentation._super_commutative.func
+
+    def counted(sp):
+        tested.append(sp)
+        return test(sp)
+
+    kept = cached_property(counted)
+    kept.__set_name__(SuperPresentation, "_super_commutative")
+    monkeypatch.setattr(SuperPresentation, "_super_commutative", kept)
+    a = super_tensor_product(exterior_hopf(2, Q).presentation,
+                             even_presentation(group_hopf_algebra(GroupTable.cyclic(2), Q)))
+    decompose(a)
+    assert tested == [a]
+    even_quotient(a)  # the answer is kept on the presentation
+    assert tested == [a]
 
 
 def test_odd_cotangent_of_exterior_is_generators():

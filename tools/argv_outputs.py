@@ -70,6 +70,8 @@ CASES = [
     ["strongly-graded", "kx2-graded.json", "--json"],
     # the first n above the bound of pairing, rejected before Lambda(n) is built
     ["pairing", "--n", "9", "--json"],
+    # a decomposition whose certificates hold rationals with a denominator
+    ["super-decompose", "super-scrambled.json", "--json"],
 ]
 
 
