@@ -37,7 +37,6 @@ from .comodule import (
     ComoduleAlgebra,
     CrossedSystem,
     check_crossed_system,
-    coinvariants,
     crossed_product,
     find_section,
     galois_map,
@@ -59,7 +58,6 @@ from .graded import (
     GradedAlgebra,
     check_grading,
     is_strongly_graded,
-    neutral_coinvariants,
     recognize_group_crossed_product,
 )
 from .groups import GroupTable
@@ -655,7 +653,7 @@ def _load_comodule_algebra(args):
 
 def cmd_coinvariants(args):
     ca = _load_comodule_algebra(args)
-    coinv = coinvariants(ca)
+    coinv = ca.coinvariants
     return _emit(Report("coinvariants", "pass", 0, witnesses={
         "dimension": coinv.subalgebra.dim,
     }, certificates={
@@ -675,11 +673,11 @@ def cmd_galois(args):
 
 def cmd_strongly_graded(args):
     ga = _load(args).payload
+    ca = graded_bridge(ga)  # checks the grading
     ok, table = is_strongly_graded(ga)
     if ok:
         # A is strongly graded exactly when A/A_e is k[G]-Galois (Ulbrich)
-        ca = graded_bridge(ga)
-        if not galois_map(ca, neutral_coinvariants(ga, ca)).bijective:
+        if not galois_map(ca).bijective:
             raise ValidationError("strong-grading verdicts disagree")
     witness_table = {"%s,%s" % k: v for k, v in sorted(table.items())}
     return _emit(Report("strongly-graded", "pass" if ok else "fail",
@@ -740,8 +738,7 @@ def cmd_recognize_cleft(args):
         return _emit(Report("recognize-cleft", "not-found", 1,
                             definitive=e.definitive,
                             witnesses={"galois_bijective": galois.bijective}), args)
-    # the section carries B, so the Galois map does not compute it again
-    if not galois_map(ca, sec.coinvariants).bijective:
+    if not galois_map(ca).bijective:
         raise ValidationError("cleftness verdicts disagree")
     system, iso = section_to_crossed_system(sec)
     return _emit(Report("recognize-cleft", "found", 0, witnesses={

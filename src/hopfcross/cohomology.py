@@ -364,11 +364,10 @@ def hh2(hopf, act):
 # cocycles <-> crossed systems over a square-zero augmentation ideal
 
 
-def crossed_system_from_cocycle(act, s, aug=None):
+def crossed_system_from_cocycle(act, s):
     """Build (measuring, sigma) from an H-action on B+ and a normalized
     2-cocycle s; sigma^{-1}(g, h) = eps(g)eps(h)1 - s(g, h)."""
-    if aug is None:
-        aug = act.aug
+    aug = act.aug
     if not aug.square_zero:
         raise NotSquareZeroError("the augmentation ideal does not square to zero")
     violations = act.validate()
@@ -442,7 +441,7 @@ def reaugment_section(ext, sec):
     new_inv = convolution_invert(h, a, new_phi)
     require_morphism(new_phi, "re-augmented section fails the augmentation identity",
                      counit=(h.counit, ext.augmentation))
-    return Section(new_phi, new_inv, ca, sec.coinvariants)
+    return Section(new_phi, new_inv, ca)
 
 
 class Classification:
@@ -469,7 +468,7 @@ def classify_cleft_extension(ext):
     f = ca.field
     sec = ext.section if ext.section is not None else find_section(ca)
     # section_to_crossed_system builds the crossed system over this same B
-    coinv = sec.coinvariants
+    coinv = ca.coinvariants
     b = coinv.subalgebra
     baug = AugmentedAlgebra(b, tuple(ext.eps(coinv.embed(basis_vec(f, b.dim, t)))
                                      for t in range(b.dim)))

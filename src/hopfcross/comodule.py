@@ -5,6 +5,7 @@ Coactions are matrices A -> A (x) H against the flat basis index
 ti(a, h, dim H) (a-index major).
 """
 
+from functools import cached_property
 from itertools import chain, islice
 
 from .algebra import (
@@ -36,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .graded import GradedAlgebra
+from .graded import GradedAlgebra, check_grading
 from .linalg import (
     Matrix,
     _native,
@@ -55,7 +56,8 @@ from .search import DEFAULT_BUDGET, find_invertible_combination
 class ComoduleAlgebra(_RightComodule):
     """An algebra A with a right coaction rho : A -> A (x) H that is
     coassociative, counital and an algebra map; the constructor raises
-    InvalidComoduleAlgebraError otherwise, so every instance is valid."""
+    InvalidComoduleAlgebraError otherwise, so every instance is valid.
+    Its coinvariants B = A^{co H} are computed once, when first read."""
 
     def __init__(self, algebra, hopf, coaction):
         if algebra.field != hopf.field:
@@ -72,6 +74,10 @@ class ComoduleAlgebra(_RightComodule):
     @property
     def field(self):
         return self.algebra.field
+
+    @cached_property
+    def coinvariants(self):
+        return coinvariants(self)
 
     def rho(self, vec):
         out = {}
@@ -134,13 +140,18 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
 
 
 class Coinvariants:
-    """The subalgebra B = {a : rho(a) = a (x) 1} with its inclusion into A."""
+    """The subalgebra B = {a : rho(a) = a (x) 1} with its inclusion into A,
+    on a basis of B in A: the canonical kernel basis of coinvariants, or
+    one read off a grading."""
 
-    def __init__(self, parent, subalgebra, inclusion):
-        self.parent = parent
-        self.subalgebra = subalgebra
-        self.inclusion = inclusion
-        self._coords = column_coordinates(inclusion)
+    def __init__(self, algebra, basis):
+        f = algebra.field
+        self.inclusion = (Matrix.from_cols(f, basis) if basis
+                          else Matrix.zeros(f, algebra.dim, 0))
+        self._coords = column_coordinates(self.inclusion)
+        labels = tuple("b%d" % t for t in range(len(basis)))
+        # coords raises unless B is closed under the product and holds 1
+        self.subalgebra = induced_algebra(algebra, basis, self.coords, labels)
 
     @property
     def dim(self):
@@ -157,21 +168,10 @@ class Coinvariants:
 
 
 def coinvariants(ca):
+    """B = A^{co H} on the canonical kernel basis of a |-> rho(a) - a (x) 1;
+    read it as ca.coinvariants, which computes it once."""
     a, h = ca.algebra, ca.hopf
-    return coinvariants_on(ca, coaction_kernel(ca.rho_basis, a.dim, h, h.unit))
-
-
-def coinvariants_on(ca, basis):
-    """The coinvariants of ca on a basis of B already known, in its order:
-    the canonical kernel basis of coinvariants, or one read off a grading."""
-    a = ca.algebra
-    f = ca.field
-    inc = Matrix.from_cols(f, basis) if basis else Matrix.zeros(f, a.dim, 0)
-    labels = tuple("b%d" % t for t in range(len(basis)))
-    coinv = Coinvariants(ca, None, inc)
-    # coinv.coords raises unless B is closed under the product and holds 1
-    coinv.subalgebra = induced_algebra(a, basis, coinv.coords, labels)
-    return coinv
+    return Coinvariants(a, coaction_kernel(ca.rho_basis, a.dim, h, h.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +186,10 @@ class GaloisReport:
         self.bijective = bijective
 
 
-def galois_map(ca, coinv=None):
-    """The Galois map beta : A (x)_B A -> A (x) H, a (x) a' |-> a rho(a'), for
-    B = coinv, the coinvariants of ca, computed here when not given."""
-    if coinv is None:
-        coinv = coinvariants(ca)
+def galois_map(ca):
+    """The Galois map beta : A (x)_B A -> A (x) H, a (x) a' |-> a rho(a'),
+    for B = A^{co H}."""
+    coinv = ca.coinvariants
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim
@@ -223,12 +222,24 @@ def graded_bridge(x):
 
 
 def _graded_to_comodule(ga):
+    """A as a k[G]-comodule algebra, e_i |-> e_i (x) g_i.  That coaction is
+    a comodule algebra exactly when 1 is in A_e and A_g A_h lies in A_gh, so
+    its laws check the grading, and a failure is worded as check_grading
+    words it.  B = A_e is read off the grading, with no elimination: the
+    coaction fixes exactly the basis vectors of degree e, and these, in
+    index order, are the canonical kernel basis coinvariants would find."""
     a = ga.algebra
     f = a.field
     hopf = group_hopf_algebra(ga.group, f)
     dh = hopf.dim
     cols = [{ti(i, ga.degree[i], dh): f.one} for i in range(a.dim)]
-    return ComoduleAlgebra(a, hopf, Matrix.from_sparse_cols(f, a.dim * dh, cols))
+    try:
+        ca = ComoduleAlgebra(a, hopf, Matrix.from_sparse_cols(f, a.dim * dh, cols))
+    except InvalidComoduleAlgebraError:
+        raise ValidationError("input is not a graded algebra: %r" % (check_grading(ga),)) from None
+    ca.coinvariants = Coinvariants(a, [basis_vec(f, a.dim, i)
+                                       for i in ga.component_indices(ga.group.identity)])
+    return ca
 
 
 def _comodule_to_graded(ca):
@@ -449,7 +460,7 @@ def crossed_product(s):
             for i in range(db) for g in range(dh)]
     ca = ComoduleAlgebra(algebra, h, Matrix.from_sparse_cols(f, dim * dh, cols))
     # the coinvariants must be exactly B (x) k1
-    coinv = coinvariants(ca)
+    coinv = ca.coinvariants
     if coinv.dim != db:
         raise ValidationError("crossed product coinvariants have wrong dimension")
     span = row_space_basis(f, [vtensor(basis_vec(f, db, i), h.unit) for i in range(db)], dim)
@@ -465,20 +476,12 @@ def crossed_product(s):
 
 class Section:
     """A convolution-invertible colinear map phi : H -> A with phi(1) = 1 on
-    the comodule algebra ca, with the coinvariants B of A: the ones it was
-    built from, or else computed when first read."""
+    the comodule algebra ca."""
 
-    def __init__(self, phi, phi_inv, ca, coinv=None):
+    def __init__(self, phi, phi_inv, ca):
         self.phi = phi
         self.phi_inv = phi_inv
         self.comodule_algebra = ca
-        self._coinvariants = coinv
-
-    @property
-    def coinvariants(self):
-        if self._coinvariants is None:
-            self._coinvariants = coinvariants(self.comodule_algebra)
-        return self._coinvariants
 
 
 def colinear_map_space(ca):
@@ -531,7 +534,7 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     if not space:
         raise NoSectionFoundError("no nonzero colinear maps exist", definitive=True)
     absent = "no convolution-invertible colinear map"
-    coinv = coinvariants(ca)
+    coinv = ca.coinvariants
     if coinv.dim * dh != da:
         raise NoSectionFoundError(absent, definitive=True)
     left = [a.left_mult_matrix(coinv.embed(basis_vec(f, coinv.dim, t)))
@@ -550,7 +553,7 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     try:
         # normalizing multiplies phi by a unit, so only the first inversion
         # can fail on a valid comodule algebra
-        return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh), coinv)
+        return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh))
     except NotConvolutionInvertibleError:
         # Phi is bijective, so A/B is not H-Galois: no colinear map is a section
         raise NoSectionFoundError(absent, definitive=True) from None
@@ -563,9 +566,9 @@ def _normal_basis_map(left, phi):
     return Matrix(phi.field, [sum(rows, ()) for rows in zip(*blocks)])
 
 
-def _normalized_section(ca, phi_matrix, coinv=None):
+def _normalized_section(ca, phi_matrix):
     """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its
-    inverse and coinv, the coinvariants of ca when already known."""
+    inverse."""
     a, h = ca.algebra, ca.hopf
     u = convolution_invert(h, a, phi_matrix).apply(h.unit)
     normalized = a.left_mult_matrix(u) * phi_matrix
@@ -574,14 +577,14 @@ def _normalized_section(ca, phi_matrix, coinv=None):
         raise ValidationError("normalization failed to fix phi(1) = 1")
     require_morphism(normalized, "normalized section is not colinear",
                      rho=(h.delta_basis, ca.rho))
-    return Section(normalized, normalized_inv, ca, coinv)
+    return Section(normalized, normalized_inv, ca)
 
 
 def section_to_crossed_system(sec):
     """Extract (measuring, sigma) from a section and the isomorphism
     B x|_sigma H -> A, b (x) h |-> b phi(h)."""
-    coinv = sec.coinvariants
-    ca = coinv.parent
+    ca = sec.comodule_algebra
+    coinv = ca.coinvariants
     a, h = ca.algebra, ca.hopf
     f = ca.field
     da, dh = a.dim, h.dim

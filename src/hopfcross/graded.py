@@ -11,8 +11,7 @@ crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
 from .algebra import convolution_invert
-from .errors import (InvalidComoduleAlgebraError, NotConvolutionInvertibleError,
-                     NotCrossedProductError, ValidationError)
+from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
 from .linalg import Matrix, basis_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
@@ -97,10 +96,9 @@ def _component_product_span(ga, g, h):
 
 
 def is_strongly_graded(ga):
-    """True iff span(A_g A_h) = A_{gh} for all pairs; returns the pair table."""
-    report = check_grading(ga)
-    if not report.ok:
-        raise ValidationError("input is not a graded algebra: %r" % (report,))
+    """True iff span(A_g A_h) = A_{gh} for all pairs; returns the pair table.
+    ga must be a grading (check_grading passes, as it does whenever
+    comodule.graded_bridge(ga) builds); it is not checked again here."""
     grp = ga.group
     table = {}
     ok = True
@@ -138,18 +136,6 @@ def _find_component_unit(ga, g, budget):
     return ga.embed(g, outcome.coeffs), True
 
 
-def neutral_coinvariants(ga, ca):
-    """B = A_e as the coinvariants of ca = graded_bridge(ga), with no
-    elimination: the coaction e_i |-> e_i (x) g_i fixes exactly the basis
-    vectors of degree e, and these, in index order, are the canonical kernel
-    basis that comodule.coinvariants reads off."""
-    from .comodule import coinvariants_on
-
-    f, dim = ga.field, ga.algebra.dim
-    return coinvariants_on(ca, [basis_vec(f, dim, i)
-                                for i in ga.component_indices(ga.group.identity)])
-
-
 def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     """Extract a crossed system and an isomorphism, or raise NotCrossedProduct.
 
@@ -159,12 +145,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     # comodule imports this module for GradedAlgebra
     from .comodule import Section, graded_bridge, section_to_crossed_system
 
-    try:
-        # the coaction e_i |-> e_i (x) g_i is a comodule algebra exactly when
-        # 1 is in A_e and A_g A_h lies in A_gh, so its laws check the grading
-        ca = graded_bridge(ga)
-    except InvalidComoduleAlgebraError:
-        raise ValidationError("input is not a graded algebra: %r" % (check_grading(ga),)) from None
+    ca = graded_bridge(ga)  # checks the grading, and reads B = A_e off it
     a = ga.algebra
     grp = ga.group
     e = grp.identity
@@ -187,6 +168,6 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     except NotConvolutionInvertibleError:
         raise NotCrossedProductError("candidate unit is one-sided only", definitive=False) from None
     # section_to_crossed_system checks the laws and the iso
-    sec = Section(phi, phi_inv, ca, neutral_coinvariants(ga, ca))
+    sec = Section(phi, phi_inv, ca)
     system, iso = section_to_crossed_system(sec)
     return RecognizedCrossedProduct(system, units, iso.inverse())

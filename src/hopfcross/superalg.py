@@ -29,7 +29,7 @@ from .cohomology import (
     ideal_power_chain,
     sub_comodule_algebra,
 )
-from .comodule import ComoduleAlgebra, coinvariants
+from .comodule import ComoduleAlgebra
 from .errors import (
     CharacteristicTwoError,
     NotSuperCommutativeError,
@@ -262,12 +262,11 @@ def exterior_hopf(n, field):
 
 
 class DualityPairing:
-    def __init__(self, n, field, matrix, iso, dual_presentation, exterior):
+    def __init__(self, n, field, matrix, iso, exterior):
         self.n = n
         self.field = field
         self.matrix = matrix  # <e*_S, e_T> on subset bases
         self.iso = iso        # Lambda(V*) -> (Lambda(V))*
-        self.dual_presentation = dual_presentation
         self.exterior = exterior  # Lambda(V), checked
 
 
@@ -285,7 +284,7 @@ def duality_pairing(n, field):
     # check includes that the pairing is nondegenerate
     iso = pairing.transpose()
     _check_super_hopf_iso(ext.presentation, dual, iso)
-    return DualityPairing(n, field, pairing, iso, dual, ext)
+    return DualityPairing(n, field, pairing, iso, ext)
 
 
 def _check_super_hopf_iso(src_sp, dst_sp, m):
@@ -462,14 +461,12 @@ def odd_primitives(sp):
 
 
 class DecompositionResult:
-    def __init__(self, h, pi, w, phi, u_basis, delta, gamma, alpha, exterior):
+    def __init__(self, h, pi, w, phi, delta, alpha, exterior):
         self.h = h
         self.pi = pi
         self.w = w
         self.phi = phi
-        self.u_basis = u_basis
         self.delta = delta
-        self.gamma = gamma
         self.alpha = alpha
         self.exterior = exterior
 
@@ -538,7 +535,7 @@ def decompose(sp):
     raw = Matrix(f, [list(v) for v in iota])  # (2^m) x dim, row S = iota(e_S) as functional
     delta = pinv * raw
     # B = coinvariants, gamma = delta|_B
-    coinv = coinvariants(ca)
+    coinv = ca.coinvariants
     b_alg = coinv.subalgebra
     gamma = Matrix.from_cols(
         f, [delta.apply(coinv.embed(basis_vec(f, b_alg.dim, t))) for t in range(b_alg.dim)]
@@ -566,7 +563,7 @@ def decompose(sp):
     _verify_decomposition(sp, ca, ext, alpha)
     _verify_step1_claims(sp, coinv, b_parity, cot)
     w = SuperVectorSpace((1,) * m)
-    return DecompositionResult(quotient_hopf, pi, w, phi, u_basis, delta, gamma, alpha, ext)
+    return DecompositionResult(quotient_hopf, pi, w, phi, delta, alpha, ext)
 
 
 def _verify_decomposition(sp, ca, ext, alpha):

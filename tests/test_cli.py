@@ -695,6 +695,23 @@ def test_a_malformed_file_exits_2_before_its_hopf_block_is_checked(tmp_path, cap
     assert capsys.readouterr().err == "error: coaction matrix shape mismatch\n"
 
 
+def test_every_graded_command_words_a_bad_grading_alike(tmp_path, capsys):
+    # e12 e21 = e11 leaves the components once e12 has degree 1 and e21 degree g
+    doc = load("m2-z2-graded.json")
+    doc["degree"] = [0, 0, 0, 1]
+    path = tmp_path / "bad-grading.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1 and report["verdict"] == "fail"
+    message = "input is not a graded algebra: %r" % (
+        hopfcross.graded.check_grading(parse_presentation(str(path)).payload),)
+    for command in ("coinvariants", "galois", "strongly-graded", "recognize-crossed",
+                    "find-section", "recognize-cleft"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 # ---------------------------------------------------------------------------
 # one verification per result
 
@@ -738,11 +755,11 @@ def count_calls(monkeypatch, owner, name):
     (["lift", "lift-split.json"], ComoduleAlgebra, "validate", 5),
     (["super-decompose", "lambda3.json"], ComoduleAlgebra, "validate", 2),
     (["coinvariants", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 1),
-    # B of the input, carried by the section, and B of the crossed product
+    # B of the input, computed once on it, and B of the crossed product
     (["classify-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
     (["split", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
-    # recognize-cleft: B of the input, carried by the section to the Galois
-    # map, and B of the crossed product; super-decompose: B of A only
+    # recognize-cleft: B of the input, read again by the Galois map, and B of
+    # the crossed product; super-decompose: B of A only
     (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 2),
     (["super-decompose", "lambda3.json"], hopfcross.comodule, "coinvariants", 1),
     # the colinear maps H -> A are spanned once, by the section search
@@ -766,7 +783,8 @@ def count_calls(monkeypatch, owner, name):
     # a strong grading is re-checked through one Galois map, with or
     # without --certify; a negative verdict builds none (last row)
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.comodule, "galois_map", 1),
-    (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1),
+    # the grading is checked once, by the comodule algebra built from it
+    (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
     # lift checks psi, psi_0 and the map into each later stage, the last
     # of which is C itself
     (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 3),
@@ -774,6 +792,10 @@ def count_calls(monkeypatch, owner, name):
     # builds from it, and reads check_grading only to word a failure
     (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
     (["strongly-graded", "kx2-graded.json"], hopfcross.comodule, "galois_map", 0),
+    # B of a graded input is read off its grading: recognize-cleft eliminates
+    # only for B of the crossed product
+    (["galois", "m2-z2-graded.json"], hopfcross.comodule, "coinvariants", 0),
+    (["recognize-cleft", "m2-z2-graded.json"], hopfcross.comodule, "coinvariants", 1),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)

@@ -461,6 +461,13 @@ def test_find_section_on_crossed_product():
     assert sec.phi.apply(ca.hopf.unit) == ca.algebra.one()
 
 
+def test_a_section_reads_the_coinvariants_of_its_comodule_algebra():
+    # B is computed once per comodule algebra, so the section search, the
+    # Galois map and the crossed system all read the same object
+    ca = crossed_product(scalar_crossed_system(Q, Q.from_int(3)))
+    assert find_section(ca).comodule_algebra.coinvariants is ca.coinvariants
+
+
 def test_find_section_matrix2():
     ca = matrix2_comodule()
     sec = find_section(ca)

@@ -72,6 +72,10 @@ CASES = [
     ["pairing", "--n", "9", "--json"],
     # a decomposition whose certificates hold rationals with a denominator
     ["super-decompose", "super-scrambled.json", "--json"],
+    # the coinvariants of a grading, read off its neutral component
+    ["coinvariants", "m2-z2-graded.json", "--json"],
+    ["galois", "m2-z2-graded.json", "--json"],
+    ["find-section", "m2-z2-graded.json", "--json"],
 ]
 
 
