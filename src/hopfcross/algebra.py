@@ -16,7 +16,7 @@ the laws its caller names (bijective, a unital algebra map, colinear,
 counital) with one implementation of each and raises at the first witness.
 """
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, islice, repeat
 from math import lcm
 
@@ -109,6 +109,13 @@ class _Algebra(_Structure):
             rows = self._rows[d] = _product_rows(self.product, _lower(self.field, d))
         return rows
 
+    @cached_property
+    def generating_set(self):
+        """G of this algebra (see `_generating_set`), found on the first read."""
+        lower, d, _ = _lowering((self,))
+        return _generating_set(self.field, self.lowered_rows(d),
+                               _lowered(_nonzero(self.unit), lower), self.dim)
+
     def one(self):
         return self.unit
 
@@ -176,6 +183,15 @@ class _Coalgebra(_Structure):
             lower = _lower(self.field, d)
             terms = self._terms[d] = {i: _lowered(t, lower) for i, t in self.coproduct.items()}
         return terms
+
+    @cached_property
+    def dual_generating_set(self):
+        """G of the dual algebra C*, whose product rows are the lowered
+        coproduct transposed (`_dual_rows`) and whose unit is the counit;
+        found on the first read."""
+        lower, d, _ = _lowering((self,))
+        return _generating_set(self.field, _dual_rows(self.lowered_coproduct(d)),
+                               _lowered(_nonzero(self.counit), lower), self.dim)
 
     def delta_basis(self, i):
         return self.coproduct.get(i, {})
@@ -397,9 +413,23 @@ def relative_tensor(a, b_vectors, left, right, image):
 #   Koszul-signed A (x) A is associative), 1 is even and Delta(1) = 1 (x) 1,
 #   then {a : Delta(ax) = Delta(a) Delta(x) for all x} is a subalgebra
 #   containing 1, so Delta is multiplicative once it is on every (g, j).
-# check_axioms hands both laws G only while every law before them has held,
-# which covers these prerequisites.  Each law first runs its kernel over
-# i in G, all j; when that finds a failure, or G is not at hand, it runs the
+# When A has no G, its dual A* may have one (a basis of orthogonal
+# idempotents, such as k^G, has none, while k[G] has a few group elements).
+# A* has the lowered tables transposed: e^x e^y = sum_k Delta_k^{xy} e^k,
+# unit eps, Delta(e^k) = sum c_ij^k e^i (x) e^j, with the parities of A.  So
+# - the unit laws of A* are the counit laws of A, and associativity of A* is
+#   coassociativity of A: G* certifies coassociativity once the counit laws
+#   hold;
+# - the Delta-multiplicativity tensor of A* at (x, y; i, j) is that of A at
+#   (i, j; x, y), Koszul sign included, and the premises above for A* are
+#   the counit laws, coassociativity, the parity of the coproduct and the
+#   counit, and Delta*(eps) = eps (x) eps, which is counit-multiplicativity
+#   of A: G* certifies Delta-multiplicativity once these hold.
+# check_axioms hands the laws G, or G* when A has no G, only while every law
+# before them has held, which covers these premises but the counit laws for
+# coassociativity and counit-multiplicativity, which come later in law order
+# and are checked first on every index.  Each law first runs its kernel over
+# i in G, all j; when that finds a failure, or no set is at hand, it runs the
 # same kernel over every pair, so the witnesses, their order and the cap are
 # those of the full loops.  counit-multiplicative always runs on every pair.
 #
@@ -407,7 +437,10 @@ def relative_tensor(a, b_vectors, left, right, image):
 # caller names, in this order, up to the first witness: bijective; a unital
 # algebra map (algebra_map_violations, into an algebra or a tensor pair
 # (A, B)); colinear (colinear_violations); counital, eps_dst(m e_i) =
-# eps_src(e_i) for counits or augmentations (counit_violations).
+# eps_src(e_i) for counits or augmentations (counit_violations).  When the
+# unit law holds and both algebras are associative, {a : m(ax) = m(a) m(x)
+# for all x} is a subalgebra containing 1, so a caller that has certified
+# that may pass the source's G and multiplicativity runs on (g, j) first.
 
 
 class AxiomReport:
@@ -527,23 +560,43 @@ def _parity_laws(h, p):
 WORD_PRIME = 2 ** 61 - 1
 
 
-def _generating_set(a):
-    """The basis indices G, in index order, whose left words
-    e_g1 (e_g2 (... (e_gk 1))) span a: e_i joins G when it is not in the span
-    of the words of the indices before it.  None when the words of all
-    indices do not span a, which needs the right unit law to fail (or, over
-    Q, WORD_PRIME to divide D), and None as soon as G would keep more than
-    half the basis, where the pass over G saves less than it costs (on a
-    basis of orthogonal idempotents, such as k^G, G would keep all but one
-    index).
+def _generating_set(field, rows, unit, dim):
+    """A set G of basis indices whose left words e_g1 (e_g2 (... (e_gk 1)))
+    span the algebra with lowered product rows `rows` and lowered unit
+    `unit`: the smaller of two greedy passes (`_greedy_generators`), one in
+    index order and one that visits first the indices occurring in the
+    fewest products (on a signed permutation of Lambda(m), the m degree-one
+    monomials).  None when neither finds a G of at most half the basis,
+    where the pass over G saves less than it costs (on a basis of orthogonal
+    idempotents, such as k^G, G would keep all but one index).
 
-    The words are built on the lowered product rows and eliminated mod p,
-    over Q mod WORD_PRIME: each eliminated row reduces an integer combination
-    of lowered words, and integer vectors of full rank mod a prime have full
-    rank over Q."""
-    p = a.field.characteristic or WORD_PRIME
-    lower, d, _ = _lowering((a,))
-    rows = a.lowered_rows(d)
+    The words are eliminated mod p, over Q mod WORD_PRIME: each eliminated
+    row reduces an integer combination of lowered words, and integer vectors
+    of full rank mod a prime have full rank over Q."""
+    p = field.characteristic or WORD_PRIME
+    gens = _greedy_generators(rows, unit, dim, p, range(dim), dim // 2)
+    if gens is not None and len(gens) < 2:
+        return gens  # no G is smaller
+    occurs = [0] * dim
+    for row in rows.values():
+        for terms in row.values():
+            for k in terms:
+                occurs[k] += 1
+    order = sorted(range(dim), key=occurs.__getitem__)
+    if order != list(range(dim)):
+        cap = dim // 2 if gens is None else len(gens) - 1
+        other = _greedy_generators(rows, unit, dim, p, order, cap)
+        if other is not None:
+            gens = other
+    return gens
+
+
+def _greedy_generators(rows, unit, dim, p, order, cap):
+    """The indices G, visited in order, where e_i joins G when it is not in
+    the span of the words of the indices before it.  None when G would keep
+    more than cap indices, or when the words of all indices do not span the
+    algebra, which needs the right unit law to fail (or, over Q, p to divide
+    D)."""
     pivots = {}  # leading column -> echelon row with leading entry 1
 
     def reduce(v):
@@ -567,52 +620,57 @@ def _generating_set(a):
             words.append(v)
             pending.extend((g, v) for g in gens)
 
-    admit(_lowered(_nonzero(a.unit), lower))
-    for i in range(a.dim):
-        if len(words) == a.dim:
+    admit(unit)
+    for i in order:
+        if len(words) == dim:
             break
         if not reduce({i: 1}):
             continue
-        gens.append(i)
-        if 2 * len(gens) > a.dim:
+        if len(gens) >= cap:
             return None
+        gens.append(i)
         pending.extend((i, w) for w in words)
-        while pending and len(words) < a.dim:
+        while pending and len(words) < dim:
             g, w = pending.pop()
             admit(_sparse_product(rows, {g: 1}, w))
-    return gens if len(words) == a.dim else None
+    return gens if len(words) == dim else None
 
 
-def _holds_by_generators(generators, law):
+def _dual_rows(coproduct):
+    """The lowered product rows {x: {y: {k: c}}} of the dual C*, e^x e^y =
+    sum_k Delta_k^{xy} e^k, from the lowered coproduct of C."""
+    rows = {}
+    for k, terms in coproduct.items():
+        for (x, y), c in terms.items():
+            rows.setdefault(x, {}).setdefault(y, {})[k] = c
+    return rows
+
+
+def _dual_coproduct(rows):
+    """The lowered coproduct {k: {(i, j): c}} of the dual A*, from the
+    lowered product rows of A."""
+    coproduct = {}
+    for i, row in rows.items():
+        for j, terms in row.items():
+            for k, c in terms.items():
+                coproduct.setdefault(k, {})[(i, j)] = c
+    return coproduct
+
+
+def _holds_by_generators(gens, law):
     """Whether law(i), which yields a truthy failure report for each j that
-    fails with e_i on the left, fails for no i in G: then the law holds on
-    every pair (see above).  False when generators is None or gives None."""
-    gens = generators() if generators else None
+    fails with e_i on the left, fails for no i in the generating set gens:
+    then the law holds on every pair (see above).  False when gens is None."""
     return gens is not None and not any(any(law(i)) for i in gens)
 
 
-def _algebra_laws(a, generators=None):
-    """The unit laws and associativity; generators, when given, is a
-    callable returning G or None (see check_axioms)."""
-    lower, d, clean = _lowering((a,))
-    rows = a.lowered_rows(d)
-    unit = _lowered(_nonzero(a.unit), lower)
-    for i in range(a.dim):
-        left, right = {}, {}
-        for t, c in unit.items():
-            _add_scaled(left, c, rows.get(t, {}).get(i, {}))
-            _add_scaled(right, c, rows.get(i, {}).get(t, {}))
-        e = {i: d * d}
-        if clean(left) != e:
-            yield ("left-unit", (i,))
-        if clean(right) != e:
-            yield ("right-unit", (i,))
-
+def _associativity(rows, dim, clean):
+    """associative(i) on lowered product rows: for each j in order, the l with
+    (e_i e_j) e_l != e_i (e_j e_l), sorted: every l at once, keyed (l, m)
+    over the nonzero products."""
     def associative(i):
-        """For each j in order, the l with (e_i e_j) e_l != e_i (e_j e_l),
-        sorted: every l at once, keyed (l, m) over the nonzero products."""
         row_i = rows.get(i, {})
-        for j in range(a.dim):
+        for j in range(dim):
             lhs, rhs = {}, {}
             for k, c in row_i.get(j, {}).items():
                 for l, terms in rows.get(k, {}).items():
@@ -633,7 +691,27 @@ def _algebra_laws(a, generators=None):
                 keys = lhs.keys() | rhs.keys()
                 yield sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))})
 
-    if _holds_by_generators(generators, associative):
+    return associative
+
+
+def _algebra_laws(a, generators=None):
+    """The unit laws and associativity; generators, when given, is a
+    callable returning G or None (see check_axioms)."""
+    lower, d, clean = _lowering((a,))
+    rows = a.lowered_rows(d)
+    unit = _lowered(_nonzero(a.unit), lower)
+    for i in range(a.dim):
+        left, right = {}, {}
+        for t, c in unit.items():
+            _add_scaled(left, c, rows.get(t, {}).get(i, {}))
+            _add_scaled(right, c, rows.get(i, {}).get(t, {}))
+        e = {i: d * d}
+        if clean(left) != e:
+            yield ("left-unit", (i,))
+        if clean(right) != e:
+            yield ("right-unit", (i,))
+    associative = _associativity(rows, a.dim, clean)
+    if _holds_by_generators(generators and generators(), associative):
         return
     for i in range(a.dim):
         for j, failing in enumerate(associative(i)):
@@ -641,14 +719,31 @@ def _algebra_laws(a, generators=None):
                 yield ("associativity", (i, j, l))
 
 
-def _coalgebra_laws(c):
+def _coalgebra_laws(c, dual_generators=None):
+    """Coassociativity and the counit laws; dual_generators, when given, is
+    a callable returning G* or None (see check_axioms)."""
     lower, d, clean = _lowering((c,))
     coproduct = c.lowered_coproduct(d)
     counit = _lowered(_nonzero(c.counit), lower)
+
+    def counit_failures(i):
+        """Whether the left and the right counit law fail at e_i."""
+        left, right = {}, {}
+        for (j, k), u in coproduct.get(i, {}).items():
+            if j in counit:
+                left[k] = left.get(k, 0) + counit[j] * u
+            if k in counit:
+                right[j] = right.get(j, 0) + u * counit[k]
+        e = {i: d * d}
+        return clean(left) != e, clean(right) != e
+
+    gens = dual_generators and dual_generators()
+    if (gens is not None and not any(any(counit_failures(i)) for i in range(c.dim))
+            and _holds_by_generators(gens, _associativity(_dual_rows(coproduct), c.dim, clean))):
+        return
     for i in range(c.dim):
-        delta = coproduct.get(i, {})
         lhs, rhs = {}, {}
-        for (j, k), u in delta.items():
+        for (j, k), u in coproduct.get(i, {}).items():
             for (a, b), v in coproduct.get(j, {}).items():
                 key = (a, b, k)
                 lhs[key] = lhs.get(key, 0) + u * v
@@ -657,16 +752,10 @@ def _coalgebra_laws(c):
                 rhs[key] = rhs.get(key, 0) + u * v
         if clean(lhs) != clean(rhs):
             yield ("coassociativity", (i,))
-        left, right = {}, {}
-        for (j, k), u in delta.items():
-            if j in counit:
-                left[k] = left.get(k, 0) + counit[j] * u
-            if k in counit:
-                right[j] = right.get(j, 0) + u * counit[k]
-        e = {i: d * d}
-        if clean(left) != e:
+        left_fails, right_fails = counit_failures(i)
+        if left_fails:
             yield ("counit-left", (i,))
-        if clean(right) != e:
+        if right_fails:
             yield ("counit-right", (i,))
 
 
@@ -680,41 +769,13 @@ def _left_legs(rows, delta):
     return out
 
 
-def _bialgebra_laws(b, p, generators=None):
-    """Delta and eps are algebra maps; in A (x) A the crossing of two odd
-    tensor legs carries the Koszul sign -1.
-
-    Delta(e_i) Delta(e_j) is contracted in stages, O(d^6) in all on dense
-    constants where the pairs of coproduct terms cost O(d^8): the left legs
-    U[b1][a2] of e_i once per i, then per pair
-    V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
-    and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
-    native ints; each term of that sum carries D^4 and each term of
-    Delta(e_i e_j) D^2, so the latter is multiplied by D^2.  generators,
-    when given, is a callable returning G or None (see check_axioms)."""
-    lower, d, clean = _lowering((b,))
-    rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
-    unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
-    d2 = d * d
-    char = b.field.characteristic
-
-    def nonzero(x):
-        """Whether the lowered scalar x is not 0 in the field."""
-        return x % char if char else x
-
-    lhs = {}
-    for t, c in unit.items():
-        _add_scaled(lhs, c, coproduct.get(t, {}))
-    if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
-        yield ("coproduct-of-unit", ())
-    if nonzero(sum(c * counit.get(t, 0) for t, c in unit.items()) - d2):
-        yield ("counit-of-unit", ())
-
+def _multiplicativity(rows, coproduct, p, d2, clean, dim):
+    """not_multiplicative(i) on lowered tables: for each j in order, whether
+    Delta(e_i e_j) != Delta(e_i) Delta(e_j) (see _bialgebra_laws)."""
     def not_multiplicative(i):
-        """For each j in order, whether Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
         legs = _left_legs(rows, coproduct.get(i, {}))
         row_i = rows.get(i, {})
-        for j in range(b.dim):
+        for j in range(dim):
             lhs = {}
             for k, c in row_i.get(j, {}).items():
                 _add_scaled(lhs, c * d2, coproduct.get(k, {}))
@@ -737,15 +798,59 @@ def _bialgebra_laws(b, p, generators=None):
                         rhs[key] = rhs[key] + uw if key in rhs else uw
             yield clean(lhs) != clean(rhs)
 
-    holds = _holds_by_generators(generators, not_multiplicative)
+    return not_multiplicative
+
+
+def _bialgebra_laws(b, p, generators=None, dual_generators=None):
+    """Delta and eps are algebra maps; in A (x) A the crossing of two odd
+    tensor legs carries the Koszul sign -1.
+
+    Delta(e_i) Delta(e_j) is contracted in stages, O(d^6) in all on dense
+    constants where the pairs of coproduct terms cost O(d^8): the left legs
+    U[b1][a2] of e_i once per i, then per pair
+    V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
+    and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
+    native ints; each term of that sum carries D^4 and each term of
+    Delta(e_i e_j) D^2, so the latter is multiplied by D^2.  generators and
+    dual_generators, when given, are callables returning G and G* or None
+    (see check_axioms)."""
+    lower, d, clean = _lowering((b,))
+    rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
+    unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
+    d2 = d * d
+    char = b.field.characteristic
+
+    def nonzero(x):
+        """Whether the lowered scalar x is not 0 in the field."""
+        return x % char if char else x
+
+    lhs = {}
+    for t, c in unit.items():
+        _add_scaled(lhs, c, coproduct.get(t, {}))
+    if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
+        yield ("coproduct-of-unit", ())
+    if nonzero(sum(c * counit.get(t, 0) for t, c in unit.items()) - d2):
+        yield ("counit-of-unit", ())
+
+    def counit_failures(i):
+        """For each j in order, whether eps(e_i e_j) != eps(e_i) eps(e_j)."""
+        row_i, counit_i = rows.get(i, {}), counit.get(i, 0)
+        for j in range(b.dim):
+            s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
+            yield nonzero(s - counit_i * counit.get(j, 0))
+
+    not_multiplicative = _multiplicativity(rows, coproduct, p, d2, clean, b.dim)
+    holds = _holds_by_generators(generators and generators(), not_multiplicative)
+    gens = None if holds else dual_generators and dual_generators()
+    if gens is not None and not any(any(counit_failures(i)) for i in range(b.dim)):
+        holds = _holds_by_generators(gens, _multiplicativity(
+            _dual_rows(coproduct), _dual_coproduct(rows), p, d2, clean, b.dim))
     for i in range(b.dim):
         failures = repeat(False) if holds else not_multiplicative(i)
-        row_i, counit_i = rows.get(i, {}), counit.get(i, 0)
-        for j, fails in zip(range(b.dim), failures):
+        for j, fails, counit_fails in zip(range(b.dim), failures, counit_failures(i)):
             if fails:
                 yield ("coproduct-multiplicative", (i, j))
-            s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
-            if nonzero(s - counit_i * counit.get(j, 0)):
+            if counit_fails:
                 yield ("counit-multiplicative", (i, j))
 
 
@@ -800,14 +905,17 @@ def check_axioms(kind, data):
     first MAX_VIOLATIONS witnesses in law order.
 
     Associativity and Delta-multiplicativity are handed the generating set
-    G of the algebra while every earlier law has held (see above); G is
-    computed at most once per call.
+    G of the algebra, and coassociativity and Delta-multiplicativity that of
+    its dual when the algebra has none, while every earlier law has held
+    (see above); each set is kept on the structure.
     """
     found = []
-    generating_set = cache(lambda: _generating_set(a))
 
     def generators():
-        return None if found else generating_set()
+        return None if found else a.generating_set
+
+    def dual_generators():
+        return None if found or a.generating_set is not None else a.dual_generating_set
 
     if kind == "algebra":
         a = data
@@ -816,8 +924,8 @@ def check_axioms(kind, data):
         laws = _coalgebra_laws(data)
     elif kind in ("bialgebra", "hopf", "super-hopf"):
         a, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
-        laws = chain(_algebra_laws(a, generators), _coalgebra_laws(a),
-                     _bialgebra_laws(a, parity, generators))
+        laws = chain(_algebra_laws(a, generators), _coalgebra_laws(a, dual_generators),
+                     _bialgebra_laws(a, parity, generators, dual_generators))
         if kind != "bialgebra":
             laws = chain(laws, _antipode_laws(a))
         if kind == "super-hopf":
@@ -848,7 +956,7 @@ def _tensor_rows(rows_a, rows_b, db, support):
     return rows
 
 
-def algebra_map_violations(src, dst, m):
+def algebra_map_violations(src, dst, m, generators=None):
     """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
     matrix, or its columns as sparse dicts {row: nonzero entry}) is not a
     unital algebra map: ("unit", ()), then ("multiplicative", (i, j)) for
@@ -859,7 +967,10 @@ def algebra_map_violations(src, dst, m):
     products are formed only between the basis elements that m reaches.  A
     constant of A (x) B is the product of two lowered constants and carries
     D^2, so its unit needs no scale and each product of src is multiplied by
-    D^2 rather than D."""
+    D^2 rather than D.  generators, a generating set G of src, may be passed
+    only when src and dst are certified associative with their unit laws:
+    once the unit law holds, multiplicativity then runs on (g, j) first (see
+    above)."""
     factors = dst if isinstance(dst, tuple) else (dst,)
     cols = m.sparse_cols() if isinstance(m, Matrix) else m
     lower, d, clean = _lowering((src, *factors), (cols,))
@@ -877,16 +988,24 @@ def algebra_map_violations(src, dst, m):
     image = {}
     for t, c in _nonzero(src.unit).items():
         _add_scaled(image, lower(c), cols[t])
-    if clean(image) != clean(target):
+    unital = clean(image) == clean(target)
+    if not unital:
         yield ("unit", ())
     src_rows = src.lowered_rows(d)
-    for i in range(src.dim):
+
+    def not_multiplicative(i):
         row_i = src_rows.get(i, {})
         for j in range(src.dim):
             lhs = {}
             for k, c in row_i.get(j, {}).items():
                 _add_scaled(lhs, scale * c, cols[k])
-            if clean(lhs) != clean(_sparse_product(rows, cols[i], cols[j])):
+            yield clean(lhs) != clean(_sparse_product(rows, cols[i], cols[j]))
+
+    if unital and _holds_by_generators(generators, not_multiplicative):
+        return
+    for i in range(src.dim):
+        for j, fails in enumerate(not_multiplicative(i)):
+            if fails:
                 yield ("multiplicative", (i, j))
 
 
@@ -918,15 +1037,17 @@ def counit_violations(src_counit, dst_counit, m):
             yield ("counit", (i,))
 
 
-def require_morphism(m, what, bijective=False, algebra=None, rho=None, counit=None):
+def require_morphism(m, what, bijective=False, algebra=None, rho=None, counit=None,
+                     generators=None):
     """Raise ValidationError("<what>: <witness>") at the first witness that
     the linear map m fails a law the caller names, in this order: bijective
     (witness ("bijective", ())); a unital algebra map, algebra = (src, dst)
-    as in algebra_map_violations; colinear, rho = (src_rho_basis, dst_rho) as
-    in colinear_violations; counital, counit = (src_counit, dst_counit) as in
+    as in algebra_map_violations, with generators its source's G on the
+    premise stated there; colinear, rho = (src_rho_basis, dst_rho) as in
+    colinear_violations; counital, counit = (src_counit, dst_counit) as in
     counit_violations."""
     laws = chain([("bijective", ())] if bijective and not m.is_invertible() else (),
-                 algebra_map_violations(*algebra, m) if algebra else (),
+                 algebra_map_violations(*algebra, m, generators) if algebra else (),
                  colinear_violations(*rho, m) if rho else (),
                  counit_violations(*counit, m) if counit else ())
     bad = next(laws, None)

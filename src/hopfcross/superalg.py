@@ -16,7 +16,8 @@ from functools import cached_property
 from .algebra import (
     FHopf,
     _add_scaled,
-    _clean,
+    _lowered,
+    _lowering,
     check_axioms,
     dual_structure,
     induced_algebra,
@@ -289,38 +290,46 @@ def duality_pairing(n, field):
 
 def _check_super_hopf_iso(src_sp, dst_sp, m):
     """m : src -> dst must be a bijective map of Hopf superalgebras (same
-    parity on both sides)."""
+    parity on both sides); src is a checked Hopf superalgebra and dst is
+    associative with its unit laws.  The comultiplicativity and antipode
+    laws contract on native ints (see algebra._lowering): each term of
+    (m (x) m) Delta carries D^3, so Delta m is multiplied by D."""
     src, dst = src_sp.hopf, dst_sp.hopf
-    f = src.field
+    # in duality_pairing dst is the dual of src, whose algebra laws are the
+    # coalgebra laws of src, so src's generating set certifies an algebra map
     require_morphism(m, "candidate map is not a bijective counital algebra map",
-                     bijective=True, algebra=(src, dst), counit=(src.counit, dst.counit))
+                     bijective=True, algebra=(src, dst), counit=(src.counit, dst.counit),
+                     generators=src.generating_set)
     cols = m.sparse_cols()
+    src_anti, dst_anti = src.antipode.sparse_cols(), dst.antipode.sparse_cols()
+    lower, d, clean = _lowering((src, dst), (cols, src_anti, dst_anti))
+    cols, src_anti, dst_anti = ([_lowered(col, lower) for col in part]
+                                for part in (cols, src_anti, dst_anti))
+    src_cop, dst_cop = src.lowered_coproduct(d), dst.lowered_coproduct(d)
     for i in range(src.dim):
         # coalgebra map: (m (x) m) Delta = Delta m
         lhs = {}
-        for (j, k), c in src.delta_basis(i).items():
+        for (j, k), c in src_cop.get(i, {}).items():
             for x, u in cols[j].items():
                 cu = c * u
                 for y, v in cols[k].items():
-                    lhs[x, y] = lhs.get((x, y), f.zero) + cu * v
+                    lhs[x, y] = lhs.get((x, y), 0) + cu * v
         rhs = {}
         for x, c in cols[i].items():
-            for key, d in dst.delta_basis(x).items():
-                rhs[key] = rhs.get(key, f.zero) + c * d
-        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            _add_scaled(rhs, d * c, dst_cop.get(x, {}))
+        if clean(lhs) != clean(rhs):
             raise ValidationError("candidate map not comultiplicative at %d" % i)
         # parity must be preserved: an odd image is supported on odd indices
         if src_sp.parity[i] == 1 and any(dst_sp.parity[x] != 1 for x in cols[i]):
             raise ValidationError("candidate map does not preserve parity")
     # m S = S' m, with S' the antipode of dst, column by column on the nonzeros
-    src_anti, dst_anti = src.antipode.sparse_cols(), dst.antipode.sparse_cols()
     for i in range(src.dim):
         lhs, rhs = {}, {}
         for k, c in src_anti[i].items():
             _add_scaled(lhs, c, cols[k])
         for x, c in cols[i].items():
             _add_scaled(rhs, c, dst_anti[x])
-        if _clean(lhs) != _clean(rhs):
+        if clean(lhs) != clean(rhs):
             raise ValidationError("candidate map does not commute with the antipode")
 
 
@@ -540,8 +549,10 @@ def decompose(sp):
     gamma = Matrix.from_cols(
         f, [delta.apply(coinv.embed(basis_vec(f, b_alg.dim, t))) for t in range(b_alg.dim)]
     )
+    # B is a subalgebra of the checked A and Lambda(W) is checked, so both
+    # are associative and B's generating set certifies an algebra map
     require_morphism(gamma, "gamma : B -> Lambda(W) is not a bijective algebra map",
-                     bijective=True, algebra=(b_alg, ext.hopf))
+                     bijective=True, algebra=(b_alg, ext.hopf), generators=b_alg.generating_set)
     # the coinvariant basis is homogeneous
     b_parity = []
     for t in range(b_alg.dim):
@@ -588,10 +599,12 @@ def _verify_decomposition(sp, ca, ext, alpha):
 
     # target Lambda(W) (x) H: H is purely even, so the Koszul sign on every
     # crossing is +1 and the plain tensor product algebra is the right one;
-    # augmented means eps_A = (eps (x) eps) o alpha
+    # augmented means eps_A = (eps (x) eps) o alpha.  A, Lambda(W) and H are
+    # checked, so A's generating set certifies an algebra map
     require_morphism(alpha, "alpha : A -> Lambda(W) (x) H fails an invariant", bijective=True,
                      algebra=(h, (ext.hopf, quotient_hopf)), rho=(ca.rho_basis, target_rho),
-                     counit=(h.counit, vtensor(ext.hopf.counit, quotient_hopf.counit)))
+                     counit=(h.counit, vtensor(ext.hopf.counit, quotient_hopf.counit)),
+                     generators=h.generating_set)
 
 
 def _verify_step1_claims(sp, coinv, b_parity, cot):

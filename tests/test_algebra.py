@@ -22,10 +22,10 @@ from hopfcross.algebra import (
     _bialgebra_laws,
     _coalgebra_components,
     _coalgebra_laws,
-    _generating_set,
     _left_legs,
     _lower,
     _lowered,
+    _parity_laws,
     _product_rows,
     algebra_map_violations,
     check_axioms,
@@ -57,7 +57,15 @@ from hopfcross.linalg import (
     vzero,
 )
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
-from hopfcross.superalg import ExteriorHopf, SuperPresentation, exterior_hopf
+import hopfcross.superalg
+from hopfcross.superalg import (
+    ExteriorHopf,
+    SuperPresentation,
+    decompose,
+    duality_pairing,
+    exterior_hopf,
+    super_tensor_product,
+)
 from tests.test_linalg import ORACLE_FIELDS, draw
 
 Q = Rationals()
@@ -592,11 +600,13 @@ def generator_pass_inputs():
 def test_the_generating_set_pass_reports_what_the_full_loops_report():
     engaged = scaled = 0
     for key, h, parity, law in generator_pass_inputs():
-        gens = _generating_set(h)
-        if key[1] == "moved":
-            # a dense basis of Lambda(2) puts 3 of its 4 indices in G, more
-            # than half, so the pass gives up and the full loops run alone
-            assert gens is None, key
+        gens = h.generating_set
+        if key[1] == "moved" and key[0] != "lambda2/F7":
+            # on these dense bases of Lambda(2) neither greedy pass finds a G
+            # of at most half the basis, so the pass gives up; the dual keeps
+            # 2 indices, so Delta-multiplicativity is tried on G* first, and
+            # the failure sends it to the full loops
+            assert gens is None and len(h.dual_generating_set) == 2, key
         else:
             assert gens is not None and len(gens) < h.dim, key
         expected = ref_hopf_laws(h, parity)
@@ -625,8 +635,8 @@ def degree_one(h):
 def test_exterior_algebras_are_generated_in_degree_one(field):
     for n in range(6):
         h = exterior_hopf(n, field).hopf
-        assert _generating_set(h) == degree_one(h)
-    assert _generating_set(kz3(field)) == [1]
+        assert h.generating_set == degree_one(h)
+    assert kz3(field).generating_set == [1]
 
 
 def count_left_legs(monkeypatch):
@@ -647,15 +657,18 @@ def test_lambda6_builds_left_legs_for_its_generators_only(monkeypatch):
     assert len(calls) == 6
 
 
-def test_a_basis_of_orthogonal_idempotents_takes_the_full_loops(monkeypatch):
-    # on k^S4, G would keep 23 of the 24 indices; the pass gives up once G
-    # holds more than half the basis, so Delta-multiplicativity runs its full
-    # loop and builds the left legs of every e_i once
+def test_a_basis_of_orthogonal_idempotents_takes_the_dual_set(monkeypatch):
+    # on k^S4, G would keep 23 of the 24 indices in either order, so the
+    # pass gives up; the dual k[S4] is generated by a few group elements, so
+    # Delta-multiplicativity of k^S4 is certified as that of k[S4] and builds
+    # the left legs of k[S4]'s generators only
     dual = dual_structure(group_hopf_algebra(GroupTable.symmetric(4), F5))
-    assert _generating_set(dual) is None
+    assert dual.generating_set is None
+    gens = dual.dual_generating_set
+    assert 0 < len(gens) <= 3
     calls = count_left_legs(monkeypatch)
     assert check_axioms("hopf", dual).ok
-    assert len(calls) == 24
+    assert len(calls) == len(gens)
 
 
 def test_a_failed_unit_law_takes_the_full_loops(monkeypatch):
@@ -673,6 +686,247 @@ def test_a_failed_unit_law_takes_the_full_loops(monkeypatch):
     calls = count_left_legs(monkeypatch)
     assert check_axioms("super-hopf", SuperPresentation(h, ext.parity)).violations == expected
     assert len(calls) == h.dim
+
+
+# --- the generating sets of A and A*, against the reference loops ------------
+#
+# Inputs with no G of their own but a G* (k^G, whose basis is orthogonal
+# idempotents), inputs whose G only the occurrence order finds (signed
+# permutations of Lambda(m)), each intact and corrupted.  check_axioms runs
+# uncapped here, so every witness of every law is compared.
+
+
+def uncapped_check(h, parity):
+    kind, data = ("super-hopf", SuperPresentation(h, parity)) if any(parity) else ("hopf", h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hopfcross.algebra.MAX_VIOLATIONS", 10 ** 9)
+        return check_axioms(kind, data).violations
+
+
+def expected_laws(h, parity):
+    """The reference loops' witnesses, after the parity laws a super check
+    runs first (a bump at an odd index breaks those)."""
+    return list(_parity_laws(h, parity)) + ref_hopf_laws(h, parity)
+
+
+def signed_permutation(field, parity, seed):
+    """(t, target): a seeded parity-preserving permutation matrix with signs
+    +-1, whose column i is +-e_target[i]."""
+    rng = random.Random("signed:%s" % (seed,))
+    dim = len(parity)
+    target = list(range(dim))
+    for bit in (0, 1):
+        block = [i for i in range(dim) if parity[i] == bit]
+        for i, j in zip(block, rng.sample(block, len(block))):
+            target[i] = j
+    cols = [tuple(field.from_int(rng.choice((1, -1))) if j == target[i] else field.zero
+                  for j in range(dim)) for i in range(dim)]
+    return Matrix.from_cols(field, cols), target
+
+
+def function_algebra(vectors, field):
+    """k^X, X = range(n), with its pointwise product and the coproduct dual to
+    the componentwise product of k^n on the basis u_x = vectors[x], so that
+    its dual algebra is k^n on that basis.  Every u_x has first coordinate 1,
+    so Delta(1) = 1 (x) 1.  When u_0 = (1, ..., 1) the counit is eps(e_x) =
+    [x = 0] and every law before Delta-multiplicativity holds, while Delta is
+    multiplicative only when the u_x are closed under the product; otherwise
+    eps is the coordinates of (1, ..., 1) and is not multiplicative.  (A
+    single coproduct entry of k^G cannot break Delta-multiplicativity alone:
+    Delta(1) = 1 (x) 1 says that the entries of each (x, y) sum to 1.)"""
+    n = len(vectors)
+    t = Matrix.from_cols(field, [tuple(v) for v in vectors])
+    tinv = t.inverse()
+    coproduct = {k: {} for k in range(n)}
+    for x, u in enumerate(vectors):
+        for y, v in enumerate(vectors):
+            for k, c in enumerate(tinv.apply(tuple(a * b for a, b in zip(u, v)))):
+                if c:
+                    coproduct[k][(x, y)] = c
+    product = {(x, x): {x: field.one} for x in range(n)}
+    return FHopf(field, tuple("d%d" % x for x in range(n)), product, (field.one,) * n, coproduct,
+                 tinv.apply((field.one,) * n), Matrix.identity(field, n))
+
+
+def deformed_function_algebra(field, n, seed, unital=True):
+    """function_algebra on seeded vectors: u_0 = (1, ..., 1) when unital,
+    else a seeded vector with first coordinate 1, and u_x for x >= 1 seeded
+    with first coordinate 1; drawn again until they are a basis and the dual
+    algebra has a G."""
+    rng = random.Random("deformed:%s" % (seed,))
+    while True:
+        vectors = [[field.one] + [field.from_int(rng.randrange(-3, 4)) for _ in range(n - 1)]
+                   for _ in range(n)]
+        if unital:
+            vectors[0] = [field.one] * n
+        if Matrix.from_cols(field, [tuple(v) for v in vectors]).det():
+            h = function_algebra(vectors, field)
+            if h.dual_generating_set is not None:
+                return h
+
+
+DUAL_PASS_FIELDS = (("Q", Q), ("F5", F5), ("F7", F7))
+
+
+def dual_pass_inputs():
+    """(key, Hopf presentation, parity): k^{Z/n} for n = 3..6, k^{S3}, k^{S4}
+    and seeded signed permutations of Lambda(m), m <= 4, over Q (non-integer
+    bumps), F5 and F7, intact and with a coproduct entry, a counit entry and
+    a product entry bumped; k^n with a coproduct dual to a seeded deformation
+    of k^n, which breaks Delta-multiplicativity alone (or with u_0 moved,
+    counit-multiplicativity), and one that only the counit-multiplicativity
+    premise keeps off the pass over G*; Lambda(m) with its coproduct carried
+    along e_t -> c e_t for a degree-two e_t, which breaks
+    Delta-multiplicativity alone."""
+    for fname, field in DUAL_PASS_FIELDS:
+        bases = [("kZ%d" % n, dual_structure(group_hopf_algebra(GroupTable.cyclic(n), field)),
+                  (0,) * n) for n in range(3, 7)]
+        for name, table in (("kS3", GroupTable.symmetric(3)), ("kS4", GroupTable.symmetric(4))):
+            h = dual_structure(group_hopf_algebra(table, field))
+            bases.append((name, h, (0,) * h.dim))
+        for m in range(1, 5):
+            ext = exterior_hopf(m, field)
+            t, target = signed_permutation(field, ext.parity, "lambda%d/%s" % (m, fname))
+            h = transport(ext.hopf, t)
+            bases.append(("lambda%d" % m, h, ext.parity))
+            if m >= 2:
+                bump = 1 + rational_bump(fname) if field == Q else field.from_int(2)
+                # transport keeps the labels, so e_i is +-e_target[i] of Lambda(m)
+                degree_two = next(i for i in range(h.dim)
+                                  if ext.hopf.basis[target[i]].count("^") == 1)
+                bases.append(("lambda%d-rescaled" % m, rescaled_coproduct(h, degree_two, bump),
+                              ext.parity))
+        for n in range(3, 7):
+            for unital in (True, False):
+                seed = "%s/%d/%s" % (fname, n, unital)
+                h = deformed_function_algebra(field, n, seed, unital)
+                bases.append(("deformed%d%s" % (n, "" if unital else "-counit"), h, (0,) * n))
+        # on u = (1, 0, -1), (1, 0, 1), (1, 1, -1) the dual is generated by
+        # u_0, and u_0 u_y is some u_z for every y while u_2 u_2 = (1, 1, 1)
+        # is not: the pass over G* finds no failure, but eps is not
+        # multiplicative, so that pass may not run and the full loop reports
+        one = (field.one, field.zero, -field.one)
+        bases.append(("monoid-counit", function_algebra(
+            [one, (field.one, field.zero, field.one), (field.one, field.one, -field.one)], field),
+            (0,) * 3))
+        for name, h, parity in bases:
+            yield (name, fname), h, parity
+            if "-" in name:
+                continue
+            for part in ("coproduct", "counit", "product"):
+                seed = "%s/%s/%s" % (name, fname, part)
+                bump = rational_bump(seed) if field == Q else None
+                yield (name, fname, part), corrupt(h, part, seed, bump), parity
+
+
+def test_the_dual_generating_set_reports_what_the_full_loops_report():
+    first_laws, dual_engaged, dual_failed, scaled = set(), 0, set(), 0
+    for key, h, parity in dual_pass_inputs():
+        expected = expected_laws(h, parity)
+        assert uncapped_check(h, parity) == expected, key
+        first = expected[0][0] if expected else None
+        first_laws.add(first)
+        if h.generating_set is not None:
+            assert len(h.generating_set) < h.dim, key
+        elif h.dual_generating_set is not None:
+            dual_engaged += 1
+            if first in ("coproduct-multiplicative", "counit-multiplicative"):
+                dual_failed.update(name for name, _ in expected)
+        else:
+            assert key[2:] in (("counit",), ("coproduct",)), key  # the dual unit or product moved
+        scaled += has_denominators(h)
+    # every class of input is reached: passing ones, and failures at the
+    # law the dual pass certifies, at its premises and before it
+    assert {None, "associativity", "coassociativity", "counit-left",
+            "coproduct-multiplicative"} <= first_laws
+    assert {"coproduct-multiplicative", "counit-multiplicative"} <= dual_failed
+    assert dual_engaged > 50 and scaled > 20
+
+
+def test_signed_permutations_of_lambda_are_generated_in_degree_one():
+    # whatever index order keeps, the smaller pass keeps exactly the m
+    # degree-one monomials
+    for fname, field in DUAL_PASS_FIELDS:
+        for m in range(1, 5):
+            ext = exterior_hopf(m, field)
+            t, target = signed_permutation(field, ext.parity, "lambda%d/%s" % (m, fname))
+            h = transport(ext.hopf, t)
+            assert sorted(target[g] for g in h.generating_set) == degree_one(ext.hopf)
+
+
+def test_a_super_input_takes_the_dual_pass(monkeypatch):
+    # Lambda(1) (x) k^{Z/3}: the idempotents leave the algebra without a G,
+    # while its dual Lambda(1) (x) k[Z/3] is generated by v and a group
+    # generator
+    even = dual_structure(group_hopf_algebra(GroupTable.cyclic(3), F7))
+    sp = super_tensor_product(exterior_hopf(1, F7).presentation,
+                              SuperPresentation(even, (0,) * 3))
+    h = FHopf(F7, sp.hopf.basis, sp.hopf.product, sp.hopf.unit, sp.hopf.coproduct,
+              sp.hopf.counit, sp.hopf.antipode)  # nothing cached yet
+    assert h.generating_set is None and len(h.dual_generating_set) == 2
+    calls = count_left_legs(monkeypatch)
+    assert check_axioms("super-hopf", SuperPresentation(h, sp.parity)).ok
+    assert len(calls) == 2
+    for part in ("coproduct", "product"):
+        bad = corrupt(h, part, "super/" + part)
+        assert uncapped_check(bad, sp.parity) == expected_laws(bad, sp.parity)
+
+
+def test_a_signed_permutation_keeps_the_verdict_and_the_witnesses():
+    # the witnesses of the moved input are those of the input, with each
+    # index i read as target[i], so the verdict is kept and the first witness
+    # is one of the input's; which one comes first follows the new index
+    # order (left-unit and right-unit, say, alternate per index)
+    moved = 0
+    for key, h, parity in dual_pass_inputs():
+        t, target = signed_permutation(h.field, parity, key)
+        expected = uncapped_check(h, parity)
+        found = [(name, tuple(target[i] for i in idx))
+                 for name, idx in uncapped_check(transport(h, t), parity)]
+        assert bool(found) == bool(expected), key
+        assert set(found) == set(expected) and len(found) == len(expected), key
+        moved += bool(expected)
+    assert moved > 50
+
+
+def seeded_corruptions(m, seed, count=4):
+    """count copies of the map m, each with one seeded entry bumped."""
+    rng = random.Random("map:%s" % (seed,))
+    f = m.field
+    for _ in range(count):
+        rows = [list(row) for row in m.data]
+        rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += f.from_int(rng.randrange(1, 4))
+        yield Matrix(f, rows)
+
+
+def test_algebra_maps_on_a_generating_set_report_what_the_full_loop_reports(monkeypatch):
+    # the maps decompose and duality_pairing certify with the source's G:
+    # alpha, gamma and the pairing isomorphism, each intact and with seeded
+    # corruptions
+    recorded = []
+    require = hopfcross.superalg.require_morphism
+
+    def recording(m, what, generators=None, **laws):
+        if generators is not None:
+            recorded.append((what, m, laws["algebra"], generators))
+        return require(m, what, generators=generators, **laws)
+
+    monkeypatch.setattr(hopfcross.superalg, "require_morphism", recording)
+    for field in (Q, F7):
+        ext = exterior_hopf(3, field)
+        t, _ = signed_permutation(field, ext.parity, "decompose")
+        decompose(SuperPresentation(transport(ext.hopf, t), ext.parity))
+        duality_pairing(3, field)
+    assert {what.split(" ")[0] for what, *_ in recorded} == {"alpha", "gamma", "candidate"}
+    failing = 0
+    for what, m, (src, dst), gens in recorded:
+        for bad in chain([m], seeded_corruptions(m, what)):
+            expected = list(algebra_map_violations(src, dst, bad))
+            assert list(algebra_map_violations(src, dst, bad, gens)) == expected, what
+            if not isinstance(dst, tuple):
+                assert expected == list(ref_algebra_map_violations(src, dst, bad)), what
+            failing += bool(expected)
+    assert failing > 10
 
 
 # --- lowered constants, once per structure and scale -------------------------

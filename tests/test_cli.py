@@ -389,6 +389,48 @@ def test_recognize_crossed_and_cleft_agree_on_m2(capsys):
     assert "system" in report["certificates"]
 
 
+def sign_graded_matrix_doc(signs):
+    """M_n(Q) on the basis e_ij, graded by Z/2 with deg e_ij = s_i + s_j.
+    For a sign vector s with p zeros and q ones, A_e = M_p x M_q and
+    A_g A_g = A_e, so A is strongly graded and hence k[Z/2]-Galois
+    (Ulbrich); when p != q, dim A_g = 2pq != dim A_e, so A is not a crossed
+    product and not cleft."""
+    n = len(signs)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    at = {ij: t for t, ij in enumerate(pairs)}
+    return {"format_version": 1, "kind": "graded-algebra", "field": {"kind": "Q"},
+            "basis": ["e%d%d" % (i + 1, j + 1) for i, j in pairs],
+            "degree": [(signs[i] + signs[j]) % 2 for i, j in pairs],
+            "group": {"elements": ["1", "g"], "table": [[0, 1], [1, 0]]},
+            "product": [[at[i, j], at[j, l], at[i, l], 1] for i, j in pairs for l in range(n)],
+            "unit": [[at[i, i], 1] for i in range(n)]}
+
+
+@pytest.mark.parametrize("signs", [(0, 0, 1), (0, 1, 1), (0, 0, 0, 1)])
+def test_galois_but_not_cleft_is_a_negative_answer(signs, tmp_path, capsys):
+    # cleft => Galois, but not conversely: without the normal basis property
+    # a Galois extension is not cleft, and recognize-cleft says so with exit 1
+    path = tmp_path / "sign-graded.json"
+    path.write_text(json.dumps(sign_graded_matrix_doc(signs)))
+    n, q = len(signs), sum(signs)
+    reports = {}
+    for command in ("check", "strongly-graded", "galois", "coinvariants", "find-section",
+                    "recognize-crossed", "recognize-cleft"):
+        code, report = run_json(capsys, [command, str(path)])
+        reports[command] = report
+        assert code == report["exit_code"], command
+    assert {command: (r["exit_code"], r["verdict"]) for command, r in reports.items()} == {
+        "check": (0, "pass"), "strongly-graded": (0, "pass"), "galois": (0, "pass"),
+        "coinvariants": (0, "pass"), "find-section": (1, "not-found"),
+        "recognize-crossed": (1, "not-found"), "recognize-cleft": (1, "not-found")}
+    assert all(reports["strongly-graded"]["witnesses"]["table"].values())
+    assert reports["galois"]["witnesses"] == {"bijective": True, "rank": 2 * n * n}
+    assert reports["coinvariants"]["witnesses"]["dimension"] == (n - q) ** 2 + q ** 2
+    for command in ("find-section", "recognize-crossed", "recognize-cleft"):
+        assert reports[command]["definitive"] is True, command
+    assert reports["recognize-cleft"]["witnesses"] == {"galois_bijective": True}
+
+
 def test_classify_split_lift_chain(capsys):
     code, report = run_json(capsys, ["classify-cleft", corpus("f3z3-cleft.json")])
     assert code == 0
