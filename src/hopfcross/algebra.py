@@ -17,7 +17,7 @@ counital) with one implementation of each and raises at the first witness.
 """
 
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import lcm
 
 from .errors import (
@@ -183,15 +183,6 @@ class _Coalgebra(_Structure):
             lower = _lower(self.field, d)
             terms = self._terms[d] = {i: _lowered(t, lower) for i, t in self.coproduct.items()}
         return terms
-
-    @cached_property
-    def dual_generating_set(self):
-        """G of the dual algebra C*, whose product rows are the lowered
-        coproduct transposed (`_dual_rows`) and whose unit is the counit;
-        found on the first read."""
-        lower, d, _ = _lowering((self,))
-        return _generating_set(self.field, _dual_rows(self.lowered_coproduct(d)),
-                               _lowered(_nonzero(self.counit), lower), self.dim)
 
     def delta_basis(self, i):
         return self.coproduct.get(i, {})
@@ -412,26 +403,22 @@ def relative_tensor(a, b_vectors, left, right, image):
 # - If moreover A is associative, every product is parity-homogeneous (so the
 #   Koszul-signed A (x) A is associative), 1 is even and Delta(1) = 1 (x) 1,
 #   then {a : Delta(ax) = Delta(a) Delta(x) for all x} is a subalgebra
-#   containing 1, so Delta is multiplicative once it is on every (g, j).
-# When A has no G, its dual A* may have one (a basis of orthogonal
-# idempotents, such as k^G, has none, while k[G] has a few group elements).
-# A* has the lowered tables transposed: e^x e^y = sum_k Delta_k^{xy} e^k,
-# unit eps, Delta(e^k) = sum c_ij^k e^i (x) e^j, with the parities of A.  So
-# - the unit laws of A* are the counit laws of A, and associativity of A* is
-#   coassociativity of A: G* certifies coassociativity once the counit laws
-#   hold;
-# - the Delta-multiplicativity tensor of A* at (x, y; i, j) is that of A at
-#   (i, j; x, y), Koszul sign included, and the premises above for A* are
-#   the counit laws, coassociativity, the parity of the coproduct and the
-#   counit, and Delta*(eps) = eps (x) eps, which is counit-multiplicativity
-#   of A: G* certifies Delta-multiplicativity once these hold.
-# check_axioms hands the laws G, or G* when A has no G, only while every law
-# before them has held, which covers these premises but the counit laws for
-# coassociativity and counit-multiplicativity, which come later in law order
-# and are checked first on every index.  Each law first runs its kernel over
-# i in G, all j; when that finds a failure, or no set is at hand, it runs the
-# same kernel over every pair, so the witnesses, their order and the cap are
-# those of the full loops.  counit-multiplicative always runs on every pair.
+#   containing 1, so Delta is multiplicative once it is on every (g, j); so
+#   is eps once eps(1) = 1.
+# Every premise is a law that comes earlier in law order, so a pass of the
+# laws that runs these over i in G and stops at its first witness decides
+# them.  When A has no G (a basis of orthogonal idempotents, such as k^G, has
+# none, while k[G] has a few group elements), its dual A* may have one.  A*
+# (`dual_structure`) has the structure maps transposed, with the parities of
+# A, and each law of A* is a law of A transposed: unit and counit,
+# associativity and coassociativity, coproduct-of-unit and
+# counit-multiplicativity trade places, while Delta-multiplicativity with its
+# Koszul sign, counit-of-unit, the parity laws and the antipode laws for the
+# transposed antipode map to themselves.  So A passes exactly when A* does.
+# check_axioms makes that one pass on A with its G, or else on A* with its
+# own G; when it finds no witness, the report is a pass.  Otherwise, or when
+# neither has a G, the full loops on A give the witnesses, their order and
+# the cap.
 #
 # A structure map m is checked by require_morphism against the laws its
 # caller names, in this order, up to the first witness: bijective; a unital
@@ -636,41 +623,26 @@ def _greedy_generators(rows, unit, dim, p, order, cap):
     return gens if len(words) == dim else None
 
 
-def _dual_rows(coproduct):
-    """The lowered product rows {x: {y: {k: c}}} of the dual C*, e^x e^y =
-    sum_k Delta_k^{xy} e^k, from the lowered coproduct of C."""
-    rows = {}
-    for k, terms in coproduct.items():
-        for (x, y), c in terms.items():
-            rows.setdefault(x, {}).setdefault(y, {})[k] = c
-    return rows
-
-
-def _dual_coproduct(rows):
-    """The lowered coproduct {k: {(i, j): c}} of the dual A*, from the
-    lowered product rows of A."""
-    coproduct = {}
-    for i, row in rows.items():
-        for j, terms in row.items():
-            for k, c in terms.items():
-                coproduct.setdefault(k, {})[(i, j)] = c
-    return coproduct
-
-
-def _holds_by_generators(gens, law):
-    """Whether law(i), which yields a truthy failure report for each j that
-    fails with e_i on the left, fails for no i in the generating set gens:
-    then the law holds on every pair (see above).  False when gens is None."""
-    return gens is not None and not any(any(law(i)) for i in gens)
-
-
-def _associativity(rows, dim, clean):
-    """associative(i) on lowered product rows: for each j in order, the l with
-    (e_i e_j) e_l != e_i (e_j e_l), sorted: every l at once, keyed (l, m)
-    over the nonzero products."""
-    def associative(i):
+def _algebra_laws(a, gens=None):
+    """The unit laws, then associativity for e_i on the left, i in gens or
+    every i when gens is None: for each j in order, every l with
+    (e_i e_j) e_l != e_i (e_j e_l), keyed (l, m) over the nonzero products."""
+    lower, d, clean = _lowering((a,))
+    rows = a.lowered_rows(d)
+    unit = _lowered(_nonzero(a.unit), lower)
+    for i in range(a.dim):
+        left, right = {}, {}
+        for t, c in unit.items():
+            _add_scaled(left, c, rows.get(t, {}).get(i, {}))
+            _add_scaled(right, c, rows.get(i, {}).get(t, {}))
+        e = {i: d * d}
+        if clean(left) != e:
+            yield ("left-unit", (i,))
+        if clean(right) != e:
+            yield ("right-unit", (i,))
+    for i in range(a.dim) if gens is None else gens:
         row_i = rows.get(i, {})
-        for j in range(dim):
+        for j in range(a.dim):
             lhs, rhs = {}, {}
             for k, c in row_i.get(j, {}).items():
                 for l, terms in rows.get(k, {}).items():
@@ -685,65 +657,21 @@ def _associativity(rows, dim, clean):
                         cu = c * u
                         rhs[key] = rhs[key] + cu if key in rhs else cu
             lhs, rhs = clean(lhs), clean(rhs)
-            if lhs == rhs:
-                yield ()
-            else:
+            if lhs != rhs:
                 keys = lhs.keys() | rhs.keys()
-                yield sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))})
-
-    return associative
-
-
-def _algebra_laws(a, generators=None):
-    """The unit laws and associativity; generators, when given, is a
-    callable returning G or None (see check_axioms)."""
-    lower, d, clean = _lowering((a,))
-    rows = a.lowered_rows(d)
-    unit = _lowered(_nonzero(a.unit), lower)
-    for i in range(a.dim):
-        left, right = {}, {}
-        for t, c in unit.items():
-            _add_scaled(left, c, rows.get(t, {}).get(i, {}))
-            _add_scaled(right, c, rows.get(i, {}).get(t, {}))
-        e = {i: d * d}
-        if clean(left) != e:
-            yield ("left-unit", (i,))
-        if clean(right) != e:
-            yield ("right-unit", (i,))
-    associative = _associativity(rows, a.dim, clean)
-    if _holds_by_generators(generators and generators(), associative):
-        return
-    for i in range(a.dim):
-        for j, failing in enumerate(associative(i)):
-            for l in failing:
-                yield ("associativity", (i, j, l))
+                for l in sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))}):
+                    yield ("associativity", (i, j, l))
 
 
-def _coalgebra_laws(c, dual_generators=None):
-    """Coassociativity and the counit laws; dual_generators, when given, is
-    a callable returning G* or None (see check_axioms)."""
+def _coalgebra_laws(c):
+    """Coassociativity and the counit laws."""
     lower, d, clean = _lowering((c,))
     coproduct = c.lowered_coproduct(d)
     counit = _lowered(_nonzero(c.counit), lower)
-
-    def counit_failures(i):
-        """Whether the left and the right counit law fail at e_i."""
-        left, right = {}, {}
-        for (j, k), u in coproduct.get(i, {}).items():
-            if j in counit:
-                left[k] = left.get(k, 0) + counit[j] * u
-            if k in counit:
-                right[j] = right.get(j, 0) + u * counit[k]
-        e = {i: d * d}
-        return clean(left) != e, clean(right) != e
-
-    gens = dual_generators and dual_generators()
-    if (gens is not None and not any(any(counit_failures(i)) for i in range(c.dim))
-            and _holds_by_generators(gens, _associativity(_dual_rows(coproduct), c.dim, clean))):
-        return
     for i in range(c.dim):
+        delta = coproduct.get(i, {})
         lhs, rhs = {}, {}
-        for (j, k), u in coproduct.get(i, {}).items():
+        for (j, k), u in delta.items():
             for (a, b), v in coproduct.get(j, {}).items():
                 key = (a, b, k)
                 lhs[key] = lhs.get(key, 0) + u * v
@@ -752,10 +680,16 @@ def _coalgebra_laws(c, dual_generators=None):
                 rhs[key] = rhs.get(key, 0) + u * v
         if clean(lhs) != clean(rhs):
             yield ("coassociativity", (i,))
-        left_fails, right_fails = counit_failures(i)
-        if left_fails:
+        left, right = {}, {}
+        for (j, k), u in delta.items():
+            if j in counit:
+                left[k] = left.get(k, 0) + counit[j] * u
+            if k in counit:
+                right[j] = right.get(j, 0) + u * counit[k]
+        e = {i: d * d}
+        if clean(left) != e:
             yield ("counit-left", (i,))
-        if right_fails:
+        if clean(right) != e:
             yield ("counit-right", (i,))
 
 
@@ -769,13 +703,40 @@ def _left_legs(rows, delta):
     return out
 
 
-def _multiplicativity(rows, coproduct, p, d2, clean, dim):
-    """not_multiplicative(i) on lowered tables: for each j in order, whether
-    Delta(e_i e_j) != Delta(e_i) Delta(e_j) (see _bialgebra_laws)."""
-    def not_multiplicative(i):
+def _bialgebra_laws(b, p, gens=None):
+    """Delta and eps are algebra maps; in A (x) A the crossing of two odd
+    tensor legs carries the Koszul sign -1.  After the laws on the unit, both
+    multiplicativity laws run for e_i on the left, i in gens or every i when
+    gens is None.
+
+    Delta(e_i) Delta(e_j) is contracted in stages, O(d^6) in all on dense
+    constants where the pairs of coproduct terms cost O(d^8): the left legs
+    U[b1][a2] of e_i once per i, then per pair
+    V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
+    and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
+    native ints; each term of that sum carries D^4 and each term of
+    Delta(e_i e_j) D^2, so the latter is multiplied by D^2."""
+    lower, d, clean = _lowering((b,))
+    rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
+    unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
+    d2 = d * d
+    char = b.field.characteristic
+
+    def nonzero(x):
+        """Whether the lowered scalar x is not 0 in the field."""
+        return x % char if char else x
+
+    lhs = {}
+    for t, c in unit.items():
+        _add_scaled(lhs, c, coproduct.get(t, {}))
+    if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
+        yield ("coproduct-of-unit", ())
+    if nonzero(sum(c * counit.get(t, 0) for t, c in unit.items()) - d2):
+        yield ("counit-of-unit", ())
+    for i in range(b.dim) if gens is None else gens:
         legs = _left_legs(rows, coproduct.get(i, {}))
-        row_i = rows.get(i, {})
-        for j in range(dim):
+        row_i, counit_i = rows.get(i, {}), counit.get(i, 0)
+        for j in range(b.dim):
             lhs = {}
             for k, c in row_i.get(j, {}).items():
                 _add_scaled(lhs, c * d2, coproduct.get(k, {}))
@@ -796,61 +757,10 @@ def _multiplicativity(rows, coproduct, p, d2, clean, dim):
                         key = (x, y)
                         uw = u * w
                         rhs[key] = rhs[key] + uw if key in rhs else uw
-            yield clean(lhs) != clean(rhs)
-
-    return not_multiplicative
-
-
-def _bialgebra_laws(b, p, generators=None, dual_generators=None):
-    """Delta and eps are algebra maps; in A (x) A the crossing of two odd
-    tensor legs carries the Koszul sign -1.
-
-    Delta(e_i) Delta(e_j) is contracted in stages, O(d^6) in all on dense
-    constants where the pairs of coproduct terms cost O(d^8): the left legs
-    U[b1][a2] of e_i once per i, then per pair
-    V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
-    and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
-    native ints; each term of that sum carries D^4 and each term of
-    Delta(e_i e_j) D^2, so the latter is multiplied by D^2.  generators and
-    dual_generators, when given, are callables returning G and G* or None
-    (see check_axioms)."""
-    lower, d, clean = _lowering((b,))
-    rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
-    unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
-    d2 = d * d
-    char = b.field.characteristic
-
-    def nonzero(x):
-        """Whether the lowered scalar x is not 0 in the field."""
-        return x % char if char else x
-
-    lhs = {}
-    for t, c in unit.items():
-        _add_scaled(lhs, c, coproduct.get(t, {}))
-    if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
-        yield ("coproduct-of-unit", ())
-    if nonzero(sum(c * counit.get(t, 0) for t, c in unit.items()) - d2):
-        yield ("counit-of-unit", ())
-
-    def counit_failures(i):
-        """For each j in order, whether eps(e_i e_j) != eps(e_i) eps(e_j)."""
-        row_i, counit_i = rows.get(i, {}), counit.get(i, 0)
-        for j in range(b.dim):
-            s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
-            yield nonzero(s - counit_i * counit.get(j, 0))
-
-    not_multiplicative = _multiplicativity(rows, coproduct, p, d2, clean, b.dim)
-    holds = _holds_by_generators(generators and generators(), not_multiplicative)
-    gens = None if holds else dual_generators and dual_generators()
-    if gens is not None and not any(any(counit_failures(i)) for i in range(b.dim)):
-        holds = _holds_by_generators(gens, _multiplicativity(
-            _dual_rows(coproduct), _dual_coproduct(rows), p, d2, clean, b.dim))
-    for i in range(b.dim):
-        failures = repeat(False) if holds else not_multiplicative(i)
-        for j, fails, counit_fails in zip(range(b.dim), failures, counit_failures(i)):
-            if fails:
+            if clean(lhs) != clean(rhs):
                 yield ("coproduct-multiplicative", (i, j))
-            if counit_fails:
+            s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
+            if nonzero(s - counit_i * counit.get(j, 0)):
                 yield ("counit-multiplicative", (i, j))
 
 
@@ -896,6 +806,24 @@ def _antipode_laws(h):
             yield ("antipode-left", (i,))
 
 
+def _laws(kind, s, parity, gens):
+    """The witnesses of the laws of kind on s in law order, associativity and
+    Delta-multiplicativity for e_i on the left, i in gens or every i when
+    gens is None (see above)."""
+    if kind == "algebra":
+        return _algebra_laws(s, gens)
+    if kind == "coalgebra":
+        return _coalgebra_laws(s)
+    if kind not in ("bialgebra", "hopf", "super-hopf"):
+        raise ValueError("unknown axiom kind %r" % (kind,))
+    laws = chain(_algebra_laws(s, gens), _coalgebra_laws(s), _bialgebra_laws(s, parity, gens))
+    if kind != "bialgebra":
+        laws = chain(laws, _antipode_laws(s))
+    if kind == "super-hopf":
+        laws = chain(_parity_laws(s, parity), laws)
+    return laws
+
+
 def check_axioms(kind, data):
     """Check structure axioms up to the requested level.
 
@@ -904,39 +832,18 @@ def check_axioms(kind, data):
     first, then the Hopf laws with the Koszul sign.  The report keeps the
     first MAX_VIOLATIONS witnesses in law order.
 
-    Associativity and Delta-multiplicativity are handed the generating set
-    G of the algebra, and coassociativity and Delta-multiplicativity that of
-    its dual when the algebra has none, while every earlier law has held
-    (see above); each set is kept on the structure.
+    A pass of the laws over the generating set G of the algebra, or else of
+    its dual (see above), decides first; the full loops run only when it
+    finds a witness or neither has a G.
     """
-    found = []
-
-    def generators():
-        return None if found else a.generating_set
-
-    def dual_generators():
-        return None if found or a.generating_set is not None else a.dual_generating_set
-
-    if kind == "algebra":
-        a = data
-        laws = _algebra_laws(a, generators)
-    elif kind == "coalgebra":
-        laws = _coalgebra_laws(data)
-    elif kind in ("bialgebra", "hopf", "super-hopf"):
-        a, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
-        laws = chain(_algebra_laws(a, generators), _coalgebra_laws(a, dual_generators),
-                     _bialgebra_laws(a, parity, generators, dual_generators))
-        if kind != "bialgebra":
-            laws = chain(laws, _antipode_laws(a))
-        if kind == "super-hopf":
-            laws = chain(_parity_laws(a, parity), laws)
-    else:
-        raise ValueError("unknown axiom kind %r" % (kind,))
-    for witness in laws:
-        found.append(witness)
-        if len(found) == MAX_VIOLATIONS:
-            break
-    return AxiomReport(kind, found)
+    a, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
+    laws = _laws(kind, a, parity, None)
+    if kind != "coalgebra":
+        s = a if kind == "algebra" or a.generating_set is not None else dual_structure(a)
+        if s.generating_set is not None and next(_laws(kind, s, parity, s.generating_set),
+                                                 None) is None:
+            return AxiomReport(kind, [])
+    return AxiomReport(kind, list(islice(laws, MAX_VIOLATIONS)))
 
 
 def _tensor_rows(rows_a, rows_b, db, support):
@@ -1001,7 +908,8 @@ def algebra_map_violations(src, dst, m, generators=None):
                 _add_scaled(lhs, scale * c, cols[k])
             yield clean(lhs) != clean(_sparse_product(rows, cols[i], cols[j]))
 
-    if unital and _holds_by_generators(generators, not_multiplicative):
+    if unital and generators is not None and not any(any(not_multiplicative(g))
+                                                     for g in generators):
         return
     for i in range(src.dim):
         for j, fails in enumerate(not_multiplicative(i)):
@@ -1224,31 +1132,21 @@ def group_table_from_hopf(h):
 
 
 def dual_structure(h):
-    """The dual presentation of a finite-dimensional Hopf algebra, unchecked:
-    product dual to the coproduct, coproduct dual to the product, unit and
-    counit swapped, transposed antipode, on the dual basis."""
-    f = h.field
-    product = {}
+    """The dual presentation of a finite-dimensional bialgebra or Hopf
+    algebra, unchecked: product dual to the coproduct, coproduct dual to the
+    product, unit and counit swapped, on the dual basis, with the transposed
+    antipode when h has one."""
+    product, coproduct = {}, {}
     for k, terms in h.coproduct.items():
-        for (i, j), c in terms.items():
-            product.setdefault((i, j), {})[k] = (
-                product.get((i, j), {}).get(k, f.zero) + c
-            )
-    coproduct = {}
-    for (i, j), terms in h.product.items():
+        for ij, c in terms.items():
+            product.setdefault(ij, {})[k] = c
+    for ij, terms in h.product.items():
         for k, c in terms.items():
-            coproduct.setdefault(k, {})[(i, j)] = (
-                coproduct.get(k, {}).get((i, j), f.zero) + c
-            )
-    return FHopf(
-        f,
-        tuple("%s*" % lbl for lbl in h.basis),
-        product,
-        h.counit,
-        coproduct,
-        h.unit,
-        h.antipode.transpose(),
-    )
+            coproduct.setdefault(k, {})[ij] = c
+    parts = (h.field, tuple("%s*" % lbl for lbl in h.basis), product, h.counit, coproduct, h.unit)
+    if isinstance(h, FHopf):
+        return FHopf(*parts, h.antipode.transpose())
+    return FBialgebra(*parts)
 
 
 def dual_hopf(h):

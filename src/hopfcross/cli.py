@@ -11,6 +11,7 @@ across runs with identical inputs and flags.
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .algebra import (
     ComoduleCoalgebraData,
@@ -18,6 +19,8 @@ from .algebra import (
     FBialgebra,
     FCoalgebra,
     FHopf,
+    MAX_VIOLATIONS,
+    _laws,
     check_axioms,
     compute_antipode,
     dual_hopf,
@@ -395,14 +398,26 @@ def _parse_hopf(doc, field, kind="hopf"):
                  coalg.coproduct, coalg.counit, antipode)
 
 
-def _check_nested_hopf(hopf):
-    """Raise the failed Hopf laws of a nested hopf block, named hopf-<law>.
-    Each caller runs it once the block's structure is built, so that any
-    malformed part of the file exits 2 first."""
-    violations = check_axioms("hopf", hopf).violations
+def _check_block(name, violations, what):
+    """Raise the witnesses of a block of the file that fails its laws, each
+    named <name>-<law>.  Each caller runs it once the file's structures are
+    built, so that any malformed part of the file exits 2 first."""
     if violations:
-        raise InvalidComoduleAlgebraError([("hopf-" + name, w) for name, w in violations],
-                                          "a Hopf algebra")
+        raise InvalidComoduleAlgebraError([(name + "-" + law, w) for law, w in violations], what)
+
+
+def _check_nested_hopf(hopf):
+    _check_block("hopf", check_axioms("hopf", hopf).violations, "a Hopf algebra")
+
+
+def _check_algebra_block(alg, name):
+    """Raise the failed algebra laws of the file's own algebra (name
+    "algebra") or of its block `name`, which no coaction, measuring or
+    action law implies.  These are the witnesses of check_axioms("algebra",
+    alg), from its full loops, run without a call of check_axioms so that
+    the calls a traced run counts stay the library's own checks."""
+    violations = list(islice(_laws("algebra", alg, None, None), MAX_VIOLATIONS))
+    _check_block(name, violations, "an algebra")
 
 
 def _parse_group(doc, kind):
@@ -428,8 +443,10 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
     """Load and structurally validate a presentation file (or parsed dict).
     When kinds is given, a file of no kind in it raises message (by default,
     its declared and the expected kind) before anything in it is built.  A
-    nested hopf block that fails the Hopf laws raises
-    InvalidComoduleAlgebraError with the laws named hopf-<law>."""
+    nested hopf block that fails the Hopf laws, or an algebra (of a graded
+    or comodule algebra, or the base block) that fails the algebra laws,
+    raises InvalidComoduleAlgebraError with the laws named hopf-<law>,
+    algebra-<law> or base-<law>."""
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
     else:
@@ -471,7 +488,9 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             raise ParseError("degree must be a list of ints")
         if any(not (0 <= g < group.order) for g in degree):
             raise ParseError("degree entry out of group range")
-        return Presentation(kind, GradedAlgebra(alg, group, tuple(degree)))
+        graded = GradedAlgebra(alg, group, tuple(degree))
+        _check_algebra_block(alg, "algebra")
+        return Presentation(kind, graded)
     if kind == "comodule-algebra":
         alg = _parse_algebra(doc, field, kind)
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
@@ -483,6 +502,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             aug = _vector_from_json(field, doc["augmentation"], alg.dim, "augmentation")
         ca = ComoduleAlgebra(alg, hopf, coaction)
         _check_nested_hopf(hopf)
+        _check_algebra_block(alg, "algebra")
         return Presentation(kind, ca, augmentation=aug)
     if kind == "crossed-system":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
@@ -495,6 +515,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             _matrix_from_json(field, _require(doc, "sigma_inv", kind), "sigma_inv"),
         )
         _check_nested_hopf(hopf)
+        _check_algebra_block(base, "base")
         return Presentation(kind, system)
     if kind == "hmodule":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
@@ -515,6 +536,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             if (cochain.matrix.rows, cochain.matrix.cols) != shape:
                 raise ParseError("cochain must be a %d x %d matrix" % shape)
         _check_nested_hopf(hopf)
+        _check_algebra_block(base, "base")
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
         parts, violations = [], []

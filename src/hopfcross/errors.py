@@ -91,8 +91,9 @@ class InvalidCrossedSystemError(ValidationError):
 
 class InvalidComoduleAlgebraError(ValidationError):
     """A coaction that fails the comodule-algebra laws, a nested hopf block
-    that fails the Hopf laws, or a lift problem whose parts do or whose maps
-    have the wrong shape; `violations` lists the witnesses."""
+    that fails the Hopf laws, an algebra block that fails the algebra laws,
+    or a lift problem whose parts do or whose maps have the wrong shape;
+    `violations` lists the witnesses."""
 
     def __init__(self, violations, what="a comodule algebra"):
         super().__init__("not %s: %r" % (what, violations))

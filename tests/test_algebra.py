@@ -23,6 +23,7 @@ from hopfcross.algebra import (
     _coalgebra_components,
     _coalgebra_laws,
     _left_legs,
+    _laws,
     _lower,
     _lowered,
     _parity_laws,
@@ -604,9 +605,9 @@ def test_the_generating_set_pass_reports_what_the_full_loops_report():
         if key[1] == "moved" and key[0] != "lambda2/F7":
             # on these dense bases of Lambda(2) neither greedy pass finds a G
             # of at most half the basis, so the pass gives up; the dual keeps
-            # 2 indices, so Delta-multiplicativity is tried on G* first, and
-            # the failure sends it to the full loops
-            assert gens is None and len(h.dual_generating_set) == 2, key
+            # 2 indices, so the laws are decided on the dual first, and the
+            # failure sends check_axioms to the full loops
+            assert gens is None and len(dual_structure(h).generating_set) == 2, key
         else:
             assert gens is not None and len(gens) < h.dim, key
         expected = ref_hopf_laws(h, parity)
@@ -660,11 +661,11 @@ def test_lambda6_builds_left_legs_for_its_generators_only(monkeypatch):
 def test_a_basis_of_orthogonal_idempotents_takes_the_dual_set(monkeypatch):
     # on k^S4, G would keep 23 of the 24 indices in either order, so the
     # pass gives up; the dual k[S4] is generated by a few group elements, so
-    # Delta-multiplicativity of k^S4 is certified as that of k[S4] and builds
-    # the left legs of k[S4]'s generators only
+    # k^S4 is decided as k[S4], whose Delta-multiplicativity builds the left
+    # legs of k[S4]'s generators only
     dual = dual_structure(group_hopf_algebra(GroupTable.symmetric(4), F5))
     assert dual.generating_set is None
-    gens = dual.dual_generating_set
+    gens = dual_structure(dual).generating_set
     assert 0 < len(gens) <= 3
     calls = count_left_legs(monkeypatch)
     assert check_axioms("hopf", dual).ok
@@ -761,7 +762,7 @@ def deformed_function_algebra(field, n, seed, unital=True):
             vectors[0] = [field.one] * n
         if Matrix.from_cols(field, [tuple(v) for v in vectors]).det():
             h = function_algebra(vectors, field)
-            if h.dual_generating_set is not None:
+            if dual_structure(h).generating_set is not None:
                 return h
 
 
@@ -804,7 +805,8 @@ def dual_pass_inputs():
         # on u = (1, 0, -1), (1, 0, 1), (1, 1, -1) the dual is generated by
         # u_0, and u_0 u_y is some u_z for every y while u_2 u_2 = (1, 1, 1)
         # is not: the pass over G* finds no failure, but eps is not
-        # multiplicative, so that pass may not run and the full loop reports
+        # multiplicative, which the dual reports first as coproduct-of-unit,
+        # so that pass may not run and the full loop reports
         one = (field.one, field.zero, -field.one)
         bases.append(("monoid-counit", function_algebra(
             [one, (field.one, field.zero, field.one), (field.one, field.one, -field.one)], field),
@@ -828,7 +830,7 @@ def test_the_dual_generating_set_reports_what_the_full_loops_report():
         first_laws.add(first)
         if h.generating_set is not None:
             assert len(h.generating_set) < h.dim, key
-        elif h.dual_generating_set is not None:
+        elif dual_structure(h).generating_set is not None:
             dual_engaged += 1
             if first in ("coproduct-multiplicative", "counit-multiplicative"):
                 dual_failed.update(name for name, _ in expected)
@@ -841,6 +843,54 @@ def test_the_dual_generating_set_reports_what_the_full_loops_report():
             "coproduct-multiplicative"} <= first_laws
     assert {"coproduct-multiplicative", "counit-multiplicative"} <= dual_failed
     assert dual_engaged > 50 and scaled > 20
+
+
+# --- duality: A passes exactly when A* does ----------------------------------
+#
+# check_axioms may decide A on A* (see algebra.py), which is sound because
+# each law of A* is a law of A transposed.  Both verdicts are compared here,
+# and with the full loops on A*, which no generating set shortens.
+
+
+def duality_inputs():
+    """(key, kind, structure, parity): the Hopf corpus (monoid2 as a
+    bialgebra), intact and with seeded corruptions of each part it has, and
+    every input of dual_pass_inputs and generator_pass_inputs."""
+    for name in HOPF_CORPUS:
+        pres = parse_presentation(os.path.join(CORPUS, name))
+        kind, h = pres.kind, pres.payload
+        h, parity = (h.hopf, h.parity) if kind == "super-hopf" else (h, (0,) * h.dim)
+        yield (name,), kind, h, parity
+        f = h.field
+        if kind == "bialgebra":  # corrupt reads an antipode
+            h = FHopf(f, h.basis, h.product, h.unit, h.coproduct, h.counit,
+                      Matrix.identity(f, h.dim))
+        for part in PARTS[:4] if kind == "bialgebra" else PARTS:
+            for seed in range(3):
+                bad = corrupt(h, part, "dual/%s/%s/%d" % (name, part, seed))
+                if kind == "bialgebra":
+                    bad = FBialgebra(f, bad.basis, bad.product, bad.unit, bad.coproduct,
+                                     bad.counit)
+                yield (name, part, seed), kind, bad, parity
+    for key, h, parity in chain(dual_pass_inputs(),
+                                (inp[:3] for inp in generator_pass_inputs())):
+        yield key, "super-hopf" if any(parity) else "hopf", h, parity
+
+
+def test_a_structure_passes_exactly_when_its_dual_does():
+    verdicts = {True: 0, False: 0}
+    for key, kind, h, parity in duality_inputs():
+        dual = dual_structure(h)
+
+        def passes(s):
+            return check_axioms(kind, SuperPresentation(s, parity) if kind == "super-hopf"
+                                else s).ok
+
+        ok = passes(h)
+        assert passes(dual) == ok, key
+        assert (next(_laws(kind, dual, parity, None), None) is None) == ok, key
+        verdicts[ok] += 1
+    assert verdicts[True] > 30 and verdicts[False] > 100
 
 
 def test_signed_permutations_of_lambda_are_generated_in_degree_one():
@@ -863,7 +913,7 @@ def test_a_super_input_takes_the_dual_pass(monkeypatch):
                               SuperPresentation(even, (0,) * 3))
     h = FHopf(F7, sp.hopf.basis, sp.hopf.product, sp.hopf.unit, sp.hopf.coproduct,
               sp.hopf.counit, sp.hopf.antipode)  # nothing cached yet
-    assert h.generating_set is None and len(h.dual_generating_set) == 2
+    assert h.generating_set is None and len(dual_structure(h).generating_set) == 2
     calls = count_left_legs(monkeypatch)
     assert check_axioms("super-hopf", SuperPresentation(h, sp.parity)).ok
     assert len(calls) == 2

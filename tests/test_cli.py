@@ -737,6 +737,121 @@ def test_a_malformed_file_exits_2_before_its_hopf_block_is_checked(tmp_path, cap
     assert capsys.readouterr().err == "error: coaction matrix shape mismatch\n"
 
 
+# B = span(1, a, b) with a a = b, b a = a and a b = b b = 0 is not
+# associative: (a a) a = a but a (a a) = 0.  Each reproducer embeds B where
+# no other law reads its associativity.
+
+def unital_rows(dim):
+    """The products by 1 = e_0 on a basis of dim elements, as file entries."""
+    return [[0, 0, 0, 1]] + [entry for j in range(1, dim) for entry in ([0, j, j, 1], [j, 0, j, 1])]
+
+
+def nonassociative_algebra(extra=()):
+    """B, or B + span(extra) with every product of an extra element by a
+    non-unit zero, as an algebra block over Q."""
+    basis = ["1", "a", "b"] + list(extra)
+    return {"format_version": 1, "kind": "algebra", "field": {"kind": "Q"}, "basis": basis,
+            "product": unital_rows(len(basis)) + [[1, 1, 2, 1], [2, 1, 1, 1]],
+            "unit": [[0, 1]]}
+
+
+def identity_entries(dim):
+    return [[i, i, 1] for i in range(dim)]
+
+
+def group_algebra_block(n):
+    """k[Z/n] over Q as a hopf block, g_i g_j = g_{i+j}."""
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return {"format_version": 1, "kind": "hopf", "field": {"kind": "Q"},
+            "basis": ["g%d" % i for i in range(n)],
+            "product": [[i, j, (i + j) % n, 1] for i, j in pairs],
+            "unit": [[0, 1]], "coproduct": [[i, i, i, 1] for i in range(n)],
+            "counit": [[i, 1] for i in range(n)],
+            "antipode": {"rows": n, "cols": n, "entries": [[-i % n, i, 1] for i in range(n)]}}
+
+
+def nonassociative_graded():
+    """B + kx over Z/2, with x of degree g and x x = 0."""
+    doc = nonassociative_algebra(["x"])
+    doc.update(kind="graded-algebra", degree=[0, 0, 0, 1],
+               group={"elements": ["1", "g"], "table": [[0, 1], [1, 0]]})
+    return doc
+
+
+def nonassociative_comodule_algebra():
+    """The graded reproducer as a k[Z/2]-comodule algebra, rho(e_i) =
+    e_i (x) g^deg(i), with the augmentation that kills a, b and x."""
+    doc = nonassociative_algebra(["x"])
+    doc.update(kind="comodule-algebra", hopf=group_algebra_block(2), augmentation=[[0, 1]],
+               coaction={"rows": 8, "cols": 4,
+                         "entries": [[2 * i + deg, i, 1] for i, deg in enumerate((0, 0, 0, 1))]})
+    return doc
+
+
+def nonassociative_base(kind):
+    """B as the base of a crossed system over k = k[Z/1] that measures by
+    the identity with sigma = sigma^-1 = 1, or of a k-module algebra with
+    eps(a) = eps(b) = 0 and the trivial action on B^+."""
+    doc = {"format_version": 1, "kind": kind, "field": {"kind": "Q"},
+           "hopf": group_algebra_block(1), "base": nonassociative_algebra()}
+    if kind == "crossed-system":
+        one = {"rows": 3, "cols": 1, "entries": [[0, 0, 1]]}
+        doc.update(measuring={"rows": 3, "cols": 3, "entries": identity_entries(3)},
+                   sigma=one, sigma_inv=one)
+    else:
+        doc.update(augmentation=[[0, 1]],
+                   action={"rows": 2, "cols": 2, "entries": identity_entries(2)})
+    return doc
+
+
+def nonassociative_lift_problem():
+    """The comodule-algebra reproducer as both the domain and the target of
+    a lift problem along the identity, with psi : g^i -> x^i, which is not an
+    algebra map (x x = 0) and which lift checks only once the file parsed."""
+    part = nonassociative_comodule_algebra()
+    return {"format_version": 1, "kind": "lift-problem", "field": {"kind": "Q"},
+            "domain": part, "target": copy.deepcopy(part),
+            "surjection": {"rows": 4, "cols": 4, "entries": identity_entries(4)},
+            "map": {"rows": 4, "cols": 2, "entries": [[0, 0, 1], [3, 1, 1]]}}
+
+
+@pytest.mark.parametrize("make, prefixes, commands", [
+    (nonassociative_graded, ["algebra-"],
+     ["coinvariants", "galois", "strongly-graded", "recognize-crossed", "find-section",
+      "recognize-cleft"]),
+    (nonassociative_comodule_algebra, ["algebra-"],
+     ["coinvariants", "galois", "find-section", "recognize-cleft", "classify-cleft", "split"]),
+    (lambda: nonassociative_base("crossed-system"), ["base-"], ["crossed-product"]),
+    (lambda: nonassociative_base("hmodule"), ["base-"], ["hh2"]),
+    (nonassociative_lift_problem, ["domain-algebra-", "target-algebra-"], ["lift"]),
+], ids=["graded-algebra", "comodule-algebra", "crossed-system", "hmodule", "lift-problem"])
+def test_an_algebra_block_is_checked(make, prefixes, commands, tmp_path, capsys):
+    path = tmp_path / "nonassociative.json"
+    path.write_text(json.dumps(make()))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1 and report["verdict"] == "fail"
+    names = [v[0] for v in report["witnesses"]["violations"]]
+    for prefix in prefixes:
+        assert prefix + "associativity" in names
+    assert all(n.startswith(tuple(prefixes)) for n in names)
+    for command in commands:
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: not a")
+        assert prefixes[0] + "associativity" in out.err and out.err.count("\n") == 1
+
+
+def test_the_algebra_block_check_reports_what_check_axioms_reports(tmp_path):
+    # the block check names check_axioms' own witnesses, in its order and cap
+    doc = nonassociative_comodule_algebra()
+    with pytest.raises(ValidationError) as e:
+        parse_presentation(doc)
+    alg = parse_presentation(nonassociative_algebra(["x"])).payload
+    expected = hopfcross.algebra.check_axioms("algebra", alg).violations
+    assert expected and e.value.violations == [("algebra-" + n, w) for n, w in expected]
+
+
 def test_every_graded_command_words_a_bad_grading_alike(tmp_path, capsys):
     # e12 e21 = e11 leaves the components once e12 has degree 1 and e21 degree g
     doc = load("m2-z2-graded.json")

@@ -700,11 +700,10 @@ def test_staged_multiplicativity_keeps_a_long_witness_list_and_the_cap(monkeypat
     capped = corrupt_constant(sp, 3)
     report = check_axioms("super-hopf", capped).violations
     assert len(report) == MAX_VIOLATIONS and report[-1][0] == "coproduct-multiplicative"
-    # check_axioms also hands the law its two generating-set callables, which
-    # the nested loop has no use for: it checks every pair
+    # check_axioms also hands the law a generating set, which the nested loop
+    # has no use for: it checks every pair
     monkeypatch.setattr("hopfcross.algebra._bialgebra_laws",
-                        lambda b, p, generators, dual_generators:
-                        nested_loop_multiplicativity(b, p))
+                        lambda b, p, gens: nested_loop_multiplicativity(b, p))
     assert check_axioms("super-hopf", capped).violations == report
 
 
