@@ -2,14 +2,16 @@
 
 A presentation stores structure constants sparsely: the product as
 ``{(i, j): {k: scalar}}`` and the coproduct as ``{i: {(j, k): scalar}}``.
-Vectors of coefficients cross the API as dense tuples of field scalars;
-inside, products, coordinates and the axiom laws read only their nonzeros
-(the laws as sparse rows of native ints, see `_lowering`).  FAlgebra and
-FCoalgebra take their operations from `_Algebra` and `_Coalgebra`, and
-FBialgebra from both.  Each structure keeps, beside its constants, the lcm
-of their denominators and its tables lowered to native ints.  Tensor indices
-are row-major: basis element ``e_i (x) e_j`` of ``A (x) B`` has index
-``i * dim(B) + j`` (`ti`; `linalg.vtensor` forms u (x) v in that order).
+Vectors of coefficients cross the public API as dense tuples of field
+scalars; inside, products and coordinates are sparse native rows (see
+`linalg`), with one product kernel, `sparse_mult`, which the dense `mult`
+wraps, and the axiom laws read sparse rows of native ints (see
+`_lowering`).  FAlgebra and FCoalgebra take their operations from
+`_Algebra` and `_Coalgebra`, and FBialgebra from both.  Each structure
+keeps, beside its constants, the lcm of their denominators and its tables
+lowered to native ints.  Tensor indices are row-major: basis element
+``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j`` (`ti`;
+`linalg.vtensor` forms u (x) v in that order).
 
 Structure maps are certified by one checker, `require_morphism`: it checks
 the laws its caller names (bijective, a unital algebra map, colinear,
@@ -31,6 +33,13 @@ from .groups import GroupTable
 from .linalg import (
     Matrix,
     QuotientSpace,
+    _basis_row,
+    _dense_vec,
+    _field_row,
+    _native,
+    _rational,
+    _reduced,
+    _sparse,
     _subtract,
     basis_vec,
     connected_components,
@@ -116,33 +125,34 @@ class _Algebra(_Structure):
         return _generating_set(self.field, self.lowered_rows(d),
                                _lowered(_nonzero(self.unit), lower), self.dim)
 
+    @cached_property
+    def native_rows(self):
+        """The product rows {i: {j: {k: c}}} on native scalars (see
+        linalg), which `sparse_mult` reads, built on the first read."""
+        return _product_rows(self.product, _lower(self.field, None))
+
     def one(self):
         return self.unit
 
     def mult_basis(self, i, j):
         return self.product.get((i, j), {})
 
+    def sparse_mult(self, u, v):
+        """u v for sparse native vectors (see linalg): the product kernel."""
+        return _reduced(_sparse_product(self.native_rows, u, v), self.field.characteristic)
+
     def mult(self, x, y):
-        z = self.field.zero
-        out = [z] * self.dim
-        product = self.product
-        # most zeros are the field's own zero object, which `is` skips
-        # without a call to __bool__
-        ys = [(j, b) for j, b in enumerate(y) if b is not z and b]
-        for i, a in enumerate(x):
-            if a is z or not a:
-                continue
-            for j, b in ys:
-                terms = product.get((i, j))
-                if terms:
-                    ab = a * b
-                    for k, c in terms.items():
-                        out[k] = out[k] + ab * c
-        return tuple(out)
+        """x y for dense tuples of field scalars, on the kernel of
+        `sparse_mult`; the dense tuple reduces each sum to a field scalar."""
+        f = self.field
+        out = _sparse_product(self.native_rows, _native(x, f), _native(y, f))
+        return _dense_vec(f, out, self.dim)
 
     def left_mult_matrix(self, x):
-        cols = [self.mult(x, basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
+        f = self.field
+        u = _native(x, f)
+        return Matrix.from_sparse_cols(f, self.dim, [self.sparse_mult(u, _basis_row(f, j))
+                                                     for j in range(self.dim)])
 
     def is_commutative(self):
         for i in range(self.dim):
@@ -183,6 +193,13 @@ class _Coalgebra(_Structure):
             lower = _lower(self.field, d)
             terms = self._terms[d] = {i: _lowered(t, lower) for i, t in self.coproduct.items()}
         return terms
+
+    @cached_property
+    def native_coproduct(self):
+        """The coproduct {i: {(j, k): c}} on native scalars (see linalg),
+        built on the first read."""
+        lower = _lower(self.field, None)
+        return {i: _lowered(t, lower) for i, t in self.coproduct.items()}
 
     def delta_basis(self, i):
         return self.coproduct.get(i, {})
@@ -295,43 +312,51 @@ def evaluate(field, functional, vec):
 # ---------------------------------------------------------------------------
 # structure carried to a subalgebra or a quotient
 #
-# basis lists vectors of the ambient space: the inclusion of a subspace, or
-# lifts of the classes of a quotient.  coords maps an ambient vector to
-# coordinates against that basis (solving, restricting or projecting) and
-# raises when the vector has none.
+# basis lists sparse native vectors of the ambient space (see linalg): the
+# inclusion of a subspace, or lifts of the classes of a quotient.  coords
+# maps a sparse native ambient vector to its sparse native coordinates
+# against that basis (solving, restricting or projecting) and raises when
+# the vector has none.
 
 
 def induced_algebra(a, basis, coords, labels):
     """The algebra on span(basis): e_s e_t = coords(basis[s] basis[t]) and
     1 = coords(1)."""
+    f = a.field
     product = {}
     for s, u in enumerate(basis):
         for t, v in enumerate(basis):
-            product[(s, t)] = {k: c for k, c in enumerate(coords(a.mult(u, v))) if c}
-    return FAlgebra(a.field, labels, product, tuple(coords(a.one())))
+            product[(s, t)] = _field_row(f, coords(a.sparse_mult(u, v)))
+    return FAlgebra(f, labels, product, _dense_vec(f, coords(_native(a.one(), f)), len(basis)))
 
 
 def induced_coproduct(c, basis, coords):
-    """{s: (coords (x) coords) Delta(basis[s])} as sparse coproduct terms;
-    coords(e_j) is read once per j."""
+    """{s: (coords (x) coords) Delta(basis[s])} as sparse coproduct terms of
+    field scalars; coords(e_j) is read once per j."""
     f = c.field
+    p = f.characteristic
+    cop = c.native_coproduct
     images = {}
 
     def image(j):
         if j not in images:
-            images[j] = _nonzero(coords(basis_vec(f, c.dim, j))).items()
+            images[j] = coords(_basis_row(f, j)).items()
         return images[j]
 
     out = {}
     for s, vec in enumerate(basis):
+        delta = {}
+        for i, a in vec.items():
+            _add_scaled(delta, a, cop.get(i, {}))
         terms = {}
-        for (j, k), d in c.delta(vec).items():
+        for (j, k), d in _reduced(delta, p).items():
             pj, pk = image(j), image(k)
             for x, u in pj:
                 du = d * u
                 for y, w in pk:
-                    terms[(x, y)] = terms.get((x, y), f.zero) + du * w
-        out[s] = _clean(terms)
+                    v = du * w
+                    terms[x, y] = terms[x, y] + v if (x, y) in terms else v
+        out[s] = _field_row(f, _reduced(terms, p))
     return out
 
 
@@ -339,28 +364,29 @@ def relative_tensor(a, b_vectors, left, right, image):
     """X (x)_B Y for X = span(e_x : x in left) and Y = span(e_y : y in right)
     inside A, with XB in X and BY in Y for B = span(b_vectors): the quotient
     of X (x) Y (flat index ti(s, t, len(right)) for e_left[s] (x) e_right[t])
-    by xb (x) y - x (x) by, and the sparse columns {row: c} of the map that a
-    B-balanced image(x, y) of e_x (x) e_y induces on it, one per quotient
-    basis vector (each lifts to one e_x (x) e_y)."""
+    by xb (x) y - x (x) by, and the sparse native columns {row: c} of the map
+    that a B-balanced image(x, y) of e_x (x) e_y induces on it, one per
+    quotient basis vector (each lifts to one e_x (x) e_y)."""
     f = a.field
+    p = f.characteristic
     n = len(right)
     at_left = {x: s for s, x in enumerate(left)}
     at_right = {y: t for t, y in enumerate(right)}
-    e = lambda i: basis_vec(f, a.dim, i)
-    by = [[_nonzero(a.mult(b, e(y))).items() for y in right] for b in b_vectors]
+    b_vectors = [_sparse(b, f) for b in b_vectors]
+    by = [[a.sparse_mult(b, _basis_row(f, y)).items() for y in right] for b in b_vectors]
     relations = []
     for s, x in enumerate(left):
         for b, b_right in zip(b_vectors, by):
-            xb = _nonzero(a.mult(e(x), b)).items()
+            xb = a.sparse_mult(_basis_row(f, x), b).items()
             for t, terms in enumerate(b_right):
                 rel = {}
                 for k, c in xb:
                     j = ti(at_left[k], t, n)
-                    rel[j] = rel.get(j, f.zero) + c
+                    rel[j] = rel[j] + c if j in rel else c
                 for k, c in terms:
                     j = ti(s, at_right[k], n)
-                    rel[j] = rel.get(j, f.zero) - c
-                relations.append(rel)
+                    rel[j] = rel[j] - c if j in rel else -c
+                relations.append(_reduced(rel, p))
     quot = QuotientSpace(f, len(left) * n, relations)
     return quot, [image(left[j // n], right[j % n]) for j in quot.complement]
 
@@ -465,9 +491,12 @@ def _add_scaled(out, c, terms):
 
 def _lower(field, d):
     """c -> its native int at scale d: the residue over F_p (d = 1), d * c
-    over Q."""
+    over Q; with d None, its native scalar (see linalg), which over Q is c
+    itself as a Rational."""
     if field.characteristic:
         return lambda c: c.value
+    if d is None:
+        return lambda c: _rational(c.numerator, c.denominator)
     return lambda c: c.numerator * (d // c.denominator)
 
 
@@ -522,7 +551,10 @@ def _sparse_product(rows, u, v):
             for y, e in v.items():
                 prod = row.get(y)
                 if prod:
-                    _add_scaled(out, c * e, prod)
+                    ce = c * e
+                    for k, w in prod.items():
+                        t = ce * w
+                        out[k] = out[k] + t if k in out else t
     return out
 
 
@@ -554,12 +586,16 @@ def _generating_set(field, rows, unit, dim):
     index order and one that visits first the indices occurring in the
     fewest products (on a signed permutation of Lambda(m), the m degree-one
     monomials).  None when neither finds a G of at most half the basis,
-    where the pass over G saves less than it costs (on a basis of orthogonal
-    idempotents, such as k^G, G would keep all but one index).
+    where the pass over G saves less than it costs.  On a basis of
+    orthogonal idempotents, such as k^G, G would keep all but one index,
+    more than half from dimension 3 on, and that is read off the entries
+    with no pass.
 
     The words are eliminated mod p, over Q mod WORD_PRIME: each eliminated
     row reduces an integer combination of lowered words, and integer vectors
     of full rank mod a prime have full rank over Q."""
+    if dim >= 3 and _orthogonal_idempotents(rows, unit, dim):
+        return None
     p = field.characteristic or WORD_PRIME
     gens = _greedy_generators(rows, unit, dim, p, range(dim), dim // 2)
     if gens is not None and len(gens) < 2:
@@ -576,6 +612,16 @@ def _generating_set(field, rows, unit, dim):
         if other is not None:
             gens = other
     return gens
+
+
+def _orthogonal_idempotents(rows, unit, dim):
+    """Whether the lowered rows and unit read e_i e_j = delta_ij c e_i and
+    1 = c sum e_i for one c: the orthogonal idempotents, with c the 1
+    lowered (for any other c the unit law fails, and None is still a sound
+    answer: every pass over G may be replaced by the full loops)."""
+    c = unit.get(0)
+    return (len(unit) == len(rows) == dim and all(v == c for v in unit.values())
+            and all(len(row) == 1 and row.get(i) == {i: c} for i, row in rows.items()))
 
 
 def _greedy_generators(rows, unit, dim, p, order, cap):
@@ -1183,6 +1229,12 @@ class _RightComodule:
         the coaction matrix are read once, on the first call."""
         return self._coaction_terms[i]
 
+    @cached_property
+    def native_coaction(self):
+        """The columns of the coaction matrix as sparse native rows
+        {ti(x, t, dim H): c} (see linalg), read once."""
+        return self.coaction.native_cols()
+
 
 class ComoduleCoalgebraData(_RightComodule):
     """A right H-comodule coalgebra: D with coaction rho_D : D -> D (x) H."""
@@ -1262,7 +1314,8 @@ def smash_coproduct(data):
     if not report.ok:
         raise ValidationError("smash coproduct fails coalgebra axioms: %r" % (report,))
     # left H-module structure: h' . (h (x) d) = h'h (x) d
-    cols = [{ti(x, di, dd): c for x, c in h.mult_basis(hp, hi).items()}
+    rows = h.native_rows
+    cols = [{ti(x, di, dd): c for x, c in rows.get(hp, {}).get(hi, {}).items()}
             for hp in range(dh) for hi in range(dh) for di in range(dd)]
     action = Matrix.from_sparse_cols(f, dh * dd, cols)
     return SmashCoproduct(coalg, action, h, data)

@@ -50,11 +50,17 @@ from .errors import (
 from .linalg import (
     Matrix,
     QuotientSpace,
+    _basis_row,
+    _dense_vec,
     _native,
+    _reduced,
+    _subtract,
     basis_vec,
     column_coordinates,
+    echelon_complement,
     in_span,
     row_space_basis,
+    span_coordinates,
     solve_linear,
     vadd,
     vscale,
@@ -122,7 +128,7 @@ class AugmentedAlgebra:
         coords = self._plus_coords(plus)
         if coords is None:
             raise ValidationError("vector fails to decompose against the plus basis")
-        return c, coords
+        return c, _dense_vec(self.field, coords, self.plus_dim)
 
 
 class HModuleStructure:
@@ -315,10 +321,10 @@ class HH2Result:
         if not differential(cochain, act).matrix.is_zero():
             raise CocycleViolationError("cochain is not a cocycle")
         flat = _flatten_cochain(cochain.matrix)
-        cols = [list(v) for v in self.representatives] + [list(v) for v in self._coboundary_span]
+        cols = [_native(v, f) for v in self.representatives] + self._coboundary_span
         if not cols:
             return ()
-        res = solve_linear(Matrix.from_cols(f, cols), flat)
+        res = solve_linear(Matrix.from_sparse_cols(f, len(flat), cols), flat)
         if not res.consistent:
             raise CocycleViolationError("cocycle lies outside the computed cocycle space")
         return tuple(res.solution[: len(self.representatives)])
@@ -339,16 +345,11 @@ def hh2(hopf, act):
     cocycles = Matrix.from_sparse_rows(f, d2_rows + constraints, n2).kernel_basis()
     d1 = _differential_matrix(act, 1)
     n1_constraints = _normalization_constraints(act, 1)
-    n1_basis = Matrix.from_sparse_rows(f, n1_constraints, dp * dh).kernel_basis()
-    coboundaries = row_space_basis(f, [d1.apply(t) for t in n1_basis], n2)
+    n1_basis = Matrix.from_sparse_rows(f, n1_constraints, dp * dh).kernel_rows()
+    coboundaries = row_space_basis(f, [d1.apply_sparse(t) for t in n1_basis], n2)
     dim = len(cocycles) - len(coboundaries)
     # representatives: echelon complement of the coboundaries in the cocycles
-    reps = []
-    span = list(coboundaries)
-    for z in cocycles:
-        if not in_span(f, span, z):
-            reps.append(z)
-            span = row_space_basis(f, span + [z], n2)
+    reps = echelon_complement(f, coboundaries, cocycles)
     if len(reps) != dim:
         raise ValidationError("representative count disagrees with the computed dimension")
     # guard the normalized-complex convention against the full complex
@@ -713,7 +714,7 @@ def hopf_module_decompose(module):
     h = module.hopf
     f = module.field
     dm, dh = module.dim, h.dim
-    coinv = coaction_kernel(module.rho_basis, dm, h, h.unit)
+    coinv = [_dense_vec(f, v, dm) for v in coaction_kernel(module.rho_basis, dm, h, h.unit)]
     iso_cols = []
     for v in coinv:
         for t in range(dh):
@@ -729,13 +730,14 @@ def hopf_module_decompose(module):
 
 
 def ideal_power_chain(algebra, ideal_basis):
-    """[I, I^2, ..., I^n = 0] as echelon bases; raises when the powers
+    """[I, I^2, ..., I^n = 0] as echelon bases of sparse native rows (see
+    linalg), for a basis of I given sparse or dense; raises when the powers
     stabilize above zero."""
     f = algebra.field
     n = algebra.dim
     chain = [row_space_basis(f, ideal_basis, n)]
     while chain[-1]:
-        prods = [algebra.mult(x, y) for x in chain[-1] for y in chain[0]]
+        prods = [algebra.sparse_mult(x, y) for x in chain[-1] for y in chain[0]]
         nxt = row_space_basis(f, prods, n)
         if len(nxt) == len(chain[-1]):
             # I^{i+1} = I^i inside I^i means the power chain stabilized
@@ -757,6 +759,8 @@ def colinear_splitting_nilpotent(ca, pi):
     """
     a, h = ca.algebra, ca.hopf
     f = ca.field
+    p = f.characteristic
+    one = 1 if p else f.one
     da, dh = a.dim, h.dim
     # pi must be a colinear algebra surjection
     if pi.rows != dh or pi.cols != da:
@@ -765,29 +769,28 @@ def colinear_splitting_nilpotent(ca, pi):
         raise ValidationError("map onto the Hopf algebra is not surjective")
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
                      algebra=(a, h), rho=(ca.rho_basis, h.delta))
-    ideal = pi.kernel_basis()
-    chain = ideal_power_chain(a, list(ideal))  # chain[i] = basis of I^{i+1}
+    chain = ideal_power_chain(a, pi.kernel_rows())  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
     # lambda : H -> A, a fixed linear right inverse of pi
     preimage = column_coordinates(pi)
-    lam = Matrix.from_cols(f, [preimage(basis_vec(f, dh, g)) for g in range(dh)])
+    lam = [preimage(_basis_row(f, g)) for g in range(dh)]
     # phi on A/I: H -> A/I, h |-> class of lambda(h); bijective by dimensions
-    phi_cols = [quots[0].project(lam.col(g)) for g in range(dh)]
-    if len(phi_cols[0]) != dh:
+    if quots[0].dim != dh:
         raise ValidationError("A/I does not have the dimension of H")
-    phi = Matrix.from_cols(f, phi_cols)
+    phi = Matrix.from_sparse_cols(f, dh, [quots[0].project(v) for v in lam])
+    counit = _native(h.counit, f)
     for step in range(1, n):
         x_quot = quots[step]
         y_quot = quots[step - 1]
-        x_lifts = [x_quot.lift(basis_vec(f, x_quot.dim, t)) for t in range(x_quot.dim)]
-        rho_x = induced_coaction(ca, x_lifts, x_quot.project)
+        x_lifts = [_basis_row(f, j) for j in x_quot.complement]
+        rho_x = induced_coaction(ca, x_lifts, x_quot.project).native_cols()
         # K = image of I^step in X
         kbasis = row_space_basis(f, [x_quot.project(v) for v in chain[step - 1]], x_quot.dim)
-        kmat = Matrix.from_cols(f, kbasis) if kbasis else Matrix.zeros(f, x_quot.dim, 0)
+        kmat = Matrix.from_sparse_cols(f, x_quot.dim, kbasis)
         dk = len(kbasis)
-        in_k = column_coordinates(kmat)
+        in_k = span_coordinates(f, kbasis)
         k_lifts = [x_quot.lift(k) for k in kbasis]
 
         def k_coords(vec, failure):
@@ -799,45 +802,50 @@ def colinear_splitting_nilpotent(ca, pi):
 
         # Hopf module structure on K: right H-action k . h = k * lambda(h),
         # and the coaction rho_X(k) = (proj (x) id) rho(lift k) restricted to K
-        act_cols = [k_coords(a.mult(k, lam.col(g)), "kernel is not stable under the H-action")
+        act_cols = [k_coords(a.sparse_mult(k, lam[g]), "kernel is not stable under the H-action")
                     for k in k_lifts for g in range(dh)]
         coaction = induced_coaction(ca, k_lifts,
                                     lambda v: k_coords(v, "kernel is not a subcomodule"))
-        module = HopfModule(h, Matrix.from_cols(f, act_cols), coaction)
+        module = HopfModule(h, Matrix.from_sparse_cols(f, dk, act_cols), coaction)
         decomp = hopf_module_decompose(module)
-        dv = len(decomp.coinvariant_basis)
-        iso_inv = decomp.iso.inverse()
-        # linear retraction r0 : X -> K along the echelon complement of K
-        r0 = _retraction_onto(f, kbasis, x_quot.dim)
-        # v-map X -> V and the colinear retraction r = iso o (v (x) id) o rho_X
+        iso_cols, inv_cols = decomp.iso.native_cols(), decomp.iso.inverse().native_cols()
+        # v = (id (x) eps) o iso^{-1} o r0 : X -> V, for r0 : X -> K the
+        # linear retraction along the echelon complement of K, which sends
+        # the pivot column of kbasis[s] to e_s and every other column to 0
+        v_of = {}
+        for s, k in enumerate(kbasis):
+            v = {}
+            for flat, c in inv_cols[s].items():
+                i, t = divmod(flat, dh)
+                if t in counit:
+                    ce = c * counit[t]
+                    v[i] = v[i] + ce if i in v else ce
+            v_of[min(k)] = _reduced(v, p)
+        # the colinear retraction r = iso o (v (x) id) o rho_X : X -> K
         r_cols = []
-        for xidx in range(x_quot.dim):
-            acc = [f.zero] * dk
-            for idx, c in enumerate(rho_x.col(xidx)):
-                if not c:
-                    continue
+        for col in rho_x:
+            acc = {}
+            for idx, c in col.items():
                 x0, t = divmod(idx, dh)
-                vcoords = _v_of(f, r0, iso_inv, dv, dh, h, x0)
                 # (v (x) id): v(x0) (x) e_t, then iso back into K
-                img = decomp.iso.apply(vtensor(vcoords, basis_vec(f, dh, t)))
-                acc = [p + c * q for p, q in zip(acc, img)]
-            r_cols.append(tuple(acc))
-        rmat = Matrix.from_cols(f, r_cols)
+                for i, u in v_of.get(x0, {}).items():
+                    _add_scaled(acc, c * u, iso_cols[ti(i, t, dh)])
+            r_cols.append(_reduced(acc, p))
+        rmat = Matrix.from_sparse_cols(f, dk, r_cols)
         # r restricted to K must be the identity
         for s in range(dk):
-            if rmat.apply(kbasis[s]) != basis_vec(f, dk, s):
+            if rmat.apply_sparse(kbasis[s]) != _basis_row(f, s):
                 raise ValidationError("colinear retraction is not the identity on the kernel")
         # colinear section s : Y -> X, y |-> x - K r(x) for any preimage x
-        p_cols = [y_quot.project(x_quot.lift(basis_vec(f, x_quot.dim, t)))
-                  for t in range(x_quot.dim)]
-        pmat = Matrix.from_cols(f, p_cols)
+        pmat = Matrix.from_sparse_cols(f, y_quot.dim, [y_quot.project(_basis_row(f, j))
+                                                       for j in x_quot.complement])
         preimage = column_coordinates(pmat)
         s_cols = []
         for yidx in range(y_quot.dim):
-            x = preimage(basis_vec(f, y_quot.dim, yidx))
-            corr = kmat.apply(rmat.apply(x)) if dk else vzero(f, x_quot.dim)
-            s_cols.append(vsub(x, corr))
-        smat = Matrix.from_cols(f, s_cols)
+            x = dict(preimage(_basis_row(f, yidx)))
+            _subtract(x, one, kmat.apply_sparse(rmat.apply_sparse(x)), p)
+            s_cols.append(x)
+        smat = Matrix.from_sparse_cols(f, x_quot.dim, s_cols)
         if pmat * smat != Matrix.identity(f, y_quot.dim):
             raise ValidationError("colinear section fails to split the quotient step")
         phi = smat * phi
@@ -849,27 +857,6 @@ def colinear_splitting_nilpotent(ca, pi):
     if pi * sec.phi != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
     return sec
-
-
-def _retraction_onto(f, kbasis, ambient):
-    """K-coordinates of the projection onto span(kbasis) along the standard
-    complement of its pivot columns."""
-    if not kbasis:
-        return Matrix.zeros(f, 0, ambient)
-    pivots = [next(j for j, a in enumerate(row) if a) for row in kbasis]
-    cols = []
-    for j in range(ambient):
-        if j in pivots:
-            cols.append(basis_vec(f, len(kbasis), pivots.index(j)))
-        else:
-            cols.append(vzero(f, len(kbasis)))
-    return Matrix.from_cols(f, cols)
-
-
-def _v_of(f, r0, iso_inv, dv, dh, h, xidx):
-    """v = (id (x) eps) o iso^{-1} o r0, evaluated on the basis vector xidx."""
-    flat = iso_inv.apply(r0.col(xidx))
-    return tuple(evaluate(f, h.counit, flat[i * dh:(i + 1) * dh]) for i in range(dv))
 
 
 # ---------------------------------------------------------------------------
@@ -898,23 +885,22 @@ def quotient_comodule_algebra(ca, ideal_vectors):
     a = ca.algebra
     f = ca.field
     quot = QuotientSpace(f, a.dim, ideal_vectors)
-    lifts = [quot.lift(basis_vec(f, quot.dim, s)) for s in range(quot.dim)]
+    lifts = [_basis_row(f, j) for j in quot.complement]
     labels = tuple("q%d" % s for s in range(quot.dim))
     out = ComoduleAlgebra(induced_algebra(a, lifts, quot.project, labels), ca.hopf,
                           induced_coaction(ca, lifts, quot.project))
-    proj_cols = [quot.project(basis_vec(f, a.dim, j)) for j in range(a.dim)]
-    return out, Matrix.from_cols(f, proj_cols)
+    proj_cols = [quot.project(_basis_row(f, j)) for j in range(a.dim)]
+    return out, Matrix.from_sparse_cols(f, quot.dim, proj_cols)
 
 
 def sub_comodule_algebra(ca, span_vectors):
-    """The comodule subalgebra spanned by the given vectors (must be closed
-    under product, contain 1, and be a subcomodule); returns it with the
-    inclusion."""
+    """The comodule subalgebra spanned by the given vectors, sparse or dense
+    (must be closed under product, contain 1, and be a subcomodule);
+    returns it with the inclusion of its RREF basis."""
     a = ca.algebra
     f = ca.field
     basis = row_space_basis(f, span_vectors, a.dim)
-    inc = Matrix.from_cols(f, basis)
-    in_basis = column_coordinates(inc)
+    in_basis = span_coordinates(f, basis)
 
     def coords(vec):
         x = in_basis(vec)
@@ -925,7 +911,7 @@ def sub_comodule_algebra(ca, span_vectors):
     labels = tuple("s%d" % s for s in range(len(basis)))
     out = ComoduleAlgebra(induced_algebra(a, basis, coords, labels), ca.hopf,
                           induced_coaction(ca, basis, coords))
-    return out, inc
+    return out, Matrix.from_sparse_cols(f, a.dim, basis)
 
 
 def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
@@ -943,8 +929,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         raise ValidationError("map C -> D is not surjective")
     require_morphism(varpi, "map C -> D is not a comodule algebra map",
                      algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho))
-    ideal = varpi.kernel_basis()
-    chain = ideal_power_chain(ca_alg, list(ideal))
+    chain = ideal_power_chain(ca_alg, varpi.kernel_rows())
     n = len(chain)  # J^n = 0
     # exponents 1 = 2^0 < 2 < 4 < ... >= n
     exps = [1]
@@ -959,9 +944,8 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     # varpi factors as iso o proj0; compute iso : C/J -> D and its inverse
     # from any preimage of each class under proj0
     preimage = column_coordinates(proj0)
-    iso_cols = [varpi.apply(preimage(basis_vec(f, q0.algebra.dim, t)))
-                for t in range(q0.algebra.dim)]
-    iso0 = Matrix.from_cols(f, iso_cols)
+    iso_cols = [varpi.apply_sparse(preimage(_basis_row(f, t))) for t in range(q0.algebra.dim)]
+    iso0 = Matrix.from_sparse_cols(f, d_alg.dim, iso_cols)
     if not iso0.is_invertible():
         raise ValidationError("C/J is not isomorphic to D")
     current = iso0.inverse() * psi  # H -> C/J
@@ -971,31 +955,29 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         lower, proj_lower = stages[step - 1]
         # the step surjection C/J^{2^i} -> C/J^{2^{i-1}}
         preimage = column_coordinates(proj_upper)
-        step_cols = [proj_lower.apply(preimage(basis_vec(f, upper.algebra.dim, t)))
+        step_cols = [proj_lower.apply_sparse(preimage(_basis_row(f, t)))
                      for t in range(upper.algebra.dim)]
-        step_pi = Matrix.from_cols(f, step_cols)
-        # pull-back A = step_pi^{-1}(image of psi_{step-1})
-        image = [current.col(g) for g in range(h.dim)]
-        span = row_space_basis(f, image, lower.algebra.dim)
-        # preimage of span under step_pi: kernel of (complement projection o step_pi)
-        comp = QuotientSpace(f, lower.algebra.dim, span)
+        step_pi = Matrix.from_sparse_cols(f, lower.algebra.dim, step_cols)
+        # pull-back A = step_pi^{-1}(image of psi_{step-1}); the preimage of
+        # the image under step_pi is the kernel of (complement projection o
+        # step_pi)
+        comp = QuotientSpace(f, lower.algebra.dim, current.native_cols())
         if comp.dim == 0:
-            avecs = [basis_vec(f, upper.algebra.dim, j) for j in range(upper.algebra.dim)]
+            avecs = [_basis_row(f, j) for j in range(upper.algebra.dim)]
         else:
-            comp_proj = Matrix.from_cols(
-                f, [comp.project(step_pi.col(j)) for j in range(upper.algebra.dim)]
-            )
-            avecs = comp_proj.kernel_basis()
-        sub, inc = sub_comodule_algebra(upper, [tuple(v) for v in avecs])
+            comp_proj = Matrix.from_sparse_cols(f, comp.dim,
+                                                [comp.project(col) for col in step_cols])
+            avecs = comp_proj.kernel_rows()
+        sub, inc = sub_comodule_algebra(upper, avecs)
         # pi : A -> H through psi_{step-1}^{-1} on the image
         in_psi = column_coordinates(current)
         pi_cols = []
-        for t in range(sub.algebra.dim):
-            sol = in_psi(step_pi.apply(inc.col(t)))
+        for col in inc.native_cols():
+            sol = in_psi(step_pi.apply_sparse(col))
             if sol is None:
                 raise ValidationError("pull-back image escapes the embedded copy of H")
             pi_cols.append(sol)
-        pi = Matrix.from_cols(f, pi_cols)
+        pi = Matrix.from_sparse_cols(f, h.dim, pi_cols)
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)
         aug = tuple(h.eps(pi.col(t)) for t in range(sub.algebra.dim))

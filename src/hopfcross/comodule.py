@@ -40,15 +40,15 @@ from .errors import (
 from .graded import GradedAlgebra, check_grading
 from .linalg import (
     Matrix,
+    _basis_row,
     _native,
+    _reduced,
     basis_vec,
     column_coordinates,
     in_span,
     row_space_basis,
-    vadd,
     vscale,
     vtensor,
-    vzero,
 )
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
@@ -102,26 +102,32 @@ class ComoduleAlgebra(_RightComodule):
 def induced_coaction(ca, basis, coords):
     """The coaction matrix (coords (x) id) rho on span(basis), for a
     subcomodule (basis spans it) or a quotient by one (basis lifts its
-    classes); coords as in algebra.induced_algebra."""
+    classes); basis and coords as in algebra.induced_algebra."""
     f = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
+    p = f.characteristic
+    dh = ca.hopf.dim
+    rho_cols = ca.native_coaction
     cols = []
     for vec in basis:
+        rho = {}
+        for i, a in vec.items():
+            _add_scaled(rho, a, rho_cols[i])
         legs = {}  # t -> the A-leg of rho(vec) at h_t
-        for (x, t), c in ca.rho(vec).items():
-            legs.setdefault(t, [f.zero] * da)[x] = c
-        v = [f.zero] * (len(basis) * dh)
+        for flat, c in _reduced(rho, p).items():
+            x, t = divmod(flat, dh)
+            legs.setdefault(t, {})[x] = c
+        col = {}
         for t, leg in legs.items():
-            for y, d in enumerate(coords(tuple(leg))):
-                if d:
-                    v[ti(y, t, dh)] = d
-        cols.append(tuple(v))
-    return Matrix.from_cols(f, cols)
+            for y, d in coords(leg).items():
+                col[ti(y, t, dh)] = d
+        cols.append(col)
+    return Matrix.from_sparse_cols(f, len(basis) * dh, cols)
 
 
 def coaction_kernel(rho_basis, dim, hopf, hvec):
     """Kernel basis of a |-> rho(a) - a (x) hvec on a dim-dimensional right
-    hopf-comodule; rho_basis(i) is the sparse coaction {(x, t): c} of e_i."""
+    hopf-comodule, as sparse native rows; rho_basis(i) is the sparse
+    coaction {(x, t): c} of e_i."""
     f = hopf.field
     dh = hopf.dim
     rows = [{} for _ in range(dim * dh)]
@@ -132,7 +138,7 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
             if c:
                 row = rows[ti(i, t, dh)]
                 row[i] = row.get(i, f.zero) - c
-    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], dim).kernel_basis()
+    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], dim).kernel_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +147,13 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
 
 class Coinvariants:
     """The subalgebra B = {a : rho(a) = a (x) 1} with its inclusion into A,
-    on a basis of B in A: the canonical kernel basis of coinvariants, or
-    one read off a grading."""
+    on a basis of B in A given as sparse native rows (see linalg): the
+    canonical kernel basis of coinvariants, or one read off a grading."""
 
     def __init__(self, algebra, basis):
         f = algebra.field
-        self.inclusion = (Matrix.from_cols(f, basis) if basis
-                          else Matrix.zeros(f, algebra.dim, 0))
+        self.basis = basis
+        self.inclusion = Matrix.from_sparse_cols(f, algebra.dim, basis)
         self._coords = column_coordinates(self.inclusion)
         labels = tuple("b%d" % t for t in range(len(basis)))
         # coords raises unless B is closed under the product and holds 1
@@ -161,6 +167,7 @@ class Coinvariants:
         return self.inclusion.apply(bcoords)
 
     def coords(self, avec):
+        """The B-coordinates of an A-vector, as a sparse native row."""
         x = self._coords(avec)
         if x is None:
             raise ValidationError("vector does not lie in the coinvariant subalgebra")
@@ -194,15 +201,19 @@ def galois_map(ca):
     f = ca.field
     da, dh = a.dim, h.dim
 
+    rows, rho_cols = a.native_rows, ca.native_coaction
+    p = f.characteristic
+
     def image(x, y):
         """e_x rho(e_y)."""
         out = {}
-        for (z, s), d in ca.rho_basis(y).items():
-            _add_scaled(out, d, {ti(k, s, dh): e for k, e in a.mult_basis(x, z).items()})
-        return out
+        row = rows.get(x, {})
+        for flat, d in rho_cols[y].items():
+            z, s = divmod(flat, dh)
+            _add_scaled(out, d, {ti(k, s, dh): e for k, e in row.get(z, {}).items()})
+        return _reduced(out, p)
 
-    b_vectors = [coinv.embed(basis_vec(f, coinv.dim, t)) for t in range(coinv.dim)]
-    quot, cols = relative_tensor(a, b_vectors, range(da), range(da), image)
+    quot, cols = relative_tensor(a, coinv.basis, range(da), range(da), image)
     beta = Matrix.from_sparse_cols(f, da * dh, cols)
     rank = beta.rank()
     bijective = quot.dim == da * dh and rank == da * dh
@@ -232,12 +243,12 @@ def _graded_to_comodule(ga):
     f = a.field
     hopf = group_hopf_algebra(ga.group, f)
     dh = hopf.dim
-    cols = [{ti(i, ga.degree[i], dh): f.one} for i in range(a.dim)]
+    cols = [_basis_row(f, ti(i, ga.degree[i], dh)) for i in range(a.dim)]
     try:
         ca = ComoduleAlgebra(a, hopf, Matrix.from_sparse_cols(f, a.dim * dh, cols))
     except InvalidComoduleAlgebraError:
         raise ValidationError("input is not a graded algebra: %r" % (check_grading(ga),)) from None
-    ca.coinvariants = Coinvariants(a, [basis_vec(f, a.dim, i)
+    ca.coinvariants = Coinvariants(a, [_basis_row(f, i)
                                        for i in ga.component_indices(ga.group.identity)])
     return ca
 
@@ -256,9 +267,9 @@ def _comodule_to_graded(ca):
             hom_basis.append(v)
             degrees.append(g)
     # a coaction of k[G] is a G-grading: A is the direct sum of the A_g
-    change = Matrix.from_cols(f, hom_basis)
+    change = Matrix.from_sparse_cols(f, da, hom_basis)
     labels = tuple("a%d" % s for s in range(da))
-    alg = induced_algebra(a, hom_basis, change.inverse().apply, labels)
+    alg = induced_algebra(a, hom_basis, change.inverse().apply_sparse, labels)
     ga = GradedAlgebra(alg, grp, tuple(degrees))
     return ga, change
 
@@ -456,7 +467,8 @@ def crossed_product(s):
                     if terms:
                         product[(ti(i, g, dh), ti(j, t, dh))] = terms
     algebra = FAlgebra(f, labels, product, vtensor(b.unit, h.unit))
-    cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in h.delta_basis(g).items()}
+    delta = h.native_coproduct
+    cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in delta.get(g, {}).items()}
             for i in range(db) for g in range(dh)]
     ca = ComoduleAlgebra(algebra, h, Matrix.from_sparse_cols(f, dim * dh, cols))
     # the coinvariants must be exactly B (x) k1
@@ -465,7 +477,7 @@ def crossed_product(s):
         raise ValidationError("crossed product coinvariants have wrong dimension")
     span = row_space_basis(f, [vtensor(basis_vec(f, db, i), h.unit) for i in range(db)], dim)
     for t in range(db):
-        if not in_span(f, span, coinv.embed(basis_vec(f, db, t))):
+        if not in_span(f, span, coinv.basis[t]):
             raise ValidationError("crossed product coinvariants differ from B (x) k")
     return ca
 
@@ -587,55 +599,49 @@ def section_to_crossed_system(sec):
     coinv = ca.coinvariants
     a, h = ca.algebra, ca.hopf
     f = ca.field
-    da, dh = a.dim, h.dim
+    p = f.characteristic
+    dh = h.dim
     db = coinv.dim
-    phi, phi_inv = sec.phi, sec.phi_inv
+    mult, cop, hrows = a.sparse_mult, h.native_coproduct, h.native_rows
+    phi, phi_inv = sec.phi.native_cols(), sec.phi_inv.native_cols()
     meas_cols = [None] * (dh * db)
     for g in range(dh):
-        dg = h.delta_basis(g)
-        for t in range(db):
-            bv = coinv.embed(basis_vec(f, db, t))
-            acc = vzero(f, da)
-            for (g1, g2), c in dg.items():
-                acc = vadd(acc, vscale(c, a.mult(a.mult(phi.col(g1), bv), phi_inv.col(g2))))
-            meas_cols[ti(g, t, db)] = coinv.coords(acc)
+        for t, bv in enumerate(coinv.basis):
+            acc = {}
+            for (g1, g2), c in cop.get(g, {}).items():
+                _add_scaled(acc, c, mult(mult(phi[g1], bv), phi_inv[g2]))
+            meas_cols[ti(g, t, db)] = coinv.coords(_reduced(acc, p))
 
     def on_product(m, g, t):
-        """m(e_g e_t) for the matrix m of a map H -> A."""
-        out = vzero(f, da)
-        for k, u in h.mult_basis(g, t).items():
-            out = vadd(out, vscale(u, m.col(k)))
-        return out
+        """m(e_g e_t) for the native columns m of a map H -> A."""
+        out = {}
+        for k, u in hrows.get(g, {}).get(t, {}).items():
+            _add_scaled(out, u, m[k])
+        return _reduced(out, p)
 
     # sigma(g, t) = phi(g1) phi(t1) phi^-1(g2 t2) and its convolution inverse
     # phi(g1 t1) phi^-1(t2) phi^-1(g2), both read in B; check_crossed_system
     # verifies that they convolve to the unit on both sides
     sig_cols, sig_inv_cols = [None] * (dh * dh), [None] * (dh * dh)
     for g in range(dh):
-        dg = h.delta_basis(g)
         for t in range(dh):
-            dt = h.delta_basis(t)
-            acc, inv = vzero(f, da), vzero(f, da)
-            for (g1, g2), c in dg.items():
-                for (t1, t2), d in dt.items():
-                    head = a.mult(phi.col(g1), phi.col(t1))
-                    acc = vadd(acc, vscale(c * d, a.mult(head, on_product(phi_inv, g2, t2))))
-                    tail = a.mult(phi_inv.col(t2), phi_inv.col(g2))
-                    inv = vadd(inv, vscale(c * d, a.mult(on_product(phi, g1, t1), tail)))
-            sig_cols[ti(g, t, dh)] = coinv.coords(acc)
-            sig_inv_cols[ti(g, t, dh)] = coinv.coords(inv)
+            acc, inv = {}, {}
+            for (g1, g2), c in cop.get(g, {}).items():
+                for (t1, t2), d in cop.get(t, {}).items():
+                    head = mult(phi[g1], phi[t1])
+                    _add_scaled(acc, c * d, mult(head, on_product(phi_inv, g2, t2)))
+                    tail = mult(phi_inv[t2], phi_inv[g2])
+                    _add_scaled(inv, c * d, mult(on_product(phi, g1, t1), tail))
+            sig_cols[ti(g, t, dh)] = coinv.coords(_reduced(acc, p))
+            sig_inv_cols[ti(g, t, dh)] = coinv.coords(_reduced(inv, p))
     base = coinv.subalgebra
-    sigma = Matrix.from_cols(f, sig_cols)
-    sigma_inv = Matrix.from_cols(f, sig_inv_cols)
-    system = CrossedSystem(h, base, Matrix.from_cols(f, meas_cols), sigma, sigma_inv)
+    sigma = Matrix.from_sparse_cols(f, db, sig_cols)
+    sigma_inv = Matrix.from_sparse_cols(f, db, sig_inv_cols)
+    system = CrossedSystem(h, base, Matrix.from_sparse_cols(f, db, meas_cols), sigma, sigma_inv)
     product = crossed_product(system)  # checks the crossed-system laws
     # alpha : B x| H -> A, b (x) h |-> b phi(h)
-    cols = []
-    for i in range(db):
-        bv = coinv.embed(basis_vec(f, db, i))
-        for g in range(dh):
-            cols.append(a.mult(bv, phi.col(g)))
-    alpha = Matrix.from_cols(f, cols)
+    alpha = Matrix.from_sparse_cols(f, a.dim, [mult(bv, phi[g]) for bv in coinv.basis
+                                               for g in range(dh)])
     require_morphism(alpha, "candidate isomorphism B x|_sigma H -> A", bijective=True,
                      algebra=(product.algebra, a), rho=(product.rho_basis, ca.rho))
     # identity on B: b (x) 1 must map to the inclusion of b

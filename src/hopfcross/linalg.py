@@ -6,22 +6,28 @@ field-agnostic.  Everything is exact; there is no floating point anywhere.
 `Rational` is a `fractions.Fraction` that does its own arithmetic when both
 operands are `Rational`, and `Rationals` makes every Q scalar as one.
 
-Vectors come in and go out as tuples of field scalars.  The kernels work on
-dicts {index: nonzero native scalar}, ints mod p over F_p (inverses by
-`pow(a, p - 2, p)`) and `Rational` over Q, and touch only the nonzeros.  A
-`Matrix` keeps the form it is built in: dense rows of field scalars
-(`Matrix(field, data)`) or sparse native rows (`Matrix.from_sparse_rows`).
-Every elimination (`rref`, `det`, hence `rank`, `kernel_basis`, `inverse`,
-`solve_linear`, `column_coordinates`) reads the sparse rows, which a dense
-matrix derives once, at its first elimination, and R and T come back sparse.
-`data`, `row`, `col` and the other operations read the dense view, which a
-sparse matrix derives once, when first read; `apply` reads the dense rows if
-there are any, else the sparse rows.  So no system built sparse is densified
-to be solved.  `QuotientSpace` and `in_span` reduce over sparse pivot rows.
-Entries become `FpElement` again only in what these return.  The transform T
-with T * M = R is carried only when a caller asks for it (`inverse`,
-`column_coordinates`, the certificate of an inconsistent `solve_linear` when
-it is read).
+Between the kernels a vector is one form: a sparse native row, a dict
+{index: nonzero native scalar}, with ints mod p over F_p (inverses by
+`pow(a, p - 2, p)`) and `Rational` over Q.  `row_space_basis`, `in_span`,
+`span_coordinates`, `echelon_complement`, `QuotientSpace` (`reduce`,
+`project`, `lift`) and the coordinates of `column_coordinates` take such
+rows and hand them back; each also takes a dense sequence of field scalars,
+converted once on the way in (`_sparse`).  Dense tuples of field scalars
+appear only at the boundary: `vadd` and the other tuple helpers, the dense
+view of a `Matrix`, `Matrix.apply` and `kernel_basis`.  A `Matrix` keeps the
+form it is built in: dense rows of field scalars (`Matrix(field, data)`) or
+sparse native rows (`from_sparse_rows`, `from_sparse_cols`).  Every
+elimination (`rref`, `det`, hence `rank`, `kernel_basis`, `kernel_rows`,
+`inverse`, `solve_linear`, `column_coordinates`) reads the sparse rows,
+which a dense matrix derives once, at its first elimination, and R and T
+come back sparse.  `data`, `row`, `col` and the other operations read the
+dense view, which a sparse matrix derives once, when first read; `apply`
+reads the dense rows if there are any, else the sparse rows, which
+`apply_sparse` and `native_cols` always read.  So no system built sparse is
+densified to be solved.  Entries become `FpElement` again only in what the
+dense boundary returns.  The transform T with T * M = R is carried only when
+a caller asks for it (`inverse`, `column_coordinates`, the certificate of an
+inconsistent `solve_linear` when it is read).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
@@ -352,12 +358,13 @@ class Matrix:
 
     @staticmethod
     def from_sparse_cols(field, rows, cols):
-        """The rows x len(cols) matrix with the sparse columns {row: entry}."""
-        data = [[field.zero] * len(cols) for _ in range(rows)]
+        """The rows x len(cols) matrix with the sparse native columns {row:
+        nonzero native scalar}, kept as sparse rows."""
+        out = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
             for i, c in col.items():
-                data[i][j] = c
-        return Matrix(field, data, len(cols))
+                out[i][j] = c
+        return Matrix.from_sparse_rows(field, out, len(cols))
 
     # -- the two forms ------------------------------------------------------
 
@@ -396,6 +403,15 @@ class Matrix:
 
     def col(self, j):
         return tuple(r[j] for r in self.data)
+
+    def native_cols(self):
+        """Every column as a sparse native dict {row: c}, read off the
+        sparse rows in one pass."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._native_rows()):
+            for j, a in row.items():
+                cols[j][i] = a
+        return cols
 
     def sparse_cols(self):
         """Every column as a dict {row: nonzero entry}, in one pass."""
@@ -451,8 +467,7 @@ class Matrix:
         p = f.characteristic
         nz = _native(vec, f)
         if self._data is None:
-            out = {i: s for i, row in enumerate(self._sparse) if (s := _dot(row, nz, p))}
-            return _dense_vec(f, out, self.rows)
+            return _dense_vec(f, self.apply_sparse(nz), self.rows)
         nz = nz.items()
         if p:
             return tuple(FpElement(sum([r[j].value * x for j, x in nz]), p) for r in self._data)
@@ -465,6 +480,13 @@ class Matrix:
                     s = s + a * x
             out.append(s)
         return tuple(out)
+
+    def apply_sparse(self, vec):
+        """Matrix times a sparse native column vector (or a dense one), as a
+        sparse native vector, on the sparse rows."""
+        p = self.field.characteristic
+        nz = _sparse(vec, self.field)
+        return {i: s for i, row in enumerate(self._native_rows()) if (s := _dot(row, nz, p))}
 
     def transpose(self):
         cols = list(zip(*self.data)) if self.rows else [()] * self.cols
@@ -547,7 +569,12 @@ class Matrix:
         return f.from_int(det) if p else det
 
     def kernel_basis(self):
-        """Canonical basis of the right kernel (reduced echelon complement)."""
+        """Canonical basis of the right kernel (reduced echelon complement),
+        as dense tuples."""
+        return [_dense_vec(self.field, v, self.cols) for v in self.kernel_rows()]
+
+    def kernel_rows(self):
+        """The canonical kernel basis as sparse native rows."""
         r, pivots, _ = self.rref(transform=False)
         return _kernel_of_rref(r, pivots, self.cols)
 
@@ -579,6 +606,31 @@ def _native(vec, field):
     if field.characteristic:
         return {j: a.value for j, a in items if a is not z and a.value}
     return {j: a for j, a in items if a is not z and a}
+
+
+def _sparse(vec, field):
+    """A vector handed to the row-space layer as a sparse native row: a dict
+    is one already, a dense sequence of field scalars is converted."""
+    return vec if isinstance(vec, dict) else _native(vec, field)
+
+
+def _reduced(row, p):
+    """A sparse native sum with its zeros dropped, each entry reduced mod p
+    over F_p (p > 0)."""
+    if p:
+        return {j: r for j, a in row.items() if (r := a % p)}
+    return {j: a for j, a in row.items() if a}
+
+
+def _basis_row(field, i):
+    """e_i as a sparse native row."""
+    return {i: 1 if field.characteristic else field.one}
+
+
+def _field_row(field, row):
+    """A sparse native row as {index: field scalar}."""
+    p = field.characteristic
+    return {j: FpElement(a, p) for j, a in row.items()} if p else row
 
 
 def _dense_vec(field, row, n):
@@ -655,8 +707,9 @@ def _reduce(vec, pivot_rows, p):
 
 def _kernel_of_rref(r, pivots, cols):
     """The kernel basis read off a reduced echelon form R with its pivots,
-    over the first `cols` columns: one vector per free column j, with 1 at j
-    and -R[row, j] at each pivot, read off the nonzeros of R's pivot rows."""
+    over the first `cols` columns, as sparse native rows: one vector per free
+    column j, with 1 at j and -R[row, j] at each pivot, read off the nonzeros
+    of R's pivot rows."""
     f = r.field
     p = f.characteristic
     pivset = set(pivots)
@@ -666,7 +719,7 @@ def _kernel_of_rref(r, pivots, cols):
             v = free.get(j)
             if v is not None:
                 v[pc] = -a % p if p else -a
-    return [_dense_vec(f, v, cols) for v in free.values()]
+    return list(free.values())
 
 
 class SolveResult:
@@ -716,56 +769,97 @@ def solve_linear(m, b):
         return SolveResult(inconsistent=(m, b))
     # pivot rows of the rref have a 1 in column pc; back substitution is immediate
     sol = {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}
-    return SolveResult(solution=_dense_vec(f, sol, n), kernel=_kernel_of_rref(r, pivots, n))
+    kernel = [_dense_vec(f, v, n) for v in _kernel_of_rref(r, pivots, n)]
+    return SolveResult(solution=_dense_vec(f, sol, n), kernel=kernel)
 
 
 def column_coordinates(m):
     """The map b -> the solution x of M x = b that solve_linear returns, or
-    None when b is outside the column space.  M is eliminated once, here;
-    its transform T is kept as sparse native columns, and T b adds only the
-    columns that the nonzeros of b hit."""
+    None when b is outside the column space, with b and x sparse native
+    rows (b may also be dense).  M is eliminated once, here; its transform
+    T is kept as sparse native columns, and T b adds only the columns that
+    the nonzeros of b hit."""
     f = m.field
     p = f.characteristic
     _, pivots, t = m.rref()
     rank = len(pivots)
-    tcols = [{} for _ in range(m.rows)]
-    for i, row in enumerate(t._native_rows()):
-        for j, a in row.items():
-            tcols[j][i] = a
+    tcols = t.native_cols()
 
     def coords(b):
-        if len(b) != m.rows:
-            raise ShapeMismatchError("vector length %d != cols %d" % (len(b), m.rows))
+        if not isinstance(b, dict):
+            if len(b) != m.rows:
+                raise ShapeMismatchError("vector length %d != cols %d" % (len(b), m.rows))
+            b = _native(b, f)
         tb = {}
-        for j, x in _native(b, f).items():
+        for j, x in b.items():
             _subtract(tb, -x, tcols[j], p)
         if any(i >= rank for i in tb):
             return None
-        return _dense_vec(f, {pc: tb[ri] for ri, pc in enumerate(pivots) if ri in tb}, m.cols)
+        return {pc: tb[ri] for ri, pc in enumerate(pivots) if ri in tb}
 
     return coords
 
 
 def _rref_rows(field, vectors, n):
     """(pivot column, sparse native row) for each pivot row of the RREF of
-    the given length-n vectors, each dense or a dict {index: scalar}."""
-    if not vectors:
+    the given length-n vectors, eliminated without their zero vectors (most
+    products of basis monomials are zero)."""
+    rows = [row for row in (_sparse(v, field) for v in vectors) if row]
+    if not rows:
         return []
-    m = Matrix.from_sparse_rows(field, [_native(v, field) for v in vectors], n)
-    r, pivots, _ = m.rref(transform=False)
+    r, pivots, _ = Matrix.from_sparse_rows(field, rows, n).rref(transform=False)
     return list(zip(pivots, r._native_rows()))
 
 
 def row_space_basis(field, vectors, n):
-    """Canonical (RREF) basis of the span of the given length-n vectors."""
-    return [_dense_vec(field, row, n) for _, row in _rref_rows(field, vectors, n)]
+    """Canonical (RREF) basis of the span of the given length-n vectors, as
+    sparse native rows; the pivot of a row is its least index."""
+    return [row for _, row in _rref_rows(field, vectors, n)]
+
+
+def _pivot_rows(field, basis_rref):
+    """(pivot column, row) for each row of an RREF basis: its least index."""
+    return [(min(r), r) for r in (_sparse(v, field) for v in basis_rref)]
+
+
+def span_coordinates(field, basis_rref):
+    """The map v -> the coordinates {s: c} of v against an RREF row basis
+    (as from row_space_basis), or None when v is outside its span.  The
+    coordinates are the entries of v at the pivot columns, and v is in the
+    span exactly when reducing it by the pivot rows leaves nothing."""
+    rows = _pivot_rows(field, basis_rref)
+    p = field.characteristic
+
+    def coords(vec):
+        v = _sparse(vec, field)
+        x = {s: v[pc] for s, (pc, _) in enumerate(rows) if pc in v}
+        return None if _reduce(dict(v), rows, p) else x
+
+    return coords
 
 
 def in_span(field, basis_rref, vec):
     """Membership test against an RREF row basis (as from row_space_basis)."""
-    rows = [_native(row, field) for row in basis_rref]  # keys in order: the pivot first
-    return not _reduce(_native(vec, field), [(next(iter(r)), r) for r in rows],
-                       field.characteristic)
+    return span_coordinates(field, basis_rref)(vec) is not None
+
+
+def echelon_complement(field, basis_rref, vectors):
+    """The vectors, in order, that lie outside the span of an RREF row basis
+    and of the vectors before them.  Each is reduced once by the pivot rows;
+    the normalized remainder of one that is kept joins them, zero at every
+    earlier pivot, so reducing by the rows in the order they joined clears
+    every pivot."""
+    rows = _pivot_rows(field, basis_rref)
+    p = field.characteristic
+    out = []
+    for vec in vectors:
+        rem = _reduce(dict(_sparse(vec, field)), rows, p)
+        if rem:
+            out.append(vec)
+            pc = min(rem)
+            inv = pow(rem[pc], p - 2, p) if p else field.one / rem[pc]
+            rows.append((pc, _scaled(rem, inv, p)))
+    return out
 
 
 class QuotientSpace:
@@ -773,8 +867,9 @@ class QuotientSpace:
 
     The complement basis consists of the standard basis vectors at the
     non-pivot coordinates of the relation RREF, so projection and lifting are
-    reproducible across runs.  A relation is dense or a dict {index: scalar};
-    the RREF is kept as sparse native pivot rows.
+    reproducible across runs.  Relations, vectors and coordinates are sparse
+    native rows (a relation or a vector may also be dense); the RREF is kept
+    as sparse native pivot rows.
     """
 
     def __init__(self, field, ambient_dim, relations):
@@ -783,24 +878,20 @@ class QuotientSpace:
         self._rows = _rref_rows(field, relations, ambient_dim)
         pivset = {pc for pc, _ in self._rows}
         self.complement = [j for j in range(ambient_dim) if j not in pivset]
+        self._at = {j: t for t, j in enumerate(self.complement)}
         self.dim = len(self.complement)
 
-    def _remainder(self, vec):
-        return _reduce(_native(vec, self.field), self._rows, self.field.characteristic)
-
     def reduce(self, vec):
-        """Canonical representative of vec modulo the relations."""
-        return _dense_vec(self.field, self._remainder(vec), self.ambient_dim)
+        """Canonical representative of vec modulo the relations: zero at
+        every pivot column."""
+        return _reduce(dict(_sparse(vec, self.field)), self._rows, self.field.characteristic)
 
     def project(self, vec):
         """Coordinates of the class of vec in the complement basis."""
-        v = self._remainder(vec)
-        return _dense_vec(self.field, {t: v[j] for t, j in enumerate(self.complement)
-                                       if j in v}, self.dim)
+        at = self._at
+        return {at[j]: c for j, c in self.reduce(vec).items()}
 
     def lift(self, coords):
         """Standard-basis lift of quotient coordinates to the ambient space."""
-        v = [self.field.zero] * self.ambient_dim
-        for j, c in zip(self.complement, coords):
-            v[j] = c
-        return tuple(v)
+        comp = self.complement
+        return {comp[t]: c for t, c in _sparse(coords, self.field).items()}

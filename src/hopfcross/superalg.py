@@ -40,10 +40,14 @@ from .errors import (
 from .linalg import (
     Matrix,
     QuotientSpace,
+    _basis_row,
+    _dot,
     _native,
+    _reduced,
+    _sparse,
     basis_vec,
     column_coordinates,
-    in_span,
+    echelon_complement,
     row_space_basis,
     vtensor,
 )
@@ -344,33 +348,36 @@ def even_quotient(sp):
         raise NotSuperCommutativeError("even quotient requires super-commutativity")
     h = sp.hopf
     f = h.field
+    p = f.characteristic
     dim = h.dim
-    odd = [basis_vec(f, dim, i) for i in range(dim) if sp.parity[i] == 1]
     gens = []
-    for v in odd:
-        gens.append(v)  # A_1 = A_1 . 1
-        for j in range(dim):
-            gens.append(h.mult(v, basis_vec(f, dim, j)))
+    for i in range(dim):
+        if sp.parity[i] == 1:
+            v = _basis_row(f, i)
+            gens.append(v)  # A_1 = A_1 . 1
+            gens.extend(h.sparse_mult(v, _basis_row(f, j)) for j in range(dim))
     ideal = row_space_basis(f, gens, dim)
     quot = QuotientSpace(f, dim, ideal)
-    dq = quot.dim
-    # the ideal must be a Hopf ideal; each requirement is checked directly
-    for v in ideal:
-        if h.eps(v):
+    counit = _native(h.counit, f)
+    # the ideal must be a Hopf ideal; each requirement is checked directly,
+    # vector by vector; Delta(v) must vanish in (A/I) (x) (A/I)
+    cops = induced_coproduct(h, ideal, quot.project)
+    for s, v in enumerate(ideal):
+        if _dot(counit, v, p):
             raise ValidationError("ideal does not lie in the augmentation ideal")
-        if any(c for c in quot.project(h.antipode.apply(v))):
+        if quot.project(h.antipode.apply_sparse(v)):
             raise ValidationError("ideal is not antipode-stable")
-        # Delta(v) must vanish in (A/I) (x) (A/I)
-        if induced_coproduct(h, [v], quot.project)[0]:
+        if cops[s]:
             raise ValidationError("ideal is not a coideal")
-    lifts = [quot.lift(basis_vec(f, dq, s)) for s in range(dq)]
+    dq = quot.dim
+    lifts = [_basis_row(f, j) for j in quot.complement]
     labels = tuple("h%d" % s for s in range(dq))
     alg = induced_algebra(h, lifts, quot.project, labels)
-    counit = tuple(h.eps(v) for v in lifts)
-    anti_cols = [quot.project(h.antipode.apply(v)) for v in lifts]
+    counit = tuple(h.counit[j] for j in quot.complement)
+    anti_cols = [quot.project(h.antipode.apply_sparse(v)) for v in lifts]
     quotient_hopf = FHopf(f, labels, alg.product, alg.unit,
                           induced_coproduct(h, lifts, quot.project), counit,
-                          Matrix.from_cols(f, anti_cols))
+                          Matrix.from_sparse_cols(f, dq, anti_cols))
     # purely even: every complement coordinate must be an even basis index
     for t in quot.complement:
         if sp.parity[t] == 1:
@@ -379,15 +386,15 @@ def even_quotient(sp):
     if not report.ok:
         raise ValidationError("even quotient is not a Hopf algebra: %r" % (report,))
     if ideal:
-        ideal_power_chain(h.as_algebra(), list(ideal))  # raises when not nilpotent
-    pi = Matrix.from_cols(f, [quot.project(basis_vec(f, dim, j)) for j in range(dim)])
+        ideal_power_chain(h.as_algebra(), ideal)  # raises when not nilpotent
+    pi = Matrix.from_sparse_cols(f, dq, [quot.project(_basis_row(f, j)) for j in range(dim)])
     return quotient_hopf, pi
 
 
 class OddCotangent:
     def __init__(self, space, representatives, projection):
         self.space = space                     # purely odd SuperVectorSpace
-        self.representatives = representatives # vectors in A
+        self.representatives = representatives # sparse native vectors in A
         self.projection = projection           # A -> W coordinates
 
     @property
@@ -396,52 +403,45 @@ class OddCotangent:
 
 
 def odd_cotangent_of_algebra(algebra, counit_vec, parity):
-    """W = A_1/A_0^+A_1 for an augmented superalgebra; also computed as the
-    odd part of A^+/(A^+)^2 and asserted equal."""
+    """W = A_1/A_0^+A_1 for an augmented superalgebra, with the counit given
+    dense or as a sparse native row; also computed as the odd part of
+    A^+/(A^+)^2 and asserted equal."""
     f = algebra.field
     dim = algebra.dim
-    odd = [basis_vec(f, dim, i) for i in range(dim) if parity[i] == 1]
-    odd_span = row_space_basis(f, odd, dim)
-    aplus = Matrix(f, [tuple(counit_vec)]).kernel_basis()
+    # distinct basis vectors in index order are their own echelon basis
+    odd_span = [_basis_row(f, i) for i in range(dim) if parity[i] == 1]
+    counit = _sparse(counit_vec, f)
+    aplus = Matrix.from_sparse_rows(f, [counit], dim).kernel_rows()
     # A^+ is parity-graded, so its even part is the componentwise projection
-    even_plus = row_space_basis(f, _even_part(f, aplus, parity), dim)
-    rel1 = row_space_basis(f, [algebra.mult(x, y) for x in even_plus for y in odd_span], dim)
+    even_plus = row_space_basis(f, _part(aplus, parity, 0), dim)
+    mult = algebra.sparse_mult
+    rel1 = row_space_basis(f, [mult(x, y) for x in even_plus for y in odd_span], dim)
     # second description: odd part of (A^+)^2
-    sq = row_space_basis(f, [algebra.mult(x, y) for x in aplus for y in aplus], dim)
-    rel2 = row_space_basis(f, _odd_part(f, sq, parity), dim)
+    sq = row_space_basis(f, [mult(x, y) for x in aplus for y in aplus], dim)
+    rel2 = row_space_basis(f, _part(sq, parity, 1), dim)
     if rel1 != rel2:
         raise ValidationError("the two descriptions of the odd cotangent disagree")
     # quotient of the odd span by the relations
-    reps = []
-    span = list(rel1)
-    for v in odd_span:
-        if not in_span(f, span, v):
-            reps.append(v)
-            span = row_space_basis(f, span + [v], dim)
+    reps = echelon_complement(f, rel1, odd_span)
     # projection A -> W coordinates: kill relations and even coordinates
-    ambient_rels = row_space_basis(
-        f, list(rel1) + [basis_vec(f, dim, i) for i in range(dim) if parity[i] == 0], dim
-    )
-    quot = QuotientSpace(f, dim, ambient_rels)
+    quot = QuotientSpace(f, dim, rel1 + [_basis_row(f, i) for i in range(dim) if parity[i] == 0])
     proj = Matrix.zeros(f, 0, dim)
     if reps:
-        in_reps = column_coordinates(Matrix.from_cols(f, [quot.project(v) for v in reps]))
+        in_reps = column_coordinates(Matrix.from_sparse_cols(f, quot.dim,
+                                                             [quot.project(v) for v in reps]))
         cols = []
         for j in range(dim):
-            sol = in_reps(quot.project(basis_vec(f, dim, j)))
+            sol = in_reps(quot.project(_basis_row(f, j)))
             if sol is None:
                 raise ValidationError("odd coordinate escapes the representative span")
             cols.append(sol)
-        proj = Matrix.from_cols(f, cols)
+        proj = Matrix.from_sparse_cols(f, len(reps), cols)
     return OddCotangent(SuperVectorSpace((1,) * len(reps)), reps, proj)
 
 
-def _even_part(f, vecs, parity):
-    return [tuple(c if parity[i] == 0 else f.zero for i, c in enumerate(v)) for v in vecs]
-
-
-def _odd_part(f, vecs, parity):
-    return [tuple(c if parity[i] == 1 else f.zero for i, c in enumerate(v)) for v in vecs]
+def _part(vecs, parity, q):
+    """The parity-q components of sparse vectors."""
+    return [{i: c for i, c in v.items() if parity[i] == q} for v in vecs]
 
 
 def odd_cotangent(sp):
@@ -449,20 +449,27 @@ def odd_cotangent(sp):
 
 
 def odd_primitives(sp):
-    """Echelon basis of U = {u odd in A* : u(ab) = u(a)eps(b) + eps(a)u(b)}."""
+    """Echelon basis of U = {u odd in A* : u(ab) = u(a)eps(b) + eps(a)u(b)},
+    as sparse native rows."""
     h = sp.hopf
     f = h.field
+    p = f.characteristic
     dim = h.dim
+    rows_of = h.native_rows
+    counit = _native(h.counit, f)
     # u vanishes on even basis indices
-    rows = [{i: f.one} for i in range(dim) if sp.parity[i] == 0]
+    rows = [_basis_row(f, i) for i in range(dim) if sp.parity[i] == 0]
     # primitivity, one linear constraint per basis pair
     for i in range(dim):
         for j in range(dim):
-            row = dict(h.mult_basis(i, j))
-            row[i] = row.get(i, f.zero) - h.counit[j]
-            row[j] = row.get(j, f.zero) - h.counit[i]
-            rows.append(row)
-    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], dim).kernel_basis()
+            row = dict(rows_of.get(i, {}).get(j, {}))
+            for k, c in ((i, counit.get(j)), (j, counit.get(i))):
+                if c:
+                    row[k] = row[k] - c if k in row else -c
+            row = _reduced(row, p)
+            if row:  # most pairs of basis monomials give none
+                rows.append(row)
+    return Matrix.from_sparse_rows(f, rows, dim).kernel_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +488,17 @@ class DecompositionResult:
 
 
 def _dual_product(sp, u, v):
-    """Product in the dual superalgebra: (uv)(a) = sum u(a_1) v(a_2)."""
+    """Product in the dual superalgebra: (uv)(a) = sum u(a_1) v(a_2), for
+    sparse native functionals."""
     h = sp.hopf
-    f = h.field
-    out = [f.zero] * h.dim
+    cop = h.native_coproduct
+    out = {}
     for i in range(h.dim):
-        for (j, k), c in h.delta_basis(i).items():
-            if u[j] and v[k]:
-                out[i] = out[i] + c * u[j] * v[k]
-    return tuple(out)
+        for (j, k), c in cop.get(i, {}).items():
+            if j in u and k in v:
+                t = c * u[j] * v[k]
+                out[i] = out[i] + t if i in out else t
+    return _reduced(out, h.field.characteristic)
 
 
 def decompose(sp):
@@ -500,25 +509,24 @@ def decompose(sp):
     sp.require_valid()
     h = sp.hopf
     f = h.field
+    p = f.characteristic
     dim = h.dim
+    cop = h.native_coproduct
     quotient_hopf, pi = even_quotient(sp)
     dh = quotient_hopf.dim
+    pi_cols = pi.native_cols()
     # A as an H-comodule algebra via (id (x) pi) o Delta
     cols = []
     for i in range(dim):
-        v = [f.zero] * (dim * dh)
-        for (j, k), c in h.delta_basis(i).items():
-            for x, d in enumerate(pi.col(k)):
-                if d:
-                    v[ti(j, x, dh)] = v[ti(j, x, dh)] + c * d
-        cols.append(tuple(v))
-    ca = ComoduleAlgebra(h.as_algebra(), quotient_hopf, Matrix.from_cols(f, cols))
+        v = {}
+        for (j, k), c in cop.get(i, {}).items():
+            _add_scaled(v, c, {ti(j, x, dh): d for x, d in pi_cols[k].items()})
+        cols.append(_reduced(v, p))
+    ca = ComoduleAlgebra(h.as_algebra(), quotient_hopf, Matrix.from_sparse_cols(f, dim * dh, cols))
     # Step A: colinear splitting phi : H -> A_0 of pi_0
-    even_idx = [i for i in range(dim) if sp.parity[i] == 0]
-    a0, inc0 = sub_comodule_algebra(ca, [basis_vec(f, dim, i) for i in even_idx])
-    pi0 = Matrix.from_cols(
-        f, [pi.apply(inc0.col(t)) for t in range(a0.algebra.dim)]
-    )
+    a0, inc0 = sub_comodule_algebra(ca, [_basis_row(f, i) for i in range(dim)
+                                         if sp.parity[i] == 0])
+    pi0 = Matrix.from_sparse_cols(f, dh, [pi.apply_sparse(col) for col in inc0.native_cols()])
     sec0 = colinear_splitting_nilpotent(a0, pi0)
     phi = inc0 * sec0.phi  # H -> A, lands in A_0
     # Step B: odd primitives and the exterior target
@@ -533,7 +541,7 @@ def decompose(sp):
     iota = []
     for s in ext.subsets:
         if not s:
-            iota.append(tuple(h.counit))
+            iota.append(_native(h.counit, f))
         else:
             acc = u_basis[s[0] - 1]
             for idx in s[1:]:
@@ -541,36 +549,33 @@ def decompose(sp):
             iota.append(acc)
     # delta : A -> Lambda(W); coordinates through the duality pairing
     pinv = duality.matrix.inverse()
-    raw = Matrix(f, [list(v) for v in iota])  # (2^m) x dim, row S = iota(e_S) as functional
+    raw = Matrix.from_sparse_rows(f, iota, dim)  # row S = iota(e_S) as functional
     delta = pinv * raw
+    delta_cols = delta.native_cols()
     # B = coinvariants, gamma = delta|_B
     coinv = ca.coinvariants
     b_alg = coinv.subalgebra
-    gamma = Matrix.from_cols(
-        f, [delta.apply(coinv.embed(basis_vec(f, b_alg.dim, t))) for t in range(b_alg.dim)]
-    )
+    gamma = Matrix.from_sparse_cols(f, ext.dim, [delta.apply_sparse(b) for b in coinv.basis])
     # B is a subalgebra of the checked A and Lambda(W) is checked, so both
     # are associative and B's generating set certifies an algebra map
     require_morphism(gamma, "gamma : B -> Lambda(W) is not a bijective algebra map",
                      bijective=True, algebra=(b_alg, ext.hopf), generators=b_alg.generating_set)
     # the coinvariant basis is homogeneous
     b_parity = []
-    for t in range(b_alg.dim):
-        emb = coinv.embed(basis_vec(f, b_alg.dim, t))
-        parities = {sp.parity[i] for i, c in enumerate(emb) if c}
+    for b in coinv.basis:
+        parities = {sp.parity[i] for i in b}
         if len(parities) != 1:
             raise ValidationError("coinvariant basis is not homogeneous")
         b_parity.append(parities.pop())
     # Step C: alpha(a) = delta(a_1) (x) pi(a_2)
     alpha_cols = []
     for i in range(dim):
-        out = [f.zero] * (ext.dim * dh)
-        for (j, k), c in h.delta_basis(i).items():
-            for t, u in enumerate(vtensor(delta.col(j), pi.col(k))):
-                if u:
-                    out[t] = out[t] + c * u
-        alpha_cols.append(tuple(out))
-    alpha = Matrix.from_cols(f, alpha_cols)
+        out = {}
+        for (j, k), c in cop.get(i, {}).items():
+            for x, u in delta_cols[j].items():
+                _add_scaled(out, c * u, {ti(x, y, dh): w for y, w in pi_cols[k].items()})
+        alpha_cols.append(_reduced(out, p))
+    alpha = Matrix.from_sparse_cols(f, ext.dim * dh, alpha_cols)
     _verify_decomposition(sp, ca, ext, alpha)
     _verify_step1_claims(sp, coinv, b_parity, cot)
     w = SuperVectorSpace((1,) * m)
@@ -611,19 +616,21 @@ def _verify_step1_claims(sp, coinv, b_parity, cot):
     """B_0^+ = B_1^2 and the inclusion B -> A induces W_B ~ W."""
     b = coinv.subalgebra
     f = b.field
-    h = sp.hopf
-    eps_b = tuple(h.eps(coinv.embed(basis_vec(f, b.dim, t))) for t in range(b.dim))
-    bplus = Matrix(f, [eps_b]).kernel_basis()
-    b0_plus = row_space_basis(f, _even_part(f, bplus, b_parity), b.dim)
-    odd_b = [basis_vec(f, b.dim, t) for t in range(b.dim) if b_parity[t] == 1]
-    odd_span = row_space_basis(f, odd_b, b.dim)
-    b1_sq = row_space_basis(f, [b.mult(x, y) for x in odd_span for y in odd_span], b.dim)
+    p = f.characteristic
+    counit = _native(sp.hopf.counit, f)
+    eps_b = _reduced({t: _dot(counit, v, p) for t, v in enumerate(coinv.basis)}, p)
+    bplus = Matrix.from_sparse_rows(f, [eps_b], b.dim).kernel_rows()
+    b0_plus = row_space_basis(f, _part(bplus, b_parity, 0), b.dim)
+    # distinct basis vectors in index order are their own echelon basis
+    odd_span = [_basis_row(f, t) for t in range(b.dim) if b_parity[t] == 1]
+    b1_sq = row_space_basis(f, [b.sparse_mult(x, y) for x in odd_span for y in odd_span], b.dim)
     if b0_plus != b1_sq:
         raise ValidationError("B_0^+ differs from B_1^2")
     cot_b = odd_cotangent_of_algebra(b, eps_b, b_parity)
     if cot_b.dim != cot.dim:
         raise ValidationError("W_B and W have different dimensions")
     # the inclusion must induce an isomorphism W_B -> W
-    images = [cot.projection.apply(coinv.embed(v)) for v in cot_b.representatives]
+    images = [cot.projection.apply_sparse(coinv.inclusion.apply_sparse(v))
+              for v in cot_b.representatives]
     if len(row_space_basis(f, images, cot.dim)) != cot.dim:
         raise ValidationError("inclusion does not induce an isomorphism onto W")

@@ -51,6 +51,8 @@ from hopfcross.linalg import (
     QuotientSpace,
     Rational,
     Rationals,
+    _dense_vec,
+    _native,
     basis_vec,
     vadd,
     vscale,
@@ -58,6 +60,7 @@ from hopfcross.linalg import (
     vzero,
 )
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
+import hopfcross.algebra
 import hopfcross.superalg
 from hopfcross.superalg import (
     ExteriorHopf,
@@ -626,6 +629,36 @@ def test_the_generating_set_pass_reports_what_the_full_loops_report():
     # the full loops report witnesses outside G, and the Q inputs have
     # non-integer constants
     assert engaged > 10 and scaled > 5
+
+
+@pytest.mark.parametrize("group", [GroupTable.symmetric(4), GroupTable.cyclic(12)],
+                         ids=["S4", "Z12"])
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_orthogonal_idempotents_are_read_off_without_a_greedy_pass(field, group, monkeypatch):
+    # k^G has no G of at most half its basis, and its product table says so
+    # at once; the report is the one the greedy passes lead to
+    passes = []
+    real = hopfcross.algebra._greedy_generators
+
+    def spy(rows, *args):
+        passes.append(rows)
+        return real(rows, *args)
+
+    monkeypatch.setattr(hopfcross.algebra, "_greedy_generators", spy)
+    kg = dual_structure(group_hopf_algebra(group, field))
+    report = check_axioms("hopf", kg)
+    assert kg.generating_set is None
+    assert all(rows is not kg.lowered_rows(kg.denominator) for rows in passes)
+    monkeypatch.setattr(hopfcross.algebra, "_orthogonal_idempotents", lambda *args: False)
+    passes.clear()
+    again = dual_structure(group_hopf_algebra(group, field))
+    assert repr(check_axioms("hopf", again)) == repr(report) == "AxiomReport(hopf: pass)"
+    assert again.generating_set is None
+    assert any(rows is again.lowered_rows(again.denominator) for rows in passes)
+    for part in PARTS:
+        bad = doubled(kg, part)
+        assert check_axioms("hopf", bad).violations == ref_hopf_laws(bad, (0,) * bad.dim)[
+            :MAX_VIOLATIONS], part
 
 
 def degree_one(h):
@@ -2090,14 +2123,19 @@ def test_induced_coproduct_matches_the_dense_oracle_and_reads_each_image_once(fi
                                         vadd(basis_vec(field, h.dim, 1),
                                              vscale(-field.one, basis_vec(field, h.dim, 2)))])
     basis = [quot.lift(basis_vec(field, quot.dim, t)) for t in range(quot.dim)]
-    basis += [drawn_vector(field, rng, h.dim, 0.5), vzero(field, h.dim)]
+    basis += [_native(drawn_vector(field, rng, h.dim, 0.5), field), {}]
     reads = []
 
     def counted(vec):
-        reads.append(vec)
+        reads.append(tuple(sorted(vec.items())))
         return quot.project(vec)
 
-    assert induced_coproduct(h, basis, counted) == ref_induced_coproduct(h, basis, quot.project)
+    def dense_project(vec):
+        return _dense_vec(field, quot.project(vec), quot.dim)
+
+    dense_basis = [_dense_vec(field, v, h.dim) for v in basis]
+    assert induced_coproduct(h, basis, counted) == ref_induced_coproduct(h, dense_basis,
+                                                                        dense_project)
     assert len(reads) == len(set(reads)) <= h.dim
 
 

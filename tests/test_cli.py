@@ -968,10 +968,24 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # each matrix solved for several right-hand sides is eliminated once.
     # convolution_invert eliminates once per component of the coalgebra: 2
     # in each of its three calls over k[Z/2], where one whole operator made
-    # 1 each; sigma^-1 is read off phi^-1, not inverted over k[Z/2] (x) k[Z/2]
+    # 1 each; sigma^-1 is read off phi^-1, not inverted over k[Z/2] (x) k[Z/2].
+    # Coordinates against an echelon basis (a comodule subalgebra, the
+    # kernel K of a splitting step) are read off its pivots, the image of
+    # psi is eliminated once, by its quotient, and a span of zero vectors
+    # (the last power of each nilpotent kernel) is not eliminated
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 47
+    assert len(calls) == 42
+
+
+def test_super_decompose_eliminates_each_span_once(monkeypatch):
+    # W = A_1 / A_0^+ A_1 reduces each odd vector once against its pivot
+    # rows, spans of distinct basis vectors or of zero vectors are not
+    # eliminated, and A_0 and the kernels of the splitting read coordinates
+    # off their pivots
+    calls = count_calls(monkeypatch, Matrix, "rref")
+    assert main(["super-decompose", corpus("lambda3.json")]) == 0
+    assert len(calls) == 43
 
 
 @pytest.mark.parametrize("argv", [

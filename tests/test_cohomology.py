@@ -48,7 +48,16 @@ from hopfcross.errors import (
     ValidationError,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vadd, vscale, vzero
+from hopfcross.linalg import (
+    Matrix,
+    PrimeField,
+    Rationals,
+    _native,
+    basis_vec,
+    vadd,
+    vscale,
+    vzero,
+)
 from hopfcross.standard import dual_numbers, product_field, sweedler
 from tests.test_linalg import draw
 
@@ -651,7 +660,8 @@ def test_sub_comodule_algebra_accepts_a_span_holding_no_basis_vector():
     ca = ComoduleAlgebra(a, h, Matrix.from_cols(Q, [basis_vec(Q, 8, ti(x, x % 2, 2))
                                                    for x in range(4)]))
     new = [vadd(basis_vec(Q, 4, i), basis_vec(Q, 4, 3)) for i in range(3)] + [basis_vec(Q, 4, 3)]
-    to_new = Matrix.from_cols(Q, new).inverse().apply
+    to_new = Matrix.from_cols(Q, new).inverse().apply_sparse
+    new = [_native(v, Q) for v in new]
     changed = ComoduleAlgebra(induced_algebra(a, new, to_new, ("a0", "a1", "a2", "a3")), h,
                               induced_coaction(ca, new, to_new))
     sub, inc = sub_comodule_algebra(changed, [(1, 0, 0, -1), (0, 1, 0, -1)])

@@ -44,7 +44,14 @@ from hopfcross.errors import (
 )
 from hopfcross.graded import GradedAlgebra, is_strongly_graded
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, QuotientSpace, Rationals, basis_vec
+from hopfcross.linalg import (
+    Matrix,
+    PrimeField,
+    QuotientSpace,
+    Rationals,
+    _dense_vec,
+    basis_vec,
+)
 from hopfcross.search import DEFAULT_BUDGET, find_invertible_combination
 from hopfcross.standard import dual_numbers, kz2, matrix2, sweedler
 
@@ -215,7 +222,7 @@ def ref_galois_inverse(ca, rep, section):
                     for y, v in enumerate(right):
                         if v:
                             amb[ti(x, y, da)] = amb[ti(x, y, da)] + c * u * v
-            inv_cols.append(quot.project(tuple(amb)))
+            inv_cols.append(_dense_vec(f, quot.project(tuple(amb)), quot.dim))
     inverse = Matrix.from_cols(f, inv_cols)
     assert rep.beta * inverse == Matrix.identity(f, da * dh)
     assert inverse * rep.beta == Matrix.identity(f, quot.dim)
@@ -270,7 +277,7 @@ def ref_galois_map(ca):
     quot = ref_relative_tensor_square(ca, coinv)
     cols = []
     for t in range(quot.dim):
-        amb = quot.lift(basis_vec(f, quot.dim, t))
+        amb = _dense_vec(f, quot.lift(basis_vec(f, quot.dim, t)), da * da)
         acc = [f.zero] * (da * dh)
         for flat, c in enumerate(amb):
             if not c:

@@ -33,7 +33,15 @@ from hopfcross.graded import (
     recognize_group_crossed_product,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, QuotientSpace, Rationals, basis_vec
+from hopfcross.linalg import (
+    Matrix,
+    PrimeField,
+    QuotientSpace,
+    Rationals,
+    _dense_vec,
+    _native,
+    basis_vec,
+)
 from hopfcross.standard import dual_numbers, matrix2, product_field
 
 Q = Rationals()
@@ -130,7 +138,8 @@ def ref_relative_tensor_over_neutral(ga, g, h):
     at = {k: u for u, k in enumerate(ga.component_indices(grp.mul(g, h)))}
     neutral = [basis_vec(a.field, a.dim, i) for i in ga.component_indices(grp.identity)]
     quot, cols = relative_tensor(a, neutral, ga.component_indices(g), ga.component_indices(h),
-                                 lambda x, y: {at[k]: c for k, c in a.mult_basis(x, y).items()})
+                                 lambda x, y: {at[k]: c for k, c in
+                                               _native(a.mult_basis(x, y), a.field).items()})
     return quot, Matrix.from_sparse_cols(a.field, len(at), cols)
 
 
@@ -226,7 +235,7 @@ def ref_dense_relative_tensor_over_neutral(ga, g, h):
     gh = ga.group.mul(g, h)
     cols = []
     for t in range(quot.dim):
-        amb = quot.lift(basis_vec(f, quot.dim, t))
+        amb = _dense_vec(f, quot.lift(basis_vec(f, quot.dim, t)), dg * dh)
         acc = [f.zero] * ga.component_dim(gh)
         for flat, c in enumerate(amb):
             if c:
@@ -464,8 +473,8 @@ def test_crossed_product_over_group_algebra_matches_the_oracle(system):
     homogeneous = [change.col(t) for t in range(change.cols)]
     for vec, g in zip(homogeneous, ga.degree):
         assert ref.restrict(g, vec)  # lies in the oracle's A_g
-    moved = induced_algebra(ref.algebra, homogeneous, change.inverse().apply,
-                            ga.algebra.basis)
+    moved = induced_algebra(ref.algebra, [_native(v, ref.field) for v in homogeneous],
+                            change.inverse().apply_sparse, ga.algebra.basis)
     assert ga.algebra.canonical_constants() == moved.canonical_constants()
 
 
@@ -682,7 +691,8 @@ def homogeneous_change(ga, rng):
                 v[order[slot]] = m.data[r][t]
             basis[k] = tuple(v)
     change = Matrix.from_cols(f, basis)
-    alg = induced_algebra(a, basis, change.inverse().apply, tuple("v%d" % k for k in range(a.dim)))
+    alg = induced_algebra(a, [_native(v, f) for v in basis], change.inverse().apply_sparse,
+                          tuple("v%d" % k for k in range(a.dim)))
     return GradedAlgebra(alg, ga.group, tuple(ga.degree[order[k]] for k in range(a.dim)))
 
 

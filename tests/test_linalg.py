@@ -16,6 +16,8 @@ from hopfcross.linalg import (
     QuotientSpace,
     Rational,
     Rationals,
+    _dense_vec,
+    _native,
     column_coordinates,
     in_span,
     is_prime,
@@ -193,8 +195,8 @@ def test_quotient_space():
     coords = q.project(v)
     # class of v equals class of its lift
     assert q.project(q.lift(coords)) == coords
-    # relation vector projects to zero
-    assert q.project(rels[0]) == (Fraction(0), Fraction(0))
+    # relation vector projects to zero, the empty sparse row
+    assert q.project(rels[0]) == {}
 
 
 def test_vtensor_indexing():
@@ -461,9 +463,19 @@ def ref_in_span(field, basis_rref, vec):
     return all(not a for a in v)
 
 
+def ref_row_space_basis(field, vectors, n):
+    """The RREF basis of the span of dense vectors, by dense_rref."""
+    if not vectors:
+        return []
+    r, pivots, _ = dense_rref(Matrix(field, [tuple(v) for v in vectors], n))
+    return [r.row(i) for i in range(len(pivots))]
+
+
 class RefQuotientSpace:
     def __init__(self, field, ambient_dim, relations):
-        rels = row_space_basis(field, relations, ambient_dim)
+        rels = ref_row_space_basis(field, relations, ambient_dim)
+        self.field = field
+        self.ambient_dim = ambient_dim
         self.relations = rels
         self._pivots = [next(j for j, a in enumerate(r) if a) for r in rels]
         pivset = set(self._pivots)
@@ -480,6 +492,12 @@ class RefQuotientSpace:
     def project(self, vec):
         v = self.reduce(vec)
         return tuple(v[j] for j in self.complement)
+
+    def lift(self, coords):
+        v = [self.field.zero] * self.ambient_dim
+        for j, c in zip(self.complement, coords):
+            v[j] = c
+        return tuple(v)
 
 
 def draw(field, rng):
@@ -525,6 +543,18 @@ def assert_field_typed(field, vec):
     assert all(type(a) is scalar_type(field) for a in vec)
 
 
+def assert_native(field, row):
+    """A sparse native row: nonzero ints mod p over F_p, nonzero Rationals
+    over Q."""
+    p = field.characteristic
+    assert all(type(a) is (int if p else Rational) and a and (not p or 0 < a < p)
+               for a in row.values())
+
+
+def dense_or_none(field, row, n):
+    return None if row is None else _dense_vec(field, row, n)
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_apply_matches_the_dense_oracle(field):
     rng = random.Random(17 * (field.characteristic or 1) + 3)
@@ -546,12 +576,13 @@ def test_column_coordinates_match_the_dense_oracle(field):
         coords, ref = column_coordinates(m), ref_column_coordinates(m)
         for b in coordinate_vectors(field, rng, m.rows, image_of=m):
             x = coords(b)
-            assert x == ref(b)
+            assert dense_or_none(field, x, m.cols) == ref(b)
+            assert coords(_native(b, field)) == x
             if x is None:
                 outside += 1
                 continue
-            assert m.apply(x) == b
-            assert_field_typed(field, x)
+            assert m.apply(_dense_vec(field, x, m.cols)) == b
+            assert_native(field, x)
         for wrong in (m.rows + 1, m.rows - 1):
             if wrong >= 0:
                 with pytest.raises(ShapeMismatchError):
@@ -571,14 +602,16 @@ def test_quotients_and_spans_match_the_dense_oracle(field):
         quot, ref = QuotientSpace(field, n, list(m.data)), RefQuotientSpace(field, n, m.data)
         assert quot.complement == ref.complement and quot.dim == len(ref.complement)
         basis = row_space_basis(field, list(m.data), n)
+        assert [_dense_vec(field, r, n) for r in basis] == ref_row_space_basis(field, m.data, n)
         for v in coordinate_vectors(field, rng, n, image_of=m.transpose()):
             for out, expected in ((quot.reduce(v), ref.reduce(v)),
                                   (quot.project(v), ref.project(v))):
-                assert out == expected
-                assert_field_typed(field, out)
+                assert _dense_vec(field, out, len(expected)) == expected
+                assert_native(field, out)
+            assert quot.project(_native(v, field)) == quot.project(v)
             assert quot.project(quot.lift(quot.project(v))) == quot.project(v)
             member = in_span(field, basis, v)
-            assert member == ref_in_span(field, basis, v)
+            assert member == ref_in_span(field, [_dense_vec(field, r, n) for r in basis], v)
             hits += member and any(v)
     assert hits >= 5
 
@@ -650,7 +683,7 @@ def test_a_matrix_built_sparse_matches_it_built_dense(field):
             x = coords(b)
             assert x == ref(b)
             if x is not None:
-                assert_field_typed(field, x)
+                assert_native(field, x)
             res, expected = solve_linear(s, b), solve_linear(m, b)
             assert res.consistent == expected.consistent
             if res.consistent:

@@ -2,6 +2,7 @@
 even quotients, odd cotangents/primitives, and the tensor decomposition."""
 
 import itertools
+import json
 import random
 from functools import cached_property
 
@@ -9,19 +10,33 @@ import pytest
 
 from hopfcross.algebra import (
     MAX_VIOLATIONS,
+    FAlgebra,
     FHopf,
     _bialgebra_laws,
     check_axioms,
     group_hopf_algebra,
+    induced_algebra,
     ti,
 )
+from hopfcross.cli import encode_super_hopf, main
+from hopfcross.cohomology import ideal_power_chain
 from hopfcross.errors import (
     CharacteristicTwoError,
+    KernelNotNilpotentError,
     NotSuperCommutativeError,
     ValidationError,
 )
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec, vscale
+from hopfcross.linalg import (
+    Matrix,
+    PrimeField,
+    QuotientSpace,
+    Rationals,
+    _dense_vec,
+    _native,
+    basis_vec,
+    vscale,
+)
 from hopfcross.superalg import (
     ExteriorHopf,
     SuperPresentation,
@@ -33,8 +48,17 @@ from hopfcross.superalg import (
     exterior_hopf,
     koszul_swap,
     odd_cotangent,
+    odd_cotangent_of_algebra,
     odd_primitives,
     super_tensor_product,
+)
+from tests.test_algebra import ref_induced_coproduct, ref_mult
+from tests.test_linalg import (
+    RefQuotientSpace,
+    dense_rref,
+    ref_column_coordinates,
+    ref_in_span,
+    ref_row_space_basis,
 )
 
 Q = Rationals()
@@ -464,8 +488,8 @@ def test_odd_primitives_of_exterior():
     ext = exterior_hopf(2, Q)
     # the primitives are supported on the degree-1 subset coordinates
     for v in u:
-        assert v[ext.index[()]] == Q.zero
-        assert v[ext.index[(1, 2)]] == Q.zero
+        assert ext.index[()] not in v
+        assert ext.index[(1, 2)] not in v
 
 
 def test_odd_primitives_purely_even_empty():
@@ -714,3 +738,208 @@ def test_staged_multiplicativity_matches_the_nested_loop_on_the_f3_family():
         assert list(_bialgebra_laws(sp.hopf, sp.parity)) == expected, sp.hopf.canonical_constants()
         failing += bool(expected)
     assert failing
+
+
+# ---------------------------------------------------------------------------
+# the sparse decomposition path against its dense predecessors
+#
+# ref_* are the dense implementations the decomposition read before its
+# vectors went sparse, on their own dense eliminations (dense_rref), kept as
+# oracles.
+
+
+F3 = PrimeField(3)
+F7 = PrimeField(7)
+
+
+def super_family(field, m, n):
+    """Lambda(m) (x) k[Z/n], with k[Z/n] even."""
+    return super_tensor_product(exterior_hopf(m, field).presentation,
+                                even_presentation(group_hopf_algebra(GroupTable.cyclic(n), field)))
+
+
+def ref_kernel_basis(m):
+    r, pivots, _ = dense_rref(m)
+    f = m.field
+    out = []
+    for j in range(m.cols):
+        if j not in pivots:
+            v = [f.zero] * m.cols
+            v[j] = f.one
+            for row, pc in enumerate(pivots):
+                v[pc] = -r.row(row)[j]
+            out.append(tuple(v))
+    return out
+
+
+def ref_ideal_power_chain(algebra, ideal_basis):
+    f = algebra.field
+    n = algebra.dim
+    chain = [ref_row_space_basis(f, ideal_basis, n)]
+    while chain[-1]:
+        prods = [ref_mult(algebra, x, y) for x in chain[-1] for y in chain[0]]
+        nxt = ref_row_space_basis(f, prods, n)
+        if len(nxt) == len(chain[-1]):
+            if all(ref_in_span(f, chain[-1], v) for v in nxt):
+                raise KernelNotNilpotentError("ideal power chain stabilized above zero")
+        chain.append(nxt)
+        if len(chain) > n + 1:
+            raise KernelNotNilpotentError("ideal power chain does not terminate")
+    return chain
+
+
+def ref_induced_algebra(a, basis, coords, labels):
+    product = {}
+    for s, u in enumerate(basis):
+        for t, v in enumerate(basis):
+            product[(s, t)] = {k: c for k, c in enumerate(coords(ref_mult(a, u, v))) if c}
+    return FAlgebra(a.field, labels, product, tuple(coords(a.one())))
+
+
+def ref_even_quotient(sp):
+    h = sp.hopf
+    f = h.field
+    dim = h.dim
+    gens = []
+    for v in [basis_vec(f, dim, i) for i in range(dim) if sp.parity[i] == 1]:
+        gens.append(v)
+        for j in range(dim):
+            gens.append(ref_mult(h, v, basis_vec(f, dim, j)))
+    ideal = ref_row_space_basis(f, gens, dim)
+    quot = RefQuotientSpace(f, dim, ideal)
+    dq = len(quot.complement)
+    for v in ideal:
+        if h.eps(v):
+            raise ValidationError("ideal does not lie in the augmentation ideal")
+        if any(c for c in quot.project(h.antipode.apply(v))):
+            raise ValidationError("ideal is not antipode-stable")
+        if ref_induced_coproduct(h, [v], quot.project)[0]:
+            raise ValidationError("ideal is not a coideal")
+    lifts = [quot.lift(basis_vec(f, dq, s)) for s in range(dq)]
+    labels = tuple("h%d" % s for s in range(dq))
+    alg = ref_induced_algebra(h, lifts, quot.project, labels)
+    counit = tuple(h.eps(v) for v in lifts)
+    anti_cols = [quot.project(h.antipode.apply(v)) for v in lifts]
+    quotient_hopf = FHopf(f, labels, alg.product, alg.unit,
+                          ref_induced_coproduct(h, lifts, quot.project), counit,
+                          Matrix.from_cols(f, anti_cols))
+    for t in quot.complement:
+        if sp.parity[t] == 1:
+            raise ValidationError("even quotient retained an odd coordinate")
+    report = check_axioms("hopf", quotient_hopf)
+    if not report.ok:
+        raise ValidationError("even quotient is not a Hopf algebra: %r" % (report,))
+    if ideal:
+        ref_ideal_power_chain(h.as_algebra(), ideal)
+    pi = Matrix.from_cols(f, [quot.project(basis_vec(f, dim, j)) for j in range(dim)])
+    return quotient_hopf, pi
+
+
+def ref_odd_cotangent_of_algebra(algebra, counit_vec, parity):
+    """(representatives, projection) of W = A_1/A_0^+A_1."""
+    f = algebra.field
+    dim = algebra.dim
+
+    def part(vecs, q):
+        return [tuple(c if parity[i] == q else f.zero for i, c in enumerate(v)) for v in vecs]
+
+    odd_span = ref_row_space_basis(f, [basis_vec(f, dim, i) for i in range(dim) if parity[i]], dim)
+    aplus = ref_kernel_basis(Matrix(f, [tuple(counit_vec)]))
+    even_plus = ref_row_space_basis(f, part(aplus, 0), dim)
+    rel1 = ref_row_space_basis(f, [ref_mult(algebra, x, y) for x in even_plus for y in odd_span],
+                               dim)
+    sq = ref_row_space_basis(f, [ref_mult(algebra, x, y) for x in aplus for y in aplus], dim)
+    if rel1 != ref_row_space_basis(f, part(sq, 1), dim):
+        raise ValidationError("the two descriptions of the odd cotangent disagree")
+    reps = []
+    span = list(rel1)
+    for v in odd_span:
+        if not ref_in_span(f, span, v):
+            reps.append(v)
+            span = ref_row_space_basis(f, span + [v], dim)
+    quot = RefQuotientSpace(f, dim, rel1 + [basis_vec(f, dim, i) for i in range(dim)
+                                            if parity[i] == 0])
+    proj = Matrix.zeros(f, 0, dim)
+    if reps:
+        in_reps = ref_column_coordinates(Matrix.from_cols(f, [quot.project(v) for v in reps]))
+        proj = Matrix.from_cols(f, [in_reps(quot.project(basis_vec(f, dim, j)))
+                                    for j in range(dim)])
+    return reps, proj
+
+
+def power_chain_outcome(chain_of, algebra, basis):
+    try:
+        return chain_of(algebra, basis)
+    except KernelNotNilpotentError as e:
+        return str(e)
+
+
+# natural bases up to dimension 24 (the dense oracles take about 20 s on
+# Lambda(4) (x) k[Z/3]), scrambled ones up to 16
+SUPER_ORACLE_CASES = ([(m, n, None) for m in (1, 2, 3, 4) for n in (1, 2, 3) if 2 ** m * n <= 24]
+                      + [(1, 2, 11), (2, 3, 12), (3, 2, 13), (4, 1, 14)])
+
+
+@pytest.mark.parametrize("m, n, seed", SUPER_ORACLE_CASES,
+                         ids=lambda x: "natural" if x is None else str(x))
+@pytest.mark.parametrize("field", [Q, F3, F5, F7], ids=repr)
+def test_the_sparse_decomposition_path_matches_the_dense_oracles(field, m, n, seed):
+    # Lambda(m) (x) k[Z/n] in its natural basis, or scrambled by a seeded
+    # parity-preserving change of basis (the smaller cases: a scrambled
+    # basis makes every constant dense)
+    sp = super_family(field, m, n)
+    if seed is not None:
+        sp = scramble(sp, seed)
+    h, parity = sp.hopf, sp.parity
+    a = h.as_algebra()
+    dim = h.dim
+    quotient, pi = even_quotient(sp)
+    ref_quotient, ref_pi = ref_even_quotient(sp)
+    assert quotient.canonical_constants() == ref_quotient.canonical_constants()
+    assert quotient.antipode == ref_quotient.antipode and pi == ref_pi
+    # the power chains of ker pi = A_1 A, nilpotent, and of the augmentation
+    # ideal, which is nilpotent only for n = 1 or n = p
+    ideal = ref_kernel_basis(ref_pi)
+    for basis in (ideal, ref_kernel_basis(Matrix(field, [h.counit]))):
+        got = power_chain_outcome(ideal_power_chain, a, basis)
+        if not isinstance(got, str):
+            got = [[_dense_vec(field, row, dim) for row in step] for step in got]
+        assert got == power_chain_outcome(ref_ideal_power_chain, a, basis)
+    # algebras induced on A / ker pi and on the even subalgebra A_0
+    quot, ref_quot = QuotientSpace(field, dim, ideal), RefQuotientSpace(field, dim, ideal)
+    labels = tuple("q%d" % t for t in range(quot.dim))
+    got = induced_algebra(a, [quot.lift(_native(basis_vec(field, quot.dim, t), field))
+                              for t in range(quot.dim)], quot.project, labels)
+    ref = ref_induced_algebra(a, [ref_quot.lift(basis_vec(field, quot.dim, t))
+                                  for t in range(quot.dim)], ref_quot.project, labels)
+    assert got.canonical_constants() == ref.canonical_constants()
+    even = [i for i in range(dim) if parity[i] == 0]
+    at = {i: t for t, i in enumerate(even)}
+    labels = tuple("e%d" % t for t in range(len(even)))
+    got = induced_algebra(a, [_native(basis_vec(field, dim, i), field) for i in even],
+                          lambda v: {at[i]: c for i, c in v.items()}, labels)
+    ref = ref_induced_algebra(a, [basis_vec(field, dim, i) for i in even],
+                              lambda v: tuple(v[i] for i in even), labels)
+    assert got.canonical_constants() == ref.canonical_constants()
+    # the odd cotangent, its representatives and its projection
+    cot = odd_cotangent_of_algebra(a, h.counit, parity)
+    reps, proj = ref_odd_cotangent_of_algebra(a, h.counit, parity)
+    assert [_dense_vec(field, v, dim) for v in cot.representatives] == reps
+    assert cot.projection == proj and cot.dim == len(reps) == m
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("field", [Q, F3, F5, F7], ids=repr)
+def test_super_decompose_is_invariant_under_a_change_of_basis(field, m, n, tmp_path, capsys):
+    # ROADMAP 9(a): a seeded parity-preserving change of basis keeps the h
+    # and w dimensions, and the scrambled decomposition passes --certify
+    sp = super_family(field, m, n)
+    dims = []
+    for label, pres in (("natural", sp), ("scrambled", scramble(sp, "%r:%d:%d" % (field, m, n)))):
+        path = tmp_path / ("%s.json" % label)
+        path.write_text(json.dumps(encode_super_hopf(pres)))
+        capsys.readouterr()
+        assert main(["super-decompose", str(path), "--certify", "--json"]) == 0
+        witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+        dims.append((witnesses["h_dimension"], witnesses["w_dimension"]))
+    assert dims == [(n, m), (n, m)]
