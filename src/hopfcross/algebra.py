@@ -1103,10 +1103,18 @@ def convolution_invert(c, a, f):
         for k, t in at.items():
             g_cols[k] = res.solution[t:t + da]
     g = Matrix.from_cols(fld, g_cols)
-    failures = _convolution_failures(c, a, cols, g.sparse_cols())
+    require_convolution_inverse(c, a, f, g)
+    return g
+
+
+def require_convolution_inverse(c, a, f, g):
+    """Raise NotConvolutionInvertibleError unless f * g = eta eps = g * f in
+    Hom(C, A), for f and g the matrices of maps C -> A: the check of every
+    inverse that convolution_invert solves for or a caller forms in closed
+    form."""
+    failures = _convolution_failures(c, a, f.sparse_cols(), g.sparse_cols())
     if any(right or left for _, right, left in failures):
         raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
-    return g
 
 
 def compute_antipode(b):

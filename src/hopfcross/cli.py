@@ -31,6 +31,7 @@ from .cohomology import (
     AugmentedCleftExtension,
     HModuleStructure,
     NormalizedCochain,
+    augmentation_violations,
     classify_cleft_extension,
     hh2,
     lift_comodule_algebra_map,
@@ -369,33 +370,40 @@ class Presentation:
         self.augmentation = augmentation
 
 
-def _parse_algebra(doc, field, kind):
+def _algebra_tables(doc, field, kind):
+    """The basis, product and unit of an algebra block."""
     basis = _basis(doc, kind)
     dim = len(basis)
     product = _sparse3_from_json(field, _require(doc, "product", kind), dim, "product",
                                  lambda i, j, k: ((i, j), k))
     unit = _vector_from_json(field, _require(doc, "unit", kind), dim, "unit")
-    return FAlgebra(field, tuple(basis), product, unit)
+    return tuple(basis), product, unit
 
 
-def _parse_coalgebra(doc, field, kind):
-    basis = _basis(doc, kind)
-    dim = len(basis)
+def _coalgebra_tables(doc, field, kind):
+    """The coproduct and counit of a coalgebra block."""
+    dim = len(_basis(doc, kind))
     coproduct = _sparse3_from_json(field, _require(doc, "coproduct", kind), dim, "coproduct",
                                    lambda i, j, k: (i, (j, k)))
     counit = _vector_from_json(field, _require(doc, "counit", kind), dim, "counit")
-    return FCoalgebra(field, tuple(basis), coproduct, counit)
+    return coproduct, counit
+
+
+def _parse_algebra(doc, field, kind):
+    return FAlgebra(field, *_algebra_tables(doc, field, kind))
+
+
+def _parse_coalgebra(doc, field, kind):
+    return FCoalgebra(field, tuple(_basis(doc, kind)), *_coalgebra_tables(doc, field, kind))
 
 
 def _parse_hopf(doc, field, kind="hopf"):
-    alg = _parse_algebra(doc, field, kind)
-    coalg = _parse_coalgebra(doc, field, kind)
+    """The bialgebra or Hopf algebra of a block, built once from its tables."""
+    tables = _algebra_tables(doc, field, kind) + _coalgebra_tables(doc, field, kind)
     if kind == "bialgebra":
-        return FBialgebra(field, alg.basis, alg.product, alg.unit,
-                          coalg.coproduct, coalg.counit)
+        return FBialgebra(field, *tables)
     antipode = _matrix_from_json(field, _require(doc, "antipode", kind), "antipode")
-    return FHopf(field, alg.basis, alg.product, alg.unit,
-                 coalg.coproduct, coalg.counit, antipode)
+    return FHopf(field, *tables, antipode)
 
 
 def _check_block(name, violations, what):
@@ -414,10 +422,24 @@ def _check_algebra_block(alg, name):
     """Raise the failed algebra laws of the file's own algebra (name
     "algebra") or of its block `name`, which no coaction, measuring or
     action law implies.  These are the witnesses of check_axioms("algebra",
-    alg), from its full loops, run without a call of check_axioms so that
-    the calls a traced run counts stay the library's own checks."""
+    alg): a pass on alg's generating set decides first, and the full loops
+    run only when it finds a witness or there is no generating set.  It runs
+    without a call of check_axioms so that the calls a traced run counts
+    stay the library's own checks."""
+    gens = alg.generating_set
+    if gens is not None and next(_laws("algebra", alg, None, gens), None) is None:
+        return
     violations = list(islice(_laws("algebra", alg, None, None), MAX_VIOLATIONS))
     _check_block(name, violations, "an algebra")
+
+
+def _check_augmentation(alg, aug):
+    """Raise the witnesses, named augmentation-unit and
+    augmentation-multiplicative, that an augmentation block is not an
+    algebra map A -> k.  Run after _check_algebra_block has certified A, so
+    multiplicativity is decided on A's generating set first."""
+    laws = augmentation_violations(alg, aug, alg.generating_set)
+    _check_block("augmentation", list(islice(laws, MAX_VIOLATIONS)), "an augmentation")
 
 
 def _parse_group(doc, kind):
@@ -503,6 +525,8 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         ca = ComoduleAlgebra(alg, hopf, coaction)
         _check_nested_hopf(hopf)
         _check_algebra_block(alg, "algebra")
+        if aug is not None:
+            _check_augmentation(alg, aug)
         return Presentation(kind, ca, augmentation=aug)
     if kind == "crossed-system":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")

@@ -20,9 +20,9 @@ from .algebra import (
     _nonzero,
     algebra_map_violations,
     coaction_violations,
-    convolution_invert,
     evaluate,
     induced_algebra,
+    require_convolution_inverse,
     require_morphism,
     ti,
 )
@@ -70,6 +70,15 @@ from .linalg import (
 )
 
 
+def augmentation_violations(algebra, augmentation, generators=None):
+    """The witnesses of algebra_map_violations that the functional with the
+    values `augmentation` on the basis is not a unital algebra map A -> k,
+    with generators as there."""
+    f = algebra.field
+    ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
+    return algebra_map_violations(algebra, ground, Matrix(f, [augmentation]), generators)
+
+
 class AugmentedAlgebra:
     """An algebra B with an algebra map eps_B : B -> k; B = k.1 (+) B+."""
 
@@ -78,9 +87,7 @@ class AugmentedAlgebra:
             raise ShapeMismatchError("augmentation vector has wrong length")
         self.algebra = algebra
         self.augmentation = tuple(augmentation)
-        f = algebra.field
-        ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
-        bad = next(algebra_map_violations(algebra, ground, Matrix(f, [self.augmentation])), None)
+        bad = next(augmentation_violations(algebra, self.augmentation), None)
         if bad == ("unit", ()):
             raise ValidationError("augmentation does not send 1 to 1")
         if bad:
@@ -427,19 +434,33 @@ class AugmentedCleftExtension:
 
 
 def reaugment_section(ext, sec):
-    """Replace phi with h |-> eps_A(phi^{-1}(h1)) phi(h2), which is augmented."""
+    """Replace phi with chi * phi, h |-> chi(h1) phi(h2) for chi = eps_A o
+    phi^{-1}, which is augmented.  Its inverse is phi^{-1} * (eps_A o phi),
+    h |-> phi^{-1}(h1) eps_A(phi(h2)), because eps_A is an algebra map (the
+    parser checks an augmentation block to be one); the pair is re-verified
+    like a solved inverse."""
     ca = ext.comodule_algebra
     a, h = ca.algebra, ca.hopf
     f = ca.field
-    phi, phi_inv = sec.phi, sec.phi_inv
-    cols = []
+    p = f.characteristic
+    phi, phi_inv = sec.phi.native_cols(), sec.phi_inv.native_cols()
+    eps = _native(ext.augmentation, f)
+
+    def on_eps(col):
+        return sum(c * eps[x] for x, c in col.items() if x in eps)
+
+    chi, eps_phi = [on_eps(col) for col in phi_inv], [on_eps(col) for col in phi]
+    cols, inv_cols = [], []
     for j in range(h.dim):
-        acc = vzero(f, a.dim)
-        for (p, q), c in h.delta_basis(j).items():
-            acc = vadd(acc, vscale(c * ext.eps(phi_inv.col(p)), phi.col(q)))
-        cols.append(acc)
-    new_phi = Matrix.from_cols(f, cols)
-    new_inv = convolution_invert(h, a, new_phi)
+        acc, inv = {}, {}
+        for (x, y), c in h.native_coproduct.get(j, {}).items():
+            _add_scaled(acc, c * chi[x], phi[y])
+            _add_scaled(inv, c * eps_phi[y], phi_inv[x])
+        cols.append(_reduced(acc, p))
+        inv_cols.append(_reduced(inv, p))
+    new_phi = Matrix.from_sparse_cols(f, a.dim, cols)
+    new_inv = Matrix.from_sparse_cols(f, a.dim, inv_cols)
+    require_convolution_inverse(h, a, new_phi, new_inv)
     require_morphism(new_phi, "re-augmented section fails the augmentation identity",
                      counit=(h.counit, ext.augmentation))
     return Section(new_phi, new_inv, ca)
@@ -643,11 +664,11 @@ class HopfModule(_RightComodule):
     def field(self):
         return self.hopf.field
 
-    def act_basis(self, m, h):
-        return self.action.col(ti(m, h, self.hopf.dim))
-
-    def act(self, mvec, hvec):
-        return self.action.apply(vtensor(mvec, hvec))
+    @cached_property
+    def native_action(self):
+        """The columns of the action matrix as sparse native rows {x: c}
+        (see linalg), m . e_h at ti(m, h, dim H), read once."""
+        return self.action.native_cols()
 
     def validate(self):
         """The first MAX_VIOLATIONS witnesses: the module laws, the comodule
@@ -660,48 +681,57 @@ class HopfModule(_RightComodule):
     def _module_laws(self):
         h = self.hopf
         f = self.field
+        p = f.characteristic
         dm, dh = self.dim, h.dim
+        acts, rows = self.native_action, h.native_rows
+        unit = _native(h.unit, f)
         for m in range(dm):
-            em = basis_vec(f, dm, m)
-            if self.act(em, h.unit) != em:
+            acted = {}
+            for t, c in unit.items():
+                _add_scaled(acted, c, acts[ti(m, t, dh)])
+            if _reduced(acted, p) != _basis_row(f, m):
                 yield ("module-not-unital", (m,))
             for g in range(dh):
+                mg = acts[ti(m, g, dh)]
                 for t in range(dh):
-                    lhs = self.act(self.act_basis(m, g), basis_vec(f, dh, t))
-                    gh = [f.zero] * dh
-                    for k, c in h.mult_basis(g, t).items():
-                        gh[k] = c
-                    if lhs != self.act(em, tuple(gh)):
+                    lhs, rhs = {}, {}
+                    for x, c in mg.items():
+                        _add_scaled(lhs, c, acts[ti(x, t, dh)])
+                    for k, c in rows.get(g, {}).get(t, {}).items():
+                        _add_scaled(rhs, c, acts[ti(m, k, dh)])
+                    if _reduced(lhs, p) != _reduced(rhs, p):
                         yield ("module-not-associative", (m, g, t))
 
     def _compatibility_laws(self):
+        """rho(m . g) = sum (m0 . g1) (x) m1 g2, compared at the flat index
+        ti(y, k, dim H) of e_y (x) e_k."""
         h = self.hopf
-        f = self.field
+        p = self.field.characteristic
         dm, dh = self.dim, h.dim
+        acts, rho = self.native_action, self.native_coaction
+        rows, cop = h.native_rows, h.native_coproduct
         for m in range(dm):
-            rm = self.rho_basis(m)
             for g in range(dh):
                 lhs = {}
-                for x, c in enumerate(self.act_basis(m, g)):
-                    if c:
-                        for key, d in self.rho_basis(x).items():
-                            lhs[key] = lhs.get(key, f.zero) + c * d
+                for x, c in acts[ti(m, g, dh)].items():
+                    _add_scaled(lhs, c, rho[x])
                 rhs = {}
-                for (x, t), c in rm.items():
-                    for (g1, g2), d in h.delta_basis(g).items():
-                        mv = self.act_basis(x, g1)
-                        for k, u in h.mult_basis(t, g2).items():
-                            for y, e in enumerate(mv):
-                                if e:
-                                    key = (y, k)
-                                    rhs[key] = rhs.get(key, f.zero) + c * d * u * e
-                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                for flat, c in rho[m].items():
+                    x, t = divmod(flat, dh)
+                    for (g1, g2), d in cop.get(g, {}).items():
+                        mv = acts[ti(x, g1, dh)]
+                        for k, u in rows.get(t, {}).get(g2, {}).items():
+                            cdu = c * d * u
+                            for y, e in mv.items():
+                                key = ti(y, k, dh)
+                                rhs[key] = rhs[key] + cdu * e if key in rhs else cdu * e
+                if _reduced(lhs, p) != _reduced(rhs, p):
                     yield ("hopf-module-compatibility", (m, g))
 
 
 class HopfModuleDecomposition:
     def __init__(self, coinvariant_basis, iso):
-        self.coinvariant_basis = coinvariant_basis
+        self.coinvariant_basis = coinvariant_basis  # sparse native rows
         self.iso = iso
 
 
@@ -713,13 +743,18 @@ def hopf_module_decompose(module):
         raise NotHopfModuleError("not a Hopf module: %r" % (violations,))
     h = module.hopf
     f = module.field
+    p = f.characteristic
     dm, dh = module.dim, h.dim
-    coinv = [_dense_vec(f, v, dm) for v in coaction_kernel(module.rho_basis, dm, h, h.unit)]
+    acts = module.native_action
+    coinv = coaction_kernel(module.rho_basis, dm, h, h.unit)
     iso_cols = []
     for v in coinv:
         for t in range(dh):
-            iso_cols.append(module.act(v, basis_vec(f, dh, t)))
-    iso_m = Matrix.from_cols(f, iso_cols) if iso_cols else Matrix.zeros(f, dm, 0)
+            col = {}
+            for x, c in v.items():
+                _add_scaled(col, c, acts[ti(x, t, dh)])
+            iso_cols.append(_reduced(col, p))
+    iso_m = Matrix.from_sparse_cols(f, dm, iso_cols)
     if len(coinv) * dh != dm or not iso_m.is_invertible():
         raise NotHopfModuleError("the Hopf-module decomposition map is not bijective")
     return HopfModuleDecomposition(coinv, iso_m)
@@ -963,12 +998,12 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         # step_pi)
         comp = QuotientSpace(f, lower.algebra.dim, current.native_cols())
         if comp.dim == 0:
-            avecs = [_basis_row(f, j) for j in range(upper.algebra.dim)]
+            # the pull-back is the whole stage, which is used as it is
+            sub, inc = upper, Matrix.identity(f, upper.algebra.dim)
         else:
             comp_proj = Matrix.from_sparse_cols(f, comp.dim,
                                                 [comp.project(col) for col in step_cols])
-            avecs = comp_proj.kernel_rows()
-        sub, inc = sub_comodule_algebra(upper, avecs)
+            sub, inc = sub_comodule_algebra(upper, comp_proj.kernel_rows())
         # pi : A -> H through psi_{step-1}^{-1} on the image
         in_psi = column_coordinates(current)
         pi_cols = []

@@ -25,6 +25,7 @@ from .algebra import (
     induced_algebra,
     is_group_like_basis,
     relative_tensor,
+    require_convolution_inverse,
     require_morphism,
     ti,
 )
@@ -579,12 +580,19 @@ def _normal_basis_map(left, phi):
 
 
 def _normalized_section(ca, phi_matrix):
-    """Replace phi by h |-> phi^{-1}(1) phi(h) and package it with its
-    inverse."""
+    """Replace phi by h |-> u phi(h), u = phi^{-1}(1), and package it with
+    its inverse h |-> phi^{-1}(h) phi(1).  Delta(1) = 1 (x) 1 makes phi(1)
+    the two-sided inverse of u, so only phi is inverted by a solve; the
+    closed-form pair is re-verified like a solved one."""
     a, h = ca.algebra, ca.hopf
-    u = convolution_invert(h, a, phi_matrix).apply(h.unit)
-    normalized = a.left_mult_matrix(u) * phi_matrix
-    normalized_inv = convolution_invert(h, a, normalized)
+    f = ca.field
+    phi_inv = convolution_invert(h, a, phi_matrix)
+    u, phi_one = (_native(m.apply(h.unit), f) for m in (phi_inv, phi_matrix))
+    normalized = Matrix.from_sparse_cols(f, a.dim, [a.sparse_mult(u, col)
+                                                    for col in phi_matrix.native_cols()])
+    normalized_inv = Matrix.from_sparse_cols(f, a.dim, [a.sparse_mult(col, phi_one)
+                                                        for col in phi_inv.native_cols()])
+    require_convolution_inverse(h, a, normalized, normalized_inv)
     if normalized.apply(h.unit) != a.one():
         raise ValidationError("normalization failed to fix phi(1) = 1")
     require_morphism(normalized, "normalized section is not colinear",

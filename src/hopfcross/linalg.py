@@ -515,17 +515,21 @@ class Matrix:
         for pc in range(self.cols):
             if pr == n:
                 break
-            sel = next((i for i in range(pr, n) if pc in m[i]), None)
-            if sel is None:
+            sel = pr
+            while sel < n and pc not in m[sel]:
+                sel += 1
+            if sel == n:
                 continue
             if sel != pr:
                 m[pr], m[sel] = m[sel], m[pr]
                 if t is not None:
                     t[pr], t[sel] = t[sel], t[pr]
-            inv = pow(m[pr][pc], p - 2, p) if p else one / m[pr][pc]
-            m[pr] = _scaled(m[pr], inv, p)
-            if t is not None:
-                t[pr] = _scaled(t[pr], inv, p)
+            piv = m[pr][pc]
+            if piv != 1:  # a pivot of one needs no scaling
+                inv = pow(piv, p - 2, p) if p else one / piv
+                m[pr] = _scaled(m[pr], inv, p)
+                if t is not None:
+                    t[pr] = _scaled(t[pr], inv, p)
             for i in range(n):
                 c = m[i].get(pc)
                 if c and i != pr:

@@ -852,6 +852,31 @@ def test_the_algebra_block_check_reports_what_check_axioms_reports(tmp_path):
     assert expected and e.value.violations == [("algebra-" + n, w) for n, w in expected]
 
 
+def test_an_augmentation_block_is_checked_to_be_an_algebra_map(tmp_path, capsys):
+    # eps = (1, 2, 2, 0, 0, 0) on F3[x]/(x^2) #_sigma F3[Z/3] sends 1 to 1
+    # but g1 g1 = g2 to 2, not to 2 * 2 = 1
+    doc = load("f3z3-cleft.json")
+    doc["augmentation"] = [[0, 1], [1, 2], [2, 2]]
+    path = tmp_path / "bad-augmentation.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1 and report["verdict"] == "fail"
+    names = [v[0] for v in report["witnesses"]["violations"]]
+    assert "augmentation-multiplicative" in names
+    assert all(n.startswith("augmentation-") for n in names)
+    for command in ("classify-cleft", "split", "coinvariants", "find-section"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: not an augmentation: ")
+        assert "augmentation-multiplicative" in out.err and out.err.count("\n") == 1
+    # eps(1) = 0 fails the unit law first
+    doc["augmentation"] = [[1, 1]]
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1 and report["witnesses"]["violations"][0] == ["augmentation-unit", []]
+
+
 def test_every_graded_command_words_a_bad_grading_alike(tmp_path, capsys):
     # e12 e21 = e11 leaves the components once e12 has degree 1 and e21 degree g
     doc = load("m2-z2-graded.json")
@@ -905,11 +930,12 @@ def count_calls(monkeypatch, owner, name):
     (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
     # the constructor checks each comodule algebra that is parsed or built:
     # the input, the crossed product B x|_sigma H, and in lift the proper
-    # quotients C/J^e and the pull-backs
+    # quotients C/J^e and the pull-backs that are proper subalgebras (a
+    # pull-back spanning its whole stage is that stage)
     (["recognize-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
     (["classify-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
     (["split", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 2),
-    (["lift", "lift-split.json"], ComoduleAlgebra, "validate", 5),
+    (["lift", "lift-split.json"], ComoduleAlgebra, "validate", 4),
     (["super-decompose", "lambda3.json"], ComoduleAlgebra, "validate", 2),
     (["coinvariants", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 1),
     # B of the input, computed once on it, and B of the crossed product
@@ -953,6 +979,18 @@ def count_calls(monkeypatch, owner, name):
     # only for B of the crossed product
     (["galois", "m2-z2-graded.json"], hopfcross.comodule, "coinvariants", 0),
     (["recognize-cleft", "m2-z2-graded.json"], hopfcross.comodule, "coinvariants", 1),
+    # a section's inverse is solved for once: the normalized section and the
+    # re-augmented one take theirs in closed form from phi^-1
+    (["find-section", "f3z3-cleft.json"], hopfcross.algebra, "convolution_invert", 1),
+    (["classify-cleft", "f3z3-cleft.json"], hopfcross.algebra, "convolution_invert", 1),
+    (["split", "f3z3-cleft.json"], hopfcross.algebra, "convolution_invert", 1),
+    (["lift", "lift-split.json"], hopfcross.algebra, "convolution_invert", 1),
+    # ... and each of the three pairs (phi, phi^-1), the normalized and the
+    # re-augmented section, still passes the two-sided identity
+    (["classify-cleft", "f3z3-cleft.json"], hopfcross.algebra,
+     "require_convolution_inverse", 3),
+    # lift-split's one step pulls back the whole of C, which is not rebuilt
+    (["lift", "lift-split.json"], hopfcross.cohomology, "sub_comodule_algebra", 0),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
@@ -967,25 +1005,28 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # solve_linear reads its kernel off the elimination it already made, and
     # each matrix solved for several right-hand sides is eliminated once.
     # convolution_invert eliminates once per component of the coalgebra: 2
-    # in each of its three calls over k[Z/2], where one whole operator made
-    # 1 each; sigma^-1 is read off phi^-1, not inverted over k[Z/2] (x) k[Z/2].
-    # Coordinates against an echelon basis (a comodule subalgebra, the
-    # kernel K of a splitting step) are read off its pivots, the image of
-    # psi is eliminated once, by its quotient, and a span of zero vectors
-    # (the last power of each nilpotent kernel) is not eliminated
+    # in its one call over k[Z/2], for phi^-1 of the splitting; the
+    # normalized and the re-augmented section take their inverses in closed
+    # form, and sigma^-1 is read off phi^-1, not inverted over k[Z/2] (x)
+    # k[Z/2].  Coordinates against an echelon basis (the kernel K of a
+    # splitting step) are read off its pivots, a pull-back that spans its
+    # whole stage is that stage, the image of psi is eliminated once, by its
+    # quotient, and a span of zero vectors (the last power of each nilpotent
+    # kernel) is not eliminated
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 42
+    assert len(calls) == 37
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # W = A_1 / A_0^+ A_1 reduces each odd vector once against its pivot
     # rows, spans of distinct basis vectors or of zero vectors are not
     # eliminated, and A_0 and the kernels of the splitting read coordinates
-    # off their pivots
+    # off their pivots; the normalized section takes its inverse in closed
+    # form from the one convolution_invert of the splitting
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 43
+    assert len(calls) == 42
 
 
 @pytest.mark.parametrize("argv", [

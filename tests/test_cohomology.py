@@ -2,6 +2,7 @@
 maps, Hopf-module decomposition, and splitting/lifting through nilpotent
 kernels."""
 
+import importlib.util
 import itertools
 import os
 import random
@@ -9,7 +10,16 @@ import random
 import pytest
 
 import hopfcross.cohomology
-from hopfcross.algebra import FAlgebra, group_hopf_algebra, induced_algebra, ti
+import hopfcross.comodule
+from hopfcross.algebra import (
+    MAX_VIOLATIONS,
+    FAlgebra,
+    coaction_violations,
+    convolution_invert,
+    group_hopf_algebra,
+    induced_algebra,
+    ti,
+)
 from hopfcross.cli import parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
@@ -28,13 +38,18 @@ from hopfcross.cohomology import (
     ideal_power_chain,
     lift_comodule_algebra_map,
     quotient_comodule_algebra,
+    reaugment_section,
     split_extension,
     sub_comodule_algebra,
 )
 from hopfcross.comodule import (
     ComoduleAlgebra,
     CrossedSystem,
+    Section,
+    _normalized_section,
     crossed_product,
+    find_section,
+    graded_bridge,
     induced_coaction,
     trivial_sigma,
 )
@@ -42,6 +57,7 @@ from hopfcross.errors import (
     CocycleViolationError,
     KernelNotNilpotentError,
     NotAlgebraMapError,
+    NotConvolutionInvertibleError,
     NotHopfModuleError,
     NotSquareZeroError,
     ShapeMismatchError,
@@ -52,10 +68,12 @@ from hopfcross.linalg import (
     Matrix,
     PrimeField,
     Rationals,
+    _dense_vec,
     _native,
     basis_vec,
     vadd,
     vscale,
+    vtensor,
     vzero,
 )
 from hopfcross.standard import dual_numbers, product_field, sweedler
@@ -624,8 +642,9 @@ def test_lift_pulls_back_where_psi_does_not_span_the_lower_stage(monkeypatch):
     psi = Matrix.identity(F3, 3)
     res = lift_comodule_algebra_map(cp, regular_comodule(h), varpi, psi)
     assert res.lifted and varpi * res.lift == psi
-    # the pull-back inside C/J^2 is all of it; inside C it is proper
-    assert pulled == [(6, 6), (9, 6)]
+    # the pull-back inside C/J^2 is all of it, so that stage is used as it
+    # is and no subalgebra is built; inside C it is proper
+    assert pulled == [(9, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +696,8 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corp
 
 
 def ref_act(field, dim, act_basis, x, y):
-    """The loop CrossedSystem.act, HModuleStructure.act and HopfModule.act
-    each ran before they applied their matrix to x (x) y: the sum of
+    """The loop CrossedSystem.act and HModuleStructure.act each ran before
+    they applied their matrix to x (x) y: the sum of
     c d act_basis(i, j) over the nonzeros x_i = c and y_j = d."""
     out = vzero(field, dim)
     for i, c in enumerate(x):
@@ -729,9 +748,168 @@ def test_crossed_system_act_matches_the_loop():
                                     system.hopf.dim, system.base.dim, seed)
 
 
-def test_hopf_module_act_matches_the_loop():
-    modules = [regular_hopf_module(sweedler(Q)),
+def ref_hopf_module_act(module, mvec, hvec):
+    """m . h as HopfModule.act formed it before the laws read native
+    columns: the action matrix applied to the dense tensor m (x) h."""
+    return module.action.apply(vtensor(mvec, hvec))
+
+
+def ref_module_laws(module):
+    """The dense module laws HopfModule checked before its native ones."""
+    h, f = module.hopf, module.field
+    dm, dh = module.dim, h.dim
+    for m in range(dm):
+        em = basis_vec(f, dm, m)
+        if ref_hopf_module_act(module, em, h.unit) != em:
+            yield ("module-not-unital", (m,))
+        for g in range(dh):
+            for t in range(dh):
+                lhs = ref_hopf_module_act(module, module.action.col(ti(m, g, dh)),
+                                          basis_vec(f, dh, t))
+                gh = [f.zero] * dh
+                for k, c in h.mult_basis(g, t).items():
+                    gh[k] = c
+                if lhs != ref_hopf_module_act(module, em, tuple(gh)):
+                    yield ("module-not-associative", (m, g, t))
+
+
+def ref_compatibility_laws(module):
+    """The dense rho(m a) = rho(m) rho(a) HopfModule checked before its
+    native one, on (x, t)-keyed sums of field scalars."""
+    h, f = module.hopf, module.field
+    dm, dh = module.dim, h.dim
+    for m in range(dm):
+        rm = module.rho_basis(m)
+        for g in range(dh):
+            lhs = {}
+            for x, c in enumerate(module.action.col(ti(m, g, dh))):
+                if c:
+                    for key, d in module.rho_basis(x).items():
+                        lhs[key] = lhs.get(key, f.zero) + c * d
+            rhs = {}
+            for (x, t), c in rm.items():
+                for (g1, g2), d in h.delta_basis(g).items():
+                    mv = module.action.col(ti(x, g1, dh))
+                    for k, u in h.mult_basis(t, g2).items():
+                        for y, e in enumerate(mv):
+                            if e:
+                                rhs[(y, k)] = rhs.get((y, k), f.zero) + c * d * u * e
+            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                yield ("hopf-module-compatibility", (m, g))
+
+
+def ref_hopf_module_witnesses(module):
+    laws = itertools.chain(ref_module_laws(module),
+                           coaction_violations(module.rho_basis, module.hopf, module.dim),
+                           ref_compatibility_laws(module))
+    return list(itertools.islice(laws, MAX_VIOLATIONS))
+
+
+def bumped(m, i, j):
+    """m with one added to its (i, j) entry."""
+    rows = [list(r) for r in m.data]
+    rows[i][j] = rows[i][j] + m.field.one
+    return Matrix(m.field, rows, m.cols)
+
+
+def test_hopf_module_laws_match_the_dense_oracle():
+    # the native module and compatibility laws give the dense laws'
+    # witnesses in their order, on valid modules and on every module one
+    # entry away (seeded picks), and the decomposition map is the dense one
+    modules = [regular_hopf_module(group_hopf_algebra(GroupTable.cyclic(3), F3)),
+               regular_hopf_module(group_hopf_algebra(GroupTable.cyclic(2), Q)),
+               regular_hopf_module(sweedler(Q)),
                regular_hopf_module(group_hopf_algebra(GroupTable.symmetric(3), F3))]
-    for seed, module in enumerate(modules):
-        assert_act_matches_the_loop(module.field, module.dim, module.act, module.act_basis,
-                                    module.dim, module.hopf.dim, seed)
+    rng = random.Random(36)
+    for module in modules:
+        f, h = module.field, module.hopf
+        dm, dh = module.dim, h.dim
+        assert module.validate() == ref_hopf_module_witnesses(module) == []
+        dec = hopf_module_decompose(module)
+        ref_iso = Matrix.from_cols(f, [
+            ref_hopf_module_act(module, _dense_vec(f, v, dm), basis_vec(f, dh, t))
+            for v in dec.coinvariant_basis for t in range(dh)])
+        assert dec.iso == ref_iso
+        mutants = [HopfModule(h, bumped(module.action, rng.randrange(dm),
+                                        rng.randrange(dm * dh)), module.coaction)
+                   for _ in range(8)]
+        mutants += [HopfModule(h, module.action, bumped(module.coaction, rng.randrange(dm * dh),
+                                                        rng.randrange(dm)))
+                    for _ in range(4)]
+        for mutant in mutants:
+            assert list(mutant._module_laws()) == list(ref_module_laws(mutant))
+            assert list(mutant._compatibility_laws()) == list(ref_compatibility_laws(mutant))
+            witnesses = mutant.validate()
+            assert witnesses and witnesses == ref_hopf_module_witnesses(mutant)
+
+
+# -- closed-form inverses of the normalized and re-augmented sections -----------
+
+
+def cleft_family():
+    """perfbench's CleftFamily: sigma + d(t) crossed products over k[Z/3]."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                         "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.CleftFamily
+
+
+def sectioned_inputs():
+    """(comodule algebra, augmentation or None): f3z3-cleft.json, M2(Q) graded
+    by Z/2 through graded_bridge, and CleftFamily members over F3, F5 and Q
+    with zero and nonzero cocycle parts."""
+    pres = parse_presentation(os.path.join(CORPUS, "f3z3-cleft.json"))
+    out = [(pres.payload, pres.augmentation),
+           (graded_bridge(corpus_payload("m2-z2-graded.json")), None)]
+    family = cleft_family()
+    for field in (F3, PrimeField(5), Q):
+        members = family(field, 3)
+        rng = random.Random(field.characteristic)
+        for c in (0, 1, 2):
+            member = parse_presentation(members.cleft_doc(rng, c)[0])
+            out.append((member.payload, member.augmentation))
+    return out
+
+
+def test_closed_form_section_inverses_equal_the_solved_ones():
+    for ca, aug in sectioned_inputs():
+        h, a = ca.hopf, ca.algebra
+        sec = find_section(ca)
+        assert sec.phi.apply(h.unit) == a.one()
+        assert sec.phi_inv == convolution_invert(h, a, sec.phi)
+        if aug is not None:
+            ext = AugmentedCleftExtension(ca, aug)
+            re = reaugment_section(ext, sec)
+            assert all(ext.eps(re.phi.col(g)) == h.counit[g] for g in range(h.dim))
+            assert re.phi_inv == convolution_invert(h, a, re.phi)
+
+
+def test_a_section_without_an_inverse_is_refused():
+    ca = parse_presentation(os.path.join(CORPUS, "f3z3-cleft.json")).payload
+    h, a = ca.hopf, ca.algebra
+    phi = find_section(ca).phi
+    # phi(g1) = 0 has no inverse, whatever the other columns
+    cut = Matrix.from_cols(F3, [phi.col(0), vzero(F3, a.dim), phi.col(2)])
+    for bad in (Matrix.zeros(F3, a.dim, h.dim), cut):
+        with pytest.raises(NotConvolutionInvertibleError):
+            _normalized_section(ca, bad)
+
+
+def test_a_corrupted_closed_form_partner_is_refused(monkeypatch):
+    # each partner is read off a phi^-1 with e_0 added at g1
+    pres = parse_presentation(os.path.join(CORPUS, "f3z3-cleft.json"))
+    ca = pres.payload
+    sec = find_section(ca)
+    # h |-> phi^-1(h) phi(1): h |-> phi^-1(h) phi(1) is off at g1
+    solved = hopfcross.comodule.convolution_invert
+    monkeypatch.setattr(hopfcross.comodule, "convolution_invert",
+                        lambda c, alg, f: bumped(solved(c, alg, f), 0, 1))
+    with pytest.raises(NotConvolutionInvertibleError):
+        _normalized_section(ca, sec.phi)
+    monkeypatch.undo()
+    # phi^-1 * (eps_A o phi)
+    ext = AugmentedCleftExtension(ca, pres.augmentation)
+    with pytest.raises(NotConvolutionInvertibleError):
+        reaugment_section(ext, Section(sec.phi, bumped(sec.phi_inv, 0, 1), ca))
