@@ -257,7 +257,8 @@ class FCoalgebra(_Coalgebra):
 class FBialgebra(_Algebra, _Coalgebra):
     """Algebra and coalgebra on one basis, with compatible structures.  It is
     not an FAlgebra or an FCoalgebra; as_algebra and as_coalgebra give it as
-    one, sharing its constants and lowered tables."""
+    one, sharing its constants and lowered tables, and each gives the same
+    view on every call, so what a view derives is derived once."""
 
     def __init__(self, field, basis, product, unit, coproduct, counit):
         _Algebra.__init__(self, field, basis, product, unit)
@@ -277,9 +278,13 @@ class FBialgebra(_Algebra, _Coalgebra):
 
 
 def _view(cls, s, *names):
-    """A cls on the basis of s holding the named attributes of s itself."""
-    view = cls.__new__(cls)
-    view.__dict__.update((n, s.__dict__[n]) for n in ("field", "basis", "dim") + names)
+    """The cls on the basis of s holding the named attributes of s itself,
+    made on the first call and kept on s."""
+    views = s.__dict__.setdefault("_views", {})
+    view = views.get(cls)
+    if view is None:
+        view = views[cls] = cls.__new__(cls)
+        view.__dict__.update((n, s.__dict__[n]) for n in ("field", "basis", "dim") + names)
     return view
 
 
@@ -419,10 +424,13 @@ def relative_tensor(a, b_vectors, left, right, image):
 # A (x) B, whose constants carry D^2, each product by D^2 and the unit not
 # at all).  Associativity, coassociativity, coproduct-of-unit and
 # counit-multiplicative have the same count on both sides.  Over F_p, D = 1.
+# Each comparison fills one difference of its two sides, keyed by a flat int
+# (e_x (x) e_y at x * dim + y), and one clean tests it for zero.
 #
-# Associativity and Delta-multiplicativity need not be checked on every pair.
-# Let G be a set of basis indices whose left words e_g1 (e_g2 (... (e_gk 1)))
-# span A (`_generating_set`).
+# Associativity, coassociativity, the counit laws and both multiplicativity
+# laws need not be checked on every basis element.  Let G be a set of basis
+# indices whose left words e_g1 (e_g2 (... (e_gk 1))) span A
+# (`_generating_set`).
 # - If the unit laws hold, the left nucleus {x : (xy)z = x(yz) for all y, z}
 #   is a subalgebra containing 1, so A is associative once (e_g e_j) e_l =
 #   e_g (e_j e_l) for every g in G and all j, l.
@@ -431,9 +439,15 @@ def relative_tensor(a, b_vectors, left, right, image):
 #   then {a : Delta(ax) = Delta(a) Delta(x) for all x} is a subalgebra
 #   containing 1, so Delta is multiplicative once it is on every (g, j); so
 #   is eps once eps(1) = 1.
-# Every premise is a law that comes earlier in law order, so a pass of the
-# laws that runs these over i in G and stops at its first witness decides
-# them.  When A has no G (a basis of orthogonal idempotents, such as k^G, has
+# - Then Delta and eps are even unital algebra maps, and so are both sides of
+#   coassociativity, (Delta (x) id) Delta and (id (x) Delta) Delta, and of
+#   each counit law, (eps (x) id) Delta, (id (x) eps) Delta and id.  Two
+#   algebra maps that agree on 1 and on G agree on every word, so these laws
+#   hold once they hold on e_g for g in G.
+# A pass of the laws that runs all of these over i in G therefore certifies
+# the Hopf laws when it finds no witness, whichever order its premises come
+# in; a pass that finds a witness decides nothing.  When A has no G (a basis
+# of orthogonal idempotents, such as k^G, has
 # none, while k[G] has a few group elements), its dual A* may have one.  A*
 # (`dual_structure`) has the structure maps transposed, with the parities of
 # A, and each law of A* is a law of A transposed: unit and counit,
@@ -500,17 +514,19 @@ def _lower(field, d):
     return lambda c: c.numerator * (d // c.denominator)
 
 
-def _lowering(structures, maps=()):
+def _lowering(structures, maps=(), field=None):
     """(lower, D, clean) for contracting on native ints the constants of the
     structures a kernel reads and the maps it reads, each map given by its
-    sparse columns.
+    sparse columns (or by any sparse dicts of its entries); field is needed
+    only when no structure is read.
 
     Over F_p, lower(c) is the residue of c, D = 1 and clean reduces mod p;
     over Q, D is the lcm of the structures' denominators (each kept on its
     structure) and of the maps' entries, lower(c) = D * c and clean drops
-    the zeros.  clean returns a sparse dict of exact representatives, so two
-    cleaned sides compare equal exactly when the field elements do."""
-    field = structures[0].field
+    the zeros.  clean returns a sparse dict of exact representatives, so the
+    difference of two sides cleans to {} exactly when they are equal in the
+    field, and two cleaned sides compare equal exactly when they are."""
+    field = structures[0].field if structures else field
     p = field.characteristic
     if p:
         def reduced(sparse):
@@ -559,6 +575,14 @@ def _sparse_product(rows, u, v):
 
 
 def _parity_laws(h, p):
+    """The parity witnesses in law order.  One scan of the sparse product,
+    coproduct, unit, counit and antipode decides first; the ordered loops
+    run only when it finds a constant of the wrong parity."""
+    if not (any(p[k] != (p[i] + p[j]) % 2 for (i, j), terms in h.product.items() for k in terms)
+            or any((p[j] + p[k]) % 2 != p[i] for i, terms in h.coproduct.items() for j, k in terms)
+            or any(p[i] and (h.counit[i] or h.unit[i]) for i in range(h.dim))
+            or any(p[k] != p[i] for i, col in enumerate(h.antipode.native_cols()) for k in col)):
+        return
     for i in range(h.dim):
         for j in range(h.dim):
             for k in h.mult_basis(i, j):
@@ -672,70 +696,86 @@ def _greedy_generators(rows, unit, dim, p, order, cap):
 def _algebra_laws(a, gens=None):
     """The unit laws, then associativity for e_i on the left, i in gens or
     every i when gens is None: for each j in order, every l with
-    (e_i e_j) e_l != e_i (e_j e_l), keyed (l, m) over the nonzero products."""
+    (e_i e_j) e_l != e_i (e_j e_l).  Each comparison fills one difference,
+    here keyed l * dim + m over the nonzero products."""
     lower, d, clean = _lowering((a,))
     rows = a.lowered_rows(d)
     unit = _lowered(_nonzero(a.unit), lower)
-    for i in range(a.dim):
-        left, right = {}, {}
+    dim = a.dim
+    for i in range(dim):
+        left, right = {i: -d * d}, {i: -d * d}
         for t, c in unit.items():
             _add_scaled(left, c, rows.get(t, {}).get(i, {}))
             _add_scaled(right, c, rows.get(i, {}).get(t, {}))
-        e = {i: d * d}
-        if clean(left) != e:
+        if clean(left):
             yield ("left-unit", (i,))
-        if clean(right) != e:
+        if clean(right):
             yield ("right-unit", (i,))
-    for i in range(a.dim) if gens is None else gens:
+    for i in range(dim) if gens is None else gens:
         row_i = rows.get(i, {})
-        for j in range(a.dim):
-            lhs, rhs = {}, {}
+        for j in range(dim):
+            diff = {}
             for k, c in row_i.get(j, {}).items():
                 for l, terms in rows.get(k, {}).items():
+                    at = l * dim
                     for m, u in terms.items():
-                        key = (l, m)
+                        key = at + m
                         cu = c * u
-                        lhs[key] = lhs[key] + cu if key in lhs else cu
+                        diff[key] = diff[key] + cu if key in diff else cu
             for l, terms in rows.get(j, {}).items():
+                at = l * dim
                 for k, c in terms.items():
                     for m, u in row_i.get(k, {}).items():
-                        key = (l, m)
+                        key = at + m
                         cu = c * u
-                        rhs[key] = rhs[key] + cu if key in rhs else cu
-            lhs, rhs = clean(lhs), clean(rhs)
-            if lhs != rhs:
-                keys = lhs.keys() | rhs.keys()
-                for l in sorted({l for l, m in keys if lhs.get((l, m)) != rhs.get((l, m))}):
+                        diff[key] = diff[key] - cu if key in diff else -cu
+            diff = clean(diff)
+            if diff:
+                for l in sorted({key // dim for key in diff}):
                     yield ("associativity", (i, j, l))
 
 
-def _coalgebra_laws(c):
-    """Coassociativity and the counit laws."""
+def _coassociator(coproduct, dim, i):
+    """(Delta (x) id) Delta(e_i) - (id (x) Delta) Delta(e_i), unreduced, from
+    the lowered coproduct, with e_a (x) e_b (x) e_k at (a * dim + b) * dim + k."""
+    diff = {}
+    for (j, k), u in coproduct.get(i, {}).items():
+        for (a, b), v in coproduct.get(j, {}).items():
+            key = (a * dim + b) * dim + k
+            uv = u * v
+            diff[key] = diff[key] + uv if key in diff else uv
+        at = j * dim
+        for (a, b), v in coproduct.get(k, {}).items():
+            key = (at + a) * dim + b
+            uv = u * v
+            diff[key] = diff[key] - uv if key in diff else -uv
+    return diff
+
+
+def _coalgebra_laws(c, gens=None):
+    """Coassociativity and the counit laws on e_i, i in gens or every i when
+    gens is None.  In a pass over the generating set G of a bialgebra that
+    finds no witness, gens = G decides them: Delta and eps are then unital
+    algebra maps, so both sides of each law are algebra maps that agree on 1
+    and on G, hence on the words that span the algebra."""
     lower, d, clean = _lowering((c,))
     coproduct = c.lowered_coproduct(d)
     counit = _lowered(_nonzero(c.counit), lower)
-    for i in range(c.dim):
-        delta = coproduct.get(i, {})
-        lhs, rhs = {}, {}
-        for (j, k), u in delta.items():
-            for (a, b), v in coproduct.get(j, {}).items():
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, 0) + u * v
-            for (a, b), v in coproduct.get(k, {}).items():
-                key = (j, a, b)
-                rhs[key] = rhs.get(key, 0) + u * v
-        if clean(lhs) != clean(rhs):
+    dim = c.dim
+    for i in range(dim) if gens is None else gens:
+        if clean(_coassociator(coproduct, dim, i)):
             yield ("coassociativity", (i,))
-        left, right = {}, {}
-        for (j, k), u in delta.items():
+        left, right = {i: -d * d}, {i: -d * d}
+        for (j, k), u in coproduct.get(i, {}).items():
             if j in counit:
-                left[k] = left.get(k, 0) + counit[j] * u
+                cu = counit[j] * u
+                left[k] = left[k] + cu if k in left else cu
             if k in counit:
-                right[j] = right.get(j, 0) + u * counit[k]
-        e = {i: d * d}
-        if clean(left) != e:
+                cu = u * counit[k]
+                right[j] = right[j] + cu if j in right else cu
+        if clean(left):
             yield ("counit-left", (i,))
-        if clean(right) != e:
+        if clean(right):
             yield ("counit-right", (i,))
 
 
@@ -761,31 +801,39 @@ def _bialgebra_laws(b, p, gens=None):
     V[a2, b2] = sum_b1 (-1)^{p(a2) p(b1)} U[b1][a2] Delta_j^{b1 b2}
     and the sum of V[a2, b2] (x) e_a2 e_b2.  The constants are lowered to
     native ints; each term of that sum carries D^4 and each term of
-    Delta(e_i e_j) D^2, so the latter is multiplied by D^2."""
+    Delta(e_i e_j) D^2, so the latter is multiplied by D^2.  The two sides
+    fill one difference, with e_x (x) e_y at x * dim + y."""
     lower, d, clean = _lowering((b,))
     rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
     unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
     d2 = d * d
+    dim = b.dim
     char = b.field.characteristic
 
     def nonzero(x):
         """Whether the lowered scalar x is not 0 in the field."""
         return x % char if char else x
 
-    lhs = {}
+    diff = {i * dim + j: -x * y for i, x in unit.items() for j, y in unit.items()}
     for t, c in unit.items():
-        _add_scaled(lhs, c, coproduct.get(t, {}))
-    if clean(lhs) != clean({(i, j): x * y for i, x in unit.items() for j, y in unit.items()}):
+        for (j, k), u in coproduct.get(t, {}).items():
+            key = j * dim + k
+            cu = c * u
+            diff[key] = diff[key] + cu if key in diff else cu
+    if clean(diff):
         yield ("coproduct-of-unit", ())
     if nonzero(sum(c * counit.get(t, 0) for t, c in unit.items()) - d2):
         yield ("counit-of-unit", ())
-    for i in range(b.dim) if gens is None else gens:
+    for i in range(dim) if gens is None else gens:
         legs = _left_legs(rows, coproduct.get(i, {}))
         row_i, counit_i = rows.get(i, {}), counit.get(i, 0)
-        for j in range(b.dim):
-            lhs = {}
+        for j in range(dim):
+            diff = {}
             for k, c in row_i.get(j, {}).items():
-                _add_scaled(lhs, c * d2, coproduct.get(k, {}))
+                cd = -c * d2
+                for (x, y), u in coproduct.get(k, {}).items():
+                    key = x * dim + y
+                    diff[key] = diff[key] + cd * u if key in diff else cd * u
             v = {}
             for (b1, b2), e in coproduct.get(j, {}).items():
                 for a2, u in legs.get(b1, {}).items():
@@ -796,14 +844,15 @@ def _bialgebra_laws(b, p, gens=None):
                     for x, w in u.items():
                         ew = sign * w
                         out[x] = out[x] + ew if x in out else ew
-            rhs = {}
             for (a2, b2), vx in v.items():
-                for y, w in rows[a2][b2].items():
-                    for x, u in vx.items():
-                        key = (x, y)
+                prod = rows[a2][b2].items()
+                for x, u in vx.items():
+                    at = x * dim
+                    for y, w in prod:
+                        key = at + y
                         uw = u * w
-                        rhs[key] = rhs[key] + uw if key in rhs else uw
-            if clean(lhs) != clean(rhs):
+                        diff[key] = diff[key] + uw if key in diff else uw
+            if clean(diff):
                 yield ("coproduct-multiplicative", (i, j))
             s = sum(c * counit.get(k, 0) for k, c in row_i.get(j, {}).items())
             if nonzero(s - counit_i * counit.get(j, 0)):
@@ -814,7 +863,7 @@ def _convolution_failures(c, a, f_cols, g_cols):
     """For each i in order, (i, (f * g)(e_i) != eps(e_i) 1,
     (g * f)(e_i) != eps(e_i) 1) in the convolution algebra Hom(C, A), for f
     and g given by their sparse columns.  Each term of a product carries D^4,
-    so eps(e_i) 1 is multiplied by D^2."""
+    so eps(e_i) 1 is multiplied by D^2; each identity fills one difference."""
     lower, d, clean = _lowering((a, c), (f_cols, g_cols))
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in f_cols]
@@ -834,12 +883,13 @@ def _convolution_failures(c, a, f_cols, g_cols):
                         _add_scaled(out, uv * w, prod)
 
     for i in range(c.dim):
-        fg, gf = {}, {}
+        e = -d2 * counit.get(i, 0)
+        fg = {t: e * x for t, x in unit.items()}
+        gf = dict(fg)
         for (j, k), u in coproduct.get(i, {}).items():
             add_product(fg, u, f_cols[j], g_cols[k])
             add_product(gf, u, g_cols[j], f_cols[k])
-        target = clean({t: d2 * counit.get(i, 0) * x for t, x in unit.items()})
-        yield i, clean(fg) != target, clean(gf) != target
+        yield i, bool(clean(fg)), bool(clean(gf))
 
 
 def _antipode_laws(h):
@@ -853,16 +903,18 @@ def _antipode_laws(h):
 
 
 def _laws(kind, s, parity, gens):
-    """The witnesses of the laws of kind on s in law order, associativity and
-    Delta-multiplicativity for e_i on the left, i in gens or every i when
-    gens is None (see above)."""
+    """The witnesses of the laws of kind on s in law order; associativity,
+    and for a bialgebra coassociativity, the counit laws and both
+    multiplicativity laws, for e_i (on the left) with i in gens, or every i
+    when gens is None (see above)."""
     if kind == "algebra":
         return _algebra_laws(s, gens)
     if kind == "coalgebra":
         return _coalgebra_laws(s)
     if kind not in ("bialgebra", "hopf", "super-hopf"):
         raise ValueError("unknown axiom kind %r" % (kind,))
-    laws = chain(_algebra_laws(s, gens), _coalgebra_laws(s), _bialgebra_laws(s, parity, gens))
+    laws = chain(_algebra_laws(s, gens), _coalgebra_laws(s, gens),
+                 _bialgebra_laws(s, parity, gens))
     if kind != "bialgebra":
         laws = chain(laws, _antipode_laws(s))
     if kind == "super-hopf":
@@ -879,8 +931,10 @@ def check_axioms(kind, data):
     first MAX_VIOLATIONS witnesses in law order.
 
     A pass of the laws over the generating set G of the algebra, or else of
-    its dual (see above), decides first; the full loops run only when it
-    finds a witness or neither has a G.
+    its dual (see above), decides first: associativity, coassociativity, the
+    counit laws and both multiplicativity laws run only on e_g for g in G.
+    A pass that finds no witness is the verdict; the full loops run only
+    when it finds one or neither has a G.
     """
     a, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
     laws = _laws(kind, a, parity, None)
@@ -938,10 +992,10 @@ def algebra_map_violations(src, dst, m, generators=None):
         target = {ti(s, t, b.dim): lower(x) * lower(y)
                   for s, x in _nonzero(a.unit).items() for t, y in _nonzero(b.unit).items()}
         scale = d * d
-    image = {}
+    image = {t: -x for t, x in target.items()}
     for t, c in _nonzero(src.unit).items():
         _add_scaled(image, lower(c), cols[t])
-    unital = clean(image) == clean(target)
+    unital = not clean(image)
     if not unital:
         yield ("unit", ())
     src_rows = src.lowered_rows(d)
@@ -949,10 +1003,10 @@ def algebra_map_violations(src, dst, m, generators=None):
     def not_multiplicative(i):
         row_i = src_rows.get(i, {})
         for j in range(src.dim):
-            lhs = {}
+            diff = _sparse_product(rows, cols[i], cols[j])
             for k, c in row_i.get(j, {}).items():
-                _add_scaled(lhs, scale * c, cols[k])
-            yield clean(lhs) != clean(_sparse_product(rows, cols[i], cols[j]))
+                _add_scaled(diff, -scale * c, cols[k])
+            yield bool(clean(diff))
 
     if unital and generators is not None and not any(any(not_multiplicative(g))
                                                      for g in generators):
@@ -963,22 +1017,32 @@ def algebra_map_violations(src, dst, m, generators=None):
                 yield ("multiplicative", (i, j))
 
 
-def colinear_violations(src_rho_basis, dst_rho, m):
+def colinear_violations(src_rho_basis, dst_rho_basis, m):
     """Witnesses ("colinear", (i,)) that the linear map m between two right
-    comodules fails dst_rho(m e_i) = (m (x) id) src_rho(e_i).
+    comodules fails rho_dst(m e_i) = (m (x) id) rho_src(e_i), for each
+    source basis element in order.
 
-    src_rho_basis(i) is the sparse coaction {(x, t): c} of a source basis
-    element; dst_rho(vec) is the sparse coaction of a dense target vector.
-    """
-    z = m.field.zero
-    cols = [m.col(k) for k in range(m.cols)]
-    for i in range(m.cols):
-        rhs = {}
-        for (x, t), c in src_rho_basis(i).items():
-            for y, d in enumerate(cols[x]):
-                if d:
-                    rhs[(y, t)] = rhs.get((y, t), z) + c * d
-        if dst_rho(cols[i]) != _clean(rhs):
+    src_rho_basis(i) and dst_rho_basis(y) are the sparse coactions
+    {(x, t): c} of a basis element of the source and of the target.  Both
+    sides contract on native ints (see `_lowering`), each term carrying D^2,
+    and fill one difference."""
+    cols = m.sparse_cols()
+    src = [src_rho_basis(i) for i in range(m.cols)]
+    dst = {y: dst_rho_basis(y) for y in set().union(*cols)}
+    lower, d, clean = _lowering((), (cols, src, dst.values()), m.field)
+    cols = [_lowered(col, lower) for col in cols]
+    src = [_lowered(terms, lower) for terms in src]
+    dst = {y: _lowered(terms, lower) for y, terms in dst.items()}
+    for i, col in enumerate(cols):
+        diff = {}
+        for y, c in col.items():
+            _add_scaled(diff, c, dst[y])
+        for (x, t), c in src[i].items():
+            for y, e in cols[x].items():
+                key = (y, t)
+                ce = c * e
+                diff[key] = diff[key] - ce if key in diff else -ce
+        if clean(diff):
             yield ("colinear", (i,))
 
 
@@ -997,8 +1061,8 @@ def require_morphism(m, what, bijective=False, algebra=None, rho=None, counit=No
     the linear map m fails a law the caller names, in this order: bijective
     (witness ("bijective", ())); a unital algebra map, algebra = (src, dst)
     as in algebra_map_violations, with generators its source's G on the
-    premise stated there; colinear, rho = (src_rho_basis, dst_rho) as in
-    colinear_violations; counital, counit = (src_counit, dst_counit) as in
+    premise stated there; colinear, rho = (src_rho_basis, dst_rho_basis) as
+    in colinear_violations; counital, counit = (src_counit, dst_counit) as in
     counit_violations."""
     laws = chain([("bijective", ())] if bijective and not m.is_invertible() else (),
                  algebra_map_violations(*algebra, m, generators) if algebra else (),
@@ -1014,26 +1078,35 @@ def coaction_violations(rho_basis, hopf, dim):
     dim-dimensional space: ("coaction-not-counital", (i,)) and then
     ("coaction-not-coassociative", (i,)) for each basis element in order.
 
-    rho_basis(i) is the sparse coaction {(x, t): c} of e_i.
+    rho_basis(i) is the sparse coaction {(x, t): c} of e_i.  The laws
+    contract on native ints (see `_lowering`), each term carrying D^2, and
+    each fills one difference; coassociativity keys e_y (x) e_s (x) e_t at
+    (y * dim H + s) * dim H + t.
     """
-    f = hopf.field
-    z = f.zero
-    for i in range(dim):
-        ri = rho_basis(i)
-        counit = {}
-        lhs, rhs = {}, {}
-        for (x, t), c in ri.items():
-            if hopf.counit[t]:
-                counit[x] = counit.get(x, z) + c * hopf.counit[t]
-            for (y, s), d in rho_basis(x).items():
-                key = (y, s, t)
-                lhs[key] = lhs.get(key, z) + c * d
-            for (u, v), d in hopf.delta_basis(t).items():
-                key = (x, u, v)
-                rhs[key] = rhs.get(key, z) + c * d
-        if _clean(counit) != {i: f.one}:
+    terms = [rho_basis(i) for i in range(dim)]
+    lower, d, clean = _lowering((hopf,), (terms,))
+    terms = [_lowered(t, lower) for t in terms]
+    coproduct = hopf.lowered_coproduct(d)
+    counit = _lowered(_nonzero(hopf.counit), lower)
+    dh = hopf.dim
+    for i, rho in enumerate(terms):
+        unital, diff = {i: -d * d}, {}
+        for (x, t), c in rho.items():
+            if t in counit:
+                ce = c * counit[t]
+                unital[x] = unital[x] + ce if x in unital else ce
+            for (y, s), e in terms[x].items():
+                key = (y * dh + s) * dh + t
+                ce = c * e
+                diff[key] = diff[key] + ce if key in diff else ce
+            at = x * dh
+            for (u, v), e in coproduct.get(t, {}).items():
+                key = (at + u) * dh + v
+                ce = c * e
+                diff[key] = diff[key] - ce if key in diff else -ce
+        if clean(unital):
             yield ("coaction-not-counital", (i,))
-        if _clean(lhs) != _clean(rhs):
+        if clean(diff):
             yield ("coaction-not-coassociative", (i,))
 
 

@@ -45,6 +45,7 @@ from .errors import (
     NotHopfModuleError,
     NotSquareZeroError,
     ShapeMismatchError,
+    SingularMatrixError,
     ValidationError,
 )
 from .linalg import (
@@ -633,7 +634,7 @@ def split_extension(ext):
             for g in range(dh)]
     psi = Matrix.from_cols(f, cols)
     require_morphism(psi, "computed splitting is not an augmented comodule algebra map",
-                     algebra=(h, ca.algebra), rho=(h.delta_basis, ca.rho),
+                     algebra=(h, ca.algebra), rho=(h.delta_basis, ca.rho_basis),
                      counit=(h.counit, ext.augmentation))
     return SplitResult(psi, None)
 
@@ -730,14 +731,16 @@ class HopfModule(_RightComodule):
 
 
 class HopfModuleDecomposition:
-    def __init__(self, coinvariant_basis, iso):
+    def __init__(self, coinvariant_basis, iso, inverse):
         self.coinvariant_basis = coinvariant_basis  # sparse native rows
         self.iso = iso
+        self.inverse = inverse
 
 
 def hopf_module_decompose(module):
     """The Hopf-module theorem map M^{coH} (x) H -> M, m (x) h |-> m h,
-    materialized and verified bijective."""
+    materialized and verified bijective by the one elimination that inverts
+    it."""
     violations = module.validate()
     if violations:
         raise NotHopfModuleError("not a Hopf module: %r" % (violations,))
@@ -755,9 +758,11 @@ def hopf_module_decompose(module):
                 _add_scaled(col, c, acts[ti(x, t, dh)])
             iso_cols.append(_reduced(col, p))
     iso_m = Matrix.from_sparse_cols(f, dm, iso_cols)
-    if len(coinv) * dh != dm or not iso_m.is_invertible():
-        raise NotHopfModuleError("the Hopf-module decomposition map is not bijective")
-    return HopfModuleDecomposition(coinv, iso_m)
+    try:
+        inverse = iso_m.inverse()
+    except (ShapeMismatchError, SingularMatrixError):
+        raise NotHopfModuleError("the Hopf-module decomposition map is not bijective") from None
+    return HopfModuleDecomposition(coinv, iso_m, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +808,7 @@ def colinear_splitting_nilpotent(ca, pi):
     if pi.rank() != dh:
         raise ValidationError("map onto the Hopf algebra is not surjective")
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
-                     algebra=(a, h), rho=(ca.rho_basis, h.delta))
+                     algebra=(a, h), rho=(ca.rho_basis, h.delta_basis))
     chain = ideal_power_chain(a, pi.kernel_rows())  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
@@ -843,7 +848,7 @@ def colinear_splitting_nilpotent(ca, pi):
                                     lambda v: k_coords(v, "kernel is not a subcomodule"))
         module = HopfModule(h, Matrix.from_sparse_cols(f, dk, act_cols), coaction)
         decomp = hopf_module_decompose(module)
-        iso_cols, inv_cols = decomp.iso.native_cols(), decomp.iso.inverse().native_cols()
+        iso_cols, inv_cols = decomp.iso.native_cols(), decomp.inverse.native_cols()
         # v = (id (x) eps) o iso^{-1} o r0 : X -> V, for r0 : X -> K the
         # linear retraction along the echelon complement of K, which sends
         # the pivot column of kbasis[s] to e_s and every other column to 0
@@ -887,7 +892,7 @@ def colinear_splitting_nilpotent(ca, pi):
     # phi lands in A/I^n = A/0, whose coordinates are those of A
     if pi * phi != Matrix.identity(f, dh):
         raise ValidationError("computed splitting does not split pi")
-    require_morphism(phi, "computed splitting is not colinear", rho=(h.delta_basis, ca.rho))
+    require_morphism(phi, "computed splitting is not colinear", rho=(h.delta_basis, ca.rho_basis))
     sec = _normalized_section(ca, phi)
     if pi * sec.phi != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
@@ -911,7 +916,7 @@ class LiftResult:
 
 def _check_comodule_algebra_map(src_hopf, dst, psi):
     require_morphism(psi, "map H -> A is not a comodule algebra map",
-                     algebra=(src_hopf, dst.algebra), rho=(src_hopf.delta_basis, dst.rho))
+                     algebra=(src_hopf, dst.algebra), rho=(src_hopf.delta_basis, dst.rho_basis))
 
 
 def quotient_comodule_algebra(ca, ideal_vectors):
@@ -963,7 +968,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     if varpi.rank() != d_alg.dim:
         raise ValidationError("map C -> D is not surjective")
     require_morphism(varpi, "map C -> D is not a comodule algebra map",
-                     algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho))
+                     algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho_basis))
     chain = ideal_power_chain(ca_alg, varpi.kernel_rows())
     n = len(chain)  # J^n = 0
     # exponents 1 = 2^0 < 2 < 4 < ... >= n
@@ -980,10 +985,11 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     # from any preimage of each class under proj0
     preimage = column_coordinates(proj0)
     iso_cols = [varpi.apply_sparse(preimage(_basis_row(f, t))) for t in range(q0.algebra.dim)]
-    iso0 = Matrix.from_sparse_cols(f, d_alg.dim, iso_cols)
-    if not iso0.is_invertible():
-        raise ValidationError("C/J is not isomorphic to D")
-    current = iso0.inverse() * psi  # H -> C/J
+    try:
+        inverse = Matrix.from_sparse_cols(f, d_alg.dim, iso_cols).inverse()
+    except (ShapeMismatchError, SingularMatrixError):
+        raise ValidationError("C/J is not isomorphic to D") from None
+    current = inverse * psi  # H -> C/J
     _check_comodule_algebra_map(h, q0, current)
     for step in range(1, len(exps)):
         upper, proj_upper = stages[step]
@@ -1020,8 +1026,13 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         res = split_extension(ext)
         if not res.split:
             return LiftResult(None, step, res.obstruction)
-        current = inc * res.splitting  # H -> C/J^{2^step}
-        _check_comodule_algebra_map(h, upper, current)
+        if sub is upper:
+            # split_extension certified the splitting as a map into this very
+            # stage, against its algebra and its coaction
+            current = res.splitting
+        else:
+            current = inc * res.splitting  # H -> C/J^{2^step}
+            _check_comodule_algebra_map(h, upper, current)
     # the last stage is C, so current is now checked as a map H -> C
     if varpi * current != psi:
         raise ValidationError("computed lift does not project to the given map")

@@ -80,15 +80,6 @@ class ComoduleAlgebra(_RightComodule):
     def coinvariants(self):
         return coinvariants(self)
 
-    def rho(self, vec):
-        out = {}
-        for i, a in enumerate(vec):
-            if not a:
-                continue
-            for key, c in self.rho_basis(i).items():
-                out[key] = out.get(key, self.field.zero) + a * c
-        return {key: c for key, c in out.items() if c}
-
     def validate(self):
         """The first MAX_VIOLATIONS witnesses: the comodule laws, then rho is
         a unital algebra map A -> A (x) H."""
@@ -596,7 +587,7 @@ def _normalized_section(ca, phi_matrix):
     if normalized.apply(h.unit) != a.one():
         raise ValidationError("normalization failed to fix phi(1) = 1")
     require_morphism(normalized, "normalized section is not colinear",
-                     rho=(h.delta_basis, ca.rho))
+                     rho=(h.delta_basis, ca.rho_basis))
     return Section(normalized, normalized_inv, ca)
 
 
@@ -651,7 +642,7 @@ def section_to_crossed_system(sec):
     alpha = Matrix.from_sparse_cols(f, a.dim, [mult(bv, phi[g]) for bv in coinv.basis
                                                for g in range(dh)])
     require_morphism(alpha, "candidate isomorphism B x|_sigma H -> A", bijective=True,
-                     algebra=(product.algebra, a), rho=(product.rho_basis, ca.rho))
+                     algebra=(product.algebra, a), rho=(product.rho_basis, ca.rho_basis))
     # identity on B: b (x) 1 must map to the inclusion of b
     for i in range(db):
         bv = basis_vec(f, db, i)

@@ -722,6 +722,82 @@ def test_a_failed_unit_law_takes_the_full_loops(monkeypatch):
     assert len(calls) == h.dim
 
 
+# --- the coalgebra laws of the pass over G ------------------------------------
+#
+# The pass over G runs coassociativity and the counit laws on e_g for g in G
+# only.  A coproduct or counit moved at an index outside G breaks one of them
+# there, which the pass never evaluates; it still finds a witness, through
+# Delta- or eps-multiplicativity, and the full loops report what the
+# reference loops do.
+
+
+def moved_at(h, part, i, c):
+    """h with c e_0 (x) e_i added to Delta(e_i), which keeps every parity, or
+    with c added to eps(e_i)."""
+    coproduct = {j: dict(terms) for j, terms in h.coproduct.items()}
+    counit = list(h.counit)
+    if part == "coproduct":
+        terms = coproduct.setdefault(i, {})
+        terms[(0, i)] = terms.get((0, i), h.field.zero) + c
+    else:
+        counit[i] += c
+    return FHopf(h.field, h.basis, h.product, h.unit, coproduct, tuple(counit), h.antipode)
+
+
+def moved_outside_generators():
+    """(key, moved presentation, parity, index) for Lambda(2) and Lambda(3)
+    over F5 and Q and k[Z/3] over Q, with e_0 the unit: Delta moved at each
+    index outside G but the unit's, and eps at each even one (an odd
+    index with a counit value fails a parity law first)."""
+    bases = [(("lambda%d" % m, fname), exterior_hopf(m, field))
+             for fname, field in (("F5", F5), ("Q", Q)) for m in (2, 3)]
+    bases = [(key, ext.hopf, ext.parity) for key, ext in bases]
+    bases.append((("kZ3", "Q"), kz3(Q), (0,) * 3))
+    for key, h, parity in bases:
+        f = h.field
+        assert h.unit == basis_vec(f, h.dim, 0)
+        for i in range(1, h.dim):
+            if i in h.generating_set:
+                continue
+            for part in ("coproduct", "counit")[:1 + (parity[i] == 0)]:
+                seed = key + (part, i)
+                c = rational_bump("%s/%s/%s/%d" % seed) if f == Q else f.from_int(2)
+                yield seed, moved_at(h, part, i, c), parity, i
+
+
+def test_the_pass_over_g_finds_coalgebra_failures_outside_g():
+    first_laws = set()
+    for key, h, parity, i in moved_outside_generators():
+        expected = expected_laws(h, parity)
+        name, index = expected[0]
+        assert name in ("coassociativity", "counit-left", "counit-right") and index == (i,), key
+        first_laws.add(name)
+        assert uncapped_check(h, parity) == expected, key
+        kind = "super-hopf" if any(parity) else "hopf"
+        data = SuperPresentation(h, parity) if any(parity) else h
+        assert check_axioms(kind, data).violations == expected[:MAX_VIOLATIONS], key
+        # the pass over G does not evaluate the law that fails first, and
+        # still finds a witness
+        witness = next(_laws(kind, h, parity, h.generating_set), None)
+        assert witness is not None, key
+        assert witness[0] in ("coproduct-multiplicative", "counit-multiplicative"), key
+    assert first_laws == {"coassociativity", "counit-left"}
+
+
+def test_a_passing_lambda4_evaluates_coassociativity_on_g_only(monkeypatch):
+    calls = []
+    real = hopfcross.algebra._coassociator
+
+    def counted(coproduct, dim, i):
+        calls.append(i)
+        return real(coproduct, dim, i)
+
+    monkeypatch.setattr(hopfcross.algebra, "_coassociator", counted)
+    ext = ExteriorHopf(4, Q)  # not yet checked
+    assert check_axioms("super-hopf", ext.presentation).ok
+    assert calls == ext.hopf.generating_set == degree_one(ext.hopf)
+
+
 # --- the generating sets of A and A*, against the reference loops ------------
 #
 # Inputs with no G of their own but a G* (k^G, whose basis is orthogonal
@@ -1198,6 +1274,8 @@ def test_a_bialgebra_shares_the_operations_of_algebras_and_coalgebras():
     assert alg.product is h.product and alg.unit is h.unit and alg._rows is h._rows
     assert coalg.coproduct is h.coproduct and coalg.counit is h.counit
     assert coalg._terms is h._terms
+    # one view per structure, which derives its rows and G once
+    assert h.as_algebra() is alg and h.as_coalgebra() is coalg
 
 
 def ref_coalgebra_components(c):
@@ -2167,8 +2245,8 @@ def test_require_morphism_reports_the_first_law_a_map_fails_in_order(field):
     # onto the trivial coaction is an algebra map that is not colinear
     h = kz2(field)
     ident = [basis_vec(field, 2, i) for i in range(2)]
-    trivial = lambda vec: {(x, 0): c for x, c in enumerate(vec) if c}
-    regular = (h.delta_basis, h.delta)
+    trivial = lambda y: {(y, 0): field.one}
+    regular = (h.delta_basis, h.delta_basis)
     laws = dict(bijective=True, algebra=(h, h), rho=regular, counit=(h.counit, h.counit))
     cases = [
         (Matrix.zeros(field, 2, 2), "('bijective', ())"),

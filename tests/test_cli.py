@@ -26,7 +26,7 @@ from hopfcross.cli import (
 from hopfcross.cohomology import crossed_system_from_cocycle, differential
 from hopfcross.comodule import ComoduleAlgebra, crossed_product
 from hopfcross.errors import ParseError, ValidationError
-from hopfcross.linalg import Matrix, PrimeField
+from hopfcross.linalg import Matrix, PrimeField, basis_vec, vtensor
 from hopfcross.superalg import SuperPresentation
 from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
@@ -464,7 +464,7 @@ def test_split_finds_the_splitting_of_a_coboundary(tmp_path, capsys):
     a, cols = cp.algebra, [psi.col(g) for g in range(3)]
     assert cols[0] == a.one()
     for g in range(3):
-        assert cp.rho(cols[g]) == {(k, g): c for k, c in enumerate(cols[g]) if c}
+        assert cp.coaction.apply(cols[g]) == vtensor(cols[g], basis_vec(F3, 3, g))
         assert sum((e * c for e, c in zip(eps, cols[g])), F3.zero) == F3.one
         for t in range(3):
             assert a.mult(cols[g], cols[t]) == cols[(g + t) % 3]
@@ -969,8 +969,10 @@ def count_calls(monkeypatch, owner, name):
     # the grading is checked once, by the comodule algebra built from it
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
     # lift checks psi, psi_0 and the map into each later stage, the last
-    # of which is C itself
-    (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 3),
+    # of which is C itself, except where the stage is the pull-back, whose
+    # splitting split_extension has certified: lift-split's one step
+    (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 2),
+    (["lift", "lift-split.json"], hopfcross.algebra, "algebra_map_violations", 11),
     # recognize-crossed checks its grading through the comodule algebra it
     # builds from it, and reads check_grading only to word a failure
     (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
@@ -1012,10 +1014,12 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # splitting step) are read off its pivots, a pull-back that spans its
     # whole stage is that stage, the image of psi is eliminated once, by its
     # quotient, and a span of zero vectors (the last power of each nilpotent
-    # kernel) is not eliminated
+    # kernel) is not eliminated.  The iso C/J -> D and each Hopf-module
+    # decomposition map are eliminated once, by the inverse that also
+    # proves them bijective
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 37
+    assert len(calls) == 35
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
@@ -1023,10 +1027,21 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # rows, spans of distinct basis vectors or of zero vectors are not
     # eliminated, and A_0 and the kernels of the splitting read coordinates
     # off their pivots; the normalized section takes its inverse in closed
-    # form from the one convolution_invert of the splitting
+    # form from the one convolution_invert of the splitting, and the
+    # Hopf-module decomposition map is eliminated once, by its inverse
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 42
+    assert len(calls) == 41
+
+
+def test_super_decompose_lowers_each_product_table_once(monkeypatch):
+    # a bialgebra gives one view of itself as an algebra, so the comodule
+    # algebra A, its even quotient's ideal chain and its odd cotangent read
+    # one native lowering of A's products; every table is lowered once for
+    # the product kernel and once per scale the law kernels read it at
+    calls = count_calls(monkeypatch, hopfcross.algebra, "_product_rows")
+    assert main(["super-decompose", corpus("lambda3.json")]) == 0
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("argv", [

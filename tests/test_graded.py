@@ -725,7 +725,7 @@ def test_recognition_is_invariant_under_a_homogeneous_change_of_basis(make, fiel
             # A -> B #_sigma k[Gamma] is an isomorphism of k[Gamma]-comodule algebras
             src, dst = graded_bridge(changed), crossed_product(rec.system)
             require_morphism(rec.iso, "iso", bijective=True, algebra=(src.algebra, dst.algebra),
-                             rho=(src.rho_basis, dst.rho))
+                             rho=(src.rho_basis, dst.rho_basis))
 
 
 # -- the coinvariants of a grading, read off without elimination --------------
