@@ -970,9 +970,9 @@ def count_calls(monkeypatch, owner, name):
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
     # lift checks psi, psi_0 and the map into each later stage, the last
     # of which is C itself, except where the stage is the pull-back, whose
-    # splitting split_extension has certified: lift-split's one step
+    # splitting split_extension has certified: lift-split's one step (see
+    # also the algebra_map_violations row, last)
     (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 2),
-    (["lift", "lift-split.json"], hopfcross.algebra, "algebra_map_violations", 11),
     # recognize-crossed checks its grading through the comodule algebra it
     # builds from it, and reads check_grading only to word a failure
     (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
@@ -993,6 +993,9 @@ def count_calls(monkeypatch, owner, name):
      "require_convolution_inverse", 3),
     # lift-split's one step pulls back the whole of C, which is not rebuilt
     (["lift", "lift-split.json"], hopfcross.cohomology, "sub_comodule_algebra", 0),
+    # ... nor is the splitting of that stage checked again after
+    # split_extension certified it
+    (["lift", "lift-split.json"], hopfcross.algebra, "algebra_map_violations", 11),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
