@@ -575,28 +575,30 @@ def _sparse_product(rows, u, v):
 
 
 def _parity_laws(h, p):
-    """The parity witnesses in law order.  One scan of the sparse product,
-    coproduct, unit, counit and antipode decides first; the ordered loops
-    run only when it finds a constant of the wrong parity."""
-    if not (any(p[k] != (p[i] + p[j]) % 2 for (i, j), terms in h.product.items() for k in terms)
-            or any((p[j] + p[k]) % 2 != p[i] for i, terms in h.coproduct.items() for j, k in terms)
-            or any(p[i] and (h.counit[i] or h.unit[i]) for i in range(h.dim))
-            or any(p[k] != p[i] for i, col in enumerate(h.antipode.native_cols()) for k in col)):
-        return
+    """The parity witnesses in law order, index by index: for each i the
+    products e_i e_j with j ascending, then Delta(e_i), the counit and unit
+    at i, and column i of the antipode with its rows ascending.  One pass
+    over the sparse product, coproduct and antipode."""
+    right = {}
+    for i, j in sorted(h.product):
+        right.setdefault(i, []).append(j)
+    antipode = h.antipode.native_cols()
     for i in range(h.dim):
-        for j in range(h.dim):
-            for k in h.mult_basis(i, j):
-                if p[k] != (p[i] + p[j]) % 2:
+        pi = p[i]
+        for j in right.get(i, ()):
+            pk = (pi + p[j]) % 2
+            for k in h.product[i, j]:
+                if p[k] != pk:
                     yield ("product-parity", (i, j, k))
         for (j, k) in h.delta_basis(i):
-            if (p[j] + p[k]) % 2 != p[i]:
+            if (p[j] + p[k]) % 2 != pi:
                 yield ("coproduct-parity", (i, j, k))
-        if p[i] and h.counit[i]:
+        if pi and h.counit[i]:
             yield ("counit-parity", (i,))
-        if p[i] and h.unit[i]:
+        if pi and h.unit[i]:
             yield ("unit-parity", (i,))
-        for k, c in enumerate(h.antipode.col(i)):
-            if c and p[k] != p[i]:
+        for k in antipode[i]:
+            if p[k] != pi:
                 yield ("antipode-parity", (i, k))
 
 

@@ -813,10 +813,88 @@ def uncapped_check(h, parity):
         return check_axioms(kind, data).violations
 
 
+def ref_parity_laws(h, p):
+    """The parity laws as ordered loops over every basis pair (i, j) and the
+    dense antipode columns, kept as the oracle for the sparse pass."""
+    for i in range(h.dim):
+        for j in range(h.dim):
+            for k in h.mult_basis(i, j):
+                if p[k] != (p[i] + p[j]) % 2:
+                    yield ("product-parity", (i, j, k))
+        for (j, k) in h.delta_basis(i):
+            if (p[j] + p[k]) % 2 != p[i]:
+                yield ("coproduct-parity", (i, j, k))
+        if p[i] and h.counit[i]:
+            yield ("counit-parity", (i,))
+        if p[i] and h.unit[i]:
+            yield ("unit-parity", (i,))
+        for k, c in enumerate(h.antipode.col(i)):
+            if c and p[k] != p[i]:
+                yield ("antipode-parity", (i, k))
+
+
 def expected_laws(h, parity):
     """The reference loops' witnesses, after the parity laws a super check
     runs first (a bump at an odd index breaks those)."""
-    return list(_parity_laws(h, parity)) + ref_hopf_laws(h, parity)
+    return list(ref_parity_laws(h, parity)) + ref_hopf_laws(h, parity)
+
+
+PARITY_LAWS = ("product", "coproduct", "counit", "unit", "antipode")
+
+
+def parity_broken(h, p, laws, c):
+    """h with constants of the wrong parity added for each named law: two
+    odd-odd products e_i e_j landing on an odd index, for one i and two j,
+    the first a new key of the product table (so the table's key order is
+    not j's), a coproduct term of odd total parity on an even index, a
+    counit and a unit value at an odd index, and two antipode entries
+    taking an even index to odd ones."""
+    odd = [t for t in range(h.dim) if p[t]]
+    even = [t for t in range(h.dim) if not p[t]]
+    product = {key: dict(terms) for key, terms in h.product.items()}
+    coproduct = {i: dict(terms) for i, terms in h.coproduct.items()}
+    unit, counit = list(h.unit), list(h.counit)
+    antipode = [list(row) for row in h.antipode.data]
+    zero = h.field.zero
+    if "product" in laws:
+        for j in (odd[0], odd[-1]):
+            terms = product.setdefault((odd[0], j), {})
+            terms[odd[1]] = terms.get(odd[1], zero) + c
+    if "coproduct" in laws:
+        terms = coproduct.setdefault(even[-1], {})
+        terms[(odd[0], even[0])] = terms.get((odd[0], even[0]), zero) + c
+    if "counit" in laws:
+        counit[odd[-1]] += c
+    if "unit" in laws:
+        unit[odd[0]] += c
+    if "antipode" in laws:
+        for k in (odd[0], odd[-1]):
+            antipode[k][even[-1]] += c
+    return FHopf(h.field, h.basis, product, tuple(unit), coproduct, tuple(counit),
+                 Matrix(h.field, antipode))
+
+
+def test_parity_witnesses_match_the_reference_loops():
+    # each parity law broken once, then all five at once, on Lambda(2) and
+    # Lambda(3) over F5 and Q: the sparse pass gives the reference loops'
+    # parity witnesses, and check_axioms, uncapped and capped, the reference
+    # witnesses of every law in order
+    for fname, field in (("F5", F5), ("Q", Q)):
+        for m in (2, 3):
+            ext = exterior_hopf(m, field)
+            h, p = ext.hopf, ext.parity
+            assert list(_parity_laws(h, p)) == [], (fname, m)
+            for laws in [(law,) for law in PARITY_LAWS] + [PARITY_LAWS]:
+                key = (fname, m, laws)
+                c = rational_bump("parity/%s/%d/%s" % key) if field == Q else field.from_int(2)
+                bad = parity_broken(h, p, laws, c)
+                ref = list(ref_parity_laws(bad, p))
+                assert {name for name, _ in ref} == {law + "-parity" for law in laws}, key
+                assert list(_parity_laws(bad, p)) == ref, key
+                expected = expected_laws(bad, p)
+                assert uncapped_check(bad, p) == expected, key
+                assert check_axioms("super-hopf", SuperPresentation(bad, p)).violations == (
+                    expected[:MAX_VIOLATIONS]), key
 
 
 def signed_permutation(field, parity, seed):
