@@ -23,13 +23,11 @@ from itertools import chain, islice
 from math import lcm
 
 from .errors import (
-    InvalidGroupTableError,
     NoAntipodeError,
     NotConvolutionInvertibleError,
     ShapeMismatchError,
     ValidationError,
 )
-from .groups import GroupTable
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -154,13 +152,6 @@ class _Algebra(_Structure):
         return Matrix.from_sparse_cols(f, self.dim, [self.sparse_mult(u, _basis_row(f, j))
                                                      for j in range(self.dim)])
 
-    def is_commutative(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.mult_basis(i, j) != self.mult_basis(j, i):
-                    return False
-        return True
-
     def canonical_constants(self):
         prod = tuple(
             (i, j, k, c)
@@ -216,26 +207,6 @@ class _Coalgebra(_Structure):
 
     def eps(self, vec):
         return evaluate(self.field, self.counit, vec)
-
-    def delta2_basis(self, i):
-        """Canonical three-fold coproduct (Delta (x) id) o Delta on e_i.
-
-        Both Sweedler associations share this single code path.
-        """
-        out = {}
-        for (j, k), c in self.delta_basis(i).items():
-            for (a, b), d in self.delta_basis(j).items():
-                key = (a, b, k)
-                out[key] = out.get(key, self.field.zero) + c * d
-        return {key: c for key, c in out.items() if c}
-
-    def is_cocommutative(self):
-        for i in range(self.dim):
-            d = self.delta_basis(i)
-            sw = {(k, j): c for (j, k), c in d.items()}
-            if d != sw:
-                return False
-        return True
 
     def canonical_constants(self):
         cop = tuple(
@@ -1224,36 +1195,6 @@ def group_hopf_algebra(table, field):
         field, [basis_vec(field, n, table.inv[i]) for i in range(n)]
     )
     return FHopf(field, table.elements, product, unit, coproduct, counit, antipode)
-
-
-def is_group_like_basis(h):
-    """True when every basis element of h is group-like."""
-    for i in range(h.dim):
-        if h.delta_basis(i) != {(i, i): h.field.one}:
-            return False
-        if h.counit[i] != h.field.one:
-            return False
-    return True
-
-
-def group_table_from_hopf(h):
-    """Extract a GroupTable from a group-algebra presentation."""
-    if not is_group_like_basis(h):
-        raise InvalidGroupTableError("basis is not group-like")
-    n = h.dim
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = h.mult_basis(i, j)
-            if len(terms) != 1:
-                raise InvalidGroupTableError("product of basis elements is not a basis element")
-            (k, c), = terms.items()
-            if c != h.field.one:
-                raise InvalidGroupTableError("product has non-unit coefficient")
-            row.append(k)
-        mult.append(row)
-    return GroupTable(list(h.basis), mult)
 
 
 # ---------------------------------------------------------------------------

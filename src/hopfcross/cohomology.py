@@ -1,7 +1,7 @@
 """Normalized Hochschild cochains for a Hopf algebra with coefficients in a
 square-zero augmentation ideal, the HH^2 classification of augmented cleft
-extensions, gauge isomorphisms, and the constructive splitting and lifting
-machinery through nilpotent kernels.
+extensions, and the constructive splitting and lifting machinery through
+nilpotent kernels.
 
 Cochains C^n = Hom(H^(x)n, B+) are stored as (dim B+) x (dim H)^n matrices
 with the usual row-major flattening of tensor indices.
@@ -33,7 +33,6 @@ from .comodule import (
     _normalized_section,
     check_crossed_system,
     coaction_kernel,
-    crossed_product,
     find_section,
     induced_coaction,
     section_to_crossed_system,
@@ -41,7 +40,6 @@ from .comodule import (
 from .errors import (
     CocycleViolationError,
     KernelNotNilpotentError,
-    NotAlgebraMapError,
     NotHopfModuleError,
     NotSquareZeroError,
     ShapeMismatchError,
@@ -52,7 +50,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     _basis_row,
-    _dense_vec,
+    _dot,
     _native,
     _reduced,
     _subtract,
@@ -94,23 +92,17 @@ class AugmentedAlgebra:
         if bad:
             raise ValidationError("augmentation is not multiplicative at (%d, %d)" % bad[1])
         # eps(1) = 1, so eps is a nonzero functional and B+ = ker eps has
-        # dimension dim B - 1; its basis is computed where it is read
+        # dimension dim B - 1; let p be the first index with eps_p != 0.  The
+        # canonical basis of B+ is e_j - (eps_j / eps_p) e_p for j != p, so
+        # the plus coordinates of a vector of B+ are its entries off p
         self.plus_dim = algebra.dim - 1
+        self._pivot = next(i for i, c in enumerate(self.augmentation) if c)
 
     @cached_property
     def plus_basis(self):
         """The canonical basis of B+ = ker eps."""
-        return Matrix(self.field, [self.augmentation]).kernel_basis()
-
-    @cached_property
-    def _plus_matrix(self):
-        if not self.plus_basis:
-            return Matrix.zeros(self.field, self.algebra.dim, 0)
-        return Matrix.from_cols(self.field, self.plus_basis)
-
-    @cached_property
-    def _plus_coords(self):
-        return column_coordinates(self._plus_matrix)
+        return [self.embed_plus(basis_vec(self.field, self.plus_dim, k))
+                for k in range(self.plus_dim)]
 
     @property
     def square_zero(self):
@@ -127,16 +119,20 @@ class AugmentedAlgebra:
         return evaluate(self.field, self.augmentation, vec)
 
     def embed_plus(self, coords):
-        return self._plus_matrix.apply(coords)
+        """The vector of B+ with the given plus coordinates: those entries
+        off p, and at p the entry that eps takes to zero."""
+        p = self._pivot
+        vec = list(coords)
+        vec.insert(p, self.field.zero)
+        vec[p] = -self.eps(vec) / self.augmentation[p]
+        return tuple(vec)
 
     def decompose(self, bvec):
         """b = c.1 + b+, returned as (c, coordinates of b+ in the plus basis)."""
         c = self.eps(bvec)
         plus = vsub(bvec, vscale(c, self.algebra.one()))
-        coords = self._plus_coords(plus)
-        if coords is None:
-            raise ValidationError("vector fails to decompose against the plus basis")
-        return c, _dense_vec(self.field, coords, self.plus_dim)
+        p = self._pivot
+        return c, plus[:p] + plus[p + 1:]
 
 
 class HModuleStructure:
@@ -154,9 +150,6 @@ class HModuleStructure:
     @property
     def plus_dim(self):
         return self.aug.plus_dim
-
-    def act_basis(self, h, p):
-        return self.action.col(ti(h, p, self.plus_dim))
 
     def act(self, hvec, pvec):
         return self.action.apply(vtensor(hvec, pvec))
@@ -306,11 +299,14 @@ def _normalization_constraints(act, degree):
 
 
 class HH2Result:
-    def __init__(self, act, dimension, representatives, coboundary_span):
+    def __init__(self, act, dimension, representatives, coboundary_span, d2_rows, constraints):
         self.act = act
         self.dimension = dimension
         self.representatives = representatives  # flat vectors
         self._coboundary_span = coboundary_span
+        # the sparse native rows of d2 and of the normalization that hh2 built
+        self._d2_rows = d2_rows
+        self._constraints = constraints
 
     def representative_cochains(self):
         f = self.act.hopf.field
@@ -322,13 +318,17 @@ class HH2Result:
 
     def decide(self, cochain):
         """Coordinates of [s] against the representative basis."""
-        act = self.act
-        f = act.hopf.field
-        if not _check_normalized(act, cochain):
-            raise CocycleViolationError("cochain is not normalized")
-        if not differential(cochain, act).matrix.is_zero():
-            raise CocycleViolationError("cochain is not a cocycle")
+        h = self.act.hopf
+        f = h.field
+        p = f.characteristic
         flat = _flatten_cochain(cochain.matrix)
+        if len(flat) != self.act.plus_dim * h.dim ** 2:
+            raise ShapeMismatchError("cochain shape mismatch")
+        nz = _native(flat, f)
+        if any(_dot(row, nz, p) for row in self._constraints):
+            raise CocycleViolationError("cochain is not normalized")
+        if any(_dot(row, nz, p) for row in self._d2_rows):
+            raise CocycleViolationError("cochain is not a cocycle")
         cols = [_native(v, f) for v in self.representatives] + self._coboundary_span
         if not cols:
             return ()
@@ -347,7 +347,7 @@ def hh2(hopf, act):
     dh, dp = hopf.dim, act.plus_dim
     n2 = dp * dh * dh
     if dp == 0:
-        return HH2Result(act, 0, [], [])
+        return HH2Result(act, 0, [], [], [], [])
     d2_rows = _differential_rows(act, 2)
     constraints = _normalization_constraints(act, 2)
     cocycles = Matrix.from_sparse_rows(f, d2_rows + constraints, n2).kernel_basis()
@@ -366,7 +366,7 @@ def hh2(hopf, act):
         full_b = d1.rank()
         if full_z - full_b != dim:
             raise ValidationError("normalized and full complexes disagree")
-    return HH2Result(act, dim, reps, coboundaries)
+    return HH2Result(act, dim, reps, coboundaries, d2_rows, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -529,64 +529,6 @@ def classify_cleft_extension(ext):
 
 
 # ---------------------------------------------------------------------------
-# gauge isomorphisms
-
-
-def gauge_map_matrix(system, t):
-    """f_t(b (x) h) = sum b (eps(h1)1 + t(h1)) (x) h2 on B (x) H (b-major)."""
-    h, b = system.hopf, system.base
-    f = b.field
-    dh, db = h.dim, b.dim
-    aug_embed = t  # a dB x dH matrix with values in B (already embedded)
-    cols = []
-    for i in range(db):
-        bi = basis_vec(f, db, i)
-        for g in range(dh):
-            out = [f.zero] * (db * dh)
-            for (g1, g2), c in h.delta_basis(g).items():
-                factor = vadd(vscale(h.counit[g1], b.one()), aug_embed.col(g1))
-                prod = b.mult(bi, factor)
-                for x, u in enumerate(prod):
-                    if u:
-                        out[ti(x, g2, dh)] = out[ti(x, g2, dh)] + c * u
-            cols.append(tuple(out))
-    return Matrix.from_cols(f, cols)
-
-
-def gauge_iso(t, source, target):
-    """The gauge map f_t between two crossed products over the same (B, H);
-    verified bijective with inverse f_{-t} and checked to be an algebra map."""
-    h, b = source.hopf, source.base
-    f = b.field
-    if target.hopf is not h and target.hopf.canonical_constants() != h.canonical_constants():
-        raise ShapeMismatchError("gauge between crossed products over different Hopf algebras")
-    if target.base.canonical_constants() != b.canonical_constants():
-        raise ShapeMismatchError("gauge between crossed products over different bases")
-    dh, db = h.dim, b.dim
-    if t.degree != 1:
-        raise ValidationError("gauge cochains have degree 1")
-    embedded = t.matrix  # dB x dH, values already in B
-    ft = gauge_map_matrix(source, embedded)
-    fneg = gauge_map_matrix(source, embedded.scale(-f.one))
-    ident = Matrix.identity(f, db * dh)
-    if ft * fneg != ident or fneg * ft != ident:
-        raise ValidationError("f_t is not inverted by f_{-t}")
-    a1 = crossed_product(source).algebra
-    a2 = crossed_product(target).algebra
-    bad = next(algebra_map_violations(a1, a2, ft), None)
-    if bad:
-        raise NotAlgebraMapError("gauge map is not an algebra map: %r" % (bad,))
-    return ft
-
-
-def embed_cochain(aug, cochain):
-    """A degree-1 cochain in plus coordinates, re-expressed with values in B."""
-    f = aug.field
-    cols = [aug.embed_plus(cochain.matrix.col(j)) for j in range(cochain.matrix.cols)]
-    return NormalizedCochain(1, Matrix.from_cols(f, cols))
-
-
-# ---------------------------------------------------------------------------
 # split extensions
 
 
@@ -622,17 +564,22 @@ def split_extension(ext):
         if not res.consistent:
             raise ValidationError("zero class admits no coboundary witness")
         t_flat = res.solution
-    t = NormalizedCochain(1, _unflatten_cochain(f, t_flat, dp, dh)) if dp else (
-        NormalizedCochain(1, Matrix.zeros(f, 0, dh)))
-    # psi(h) = sum phi(h1) (eps(h2)1 - t~(h2)) where t~ embeds t in B inside A;
-    # equivalently pull 1 (x) h back through the gauge f_t on the crossed side
-    system = cls.system
-    emb = embed_cochain(cls.aug, t) if dp else NormalizedCochain(1, Matrix.zeros(f, cls.aug.algebra.dim, dh))
-    fneg = gauge_map_matrix(system, emb.matrix.scale(-f.one))
-    # psi(e_g) is the image of 1_B (x) e_g
-    cols = [cls.iso.apply(fneg.apply(vtensor(system.base.unit, basis_vec(f, dh, g))))
-            for g in range(dh)]
-    psi = Matrix.from_cols(f, cols)
+    # psi(e_g) = iso(sum eps(g1) 1_B - t~(g1) (x) e_g2), with t~ = t embedded
+    # in B through the plus basis: the image of 1_B (x) e_g under the gauge
+    # f_{-t} of the crossed product
+    aug = cls.aug
+    one = aug.algebra.one()
+    gauge = [_native(vsub(vscale(h.counit[g], one), aug.embed_plus(t_flat[g * dp:(g + 1) * dp])),
+                     f) for g in range(dh)]
+    cop, iso = h.native_coproduct, cls.iso.native_cols()
+    cols = []
+    for g in range(dh):
+        acc = {}
+        for (g1, g2), c in cop.get(g, {}).items():
+            for x, u in gauge[g1].items():
+                _add_scaled(acc, c * u, iso[ti(x, g2, dh)])
+        cols.append(_reduced(acc, f.characteristic))
+    psi = Matrix.from_sparse_cols(f, ca.algebra.dim, cols)
     require_morphism(psi, "computed splitting is not an augmented comodule algebra map",
                      algebra=(h, ca.algebra), rho=(h.delta_basis, ca.rho_basis),
                      counit=(h.counit, ext.augmentation))
@@ -805,11 +752,12 @@ def colinear_splitting_nilpotent(ca, pi):
     # pi must be a colinear algebra surjection
     if pi.rows != dh or pi.cols != da:
         raise ShapeMismatchError("surjection matrix shape mismatch")
-    if pi.rank() != dh:
+    kernel = pi.kernel_rows()  # its rank is da - len(kernel)
+    if da - len(kernel) != dh:
         raise ValidationError("map onto the Hopf algebra is not surjective")
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
                      algebra=(a, h), rho=(ca.rho_basis, h.delta_basis))
-    chain = ideal_power_chain(a, pi.kernel_rows())  # chain[i] = basis of I^{i+1}
+    chain = ideal_power_chain(a, kernel)  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
@@ -964,12 +912,13 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     if psi.rank() != h.dim:
         raise ValidationError("comodule algebra map H -> D is not injective")
     ca_alg, d_alg = c_ca.algebra, d_ca.algebra
-    # varpi verification
-    if varpi.rank() != d_alg.dim:
+    # varpi verification; its rank is dim C - len(kernel)
+    kernel = varpi.kernel_rows()
+    if varpi.cols - len(kernel) != d_alg.dim:
         raise ValidationError("map C -> D is not surjective")
     require_morphism(varpi, "map C -> D is not a comodule algebra map",
                      algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho_basis))
-    chain = ideal_power_chain(ca_alg, varpi.kernel_rows())
+    chain = ideal_power_chain(ca_alg, kernel)
     n = len(chain)  # J^n = 0
     # exponents 1 = 2^0 < 2 < 4 < ... >= n
     exps = [1]

@@ -1,5 +1,5 @@
 """Right H-comodule algebras: coinvariants, the Galois map, crossed products,
-cleftness via section search, and translation to and from group gradings.
+cleftness via section search, and a group grading read as a k[G]-coaction.
 
 Coactions are matrices A -> A (x) H against the flat basis index
 ti(a, h, dim H) (a-index major).
@@ -21,9 +21,7 @@ from .algebra import (
     coaction_violations,
     convolution_invert,
     group_hopf_algebra,
-    group_table_from_hopf,
     induced_algebra,
-    is_group_like_basis,
     relative_tensor,
     require_convolution_inverse,
     require_morphism,
@@ -34,11 +32,10 @@ from .errors import (
     InvalidCrossedSystemError,
     NoSectionFoundError,
     NotConvolutionInvertibleError,
-    NotGroupLikeCoactionError,
     ShapeMismatchError,
     ValidationError,
 )
-from .graded import GradedAlgebra, check_grading
+from .graded import check_grading
 from .linalg import (
     Matrix,
     _basis_row,
@@ -48,7 +45,6 @@ from .linalg import (
     column_coordinates,
     in_span,
     row_space_basis,
-    vscale,
     vtensor,
 )
 from .search import DEFAULT_BUDGET, find_invertible_combination
@@ -213,18 +209,10 @@ def galois_map(ca):
 
 
 # ---------------------------------------------------------------------------
-# translation between group gradings and group-algebra coactions
+# a group grading read as a group-algebra coaction
 
 
-def graded_bridge(x):
-    if isinstance(x, GradedAlgebra):
-        return _graded_to_comodule(x)
-    if isinstance(x, ComoduleAlgebra):
-        return _comodule_to_graded(x)
-    raise TypeError("expected a graded algebra or a comodule algebra")
-
-
-def _graded_to_comodule(ga):
+def graded_bridge(ga):
     """A as a k[G]-comodule algebra, e_i |-> e_i (x) g_i.  That coaction is
     a comodule algebra exactly when 1 is in A_e and A_g A_h lies in A_gh, so
     its laws check the grading, and a failure is worded as check_grading
@@ -243,27 +231,6 @@ def _graded_to_comodule(ga):
     ca.coinvariants = Coinvariants(a, [_basis_row(f, i)
                                        for i in ga.component_indices(ga.group.identity)])
     return ca
-
-
-def _comodule_to_graded(ca):
-    a, h = ca.algebra, ca.hopf
-    f = ca.field
-    if not is_group_like_basis(h):
-        raise NotGroupLikeCoactionError("coacting Hopf algebra is not a group algebra on its basis")
-    grp = group_table_from_hopf(h)
-    da, dh = a.dim, h.dim
-    hom_basis = []
-    degrees = []
-    for g in range(dh):
-        for v in coaction_kernel(ca.rho_basis, da, h, basis_vec(f, dh, g)):
-            hom_basis.append(v)
-            degrees.append(g)
-    # a coaction of k[G] is a G-grading: A is the direct sum of the A_g
-    change = Matrix.from_sparse_cols(f, da, hom_basis)
-    labels = tuple("a%d" % s for s in range(da))
-    alg = induced_algebra(a, hom_basis, change.inverse().apply_sparse, labels)
-    ga = GradedAlgebra(alg, grp, tuple(degrees))
-    return ga, change
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +257,11 @@ class CrossedSystem:
         self.sigma = sigma
         self.sigma_inv = sigma_inv
 
-    def act_basis(self, h, b):
-        return self.measuring.col(ti(h, b, self.base.dim))
-
     def act(self, hvec, bvec):
         return self.measuring.apply(vtensor(hvec, bvec))
 
     def sigma_basis(self, g, h):
         return self.sigma.col(ti(g, h, self.hopf.dim))
-
-
-def trivial_sigma(hopf, base):
-    """sigma = eps (x) eps, with its own inverse."""
-    f = base.field
-    cols = [
-        vscale(hopf.counit[g] * hopf.counit[h], base.one())
-        for g in range(hopf.dim)
-        for h in range(hopf.dim)
-    ]
-    return Matrix.from_cols(f, cols)
 
 
 def check_crossed_system(s):

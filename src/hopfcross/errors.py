@@ -44,15 +44,7 @@ class NoSectionFoundError(HopfcrossError):
         self.definitive = definitive
 
 
-class NotGroupLikeCoactionError(HopfcrossError):
-    pass
-
-
 class CocycleViolationError(HopfcrossError):
-    pass
-
-
-class NotAlgebraMapError(HopfcrossError):
     pass
 
 

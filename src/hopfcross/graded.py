@@ -142,7 +142,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     The units u_g give the section phi(g) = u_g of A as a k[Gamma]-comodule
     algebra, so A is the Hopf crossed product B #_sigma k[Gamma] with
     g . b = u_g b u_g^-1 and sigma(g, h) = u_g u_h u_gh^-1."""
-    # comodule imports this module for GradedAlgebra
+    # comodule imports this module for check_grading
     from .comodule import Section, graded_bridge, section_to_crossed_system
 
     ca = graded_bridge(ga)  # checks the grading, and reads B = A_e off it

@@ -74,7 +74,3 @@ class GroupTable:
             for p in perms
         ]
         return GroupTable(labels, mult)
-
-    @staticmethod
-    def trivial():
-        return GroupTable(["1"], [[0]])

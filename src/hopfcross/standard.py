@@ -103,10 +103,3 @@ def matrix2(field):
                 product[(li, ri)] = {}
     unit = (o, o, field.zero, field.zero)
     return FAlgebra(field, basis, product, unit)
-
-
-def product_field(field):
-    """k x k on the idempotent basis (e1, e2)."""
-    o = field.one
-    product = {(0, 0): {0: o}, (1, 1): {1: o}, (0, 1): {}, (1, 0): {}}
-    return FAlgebra(field, ("p", "q"), product, (o, o))

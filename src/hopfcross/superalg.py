@@ -1,8 +1,8 @@
-"""Z/2-graded linear and Hopf-algebra structures with Koszul signs: the
-supersymmetry swap, signed tensor products, exterior Hopf superalgebras with
-their duality pairing, the even quotient H = A/A_1A, the odd cotangent space
-W = A_1/A_0^+A_1, odd primitives in the dual, and the decomposition
-A ~ Lambda(W) (x) H for super-commutative Hopf superalgebras.
+"""Z/2-graded linear and Hopf-algebra structures with Koszul signs: signed
+tensor products, exterior Hopf superalgebras with their duality pairing,
+the even quotient H = A/A_1A, the odd cotangent space W = A_1/A_0^+A_1,
+odd primitives in the dual, and the decomposition A ~ Lambda(W) (x) H for
+super-commutative Hopf superalgebras.
 
 All bases are homogeneous; `parity` assigns 0 (even) or 1 (odd) to each basis
 index. Exterior bases are indexed by subsets of {1..n} ordered by (size,
@@ -69,27 +69,6 @@ class SuperVectorSpace:
             raise ValidationError("parities must be 0 or 1")
         self.odd_dim = sum(1 for p in self.parity if p == 1)
         self.dim = len(self.parity)
-
-    @staticmethod
-    def purely_odd(n):
-        return SuperVectorSpace((1,) * n)
-
-    @staticmethod
-    def purely_even(n):
-        return SuperVectorSpace((0,) * n)
-
-
-def koszul_swap(field, v_space, w_space):
-    """c_{V,W} : V (x) W -> W (x) V, v (x) w |-> (-1)^{|v||w|} w (x) v."""
-    _require_odd_characteristic(field)
-    dv, dw = v_space.dim, w_space.dim
-    cols = []
-    for i in range(dv):
-        for j in range(dw):
-            v = [field.zero] * (dw * dv)
-            v[ti(j, i, dv)] = _sign(field, v_space.parity[i] * w_space.parity[j])
-            cols.append(tuple(v))
-    return Matrix.from_cols(field, cols)
 
 
 class SuperPresentation:
@@ -193,9 +172,7 @@ def super_tensor_product(sa, sb, labels=None):
     hopf = FHopf(f, labels, product, vtensor(a.unit, b.unit), coproduct,
                  vtensor(a.counit, b.counit), Matrix.from_cols(f, cols))
     parity = tuple((pa[i] + pb[j]) % 2 for i in range(da) for j in range(db))
-    out = SuperPresentation(hopf, parity)
-    out.require_valid()
-    return out
+    return SuperPresentation(hopf, parity)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ from hopfcross.cohomology import (
     colinear_splitting_nilpotent,
     crossed_system_from_cocycle,
     differential,
-    embed_cochain,
-    gauge_iso,
     hh2,
     lift_comodule_algebra_map,
     split_extension,
@@ -46,7 +44,6 @@ from hopfcross.comodule import (
 from hopfcross.errors import (
     NoAntipodeError,
     NoSectionFoundError,
-    NotAlgebraMapError,
     NotCrossedProductError,
 )
 from hopfcross.graded import GradedAlgebra, recognize_group_crossed_product
@@ -60,6 +57,7 @@ from hopfcross.superalg import (
     exterior_hopf,
     super_tensor_product,
 )
+from tests.oracles import NotAlgebraMapError, embed_cochain, gauge_iso
 from tests.test_graded import ref_morita_context as morita_context
 
 Q = Rationals()

@@ -70,6 +70,7 @@ from hopfcross.superalg import (
     exterior_hopf,
     super_tensor_product,
 )
+from tests.oracles import delta2_basis, is_cocommutative, is_commutative
 from tests.test_linalg import ORACLE_FIELDS, draw
 
 Q = Rationals()
@@ -222,7 +223,7 @@ def ref_coalgebra_laws(c):
             for (a, b), v in c.delta_basis(k).items():
                 key = (j, a, b)
                 rhs[key] = rhs.get(key, f.zero) + u * v
-        if c.delta2_basis(i) != ref_clean(rhs):
+        if delta2_basis(c, i) != ref_clean(rhs):
             yield ("coassociativity", (i,))
         left, right = {}, {}
         for (j, k), u in c.delta_basis(i).items():
@@ -1331,8 +1332,7 @@ def test_a_structure_gathers_its_denominators_once(monkeypatch):
 
 
 STRUCTURE_OPERATIONS = ("mult", "mult_basis", "one", "lowered_rows", "left_mult_matrix",
-                        "is_commutative", "delta", "delta_basis", "delta2_basis", "eps",
-                        "lowered_coproduct", "is_cocommutative")
+                        "delta", "delta_basis", "eps", "lowered_coproduct")
 
 
 def test_a_bialgebra_shares_the_operations_of_algebras_and_coalgebras():
@@ -1559,14 +1559,14 @@ def test_group_antipode_is_involution():
 def test_dual_kz2_commutative_cocommutative():
     d = dual_hopf(kz2(Q))
     assert check_axioms("hopf", d).ok
-    assert d.is_commutative() and d.is_cocommutative()
+    assert is_commutative(d) and is_cocommutative(d)
 
 
 def test_dual_swaps_commutativity_flags():
     h = ks3(Q)
     d = dual_hopf(h)
-    assert (h.is_commutative(), h.is_cocommutative()) == (False, True)
-    assert (d.is_commutative(), d.is_cocommutative()) == (True, False)
+    assert (is_commutative(h), is_cocommutative(h)) == (False, True)
+    assert (is_commutative(d), is_cocommutative(d)) == (True, False)
 
 
 def test_dual_sweedler_passes_axioms():

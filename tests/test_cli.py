@@ -1019,10 +1019,27 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # quotient, and a span of zero vectors (the last power of each nilpotent
     # kernel) is not eliminated.  The iso C/J -> D and each Hopf-module
     # decomposition map are eliminated once, by the inverse that also
-    # proves them bijective
+    # proves them bijective.  varpi and each step's pi give their rank and
+    # their kernel by one elimination (pi one more, for its coordinates),
+    # and the plus basis of B and its coordinates are read off eps
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 35
+    assert len(calls) == 31
+
+
+@pytest.mark.parametrize("command, name", [
+    ("classify-cleft", "f3z3-cleft.json"), ("split", "f3z3-cleft.json"),
+    ("hh2", "f3z3-hmodule.json"), ("lift", "lift-split.json"), ("lift", "lift-obstructed.json"),
+])
+def test_each_command_builds_the_degree_2_differential_once(command, name, monkeypatch):
+    # HH2Result.decide tests a cochain against the rows of d2 and of the
+    # normalization that hh2 built, and builds neither again
+    degrees = []
+    real = hopfcross.cohomology._differential_rows
+    monkeypatch.setattr(hopfcross.cohomology, "_differential_rows",
+                        lambda act, degree: degrees.append(degree) or real(act, degree))
+    assert main([command, corpus(name)]) in (0, 1)
+    assert degrees.count(2) == 1
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
@@ -1034,7 +1051,7 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # Hopf-module decomposition map is eliminated once, by its inverse
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 41
+    assert len(calls) == 40
 
 
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):

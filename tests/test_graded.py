@@ -42,7 +42,8 @@ from hopfcross.linalg import (
     _native,
     basis_vec,
 )
-from hopfcross.standard import dual_numbers, matrix2, product_field
+from hopfcross.standard import dual_numbers, matrix2
+from tests.oracles import graded_over_group, measuring_basis, product_field, trivial_group
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -176,7 +177,7 @@ def test_dual_numbers_not_strongly_graded():
 
 
 def test_trivial_group_strongly_graded():
-    ga = GradedAlgebra(matrix2(Q), GroupTable.trivial(), (0, 0, 0, 0))
+    ga = GradedAlgebra(matrix2(Q), trivial_group(), (0, 0, 0, 0))
     ok, _ = is_strongly_graded(ga)
     assert ok
 
@@ -258,7 +259,8 @@ def morita_oracle_cases():
             cases.append((name, payload))
     for field in (F3, F5, Q):
         for seed in (1, 2):
-            ga, _ = graded_bridge(twisted_crossed_product(field, 3, seed))
+            ga, _ = graded_over_group(twisted_crossed_product(field, 3, seed),
+                                      GroupTable.cyclic(3))
             cases.append(("crossed %r seed %d" % (field, seed), ga))
     for field in (Q, F3):
         cases.append(("k[S3] %r" % (field,), group_algebra_graded(GroupTable.symmetric(3), field)))
@@ -397,7 +399,7 @@ def over_group_algebra(s):
 
 def graded_crossed_product(s):
     """B #_sigma k[Gamma] for the group data s, read as a Gamma-graded algebra."""
-    return graded_bridge(crossed_product(over_group_algebra(s)))[0]
+    return graded_over_group(crossed_product(over_group_algebra(s)), s.group)[0]
 
 
 # -- group crossed systems ---------------------------------------------------
@@ -466,9 +468,10 @@ def test_swap_system_passes():
     swap_system(Q), shift_system(Q, 3), shift_system(F3, 3), shift_system(Q, 4), s3_system(F5),
 ], ids=lambda s: "dimB%d-%s" % (s.base.dim, "-".join(s.group.elements)))
 def test_crossed_product_over_group_algebra_matches_the_oracle(system):
-    # graded_bridge lists A_1 first, then A_g, ...: the oracle is moved to
-    # that homogeneous basis before the structure constants are compared
-    ga, change = graded_bridge(crossed_product(over_group_algebra(system)))
+    # graded_over_group lists the product degree by degree: the oracle is
+    # moved to that homogeneous basis before the structure constants are
+    # compared
+    ga, change = graded_over_group(crossed_product(over_group_algebra(system)), system.group)
     ref = ref_group_crossed_product(system)
     homogeneous = [change.col(t) for t in range(change.cols)]
     for vec, g in zip(homogeneous, ga.degree):
@@ -595,7 +598,7 @@ def test_recognize_matrix2():
     # sigma(g, g) = swap^2 = identity
     assert rec.system.sigma_basis(1, 1) == (Q.one, Q.one)
     # the action by g swaps the two diagonal idempotents
-    assert rec.system.act_basis(1, 0) == basis_vec(Q, 2, 1)
+    assert measuring_basis(rec.system, 1, 0) == basis_vec(Q, 2, 1)
     assert rec.iso.is_invertible()
 
 

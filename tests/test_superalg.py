@@ -16,7 +16,6 @@ from hopfcross.algebra import (
     check_axioms,
     group_hopf_algebra,
     induced_algebra,
-    ti,
 )
 from hopfcross.cli import encode_super_hopf, main
 from hopfcross.cohomology import ideal_power_chain
@@ -46,12 +45,12 @@ from hopfcross.superalg import (
     duality_pairing,
     even_quotient,
     exterior_hopf,
-    koszul_swap,
     odd_cotangent,
     odd_cotangent_of_algebra,
     odd_primitives,
     super_tensor_product,
 )
+from tests.oracles import is_cocommutative, is_commutative
 from tests.test_algebra import ref_induced_coproduct, ref_mult
 from tests.test_linalg import (
     RefQuotientSpace,
@@ -113,37 +112,13 @@ def scramble(sp, seed):
 
 
 # ---------------------------------------------------------------------------
-# Koszul swap and tensor products
-
-
-def test_swap_purely_even_is_transposition():
-    v = SuperVectorSpace.purely_even(2)
-    w = SuperVectorSpace.purely_even(3)
-    c = koszul_swap(Q, v, w)
-    for i in range(2):
-        for j in range(3):
-            assert c.col(ti(i, j, 3)) == basis_vec(Q, 6, ti(j, i, 2))
-
-
-def test_swap_odd_odd_sign():
-    v = SuperVectorSpace.purely_odd(1)
-    c = koszul_swap(Q, v, v)
-    assert c.col(0) == (-Q.one,)
-
-
-def test_swap_involution_random_parities():
-    rng = random.Random(1)
-    for _ in range(10):
-        pv = tuple(rng.randrange(2) for _ in range(3))
-        pw = tuple(rng.randrange(2) for _ in range(2))
-        v, w = SuperVectorSpace(pv), SuperVectorSpace(pw)
-        assert koszul_swap(Q, w, v) * koszul_swap(Q, v, w) == Matrix.identity(Q, 6)
+# tensor products
 
 
 def test_characteristic_two_rejected():
     f2 = PrimeField(2)
     with pytest.raises(CharacteristicTwoError):
-        koszul_swap(f2, SuperVectorSpace.purely_odd(1), SuperVectorSpace.purely_odd(1))
+        even_presentation(group_hopf_algebra(GroupTable.cyclic(2), f2))
     with pytest.raises(CharacteristicTwoError):
         exterior_hopf(1, f2)
 
@@ -153,6 +128,23 @@ def test_tensor_of_purely_even_is_plain():
     tp = super_tensor_product(even_presentation(h), even_presentation(h))
     assert tp.is_super_commutative()
     assert all(p == 0 for p in tp.parity)
+
+
+RIGHT_FACTORS = [pytest.param(m, lambda f, n=n: even_presentation(
+    group_hopf_algebra(GroupTable.cyclic(n), f)), id="L%d-Z%d" % (m, n))
+    for m in (1, 2, 3) for n in (1, 2, 3)] + [
+    pytest.param(m, lambda f: exterior_hopf(1, f).presentation, id="L%d-L1" % m) for m in (1, 2)]
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F5, PrimeField(7)],
+                         ids=["Q", "F3", "F5", "F7"])
+@pytest.mark.parametrize("m, right", RIGHT_FACTORS)
+def test_super_tensor_products_pass_the_super_axioms(field, m, right):
+    # super_tensor_product does not check what it builds: the Koszul signs
+    # of its product and coproduct are checked here, on Lambda(m) (x) k[Z/n]
+    # and, where both factors have odd elements, on Lambda(m) (x) Lambda(1)
+    tp = super_tensor_product(exterior_hopf(m, field).presentation, right(field))
+    assert tp.check_super_axioms() == []
 
 
 def test_exterior_tensor_is_bigger_exterior():
@@ -421,7 +413,7 @@ def test_even_quotient_of_tensor_recovers_group_algebra():
     A = super_tensor_product(exterior_hopf(2, Q).presentation, even_presentation(h))
     H, pi = even_quotient(A)
     assert H.dim == 2
-    assert H.is_commutative() and H.is_cocommutative()
+    assert is_commutative(H) and is_cocommutative(H)
 
 
 def test_even_quotient_rejects_non_supercommutative():
