@@ -33,6 +33,7 @@ from .linalg import (
     QuotientSpace,
     _basis_row,
     _dense_vec,
+    _dot,
     _field_row,
     _native,
     _rational,
@@ -1023,8 +1024,11 @@ def counit_violations(src_counit, dst_counit, m):
     """Witnesses ("counit", (i,)) that the linear map m fails
     eps_dst(m e_i) = eps_src(e_i), for counits or augmentations given by
     their values on the basis."""
-    for i in range(m.cols):
-        if evaluate(m.field, dst_counit, m.col(i)) != src_counit[i]:
+    f = m.field
+    p = f.characteristic
+    src, dst = _native(src_counit, f), _native(dst_counit, f)
+    for i, col in enumerate(m.native_cols()):
+        if _dot(dst, col, p) != src.get(i, 0):
             yield ("counit", (i,))
 
 

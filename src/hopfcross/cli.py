@@ -20,7 +20,6 @@ from .algebra import (
     FCoalgebra,
     FHopf,
     MAX_VIOLATIONS,
-    _laws,
     check_axioms,
     compute_antipode,
     dual_hopf,
@@ -142,8 +141,9 @@ def _duplicate(where):
 
 
 def _matrix_to_json(field, m):
-    entries = [[i, j] + _scal_json(field, c)
-               for i, row in enumerate(m.data) for j, c in enumerate(row) if c]
+    p = field.characteristic
+    entries = [[i, j] + ([row[j]] if p else _scal_json(field, row[j]))
+               for i, row in enumerate(m._native_rows()) for j in sorted(row)]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -421,16 +421,8 @@ def _check_nested_hopf(hopf):
 def _check_algebra_block(alg, name):
     """Raise the failed algebra laws of the file's own algebra (name
     "algebra") or of its block `name`, which no coaction, measuring or
-    action law implies.  These are the witnesses of check_axioms("algebra",
-    alg): a pass on alg's generating set decides first, and the full loops
-    run only when it finds a witness or there is no generating set.  It runs
-    without a call of check_axioms so that the calls a traced run counts
-    stay the library's own checks."""
-    gens = alg.generating_set
-    if gens is not None and next(_laws("algebra", alg, None, gens), None) is None:
-        return
-    violations = list(islice(_laws("algebra", alg, None, None), MAX_VIOLATIONS))
-    _check_block(name, violations, "an algebra")
+    action law implies."""
+    _check_block(name, check_axioms("algebra", alg).violations, "an algebra")
 
 
 def _check_augmentation(alg, aug):

@@ -51,6 +51,7 @@ from .linalg import (
     QuotientSpace,
     _basis_row,
     _dot,
+    _kernel_of_rref,
     _native,
     _reduced,
     _subtract,
@@ -752,9 +753,10 @@ def colinear_splitting_nilpotent(ca, pi):
     # pi must be a colinear algebra surjection
     if pi.rows != dh or pi.cols != da:
         raise ShapeMismatchError("surjection matrix shape mismatch")
-    kernel = pi.kernel_rows()  # its rank is da - len(kernel)
-    if da - len(kernel) != dh:
+    r, pivots, _ = eliminated = pi.rref()  # its rank, kernel and coordinates
+    if len(pivots) != dh:
         raise ValidationError("map onto the Hopf algebra is not surjective")
+    kernel = _kernel_of_rref(r, pivots, da)
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
                      algebra=(a, h), rho=(ca.rho_basis, h.delta_basis))
     chain = ideal_power_chain(a, kernel)  # chain[i] = basis of I^{i+1}
@@ -762,7 +764,7 @@ def colinear_splitting_nilpotent(ca, pi):
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
     # lambda : H -> A, a fixed linear right inverse of pi
-    preimage = column_coordinates(pi)
+    preimage = column_coordinates(pi, eliminated)
     lam = [preimage(_basis_row(f, g)) for g in range(dh)]
     # phi on A/I: H -> A/I, h |-> class of lambda(h); bijective by dimensions
     if quots[0].dim != dh:

@@ -442,7 +442,8 @@ class Section:
 
 
 def colinear_map_space(ca):
-    """Kernel basis of the colinearity constraint rho o phi = (phi (x) id) o Delta.
+    """Kernel basis of the colinearity constraint rho o phi = (phi (x) id) o Delta,
+    as sparse native rows.
 
     Unknown flat index: ti(a, j, dH) = coefficient of e_a in phi(e_j).
     """
@@ -464,11 +465,17 @@ def colinear_map_space(ca):
         for (p, q), c in h.delta_basis(j).items():
             for aidx in range(da):
                 add((j * da + aidx) * dh + q, ti(aidx, p, dh), -c)
-    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], da * dh).kernel_basis()
+    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], da * dh).kernel_rows()
 
 
-def _unflatten_phi(f, flat, da, dh):
-    return Matrix(f, [[flat[ti(x, j, dh)] for j in range(dh)] for x in range(da)])
+def _phi_cols(flat, dh):
+    """The sparse native columns phi(e_j) of a colinear map given by its
+    flat coordinates {ti(a, j, dH): c}."""
+    cols = [{} for _ in range(dh)]
+    for k, c in flat.items():
+        x, j = divmod(k, dh)
+        cols[j][x] = c
+    return cols
 
 
 def find_section(ca, budget=DEFAULT_BUDGET):
@@ -486,6 +493,7 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     """
     a, h = ca.algebra, ca.hopf
     f = ca.field
+    p = f.characteristic
     da, dh = a.dim, h.dim
     space = colinear_map_space(ca)
     if not space:
@@ -494,33 +502,27 @@ def find_section(ca, budget=DEFAULT_BUDGET):
     coinv = ca.coinvariants
     if coinv.dim * dh != da:
         raise NoSectionFoundError(absent, definitive=True)
-    left = [a.left_mult_matrix(coinv.embed(basis_vec(f, coinv.dim, t)))
-            for t in range(coinv.dim)]
-    mats = [_normal_basis_map(left, _unflatten_phi(f, v, da, dh)) for v in space]
+    # Phi_v has b_t phi_v(h_g) at column ti(t, g, dH), for b_t the coinvariant basis
+    mats = [Matrix.from_sparse_cols(f, da, [a.sparse_mult(b, col) for b in coinv.basis
+                                            for col in cols])
+            for cols in (_phi_cols(v, dh) for v in space)]
     outcome = find_invertible_combination(f, mats, budget)
     if not outcome.found:
         msg = absent
         if not outcome.definitive:
             msg += " found within budget; absence not proved"
         raise NoSectionFoundError(msg, definitive=outcome.definitive)
-    flat = [f.zero] * (da * dh)
-    for c, v in zip(outcome.coeffs, space):
-        if c:
-            flat = [x + c * y for x, y in zip(flat, v)]
+    flat = {}
+    for i, c in _native(outcome.coeffs, f).items():
+        _add_scaled(flat, c, space[i])
+    phi = Matrix.from_sparse_cols(f, da, _phi_cols(_reduced(flat, p), dh))
     try:
         # normalizing multiplies phi by a unit, so only the first inversion
         # can fail on a valid comodule algebra
-        return _normalized_section(ca, _unflatten_phi(f, tuple(flat), da, dh))
+        return _normalized_section(ca, phi)
     except NotConvolutionInvertibleError:
         # Phi is bijective, so A/B is not H-Galois: no colinear map is a section
         raise NoSectionFoundError(absent, definitive=True) from None
-
-
-def _normal_basis_map(left, phi):
-    """The matrix of b_t (x) h_g |-> b_t phi(h_g) at column ti(t, g, dH);
-    left[t] is left multiplication by the coinvariant b_t."""
-    blocks = [(lt * phi).data for lt in left]
-    return Matrix(phi.field, [sum(rows, ()) for rows in zip(*blocks)])
 
 
 def _normalized_section(ca, phi_matrix):

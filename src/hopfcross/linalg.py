@@ -1,32 +1,22 @@
 """Exact scalar fields and the linear-algebra kernel.
 
 Scalars are `Rational` over the rationals and `FpElement` over a prime
-field.  Both support the arithmetic operators, so the `Matrix` code below is
-field-agnostic.  Everything is exact; there is no floating point anywhere.
+field.  Everything is exact; there is no floating point anywhere.
 `Rational` is a `fractions.Fraction` that does its own arithmetic when both
 operands are `Rational`, and `Rationals` makes every Q scalar as one.
 
 Between the kernels a vector is one form: a sparse native row, a dict
 {index: nonzero native scalar}, with ints mod p over F_p (inverses by
-`pow(a, p - 2, p)`) and `Rational` over Q.  `row_space_basis`, `in_span`,
-`span_coordinates`, `echelon_complement`, `QuotientSpace` (`reduce`,
-`project`, `lift`) and the coordinates of `column_coordinates` take such
-rows and hand them back; each also takes a dense sequence of field scalars,
-converted once on the way in (`_sparse`).  Dense tuples of field scalars
-appear only at the boundary: `vadd` and the other tuple helpers, the dense
-view of a `Matrix`, `Matrix.apply` and `kernel_basis`.  A `Matrix` keeps the
-form it is built in: dense rows of field scalars (`Matrix(field, data)`) or
-sparse native rows (`from_sparse_rows`, `from_sparse_cols`).  Every
-elimination (`rref`, `det`, hence `rank`, `kernel_basis`, `kernel_rows`,
-`inverse`, `solve_linear`, `column_coordinates`) reads the sparse rows,
-which a dense matrix derives once, at its first elimination, and R and T
-come back sparse.  `data`, `row`, `col` and the other operations read the
-dense view, which a sparse matrix derives once, when first read; `apply`
-reads the dense rows if there are any, else the sparse rows, which
-`apply_sparse` and `native_cols` always read.  So no system built sparse is
-densified to be solved.  Entries become `FpElement` again only in what the
-dense boundary returns.  The transform T with T * M = R is carried only when
-a caller asks for it (`inverse`, `column_coordinates`, the certificate of an
+`pow(a, p - 2, p)`) and `Rational` over Q.  A `Matrix` is its sparse native
+rows: `Matrix(field, data)` converts dense rows of field scalars once, and
+every operation and elimination reads the rows.  The row-space layer
+(`row_space_basis`, `span_coordinates`, `QuotientSpace`, ...) takes such
+rows, or dense vectors converted once on the way in, and hands them back.
+Dense tuples of field scalars appear only at the boundary: `vadd` and the
+other tuple helpers, `Matrix.data` (read by `row` and `col`), a view derived
+and kept on its first read, `Matrix.apply`, `kernel_basis` and
+`solve_linear`.  The transform T with T * M = R is carried only when a
+caller asks for it (`inverse`, `column_coordinates`, the certificate of an
 inconsistent `solve_linear` when it is read).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
@@ -296,10 +286,6 @@ def vzero(field, n):
     return (field.zero,) * n
 
 
-def is_zero_vec(v):
-    return all(not a for a in v)
-
-
 def basis_vec(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
 
@@ -311,7 +297,7 @@ def vtensor(u, v):
 
 
 class Matrix:
-    """Immutable matrix over an exact field, in the form it is built in.
+    """Immutable matrix over an exact field, kept as its sparse native rows.
 
     `cols` is needed only for a matrix with no rows; otherwise it is read
     off the rows (and checked when given).
@@ -320,17 +306,13 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_data", "_sparse")
 
     def __init__(self, field, data, cols=None):
-        self.field = field
-        rows = tuple(tuple(r) for r in data)
+        rows = [tuple(r) for r in data]
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != cols:
-                raise ShapeMismatchError("ragged rows")
-        self.rows = len(rows)
-        self.cols = cols
-        self._data = rows
-        self._sparse = None
+        if any(len(r) != cols for r in rows):
+            raise ShapeMismatchError("ragged rows")
+        self.field, self.rows, self.cols, self._data = field, len(rows), cols, None
+        self._sparse = tuple(_native(r, field) for r in rows)
 
     # -- constructors -------------------------------------------------------
 
@@ -349,8 +331,7 @@ class Matrix:
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero, field.one
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix.from_sparse_rows(field, [_basis_row(field, i) for i in range(n)], n)
 
     @staticmethod
     def from_cols(field, cols):
@@ -359,27 +340,24 @@ class Matrix:
     @staticmethod
     def from_sparse_cols(field, rows, cols):
         """The rows x len(cols) matrix with the sparse native columns {row:
-        nonzero native scalar}, kept as sparse rows."""
+        nonzero native scalar}."""
         out = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
             for i, c in col.items():
                 out[i][j] = c
         return Matrix.from_sparse_rows(field, out, len(cols))
 
-    # -- the two forms ------------------------------------------------------
+    # -- the rows and their views -------------------------------------------
 
     @property
     def data(self):
-        """The dense rows, derived and kept on the first read if built sparse."""
+        """The dense rows of field scalars, derived and kept on the first read."""
         if self._data is None:
             self._data = tuple(_dense_vec(self.field, r, self.cols) for r in self._sparse)
         return self._data
 
     def _native_rows(self):
-        """The sparse rows, derived and kept on the first call if built dense;
-        a caller copies a row before it changes it."""
-        if self._sparse is None:
-            self._sparse = tuple(_native(r, self.field) for r in self._data)
+        """The sparse rows; a caller copies a row before it changes it."""
         return self._sparse
 
     # -- basics -------------------------------------------------------------
@@ -389,7 +367,7 @@ class Matrix:
             isinstance(other, Matrix)
             and self.field == other.field
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self._native_rows() == other._native_rows()
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
@@ -408,92 +386,70 @@ class Matrix:
         """Every column as a sparse native dict {row: c}, read off the
         sparse rows in one pass."""
         cols = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._native_rows()):
+        for i, row in enumerate(self._sparse):
             for j, a in row.items():
                 cols[j][i] = a
         return cols
 
     def sparse_cols(self):
-        """Every column as a dict {row: nonzero entry}, in one pass."""
-        cols = [{} for _ in range(self.cols)]
-        for x, row in enumerate(self.data):
-            for j, c in enumerate(row):
-                if c:
-                    cols[j][x] = c
-        return cols
+        """Every column as a dict {row: nonzero field scalar}."""
+        return [_field_row(self.field, col) for col in self.native_cols()]
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("matrix addition shape mismatch")
-        return Matrix(self.field, [vadd(a, b) for a, b in zip(self.data, other.data)], self.cols)
+        p = self.field.characteristic
+        rows = [dict(r) for r in self._sparse]
+        for row, b in zip(rows, other._sparse):
+            _subtract(row, -1 if p else -self.field.one, b, p)
+        return Matrix.from_sparse_rows(self.field, rows, self.cols)
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("matrix subtraction shape mismatch")
-        return Matrix(self.field, [vsub(a, b) for a, b in zip(self.data, other.data)], self.cols)
+        return self + -other
 
     def __neg__(self):
         return self.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix(self.field, [vscale(c, r) for r in self.data], self.cols)
+        p = self.field.characteristic
+        c = c.value if p else c
+        rows = [_scaled(r, c, p) for r in self._sparse] if c else [{}] * self.rows
+        return Matrix.from_sparse_rows(self.field, rows, self.cols)
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 "cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
-        z = self.field.zero
-        ot = other.transpose().data
+        p = self.field.characteristic
+        right = other._sparse
         out = []
-        for r in self.data:
-            nz = [(j, a) for j, a in enumerate(r) if a]
-            row = []
-            for c in ot:
-                s = z
-                for j, a in nz:
-                    if c[j]:
-                        s = s + a * c[j]
-                row.append(s)
+        for r in self._sparse:
+            row = {}
+            for j, a in r.items():
+                _subtract(row, -a, right[j], p)
             out.append(row)
-        return Matrix(self.field, out, other.cols)
+        return Matrix.from_sparse_rows(self.field, out, other.cols)
 
     def apply(self, vec):
-        """Matrix times column vector (vec as tuple), over the nonzeros of
-        vec, on the dense rows if the matrix has them, else the sparse rows."""
+        """Matrix times column vector (vec as tuple), as a tuple, by
+        `apply_sparse`."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("vector length %d != cols %d" % (len(vec), self.cols))
-        f = self.field
-        p = f.characteristic
-        nz = _native(vec, f)
-        if self._data is None:
-            return _dense_vec(f, self.apply_sparse(nz), self.rows)
-        nz = nz.items()
-        if p:
-            return tuple(FpElement(sum([r[j].value * x for j, x in nz]), p) for r in self._data)
-        out = []
-        for r in self._data:
-            s = f.zero
-            for j, x in nz:
-                a = r[j]
-                if a:
-                    s = s + a * x
-            out.append(s)
-        return tuple(out)
+        return _dense_vec(self.field, self.apply_sparse(vec), self.rows)
 
     def apply_sparse(self, vec):
         """Matrix times a sparse native column vector (or a dense one), as a
-        sparse native vector, on the sparse rows."""
+        sparse native vector."""
         p = self.field.characteristic
         nz = _sparse(vec, self.field)
-        return {i: s for i, row in enumerate(self._native_rows()) if (s := _dot(row, nz, p))}
+        return {i: s for i, row in enumerate(self._sparse) if (s := _dot(row, nz, p))}
 
     def transpose(self):
-        cols = list(zip(*self.data)) if self.rows else [()] * self.cols
-        return Matrix(self.field, cols, self.rows)
+        return Matrix.from_sparse_rows(self.field, self.native_cols(), self.rows)
 
     def is_zero(self):
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(self._sparse)
 
     # -- echelon machinery ---------------------------------------------------
 
@@ -508,7 +464,7 @@ class Matrix:
         p = f.characteristic
         one = 1 if p else f.one
         n = self.rows
-        m = [dict(r) for r in self._native_rows()]
+        m = [dict(r) for r in self._sparse]
         t = [{i: one} for i in range(n)] if transform else None
         pivots = []
         pr = 0
@@ -550,7 +506,7 @@ class Matrix:
         f = self.field
         p = f.characteristic
         n = self.rows
-        m = [dict(r) for r in self._native_rows()]
+        m = [dict(r) for r in self._sparse]
         det = 1 if p else f.one
         for c in range(n):
             sel = next((i for i in range(c, n) if c in m[i]), None)
@@ -777,15 +733,16 @@ def solve_linear(m, b):
     return SolveResult(solution=_dense_vec(f, sol, n), kernel=kernel)
 
 
-def column_coordinates(m):
+def column_coordinates(m, eliminated=None):
     """The map b -> the solution x of M x = b that solve_linear returns, or
     None when b is outside the column space, with b and x sparse native
-    rows (b may also be dense).  M is eliminated once, here; its transform
-    T is kept as sparse native columns, and T b adds only the columns that
-    the nonzeros of b hit."""
+    rows (b may also be dense).  M is eliminated once, here, unless the
+    caller passes its m.rref() as eliminated; the transform T is kept as
+    sparse native columns, and T b adds only the columns that the nonzeros
+    of b hit."""
     f = m.field
     p = f.characteristic
-    _, pivots, t = m.rref()
+    _, pivots, t = eliminated or m.rref()
     rank = len(pivots)
     tcols = t.native_cols()
 
@@ -804,15 +761,33 @@ def column_coordinates(m):
     return coords
 
 
+def _echelon_pivots(rows):
+    """The pivots of nonzero sparse native rows that already are a reduced
+    echelon basis (each row's least index its pivot, 1 there, the pivots
+    increasing and none in an earlier row; a later row has none), else None."""
+    pivots, seen = [], set()
+    for row in rows:
+        pc = min(row)
+        if row[pc] != 1 or pc in seen or (pivots and pc <= pivots[-1]):
+            return None
+        pivots.append(pc)
+        seen.update(row)
+    return pivots
+
+
 def _rref_rows(field, vectors, n):
     """(pivot column, sparse native row) for each pivot row of the RREF of
     the given length-n vectors, eliminated without their zero vectors (most
-    products of basis monomials are zero)."""
+    products of basis monomials are zero).  Rows that already are a reduced
+    echelon basis are that RREF, and are returned as they are."""
     rows = [row for row in (_sparse(v, field) for v in vectors) if row]
     if not rows:
         return []
-    r, pivots, _ = Matrix.from_sparse_rows(field, rows, n).rref(transform=False)
-    return list(zip(pivots, r._native_rows()))
+    pivots = _echelon_pivots(rows)
+    if pivots is None:
+        r, pivots, _ = Matrix.from_sparse_rows(field, rows, n).rref(transform=False)
+        rows = r._native_rows()
+    return list(zip(pivots, rows))
 
 
 def row_space_basis(field, vectors, n):

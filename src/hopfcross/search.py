@@ -39,7 +39,7 @@ A family of one block is searched whole, all-zero matrices included.
 
 import random
 
-from .linalg import Matrix, connected_components
+from .linalg import Matrix, _subtract, connected_components
 
 
 # the ladder's limits: F_p families of at most this many candidates are
@@ -70,25 +70,22 @@ class SearchOutcome:
         return self.coeffs is not None
 
 
-def _walk(values, base, mats):
+def _walk(values, base, mats, p):
     """Yield (coeffs, rows of base + sum(c_i * mats[i])) for coeffs in
-    itertools.product(values, repeat=len(mats)) order; values[0] is zero,
-    base is a tuple of row tuples.
+    itertools.product(values, repeat=len(mats)) order; values[0] is zero, and
+    values, base and the rows are native (see linalg) in characteristic p.
 
     The prefix sums S_k = base + sum_{i<k} c_i * mats[i] are kept.  When the
     odometer advances position k, the later positions return to zero, so
     S_{k+1}, ..., S_r all become S_{k+1} + (new c_k - old c_k) * mats[k]:
-    one sparse matrix addition per candidate, which rebuilds only the rows
-    it touches.
+    one sparse addition per candidate, which copies only the rows that
+    mats[k] touches.
     """
     r = len(mats)
     last = len(values) - 1
-    # the step from values[j] to values[j+1] adds diffs[j] * mats[k], which
-    # touches only the nonzero entries of mats[k]
-    diffs = [values[j + 1] - values[j] for j in range(last)]
-    unit = [d == values[1] for d in diffs]
-    support = [[(i, row, [p for p, x in enumerate(row) if x])
-                for i, row in enumerate(mat.data) if any(row)] for mat in mats]
+    # the step from values[j] to values[j+1] subtracts negs[j] * mats[k]
+    negs = [values[j] - values[j + 1] for j in range(last)]
+    support = [[(i, row) for i, row in enumerate(mat._native_rows()) if row] for mat in mats]
     idx = [0] * r
     sums = [base] * (r + 1)
     yield tuple(values[x] for x in idx), base
@@ -100,17 +97,11 @@ def _walk(values, base, mats):
         if k < 0:
             return
         j = idx[k]
-        d = diffs[j]
         s = list(sums[k + 1])
-        for i, src, cols in support[k]:
-            row = list(s[i])
-            if unit[j]:
-                for p in cols:
-                    row[p] = row[p] + src[p]
-            else:
-                for p in cols:
-                    row[p] = row[p] + d * src[p]
-            s[i] = tuple(row)
+        for i, src in support[k]:
+            row = dict(s[i])
+            _subtract(row, negs[j], src, p)
+            s[i] = row
         idx[k] = j + 1
         sums[k + 1:] = [s] * (r - k)
         yield tuple(values[x] for x in idx), s
@@ -123,8 +114,9 @@ def _blocks(mats):
     owner = {}  # ("r", row) or ("c", col) -> first matrix whose support has it
     supports, links = [], []
     for i, mat in enumerate(mats):
-        rows = {r for r, row in enumerate(mat.data) if any(row)}
-        cols = {c for row in mat.data for c, x in enumerate(row) if x}
+        native = mat._native_rows()
+        rows = {r for r, row in enumerate(native) if row}
+        cols = set().union(*native)
         supports.append((rows, cols))
         for line in [("r", r) for r in rows] + [("c", c) for c in cols]:
             links.append((owner.setdefault(line, i), i))
@@ -140,17 +132,18 @@ def _blocks(mats):
     return blocks
 
 
-def _leading_one(values, mats):
+def _leading_one(values, mats, p):
     """Yield (coeffs, rows of sum(c_i * mats[i])) for the coefficient vectors
     over values whose first nonzero entry is values[1], in product order:
     (0,..,0, 1, rest) for k = m-1 down to 0."""
     for k in reversed(range(len(mats))):
-        for rest, data in _walk(values, mats[k].data, mats[k + 1:]):
-            yield (values[0],) * k + (values[1],) + rest, data
+        for rest, rows in _walk(values, mats[k]._native_rows(), mats[k + 1:], p):
+            yield (values[0],) * k + (values[1],) + rest, rows
 
 
 def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
-    """Search for coefficients c with sum(c_i * mats[i]) invertible."""
+    """Search for coefficients c with sum(c_i * mats[i]) invertible, walking
+    native scalars (see linalg) on the sparse rows; they return as field scalars."""
     if not mats:
         return SearchOutcome(None, True, 0)
     blocks = _blocks(mats)
@@ -158,25 +151,29 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
         return SearchOutcome(None, True, 0)
     m = len(mats)
     n = mats[0].rows
-    zero, one = field.zero, field.one
+    p = field.characteristic
+    native, scalar = ((lambda c: c.value), field.from_int) if p else ((lambda c: c),) * 2
+    zero, one, minus_one = (native(c) for c in (field.zero, field.one, -field.one))
     if len(blocks) < 2:
         parts = [(range(m), mats)]
     else:
-        parts = [(idx, [Matrix(field, [[mats[i].data[r][c] for c in cols] for r in rows])
-                        for i in idx]) for idx, rows, cols in blocks]
+        parts = [(idx, [Matrix.from_sparse_rows(field, [{cols.index(c): a for c, a in
+                                                         mats[i]._native_rows()[r].items()}
+                                                        for r in rows], len(cols)) for i in idx])
+                 for idx, rows, cols in blocks]
     tried = 0
 
     def first_witness(candidates):
         nonlocal tried
-        for coeffs, data in candidates:
+        for coeffs, rows in candidates:
             tried += 1
-            if Matrix(field, data).det():
-                return coeffs
+            if Matrix.from_sparse_rows(field, rows, len(rows)).det():
+                return tuple(scalar(c) for c in coeffs)
         return None
 
     def per_block(walk):
         # the tuple of the blocks' first witnesses, None if a block has none
-        coeffs = [zero] * m
+        coeffs = [field.zero] * m
         for idx, sub in parts:
             found = first_witness(walk(sub))
             if found is None:
@@ -187,17 +184,17 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
 
     # exhaustive enumeration over small finite families: definitive either way
     if field.order is not None and field.order ** m <= ENUMERATION_BOUND:
-        values = field.elements()
-        return SearchOutcome(per_block(lambda sub: _leading_one(values, sub)), True, tried)
+        values = [native(c) for c in field.elements()]
+        return SearchOutcome(per_block(lambda sub: _leading_one(values, sub, p)), True, tried)
 
     # deterministic ladder: standard basis vectors first (a witness only for
     # one block), then all -1/0/1 vectors for small families
     coeffs = None
     if len(parts) == 1:
         basis = [tuple(one if j == i else zero for j in range(m)) for i in range(m)]
-        coeffs = first_witness(zip(basis, (mat.data for mat in mats)))
+        coeffs = first_witness(zip(basis, (mat._native_rows() for mat in mats)))
     if coeffs is None and m <= LADDER_DIM_CAP:
-        coeffs = per_block(lambda sub: _leading_one((zero, one, -one), sub))
+        coeffs = per_block(lambda sub: _leading_one((zero, one, minus_one), sub, p))
     if coeffs is not None:
         return SearchOutcome(coeffs, True, tried)
 
@@ -205,13 +202,13 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     # total degree <= n, so a grid of n+1 points per variable decides, and a
     # grid point where det is nonzero is itself a witness
     if (n + 1) ** m <= ZERO_CERT_BOUND:
-        points = [field.from_int(v) for v in range(n + 1)]
-        return SearchOutcome(per_block(lambda sub: _walk(
-            points, Matrix.zeros(field, sub[0].rows, sub[0].cols).data, sub)), True, tried)
+        points = [native(field.from_int(v)) for v in range(n + 1)]
+        return SearchOutcome(per_block(lambda sub: _walk(points, ({},) * sub[0].rows, sub, p)),
+                             True, tried)
 
     if len(parts) > 1:
         # each block searched on its own, with its own m and n
-        coeffs, definitive = [zero] * m, True
+        coeffs, definitive = [field.zero] * m, True
         for idx, sub in parts:
             outcome = find_invertible_combination(field, sub, budget)
             tried += outcome.tried
@@ -225,17 +222,17 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
         return SearchOutcome(tuple(coeffs) if definitive else None, definitive, tried)
 
     # seeded random draws
-    rows = [mat.data for mat in mats]
-    zero_rows = Matrix.zeros(field, n, mats[0].cols).data
+    rows = [mat._native_rows() for mat in mats]
 
     def combination(coeffs):
-        data = zero_rows
+        out = [{} for _ in range(n)]
         for c, mat in zip(coeffs, rows):
             if c:
-                data = [tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(data, mat)]
-        return data
+                for i, row in enumerate(mat):
+                    _subtract(out[i], -c, row, p)
+        return out
 
     rng = random.Random(budget.seed)
-    draws = (tuple(field.random(rng) for _ in range(m)) for _ in range(budget.draws))
+    draws = (tuple(native(field.random(rng)) for _ in range(m)) for _ in range(budget.draws))
     coeffs = first_witness((c, combination(c)) for c in draws)
     return SearchOutcome(coeffs, coeffs is not None, tried)

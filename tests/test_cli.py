@@ -1019,12 +1019,14 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # quotient, and a span of zero vectors (the last power of each nilpotent
     # kernel) is not eliminated.  The iso C/J -> D and each Hopf-module
     # decomposition map are eliminated once, by the inverse that also
-    # proves them bijective.  varpi and each step's pi give their rank and
-    # their kernel by one elimination (pi one more, for its coordinates),
-    # and the plus basis of B and its coordinates are read off eps
+    # proves them bijective.  varpi gives its rank and kernel by one
+    # elimination, each step's pi its rank, kernel and coordinates by one
+    # with the transform, a basis already in reduced echelon form is not
+    # eliminated again, and the plus basis of B and its coordinates are
+    # read off eps
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 31
+    assert len(calls) == 23
 
 
 @pytest.mark.parametrize("command, name", [
@@ -1047,11 +1049,33 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # rows, spans of distinct basis vectors or of zero vectors are not
     # eliminated, and A_0 and the kernels of the splitting read coordinates
     # off their pivots; the normalized section takes its inverse in closed
-    # form from the one convolution_invert of the splitting, and the
-    # Hopf-module decomposition map is eliminated once, by its inverse
+    # form from the one convolution_invert of the splitting, the
+    # Hopf-module decomposition map (by its inverse) and each pi are
+    # eliminated once, and an echelon ideal is not eliminated again
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 40
+    assert len(calls) == 27
+
+
+@pytest.mark.parametrize("command", ["find-section", "recognize-cleft"])
+def test_the_section_search_derives_no_dense_view(command, monkeypatch):
+    # the normal-basis maps are built from sparse products and the search
+    # walks their rows: from parsing to the report no dense view is derived
+    derived = []
+    data = Matrix.data
+
+    def spy(self):
+        if self._data is None:
+            derived.append((self.rows, self.cols))
+        return data.fget(self)
+
+    monkeypatch.setattr(Matrix, "data", property(spy))
+    names = [name for name in ALL_CORPUS
+             if load(name)["kind"] in ("comodule-algebra", "graded-algebra")]
+    assert len(names) == 3
+    for name in names:
+        assert main([command, corpus(name)]) in (0, 1)
+    assert derived == []
 
 
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):

@@ -482,7 +482,8 @@ def test_find_section_dual_numbers_fails_exhaustively_over_f3():
 def colinear_basis(ca):
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
-    return [Matrix(f, [[v[ti(x, j, dh)] for j in range(dh)] for x in range(da)])
+    return [Matrix.from_sparse_rows(f, [{j: c for j in range(dh) if (c := v.get(ti(x, j, dh)))}
+                                        for x in range(da)], dh)
             for v in colinear_map_space(ca)]
 
 
