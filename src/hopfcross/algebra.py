@@ -1,14 +1,16 @@
 """Finite-dimensional algebra/coalgebra/bialgebra/Hopf presentations.
 
-A presentation stores structure constants sparsely: the product as
-``{(i, j): {k: scalar}}`` and the coproduct as ``{i: {(j, k): scalar}}``.
-Vectors of coefficients cross the public API as dense tuples of field
-scalars; inside, products and coordinates are sparse native rows (see
-`linalg`), with one product kernel, `sparse_mult`, which the dense `mult`
-wraps, and the axiom laws read sparse rows of native ints (see
-`_lowering`).  FAlgebra and FCoalgebra take their operations from
-`_Algebra` and `_Coalgebra`, and FBialgebra from both.  Each structure
-keeps, beside its constants, the lcm of their denominators and its tables
+A presentation stores structure constants sparsely, as field scalars: the
+product as ``{(i, j): {k: scalar}}`` and the coproduct as
+``{i: {(j, k): scalar}}``.  Field scalars appear only there and in the dense
+calls (`mult`, `delta`, `eps`); inside, products and coordinates are sparse
+native rows (see `linalg`), with one product kernel, `sparse_mult`, which
+the dense `mult` wraps.  Every law kernel reads native forms only: a map as
+its native columns, a coaction as its native terms (`rho_basis`; for a
+coalgebra, Delta as terms), both lowered to native ints (see `_lowering`).
+FAlgebra and FCoalgebra take their operations from `_Algebra` and
+`_Coalgebra`, and FBialgebra from both.  Each structure keeps, beside its
+constants, the lcm of their denominators, its native tables and those
 lowered to native ints.  Tensor indices are row-major: basis element
 ``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j`` (`ti`;
 `linalg.vtensor` forms u (x) v in that order).
@@ -18,6 +20,7 @@ the laws its caller names (bijective, a unital algebra map, colinear,
 counital) with one implementation of each and raises at the first witness.
 """
 
+import heapq
 from functools import cached_property
 from itertools import chain, islice
 from math import lcm
@@ -36,14 +39,12 @@ from .linalg import (
     _dot,
     _field_row,
     _native,
-    _rational,
     _reduced,
     _sparse,
     _subtract,
     basis_vec,
     connected_components,
     solve_linear,
-    vscale,
     vtensor,
 )
 
@@ -111,10 +112,10 @@ class _Algebra(_Structure):
 
     def lowered_rows(self, d):
         """The product as rows {i: {j: {k: c}}} of native ints at scale d
-        (see `_lowering`), built once per d."""
+        (see `_lowering`), lowered from `native_rows` once per d."""
         rows = self._rows.get(d)
         if rows is None:
-            rows = self._rows[d] = _product_rows(self.product, _lower(self.field, d))
+            rows = self._rows[d] = _product_rows(self.native_rows, _lower(self.field, d))
         return rows
 
     @cached_property
@@ -122,13 +123,18 @@ class _Algebra(_Structure):
         """G of this algebra (see `_generating_set`), found on the first read."""
         lower, d, _ = _lowering((self,))
         return _generating_set(self.field, self.lowered_rows(d),
-                               _lowered(_nonzero(self.unit), lower), self.dim)
+                               _lowered(_native(self.unit, self.field), lower), self.dim)
 
     @cached_property
     def native_rows(self):
         """The product rows {i: {j: {k: c}}} on native scalars (see
-        linalg), which `sparse_mult` reads, built on the first read."""
-        return _product_rows(self.product, _lower(self.field, None))
+        linalg), indexed by the left factor, which `sparse_mult` and each
+        lowering read, built on the first read.  Over Q a constant is its
+        own native scalar, so the rows share the product's dicts."""
+        rows = {}
+        for (i, j), terms in self.product.items():
+            rows.setdefault(i, {})[j] = _native_terms(self.field, terms)
+        return rows
 
     def one(self):
         return self.unit
@@ -179,19 +185,24 @@ class _Coalgebra(_Structure):
 
     def lowered_coproduct(self, d):
         """The coproduct {i: {(j, k): c}} on native ints at scale d (see
-        `_lowering`), built once per d."""
+        `_lowering`), lowered from `native_coproduct` once per d."""
         terms = self._terms.get(d)
         if terms is None:
             lower = _lower(self.field, d)
-            terms = self._terms[d] = {i: _lowered(t, lower) for i, t in self.coproduct.items()}
+            terms = {i: _lowered(t, lower) for i, t in self.native_coproduct.items()}
+            self._terms[d] = terms
         return terms
 
     @cached_property
     def native_coproduct(self):
         """The coproduct {i: {(j, k): c}} on native scalars (see linalg),
-        built on the first read."""
-        lower = _lower(self.field, None)
-        return {i: _lowered(t, lower) for i, t in self.coproduct.items()}
+        built on the first read; over Q it shares the coproduct's dicts."""
+        return {i: _native_terms(self.field, t) for i, t in self.coproduct.items()}
+
+    def rho_basis(self, i):
+        """Delta(e_i) as native terms {(j, k): c}: the coaction of C as a
+        right comodule over itself, as colinear_violations reads it."""
+        return self.native_coproduct.get(i, {})
 
     def delta_basis(self, i):
         return self.coproduct.get(i, {})
@@ -207,7 +218,10 @@ class _Coalgebra(_Structure):
         return {jk: c for jk, c in out.items() if c}
 
     def eps(self, vec):
-        return evaluate(self.field, self.counit, vec)
+        f = self.field
+        p = f.characteristic
+        x = _dot(_native(self.counit, f), _native(vec, f), p)
+        return f.from_int(x) if p else x
 
     def canonical_constants(self):
         cop = tuple(
@@ -274,16 +288,6 @@ class FHopf(FBialgebra):
         h = FHopf.__new__(FHopf)
         h.__dict__.update(b.__dict__, antipode=antipode)
         return h
-
-
-def evaluate(field, functional, vec):
-    """The value on vec of the functional with the given values on the
-    basis: a counit or an augmentation."""
-    s = field.zero
-    for a, e in zip(vec, functional):
-        if a and e:
-            s = s + a * e
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +381,15 @@ def relative_tensor(a, b_vectors, left, right, image):
 # sparse structure constants, so a check stops as soon as it has enough.
 #
 # The laws contract on native ints, never on Rational or FpElement: each one
-# reads the constants lowered (`_lowering`), over F_p to their residues and
-# over Q to D * c, with D the lcm of the denominators of the structures and
-# maps the law reads.  Each structure keeps, beside its constants, the lcm of
-# their denominators (`denominator`) and its product table or coproduct
-# lowered once per scale D (`lowered_rows`, `lowered_coproduct`), so the
-# laws, the kernels and the checks of one structure share them; a map's
-# columns and the units are lowered in each call.  Every comparison below
+# reads native scalars (see linalg) lowered (`_lowering`): over F_p a residue
+# is its own lowering, and over Q c becomes D * c, with D the lcm of the
+# denominators of the structures and maps the law reads.  Each structure
+# keeps, beside its constants, the lcm of their denominators
+# (`denominator`), its native tables (`native_rows`, `native_coproduct`) and
+# those lowered once per scale D (`lowered_rows`, `lowered_coproduct`), so
+# the laws, the kernels and the checks of one structure share them.  A map
+# arrives as its native columns and a coaction as its native terms; they and
+# the units are lowered in each call.  Every comparison below
 # is exact for any common multiple D of the denominators it reads.
 # Sums stay unreduced until `clean`, at the comparison.  Over Q a term with
 # r lowered constants carries D^r, so the side of a comparison with fewer
@@ -476,23 +482,20 @@ def _add_scaled(out, c, terms):
 
 
 def _lower(field, d):
-    """c -> its native int at scale d: the residue over F_p (d = 1), d * c
-    over Q; with d None, its native scalar (see linalg), which over Q is c
-    itself as a Rational."""
+    """The native scalar c -> d * c as an int over Q; None over F_p, where a
+    residue is its own lowering (`_lowered` then keeps a dict as it is)."""
     if field.characteristic:
-        return lambda c: c.value
-    if d is None:
-        return lambda c: _rational(c.numerator, c.denominator)
+        return None
     return lambda c: c.numerator * (d // c.denominator)
 
 
 def _lowering(structures, maps=(), field=None):
     """(lower, D, clean) for contracting on native ints the constants of the
     structures a kernel reads and the maps it reads, each map given by its
-    sparse columns (or by any sparse dicts of its entries); field is needed
-    only when no structure is read.
+    native columns (or by any sparse dicts of its native entries); field is
+    needed only when no structure is read.
 
-    Over F_p, lower(c) is the residue of c, D = 1 and clean reduces mod p;
+    Over F_p, lower is None (see `_lower`), D = 1 and clean reduces mod p;
     over Q, D is the lcm of the structures' denominators (each kept on its
     structure) and of the maps' entries, lower(c) = D * c and clean drops
     the zeros.  clean returns a sparse dict of exact representatives, so the
@@ -503,7 +506,7 @@ def _lowering(structures, maps=(), field=None):
     if p:
         def reduced(sparse):
             return {k: r for k, v in sparse.items() if (r := v % p)}
-        return _lower(field, 1), 1, reduced
+        return None, 1, reduced
     d = lcm(*(s.denominator for s in structures),
             *{c.denominator for cols in maps for c in _values(cols)})
     return _lower(field, d), d, _clean
@@ -514,20 +517,23 @@ def _values(tables):
     return chain.from_iterable(t.values() for t in tables)
 
 
-def _nonzero(vec):
-    return {t: c for t, c in enumerate(vec) if c}
+def _native_terms(field, terms):
+    """Stored nonzero structure constants {key: c} on native scalars: their
+    residues over F_p, the dict itself over Q, where nothing changes it."""
+    return {k: c.value for k, c in terms.items()} if field.characteristic else terms
 
 
 def _lowered(sparse, lower):
-    return {t: lower(c) for t, c in sparse.items()}
+    """A sparse dict of native scalars lowered: the dict itself when lower is
+    None; nothing changes a dict it reads."""
+    return sparse if lower is None else {t: lower(c) for t, c in sparse.items()}
 
 
-def _product_rows(product, lower):
-    """The lowered product {i: {j: {k: c}}}, indexed by its left factor."""
-    rows = {}
-    for (i, j), terms in product.items():
-        rows.setdefault(i, {})[j] = _lowered(terms, lower)
-    return rows
+def _product_rows(rows, lower):
+    """Native product rows {i: {j: {k: c}}} lowered (see `_lowered`)."""
+    if lower is None:
+        return rows
+    return {i: {j: _lowered(terms, lower) for j, terms in row.items()} for i, row in rows.items()}
 
 
 def _sparse_product(rows, u, v):
@@ -674,7 +680,7 @@ def _algebra_laws(a, gens=None):
     here keyed l * dim + m over the nonzero products."""
     lower, d, clean = _lowering((a,))
     rows = a.lowered_rows(d)
-    unit = _lowered(_nonzero(a.unit), lower)
+    unit = _lowered(_native(a.unit, a.field), lower)
     dim = a.dim
     for i in range(dim):
         left, right = {i: -d * d}, {i: -d * d}
@@ -734,7 +740,7 @@ def _coalgebra_laws(c, gens=None):
     and on G, hence on the words that span the algebra."""
     lower, d, clean = _lowering((c,))
     coproduct = c.lowered_coproduct(d)
-    counit = _lowered(_nonzero(c.counit), lower)
+    counit = _lowered(_native(c.counit, c.field), lower)
     dim = c.dim
     for i in range(dim) if gens is None else gens:
         if clean(_coassociator(coproduct, dim, i)):
@@ -779,7 +785,7 @@ def _bialgebra_laws(b, p, gens=None):
     fill one difference, with e_x (x) e_y at x * dim + y."""
     lower, d, clean = _lowering((b,))
     rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
-    unit, counit = _lowered(_nonzero(b.unit), lower), _lowered(_nonzero(b.counit), lower)
+    unit, counit = (_lowered(_native(v, b.field), lower) for v in (b.unit, b.counit))
     d2 = d * d
     dim = b.dim
     char = b.field.characteristic
@@ -836,13 +842,13 @@ def _bialgebra_laws(b, p, gens=None):
 def _convolution_failures(c, a, f_cols, g_cols):
     """For each i in order, (i, (f * g)(e_i) != eps(e_i) 1,
     (g * f)(e_i) != eps(e_i) 1) in the convolution algebra Hom(C, A), for f
-    and g given by their sparse columns.  Each term of a product carries D^4,
+    and g given by their native columns.  Each term of a product carries D^4,
     so eps(e_i) 1 is multiplied by D^2; each identity fills one difference."""
     lower, d, clean = _lowering((a, c), (f_cols, g_cols))
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in f_cols]
     g_cols = [_lowered(col, lower) for col in g_cols]
-    unit, counit = _lowered(_nonzero(a.unit), lower), _lowered(_nonzero(c.counit), lower)
+    unit, counit = (_lowered(_native(v, a.field), lower) for v in (a.unit, c.counit))
     d2 = d * d
 
     def add_product(out, u, left, right):
@@ -868,8 +874,8 @@ def _convolution_failures(c, a, f_cols, g_cols):
 
 def _antipode_laws(h):
     """id * S = eta eps = S * id in the convolution algebra End(H)."""
-    identity = [{i: h.field.one} for i in range(h.dim)]
-    for i, right, left in _convolution_failures(h, h, identity, h.antipode.sparse_cols()):
+    identity = [_basis_row(h.field, i) for i in range(h.dim)]
+    for i, right, left in _convolution_failures(h, h, identity, h.antipode.native_cols()):
         if right:
             yield ("antipode-right", (i,))
         if left:
@@ -939,9 +945,9 @@ def _tensor_rows(rows_a, rows_b, db, support):
 
 def algebra_map_violations(src, dst, m, generators=None):
     """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
-    matrix, or its columns as sparse dicts {row: nonzero entry}) is not a
-    unital algebra map: ("unit", ()), then ("multiplicative", (i, j)) for
-    each basis pair in order.
+    matrix, or its native columns {row: c}) is not a unital algebra map:
+    ("unit", ()), then ("multiplicative", (i, j)) for each basis pair in
+    order.
 
     dst is an algebra, or a pair (A, B) standing for the tensor-product
     algebra A (x) B (componentwise product, no signs, flat index ti), whose
@@ -953,22 +959,22 @@ def algebra_map_violations(src, dst, m, generators=None):
     once the unit law holds, multiplicativity then runs on (g, j) first (see
     above)."""
     factors = dst if isinstance(dst, tuple) else (dst,)
-    cols = m.sparse_cols() if isinstance(m, Matrix) else m
+    cols = m.native_cols() if isinstance(m, Matrix) else m
     lower, d, clean = _lowering((src, *factors), (cols,))
     cols = [_lowered(col, lower) for col in cols]
+    src_unit, *units = (_lowered(_native(s.unit, src.field), lower) for s in (src, *factors))
     if len(factors) == 1:
         rows = dst.lowered_rows(d)
-        target = {t: d * lower(c) for t, c in _nonzero(dst.unit).items()}
+        target = {t: d * c for t, c in units[0].items()}
         scale = d
     else:
         a, b = factors
         rows = _tensor_rows(a.lowered_rows(d), b.lowered_rows(d), b.dim, set().union(*cols))
-        target = {ti(s, t, b.dim): lower(x) * lower(y)
-                  for s, x in _nonzero(a.unit).items() for t, y in _nonzero(b.unit).items()}
+        target = {ti(s, t, b.dim): x * y for s, x in units[0].items() for t, y in units[1].items()}
         scale = d * d
     image = {t: -x for t, x in target.items()}
-    for t, c in _nonzero(src.unit).items():
-        _add_scaled(image, lower(c), cols[t])
+    for t, c in src_unit.items():
+        _add_scaled(image, c, cols[t])
     unital = not clean(image)
     if not unital:
         yield ("unit", ())
@@ -996,11 +1002,11 @@ def colinear_violations(src_rho_basis, dst_rho_basis, m):
     comodules fails rho_dst(m e_i) = (m (x) id) rho_src(e_i), for each
     source basis element in order.
 
-    src_rho_basis(i) and dst_rho_basis(y) are the sparse coactions
+    src_rho_basis(i) and dst_rho_basis(y) are the native coaction terms
     {(x, t): c} of a basis element of the source and of the target.  Both
     sides contract on native ints (see `_lowering`), each term carrying D^2,
     and fill one difference."""
-    cols = m.sparse_cols()
+    cols = m.native_cols()
     src = [src_rho_basis(i) for i in range(m.cols)]
     dst = {y: dst_rho_basis(y) for y in set().union(*cols)}
     lower, d, clean = _lowering((), (cols, src, dst.values()), m.field)
@@ -1055,7 +1061,7 @@ def coaction_violations(rho_basis, hopf, dim):
     dim-dimensional space: ("coaction-not-counital", (i,)) and then
     ("coaction-not-coassociative", (i,)) for each basis element in order.
 
-    rho_basis(i) is the sparse coaction {(x, t): c} of e_i.  The laws
+    rho_basis(i) is the native coaction {(x, t): c} of e_i.  The laws
     contract on native ints (see `_lowering`), each term carrying D^2, and
     each fills one difference; coassociativity keys e_y (x) e_s (x) e_t at
     (y * dim H + s) * dim H + t.
@@ -1064,7 +1070,7 @@ def coaction_violations(rho_basis, hopf, dim):
     lower, d, clean = _lowering((hopf,), (terms,))
     terms = [_lowered(t, lower) for t in terms]
     coproduct = hopf.lowered_coproduct(d)
-    counit = _lowered(_nonzero(hopf.counit), lower)
+    counit = _lowered(_native(hopf.counit, hopf.field), lower)
     dh = hopf.dim
     for i, rho in enumerate(terms):
         unital, diff = {i: -d * d}, {}
@@ -1121,11 +1127,11 @@ def convolution_invert(c, a, f):
     if f.rows != a.dim or f.cols != c.dim:
         raise ShapeMismatchError("convolution element shape mismatch")
     fld, da = a.field, a.dim
-    cols = f.sparse_cols()
+    cols = f.native_cols()
     lower, d, _ = _lowering((a, c), (cols,))
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in cols]
-    unit, counit = _lowered(_nonzero(a.unit), lower), _lowered(_nonzero(c.counit), lower)
+    unit, counit = (_lowered(_native(v, fld), lower) for v in (a.unit, c.counit))
     lift = fld.from_int
     p = fld.characteristic
     native = (lambda v: v % p) if p else lift
@@ -1162,7 +1168,7 @@ def require_convolution_inverse(c, a, f, g):
     Hom(C, A), for f and g the matrices of maps C -> A: the check of every
     inverse that convolution_invert solves for or a caller forms in closed
     form."""
-    failures = _convolution_failures(c, a, f.sparse_cols(), g.sparse_cols())
+    failures = _convolution_failures(c, a, f.native_cols(), g.native_cols())
     if any(right or left for _, right, left in failures):
         raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
 
@@ -1241,27 +1247,21 @@ class _RightComodule:
     self.coaction, whose flat row index is ti(x, t, dim H)."""
 
     @cached_property
-    def _coaction_cols(self):
-        """The columns of the coaction matrix as sparse dicts
-        {ti(x, t, dim H): c}, read once."""
-        return self.coaction.sparse_cols()
+    def native_coaction(self):
+        """The columns of the coaction matrix as sparse native rows
+        {ti(x, t, dim H): c} (see linalg), read once."""
+        return self.coaction.native_cols()
 
     @cached_property
     def _coaction_terms(self):
         dh = self.hopf.dim
         return [{divmod(flat, dh): c for flat, c in col.items()}
-                for col in self._coaction_cols]
+                for col in self.native_coaction]
 
     def rho_basis(self, i):
-        """Sparse coaction of e_i: dict {(x, t): scalar}.  The columns of
-        the coaction matrix are read once, on the first call."""
+        """The native coaction terms of e_i: dict {(x, t): c}.  The columns
+        of the coaction matrix are read once, on the first call."""
         return self._coaction_terms[i]
-
-    @cached_property
-    def native_coaction(self):
-        """The columns of the coaction matrix as sparse native rows
-        {ti(x, t, dim H): c} (see linalg), read once."""
-        return self.coaction.native_cols()
 
 
 class ComoduleCoalgebraData(_RightComodule):
@@ -1280,31 +1280,37 @@ class ComoduleCoalgebraData(_RightComodule):
         return list(islice(laws, MAX_VIOLATIONS))
 
     def _colinear_structure_laws(self):
+        """Delta_D : D -> D (x) D and eps_D : D -> k are H-colinear, for D
+        (x) D with the coaction rho(a1) rho(a2) and k with 1 |-> 1 (x) 1_H:
+        each a colinear_violations contraction, their witnesses renamed and
+        merged by i, Delta_D's first."""
         d, h = self.coalgebra, self.hopf
         f = d.field
-        for i in range(d.dim):
-            rho = self.rho_basis(i)
-            # Delta_D is H-colinear: rho_{D(x)D} o Delta = (Delta (x) id) o rho
-            lhs = {}
-            for (d1, d2), c in d.delta_basis(i).items():
-                for (a1, x1), u in self.rho_basis(d1).items():
-                    for (a2, x2), v2 in self.rho_basis(d2).items():
-                        for x, w in h.mult_basis(x1, x2).items():
-                            key = (a1, a2, x)
-                            lhs[key] = lhs.get(key, f.zero) + c * u * v2 * w
-            rhs = {}
-            for (a, x), c in rho.items():
-                for (d1, d2), u in d.delta_basis(a).items():
-                    key = (d1, d2, x)
-                    rhs[key] = rhs.get(key, f.zero) + c * u
-            if _clean(lhs) != _clean(rhs):
-                yield ("coproduct-not-colinear", (i,))
-            # eps_D is H-colinear: (eps (x) id) rho = eps(.) 1_H
-            v = [f.zero] * h.dim
-            for (a, x), c in rho.items():
-                v[x] = v[x] + c * d.counit[a]
-            if tuple(v) != vscale(d.counit[i], h.unit):
-                yield ("counit-not-colinear", (i,))
+        dd = d.dim
+        rows = h.native_rows
+        delta = Matrix.from_sparse_cols(f, dd * dd, [{ti(j, k, dd): c for (j, k), c in
+                                                      d.native_coproduct.get(i, {}).items()}
+                                                     for i in range(dd)])
+        counit = Matrix.from_sparse_rows(f, [_native(d.counit, f)], dd)
+        unit = {(0, t): c for t, c in _native(h.unit, f).items()}
+
+        def tensor_rho(y):
+            """rho_{D(x)D}(e_a1 (x) e_a2) = sum (e_b1 (x) e_b2) (x) x1 x2."""
+            a1, a2 = divmod(y, dd)
+            out = {}
+            for (b1, x1), u in self.rho_basis(a1).items():
+                for (b2, x2), v in self.rho_basis(a2).items():
+                    key, uv = ti(b1, b2, dd), u * v
+                    for x, w in rows.get(x1, {}).get(x2, {}).items():
+                        out[key, x] = out[key, x] + uv * w if (key, x) in out else uv * w
+            return out
+
+        return heapq.merge(
+            (("coproduct-not-colinear", i) for _, i in
+             colinear_violations(self.rho_basis, tensor_rho, delta)),
+            (("counit-not-colinear", i) for _, i in
+             colinear_violations(self.rho_basis, lambda y: unit, counit)),
+            key=lambda law: law[1])
 
 
 class SmashCoproduct:
@@ -1326,23 +1332,24 @@ def smash_coproduct(data):
     f = h.field
     dh, dd = h.dim, d.dim
     labels = tuple("%s|x%s" % (x, y) for x in h.basis for y in d.basis)
+    rows, hcop, dcop = h.native_rows, h.native_coproduct, d.native_coproduct
     coproduct = {}
     for hi in range(dh):
         for di in range(dd):
             terms = {}
-            for (h1, h2), u in h.delta_basis(hi).items():
-                for (d1, d2), v in d.delta_basis(di).items():
+            for (h1, h2), u in hcop.get(hi, {}).items():
+                for (d1, d2), v in dcop.get(di, {}).items():
                     for (d10, d11), w in data.rho_basis(d1).items():
-                        for x, m in h.mult_basis(h2, d11).items():
+                        uvw = u * v * w
+                        for x, m in rows.get(h2, {}).get(d11, {}).items():
                             key = (ti(h1, d10, dd), ti(x, d2, dd))
-                            terms[key] = terms.get(key, f.zero) + u * v * w * m
-            coproduct[ti(hi, di, dd)] = {k: v for k, v in terms.items() if v}
+                            terms[key] = terms[key] + uvw * m if key in terms else uvw * m
+            coproduct[ti(hi, di, dd)] = _field_row(f, _reduced(terms, f.characteristic))
     coalg = FCoalgebra(f, labels, coproduct, vtensor(h.counit, d.counit))
     report = check_axioms("coalgebra", coalg)
     if not report.ok:
         raise ValidationError("smash coproduct fails coalgebra axioms: %r" % (report,))
     # left H-module structure: h' . (h (x) d) = h'h (x) d
-    rows = h.native_rows
     cols = [{ti(x, di, dd): c for x, c in rows.get(hp, {}).get(hi, {}).items()}
             for hp in range(dh) for hi in range(dh) for di in range(dd)]
     action = Matrix.from_sparse_cols(f, dh * dd, cols)

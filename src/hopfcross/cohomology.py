@@ -4,7 +4,11 @@ extensions, and the constructive splitting and lifting machinery through
 nilpotent kernels.
 
 Cochains C^n = Hom(H^(x)n, B+) are stored as (dim B+) x (dim H)^n matrices
-with the usual row-major flattening of tensor indices.
+with the usual row-major flattening of tensor indices.  The kernels read a
+cochain as one flat sparse native vector (`_flat_cochain`), and every vector
+of B, of B+ (in plus coordinates) and of H here is a sparse native row (see
+linalg); field scalars appear only in the augmentation a structure is built
+from and in the class coordinates `HH2Result.decide` returns.
 """
 
 import itertools
@@ -17,10 +21,8 @@ from .algebra import (
     _add_scaled,
     _lowered,
     _lowering,
-    _nonzero,
     algebra_map_violations,
     coaction_violations,
-    evaluate,
     induced_algebra,
     require_convolution_inverse,
     require_morphism,
@@ -50,23 +52,18 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     _basis_row,
+    _dense_vec,
     _dot,
     _kernel_of_rref,
     _native,
     _reduced,
+    _solve_sparse,
     _subtract,
-    basis_vec,
     column_coordinates,
     echelon_complement,
     in_span,
     row_space_basis,
     span_coordinates,
-    solve_linear,
-    vadd,
-    vscale,
-    vsub,
-    vtensor,
-    vzero,
 )
 
 
@@ -79,8 +76,18 @@ def augmentation_violations(algebra, augmentation, generators=None):
     return algebra_map_violations(algebra, ground, Matrix(f, [augmentation]), generators)
 
 
+def _values_on(field, functional, vectors):
+    """The functional (a sparse native row) on each sparse native vector, as
+    the tuple of field scalars that an augmentation is given by."""
+    p = field.characteristic
+    values = {t: x for t, v in enumerate(vectors) if (x := _dot(functional, v, p))}
+    return _dense_vec(field, values, len(vectors))
+
+
 class AugmentedAlgebra:
-    """An algebra B with an algebra map eps_B : B -> k; B = k.1 (+) B+."""
+    """An algebra B with an algebra map eps_B : B -> k; B = k.1 (+) B+.  The
+    augmentation is given by its values on the basis; every vector of B and
+    every vector of plus coordinates below is a sparse native row."""
 
     def __init__(self, algebra, augmentation):
         if len(augmentation) != algebra.dim:
@@ -97,43 +104,48 @@ class AugmentedAlgebra:
         # canonical basis of B+ is e_j - (eps_j / eps_p) e_p for j != p, so
         # the plus coordinates of a vector of B+ are its entries off p
         self.plus_dim = algebra.dim - 1
-        self._pivot = next(i for i, c in enumerate(self.augmentation) if c)
+        self._eps = _native(self.augmentation, algebra.field)
+        self._one = _native(algebra.unit, algebra.field)
+        self._pivot = min(self._eps)
 
     @cached_property
     def plus_basis(self):
         """The canonical basis of B+ = ker eps."""
-        return [self.embed_plus(basis_vec(self.field, self.plus_dim, k))
-                for k in range(self.plus_dim)]
+        return [self.embed_plus(_basis_row(self.field, k)) for k in range(self.plus_dim)]
 
     @property
     def square_zero(self):
         """Whether B+ B+ = 0 (computed on each read; parsing never needs it)."""
-        a = self.algebra
-        zero = vzero(a.field, a.dim)
-        return all(a.mult(u, v) == zero for u in self.plus_basis for v in self.plus_basis)
+        mult = self.algebra.sparse_mult
+        return not any(mult(u, v) for u in self.plus_basis for v in self.plus_basis)
 
     @property
     def field(self):
         return self.algebra.field
 
     def eps(self, vec):
-        return evaluate(self.field, self.augmentation, vec)
+        return _dot(self._eps, vec, self.field.characteristic)
 
     def embed_plus(self, coords):
         """The vector of B+ with the given plus coordinates: those entries
         off p, and at p the entry that eps takes to zero."""
-        p = self._pivot
-        vec = list(coords)
-        vec.insert(p, self.field.zero)
-        vec[p] = -self.eps(vec) / self.augmentation[p]
-        return tuple(vec)
+        f = self.field
+        char, p = f.characteristic, self._pivot
+        vec = {k + (k >= p): c for k, c in coords.items()}
+        e = self.eps(vec)
+        if e:
+            at = self._eps[p]
+            vec[p] = -e * pow(at, char - 2, char) % char if char else -e / at
+        return vec
 
     def decompose(self, bvec):
-        """b = c.1 + b+, returned as (c, coordinates of b+ in the plus basis)."""
+        """b = c.1 + b+, returned as (c, the plus coordinates of b+)."""
         c = self.eps(bvec)
-        plus = vsub(bvec, vscale(c, self.algebra.one()))
+        plus = dict(bvec)
+        if c:
+            _subtract(plus, c, self._one, self.field.characteristic)
         p = self._pivot
-        return c, plus[:p] + plus[p + 1:]
+        return c, {j - (j > p): x for j, x in plus.items() if j != p}
 
 
 class HModuleStructure:
@@ -152,20 +164,17 @@ class HModuleStructure:
     def plus_dim(self):
         return self.aug.plus_dim
 
-    def act(self, hvec, pvec):
-        return self.action.apply(vtensor(hvec, pvec))
-
     def validate(self):
         """Every violated module law: for each p, 1 . e_p = e_p and then
         g . (t . e_p) = (g t) . e_p for each (g, t), on lowered ints
         (algebra._lowering); e_p is scaled by D^2 to match 1 . e_p."""
         h = self.hopf
         dh, dp = h.dim, self.plus_dim
-        acts = self.action.sparse_cols()
+        acts = self.action.native_cols()
         lower, d, clean = _lowering((h,), (acts,))
         acts = [_lowered(col, lower) for col in acts]
         rows = h.lowered_rows(d)
-        unit = _lowered(_nonzero(h.unit), lower)
+        unit = _lowered(_native(h.unit, h.field), lower)
         violations = []
         for p in range(dp):
             acted = {}
@@ -197,11 +206,30 @@ class NormalizedCochain:
         self.matrix = matrix
 
 
-def _check_normalized(act, cochain):
-    """Whether the cochain meets its normalization constraints."""
-    rows = _normalization_constraints(act, cochain.degree)
-    constraints = Matrix.from_sparse_rows(act.hopf.field, rows, act.plus_dim * cochain.matrix.cols)
-    return not any(constraints.apply(_flatten_cochain(cochain.matrix)))
+def _flat_cochain(act, cochain, degree):
+    """The cochain, which must have this degree and be a dP x dH^degree
+    matrix (else ShapeMismatchError), as one flat sparse native vector:
+    coordinate p of its value at the row-major index j of (h_1, ..., h_n) at
+    j * dP + p."""
+    dp = act.plus_dim
+    m = cochain.matrix
+    shape = (dp, act.hopf.dim ** degree)
+    if cochain.degree != degree or (m.rows, m.cols) != shape:
+        raise ShapeMismatchError("expected a cochain of degree %d, a %d x %d matrix"
+                                 % ((degree,) + shape))
+    return {j * dp + p: c for p, row in enumerate(m._native_rows()) for j, c in row.items()}
+
+
+def _cochain(act, degree, flat):
+    """The NormalizedCochain of a flat sparse native vector (see
+    `_flat_cochain`)."""
+    dp = act.plus_dim
+    rows = [{} for _ in range(dp)]
+    for k, c in flat.items():
+        j, p = divmod(k, dp)
+        rows[p][j] = c
+    return NormalizedCochain(degree, Matrix.from_sparse_rows(act.hopf.field, rows,
+                                                             act.hopf.dim ** degree))
 
 
 def _differential_rows(act, degree):
@@ -220,12 +248,11 @@ def _differential_rows(act, degree):
     h = act.hopf
     f = h.field
     dh, dp = h.dim, act.plus_dim
-    acts = act.action.sparse_cols()
+    acts = act.action.native_cols()
     lower, d, clean = _lowering((h,), (acts,))
     acts = [_lowered(col, lower) for col in acts]
     rows = h.lowered_rows(d)
-    counit = _lowered(_nonzero(h.counit), lower)
-
+    counit = _lowered(_native(h.counit, f), lower)
     def flat(hs):
         j = 0
         for x in hs:
@@ -259,28 +286,13 @@ def _differential_rows(act, degree):
 
 
 def differential(cochain, act):
-    """The Hochschild differential into the next degree."""
-    h = act.hopf
-    out = _differential_matrix(act, cochain.degree).apply(_flatten_cochain(cochain.matrix))
-    return NormalizedCochain(cochain.degree + 1, _unflatten_cochain(
-        h.field, out, act.plus_dim, h.dim ** (cochain.degree + 1)))
-
-
-def _flatten_cochain(m):
-    out = []
-    for j in range(m.cols):
-        out.extend(m.col(j))
-    return tuple(out)
-
-
-def _unflatten_cochain(f, flat, dp, ncols):
-    return Matrix.from_cols(f, [tuple(flat[j * dp:(j + 1) * dp]) for j in range(ncols)])
-
-
-def _differential_matrix(act, degree):
-    """The flat matrix of the degree-(degree) differential C^degree -> C^(degree+1)."""
-    return Matrix.from_sparse_rows(act.hopf.field, _differential_rows(act, degree),
-                                   act.plus_dim * act.hopf.dim ** degree)
+    """The Hochschild differential into the next degree: each coordinate of
+    d f is a row of `_differential_rows` dotted with the flat cochain."""
+    n = cochain.degree
+    flat = _flat_cochain(act, cochain, n)
+    p = act.hopf.field.characteristic
+    out = {r: x for r, row in enumerate(_differential_rows(act, n)) if (x := _dot(row, flat, p))}
+    return _cochain(act, n + 1, out)
 
 
 def _normalization_constraints(act, degree):
@@ -303,40 +315,34 @@ class HH2Result:
     def __init__(self, act, dimension, representatives, coboundary_span, d2_rows, constraints):
         self.act = act
         self.dimension = dimension
-        self.representatives = representatives  # flat vectors
+        self.representatives = representatives  # flat sparse native vectors
         self._coboundary_span = coboundary_span
         # the sparse native rows of d2 and of the normalization that hh2 built
         self._d2_rows = d2_rows
         self._constraints = constraints
 
     def representative_cochains(self):
-        f = self.act.hopf.field
-        dp, dh = self.act.plus_dim, self.act.hopf.dim
-        return [
-            NormalizedCochain(2, _unflatten_cochain(f, v, dp, dh * dh))
-            for v in self.representatives
-        ]
+        return [_cochain(self.act, 2, v) for v in self.representatives]
 
     def decide(self, cochain):
-        """Coordinates of [s] against the representative basis."""
-        h = self.act.hopf
-        f = h.field
+        """Coordinates of [s] against the representative basis, as field
+        scalars."""
+        f = self.act.hopf.field
         p = f.characteristic
-        flat = _flatten_cochain(cochain.matrix)
-        if len(flat) != self.act.plus_dim * h.dim ** 2:
-            raise ShapeMismatchError("cochain shape mismatch")
-        nz = _native(flat, f)
-        if any(_dot(row, nz, p) for row in self._constraints):
+        flat = _flat_cochain(self.act, cochain, 2)
+        if any(_dot(row, flat, p) for row in self._constraints):
             raise CocycleViolationError("cochain is not normalized")
-        if any(_dot(row, nz, p) for row in self._d2_rows):
+        if any(_dot(row, flat, p) for row in self._d2_rows):
             raise CocycleViolationError("cochain is not a cocycle")
-        cols = [_native(v, f) for v in self.representatives] + self._coboundary_span
+        cols = self.representatives + self._coboundary_span
         if not cols:
             return ()
-        res = solve_linear(Matrix.from_sparse_cols(f, len(flat), cols), flat)
-        if not res.consistent:
+        n2 = self.act.plus_dim * self.act.hopf.dim ** 2
+        x = _solve_sparse(Matrix.from_sparse_cols(f, n2, cols), flat)[0]
+        if x is None:
             raise CocycleViolationError("cocycle lies outside the computed cocycle space")
-        return tuple(res.solution[: len(self.representatives)])
+        k = len(self.representatives)
+        return _dense_vec(f, {s: c for s, c in x.items() if s < k}, k)
 
 
 def hh2(hopf, act):
@@ -346,15 +352,14 @@ def hh2(hopf, act):
         raise ValidationError("invalid module structure: %r" % (violations,))
     f = hopf.field
     dh, dp = hopf.dim, act.plus_dim
-    n2 = dp * dh * dh
+    n1, n2 = dp * dh, dp * dh * dh
     if dp == 0:
         return HH2Result(act, 0, [], [], [], [])
     d2_rows = _differential_rows(act, 2)
     constraints = _normalization_constraints(act, 2)
-    cocycles = Matrix.from_sparse_rows(f, d2_rows + constraints, n2).kernel_basis()
-    d1 = _differential_matrix(act, 1)
-    n1_constraints = _normalization_constraints(act, 1)
-    n1_basis = Matrix.from_sparse_rows(f, n1_constraints, dp * dh).kernel_rows()
+    cocycles = Matrix.from_sparse_rows(f, d2_rows + constraints, n2).kernel_rows()
+    d1 = Matrix.from_sparse_rows(f, _differential_rows(act, 1), n1)
+    n1_basis = Matrix.from_sparse_rows(f, _normalization_constraints(act, 1), n1).kernel_rows()
     coboundaries = row_space_basis(f, [d1.apply_sparse(t) for t in n1_basis], n2)
     dim = len(cocycles) - len(coboundaries)
     # representatives: echelon complement of the coboundaries in the cocycles
@@ -363,7 +368,7 @@ def hh2(hopf, act):
         raise ValidationError("representative count disagrees with the computed dimension")
     # guard the normalized-complex convention against the full complex
     if dh <= 4:
-        full_z = len(Matrix.from_sparse_rows(f, d2_rows, n2).kernel_basis())
+        full_z = n2 - Matrix.from_sparse_rows(f, d2_rows, n2).rank()
         full_b = d1.rank()
         if full_z - full_b != dim:
             raise ValidationError("normalized and full complexes disagree")
@@ -376,43 +381,50 @@ def hh2(hopf, act):
 
 def crossed_system_from_cocycle(act, s):
     """Build (measuring, sigma) from an H-action on B+ and a normalized
-    2-cocycle s; sigma^{-1}(g, h) = eps(g)eps(h)1 - s(g, h)."""
+    2-cocycle s: g . b = eps(g) c 1 + g . b+ for b = c 1 + b+, and
+    sigma^{+-1}(g, h) = eps(g)eps(h)1 +- s(g, h)."""
     aug = act.aug
     if not aug.square_zero:
         raise NotSquareZeroError("the augmentation ideal does not square to zero")
     violations = act.validate()
     if violations:
         raise ValidationError("invalid module structure: %r" % (violations,))
-    if not _check_normalized(act, s):
-        raise CocycleViolationError("cochain is not normalized")
-    if not differential(s, act).matrix.is_zero():
-        raise CocycleViolationError("cochain fails the 2-cocycle condition")
     h = act.hopf
     b = aug.algebra
     f = b.field
-    dh, db = h.dim, b.dim
-    meas_cols = [None] * (dh * db)
+    p = f.characteristic
+    flat = _flat_cochain(act, s, 2)
+    if any(_dot(row, flat, p) for row in _normalization_constraints(act, 2)):
+        raise CocycleViolationError("cochain is not normalized")
+    if any(_dot(row, flat, p) for row in _differential_rows(act, 2)):
+        raise CocycleViolationError("cochain fails the 2-cocycle condition")
+    dh, db, dp = h.dim, b.dim, act.plus_dim
+    one, counit = _native(b.unit, f), _native(h.counit, f)
+    acts = act.action.native_cols()
+
+    def plus_eps(val, e):
+        """The vector val of B+ plus e 1."""
+        if e:
+            _add_scaled(val, e, one)
+        return _reduced(val, p)
+
+    meas_cols = []
     for g in range(dh):
         for i in range(db):
-            c, plus = aug.decompose(basis_vec(f, db, i))
-            val = vscale(h.counit[g] * c, b.one())
-            val = vadd(val, aug.embed_plus(act.act(basis_vec(f, dh, g), plus)))
-            meas_cols[ti(g, i, db)] = val
-    sig_cols = [None] * (dh * dh)
-    inv_cols = [None] * (dh * dh)
-    for g in range(dh):
-        for t in range(dh):
-            head = vscale(h.counit[g] * h.counit[t], b.one())
-            tail = aug.embed_plus(s.matrix.col(ti(g, t, dh)))
-            sig_cols[ti(g, t, dh)] = vadd(head, tail)
-            inv_cols[ti(g, t, dh)] = vsub(head, tail)
-    system = CrossedSystem(
-        h,
-        b,
-        Matrix.from_cols(f, meas_cols),
-        Matrix.from_cols(f, sig_cols),
-        Matrix.from_cols(f, inv_cols),
-    )
+            c, plus = aug.decompose(_basis_row(f, i))
+            acted = {}
+            for k, x in plus.items():
+                _add_scaled(acted, x, acts[ti(g, k, dp)])
+            meas_cols.append(plus_eps(aug.embed_plus(_reduced(acted, p)), counit.get(g, 0) * c))
+    sig_cols, inv_cols = [], []
+    for j, col in enumerate(s.matrix.native_cols()):  # s(e_g, e_t) at j = ti(g, t, dH)
+        tail = aug.embed_plus(col)
+        neg = {x: -c for x, c in tail.items()}
+        e = counit.get(j // dh, 0) * counit.get(j % dh, 0)
+        sig_cols.append(plus_eps(tail, e))
+        inv_cols.append(plus_eps(neg, e))
+    system = CrossedSystem(h, b, *(Matrix.from_sparse_cols(f, db, cols)
+                                   for cols in (meas_cols, sig_cols, inv_cols)))
     violations = check_crossed_system(system)
     if violations:
         raise ValidationError("cocycle data fails the crossed-system laws: %r" % (violations,))
@@ -430,9 +442,6 @@ class AugmentedCleftExtension:
         self.comodule_algebra = comodule_algebra
         self.augmentation = tuple(augmentation)
         self.section = section
-
-    def eps(self, vec):
-        return evaluate(self.comodule_algebra.field, self.augmentation, vec)
 
 
 def reaugment_section(ext, sec):
@@ -490,40 +499,44 @@ def classify_cleft_extension(ext):
     ca = ext.comodule_algebra
     h = ca.hopf
     f = ca.field
+    p = f.characteristic
     sec = ext.section if ext.section is not None else find_section(ca)
     # section_to_crossed_system builds the crossed system over this same B
     coinv = ca.coinvariants
     b = coinv.subalgebra
-    baug = AugmentedAlgebra(b, tuple(ext.eps(coinv.embed(basis_vec(f, b.dim, t)))
-                                     for t in range(b.dim)))
+    baug = AugmentedAlgebra(b, _values_on(f, _native(ext.augmentation, f), coinv.basis))
     if not baug.square_zero:
         raise NotSquareZeroError("coinvariant augmentation ideal does not square to zero")
     sec = reaugment_section(ext, sec)
     system, iso = section_to_crossed_system(sec)
-    dh = h.dim
-    dp = baug.plus_dim
+    dh, db, dp = h.dim, b.dim, baug.plus_dim
+    meas = system.measuring.native_cols()
     # invert (hit): the action on B+ is the measuring restricted to B+
-    act_cols = [None] * (dh * dp)
+    act_cols = []
     for g in range(dh):
-        for p in range(dp):
-            val = system.act(basis_vec(f, dh, g), baug.plus_basis[p])
-            c, plus = baug.decompose(val)
+        for v in baug.plus_basis:
+            val = {}
+            for x, c in v.items():
+                _add_scaled(val, c, meas[ti(g, x, db)])
+            c, plus = baug.decompose(_reduced(val, p))
             if c:
                 raise ValidationError("measuring does not preserve the augmentation ideal")
-            act_cols[ti(g, p, dp)] = plus
-    action = Matrix.from_cols(f, act_cols) if act_cols else Matrix.zeros(f, 0, 0)
-    act = HModuleStructure(h, baug, action)
+            act_cols.append(plus)
+    act = HModuleStructure(h, baug, Matrix.from_sparse_cols(f, dp, act_cols))
     # invert (sigma): s(g, h) = sigma(g, h) - eps(g)eps(h)1
-    s_cols = [None] * (dh * dh)
-    for g in range(dh):
-        for t in range(dh):
-            val = vsub(system.sigma_basis(g, t),
-                       vscale(h.counit[g] * h.counit[t], b.one()))
-            c, plus = baug.decompose(val)
-            if c:
-                raise ValidationError("cocycle part escapes the augmentation ideal")
-            s_cols[ti(g, t, dh)] = plus
-    s = NormalizedCochain(2, Matrix.from_cols(f, s_cols) if dp else Matrix.zeros(f, 0, dh * dh))
+    one, counit = _native(b.unit, f), _native(h.counit, f)
+    s_cols = []
+    for j, col in enumerate(system.sigma.native_cols()):
+        g, t = divmod(j, dh)
+        val = dict(col)
+        e = counit.get(g, 0) * counit.get(t, 0)
+        if e:
+            _add_scaled(val, -e, one)
+        c, plus = baug.decompose(_reduced(val, p))
+        if c:
+            raise ValidationError("cocycle part escapes the augmentation ideal")
+        s_cols.append(plus)
+    s = NormalizedCochain(2, Matrix.from_sparse_cols(f, dp, s_cols))
     result = hh2(h, act)
     coords = result.decide(s) if dp else ()
     return Classification(baug, act, s, result, coords, system, sec, iso)
@@ -552,26 +565,28 @@ def split_extension(ext):
     ca = ext.comodule_algebra
     h = ca.hopf
     f = ca.field
+    p = f.characteristic
     act = cls.act
     dp = act.plus_dim
     dh = h.dim
-    if dp == 0 or cls.cochain.matrix.is_zero():
-        t_flat = (f.zero,) * (dp * dh)
-    else:
+    t = {}
+    if dp and not cls.cochain.matrix.is_zero():
         constraints = _normalization_constraints(act, 1)
         stacked = Matrix.from_sparse_rows(f, _differential_rows(act, 1) + constraints, dp * dh)
-        rhs = list(_flatten_cochain(cls.cochain.matrix)) + [f.zero] * len(constraints)
-        res = solve_linear(stacked, tuple(rhs))
-        if not res.consistent:
+        t = _solve_sparse(stacked, _flat_cochain(act, cls.cochain, 2))[0]
+        if t is None:
             raise ValidationError("zero class admits no coboundary witness")
-        t_flat = res.solution
     # psi(e_g) = iso(sum eps(g1) 1_B - t~(g1) (x) e_g2), with t~ = t embedded
     # in B through the plus basis: the image of 1_B (x) e_g under the gauge
     # f_{-t} of the crossed product
     aug = cls.aug
-    one = aug.algebra.one()
-    gauge = [_native(vsub(vscale(h.counit[g], one), aug.embed_plus(t_flat[g * dp:(g + 1) * dp])),
-                     f) for g in range(dh)]
+    one, counit = _native(aug.algebra.unit, f), _native(h.counit, f)
+    gauge = []
+    for g, col in enumerate(_cochain(act, 1, t).matrix.native_cols()):
+        v = {x: -c for x, c in aug.embed_plus(col).items()}
+        if g in counit:
+            _add_scaled(v, counit[g], one)
+        gauge.append(_reduced(v, p))
     cop, iso = h.native_coproduct, cls.iso.native_cols()
     cols = []
     for g in range(dh):
@@ -579,10 +594,10 @@ def split_extension(ext):
         for (g1, g2), c in cop.get(g, {}).items():
             for x, u in gauge[g1].items():
                 _add_scaled(acc, c * u, iso[ti(x, g2, dh)])
-        cols.append(_reduced(acc, f.characteristic))
+        cols.append(_reduced(acc, p))
     psi = Matrix.from_sparse_cols(f, ca.algebra.dim, cols)
     require_morphism(psi, "computed splitting is not an augmented comodule algebra map",
-                     algebra=(h, ca.algebra), rho=(h.delta_basis, ca.rho_basis),
+                     algebra=(h, ca.algebra), rho=(h.rho_basis, ca.rho_basis),
                      counit=(h.counit, ext.augmentation))
     return SplitResult(psi, None)
 
@@ -758,7 +773,7 @@ def colinear_splitting_nilpotent(ca, pi):
         raise ValidationError("map onto the Hopf algebra is not surjective")
     kernel = _kernel_of_rref(r, pivots, da)
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
-                     algebra=(a, h), rho=(ca.rho_basis, h.delta_basis))
+                     algebra=(a, h), rho=(ca.rho_basis, h.rho_basis))
     chain = ideal_power_chain(a, kernel)  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
@@ -842,7 +857,7 @@ def colinear_splitting_nilpotent(ca, pi):
     # phi lands in A/I^n = A/0, whose coordinates are those of A
     if pi * phi != Matrix.identity(f, dh):
         raise ValidationError("computed splitting does not split pi")
-    require_morphism(phi, "computed splitting is not colinear", rho=(h.delta_basis, ca.rho_basis))
+    require_morphism(phi, "computed splitting is not colinear", rho=(h.rho_basis, ca.rho_basis))
     sec = _normalized_section(ca, phi)
     if pi * sec.phi != Matrix.identity(f, dh):
         raise ValidationError("normalization broke the splitting property")
@@ -866,7 +881,7 @@ class LiftResult:
 
 def _check_comodule_algebra_map(src_hopf, dst, psi):
     require_morphism(psi, "map H -> A is not a comodule algebra map",
-                     algebra=(src_hopf, dst.algebra), rho=(src_hopf.delta_basis, dst.rho_basis))
+                     algebra=(src_hopf, dst.algebra), rho=(src_hopf.rho_basis, dst.rho_basis))
 
 
 def quotient_comodule_algebra(ca, ideal_vectors):
@@ -972,7 +987,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         pi = Matrix.from_sparse_cols(f, h.dim, pi_cols)
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)
-        aug = tuple(h.eps(pi.col(t)) for t in range(sub.algebra.dim))
+        aug = _values_on(f, _native(h.counit, f), pi.native_cols())
         ext = AugmentedCleftExtension(sub, aug, sec)
         res = split_extension(ext)
         if not res.split:

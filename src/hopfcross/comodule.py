@@ -15,7 +15,6 @@ from .algebra import (
     _add_scaled,
     _lowered,
     _lowering,
-    _nonzero,
     _sparse_product,
     algebra_map_violations,
     coaction_violations,
@@ -41,7 +40,6 @@ from .linalg import (
     _basis_row,
     _native,
     _reduced,
-    basis_vec,
     column_coordinates,
     in_span,
     row_space_basis,
@@ -82,7 +80,7 @@ class ComoduleAlgebra(_RightComodule):
         a = self.algebra
         rename = {"unit": "coaction-not-unital", "multiplicative": "coaction-not-multiplicative"}
         algebra_map = ((rename[name], idx) for name, idx in
-                       algebra_map_violations(a, (a, self.hopf), self._coaction_cols))
+                       algebra_map_violations(a, (a, self.hopf), self.native_coaction))
         laws = chain(coaction_violations(self.rho_basis, self.hopf, a.dim), algebra_map)
         return list(islice(laws, MAX_VIOLATIONS))
 
@@ -114,19 +112,20 @@ def induced_coaction(ca, basis, coords):
 
 def coaction_kernel(rho_basis, dim, hopf, hvec):
     """Kernel basis of a |-> rho(a) - a (x) hvec on a dim-dimensional right
-    hopf-comodule, as sparse native rows; rho_basis(i) is the sparse
-    coaction {(x, t): c} of e_i."""
+    hopf-comodule, as sparse native rows; rho_basis(i) is the native
+    coaction {(x, t): c} of e_i and hvec a dense vector of H."""
     f = hopf.field
+    p = f.characteristic
     dh = hopf.dim
+    h = _native(hvec, f).items()
     rows = [{} for _ in range(dim * dh)]
     for i in range(dim):
         for (x, t), c in rho_basis(i).items():
             rows[ti(x, t, dh)][i] = c
-        for t, c in enumerate(hvec):
-            if c:
-                row = rows[ti(i, t, dh)]
-                row[i] = row.get(i, f.zero) - c
-    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], dim).kernel_rows()
+        for t, c in h:
+            row = rows[ti(i, t, dh)]
+            row[i] = row[i] - c if i in row else -c
+    return Matrix.from_sparse_rows(f, [_reduced(row, p) for row in rows], dim).kernel_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +149,6 @@ class Coinvariants:
     @property
     def dim(self):
         return self.subalgebra.dim
-
-    def embed(self, bcoords):
-        return self.inclusion.apply(bcoords)
 
     def coords(self, avec):
         """The B-coordinates of an A-vector, as a sparse native row."""
@@ -257,12 +253,6 @@ class CrossedSystem:
         self.sigma = sigma
         self.sigma_inv = sigma_inv
 
-    def act(self, hvec, bvec):
-        return self.measuring.apply(vtensor(hvec, bvec))
-
-    def sigma_basis(self, g, h):
-        return self.sigma.col(ti(g, h, self.hopf.dim))
-
 
 def check_crossed_system(s):
     """Every violated crossed-system law, in order: for each g the measuring
@@ -277,14 +267,15 @@ def check_crossed_system(s):
     scaled by D^2; the other laws have the same count on both sides."""
     h, b = s.hopf, s.base
     dh, db = h.dim, b.dim
-    cols = [m.sparse_cols() for m in (s.measuring, s.sigma, s.sigma_inv)]
+    cols = [m.native_cols() for m in (s.measuring, s.sigma, s.sigma_inv)]
     lower, d, clean = _lowering((b, h), cols)
     # meas[g][x] = g . b_x and sig[g][t] = sigma(g, t), lowered; *_t transposed
     meas, sig, sig_inv = ([[_lowered(col, lower) for col in c[g * n:(g + 1) * n]]
                            for g in range(dh)] for c, n in zip(cols, (db, dh, dh)))
     meas_t, sig_t = list(zip(*meas)), list(zip(*sig))
     brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
-    hunit, bunit, counit = (_lowered(_nonzero(v), lower) for v in (h.unit, b.unit, h.counit))
+    hunit, bunit, counit = (_lowered(_native(v, b.field), lower)
+                            for v in (h.unit, b.unit, h.counit))
     d2 = d * d
 
     def combine(terms, vecs):
@@ -382,7 +373,7 @@ def crossed_product(s):
     # lowered constants: each term carries D^8 (two constants of Delta^2(g),
     # one each of Delta(t), g3 t2, g1 . b_j, sigma(g2, t1) and the two
     # products in B)
-    meas, sig = (m.sparse_cols() for m in (s.measuring, s.sigma))
+    meas, sig = (m.native_cols() for m in (s.measuring, s.sigma))
     lower, d, clean = _lowering((b, h), (meas, sig))
     meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
     brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
@@ -420,7 +411,8 @@ def crossed_product(s):
     coinv = ca.coinvariants
     if coinv.dim != db:
         raise ValidationError("crossed product coinvariants have wrong dimension")
-    span = row_space_basis(f, [vtensor(basis_vec(f, db, i), h.unit) for i in range(db)], dim)
+    hunit = _native(h.unit, f).items()
+    span = row_space_basis(f, [{ti(i, t, dh): c for t, c in hunit} for i in range(db)], dim)
     for t in range(db):
         if not in_span(f, span, coinv.basis[t]):
             raise ValidationError("crossed product coinvariants differ from B (x) k")
@@ -455,17 +447,18 @@ def colinear_map_space(ca):
 
     def add(eq, col, val):
         row = rows[eq]
-        row[col] = row.get(col, f.zero) + val
+        row[col] = row[col] + val if col in row else val
 
     for j in range(dh):
         for aidx in range(da):
             col = ti(aidx, j, dh)
             for (x, t), c in ca.rho_basis(aidx).items():
                 add((j * da + x) * dh + t, col, c)
-        for (p, q), c in h.delta_basis(j).items():
+        for (p, q), c in h.rho_basis(j).items():
             for aidx in range(da):
                 add((j * da + aidx) * dh + q, ti(aidx, p, dh), -c)
-    return Matrix.from_sparse_rows(f, [_native(row, f) for row in rows], da * dh).kernel_rows()
+    p = f.characteristic
+    return Matrix.from_sparse_rows(f, [_reduced(row, p) for row in rows], da * dh).kernel_rows()
 
 
 def _phi_cols(flat, dh):
@@ -532,17 +525,18 @@ def _normalized_section(ca, phi_matrix):
     closed-form pair is re-verified like a solved one."""
     a, h = ca.algebra, ca.hopf
     f = ca.field
+    unit = _native(h.unit, f)
     phi_inv = convolution_invert(h, a, phi_matrix)
-    u, phi_one = (_native(m.apply(h.unit), f) for m in (phi_inv, phi_matrix))
+    u, phi_one = (m.apply_sparse(unit) for m in (phi_inv, phi_matrix))
     normalized = Matrix.from_sparse_cols(f, a.dim, [a.sparse_mult(u, col)
                                                     for col in phi_matrix.native_cols()])
     normalized_inv = Matrix.from_sparse_cols(f, a.dim, [a.sparse_mult(col, phi_one)
                                                         for col in phi_inv.native_cols()])
     require_convolution_inverse(h, a, normalized, normalized_inv)
-    if normalized.apply(h.unit) != a.one():
+    if normalized.apply_sparse(unit) != _native(a.unit, f):
         raise ValidationError("normalization failed to fix phi(1) = 1")
     require_morphism(normalized, "normalized section is not colinear",
-                     rho=(h.delta_basis, ca.rho_basis))
+                     rho=(h.rho_basis, ca.rho_basis))
     return Section(normalized, normalized_inv, ca)
 
 
@@ -599,9 +593,9 @@ def section_to_crossed_system(sec):
     require_morphism(alpha, "candidate isomorphism B x|_sigma H -> A", bijective=True,
                      algebra=(product.algebra, a), rho=(product.rho_basis, ca.rho_basis))
     # identity on B: b (x) 1 must map to the inclusion of b
-    for i in range(db):
-        bv = basis_vec(f, db, i)
-        if alpha.apply(vtensor(bv, h.unit)) != coinv.embed(bv):
+    hunit = _native(h.unit, f).items()
+    for i, bv in enumerate(coinv.basis):
+        if alpha.apply_sparse({ti(i, t, dh): c for t, c in hunit}) != bv:
             raise ValidationError("isomorphism is not the identity on the coinvariants")
     return system, alpha
 

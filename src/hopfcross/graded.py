@@ -12,7 +12,7 @@ crossed product B #_sigma k[Gamma] in comodule.py.
 
 from .algebra import convolution_invert
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
-from .linalg import Matrix, basis_vec, row_space_basis
+from .linalg import Matrix, _basis_row, basis_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -40,15 +40,6 @@ class GradedAlgebra:
         for idx, c in zip(self.component_indices(g), coords):
             v[idx] = c
         return tuple(v)
-
-    def restrict(self, g, vec):
-        """Vector in A (supported on A_g) -> component coordinates."""
-        comp = self.component_indices(g)
-        comp_set = set(comp)
-        for i, c in enumerate(vec):
-            if c and i not in comp_set:
-                raise ValidationError("vector is not supported in component %r" % (g,))
-        return tuple(vec[i] for i in comp)
 
 
 class GradingReport:
@@ -83,16 +74,20 @@ def check_grading(ga):
 
 
 def _component_product_span(ga, g, h):
-    """RREF basis of span(A_g . A_h) in A_{gh} component coordinates."""
+    """RREF basis of span(A_g . A_h) in A_{gh} component coordinates, as
+    sparse native rows."""
     a = ga.algebra
+    f = a.field
     gh = ga.group.mul(g, h)
+    at = {i: s for s, i in enumerate(ga.component_indices(gh))}
     vecs = []
     for i in ga.component_indices(g):
         for j in ga.component_indices(h):
-            prod = a.mult(basis_vec(a.field, a.dim, i), basis_vec(a.field, a.dim, j))
-            vecs.append(ga.restrict(gh, prod))
-    n = ga.component_dim(gh)
-    return row_space_basis(a.field, vecs, n)
+            prod = a.sparse_mult(_basis_row(f, i), _basis_row(f, j))
+            if any(k not in at for k in prod):
+                raise ValidationError("vector is not supported in component %r" % (gh,))
+            vecs.append({at[k]: c for k, c in prod.items()})
+    return row_space_basis(f, vecs, len(at))
 
 
 def is_strongly_graded(ga):

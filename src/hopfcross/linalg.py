@@ -12,10 +12,12 @@ rows: `Matrix(field, data)` converts dense rows of field scalars once, and
 every operation and elimination reads the rows.  The row-space layer
 (`row_space_basis`, `span_coordinates`, `QuotientSpace`, ...) takes such
 rows, or dense vectors converted once on the way in, and hands them back.
-Dense tuples of field scalars appear only at the boundary: `vadd` and the
-other tuple helpers, `Matrix.data` (read by `row` and `col`), a view derived
-and kept on its first read, `Matrix.apply`, `kernel_basis` and
-`solve_linear`.  The transform T with T * M = R is carried only when a
+Dense tuples of field scalars appear only at the boundary, for the callers
+that read them (the parser and the encoder, perfbench, tools and tests):
+`basis_vec`, `vtensor`, `Matrix.data` (read by `row` and `col`), a view
+derived and kept on its first read, and `Matrix.apply` and `solve_linear`,
+each a wrapper of a sparse native kernel (`Matrix.apply_sparse`,
+`_solve_sparse`).  The transform T with T * M = R is carried only when a
 caller asks for it (`inverse`, `column_coordinates`, the certificate of an
 inconsistent `solve_linear` when it is read).
 
@@ -267,23 +269,7 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# vectors: plain tuples of scalars
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
-
-
-def vzero(field, n):
-    return (field.zero,) * n
+# dense vectors: plain tuples of scalars
 
 
 def basis_vec(field, n, i):
@@ -390,10 +376,6 @@ class Matrix:
             for j, a in row.items():
                 cols[j][i] = a
         return cols
-
-    def sparse_cols(self):
-        """Every column as a dict {row: nonzero field scalar}."""
-        return [_field_row(self.field, col) for col in self.native_cols()]
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -528,13 +510,9 @@ class Matrix:
                     _subtract(m[i], x * inv % p if p else x * inv, m[c], p)
         return f.from_int(det) if p else det
 
-    def kernel_basis(self):
-        """Canonical basis of the right kernel (reduced echelon complement),
-        as dense tuples."""
-        return [_dense_vec(self.field, v, self.cols) for v in self.kernel_rows()]
-
     def kernel_rows(self):
-        """The canonical kernel basis as sparse native rows."""
+        """Canonical basis of the right kernel (reduced echelon complement),
+        as sparse native rows."""
         r, pivots, _ = self.rref(transform=False)
         return _kernel_of_rref(r, pivots, self.cols)
 
@@ -711,24 +689,31 @@ class SolveResult:
         return _dense_vec(m.field, t._native_rows()[i], m.rows)
 
 
-def solve_linear(m, b):
-    """Solve M x = b exactly; see SolveResult.
+def _solve_sparse(m, b):
+    """(x, R, pivots) for M x = b with b a sparse native row: [M | b] is
+    eliminated once into R, whose pivots are those of M, plus the last column
+    exactly when the system is inconsistent, and x is the solution read off
+    R as a sparse native row, or None when there is none.  The sparse rows
+    of [M | b] are those of M, with b's nonzeros appended at column n."""
+    n = m.cols
+    rows = [{**row, n: b[i]} if i in b else row for i, row in enumerate(m._native_rows())]
+    r, pivots, _ = Matrix.from_sparse_rows(m.field, rows, n + 1).rref(transform=False)
+    if pivots and pivots[-1] == n:
+        return None, r, pivots
+    # pivot rows of the rref have a 1 in column pc; back substitution is immediate
+    return {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}, r, pivots
 
-    [M | b] is eliminated once: its pivots are those of M, plus the last
-    column exactly when the system is inconsistent, and the solution and
-    the kernel are read off that R.  Its sparse rows are those of M, with
-    b's nonzeros appended at column n."""
+
+def solve_linear(m, b):
+    """Solve M x = b exactly, for a dense b; see SolveResult.  The solution
+    and the kernel are read off the one elimination of `_solve_sparse`."""
     if len(b) != m.rows:
         raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
     f = m.field
     n = m.cols
-    rhs = _native(b, f)
-    rows = [{**row, n: rhs[i]} if i in rhs else row for i, row in enumerate(m._native_rows())]
-    r, pivots, _ = Matrix.from_sparse_rows(f, rows, n + 1).rref(transform=False)
-    if pivots and pivots[-1] == n:
+    sol, r, pivots = _solve_sparse(m, _native(b, f))
+    if sol is None:
         return SolveResult(inconsistent=(m, b))
-    # pivot rows of the rref have a 1 in column pc; back substitution is immediate
-    sol = {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}
     kernel = [_dense_vec(f, v, n) for v in _kernel_of_rref(r, pivots, n)]
     return SolveResult(solution=_dense_vec(f, sol, n), kernel=kernel)
 

@@ -287,8 +287,8 @@ def _check_super_hopf_iso(src_sp, dst_sp, m):
     require_morphism(m, "candidate map is not a bijective counital algebra map",
                      bijective=True, algebra=(src, dst), counit=(src.counit, dst.counit),
                      generators=src.generating_set)
-    cols = m.sparse_cols()
-    src_anti, dst_anti = src.antipode.sparse_cols(), dst.antipode.sparse_cols()
+    cols = m.native_cols()
+    src_anti, dst_anti = src.antipode.native_cols(), dst.antipode.native_cols()
     lower, d, clean = _lowering((src, dst), (cols, src_anti, dst_anti))
     cols, src_anti, dst_anti = ([_lowered(col, lower) for col in part]
                                 for part in (cols, src_anti, dst_anti))
@@ -535,10 +535,10 @@ def decompose(sp):
             for idx in s[1:]:
                 acc = _dual_product(sp, acc, u_basis[idx - 1])
             iota.append(acc)
-    # delta : A -> Lambda(W); coordinates through the duality pairing
-    pinv = duality.matrix.inverse()
-    raw = Matrix.from_sparse_rows(f, iota, dim)  # row S = iota(e_S) as functional
-    delta = pinv * raw
+    # delta : A -> Lambda(W), row S = iota(e_S) as a functional: the pairing
+    # matrix is the identity (see duality_pairing), so these rows are already
+    # the coordinates through it
+    delta = Matrix.from_sparse_rows(f, iota, dim)
     delta_cols = delta.native_cols()
     # B = coinvariants, gamma = delta|_B
     coinv = ca.coinvariants
@@ -581,7 +581,7 @@ def _verify_decomposition(sp, ca, ext, alpha):
     def target_rho_basis(flat):
         """Coaction id (x) Delta_H on the basis of Lambda(W) (x) H."""
         x, y = divmod(flat, dh)
-        return {(ti(x, y1, dh), y2): d for (y1, y2), d in quotient_hopf.delta_basis(y).items()}
+        return {(ti(x, y1, dh), y2): d for (y1, y2), d in quotient_hopf.rho_basis(y).items()}
 
     # target Lambda(W) (x) H: H is purely even, so the Koszul sign on every
     # crossing is +1 and the plain tensor product algebra is the right one;

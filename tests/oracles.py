@@ -1,15 +1,139 @@
 """Constructions and checks that only the tests read: small stock inputs,
-the dense basis loops of a few structure operations, the gauge maps between
-crossed products, and the grading of a crossed product over a group algebra.
-None of them is reached from a command."""
+the dense basis loops of a few structure operations, the dense formulas of
+the cleft layer that its sparse native kernels replaced (tuple arithmetic,
+the H-action, measuring and sigma read as dense columns, the augmentation
+decomposition and the cocycle dictionary), the gauge maps between crossed
+products, and the grading of a crossed product over a group algebra.  None
+of them is reached from a command."""
 
 from hopfcross.algebra import FAlgebra, algebra_map_violations, induced_algebra, ti
 from hopfcross.cohomology import NormalizedCochain
-from hopfcross.comodule import crossed_product
+from hopfcross.comodule import CrossedSystem, crossed_product
 from hopfcross.errors import HopfcrossError, ShapeMismatchError, ValidationError
 from hopfcross.graded import GradedAlgebra
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, _basis_row, basis_vec, vadd, vscale
+from hopfcross.linalg import Matrix, _basis_row, _dense_vec, basis_vec, vtensor
+
+
+# ---------------------------------------------------------------------------
+# dense vectors: plain tuples of field scalars
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vscale(c, v):
+    return tuple(c * a for a in v)
+
+
+def vzero(field, n):
+    return (field.zero,) * n
+
+
+def kernel_basis(m):
+    """The canonical kernel basis of a Matrix (its kernel_rows) as dense
+    tuples."""
+    return [_dense_vec(m.field, v, m.cols) for v in m.kernel_rows()]
+
+
+def evaluate(field, functional, vec):
+    """The value on vec of the functional with the given values on the
+    basis: a counit or an augmentation."""
+    s = field.zero
+    for a, e in zip(vec, functional):
+        if a and e:
+            s = s + a * e
+    return s
+
+
+def rho_terms(comodule, i):
+    """The coaction of e_i as terms {(x, t): c} of field scalars, read off
+    the dense coaction matrix of a right comodule."""
+    dh = comodule.hopf.dim
+    return {divmod(flat, dh): c for flat, c in enumerate(comodule.coaction.col(i)) if c}
+
+
+def restrict(ga, g, vec):
+    """A dense vector of A supported on A_g as its component coordinates."""
+    comp = ga.component_indices(g)
+    comp_set = set(comp)
+    for i, c in enumerate(vec):
+        if c and i not in comp_set:
+            raise ValidationError("vector is not supported in component %r" % (g,))
+    return tuple(vec[i] for i in comp)
+
+
+# ---------------------------------------------------------------------------
+# the cleft layer on dense columns
+
+
+def module_act(module, hvec, pvec):
+    """h . p for an HModuleStructure, dense."""
+    return module.action.apply(vtensor(hvec, pvec))
+
+
+def measure(system, hvec, bvec):
+    """h . b for a CrossedSystem, dense."""
+    return system.measuring.apply(vtensor(hvec, bvec))
+
+
+def sigma_basis(system, g, h):
+    """sigma(e_g, e_h) of a CrossedSystem, dense."""
+    return system.sigma.col(ti(g, h, system.hopf.dim))
+
+
+def aug_eps(aug, vec):
+    """eps of a dense vector of an AugmentedAlgebra."""
+    return evaluate(aug.field, aug.augmentation, vec)
+
+
+def embed_plus(aug, coords):
+    """The dense vector of B+ with the given dense plus coordinates: those
+    entries off the first index p where eps is nonzero, and at p the entry
+    that eps takes to zero."""
+    p = next(i for i, c in enumerate(aug.augmentation) if c)
+    vec = list(coords)
+    vec.insert(p, aug.field.zero)
+    vec[p] = -aug_eps(aug, vec) / aug.augmentation[p]
+    return tuple(vec)
+
+
+def decompose(aug, bvec):
+    """b = c.1 + b+ for a dense b, as (c, the dense plus coordinates of b+)."""
+    c = aug_eps(aug, bvec)
+    plus = vsub(bvec, vscale(c, aug.algebra.one()))
+    p = next(i for i, c in enumerate(aug.augmentation) if c)
+    return c, plus[:p] + plus[p + 1:]
+
+
+def cocycle_system(act, s):
+    """The crossed system of an H-action on B+ and a normalized 2-cocycle s,
+    by the dense formulas: g . b = eps(g) c 1 + g . b+ for b = c 1 + b+ and
+    sigma^{+-1}(g, h) = eps(g)eps(h)1 +- s(g, h).  Unchecked."""
+    aug = act.aug
+    h, b = act.hopf, aug.algebra
+    f = b.field
+    dh, db = h.dim, b.dim
+    meas_cols = []
+    for g in range(dh):
+        for i in range(db):
+            c, plus = decompose(aug, basis_vec(f, db, i))
+            val = vscale(h.counit[g] * c, b.one())
+            meas_cols.append(vadd(val, embed_plus(aug, module_act(act, basis_vec(f, dh, g), plus))))
+    sig_cols, inv_cols = [], []
+    for g in range(dh):
+        for t in range(dh):
+            head = vscale(h.counit[g] * h.counit[t], b.one())
+            tail = embed_plus(aug, s.matrix.col(ti(g, t, dh)))
+            sig_cols.append(vadd(head, tail))
+            inv_cols.append(vsub(head, tail))
+    return CrossedSystem(h, b, *(Matrix.from_cols(f, cols) for cols in
+                                 (meas_cols, sig_cols, inv_cols)))
 
 
 class NotAlgebraMapError(HopfcrossError):
@@ -111,7 +235,7 @@ def gauge_iso(t, source, target):
 def embed_cochain(aug, cochain):
     """A degree-1 cochain in plus coordinates, re-expressed with values in B."""
     m = cochain.matrix
-    return NormalizedCochain(1, Matrix.from_cols(aug.field, [aug.embed_plus(m.col(j))
+    return NormalizedCochain(1, Matrix.from_cols(aug.field, [embed_plus(aug, m.col(j))
                                                             for j in range(m.cols)]))
 
 

@@ -1051,16 +1051,29 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # off their pivots; the normalized section takes its inverse in closed
     # form from the one convolution_invert of the splitting, the
     # Hopf-module decomposition map (by its inverse) and each pi are
-    # eliminated once, and an echelon ideal is not eliminated again
+    # eliminated once, an echelon ideal is not eliminated again, and the
+    # duality pairing, the identity, is not inverted
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 27
+    assert len(calls) == 26
 
 
-@pytest.mark.parametrize("command", ["find-section", "recognize-cleft"])
+def accepts(command, name):
+    """Whether command reads the corpus file name: check reads every kind,
+    AUGMENTED is a comodule-algebra file with an augmentation block."""
+    kinds = hopfcross.cli.COMMANDS[command][1]
+    doc = load(name)
+    return kinds is None or doc["kind"] in kinds or (
+        hopfcross.cli.AUGMENTED in kinds and doc["kind"] == "comodule-algebra"
+        and "augmentation" in doc)
+
+
+@pytest.mark.parametrize("command", [c for c in hopfcross.cli.COMMANDS if c != "pairing"])
 def test_the_section_search_derives_no_dense_view(command, monkeypatch):
     # the normal-basis maps are built from sparse products and the search
-    # walks their rows: from parsing to the report no dense view is derived
+    # walks their rows, and every other kernel reads sparse native rows too:
+    # from parsing to the report no command derives a dense view on any
+    # corpus file it reads
     derived = []
     data = Matrix.data
 
@@ -1070,9 +1083,8 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
         return data.fget(self)
 
     monkeypatch.setattr(Matrix, "data", property(spy))
-    names = [name for name in ALL_CORPUS
-             if load(name)["kind"] in ("comodule-algebra", "graded-algebra")]
-    assert len(names) == 3
+    names = [name for name in ALL_CORPUS if accepts(command, name)]
+    assert names
     for name in names:
         assert main([command, corpus(name)]) in (0, 1)
     assert derived == []
@@ -1081,11 +1093,12 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):
     # a bialgebra gives one view of itself as an algebra, so the comodule
     # algebra A, its even quotient's ideal chain and its odd cotangent read
-    # one native lowering of A's products; every table is lowered once for
-    # the product kernel and once per scale the law kernels read it at
+    # one native lowering of A's products; every table is lowered from its
+    # native rows, which the product kernel reads, once per scale the law
+    # kernels read it at
     calls = count_calls(monkeypatch, hopfcross.algebra, "_product_rows")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 11
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,12 +21,14 @@ import pytest
 from hopfcross import algebra, cohomology
 from hopfcross.algebra import (
     MAX_VIOLATIONS,
+    ComoduleCoalgebraData,
     FAlgebra,
     algebra_map_violations,
     coaction_violations,
     convolution_invert,
     dual_structure,
     group_hopf_algebra,
+    induced_algebra,
     ti,
 )
 from hopfcross.cli import main, parse_presentation
@@ -35,7 +37,7 @@ from hopfcross.cohomology import (
     AugmentedCleftExtension,
     HModuleStructure,
     NormalizedCochain,
-    _differential_matrix,
+    _differential_rows,
     crossed_system_from_cocycle,
     differential,
     hh2,
@@ -57,16 +59,37 @@ from hopfcross.linalg import (
     Matrix,
     PrimeField,
     Rationals,
+    _native,
     basis_vec,
     solve_linear,
+)
+from hopfcross.standard import dual_numbers, ks3, kz2, kz3, sweedler
+from tests.oracles import (
+    aug_eps,
+    cocycle_system,
+    decompose,
+    delta2_basis,
+    embed_plus,
+    hmodule_act_basis,
+    measure,
+    measuring_basis,
+    module_act,
+    product_field,
+    rho_terms,
+    sigma_basis,
     vadd,
     vscale,
     vsub,
     vzero,
 )
-from hopfcross.standard import dual_numbers, ks3, sweedler
-from tests.oracles import delta2_basis, hmodule_act_basis, measuring_basis
-from tests.test_algebra import convolution_unit, convolve, identity, tensor_coalgebra
+from tests.test_algebra import (
+    _trivial_coaction_data,
+    change_of_basis,
+    convolution_unit,
+    convolve,
+    identity,
+    tensor_coalgebra,
+)
 from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
 Q = Rationals()
@@ -91,7 +114,7 @@ def ref_differential(cochain, act):
                 gh = [f.zero] * dh
                 for k, c in h.mult_basis(g, u).items():
                     gh[k] = c
-                val = act.act(basis_vec(f, dh, g), t.col(u))
+                val = module_act(act, basis_vec(f, dh, g), t.col(u))
                 val = vsub(val, t.apply(tuple(gh)))
                 val = vadd(val, vscale(h.counit[u], t.col(g)))
                 cols.append(val)
@@ -107,7 +130,7 @@ def ref_differential(cochain, act):
                 ul = [f.zero] * dh
                 for k, c in h.mult_basis(u, l).items():
                     ul[k] = c
-                val = act.act(basis_vec(f, dh, g), s.col(ti(u, l, dh)))
+                val = module_act(act, basis_vec(f, dh, g), s.col(ti(u, l, dh)))
                 acc = vzero(f, dp)
                 for k, c in enumerate(gu):
                     if c:
@@ -148,15 +171,15 @@ def ref_module_violations(act):
     violations = []
     for p in range(dp):
         ep = basis_vec(f, dp, p)
-        if act.act(h.unit, ep) != ep:
+        if module_act(act, h.unit, ep) != ep:
             violations.append(("action-not-unital", (p,)))
         for g in range(h.dim):
             for t in range(h.dim):
-                lhs = act.act(basis_vec(f, h.dim, g), hmodule_act_basis(act, t, p))
+                lhs = module_act(act, basis_vec(f, h.dim, g), hmodule_act_basis(act, t, p))
                 gh = [f.zero] * h.dim
                 for k, c in h.mult_basis(g, t).items():
                     gh[k] = c
-                if lhs != act.act(tuple(gh), ep):
+                if lhs != module_act(act, tuple(gh), ep):
                     violations.append(("action-not-associative", (g, t, p)))
     return violations
 
@@ -203,12 +226,12 @@ def ref_check_crossed_system(s):
     violations = []
     one = b.one()
     for g in range(dh):
-        if s.act(basis_vec(f, dh, g), one) != vscale(h.counit[g], one):
+        if measure(s, basis_vec(f, dh, g), one) != vscale(h.counit[g], one):
             violations.append(("measuring-not-unital", (g,)))
         for i in range(db):
             for j in range(db):
                 bi, bj = basis_vec(f, db, i), basis_vec(f, db, j)
-                lhs = s.act(basis_vec(f, dh, g), b.mult(bi, bj))
+                lhs = measure(s, basis_vec(f, dh, g), b.mult(bi, bj))
                 rhs = vzero(f, db)
                 for (g1, g2), c in h.delta_basis(g).items():
                     rhs = vadd(rhs, vscale(c, b.mult(measuring_basis(s, g1, i),
@@ -226,8 +249,8 @@ def ref_check_crossed_system(s):
         left = vzero(f, db)
         right = vzero(f, db)
         for t, c in hunit.items():
-            left = vadd(left, vscale(c, s.sigma_basis(g, t)))
-            right = vadd(right, vscale(c, s.sigma_basis(t, g)))
+            left = vadd(left, vscale(c, sigma_basis(s, g, t)))
+            right = vadd(right, vscale(c, sigma_basis(s, t, g)))
         target = vscale(h.counit[g], one)
         if left != target or right != target:
             violations.append(("sigma-not-normalized", (g,)))
@@ -249,12 +272,12 @@ def ref_check_crossed_system(s):
                     for (t1, t2), d in dt.items():
                         inner = measuring_basis(s, t1, i)
                         lhs = vadd(lhs, vscale(c * d, b.mult(
-                            s.act(basis_vec(f, dh, g1), inner), s.sigma_basis(g2, t2))))
+                            measure(s, basis_vec(f, dh, g1), inner), sigma_basis(s, g2, t2))))
                         gh = [f.zero] * dh
                         for k, e in h.mult_basis(g2, t2).items():
                             gh[k] = e
                         rhs = vadd(rhs, vscale(c * d, b.mult(
-                            s.sigma_basis(g1, t1), s.act(tuple(gh), basis_vec(f, db, i)))))
+                            sigma_basis(s, g1, t1), measure(s, tuple(gh), basis_vec(f, db, i)))))
                 if lhs != rhs:
                     violations.append(("twisted-module-law", (g, t, i)))
     for g in range(dh):
@@ -267,18 +290,18 @@ def ref_check_crossed_system(s):
                 for (g1, g2), c in dg.items():
                     for (t1, t2), d in dt.items():
                         for (l1, l2), e in dl.items():
-                            inner = s.act(basis_vec(f, dh, g1), s.sigma_basis(t1, l1))
+                            inner = measure(s, basis_vec(f, dh, g1), sigma_basis(s, t1, l1))
                             second = vzero(f, db)
                             for k, u in h.mult_basis(t2, l2).items():
-                                second = vadd(second, vscale(u, s.sigma_basis(g2, k)))
+                                second = vadd(second, vscale(u, sigma_basis(s, g2, k)))
                             lhs = vadd(lhs, vscale(c * d * e, b.mult(inner, second)))
                 rhs = vzero(f, db)
                 for (g1, g2), c in dg.items():
                     for (t1, t2), d in dt.items():
                         second = vzero(f, db)
                         for k, u in h.mult_basis(g2, t2).items():
-                            second = vadd(second, vscale(u, s.sigma_basis(k, l)))
-                        rhs = vadd(rhs, vscale(c * d, b.mult(s.sigma_basis(g1, t1), second)))
+                            second = vadd(second, vscale(u, sigma_basis(s, k, l)))
+                        rhs = vadd(rhs, vscale(c * d, b.mult(sigma_basis(s, g1, t1), second)))
                 if lhs != rhs:
                     violations.append(("cocycle-law", (g, t, l)))
     return violations
@@ -301,7 +324,7 @@ def ref_crossed_product_table(s):
                     for (g1, g2, g3), c in d2g.items():
                         left = b.mult(bi, measuring_basis(s, g1, j))
                         for (t1, t2), d in h.delta_basis(t).items():
-                            bpart = b.mult(left, s.sigma_basis(g2, t1))
+                            bpart = b.mult(left, sigma_basis(s, g2, t1))
                             for k, u in h.mult_basis(g3, t2).items():
                                 cu = c * d * u
                                 for x, v in enumerate(bpart):
@@ -454,7 +477,9 @@ def test_differentials_match_the_dense_loops(fname, field):
                           for _ in range(3)]
         for copy in copies:
             for degree in (1, 2):
-                assert _differential_matrix(copy, degree) == ref_differential_matrix(copy, degree)
+                d = Matrix.from_sparse_rows(field, _differential_rows(copy, degree),
+                                            copy.plus_dim * copy.hopf.dim ** degree)
+                assert d == ref_differential_matrix(copy, degree)
                 c = random_cochain(field, rng, degree, copy)
                 assert differential(c, copy).matrix == ref_differential(c, copy).matrix, name
 
@@ -522,6 +547,138 @@ def test_crossed_product_table_matches_the_dense_loop(fname, field):
         assert product == ref_crossed_product_table(system), name
         if field == Q and name == "rotation-z3":
             assert any(c.denominator != 1 for terms in product.values() for c in terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the augmentation, the cocycle dictionary and the colinearity of a comodule
+# coalgebra on sparse native vectors, against the dense formulas they replaced
+
+
+def draws_of(field):
+    return [-1, 0, 1, 2] if field != Q else [-1, 0, 1, Fraction(2, 3), Fraction(-5, 7)]
+
+
+def native_scalar(field, c):
+    return c.value if field.characteristic else c
+
+
+def moved(aug, seed):
+    """aug in the basis of the columns of a seeded invertible matrix: eps is
+    then nonzero off the first index, with fractions over Q."""
+    f = aug.field
+    t = change_of_basis(f, (0,) * aug.algebra.dim, seed)
+    b = induced_algebra(aug.algebra, t.native_cols(), t.inverse().apply_sparse, aug.algebra.basis)
+    return AugmentedAlgebra(b, tuple(aug_eps(aug, t.col(j)) for j in range(t.cols)))
+
+
+def augmented_algebras(field):
+    """k[x]/(x^2), k[x, y]/(x, y)^2 and k x k (eps on the second idempotent),
+    each also in two moved bases."""
+    o, z = field.one, field.zero
+    for aug in (AugmentedAlgebra(dual_numbers(field), (o, z)), square_zero(field),
+                AugmentedAlgebra(product_field(field), (z, o))):
+        yield aug
+        for seed in range(2):
+            yield moved(aug, "augmented/%r/%d/%d" % (field, aug.algebra.dim, seed))
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_the_augmentation_kernels_match_the_dense_formulas(fname, field):
+    rng = random.Random("augmentation/" + fname)
+    draws = draws_of(field)
+    pivots = set()
+    for aug in augmented_algebras(field):
+        db, dp = aug.algebra.dim, aug.plus_dim
+        pivots.add(next(i for i, c in enumerate(aug.augmentation) if c))
+        assert aug.plus_basis == [_native(embed_plus(aug, basis_vec(field, dp, k)), field)
+                                  for k in range(dp)]
+        for _ in range(6):
+            v = tuple(scalar(field, rng.choice(draws)) for _ in range(db))
+            c, plus = decompose(aug, v)
+            assert aug.eps(_native(v, field)) == native_scalar(field, c)
+            assert aug.decompose(_native(v, field)) == (native_scalar(field, c),
+                                                        _native(plus, field))
+            coords = tuple(scalar(field, rng.choice(draws)) for _ in range(dp))
+            assert aug.embed_plus(_native(coords, field)) == _native(embed_plus(aug, coords), field)
+    assert pivots - {0}  # some eps is zero at the first index
+
+
+def cocycle_actions(field):
+    """The actions above, and k[Z/3] acting trivially on B+ for B =
+    k[x]/(x^2) in two moved bases."""
+    yield from actions(field)
+    kz3_ = group_hopf_algebra(GroupTable.cyclic(3), field)
+    for seed in range(2):
+        aug = moved(AugmentedAlgebra(dual_numbers(field), (field.one, field.zero)),
+                    "cocycle/%r/%d" % (field, seed))
+        yield "moved-trivial-z3-%d" % seed, module(kz3_, aug, [[(field.one,)]] * 3)
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_the_cocycle_dictionary_matches_the_dense_formulas(fname, field):
+    rng = random.Random("dictionary/" + fname)
+    cases = 0
+    for name, act in cocycle_actions(field):
+        reps = hh2(act.hopf, act).representative_cochains()
+        for _ in range(3):
+            s = differential(random_cochain(field, rng, 1, act, normalized=True), act).matrix
+            for rep in reps:
+                s = s + rep.matrix.scale(scalar(field, rng.choice([1, 2])))
+            cochain = NormalizedCochain(2, s)
+            native, dense = crossed_system_from_cocycle(act, cochain), cocycle_system(act, cochain)
+            for part in ("measuring", "sigma", "sigma_inv"):
+                assert getattr(native, part) == getattr(dense, part), (name, part)
+            cases += not s.is_zero()
+    assert cases > 10
+
+
+def ref_colinear_structure_laws(data):
+    """The dense loop that checked Delta_D and eps_D to be H-colinear before
+    the two colinear_violations contractions, on field scalars."""
+    d, h = data.coalgebra, data.hopf
+    f = d.field
+    for i in range(d.dim):
+        rho = rho_terms(data, i)
+        lhs = {}
+        for (d1, d2), c in d.delta_basis(i).items():
+            for (a1, x1), u in rho_terms(data, d1).items():
+                for (a2, x2), v2 in rho_terms(data, d2).items():
+                    for x, w in h.mult_basis(x1, x2).items():
+                        key = (a1, a2, x)
+                        lhs[key] = lhs.get(key, f.zero) + c * u * v2 * w
+        rhs = {}
+        for (a, x), c in rho.items():
+            for (d1, d2), u in d.delta_basis(a).items():
+                key = (d1, d2, x)
+                rhs[key] = rhs.get(key, f.zero) + c * u
+        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            yield ("coproduct-not-colinear", (i,))
+        v = [f.zero] * h.dim
+        for (a, x), c in rho.items():
+            v[x] = v[x] + c * d.counit[a]
+        if tuple(v) != vscale(d.counit[i], h.unit):
+            yield ("counit-not-colinear", (i,))
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_comodule_coalgebra_colinearity_matches_the_dense_loop(fname, field):
+    rng = random.Random("colinear/" + fname)
+    pairs = [(kz2(field), kz3(field).as_coalgebra()), (sweedler(field), sweedler(field)),
+             (kz3(field), sweedler(field).as_coalgebra())]
+    data = [_trivial_coaction_data(h, d) for h, d in pairs]
+    if field == Q:
+        data.append(parse_presentation(corpus("smash-example.json")).payload)
+    seen = set()
+    for good in data:
+        assert list(good._colinear_structure_laws()) == []
+        assert list(ref_colinear_structure_laws(good)) == []
+        for _ in range(6):
+            bad = ComoduleCoalgebraData(good.coalgebra, good.hopf,
+                                        bumped(good.coaction, rng, field))
+            expected = list(ref_colinear_structure_laws(bad))
+            assert list(bad._colinear_structure_laws()) == expected
+            seen.update(kind for kind, _ in expected)
+    assert seen == {"coproduct-not-colinear", "counit-not-colinear"}
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +893,7 @@ def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeyp
     assert_sparse_systems(dense, eliminated, {(da * dh, da)})
     assert dense == []
     # hh2: the stacked cocycle system, d2 on its own, the degree-1
-    # constraints and d1; a normalization check builds no matrix
+    # constraints and d1; deciding a class builds no dense matrix
     for name, act in actions(field):
         dp, dh = act.plus_dim, act.hopf.dim
         n1, n2 = dp * dh, dp * dh * dh
@@ -744,9 +901,8 @@ def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeyp
         assert_sparse_systems(dense, eliminated, {(dp * dh ** 3 + 2 * n2 // dh, n2),
                                                   (dp * dh ** 3, n2), (dp, n1), (n2, n1)})
         for rep in result.representative_cochains():
-            normalized, dense, _ = build_and_eliminate(
-                monkeypatch, lambda: cohomology._check_normalized(act, rep))
-            assert normalized and dense == []
+            coords, dense, _ = build_and_eliminate(monkeypatch, lambda: result.decide(rep))
+            assert any(coords) and dense == []
     # split_extension: d1 stacked on the degree-1 constraints, with the
     # cocycle appended, for a nonzero coboundary
     hz, _, aug, act = trivial_setup(field)

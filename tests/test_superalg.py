@@ -34,7 +34,6 @@ from hopfcross.linalg import (
     _dense_vec,
     _native,
     basis_vec,
-    vscale,
 )
 from hopfcross.superalg import (
     ExteriorHopf,
@@ -50,7 +49,7 @@ from hopfcross.superalg import (
     odd_primitives,
     super_tensor_product,
 )
-from tests.oracles import is_cocommutative, is_commutative
+from tests.oracles import is_cocommutative, is_commutative, vscale
 from tests.test_algebra import ref_induced_coproduct, ref_mult
 from tests.test_linalg import (
     RefQuotientSpace,
