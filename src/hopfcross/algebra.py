@@ -153,12 +153,6 @@ class _Algebra(_Structure):
         out = _sparse_product(self.native_rows, _native(x, f), _native(y, f))
         return _dense_vec(f, out, self.dim)
 
-    def left_mult_matrix(self, x):
-        f = self.field
-        u = _native(x, f)
-        return Matrix.from_sparse_cols(f, self.dim, [self.sparse_mult(u, _basis_row(f, j))
-                                                     for j in range(self.dim)])
-
     def canonical_constants(self):
         prod = tuple(
             (i, j, k, c)
@@ -1029,10 +1023,10 @@ def colinear_violations(src_rho_basis, dst_rho_basis, m):
 def counit_violations(src_counit, dst_counit, m):
     """Witnesses ("counit", (i,)) that the linear map m fails
     eps_dst(m e_i) = eps_src(e_i), for counits or augmentations given by
-    their values on the basis."""
+    their values on the basis or as sparse native rows."""
     f = m.field
     p = f.characteristic
-    src, dst = _native(src_counit, f), _native(dst_counit, f)
+    src, dst = _sparse(src_counit, f), _sparse(dst_counit, f)
     for i, col in enumerate(m.native_cols()):
         if _dot(dst, col, p) != src.get(i, 0):
             yield ("counit", (i,))
@@ -1119,7 +1113,10 @@ def convolution_invert(c, a, f):
     the whole operator.  A block's sparse rows are summed on native ints
     from the lowered product rows: each entry carries D^3, and its
     right-hand side eps(e_i) 1 is multiplied by D, a scaling of whole rows
-    that keeps the solution.
+    that keeps the solution.  The right-hand side, the solution and the
+    columns of g are sparse native rows, as everywhere between parsing and
+    encoding: dense tuples appear only in stored constants and in `mult`,
+    `delta`, `Matrix.apply`, `col`, `row` and `Matrix.data`.
 
     The two-sided identity is always re-verified, guarding against
     non-coassociative or non-associative corrupt inputs.
@@ -1132,13 +1129,12 @@ def convolution_invert(c, a, f):
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in cols]
     unit, counit = (_lowered(_native(v, fld), lower) for v in (a.unit, c.counit))
-    lift = fld.from_int
     p = fld.characteristic
-    native = (lambda v: v % p) if p else lift
-    g_cols = [None] * c.dim
+    native = (lambda v: v % p) if p else fld.from_int
+    g_cols = [{} for _ in range(c.dim)]
     for component in _coalgebra_components(c):
         at = {k: t * da for t, k in enumerate(component)}
-        block, rhs = [], []
+        block, rhs = [], {}
         for i in component:
             out = [{} for _ in range(da)]  # out[z][column]: the rows (i, z)
             for (j, k), u in coproduct.get(i, {}).items():
@@ -1151,14 +1147,15 @@ def convolution_invert(c, a, f):
                             row[col] = row.get(col, 0) + ufx * m
             e = d * counit.get(i, 0)
             for z, row in enumerate(out):
+                if x := native(e * unit.get(z, 0)):
+                    rhs[len(block)] = x
                 block.append({col: x for col, v in row.items() if (x := native(v))})
-                rhs.append(lift(e * unit.get(z, 0)))
-        res = solve_linear(Matrix.from_sparse_rows(fld, block, len(at) * da), tuple(rhs))
-        if not res.consistent:
+        sol = solve_linear(Matrix.from_sparse_rows(fld, block, len(at) * da), rhs).solution
+        if sol is None:
             raise NotConvolutionInvertibleError("left convolution by f is not surjective")
-        for k, t in at.items():
-            g_cols[k] = res.solution[t:t + da]
-    g = Matrix.from_cols(fld, g_cols)
+        for t, x in sol.items():
+            g_cols[component[t // da]][t % da] = x
+    g = Matrix.from_sparse_cols(fld, da, g_cols)
     require_convolution_inverse(c, a, f, g)
     return g
 
@@ -1201,9 +1198,8 @@ def group_hopf_algebra(table, field):
     unit = basis_vec(field, n, table.identity)
     coproduct = {i: {(i, i): field.one} for i in range(n)}
     counit = (field.one,) * n
-    antipode = Matrix.from_cols(
-        field, [basis_vec(field, n, table.inv[i]) for i in range(n)]
-    )
+    antipode = Matrix.from_sparse_cols(field, n, [_basis_row(field, table.inv[i])
+                                                  for i in range(n)])
     return FHopf(field, table.elements, product, unit, coproduct, counit, antipode)
 
 

@@ -7,8 +7,8 @@ Cochains C^n = Hom(H^(x)n, B+) are stored as (dim B+) x (dim H)^n matrices
 with the usual row-major flattening of tensor indices.  The kernels read a
 cochain as one flat sparse native vector (`_flat_cochain`), and every vector
 of B, of B+ (in plus coordinates) and of H here is a sparse native row (see
-linalg); field scalars appear only in the augmentation a structure is built
-from and in the class coordinates `HH2Result.decide` returns.
+linalg), an augmentation too; field scalars appear only at the boundary, in
+an augmentation's values and the class coordinates `HH2Result.decide` returns.
 """
 
 import itertools
@@ -57,44 +57,44 @@ from .linalg import (
     _kernel_of_rref,
     _native,
     _reduced,
-    _solve_sparse,
+    _sparse,
     _subtract,
     column_coordinates,
     echelon_complement,
     in_span,
     row_space_basis,
+    solve_linear,
     span_coordinates,
 )
 
 
 def augmentation_violations(algebra, augmentation, generators=None):
-    """The witnesses of algebra_map_violations that the functional with the
-    values `augmentation` on the basis is not a unital algebra map A -> k,
-    with generators as there."""
+    """The witnesses of algebra_map_violations that the functional
+    `augmentation`, a sparse native row or its values on the basis, is not a
+    unital algebra map A -> k, with generators as there."""
     f = algebra.field
     ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
-    return algebra_map_violations(algebra, ground, Matrix(f, [augmentation]), generators)
+    eps = Matrix.from_sparse_rows(f, [_sparse(augmentation, f)], algebra.dim)
+    return algebra_map_violations(algebra, ground, eps, generators)
 
 
-def _values_on(field, functional, vectors):
-    """The functional (a sparse native row) on each sparse native vector, as
-    the tuple of field scalars that an augmentation is given by."""
-    p = field.characteristic
-    values = {t: x for t, v in enumerate(vectors) if (x := _dot(functional, v, p))}
-    return _dense_vec(field, values, len(vectors))
+def _augmentation_row(algebra, augmentation):
+    """An augmentation, given as a sparse native row or by its values, as the row."""
+    if not isinstance(augmentation, dict) and len(augmentation) != algebra.dim:
+        raise ShapeMismatchError("augmentation vector has wrong length")
+    return _sparse(augmentation, algebra.field)
 
 
 class AugmentedAlgebra:
     """An algebra B with an algebra map eps_B : B -> k; B = k.1 (+) B+.  The
-    augmentation is given by its values on the basis; every vector of B and
-    every vector of plus coordinates below is a sparse native row."""
+    augmentation is kept as a sparse native row (see `_augmentation_row`),
+    like every vector of B and of plus coordinates below; its values on the
+    basis are derived from the row."""
 
     def __init__(self, algebra, augmentation):
-        if len(augmentation) != algebra.dim:
-            raise ShapeMismatchError("augmentation vector has wrong length")
         self.algebra = algebra
-        self.augmentation = tuple(augmentation)
-        bad = next(augmentation_violations(algebra, self.augmentation), None)
+        self.eps_row = _augmentation_row(algebra, augmentation)
+        bad = next(augmentation_violations(algebra, self.eps_row), None)
         if bad == ("unit", ()):
             raise ValidationError("augmentation does not send 1 to 1")
         if bad:
@@ -104,9 +104,13 @@ class AugmentedAlgebra:
         # canonical basis of B+ is e_j - (eps_j / eps_p) e_p for j != p, so
         # the plus coordinates of a vector of B+ are its entries off p
         self.plus_dim = algebra.dim - 1
-        self._eps = _native(self.augmentation, algebra.field)
         self._one = _native(algebra.unit, algebra.field)
-        self._pivot = min(self._eps)
+        self._pivot = min(self.eps_row)
+
+    @cached_property
+    def augmentation(self):
+        """The values of eps on the basis, derived and kept on the first read."""
+        return _dense_vec(self.field, self.eps_row, self.algebra.dim)
 
     @cached_property
     def plus_basis(self):
@@ -124,7 +128,7 @@ class AugmentedAlgebra:
         return self.algebra.field
 
     def eps(self, vec):
-        return _dot(self._eps, vec, self.field.characteristic)
+        return _dot(self.eps_row, vec, self.field.characteristic)
 
     def embed_plus(self, coords):
         """The vector of B+ with the given plus coordinates: those entries
@@ -134,7 +138,7 @@ class AugmentedAlgebra:
         vec = {k + (k >= p): c for k, c in coords.items()}
         e = self.eps(vec)
         if e:
-            at = self._eps[p]
+            at = self.eps_row[p]
             vec[p] = -e * pow(at, char - 2, char) % char if char else -e / at
         return vec
 
@@ -338,7 +342,7 @@ class HH2Result:
         if not cols:
             return ()
         n2 = self.act.plus_dim * self.act.hopf.dim ** 2
-        x = _solve_sparse(Matrix.from_sparse_cols(f, n2, cols), flat)[0]
+        x = solve_linear(Matrix.from_sparse_cols(f, n2, cols), flat).solution
         if x is None:
             raise CocycleViolationError("cocycle lies outside the computed cocycle space")
         k = len(self.representatives)
@@ -436,11 +440,12 @@ def crossed_system_from_cocycle(act, s):
 
 
 class AugmentedCleftExtension:
+    """A comodule algebra A with an augmentation eps_A, kept as a sparse
+    native row (see `_augmentation_row`), and optionally a section."""
+
     def __init__(self, comodule_algebra, augmentation, section=None):
-        if len(augmentation) != comodule_algebra.algebra.dim:
-            raise ShapeMismatchError("augmentation vector has wrong length")
         self.comodule_algebra = comodule_algebra
-        self.augmentation = tuple(augmentation)
+        self.eps_row = _augmentation_row(comodule_algebra.algebra, augmentation)
         self.section = section
 
 
@@ -455,7 +460,7 @@ def reaugment_section(ext, sec):
     f = ca.field
     p = f.characteristic
     phi, phi_inv = sec.phi.native_cols(), sec.phi_inv.native_cols()
-    eps = _native(ext.augmentation, f)
+    eps = ext.eps_row
 
     def on_eps(col):
         return sum(c * eps[x] for x, c in col.items() if x in eps)
@@ -473,7 +478,7 @@ def reaugment_section(ext, sec):
     new_inv = Matrix.from_sparse_cols(f, a.dim, inv_cols)
     require_convolution_inverse(h, a, new_phi, new_inv)
     require_morphism(new_phi, "re-augmented section fails the augmentation identity",
-                     counit=(h.counit, ext.augmentation))
+                     counit=(h.counit, ext.eps_row))
     return Section(new_phi, new_inv, ca)
 
 
@@ -504,7 +509,8 @@ def classify_cleft_extension(ext):
     # section_to_crossed_system builds the crossed system over this same B
     coinv = ca.coinvariants
     b = coinv.subalgebra
-    baug = AugmentedAlgebra(b, _values_on(f, _native(ext.augmentation, f), coinv.basis))
+    # eps_B is eps_A restricted to B
+    baug = AugmentedAlgebra(b, coinv.inclusion.transpose().apply_sparse(ext.eps_row))
     if not baug.square_zero:
         raise NotSquareZeroError("coinvariant augmentation ideal does not square to zero")
     sec = reaugment_section(ext, sec)
@@ -573,7 +579,7 @@ def split_extension(ext):
     if dp and not cls.cochain.matrix.is_zero():
         constraints = _normalization_constraints(act, 1)
         stacked = Matrix.from_sparse_rows(f, _differential_rows(act, 1) + constraints, dp * dh)
-        t = _solve_sparse(stacked, _flat_cochain(act, cls.cochain, 2))[0]
+        t = solve_linear(stacked, _flat_cochain(act, cls.cochain, 2)).solution
         if t is None:
             raise ValidationError("zero class admits no coboundary witness")
     # psi(e_g) = iso(sum eps(g1) 1_B - t~(g1) (x) e_g2), with t~ = t embedded
@@ -598,7 +604,7 @@ def split_extension(ext):
     psi = Matrix.from_sparse_cols(f, ca.algebra.dim, cols)
     require_morphism(psi, "computed splitting is not an augmented comodule algebra map",
                      algebra=(h, ca.algebra), rho=(h.rho_basis, ca.rho_basis),
-                     counit=(h.counit, ext.augmentation))
+                     counit=(h.counit, ext.eps_row))
     return SplitResult(psi, None)
 
 
@@ -771,10 +777,10 @@ def colinear_splitting_nilpotent(ca, pi):
     r, pivots, _ = eliminated = pi.rref()  # its rank, kernel and coordinates
     if len(pivots) != dh:
         raise ValidationError("map onto the Hopf algebra is not surjective")
-    kernel = _kernel_of_rref(r, pivots, da)
+    ideal = _kernel_of_rref(r, pivots, da)  # I = ker pi
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
                      algebra=(a, h), rho=(ca.rho_basis, h.rho_basis))
-    chain = ideal_power_chain(a, kernel)  # chain[i] = basis of I^{i+1}
+    chain = ideal_power_chain(a, ideal)  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
@@ -929,13 +935,13 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     if psi.rank() != h.dim:
         raise ValidationError("comodule algebra map H -> D is not injective")
     ca_alg, d_alg = c_ca.algebra, d_ca.algebra
-    # varpi verification; its rank is dim C - len(kernel)
-    kernel = varpi.kernel_rows()
-    if varpi.cols - len(kernel) != d_alg.dim:
+    # varpi verification; its rank is dim C - dim J, J = ker varpi
+    ideal = varpi.kernel_rows()
+    if varpi.cols - len(ideal) != d_alg.dim:
         raise ValidationError("map C -> D is not surjective")
     require_morphism(varpi, "map C -> D is not a comodule algebra map",
                      algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho_basis))
-    chain = ideal_power_chain(ca_alg, kernel)
+    chain = ideal_power_chain(ca_alg, ideal)
     n = len(chain)  # J^n = 0
     # exponents 1 = 2^0 < 2 < 4 < ... >= n
     exps = [1]
@@ -987,8 +993,8 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         pi = Matrix.from_sparse_cols(f, h.dim, pi_cols)
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)
-        aug = _values_on(f, _native(h.counit, f), pi.native_cols())
-        ext = AugmentedCleftExtension(sub, aug, sec)
+        eps = pi.transpose().apply_sparse(_native(h.counit, f))  # eps_H o pi
+        ext = AugmentedCleftExtension(sub, eps, sec)
         res = split_extension(ext)
         if not res.split:
             return LiftResult(None, step, res.obstruction)

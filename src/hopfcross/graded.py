@@ -12,7 +12,7 @@ crossed product B #_sigma k[Gamma] in comodule.py.
 
 from .algebra import convolution_invert
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
-from .linalg import Matrix, _basis_row, basis_vec, row_space_basis
+from .linalg import Matrix, _basis_row, _dense_vec, _native, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -33,13 +33,6 @@ class GradedAlgebra:
 
     def component_dim(self, g):
         return len(self.component_indices(g))
-
-    def embed(self, g, coords):
-        """Coordinates in the A_g component basis -> vector in A."""
-        v = [self.field.zero] * self.algebra.dim
-        for idx, c in zip(self.component_indices(g), coords):
-            v[idx] = c
-        return tuple(v)
 
 
 class GradingReport:
@@ -118,17 +111,20 @@ class RecognizedCrossedProduct:
 
 
 def _find_component_unit(ga, g, budget):
-    """Search A_g for an element invertible in A; None when absent/unfound."""
+    """Search A_g for an element invertible in A, as a sparse native row;
+    None when absent/unfound."""
     a = ga.algebra
     f = a.field
     comp = ga.component_indices(g)
     if not comp:
         return None, True
-    mats = [a.left_mult_matrix(basis_vec(f, a.dim, i)) for i in comp]
+    # column j of L_{e_i} is e_i e_j, read off the product rows
+    mats = [Matrix.from_sparse_cols(f, a.dim, [row.get(j, {}) for j in range(a.dim)])
+            for row in (a.native_rows.get(i, {}) for i in comp)]
     outcome = find_invertible_combination(f, mats, budget)
     if not outcome.found:
         return None, outcome.definitive
-    return ga.embed(g, outcome.coeffs), True
+    return _native(dict(zip(comp, outcome.coeffs)), f), True
 
 
 def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
@@ -145,7 +141,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     grp = ga.group
     e = grp.identity
     units = [None] * grp.order
-    units[e] = a.one()  # u_1 is forced to the algebra unit
+    units[e] = _native(a.unit, a.field)  # u_1 is forced to the algebra unit
     for g in range(grp.order):
         if g == e:
             continue
@@ -156,7 +152,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
                 msg += " (not found within budget; absence not proved)"
             raise NotCrossedProductError(msg, definitive=definitive)
         units[g] = u
-    phi = Matrix.from_cols(a.field, units)
+    phi = Matrix.from_sparse_cols(a.field, a.dim, units)
     try:
         # over k[Gamma] this solves u_g x = 1 in A once for each g
         phi_inv = convolution_invert(ca.hopf, a, phi)
@@ -165,4 +161,5 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     # section_to_crossed_system checks the laws and the iso
     sec = Section(phi, phi_inv, ca)
     system, iso = section_to_crossed_system(sec)
+    units = [_dense_vec(a.field, u, a.dim) for u in units]
     return RecognizedCrossedProduct(system, units, iso.inverse())

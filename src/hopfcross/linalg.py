@@ -9,15 +9,14 @@ Between the kernels a vector is one form: a sparse native row, a dict
 {index: nonzero native scalar}, with ints mod p over F_p (inverses by
 `pow(a, p - 2, p)`) and `Rational` over Q.  A `Matrix` is its sparse native
 rows: `Matrix(field, data)` converts dense rows of field scalars once, and
-every operation and elimination reads the rows.  The row-space layer
+every operation and elimination reads the rows.  `solve_linear`, the one
+solver, takes and returns sparse native rows, and the row-space layer
 (`row_space_basis`, `span_coordinates`, `QuotientSpace`, ...) takes such
 rows, or dense vectors converted once on the way in, and hands them back.
-Dense tuples of field scalars appear only at the boundary, for the callers
-that read them (the parser and the encoder, perfbench, tools and tests):
-`basis_vec`, `vtensor`, `Matrix.data` (read by `row` and `col`), a view
-derived and kept on its first read, and `Matrix.apply` and `solve_linear`,
-each a wrapper of a sparse native kernel (`Matrix.apply_sparse`,
-`_solve_sparse`).  The transform T with T * M = R is carried only when a
+Dense tuples of field scalars appear only in the stored constants of a
+structure, in parsing and encoding, and in the dense calls `mult`, `delta`,
+`Matrix.apply`, `col`, `row` and `Matrix.data`, a view derived and kept on
+its first read.  The transform T with T * M = R is carried only when a
 caller asks for it (`inverse`, `column_coordinates`, the certificate of an
 inconsistent `solve_linear` when it is read).
 
@@ -661,61 +660,49 @@ def _kernel_of_rref(r, pivots, cols):
 
 
 class SolveResult:
-    """Outcome of solve_linear.
+    """Outcome of solve_linear, every vector a sparse native row.
 
-    Either `solution` is a vector with M x = b and `kernel` spans the
-    homogeneous solutions, or `certificate` is a row combination y with
-    y^T M = 0 and y^T b != 0 proving inconsistency.  The certificate
-    eliminates M again, with the transform, so it is built only when it is
-    first read."""
+    Either `solution` is x with M x = b and `kernel` spans the homogeneous
+    solutions, or `solution` is None and `certificate` is a row combination
+    y with y^T M = 0 and y^T b != 0 proving inconsistency.  Each is derived
+    on its first read: the kernel off the elimination that found x, the
+    certificate by eliminating M again, with the transform."""
 
-    def __init__(self, solution=None, kernel=None, inconsistent=None):
+    def __init__(self, m, b, solution, eliminated):
         self.solution = solution
-        self.kernel = kernel
-        self._inconsistent = inconsistent  # (M, b) when there is no solution
+        self._system = (m, b)
+        self._eliminated = eliminated  # (R, pivots) of [M | b], and n = M.cols
 
-    @property
-    def consistent(self):
-        return self.solution is not None
+    @cached_property
+    def kernel(self):
+        return None if self._eliminated is None else _kernel_of_rref(*self._eliminated)
 
     @cached_property
     def certificate(self):
-        if self._inconsistent is None:
+        if self.solution is not None:
             return None
-        m, b = self._inconsistent
+        m, b = self._system
         _, pivots, t = m.rref()
-        tb = t.apply(b)
-        i = next(i for i in range(len(pivots), m.rows) if tb[i])
-        return _dense_vec(m.field, t._native_rows()[i], m.rows)
+        p = m.field.characteristic
+        return next(y for y in t._native_rows()[len(pivots):] if _dot(y, b, p))
 
 
-def _solve_sparse(m, b):
-    """(x, R, pivots) for M x = b with b a sparse native row: [M | b] is
-    eliminated once into R, whose pivots are those of M, plus the last column
-    exactly when the system is inconsistent, and x is the solution read off
-    R as a sparse native row, or None when there is none.  The sparse rows
-    of [M | b] are those of M, with b's nonzeros appended at column n."""
+def solve_linear(m, b):
+    """Solve M x = b exactly, for b a sparse native row; see SolveResult.
+    [M | b] is eliminated once into R, whose pivots are those of M, plus the
+    last column exactly when the system is inconsistent; x is read off R.
+    The sparse rows of [M | b] are those of M, with b's nonzeros appended at
+    column n."""
+    if any(not 0 <= i < m.rows for i in b):
+        raise ShapeMismatchError("rhs index outside the %d rows" % m.rows)
     n = m.cols
     rows = [{**row, n: b[i]} if i in b else row for i, row in enumerate(m._native_rows())]
     r, pivots, _ = Matrix.from_sparse_rows(m.field, rows, n + 1).rref(transform=False)
     if pivots and pivots[-1] == n:
-        return None, r, pivots
+        return SolveResult(m, b, None, None)
     # pivot rows of the rref have a 1 in column pc; back substitution is immediate
-    return {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}, r, pivots
-
-
-def solve_linear(m, b):
-    """Solve M x = b exactly, for a dense b; see SolveResult.  The solution
-    and the kernel are read off the one elimination of `_solve_sparse`."""
-    if len(b) != m.rows:
-        raise ShapeMismatchError("rhs length %d != rows %d" % (len(b), m.rows))
-    f = m.field
-    n = m.cols
-    sol, r, pivots = _solve_sparse(m, _native(b, f))
-    if sol is None:
-        return SolveResult(inconsistent=(m, b))
-    kernel = [_dense_vec(f, v, n) for v in _kernel_of_rref(r, pivots, n)]
-    return SolveResult(solution=_dense_vec(f, sol, n), kernel=kernel)
+    x = {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}
+    return SolveResult(m, b, x, (r, pivots, n))
 
 
 def column_coordinates(m, eliminated=None):

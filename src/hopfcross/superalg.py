@@ -225,10 +225,9 @@ class ExteriorHopf:
                     out[(at[left], at[s ^ left])] = sign[_inversions(left, s ^ left) & 1]
             coproduct[i] = out
         # the antipode is (-1)^|S| on e_S
-        rows = [[f.zero] * dim for _ in range(dim)]
-        for i, s in enumerate(self.subsets):
-            rows[i][i] = sign[len(s) & 1]
-        self.hopf = FHopf(f, labels, product, unit, coproduct, unit, Matrix(f, rows))
+        antipode = Matrix.from_sparse_rows(f, [_native({i: sign[len(s) & 1]}, f)
+                                               for i, s in enumerate(self.subsets)], dim)
+        self.hopf = FHopf(f, labels, product, unit, coproduct, unit, antipode)
         self.parity = tuple(len(s) % 2 for s in self.subsets)
         self.presentation = SuperPresentation(self.hopf, self.parity)
 

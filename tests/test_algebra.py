@@ -1340,8 +1340,8 @@ def test_a_structure_gathers_its_denominators_once(monkeypatch):
     assert gathered[4:] == [(_Algebra, alg), (_Coalgebra, coalg)]
 
 
-STRUCTURE_OPERATIONS = ("mult", "mult_basis", "one", "lowered_rows", "left_mult_matrix",
-                        "delta", "delta_basis", "eps", "lowered_coproduct")
+STRUCTURE_OPERATIONS = ("mult", "mult_basis", "one", "lowered_rows", "delta", "delta_basis",
+                        "eps", "lowered_coproduct")
 
 
 def test_a_bialgebra_shares_the_operations_of_algebras_and_coalgebras():
@@ -2274,9 +2274,6 @@ def test_mult_matches_the_dense_oracle(field):
                 out = a.mult(x, y)
                 assert out == ref_mult(a, x, y)
                 assert all(type(c) is scalar for c in out)
-            left = a.left_mult_matrix(x)
-            assert left == Matrix.from_cols(field, [ref_mult(a, x, basis_vec(field, a.dim, j))
-                                                    for j in range(a.dim)])
 
 
 @pytest.mark.parametrize("field", [Q, F7], ids=repr)

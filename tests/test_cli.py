@@ -1073,21 +1073,36 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
     # the normal-basis maps are built from sparse products and the search
     # walks their rows, and every other kernel reads sparse native rows too:
     # from parsing to the report no command derives a dense view on any
-    # corpus file it reads
-    derived = []
-    data = Matrix.data
+    # corpus file it reads, nor builds a matrix from dense rows outside the
+    # parser
+    derived, built, parsing = [], [], []
+    data, init, parse = Matrix.data, Matrix.__init__, hopfcross.cli.parse_presentation
 
     def spy(self):
         if self._data is None:
             derived.append((self.rows, self.cols))
         return data.fget(self)
 
+    def spy_init(self, *args):
+        init(self, *args)
+        if not parsing:
+            built.append((self.rows, self.cols))
+
+    def spy_parse(*args):
+        parsing.append(args)
+        try:
+            return parse(*args)
+        finally:
+            parsing.pop()
+
     monkeypatch.setattr(Matrix, "data", property(spy))
+    monkeypatch.setattr(Matrix, "__init__", spy_init)
+    monkeypatch.setattr(hopfcross.cli, "parse_presentation", spy_parse)
     names = [name for name in ALL_CORPUS if accepts(command, name)]
     assert names
     for name in names:
         assert main([command, corpus(name)]) in (0, 1)
-    assert derived == []
+    assert derived == [] and built == []
 
 
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):

@@ -860,7 +860,7 @@ def test_closed_form_section_inverses_equal_the_solved_ones():
         if aug is not None:
             ext = AugmentedCleftExtension(ca, aug)
             re = reaugment_section(ext, sec)
-            assert all(evaluate(h.field, ext.augmentation, re.phi.col(g)) == h.counit[g]
+            assert all(evaluate(h.field, aug, re.phi.col(g)) == h.counit[g]
                        for g in range(h.dim))
             assert re.phi_inv == convolution_invert(h, a, re.phi)
 

@@ -457,7 +457,9 @@ def test_find_section_matrix2():
     phi_g = sec.phi.col(1)
     # phi(g) lies in the antidiagonal component and is invertible
     assert phi_g[0] == Q.zero and phi_g[1] == Q.zero
-    assert ca.algebra.left_mult_matrix(phi_g).is_invertible()
+    a = ca.algebra
+    assert Matrix.from_cols(Q, [a.mult(phi_g, basis_vec(Q, a.dim, j))
+                                for j in range(a.dim)]).is_invertible()
 
 
 def test_find_section_dual_numbers_fails_definitively():

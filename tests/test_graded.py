@@ -646,7 +646,7 @@ def test_recognize_one_sided_unit_is_not_definitive(monkeypatch):
     # a unit candidate without a two-sided inverse stops recognition with the
     # same non-definitive negative as a search that ran out of budget
     monkeypatch.setattr(graded, "_find_component_unit",
-                        lambda ga, g, budget: (basis_vec(Q, 4, 2), True))
+                        lambda ga, g, budget: ({2: Q.one}, True))
     with pytest.raises(NotCrossedProductError, match="one-sided") as exc:
         recognize_group_crossed_product(matrix2_graded())
     assert not exc.value.definitive

@@ -58,18 +58,18 @@ def test_fp_arithmetic():
 
 def test_solve_identity():
     m = Matrix.identity(Q, 3)
-    b = (Fraction(1), Fraction(2), Fraction(3))
+    b = {0: Q.from_int(1), 1: Q.from_int(2), 2: Q.from_int(3)}
     res = solve_linear(m, b)
-    assert res.consistent
+    assert res.solution is not None
     assert res.solution == b
     assert res.kernel == []
 
 
 def test_solve_inconsistent_certificate():
     m = qmat([[1, 1], [1, 1]])
-    res = solve_linear(m, (Fraction(1), Fraction(0)))
-    assert not res.consistent
-    y = res.certificate
+    res = solve_linear(m, {0: Q.one})
+    assert res.solution is None
+    y = _dense_vec(Q, res.certificate, 2)
     # y^T M = 0 but y^T b != 0
     assert all(
         sum(y[i] * m.data[i][j] for i in range(2)) == 0 for j in range(2)
@@ -88,13 +88,13 @@ def test_solve_f5_against_exhaustive_oracle():
         if m.apply((F5.from_int(x), F5.from_int(y))) == b
     ]
     assert hits == [(F5.zero, F5.one)]
-    res = solve_linear(m, b)
-    assert res.solution == (F5.zero, F5.one)
+    res = solve_linear(m, _native(b, F5))
+    assert res.solution == {1: 1}
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        solve_linear(Matrix.identity(Q, 2), (Fraction(1),))
+        solve_linear(Matrix.identity(Q, 2), {2: Q.one})
 
 
 def test_kernel_zero_matrix():
@@ -170,11 +170,10 @@ def test_rank_nullity_on_random_sparse_matrices():
 def test_solve_recovers_known_solution(rows, x):
     m = qmat(rows)
     xv = tuple(Fraction(v) for v in x)
-    b = m.apply(xv)
-    res = solve_linear(m, b)
-    assert res.consistent
+    res = solve_linear(m, m.apply_sparse(xv))
+    assert res.solution is not None
     # x lies in the returned affine solution space
-    diff = tuple(a - b2 for a, b2 in zip(xv, res.solution))
+    diff = tuple(a - b2 for a, b2 in zip(xv, _dense_vec(Q, res.solution, m.cols)))
     span = row_space_basis(Q, res.kernel, m.cols)
     assert in_span(Q, span, diff)
 
@@ -370,13 +369,14 @@ def test_solve_linear_matches_the_dense_oracle(field):
         x = tuple(field.random(rng) for _ in range(m.cols))
         targets = [m.apply(x), tuple(field.random(rng) for _ in range(m.rows))]
         for b in targets:
-            res = solve_linear(m, b)
+            res = solve_linear(m, _native(b, field))
             expected = dense_solve(m, b)
             if expected is not None:
-                assert (res.solution, res.kernel) == expected
+                assert (_dense_vec(field, res.solution, m.cols),
+                        [_dense_vec(field, v, m.cols) for v in res.kernel]) == expected
                 continue
             inconsistent += 1
-            y = res.certificate
+            y = _dense_vec(field, res.certificate, m.rows)
             assert all(not sum((y[i] * m.data[i][j] for i in range(m.rows)), field.zero)
                        for j in range(m.cols))
             assert sum((a * c for a, c in zip(y, b)), field.zero)
@@ -394,7 +394,7 @@ def test_questions_without_a_transform_eliminate_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", counting)
     m = fpmat(F5, [[1, 2, 0], [2, 4, 1], [0, 0, 3]])
-    for question in (lambda: solve_linear(m, m.apply((F5.one, F5.one, F5.zero))),
+    for question in (lambda: solve_linear(m, m.apply_sparse((F5.one, F5.one, F5.zero))),
                      m.rank, lambda: kernel_basis(m), m.is_invertible):
         transforms.clear()
         question()
@@ -411,8 +411,8 @@ def test_an_inconsistent_system_eliminates_again_only_for_its_certificate(monkey
         return out
 
     monkeypatch.setattr(Matrix, "rref", counting)
-    res = solve_linear(qmat([[1, 1], [1, 1]]), (Fraction(1), Fraction(0)))
-    assert not res.consistent
+    res = solve_linear(qmat([[1, 1], [1, 1]]), {0: Q.one})
+    assert res.solution is None
     assert transforms == [None]
     y = res.certificate
     assert len(transforms) == 2 and transforms[1] is not None
@@ -685,14 +685,12 @@ def test_a_matrix_built_sparse_matches_it_built_dense(field):
             assert x == ref(b)
             if x is not None:
                 assert_native(field, x)
-            res, expected = solve_linear(s, b), solve_linear(m, b)
-            assert res.consistent == expected.consistent
-            if res.consistent:
-                assert_same_typed(field, res.solution, expected.solution)
-                assert_same_typed(field, res.kernel, expected.kernel)
-            else:
-                inconsistent += 1
-                assert_same_typed(field, res.certificate, expected.certificate)
+            res, expected = (solve_linear(t, _native(b, field)) for t in (s, m))
+            got = (res.solution, res.kernel, res.certificate)
+            assert got == (expected.solution, expected.kernel, expected.certificate)
+            for row in ([got[2]] if got[0] is None else [got[0]] + got[1]):
+                assert_native(field, row)
+            inconsistent += got[0] is None
         for v in coordinate_vectors(field, rng, m.cols):
             assert_same_typed(field, s.apply(v), m.apply(v))
         # none of the above derived the dense view of s

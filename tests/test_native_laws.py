@@ -59,6 +59,7 @@ from hopfcross.linalg import (
     Matrix,
     PrimeField,
     Rationals,
+    _dense_vec,
     _native,
     basis_vec,
     solve_linear,
@@ -367,10 +368,11 @@ def ref_convolution_invert(c, a, f):
     da = a.dim
     unit = convolution_unit(c, a)
     rhs = tuple(x for i in range(c.dim) for x in unit.col(i))
-    res = solve_linear(convolution_left_operator(c, a, f), rhs)
-    if not res.consistent:
+    res = solve_linear(convolution_left_operator(c, a, f), _native(rhs, a.field))
+    if res.solution is None:
         raise NotConvolutionInvertibleError("left convolution by f is not surjective")
-    g_cols = [res.solution[ti(k, 0, da):ti(k + 1, 0, da)] for k in range(c.dim)]
+    solution = _dense_vec(a.field, res.solution, c.dim * da)
+    g_cols = [solution[ti(k, 0, da):ti(k + 1, 0, da)] for k in range(c.dim)]
     g = Matrix.from_cols(a.field, g_cols)
     if convolve(c, a, f, g) != unit or convolve(c, a, g, f) != unit:
         raise NotConvolutionInvertibleError("candidate inverse fails the two-sided identity")
@@ -875,12 +877,13 @@ def assert_sparse_systems(dense, eliminated, shapes):
 @pytest.mark.parametrize("fname, field", FIELDS)
 def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeypatch):
     # convolution_invert: k^S3 is one component, a 36 x 36 block solved with
-    # its right-hand side appended; the only dense matrix is the inverse
+    # its sparse right-hand side appended, and the inverse read off the
+    # sparse solution: no matrix is dense
     h = dual_structure(ks3(field))
     c, a, f = h.as_coalgebra(), h.as_algebra(), identity(h)
     _, dense, eliminated = build_and_eliminate(monkeypatch, lambda: convolution_invert(c, a, f))
     assert_sparse_systems(dense, eliminated, {(36, 37)})
-    assert dense == [(6, 6)]
+    assert dense == []
     # colinear_map_space and coaction_kernel on a crossed product build no
     # dense matrix at all
     ca = crossed_product(next(crossed_systems(field, random.Random(3)))[1])

@@ -16,6 +16,7 @@ MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 # public names that only the tests read, each with its reason
 TEST_ONLY = {
     "SolveResult.certificate": "the inconsistency certificate that solve_linear documents",
+    "SolveResult.kernel": "the homogeneous solutions that solve_linear documents",
 }
 
 
