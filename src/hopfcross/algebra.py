@@ -1,12 +1,13 @@
 """Finite-dimensional algebra/coalgebra/bialgebra/Hopf presentations.
 
-A presentation stores structure constants sparsely, as field scalars: the
-product as ``{(i, j): {k: scalar}}`` and the coproduct as
-``{i: {(j, k): scalar}}``.  Field scalars appear only there and in the dense
-calls (`mult`, `delta`, `eps`); inside, products and coordinates are sparse
-native rows (see `linalg`), with one product kernel, `sparse_mult`, which
-the dense `mult` wraps.  Every law kernel reads native forms only: a map as
-its native columns, a coaction as its native terms (`rho_basis`; for a
+A presentation stores structure constants sparsely, as field scalars c: the
+product as ``{(i, j): {k: c}}``, the coproduct as ``{i: {(j, k): c}}``, and
+the unit and counit as tuples, which the constructor also keeps as native
+rows (`native_unit`, `native_counit`).  Field scalars appear only there and
+in the dense calls (`mult`, `delta`); inside, every vector is a sparse
+native row (see `linalg`), with one product kernel, `sparse_mult`, which the
+dense `mult` wraps.  Every law kernel reads native forms only: a map as its
+native columns, a coaction as its native terms (`rho_basis`; for a
 coalgebra, Delta as terms), both lowered to native ints (see `_lowering`).
 FAlgebra and FCoalgebra take their operations from `_Algebra` and
 `_Coalgebra`, and FBialgebra from both.  Each structure keeps, beside its
@@ -40,7 +41,6 @@ from .linalg import (
     _field_row,
     _native,
     _reduced,
-    _sparse,
     _subtract,
     basis_vec,
     connected_components,
@@ -105,6 +105,7 @@ class _Algebra(_Structure):
             raise ShapeMismatchError("unit vector has wrong length")
         self.product = _clean_sparse_product(field, self.dim, product)
         self.unit = tuple(unit)
+        self.native_unit = _native(self.unit, field)
         self._rows = {}
 
     def _scalars(self):
@@ -123,7 +124,7 @@ class _Algebra(_Structure):
         """G of this algebra (see `_generating_set`), found on the first read."""
         lower, d, _ = _lowering((self,))
         return _generating_set(self.field, self.lowered_rows(d),
-                               _lowered(_native(self.unit, self.field), lower), self.dim)
+                               _lowered(self.native_unit, lower), self.dim)
 
     @cached_property
     def native_rows(self):
@@ -172,6 +173,7 @@ class _Coalgebra(_Structure):
             raise ShapeMismatchError("counit vector has wrong length")
         self.coproduct = _clean_sparse_coproduct(field, self.dim, coproduct)
         self.counit = tuple(counit)
+        self.native_counit = _native(self.counit, field)
         self._terms = {}
 
     def _scalars(self):
@@ -211,12 +213,6 @@ class _Coalgebra(_Structure):
                 out[jk] = out.get(jk, self.field.zero) + a * c
         return {jk: c for jk, c in out.items() if c}
 
-    def eps(self, vec):
-        f = self.field
-        p = f.characteristic
-        x = _dot(_native(self.counit, f), _native(vec, f), p)
-        return f.from_int(x) if p else x
-
     def canonical_constants(self):
         cop = tuple(
             (i, j, k, c)
@@ -237,8 +233,8 @@ class FCoalgebra(_Coalgebra):
 class FBialgebra(_Algebra, _Coalgebra):
     """Algebra and coalgebra on one basis, with compatible structures.  It is
     not an FAlgebra or an FCoalgebra; as_algebra and as_coalgebra give it as
-    one, sharing its constants and lowered tables, and each gives the same
-    view on every call, so what a view derives is derived once."""
+    one, sharing its constants and what it derived from them, and each gives
+    the same view on every call, so what a view derives is derived once."""
 
     def __init__(self, field, basis, product, unit, coproduct, counit):
         _Algebra.__init__(self, field, basis, product, unit)
@@ -248,10 +244,10 @@ class FBialgebra(_Algebra, _Coalgebra):
         return chain(_Algebra._scalars(self), _Coalgebra._scalars(self))
 
     def as_algebra(self):
-        return _view(FAlgebra, self, "product", "unit", "_rows")
+        return _view(FAlgebra, self, "product", "unit", "native_unit", "_rows")
 
     def as_coalgebra(self):
-        return _view(FCoalgebra, self, "coproduct", "counit", "_terms")
+        return _view(FCoalgebra, self, "coproduct", "counit", "native_counit", "_terms")
 
     def canonical_constants(self):
         return _Algebra.canonical_constants(self) + _Coalgebra.canonical_constants(self)
@@ -302,7 +298,7 @@ def induced_algebra(a, basis, coords, labels):
     for s, u in enumerate(basis):
         for t, v in enumerate(basis):
             product[(s, t)] = _field_row(f, coords(a.sparse_mult(u, v)))
-    return FAlgebra(f, labels, product, _dense_vec(f, coords(_native(a.one(), f)), len(basis)))
+    return FAlgebra(f, labels, product, _dense_vec(f, coords(a.native_unit), len(basis)))
 
 
 def induced_coproduct(c, basis, coords):
@@ -337,7 +333,8 @@ def induced_coproduct(c, basis, coords):
 
 def relative_tensor(a, b_vectors, left, right, image):
     """X (x)_B Y for X = span(e_x : x in left) and Y = span(e_y : y in right)
-    inside A, with XB in X and BY in Y for B = span(b_vectors): the quotient
+    inside A, with XB in X and BY in Y for B = span(b_vectors), sparse native
+    rows: the quotient
     of X (x) Y (flat index ti(s, t, len(right)) for e_left[s] (x) e_right[t])
     by xb (x) y - x (x) by, and the sparse native columns {row: c} of the map
     that a B-balanced image(x, y) of e_x (x) e_y induces on it, one per
@@ -347,7 +344,6 @@ def relative_tensor(a, b_vectors, left, right, image):
     n = len(right)
     at_left = {x: s for s, x in enumerate(left)}
     at_right = {y: t for t, y in enumerate(right)}
-    b_vectors = [_sparse(b, f) for b in b_vectors]
     by = [[a.sparse_mult(b, _basis_row(f, y)).items() for y in right] for b in b_vectors]
     relations = []
     for s, x in enumerate(left):
@@ -379,11 +375,12 @@ def relative_tensor(a, b_vectors, left, right, image):
 # is its own lowering, and over Q c becomes D * c, with D the lcm of the
 # denominators of the structures and maps the law reads.  Each structure
 # keeps, beside its constants, the lcm of their denominators
-# (`denominator`), its native tables (`native_rows`, `native_coproduct`) and
-# those lowered once per scale D (`lowered_rows`, `lowered_coproduct`), so
-# the laws, the kernels and the checks of one structure share them.  A map
-# arrives as its native columns and a coaction as its native terms; they and
-# the units are lowered in each call.  Every comparison below
+# (`denominator`), its native tables (`native_rows`, `native_coproduct`,
+# `native_unit`, `native_counit`) and the two tables lowered once per scale D
+# (`lowered_rows`, `lowered_coproduct`), so the laws, the kernels and the
+# checks of one structure share them.  A map arrives as its native columns
+# and a coaction as its native terms; they and the units are lowered in each
+# call.  Every comparison below
 # is exact for any common multiple D of the denominators it reads.
 # Sums stay unreduced until `clean`, at the comparison.  Over Q a term with
 # r lowered constants carries D^r, so the side of a comparison with fewer
@@ -565,9 +562,9 @@ def _parity_laws(h, p):
         for (j, k) in h.delta_basis(i):
             if (p[j] + p[k]) % 2 != pi:
                 yield ("coproduct-parity", (i, j, k))
-        if pi and h.counit[i]:
+        if pi and i in h.native_counit:
             yield ("counit-parity", (i,))
-        if pi and h.unit[i]:
+        if pi and i in h.native_unit:
             yield ("unit-parity", (i,))
         for k in antipode[i]:
             if p[k] != pi:
@@ -674,7 +671,7 @@ def _algebra_laws(a, gens=None):
     here keyed l * dim + m over the nonzero products."""
     lower, d, clean = _lowering((a,))
     rows = a.lowered_rows(d)
-    unit = _lowered(_native(a.unit, a.field), lower)
+    unit = _lowered(a.native_unit, lower)
     dim = a.dim
     for i in range(dim):
         left, right = {i: -d * d}, {i: -d * d}
@@ -734,7 +731,7 @@ def _coalgebra_laws(c, gens=None):
     and on G, hence on the words that span the algebra."""
     lower, d, clean = _lowering((c,))
     coproduct = c.lowered_coproduct(d)
-    counit = _lowered(_native(c.counit, c.field), lower)
+    counit = _lowered(c.native_counit, lower)
     dim = c.dim
     for i in range(dim) if gens is None else gens:
         if clean(_coassociator(coproduct, dim, i)):
@@ -779,7 +776,7 @@ def _bialgebra_laws(b, p, gens=None):
     fill one difference, with e_x (x) e_y at x * dim + y."""
     lower, d, clean = _lowering((b,))
     rows, coproduct = b.lowered_rows(d), b.lowered_coproduct(d)
-    unit, counit = (_lowered(_native(v, b.field), lower) for v in (b.unit, b.counit))
+    unit, counit = _lowered(b.native_unit, lower), _lowered(b.native_counit, lower)
     d2 = d * d
     dim = b.dim
     char = b.field.characteristic
@@ -842,7 +839,7 @@ def _convolution_failures(c, a, f_cols, g_cols):
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in f_cols]
     g_cols = [_lowered(col, lower) for col in g_cols]
-    unit, counit = (_lowered(_native(v, a.field), lower) for v in (a.unit, c.counit))
+    unit, counit = _lowered(a.native_unit, lower), _lowered(c.native_counit, lower)
     d2 = d * d
 
     def add_product(out, u, left, right):
@@ -956,7 +953,7 @@ def algebra_map_violations(src, dst, m, generators=None):
     cols = m.native_cols() if isinstance(m, Matrix) else m
     lower, d, clean = _lowering((src, *factors), (cols,))
     cols = [_lowered(col, lower) for col in cols]
-    src_unit, *units = (_lowered(_native(s.unit, src.field), lower) for s in (src, *factors))
+    src_unit, *units = (_lowered(s.native_unit, lower) for s in (src, *factors))
     if len(factors) == 1:
         rows = dst.lowered_rows(d)
         target = {t: d * c for t, c in units[0].items()}
@@ -1022,13 +1019,11 @@ def colinear_violations(src_rho_basis, dst_rho_basis, m):
 
 def counit_violations(src_counit, dst_counit, m):
     """Witnesses ("counit", (i,)) that the linear map m fails
-    eps_dst(m e_i) = eps_src(e_i), for counits or augmentations given by
-    their values on the basis or as sparse native rows."""
-    f = m.field
-    p = f.characteristic
-    src, dst = _sparse(src_counit, f), _sparse(dst_counit, f)
+    eps_dst(m e_i) = eps_src(e_i), for counits or augmentations given as
+    sparse native rows."""
+    p = m.field.characteristic
     for i, col in enumerate(m.native_cols()):
-        if _dot(dst, col, p) != src.get(i, 0):
+        if _dot(dst_counit, col, p) != src_counit.get(i, 0):
             yield ("counit", (i,))
 
 
@@ -1064,7 +1059,7 @@ def coaction_violations(rho_basis, hopf, dim):
     lower, d, clean = _lowering((hopf,), (terms,))
     terms = [_lowered(t, lower) for t in terms]
     coproduct = hopf.lowered_coproduct(d)
-    counit = _lowered(_native(hopf.counit, hopf.field), lower)
+    counit = _lowered(hopf.native_counit, lower)
     dh = hopf.dim
     for i, rho in enumerate(terms):
         unital, diff = {i: -d * d}, {}
@@ -1115,8 +1110,8 @@ def convolution_invert(c, a, f):
     right-hand side eps(e_i) 1 is multiplied by D, a scaling of whole rows
     that keeps the solution.  The right-hand side, the solution and the
     columns of g are sparse native rows, as everywhere between parsing and
-    encoding: dense tuples appear only in stored constants and in `mult`,
-    `delta`, `Matrix.apply`, `col`, `row` and `Matrix.data`.
+    encoding: dense tuples appear only in stored constants and in the dense
+    calls (see `linalg`).
 
     The two-sided identity is always re-verified, guarding against
     non-coassociative or non-associative corrupt inputs.
@@ -1128,7 +1123,7 @@ def convolution_invert(c, a, f):
     lower, d, _ = _lowering((a, c), (cols,))
     rows, coproduct = a.lowered_rows(d), c.lowered_coproduct(d)
     f_cols = [_lowered(col, lower) for col in cols]
-    unit, counit = (_lowered(_native(v, fld), lower) for v in (a.unit, c.counit))
+    unit, counit = _lowered(a.native_unit, lower), _lowered(c.native_counit, lower)
     p = fld.characteristic
     native = (lambda v: v % p) if p else fld.from_int
     g_cols = [{} for _ in range(c.dim)]
@@ -1287,8 +1282,8 @@ class ComoduleCoalgebraData(_RightComodule):
         delta = Matrix.from_sparse_cols(f, dd * dd, [{ti(j, k, dd): c for (j, k), c in
                                                       d.native_coproduct.get(i, {}).items()}
                                                      for i in range(dd)])
-        counit = Matrix.from_sparse_rows(f, [_native(d.counit, f)], dd)
-        unit = {(0, t): c for t, c in _native(h.unit, f).items()}
+        counit = Matrix.from_sparse_rows(f, [d.native_counit], dd)
+        unit = {(0, t): c for t, c in h.native_unit.items()}
 
         def tensor_rho(y):
             """rho_{D(x)D}(e_a1 (x) e_a2) = sum (e_b1 (x) e_b2) (x) x1 x2."""
@@ -1328,6 +1323,7 @@ def smash_coproduct(data):
     f = h.field
     dh, dd = h.dim, d.dim
     labels = tuple("%s|x%s" % (x, y) for x in h.basis for y in d.basis)
+    p = f.characteristic
     rows, hcop, dcop = h.native_rows, h.native_coproduct, d.native_coproduct
     coproduct = {}
     for hi in range(dh):
@@ -1340,8 +1336,9 @@ def smash_coproduct(data):
                         for x, m in rows.get(h2, {}).get(d11, {}).items():
                             key = (ti(h1, d10, dd), ti(x, d2, dd))
                             terms[key] = terms[key] + uvw * m if key in terms else uvw * m
-            coproduct[ti(hi, di, dd)] = _field_row(f, _reduced(terms, f.characteristic))
-    coalg = FCoalgebra(f, labels, coproduct, vtensor(h.counit, d.counit))
+            coproduct[ti(hi, di, dd)] = _field_row(f, _reduced(terms, p))
+    counit = vtensor(h.native_counit, d.native_counit, dd, p)
+    coalg = FCoalgebra(f, labels, coproduct, _dense_vec(f, counit, dh * dd))
     report = check_axioms("coalgebra", coalg)
     if not report.ok:
         raise ValidationError("smash coproduct fails coalgebra axioms: %r" % (report,))

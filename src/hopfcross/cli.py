@@ -20,6 +20,7 @@ from .algebra import (
     FCoalgebra,
     FHopf,
     MAX_VIOLATIONS,
+    _native_terms,
     check_axioms,
     compute_antipode,
     dual_hopf,
@@ -180,6 +181,12 @@ def _vector_from_json(field, obj, dim, where):
         seen.add(i)
         v[i] = _scal_parse(field, e[1:], where)
     return tuple(v)
+
+
+def _row_from_json(field, obj, dim, where):
+    """An augmentation block as the sparse native row the library reads."""
+    v = _vector_from_json(field, obj, dim, where)
+    return _native_terms(field, {i: c for i, c in enumerate(v) if c})
 
 
 def _vector_to_json(field, v):
@@ -513,7 +520,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         # block is an input error whatever the coaction
         aug = None
         if "augmentation" in doc:
-            aug = _vector_from_json(field, doc["augmentation"], alg.dim, "augmentation")
+            aug = _row_from_json(field, doc["augmentation"], alg.dim, "augmentation")
         ca = ComoduleAlgebra(alg, hopf, coaction)
         _check_nested_hopf(hopf)
         _check_algebra_block(alg, "algebra")
@@ -536,10 +543,10 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
     if kind == "hmodule":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         base = _parse_algebra(_nested(doc, "base", kind), field, "algebra")
-        augvec = _vector_from_json(
+        augmentation = _row_from_json(
             field, _require(doc, "augmentation", kind), base.dim, "augmentation"
         )
-        aug = AugmentedAlgebra(base, augvec)
+        aug = AugmentedAlgebra(base, augmentation)
         act = HModuleStructure(
             hopf, aug, _matrix_from_json(field, _require(doc, "action", kind), "action")
         )

@@ -57,7 +57,6 @@ from .linalg import (
     _kernel_of_rref,
     _native,
     _reduced,
-    _sparse,
     _subtract,
     column_coordinates,
     echelon_complement,
@@ -70,19 +69,22 @@ from .linalg import (
 
 def augmentation_violations(algebra, augmentation, generators=None):
     """The witnesses of algebra_map_violations that the functional
-    `augmentation`, a sparse native row or its values on the basis, is not a
-    unital algebra map A -> k, with generators as there."""
+    `augmentation`, a sparse native row, is not a unital algebra map A -> k,
+    with generators as there."""
     f = algebra.field
     ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
-    eps = Matrix.from_sparse_rows(f, [_sparse(augmentation, f)], algebra.dim)
+    eps = Matrix.from_sparse_rows(f, [augmentation], algebra.dim)
     return algebra_map_violations(algebra, ground, eps, generators)
 
 
 def _augmentation_row(algebra, augmentation):
-    """An augmentation, given as a sparse native row or by its values, as the row."""
-    if not isinstance(augmentation, dict) and len(augmentation) != algebra.dim:
+    """An augmentation as a sparse native row: one already, or given by its
+    values on the basis, as the builders of stock inputs give it."""
+    if isinstance(augmentation, dict):
+        return augmentation
+    if len(augmentation) != algebra.dim:
         raise ShapeMismatchError("augmentation vector has wrong length")
-    return _sparse(augmentation, algebra.field)
+    return _native(augmentation, algebra.field)
 
 
 class AugmentedAlgebra:
@@ -104,7 +106,6 @@ class AugmentedAlgebra:
         # canonical basis of B+ is e_j - (eps_j / eps_p) e_p for j != p, so
         # the plus coordinates of a vector of B+ are its entries off p
         self.plus_dim = algebra.dim - 1
-        self._one = _native(algebra.unit, algebra.field)
         self._pivot = min(self.eps_row)
 
     @cached_property
@@ -147,7 +148,7 @@ class AugmentedAlgebra:
         c = self.eps(bvec)
         plus = dict(bvec)
         if c:
-            _subtract(plus, c, self._one, self.field.characteristic)
+            _subtract(plus, c, self.algebra.native_unit, self.field.characteristic)
         p = self._pivot
         return c, {j - (j > p): x for j, x in plus.items() if j != p}
 
@@ -178,7 +179,7 @@ class HModuleStructure:
         lower, d, clean = _lowering((h,), (acts,))
         acts = [_lowered(col, lower) for col in acts]
         rows = h.lowered_rows(d)
-        unit = _lowered(_native(h.unit, h.field), lower)
+        unit = _lowered(h.native_unit, lower)
         violations = []
         for p in range(dp):
             acted = {}
@@ -256,7 +257,8 @@ def _differential_rows(act, degree):
     lower, d, clean = _lowering((h,), (acts,))
     acts = [_lowered(col, lower) for col in acts]
     rows = h.lowered_rows(d)
-    counit = _lowered(_native(h.counit, f), lower)
+    counit = _lowered(h.native_counit, lower)
+
     def flat(hs):
         j = 0
         for x in hs:
@@ -304,7 +306,7 @@ def _normalization_constraints(act, degree):
     1) or s(h,1) = 0 = s(1,h) (degree 2) on flat cochains."""
     h = act.hopf
     dh, dp = h.dim, act.plus_dim
-    unit = _native(h.unit, h.field).items()
+    unit = h.native_unit.items()
     if degree == 1:
         return [{t * dp + p: c for t, c in unit} for p in range(dp)]
     rows = []
@@ -403,7 +405,7 @@ def crossed_system_from_cocycle(act, s):
     if any(_dot(row, flat, p) for row in _differential_rows(act, 2)):
         raise CocycleViolationError("cochain fails the 2-cocycle condition")
     dh, db, dp = h.dim, b.dim, act.plus_dim
-    one, counit = _native(b.unit, f), _native(h.counit, f)
+    one, counit = b.native_unit, h.native_counit
     acts = act.action.native_cols()
 
     def plus_eps(val, e):
@@ -478,7 +480,7 @@ def reaugment_section(ext, sec):
     new_inv = Matrix.from_sparse_cols(f, a.dim, inv_cols)
     require_convolution_inverse(h, a, new_phi, new_inv)
     require_morphism(new_phi, "re-augmented section fails the augmentation identity",
-                     counit=(h.counit, ext.eps_row))
+                     counit=(h.native_counit, ext.eps_row))
     return Section(new_phi, new_inv, ca)
 
 
@@ -530,7 +532,7 @@ def classify_cleft_extension(ext):
             act_cols.append(plus)
     act = HModuleStructure(h, baug, Matrix.from_sparse_cols(f, dp, act_cols))
     # invert (sigma): s(g, h) = sigma(g, h) - eps(g)eps(h)1
-    one, counit = _native(b.unit, f), _native(h.counit, f)
+    one, counit = b.native_unit, h.native_counit
     s_cols = []
     for j, col in enumerate(system.sigma.native_cols()):
         g, t = divmod(j, dh)
@@ -586,7 +588,7 @@ def split_extension(ext):
     # in B through the plus basis: the image of 1_B (x) e_g under the gauge
     # f_{-t} of the crossed product
     aug = cls.aug
-    one, counit = _native(aug.algebra.unit, f), _native(h.counit, f)
+    one, counit = aug.algebra.native_unit, h.native_counit
     gauge = []
     for g, col in enumerate(_cochain(act, 1, t).matrix.native_cols()):
         v = {x: -c for x, c in aug.embed_plus(col).items()}
@@ -604,7 +606,7 @@ def split_extension(ext):
     psi = Matrix.from_sparse_cols(f, ca.algebra.dim, cols)
     require_morphism(psi, "computed splitting is not an augmented comodule algebra map",
                      algebra=(h, ca.algebra), rho=(h.rho_basis, ca.rho_basis),
-                     counit=(h.counit, ext.eps_row))
+                     counit=(h.native_counit, ext.eps_row))
     return SplitResult(psi, None)
 
 
@@ -654,7 +656,7 @@ class HopfModule(_RightComodule):
         p = f.characteristic
         dm, dh = self.dim, h.dim
         acts, rows = self.native_action, h.native_rows
-        unit = _native(h.unit, f)
+        unit = h.native_unit
         for m in range(dm):
             acted = {}
             for t, c in unit.items():
@@ -718,7 +720,7 @@ def hopf_module_decompose(module):
     p = f.characteristic
     dm, dh = module.dim, h.dim
     acts = module.native_action
-    coinv = coaction_kernel(module.rho_basis, dm, h, h.unit)
+    coinv = coaction_kernel(module.rho_basis, dm, h, h.native_unit)
     iso_cols = []
     for v in coinv:
         for t in range(dh):
@@ -740,7 +742,7 @@ def hopf_module_decompose(module):
 
 def ideal_power_chain(algebra, ideal_basis):
     """[I, I^2, ..., I^n = 0] as echelon bases of sparse native rows (see
-    linalg), for a basis of I given sparse or dense; raises when the powers
+    linalg), for a basis of I given as such rows; raises when the powers
     stabilize above zero."""
     f = algebra.field
     n = algebra.dim
@@ -791,7 +793,7 @@ def colinear_splitting_nilpotent(ca, pi):
     if quots[0].dim != dh:
         raise ValidationError("A/I does not have the dimension of H")
     phi = Matrix.from_sparse_cols(f, dh, [quots[0].project(v) for v in lam])
-    counit = _native(h.counit, f)
+    counit = h.native_counit
     for step in range(1, n):
         x_quot = quots[step]
         y_quot = quots[step - 1]
@@ -905,9 +907,9 @@ def quotient_comodule_algebra(ca, ideal_vectors):
 
 
 def sub_comodule_algebra(ca, span_vectors):
-    """The comodule subalgebra spanned by the given vectors, sparse or dense
-    (must be closed under product, contain 1, and be a subcomodule);
-    returns it with the inclusion of its RREF basis."""
+    """The comodule subalgebra spanned by the given sparse native rows (must
+    be closed under product, contain 1, and be a subcomodule); returns it
+    with the inclusion of its RREF basis."""
     a = ca.algebra
     f = ca.field
     basis = row_space_basis(f, span_vectors, a.dim)
@@ -993,7 +995,7 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         pi = Matrix.from_sparse_cols(f, h.dim, pi_cols)
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)
-        eps = pi.transpose().apply_sparse(_native(h.counit, f))  # eps_H o pi
+        eps = pi.transpose().apply_sparse(h.native_counit)  # eps_H o pi
         ext = AugmentedCleftExtension(sub, eps, sec)
         res = split_extension(ext)
         if not res.split:

@@ -38,7 +38,7 @@ from .graded import check_grading
 from .linalg import (
     Matrix,
     _basis_row,
-    _native,
+    _dense_vec,
     _reduced,
     column_coordinates,
     in_span,
@@ -113,16 +113,15 @@ def induced_coaction(ca, basis, coords):
 def coaction_kernel(rho_basis, dim, hopf, hvec):
     """Kernel basis of a |-> rho(a) - a (x) hvec on a dim-dimensional right
     hopf-comodule, as sparse native rows; rho_basis(i) is the native
-    coaction {(x, t): c} of e_i and hvec a dense vector of H."""
+    coaction {(x, t): c} of e_i and hvec a sparse native row of H."""
     f = hopf.field
     p = f.characteristic
     dh = hopf.dim
-    h = _native(hvec, f).items()
     rows = [{} for _ in range(dim * dh)]
     for i in range(dim):
         for (x, t), c in rho_basis(i).items():
             rows[ti(x, t, dh)][i] = c
-        for t, c in h:
+        for t, c in hvec.items():
             row = rows[ti(i, t, dh)]
             row[i] = row[i] - c if i in row else -c
     return Matrix.from_sparse_rows(f, [_reduced(row, p) for row in rows], dim).kernel_rows()
@@ -162,7 +161,7 @@ def coinvariants(ca):
     """B = A^{co H} on the canonical kernel basis of a |-> rho(a) - a (x) 1;
     read it as ca.coinvariants, which computes it once."""
     a, h = ca.algebra, ca.hopf
-    return Coinvariants(a, coaction_kernel(ca.rho_basis, a.dim, h, h.unit))
+    return Coinvariants(a, coaction_kernel(ca.rho_basis, a.dim, h, h.native_unit))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,8 @@ def check_crossed_system(s):
                            for g in range(dh)] for c, n in zip(cols, (db, dh, dh)))
     meas_t, sig_t = list(zip(*meas)), list(zip(*sig))
     brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
-    hunit, bunit, counit = (_lowered(_native(v, b.field), lower)
-                            for v in (h.unit, b.unit, h.counit))
+    hunit, bunit, counit = (_lowered(v, lower)
+                            for v in (h.native_unit, b.native_unit, h.native_counit))
     d2 = d * d
 
     def combine(terms, vecs):
@@ -402,7 +401,9 @@ def crossed_product(s):
                     terms = {k: f.from_fraction(c, scale) for k, c in clean(acc).items()}
                     if terms:
                         product[(ti(i, g, dh), ti(j, t, dh))] = terms
-    algebra = FAlgebra(f, labels, product, vtensor(b.unit, h.unit))
+    p = f.characteristic
+    unit = vtensor(b.native_unit, h.native_unit, dh, p)
+    algebra = FAlgebra(f, labels, product, _dense_vec(f, unit, dim))
     delta = h.native_coproduct
     cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in delta.get(g, {}).items()}
             for i in range(db) for g in range(dh)]
@@ -411,8 +412,8 @@ def crossed_product(s):
     coinv = ca.coinvariants
     if coinv.dim != db:
         raise ValidationError("crossed product coinvariants have wrong dimension")
-    hunit = _native(h.unit, f).items()
-    span = row_space_basis(f, [{ti(i, t, dh): c for t, c in hunit} for i in range(db)], dim)
+    span = row_space_basis(f, [vtensor(_basis_row(f, i), h.native_unit, dh, p)
+                               for i in range(db)], dim)
     for t in range(db):
         if not in_span(f, span, coinv.basis[t]):
             raise ValidationError("crossed product coinvariants differ from B (x) k")
@@ -506,8 +507,9 @@ def find_section(ca, budget=DEFAULT_BUDGET):
             msg += " found within budget; absence not proved"
         raise NoSectionFoundError(msg, definitive=outcome.definitive)
     flat = {}
-    for i, c in _native(outcome.coeffs, f).items():
-        _add_scaled(flat, c, space[i])
+    for i, c in enumerate(outcome.coeffs):
+        if c:
+            _add_scaled(flat, c, space[i])
     phi = Matrix.from_sparse_cols(f, da, _phi_cols(_reduced(flat, p), dh))
     try:
         # normalizing multiplies phi by a unit, so only the first inversion
@@ -525,7 +527,7 @@ def _normalized_section(ca, phi_matrix):
     closed-form pair is re-verified like a solved one."""
     a, h = ca.algebra, ca.hopf
     f = ca.field
-    unit = _native(h.unit, f)
+    unit = h.native_unit
     phi_inv = convolution_invert(h, a, phi_matrix)
     u, phi_one = (m.apply_sparse(unit) for m in (phi_inv, phi_matrix))
     normalized = Matrix.from_sparse_cols(f, a.dim, [a.sparse_mult(u, col)
@@ -533,7 +535,7 @@ def _normalized_section(ca, phi_matrix):
     normalized_inv = Matrix.from_sparse_cols(f, a.dim, [a.sparse_mult(col, phi_one)
                                                         for col in phi_inv.native_cols()])
     require_convolution_inverse(h, a, normalized, normalized_inv)
-    if normalized.apply_sparse(unit) != _native(a.unit, f):
+    if normalized.apply_sparse(unit) != a.native_unit:
         raise ValidationError("normalization failed to fix phi(1) = 1")
     require_morphism(normalized, "normalized section is not colinear",
                      rho=(h.rho_basis, ca.rho_basis))
@@ -593,9 +595,8 @@ def section_to_crossed_system(sec):
     require_morphism(alpha, "candidate isomorphism B x|_sigma H -> A", bijective=True,
                      algebra=(product.algebra, a), rho=(product.rho_basis, ca.rho_basis))
     # identity on B: b (x) 1 must map to the inclusion of b
-    hunit = _native(h.unit, f).items()
     for i, bv in enumerate(coinv.basis):
-        if alpha.apply_sparse({ti(i, t, dh): c for t, c in hunit}) != bv:
+        if alpha.apply_sparse(vtensor(_basis_row(f, i), h.native_unit, dh, p)) != bv:
             raise ValidationError("isomorphism is not the identity on the coinvariants")
     return system, alpha
 

@@ -12,7 +12,7 @@ crossed product B #_sigma k[Gamma] in comodule.py.
 
 from .algebra import convolution_invert
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
-from .linalg import Matrix, _basis_row, _dense_vec, _native, row_space_basis
+from .linalg import Matrix, _basis_row, _dense_vec, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -52,8 +52,8 @@ def check_grading(ga):
     a = ga.algebra
     grp = ga.group
     violations = []
-    for i, c in enumerate(a.unit):
-        if c and ga.degree[i] != grp.identity:
+    for i in a.native_unit:
+        if ga.degree[i] != grp.identity:
             violations.append(("unit-outside-neutral-component", (i,)))
     for i in range(a.dim):
         for j in range(a.dim):
@@ -124,7 +124,7 @@ def _find_component_unit(ga, g, budget):
     outcome = find_invertible_combination(f, mats, budget)
     if not outcome.found:
         return None, outcome.definitive
-    return _native(dict(zip(comp, outcome.coeffs)), f), True
+    return {i: c for i, c in zip(comp, outcome.coeffs) if c}, True
 
 
 def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
@@ -141,7 +141,7 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     grp = ga.group
     e = grp.identity
     units = [None] * grp.order
-    units[e] = _native(a.unit, a.field)  # u_1 is forced to the algebra unit
+    units[e] = a.native_unit  # u_1 is forced to the algebra unit
     for g in range(grp.order):
         if g == e:
             continue

@@ -5,20 +5,20 @@ field.  Everything is exact; there is no floating point anywhere.
 `Rational` is a `fractions.Fraction` that does its own arithmetic when both
 operands are `Rational`, and `Rationals` makes every Q scalar as one.
 
-Between the kernels a vector is one form: a sparse native row, a dict
-{index: nonzero native scalar}, with ints mod p over F_p (inverses by
-`pow(a, p - 2, p)`) and `Rational` over Q.  A `Matrix` is its sparse native
-rows: `Matrix(field, data)` converts dense rows of field scalars once, and
-every operation and elimination reads the rows.  `solve_linear`, the one
-solver, takes and returns sparse native rows, and the row-space layer
-(`row_space_basis`, `span_coordinates`, `QuotientSpace`, ...) takes such
-rows, or dense vectors converted once on the way in, and hands them back.
-Dense tuples of field scalars appear only in the stored constants of a
-structure, in parsing and encoding, and in the dense calls `mult`, `delta`,
-`Matrix.apply`, `col`, `row` and `Matrix.data`, a view derived and kept on
-its first read.  The transform T with T * M = R is carried only when a
-caller asks for it (`inverse`, `column_coordinates`, the certificate of an
-inconsistent `solve_linear` when it is read).
+Every library function takes and returns a vector in one form: a sparse
+native row, a dict {index: nonzero native scalar}, with ints mod p over F_p
+(inverses by `pow(a, p - 2, p)`) and `Rational` over Q.  A `Matrix` is its
+sparse native rows: `Matrix(field, data)` converts dense rows of field
+scalars once, and every operation and elimination reads the rows, as do
+`solve_linear`, the one solver, the row-space layer (`row_space_basis`,
+`span_coordinates`, `QuotientSpace`, ...) and `vtensor`, the one tensor
+u (x) v.  Dense tuples of field scalars appear only in the stored constants
+of a structure (which keeps its unit and counit as native rows too), in
+parsing and encoding, and in the dense calls `mult`, `delta`,
+`Matrix.apply`, `Matrix.from_cols`, `col` and `Matrix.data`, a view derived
+and kept on its first read.  The transform T with T * M = R is carried only
+when a caller asks for it (`inverse`, `column_coordinates`, the certificate
+of an inconsistent `solve_linear` when it is read).
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
@@ -275,12 +275,6 @@ def basis_vec(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
-def vtensor(u, v):
-    """u (x) v, with the coordinate of e_i (x) e_j at i * len(v) + j (the
-    flat index `algebra.ti`).  A zero coordinate is a zero of u or of v."""
-    return tuple((a * b if b else b) if a else a for a in u for b in v)
-
-
 class Matrix:
     """Immutable matrix over an exact field, kept as its sparse native rows.
 
@@ -361,9 +355,6 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%r, %d x %d)" % (self.field, self.rows, self.cols)
 
-    def row(self, i):
-        return self.data[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.data)
 
@@ -417,14 +408,13 @@ class Matrix:
         `apply_sparse`."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("vector length %d != cols %d" % (len(vec), self.cols))
-        return _dense_vec(self.field, self.apply_sparse(vec), self.rows)
+        return _dense_vec(self.field, self.apply_sparse(_native(vec, self.field)), self.rows)
 
     def apply_sparse(self, vec):
-        """Matrix times a sparse native column vector (or a dense one), as a
-        sparse native vector."""
+        """Matrix times a sparse native column vector, as a sparse native
+        vector."""
         p = self.field.characteristic
-        nz = _sparse(vec, self.field)
-        return {i: s for i, row in enumerate(self._sparse) if (s := _dot(row, nz, p))}
+        return {i: s for i, row in enumerate(self._sparse) if (s := _dot(row, vec, p))}
 
     def transpose(self):
         return Matrix.from_sparse_rows(self.field, self.native_cols(), self.rows)
@@ -535,20 +525,22 @@ _QZERO = _rational(0, 1)
 
 
 def _native(vec, field):
-    """The nonzeros of a vector of field scalars, dense (a sequence) or
-    sparse (a dict {index: scalar}), as {index: native}.  Most zeros are the
-    field's own zero object, which `is` skips without a call to __bool__."""
+    """The nonzeros of a dense vector of field scalars as a sparse native
+    row.  Most zeros are the field's own zero object, which `is` skips
+    without a call to __bool__."""
     z = field.zero
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     if field.characteristic:
-        return {j: a.value for j, a in items if a is not z and a.value}
-    return {j: a for j, a in items if a is not z and a}
+        return {j: a.value for j, a in enumerate(vec) if a is not z and a.value}
+    return {j: a for j, a in enumerate(vec) if a is not z and a}
 
 
-def _sparse(vec, field):
-    """A vector handed to the row-space layer as a sparse native row: a dict
-    is one already, a dense sequence of field scalars is converted."""
-    return vec if isinstance(vec, dict) else _native(vec, field)
+def vtensor(u, v, n, p):
+    """u (x) v for sparse native rows u and v, v of length n, with the
+    coordinate of e_i (x) e_j at i * n + j (the flat index `algebra.ti`);
+    p is the characteristic."""
+    if p:
+        return {i * n + j: a * b % p for i, a in u.items() for j, b in v.items()}
+    return {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
 
 
 def _reduced(row, p):
@@ -708,21 +700,16 @@ def solve_linear(m, b):
 def column_coordinates(m, eliminated=None):
     """The map b -> the solution x of M x = b that solve_linear returns, or
     None when b is outside the column space, with b and x sparse native
-    rows (b may also be dense).  M is eliminated once, here, unless the
+    rows.  M is eliminated once, here, unless the
     caller passes its m.rref() as eliminated; the transform T is kept as
     sparse native columns, and T b adds only the columns that the nonzeros
     of b hit."""
-    f = m.field
-    p = f.characteristic
+    p = m.field.characteristic
     _, pivots, t = eliminated or m.rref()
     rank = len(pivots)
     tcols = t.native_cols()
 
     def coords(b):
-        if not isinstance(b, dict):
-            if len(b) != m.rows:
-                raise ShapeMismatchError("vector length %d != cols %d" % (len(b), m.rows))
-            b = _native(b, f)
         tb = {}
         for j, x in b.items():
             _subtract(tb, -x, tcols[j], p)
@@ -749,10 +736,11 @@ def _echelon_pivots(rows):
 
 def _rref_rows(field, vectors, n):
     """(pivot column, sparse native row) for each pivot row of the RREF of
-    the given length-n vectors, eliminated without their zero vectors (most
-    products of basis monomials are zero).  Rows that already are a reduced
-    echelon basis are that RREF, and are returned as they are."""
-    rows = [row for row in (_sparse(v, field) for v in vectors) if row]
+    the given length-n sparse native rows, eliminated without their zero
+    vectors (most products of basis monomials are zero).  Rows that already
+    are a reduced echelon basis are that RREF, and are returned as they
+    are."""
+    rows = [row for row in vectors if row]
     if not rows:
         return []
     pivots = _echelon_pivots(rows)
@@ -768,9 +756,9 @@ def row_space_basis(field, vectors, n):
     return [row for _, row in _rref_rows(field, vectors, n)]
 
 
-def _pivot_rows(field, basis_rref):
+def _pivot_rows(basis_rref):
     """(pivot column, row) for each row of an RREF basis: its least index."""
-    return [(min(r), r) for r in (_sparse(v, field) for v in basis_rref)]
+    return [(min(r), r) for r in basis_rref]
 
 
 def span_coordinates(field, basis_rref):
@@ -778,11 +766,10 @@ def span_coordinates(field, basis_rref):
     (as from row_space_basis), or None when v is outside its span.  The
     coordinates are the entries of v at the pivot columns, and v is in the
     span exactly when reducing it by the pivot rows leaves nothing."""
-    rows = _pivot_rows(field, basis_rref)
+    rows = _pivot_rows(basis_rref)
     p = field.characteristic
 
-    def coords(vec):
-        v = _sparse(vec, field)
+    def coords(v):
         x = {s: v[pc] for s, (pc, _) in enumerate(rows) if pc in v}
         return None if _reduce(dict(v), rows, p) else x
 
@@ -800,11 +787,11 @@ def echelon_complement(field, basis_rref, vectors):
     the normalized remainder of one that is kept joins them, zero at every
     earlier pivot, so reducing by the rows in the order they joined clears
     every pivot."""
-    rows = _pivot_rows(field, basis_rref)
+    rows = _pivot_rows(basis_rref)
     p = field.characteristic
     out = []
     for vec in vectors:
-        rem = _reduce(dict(_sparse(vec, field)), rows, p)
+        rem = _reduce(dict(vec), rows, p)
         if rem:
             out.append(vec)
             pc = min(rem)
@@ -819,8 +806,7 @@ class QuotientSpace:
     The complement basis consists of the standard basis vectors at the
     non-pivot coordinates of the relation RREF, so projection and lifting are
     reproducible across runs.  Relations, vectors and coordinates are sparse
-    native rows (a relation or a vector may also be dense); the RREF is kept
-    as sparse native pivot rows.
+    native rows; the RREF is kept as sparse native pivot rows.
     """
 
     def __init__(self, field, ambient_dim, relations):
@@ -835,7 +821,7 @@ class QuotientSpace:
     def reduce(self, vec):
         """Canonical representative of vec modulo the relations: zero at
         every pivot column."""
-        return _reduce(dict(_sparse(vec, self.field)), self._rows, self.field.characteristic)
+        return _reduce(dict(vec), self._rows, self.field.characteristic)
 
     def project(self, vec):
         """Coordinates of the class of vec in the complement basis."""
@@ -845,4 +831,4 @@ class QuotientSpace:
     def lift(self, coords):
         """Standard-basis lift of quotient coordinates to the ambient space."""
         comp = self.complement
-        return {comp[t]: c for t, c in _sparse(coords, self.field).items()}
+        return {comp[t]: c for t, c in coords.items()}

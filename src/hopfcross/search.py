@@ -8,7 +8,8 @@ invertible elements form its non-vanishing locus, so random evaluation
 succeeds whenever any exists.  The deterministic ladder is exhausted in a
 fixed order before any randomness so results are reproducible; over a
 finite field small families are enumerated exhaustively, which makes a
-negative answer definitive.
+negative answer definitive.  Coefficients are native scalars (see linalg)
+from the first candidate to the returned `SearchOutcome.coeffs`.
 
 The determinant is homogeneous: det(l * M) = l^n det(M).  So among the
 multiples {l * c} of a coefficient vector the enumeration and the -1/0/1
@@ -61,7 +62,7 @@ DEFAULT_BUDGET = SearchBudget()
 
 class SearchOutcome:
     def __init__(self, coeffs, definitive, tried):
-        self.coeffs = coeffs
+        self.coeffs = coeffs  # native scalars (see linalg), one per matrix
         self.definitive = definitive
         self.tried = tried  # candidates whose determinant was evaluated
 
@@ -143,7 +144,7 @@ def _leading_one(values, mats, p):
 
 def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     """Search for coefficients c with sum(c_i * mats[i]) invertible, walking
-    native scalars (see linalg) on the sparse rows; they return as field scalars."""
+    native scalars (see linalg) on the sparse rows and returning them."""
     if not mats:
         return SearchOutcome(None, True, 0)
     blocks = _blocks(mats)
@@ -152,7 +153,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     m = len(mats)
     n = mats[0].rows
     p = field.characteristic
-    native, scalar = ((lambda c: c.value), field.from_int) if p else ((lambda c: c),) * 2
+    native = (lambda c: c.value) if p else (lambda c: c)
     zero, one, minus_one = (native(c) for c in (field.zero, field.one, -field.one))
     if len(blocks) < 2:
         parts = [(range(m), mats)]
@@ -168,12 +169,12 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
         for coeffs, rows in candidates:
             tried += 1
             if Matrix.from_sparse_rows(field, rows, len(rows)).det():
-                return tuple(scalar(c) for c in coeffs)
+                return coeffs
         return None
 
     def per_block(walk):
         # the tuple of the blocks' first witnesses, None if a block has none
-        coeffs = [field.zero] * m
+        coeffs = [zero] * m
         for idx, sub in parts:
             found = first_witness(walk(sub))
             if found is None:
@@ -208,7 +209,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
 
     if len(parts) > 1:
         # each block searched on its own, with its own m and n
-        coeffs, definitive = [field.zero] * m, True
+        coeffs, definitive = [zero] * m, True
         for idx, sub in parts:
             outcome = find_invertible_combination(field, sub, budget)
             tried += outcome.tried

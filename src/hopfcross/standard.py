@@ -2,7 +2,7 @@
 
 from .algebra import FAlgebra, FBialgebra, FHopf, group_hopf_algebra
 from .groups import GroupTable
-from .linalg import Matrix, _native, basis_vec
+from .linalg import Matrix, basis_vec
 
 
 def group_algebra(field, table):
@@ -47,9 +47,8 @@ def sweedler(field):
         3: {(3, 1): o, (0, 3): o},
     }
     counit = (o, o, z, z)
-    # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
-    cols = ({0: o}, {1: o}, {3: -o}, {2: o})
-    antipode = Matrix.from_sparse_cols(field, 4, [_native(col, field) for col in cols])
+    # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x, one column each
+    antipode = Matrix(field, [(o, z, z, z), (z, o, z, z), (z, z, z, o), (z, z, -o, z)])
     return FHopf(field, basis, product, unit, coproduct, counit, antipode)
 
 

@@ -41,10 +41,9 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     _basis_row,
+    _dense_vec,
     _dot,
-    _native,
     _reduced,
-    _sparse,
     basis_vec,
     column_coordinates,
     echelon_complement,
@@ -168,9 +167,13 @@ def super_tensor_product(sa, sb, labels=None):
             coproduct[ti(i, j, db)] = {k: v for k, v in out.items() if v}
     # S(a (x) b) = S(a) (x) S(b); the Koszul signs already live in the
     # product and coproduct, so no extra sign appears here
-    cols = [vtensor(a.antipode.col(i), b.antipode.col(j)) for i in range(da) for j in range(db)]
-    hopf = FHopf(f, labels, product, vtensor(a.unit, b.unit), coproduct,
-                 vtensor(a.counit, b.counit), Matrix.from_cols(f, cols))
+    p, dim = f.characteristic, da * db
+    anti_a, anti_b = a.antipode.native_cols(), b.antipode.native_cols()
+    cols = [vtensor(u, v, db, p) for u in anti_a for v in anti_b]
+    unit, counit = (_dense_vec(f, vtensor(u, v, db, p), dim) for u, v in
+                    ((a.native_unit, b.native_unit), (a.native_counit, b.native_counit)))
+    hopf = FHopf(f, labels, product, unit, coproduct, counit,
+                 Matrix.from_sparse_cols(f, dim, cols))
     parity = tuple((pa[i] + pb[j]) % 2 for i in range(da) for j in range(db))
     return SuperPresentation(hopf, parity)
 
@@ -225,7 +228,8 @@ class ExteriorHopf:
                     out[(at[left], at[s ^ left])] = sign[_inversions(left, s ^ left) & 1]
             coproduct[i] = out
         # the antipode is (-1)^|S| on e_S
-        antipode = Matrix.from_sparse_rows(f, [_native({i: sign[len(s) & 1]}, f)
+        native_sign = (1, f.characteristic - 1) if f.characteristic else sign
+        antipode = Matrix.from_sparse_rows(f, [{i: native_sign[len(s) & 1]}
                                                for i, s in enumerate(self.subsets)], dim)
         self.hopf = FHopf(f, labels, product, unit, coproduct, unit, antipode)
         self.parity = tuple(len(s) % 2 for s in self.subsets)
@@ -284,7 +288,8 @@ def _check_super_hopf_iso(src_sp, dst_sp, m):
     # in duality_pairing dst is the dual of src, whose algebra laws are the
     # coalgebra laws of src, so src's generating set certifies an algebra map
     require_morphism(m, "candidate map is not a bijective counital algebra map",
-                     bijective=True, algebra=(src, dst), counit=(src.counit, dst.counit),
+                     bijective=True, algebra=(src, dst),
+                     counit=(src.native_counit, dst.native_counit),
                      generators=src.generating_set)
     cols = m.native_cols()
     src_anti, dst_anti = src.antipode.native_cols(), dst.antipode.native_cols()
@@ -345,7 +350,7 @@ def even_quotient(sp):
             gens.extend(h.sparse_mult(v, _basis_row(f, j)) for j in range(dim))
     ideal = row_space_basis(f, gens, dim)
     quot = QuotientSpace(f, dim, ideal)
-    counit = _native(h.counit, f)
+    counit = h.native_counit
     # the ideal must be a Hopf ideal; each requirement is checked directly,
     # vector by vector; Delta(v) must vanish in (A/I) (x) (A/I)
     cops = induced_coproduct(h, ideal, quot.project)
@@ -389,15 +394,14 @@ class OddCotangent:
         return self.space.odd_dim
 
 
-def odd_cotangent_of_algebra(algebra, counit_vec, parity):
-    """W = A_1/A_0^+A_1 for an augmented superalgebra, with the counit given
-    dense or as a sparse native row; also computed as the odd part of
-    A^+/(A^+)^2 and asserted equal."""
+def odd_cotangent_of_algebra(algebra, counit, parity):
+    """W = A_1/A_0^+A_1 for an augmented superalgebra, with the counit a
+    sparse native row; also computed as the odd part of A^+/(A^+)^2 and
+    asserted equal."""
     f = algebra.field
     dim = algebra.dim
     # distinct basis vectors in index order are their own echelon basis
     odd_span = [_basis_row(f, i) for i in range(dim) if parity[i] == 1]
-    counit = _sparse(counit_vec, f)
     aplus = Matrix.from_sparse_rows(f, [counit], dim).kernel_rows()
     # A^+ is parity-graded, so its even part is the componentwise projection
     even_plus = row_space_basis(f, _part(aplus, parity, 0), dim)
@@ -432,7 +436,7 @@ def _part(vecs, parity, q):
 
 
 def odd_cotangent(sp):
-    return odd_cotangent_of_algebra(sp.hopf.as_algebra(), sp.hopf.counit, sp.parity)
+    return odd_cotangent_of_algebra(sp.hopf.as_algebra(), sp.hopf.native_counit, sp.parity)
 
 
 def odd_primitives(sp):
@@ -442,8 +446,7 @@ def odd_primitives(sp):
     f = h.field
     p = f.characteristic
     dim = h.dim
-    rows_of = h.native_rows
-    counit = _native(h.counit, f)
+    rows_of, counit = h.native_rows, h.native_counit
     # u vanishes on even basis indices
     rows = [_basis_row(f, i) for i in range(dim) if sp.parity[i] == 0]
     # primitivity, one linear constraint per basis pair
@@ -528,7 +531,7 @@ def decompose(sp):
     iota = []
     for s in ext.subsets:
         if not s:
-            iota.append(_native(h.counit, f))
+            iota.append(h.native_counit)
         else:
             acc = u_basis[s[0] - 1]
             for idx in s[1:]:
@@ -576,6 +579,8 @@ def _verify_decomposition(sp, ca, ext, alpha):
     h = sp.hopf
     quotient_hopf = ca.hopf
     dh = quotient_hopf.dim
+    counit = vtensor(ext.hopf.native_counit, quotient_hopf.native_counit, dh,
+                     h.field.characteristic)
 
     def target_rho_basis(flat):
         """Coaction id (x) Delta_H on the basis of Lambda(W) (x) H."""
@@ -588,7 +593,7 @@ def _verify_decomposition(sp, ca, ext, alpha):
     # checked, so A's generating set certifies an algebra map
     require_morphism(alpha, "alpha : A -> Lambda(W) (x) H fails an invariant", bijective=True,
                      algebra=(h, (ext.hopf, quotient_hopf)), rho=(ca.rho_basis, target_rho_basis),
-                     counit=(h.counit, vtensor(ext.hopf.counit, quotient_hopf.counit)),
+                     counit=(h.native_counit, counit),
                      generators=h.generating_set)
 
 
@@ -597,7 +602,7 @@ def _verify_step1_claims(sp, coinv, b_parity, cot):
     b = coinv.subalgebra
     f = b.field
     p = f.characteristic
-    counit = _native(sp.hopf.counit, f)
+    counit = sp.hopf.native_counit
     eps_b = _reduced({t: _dot(counit, v, p) for t, v in enumerate(coinv.basis)}, p)
     bplus = Matrix.from_sparse_rows(f, [eps_b], b.dim).kernel_rows()
     b0_plus = row_space_basis(f, _part(bplus, b_parity, 0), b.dim)

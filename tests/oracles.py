@@ -8,11 +8,11 @@ of them is reached from a command."""
 
 from hopfcross.algebra import FAlgebra, algebra_map_violations, induced_algebra, ti
 from hopfcross.cohomology import NormalizedCochain
-from hopfcross.comodule import CrossedSystem, crossed_product
+from hopfcross.comodule import ComoduleAlgebra, CrossedSystem, crossed_product
 from hopfcross.errors import HopfcrossError, ShapeMismatchError, ValidationError
 from hopfcross.graded import GradedAlgebra
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import Matrix, _basis_row, _dense_vec, basis_vec, vtensor
+from hopfcross.linalg import Matrix, _basis_row, _dense_vec, basis_vec
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +33,12 @@ def vscale(c, v):
 
 def vzero(field, n):
     return (field.zero,) * n
+
+
+def dense_tensor(u, v):
+    """u (x) v of dense vectors, with the coordinate of e_i (x) e_j at
+    i * len(v) + j (the flat index ti)."""
+    return tuple(a * b for a in u for b in v)
 
 
 def kernel_basis(m):
@@ -58,6 +64,29 @@ def rho_terms(comodule, i):
     return {divmod(flat, dh): c for flat, c in enumerate(comodule.coaction.col(i)) if c}
 
 
+def regular_comodule(h):
+    """H coacting on itself by its coproduct, built from dense columns."""
+    f = h.field
+    dh = h.dim
+    cols = []
+    for i in range(dh):
+        v = [f.zero] * (dh * dh)
+        for (j, k), c in h.delta_basis(i).items():
+            v[ti(j, k, dh)] = c
+        cols.append(tuple(v))
+    return ComoduleAlgebra(h.as_algebra(), h, Matrix.from_cols(f, cols))
+
+
+def counit_times_identity(aug, h):
+    """eps_B (x) id_H on B (x) H, as a dense matrix."""
+    f = h.field
+    cols = []
+    for i in range(aug.algebra.dim):
+        for g in range(h.dim):
+            cols.append(tuple(aug.augmentation[i] * c for c in basis_vec(f, h.dim, g)))
+    return Matrix.from_cols(f, cols)
+
+
 def restrict(ga, g, vec):
     """A dense vector of A supported on A_g as its component coordinates."""
     comp = ga.component_indices(g)
@@ -73,13 +102,13 @@ def restrict(ga, g, vec):
 
 
 def module_act(module, hvec, pvec):
-    """h . p for an HModuleStructure, dense."""
-    return module.action.apply(vtensor(hvec, pvec))
+    """h . p for an HModuleStructure, or m . h for a HopfModule, dense."""
+    return module.action.apply(dense_tensor(hvec, pvec))
 
 
 def measure(system, hvec, bvec):
     """h . b for a CrossedSystem, dense."""
-    return system.measuring.apply(vtensor(hvec, bvec))
+    return system.measuring.apply(dense_tensor(hvec, bvec))
 
 
 def sigma_basis(system, g, h):

@@ -25,7 +25,6 @@ from hopfcross.cohomology import (
     AugmentedCleftExtension,
     HModuleStructure,
     NormalizedCochain,
-    classify_cleft_extension,
     colinear_splitting_nilpotent,
     crossed_system_from_cocycle,
     differential,
@@ -34,7 +33,6 @@ from hopfcross.cohomology import (
     split_extension,
 )
 from hopfcross.comodule import (
-    ComoduleAlgebra,
     crossed_product,
     find_section,
     galois_map,
@@ -57,7 +55,9 @@ from hopfcross.superalg import (
     exterior_hopf,
     super_tensor_product,
 )
-from tests.oracles import NotAlgebraMapError, embed_cochain, gauge_iso
+from tests.oracles import (NotAlgebraMapError, counit_times_identity, embed_cochain, gauge_iso,
+                           regular_comodule)
+from tests.test_cohomology import trivial_setup
 from tests.test_graded import ref_morita_context as morita_context
 
 Q = Rationals()
@@ -77,36 +77,6 @@ def criterion(capsys, number, label):
         raise
     with capsys.disabled():
         print("[PASS] criterion %d: %s" % (number, label))
-
-
-def trivial_hmodule(field, n=3):
-    h = group_hopf_algebra(GroupTable.cyclic(n), field)
-    aug = AugmentedAlgebra(dual_numbers(field), (field.one, field.zero))
-    act = HModuleStructure(
-        h, aug, Matrix.from_cols(field, [basis_vec(field, 1, 0)] * n)
-    )
-    return h, aug, act
-
-
-def regular_comodule(h):
-    f = h.field
-    dh = h.dim
-    cols = []
-    for m in range(dh):
-        v = [f.zero] * (dh * dh)
-        for (p, q), c in h.delta_basis(m).items():
-            v[ti(p, q, dh)] = c
-        cols.append(tuple(v))
-    return ComoduleAlgebra(h.as_algebra(), h, Matrix.from_cols(f, cols))
-
-
-def counit_times_identity(aug, h):
-    f = h.field
-    cols = []
-    for i in range(aug.algebra.dim):
-        for g in range(h.dim):
-            cols.append(tuple(aug.augmentation[i] * c for c in basis_vec(f, h.dim, g)))
-    return Matrix.from_cols(f, cols)
 
 
 def test_criterion_1_hopf_axiom_suite(capsys):
@@ -155,7 +125,7 @@ def test_criterion_3_three_way_agreement(capsys):
         z2 = GroupTable.cyclic(2)
         m2 = GradedAlgebra(matrix2(F3), z2, (0, 0, 1, 1))
         kx2 = GradedAlgebra(dual_numbers(F3), z2, (0, 1))
-        h3, aug3, act3 = trivial_hmodule(F3)
+        h3, _, aug3, act3 = trivial_setup(F3)
         # build the crossed products from the actual HH^2 representatives
         reps = hh2(h3, act3).representative_cochains()
         zero = NormalizedCochain(2, Matrix.zeros(F3, 1, 9))
@@ -199,7 +169,7 @@ def test_criterion_4_morita_strong_grading_consistency(capsys):
 def test_criterion_5_hh2_oracle_equivalence(capsys):
     with criterion(capsys, 5, "hh2 matches exhaustive enumeration in < 30 s"):
         start = time.monotonic()
-        h, aug, act = trivial_hmodule(F3)
+        h, _, aug, act = trivial_setup(F3)
         result = hh2(h, act)
         # brute force: all 3^9 2-cochains filtered to normalized cocycles,
         # all 3^2 normalized 1-cochains generating the coboundaries
@@ -229,14 +199,14 @@ def test_criterion_5_hh2_oracle_equivalence(capsys):
             return k
         brute_dim = log3(len(cocycles)) - log3(len(coboundaries))
         assert result.dimension == brute_dim == 1
-        _, _, actq = trivial_hmodule(Q)
+        _, _, _, actq = trivial_setup(Q)
         assert hh2(actq.hopf, actq).dimension == 0
         assert time.monotonic() - start < 30.0
 
 
 def test_criterion_6_gauge_split_class_bijection(capsys):
     with criterion(capsys, 6, "gauge equivalence matches cohomology classes exactly"):
-        h, aug, act = trivial_hmodule(F3)
+        h, _, aug, act = trivial_setup(F3)
         result = hh2(h, act)
         scalars = [F3.from_int(v) for v in range(3)]
         # one verified system per class, from the canonical representatives
@@ -283,7 +253,7 @@ def test_criterion_7_lifting_machinery(capsys):
                                         Matrix.identity(Q, 2))
         assert res.lifted
         # obstructed: the nonzero class over F3 reappears as the obstruction
-        h3, aug3, act3 = trivial_hmodule(F3)
+        h3, _, aug3, act3 = trivial_setup(F3)
         result = hh2(h3, act3)
         rep = result.representative_cochains()[0]
         cp3 = crossed_product(crossed_system_from_cocycle(act3, rep))

@@ -26,8 +26,9 @@ from hopfcross.cli import (
 from hopfcross.cohomology import crossed_system_from_cocycle, differential
 from hopfcross.comodule import ComoduleAlgebra, crossed_product
 from hopfcross.errors import ParseError, ValidationError
-from hopfcross.linalg import Matrix, PrimeField, basis_vec, vtensor
+from hopfcross.linalg import Matrix, PrimeField, basis_vec
 from hopfcross.superalg import SuperPresentation
+from tests.oracles import dense_tensor
 from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
 F3 = PrimeField(3)
@@ -464,7 +465,7 @@ def test_split_finds_the_splitting_of_a_coboundary(tmp_path, capsys):
     a, cols = cp.algebra, [psi.col(g) for g in range(3)]
     assert cols[0] == a.one()
     for g in range(3):
-        assert cp.coaction.apply(cols[g]) == vtensor(cols[g], basis_vec(F3, 3, g))
+        assert cp.coaction.apply(cols[g]) == dense_tensor(cols[g], basis_vec(F3, 3, g))
         assert sum((e * c for e, c in zip(eps, cols[g])), F3.zero) == F3.one
         for t in range(3):
             assert a.mult(cols[g], cols[t]) == cols[(g + t) % 3]
@@ -1074,9 +1075,21 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
     # walks their rows, and every other kernel reads sparse native rows too:
     # from parsing to the report no command derives a dense view on any
     # corpus file it reads, nor builds a matrix from dense rows outside the
-    # parser
-    derived, built, parsing = [], [], []
+    # parser, nor converts a dense vector but in a structure's constructor,
+    # which derives its native unit and counit once
+    derived, built, parsing, converted = [], [], [], []
     data, init, parse = Matrix.data, Matrix.__init__, hopfcross.cli.parse_presentation
+    native = hopfcross.linalg._native
+    converters = {init.__code__, hopfcross.algebra._Algebra.__init__.__code__,
+                  hopfcross.algebra._Coalgebra.__init__.__code__}
+
+    def spy_native(vec, field):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension in the caller
+            caller = caller.f_back
+        if caller.f_code not in converters:
+            converted.append(caller.f_code.co_name)
+        return native(vec, field)
 
     def spy(self):
         if self._data is None:
@@ -1098,11 +1111,14 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
     monkeypatch.setattr(Matrix, "data", property(spy))
     monkeypatch.setattr(Matrix, "__init__", spy_init)
     monkeypatch.setattr(hopfcross.cli, "parse_presentation", spy_parse)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("hopfcross.") and hasattr(module, "_native"):
+            monkeypatch.setattr(module, "_native", spy_native)
     names = [name for name in ALL_CORPUS if accepts(command, name)]
     assert names
     for name in names:
         assert main([command, corpus(name)]) in (0, 1)
-    assert derived == [] and built == []
+    assert derived == [] and built == [] and converted == []
 
 
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):

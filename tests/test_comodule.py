@@ -38,7 +38,6 @@ from hopfcross.comodule import (
 from hopfcross.errors import (
     InvalidComoduleAlgebraError,
     NoSectionFoundError,
-    ValidationError,
 )
 from hopfcross.graded import GradedAlgebra, is_strongly_graded
 from hopfcross.groups import GroupTable
@@ -47,30 +46,20 @@ from hopfcross.linalg import (
     PrimeField,
     QuotientSpace,
     Rationals,
+    _basis_row,
     _dense_vec,
+    _native,
     basis_vec,
 )
 from hopfcross.search import DEFAULT_BUDGET, find_invertible_combination
 from hopfcross.standard import dual_numbers, kz2, matrix2, sweedler
-from tests.oracles import product_field, rho_terms, sigma_basis, trivial_sigma
+from tests.oracles import (product_field, regular_comodule, rho_terms, sigma_basis,
+                           trivial_sigma)
 
 Q = Rationals()
 F3 = PrimeField(3)
 Z2 = GroupTable.cyclic(2)
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
-
-
-def regular_comodule(h):
-    """H coacting on itself by its coproduct."""
-    f = h.field
-    dh = h.dim
-    cols = []
-    for i in range(dh):
-        v = [f.zero] * (dh * dh)
-        for (j, k), c in h.delta_basis(i).items():
-            v[ti(j, k, dh)] = c
-        cols.append(tuple(v))
-    return ComoduleAlgebra(h.as_algebra(), h, Matrix.from_cols(f, cols))
 
 
 def trivial_comodule(alg, h):
@@ -221,7 +210,7 @@ def ref_galois_inverse(ca, rep, section):
                     for y, v in enumerate(right):
                         if v:
                             amb[ti(x, y, da)] = amb[ti(x, y, da)] + c * u * v
-            inv_cols.append(_dense_vec(f, quot.project(tuple(amb)), quot.dim))
+            inv_cols.append(_dense_vec(f, quot.project(_native(amb, f)), quot.dim))
     inverse = Matrix.from_cols(f, inv_cols)
     assert rep.beta * inverse == Matrix.identity(f, da * dh)
     assert inverse * rep.beta == Matrix.identity(f, quot.dim)
@@ -262,7 +251,7 @@ def ref_relative_tensor_square(ca, coinv):
                     rel[ti(x, j, da)] = rel[ti(x, j, da)] + c
                 for y, c in enumerate(ba):
                     rel[ti(i, y, da)] = rel[ti(i, y, da)] - c
-                relations.append(tuple(rel))
+                relations.append(_native(rel, f))
     return QuotientSpace(f, da * da, relations)
 
 
@@ -276,7 +265,7 @@ def ref_galois_map(ca):
     quot = ref_relative_tensor_square(ca, coinv)
     cols = []
     for t in range(quot.dim):
-        amb = _dense_vec(f, quot.lift(basis_vec(f, quot.dim, t)), da * da)
+        amb = _dense_vec(f, quot.lift(_basis_row(f, t)), da * da)
         acc = [f.zero] * (da * dh)
         for flat, c in enumerate(amb):
             if not c:

@@ -38,6 +38,7 @@ from hopfcross.linalg import (
     PrimeField,
     QuotientSpace,
     Rationals,
+    _basis_row,
     _dense_vec,
     _native,
     basis_vec,
@@ -143,11 +144,13 @@ def ref_relative_tensor_over_neutral(ga, g, h):
     (check_grading passes)."""
     a = ga.algebra
     grp = ga.group
+    f = a.field
     at = {k: u for u, k in enumerate(ga.component_indices(grp.mul(g, h)))}
-    neutral = [basis_vec(a.field, a.dim, i) for i in ga.component_indices(grp.identity)]
+    neutral = [_basis_row(f, i) for i in ga.component_indices(grp.identity)]
     quot, cols = relative_tensor(a, neutral, ga.component_indices(g), ga.component_indices(h),
                                  lambda x, y: {at[k]: c for k, c in
-                                               _native(a.mult_basis(x, y), a.field).items()})
+                                               a.sparse_mult(_basis_row(f, x),
+                                                             _basis_row(f, y)).items()})
     return quot, Matrix.from_sparse_cols(a.field, len(at), cols)
 
 
@@ -238,12 +241,12 @@ def ref_dense_relative_tensor_over_neutral(ga, g, h):
                     rel[ti(s2, t, dh)] = rel[ti(s2, t, dh)] + c
                 for t2, c in enumerate(by):
                     rel[ti(s, t2, dh)] = rel[ti(s, t2, dh)] - c
-                relations.append(tuple(rel))
+                relations.append(_native(rel, f))
     quot = QuotientSpace(f, dg * dh, relations)
     gh = ga.group.mul(g, h)
     cols = []
     for t in range(quot.dim):
-        amb = _dense_vec(f, quot.lift(basis_vec(f, quot.dim, t)), dg * dh)
+        amb = _dense_vec(f, quot.lift(_basis_row(f, t)), dg * dh)
         acc = [f.zero] * ga.component_dim(gh)
         for flat, c in enumerate(amb):
             if c:

@@ -65,6 +65,7 @@ from hopfcross.linalg import (
     solve_linear,
 )
 from hopfcross.standard import dual_numbers, ks3, kz2, kz3, sweedler
+from hopfcross.superalg import SuperPresentation, exterior_hopf, super_tensor_product
 from tests.oracles import (
     aug_eps,
     cocycle_system,
@@ -884,6 +885,12 @@ def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeyp
     _, dense, eliminated = build_and_eliminate(monkeypatch, lambda: convolution_invert(c, a, f))
     assert_sparse_systems(dense, eliminated, {(36, 37)})
     assert dense == []
+    # super_tensor_product: the antipode of Lambda(2) (x) k[Z/3] is built
+    # from the sparse columns of the factors' antipodes, with no dense view
+    sa, sb = exterior_hopf(2, field).presentation, SuperPresentation(kz3(field), (0, 0, 0))
+    sp, dense, _ = build_and_eliminate(monkeypatch, lambda: super_tensor_product(sa, sb))
+    assert dense == [] and sp.hopf.antipode.rows == 12
+    assert [s.hopf.antipode._data for s in (sa, sb, sp)] == [None] * 3
     # colinear_map_space and coaction_kernel on a crossed product build no
     # dense matrix at all
     ca = crossed_product(next(crossed_systems(field, random.Random(3)))[1])
@@ -892,7 +899,7 @@ def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeyp
     assert_sparse_systems(dense, eliminated, {(dh * da * dh, da * dh)})
     assert dense == []
     _, dense, eliminated = build_and_eliminate(
-        monkeypatch, lambda: coaction_kernel(ca.rho_basis, da, ca.hopf, ca.hopf.unit))
+        monkeypatch, lambda: coaction_kernel(ca.rho_basis, da, ca.hopf, ca.hopf.native_unit))
     assert_sparse_systems(dense, eliminated, {(da * dh, da)})
     assert dense == []
     # hh2: the stacked cocycle system, d2 on its own, the degree-1

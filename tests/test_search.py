@@ -14,13 +14,21 @@ import pytest
 from hopfcross.linalg import Matrix, PrimeField, Rationals
 from hopfcross import search
 from hopfcross.search import SearchBudget, _blocks, find_invertible_combination
+from tests.test_linalg import fpmat as matrix
 
 Q = Rationals()
 FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5), "Q": Q}
 SMALL = SearchBudget(draws=40)
 
 
+def native(field, coeffs):
+    """Field-scalar coefficients as the native scalars the search returns."""
+    return tuple(c.value for c in coeffs) if field.characteristic and coeffs else coeffs
+
+
 def combine(field, mats, coeffs):
+    """sum(c_i * mats[i]) for field-scalar or native coefficients."""
+    coeffs = [field.from_int(c) if type(c) is int else c for c in coeffs]
     n, cols = mats[0].rows, mats[0].cols
     return Matrix(field, [[sum((c * mat.data[i][j] for c, mat in zip(coeffs, mats)), field.zero)
                            for j in range(cols)] for i in range(n)])
@@ -86,7 +94,8 @@ def check_against_oracle(field, mats, budget, dets=None):
     outcome = find_invertible_combination(field, mats, budget)
     if dets is not None:
         assert outcome.tried == len(dets)
-    assert (outcome.coeffs, outcome.definitive) == oracle(field, mats, budget)
+    coeffs, definitive = oracle(field, mats, budget)
+    assert (outcome.coeffs, outcome.definitive) == (native(field, coeffs), definitive)
     return outcome
 
 
@@ -111,10 +120,6 @@ def test_first_witness_on_the_f5_ladder_matches_the_oracle(m, kind, monkeypatch)
     field = FIELDS["F5"]
     rng = random.Random("F5-ladder-%d-%s" % (m, kind))
     check_against_oracle(field, family(field, kind, m, rng), SMALL)
-
-
-def matrix(field, rows):
-    return Matrix(field, [[field.from_int(x) for x in row] for row in rows])
 
 
 def diagonal(field, *entries):
@@ -147,7 +152,7 @@ def test_the_grid_finds_what_the_ladder_misses(fname, monkeypatch):
     monkeypatch.setattr(search, "ENUMERATION_BOUND", 1)
     dets = count_dets(monkeypatch)
     outcome = check_against_oracle(field, hidden_from_the_ladder(field, 2), SearchBudget(), dets)
-    assert outcome.coeffs == (field.one, field.from_int(2)) and outcome.definitive
+    assert outcome.coeffs == native(field, (field.one, field.from_int(2))) and outcome.definitive
     # 2 basis vectors, the 4 of 8 nonzero -1/0/1 vectors that lead with 1,
     # and the grid points (0,0)..(0,4), (1,0), (1,1), (1,2)
     assert outcome.tried == 2 + 4 + 8
@@ -233,7 +238,7 @@ def test_split_families_keep_the_first_witness(fname, enumeration_bound, monkeyp
         outcome = find_invertible_combination(field, mats, SMALL)
         coeffs, definitive = oracle(field, mats, SMALL)
         if definitive:
-            assert (outcome.coeffs, outcome.definitive) == (coeffs, definitive)
+            assert (outcome.coeffs, outcome.definitive) == (native(field, coeffs), definitive)
             compared += 1
         elif outcome.found:
             assert combine(field, mats, outcome.coeffs).det()
@@ -249,7 +254,7 @@ def test_basis_vectors_stay_out_of_a_split_search(fname):
             diagonal(field, 0, 0, 1)]
     expected = tuple(field.from_int(c) for c in (0, 1, 1))
     assert oracle(field, mats, SMALL) == (expected, True)
-    assert check_against_oracle(field, mats, SMALL).coeffs == expected
+    assert check_against_oracle(field, mats, SMALL).coeffs == native(field, expected)
 
 
 @pytest.mark.parametrize("fname", ["F2", "Q"])
@@ -257,7 +262,7 @@ def test_an_all_zero_matrix_beside_two_blocks_gets_zero(fname):
     field = FIELDS[fname]
     mats = [diagonal(field, 1, 0), Matrix.zeros(field, 2, 2), diagonal(field, 0, 1)]
     outcome = check_against_oracle(field, mats, SMALL)
-    assert outcome.coeffs == (field.one, field.zero, field.one)
+    assert outcome.coeffs == native(field, (field.one, field.zero, field.one))
 
 
 @pytest.mark.parametrize("mats", [

@@ -79,6 +79,14 @@ CASES = [
     # k^{S3} has no generating set of its own, so its Hopf laws are decided
     # on its dual
     ["dual", "ks3.json", "--json"],
+    # the unit and counit as native rows: the unit search of a grading, a
+    # splitting and an HH^2 class read off augmentation blocks, and a smash
+    # coproduct's counit
+    ["recognize-crossed", "m2-z2-graded.json", "--json"],
+    ["recognize-crossed", "kx2-graded.json", "--json"],
+    ["split", "f3z3-cleft.json", "--json"],
+    ["hh2", "f3z3-hmodule.json", "--json"],
+    ["smash-coproduct", "smash-example.json", "--json"],
 ]
 
 
