@@ -121,10 +121,12 @@ class _Algebra(_Structure):
 
     @cached_property
     def generating_set(self):
-        """G of this algebra (see `_generating_set`), found on the first read."""
+        """G of this algebra (see `_generating_set`), found on the first read;
+        on a bialgebra the G of least work found, which changes no witness."""
         lower, d, _ = _lowering((self,))
+        coproduct = self.native_coproduct if isinstance(self, _Coalgebra) else None
         return _generating_set(self.field, self.lowered_rows(d),
-                               _lowered(self.native_unit, lower), self.dim)
+                               _lowered(self.native_unit, lower), self.dim, coproduct)
 
     @cached_property
     def native_rows(self):
@@ -427,7 +429,10 @@ def relative_tensor(a, b_vectors, left, right, image):
 # check_axioms makes that one pass on A with its G, or else on A* with its
 # own G; when it finds no witness, the report is a pass.  Otherwise, or when
 # neither has a G, the full loops on A give the witnesses, their order and
-# the cap.
+# the cap.  As any G certifies, G is picked by the work of the pass: on a
+# bialgebra, the generating set of least left-leg weight the greedy passes
+# find.  Every witness comes from the full loops, so a cheaper G changes
+# what a report costs and never the report.
 #
 # A structure map m is checked by require_morphism against the laws its
 # caller names, in this order, up to the first witness: bijective; a unital
@@ -574,17 +579,20 @@ def _parity_laws(h, p):
 WORD_PRIME = 2 ** 61 - 1
 
 
-def _generating_set(field, rows, unit, dim):
+def _generating_set(field, rows, unit, dim, coproduct=None):
     """A set G of basis indices whose left words e_g1 (e_g2 (... (e_gk 1)))
     span the algebra with lowered product rows `rows` and lowered unit
-    `unit`: the smaller of two greedy passes (`_greedy_generators`), one in
-    index order and one that visits first the indices occurring in the
-    fewest products (on a signed permutation of Lambda(m), the m degree-one
-    monomials).  None when neither finds a G of at most half the basis,
-    where the pass over G saves less than it costs.  On a basis of
-    orthogonal idempotents, such as k^G, G would keep all but one index,
-    more than half from dimension 3 on, and that is read off the entries
-    with no pass.
+    `unit`, or None when no greedy pass (`_greedy_generators`) finds one of
+    at most half the basis, where the pass over G saves less than it costs.
+    With no coproduct G is the smaller of the passes in index order and in
+    increasing occurrence in the products (on a signed permutation of
+    Lambda(m), the m degree-one monomials).  With one, e_i weighs the
+    product terms `_left_legs` reads for it, and G is the lighter of the
+    index-order G and a pruned weight-order G (`_lightest_generators`), or
+    the index-order G when all weigh the same.  Every G certifies the same
+    laws, so the choice changes no witness.  A basis of orthogonal
+    idempotents, such as k^G, would keep all but one index, more than half
+    from dimension 3 on, read off with no pass.
 
     The words are eliminated mod p, over Q mod WORD_PRIME: each eliminated
     row reduces an integer combination of lowered words, and integer vectors
@@ -592,9 +600,13 @@ def _generating_set(field, rows, unit, dim):
     if dim >= 3 and _orthogonal_idempotents(rows, unit, dim):
         return None
     p = field.characteristic or WORD_PRIME
+    if coproduct is not None:
+        weight = [sum(len(rows.get(a1, ())) for a1, _ in coproduct.get(i, ())) for i in range(dim)]
+        if len(set(weight)) > 1:
+            return _lightest_generators(rows, unit, dim, p, weight)
     gens = _greedy_generators(rows, unit, dim, p, range(dim), dim // 2)
-    if gens is not None and len(gens) < 2:
-        return gens  # no G is smaller
+    if coproduct is not None or (gens is not None and len(gens) < 2):
+        return gens  # uniform weights, or no G is smaller
     occurs = [0] * dim
     for row in rows.values():
         for terms in row.values():
@@ -607,6 +619,24 @@ def _generating_set(field, rows, unit, dim):
         if other is not None:
             gens = other
     return gens
+
+
+def _lightest_generators(rows, unit, dim, p, weight):
+    """The lighter G, the index-order one on a tie, of the pass in index
+    order and of the pass in increasing weight (ties in index order) less
+    the generators, heaviest first, whose words the rest still span; None
+    when neither keeps at most half the basis.  Pruning keeps the pass from
+    holding light indices that heavier ones make redundant."""
+    found = [_greedy_generators(rows, unit, dim, p, range(dim), dim // 2)]
+    order = sorted(range(dim), key=weight.__getitem__)
+    gens = _greedy_generators(rows, unit, dim, p, order, dim)
+    for g in sorted(gens or (), key=weight.__getitem__, reverse=True):
+        if g in gens[:-1]:  # the words of those before the last miss it
+            rest = _greedy_generators(rows, unit, dim, p, [i for i in gens if i != g], dim)
+            gens = gens if rest is None else rest
+    found.append(gens)
+    return min((g for g in found if g is not None and len(g) <= dim // 2), default=None,
+               key=lambda g: sum(map(weight.__getitem__, g)))
 
 
 def _orthogonal_idempotents(rows, unit, dim):
@@ -934,9 +964,9 @@ def _tensor_rows(rows_a, rows_b, db, support):
     return rows
 
 
-def algebra_map_violations(src, dst, m, generators=None):
-    """Witnesses that the linear map m : src -> dst (a dst.dim x src.dim
-    matrix, or its native columns {row: c}) is not a unital algebra map:
+def algebra_map_violations(src, dst, cols, generators=None):
+    """Witnesses that the linear map src -> dst with native columns cols
+    ({row: c}, one per basis element of src) is not a unital algebra map:
     ("unit", ()), then ("multiplicative", (i, j)) for each basis pair in
     order.
 
@@ -950,7 +980,6 @@ def algebra_map_violations(src, dst, m, generators=None):
     once the unit law holds, multiplicativity then runs on (g, j) first (see
     above)."""
     factors = dst if isinstance(dst, tuple) else (dst,)
-    cols = m.native_cols() if isinstance(m, Matrix) else m
     lower, d, clean = _lowering((src, *factors), (cols,))
     cols = [_lowered(col, lower) for col in cols]
     src_unit, *units = (_lowered(s.native_unit, lower) for s in (src, *factors))
@@ -1037,7 +1066,7 @@ def require_morphism(m, what, bijective=False, algebra=None, rho=None, counit=No
     in colinear_violations; counital, counit = (src_counit, dst_counit) as in
     counit_violations."""
     laws = chain([("bijective", ())] if bijective and not m.is_invertible() else (),
-                 algebra_map_violations(*algebra, m, generators) if algebra else (),
+                 algebra_map_violations(*algebra, m.native_cols(), generators) if algebra else (),
                  colinear_violations(*rho, m) if rho else (),
                  counit_violations(*counit, m) if counit else ())
     bad = next(laws, None)

@@ -74,7 +74,7 @@ def augmentation_violations(algebra, augmentation, generators=None):
     f = algebra.field
     ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
     eps = Matrix.from_sparse_rows(f, [augmentation], algebra.dim)
-    return algebra_map_violations(algebra, ground, eps, generators)
+    return algebra_map_violations(algebra, ground, eps.native_cols(), generators)
 
 
 def _augmentation_row(algebra, augmentation):

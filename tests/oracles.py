@@ -255,7 +255,7 @@ def gauge_iso(t, source, target):
         raise ValidationError("f_t is not inverted by f_{-t}")
     a1 = crossed_product(source).algebra
     a2 = crossed_product(target).algebra
-    bad = next(algebra_map_violations(a1, a2, ft), None)
+    bad = next(algebra_map_violations(a1, a2, ft.native_cols()), None)
     if bad:
         raise NotAlgebraMapError("gauge map is not an algebra map: %r" % (bad,))
     return ft

@@ -411,7 +411,8 @@ def test_native_algebra_map_check_matches_the_scalar_loop():
             for src, dst, m in ((bad, h, Matrix.identity(field, dim)), (h, bad, Matrix.identity(field, dim)),
                                 (h, h, dense), (transport(h, t), h, t), (h, h, h.antipode)):
                 expected = list(ref_algebra_map_violations(src, dst, m))
-                assert list(algebra_map_violations(src, dst, m)) == expected, (name, field)
+                found = list(algebra_map_violations(src, dst, m.native_cols()))
+                assert found == expected, (name, field)
                 cases += bool(expected)
     assert cases > 10
 
@@ -605,14 +606,9 @@ def test_the_generating_set_pass_reports_what_the_full_loops_report():
     engaged = scaled = 0
     for key, h, parity, law in generator_pass_inputs():
         gens = h.generating_set
-        if key[1] == "moved" and key[0] != "lambda2/F7":
-            # on these dense bases of Lambda(2) neither greedy pass finds a G
-            # of at most half the basis, so the pass gives up; the dual keeps
-            # 2 indices, so the laws are decided on the dual first, and the
-            # failure sends check_axioms to the full loops
-            assert gens is None and len(dual_structure(h).generating_set) == 2, key
-        else:
-            assert gens is not None and len(gens) < h.dim, key
+        # the pruned weight-order pass finds a G on the dense bases of
+        # Lambda(2) too, where the index-order pass keeps more than half
+        assert gens is not None and len(gens) < h.dim, key
         expected = ref_hopf_laws(h, parity)
         assert expected[0][0] == law, key
         kind, data = ("super-hopf", SuperPresentation(h, parity)) if any(parity) else ("hopf", h)
@@ -629,6 +625,76 @@ def test_the_generating_set_pass_reports_what_the_full_loops_report():
     # the full loops report witnesses outside G, and the Q inputs have
     # non-integer constants
     assert engaged > 10 and scaled > 5
+
+
+def left_leg_weights(h):
+    """For each e_i, the nonzero products e_a1 e_b1 over the terms (a1, a2)
+    of Delta(e_i): the product terms the left legs of e_i read."""
+    return [sum(1 for a1, _ in h.delta_basis(i) for b1 in range(h.dim) if h.product.get((a1, b1)))
+            for i in range(h.dim)]
+
+
+def words_span(h, gens):
+    """Whether the left words e_g1 (e_g2 (... (e_gk 1))), g in gens, span h,
+    by the test's own echelon form on field scalars."""
+    f = h.field
+    pivots = {}  # column -> row with 1 there and 0 at every other pivot
+
+    def admit(v):
+        for col, row in pivots.items():
+            if v[col]:
+                v = vadd(v, vscale(-v[col], row))
+        col = next((k for k, c in enumerate(v) if c), None)
+        if col is None:
+            return False
+        row = vscale(f.one / v[col], v)
+        for other, r in pivots.items():
+            if r[col]:
+                pivots[other] = vadd(r, vscale(-r[col], row))
+        pivots[col] = row
+        return True
+
+    frontier = [h.one()] if admit(h.one()) else []
+    while frontier:
+        w = frontier.pop()
+        for g in gens:
+            u = h.mult(basis_vec(f, h.dim, g), w)
+            if admit(u):
+                frontier.append(u)
+    return len(pivots) == h.dim
+
+
+def test_the_generating_set_of_a_dense_basis_has_the_least_weight():
+    # on dense bases of Lambda(3) and Lambda(2) (x) k[Z/2], G is the
+    # generating set of least weight, and a Delta rescaled at a generator
+    # and at an index outside G gives the reference loops' witnesses.  On
+    # the local Lambda(3) a set generates exactly when its images span
+    # A / (k 1 + rad^2), so the pruned weight-order pass finds the least
+    # weight on any basis; on Lambda(2) (x) k[Z/2] no such bound holds,
+    # and some other dense bases have a lighter generating set
+    for fname, field in (("Q", Q), ("F5", F5)):
+        z2 = SuperPresentation(group_hopf_algebra(GroupTable.cyclic(2), field), (0, 0))
+        bases = (("lambda3", exterior_hopf(3, field).presentation),
+                 ("lambda2 z2", super_tensor_product(exterior_hopf(2, field).presentation, z2)))
+        for name, sp in bases:
+            key = "%s/%s" % (name, fname)
+            h = transport(sp.hopf, change_of_basis(field, sp.parity, key))
+            gens, weight = h.generating_set, left_leg_weights(h)
+            assert gens is not None and words_span(h, gens), key
+            least = sum(weight[g] for g in gens)
+            for r in range(1, h.dim):
+                for sub in itertools.combinations(range(h.dim), r):
+                    if sum(weight[g] for g in sub) < least:
+                        assert not words_span(h, sub), (key, sub)
+            assert check_axioms("super-hopf", SuperPresentation(h, sp.parity)).ok, key
+            outside = next(i for i in range(h.dim) if i not in gens)
+            for t in (gens[0], outside):
+                c = 1 + rational_bump(key) if field == Q else field.from_int(2)
+                bad = rescaled_coproduct(h, t, c)
+                expected = ref_hopf_laws(bad, sp.parity)
+                assert expected, (key, t)
+                found = check_axioms("super-hopf", SuperPresentation(bad, sp.parity)).violations
+                assert found == expected[:MAX_VIOLATIONS], (key, t)
 
 
 @pytest.mark.parametrize("group", [GroupTable.symmetric(4), GroupTable.cyclic(12)],
@@ -1158,8 +1224,9 @@ def test_algebra_maps_on_a_generating_set_report_what_the_full_loop_reports(monk
     failing = 0
     for what, m, (src, dst), gens in recorded:
         for bad in chain([m], seeded_corruptions(m, what)):
-            expected = list(algebra_map_violations(src, dst, bad))
-            assert list(algebra_map_violations(src, dst, bad, gens)) == expected, what
+            cols = bad.native_cols()
+            expected = list(algebra_map_violations(src, dst, cols))
+            assert list(algebra_map_violations(src, dst, cols, gens)) == expected, what
             if not isinstance(dst, tuple):
                 assert expected == list(ref_algebra_map_violations(src, dst, bad)), what
             failing += bool(expected)
@@ -1241,8 +1308,10 @@ def test_cached_lowering_gives_the_witnesses_of_a_lowering_per_call(field):
         for _ in range(2):  # the second pass reads what the first one cached
             for x, y, m in [(src, dst, mm) for mm in maps] + [(bad, dst, maps[0])]:
                 expected = list(ref_algebra_map_violations(x, y, m))
-                assert list(algebra_map_violations(x, y, m)) == expected, name
-                assert ref_lowered_per_call(lambda: list(algebra_map_violations(x, y, m))) == expected
+                cols = m.native_cols()
+                assert list(algebra_map_violations(x, y, cols)) == expected, name
+                found = ref_lowered_per_call(lambda: list(algebra_map_violations(x, y, cols)))
+                assert found == expected
                 cases += bool(expected)
             for x in (src, dst, bad):
                 for kind, view in views(x).items():
@@ -1256,8 +1325,8 @@ def test_cached_lowering_gives_the_witnesses_of_a_lowering_per_call(field):
 def test_cached_rows_equal_a_fresh_lowering(field):
     for name, src, dst, bad, maps in cached_scales_inputs(field):
         for m in maps:
-            list(algebra_map_violations(src, dst, m))
-            list(algebra_map_violations(bad, dst, m))
+            list(algebra_map_violations(src, dst, m.native_cols()))
+            list(algebra_map_violations(bad, dst, m.native_cols()))
         for x in (src, dst, bad):
             check_axioms("hopf", x)
             convolution_invert(x.as_coalgebra(), x.as_algebra(), Matrix.identity(field, x.dim))
@@ -1335,7 +1404,7 @@ def test_a_structure_gathers_its_denominators_once(monkeypatch):
         for x in (h, b):
             assert check_axioms("hopf" if x is h else "bialgebra", x).ok
             identity = Matrix.identity(Q, 3)
-            assert not list(algebra_map_violations(x, x, identity))
+            assert not list(algebra_map_violations(x, x, identity.native_cols()))
             assert convolution_invert(x, x, identity) == h.antipode
         assert compute_antipode(b).antipode == h.antipode
     # a dozen kernels read h and b, and each object gathered its

@@ -320,7 +320,7 @@ def ref_check_group_crossed_system(s):
     one = b.one()
     for g in range(grp.order):
         act = s.action[g]
-        for name, idx in algebra_map_violations(b, b, act):
+        for name, idx in algebra_map_violations(b, b, act.native_cols()):
             if name == "unit":
                 violations.append(("action-not-unital-endomorphism", (g,)))
             else:

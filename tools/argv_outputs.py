@@ -87,6 +87,10 @@ CASES = [
     ["split", "f3z3-cleft.json", "--json"],
     ["hh2", "f3z3-hmodule.json", "--json"],
     ["smash-coproduct", "smash-example.json", "--json"],
+    # the Hopf superalgebra laws through check, on a dense basis and on the
+    # monomial basis, where the generating set is chosen by its weight
+    ["check", "super-scrambled.json", "--json"],
+    ["check", "lambda3.json", "--json"],
 ]
 
 
