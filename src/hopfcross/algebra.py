@@ -588,7 +588,7 @@ def _generating_set(field, rows, unit, dim, coproduct=None):
     increasing occurrence in the products (on a signed permutation of
     Lambda(m), the m degree-one monomials).  With one, e_i weighs the
     product terms `_left_legs` reads for it, and G is the lighter of the
-    index-order G and a pruned weight-order G (`_lightest_generators`), or
+    index-order G and a weight-order G (`_lightest_generators`), or
     the index-order G when all weigh the same.  Every G certifies the same
     laws, so the choice changes no witness.  A basis of orthogonal
     idempotents, such as k^G, would keep all but one index, more than half
@@ -623,17 +623,22 @@ def _generating_set(field, rows, unit, dim, coproduct=None):
 
 def _lightest_generators(rows, unit, dim, p, weight):
     """The lighter G, the index-order one on a tie, of the pass in index
-    order and of the pass in increasing weight (ties in index order) less
-    the generators, heaviest first, whose words the rest still span; None
-    when neither keeps at most half the basis.  Pruning keeps the pass from
-    holding light indices that heavier ones make redundant."""
+    order and of the pass in increasing weight (ties in index order); None
+    when neither keeps at most half the basis.  When the weight-order G
+    keeps more generators than the index-order G, or that pass found none,
+    it drops the generators, heaviest first, whose words the rest still
+    span: light indices that heavier ones make redundant.  Otherwise the
+    two passes decide, or the first alone when the two orders agree."""
     found = [_greedy_generators(rows, unit, dim, p, range(dim), dim // 2)]
     order = sorted(range(dim), key=weight.__getitem__)
+    if found[0] is not None and order == list(range(dim)):
+        return found[0]  # the weight-order pass would make the same choices
     gens = _greedy_generators(rows, unit, dim, p, order, dim)
-    for g in sorted(gens or (), key=weight.__getitem__, reverse=True):
-        if g in gens[:-1]:  # the words of those before the last miss it
-            rest = _greedy_generators(rows, unit, dim, p, [i for i in gens if i != g], dim)
-            gens = gens if rest is None else rest
+    if gens is not None and (found[0] is None or len(gens) > len(found[0])):
+        for g in sorted(gens, key=weight.__getitem__, reverse=True):
+            if g in gens[:-1]:  # the words of those before the last miss it
+                rest = _greedy_generators(rows, unit, dim, p, [i for i in gens if i != g], dim)
+                gens = gens if rest is None else rest
     found.append(gens)
     return min((g for g in found if g is not None and len(g) <= dim // 2), default=None,
                key=lambda g: sum(map(weight.__getitem__, g)))

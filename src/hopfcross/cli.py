@@ -56,6 +56,7 @@ from .errors import (
     NoSectionFoundError,
     NotCrossedProductError,
     ParseError,
+    ShapeMismatchError,
     ValidationError,
 )
 from .graded import (
@@ -148,25 +149,40 @@ def _matrix_to_json(field, m):
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
-def _matrix_from_json(field, obj, where):
+def _matrix_block(field, obj, where):
+    """A matrix block as (rows, cols, {i: {j: c}}): its claimed shape and its
+    entries as sparse native rows, each checked.  Nothing here is sized by
+    the claimed shape, so a claim the file does not back allocates nothing;
+    `_matrix` builds the Matrix once its caller has checked the shape."""
     if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
         raise ParseError("matrix block %s needs 'rows' and 'cols'" % where)
     r, c = obj["rows"], obj["cols"]
     if not (type(r) is int and type(c) is int and r >= 0 and c >= 0):
         raise ParseError("matrix block %s needs int 'rows' and 'cols' >= 0" % where)
-    data = [[field.zero] * c for _ in range(r)]
-    seen = set()
+    rows = {}
     for e in _entries(obj.get("entries", []), 2, where):
         i, j = e[0], e[1]
         if type(i) is not int or not 0 <= i < r:
             raise _bad_index(i, r, where)
         if type(j) is not int or not 0 <= j < c:
             raise _bad_index(j, c, where)
-        if (i, j) in seen:
+        row = rows.setdefault(i, {})
+        if j in row:
             raise _duplicate(where)
-        seen.add((i, j))
-        data[i][j] = _scal_parse(field, e[2:], where)
-    return Matrix(field, data, c)
+        row[j] = _scal_parse(field, e[2:], where)
+    return r, c, {i: _native_terms(field, {j: x for j, x in row.items() if x})
+                  for i, row in rows.items()}
+
+
+def _matrix(field, block, shape=None, name=None):
+    """The Matrix of a parsed block.  With shape, a block that does not
+    claim exactly that (rows, cols) raises first what the constructor taking
+    the matrix would: "<name> matrix shape mismatch"."""
+    r, c, rows = block
+    if shape is not None and (r, c) != shape:
+        raise ShapeMismatchError("%s matrix shape mismatch" % name)
+    empty = {}
+    return Matrix.from_sparse_rows(field, [rows.get(i, empty) for i in range(r)], c)
 
 
 def _vector_from_json(field, obj, dim, where):
@@ -409,8 +425,9 @@ def _parse_hopf(doc, field, kind="hopf"):
     tables = _algebra_tables(doc, field, kind) + _coalgebra_tables(doc, field, kind)
     if kind == "bialgebra":
         return FBialgebra(field, *tables)
-    antipode = _matrix_from_json(field, _require(doc, "antipode", kind), "antipode")
-    return FHopf(field, *tables, antipode)
+    antipode = _matrix_block(field, _require(doc, "antipode", kind), "antipode")
+    dim = len(tables[0])
+    return FHopf(field, *tables, _matrix(field, antipode, (dim, dim), "antipode"))
 
 
 def _check_block(name, violations, what):
@@ -460,6 +477,60 @@ def _parse_group(doc, kind):
     return table
 
 
+def _comodule_algebra_blocks(doc, field, kind):
+    """The algebra, the nested Hopf algebra, the coaction block and the
+    augmentation row (or None) of a comodule-algebra object, parsed and not
+    yet checked."""
+    alg = _parse_algebra(doc, field, kind)
+    hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
+    coaction = _matrix_block(field, _require(doc, "coaction", kind), "coaction")
+    # the augmentation block is read before the laws run, so a malformed
+    # block is an input error whatever the coaction
+    aug = None
+    if "augmentation" in doc:
+        aug = _row_from_json(field, doc["augmentation"], alg.dim, "augmentation")
+    return alg, hopf, coaction, aug
+
+
+def _comodule_algebra(blocks, hopf_violations):
+    """The comodule algebra of parsed blocks: the constructor checks the
+    coaction, then hopf_violations (the nested Hopf laws' witnesses), the
+    algebra laws and the augmentation are raised in that order."""
+    alg, hopf, coaction, aug = blocks
+    shape = (alg.dim * hopf.dim, alg.dim)
+    ca = ComoduleAlgebra(alg, hopf, _matrix(alg.field, coaction, shape, "coaction"))
+    _check_block("hopf", hopf_violations, "a Hopf algebra")
+    _check_algebra_block(alg, "algebra")
+    if aug is not None:
+        _check_augmentation(alg, aug)
+    return Presentation("comodule-algebra", ca, augmentation=aug)
+
+
+def _same_hopf_tables(h, k):
+    """Whether two parsed Hopf blocks have the same field, basis and
+    bialgebra tables; an antipode that differs fails the Hopf laws on one of
+    them, since a bialgebra has at most one."""
+    return (h.field, h.basis, h.canonical_constants()) == (k.field, k.basis,
+                                                           k.canonical_constants())
+
+
+def _header(doc, kinds, message):
+    """The kind and the field of a presentation object, checked against
+    kinds as `parse_presentation` describes before anything in it is built."""
+    if not isinstance(doc, dict):
+        raise ParseError("a presentation must be a JSON object")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise ParseError("unsupported format_version %r" % (doc.get("format_version"),))
+    kind = doc.get("kind")
+    field = _field_from_json(_require(doc, "field", kind))
+    if kinds is not None:
+        augmented = kind == "comodule-algebra" and "augmentation" in doc
+        if kind not in kinds and not (augmented and AUGMENTED in kinds):
+            raise ValidationError(
+                message or "file declares kind %r, expected %r" % (kind, kinds[0]))
+    return kind, field
+
+
 def parse_presentation(path_or_doc, kinds=None, message=None):
     """Load and structurally validate a presentation file (or parsed dict).
     When kinds is given, a file of no kind in it raises message (by default,
@@ -478,17 +549,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             raise ParseError("cannot read %s: %s" % (path_or_doc, e))
         except json.JSONDecodeError as e:
             raise ParseError("invalid JSON in %s: %s" % (path_or_doc, e))
-    if not isinstance(doc, dict):
-        raise ParseError("a presentation must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError("unsupported format_version %r" % (doc.get("format_version"),))
-    kind = doc.get("kind")
-    field = _field_from_json(_require(doc, "field", kind))
-    if kinds is not None:
-        augmented = kind == "comodule-algebra" and "augmentation" in doc
-        if kind not in kinds and not (augmented and AUGMENTED in kinds):
-            raise ValidationError(
-                message or "file declares kind %r, expected %r" % (kind, kinds[0]))
+    kind, field = _header(doc, kinds, message)
     if kind == "algebra":
         return Presentation(kind, _parse_algebra(doc, field, kind))
     if kind == "coalgebra":
@@ -513,29 +574,19 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         _check_algebra_block(alg, "algebra")
         return Presentation(kind, graded)
     if kind == "comodule-algebra":
-        alg = _parse_algebra(doc, field, kind)
-        hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
-        coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
-        # the augmentation block is read before the laws run, so a malformed
-        # block is an input error whatever the coaction
-        aug = None
-        if "augmentation" in doc:
-            aug = _row_from_json(field, doc["augmentation"], alg.dim, "augmentation")
-        ca = ComoduleAlgebra(alg, hopf, coaction)
-        _check_nested_hopf(hopf)
-        _check_algebra_block(alg, "algebra")
-        if aug is not None:
-            _check_augmentation(alg, aug)
-        return Presentation(kind, ca, augmentation=aug)
+        blocks = _comodule_algebra_blocks(doc, field, kind)
+        return _comodule_algebra(blocks, check_axioms("hopf", blocks[1]).violations)
     if kind == "crossed-system":
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
         base = _parse_algebra(_nested(doc, "base", kind), field, "algebra")
+        blocks = [_matrix_block(field, _require(doc, key, kind), key)
+                  for key in ("measuring", "sigma", "sigma_inv")]
+        dh, db = hopf.dim, base.dim
         system = CrossedSystem(
             hopf,
             base,
-            _matrix_from_json(field, _require(doc, "measuring", kind), "measuring"),
-            _matrix_from_json(field, _require(doc, "sigma", kind), "sigma"),
-            _matrix_from_json(field, _require(doc, "sigma_inv", kind), "sigma_inv"),
+            _matrix(field, blocks[0], (db, dh * db), "measuring"),
+            *(_matrix(field, b, (db, dh * dh), "sigma") for b in blocks[1:]),
         )
         _check_nested_hopf(hopf)
         _check_algebra_block(base, "base")
@@ -547,44 +598,55 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
             field, _require(doc, "augmentation", kind), base.dim, "augmentation"
         )
         aug = AugmentedAlgebra(base, augmentation)
-        act = HModuleStructure(
-            hopf, aug, _matrix_from_json(field, _require(doc, "action", kind), "action")
-        )
+        dp = aug.plus_dim
+        action = _matrix_block(field, _require(doc, "action", kind), "action")
+        act = HModuleStructure(hopf, aug, _matrix(field, action, (dp, hopf.dim * dp), "action"))
         cochain = None
         if "cochain" in doc:
-            cochain = NormalizedCochain(
-                2, _matrix_from_json(field, doc["cochain"], "cochain")
-            )
-            shape = (aug.plus_dim, hopf.dim ** 2)
-            if (cochain.matrix.rows, cochain.matrix.cols) != shape:
+            block = _matrix_block(field, doc["cochain"], "cochain")
+            shape = (dp, hopf.dim ** 2)
+            if block[:2] != shape:
                 raise ParseError("cochain must be a %d x %d matrix" % shape)
+            cochain = NormalizedCochain(2, _matrix(field, block))
         _check_nested_hopf(hopf)
         _check_algebra_block(base, "base")
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
-        parts, violations = [], []
+        # the domain C and the target D are over one H: each block has it,
+        # and the target shares the domain's, checked once, when they agree
+        parts, violations, hopf, hopf_violations = [], [], None, None
         for key in ("domain", "target"):
+            part = _nested(doc, key, kind)
+            part_kind, part_field = _header(
+                part, ("comodule-algebra",),
+                "the %r block of a lift-problem must be a comodule-algebra" % key)
+            alg, h, coaction, aug = _comodule_algebra_blocks(part, part_field, part_kind)
+            if hopf is not None and not _same_hopf_tables(hopf, h):
+                raise ValidationError("the 'domain' and 'target' blocks of a lift-problem "
+                                      "are over different Hopf algebras")
+            if hopf is None or h.antipode != hopf.antipode:
+                hopf, hopf_violations = h, check_axioms("hopf", h).violations
             try:
-                parts.append(parse_presentation(_nested(doc, key, kind), ("comodule-algebra",),
-                             "the %r block of a lift-problem must be a comodule-algebra" % key))
+                parts.append(_comodule_algebra((alg, hopf, coaction, aug), hopf_violations).payload)
             except InvalidComoduleAlgebraError as e:
                 violations += [(key + "-" + name, w) for name, w in e.violations]
-        varpi = _matrix_from_json(field, _require(doc, "surjection", kind), "surjection")
-        psi = _matrix_from_json(field, _require(doc, "map", kind), "map")
-        # varpi : C -> D and psi : H -> D; the parts parsed, so their bases are lists
+        varpi = _matrix_block(field, _require(doc, "surjection", kind), "surjection")
+        psi = _matrix_block(field, _require(doc, "map", kind), "map")
+        # varpi : C -> D and psi : H -> D
         dc, dd = (len(doc[key]["basis"]) for key in ("domain", "target"))
-        if (varpi.rows, varpi.cols) != (dd, dc):
-            violations.append(("surjection-shape", (varpi.rows, varpi.cols)))
-        if (psi.rows, psi.cols) != (dd, len(doc["target"]["hopf"]["basis"])):
-            violations.append(("map-shape", (psi.rows, psi.cols)))
+        if varpi[:2] != (dd, dc):
+            violations.append(("surjection-shape", varpi[:2]))
+        if psi[:2] != (dd, hopf.dim):
+            violations.append(("map-shape", psi[:2]))
         if violations:
             raise InvalidComoduleAlgebraError(violations, "a lift problem")
-        return Presentation(kind, tuple(p.payload for p in parts) + (varpi, psi))
+        return Presentation(kind, tuple(parts) + (_matrix(field, varpi), _matrix(field, psi)))
     if kind == "comodule-coalgebra":
         coalg = _parse_coalgebra(doc, field, kind)
         hopf = _parse_hopf(_nested(doc, "hopf", kind), field, "hopf")
-        coaction = _matrix_from_json(field, _require(doc, "coaction", kind), "coaction")
-        data = ComoduleCoalgebraData(coalg, hopf, coaction)
+        coaction = _matrix_block(field, _require(doc, "coaction", kind), "coaction")
+        shape = (coalg.dim * hopf.dim, coalg.dim)
+        data = ComoduleCoalgebraData(coalg, hopf, _matrix(field, coaction, shape, "coaction"))
         _check_nested_hopf(hopf)
         return Presentation(kind, data)
     raise ParseError("unknown presentation kind %r" % (kind,))

@@ -909,7 +909,9 @@ def quotient_comodule_algebra(ca, ideal_vectors):
 def sub_comodule_algebra(ca, span_vectors):
     """The comodule subalgebra spanned by the given sparse native rows (must
     be closed under product, contain 1, and be a subcomodule); returns it
-    with the inclusion of its RREF basis."""
+    with the inclusion of its RREF basis.  Its coordinates raise unless the
+    span is closed, and the laws of a valid ca hold on a closed span, so it
+    is not checked again."""
     a = ca.algebra
     f = ca.field
     basis = row_space_basis(f, span_vectors, a.dim)
@@ -922,8 +924,8 @@ def sub_comodule_algebra(ca, span_vectors):
         return x
 
     labels = tuple("s%d" % s for s in range(len(basis)))
-    out = ComoduleAlgebra(induced_algebra(a, basis, coords, labels), ca.hopf,
-                          induced_coaction(ca, basis, coords))
+    out = ComoduleAlgebra._certified(induced_algebra(a, basis, coords, labels), ca.hopf,
+                                     induced_coaction(ca, basis, coords))
     return out, Matrix.from_sparse_cols(f, a.dim, basis)
 
 

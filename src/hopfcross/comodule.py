@@ -50,11 +50,29 @@ from .search import DEFAULT_BUDGET, find_invertible_combination
 
 class ComoduleAlgebra(_RightComodule):
     """An algebra A with a right coaction rho : A -> A (x) H that is
-    coassociative, counital and an algebra map; the constructor raises
-    InvalidComoduleAlgebraError otherwise, so every instance is valid.
-    Its coinvariants B = A^{co H} are computed once, when first read."""
+    coassociative, counital and an algebra map.  Every instance is valid:
+    the constructor checks it and raises InvalidComoduleAlgebraError
+    otherwise, and the library builds a derived one without that check
+    (`_certified`) only where the map its deriving call checks certifies
+    it.  Its coinvariants B = A^{co H} are computed once, when first read."""
 
     def __init__(self, algebra, hopf, coaction):
+        self._bind(algebra, hopf, coaction)
+        violations = self.validate()
+        if violations:
+            raise InvalidComoduleAlgebraError(violations)
+
+    @classmethod
+    def _certified(cls, algebra, hopf, coaction):
+        """A derived comodule algebra, not checked here: its caller certifies
+        it by a map it checks, an isomorphism onto a valid comodule algebra,
+        or builds it inside a valid one, as a subcomodule subalgebra whose
+        coordinates check closure."""
+        ca = cls.__new__(cls)
+        ca._bind(algebra, hopf, coaction)
+        return ca
+
+    def _bind(self, algebra, hopf, coaction):
         if algebra.field != hopf.field:
             raise ShapeMismatchError("algebra and Hopf algebra over different fields")
         if coaction.rows != algebra.dim * hopf.dim or coaction.cols != algebra.dim:
@@ -62,9 +80,6 @@ class ComoduleAlgebra(_RightComodule):
         self.algebra = algebra
         self.hopf = hopf
         self.coaction = coaction
-        violations = self.validate()
-        if violations:
-            raise InvalidComoduleAlgebraError(violations)
 
     @property
     def field(self):
@@ -359,7 +374,28 @@ def check_crossed_system(s):
 
 def crossed_product(s):
     """B x|_sigma H on the basis {b_i (x) e_g}, b-index major, with the
-    coaction id (x) Delta."""
+    coaction id (x) Delta, checked as a comodule algebra whose coinvariants
+    are B (x) k1."""
+    ca = _crossed_product(s, ComoduleAlgebra)
+    h, db = s.hopf, s.base.dim
+    f = h.field
+    p = f.characteristic
+    # the coinvariants must be exactly B (x) k1
+    coinv = ca.coinvariants
+    if coinv.dim != db:
+        raise ValidationError("crossed product coinvariants have wrong dimension")
+    span = row_space_basis(f, [vtensor(_basis_row(f, i), h.native_unit, h.dim, p)
+                               for i in range(db)], ca.algebra.dim)
+    for t in range(db):
+        if not in_span(f, span, coinv.basis[t]):
+            raise ValidationError("crossed product coinvariants differ from B (x) k")
+    return ca
+
+
+def _crossed_product(s, build):
+    """B x|_sigma H as build(algebra, H, coaction) makes it, once the
+    crossed-system laws hold: `ComoduleAlgebra`, which checks it, or
+    `ComoduleAlgebra._certified` for a caller that certifies it."""
     violations = check_crossed_system(s)
     if violations:
         raise InvalidCrossedSystemError(violations)
@@ -407,17 +443,7 @@ def crossed_product(s):
     delta = h.native_coproduct
     cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in delta.get(g, {}).items()}
             for i in range(db) for g in range(dh)]
-    ca = ComoduleAlgebra(algebra, h, Matrix.from_sparse_cols(f, dim * dh, cols))
-    # the coinvariants must be exactly B (x) k1
-    coinv = ca.coinvariants
-    if coinv.dim != db:
-        raise ValidationError("crossed product coinvariants have wrong dimension")
-    span = row_space_basis(f, [vtensor(_basis_row(f, i), h.native_unit, dh, p)
-                               for i in range(db)], dim)
-    for t in range(db):
-        if not in_span(f, span, coinv.basis[t]):
-            raise ValidationError("crossed product coinvariants differ from B (x) k")
-    return ca
+    return build(algebra, h, Matrix.from_sparse_cols(f, dim * dh, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +614,11 @@ def section_to_crossed_system(sec):
     sigma = Matrix.from_sparse_cols(f, db, sig_cols)
     sigma_inv = Matrix.from_sparse_cols(f, db, sig_inv_cols)
     system = CrossedSystem(h, base, Matrix.from_sparse_cols(f, db, meas_cols), sigma, sigma_inv)
-    product = crossed_product(system)  # checks the crossed-system laws
-    # alpha : B x| H -> A, b (x) h |-> b phi(h)
+    # alpha : B x| H -> A, b (x) h |-> b phi(h), a bijective colinear algebra
+    # map onto the valid A that is the identity on B, certifies the crossed
+    # product as a comodule algebra with coinvariants B (x) k1, so the
+    # product is not checked, nor its coinvariants computed, on its own
+    product = _crossed_product(system, ComoduleAlgebra._certified)
     alpha = Matrix.from_sparse_cols(f, a.dim, [mult(bv, phi[g]) for bv in coinv.basis
                                                for g in range(dh)])
     require_morphism(alpha, "candidate isomorphism B x|_sigma H -> A", bijective=True,

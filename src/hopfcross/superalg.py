@@ -505,20 +505,16 @@ def decompose(sp):
     quotient_hopf, pi = even_quotient(sp)
     dh = quotient_hopf.dim
     pi_cols = pi.native_cols()
-    # A as an H-comodule algebra via (id (x) pi) o Delta
+    # A as an H-comodule algebra via (id (x) pi) o Delta, certified by alpha
+    # below before anything is derived from it
     cols = []
     for i in range(dim):
         v = {}
         for (j, k), c in cop.get(i, {}).items():
             _add_scaled(v, c, {ti(j, x, dh): d for x, d in pi_cols[k].items()})
         cols.append(_reduced(v, p))
-    ca = ComoduleAlgebra(h.as_algebra(), quotient_hopf, Matrix.from_sparse_cols(f, dim * dh, cols))
-    # Step A: colinear splitting phi : H -> A_0 of pi_0
-    a0, inc0 = sub_comodule_algebra(ca, [_basis_row(f, i) for i in range(dim)
-                                         if sp.parity[i] == 0])
-    pi0 = Matrix.from_sparse_cols(f, dh, [pi.apply_sparse(col) for col in inc0.native_cols()])
-    sec0 = colinear_splitting_nilpotent(a0, pi0)
-    phi = inc0 * sec0.phi  # H -> A, lands in A_0
+    ca = ComoduleAlgebra._certified(h.as_algebra(), quotient_hopf,
+                                    Matrix.from_sparse_cols(f, dim * dh, cols))
     # Step B: odd primitives and the exterior target
     u_basis = odd_primitives(sp)
     m = len(u_basis)
@@ -542,6 +538,22 @@ def decompose(sp):
     # the coordinates through it
     delta = Matrix.from_sparse_rows(f, iota, dim)
     delta_cols = delta.native_cols()
+    # Step C: alpha(a) = delta(a_1) (x) pi(a_2)
+    alpha_cols = []
+    for i in range(dim):
+        out = {}
+        for (j, k), c in cop.get(i, {}).items():
+            for x, u in delta_cols[j].items():
+                _add_scaled(out, c * u, {ti(x, y, dh): w for y, w in pi_cols[k].items()})
+        alpha_cols.append(_reduced(out, p))
+    alpha = Matrix.from_sparse_cols(f, ext.dim * dh, alpha_cols)
+    _verify_decomposition(sp, ca, ext, alpha)
+    # Step A: colinear splitting phi : H -> A_0 of pi_0
+    a0, inc0 = sub_comodule_algebra(ca, [_basis_row(f, i) for i in range(dim)
+                                         if sp.parity[i] == 0])
+    pi0 = Matrix.from_sparse_cols(f, dh, [pi.apply_sparse(col) for col in inc0.native_cols()])
+    sec0 = colinear_splitting_nilpotent(a0, pi0)
+    phi = inc0 * sec0.phi  # H -> A, lands in A_0
     # B = coinvariants, gamma = delta|_B
     coinv = ca.coinvariants
     b_alg = coinv.subalgebra
@@ -557,16 +569,6 @@ def decompose(sp):
         if len(parities) != 1:
             raise ValidationError("coinvariant basis is not homogeneous")
         b_parity.append(parities.pop())
-    # Step C: alpha(a) = delta(a_1) (x) pi(a_2)
-    alpha_cols = []
-    for i in range(dim):
-        out = {}
-        for (j, k), c in cop.get(i, {}).items():
-            for x, u in delta_cols[j].items():
-                _add_scaled(out, c * u, {ti(x, y, dh): w for y, w in pi_cols[k].items()})
-        alpha_cols.append(_reduced(out, p))
-    alpha = Matrix.from_sparse_cols(f, ext.dim * dh, alpha_cols)
-    _verify_decomposition(sp, ca, ext, alpha)
     _verify_step1_claims(sp, coinv, b_parity, cot)
     w = SuperVectorSpace((1,) * m)
     return DecompositionResult(quotient_hopf, pi, w, phi, delta, alpha, ext)
@@ -575,7 +577,9 @@ def decompose(sp):
 def _verify_decomposition(sp, ca, ext, alpha):
     """The four invariants: bijective, superalgebra map with Koszul signs,
     right H-colinear, augmented.  ca is A with the coaction (id (x) pi) o Delta
-    over H = ca.hopf."""
+    over H = ca.hopf, which this check certifies as a comodule algebra:
+    alpha carries the comodule algebra Lambda(W) (x) H, with coaction
+    id (x) Delta, onto it."""
     h = sp.hopf
     quotient_hopf = ca.hopf
     dh = quotient_hopf.dim

@@ -15,6 +15,7 @@ from hopfcross.algebra import (
     FCoalgebra,
     FHopf,
     MAX_VIOLATIONS,
+    WORD_PRIME,
     _Algebra,
     _Coalgebra,
     _algebra_laws,
@@ -22,10 +23,13 @@ from hopfcross.algebra import (
     _bialgebra_laws,
     _coalgebra_components,
     _coalgebra_laws,
+    _generating_set,
+    _greedy_generators,
     _left_legs,
     _laws,
     _lower,
     _lowered,
+    _lowering,
     _parity_laws,
     _product_rows,
     algebra_map_violations,
@@ -41,7 +45,14 @@ from hopfcross.algebra import (
     smash_coproduct,
     ti,
 )
-from hopfcross.cli import _matrix_from_json, _matrix_to_json, encode_hopf, main, parse_presentation
+from hopfcross.cli import (
+    _matrix,
+    _matrix_block,
+    _matrix_to_json,
+    encode_hopf,
+    main,
+    parse_presentation,
+)
 from hopfcross.errors import NoAntipodeError, NotConvolutionInvertibleError, ValidationError
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import (
@@ -69,7 +80,7 @@ from hopfcross.superalg import (
     super_tensor_product,
 )
 from tests.oracles import (delta2_basis, dense_tensor, evaluate, is_cocommutative,
-                           is_commutative, vadd, vscale, vzero)
+                           is_commutative, pruned_lightest_generators, vadd, vscale, vzero)
 from tests.test_linalg import ORACLE_FIELDS, draw
 
 Q = Rationals()
@@ -533,7 +544,7 @@ def test_antipode_verdict_is_invariant_under_a_change_of_basis(name, tmp_path, c
     assert code == moved_code == (1 if name == "monoid2.json" else 0)
     if code == 0:
         # the antipode is unique, so the one found in the new basis is t^-1 S t
-        s = _matrix_from_json(h.field, report["certificates"]["antipode"], "antipode")
+        s = _matrix(h.field, _matrix_block(h.field, report["certificates"]["antipode"], "antipode"))
         assert moved_report["certificates"]["antipode"] == _matrix_to_json(
             h.field, t.inverse() * s * t)
     # the command reads no antipode, so only the bialgebra parts can break it
@@ -664,6 +675,18 @@ def words_span(h, gens):
     return len(pivots) == h.dim
 
 
+def dense_bases():
+    """(key, h, parity) for Lambda(3) and Lambda(2) (x) k[Z/2] over Q and F5,
+    each in a seeded dense basis."""
+    for fname, field in (("Q", Q), ("F5", F5)):
+        z2 = SuperPresentation(group_hopf_algebra(GroupTable.cyclic(2), field), (0, 0))
+        bases = (("lambda3", exterior_hopf(3, field).presentation),
+                 ("lambda2 z2", super_tensor_product(exterior_hopf(2, field).presentation, z2)))
+        for name, sp in bases:
+            key = "%s/%s" % (name, fname)
+            yield key, transport(sp.hopf, change_of_basis(field, sp.parity, key)), sp.parity
+
+
 def test_the_generating_set_of_a_dense_basis_has_the_least_weight():
     # on dense bases of Lambda(3) and Lambda(2) (x) k[Z/2], G is the
     # generating set of least weight, and a Delta rescaled at a generator
@@ -672,29 +695,75 @@ def test_the_generating_set_of_a_dense_basis_has_the_least_weight():
     # A / (k 1 + rad^2), so the pruned weight-order pass finds the least
     # weight on any basis; on Lambda(2) (x) k[Z/2] no such bound holds,
     # and some other dense bases have a lighter generating set
-    for fname, field in (("Q", Q), ("F5", F5)):
-        z2 = SuperPresentation(group_hopf_algebra(GroupTable.cyclic(2), field), (0, 0))
-        bases = (("lambda3", exterior_hopf(3, field).presentation),
-                 ("lambda2 z2", super_tensor_product(exterior_hopf(2, field).presentation, z2)))
-        for name, sp in bases:
-            key = "%s/%s" % (name, fname)
-            h = transport(sp.hopf, change_of_basis(field, sp.parity, key))
-            gens, weight = h.generating_set, left_leg_weights(h)
-            assert gens is not None and words_span(h, gens), key
-            least = sum(weight[g] for g in gens)
-            for r in range(1, h.dim):
-                for sub in itertools.combinations(range(h.dim), r):
-                    if sum(weight[g] for g in sub) < least:
-                        assert not words_span(h, sub), (key, sub)
-            assert check_axioms("super-hopf", SuperPresentation(h, sp.parity)).ok, key
-            outside = next(i for i in range(h.dim) if i not in gens)
-            for t in (gens[0], outside):
-                c = 1 + rational_bump(key) if field == Q else field.from_int(2)
-                bad = rescaled_coproduct(h, t, c)
-                expected = ref_hopf_laws(bad, sp.parity)
-                assert expected, (key, t)
-                found = check_axioms("super-hopf", SuperPresentation(bad, sp.parity)).violations
-                assert found == expected[:MAX_VIOLATIONS], (key, t)
+    for key, h, parity in dense_bases():
+        field = h.field
+        gens, weight = h.generating_set, left_leg_weights(h)
+        assert gens is not None and words_span(h, gens), key
+        least = sum(weight[g] for g in gens)
+        for r in range(1, h.dim):
+            for sub in itertools.combinations(range(h.dim), r):
+                if sum(weight[g] for g in sub) < least:
+                    assert not words_span(h, sub), (key, sub)
+        assert check_axioms("super-hopf", SuperPresentation(h, parity)).ok, key
+        outside = next(i for i in range(h.dim) if i not in gens)
+        for t in (gens[0], outside):
+            c = 1 + rational_bump(key) if field == Q else field.from_int(2)
+            bad = rescaled_coproduct(h, t, c)
+            expected = ref_hopf_laws(bad, parity)
+            assert expected, (key, t)
+            found = check_axioms("super-hopf", SuperPresentation(bad, parity)).violations
+            assert found == expected[:MAX_VIOLATIONS], (key, t)
+
+
+def generating_set_inputs():
+    """(key, h): the bialgebras of the corpus files and their duals,
+    Lambda(0..6) over Q and F7, and the dense bases of `dense_bases`."""
+    for name in sorted(os.listdir(CORPUS)):
+        pres = parse_presentation(os.path.join(CORPUS, name))
+        payload = pres.payload
+        if pres.kind in ("bialgebra", "hopf"):
+            h = payload
+        elif pres.kind == "hmodule":
+            h = payload[0].hopf
+        elif pres.kind == "lift-problem":
+            h = payload[0].hopf
+        elif hasattr(payload, "hopf"):
+            h = payload.hopf
+        else:
+            continue
+        yield name, h
+        yield name + " dual", dual_structure(h)
+    for fname, field in (("Q", Q), ("F7", F7)):
+        for n in range(7):
+            yield "lambda%d/%s" % (n, fname), exterior_hopf(n, field).hopf
+    for key, h, _ in dense_bases():
+        yield key, h
+
+
+def test_the_two_pass_rule_chooses_the_generating_set_of_the_pruned_pass(monkeypatch):
+    # the weight-order G is pruned only when it keeps more generators than
+    # the index-order G, or when that pass found none; on every input here
+    # G is the one the always-pruned reference chooses, and the rule skips
+    # the pruning on many of them
+    weighted = skipped = 0
+    for key, h in generating_set_inputs():
+        lower, d, _ = _lowering((h,))
+        args = (h.lowered_rows(d), _lowered(h.native_unit, lower), h.dim,
+                h.field.characteristic or WORD_PRIME)
+        with monkeypatch.context() as m:
+            m.setattr(hopfcross.algebra, "_lightest_generators", pruned_lightest_generators)
+            expected = _generating_set(h.field, *args[:3], h.native_coproduct)
+        assert h.generating_set == expected, key
+        weight = [sum(len(args[0].get(a1, ())) for a1, _ in h.native_coproduct.get(i, ()))
+                  for i in range(h.dim)]
+        if len(set(weight)) > 1:
+            weighted += 1
+            rows, unit, dim, p = args
+            index = _greedy_generators(rows, unit, dim, p, range(dim), dim // 2)
+            order = sorted(range(dim), key=weight.__getitem__)
+            gens = _greedy_generators(rows, unit, dim, p, order, dim)
+            skipped += gens is not None and index is not None and len(gens) <= len(index)
+    assert weighted > 20 and skipped > 10
 
 
 @pytest.mark.parametrize("group", [GroupTable.symmetric(4), GroupTable.cyclic(12)],

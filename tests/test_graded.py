@@ -775,6 +775,7 @@ def test_recognition_eliminates_the_coaction_only_to_check_its_product(monkeypat
     real = comodule.coinvariants
     monkeypatch.setattr(comodule, "coinvariants", lambda ca: eliminated.append(ca) or real(ca))
     rec = recognize_group_crossed_product(matrix_graded(Q, 3))
-    # one elimination: crossed_product's check that its coinvariants are B (x) 1
-    assert len(eliminated) == 1 and eliminated[0].hopf.dim == 3
+    # none: B = A_e is read off the grading, and alpha certifies that the
+    # coinvariants of the crossed product are B (x) 1
+    assert eliminated == []
     assert rec.system.base.dim == 3
