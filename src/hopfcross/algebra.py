@@ -1,20 +1,20 @@
 """Finite-dimensional algebra/coalgebra/bialgebra/Hopf presentations.
 
-A presentation stores structure constants sparsely, as field scalars c: the
-product as ``{(i, j): {k: c}}``, the coproduct as ``{i: {(j, k): c}}``, and
-the unit and counit as tuples, which the constructor also keeps as native
-rows (`native_unit`, `native_counit`).  Field scalars appear only there and
-in the dense calls (`mult`, `delta`); inside, every vector is a sparse
-native row (see `linalg`), with one product kernel, `sparse_mult`, which the
-dense `mult` wraps.  Every law kernel reads native forms only: a map as its
-native columns, a coaction as its native terms (`rho_basis`; for a
-coalgebra, Delta as terms), both lowered to native ints (see `_lowering`).
-FAlgebra and FCoalgebra take their operations from `_Algebra` and
-`_Coalgebra`, and FBialgebra from both.  Each structure keeps, beside its
-constants, the lcm of their denominators, its native tables and those
-lowered to native ints.  Tensor indices are row-major: basis element
-``e_i (x) e_j`` of ``A (x) B`` has index ``i * dim(B) + j`` (`ti`;
-`linalg.vtensor` forms u (x) v in that order).
+A presentation stores its structure constants once, sparsely, on native
+scalars (see linalg): the product as rows ``{i: {j: {k: c}}}``
+(`native_rows`), the coproduct as ``{i: {(j, k): c}}`` (`native_coproduct`),
+the unit and counit as sparse native rows (`native_unit`, `native_counit`).
+Field scalars appear only at the JSON boundary and in the dense API: the
+views `product`, `unit`, `coproduct` and `counit`, derived on their first
+read, and `mult`, `one`, `delta`, `mult_basis` and `delta_basis`.  Every
+vector is a sparse native row, with one product kernel, `sparse_mult`, and
+every law kernel reads native forms only: a map as its native columns, a
+coaction as its native terms (`rho_basis`; for a coalgebra, Delta as terms),
+both lowered to native ints (see `_lowering`).  FAlgebra and FCoalgebra take
+their operations from `_Algebra` and `_Coalgebra`, and FBialgebra from both.
+Tensor indices are row-major: basis element ``e_i (x) e_j`` of ``A (x) B``
+has index ``i * dim(B) + j`` (`ti`; `linalg.vtensor` forms u (x) v in that
+order).
 
 Structure maps are certified by one checker, `require_morphism`: it checks
 the laws its caller names (bijective, a unital algebra map, colinear,
@@ -33,16 +33,15 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    FpElement,
     Matrix,
     QuotientSpace,
     _basis_row,
     _dense_vec,
     _dot,
-    _field_row,
     _native,
     _reduced,
     _subtract,
-    basis_vec,
     connected_components,
     solve_linear,
     vtensor,
@@ -54,36 +53,62 @@ def ti(i, j, dim_j):
     return i * dim_j + j
 
 
-def _clean_sparse_product(field, dim, product):
+def _native_tables(field, dim, **tables):
+    """The native tables, by name, that a public constructor keeps for its
+    field-scalar ones, each checked and converted once in the order given: a
+    unit or counit tuple (its length checked) as a sparse native row, a
+    product {(i, j): {k: c}} as rows {i: {j: {k: c}}} and a coproduct
+    {i: {(j, k): c}} as it is (each outer index checked), without zeros."""
+    p = field.characteristic
     out = {}
-    for (i, j), terms in product.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ShapeMismatchError("product index out of range")
-        kept = {k: c for k, c in terms.items() if c}
-        if kept:
-            out[(i, j)] = kept
-    return out
-
-
-def _clean_sparse_coproduct(field, dim, coproduct):
-    out = {}
-    for i, terms in coproduct.items():
-        if not 0 <= i < dim:
-            raise ShapeMismatchError("coproduct index out of range")
-        kept = {jk: c for jk, c in terms.items() if c}
-        if kept:
-            out[i] = kept
+    for name, table in tables.items():
+        if name in ("unit", "counit"):
+            if len(table) != dim:
+                raise ShapeMismatchError("%s vector has wrong length" % name)
+            out["native_" + name] = _native(table, field)
+            continue
+        native = out["native_rows" if name == "product" else "native_coproduct"] = {}
+        for key, terms in table.items():
+            i, j = key if name == "product" else (key, 0)
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ShapeMismatchError("%s index out of range" % name)
+            if not (kept := {k: c.value if p else c for k, c in terms.items() if c}):
+                continue
+            if name == "product":
+                native.setdefault(i, {})[j] = kept
+            else:
+                native[i] = kept
     return out
 
 
 class _Structure:
-    """A presentation on a basis over a field.  Nothing changes its constants
-    after construction, so it keeps what it derives from them."""
+    """A presentation on a basis over a field, kept as its native tables.
+    Nothing changes them after construction, so it keeps what it derives
+    from them."""
 
-    def __init__(self, field, basis):
+    def __init__(self, field, basis, **tables):
+        """The one entry of every structure: its native tables, by name, kept
+        as they are and unchecked, with empty caches of their lowerings.  A
+        public constructor calls it once it has converted its field-scalar
+        tables (`_native_tables`); the parser and every derived structure,
+        through `_native`."""
         self.field = field
         self.basis = tuple(basis)
         self.dim = len(self.basis)
+        self.__dict__.update(tables, _rows={}, _terms={})
+
+    @classmethod
+    def _native(cls, field, basis, **tables):
+        """A structure of class cls on native tables: native_rows and
+        native_unit for an algebra, native_coproduct and native_counit for a
+        coalgebra, all four for a bialgebra, and the antipode too for a Hopf
+        algebra; the unit and counit rows in index order."""
+        s = cls.__new__(cls)
+        _Structure.__init__(s, field, basis, **tables)
+        return s
+
+    def _constants(self):
+        return ()
 
     @cached_property
     def denominator(self):
@@ -92,24 +117,34 @@ class _Structure:
         multiple of; 1 over F_p."""
         if self.field.characteristic:
             return 1
-        return lcm(*{c.denominator for c in self._scalars()})
+        return lcm(*{c.denominator for c in self._constants()})
 
 
 class _Algebra(_Structure):
-    """The algebra operations on a product table and a unit, shared by
-    FAlgebra and FBialgebra."""
+    """The algebra operations on the product rows `native_rows` and the unit
+    row `native_unit`, shared by FAlgebra and FBialgebra.  They are the only
+    stored form of the product and the unit: `product` and `unit` are views
+    on field scalars for the dense API, derived on their first read."""
 
     def __init__(self, field, basis, product, unit):
-        _Structure.__init__(self, field, basis)
-        if len(unit) != self.dim:
-            raise ShapeMismatchError("unit vector has wrong length")
-        self.product = _clean_sparse_product(field, self.dim, product)
-        self.unit = tuple(unit)
-        self.native_unit = _native(self.unit, field)
-        self._rows = {}
+        _Structure.__init__(self, field, basis,
+                            **_native_tables(field, len(basis), unit=unit, product=product))
 
-    def _scalars(self):
-        return chain(_values(self.product.values()), self.unit)
+    def _constants(self):
+        rows = chain.from_iterable(row.values() for row in self.native_rows.values())
+        return chain(super()._constants(), _values(rows), self.native_unit.values())
+
+    @cached_property
+    def product(self):
+        """The product {(i, j): {k: c}} on field scalars (over Q it shares
+        the rows' dicts)."""
+        p = self.field.characteristic
+        return {(i, j): {k: FpElement(c, p) for k, c in terms.items()} if p else terms
+                for i, row in self.native_rows.items() for j, terms in row.items()}
+
+    @cached_property
+    def unit(self):
+        return _dense_vec(self.field, self.native_unit, self.dim)
 
     def lowered_rows(self, d):
         """The product as rows {i: {j: {k: c}}} of native ints at scale d
@@ -127,17 +162,6 @@ class _Algebra(_Structure):
         coproduct = self.native_coproduct if isinstance(self, _Coalgebra) else None
         return _generating_set(self.field, self.lowered_rows(d),
                                _lowered(self.native_unit, lower), self.dim, coproduct)
-
-    @cached_property
-    def native_rows(self):
-        """The product rows {i: {j: {k: c}}} on native scalars (see
-        linalg), indexed by the left factor, which `sparse_mult` and each
-        lowering read, built on the first read.  Over Q a constant is its
-        own native scalar, so the rows share the product's dicts."""
-        rows = {}
-        for (i, j), terms in self.product.items():
-            rows.setdefault(i, {})[j] = _native_terms(self.field, terms)
-        return rows
 
     def one(self):
         return self.unit
@@ -157,29 +181,40 @@ class _Algebra(_Structure):
         return _dense_vec(f, out, self.dim)
 
     def canonical_constants(self):
-        prod = tuple(
-            (i, j, k, c)
-            for (i, j) in sorted(self.product)
-            for k, c in sorted(self.product[(i, j)].items())
-        )
-        return ("algebra", self.dim, prod, self.unit)
+        """The product as sorted (i, j, k, c) and the unit as sorted (i, c),
+        on native scalars: equal exactly when the tables are."""
+        rows = self.native_rows
+        prod = tuple((i, j, k, c) for i in sorted(rows) for j in sorted(rows[i])
+                     for k, c in sorted(rows[i][j].items()))
+        return ("algebra", self.dim, prod, tuple(sorted(self.native_unit.items())))
 
 
 class _Coalgebra(_Structure):
-    """The coalgebra operations on a coproduct and a counit, shared by
-    FCoalgebra and FBialgebra."""
+    """The coalgebra operations on the coproduct `native_coproduct` and the
+    counit row `native_counit`, shared by FCoalgebra and FBialgebra.  They
+    are the only stored form of the coproduct and the counit: `coproduct`
+    and `counit` are views on field scalars for the dense API, derived on
+    their first read."""
 
     def __init__(self, field, basis, coproduct, counit):
-        _Structure.__init__(self, field, basis)
-        if len(counit) != self.dim:
-            raise ShapeMismatchError("counit vector has wrong length")
-        self.coproduct = _clean_sparse_coproduct(field, self.dim, coproduct)
-        self.counit = tuple(counit)
-        self.native_counit = _native(self.counit, field)
-        self._terms = {}
+        _Structure.__init__(self, field, basis, **_native_tables(
+            field, len(basis), counit=counit, coproduct=coproduct))
 
-    def _scalars(self):
-        return chain(_values(self.coproduct.values()), self.counit)
+    def _constants(self):
+        return chain(super()._constants(), _values(self.native_coproduct.values()),
+                     self.native_counit.values())
+
+    @cached_property
+    def coproduct(self):
+        """The coproduct {i: {(j, k): c}} on field scalars (over Q it shares
+        the native dicts)."""
+        p = self.field.characteristic
+        return {i: {jk: FpElement(c, p) for jk, c in terms.items()} if p else terms
+                for i, terms in self.native_coproduct.items()}
+
+    @cached_property
+    def counit(self):
+        return _dense_vec(self.field, self.native_counit, self.dim)
 
     def lowered_coproduct(self, d):
         """The coproduct {i: {(j, k): c}} on native ints at scale d (see
@@ -190,12 +225,6 @@ class _Coalgebra(_Structure):
             terms = {i: _lowered(t, lower) for i, t in self.native_coproduct.items()}
             self._terms[d] = terms
         return terms
-
-    @cached_property
-    def native_coproduct(self):
-        """The coproduct {i: {(j, k): c}} on native scalars (see linalg),
-        built on the first read; over Q it shares the coproduct's dicts."""
-        return {i: _native_terms(self.field, t) for i, t in self.coproduct.items()}
 
     def rho_basis(self, i):
         """Delta(e_i) as native terms {(j, k): c}: the coaction of C as a
@@ -216,12 +245,11 @@ class _Coalgebra(_Structure):
         return {jk: c for jk, c in out.items() if c}
 
     def canonical_constants(self):
-        cop = tuple(
-            (i, j, k, c)
-            for i in sorted(self.coproduct)
-            for (j, k), c in sorted(self.coproduct[i].items())
-        )
-        return ("coalgebra", self.dim, cop, self.counit)
+        """The coproduct as sorted (i, j, k, c) and the counit as sorted
+        (i, c), on native scalars."""
+        cop = self.native_coproduct
+        terms = tuple((i, j, k, c) for i in sorted(cop) for (j, k), c in sorted(cop[i].items()))
+        return ("coalgebra", self.dim, terms, tuple(sorted(self.native_counit.items())))
 
 
 class FAlgebra(_Algebra):
@@ -235,21 +263,18 @@ class FCoalgebra(_Coalgebra):
 class FBialgebra(_Algebra, _Coalgebra):
     """Algebra and coalgebra on one basis, with compatible structures.  It is
     not an FAlgebra or an FCoalgebra; as_algebra and as_coalgebra give it as
-    one, sharing its constants and what it derived from them, and each gives
+    one, sharing its tables and what it derived from them, and each gives
     the same view on every call, so what a view derives is derived once."""
 
     def __init__(self, field, basis, product, unit, coproduct, counit):
-        _Algebra.__init__(self, field, basis, product, unit)
-        _Coalgebra.__init__(self, field, basis, coproduct, counit)
-
-    def _scalars(self):
-        return chain(_Algebra._scalars(self), _Coalgebra._scalars(self))
+        _Structure.__init__(self, field, basis, **_native_tables(
+            field, len(basis), unit=unit, product=product, counit=counit, coproduct=coproduct))
 
     def as_algebra(self):
-        return _view(FAlgebra, self, "product", "unit", "native_unit", "_rows")
+        return _view(FAlgebra, self, "native_rows", "native_unit", "_rows")
 
     def as_coalgebra(self):
-        return _view(FCoalgebra, self, "coproduct", "counit", "native_counit", "_terms")
+        return _view(FCoalgebra, self, "native_coproduct", "native_counit", "_terms")
 
     def canonical_constants(self):
         return _Algebra.canonical_constants(self) + _Coalgebra.canonical_constants(self)
@@ -276,7 +301,7 @@ class FHopf(FBialgebra):
     @staticmethod
     def from_bialgebra(b, antipode):
         """b with the antipode of its computed convolution inverse, sharing
-        b's constants and what b derived from them."""
+        b's tables and what b derived from them."""
         h = FHopf.__new__(FHopf)
         h.__dict__.update(b.__dict__, antipode=antipode)
         return h
@@ -295,17 +320,18 @@ class FHopf(FBialgebra):
 def induced_algebra(a, basis, coords, labels):
     """The algebra on span(basis): e_s e_t = coords(basis[s] basis[t]) and
     1 = coords(1)."""
-    f = a.field
-    product = {}
+    rows = {}
     for s, u in enumerate(basis):
         for t, v in enumerate(basis):
-            product[(s, t)] = _field_row(f, coords(a.sparse_mult(u, v)))
-    return FAlgebra(f, labels, product, _dense_vec(f, coords(a.native_unit), len(basis)))
+            if prod := coords(a.sparse_mult(u, v)):
+                rows.setdefault(s, {})[t] = prod
+    return FAlgebra._native(a.field, labels, native_rows=rows,
+                            native_unit=dict(sorted(coords(a.native_unit).items())))
 
 
 def induced_coproduct(c, basis, coords):
-    """{s: (coords (x) coords) Delta(basis[s])} as sparse coproduct terms of
-    field scalars; coords(e_j) is read once per j."""
+    """{s: (coords (x) coords) Delta(basis[s])} as sparse native coproduct
+    terms; coords(e_j) is read once per j."""
     f = c.field
     p = f.characteristic
     cop = c.native_coproduct
@@ -329,7 +355,7 @@ def induced_coproduct(c, basis, coords):
                 for y, w in pk:
                     v = du * w
                     terms[x, y] = terms[x, y] + v if (x, y) in terms else v
-        out[s] = _field_row(f, _reduced(terms, p))
+        out[s] = _reduced(terms, p)
     return out
 
 
@@ -376,9 +402,9 @@ def relative_tensor(a, b_vectors, left, right, image):
 # reads native scalars (see linalg) lowered (`_lowering`): over F_p a residue
 # is its own lowering, and over Q c becomes D * c, with D the lcm of the
 # denominators of the structures and maps the law reads.  Each structure
-# keeps, beside its constants, the lcm of their denominators
-# (`denominator`), its native tables (`native_rows`, `native_coproduct`,
-# `native_unit`, `native_counit`) and the two tables lowered once per scale D
+# keeps, beside its native tables (`native_rows`, `native_coproduct`,
+# `native_unit`, `native_counit`), the lcm of their denominators
+# (`denominator`) and the two tables lowered once per scale D
 # (`lowered_rows`, `lowered_coproduct`), so the laws, the kernels and the
 # checks of one structure share them.  A map arrives as its native columns
 # and a coaction as its native terms; they and the units are lowered in each
@@ -513,12 +539,6 @@ def _values(tables):
     return chain.from_iterable(t.values() for t in tables)
 
 
-def _native_terms(field, terms):
-    """Stored nonzero structure constants {key: c} on native scalars: their
-    residues over F_p, the dict itself over Q, where nothing changes it."""
-    return {k: c.value for k, c in terms.items()} if field.characteristic else terms
-
-
 def _lowered(sparse, lower):
     """A sparse dict of native scalars lowered: the dict itself when lower is
     None; nothing changes a dict it reads."""
@@ -553,18 +573,17 @@ def _parity_laws(h, p):
     products e_i e_j with j ascending, then Delta(e_i), the counit and unit
     at i, and column i of the antipode with its rows ascending.  One pass
     over the sparse product, coproduct and antipode."""
-    right = {}
-    for i, j in sorted(h.product):
-        right.setdefault(i, []).append(j)
+    rows, coproduct = h.native_rows, h.native_coproduct
     antipode = h.antipode.native_cols()
     for i in range(h.dim):
         pi = p[i]
-        for j in right.get(i, ()):
+        row = rows.get(i, {})
+        for j in sorted(row):
             pk = (pi + p[j]) % 2
-            for k in h.product[i, j]:
+            for k in row[j]:
                 if p[k] != pk:
                     yield ("product-parity", (i, j, k))
-        for (j, k) in h.delta_basis(i):
+        for (j, k) in coproduct.get(i, ()):
             if (p[j] + p[k]) % 2 != pi:
                 yield ("coproduct-parity", (i, j, k))
         if pi and i in h.native_counit:
@@ -1126,7 +1145,7 @@ def _coalgebra_components(c):
     j and k whenever e_j (x) e_k occurs in Delta(e_i).  Each component spans
     a subcoalgebra D, and Hom(C, A) is the product of the algebras Hom(D, A);
     a group-like basis gives one component per basis element."""
-    return connected_components(c.dim, ((i, x) for i, terms in c.coproduct.items()
+    return connected_components(c.dim, ((i, x) for i, terms in c.native_coproduct.items()
                                         for jk in terms for x in jk))
 
 
@@ -1221,15 +1240,13 @@ def group_hopf_algebra(table, field):
     """The group algebra of a finite group, with its standard Hopf structure."""
     table.validate()
     n = table.order
-    product = {
-        (i, j): {table.mult[i][j]: field.one} for i in range(n) for j in range(n)
-    }
-    unit = basis_vec(field, n, table.identity)
-    coproduct = {i: {(i, i): field.one} for i in range(n)}
-    counit = (field.one,) * n
-    antipode = Matrix.from_sparse_cols(field, n, [_basis_row(field, table.inv[i])
-                                                  for i in range(n)])
-    return FHopf(field, table.elements, product, unit, coproduct, counit, antipode)
+    one = 1 if field.characteristic else field.one
+    return FHopf._native(
+        field, table.elements, native_unit={table.identity: one},
+        native_rows={i: {j: {table.mult[i][j]: one} for j in range(n)} for i in range(n)},
+        native_coproduct={i: {(i, i): one} for i in range(n)},
+        native_counit=dict.fromkeys(range(n), one),
+        antipode=Matrix.from_sparse_cols(field, n, [{table.inv[i]: one} for i in range(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1241,17 +1258,20 @@ def dual_structure(h):
     algebra, unchecked: product dual to the coproduct, coproduct dual to the
     product, unit and counit swapped, on the dual basis, with the transposed
     antipode when h has one."""
-    product, coproduct = {}, {}
-    for k, terms in h.coproduct.items():
-        for ij, c in terms.items():
-            product.setdefault(ij, {})[k] = c
-    for ij, terms in h.product.items():
-        for k, c in terms.items():
-            coproduct.setdefault(k, {})[ij] = c
-    parts = (h.field, tuple("%s*" % lbl for lbl in h.basis), product, h.counit, coproduct, h.unit)
+    rows, coproduct = {}, {}
+    for k, terms in h.native_coproduct.items():
+        for (i, j), c in terms.items():
+            rows.setdefault(i, {}).setdefault(j, {})[k] = c
+    for i, row in h.native_rows.items():
+        for j, terms in row.items():
+            for k, c in terms.items():
+                coproduct.setdefault(k, {})[i, j] = c
+    tables = dict(native_rows=rows, native_unit=h.native_counit,
+                  native_coproduct=coproduct, native_counit=h.native_unit)
+    basis = tuple("%s*" % lbl for lbl in h.basis)
     if isinstance(h, FHopf):
-        return FHopf(*parts, h.antipode.transpose())
-    return FBialgebra(*parts)
+        return FHopf._native(h.field, basis, antipode=h.antipode.transpose(), **tables)
+    return FBialgebra._native(h.field, basis, **tables)
 
 
 def dual_hopf(h):
@@ -1370,9 +1390,10 @@ def smash_coproduct(data):
                         for x, m in rows.get(h2, {}).get(d11, {}).items():
                             key = (ti(h1, d10, dd), ti(x, d2, dd))
                             terms[key] = terms[key] + uvw * m if key in terms else uvw * m
-            coproduct[ti(hi, di, dd)] = _field_row(f, _reduced(terms, p))
-    counit = vtensor(h.native_counit, d.native_counit, dd, p)
-    coalg = FCoalgebra(f, labels, coproduct, _dense_vec(f, counit, dh * dd))
+            if terms := _reduced(terms, p):
+                coproduct[ti(hi, di, dd)] = terms
+    coalg = FCoalgebra._native(f, labels, native_coproduct=coproduct,
+                               native_counit=vtensor(h.native_counit, d.native_counit, dd, p))
     report = check_axioms("coalgebra", coalg)
     if not report.ok:
         raise ValidationError("smash coproduct fails coalgebra axioms: %r" % (report,))

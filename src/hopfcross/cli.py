@@ -20,7 +20,6 @@ from .algebra import (
     FCoalgebra,
     FHopf,
     MAX_VIOLATIONS,
-    _native_terms,
     check_axioms,
     compute_antipode,
     dual_hopf,
@@ -111,24 +110,36 @@ def _scal_json(field, c):
     return [c.numerator, c.denominator]
 
 
+def _native_json(field, c):
+    """A native scalar (see linalg) as JSON."""
+    return [c] if field.characteristic else _scal_json(field, c)
+
+
 def _scal_parse(field, parts, where):
+    """A scalar's [numerator] or [numerator, denominator] as a native scalar
+    (see linalg): its residue over Fp, a Rational over Q."""
     # ints only (bool is not one): the elimination kernel takes F_p entries
-    # as plain ints and relies on exact integer arithmetic
-    if not parts or len(parts) > 2 or any(type(x) is not int for x in parts):
+    # as plain ints and relies on exact integer arithmetic; with one or two
+    # parts, the first and the last are all of them
+    n = len(parts)
+    if not 0 < n <= 2 or type(parts[0]) is not int or type(parts[-1]) is not int:
         raise ParseError("bad scalar in %s" % where)
     if field.characteristic:
-        if len(parts) != 1:
+        if n != 1:
             raise ParseError("no denominators over Fp (%s)" % where)
+        return parts[0] % field.characteristic
+    if n == 1:
         return field.from_int(parts[0])
-    if len(parts) == 2 and parts[1] == 0:
+    if parts[1] == 0:
         raise ParseError("zero denominator in %s" % where)
     return field.from_fraction(*parts)
 
 
 def _entries(obj, width, where):
     """The entries of a sparse block: lists of `width` indices and a scalar.
-    Each reader requires its indices to be ints in range and rejects a
-    repeated entry.  Here and below, `type(x) is int` also rejects a bool."""
+    Each reader requires an entry's indices to be ints in range, in order,
+    then rejects a repeated entry, then reads its scalar.  Here and below,
+    `type(x) is int` also rejects a bool."""
     if not isinstance(obj, list) or any(not isinstance(e, list) or len(e) <= width for e in obj):
         raise ParseError("%s must be a list of [index, ..., scalar] lists" % where)
     return obj
@@ -142,9 +153,20 @@ def _duplicate(where):
     return ParseError("duplicate entry in %s" % where)
 
 
+def _pruned(table):
+    """A block read with its zero entries (nested dicts of native scalars)
+    without them and without the dicts that they alone filled, in order."""
+    out = {}
+    for key, x in table.items():
+        if isinstance(x, dict):
+            x = _pruned(x)
+        if x:
+            out[key] = x
+    return out
+
+
 def _matrix_to_json(field, m):
-    p = field.characteristic
-    entries = [[i, j] + ([row[j]] if p else _scal_json(field, row[j]))
+    entries = [[i, j] + _native_json(field, row[j])
                for i, row in enumerate(m._native_rows()) for j in sorted(row)]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
@@ -170,8 +192,7 @@ def _matrix_block(field, obj, where):
         if j in row:
             raise _duplicate(where)
         row[j] = _scal_parse(field, e[2:], where)
-    return r, c, {i: _native_terms(field, {j: x for j, x in row.items() if x})
-                  for i, row in rows.items()}
+    return r, c, _pruned(rows)
 
 
 def _matrix(field, block, shape=None, name=None):
@@ -185,53 +206,57 @@ def _matrix(field, block, shape=None, name=None):
     return Matrix.from_sparse_rows(field, [rows.get(i, empty) for i in range(r)], c)
 
 
-def _vector_from_json(field, obj, dim, where):
-    v = [field.zero] * dim
-    seen = set()
+def _row_from_json(field, obj, dim, where):
+    """A unit, counit or augmentation block as a sparse native row, in index
+    order."""
+    row = {}
     for e in _entries(obj, 1, where):
         i = e[0]
         if type(i) is not int or not 0 <= i < dim:
             raise _bad_index(i, dim, where)
-        if i in seen:
+        if i in row:
             raise _duplicate(where)
-        seen.add(i)
-        v[i] = _scal_parse(field, e[1:], where)
-    return tuple(v)
+        row[i] = _scal_parse(field, e[1:], where)
+    return dict(sorted(_pruned(row).items()))
 
 
-def _row_from_json(field, obj, dim, where):
-    """An augmentation block as the sparse native row the library reads."""
-    v = _vector_from_json(field, obj, dim, where)
-    return _native_terms(field, {i: c for i, c in enumerate(v) if c})
+def _row_to_json(field, row):
+    return [[i] + _native_json(field, c) for i, c in sorted(row.items())]
 
 
 def _vector_to_json(field, v):
     return [[i] + _scal_json(field, c) for i, c in enumerate(v) if c]
 
 
-def _sparse3_from_json(field, obj, dim, where, key):
-    """A product {(i, j): {k: c}} or a coproduct {i: {(j, k): c}} from its
-    [i, j, k, scalar] entries; key(i, j, k) splits the indices into the outer
-    and the inner key."""
+def _table_from_json(field, obj, dim, where):
+    """The native product rows {i: {j: {k: c}}} (where is "product") or
+    coproduct {i: {(j, k): c}} of a block's [i, j, k, scalar] entries, read
+    in one pass once `_entries` has checked their shape, each scalar
+    straight into a native one (see linalg); zero entries go at the end."""
+    product = where == "product"
     out = {}
+    zeros = False
     for e in _entries(obj, 3, where):
         i, j, k = e[0], e[1], e[2]
-        for idx in (i, j, k):
-            if type(idx) is not int or not 0 <= idx < dim:
-                raise _bad_index(idx, dim, where)
-        outer, inner = key(i, j, k)
-        terms = out.setdefault(outer, {})
+        for x in (i, j, k):
+            if type(x) is not int or not 0 <= x < dim:
+                raise _bad_index(x, dim, where)
+        if product:
+            terms, inner = out.setdefault(i, {}).setdefault(j, {}), k
+        else:
+            terms, inner = out.setdefault(i, {}), (j, k)
         if inner in terms:
             raise _duplicate(where)
-        terms[inner] = _scal_parse(field, e[3:], where)
-    return out
+        c = terms[inner] = _scal_parse(field, e[3:], where)
+        zeros = zeros or not c
+    return _pruned(out) if zeros else out
 
 
 def _sparse3_to_json(field, s):
     """The [i, j, k, scalar] entries of the product of an algebra or the
     coproduct of a coalgebra (of a bialgebra, through its `as_algebra()` or
     `as_coalgebra()` view), in the order of its canonical_constants()."""
-    return [[i, j, k] + _scal_json(field, c) for i, j, k, c in s.canonical_constants()[2]]
+    return [[i, j, k] + _native_json(field, c) for i, j, k, c in s.canonical_constants()[2]]
 
 
 def _require(doc, key, kind):
@@ -259,56 +284,45 @@ def _basis(doc, kind):
 # presentation encoding
 
 
+def _doc(kind, field, **blocks):
+    """A presentation object of kind over field with its blocks; every
+    document is written with sorted keys, so their order is free."""
+    return {"format_version": FORMAT_VERSION, "kind": kind, "field": _field_to_json(field),
+            **blocks}
+
+
 def encode_algebra(alg):
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "algebra",
-        "field": _field_to_json(alg.field),
-        "basis": list(alg.basis),
-        "product": _sparse3_to_json(alg.field, alg),
-        "unit": _vector_to_json(alg.field, alg.unit),
-    }
+    f = alg.field
+    return _doc("algebra", f, basis=list(alg.basis), product=_sparse3_to_json(f, alg),
+                unit=_row_to_json(f, alg.native_unit))
+
+
+def encode_coalgebra(c):
+    f = c.field
+    return _doc("coalgebra", f, basis=list(c.basis), coproduct=_sparse3_to_json(f, c),
+                counit=_row_to_json(f, c.native_counit))
 
 
 def encode_hopf(h, kind="hopf"):
-    f = h.field
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "field": _field_to_json(f),
-        "basis": list(h.basis),
-        "product": _sparse3_to_json(f, h.as_algebra()),
-        "unit": _vector_to_json(f, h.unit),
-        "coproduct": _sparse3_to_json(f, h.as_coalgebra()),
-        "counit": _vector_to_json(f, h.counit),
-    }
+    doc = {**encode_algebra(h.as_algebra()), **encode_coalgebra(h.as_coalgebra()), "kind": kind}
     if kind in ("hopf", "super-hopf"):
-        doc["antipode"] = _matrix_to_json(f, h.antipode)
+        doc["antipode"] = _matrix_to_json(h.field, h.antipode)
     return doc
 
 
 def encode_super_hopf(sp):
-    doc = encode_hopf(sp.hopf, kind="super-hopf")
-    doc["parity"] = list(sp.parity)
-    return doc
+    return {**encode_hopf(sp.hopf, kind="super-hopf"), "parity": list(sp.parity)}
 
 
 def encode_graded_algebra(ga):
-    doc = encode_algebra(ga.algebra)
-    doc["kind"] = "graded-algebra"
-    doc["group"] = {
-        "elements": list(ga.group.elements),
-        "table": [list(row) for row in ga.group.mult],
-    }
-    doc["degree"] = list(ga.degree)
-    return doc
+    group = {"elements": list(ga.group.elements), "table": [list(row) for row in ga.group.mult]}
+    return {**encode_algebra(ga.algebra), "kind": "graded-algebra", "group": group,
+            "degree": list(ga.degree)}
 
 
 def encode_comodule_algebra(ca, augmentation=None):
-    doc = encode_algebra(ca.algebra)
-    doc["kind"] = "comodule-algebra"
-    doc["hopf"] = encode_hopf(ca.hopf)
-    doc["coaction"] = _matrix_to_json(ca.field, ca.coaction)
+    doc = {**encode_algebra(ca.algebra), "kind": "comodule-algebra",
+           "hopf": encode_hopf(ca.hopf), "coaction": _matrix_to_json(ca.field, ca.coaction)}
     if augmentation is not None:
         doc["augmentation"] = _vector_to_json(ca.field, augmentation)
     return doc
@@ -316,29 +330,16 @@ def encode_comodule_algebra(ca, augmentation=None):
 
 def encode_crossed_system(s):
     f = s.base.field
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "crossed-system",
-        "field": _field_to_json(f),
-        "hopf": encode_hopf(s.hopf),
-        "base": encode_algebra(s.base),
-        "measuring": _matrix_to_json(f, s.measuring),
-        "sigma": _matrix_to_json(f, s.sigma),
-        "sigma_inv": _matrix_to_json(f, s.sigma_inv),
-    }
+    return _doc("crossed-system", f, hopf=encode_hopf(s.hopf), base=encode_algebra(s.base),
+                measuring=_matrix_to_json(f, s.measuring), sigma=_matrix_to_json(f, s.sigma),
+                sigma_inv=_matrix_to_json(f, s.sigma_inv))
 
 
 def encode_hmodule(act, cochain=None):
     f = act.hopf.field
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "hmodule",
-        "field": _field_to_json(f),
-        "hopf": encode_hopf(act.hopf),
-        "base": encode_algebra(act.aug.algebra),
-        "augmentation": _vector_to_json(f, act.aug.augmentation),
-        "action": _matrix_to_json(f, act.action),
-    }
+    doc = _doc("hmodule", f, hopf=encode_hopf(act.hopf), base=encode_algebra(act.aug.algebra),
+               augmentation=_row_to_json(f, act.aug.eps_row),
+               action=_matrix_to_json(f, act.action))
     if cochain is not None:
         doc["cochain"] = _matrix_to_json(f, cochain.matrix)
     return doc
@@ -346,40 +347,15 @@ def encode_hmodule(act, cochain=None):
 
 def encode_lift_problem(domain, target, varpi, psi):
     f = domain.field
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "lift-problem",
-        "field": _field_to_json(f),
-        "domain": encode_comodule_algebra(domain),
-        "target": encode_comodule_algebra(target),
-        "surjection": _matrix_to_json(f, varpi),
-        "map": _matrix_to_json(f, psi),
-    }
+    return _doc("lift-problem", f, domain=encode_comodule_algebra(domain),
+                target=encode_comodule_algebra(target), surjection=_matrix_to_json(f, varpi),
+                map=_matrix_to_json(f, psi))
 
 
 def encode_comodule_coalgebra(data):
-    f = data.coalgebra.field
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "comodule-coalgebra",
-        "field": _field_to_json(f),
-        "basis": list(data.coalgebra.basis),
-        "coproduct": _sparse3_to_json(f, data.coalgebra),
-        "counit": _vector_to_json(f, data.coalgebra.counit),
-        "hopf": encode_hopf(data.hopf),
-        "coaction": _matrix_to_json(f, data.coaction),
-    }
-
-
-def encode_coalgebra(c):
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "coalgebra",
-        "field": _field_to_json(c.field),
-        "basis": list(c.basis),
-        "coproduct": _sparse3_to_json(c.field, c),
-        "counit": _vector_to_json(c.field, c.counit),
-    }
+    return {**encode_coalgebra(data.coalgebra), "kind": "comodule-coalgebra",
+            "hopf": encode_hopf(data.hopf),
+            "coaction": _matrix_to_json(data.coalgebra.field, data.coaction)}
 
 
 # ---------------------------------------------------------------------------
@@ -394,40 +370,39 @@ class Presentation:
 
 
 def _algebra_tables(doc, field, kind):
-    """The basis, product and unit of an algebra block."""
+    """The basis, native product rows and native unit of an algebra block."""
     basis = _basis(doc, kind)
     dim = len(basis)
-    product = _sparse3_from_json(field, _require(doc, "product", kind), dim, "product",
-                                 lambda i, j, k: ((i, j), k))
-    unit = _vector_from_json(field, _require(doc, "unit", kind), dim, "unit")
-    return tuple(basis), product, unit
+    return {"basis": basis,
+            "native_rows": _table_from_json(field, _require(doc, "product", kind), dim, "product"),
+            "native_unit": _row_from_json(field, _require(doc, "unit", kind), dim, "unit")}
 
 
 def _coalgebra_tables(doc, field, kind):
-    """The coproduct and counit of a coalgebra block."""
+    """The native coproduct and counit of a coalgebra block."""
     dim = len(_basis(doc, kind))
-    coproduct = _sparse3_from_json(field, _require(doc, "coproduct", kind), dim, "coproduct",
-                                   lambda i, j, k: (i, (j, k)))
-    counit = _vector_from_json(field, _require(doc, "counit", kind), dim, "counit")
-    return coproduct, counit
+    return {"native_coproduct": _table_from_json(field, _require(doc, "coproduct", kind), dim,
+                                                 "coproduct"),
+            "native_counit": _row_from_json(field, _require(doc, "counit", kind), dim, "counit")}
 
 
 def _parse_algebra(doc, field, kind):
-    return FAlgebra(field, *_algebra_tables(doc, field, kind))
+    return FAlgebra._native(field, **_algebra_tables(doc, field, kind))
 
 
 def _parse_coalgebra(doc, field, kind):
-    return FCoalgebra(field, tuple(_basis(doc, kind)), *_coalgebra_tables(doc, field, kind))
+    return FCoalgebra._native(field, _basis(doc, kind), **_coalgebra_tables(doc, field, kind))
 
 
 def _parse_hopf(doc, field, kind="hopf"):
     """The bialgebra or Hopf algebra of a block, built once from its tables."""
-    tables = _algebra_tables(doc, field, kind) + _coalgebra_tables(doc, field, kind)
+    tables = {**_algebra_tables(doc, field, kind), **_coalgebra_tables(doc, field, kind)}
     if kind == "bialgebra":
-        return FBialgebra(field, *tables)
+        return FBialgebra._native(field, **tables)
     antipode = _matrix_block(field, _require(doc, "antipode", kind), "antipode")
-    dim = len(tables[0])
-    return FHopf(field, *tables, _matrix(field, antipode, (dim, dim), "antipode"))
+    dim = len(tables["basis"])
+    return FHopf._native(field, antipode=_matrix(field, antipode, (dim, dim), "antipode"),
+                         **tables)
 
 
 def _check_block(name, violations, what):

@@ -72,7 +72,8 @@ def augmentation_violations(algebra, augmentation, generators=None):
     `augmentation`, a sparse native row, is not a unital algebra map A -> k,
     with generators as there."""
     f = algebra.field
-    ground = FAlgebra(f, ("1",), {(0, 0): {0: f.one}}, (f.one,))
+    one = _basis_row(f, 0)
+    ground = FAlgebra._native(f, ("1",), native_rows={0: {0: one}}, native_unit=one)
     eps = Matrix.from_sparse_rows(f, [augmentation], algebra.dim)
     return algebra_map_violations(algebra, ground, eps.native_cols(), generators)
 

@@ -38,7 +38,6 @@ from .graded import check_grading
 from .linalg import (
     Matrix,
     _basis_row,
-    _dense_vec,
     _reduced,
     column_coordinates,
     in_span,
@@ -413,7 +412,8 @@ def _crossed_product(s, build):
     meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
     brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
     scale = d ** 8
-    product = {}
+    p = f.characteristic
+    rows = {}
     for i in range(db):
         bi = {i: 1}
         for g in range(dh):
@@ -434,12 +434,11 @@ def _crossed_product(s, build):
                                 for x, v in bpart.items():
                                     key = ti(x, k, dh)
                                     acc[key] = acc.get(key, 0) + ceu * v
-                    terms = {k: f.from_fraction(c, scale) for k, c in clean(acc).items()}
-                    if terms:
-                        product[(ti(i, g, dh), ti(j, t, dh))] = terms
-    p = f.characteristic
-    unit = vtensor(b.native_unit, h.native_unit, dh, p)
-    algebra = FAlgebra(f, labels, product, _dense_vec(f, unit, dim))
+                    if terms := clean(acc):  # over F_p, D = 1
+                        rows.setdefault(ti(i, g, dh), {})[ti(j, t, dh)] = terms if p else {
+                            k: f.from_fraction(c, scale) for k, c in terms.items()}
+    algebra = FAlgebra._native(f, labels, native_rows=rows,
+                               native_unit=vtensor(b.native_unit, h.native_unit, dh, p))
     delta = h.native_coproduct
     cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in delta.get(g, {}).items()}
             for i in range(db) for g in range(dh)]

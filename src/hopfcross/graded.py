@@ -55,11 +55,11 @@ def check_grading(ga):
     for i in a.native_unit:
         if ga.degree[i] != grp.identity:
             violations.append(("unit-outside-neutral-component", (i,)))
-    for i in range(a.dim):
-        for j in range(a.dim):
+    for i, row in sorted(a.native_rows.items()):
+        for j, terms in sorted(row.items()):
             target = grp.mul(ga.degree[i], ga.degree[j])
-            for k, c in a.mult_basis(i, j).items():
-                if c and ga.degree[k] != target:
+            for k in terms:
+                if ga.degree[k] != target:
                     violations.append(
                         ("product-leaves-component", (grp.elements[ga.degree[i]], grp.elements[ga.degree[j]], i, j, k))
                     )

@@ -12,9 +12,8 @@ sparse native rows: `Matrix(field, data)` converts dense rows of field
 scalars once, and every operation and elimination reads the rows, as do
 `solve_linear`, the one solver, the row-space layer (`row_space_basis`,
 `span_coordinates`, `QuotientSpace`, ...) and `vtensor`, the one tensor
-u (x) v.  Dense tuples of field scalars appear only in the stored constants
-of a structure (which keeps its unit and counit as native rows too), in
-parsing and encoding, and in the dense calls `mult`, `delta`,
+u (x) v.  Field scalars appear only at the JSON boundary and in the dense
+API: a structure's field-scalar views (`algebra`), `mult`, `delta`,
 `Matrix.apply`, `Matrix.from_cols`, `col` and `Matrix.data`, a view derived
 and kept on its first read.  The transform T with T * M = R is carried only
 when a caller asks for it (`inverse`, `column_coordinates`, the certificate
@@ -554,12 +553,6 @@ def _reduced(row, p):
 def _basis_row(field, i):
     """e_i as a sparse native row."""
     return {i: 1 if field.characteristic else field.one}
-
-
-def _field_row(field, row):
-    """A sparse native row as {index: field scalar}."""
-    p = field.characteristic
-    return {j: FpElement(a, p) for j, a in row.items()} if p else row
 
 
 def _dense_vec(field, row, n):

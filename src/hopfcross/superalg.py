@@ -41,10 +41,8 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     _basis_row,
-    _dense_vec,
     _dot,
     _reduced,
-    basis_vec,
     column_coordinates,
     echelon_complement,
     row_space_basis,
@@ -55,10 +53,6 @@ from .linalg import (
 def _require_odd_characteristic(field):
     if field.characteristic == 2:
         raise CharacteristicTwoError("signs degenerate in characteristic 2")
-
-
-def _sign(field, exponent):
-    return field.one if exponent % 2 == 0 else -field.one
 
 
 class SuperVectorSpace:
@@ -143,37 +137,39 @@ def super_tensor_product(sa, sb, labels=None):
         labels = tuple(
             "%s(x)%s" % (a.basis[i], b.basis[j]) for i in range(da) for j in range(db)
         )
-    product = {}
+    p, dim = f.characteristic, da * db
+    rows_a, rows_b = a.native_rows, b.native_rows
+    rows = {}
     for i in range(da):
         for j in range(db):
             for k in range(da):
                 for l in range(db):
-                    sign = _sign(f, pb[j] * pa[k])
-                    out = {}
-                    for x, c in a.mult_basis(i, k).items():
-                        for y, d in b.mult_basis(j, l).items():
-                            out[ti(x, y, db)] = sign * c * d
-                    product[(ti(i, j, db), ti(k, l, db))] = out
+                    odd = pb[j] and pa[k]
+                    out = {ti(x, y, db): -c * d if odd else c * d
+                           for x, c in rows_a.get(i, {}).get(k, {}).items()
+                           for y, d in rows_b.get(j, {}).get(l, {}).items()}
+                    if out:
+                        rows.setdefault(ti(i, j, db), {})[ti(k, l, db)] = _reduced(out, p)
     # Delta(a (x) b) = sum (-1)^{|a2||b1|} (a1 (x) b1) (x) (a2 (x) b2)
     coproduct = {}
     for i in range(da):
         for j in range(db):
             out = {}
-            for (a1, a2), c in a.delta_basis(i).items():
-                for (b1, b2), d in b.delta_basis(j).items():
-                    sign = _sign(f, pa[a2] * pb[b1])
+            for (a1, a2), c in a.native_coproduct.get(i, {}).items():
+                for (b1, b2), d in b.native_coproduct.get(j, {}).items():
+                    cd = -c * d if pa[a2] and pb[b1] else c * d
                     key = (ti(a1, b1, db), ti(a2, b2, db))
-                    out[key] = out.get(key, f.zero) + sign * c * d
-            coproduct[ti(i, j, db)] = {k: v for k, v in out.items() if v}
+                    out[key] = out[key] + cd if key in out else cd
+            if out := _reduced(out, p):
+                coproduct[ti(i, j, db)] = out
     # S(a (x) b) = S(a) (x) S(b); the Koszul signs already live in the
     # product and coproduct, so no extra sign appears here
-    p, dim = f.characteristic, da * db
     anti_a, anti_b = a.antipode.native_cols(), b.antipode.native_cols()
     cols = [vtensor(u, v, db, p) for u in anti_a for v in anti_b]
-    unit, counit = (_dense_vec(f, vtensor(u, v, db, p), dim) for u, v in
-                    ((a.native_unit, b.native_unit), (a.native_counit, b.native_counit)))
-    hopf = FHopf(f, labels, product, unit, coproduct, counit,
-                 Matrix.from_sparse_cols(f, dim, cols))
+    hopf = FHopf._native(f, labels, native_rows=rows, native_coproduct=coproduct,
+                         native_unit=vtensor(a.native_unit, b.native_unit, db, p),
+                         native_counit=vtensor(a.native_counit, b.native_counit, db, p),
+                         antipode=Matrix.from_sparse_cols(f, dim, cols))
     parity = tuple((pa[i] + pb[j]) % 2 for i in range(da) for j in range(db))
     return SuperPresentation(hopf, parity)
 
@@ -210,14 +206,13 @@ class ExteriorHopf:
         dim = len(self.subsets)
         masks = [sum(1 << (x - 1) for x in s) for s in self.subsets]
         at = {m: i for i, m in enumerate(masks)}
-        sign = (f.one, -f.one)  # by the parity of an inversion count
+        # the native scalar of (-1)^k, by the parity of k
+        sign = (1, f.characteristic - 1) if f.characteristic else (f.one, -f.one)
         labels = tuple("1" if not s else "^".join("v%d" % i for i in s) for s in self.subsets)
-        product = {}
+        rows = {}
         for i, s in enumerate(masks):
-            for j, t in enumerate(masks):
-                if not s & t:
-                    product[(i, j)] = {at[s | t]: sign[_inversions(s, t) & 1]}
-        unit = basis_vec(f, dim, 0)  # e_{}, which is also the counit
+            rows[i] = {j: {at[s | t]: sign[_inversions(s, t) & 1]}
+                       for j, t in enumerate(masks) if not s & t}
         coproduct = {}
         for i, s in enumerate(masks):
             bits = [1 << (x - 1) for x in self.subsets[i]]
@@ -227,11 +222,13 @@ class ExteriorHopf:
                     left = sum(part)
                     out[(at[left], at[s ^ left])] = sign[_inversions(left, s ^ left) & 1]
             coproduct[i] = out
+        unit = {0: sign[0]}  # e_{}, which is also the counit
         # the antipode is (-1)^|S| on e_S
-        native_sign = (1, f.characteristic - 1) if f.characteristic else sign
-        antipode = Matrix.from_sparse_rows(f, [{i: native_sign[len(s) & 1]}
+        antipode = Matrix.from_sparse_rows(f, [{i: sign[len(s) & 1]}
                                                for i, s in enumerate(self.subsets)], dim)
-        self.hopf = FHopf(f, labels, product, unit, coproduct, unit, antipode)
+        self.hopf = FHopf._native(f, labels, native_rows=rows, native_unit=unit,
+                                  native_coproduct=coproduct, native_counit=unit,
+                                  antipode=antipode)
         self.parity = tuple(len(s) % 2 for s in self.subsets)
         self.presentation = SuperPresentation(self.hopf, self.parity)
 
@@ -365,11 +362,13 @@ def even_quotient(sp):
     lifts = [_basis_row(f, j) for j in quot.complement]
     labels = tuple("h%d" % s for s in range(dq))
     alg = induced_algebra(h, lifts, quot.project, labels)
-    counit = tuple(h.counit[j] for j in quot.complement)
+    counit = {t: c for t, j in enumerate(quot.complement) if (c := h.native_counit.get(j))}
     anti_cols = [quot.project(h.antipode.apply_sparse(v)) for v in lifts]
-    quotient_hopf = FHopf(f, labels, alg.product, alg.unit,
-                          induced_coproduct(h, lifts, quot.project), counit,
-                          Matrix.from_sparse_cols(f, dq, anti_cols))
+    quotient_hopf = FHopf._native(f, labels, native_rows=alg.native_rows,
+                                  native_unit=alg.native_unit,
+                                  native_coproduct=induced_coproduct(h, lifts, quot.project),
+                                  native_counit=counit,
+                                  antipode=Matrix.from_sparse_cols(f, dq, anti_cols))
     # purely even: every complement coordinate must be an even basis index
     for t in quot.complement:
         if sp.parity[t] == 1:

@@ -1462,13 +1462,13 @@ def test_a_structure_gathers_its_denominators_once(monkeypatch):
     b = FBialgebra(Q, h.basis, h.product, h.unit, h.coproduct, h.counit)
     gathered = []  # every denominator is gathered through these two readers
     for cls in (_Algebra, _Coalgebra):
-        scalars = cls._scalars
+        constants = cls._constants
 
-        def counted(self, scalars=scalars, cls=cls):
+        def counted(self, constants=constants, cls=cls):
             gathered.append((cls, self))
-            return scalars(self)
+            return constants(self)
 
-        monkeypatch.setattr(cls, "_scalars", counted)
+        monkeypatch.setattr(cls, "_constants", counted)
     for _ in range(2):
         for x in (h, b):
             assert check_axioms("hopf" if x is h else "bialgebra", x).ok
@@ -1499,14 +1499,15 @@ def test_a_bialgebra_shares_the_operations_of_algebras_and_coalgebras():
     # nor an FCoalgebra, so code that tells the kinds apart by isinstance
     # keeps its coalgebra
     own = {name for name in vars(FBialgebra) if not name.startswith("__")}
-    assert own == {"_scalars", "as_algebra", "as_coalgebra", "canonical_constants"}
+    assert own == {"as_algebra", "as_coalgebra", "canonical_constants"}
     h = sweedler(Q)
     assert not isinstance(h, (FAlgebra, FCoalgebra))
     alg, coalg = h.as_algebra(), h.as_coalgebra()
     assert type(alg) is FAlgebra and type(coalg) is FCoalgebra
-    assert alg.product is h.product and alg.unit is h.unit and alg._rows is h._rows
-    assert coalg.coproduct is h.coproduct and coalg.counit is h.counit
-    assert coalg._terms is h._terms
+    assert alg.native_rows is h.native_rows and alg._rows is h._rows
+    assert coalg.native_coproduct is h.native_coproduct and coalg._terms is h._terms
+    assert (alg.product, alg.unit, coalg.coproduct, coalg.counit) == (h.product, h.unit,
+                                                                      h.coproduct, h.counit)
     assert alg.native_unit is h.native_unit and coalg.native_counit is h.native_counit
     # one view per structure, which derives its rows and G once
     assert h.as_algebra() is alg and h.as_coalgebra() is coalg
@@ -2443,8 +2444,10 @@ def test_induced_coproduct_matches_the_dense_oracle_and_reads_each_image_once(fi
         return _dense_vec(field, quot.project(_native(vec, field)), quot.dim)
 
     dense_basis = [_dense_vec(field, v, h.dim) for v in basis]
-    assert induced_coproduct(h, basis, counted) == ref_induced_coproduct(h, dense_basis,
-                                                                        dense_project)
+    expected = ref_induced_coproduct(h, dense_basis, dense_project)
+    p = field.characteristic  # the oracle's field scalars as native ones
+    assert induced_coproduct(h, basis, counted) == {
+        s: {key: c.value if p else c for key, c in terms.items()} for s, terms in expected.items()}
     assert len(reads) == len(set(reads)) <= h.dim
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -18,20 +19,36 @@ import hopfcross.cohomology
 import hopfcross.comodule
 import hopfcross.graded
 import hopfcross.superalg
-from hopfcross.algebra import FAlgebra
+from hopfcross.algebra import (
+    FAlgebra,
+    FBialgebra,
+    FCoalgebra,
+    FHopf,
+    dual_structure,
+    group_hopf_algebra,
+    induced_algebra,
+    induced_coproduct,
+    smash_coproduct,
+)
 from hopfcross.cli import (
     COMMANDS,
+    _field_to_json,
     _matrix,
     _matrix_block,
     encode_comodule_algebra,
     main,
     parse_presentation,
 )
-from hopfcross.cohomology import crossed_system_from_cocycle, differential
+from hopfcross.cohomology import (
+    augmentation_violations,
+    crossed_system_from_cocycle,
+    differential,
+)
 from hopfcross.comodule import ComoduleAlgebra, crossed_product
 from hopfcross.errors import HopfcrossError, ParseError, ValidationError
-from hopfcross.linalg import Matrix, PrimeField, basis_vec
-from hopfcross.superalg import SuperPresentation
+from hopfcross.groups import GroupTable
+from hopfcross.linalg import FpElement, Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.superalg import ExteriorHopf, SuperPresentation, even_quotient, super_tensor_product
 from tests.oracles import dense_tensor
 from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
@@ -186,12 +203,35 @@ def test_malformed_scalar_is_an_input_error(name, scalar, command, tmp_path, cap
     ("f3z3-cleft.json", lambda d: {**d, "augmentation": "bad", "coaction": {
         **d["coaction"], "entries": [d["coaction"]["entries"][0][:2] + [2]]
         + d["coaction"]["entries"][1:]}}),
+    # one entry with two faults: the index is named before the scalar, the
+    # repeat before the scalar, and the first bad index of an entry first
+    ("kz2.json", lambda d: {**d, "product": d["product"] + [[7, 0, 0, "x"]]}),
+    ("kz3-f3.json", lambda d: {**d, "coproduct": d["coproduct"] + [[0, 0, 9, 1, 2]]}),
+    ("kz2.json", lambda d: {**d, "product": d["product"] + [d["product"][0][:3] + [1.5]]}),
+    ("kz2.json", lambda d: {**d, "product": [["a", 99, 0, 1]] + d["product"]}),
+    ("kz2.json", lambda d: {**d, "product": [[0, 0, True, 1]] + d["product"]}),
+    ("kz2.json", lambda d: {**d, "unit": [[5, "x"]]}),
+    # a zero entry is still an entry, which a repeat of its indices repeats
+    ("kz2.json", lambda d: {**d, "product": [d["product"][0][:3] + [0]] + d["product"]}),
+    ("kz3-f3.json", lambda d: {**d, "coproduct": d["coproduct"] + [d["coproduct"][0][:3] + [3]]}),
+    ("kz2.json", lambda d: {**d, "counit": [[0, 0]] + d["counit"]}),
+    # scalars that only the full reader reads
+    ("kz3-f3.json", lambda d: {**d, "product": d["product"][:1] + [d["product"][1][:3] + [1, 2]]
+                               + d["product"][2:]}),
+    ("kz2.json", lambda d: {**d, "coproduct": [d["coproduct"][0][:3] + [1, 0]]
+                            + d["coproduct"][1:]}),
+    ("kz2.json", lambda d: {**d, "product": [d["product"][0][:3] + [1, 2, 3]] + d["product"][1:]}),
 ], ids=["top-level-list", "int-basis", "int-entry", "object-unit", "no-group-elements",
         "ragged-group-table", "string-index", "float-index", "bool-index",
         "duplicate-product-entry", "duplicate-counit-entry", "string-rows", "negative-cols",
         "list-domain", "string-hopf", "int-parity", "string-parity", "string-degree",
         "int-group-element", "algebra-target", "square-cochain", "short-cochain",
-        "string-augmentation-on-a-bumped-coaction"])
+        "string-augmentation-on-a-bumped-coaction", "range-index-and-string-scalar",
+        "range-index-and-fp-denominator", "duplicate-and-float-scalar",
+        "string-index-before-range-index", "bool-third-index", "range-unit-and-string-scalar",
+        "zero-product-entry-repeated", "zero-coproduct-entry-repeated",
+        "zero-counit-entry-repeated", "fp-denominator", "zero-denominator-in-coproduct",
+        "three-part-scalar"])
 def test_malformed_document_is_an_input_error(name, mutate, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(mutate(load(name))))
@@ -1153,6 +1193,148 @@ def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     assert len(calls) == expected
 
 
+SRC = os.path.dirname(os.path.abspath(hopfcross.__file__))
+STRUCTURE_CLASSES = (FAlgebra, FCoalgebra, FBialgebra, FHopf)
+
+
+def test_no_structure_is_converted_from_field_scalars(monkeypatch, capsys):
+    # the public constructors take field-scalar tables and convert them; the
+    # parser and every structure derived inside the package enter on native
+    # tables, so over every command on every corpus file none of them runs
+    # from a caller in src/hopfcross (156 did while the tables were field
+    # scalars: 78 in the parser and 78 in the builders)
+    converted = {}
+
+    def spy(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension in the caller
+                caller = caller.f_back
+            if type(self) is cls and os.path.abspath(caller.f_code.co_filename).startswith(SRC):
+                name = caller.f_code.co_name
+                converted[name] = converted.get(name, 0) + 1
+            init(self, *args)
+
+        return counted
+
+    for cls in STRUCTURE_CLASSES:
+        monkeypatch.setattr(cls, "__init__", spy(cls))
+    for command in COMMANDS:
+        if command != "pairing":
+            for name in ALL_CORPUS:
+                main([command, corpus(name)])
+    capsys.readouterr()
+    assert converted == {}
+
+
+def reached(obj, seen=None):
+    """obj and every object it reaches through dicts, lists, tuples and
+    the attributes of objects, each once; a field and what it holds (its
+    own zero and one) aside."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (PrimeField, Rationals)):
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, dict):
+        parts = list(obj) + list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        parts = obj
+    elif hasattr(obj, "__dict__"):
+        parts = vars(obj).values()
+    else:
+        parts = [getattr(obj, name, None) for name in getattr(obj, "__slots__", ())]
+    for x in parts:
+        yield from reached(x, seen)
+
+
+def field_scalars(obj):
+    return sum(isinstance(x, FpElement) for x in reached(obj))
+
+
+def rebuilt(s):
+    """s through its public constructor, from its field-scalar views."""
+    tables = ((s.product, s.unit) if isinstance(s, (FAlgebra, FBialgebra)) else ()) + (
+        (s.coproduct, s.counit) if isinstance(s, (FCoalgebra, FBialgebra)) else ())
+    tables += (s.antipode,) if isinstance(s, FHopf) else ()
+    return type(s)(s.field, s.basis, *tables)
+
+
+def swap_field(doc, field):
+    """doc, and every presentation nested in it, over field."""
+    doc = copy.deepcopy(doc)
+    for part in [doc] + [v for v in doc.values() if isinstance(v, dict) and "field" in v]:
+        part["field"] = field
+    return doc
+
+
+def parsed_structures():
+    """(what, structure) for the structures of every corpus file as parsed,
+    over its own field and, where the file still parses, over the other
+    one, and of a Hopf corpus file read as a bare algebra and coalgebra."""
+    docs = []
+    for name in ALL_CORPUS:
+        doc = load(name)
+        other = {"kind": "Q"} if doc["field"]["kind"] == "Fp" else {"kind": "Fp", "p": 5}
+        docs += [(name, doc), (name + " over " + other["kind"], swap_field(doc, other))]
+    for name in ("kz2.json", "kz3-f3.json"):
+        docs += [(name + " as " + kind, {**load(name), "kind": kind})
+                 for kind in ("algebra", "coalgebra")]
+    for what, doc in docs:
+        try:
+            payload = parse_presentation(doc).payload
+        except HopfcrossError:
+            continue  # the laws of a swapped file fail over the other field
+        yield from ((what, s) for s in reached(payload) if isinstance(s, STRUCTURE_CLASSES))
+
+
+def derived_structures(field):
+    """(what, structure or table) for every builder that derives one, over
+    field."""
+    h = group_hopf_algebra(GroupTable.cyclic(3), field)
+    yield "group_hopf_algebra", h
+    yield "dual_structure", dual_structure(h)
+    rows = [{i: 1 if field.characteristic else field.one} for i in range(h.dim)]
+    yield "induced_algebra", induced_algebra(h, rows, dict, h.basis)
+    yield "induced_coproduct", induced_coproduct(h, rows, dict)
+    ext = ExteriorHopf(2, field)
+    yield "ExteriorHopf", ext.hopf
+    sp = super_tensor_product(ext.presentation, SuperPresentation(h, (0, 0, 0)))
+    yield "super_tensor_product", sp.hopf
+    yield "even_quotient", even_quotient(sp)[0]
+    _, _, aug, act = trivial_setup(field)
+    s = differential(cochain1(field, [field.zero, field.one, field.one]), act)
+    yield "_crossed_product", crossed_product(crossed_system_from_cocycle(act, s)).algebra
+    data = parse_presentation(swap_field(load("smash-example.json"), _field_to_json(field)))
+    yield "smash_coproduct", smash_coproduct(data.payload).coalgebra
+    grounds = []  # the ground field k that an augmentation maps into
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopfcross.cohomology, "algebra_map_violations",
+                   lambda a, dst, *rest: grounds.append(dst))
+        augmentation_violations(h, h.native_counit)
+    yield "augmentation_violations", grounds[0]
+
+
+def test_a_structure_stores_its_constants_once_as_native_tables():
+    # the parser and every builder keep a structure's constants as native
+    # tables only; the field-scalar tables are views, derived on their
+    # first read, and the public constructor rebuilds the structure from them
+    seen = set()
+    for what, s in chain(parsed_structures(), derived_structures(Rationals()),
+                         derived_structures(PrimeField(5))):
+        assert field_scalars(s) == 0, what
+        if not isinstance(s, STRUCTURE_CLASSES):  # induced_coproduct's table
+            continue
+        assert not {"product", "unit", "coproduct", "counit"} & set(vars(s)), what
+        assert rebuilt(s).canonical_constants() == s.canonical_constants(), what
+        if s.field.characteristic and s.dim:
+            assert field_scalars(s), what  # now the views hold them
+        seen.add((type(s), bool(s.field.characteristic)))
+    assert seen == {(cls, fp) for cls in STRUCTURE_CLASSES for fp in (False, True)}
+
+
 def bump_product_constant(algebra, hopf, coaction):
     """The crossed product with e_0 e_0 = 2 e_0 in place of e_0: 1 (x) 1
     squares to 2 (1 (x) 1)."""
@@ -1273,13 +1455,12 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
     # walks their rows, and every other kernel reads sparse native rows too:
     # from parsing to the report no command derives a dense view on any
     # corpus file it reads, nor builds a matrix from dense rows outside the
-    # parser, nor converts a dense vector but in a structure's constructor,
-    # which derives its native unit and counit once
+    # parser, nor converts a dense vector at all: the parser reads every
+    # structure's tables, its unit and counit too, as native ones
     derived, built, parsing, converted = [], [], [], []
     data, init, parse = Matrix.data, Matrix.__init__, hopfcross.cli.parse_presentation
     native = hopfcross.linalg._native
-    converters = {init.__code__, hopfcross.algebra._Algebra.__init__.__code__,
-                  hopfcross.algebra._Coalgebra.__init__.__code__}
+    converters = {init.__code__}
 
     def spy_native(vec, field):
         caller = sys._getframe(1)

@@ -17,6 +17,7 @@ MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 TEST_ONLY = {
     "SolveResult.certificate": "the inconsistency certificate that solve_linear documents",
     "SolveResult.kernel": "the homogeneous solutions that solve_linear documents",
+    "_Algebra.mult_basis": "the dense product of two basis elements, a field-scalar view",
 }
 
 
