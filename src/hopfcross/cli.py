@@ -777,7 +777,7 @@ def cmd_recognize_crossed(args):
                             definitive=e.definitive), args)
     f = pres.payload.field
     return _emit(Report("recognize-crossed", "found", 0, certificates={
-        "units": {str(g): _vector_to_json(f, u) for g, u in enumerate(rec.units)},
+        "units": {str(g): _row_to_json(f, u) for g, u in enumerate(rec.units)},
         "iso": _matrix_to_json(f, rec.iso),
     }), args)
 
@@ -838,7 +838,7 @@ def cmd_classify_cleft(args):
     f = ext.comodule_algebra.field
     return _emit(Report("classify-cleft", "pass", 0, witnesses={
         "hh2_dimension": cls.hh2_result.dimension,
-        "class": [_scal_json(f, c) for c in cls.class_coords],
+        "class": [_native_json(f, c) for c in cls.class_coords],
         "is_split": cls.is_split,
     }, certificates={
         "cocycle": _matrix_to_json(f, cls.cochain.matrix),
@@ -851,7 +851,7 @@ def cmd_hh2(args):
     f = act.hopf.field
     witnesses = {"dimension": result.dimension}
     if cochain is not None:
-        witnesses["class"] = [_scal_json(f, c) for c in result.decide(cochain)]
+        witnesses["class"] = [_native_json(f, c) for c in result.decide(cochain)]
     return _emit(Report("hh2", "pass", 0, witnesses=witnesses, certificates={
         "representatives": [
             _matrix_to_json(f, c.matrix) for c in result.representative_cochains()
@@ -869,7 +869,7 @@ def cmd_split(args):
             "splitting": _matrix_to_json(f, res.splitting),
         }), args)
     return _emit(Report("split", "not-found", 1, witnesses={
-        "obstruction": [_scal_json(f, c) for c in res.obstruction],
+        "obstruction": [_native_json(f, c) for c in res.obstruction],
     }), args)
 
 
@@ -883,7 +883,7 @@ def cmd_lift(args):
         }), args)
     return _emit(Report("lift", "not-found", 1, witnesses={
         "obstruction_step": res.obstruction_step,
-        "obstruction": [_scal_json(f, c) for c in res.obstruction],
+        "obstruction": [_native_json(f, c) for c in res.obstruction],
     }), args)
 
 

@@ -332,8 +332,8 @@ class HH2Result:
         return [_cochain(self.act, 2, v) for v in self.representatives]
 
     def decide(self, cochain):
-        """Coordinates of [s] against the representative basis, as field
-        scalars."""
+        """Coordinates of [s] against the representative basis, as a tuple
+        of native scalars."""
         f = self.act.hopf.field
         p = f.characteristic
         flat = _flat_cochain(self.act, cochain, 2)
@@ -348,8 +348,8 @@ class HH2Result:
         x = solve_linear(Matrix.from_sparse_cols(f, n2, cols), flat).solution
         if x is None:
             raise CocycleViolationError("cocycle lies outside the computed cocycle space")
-        k = len(self.representatives)
-        return _dense_vec(f, {s: c for s, c in x.items() if s < k}, k)
+        zero = 0 if p else f.zero
+        return tuple(x.get(s, zero) for s in range(len(self.representatives)))
 
 
 def hh2(hopf, act):

@@ -12,7 +12,7 @@ crossed product B #_sigma k[Gamma] in comodule.py.
 
 from .algebra import convolution_invert
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
-from .linalg import Matrix, _basis_row, _dense_vec, row_space_basis
+from .linalg import Matrix, _basis_row, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
 
 
@@ -106,7 +106,7 @@ def is_strongly_graded(ga):
 class RecognizedCrossedProduct:
     def __init__(self, system, units, iso):
         self.system = system  # a comodule.CrossedSystem over k[Gamma]
-        self.units = units    # per group element: the invertible element of A_g
+        self.units = units    # per group element: a unit of A in A_g, a sparse native row
         self.iso = iso        # matrix A -> B x|_sigma k[Gamma]
 
 
@@ -161,5 +161,4 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     # section_to_crossed_system checks the laws and the iso
     sec = Section(phi, phi_inv, ca)
     system, iso = section_to_crossed_system(sec)
-    units = [_dense_vec(a.field, u, a.dim) for u in units]
     return RecognizedCrossedProduct(system, units, iso.inverse())

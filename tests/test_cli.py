@@ -36,6 +36,7 @@ from hopfcross.cli import (
     _matrix,
     _matrix_block,
     encode_comodule_algebra,
+    encode_super_hopf,
     main,
     parse_presentation,
 )
@@ -47,11 +48,19 @@ from hopfcross.cohomology import (
 from hopfcross.comodule import ComoduleAlgebra, crossed_product
 from hopfcross.errors import HopfcrossError, ParseError, ValidationError
 from hopfcross.groups import GroupTable
-from hopfcross.linalg import FpElement, Matrix, PrimeField, Rationals, basis_vec
+from hopfcross.linalg import (
+    FpElement,
+    Matrix,
+    PrimeField,
+    Rationals,
+    basis_vec,
+    row_space_basis,
+)
 from hopfcross.superalg import ExteriorHopf, SuperPresentation, even_quotient, super_tensor_product
 from tests.oracles import dense_tensor
 from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
+Q = Rationals()
 F3 = PrimeField(3)
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "hopfcross", "corpus")
 
@@ -667,6 +676,11 @@ def test_machine_reports_are_byte_identical(argv, capsys):
     # a negative recognize-crossed: A_g of k[x]/(x^2) holds no unit
     (["recognize-crossed", "kx2-graded.json"],
      "d681a48890c1bfebd228df01f7caecc1c57751cf45c2ac5cbfdaade11f44b1de"),
+    # the pairings of the dense-kernel benchmark's canonical round
+    (["pairing", "--n", "5"],
+     "77abae38ee53e2f75921724cfa0a7c80fd1e4fba8bc7f23f78a8266eeab8f17f"),
+    (["pairing", "--n", "6", "--prime", "7"],
+     "2788524e51d9b43fa1d6a96e6eadd57d5ec79902edf3af3f2479a31ec04140bf"),
 ])
 def test_reports_match_their_recorded_digests(argv, digest, tmp_path, capsys):
     capsys.readouterr()
@@ -1386,6 +1400,61 @@ def test_alpha_catches_a_broken_decomposition_coaction(monkeypatch, capsys):
     assert report["error"].startswith("alpha : A -> Lambda(W) (x) H fails an invariant: ")
 
 
+def exterior_times(h):
+    """Lambda(1) (x) h over Q, h purely even, as a super-hopf document."""
+    sp = super_tensor_product(ExteriorHopf(1, Q).presentation,
+                              SuperPresentation(h, (0,) * h.dim))
+    return encode_super_hopf(sp)
+
+
+def drop_first_odd(basis):
+    """I less the basis row at the first odd index of Lambda(3), v1: the
+    Hopf ideal (v2, v3), whose quotient Lambda(1) keeps an odd coordinate."""
+    return basis[1:]
+
+
+def add_three_cycles(basis):
+    """I plus the deltas of the two 3-cycles of S3 (basis indices 3 and 4)
+    in Lambda(1) (x) k^S3: an ideal in ker eps, stable under S, but not a
+    coideal."""
+    return basis + [{3: Q.one}, {4: Q.one}]
+
+
+def add_group_minus_one(basis):
+    """I + k(g - 1) + k(g^2 - 1) in Lambda(1) (x) k[Z/3]: the augmentation
+    ideal, a Hopf ideal that is not nilpotent."""
+    return basis + [{0: -Q.one, 1: Q.one}, {0: -Q.one, 2: Q.one}]
+
+
+@pytest.mark.parametrize("doc, corrupt, caught_by", [
+    (lambda: load("lambda3.json"), drop_first_odd, "even quotient is not a Hopf algebra: "),
+    (lambda: exterior_times(dual_structure(group_hopf_algebra(GroupTable.symmetric(3), Q))),
+     add_three_cycles, "even quotient is not a Hopf algebra: "),
+    (lambda: exterior_times(group_hopf_algebra(GroupTable.cyclic(3), Q)),
+     add_group_minus_one, "alpha : A -> Lambda(W) (x) H fails an invariant: ('bijective', ())"),
+], ids=["odd-coordinate", "not-a-coideal", "not-nilpotent"])
+def test_a_corrupted_even_quotient_ideal_is_caught(doc, corrupt, caught_by, monkeypatch,
+                                                   tmp_path, capsys):
+    # even_quotient does not check that I = A_1 A is a nilpotent Hopf ideal
+    # with no odd quotient coordinate, since a theorem gives each; an ideal
+    # corrupted to break one of them (its first echelon basis, in
+    # even_quotient) is caught by the Hopf laws of A/I or by alpha
+    calls = []
+
+    def corrupted(f, vectors, n):
+        calls.append(n)
+        basis = row_space_basis(f, vectors, n)
+        return row_space_basis(f, corrupt(basis), n) if len(calls) == 1 else basis
+
+    path = tmp_path / "super.json"
+    path.write_text(json.dumps(doc()))
+    assert run_json(capsys, ["super-decompose", str(path)])[0] == 0
+    monkeypatch.setattr(hopfcross.superalg, "row_space_basis", corrupted)
+    code, report = run_json(capsys, ["super-decompose", str(path)])
+    assert code == 2 and calls
+    assert report["error"].startswith(caught_by)
+
+
 def test_lift_eliminates_each_matrix_once(monkeypatch):
     # solve_linear reads its kernel off the elimination it already made, and
     # each matrix solved for several right-hand sides is eliminated once.
@@ -1432,11 +1501,12 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # off their pivots; the normalized section takes its inverse in closed
     # form from the one convolution_invert of the splitting, the
     # Hopf-module decomposition map (by its inverse) and each pi are
-    # eliminated once, an echelon ideal is not eliminated again, and the
-    # duality pairing, the identity, is not inverted
+    # eliminated once, an echelon ideal is not eliminated again, the
+    # duality pairing, the identity, is not inverted, and even_quotient
+    # builds no power chain of A_1 A, which a theorem makes nilpotent
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 26
+    assert len(calls) == 24
 
 
 def accepts(command, name):
@@ -1502,8 +1572,8 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
 
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):
     # a bialgebra gives one view of itself as an algebra, so the comodule
-    # algebra A, its even quotient's ideal chain and its odd cotangent read
-    # one native lowering of A's products; every table is lowered from its
+    # algebra A, the ideal A_1 A of its even quotient and its odd cotangent
+    # read one native lowering of A's products; every table is lowered from its
     # native rows, which the product kernel reads, once per scale the law
     # kernels read it at
     calls = count_calls(monkeypatch, hopfcross.algebra, "_product_rows")

@@ -603,8 +603,9 @@ def test_recognition_words_a_bad_grading_as_check_grading_does(ga):
 
 def test_recognize_matrix2():
     rec = recognize_group_crossed_product(matrix2_graded())
-    # unit of the antidiagonal component: the swap matrix e12 + e21
-    assert rec.units[1] == (Q.zero, Q.zero, Q.one, Q.one)
+    # unit of the antidiagonal component: the swap matrix e12 + e21, as a
+    # sparse native row
+    assert rec.units[1] == {2: Q.one, 3: Q.one}
     # sigma(g, g) = swap^2 = identity
     assert sigma_basis(rec.system, 1, 1) == (Q.one, Q.one)
     # the action by g swaps the two diagonal idempotents
