@@ -155,6 +155,16 @@ class _Algebra(_Structure):
         return rows
 
     @cached_property
+    def algebra_violations(self):
+        """The witnesses of this algebra's own laws (`check_axioms("algebra",
+        ...)`), decided once, on the first read.  A bialgebra or Hopf algebra
+        that passes its laws there records that it has none."""
+        gens = self.generating_set
+        if gens is not None and next(_algebra_laws(self, gens), None) is None:
+            return []
+        return list(islice(_algebra_laws(self), MAX_VIOLATIONS))
+
+    @cached_property
     def generating_set(self):
         """G of this algebra (see `_generating_set`), found on the first read;
         on a bialgebra the G of least work found, which changes no witness."""
@@ -959,14 +969,19 @@ def check_axioms(kind, data):
     its dual (see above), decides first: associativity, coassociativity, the
     counit laws and both multiplicativity laws run only on e_g for g in G.
     A pass that finds no witness is the verdict; the full loops run only
-    when it finds one or neither has a G.
+    when it finds one or neither has a G.  A structure's algebra verdict is
+    decided once (`algebra_violations`), and a bialgebra or Hopf algebra
+    that passes here records it, so no later caller runs that pass again.
     """
+    if kind == "algebra":
+        return AxiomReport(kind, data.algebra_violations)
     a, parity = (data.hopf, data.parity) if kind == "super-hopf" else (data, (0,) * data.dim)
     laws = _laws(kind, a, parity, None)
     if kind != "coalgebra":
-        s = a if kind == "algebra" or a.generating_set is not None else dual_structure(a)
+        s = a if a.generating_set is not None else dual_structure(a)
         if s.generating_set is not None and next(_laws(kind, s, parity, s.generating_set),
                                                  None) is None:
+            a.__dict__.setdefault("algebra_violations", [])
             return AxiomReport(kind, [])
     return AxiomReport(kind, list(islice(laws, MAX_VIOLATIONS)))
 

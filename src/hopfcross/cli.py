@@ -427,7 +427,7 @@ def _check_algebra_block(alg, name):
 def _check_augmentation(alg, aug):
     """Raise the witnesses, named augmentation-unit and
     augmentation-multiplicative, that an augmentation block is not an
-    algebra map A -> k.  Run after _check_algebra_block has certified A, so
+    algebra map A -> k.  Run once A's algebra laws have passed, so
     multiplicativity is decided on A's generating set first."""
     laws = augmentation_violations(alg, aug, alg.generating_set)
     _check_block("augmentation", list(islice(laws, MAX_VIOLATIONS)), "an augmentation")
@@ -470,12 +470,16 @@ def _comodule_algebra_blocks(doc, field, kind):
 def _comodule_algebra(blocks, hopf_violations):
     """The comodule algebra of parsed blocks: the constructor checks the
     coaction, then hopf_violations (the nested Hopf laws' witnesses), the
-    algebra laws and the augmentation are raised in that order."""
+    algebra laws and the augmentation are raised in that order.  The
+    algebra laws are decided first, once: the constructor reads that
+    verdict, and H's from its checked Hopf laws, to decide rho's
+    multiplicativity on A's generating set."""
     alg, hopf, coaction, aug = blocks
+    algebra_violations = check_axioms("algebra", alg).violations
     shape = (alg.dim * hopf.dim, alg.dim)
     ca = ComoduleAlgebra(alg, hopf, _matrix(alg.field, coaction, shape, "coaction"))
     _check_block("hopf", hopf_violations, "a Hopf algebra")
-    _check_algebra_block(alg, "algebra")
+    _check_block("algebra", algebra_violations, "an algebra")
     if aug is not None:
         _check_augmentation(alg, aug)
     return Presentation("comodule-algebra", ca, augmentation=aug)
@@ -820,8 +824,8 @@ def cmd_recognize_cleft(args):
         return _emit(Report("recognize-cleft", "not-found", 1,
                             definitive=e.definitive,
                             witnesses={"galois_bijective": galois_map(ca).bijective}), args)
-    if not galois_map(ca).bijective:
-        raise ValidationError("cleftness verdicts disagree")
+    # cleft implies Galois (Doi-Takeuchi), so the verified section, and the
+    # isomorphism B x|_sigma H -> A checked from it, certify the witness
     system, iso = section_to_crossed_system(sec)
     return _emit(Report("recognize-cleft", "found", 0, witnesses={
         "galois_bijective": True,

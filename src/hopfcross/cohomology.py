@@ -373,12 +373,6 @@ def hh2(hopf, act):
     reps = echelon_complement(f, coboundaries, cocycles)
     if len(reps) != dim:
         raise ValidationError("representative count disagrees with the computed dimension")
-    # guard the normalized-complex convention against the full complex
-    if dh <= 4:
-        full_z = n2 - Matrix.from_sparse_rows(f, d2_rows, n2).rank()
-        full_b = d1.rank()
-        if full_z - full_b != dim:
-            raise ValidationError("normalized and full complexes disagree")
     return HH2Result(act, dim, reps, coboundaries, d2_rows, constraints)
 
 

@@ -17,6 +17,7 @@ from .algebra import (
     _lowering,
     _sparse_product,
     algebra_map_violations,
+    check_axioms,
     coaction_violations,
     convolution_invert,
     group_hopf_algebra,
@@ -90,11 +91,16 @@ class ComoduleAlgebra(_RightComodule):
 
     def validate(self):
         """The first MAX_VIOLATIONS witnesses: the comodule laws, then rho is
-        a unital algebra map A -> A (x) H."""
-        a = self.algebra
+        a unital algebra map A -> A (x) H.  When A and H pass their algebra
+        laws (each structure's verdict, decided once), rho's multiplicativity
+        is decided on A's generating set first, on the premise
+        algebra_map_violations states; any failure, or an A without one,
+        runs the loop over every basis pair for the witnesses."""
+        a, h = self.algebra, self.hopf
+        gens = None if a.algebra_violations or h.algebra_violations else a.generating_set
         rename = {"unit": "coaction-not-unital", "multiplicative": "coaction-not-multiplicative"}
         algebra_map = ((rename[name], idx) for name, idx in
-                       algebra_map_violations(a, (a, self.hopf), self.native_coaction))
+                       algebra_map_violations(a, (a, h), self.native_coaction, gens))
         laws = chain(coaction_violations(self.rho_basis, self.hopf, a.dim), algebra_map)
         return list(islice(laws, MAX_VIOLATIONS))
 
@@ -266,6 +272,53 @@ class CrossedSystem:
         self.sigma = sigma
         self.sigma_inv = sigma_inv
 
+    @cached_property
+    def algebra(self):
+        """The algebra B x|_sigma H on the basis {b_i (x) e_g}, b-index
+        major, its product table built once, on the first read: the one
+        table that check_crossed_system certifies and the crossed product
+        holds.  It is formed whether or not the laws hold."""
+        h, b = self.hopf, self.base
+        f = b.field
+        dh, db = h.dim, b.dim
+        labels = tuple("%s(x)%s" % (bl, hl) for bl in b.basis for hl in h.basis)
+        # (b_i (x) g)(b_j (x) t) = sum b_i (g1 . b_j) sigma(g2, t1) (x) g3 t2 on
+        # lowered constants: each term carries D^8 (two constants of Delta^2(g),
+        # one each of Delta(t), g3 t2, g1 . b_j, sigma(g2, t1) and the two
+        # products in B)
+        meas, sig = (m.native_cols() for m in (self.measuring, self.sigma))
+        lower, d, clean = _lowering((b, h), (meas, sig))
+        meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
+        brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
+        scale = d ** 8
+        p = f.characteristic
+        rows = {}
+        for i in range(db):
+            bi = {i: 1}
+            for g in range(dh):
+                d2g = {}
+                for (x, g3), c in cop.get(g, {}).items():
+                    for (g1, g2), e in cop.get(x, {}).items():
+                        key = (g1, g2, g3)
+                        d2g[key] = d2g.get(key, 0) + c * e
+                for j in range(db):
+                    for t in range(dh):
+                        acc = {}
+                        for (g1, g2, g3), c in d2g.items():
+                            left = _sparse_product(brows, bi, meas[ti(g1, j, db)])
+                            for (t1, t2), e in cop.get(t, {}).items():
+                                bpart = _sparse_product(brows, left, sig[ti(g2, t1, dh)])
+                                for k, u in hrows.get(g3, {}).get(t2, {}).items():
+                                    ceu = c * e * u
+                                    for x, v in bpart.items():
+                                        key = ti(x, k, dh)
+                                        acc[key] = acc.get(key, 0) + ceu * v
+                        if terms := clean(acc):  # over F_p, D = 1
+                            rows.setdefault(ti(i, g, dh), {})[ti(j, t, dh)] = terms if p else {
+                                k: f.from_fraction(c, scale) for k, c in terms.items()}
+        return FAlgebra._native(f, labels, native_rows=rows,
+                                native_unit=vtensor(b.native_unit, h.native_unit, dh, p))
+
 
 def check_crossed_system(s):
     """Every violated crossed-system law, in order: for each g the measuring
@@ -273,6 +326,41 @@ def check_crossed_system(s):
     normalized, and the first i on which 1_H does not act as the identity;
     the twisted-module law for each (g, t, i); the cocycle law for each
     (g, t, l).
+
+    One pass decides: the cheap laws (the measuring is unital, sigma is
+    normalized, 1_H acts as the identity, sigma * sigma_inv = eta eps =
+    sigma_inv * sigma), then the algebra laws of B x|_sigma H (s.algebra),
+    checked on its generating set by check_axioms.  When both hold, every
+    law holds and the answer is [].  Otherwise the law loops of
+    `_crossed_system_laws` give the witnesses, as check_axioms's full loops
+    do.
+
+    With sigma normal, B x|_sigma H is associative with unit 1 # 1 exactly
+    when B is a twisted H-module and sigma is a cocycle (Blattner, Cohen and
+    Montgomery, Trans. AMS 298 (1986); Montgomery, Hopf Algebras and Their
+    Actions on Rings, Lemma 7.1.2).  Only "associative => laws" is used, and
+    it reads off directly.  With sigma normal, h . 1 = eps(h) 1 and
+    1 . b = b, the product gives (1 # h)(b # 1) = (h1 . b) # h2,
+    (b # 1)(c # 1) = bc # 1 and (1 # h)(1 # k) = sigma(h1, k1) # h2 k2.
+    Applying id (x) eps to the two bracketings of a triple product:
+      - (1 # h)(b # 1)(c # 1) gives the measuring law
+        h . (bc) = (h1 . b)(h2 . c);
+      - (1 # h)(1 # k)(b # 1) gives the twisted-module law
+        h1 . (k1 . b) sigma(h2, k2) = sigma(h1, k1) (h2 k2) . b;
+      - (1 # h)(1 # k)(1 # l) gives the cocycle law
+        (h1 . sigma(k1, l1)) sigma(h2, k2 l2) = sigma(h1, k1) sigma(h2 k2, l).
+    The lemma does not give sigma's convolution inverse, so that stays a
+    cheap law."""
+    cheap, laws = _crossed_system_laws(s)
+    if cheap() and check_axioms("algebra", s.algebra).ok:
+        return []
+    return laws()
+
+
+def _crossed_system_laws(s):
+    """(cheap, laws) on the crossed system s: cheap() tells whether the
+    cheap laws of check_crossed_system hold, and laws() lists every violated
+    law in its order, each law by its own loop.
 
     The laws contract on native ints (algebra._lowering).  Over Q a term
     with r lowered constants carries D^r, so g . (b_i b_j), the convolution
@@ -317,64 +405,86 @@ def check_crossed_system(s):
                     return False
         return True
 
-    violations = []
-    for g in range(dh):
-        if clean(combine(bunit, meas[g])) != clean({x: counit.get(g, 0) * c
-                                                    for x, c in bunit.items()}):
-            violations.append(("measuring-not-unital", (g,)))
-        for i in range(db):
-            for j in range(db):
-                lhs = combine({k: d2 * c for k, c in brows.get(i, {}).get(j, {}).items()},
-                              meas[g])
-                rhs = {}
-                for (g1, g2), c in cop.get(g, {}).items():
-                    _add_scaled(rhs, c, mult(meas[g1][i], meas[g2][j]))
-                if clean(lhs) != clean(rhs):
-                    violations.append(("measuring-not-multiplicative", (g, i, j)))
-    if not (convolves_to_unit(sig, sig_inv) and convolves_to_unit(sig_inv, sig)):
-        violations.append(("sigma-not-convolution-invertible", ()))
-    # the neutral action does not depend on g but is reported for each g
-    neutral = next((i for i in range(db)
-                    if clean(combine(hunit, meas_t[i])) != clean({i: d2})), None)
-    for g in range(dh):
+    def invertible():
+        return convolves_to_unit(sig, sig_inv) and convolves_to_unit(sig_inv, sig)
+
+    def unital(g):
+        return clean(combine(bunit, meas[g])) == clean({x: counit.get(g, 0) * c
+                                                        for x, c in bunit.items()})
+
+    def normalized(g):
         target = clean({x: counit.get(g, 0) * c for x, c in bunit.items()})
-        if (clean(combine(hunit, sig[g])) != target
-                or clean(combine(hunit, sig_t[g])) != target):
-            violations.append(("sigma-not-normalized", (g,)))
-        if neutral is not None:
-            violations.append(("neutral-action-not-identity", (neutral,)))
-    # g1 . (t1 . b_i) sigma(g2, t2) = sigma(g1, t1) (g2 t2) . b_i
-    for g in range(dh):
-        for t in range(dh):
+        return clean(combine(hunit, sig[g])) == target == clean(combine(hunit, sig_t[g]))
+
+    def neutral():
+        """The first i on which 1_H does not act as the identity, or None."""
+        return next((i for i in range(db) if clean(combine(hunit, meas_t[i])) != clean({i: d2})),
+                    None)
+
+    def cheap():
+        return (neutral() is None and all(unital(g) and normalized(g) for g in range(dh))
+                and invertible())
+
+    def laws():
+        violations = []
+        for g in range(dh):
+            if not unital(g):
+                violations.append(("measuring-not-unital", (g,)))
             for i in range(db):
-                lhs, rhs = {}, {}
-                for g1, g2, t1, t2, c in pairs(g, t):
-                    _add_scaled(lhs, c, mult(combine(meas[t1][i], meas[g1]), sig[g2][t2]))
-                    gt = hrows.get(g2, {}).get(t2, {})
-                    _add_scaled(rhs, c, mult(sig[g1][t1], combine(gt, meas_t[i])))
-                if clean(lhs) != clean(rhs):
-                    violations.append(("twisted-module-law", (g, t, i)))
-    # g1 . sigma(t1, l1) sigma(g2, t2 l2) = sigma(g1, t1) sigma(g2 t2, l)
-    for g in range(dh):
-        for t in range(dh):
-            for l in range(dh):
-                lhs, rhs = {}, {}
-                for g1, g2, t1, t2, c in pairs(g, t):
-                    for (l1, l2), e in cop.get(l, {}).items():
-                        tl = hrows.get(t2, {}).get(l2, {})
-                        _add_scaled(lhs, c * e, mult(combine(sig[t1][l1], meas[g1]),
-                                                     combine(tl, sig[g2])))
-                    gt = hrows.get(g2, {}).get(t2, {})
-                    _add_scaled(rhs, d2 * c, mult(sig[g1][t1], combine(gt, sig_t[l])))
-                if clean(lhs) != clean(rhs):
-                    violations.append(("cocycle-law", (g, t, l)))
-    return violations
+                for j in range(db):
+                    lhs = combine({k: d2 * c for k, c in brows.get(i, {}).get(j, {}).items()},
+                                  meas[g])
+                    rhs = {}
+                    for (g1, g2), c in cop.get(g, {}).items():
+                        _add_scaled(rhs, c, mult(meas[g1][i], meas[g2][j]))
+                    if clean(lhs) != clean(rhs):
+                        violations.append(("measuring-not-multiplicative", (g, i, j)))
+        if not invertible():
+            violations.append(("sigma-not-convolution-invertible", ()))
+        # the neutral action does not depend on g but is reported for each g
+        bad = neutral()
+        for g in range(dh):
+            if not normalized(g):
+                violations.append(("sigma-not-normalized", (g,)))
+            if bad is not None:
+                violations.append(("neutral-action-not-identity", (bad,)))
+        # g1 . (t1 . b_i) sigma(g2, t2) = sigma(g1, t1) (g2 t2) . b_i
+        for g in range(dh):
+            for t in range(dh):
+                for i in range(db):
+                    lhs, rhs = {}, {}
+                    for g1, g2, t1, t2, c in pairs(g, t):
+                        _add_scaled(lhs, c, mult(combine(meas[t1][i], meas[g1]), sig[g2][t2]))
+                        gt = hrows.get(g2, {}).get(t2, {})
+                        _add_scaled(rhs, c, mult(sig[g1][t1], combine(gt, meas_t[i])))
+                    if clean(lhs) != clean(rhs):
+                        violations.append(("twisted-module-law", (g, t, i)))
+        # g1 . sigma(t1, l1) sigma(g2, t2 l2) = sigma(g1, t1) sigma(g2 t2, l)
+        for g in range(dh):
+            for t in range(dh):
+                for l in range(dh):
+                    lhs, rhs = {}, {}
+                    for g1, g2, t1, t2, c in pairs(g, t):
+                        for (l1, l2), e in cop.get(l, {}).items():
+                            tl = hrows.get(t2, {}).get(l2, {})
+                            _add_scaled(lhs, c * e, mult(combine(sig[t1][l1], meas[g1]),
+                                                         combine(tl, sig[g2])))
+                        gt = hrows.get(g2, {}).get(t2, {})
+                        _add_scaled(rhs, d2 * c, mult(sig[g1][t1], combine(gt, sig_t[l])))
+                    if clean(lhs) != clean(rhs):
+                        violations.append(("cocycle-law", (g, t, l)))
+        return violations
+
+    return cheap, laws
 
 
 def crossed_product(s):
     """B x|_sigma H on the basis {b_i (x) e_g}, b-index major, with the
     coaction id (x) Delta, checked as a comodule algebra whose coinvariants
-    are B (x) k1."""
+    are B (x) k1, once the crossed-system laws hold."""
+    violations = check_crossed_system(s)
+    if violations:
+        raise InvalidCrossedSystemError(violations)
     ca = _crossed_product(s, ComoduleAlgebra)
     h, db = s.hopf, s.base.dim
     f = h.field
@@ -392,57 +502,16 @@ def crossed_product(s):
 
 
 def _crossed_product(s, build):
-    """B x|_sigma H as build(algebra, H, coaction) makes it, once the
-    crossed-system laws hold: `ComoduleAlgebra`, which checks it, or
-    `ComoduleAlgebra._certified` for a caller that certifies it."""
-    violations = check_crossed_system(s)
-    if violations:
-        raise InvalidCrossedSystemError(violations)
-    h, b = s.hopf, s.base
-    f = b.field
-    dh, db = h.dim, b.dim
-    dim = db * dh
-    labels = tuple("%s(x)%s" % (bl, hl) for bl in b.basis for hl in h.basis)
-    # (b_i (x) g)(b_j (x) t) = sum b_i (g1 . b_j) sigma(g2, t1) (x) g3 t2 on
-    # lowered constants: each term carries D^8 (two constants of Delta^2(g),
-    # one each of Delta(t), g3 t2, g1 . b_j, sigma(g2, t1) and the two
-    # products in B)
-    meas, sig = (m.native_cols() for m in (s.measuring, s.sigma))
-    lower, d, clean = _lowering((b, h), (meas, sig))
-    meas, sig = ([_lowered(col, lower) for col in cols] for cols in (meas, sig))
-    brows, hrows, cop = b.lowered_rows(d), h.lowered_rows(d), h.lowered_coproduct(d)
-    scale = d ** 8
-    p = f.characteristic
-    rows = {}
-    for i in range(db):
-        bi = {i: 1}
-        for g in range(dh):
-            d2g = {}
-            for (x, g3), c in cop.get(g, {}).items():
-                for (g1, g2), e in cop.get(x, {}).items():
-                    key = (g1, g2, g3)
-                    d2g[key] = d2g.get(key, 0) + c * e
-            for j in range(db):
-                for t in range(dh):
-                    acc = {}
-                    for (g1, g2, g3), c in d2g.items():
-                        left = _sparse_product(brows, bi, meas[ti(g1, j, db)])
-                        for (t1, t2), e in cop.get(t, {}).items():
-                            bpart = _sparse_product(brows, left, sig[ti(g2, t1, dh)])
-                            for k, u in hrows.get(g3, {}).get(t2, {}).items():
-                                ceu = c * e * u
-                                for x, v in bpart.items():
-                                    key = ti(x, k, dh)
-                                    acc[key] = acc.get(key, 0) + ceu * v
-                    if terms := clean(acc):  # over F_p, D = 1
-                        rows.setdefault(ti(i, g, dh), {})[ti(j, t, dh)] = terms if p else {
-                            k: f.from_fraction(c, scale) for k, c in terms.items()}
-    algebra = FAlgebra._native(f, labels, native_rows=rows,
-                               native_unit=vtensor(b.native_unit, h.native_unit, dh, p))
+    """B x|_sigma H on the table s.algebra with the coaction id (x) Delta, as
+    build(algebra, H, coaction) makes it: `ComoduleAlgebra`, which checks
+    it, or `ComoduleAlgebra._certified` for a caller that certifies it."""
+    h = s.hopf
+    f = h.field
+    dh, db = h.dim, s.base.dim
     delta = h.native_coproduct
     cols = [{ti(ti(i, g1, dh), g2, dh): c for (g1, g2), c in delta.get(g, {}).items()}
             for i in range(db) for g in range(dh)]
-    return build(algebra, h, Matrix.from_sparse_cols(f, dim * dh, cols))
+    return build(s.algebra, h, Matrix.from_sparse_cols(f, db * dh * dh, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -626,5 +695,12 @@ def section_to_crossed_system(sec):
     for i, bv in enumerate(coinv.basis):
         if alpha.apply_sparse(vtensor(_basis_row(f, i), h.native_unit, dh, p)) != bv:
             raise ValidationError("isomorphism is not the identity on the coinvariants")
+    # alpha is checked multiplicative on every basis pair, so the product is
+    # A's associative product carried back along it: its algebra laws are
+    # A's, and check_crossed_system reads that verdict beside its cheap laws
+    product.algebra.algebra_violations = a.algebra_violations
+    violations = check_crossed_system(system)
+    if violations:
+        raise InvalidCrossedSystemError(violations)
     return system, alpha
 

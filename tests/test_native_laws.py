@@ -8,9 +8,15 @@ valid inputs and on copies with one entry bumped.
 
 Convolution inverses are compared the same way: convolution_invert solves
 one component of C at a time on native ints, ref_convolution_invert the
-whole operator g |-> f * g on field scalars."""
+whole operator g |-> f * g on field scalars.
+
+The checks that certify a construction once are tested against the loops
+they stand for: check_crossed_system's pass on B x|_sigma H against the
+law loops, validate's pass on A's generating set against every pair, and
+hh2's normalized complex against the full one."""
 
 import itertools
+import json
 import os
 import random
 import sys
@@ -18,12 +24,13 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcross import algebra, cohomology
+from hopfcross import algebra, cohomology, comodule
 from hopfcross.algebra import (
     MAX_VIOLATIONS,
     ComoduleCoalgebraData,
     FAlgebra,
     algebra_map_violations,
+    check_axioms,
     coaction_violations,
     convolution_invert,
     dual_structure,
@@ -31,7 +38,7 @@ from hopfcross.algebra import (
     induced_algebra,
     ti,
 )
-from hopfcross.cli import main, parse_presentation
+from hopfcross.cli import COMMANDS, main, parse_presentation
 from hopfcross.cohomology import (
     AugmentedAlgebra,
     AugmentedCleftExtension,
@@ -51,14 +58,20 @@ from hopfcross.comodule import (
     colinear_map_space,
     crossed_product,
     find_section,
+    graded_bridge,
     section_to_crossed_system,
 )
-from hopfcross.errors import NotConvolutionInvertibleError
+from hopfcross.errors import (
+    InvalidComoduleAlgebraError,
+    NotConvolutionInvertibleError,
+    ValidationError,
+)
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import (
     Matrix,
     PrimeField,
     Rationals,
+    _basis_row,
     _dense_vec,
     _native,
     basis_vec,
@@ -92,7 +105,7 @@ from tests.test_algebra import (
     identity,
     tensor_coalgebra,
 )
-from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
+from tests.test_cohomology import cleft_family, cochain1, eps_on_crossed_product, trivial_setup
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -904,14 +917,14 @@ def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeyp
         monkeypatch, lambda: coaction_kernel(ca.rho_basis, da, ca.hopf, ca.hopf.native_unit))
     assert_sparse_systems(dense, eliminated, {(da * dh, da)})
     assert dense == []
-    # hh2: the stacked cocycle system, d2 on its own, the degree-1
-    # constraints and d1; deciding a class builds no dense matrix
+    # hh2: the stacked cocycle system and the degree-1 constraints (d2 on
+    # its own and d1 are ranked only by the full-complex oracle below);
+    # deciding a class builds no dense matrix
     for name, act in actions(field):
         dp, dh = act.plus_dim, act.hopf.dim
         n1, n2 = dp * dh, dp * dh * dh
         result, dense, eliminated = build_and_eliminate(monkeypatch, lambda: hh2(act.hopf, act))
-        assert_sparse_systems(dense, eliminated, {(dp * dh ** 3 + 2 * n2 // dh, n2),
-                                                  (dp * dh ** 3, n2), (dp, n1), (n2, n1)})
+        assert_sparse_systems(dense, eliminated, {(dp * dh ** 3 + 2 * n2 // dh, n2), (dp, n1)})
         for rep in result.representative_cochains():
             coords, dense, _ = build_and_eliminate(monkeypatch, lambda: result.decide(rep))
             assert any(coords) and dense == []
@@ -925,3 +938,265 @@ def test_the_convolution_and_cleft_systems_are_never_dense(fname, field, monkeyp
     assert out.split
     assert_sparse_systems(dense, eliminated, {(10, 4)})
     assert (10, 3) not in dense
+
+
+# ---------------------------------------------------------------------------
+# check_crossed_system decides by the algebra laws of B x|_sigma H; the law
+# loops give the witnesses
+
+
+def bumped_at(m, i, j, amount):
+    """m with entry (i, j) shifted by amount."""
+    data = [list(row) for row in m.data]
+    data[i][j] = data[i][j] + amount
+    return Matrix(m.field, data, m.cols)
+
+
+def pointwise_inverse(base, sigma):
+    """The convolution inverse of sigma : k[G] (x) k[G] -> B, where
+    Delta(g) = g (x) g makes it pointwise, sigma^-1(g, t) = sigma(g, t)^-1 in
+    B; None when a value is not a unit."""
+    f = base.field
+    cols = []
+    for u in sigma.native_cols():
+        left = Matrix.from_sparse_cols(f, base.dim, [base.sparse_mult(u, _basis_row(f, j))
+                                                     for j in range(base.dim)])
+        x = solve_linear(left, base.native_unit).solution
+        if x is None:
+            return None
+        cols.append(x)
+    return Matrix.from_sparse_cols(f, base.dim, cols)
+
+
+def group_crossed_systems():
+    """(name, field, valid crossed system over k[Z/3]): those of
+    crossed_systems over F3, F5 and Q, and f3z3-crossed.json."""
+    for fname, field in FIELDS:
+        for name, system in crossed_systems(field, random.Random("sweep/" + fname)):
+            if not name.startswith("sweedler"):
+                yield "%s/%s" % (fname, name), field, system
+    yield "f3z3-crossed", F3, parse_presentation(corpus("f3z3-crossed.json")).payload
+
+
+def corruptions(system, field, rng):
+    """(what, system) with one entry of the measuring or of sigma changed and
+    sigma kept normal: anywhere in the measuring; off the unit of B and of H,
+    so that the measuring stays unital and 1_H neutral; sigma away from 1_H,
+    with sigma_inv kept or recomputed as sigma's inverse, so that the cheap
+    laws hold and only the algebra laws of B x|_sigma H can fail."""
+    h, b = system.hopf, system.base
+    (hu,), (bu,) = h.native_unit, b.native_unit
+    db, dh = b.dim, h.dim
+    amounts = [field.one, field.from_int(2)] + ([scalar(field, "-2/3")] if field == Q else [])
+    meas, sig = system.measuring, system.sigma
+
+    def others(n, unit):
+        return [x for x in range(n) if x != unit]
+
+    for _ in range(4):
+        bad = bumped_at(meas, rng.randrange(db), rng.randrange(dh * db), rng.choice(amounts))
+        yield "measuring", CrossedSystem(h, b, bad, sig, system.sigma_inv)
+    for _ in range(4):
+        col = ti(rng.choice(others(dh, hu)), rng.choice(others(db, bu)), db)
+        bad = bumped_at(meas, rng.randrange(db), col, rng.choice(amounts))
+        yield "measuring off the units", CrossedSystem(h, b, bad, sig, system.sigma_inv)
+    for recompute in (False, True, True):
+        col = ti(rng.choice(others(dh, hu)), rng.choice(others(dh, hu)), dh)
+        bad = bumped_at(sig, rng.randrange(db), col, rng.choice(amounts))
+        inv = pointwise_inverse(b, bad) if recompute else system.sigma_inv
+        if inv is not None:
+            yield "sigma" + (" and its inverse" if recompute else ""), CrossedSystem(
+                h, b, meas, bad, inv)
+
+
+def test_a_corrupted_crossed_system_gets_the_witnesses_of_the_law_loops():
+    # one entry of the measuring or of sigma changed, sigma kept normal:
+    # check_crossed_system gives the witness list of the law loops, and its
+    # pass (the cheap laws, then the algebra laws of B x|_sigma H) holds
+    # exactly when the loops find nothing (Montgomery, Lemma 7.1.2)
+    rng = random.Random("corruption sweep")
+    seen, decided_by_the_product = set(), 0
+    for name, field, system in group_crossed_systems():
+        for what, bad in corruptions(system, field, rng):
+            cheap, laws = comodule._crossed_system_laws(bad)
+            loops = laws()
+            assert check_crossed_system(bad) == loops, (name, what)
+            passes = cheap() and check_axioms("algebra", bad.algebra).ok
+            assert passes == (loops == []), (name, what)
+            decided_by_the_product += cheap() and loops != []
+            seen.add(what)
+    assert seen == {"measuring", "measuring off the units", "sigma", "sigma and its inverse"}
+    assert decided_by_the_product >= 20
+
+
+@pytest.mark.parametrize("fname, field", FIELDS)
+def test_a_cohomologous_crossed_system_passes_both_checks(fname, field):
+    # sigma + d(t) for seeded normalized t is again a crossed system: the
+    # pass on B x|_sigma H and the law loops both accept it
+    rng = random.Random("cohomologous/" + fname)
+    for name, act in actions(field):
+        reps = hh2(act.hopf, act).representative_cochains()
+        for _ in range(3):
+            s = differential(random_cochain(field, rng, 1, act, normalized=True), act).matrix
+            if reps:
+                s = s + reps[0].matrix
+            system = crossed_system_from_cocycle(act, NormalizedCochain(2, s))
+            cheap, laws = comodule._crossed_system_laws(system)
+            assert check_crossed_system(system) == laws() == [], name
+            assert cheap() and check_axioms("algebra", system.algebra).ok, name
+
+
+def test_only_the_coinvariant_check_catches_a_trivial_coaction(monkeypatch):
+    # crossed_product keeps its check that A^{co H} = B (x) k1, although a
+    # theorem gives it for the coaction id (x) Delta: a broken build that
+    # puts e |-> e (x) 1 in its place is a valid comodule algebra, which the
+    # constructor's laws accept, and only that check rejects it
+    system = parse_presentation(corpus("f3z3-crossed.json")).payload
+    real = comodule._crossed_product
+
+    def trivial_coaction(s, build):
+        ca = real(s, ComoduleAlgebra._certified)
+        (unit,), dh, dim = ca.hopf.native_unit, ca.hopf.dim, ca.algebra.dim
+        cols = [{ti(i, unit, dh): 1} for i in range(dim)]
+        return build(ca.algebra, ca.hopf, Matrix.from_sparse_cols(F3, dim * dh, cols))
+
+    monkeypatch.setattr(comodule, "_crossed_product", trivial_coaction)
+    with pytest.raises(ValidationError, match="crossed product coinvariants have wrong dimension"):
+        crossed_product(system)
+
+
+def family_docs(tmp_path):
+    """Paths of CleftFamily members over F3, F5 and Q: the crossed system,
+    its crossed product as an augmented comodule algebra and its lift
+    problem, for class multiples 0, 1 and 2."""
+    family = cleft_family()
+    paths = []
+    for field in (F3, F5, Q):
+        members, rng = family(field, 3), random.Random(repr(field))
+        for c in (0, 1, 2):
+            for make in (members.crossed_system_doc, members.cleft_doc, members.lift_doc):
+                path = tmp_path / ("%d-%d-%s.json" % (field.characteristic, c, make.__name__))
+                path.write_text(json.dumps(make(rng, c)[0]))
+                paths.append(str(path))
+    return paths
+
+
+VALID_CLEFT_CORPUS = ("f3z3-cleft.json", "f3z3-crossed.json", "lift-split.json",
+                      "lift-obstructed.json", "m2-z2-graded.json", "kx2-graded.json")
+
+
+def test_valid_crossed_products_never_run_the_law_loops(monkeypatch, tmp_path, capsys):
+    # every command on the valid corpus comodule algebras and crossed systems
+    # and on the CleftFamily members: each crossed system is decided by its
+    # cheap laws and the algebra laws of B x|_sigma H (a section's alpha
+    # certifies those), and the law loops never run
+    decided, loops = [], []
+    real = comodule._crossed_system_laws
+
+    def spy(s):
+        cheap, laws = real(s)
+        decided.append(s)
+        return cheap, lambda: loops.append(s) or laws()
+
+    paths = [corpus(name) for name in VALID_CLEFT_CORPUS] + family_docs(tmp_path)
+    monkeypatch.setattr(comodule, "_crossed_system_laws", spy)
+    for path in paths:
+        for command in COMMANDS:
+            if command != "pairing":
+                assert main([command, path]) in (0, 1, 2), (command, path)
+    capsys.readouterr()
+    assert decided and loops == []
+
+
+def count_rho_pairs(monkeypatch):
+    """The basis pairs (i, j) on which rho's multiplicativity is compared:
+    one product of two columns in the rows of A (x) H each."""
+    pairs, tensor_rows = [], []
+    real_rows, real_product = algebra._tensor_rows, algebra._sparse_product
+
+    def spy_rows(*args):
+        tensor_rows.append(real_rows(*args))
+        return tensor_rows[-1]
+
+    def spy_product(rows, u, v):
+        if any(rows is r for r in tensor_rows):
+            pairs.append((u, v))
+        return real_product(rows, u, v)
+
+    monkeypatch.setattr(algebra, "_tensor_rows", spy_rows)
+    monkeypatch.setattr(algebra, "_sparse_product", spy_product)
+    return pairs
+
+
+def test_validate_reads_rho_on_the_generating_set(monkeypatch, tmp_path):
+    # a parsed comodule algebra whose A and H pass their algebra laws has
+    # rho's multiplicativity decided on A's G: |G| dim A pairs, not dim A^2.
+    # M2(k) has no G of at most half its basis, and reads every pair
+    cas = [parse_presentation(corpus("f3z3-cleft.json")).payload]
+    for name in ("lift-split.json", "lift-obstructed.json"):
+        cas += parse_presentation(corpus(name)).payload[:2]
+    cas += [graded_bridge(parse_presentation(corpus(name)).payload)
+            for name in ("kx2-graded.json", "m2-z2-graded.json")]
+    cas += [parse_presentation(path).payload for path in family_docs(tmp_path)
+            if path.endswith("cleft_doc.json")]
+    pairs = count_rho_pairs(monkeypatch)
+    read = []
+    for ca in cas:
+        a = ca.algebra
+        pairs.clear()
+        assert ca.validate() == []
+        read.append((a.generating_set, len(pairs), a.dim))
+    assert read.pop(6) == (None, 16, 4)  # M2(k)
+    assert all(gens and len(gens) < dim and n == len(gens) * dim for gens, n, dim in read)
+
+
+def test_validate_reads_every_pair_when_the_algebra_laws_fail():
+    # A = span(1, x, y, z) graded by Z/2 with x, z odd: x x = y, x y = y x
+    # = z and y y = x, so (x y) y = 0 != y = x (y y).  G = {x} generates A,
+    # and e_x e_j respects the grading for every j; only y y = x breaks it.
+    # A pass on G would accept the coaction e_i |-> e_i (x) g^deg(i), so
+    # with A's laws failing validate runs the loop over every pair
+    o = Q.one
+    product = {(0, i): {i: o} for i in range(4)}
+    product.update({(i, 0): {i: o} for i in range(1, 4)})
+    product.update({(1, 1): {2: o}, (1, 2): {3: o}, (2, 1): {3: o}, (2, 2): {1: o}})
+    a = FAlgebra(Q, ("1", "x", "y", "z"), product, basis_vec(Q, 4, 0))
+    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
+    assert a.generating_set == [1] and check_axioms("algebra", a).violations
+    cols = [_basis_row(Q, ti(i, deg, 2)) for i, deg in enumerate((0, 1, 0, 1))]
+    with pytest.raises(InvalidComoduleAlgebraError) as caught:
+        ComoduleAlgebra(a, h, Matrix.from_sparse_cols(Q, 8, cols))
+    assert caught.value.violations == [("coaction-not-multiplicative", (2, 2))]
+
+
+# ---------------------------------------------------------------------------
+# hh2 on the normalized complex agrees with the full Hochschild complex
+
+
+def full_complex_hh2_dimension(act):
+    """dim ker d2 - dim im d1 on all cochains, normalized or not."""
+    f = act.hopf.field
+    dp, dh = act.plus_dim, act.hopf.dim
+    n1, n2 = dp * dh, dp * dh * dh
+    cocycles = n2 - Matrix.from_sparse_rows(f, _differential_rows(act, 2), n2).rank()
+    return cocycles - Matrix.from_sparse_rows(f, _differential_rows(act, 1), n1).rank()
+
+
+def hmodule_inputs():
+    """(name, H-module on B+): the corpus hmodule files, the actions above
+    over F3, F5 and Q, and CleftFamily's module over each."""
+    for name in ("f3z3-hmodule.json", "qz3-hmodule.json"):
+        yield name, parse_presentation(corpus(name)).payload[0]
+    family = cleft_family()
+    for fname, field in FIELDS:
+        for name, act in actions(field):
+            yield "%s/%s" % (fname, name), act
+        yield "%s/cleft-family" % fname, family(field, 3).act
+
+
+def test_the_normalized_complex_gives_the_full_complex_hh2():
+    # the normalized cochains compute HH^2 (their complex is a deformation
+    # retract of the full one); hh2 builds only the normalized complex
+    for name, act in hmodule_inputs():
+        assert act.plus_dim
+        assert hh2(act.hopf, act).dimension == full_complex_hh2_dimension(act), name
