@@ -31,18 +31,39 @@ from math import gcd
 from .errors import ShapeMismatchError, SingularMatrixError
 
 
+# the primes up to 37: trial division by them decides every n < 37^2 = 1369,
+# and Miller-Rabin to these twelve bases every n < 2^64
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 2 ** 64
+
+
 def is_prime(n):
+    """Whether n is prime, decided exactly for n < PRIME_BOUND = 2^64 (a
+    ValueError above it): trial division by _SMALL_PRIMES, then a strong
+    probable-prime test to each of them as a base, which no composite
+    below 2^64 passes to all twelve."""
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is decided below 2^64, got %d" % n)
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 37 * 37:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from itertools import chain
 
@@ -146,6 +147,23 @@ def test_non_prime_modulus_rejected(tmp_path):
     path = tmp_path / "p4.json"
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("p, message", [
+    (2 ** 64, "p = %d is too large: a prime modulus must be below 2^64" % 2 ** 64),
+    (3825123056546413051, "p = 3825123056546413051 is not prime"),
+])
+def test_a_large_modulus_is_decided_at_once(p, message, tmp_path, capsys):
+    # the field block is read before any kind check; a modulus of 2^64 or
+    # more is refused, and primality below it does not take trial division
+    doc = load("kz2.json")
+    doc["field"] = {"kind": "Fp", "p": p}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert time.monotonic() - start < 1.0
 
 
 def test_malformed_json_is_an_input_error(tmp_path):
@@ -1201,13 +1219,17 @@ def count_calls(monkeypatch, owner, name):
     # after alpha certified it
     pytest.param(["lift", "lift-split.json"], hopfcross.algebra, "algebra_map_violations", 10,
                  id="argv42-hopfcross.algebra-algebra_map_violations-11"),
+    # Lambda(4) is certified by its super tensor structure over Lambda(1),
+    # the one structure the super axiom check runs on
+    (["pairing", "--n", "4"], SuperPresentation, "check_super_axioms", 1),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
     # the class of f3z3-cleft.json is nonzero, so split reports the
     # obstruction; kx2-graded.json is not strongly graded
     negative = argv[0] == "split" or argv[:2] == ["strongly-graded", "kx2-graded.json"]
-    assert main([argv[0], corpus(argv[1])] + argv[2:]) == (1 if negative else 0)
+    argv = [corpus(a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == (1 if negative else 0)
     assert len(calls) == expected
 
 
@@ -1583,10 +1605,11 @@ def test_super_decompose_lowers_each_product_table_once(monkeypatch):
     # algebra A, the ideal A_1 A of its even quotient and its odd cotangent
     # read one native lowering of A's products; every table is lowered from its
     # native rows, which the product kernel reads, once per scale the law
-    # kernels read it at
+    # kernels read it at.  The seventh is Lambda(1)'s, the checked base that
+    # Lambda(3) is certified over (see superalg.exterior_hopf)
     calls = count_calls(monkeypatch, hopfcross.algebra, "_product_rows")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 6
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("argv", [
@@ -1636,6 +1659,11 @@ def test_certify_leaves_the_report_unchanged(argv, capsys):
     (["pairing", "--n", "30"], "pairing takes n <= 8, got n = 30"),
     (["pairing", "--n", "9", "--prime", "7"], "pairing takes n <= 8, got n = 9"),
     (["pairing", "--n", "30", "--prime", "4"], "pairing takes n <= 8, got n = 30"),
+    # a large modulus is decided at once, and refused from 2^64 on
+    (["pairing", "--n", "1", "--prime", "1000000000000000003"], False),
+    (["pairing", "--n", "1", "--prime", "18446744073709551557"], False),  # 2^64 - 59
+    (["pairing", "--n", "1", "--prime", "18446744073709551616"],
+     "p = 18446744073709551616 is too large: a prime modulus must be below 2^64"),
 ])
 def test_argv_handling(argv, rejected, capsys):
     # rejected: True for a usage error (SystemExit), or the message of the

@@ -1,5 +1,6 @@
 import operator
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -43,6 +44,28 @@ def test_prime_check():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     with pytest.raises(ValueError):
         PrimeField(4)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_check_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division(n)]
+
+
+def test_prime_check_is_exact_and_fast_below_2_64():
+    # a strong pseudoprime to every base from 2 to 23 is caught by 29, 31 or
+    # 37; the largest prime below 2^64 is accepted at once; 2^64 and above
+    # are refused rather than decided
+    assert not is_prime(3825123056546413051)
+    start = time.monotonic()
+    assert is_prime(2 ** 64 - 59) and not is_prime(2 ** 64 - 57)
+    assert time.monotonic() - start < 0.1
+    for n in (2 ** 64, 2 ** 64 + 13):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            is_prime(n)
 
 
 def test_fp_arithmetic():

@@ -1,6 +1,7 @@
 """Koszul-sign arithmetic, exterior Hopf superalgebras, the duality pairing,
 even quotients, odd cotangents/primitives, and the tensor decomposition."""
 
+import copy
 import itertools
 import json
 import random
@@ -8,6 +9,8 @@ from functools import cached_property
 
 import pytest
 
+import hopfcross.algebra
+import hopfcross.superalg
 from hopfcross.algebra import (
     MAX_VIOLATIONS,
     FAlgebra,
@@ -41,6 +44,7 @@ from hopfcross.superalg import (
     SuperPresentation,
     SuperVectorSpace,
     _check_super_hopf_iso,
+    _super_tensor_violations,
     decompose,
     duality_pairing,
     even_quotient,
@@ -211,6 +215,139 @@ def test_exterior_antipode_sign():
             -c for c in basis_vec(Q, 8, i)
         )
         assert ext.hopf.antipode.col(i) == expected
+
+
+# Lambda(n) for n >= 2 is certified by its super tensor structure over the
+# checked Lambda(1) (superalg._super_tensor_violations); the generic super
+# axiom check, which the library no longer runs on it, is the oracle here.
+
+FIELDS = [Q, PrimeField(3), F5, PrimeField(7)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_generic_checker_passes_every_exterior_construction(field):
+    for n in range(7):
+        assert check_axioms("super-hopf", ExteriorHopf(n, field).presentation).ok
+
+
+LAW_LOOPS = ("_parity_laws", "_algebra_laws", "_coalgebra_laws", "_bialgebra_laws",
+             "_antipode_laws")
+
+
+def test_exterior_hopf_runs_no_law_loop_beyond_the_base(monkeypatch):
+    dims = []
+    for name in LAW_LOOPS:
+        def spy(s, *args, real=getattr(hopfcross.algebra, name)):
+            dims.append(s.dim)
+            return real(s, *args)
+
+        monkeypatch.setattr(hopfcross.algebra, name, spy)
+    for field in (Q, F5):
+        for n in range(2, 7):
+            ext = exterior_hopf(n, field)
+            assert ext.hopf.algebra_violations == []  # recorded, not computed
+    assert dims and set(dims) == {2}
+
+
+def native_ops(field):
+    """(negate, change) on native scalars of field; change adds one."""
+    p = field.characteristic
+    if p:
+        return (lambda c: -c % p), (lambda c: (c + 1) % p)
+    return (lambda c: -c), (lambda c: c + field.one)
+
+
+def with_tables(ext, rows=None, coproduct=None, unit=None, counit=None, antipode_cols=None,
+                parity=None):
+    """A copy of ext with some of its native tables replaced."""
+    h = ext.hopf
+    out = copy.copy(ext)
+    cols = antipode_cols or h.antipode.native_cols()
+    out.hopf = FHopf._native(
+        h.field, h.basis, native_rows=rows or h.native_rows, native_unit=unit or h.native_unit,
+        native_coproduct=coproduct or h.native_coproduct,
+        native_counit=h.native_counit if counit is None else counit,
+        antipode=Matrix.from_sparse_cols(h.field, h.dim, cols))
+    out.parity = parity or ext.parity
+    out.presentation = SuperPresentation(out.hopf, out.parity)
+    return out
+
+
+def single_entry_mutations(ext):
+    """(what, mutated copy of ext): each product and coproduct term negated,
+    dropped or joined by a spurious term; a spurious product entry for each
+    pair of meeting subsets; the unit changed or joined by a spurious term;
+    each counit and antipode entry changed; each parity flipped."""
+    h, dim, one = ext.hopf, ext.dim, _native((ext.field.one,), ext.field)[0]
+    negate, change = native_ops(ext.field)
+
+    def rows_with(i, j, terms):
+        rows = {x: dict(row) for x, row in h.native_rows.items()}
+        if terms:
+            rows.setdefault(i, {})[j] = terms
+        else:
+            del rows[i][j]
+        return rows
+
+    def coproduct_with(i, terms):
+        return {**h.native_coproduct, i: terms}
+
+    for i, row in h.native_rows.items():
+        for j, terms in row.items():
+            for k, c in terms.items():
+                yield ("negated product", i, j, k), with_tables(
+                    ext, rows=rows_with(i, j, {**terms, k: negate(c)}))
+                yield ("dropped product", i, j, k), with_tables(
+                    ext, rows=rows_with(i, j, {x: e for x, e in terms.items() if x != k}))
+                yield ("spurious product", i, j, k), with_tables(
+                    ext, rows=rows_with(i, j, {**terms, (k + 1) % dim: one}))
+    for i, s in enumerate(ext.masks):
+        for j, t in enumerate(ext.masks):
+            if s & t:
+                yield ("spurious product entry", i, j), with_tables(
+                    ext, rows=rows_with(i, j, {0: one}))
+    for i, terms in h.native_coproduct.items():
+        for key, c in terms.items():
+            yield ("negated coproduct", i, key), with_tables(
+                ext, coproduct=coproduct_with(i, {**terms, key: negate(c)}))
+            yield ("dropped coproduct", i, key), with_tables(
+                ext, coproduct=coproduct_with(i, {x: e for x, e in terms.items() if x != key}))
+        spurious = next(key for key in itertools.product(range(dim), repeat=2)
+                        if key not in terms)
+        yield ("spurious coproduct", i, spurious), with_tables(
+            ext, coproduct=coproduct_with(i, {**terms, spurious: one}))
+    yield ("changed unit",), with_tables(ext, unit={0: change(h.native_unit[0])})
+    yield ("spurious unit",), with_tables(ext, unit={**h.native_unit, 1: one})
+    cols = h.antipode.native_cols()
+    for i in range(dim):
+        counit = {**h.native_counit, i: change(h.native_counit.get(i, 0))}
+        yield ("changed counit", i), with_tables(
+            ext, counit={x: c for x, c in counit.items() if c})
+        yield ("changed antipode", i), with_tables(
+            ext, antipode_cols=cols[:i] + [{i: negate(cols[i][i])}] + cols[i + 1:])
+        parity = ext.parity[:i] + (1 - ext.parity[i],) + ext.parity[i + 1:]
+        yield ("flipped parity", i), with_tables(ext, parity=parity)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exterior_hopf_rejects_every_single_entry_mutation(field, n, monkeypatch):
+    intact = ExteriorHopf(n, field)
+    assert not list(_super_tensor_violations(intact, exterior_hopf(1, field)))
+    assert check_axioms("super-hopf", intact.presentation).ok
+    built = {}
+    monkeypatch.setattr(hopfcross.superalg, "ExteriorHopf",
+                        lambda m, f: built.get(m) or ExteriorHopf(m, f))
+    count = 0
+    for what, mutant in single_entry_mutations(intact):
+        built[n] = mutant
+        with pytest.raises(ValidationError, match="^exterior construction broke an axiom"):
+            exterior_hopf(n, field)
+            pytest.fail("accepted %r" % (what,))
+        count += 1
+    built.clear()
+    assert exterior_hopf(n, field).hopf.canonical_constants() == intact.hopf.canonical_constants()
+    assert count > 3 ** n
 
 
 # The construction on subset tuples that the bitmask one replaced, and the
