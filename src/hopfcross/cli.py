@@ -594,14 +594,22 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         return Presentation(kind, (act, cochain))
     if kind == "lift-problem":
         # the domain C and the target D are over one H: each block has it,
-        # and the target shares the domain's, checked once, when they agree
-        parts, violations, hopf, hopf_violations = [], [], None, None
+        # and the target shares the domain's, checked once, when they agree.
+        # Both are over the field that varpi and psi are read over, the
+        # document's, which is checked before either is built
+        heads = []
         for key in ("domain", "target"):
             part = _nested(doc, key, kind)
             part_kind, part_field = _header(
                 part, ("comodule-algebra",),
                 "the %r block of a lift-problem must be a comodule-algebra" % key)
-            alg, h, coaction, aug = _comodule_algebra_blocks(part, part_field, part_kind)
+            if part_field != field:
+                raise ValidationError("the %r block of a lift-problem is over %r, the document "
+                                      "over %r" % (key, part_field, field))
+            heads.append((key, part, part_kind))
+        parts, violations, hopf, hopf_violations = [], [], None, None
+        for key, part, part_kind in heads:
+            alg, h, coaction, aug = _comodule_algebra_blocks(part, field, part_kind)
             if hopf is not None and not _same_hopf_tables(hopf, h):
                 raise ValidationError("the 'domain' and 'target' blocks of a lift-problem "
                                       "are over different Hopf algebras")

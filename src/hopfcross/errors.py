@@ -56,10 +56,6 @@ class KernelNotNilpotentError(HopfcrossError):
     pass
 
 
-class NotHopfModuleError(HopfcrossError):
-    pass
-
-
 class NotSuperCommutativeError(HopfcrossError):
     pass
 

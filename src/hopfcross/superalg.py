@@ -1,8 +1,8 @@
 """Z/2-graded linear and Hopf-algebra structures with Koszul signs: signed
 tensor products, exterior Hopf superalgebras with their duality pairing,
-the even quotient H = A/A_1A, the odd cotangent space W = A_1/A_0^+A_1,
-odd primitives in the dual, and the decomposition A ~ Lambda(W) (x) H for
-super-commutative Hopf superalgebras.
+the even quotient H = A/A_1A, odd primitives in the dual, and the
+decomposition A ~ Lambda(W) (x) H for super-commutative Hopf superalgebras,
+W read as the dual of the odd primitives.
 
 All bases are homogeneous; `parity` assigns 0 (even) or 1 (odd) to each basis
 index. Exterior bases are indexed by subsets of {1..n} ordered by (size,
@@ -40,10 +40,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     _basis_row,
-    _dot,
     _reduced,
-    column_coordinates,
-    echelon_complement,
     row_space_basis,
     vtensor,
 )
@@ -418,7 +415,7 @@ def _check_super_hopf_iso(src_sp, dst_sp, m):
 
 
 # ---------------------------------------------------------------------------
-# even quotient H = A/A_1A and the odd cotangent W = A_1/A_0^+A_1
+# even quotient H = A/A_1A and the odd primitives
 
 
 def even_quotient(sp):
@@ -461,59 +458,6 @@ def even_quotient(sp):
         raise ValidationError("even quotient is not a Hopf algebra: %r" % (report,))
     pi = Matrix.from_sparse_cols(f, dq, [quot.project(_basis_row(f, j)) for j in range(dim)])
     return quotient_hopf, pi
-
-
-class OddCotangent:
-    def __init__(self, space, representatives, projection):
-        self.space = space                     # purely odd SuperVectorSpace
-        self.representatives = representatives # sparse native vectors in A
-        self.projection = projection           # A -> W coordinates
-
-    @property
-    def dim(self):
-        return self.space.odd_dim
-
-
-def odd_cotangent_of_algebra(algebra, counit, parity):
-    """W = A_1/A_0^+A_1 for an augmented super-commutative superalgebra, with
-    the counit a sparse native row.  That is the odd part of A^+/(A^+)^2:
-    eps(A_1) = 0 gives A^+ = A_0^+ + A_1, and super-commutativity makes the
-    odd part of (A^+)^2, A_0^+A_1 + A_1A_0^+, equal to A_0^+A_1 (`decompose`
-    checks super-commutativity first, and the coinvariants B inherit it)."""
-    f = algebra.field
-    dim = algebra.dim
-    # distinct basis vectors in index order are their own echelon basis
-    odd_span = [_basis_row(f, i) for i in range(dim) if parity[i] == 1]
-    aplus = Matrix.from_sparse_rows(f, [counit], dim).kernel_rows()
-    # A^+ is parity-graded, so its even part is the componentwise projection
-    even_plus = row_space_basis(f, _part(aplus, parity, 0), dim)
-    mult = algebra.sparse_mult
-    rel1 = row_space_basis(f, [mult(x, y) for x in even_plus for y in odd_span], dim)
-    # quotient of the odd span by the relations
-    reps = echelon_complement(f, rel1, odd_span)
-    # projection A -> W coordinates: kill relations and even coordinates
-    quot = QuotientSpace(f, dim, rel1 + [_basis_row(f, i) for i in range(dim) if parity[i] == 0])
-    proj = Matrix.zeros(f, 0, dim)
-    if reps:
-        in_reps = column_coordinates(Matrix.from_sparse_cols(f, quot.dim,
-                                                             [quot.project(v) for v in reps]))
-        cols = []
-        for j in range(dim):
-            sol = in_reps(quot.project(_basis_row(f, j)))
-            if sol is None:
-                raise ValidationError("odd coordinate escapes the representative span")
-            cols.append(sol)
-        proj = Matrix.from_sparse_cols(f, len(reps), cols)
-    return OddCotangent(SuperVectorSpace((1,) * len(reps)), reps, proj)
-
-
-def _part(vecs, parity, q):
-    """The parity-q components of sparse vectors."""
-    return [{i: c for i, c in v.items() if parity[i] == q} for v in vecs]
-
-
-def odd_cotangent(sp):
-    return odd_cotangent_of_algebra(sp.hopf.as_algebra(), sp.hopf.native_counit, sp.parity)
 
 
 def odd_primitives(sp):
@@ -570,10 +514,20 @@ def _dual_product(sp, u, v):
 
 def decompose(sp):
     """Theorem-style decomposition of a finite-dimensional super-commutative
-    Hopf superalgebra A as Lambda(W) (x) H.  Checked: A's super-Hopf laws
-    and super-commutativity, H's Hopf laws, alpha (which certifies pi and the
-    coaction on A), pi_0, gamma and the Step 1 claims; a theorem gives the
-    rest (see even_quotient): A_1A is a nilpotent Hopf ideal, H purely even."""
+    Hopf superalgebra A as Lambda(W) (x) H, W the dual of the odd primitives
+    U of A*.  Checked: A's super-Hopf laws and super-commutativity, H's Hopf
+    laws, the pairing, alpha, pi_0 and the section; a theorem gives the rest
+    of the even quotient (see even_quotient): A_1A is a nilpotent Hopf ideal,
+    H purely even.  alpha is checked before Step A to be bijective, a unital
+    algebra map, colinear and augmented, which implies the Step 1 claims:
+    - alpha preserves parity: row S of delta is a product of |S| odd
+      primitives, of parity |S| since Delta preserves it, and pi kills A_1,
+      so alpha(a) = delta(a_1) (x) pi(a_2) has the parity of a;
+    - a colinear isomorphism maps B = A^{co H} onto (Lambda(W) (x) H)^{co H}
+      = Lambda(W) (x) 1, where alpha(b) = delta(b) (x) 1, so gamma = delta|_B
+      is a bijective algebra map and B is graded;
+    - B_0^+ = B_1^2, W_B ~ W and dim U = dim A_1/A_0^+A_1 hold in
+      Lambda(W) (x) H, and alpha carries them back to A."""
     if not sp.is_super_commutative():
         raise NotSuperCommutativeError("decomposition requires super-commutativity")
     sp.require_valid()
@@ -598,9 +552,6 @@ def decompose(sp):
     # Step B: odd primitives and the exterior target
     u_basis = odd_primitives(sp)
     m = len(u_basis)
-    cot = odd_cotangent(sp)
-    if m != cot.dim:
-        raise ValidationError("odd primitive count disagrees with the odd cotangent")
     duality = duality_pairing(m, f)
     ext = duality.exterior
     # iota : Lambda(U) -> A*, subset |-> ordered dual product
@@ -634,22 +585,6 @@ def decompose(sp):
     pi0 = Matrix.from_sparse_cols(f, dh, [pi.apply_sparse(col) for col in inc0.native_cols()])
     sec0 = colinear_splitting_nilpotent(a0, pi0)
     phi = inc0 * sec0.phi  # H -> A, lands in A_0
-    # B = coinvariants, gamma = delta|_B
-    coinv = ca.coinvariants
-    b_alg = coinv.subalgebra
-    gamma = Matrix.from_sparse_cols(f, ext.dim, [delta.apply_sparse(b) for b in coinv.basis])
-    # B is a subalgebra of the checked A and Lambda(W) is checked, so both
-    # are associative and B's generating set certifies an algebra map
-    require_morphism(gamma, "gamma : B -> Lambda(W) is not a bijective algebra map",
-                     bijective=True, algebra=(b_alg, ext.hopf), generators=b_alg.generating_set)
-    # the coinvariant basis is homogeneous
-    b_parity = []
-    for b in coinv.basis:
-        parities = {sp.parity[i] for i in b}
-        if len(parities) != 1:
-            raise ValidationError("coinvariant basis is not homogeneous")
-        b_parity.append(parities.pop())
-    _verify_step1_claims(sp, coinv, b_parity, cot)
     w = SuperVectorSpace((1,) * m)
     return DecompositionResult(quotient_hopf, pi, w, phi, delta, alpha, ext)
 
@@ -679,27 +614,3 @@ def _verify_decomposition(sp, ca, ext, alpha):
                      algebra=(h, (ext.hopf, quotient_hopf)), rho=(ca.rho_basis, target_rho_basis),
                      counit=(h.native_counit, counit),
                      generators=h.generating_set)
-
-
-def _verify_step1_claims(sp, coinv, b_parity, cot):
-    """B_0^+ = B_1^2 and the inclusion B -> A induces W_B ~ W."""
-    b = coinv.subalgebra
-    f = b.field
-    p = f.characteristic
-    counit = sp.hopf.native_counit
-    eps_b = _reduced({t: _dot(counit, v, p) for t, v in enumerate(coinv.basis)}, p)
-    bplus = Matrix.from_sparse_rows(f, [eps_b], b.dim).kernel_rows()
-    b0_plus = row_space_basis(f, _part(bplus, b_parity, 0), b.dim)
-    # distinct basis vectors in index order are their own echelon basis
-    odd_span = [_basis_row(f, t) for t in range(b.dim) if b_parity[t] == 1]
-    b1_sq = row_space_basis(f, [b.sparse_mult(x, y) for x in odd_span for y in odd_span], b.dim)
-    if b0_plus != b1_sq:
-        raise ValidationError("B_0^+ differs from B_1^2")
-    cot_b = odd_cotangent_of_algebra(b, eps_b, b_parity)
-    if cot_b.dim != cot.dim:
-        raise ValidationError("W_B and W have different dimensions")
-    # the inclusion must induce an isomorphism W_B -> W
-    images = [cot.projection.apply_sparse(coinv.inclusion.apply_sparse(v))
-              for v in cot_b.representatives]
-    if len(row_space_basis(f, images, cot.dim)) != cot.dim:
-        raise ValidationError("inclusion does not induce an isomorphism onto W")

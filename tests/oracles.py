@@ -109,7 +109,7 @@ def restrict(ga, g, vec):
 
 
 def module_act(module, hvec, pvec):
-    """h . p for an HModuleStructure, or m . h for a HopfModule, dense."""
+    """h . p for an HModuleStructure, dense."""
     return module.action.apply(dense_tensor(hvec, pvec))
 
 

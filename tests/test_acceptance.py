@@ -296,7 +296,8 @@ def test_criterion_9_super_decomposition_end_to_end(capsys):
         start = time.monotonic()
         res = decompose(scramble(A, seed=7))
         assert time.monotonic() - start < 10.0
-        # decompose re-verifies the four invariants and the Step 1 claims
+        # decompose re-verifies alpha's four invariants, which imply the
+        # Step 1 claims, and the section
         assert res.h.dim == 2 and res.w.odd_dim == 2
         assert res.alpha.is_invertible()
         start = time.monotonic()

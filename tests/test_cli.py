@@ -807,6 +807,32 @@ def test_a_lift_problem_is_over_one_hopf_algebra(edit, tmp_path, capsys):
         assert code == 2 and report["error"] == message, command
 
 
+@pytest.mark.parametrize("document, parts, names", [
+    ({"kind": "Fp", "p": 5}, {"kind": "Q"}, ("Q", "F5")),
+    ({"kind": "Q"}, {"kind": "Fp", "p": 5}, ("F5", "Q")),
+], ids=["parts-over-Q", "parts-over-F5"])
+def test_a_lift_problem_is_over_one_field(document, parts, names, monkeypatch, tmp_path,
+                                          capsys):
+    # the surjection and the map are read over the document's field, so a
+    # domain or target block over another field exits 2, naming the block,
+    # before anything is built.  Over F5 the map entry 6 would read as 1 and
+    # the lift be found; over Q the map is not multiplicative
+    built = []
+    monkeypatch.setattr(hopfcross.cli, "_comodule_algebra_blocks",
+                        lambda *args: built.append(args))
+    doc = swap_field(load("lift-split.json"), document)
+    doc["map"]["entries"] = [[0, 0, 1], [1, 1, 6]]
+    for key in ("target", "domain"):
+        doc[key] = swap_field(doc[key], parts)
+        path = tmp_path / ("%s.json" % key)
+        path.write_text(json.dumps(doc))
+        for command in ("check", "lift"):
+            code, report = run_json(capsys, [command, str(path)])
+            assert code == 2 and built == [], command
+            assert report["error"] == ("the %r block of a lift-problem is over %s, "
+                                       "the document over %s" % ((key,) + names))
+
+
 def test_a_lift_problem_parses_and_checks_its_hopf_algebra_once(monkeypatch):
     checked = []
     real = hopfcross.cli.check_axioms
@@ -1156,10 +1182,11 @@ def count_calls(monkeypatch, owner, name):
     pytest.param(["split", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 1,
                  id="argv14-hopfcross.comodule-coinvariants-2"),
     # recognize-cleft: B of the input, read again by the Galois map;
-    # super-decompose: B of A only
+    # super-decompose: none, since alpha maps B onto Lambda(W) (x) 1
     pytest.param(["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "coinvariants", 1,
                  id="argv15-hopfcross.comodule-coinvariants-2"),
-    (["super-decompose", "lambda3.json"], hopfcross.comodule, "coinvariants", 1),
+    pytest.param(["super-decompose", "lambda3.json"], hopfcross.comodule, "coinvariants", 0,
+                 id="argv16-hopfcross.comodule-coinvariants-1"),
     # the colinear maps H -> A are spanned once, by the section search
     (["find-section", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 1),
     (["recognize-cleft", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 1),
@@ -1492,9 +1519,9 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # splitting step) are read off its pivots, a pull-back that spans its
     # whole stage is that stage, the image of psi is eliminated once, by its
     # quotient, and a span of zero vectors (the last power of each nilpotent
-    # kernel) is not eliminated.  The iso C/J -> D and each Hopf-module
-    # decomposition map are eliminated once, by the inverse that also
-    # proves them bijective.  varpi gives its rank and kernel by one
+    # kernel) is not eliminated.  The iso C/J -> D and each step's
+    # Hopf-module theorem map K^{co H} (x) H -> K are eliminated once, by
+    # the inverse that also proves them bijective.  varpi gives its rank and kernel by one
     # elimination, each step's pi its rank, kernel and coordinates by one
     # with the transform, a basis already in reduced echelon form is not
     # eliminated again, the plus basis of B and its coordinates are read off
@@ -1523,20 +1550,20 @@ def test_each_command_builds_the_degree_2_differential_once(command, name, monke
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
-    # W = A_1 / A_0^+ A_1 reduces each odd vector once against its pivot
-    # rows, spans of distinct basis vectors or of zero vectors are not
-    # eliminated, and A_0 and the kernels of the splitting read coordinates
-    # off their pivots; the normalized section takes its inverse in closed
-    # form from the one convolution_invert of the splitting, the
-    # Hopf-module decomposition map (by its inverse) and each pi are
-    # eliminated once, an echelon ideal is not eliminated again, the
-    # duality pairing, the identity, is not inverted, even_quotient
-    # builds no power chain of A_1 A, which a theorem makes nilpotent, and
-    # W is not computed a second time as the odd part of A^+/(A^+)^2, which
-    # super-commutativity makes equal to A_1/A_0^+A_1
+    # nine eliminations: the ideal A_1 A, the odd primitives, the ranks of
+    # the pairing iso and of alpha, pi_0 (its rank, kernel and coordinates
+    # by one), the coinvariants of the splitting step's kernel K, the
+    # Hopf-module theorem map on K (by its inverse), the step's preimages
+    # and the one convolution_invert of the splitting.  Spans of distinct
+    # basis vectors or of zero vectors are not eliminated, A_0 and K read
+    # coordinates off their pivots, the normalized section takes its inverse
+    # in closed form, the duality pairing, the identity, is not inverted,
+    # even_quotient builds no power chain of A_1 A, which a theorem makes
+    # nilpotent, and neither W = A_1/A_0^+A_1 nor the coinvariants B of A
+    # are computed: alpha implies what they were checked for
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 22
+    assert len(calls) == 9
 
 
 def accepts(command, name):
@@ -1602,14 +1629,15 @@ def test_the_section_search_derives_no_dense_view(command, monkeypatch):
 
 def test_super_decompose_lowers_each_product_table_once(monkeypatch):
     # a bialgebra gives one view of itself as an algebra, so the comodule
-    # algebra A, the ideal A_1 A of its even quotient and its odd cotangent
-    # read one native lowering of A's products; every table is lowered from its
-    # native rows, which the product kernel reads, once per scale the law
-    # kernels read it at.  The seventh is Lambda(1)'s, the checked base that
-    # Lambda(3) is certified over (see superalg.exterior_hopf)
+    # algebra A and the ideal A_1 A of its even quotient read one native
+    # lowering of A's products; every table is lowered from its native rows,
+    # which the product kernel reads, once per scale the law kernels read
+    # it at.  One of the six is Lambda(1)'s, the checked base that Lambda(3)
+    # is certified over (see superalg.exterior_hopf); the coinvariants B are
+    # not built, so their table is not lowered
     calls = count_calls(monkeypatch, hopfcross.algebra, "_product_rows")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("argv", [

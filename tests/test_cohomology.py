@@ -1,6 +1,5 @@
 """Normalized 2-cohomology, the cocycle <-> crossed-system dictionary, gauge
-maps, Hopf-module decomposition, and splitting/lifting through nilpotent
-kernels."""
+maps, and splitting/lifting through nilpotent kernels."""
 
 import importlib.util
 import itertools
@@ -12,9 +11,7 @@ import pytest
 import hopfcross.cohomology
 import hopfcross.comodule
 from hopfcross.algebra import (
-    MAX_VIOLATIONS,
     FAlgebra,
-    coaction_violations,
     convolution_invert,
     group_hopf_algebra,
     induced_algebra,
@@ -25,14 +22,12 @@ from hopfcross.cohomology import (
     AugmentedAlgebra,
     AugmentedCleftExtension,
     HModuleStructure,
-    HopfModule,
     NormalizedCochain,
     classify_cleft_extension,
     colinear_splitting_nilpotent,
     crossed_system_from_cocycle,
     differential,
     hh2,
-    hopf_module_decompose,
     ideal_power_chain,
     lift_comodule_algebra_map,
     quotient_comodule_algebra,
@@ -54,7 +49,6 @@ from hopfcross.errors import (
     CocycleViolationError,
     KernelNotNilpotentError,
     NotConvolutionInvertibleError,
-    NotHopfModuleError,
     NotSquareZeroError,
     ShapeMismatchError,
     ValidationError,
@@ -68,7 +62,7 @@ from hopfcross.linalg import (
     _native,
     basis_vec,
 )
-from hopfcross.standard import dual_numbers, sweedler
+from hopfcross.standard import dual_numbers
 from tests.oracles import (
     NotAlgebraMapError,
     counit_times_identity,
@@ -77,10 +71,8 @@ from tests.oracles import (
     embed_plus,
     evaluate,
     gauge_iso,
-    module_act,
     product_field,
     regular_comodule,
-    rho_terms,
     trivial_sigma,
     vadd,
     vzero,
@@ -106,19 +98,6 @@ def cochain2(field, values, dh):
 
 def cochain1(field, values):
     return NormalizedCochain(1, Matrix(field, [values]))
-
-
-def regular_hopf_module(h):
-    f = h.field
-    dh = h.dim
-    act_cols = []
-    for m in range(dh):
-        for g in range(dh):
-            v = [f.zero] * dh
-            for k, c in h.mult_basis(m, g).items():
-                v[k] = c
-            act_cols.append(tuple(v))
-    return HopfModule(h, Matrix.from_cols(f, act_cols), regular_comodule(h).coaction)
 
 
 def eps_on_crossed_product(aug, h):
@@ -471,49 +450,6 @@ def test_split_extension_coboundary_class_splits():
 
 
 # ---------------------------------------------------------------------------
-# Hopf modules
-
-
-def test_regular_hopf_module_decomposes():
-    for field in (Q, F3):
-        h = group_hopf_algebra(GroupTable.cyclic(3), field)
-        dec = hopf_module_decompose(regular_hopf_module(h))
-        assert len(dec.coinvariant_basis) == 1
-        assert dec.iso.is_invertible()
-
-
-def test_broken_compatibility_rejected():
-    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
-    mod = regular_hopf_module(h)
-    # trivialize the action but keep the regular coaction: compatibility dies
-    cols = []
-    for m in range(2):
-        for g in range(2):
-            cols.append(tuple(h.counit[g] * c for c in basis_vec(Q, 2, m)))
-    broken = HopfModule(h, Matrix.from_cols(Q, cols), mod.coaction)
-    with pytest.raises(NotHopfModuleError):
-        hopf_module_decompose(broken)
-
-
-def test_broken_hopf_module_coaction_witnesses():
-    # doubling the coaction keeps the compatibility law, which is linear in
-    # rho, but breaks counitality and coassociativity
-    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
-    mod = regular_hopf_module(h)
-    doubled = HopfModule(h, mod.action, mod.coaction.scale(2 * Q.one))
-    assert doubled.validate() == [
-        (kind, (m,)) for m in range(2)
-        for kind in ("coaction-not-counital", "coaction-not-coassociative")
-    ]
-
-
-def test_dimension_multiple_of_hopf_dimension():
-    h = group_hopf_algebra(GroupTable.cyclic(3), F3)
-    dec = hopf_module_decompose(regular_hopf_module(h))
-    assert len(dec.coinvariant_basis) * h.dim == 3
-
-
-# ---------------------------------------------------------------------------
 # colinear splitting through nilpotent kernels
 
 
@@ -701,93 +637,11 @@ def corpus_payload(name):
     return parse_presentation(os.path.join(CORPUS, name)).payload
 
 
-def ref_module_laws(module):
-    """The dense module laws HopfModule checked before its native ones."""
-    h, f = module.hopf, module.field
-    dm, dh = module.dim, h.dim
-    for m in range(dm):
-        em = basis_vec(f, dm, m)
-        if module_act(module, em, h.unit) != em:
-            yield ("module-not-unital", (m,))
-        for g in range(dh):
-            for t in range(dh):
-                lhs = module_act(module, module.action.col(ti(m, g, dh)),
-                                          basis_vec(f, dh, t))
-                gh = [f.zero] * dh
-                for k, c in h.mult_basis(g, t).items():
-                    gh[k] = c
-                if lhs != module_act(module, em, tuple(gh)):
-                    yield ("module-not-associative", (m, g, t))
-
-
-def ref_compatibility_laws(module):
-    """The dense rho(m a) = rho(m) rho(a) HopfModule checked before its
-    native one, on (x, t)-keyed sums of field scalars."""
-    h, f = module.hopf, module.field
-    dm, dh = module.dim, h.dim
-    for m in range(dm):
-        rm = rho_terms(module, m)
-        for g in range(dh):
-            lhs = {}
-            for x, c in enumerate(module.action.col(ti(m, g, dh))):
-                if c:
-                    for key, d in rho_terms(module, x).items():
-                        lhs[key] = lhs.get(key, f.zero) + c * d
-            rhs = {}
-            for (x, t), c in rm.items():
-                for (g1, g2), d in h.delta_basis(g).items():
-                    mv = module.action.col(ti(x, g1, dh))
-                    for k, u in h.mult_basis(t, g2).items():
-                        for y, e in enumerate(mv):
-                            if e:
-                                rhs[(y, k)] = rhs.get((y, k), f.zero) + c * d * u * e
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                yield ("hopf-module-compatibility", (m, g))
-
-
-def ref_hopf_module_witnesses(module):
-    laws = itertools.chain(ref_module_laws(module),
-                           coaction_violations(module.rho_basis, module.hopf, module.dim),
-                           ref_compatibility_laws(module))
-    return list(itertools.islice(laws, MAX_VIOLATIONS))
-
-
 def bumped(m, i, j):
     """m with one added to its (i, j) entry."""
     rows = [list(r) for r in m.data]
     rows[i][j] = rows[i][j] + m.field.one
     return Matrix(m.field, rows, m.cols)
-
-
-def test_hopf_module_laws_match_the_dense_oracle():
-    # the native module and compatibility laws give the dense laws'
-    # witnesses in their order, on valid modules and on every module one
-    # entry away (seeded picks), and the decomposition map is the dense one
-    modules = [regular_hopf_module(group_hopf_algebra(GroupTable.cyclic(3), F3)),
-               regular_hopf_module(group_hopf_algebra(GroupTable.cyclic(2), Q)),
-               regular_hopf_module(sweedler(Q)),
-               regular_hopf_module(group_hopf_algebra(GroupTable.symmetric(3), F3))]
-    rng = random.Random(36)
-    for module in modules:
-        f, h = module.field, module.hopf
-        dm, dh = module.dim, h.dim
-        assert module.validate() == ref_hopf_module_witnesses(module) == []
-        dec = hopf_module_decompose(module)
-        ref_iso = Matrix.from_cols(f, [
-            module_act(module, _dense_vec(f, v, dm), basis_vec(f, dh, t))
-            for v in dec.coinvariant_basis for t in range(dh)])
-        assert dec.iso == ref_iso
-        mutants = [HopfModule(h, bumped(module.action, rng.randrange(dm),
-                                        rng.randrange(dm * dh)), module.coaction)
-                   for _ in range(8)]
-        mutants += [HopfModule(h, module.action, bumped(module.coaction, rng.randrange(dm * dh),
-                                                        rng.randrange(dm)))
-                    for _ in range(4)]
-        for mutant in mutants:
-            assert list(mutant._module_laws()) == list(ref_module_laws(mutant))
-            assert list(mutant._compatibility_laws()) == list(ref_compatibility_laws(mutant))
-            witnesses = mutant.validate()
-            assert witnesses and witnesses == ref_hopf_module_witnesses(mutant)
 
 
 # -- closed-form inverses of the normalized and re-augmented sections -----------

@@ -49,8 +49,6 @@ from hopfcross.superalg import (
     duality_pairing,
     even_quotient,
     exterior_hopf,
-    odd_cotangent,
-    odd_cotangent_of_algebra,
     odd_primitives,
     super_tensor_product,
 )
@@ -59,7 +57,6 @@ from tests.test_algebra import ref_induced_coproduct, ref_mult
 from tests.test_linalg import (
     RefQuotientSpace,
     dense_rref,
-    ref_column_coordinates,
     ref_in_span,
     ref_row_space_basis,
 )
@@ -596,22 +593,6 @@ def test_a_decomposition_tests_super_commutativity_once(monkeypatch):
     assert tested == [a]
 
 
-def test_odd_cotangent_of_exterior_is_generators():
-    cot = odd_cotangent(exterior_hopf(3, Q).presentation)
-    assert cot.dim == 3
-
-
-def test_odd_cotangent_of_tensor():
-    h = group_hopf_algebra(GroupTable.cyclic(2), Q)
-    A = super_tensor_product(exterior_hopf(2, Q).presentation, even_presentation(h))
-    assert odd_cotangent(A).dim == 2
-
-
-def test_odd_cotangent_purely_even_is_zero():
-    h = group_hopf_algebra(GroupTable.cyclic(3), Q)
-    assert odd_cotangent(even_presentation(h)).dim == 0
-
-
 def test_odd_primitives_of_exterior():
     u = odd_primitives(exterior_hopf(2, Q).presentation)
     assert len(u) == 2
@@ -628,6 +609,8 @@ def test_odd_primitives_purely_even_empty():
 
 
 def test_primitive_count_matches_cotangent_on_corpus():
+    # dim A_1/A_0^+A_1 is m on Lambda(m) (x) k[G], so the odd primitives
+    # count m: decompose reads W as their dual
     h = group_hopf_algebra(GroupTable.cyclic(2), Q)
     corpus = [
         exterior_hopf(1, Q).presentation,
@@ -636,8 +619,7 @@ def test_primitive_count_matches_cotangent_on_corpus():
         even_presentation(h),
         super_tensor_product(exterior_hopf(2, Q).presentation, even_presentation(h)),
     ]
-    for sp in corpus:
-        assert len(odd_primitives(sp)) == odd_cotangent(sp).dim
+    assert [len(odd_primitives(sp)) for sp in corpus] == [1, 2, 3, 0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -965,38 +947,6 @@ def ref_even_quotient(sp):
     return quotient_hopf, pi
 
 
-def ref_odd_cotangent_of_algebra(algebra, counit_vec, parity):
-    """(representatives, projection) of W = A_1/A_0^+A_1."""
-    f = algebra.field
-    dim = algebra.dim
-
-    def part(vecs, q):
-        return [tuple(c if parity[i] == q else f.zero for i, c in enumerate(v)) for v in vecs]
-
-    odd_span = ref_row_space_basis(f, [basis_vec(f, dim, i) for i in range(dim) if parity[i]], dim)
-    aplus = ref_kernel_basis(Matrix(f, [tuple(counit_vec)]))
-    even_plus = ref_row_space_basis(f, part(aplus, 0), dim)
-    rel1 = ref_row_space_basis(f, [ref_mult(algebra, x, y) for x in even_plus for y in odd_span],
-                               dim)
-    sq = ref_row_space_basis(f, [ref_mult(algebra, x, y) for x in aplus for y in aplus], dim)
-    if rel1 != ref_row_space_basis(f, part(sq, 1), dim):
-        raise ValidationError("the two descriptions of the odd cotangent disagree")
-    reps = []
-    span = list(rel1)
-    for v in odd_span:
-        if not ref_in_span(f, span, v):
-            reps.append(v)
-            span = ref_row_space_basis(f, span + [v], dim)
-    quot = RefQuotientSpace(f, dim, rel1 + [basis_vec(f, dim, i) for i in range(dim)
-                                            if parity[i] == 0])
-    proj = Matrix.zeros(f, 0, dim)
-    if reps:
-        in_reps = ref_column_coordinates(Matrix.from_cols(f, [quot.project(v) for v in reps]))
-        proj = Matrix.from_cols(f, [in_reps(quot.project(basis_vec(f, dim, j)))
-                                    for j in range(dim)])
-    return reps, proj
-
-
 def power_chain_outcome(chain_of, algebra, basis):
     try:
         return chain_of(algebra, basis)
@@ -1055,11 +1005,6 @@ def test_the_sparse_decomposition_path_matches_the_dense_oracles(field, m, n, se
     ref = ref_induced_algebra(a, [basis_vec(field, dim, i) for i in even],
                               lambda v: tuple(v[i] for i in even), labels)
     assert got.canonical_constants() == ref.canonical_constants()
-    # the odd cotangent, its representatives and its projection
-    cot = odd_cotangent_of_algebra(a, h.native_counit, parity)
-    reps, proj = ref_odd_cotangent_of_algebra(a, h.counit, parity)
-    assert [_dense_vec(field, v, dim) for v in cot.representatives] == reps
-    assert cot.projection == proj and cot.dim == len(reps) == m
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 1)])
