@@ -1252,8 +1252,8 @@ def compute_antipode(b):
 
 
 def group_hopf_algebra(table, field):
-    """The group algebra of a finite group, with its standard Hopf structure."""
-    table.validate()
+    """The group algebra of a valid group table (the parser validates what it
+    reads; cyclic and symmetric tables are groups), with its Hopf structure."""
     n = table.order
     one = 1 if field.characteristic else field.one
     return FHopf._native(

@@ -495,6 +495,25 @@ def _same_hopf_tables(h, k):
                                                            k.canonical_constants())
 
 
+# the nested blocks of a kind, whose tables are read over the document's field
+NESTED_BLOCKS = {"comodule-algebra": ("hopf",), "comodule-coalgebra": ("hopf",),
+                 "crossed-system": ("hopf", "base"), "hmodule": ("hopf", "base")}
+
+
+def _same_field(key, kind, block_field, field):
+    if block_field != field:
+        raise ValidationError("the %r block of a %s is over %r, the document over %r"
+                              % (key, kind, block_field, field))
+
+
+def _check_nested_fields(doc, kind, field):
+    """Raise when a nested block declares a field other than field; one
+    with no field key is read over field."""
+    for key in NESTED_BLOCKS.get(kind, ()):
+        if isinstance(doc.get(key), dict) and "field" in doc[key]:
+            _same_field(key, kind, _field_from_json(doc[key]["field"]), field)
+
+
 def _header(doc, kinds, message):
     """The kind and the field of a presentation object, checked against
     kinds as `parse_presentation` describes before anything in it is built."""
@@ -519,7 +538,8 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
     nested hopf block that fails the Hopf laws, or an algebra (of a graded
     or comodule algebra, or the base block) that fails the algebra laws,
     raises InvalidComoduleAlgebraError with the laws named hopf-<law>,
-    algebra-<law> or base-<law>."""
+    algebra-<law> or base-<law>.  A nested block over another field than
+    the document's raises ValidationError before anything is built."""
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
     else:
@@ -531,6 +551,7 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
         except json.JSONDecodeError as e:
             raise ParseError("invalid JSON in %s: %s" % (path_or_doc, e))
     kind, field = _header(doc, kinds, message)
+    _check_nested_fields(doc, kind, field)
     if kind == "algebra":
         return Presentation(kind, _parse_algebra(doc, field, kind))
     if kind == "coalgebra":
@@ -595,17 +616,16 @@ def parse_presentation(path_or_doc, kinds=None, message=None):
     if kind == "lift-problem":
         # the domain C and the target D are over one H: each block has it,
         # and the target shares the domain's, checked once, when they agree.
-        # Both are over the field that varpi and psi are read over, the
-        # document's, which is checked before either is built
+        # Both, and their hopf blocks, are over the document's field, which
+        # varpi and psi are read over, checked before either is built
         heads = []
         for key in ("domain", "target"):
             part = _nested(doc, key, kind)
             part_kind, part_field = _header(
                 part, ("comodule-algebra",),
                 "the %r block of a lift-problem must be a comodule-algebra" % key)
-            if part_field != field:
-                raise ValidationError("the %r block of a lift-problem is over %r, the document "
-                                      "over %r" % (key, part_field, field))
+            _same_field(key, kind, part_field, field)
+            _check_nested_fields(part, part_kind, field)
             heads.append((key, part, part_kind))
         parts, violations, hopf, hopf_violations = [], [], None, None
         for key, part, part_kind in heads:

@@ -280,8 +280,9 @@ def test_criterion_8_duality_pairing(capsys):
                     if sizes[i] != sizes[j]:
                         assert not m.data[i][j]
             assert m.is_invertible()
-            # duality_pairing itself re-verifies every Hopf-superalgebra-map
-            # identity for the induced iso; reaching here certifies them
+            # the induced iso is the identity: exterior_hopf certifies that
+            # Lambda(n) equals its dual table for table, so reaching here
+            # certifies it as an isomorphism of Hopf superalgebras
             assert pairing.iso.is_invertible()
 
 

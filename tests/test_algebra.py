@@ -1272,9 +1272,9 @@ def seeded_corruptions(m, seed, count=4):
 
 
 def test_algebra_maps_on_a_generating_set_report_what_the_full_loop_reports(monkeypatch):
-    # the maps decompose and duality_pairing certify with the source's G:
-    # alpha and the pairing isomorphism, each intact and with seeded
-    # corruptions
+    # the map decompose certifies with the source's G, alpha, intact and
+    # with seeded corruptions; duality_pairing certifies none, since its iso
+    # is the identity between equal presentations
     recorded = []
     require = hopfcross.superalg.require_morphism
 
@@ -1284,12 +1284,12 @@ def test_algebra_maps_on_a_generating_set_report_what_the_full_loop_reports(monk
         return require(m, what, generators=generators, **laws)
 
     monkeypatch.setattr(hopfcross.superalg, "require_morphism", recording)
-    for field in (Q, F7):
+    for field in (Q, F5, F7):
         ext = exterior_hopf(3, field)
         t, _ = signed_permutation(field, ext.parity, "decompose")
         decompose(SuperPresentation(transport(ext.hopf, t), ext.parity))
         duality_pairing(3, field)
-    assert {what.split(" ")[0] for what, *_ in recorded} == {"alpha", "candidate"}
+    assert {what.split(" ")[0] for what, *_ in recorded} == {"alpha"}
     failing = 0
     for what, m, (src, dst), gens in recorded:
         for bad in chain([m], seeded_corruptions(m, what)):

@@ -11,9 +11,12 @@ exits 2 with the kept certificate's message.
 Rows exist only where a corruption reached the dropped check.  In
 `superalg.decompose` the coinvariants B, gamma = delta|_B, the homogeneity of
 B's basis and the Step 1 claims were checked after alpha, so a corruption of
-what they shared with alpha was caught by alpha first; and in
+what they shared with alpha was caught by alpha first; in
 `cohomology.colinear_splitting_nilpotent`, "A/I does not have the dimension
-of H" could not fire, since rank pi = dim H is checked just before it.
+of H" could not fire, since rank pi = dim H is checked just before it; and
+the parity loop of the pairing iso check ("candidate map does not preserve
+parity") could not fire, since Lambda(V)* was given Lambda(V)'s own parity,
+which the checks of Lambda(V) read first.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ class Row:
     shortcut: str       # what is no longer checked, and the function that took it
     theorem: str        # why a kept certificate implies it, and the source
     dropped: str        # the dropped check, by the start of its message
-    argv: list          # a command that reaches it, on corpus files
+    argv: list          # a command that reaches it; a .json argument is a corpus file
     corrupt: Callable   # corrupt(monkeypatch): one corruption
     caught_by: str      # the start of the kept certificate's message
 
@@ -126,6 +129,40 @@ def double_step_preimage(monkeypatch):
     in_splitting(monkeypatch, hopfcross.cohomology, "column_coordinates", corrupt)
 
 
+def corrupt_lambda3(builder, table, edit):
+    """superalg.<builder> (ExteriorHopf or dual_structure) with the table of
+    what it builds for Lambda(3) replaced by edit(table), never changed in
+    place (Lambda's unit and counit are one dict); Lambda(1), the base that
+    Lambda(3) is certified over, stays intact."""
+    def corrupt(monkeypatch):
+        real = getattr(hopfcross.superalg, builder)
+
+        def built(*args):
+            out = real(*args)
+            h = getattr(out, "hopf", out)
+            if h.dim == 8:
+                setattr(h, table, edit(getattr(h, table)))
+            return out
+
+        monkeypatch.setattr(hopfcross.superalg, builder, built)
+    return corrupt
+
+
+def negated(terms):
+    return {k: -c for k, c in terms.items()}
+
+
+LEMMA = ("a Koszul-signed A (x) B of self-dual A and B is self-dual, so an algebra iso "
+         "Lambda([k]) ~ Lambda([k-1]) (x) Lambda(1) is a coalgebra iso (superalg."
+         "_super_tensor_violations)")
+IDENTITY = ("the identity between equal presentations is an isomorphism: exterior_hopf "
+            "checks Lambda(V) equal to its dual (superalg.duality_pairing)")
+TENSOR = "superalg._super_tensor_violations: the product, antipode and parity only"
+PAIRING = "superalg.duality_pairing: no check of the pairing iso, the identity"
+ISO = "candidate map is not a bijective, comultiplicative, counital algebra map"
+BROKE = "exterior construction broke an axiom: ["
+NOW = BROKE + "('dual-"
+N3 = ["pairing", "--n", "3"]
 DECOMPOSE = "superalg.decompose: W as the dual of the odd primitives, no second description"
 NOT_COLINEAR = "normalized section is not colinear: "
 ROWS = {
@@ -158,12 +195,29 @@ ROWS = {
     "colinear-before-normalization": Row(
         SPLITTING, SECTION, "computed splitting is not colinear",
         ["lift", "lift-split.json"], bump_coaction(1, 5, 0), NOT_COLINEAR),
+    "tensor-coproduct": Row(TENSOR, LEMMA, BROKE + "('coproduct', (1,))", N3, corrupt_lambda3(
+        "ExteriorHopf", "native_coproduct", lambda c: {**c, 1: negated(c[1])}), NOW + "product'"),
+    "tensor-counit": Row(TENSOR, LEMMA, BROKE + "('counit', (1,))", ["super-decompose",
+                         "lambda3.json"], corrupt_lambda3(
+        "ExteriorHopf", "native_counit", lambda c: {**c, 1: c[0]}), NOW + "unit'"),
+    "ground-coproduct": Row(TENSOR, LEMMA, BROKE + "('ground', ())", N3, corrupt_lambda3(
+        "ExteriorHopf", "native_coproduct", lambda c: {**c, 0: negated(c[0])}), NOW + "product'"),
+    "ground-counit": Row(TENSOR, LEMMA, BROKE + "('ground', ())", N3, corrupt_lambda3(
+        "ExteriorHopf", "native_counit", negated), NOW + "unit'"),
+    "pairing-iso-product": Row(PAIRING, IDENTITY, ISO, N3, corrupt_lambda3(
+        "dual_structure", "native_rows", lambda r: {**r, 1: {**r[1], 2: negated(r[1][2])}}),
+        NOW + "product'"),
+    "pairing-iso-counit": Row(PAIRING, IDENTITY, ISO, N3, corrupt_lambda3(
+        "dual_structure", "native_counit", lambda c: {**c, 1: c[0]}), NOW + "counit'"),
+    "pairing-iso-antipode": Row(
+        PAIRING, IDENTITY, "candidate map does not commute with the antipode", N3,
+        corrupt_lambda3("dual_structure", "antipode", lambda s: -s), NOW + "antipode'"),
 }
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
 def test_a_kept_certificate_catches_what_a_dropped_check_caught(row, monkeypatch, capsys):
-    argv = [row.argv[0], corpus(row.argv[1])]
+    argv = [corpus(a) if a.endswith(".json") else a for a in row.argv]
     assert run_json(capsys, argv)[0] == 0
     row.corrupt(monkeypatch)
     code, report = run_json(capsys, argv)

@@ -91,6 +91,14 @@ CASES = [
     # monomial basis, where the generating set is chosen by its weight
     ["check", "super-scrambled.json", "--json"],
     ["check", "lambda3.json", "--json"],
+    # the pairing at every size whose certificate is self-duality alone:
+    # Lambda(0) and Lambda(1) beside their super axiom check, the bound and
+    # the sizes on each side of it
+    ["pairing", "--n", "0", "--json"],
+    ["pairing", "--n", "1", "--json"],
+    ["pairing", "--n", "7", "--json"],
+    ["pairing", "--n", "8", "--json"],
+    ["pairing", "--n", "6", "--prime", "3", "--json"],
 ]
 
 
