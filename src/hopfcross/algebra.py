@@ -941,9 +941,8 @@ def _laws(kind, s, parity, gens):
     """The witnesses of the laws of kind on s in law order; associativity,
     and for a bialgebra coassociativity, the counit laws and both
     multiplicativity laws, for e_i (on the left) with i in gens, or every i
-    when gens is None (see above)."""
-    if kind == "algebra":
-        return _algebra_laws(s, gens)
+    when gens is None (see above).  check_axioms answers the kind "algebra"
+    from algebra_violations."""
     if kind == "coalgebra":
         return _coalgebra_laws(s)
     if kind not in ("bialgebra", "hopf", "super-hopf"):

@@ -43,7 +43,6 @@ from .comodule import (
     crossed_product,
     find_section,
     galois_map,
-    graded_bridge,
     section_to_crossed_system,
 )
 from .errors import (
@@ -61,6 +60,7 @@ from .errors import (
 from .graded import (
     GradedAlgebra,
     check_grading,
+    graded_bridge,
     is_strongly_graded,
     recognize_group_crossed_product,
 )

@@ -1,5 +1,5 @@
-"""Right H-comodule algebras: coinvariants, the Galois map, crossed products,
-cleftness via section search, and a group grading read as a k[G]-coaction.
+"""Right H-comodule algebras: coinvariants, the Galois map, crossed products
+and cleftness via section search.
 
 Coactions are matrices A -> A (x) H against the flat basis index
 ti(a, h, dim H) (a-index major).
@@ -20,7 +20,6 @@ from .algebra import (
     check_axioms,
     coaction_violations,
     convolution_invert,
-    group_hopf_algebra,
     induced_algebra,
     relative_tensor,
     require_convolution_inverse,
@@ -35,7 +34,6 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .graded import check_grading
 from .linalg import (
     Matrix,
     _basis_row,
@@ -66,8 +64,9 @@ class ComoduleAlgebra(_RightComodule):
     def _certified(cls, algebra, hopf, coaction):
         """A derived comodule algebra, not checked here: its caller certifies
         it by a map it checks, an isomorphism onto a valid comodule algebra,
-        or builds it inside a valid one, as a subcomodule subalgebra whose
-        coordinates check closure."""
+        or the grading it is read from (graded.graded_bridge), or builds it
+        inside a valid one, as a subcomodule subalgebra whose coordinates
+        check closure."""
         ca = cls.__new__(cls)
         ca._bind(algebra, hopf, coaction)
         return ca
@@ -221,31 +220,6 @@ def galois_map(ca):
     rank = beta.rank()
     bijective = quot.dim == da * dh and rank == da * dh
     return GaloisReport(quot, beta, rank, bijective)
-
-
-# ---------------------------------------------------------------------------
-# a group grading read as a group-algebra coaction
-
-
-def graded_bridge(ga):
-    """A as a k[G]-comodule algebra, e_i |-> e_i (x) g_i.  That coaction is
-    a comodule algebra exactly when 1 is in A_e and A_g A_h lies in A_gh, so
-    its laws check the grading, and a failure is worded as check_grading
-    words it.  B = A_e is read off the grading, with no elimination: the
-    coaction fixes exactly the basis vectors of degree e, and these, in
-    index order, are the canonical kernel basis coinvariants would find."""
-    a = ga.algebra
-    f = a.field
-    hopf = group_hopf_algebra(ga.group, f)
-    dh = hopf.dim
-    cols = [_basis_row(f, ti(i, ga.degree[i], dh)) for i in range(a.dim)]
-    try:
-        ca = ComoduleAlgebra(a, hopf, Matrix.from_sparse_cols(f, a.dim * dh, cols))
-    except InvalidComoduleAlgebraError:
-        raise ValidationError("input is not a graded algebra: %r" % (check_grading(ga),)) from None
-    ca.coinvariants = Coinvariants(a, [_basis_row(f, i)
-                                       for i in ga.component_indices(ga.group.identity)])
-    return ca
 
 
 # ---------------------------------------------------------------------------

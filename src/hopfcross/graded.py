@@ -10,7 +10,8 @@ the crossed system, the product and the isomorphism are those of the Hopf
 crossed product B #_sigma k[Gamma] in comodule.py.
 """
 
-from .algebra import convolution_invert
+from .algebra import convolution_invert, group_hopf_algebra, ti
+from .comodule import ComoduleAlgebra, Coinvariants, Section, section_to_crossed_system
 from .errors import NotConvolutionInvertibleError, NotCrossedProductError, ValidationError
 from .linalg import Matrix, _basis_row, row_space_basis
 from .search import DEFAULT_BUDGET, find_invertible_combination
@@ -66,6 +67,28 @@ def check_grading(ga):
     return GradingReport(violations)
 
 
+def graded_bridge(ga):
+    """A as a k[G]-comodule algebra, e_i |-> e_i (x) g_i.  That coaction is
+    coassociative and counital for any degree map, and a unital algebra map
+    exactly when 1 is in A_e and A_g A_h lies in A_gh, so check_grading
+    alone decides it, and a failure raises with its report.  B = A_e is read
+    off the grading, with no elimination: the coaction fixes exactly the
+    basis vectors of degree e, and these, in index order, are the canonical
+    kernel basis coinvariants would find."""
+    report = check_grading(ga)
+    if not report.ok:
+        raise ValidationError("input is not a graded algebra: %r" % (report,))
+    a = ga.algebra
+    f = a.field
+    hopf = group_hopf_algebra(ga.group, f)
+    dh = hopf.dim
+    cols = [_basis_row(f, ti(i, ga.degree[i], dh)) for i in range(a.dim)]
+    ca = ComoduleAlgebra._certified(a, hopf, Matrix.from_sparse_cols(f, a.dim * dh, cols))
+    ca.coinvariants = Coinvariants(a, [_basis_row(f, i)
+                                       for i in ga.component_indices(ga.group.identity)])
+    return ca
+
+
 def _component_product_span(ga, g, h):
     """RREF basis of span(A_g . A_h) in A_{gh} component coordinates, as
     sparse native rows."""
@@ -86,7 +109,7 @@ def _component_product_span(ga, g, h):
 def is_strongly_graded(ga):
     """True iff span(A_g A_h) = A_{gh} for all pairs; returns the pair table.
     ga must be a grading (check_grading passes, as it does whenever
-    comodule.graded_bridge(ga) builds); it is not checked again here."""
+    graded_bridge(ga) builds); it is not checked again here."""
     grp = ga.group
     table = {}
     ok = True
@@ -133,9 +156,6 @@ def recognize_group_crossed_product(ga, budget=DEFAULT_BUDGET):
     The units u_g give the section phi(g) = u_g of A as a k[Gamma]-comodule
     algebra, so A is the Hopf crossed product B #_sigma k[Gamma] with
     g . b = u_g b u_g^-1 and sigma(g, h) = u_g u_h u_gh^-1."""
-    # comodule imports this module for check_grading
-    from .comodule import Section, graded_bridge, section_to_crossed_system
-
     ca = graded_bridge(ga)  # checks the grading, and reads B = A_e off it
     a = ga.algebra
     grp = ga.group

@@ -734,34 +734,15 @@ def column_coordinates(m, eliminated=None):
     return coords
 
 
-def _echelon_pivots(rows):
-    """The pivots of nonzero sparse native rows that already are a reduced
-    echelon basis (each row's least index its pivot, 1 there, the pivots
-    increasing and none in an earlier row; a later row has none), else None."""
-    pivots, seen = [], set()
-    for row in rows:
-        pc = min(row)
-        if row[pc] != 1 or pc in seen or (pivots and pc <= pivots[-1]):
-            return None
-        pivots.append(pc)
-        seen.update(row)
-    return pivots
-
-
 def _rref_rows(field, vectors, n):
     """(pivot column, sparse native row) for each pivot row of the RREF of
     the given length-n sparse native rows, eliminated without their zero
-    vectors (most products of basis monomials are zero).  Rows that already
-    are a reduced echelon basis are that RREF, and are returned as they
-    are."""
+    vectors (most products of basis monomials are zero)."""
     rows = [row for row in vectors if row]
     if not rows:
         return []
-    pivots = _echelon_pivots(rows)
-    if pivots is None:
-        r, pivots, _ = Matrix.from_sparse_rows(field, rows, n).rref(transform=False)
-        rows = r._native_rows()
-    return list(zip(pivots, rows))
+    r, pivots, _ = Matrix.from_sparse_rows(field, rows, n).rref(transform=False)
+    return list(zip(pivots, r._native_rows()))
 
 
 def row_space_basis(field, vectors, n):

@@ -14,8 +14,9 @@ from the first candidate to the returned `SearchOutcome.coeffs`.
 The determinant is homogeneous: det(l * M) = l^n det(M).  So among the
 multiples {l * c} of a coefficient vector the enumeration and the -1/0/1
 ladder test only the one whose first nonzero coefficient is 1.  In the
-order both walk (0 before 1 before every other scalar) that member comes
-first, so the first witness found is the same as with every vector tried.
+order both walk, itertools.product order over scalars listed 0 before 1
+before every other, that member comes first, so the first witness found is
+the same as with every vector tried.
 
 The family splits into independent blocks: two matrices share a block when
 their row supports or their column supports meet.  Then
@@ -71,41 +72,32 @@ class SearchOutcome:
         return self.coeffs is not None
 
 
-def _walk(values, base, mats, p):
+def _walk(values, base, mats, p, lead=False):
     """Yield (coeffs, rows of base + sum(c_i * mats[i])) for coeffs in
-    itertools.product(values, repeat=len(mats)) order; values[0] is zero, and
-    values, base and the rows are native (see linalg) in characteristic p.
+    itertools.product(values, repeat=len(mats)) order; values[0] is zero,
+    values[1] is one when lead is set, and values, base and the rows are
+    native (see linalg) in characteristic p.  With lead, only the vectors
+    whose first nonzero entry is values[1] are yielded.
 
-    The prefix sums S_k = base + sum_{i<k} c_i * mats[i] are kept.  When the
-    odometer advances position k, the later positions return to zero, so
-    S_{k+1}, ..., S_r all become S_{k+1} + (new c_k - old c_k) * mats[k]:
-    one sparse addition per candidate, which copies only the rows that
-    mats[k] touches.
+    Each c adds c * mats[0] to base once, copying only the rows mats[0]
+    touches, and the rest of the vector is walked on that sum, so the
+    candidates sharing a prefix share its partial sum.
     """
-    r = len(mats)
-    last = len(values) - 1
-    # the step from values[j] to values[j+1] subtracts negs[j] * mats[k]
-    negs = [values[j] - values[j + 1] for j in range(last)]
-    support = [[(i, row) for i, row in enumerate(mat._native_rows()) if row] for mat in mats]
-    idx = [0] * r
-    sums = [base] * (r + 1)
-    yield tuple(values[x] for x in idx), base
-    while True:
-        k = r - 1
-        while k >= 0 and idx[k] == last:
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        j = idx[k]
-        s = list(sums[k + 1])
-        for i, src in support[k]:
-            row = dict(s[i])
-            _subtract(row, negs[j], src, p)
-            s[i] = row
-        idx[k] = j + 1
-        sums[k + 1:] = [s] * (r - k)
-        yield tuple(values[x] for x in idx), s
+    if not mats:
+        if not lead:
+            yield (), base
+        return
+    support = [(i, row) for i, row in enumerate(mats[0]._native_rows()) if row]
+    for c in values[:2] if lead else values:
+        rows = base
+        if c:
+            rows = list(base)
+            for i, src in support:
+                row = dict(rows[i])
+                _subtract(row, -c, src, p)
+                rows[i] = row
+        for rest, out in _walk(values, rows, mats[1:], p, lead and not c):
+            yield (c,) + rest, out
 
 
 def _blocks(mats):
@@ -131,15 +123,6 @@ def _blocks(mats):
             or any(len(rs) != len(cs) for _, rs, cs in blocks)):
         return None
     return blocks
-
-
-def _leading_one(values, mats, p):
-    """Yield (coeffs, rows of sum(c_i * mats[i])) for the coefficient vectors
-    over values whose first nonzero entry is values[1], in product order:
-    (0,..,0, 1, rest) for k = m-1 down to 0."""
-    for k in reversed(range(len(mats))):
-        for rest, rows in _walk(values, mats[k]._native_rows(), mats[k + 1:], p):
-            yield (values[0],) * k + (values[1],) + rest, rows
 
 
 def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
@@ -172,11 +155,12 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
                 return coeffs
         return None
 
-    def per_block(walk):
-        # the tuple of the blocks' first witnesses, None if a block has none
+    def per_block(values, lead=False):
+        # the tuple of the blocks' first witnesses in the walk over values
+        # (see _walk), None if a block has none
         coeffs = [zero] * m
         for idx, sub in parts:
-            found = first_witness(walk(sub))
+            found = first_witness(_walk(values, ({},) * sub[0].rows, sub, p, lead))
             if found is None:
                 return None
             for i, c in zip(idx, found):
@@ -186,7 +170,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     # exhaustive enumeration over small finite families: definitive either way
     if field.order is not None and field.order ** m <= ENUMERATION_BOUND:
         values = [native(c) for c in field.elements()]
-        return SearchOutcome(per_block(lambda sub: _leading_one(values, sub, p)), True, tried)
+        return SearchOutcome(per_block(values, True), True, tried)
 
     # deterministic ladder: standard basis vectors first (a witness only for
     # one block), then all -1/0/1 vectors for small families
@@ -195,7 +179,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
         basis = [tuple(one if j == i else zero for j in range(m)) for i in range(m)]
         coeffs = first_witness(zip(basis, (mat._native_rows() for mat in mats)))
     if coeffs is None and m <= LADDER_DIM_CAP:
-        coeffs = per_block(lambda sub: _leading_one((zero, one, minus_one), sub, p))
+        coeffs = per_block((zero, one, minus_one), True)
     if coeffs is not None:
         return SearchOutcome(coeffs, True, tried)
 
@@ -204,8 +188,7 @@ def find_invertible_combination(field, mats, budget=DEFAULT_BUDGET):
     # grid point where det is nonzero is itself a witness
     if (n + 1) ** m <= ZERO_CERT_BOUND:
         points = [native(field.from_int(v)) for v in range(n + 1)]
-        return SearchOutcome(per_block(lambda sub: _walk(points, ({},) * sub[0].rows, sub, p)),
-                             True, tried)
+        return SearchOutcome(per_block(points), True, tried)
 
     if len(parts) > 1:
         # each block searched on its own, with its own m and n

@@ -36,7 +36,6 @@ from hopfcross.comodule import (
     crossed_product,
     find_section,
     galois_map,
-    graded_bridge,
     section_to_crossed_system,
 )
 from hopfcross.errors import (
@@ -44,7 +43,7 @@ from hopfcross.errors import (
     NoSectionFoundError,
     NotCrossedProductError,
 )
-from hopfcross.graded import GradedAlgebra, recognize_group_crossed_product
+from hopfcross.graded import GradedAlgebra, graded_bridge, recognize_group_crossed_product
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import Matrix, PrimeField, Rationals, basis_vec
 from hopfcross.standard import dual_numbers, ks3, kz2, kz3, matrix2, monoid_bialgebra, sweedler

@@ -24,6 +24,7 @@ from typing import Callable
 
 import pytest
 
+import hopfcross.cli
 import hopfcross.cohomology
 import hopfcross.superalg
 from hopfcross.linalg import Matrix
@@ -148,6 +149,14 @@ def corrupt_lambda3(builder, table, edit):
     return corrupt
 
 
+def move_degree(monkeypatch):
+    """m2-z2-graded.json with e12 moved into the neutral component, which
+    e12 e21 = e11 then leaves."""
+    real = hopfcross.cli.GradedAlgebra
+    monkeypatch.setattr(hopfcross.cli, "GradedAlgebra",
+                        lambda alg, group, degree: real(alg, group, degree[:2] + (0,) + degree[3:]))
+
+
 def negated(terms):
     return {k: -c for k, c in terms.items()}
 
@@ -165,6 +174,9 @@ NOW = BROKE + "('dual-"
 N3 = ["pairing", "--n", "3"]
 DECOMPOSE = "superalg.decompose: W as the dual of the odd primitives, no second description"
 NOT_COLINEAR = "normalized section is not colinear: "
+GRADING = ("e_i |-> e_i (x) g_(deg i) is coassociative and counital for any degree map, "
+           "and a unital algebra map exactly when 1 is in A_e and A_g A_h lies in A_gh "
+           "(graded.graded_bridge)")
 ROWS = {
     "odd-primitive-count": Row(
         DECOMPOSE, ALPHA, "odd primitive count disagrees with the odd cotangent",
@@ -212,6 +224,11 @@ ROWS = {
     "pairing-iso-antipode": Row(
         PAIRING, IDENTITY, "candidate map does not commute with the antipode", N3,
         corrupt_lambda3("dual_structure", "antipode", lambda s: -s), NOW + "antipode'"),
+    "graded-bridge": Row(
+        "graded.graded_bridge: check_grading alone, no comodule-algebra laws", GRADING,
+        "not a comodule algebra: [('coaction-not-multiplicative'",
+        ["recognize-crossed", "m2-z2-graded.json"], move_degree,
+        "input is not a graded algebra: GradingReport([('product-leaves-component'"),
 }
 
 

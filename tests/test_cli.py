@@ -57,8 +57,9 @@ from hopfcross.linalg import (
     basis_vec,
     row_space_basis,
 )
+from hopfcross.search import SearchOutcome
 from hopfcross.superalg import ExteriorHopf, SuperPresentation, even_quotient, super_tensor_product
-from tests.oracles import dense_tensor
+from tests.oracles import dense_tensor, regular_comodule
 from tests.test_cohomology import cochain1, eps_on_crossed_product, trivial_setup
 
 Q = Rationals()
@@ -433,6 +434,22 @@ def test_find_section_negative_is_definitive(capsys):
     assert report["witnesses"]["galois_bijective"] is False
 
 
+@pytest.mark.parametrize("command, name, module", [
+    ("find-section", "f3z3-cleft.json", hopfcross.comodule),
+    ("recognize-cleft", "f3z3-cleft.json", hopfcross.comodule),
+    ("recognize-crossed", "m2-z2-graded.json", hopfcross.graded),
+])
+def test_a_search_out_of_budget_is_a_non_definitive_negative(command, name, module,
+                                                             monkeypatch, capsys):
+    # a search that ends without a witness and without proving that none
+    # exists is a negative that says so: exit 1, definitive false
+    monkeypatch.setattr(module, "find_invertible_combination",
+                        lambda field, mats, budget: SearchOutcome(None, False, 1))
+    code, report = run_json(capsys, [command, corpus(name)])
+    assert (code, report["verdict"]) == (1, "not-found")
+    assert report["definitive"] is False and report["budget_exhausted"] is True
+
+
 @pytest.mark.parametrize("name,code,tried", [
     ("f3z3-cleft.json", 0, 6),
     ("m2-z2-graded.json", 0, 4),
@@ -549,6 +566,42 @@ def test_hh2_reports_dimension_and_class(capsys):
     assert report["witnesses"]["class"] == [[1]]
     code, report = run_json(capsys, ["hh2", corpus("qz3-hmodule.json")])
     assert report["witnesses"]["dimension"] == 0
+
+
+def test_hh2_over_the_ground_field_is_zero(tmp_path, capsys):
+    # B = k has B+ = 0, so no cochain is nonzero: HH^2 = 0, and the class of
+    # the one 0 x (dim H)^2 cochain has no coordinates
+    doc = load("qz3-hmodule.json")
+    doc.update(base={**doc["base"], "basis": ["1"], "product": [[0, 0, 0, 1]]},
+               augmentation=[[0, 1]], action={"rows": 0, "cols": 0, "entries": []})
+    path = tmp_path / "ground.json"
+    for cochain, witnesses in ((None, {"dimension": 0}),
+                               ({"rows": 0, "cols": 9, "entries": []},
+                                {"dimension": 0, "class": []})):
+        if cochain is not None:
+            doc["cochain"] = cochain
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["hh2", str(path)])
+        assert code == 0
+        assert (report["witnesses"], report["certificates"]) == (
+            witnesses, {"representatives": []})
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+def test_a_hopf_algebra_over_itself_is_split(field, tmp_path, capsys):
+    # H = k[Z/3] over itself through Delta has B = k: HH^2 = 0, and with the
+    # augmentation eps the identity of H is the splitting
+    h = group_hopf_algebra(GroupTable.cyclic(3), field)
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps(encode_comodule_algebra(regular_comodule(h),
+                                                       augmentation=h.counit)))
+    code, report = run_json(capsys, ["classify-cleft", str(path)])
+    assert code == 0
+    assert report["witnesses"] == {"hh2_dimension": 0, "class": [], "is_split": True}
+    code, report = run_json(capsys, ["split", str(path)])
+    assert (code, report["verdict"]) == (0, "found")
+    assert report["certificates"]["splitting"] == {
+        "rows": 3, "cols": 3, "entries": [[g, g, 1] for g in range(3)]}
 
 
 def test_super_decompose_scrambled(capsys):
@@ -1224,9 +1277,10 @@ def count_calls(monkeypatch, owner, name):
     (["lift", "lift-split.json"], hopfcross.comodule, "colinear_map_space", 0),
     (["galois", "f3z3-cleft.json"], hopfcross.comodule, "colinear_map_space", 0),
     (["super-decompose", "lambda3.json"], hopfcross.comodule, "colinear_map_space", 0),
-    # recognize-crossed checks A as a k[Gamma]-comodule algebra built from
-    # its grading; alpha certifies the crossed product B #_sigma k[Gamma]
-    pytest.param(["recognize-crossed", "m2-z2-graded.json"], ComoduleAlgebra, "validate", 1,
+    # recognize-crossed certifies A as a k[Gamma]-comodule algebra by its
+    # grading, which check_grading decides; alpha certifies the crossed
+    # product B #_sigma k[Gamma]
+    pytest.param(["recognize-crossed", "m2-z2-graded.json"], ComoduleAlgebra, "validate", 0,
                  id="argv25-ComoduleAlgebra-validate-2"),
     # cleft implies Galois (Doi-Takeuchi), so a positive recognize-cleft
     # reports galois_bijective from its verified section and builds no Galois
@@ -1241,16 +1295,18 @@ def count_calls(monkeypatch, owner, name):
     # a strong grading is re-checked through one Galois map, with or
     # without --certify; a negative verdict builds none (last row)
     (["strongly-graded", "m2-z2-graded.json"], hopfcross.comodule, "galois_map", 1),
-    # the grading is checked once, by the comodule algebra built from it
-    (["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
+    # the grading is checked once, by check_grading, which certifies the
+    # comodule algebra built from it
+    pytest.param(["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1,
+                 id="argv30-hopfcross.graded-check_grading-0"),
     # lift checks psi, psi_0 and the map into each later stage, the last
     # of which is C itself, except where the stage is the pull-back, whose
     # splitting split_extension has certified: lift-split's one step (see
     # also the algebra_map_violations row, last)
     (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 2),
-    # recognize-crossed checks its grading through the comodule algebra it
-    # builds from it, and reads check_grading only to word a failure
-    (["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 0),
+    # ... and so is recognize-crossed's
+    pytest.param(["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1,
+                 id="argv32-hopfcross.graded-check_grading-0"),
     (["strongly-graded", "kx2-graded.json"], hopfcross.comodule, "galois_map", 0),
     # B of a graded input is read off its grading, and alpha certifies the
     # B of the crossed product: recognize-cleft eliminates for neither
@@ -1553,15 +1609,15 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # Hopf-module theorem map K^{co H} (x) H -> K are eliminated once, by
     # the inverse that also proves them bijective.  varpi gives its rank and kernel by one
     # elimination, each step's pi its rank, kernel and coordinates by one
-    # with the transform, a basis already in reduced echelon form is not
-    # eliminated again, the plus basis of B and its coordinates are read off
-    # eps, and the coinvariants of the crossed product, which alpha
-    # certifies, are not eliminated.  hh2 eliminates d2 only stacked on the
-    # normalization and never d1: the full complex is a test oracle
-    # (test_native_laws.py), not a guard
+    # with the transform, every span of nonzero vectors is eliminated once,
+    # even when it already is in reduced echelon form, the plus basis of B
+    # and its coordinates are read off eps, and the coinvariants of the
+    # crossed product, which alpha certifies, are not eliminated.  hh2
+    # eliminates d2 only stacked on the normalization and never d1: the full
+    # complex is a test oracle (test_native_laws.py), not a guard
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 19
+    assert len(calls) == 25
 
 
 @pytest.mark.parametrize("command, name", [
@@ -1580,13 +1636,14 @@ def test_each_command_builds_the_degree_2_differential_once(command, name, monke
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
-    # eight eliminations: the ideal A_1 A, the odd primitives, the rank of
-    # alpha, pi_0 (its rank, kernel and coordinates by one), the
-    # coinvariants of the splitting step's kernel K, the Hopf-module theorem
-    # map on K (by its inverse), the step's preimages and the one
-    # convolution_invert of the splitting.  Spans of distinct basis vectors
-    # or of zero vectors are not eliminated, A_0 and K read coordinates off
-    # their pivots, the normalized section takes its inverse in closed form,
+    # thirteen eliminations: the ideal A_1 A and the quotient by it, the odd
+    # primitives, the rank of alpha, the span of A_0, pi_0 (its rank, kernel
+    # and coordinates by one), the ideal I = ker pi_0 and the quotient A/I,
+    # the splitting step's kernel K and its coinvariants, the Hopf-module
+    # theorem map on K (by its inverse), the step's preimages and the one
+    # convolution_invert of the splitting.  Spans of zero vectors are not
+    # eliminated, A_0 and K read coordinates off their pivots, the
+    # normalized section takes its inverse in closed form,
     # the duality pairing and its iso, the identity, are neither inverted
     # nor checked (Lambda(W) is certified self-dual), even_quotient builds
     # no power chain of A_1 A, which a theorem makes nilpotent, and neither
@@ -1594,7 +1651,7 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # implies what they were checked for
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 8
+    assert len(calls) == 13
 
 
 def accepts(command, name):

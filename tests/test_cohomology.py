@@ -42,7 +42,6 @@ from hopfcross.comodule import (
     _normalized_section,
     crossed_product,
     find_section,
-    graded_bridge,
     induced_coaction,
 )
 from hopfcross.errors import (
@@ -53,6 +52,7 @@ from hopfcross.errors import (
     ShapeMismatchError,
     ValidationError,
 )
+from hopfcross.graded import graded_bridge
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import (
     Matrix,

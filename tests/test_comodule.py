@@ -31,14 +31,13 @@ from hopfcross.comodule import (
     crossed_product,
     find_section,
     galois_map,
-    graded_bridge,
     section_to_crossed_system,
 )
 from hopfcross.errors import (
     InvalidComoduleAlgebraError,
     NoSectionFoundError,
 )
-from hopfcross.graded import GradedAlgebra, is_strongly_graded
+from hopfcross.graded import GradedAlgebra, graded_bridge, is_strongly_graded
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import (
     Matrix,

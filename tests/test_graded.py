@@ -22,13 +22,13 @@ from hopfcross.comodule import (
     check_crossed_system,
     coinvariants,
     crossed_product,
-    graded_bridge,
 )
 from hopfcross.errors import NotCrossedProductError, ValidationError
 from hopfcross.graded import (
     GradedAlgebra,
     GradingReport,
     check_grading,
+    graded_bridge,
     is_strongly_graded,
     recognize_group_crossed_product,
 )

@@ -58,7 +58,6 @@ from hopfcross.comodule import (
     colinear_map_space,
     crossed_product,
     find_section,
-    graded_bridge,
     section_to_crossed_system,
 )
 from hopfcross.errors import (
@@ -66,6 +65,7 @@ from hopfcross.errors import (
     NotConvolutionInvertibleError,
     ValidationError,
 )
+from hopfcross.graded import graded_bridge
 from hopfcross.groups import GroupTable
 from hopfcross.linalg import (
     Matrix,

@@ -265,6 +265,21 @@ def test_an_all_zero_matrix_beside_two_blocks_gets_zero(fname):
     assert outcome.coeffs == native(field, (field.one, field.zero, field.one))
 
 
+def test_a_block_left_open_leaves_the_family_open(monkeypatch):
+    # two blocks, each [[c1, c1], [c2, 0]] with det -c1 c2: with the ladder,
+    # the grid and the draws switched off, each block is searched on its own
+    # and tries only its two singular basis vectors, so neither is decided
+    monkeypatch.setattr(search, "LADDER_DIM_CAP", 0)
+    monkeypatch.setattr(search, "ZERO_CERT_BOUND", 0)
+    mats = [matrix(Q, [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+            matrix(Q, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+            matrix(Q, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]]),
+            matrix(Q, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])]
+    assert len(_blocks(mats)) == 2
+    outcome = check_against_oracle(Q, mats, SearchBudget(draws=0))
+    assert (outcome.coeffs, outcome.definitive, outcome.tried) == (None, False, 4)
+
+
 @pytest.mark.parametrize("mats", [
     # blocks of 2 x 1 and 1 x 2
     [matrix(Q, [[1, 0, 0], [1, 0, 0], [0, 0, 0]]), matrix(Q, [[0, 0, 0], [0, 0, 0], [0, 1, 1]])],
