@@ -43,6 +43,7 @@ from .linalg import (
     _reduced,
     _subtract,
     connected_components,
+    row_space_basis,
     solve_linear,
     vtensor,
 )
@@ -396,7 +397,8 @@ def relative_tensor(a, b_vectors, left, right, image):
                     j = ti(s, at_right[k], n)
                     rel[j] = rel[j] - c if j in rel else -c
                 relations.append(_reduced(rel, p))
-    quot = QuotientSpace(f, len(left) * n, relations)
+    dim = len(left) * n
+    quot = QuotientSpace(f, dim, row_space_basis(f, relations, dim))
     return quot, [image(left[j // n], right[j % n]) for j in quot.complement]
 
 

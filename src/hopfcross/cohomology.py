@@ -54,10 +54,9 @@ from .linalg import (
     _native,
     _reduced,
     _subtract,
-    column_coordinates,
     echelon_complement,
-    in_span,
     row_space_basis,
+    solve_columns,
     solve_linear,
     span_coordinates,
 )
@@ -606,9 +605,11 @@ def split_extension(ext):
 
 
 def ideal_power_chain(algebra, ideal_basis):
-    """[I, I^2, ..., I^n = 0] as echelon bases of sparse native rows (see
-    linalg), for a basis of I given as such rows; raises when the powers
-    stabilize above zero."""
+    """[I, I^2, ..., I^n = 0] as RREF bases of sparse native rows (see
+    linalg), for a two-sided ideal I given by a basis of such rows.  Then
+    I^{k+1} = I^k I lies in I^k, so the dimensions fall until the powers
+    reach 0, and an equal dimension means I^{k+1} = I^k: the powers have
+    stabilized above zero, which raises."""
     f = algebra.field
     n = algebra.dim
     chain = [row_space_basis(f, ideal_basis, n)]
@@ -616,12 +617,8 @@ def ideal_power_chain(algebra, ideal_basis):
         prods = [algebra.sparse_mult(x, y) for x in chain[-1] for y in chain[0]]
         nxt = row_space_basis(f, prods, n)
         if len(nxt) == len(chain[-1]):
-            # I^{i+1} = I^i inside I^i means the power chain stabilized
-            if all(in_span(f, chain[-1], v) for v in nxt):
-                raise KernelNotNilpotentError("ideal power chain stabilized above zero")
+            raise KernelNotNilpotentError("ideal power chain stabilized above zero")
         chain.append(nxt)
-        if len(chain) > n + 1:
-            raise KernelNotNilpotentError("ideal power chain does not terminate")
     return chain
 
 
@@ -634,7 +631,9 @@ def colinear_splitting_nilpotent(ca, pi):
     a linear right inverse lambda of pi, so the Hopf-module theorem map
     K^{co H} (x) H -> K, v (x) h |-> v lambda(h), is bijective; its inverse
     gives a colinear retraction X -> K and so a colinear section Y -> X.
-    What is returned is checked, not the steps: the normalized section's
+    Each class of Y is lifted by its complement index, and pi's rank,
+    kernel I and lambda come off one elimination of [pi | 1].  What is
+    returned is checked, not the steps: the normalized section's
     colinearity, unit and two-sided inverse, and pi phi = id.
     """
     a, h = ca.algebra, ca.hopf
@@ -645,8 +644,10 @@ def colinear_splitting_nilpotent(ca, pi):
     # pi must be a colinear algebra surjection
     if pi.rows != dh or pi.cols != da:
         raise ShapeMismatchError("surjection matrix shape mismatch")
-    r, pivots, _ = eliminated = pi.rref()  # its rank, kernel and coordinates
-    if len(pivots) != dh:
+    # lambda : H -> A, a fixed linear right inverse of pi, and pi's
+    # elimination, whose kernel is I
+    lam, (r, pivots) = solve_columns(pi, [_basis_row(f, g) for g in range(dh)])
+    if any(x is None for x in lam):
         raise ValidationError("map onto the Hopf algebra is not surjective")
     ideal = _kernel_of_rref(r, pivots, da)  # I = ker pi
     require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
@@ -655,9 +656,6 @@ def colinear_splitting_nilpotent(ca, pi):
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
     quots = [QuotientSpace(f, da, chain[i]) for i in range(n)]
-    # lambda : H -> A, a fixed linear right inverse of pi
-    preimage = column_coordinates(pi, eliminated)
-    lam = [preimage(_basis_row(f, g)) for g in range(dh)]
     # phi on A/I = H (rank pi = dim H): h |-> class of lambda(h)
     phi = Matrix.from_sparse_cols(f, dh, [quots[0].project(v) for v in lam])
     counit, hunit = h.native_counit, h.native_unit
@@ -721,13 +719,12 @@ def colinear_splitting_nilpotent(ca, pi):
                     _add_scaled(acc, c * u, iso_cols[ti(i, t, dh)])
             r_cols.append(_reduced(acc, p))
         rmat = Matrix.from_sparse_cols(f, dk, r_cols)
-        # colinear section s : Y -> X, y |-> x - K r(x) for any preimage x
-        pmat = Matrix.from_sparse_cols(f, y_quot.dim, [y_quot.project(_basis_row(f, j))
-                                                       for j in x_quot.complement])
-        preimage = column_coordinates(pmat)
+        # colinear section s : Y -> X, y |-> x - K r(x) for x the class in X
+        # of y's complement lift e_j; r is the identity on K, so any other
+        # preimage x + k of y gives the same s(y)
         s_cols = []
-        for yidx in range(y_quot.dim):
-            x = dict(preimage(_basis_row(f, yidx)))
+        for j in y_quot.complement:
+            x = x_quot.project(_basis_row(f, j))
             _subtract(x, one, kmat.apply_sparse(rmat.apply_sparse(x)), p)
             s_cols.append(x)
         phi = Matrix.from_sparse_cols(f, x_quot.dim, s_cols) * phi
@@ -760,18 +757,17 @@ def _check_comodule_algebra_map(src_hopf, dst, psi):
                      algebra=(src_hopf, dst.algebra), rho=(src_hopf.rho_basis, dst.rho_basis))
 
 
-def quotient_comodule_algebra(ca, ideal_vectors):
-    """A / I for a two-sided ideal that is also a subcomodule; returns the
-    quotient comodule algebra and the projection."""
+def quotient_comodule_algebra(ca, ideal_rref):
+    """A / I for a two-sided ideal I that is also a subcomodule, given by its
+    RREF basis; returns the quotient comodule algebra and its QuotientSpace."""
     a = ca.algebra
     f = ca.field
-    quot = QuotientSpace(f, a.dim, ideal_vectors)
+    quot = QuotientSpace(f, a.dim, ideal_rref)
     lifts = [_basis_row(f, j) for j in quot.complement]
     labels = tuple("q%d" % s for s in range(quot.dim))
     out = ComoduleAlgebra(induced_algebra(a, lifts, quot.project, labels), ca.hopf,
                           induced_coaction(ca, lifts, quot.project))
-    proj_cols = [quot.project(_basis_row(f, j)) for j in range(a.dim)]
-    return out, Matrix.from_sparse_cols(f, quot.dim, proj_cols)
+    return out, quot
 
 
 def sub_comodule_algebra(ca, span_vectors):
@@ -799,8 +795,11 @@ def sub_comodule_algebra(ca, span_vectors):
 
 def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     """Lift a comodule algebra map psi : H -> D through a surjection
-    varpi : C -> D with nilpotent kernel, one square-annihilated quotient
-    step at a time (exponents 2^i)."""
+    varpi : C -> D with nilpotent kernel J, one square-annihilated quotient
+    step at a time (exponents 2^i).  The iso C/J -> D and each step map
+    C/J^{2^i} -> C/J^{2^{i-1}} (J^{2^i} lies in J^{2^{i-1}}) are read off
+    the complement lifts of the stages' QuotientSpaces: a class goes where
+    its lift e_j goes."""
     h = c_ca.hopf
     f = c_ca.field
     _check_comodule_algebra_map(h, d_ca, psi)
@@ -819,16 +818,16 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     exps = [1]
     while exps[-1] < n:
         exps.append(exps[-1] * 2)
-    # quotient comodule algebras C/J^e and the projections from C; the last
-    # exponent is >= n, where J^e = 0 and the stage is C itself
+    # quotient comodule algebras C/J^e with their QuotientSpaces; the last
+    # exponent is >= n, where J^e = 0 and the stage is C itself, with no
+    # relations
     stages = [quotient_comodule_algebra(c_ca, chain[e - 1]) for e in exps[:-1]]
-    stages.append((c_ca, Matrix.identity(f, ca_alg.dim)))
-    # psi_0 : H -> C/J, obtained from psi through the iso C/J ~ D
-    q0, proj0 = stages[0]
-    # varpi factors as iso o proj0; compute iso : C/J -> D and its inverse
-    # from any preimage of each class under proj0
-    preimage = column_coordinates(proj0)
-    iso_cols = [varpi.apply_sparse(preimage(_basis_row(f, t))) for t in range(q0.algebra.dim)]
+    stages.append((c_ca, QuotientSpace(f, ca_alg.dim, [])))
+    # psi_0 : H -> C/J, obtained from psi through the iso C/J ~ D, which
+    # sends each class to varpi of its complement lift
+    q0, quot0 = stages[0]
+    varpi_cols = varpi.native_cols()
+    iso_cols = [varpi_cols[j] for j in quot0.complement]
     try:
         inverse = Matrix.from_sparse_cols(f, d_alg.dim, iso_cols).inverse()
     except (ShapeMismatchError, SingularMatrixError):
@@ -836,17 +835,16 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     current = inverse * psi  # H -> C/J
     _check_comodule_algebra_map(h, q0, current)
     for step in range(1, len(exps)):
-        upper, proj_upper = stages[step]
-        lower, proj_lower = stages[step - 1]
-        # the step surjection C/J^{2^i} -> C/J^{2^{i-1}}
-        preimage = column_coordinates(proj_upper)
-        step_cols = [proj_lower.apply_sparse(preimage(_basis_row(f, t)))
-                     for t in range(upper.algebra.dim)]
-        step_pi = Matrix.from_sparse_cols(f, lower.algebra.dim, step_cols)
+        upper, upper_quot = stages[step]
+        lower, lower_quot = stages[step - 1]
+        # the step surjection C/J^{2^i} -> C/J^{2^{i-1}}, class by class
+        dl = lower.algebra.dim
+        step_cols = [lower_quot.project(_basis_row(f, j)) for j in upper_quot.complement]
+        step_pi = Matrix.from_sparse_cols(f, dl, step_cols)
         # pull-back A = step_pi^{-1}(image of psi_{step-1}); the preimage of
         # the image under step_pi is the kernel of (complement projection o
         # step_pi)
-        comp = QuotientSpace(f, lower.algebra.dim, current.native_cols())
+        comp = QuotientSpace(f, dl, row_space_basis(f, current.native_cols(), dl))
         if comp.dim == 0:
             # the pull-back is the whole stage, which is used as it is
             sub, inc = upper, Matrix.identity(f, upper.algebra.dim)
@@ -855,13 +853,10 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
                                                 [comp.project(col) for col in step_cols])
             sub, inc = sub_comodule_algebra(upper, comp_proj.kernel_rows())
         # pi : A -> H through psi_{step-1}^{-1} on the image
-        in_psi = column_coordinates(current)
-        pi_cols = []
-        for col in inc.native_cols():
-            sol = in_psi(step_pi.apply_sparse(col))
-            if sol is None:
-                raise ValidationError("pull-back image escapes the embedded copy of H")
-            pi_cols.append(sol)
+        pi_cols, _ = solve_columns(current, [step_pi.apply_sparse(col)
+                                             for col in inc.native_cols()])
+        if any(x is None for x in pi_cols):
+            raise ValidationError("pull-back image escapes the embedded copy of H")
         pi = Matrix.from_sparse_cols(f, h.dim, pi_cols)
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)

@@ -37,8 +37,8 @@ from .errors import (
 from .linalg import (
     Matrix,
     _basis_row,
+    _coordinates,
     _reduced,
-    column_coordinates,
     in_span,
     row_space_basis,
     vtensor,
@@ -152,14 +152,16 @@ def coaction_kernel(rho_basis, dim, hopf, hvec):
 
 class Coinvariants:
     """The subalgebra B = {a : rho(a) = a (x) 1} with its inclusion into A,
-    on a basis of B in A given as sparse native rows (see linalg): the
-    canonical kernel basis of coinvariants, or one read off a grading."""
+    on a basis of B in A given as sparse native rows (see linalg), each 1 at
+    its last index, where the others are 0: the canonical kernel basis of
+    coinvariants, or one read off a grading.  A vector's B-coordinates are
+    its entries there, certified by a zero remainder (linalg._coordinates)."""
 
     def __init__(self, algebra, basis):
         f = algebra.field
         self.basis = basis
         self.inclusion = Matrix.from_sparse_cols(f, algebra.dim, basis)
-        self._coords = column_coordinates(self.inclusion)
+        self._coords = _coordinates([(max(b), b) for b in basis], f.characteristic)
         labels = tuple("b%d" % t for t in range(len(basis)))
         # coords raises unless B is closed under the product and holds 1
         self.subalgebra = induced_algebra(algebra, basis, self.coords, labels)

@@ -10,20 +10,25 @@ native row, a dict {index: nonzero native scalar}, with ints mod p over F_p
 (inverses by `pow(a, p - 2, p)`) and `Rational` over Q.  A `Matrix` is its
 sparse native rows: `Matrix(field, data)` converts dense rows of field
 scalars once, and every operation and elimination reads the rows, as do
-`solve_linear`, the one solver, the row-space layer (`row_space_basis`,
-`span_coordinates`, `QuotientSpace`, ...) and `vtensor`, the one tensor
-u (x) v.  Field scalars appear only at the JSON boundary and in the dense
-API: a structure's field-scalar views (`algebra`), `mult`, `delta`,
-`Matrix.apply`, `Matrix.from_cols`, `col` and `Matrix.data`, a view derived
-and kept on its first read.  The transform T with T * M = R is carried only
-when a caller asks for it (`inverse`, `column_coordinates`, the certificate
-of an inconsistent `solve_linear` when it is read).
+`solve_columns`, the one solver, the row-space layer (`row_space_basis`,
+and `span_coordinates`, `QuotientSpace`, ... on the RREF bases it returns)
+and `vtensor`, the one tensor u (x) v.  Field scalars appear only at the
+JSON boundary and in the dense API: a structure's field-scalar views
+(`algebra`), `mult`, `delta`, `Matrix.apply`, `Matrix.from_cols`, `col`
+and `Matrix.data`, a view derived and kept on its first read.
+
+No row transform is carried: `Matrix.rref` returns (R, pivots), and
+`solve_columns` reads the solutions for any number of right-hand sides off
+one elimination of [M | b_1 ... b_k].  It serves `solve_linear` and
+`Matrix.inverse` (against the identity); the certificate of an inconsistent
+`solve_linear` is read off ker M^T when it is read.
 
 Echelon forms always pick the leftmost nonzero column and the topmost row as
 pivot, so every derived basis (kernels, images, quotient complements) is
 canonical and reproducible.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -444,19 +449,13 @@ class Matrix:
 
     # -- echelon machinery ---------------------------------------------------
 
-    def rref(self, transform=True):
-        """Reduced row echelon form, on the sparse rows.
-
-        Returns (R, pivots, T) with T * self == R, T invertible; T is None
-        when `transform` is false, and is then never built.  Pivot choice is
-        leftmost nonzero column, topmost available row.
-        """
-        f = self.field
-        p = f.characteristic
-        one = 1 if p else f.one
+    def rref(self):
+        """Reduced row echelon form, on the sparse rows: (R, pivots).  Pivot
+        choice is leftmost nonzero column, topmost available row."""
+        p = self.field.characteristic
+        one = 1 if p else self.field.one
         n = self.rows
         m = [dict(r) for r in self._sparse]
-        t = [{i: one} for i in range(n)] if transform else None
         pivots = []
         pr = 0
         for pc in range(self.cols):
@@ -469,27 +468,19 @@ class Matrix:
                 continue
             if sel != pr:
                 m[pr], m[sel] = m[sel], m[pr]
-                if t is not None:
-                    t[pr], t[sel] = t[sel], t[pr]
             piv = m[pr][pc]
             if piv != 1:  # a pivot of one needs no scaling
-                inv = pow(piv, p - 2, p) if p else one / piv
-                m[pr] = _scaled(m[pr], inv, p)
-                if t is not None:
-                    t[pr] = _scaled(t[pr], inv, p)
+                m[pr] = _scaled(m[pr], pow(piv, p - 2, p) if p else one / piv, p)
             for i in range(n):
                 c = m[i].get(pc)
                 if c and i != pr:
                     _subtract(m[i], c, m[pr], p)
-                    if t is not None:
-                        _subtract(t[i], c, t[pr], p)
             pivots.append(pc)
             pr += 1
-        r = Matrix.from_sparse_rows(f, m, self.cols)
-        return r, tuple(pivots), (Matrix.from_sparse_rows(f, t, n) if t is not None else None)
+        return Matrix.from_sparse_rows(self.field, m, self.cols), tuple(pivots)
 
     def rank(self):
-        return len(self.rref(transform=False)[1])
+        return len(self.rref()[1])
 
     def det(self):
         if self.rows != self.cols:
@@ -522,16 +513,16 @@ class Matrix:
     def kernel_rows(self):
         """Canonical basis of the right kernel (reduced echelon complement),
         as sparse native rows."""
-        r, pivots, _ = self.rref(transform=False)
-        return _kernel_of_rref(r, pivots, self.cols)
+        return _kernel_of_rref(*self.rref(), self.cols)
 
     def inverse(self):
         if self.rows != self.cols:
             raise ShapeMismatchError("inverse of non-square matrix")
-        _, pivots, t = self.rref()
-        if len(pivots) != self.rows:
-            raise SingularMatrixError("matrix of rank %d < %d" % (len(pivots), self.rows))
-        return t
+        n = self.rows
+        cols, (_, pivots) = solve_columns(self, [_basis_row(self.field, i) for i in range(n)])
+        if None in cols:
+            raise SingularMatrixError("matrix of rank %d < %d" % (bisect_left(pivots, n), n))
+        return Matrix.from_sparse_cols(self.field, n, cols)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -672,83 +663,68 @@ class SolveResult:
     solutions, or `solution` is None and `certificate` is a row combination
     y with y^T M = 0 and y^T b != 0 proving inconsistency.  Each is derived
     on its first read: the kernel off the elimination that found x, the
-    certificate by eliminating M again, with the transform."""
+    certificate as the first vector of ker M^T that b does not annihilate,
+    by eliminating M^T."""
 
     def __init__(self, m, b, solution, eliminated):
         self.solution = solution
         self._system = (m, b)
-        self._eliminated = eliminated  # (R, pivots) of [M | b], and n = M.cols
+        self._eliminated = eliminated  # (R, pivots) of [M | b]
 
     @cached_property
     def kernel(self):
-        return None if self._eliminated is None else _kernel_of_rref(*self._eliminated)
+        if self.solution is None:
+            return None
+        return _kernel_of_rref(*self._eliminated, self._system[0].cols)
 
     @cached_property
     def certificate(self):
         if self.solution is not None:
             return None
         m, b = self._system
-        _, pivots, t = m.rref()
         p = m.field.characteristic
-        return next(y for y in t._native_rows()[len(pivots):] if _dot(y, b, p))
+        return next(y for y in m.transpose().kernel_rows() if _dot(y, b, p))
+
+
+def solve_columns(m, rhs):
+    """The solutions x of M x = b for the sparse native rows b of rhs (None
+    for b outside the column space), read off one elimination (R, pivots) of
+    [M | b_1 ... b_k], returned with them.  Below M's rank, M's columns are
+    zero, so b is consistent exactly when its column is zero there, and a
+    pivot taken in an inconsistent column leaves every consistent column of
+    the rows above unchanged: x is that column, at their pivots."""
+    n, k = m.cols, len(rhs)
+    extra = [{} for _ in range(m.rows)]
+    for t, b in enumerate(rhs):
+        for i, c in b.items():
+            if not 0 <= i < m.rows:
+                raise ShapeMismatchError("rhs index outside the %d rows" % m.rows)
+            extra[i][n + t] = c
+    rows = [{**row, **e} if e else row for row, e in zip(m._native_rows(), extra)]
+    r, pivots = Matrix.from_sparse_rows(m.field, rows, n + k).rref()
+    reduced = r._native_rows()
+    outside = {j for row in reduced[bisect_left(pivots, n):] for j in row}
+    return [None if j in outside else {pc: row[j] for row, pc in zip(reduced, pivots) if j in row}
+            for j in range(n, n + k)], (r, pivots)
 
 
 def solve_linear(m, b):
-    """Solve M x = b exactly, for b a sparse native row; see SolveResult.
-    [M | b] is eliminated once into R, whose pivots are those of M, plus the
-    last column exactly when the system is inconsistent; x is read off R.
-    The sparse rows of [M | b] are those of M, with b's nonzeros appended at
-    column n."""
-    if any(not 0 <= i < m.rows for i in b):
-        raise ShapeMismatchError("rhs index outside the %d rows" % m.rows)
-    n = m.cols
-    rows = [{**row, n: b[i]} if i in b else row for i, row in enumerate(m._native_rows())]
-    r, pivots, _ = Matrix.from_sparse_rows(m.field, rows, n + 1).rref(transform=False)
-    if pivots and pivots[-1] == n:
-        return SolveResult(m, b, None, None)
-    # pivot rows of the rref have a 1 in column pc; back substitution is immediate
-    x = {pc: row[n] for row, pc in zip(r._native_rows(), pivots) if n in row}
-    return SolveResult(m, b, x, (r, pivots, n))
-
-
-def column_coordinates(m, eliminated=None):
-    """The map b -> the solution x of M x = b that solve_linear returns, or
-    None when b is outside the column space, with b and x sparse native
-    rows.  M is eliminated once, here, unless the
-    caller passes its m.rref() as eliminated; the transform T is kept as
-    sparse native columns, and T b adds only the columns that the nonzeros
-    of b hit."""
-    p = m.field.characteristic
-    _, pivots, t = eliminated or m.rref()
-    rank = len(pivots)
-    tcols = t.native_cols()
-
-    def coords(b):
-        tb = {}
-        for j, x in b.items():
-            _subtract(tb, -x, tcols[j], p)
-        if any(i >= rank for i in tb):
-            return None
-        return {pc: tb[ri] for ri, pc in enumerate(pivots) if ri in tb}
-
-    return coords
-
-
-def _rref_rows(field, vectors, n):
-    """(pivot column, sparse native row) for each pivot row of the RREF of
-    the given length-n sparse native rows, eliminated without their zero
-    vectors (most products of basis monomials are zero)."""
-    rows = [row for row in vectors if row]
-    if not rows:
-        return []
-    r, pivots, _ = Matrix.from_sparse_rows(field, rows, n).rref(transform=False)
-    return list(zip(pivots, r._native_rows()))
+    """Solve M x = b exactly, for b a sparse native row, by solve_columns;
+    see SolveResult."""
+    (x,), eliminated = solve_columns(m, [b])
+    return SolveResult(m, b, x, eliminated)
 
 
 def row_space_basis(field, vectors, n):
     """Canonical (RREF) basis of the span of the given length-n vectors, as
-    sparse native rows; the pivot of a row is its least index."""
-    return [row for _, row in _rref_rows(field, vectors, n)]
+    sparse native rows, eliminated without their zero vectors (most
+    products of basis monomials are zero); the pivot of a row is its least
+    index."""
+    rows = [row for row in vectors if row]
+    if not rows:
+        return []
+    r, pivots = Matrix.from_sparse_rows(field, rows, n).rref()
+    return list(r._native_rows()[:len(pivots)])
 
 
 def _pivot_rows(basis_rref):
@@ -756,19 +732,24 @@ def _pivot_rows(basis_rref):
     return [(min(r), r) for r in basis_rref]
 
 
-def span_coordinates(field, basis_rref):
-    """The map v -> the coordinates {s: c} of v against an RREF row basis
-    (as from row_space_basis), or None when v is outside its span.  The
-    coordinates are the entries of v at the pivot columns, and v is in the
-    span exactly when reducing it by the pivot rows leaves nothing."""
-    rows = _pivot_rows(basis_rref)
-    p = field.characteristic
+def _coordinates(rows, p):
+    """The map v -> the coordinates {s: c} of v against the (index, row)
+    pairs rows, each row 1 at its index where the others are 0, or None when
+    v is outside their span: c is the entry of v at the s-th index, the
+    multiple that reducing v by the rows subtracts, so v is in the span
+    exactly when that leaves nothing."""
 
     def coords(v):
-        x = {s: v[pc] for s, (pc, _) in enumerate(rows) if pc in v}
+        x = {s: v[j] for s, (j, _) in enumerate(rows) if j in v}
         return None if _reduce(dict(v), rows, p) else x
 
     return coords
+
+
+def span_coordinates(field, basis_rref):
+    """The map v -> the coordinates of v against an RREF row basis (as from
+    row_space_basis), read off its pivots by _coordinates."""
+    return _coordinates(_pivot_rows(basis_rref), field.characteristic)
 
 
 def in_span(field, basis_rref, vec):
@@ -796,18 +777,20 @@ def echelon_complement(field, basis_rref, vectors):
 
 
 class QuotientSpace:
-    """Ambient space modulo a relation subspace, with canonical complement.
+    """Ambient space modulo a relation subspace, given by its RREF basis (as
+    from row_space_basis), with canonical complement.
 
     The complement basis consists of the standard basis vectors at the
-    non-pivot coordinates of the relation RREF, so projection and lifting are
-    reproducible across runs.  Relations, vectors and coordinates are sparse
-    native rows; the RREF is kept as sparse native pivot rows.
+    non-pivot coordinates of that basis, so projection and lifting are
+    reproducible across runs, and the class of e_j at a complement index j
+    is its complement basis vector.  Vectors and coordinates are sparse
+    native rows.
     """
 
-    def __init__(self, field, ambient_dim, relations):
+    def __init__(self, field, ambient_dim, basis_rref):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows = _rref_rows(field, relations, ambient_dim)
+        self._rows = _pivot_rows(basis_rref)
         pivset = {pc for pc, _ in self._rows}
         self.complement = [j for j in range(ambient_dim) if j not in pivset]
         self._at = {j: t for t, j in enumerate(self.complement)}

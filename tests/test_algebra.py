@@ -66,6 +66,7 @@ from hopfcross.linalg import (
     _dense_vec,
     _native,
     basis_vec,
+    row_space_basis,
     vtensor,
 )
 from hopfcross.standard import kz2, kz3, ks3, monoid_bialgebra, sweedler
@@ -2431,7 +2432,8 @@ def test_induced_coproduct_matches_the_dense_oracle_and_reads_each_image_once(fi
     # A/I for I spanned by a seeded vector and the difference of two group-likes
     relations = [drawn_vector(field, rng, h.dim, 0.5),
                  vadd(basis_vec(field, h.dim, 1), vscale(-field.one, basis_vec(field, h.dim, 2)))]
-    quot = QuotientSpace(field, h.dim, [_native(v, field) for v in relations])
+    quot = QuotientSpace(field, h.dim, row_space_basis(field, [_native(v, field) for v in relations],
+                                                        h.dim))
     basis = [quot.lift(_basis_row(field, t)) for t in range(quot.dim)]
     basis += [_native(drawn_vector(field, rng, h.dim, 0.5), field), {}]
     reads = []

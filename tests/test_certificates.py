@@ -83,25 +83,18 @@ def drop_last_odd_primitive(monkeypatch):
 def move_lambda(t):
     """lambda(h_t), the preimage of h_t under pi that the K-action reads,
     moved by the first basis vector e_0 of A: the K-action of h_t changes,
-    and pi lambda(h_t) = h_t + pi(e_0)."""
-    def corrupt(monkeypatch):
-        real = hopfcross.cohomology.column_coordinates
+    and pi lambda(h_t) = h_t + pi(e_0).  lambda is read off the elimination
+    of [pi | 1], the one solve_columns call of each splitting."""
+    def moved(n, out):
+        lam, (r, pivots) = out
+        p = r.field.characteristic
+        x = dict(lam[t])
+        x[0] = (x.get(0, 0) + 1) % p if p else x.get(0, 0) + r.field.one
+        lam = lam[:t] + [{i: c for i, c in x.items() if c}] + lam[t + 1:]
+        return lam, (r, pivots)
 
-        def coordinates(m, *elimination):
-            solve = real(m, *elimination)
-            if not elimination:  # the preimages of a step, not of pi
-                return solve
-
-            def moved(v):
-                out = dict(solve(v))
-                if list(v) == [t]:
-                    one = 1 if m.field.characteristic else m.field.one
-                    out[0] = out.get(0, 0) + one
-                return {i: c for i, c in out.items() if c}
-            return moved
-
-        monkeypatch.setattr(hopfcross.cohomology, "column_coordinates", coordinates)
-    return corrupt
+    return lambda monkeypatch: in_splitting(monkeypatch, hopfcross.cohomology,
+                                            "solve_columns", moved)
 
 
 def bump_coaction(call, row, col):
@@ -119,15 +112,23 @@ def bump_theorem_inverse(monkeypatch):
                  lambda n, m: bumped(m, 1, 0) if n == 1 else m)
 
 
-def double_step_preimage(monkeypatch):
-    """The preimage in X of the first basis vector of Y, doubled, in the
-    first step (call 1 solves for lambda, call 2 for the step's preimages)."""
-    def corrupt(n, solve):
-        if n != 2:
-            return solve
-        return lambda v: {i: c + c for i, c in solve(v).items()} if list(v) == [0] else solve(v)
+def double_step_section(monkeypatch):
+    """s(y) = x - K r(x) for the first basis vector y of Y, doubled, in the
+    first step: x, the class in X of y's complement lift, is changed in
+    place to s(y) by the first _subtract call of the splitting."""
+    real = hopfcross.cohomology._subtract
 
-    in_splitting(monkeypatch, hopfcross.cohomology, "column_coordinates", corrupt)
+    def subtract(row, *args):
+        real(row, *args)
+        return row
+
+    def doubled(n, row):
+        if n == 1:
+            row.update({j: c + c for j, c in row.items()})
+        return row
+
+    monkeypatch.setattr(hopfcross.cohomology, "_subtract", subtract)
+    in_splitting(monkeypatch, hopfcross.cohomology, "_subtract", doubled)
 
 
 def corrupt_lambda3(builder, table, edit):
@@ -198,12 +199,14 @@ ROWS = {
     "retraction-by-inverse": Row(
         SPLITTING, SECTION, "colinear retraction is not the identity on the kernel",
         ["super-decompose", "super-scrambled.json"], bump_theorem_inverse, NOT_COLINEAR),
+    # column 2 of X's coaction is the complement lift of Y's first class,
+    # which K's first basis vector also reads
     "retraction-by-coaction": Row(
         SPLITTING, SECTION, "colinear retraction is not the identity on the kernel",
-        ["super-decompose", "super-scrambled.json"], bump_coaction(1, 0, 0), NOT_COLINEAR),
+        ["super-decompose", "super-scrambled.json"], bump_coaction(1, 0, 2), NOT_COLINEAR),
     "step-section": Row(
         SPLITTING, SECTION, "colinear section fails to split the quotient step",
-        ["super-decompose", "super-scrambled.json"], double_step_preimage, NOT_COLINEAR),
+        ["super-decompose", "super-scrambled.json"], double_step_section, NOT_COLINEAR),
     "colinear-before-normalization": Row(
         SPLITTING, SECTION, "computed splitting is not colinear",
         ["lift", "lift-split.json"], bump_coaction(1, 5, 0), NOT_COLINEAR),

@@ -1607,17 +1607,20 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # quotient, and a span of zero vectors (the last power of each nilpotent
     # kernel) is not eliminated.  The iso C/J -> D and each step's
     # Hopf-module theorem map K^{co H} (x) H -> K are eliminated once, by
-    # the inverse that also proves them bijective.  varpi gives its rank and kernel by one
-    # elimination, each step's pi its rank, kernel and coordinates by one
-    # with the transform, every span of nonzero vectors is eliminated once,
-    # even when it already is in reduced echelon form, the plus basis of B
+    # the inverse that also proves them bijective; that iso and each step
+    # map C/J^{2^i} -> C/J^{2^{i-1}} are read off complement lifts, as is
+    # each splitting step's section, with no elimination.  varpi gives its
+    # rank and kernel by one elimination, each step's pi its rank, kernel
+    # and lambda by one of [pi | 1], every span of nonzero vectors is
+    # eliminated once, even when it already is in reduced echelon form, a
+    # QuotientSpace takes its RREF basis as it is, the plus basis of B
     # and its coordinates are read off eps, and the coinvariants of the
     # crossed product, which alpha certifies, are not eliminated.  hh2
     # eliminates d2 only stacked on the normalization and never d1: the full
     # complex is a test oracle (test_native_laws.py), not a guard
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 25
+    assert len(calls) == 19
 
 
 @pytest.mark.parametrize("command, name", [
@@ -1636,12 +1639,13 @@ def test_each_command_builds_the_degree_2_differential_once(command, name, monke
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
-    # thirteen eliminations: the ideal A_1 A and the quotient by it, the odd
-    # primitives, the rank of alpha, the span of A_0, pi_0 (its rank, kernel
-    # and coordinates by one), the ideal I = ker pi_0 and the quotient A/I,
-    # the splitting step's kernel K and its coinvariants, the Hopf-module
-    # theorem map on K (by its inverse), the step's preimages and the one
-    # convolution_invert of the splitting.  Spans of zero vectors are not
+    # ten eliminations: the ideal A_1 A, the odd primitives, the rank of
+    # alpha, the span of A_0, pi_0 (its rank, kernel and lambda by one, of
+    # [pi_0 | 1]), the ideal I = ker pi_0, the splitting step's kernel K and
+    # its coinvariants, the Hopf-module theorem map on K (by its inverse)
+    # and the one convolution_invert of the splitting.  The quotients by
+    # A_1 A and by I take their RREF bases as they are, the step lifts each
+    # class by its complement index, spans of zero vectors are not
     # eliminated, A_0 and K read coordinates off their pivots, the
     # normalized section takes its inverse in closed form,
     # the duality pairing and its iso, the identity, are neither inverted
@@ -1651,7 +1655,7 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # implies what they were checked for
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 13
+    assert len(calls) == 10
 
 
 def accepts(command, name):

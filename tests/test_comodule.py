@@ -12,6 +12,7 @@ from hopfcross.algebra import (
     FAlgebra,
     convolution_invert,
     group_hopf_algebra,
+    induced_algebra,
     ti,
 )
 from hopfcross.cli import parse_presentation
@@ -31,11 +32,13 @@ from hopfcross.comodule import (
     crossed_product,
     find_section,
     galois_map,
+    induced_coaction,
     section_to_crossed_system,
 )
 from hopfcross.errors import (
     InvalidComoduleAlgebraError,
     NoSectionFoundError,
+    ValidationError,
 )
 from hopfcross.graded import GradedAlgebra, graded_bridge, is_strongly_graded
 from hopfcross.groups import GroupTable
@@ -48,6 +51,8 @@ from hopfcross.linalg import (
     _dense_vec,
     _native,
     basis_vec,
+    row_space_basis,
+    solve_columns,
 )
 from hopfcross.search import DEFAULT_BUDGET, find_invertible_combination
 from hopfcross.standard import dual_numbers, kz2, matrix2, sweedler
@@ -170,6 +175,70 @@ def test_coinvariants_of_trivial_coaction_is_everything():
     assert coinvariants(ca).dim == 4
 
 
+def scrambled(ca, seed):
+    """ca in the basis T e_0, ..., T e_{n-1} of A, for a seeded invertible T
+    with entries -1, 0 and 1: a basis of B then has vectors with several
+    entries."""
+    f = ca.field
+    n = ca.algebra.dim
+    rng = random.Random(seed)
+    t = Matrix.zeros(f, n, n)
+    while not t.is_invertible():
+        t = Matrix(f, [[f.from_int(rng.randrange(-1, 2)) for _ in range(n)] for _ in range(n)])
+    new, to_new = t.native_cols(), t.inverse().apply_sparse
+    labels = tuple("a%d" % i for i in range(n))
+    return ComoduleAlgebra(induced_algebra(ca.algebra, new, to_new, labels), ca.hopf,
+                           induced_coaction(ca, new, to_new))
+
+
+def coinvariant_cases():
+    """(name, A, B) for every basis of B the library builds: graded_bridge's
+    neutral component on the graded corpus, and the kernel basis of
+    coinvariants() on the corpus comodule algebras, on seeded scrambled
+    crossed products and on CleftFamily members over F3, F5 and Q."""
+    from tests.test_cohomology import cleft_family
+
+    for name in sorted(os.listdir(CORPUS)):
+        payload = parse_presentation(os.path.join(CORPUS, name)).payload
+        if isinstance(payload, GradedAlgebra):
+            yield name + " graded_bridge", payload.algebra, graded_bridge(payload).coinvariants
+    cases = list(corpus_comodule_algebras())
+    for field in (PrimeField(3), PrimeField(5), Q):
+        cases.append(("crossed %r" % (field,), twisted_crossed_product(field, 3)))
+        cases += [("crossed %r scrambled by seed %d" % (field, seed),
+                   scrambled(twisted_crossed_product(field, 3, seed), seed)) for seed in (1, 2, 3)]
+        members = cleft_family()(field, 3)
+        rng = random.Random(field.characteristic)
+        cases += [("CleftFamily %r c=%d" % (field, c),
+                   parse_presentation(members.cleft_doc(rng, c)[0]).payload) for c in (0, 1, 2)]
+    for name, ca in cases:
+        yield name, ca.algebra, coinvariants(ca)
+
+
+def test_coinvariant_coordinates_are_read_off_the_last_indices():
+    # each basis vector of B is 1 at its last index, where the others are 0,
+    # so the B-coordinates of a vector are its entries there: they agree
+    # with a column solve of the inclusion on 1 and on every product of two
+    # basis vectors, and a vector left over by the reduction lies outside B
+    outside = 0
+    for name, a, coinv in coinvariant_cases():
+        basis = coinv.basis
+        last = [max(b) for b in basis]
+        assert all(b[j] == 1 for b, j in zip(basis, last)), name
+        assert all(j not in b for s, b in enumerate(basis)
+                   for t, j in enumerate(last) if s != t), name
+        vectors = [a.native_unit] + [a.sparse_mult(u, v) for u in basis for v in basis]
+        solved, _ = solve_columns(coinv.inclusion, vectors)
+        assert None not in solved and [coinv.coords(v) for v in vectors] == solved, name
+        j = next((j for j in range(a.dim) if j not in last), None)
+        if j is not None:
+            with pytest.raises(ValidationError,
+                               match="vector does not lie in the coinvariant subalgebra"):
+                coinv.coords(_basis_row(a.field, j))
+            outside += 1
+    assert outside >= 20
+
+
 # -- the Galois map ----------------------------------------------------------
 
 
@@ -249,7 +318,7 @@ def ref_relative_tensor_square(ca, coinv):
                 for y, c in enumerate(ba):
                     rel[ti(i, y, da)] = rel[ti(i, y, da)] - c
                 relations.append(_native(rel, f))
-    return QuotientSpace(f, da * da, relations)
+    return QuotientSpace(f, da * da, row_space_basis(f, relations, da * da))
 
 
 def ref_galois_map(ca):

@@ -42,6 +42,7 @@ from hopfcross.linalg import (
     _dense_vec,
     _native,
     basis_vec,
+    row_space_basis,
 )
 from hopfcross.standard import dual_numbers, matrix2
 from tests.oracles import (
@@ -242,7 +243,7 @@ def ref_dense_relative_tensor_over_neutral(ga, g, h):
                 for t2, c in enumerate(by):
                     rel[ti(s, t2, dh)] = rel[ti(s, t2, dh)] - c
                 relations.append(_native(rel, f))
-    quot = QuotientSpace(f, dg * dh, relations)
+    quot = QuotientSpace(f, dg * dh, row_space_basis(f, relations, dg * dh))
     gh = ga.group.mul(g, h)
     cols = []
     for t in range(quot.dim):

@@ -19,10 +19,10 @@ from hopfcross.linalg import (
     Rationals,
     _dense_vec,
     _native,
-    column_coordinates,
     in_span,
     is_prime,
     row_space_basis,
+    solve_columns,
     solve_linear,
     vtensor,
 )
@@ -371,11 +371,10 @@ def scalar_type(field):
 def test_sparse_elimination_matches_the_dense_oracle(field):
     rng = random.Random(7 * (field.characteristic or 1) + 11)
     for m in oracle_matrices(field, rng):
-        r, pivots, t = m.rref()
-        assert (r, pivots, t) == dense_rref(m)
-        assert m.rref(transform=False) == (r, pivots, None)
+        r, pivots = m.rref()
+        assert (r, pivots) == dense_rref(m)[:2]
         typ = scalar_type(field)
-        assert all(type(a) is typ for mat in (r, t) for row in mat.data for a in row)
+        assert all(type(a) is typ for row in r.data for a in row)
         if m.rows == m.cols:
             det = m.det()
             assert det == dense_det(m) and type(det) is typ
@@ -403,40 +402,86 @@ def test_solve_linear_matches_the_dense_oracle(field):
     assert inconsistent >= 5
 
 
-def test_questions_without_a_transform_eliminate_once(monkeypatch):
-    rref = Matrix.rref
-    transforms = []
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_several_right_hand_sides_are_solved_by_one_elimination(field):
+    # one solve_columns call whose right-hand sides mix consistent and
+    # inconsistent b: one outside the column space before the consistent
+    # ones, two equal ones outside it, and b = 0.  A pivot taken in the
+    # column of an inconsistent b leaves the column of every consistent b
+    # unchanged in the rows above, so each consistent column of R is the
+    # one that eliminating [M | b] alone gives
+    rng = random.Random(37 * (field.characteristic or 1) + 9)
+    mixed = inverted = 0
+    for m in oracle_matrices(field, rng):
+        n, zero = m.cols, (field.zero,) * m.rows
+        image = [m.apply(tuple(field.random(rng) for _ in range(n))) for _ in range(2)]
+        drawn = [tuple(field.random(rng) for _ in range(m.rows)) for _ in range(2)]
+        rhs = [drawn[0], image[0], drawn[1], drawn[1], zero, image[1]]
+        xs, (r, pivots) = solve_columns(m, [_native(b, field) for b in rhs])
+        rank = len([pc for pc in pivots if pc < n])
+        assert rank == len(dense_rref(m)[1])
+        for t, (b, x) in enumerate(zip(rhs, xs)):
+            expected = dense_solve(m, b)
+            assert dense_or_none(field, x, n) == (expected and expected[0])
+            assert x == solve_linear(m, _native(b, field)).solution
+            if x is not None:
+                assert_native(field, x)
+                _, (alone, _) = solve_columns(m, [_native(b, field)])
+                assert ([row.get(n + t) for row in r._native_rows()[:rank]]
+                        == [row.get(n) for row in alone._native_rows()[:rank]])
+        assert xs[4] == {}
+        mixed += None in xs and any(x is not None for x in xs)
+        if m.rows == m.cols:
+            _, dense_pivots, dense_t = dense_rref(m)
+            if len(dense_pivots) == m.rows:
+                assert m.inverse() == dense_t
+                inverted += 1
+            else:
+                with pytest.raises(SingularMatrixError, match="matrix of rank %d < %d"
+                                   % (len(dense_pivots), m.rows)):
+                    m.inverse()
+    assert mixed >= 5 and inverted >= 3
 
-    def counting(self, *args, **kwargs):
-        out = rref(self, *args, **kwargs)
-        transforms.append(out[2])
-        return out
+
+def count_eliminations(monkeypatch):
+    """The matrices Matrix.rref eliminates from now on, in order."""
+    rref, eliminated = Matrix.rref, []
+
+    def counting(self):
+        eliminated.append(self)
+        return rref(self)
 
     monkeypatch.setattr(Matrix, "rref", counting)
+    return eliminated
+
+
+def test_questions_without_a_transform_eliminate_once(monkeypatch):
+    eliminated = count_eliminations(monkeypatch)
     m = fpmat(F5, [[1, 2, 0], [2, 4, 1], [0, 0, 3]])
+    invertible = fpmat(F5, [[1, 2, 0], [2, 1, 1], [0, 0, 3]])
     for question in (lambda: solve_linear(m, m.apply_sparse({0: 1, 1: 1})),
-                     m.rank, lambda: kernel_basis(m), m.is_invertible):
-        transforms.clear()
+                     lambda: solve_columns(m, [{0: 1}, {1: 1}, {2: 1}, {}]),
+                     m.rank, lambda: kernel_basis(m), m.is_invertible, invertible.inverse):
+        eliminated.clear()
         question()
-        assert transforms == [None]
+        assert len(eliminated) == 1
+    # a singular matrix's rank, in the message, is read off that elimination
+    eliminated.clear()
+    with pytest.raises(SingularMatrixError, match="matrix of rank 2 < 3"):
+        m.inverse()
+    assert len(eliminated) == 1
 
 
 def test_an_inconsistent_system_eliminates_again_only_for_its_certificate(monkeypatch):
-    rref = Matrix.rref
-    transforms = []
-
-    def counting(self, *args, **kwargs):
-        out = rref(self, *args, **kwargs)
-        transforms.append(out[2])
-        return out
-
-    monkeypatch.setattr(Matrix, "rref", counting)
-    res = solve_linear(qmat([[1, 1], [1, 1]]), {0: Q.one})
+    eliminated = count_eliminations(monkeypatch)
+    m = qmat([[1, 2], [2, 4], [0, 0]])
+    res = solve_linear(m, {0: Q.one})
     assert res.solution is None
-    assert transforms == [None]
+    assert len(eliminated) == 1
     y = res.certificate
-    assert len(transforms) == 2 and transforms[1] is not None
-    assert res.certificate is y and len(transforms) == 2
+    # the certificate is read off ker M^T, its one more elimination
+    assert len(eliminated) == 2 and eliminated[1] == m.transpose()
+    assert res.certificate is y and len(eliminated) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +636,15 @@ def test_apply_matches_the_dense_oracle(field):
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_column_coordinates_match_the_dense_oracle(field):
+    # the coordinates of each b against the columns of M, all from one
+    # solve_columns call
     rng = random.Random(19 * (field.characteristic or 1) + 7)
     outside = 0
     for m in coordinate_matrices(field, rng):
-        coords, ref = column_coordinates(m), ref_column_coordinates(m)
-        for b in coordinate_vectors(field, rng, m.rows, image_of=m):
-            x = coords(_native(b, field))
+        ref = ref_column_coordinates(m)
+        rhs = coordinate_vectors(field, rng, m.rows, image_of=m)
+        xs, _ = solve_columns(m, [_native(b, field) for b in rhs])
+        for b, x in zip(rhs, xs):
             assert dense_or_none(field, x, m.cols) == ref(b)
             if x is None:
                 outside += 1
@@ -614,9 +662,9 @@ def test_quotients_and_spans_match_the_dense_oracle(field):
         n = m.cols
         # the rows of M as relations: none, rank-deficient, full rank (identity)
         rows = list(m._native_rows())
-        quot, ref = QuotientSpace(field, n, rows), RefQuotientSpace(field, n, m.data)
-        assert quot.complement == ref.complement and quot.dim == len(ref.complement)
         basis = row_space_basis(field, rows, n)
+        quot, ref = QuotientSpace(field, n, basis), RefQuotientSpace(field, n, m.data)
+        assert quot.complement == ref.complement and quot.dim == len(ref.complement)
         assert [_dense_vec(field, r, n) for r in basis] == ref_row_space_basis(field, m.data, n)
         for v in coordinate_vectors(field, rng, n, image_of=m.transpose()):
             row = _native(v, field)
@@ -645,8 +693,7 @@ def test_coordinate_queries_eliminate_once_and_never_apply(monkeypatch):
     queries = [_native(b, Q) for b in queries]
     monkeypatch.setattr(Matrix, "rref", counting_rref)
     monkeypatch.setattr(Matrix, "apply", lambda self, vec: calls.append("apply"))
-    coords = column_coordinates(m)
-    answers = [coords(b) for b in queries]
+    answers, _ = solve_columns(m, queries)
     assert calls == ["rref"]
     assert len(answers) == 50 and all(x is not None for x in answers[:25])
 
@@ -683,7 +730,7 @@ def test_a_matrix_built_sparse_matches_it_built_dense(field):
     for m in twin_matrices(field, rng):
         s = sparse_twin(m)
         assert s._data is None
-        assert s.rref() == m.rref() and s.rref(transform=False) == m.rref(transform=False)
+        assert s.rref() == m.rref()
         assert s.rank() == m.rank()
         assert_same_typed(field, kernel_basis(s), kernel_basis(m))
         if m.rows == m.cols:
@@ -694,11 +741,10 @@ def test_a_matrix_built_sparse_matches_it_built_dense(field):
             else:
                 with pytest.raises(SingularMatrixError):
                     s.inverse()
-        coords, ref = column_coordinates(s), column_coordinates(m)
-        for b in coordinate_vectors(field, rng, m.rows, image_of=m):
-            b = _native(b, field)
-            x = coords(b)
-            assert x == ref(b)
+        rhs = [_native(b, field) for b in coordinate_vectors(field, rng, m.rows, image_of=m)]
+        xs, ref = solve_columns(s, rhs)[0], solve_columns(m, rhs)[0]
+        for b, x, expected_x in zip(rhs, xs, ref):
+            assert x == expected_x
             if x is not None:
                 assert_native(field, x)
             res, expected = (solve_linear(t, b) for t in (s, m))
@@ -719,8 +765,8 @@ def test_a_matrix_built_sparse_matches_it_built_dense(field):
 
 def test_eliminations_return_their_forms_built_sparse():
     m = fpmat(F5, [[1, 2, 0], [2, 4, 1], [0, 0, 3]])
-    r, _, t = m.rref()
-    assert r._data is None and t._data is None
+    r, _ = m.rref()
+    assert r._data is None
     # a dense matrix derives its sparse rows once, and keeps them
     rows = m._native_rows()
     m.rank()

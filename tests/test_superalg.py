@@ -39,6 +39,7 @@ from hopfcross.linalg import (
     _dense_vec,
     _native,
     basis_vec,
+    row_space_basis,
 )
 from hopfcross.superalg import (
     ExteriorHopf,
@@ -943,7 +944,7 @@ def test_the_sparse_decomposition_path_matches_the_dense_oracles(field, m, n, se
     # anticommute, so (A_1 A)^(m+1) = 0 for m = dim A_1
     assert len(ideal_power_chain(a, [_native(v, field) for v in ideal])) <= sum(parity) + 1
     # algebras induced on A / ker pi and on the even subalgebra A_0
-    quot = QuotientSpace(field, dim, [_native(v, field) for v in ideal])
+    quot = QuotientSpace(field, dim, row_space_basis(field, [_native(v, field) for v in ideal], dim))
     ref_quot = RefQuotientSpace(field, dim, ideal)
     labels = tuple("q%d" % t for t in range(quot.dim))
     got = induced_algebra(a, [quot.lift(_basis_row(field, t)) for t in range(quot.dim)],

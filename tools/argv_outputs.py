@@ -99,6 +99,10 @@ CASES = [
     ["pairing", "--n", "7", "--json"],
     ["pairing", "--n", "8", "--json"],
     ["pairing", "--n", "6", "--prime", "3", "--json"],
+    # coinvariant coordinates read off the kernel basis of B, and the
+    # coinvariant check of a crossed product
+    ["coinvariants", "f3z3-cleft.json", "--json"],
+    ["crossed-product", "f3z3-crossed.json", "--json"],
 ]
 
 
