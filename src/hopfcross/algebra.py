@@ -168,7 +168,8 @@ class _Algebra(_Structure):
     @cached_property
     def generating_set(self):
         """G of this algebra (see `_generating_set`), found on the first read;
-        on a bialgebra the G of least work found, which changes no witness."""
+        on a bialgebra its pass is weighed by the work each generator costs
+        Delta-multiplicativity, which changes no witness."""
         lower, d, _ = _lowering((self,))
         coproduct = self.native_coproduct if isinstance(self, _Coalgebra) else None
         return _generating_set(self.field, self.lowered_rows(d),
@@ -467,9 +468,9 @@ def relative_tensor(a, b_vectors, left, right, image):
 # check_axioms makes that one pass on A with its G, or else on A* with its
 # own G; when it finds no witness, the report is a pass.  Otherwise, or when
 # neither has a G, the full loops on A give the witnesses, their order and
-# the cap.  As any G certifies, G is picked by the work of the pass: on a
-# bialgebra, the generating set of least left-leg weight the greedy passes
-# find.  Every witness comes from the full loops, so a cheaper G changes
+# the cap.  As any G certifies, G is picked by the work of the pass: one
+# greedy pass visits the lightest indices first, on a bialgebra by left-leg
+# weight.  Every witness comes from the full loops, so a cheaper G changes
 # what a report costs and never the report.
 #
 # A structure map m is checked by require_morphism against the laws its
@@ -613,17 +614,19 @@ WORD_PRIME = 2 ** 61 - 1
 def _generating_set(field, rows, unit, dim, coproduct=None):
     """A set G of basis indices whose left words e_g1 (e_g2 (... (e_gk 1)))
     span the algebra with lowered product rows `rows` and lowered unit
-    `unit`, or None when no greedy pass (`_greedy_generators`) finds one of
-    at most half the basis, where the pass over G saves less than it costs.
-    With no coproduct G is the smaller of the passes in index order and in
-    increasing occurrence in the products (on a signed permutation of
-    Lambda(m), the m degree-one monomials).  With one, e_i weighs the
-    product terms `_left_legs` reads for it, and G is the lighter of the
-    index-order G and a weight-order G (`_lightest_generators`), or
-    the index-order G when all weigh the same.  Every G certifies the same
-    laws, so the choice changes no witness.  A basis of orthogonal
-    idempotents, such as k^G, would keep all but one index, more than half
-    from dimension 3 on, read off with no pass.
+    `unit`, or None.  G is the greedy pass (`_greedy_generators`) over the
+    indices in increasing weight, ties in index order: e_i weighs its
+    occurrences in the products (on a signed permutation of Lambda(m), the
+    m degree-one monomials are the lightest) or, given a coproduct, the
+    product terms `_left_legs` reads for it.  Past half the basis the pass
+    gives up, as the pass over G then saves less than it costs, except on a
+    bialgebra whose weights differ: there the pass runs to the end and
+    drops the generators, heaviest first, whose words the rest still span
+    (on a dense basis of Lambda(3), 6 become 3), and None stays for a
+    pruned G past half the basis.  Every G certifies the same laws, so the
+    choice changes no witness.  A basis of orthogonal idempotents, such as
+    k^G, would keep all but one index, more than half from dimension 3 on,
+    read off with no pass.
 
     The words are eliminated mod p, over Q mod WORD_PRIME: each eliminated
     row reduces an integer combination of lowered words, and integer vectors
@@ -631,48 +634,23 @@ def _generating_set(field, rows, unit, dim, coproduct=None):
     if dim >= 3 and _orthogonal_idempotents(rows, unit, dim):
         return None
     p = field.characteristic or WORD_PRIME
-    if coproduct is not None:
+    if coproduct is None:
+        weight = [0] * dim
+        for row in rows.values():
+            for terms in row.values():
+                for k in terms:
+                    weight[k] += 1
+    else:
         weight = [sum(len(rows.get(a1, ())) for a1, _ in coproduct.get(i, ())) for i in range(dim)]
-        if len(set(weight)) > 1:
-            return _lightest_generators(rows, unit, dim, p, weight)
-    gens = _greedy_generators(rows, unit, dim, p, range(dim), dim // 2)
-    if coproduct is not None or (gens is not None and len(gens) < 2):
-        return gens  # uniform weights, or no G is smaller
-    occurs = [0] * dim
-    for row in rows.values():
-        for terms in row.values():
-            for k in terms:
-                occurs[k] += 1
-    order = sorted(range(dim), key=occurs.__getitem__)
-    if order != list(range(dim)):
-        cap = dim // 2 if gens is None else len(gens) - 1
-        other = _greedy_generators(rows, unit, dim, p, order, cap)
-        if other is not None:
-            gens = other
-    return gens
-
-
-def _lightest_generators(rows, unit, dim, p, weight):
-    """The lighter G, the index-order one on a tie, of the pass in index
-    order and of the pass in increasing weight (ties in index order); None
-    when neither keeps at most half the basis.  When the weight-order G
-    keeps more generators than the index-order G, or that pass found none,
-    it drops the generators, heaviest first, whose words the rest still
-    span: light indices that heavier ones make redundant.  Otherwise the
-    two passes decide, or the first alone when the two orders agree."""
-    found = [_greedy_generators(rows, unit, dim, p, range(dim), dim // 2)]
     order = sorted(range(dim), key=weight.__getitem__)
-    if found[0] is not None and order == list(range(dim)):
-        return found[0]  # the weight-order pass would make the same choices
+    if coproduct is None or len(set(weight)) == 1:
+        return _greedy_generators(rows, unit, dim, p, order, dim // 2)
     gens = _greedy_generators(rows, unit, dim, p, order, dim)
-    if gens is not None and (found[0] is None or len(gens) > len(found[0])):
-        for g in sorted(gens, key=weight.__getitem__, reverse=True):
-            if g in gens[:-1]:  # the words of those before the last miss it
-                rest = _greedy_generators(rows, unit, dim, p, [i for i in gens if i != g], dim)
-                gens = gens if rest is None else rest
-    found.append(gens)
-    return min((g for g in found if g is not None and len(g) <= dim // 2), default=None,
-               key=lambda g: sum(map(weight.__getitem__, g)))
+    for g in sorted(gens or (), key=weight.__getitem__, reverse=True):
+        if g in gens[:-1]:  # the words of those before the last miss it
+            rest = _greedy_generators(rows, unit, dim, p, [i for i in gens if i != g], dim)
+            gens = gens if rest is None else rest
+    return gens if gens is not None and len(gens) <= dim // 2 else None
 
 
 def _orthogonal_idempotents(rows, unit, dim):
@@ -690,7 +668,10 @@ def _greedy_generators(rows, unit, dim, p, order, cap):
     the span of the words of the indices before it.  None when G would keep
     more than cap indices, or when the words of all indices do not span the
     algebra, which needs the right unit law to fail (or, over Q, p to divide
-    D)."""
+    D).  The cap stops a pass as soon as its G is too large to use: on
+    algebras with no G of at most half the basis, such as a rescaled k^S4
+    or k + V with V^2 = 0, a pass run to the end and pruned costs tens to
+    hundreds of times the capped one."""
     pivots = {}  # leading column -> echelon row with leading entry 1
 
     def reduce(v):

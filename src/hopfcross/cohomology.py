@@ -12,6 +12,7 @@ an augmentation's values and the class coordinates `HH2Result.decide` returns.
 """
 
 import itertools
+from bisect import bisect_left
 from functools import cached_property
 
 from .algebra import (
@@ -770,16 +771,15 @@ def quotient_comodule_algebra(ca, ideal_rref):
     return out, quot
 
 
-def sub_comodule_algebra(ca, span_vectors):
-    """The comodule subalgebra spanned by the given sparse native rows (must
-    be closed under product, contain 1, and be a subcomodule); returns it
-    with the inclusion of its RREF basis.  Its coordinates raise unless the
-    span is closed, and the laws of a valid ca hold on a closed span, so it
-    is not checked again."""
+def sub_comodule_algebra(ca, basis_rref):
+    """The comodule subalgebra spanned by an RREF basis of sparse native rows
+    (see linalg.row_space_basis; the span must be closed under product,
+    contain 1, and be a subcomodule); returns it with the inclusion of that
+    basis.  Its coordinates raise unless the span is closed, and the laws of
+    a valid ca hold on a closed span, so it is not checked again."""
     a = ca.algebra
     f = ca.field
-    basis = row_space_basis(f, span_vectors, a.dim)
-    in_basis = span_coordinates(f, basis)
+    in_basis = span_coordinates(f, basis_rref)
 
     def coords(vec):
         x = in_basis(vec)
@@ -787,10 +787,10 @@ def sub_comodule_algebra(ca, span_vectors):
             raise ValidationError("subspace is not closed")
         return x
 
-    labels = tuple("s%d" % s for s in range(len(basis)))
-    out = ComoduleAlgebra._certified(induced_algebra(a, basis, coords, labels), ca.hopf,
-                                     induced_coaction(ca, basis, coords))
-    return out, Matrix.from_sparse_cols(f, a.dim, basis)
+    labels = tuple("s%d" % s for s in range(len(basis_rref)))
+    out = ComoduleAlgebra._certified(induced_algebra(a, basis_rref, coords, labels), ca.hopf,
+                                     induced_coaction(ca, basis_rref, coords))
+    return out, Matrix.from_sparse_cols(f, a.dim, basis_rref)
 
 
 def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
@@ -799,7 +799,8 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     step at a time (exponents 2^i).  The iso C/J -> D and each step map
     C/J^{2^i} -> C/J^{2^{i-1}} (J^{2^i} lies in J^{2^{i-1}}) are read off
     the complement lifts of the stages' QuotientSpaces: a class goes where
-    its lift e_j goes."""
+    its lift e_j goes.  Each step's pull-back of the image of the map so
+    far, and its map onto H, come off one elimination."""
     h = c_ca.hopf
     f = c_ca.field
     _check_comodule_algebra_map(h, d_ca, psi)
@@ -836,28 +837,26 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     _check_comodule_algebra_map(h, q0, current)
     for step in range(1, len(exps)):
         upper, upper_quot = stages[step]
-        lower, lower_quot = stages[step - 1]
+        lower_quot = stages[step - 1][1]
         # the step surjection C/J^{2^i} -> C/J^{2^{i-1}}, class by class
-        dl = lower.algebra.dim
         step_cols = [lower_quot.project(_basis_row(f, j)) for j in upper_quot.complement]
-        step_pi = Matrix.from_sparse_cols(f, dl, step_cols)
-        # pull-back A = step_pi^{-1}(image of psi_{step-1}); the preimage of
-        # the image under step_pi is the kernel of (complement projection o
-        # step_pi)
-        comp = QuotientSpace(f, dl, row_space_basis(f, current.native_cols(), dl))
-        if comp.dim == 0:
-            # the pull-back is the whole stage, which is used as it is
-            sub, inc = upper, Matrix.identity(f, upper.algebra.dim)
+        # one elimination of [psi_{step-1} | step map]: a class lies in the
+        # pull-back A of the image of psi_{step-1} exactly when its column
+        # vanishes below psi_{step-1}'s rank, and above it the column reads
+        # pi : A -> H, psi_{step-1}^{-1} of the class's image
+        dh, du = h.dim, upper.algebra.dim
+        _, (r, pivots) = solve_columns(current, step_cols)
+        rank = bisect_left(pivots, dh)
+        rows = [{j - dh: c for j, c in row.items() if j >= dh}
+                for row in r._native_rows()[:len(pivots)]]
+        pi = Matrix.from_sparse_rows(f, rows[:rank], du)
+        if rank == len(pivots):
+            sub = upper  # the pull-back is the whole stage, used as it is
         else:
-            comp_proj = Matrix.from_sparse_cols(f, comp.dim,
-                                                [comp.project(col) for col in step_cols])
-            sub, inc = sub_comodule_algebra(upper, comp_proj.kernel_rows())
-        # pi : A -> H through psi_{step-1}^{-1} on the image
-        pi_cols, _ = solve_columns(current, [step_pi.apply_sparse(col)
-                                             for col in inc.native_cols()])
-        if any(x is None for x in pi_cols):
-            raise ValidationError("pull-back image escapes the embedded copy of H")
-        pi = Matrix.from_sparse_cols(f, h.dim, pi_cols)
+            below = Matrix.from_sparse_rows(f, rows[rank:], du)
+            pulled = _kernel_of_rref(below, [pc - dh for pc in pivots[rank:]], du)
+            sub, inc = sub_comodule_algebra(upper, row_space_basis(f, pulled, du))
+            pi = pi * inc
         # split pi as an augmented cleft extension with square-zero kernel
         sec = colinear_splitting_nilpotent(sub, pi)
         eps = pi.transpose().apply_sparse(h.native_counit)  # eps_H o pi

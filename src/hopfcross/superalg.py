@@ -549,7 +549,8 @@ def decompose(sp):
         alpha_cols.append(_reduced(out, p))
     alpha = Matrix.from_sparse_cols(f, ext.dim * dh, alpha_cols)
     _verify_decomposition(sp, ca, ext, alpha)
-    # Step A: colinear splitting phi : H -> A_0 of pi_0
+    # Step A: colinear splitting phi : H -> A_0 of pi_0, on A_0's RREF
+    # basis, the even unit vectors
     a0, inc0 = sub_comodule_algebra(ca, [_basis_row(f, i) for i in range(dim)
                                          if sp.parity[i] == 0])
     pi0 = Matrix.from_sparse_cols(f, dh, [pi.apply_sparse(col) for col in inc0.native_cols()])

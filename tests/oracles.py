@@ -3,13 +3,11 @@ the dense basis loops of a few structure operations, the dense formulas of
 the cleft layer that its sparse native kernels replaced (tuple arithmetic,
 the H-action, measuring and sigma read as dense columns, the augmentation
 decomposition and the cocycle dictionary), the gauge maps between crossed
-products, the grading of a crossed product over a group algebra, and the
-always-pruned weight-order pass of a bialgebra's generating set.  None of
-them is reached from a command."""
+products and the grading of a crossed product over a group algebra.  None
+of them is reached from a command."""
 
 from hopfcross.algebra import (
     FAlgebra,
-    _greedy_generators,
     algebra_map_violations,
     induced_algebra,
     ti,
@@ -287,21 +285,3 @@ def graded_over_group(ca, group):
     alg = induced_algebra(a, [_basis_row(f, x) for x in order], change.inverse().apply_sparse,
                           tuple("a%d" % s for s in range(a.dim)))
     return GradedAlgebra(alg, group, tuple(x % dh for x in order)), change
-
-
-def pruned_lightest_generators(rows, unit, dim, p, weight):
-    """algebra._lightest_generators with its weight-order G always pruned:
-    the lighter G, the index-order one on a tie, of the capped pass in index
-    order and of the uncapped pass in increasing weight less the generators,
-    heaviest first, whose words the rest still span; None when neither keeps
-    at most half the basis."""
-    found = [_greedy_generators(rows, unit, dim, p, range(dim), dim // 2)]
-    order = sorted(range(dim), key=weight.__getitem__)
-    gens = _greedy_generators(rows, unit, dim, p, order, dim)
-    for g in sorted(gens or (), key=weight.__getitem__, reverse=True):
-        if g in gens[:-1]:  # the words of those before the last miss it
-            rest = _greedy_generators(rows, unit, dim, p, [i for i in gens if i != g], dim)
-            gens = gens if rest is None else rest
-    found.append(gens)
-    return min((g for g in found if g is not None and len(g) <= dim // 2), default=None,
-               key=lambda g: sum(map(weight.__getitem__, g)))

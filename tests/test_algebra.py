@@ -23,7 +23,6 @@ from hopfcross.algebra import (
     _bialgebra_laws,
     _coalgebra_components,
     _coalgebra_laws,
-    _generating_set,
     _greedy_generators,
     _left_legs,
     _laws,
@@ -81,7 +80,7 @@ from hopfcross.superalg import (
     super_tensor_product,
 )
 from tests.oracles import (delta2_basis, dense_tensor, evaluate, is_cocommutative,
-                           is_commutative, pruned_lightest_generators, vadd, vscale, vzero)
+                           is_commutative, vadd, vscale, vzero)
 from tests.test_linalg import ORACLE_FIELDS, draw
 
 Q = Rationals()
@@ -741,30 +740,80 @@ def generating_set_inputs():
         yield key, h
 
 
-def test_the_two_pass_rule_chooses_the_generating_set_of_the_pruned_pass(monkeypatch):
-    # the weight-order G is pruned only when it keeps more generators than
-    # the index-order G, or when that pass found none; on every input here
-    # G is the one the always-pruned reference chooses, and the rule skips
-    # the pruning on many of them
-    weighted = skipped = 0
-    for key, h in generating_set_inputs():
-        lower, d, _ = _lowering((h,))
-        args = (h.lowered_rows(d), _lowered(h.native_unit, lower), h.dim,
-                h.field.characteristic or WORD_PRIME)
-        with monkeypatch.context() as m:
-            m.setattr(hopfcross.algebra, "_lightest_generators", pruned_lightest_generators)
-            expected = _generating_set(h.field, *args[:3], h.native_coproduct)
-        assert h.generating_set == expected, key
-        weight = [sum(len(args[0].get(a1, ())) for a1, _ in h.native_coproduct.get(i, ()))
-                  for i in range(h.dim)]
-        if len(set(weight)) > 1:
-            weighted += 1
-            rows, unit, dim, p = args
-            index = _greedy_generators(rows, unit, dim, p, range(dim), dim // 2)
-            order = sorted(range(dim), key=weight.__getitem__)
-            gens = _greedy_generators(rows, unit, dim, p, order, dim)
-            skipped += gens is not None and index is not None and len(gens) <= len(index)
-    assert weighted > 20 and skipped > 10
+def corpus_algebras():
+    """(key, a): the algebra blocks of the corpus files, with the crossed
+    product of the crossed system."""
+    for name in sorted(os.listdir(CORPUS)):
+        payload = parse_presentation(os.path.join(CORPUS, name)).payload
+        for s, part in enumerate(payload if isinstance(payload, tuple) else (payload,)):
+            for attr in ("algebra", "base", "aug"):
+                a = getattr(part, attr, None)
+                a = getattr(a, "algebra", None) if attr == "aug" else a
+                if isinstance(a, _Algebra) and not isinstance(a, _Coalgebra):
+                    yield "%s %d %s" % (name, s, attr), a
+
+
+def occurrence_weights(a):
+    """For each e_k, the products e_i e_j in which it occurs."""
+    return [sum(1 for prod in a.product.values() if prod.get(k)) for k in range(a.dim)]
+
+
+def index_order_generators(a):
+    """The greedy pass over the indices in index order, capped at half the
+    basis: G's rule before the weight order."""
+    lower, d, _ = _lowering((a,))
+    return _greedy_generators(a.lowered_rows(d), _lowered(a.native_unit, lower), a.dim,
+                              a.field.characteristic or WORD_PRIME, range(a.dim), a.dim // 2)
+
+
+def test_the_generating_set_weighs_no_more_than_the_index_order_pass():
+    # G is one pass in increasing weight; wherever the capped pass in index
+    # order finds a G, so does G's rule, and its G weighs no more
+    inputs = [(key, h, left_leg_weights(h)) for key, h in generating_set_inputs()]
+    inputs += [(key, a, occurrence_weights(a)) for key, a in corpus_algebras()]
+    compared = lighter = 0
+    for key, a, weight in inputs:
+        index = index_order_generators(a)
+        if index is None:
+            continue
+        gens = a.generating_set
+        assert gens is not None and words_span(a, gens), key
+        least, other = (sum(weight[g] for g in s) for s in (gens, index))
+        assert least <= other, key
+        compared += 1
+        lighter += least < other
+    assert compared > 40 and lighter >= 4
+
+
+def square_zero(field, dim):
+    """k + V with V^2 = 0: e_0 the unit, e_i e_j = 0 for i, j >= 1."""
+    one = field.one
+    product = {(0, 0): {0: one}}
+    for i in range(1, dim):
+        product[(0, i)] = product[(i, 0)] = {i: one}
+    return FAlgebra(field, tuple("e%d" % i for i in range(dim)), product, basis_vec(field, dim, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rescaled(dual_structure(group_hopf_algebra(GroupTable.symmetric(4), F5)), 2),
+    lambda: rescaled(dual_structure(group_hopf_algebra(GroupTable.symmetric(4), Q)), 2),
+    lambda: square_zero(Q, 48),
+], ids=["k^S4 rescaled/F5", "k^S4 rescaled/Q", "k + V, V^2 = 0, dim 48"])
+def test_an_algebra_with_no_small_generating_set_takes_one_capped_pass(make, monkeypatch):
+    # no basis here is orthogonal idempotents, yet G would keep more than
+    # half of it; the weights are uniform or there is no coproduct, so one
+    # pass capped at half the basis gives up and nothing is pruned
+    a = make()
+    caps = []
+    real = hopfcross.algebra._greedy_generators
+
+    def spy(rows, unit, dim, p, order, cap):
+        caps.append(cap)
+        return real(rows, unit, dim, p, order, cap)
+
+    monkeypatch.setattr(hopfcross.algebra, "_greedy_generators", spy)
+    assert a.generating_set is None
+    assert caps == [a.dim // 2]
 
 
 @pytest.mark.parametrize("group", [GroupTable.symmetric(4), GroupTable.cyclic(12)],
@@ -1217,8 +1266,8 @@ def test_a_structure_passes_exactly_when_its_dual_does():
 
 
 def test_signed_permutations_of_lambda_are_generated_in_degree_one():
-    # whatever index order keeps, the smaller pass keeps exactly the m
-    # degree-one monomials
+    # whatever the index order, the pass in increasing weight keeps exactly
+    # the m degree-one monomials
     for fname, field in DUAL_PASS_FIELDS:
         for m in range(1, 5):
             ext = exterior_hopf(m, field)

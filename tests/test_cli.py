@@ -1603,9 +1603,10 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # form, and sigma^-1 is read off phi^-1, not inverted over k[Z/2] (x)
     # k[Z/2].  Coordinates against an echelon basis (the kernel K of a
     # splitting step) are read off its pivots, a pull-back that spans its
-    # whole stage is that stage, the image of psi is eliminated once, by its
-    # quotient, and a span of zero vectors (the last power of each nilpotent
-    # kernel) is not eliminated.  The iso C/J -> D and each step's
+    # whole stage is that stage, each step's pull-back of the image of psi
+    # and its map onto H come off one elimination of [psi | step map], and
+    # a span of zero vectors (the last power of each nilpotent kernel) is
+    # not eliminated.  The iso C/J -> D and each step's
     # Hopf-module theorem map K^{co H} (x) H -> K are eliminated once, by
     # the inverse that also proves them bijective; that iso and each step
     # map C/J^{2^i} -> C/J^{2^{i-1}} are read off complement lifts, as is
@@ -1620,7 +1621,7 @@ def test_lift_eliminates_each_matrix_once(monkeypatch):
     # complex is a test oracle (test_native_laws.py), not a guard
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["lift", corpus("lift-split.json")]) == 0
-    assert len(calls) == 19
+    assert len(calls) == 18
 
 
 @pytest.mark.parametrize("command, name", [
@@ -1639,14 +1640,15 @@ def test_each_command_builds_the_degree_2_differential_once(command, name, monke
 
 
 def test_super_decompose_eliminates_each_span_once(monkeypatch):
-    # ten eliminations: the ideal A_1 A, the odd primitives, the rank of
-    # alpha, the span of A_0, pi_0 (its rank, kernel and lambda by one, of
-    # [pi_0 | 1]), the ideal I = ker pi_0, the splitting step's kernel K and
-    # its coinvariants, the Hopf-module theorem map on K (by its inverse)
-    # and the one convolution_invert of the splitting.  The quotients by
-    # A_1 A and by I take their RREF bases as they are, the step lifts each
-    # class by its complement index, spans of zero vectors are not
-    # eliminated, A_0 and K read coordinates off their pivots, the
+    # nine eliminations: the ideal A_1 A, the odd primitives, the rank of
+    # alpha, pi_0 (its rank, kernel and lambda by one, of [pi_0 | 1]), the
+    # ideal I = ker pi_0, the splitting step's kernel K and its
+    # coinvariants, the Hopf-module theorem map on K (by its inverse) and
+    # the one convolution_invert of the splitting.  The quotients by A_1 A
+    # and by I and the subalgebra A_0, on the even unit vectors, take their
+    # RREF bases as they are, the step lifts each class by its complement
+    # index, spans of zero vectors are not eliminated, A_0 and K read
+    # coordinates off their pivots, the
     # normalized section takes its inverse in closed form,
     # the duality pairing and its iso, the identity, are neither inverted
     # nor checked (Lambda(W) is certified self-dual), even_quotient builds
@@ -1655,7 +1657,7 @@ def test_super_decompose_eliminates_each_span_once(monkeypatch):
     # implies what they were checked for
     calls = count_calls(monkeypatch, Matrix, "rref")
     assert main(["super-decompose", corpus("lambda3.json")]) == 0
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 def accepts(command, name):

@@ -573,8 +573,8 @@ def test_lift_pulls_back_where_psi_does_not_span_the_lower_stage(monkeypatch):
     varpi = counit_times_identity(aug, h)
     pulled = []
 
-    def recorded(ca, span_vectors):
-        out = sub_comodule_algebra(ca, span_vectors)
+    def recorded(ca, basis_rref):
+        out = sub_comodule_algebra(ca, basis_rref)
         pulled.append((ca.algebra.dim, out[0].algebra.dim))
         return out
 
