@@ -945,7 +945,7 @@ def cmd_super_decompose(args):
 
 
 # the largest n pairing builds Lambda(n) for: its dimension is 2^n, and n = 8
-# takes about 0.09 s in-process and 26 MB (2-CPU Xeon, CPython 3.11), each
+# takes about 0.025 s in-process and 22 MB (2-CPU Xeon, CPython 3.11), each
 # further n about 3x
 MAX_PAIRING_N = 8
 
