@@ -22,7 +22,6 @@ from .algebra import (
     _lowering,
     algebra_map_violations,
     induced_algebra,
-    require_convolution_inverse,
     require_morphism,
     ti,
 )
@@ -444,10 +443,12 @@ class AugmentedCleftExtension:
 
 def reaugment_section(ext, sec):
     """Replace phi with chi * phi, h |-> chi(h1) phi(h2) for chi = eps_A o
-    phi^{-1}, which is augmented.  Its inverse is phi^{-1} * (eps_A o phi),
-    h |-> phi^{-1}(h1) eps_A(phi(h2)), because eps_A is an algebra map (the
-    parser checks an augmentation block to be one); the pair is re-verified
-    like a solved inverse."""
+    phi^{-1}, with the inverse phi^{-1} * (eps_A o phi), h |-> phi^{-1}(h1)
+    eps_A(phi(h2)).  Certified by theorem: [reaugment-inverse,
+    reaugment-augmentation] phi is certified and eps_A an algebra map (the
+    parser checks it; eps_H o pi in lift), so chi inverts eps_A o phi, the
+    closed forms are inverse and eps_A o (chi * phi) = chi * (eps_A o phi)
+    = eps."""
     ca = ext.comodule_algebra
     a, h = ca.algebra, ca.hopf
     f = ca.field
@@ -467,12 +468,8 @@ def reaugment_section(ext, sec):
             _add_scaled(inv, c * eps_phi[y], phi_inv[x])
         cols.append(_reduced(acc, p))
         inv_cols.append(_reduced(inv, p))
-    new_phi = Matrix.from_sparse_cols(f, a.dim, cols)
-    new_inv = Matrix.from_sparse_cols(f, a.dim, inv_cols)
-    require_convolution_inverse(h, a, new_phi, new_inv)
-    require_morphism(new_phi, "re-augmented section fails the augmentation identity",
-                     counit=(h.native_counit, ext.eps_row))
-    return Section(new_phi, new_inv, ca)
+    return Section(Matrix.from_sparse_cols(f, a.dim, cols),
+                   Matrix.from_sparse_cols(f, a.dim, inv_cols), ca)
 
 
 class Classification:
@@ -633,16 +630,22 @@ def colinear_splitting_nilpotent(ca, pi):
     K^{co H} (x) H -> K, v (x) h |-> v lambda(h), is bijective; its inverse
     gives a colinear retraction X -> K and so a colinear section Y -> X.
     Each class of Y is lifted by its complement index, and pi's rank,
-    kernel I and lambda come off one elimination of [pi | 1].  What is
-    returned is checked, not the steps: the normalized section's
-    colinearity, unit and two-sided inverse, and pi phi = id.
+    kernel I and lambda come off one elimination of [pi | 1].
+    Certified by theorem: [module-laws-unit, module-laws-group-like,
+    module-laws-scrambled, comodule-laws, retraction-by-inverse,
+    retraction-by-coaction, step-section, colinear-before-normalization] a
+    colinear, unital, convolution-invertible phi with pi phi = id splits pi
+    (Montgomery ch. 7), so only what is returned is checked, not the steps
+    or pi: the normalized section, and pi phi = id.  Certified by theorem:
+    [splitting-input-lift, splitting-input-decompose] each caller passes a
+    colinear algebra map pi: lift a composite of such maps, decompose
+    pi_0 = pi on A_0 for pi the quotient by the Hopf ideal A_1 A.
     """
     a, h = ca.algebra, ca.hopf
     f = ca.field
     p = f.characteristic
     one = 1 if p else f.one
     da, dh = a.dim, h.dim
-    # pi must be a colinear algebra surjection
     if pi.rows != dh or pi.cols != da:
         raise ShapeMismatchError("surjection matrix shape mismatch")
     # lambda : H -> A, a fixed linear right inverse of pi, and pi's
@@ -651,8 +654,6 @@ def colinear_splitting_nilpotent(ca, pi):
     if any(x is None for x in lam):
         raise ValidationError("map onto the Hopf algebra is not surjective")
     ideal = _kernel_of_rref(r, pivots, da)  # I = ker pi
-    require_morphism(pi, "map onto the Hopf algebra is not a colinear algebra map",
-                     algebra=(a, h), rho=(ca.rho_basis, h.rho_basis))
     chain = ideal_power_chain(a, ideal)  # chain[i] = basis of I^{i+1}
     n = len(chain)  # I^n = 0
     # quots[i] = A / I^{i+1}; quots[n-1] = A / 0 has no relations
@@ -758,17 +759,13 @@ def _check_comodule_algebra_map(src_hopf, dst, psi):
                      algebra=(src_hopf, dst.algebra), rho=(src_hopf.rho_basis, dst.rho_basis))
 
 
-def quotient_comodule_algebra(ca, ideal_rref):
-    """A / I for a two-sided ideal I that is also a subcomodule, given by its
-    RREF basis; returns the quotient comodule algebra and its QuotientSpace."""
-    a = ca.algebra
-    f = ca.field
-    quot = QuotientSpace(f, a.dim, ideal_rref)
-    lifts = [_basis_row(f, j) for j in quot.complement]
+def quotient_comodule_algebra(ca, quot):
+    """A / I for an ideal and subcomodule I, given by its QuotientSpace; the
+    caller certifies I, so A / I is not checked."""
+    lifts = [_basis_row(ca.field, j) for j in quot.complement]
     labels = tuple("q%d" % s for s in range(quot.dim))
-    out = ComoduleAlgebra(induced_algebra(a, lifts, quot.project, labels), ca.hopf,
-                          induced_coaction(ca, lifts, quot.project))
-    return out, quot
+    return ComoduleAlgebra._certified(induced_algebra(ca.algebra, lifts, quot.project, labels),
+                                      ca.hopf, induced_coaction(ca, lifts, quot.project))
 
 
 def sub_comodule_algebra(ca, basis_rref):
@@ -800,7 +797,15 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
     C/J^{2^i} -> C/J^{2^{i-1}} (J^{2^i} lies in J^{2^{i-1}}) are read off
     the complement lifts of the stages' QuotientSpaces: a class goes where
     its lift e_j goes.  Each step's pull-back of the image of the map so
-    far, and its map onto H, come off one elimination."""
+    far, and its map onto H, come off one elimination.  Checked: psi, varpi
+    and the returned lift H -> C, once (by split_extension when the last
+    pull-back is all of C).  Certified by theorem: [quotient-stage,
+    first-step-map, later-step-map] J = ker varpi is an ideal and a
+    subcomodule, and so is J^e = J^{e-1} J, so C/J^e is a comodule algebra;
+    psi_0 = iso^{-1} psi (the iso C/J ~ D is induced by varpi) and each later
+    psi_s, an inclusion times a certified splitting, are comodule algebra
+    maps, and so is each step's pi = psi_{s-1}^{-1} o (step map).  C/J's
+    structure is never read, so only its classes are built."""
     h = c_ca.hopf
     f = c_ca.field
     _check_comodule_algebra_map(h, d_ca, psi)
@@ -815,31 +820,24 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
                      algebra=(ca_alg, d_alg), rho=(c_ca.rho_basis, d_ca.rho_basis))
     chain = ideal_power_chain(ca_alg, ideal)
     n = len(chain)  # J^n = 0
-    # exponents 1 = 2^0 < 2 < 4 < ... >= n
-    exps = [1]
-    while exps[-1] < n:
-        exps.append(exps[-1] * 2)
-    # quotient comodule algebras C/J^e with their QuotientSpaces; the last
-    # exponent is >= n, where J^e = 0 and the stage is C itself, with no
-    # relations
-    stages = [quotient_comodule_algebra(c_ca, chain[e - 1]) for e in exps[:-1]]
-    stages.append((c_ca, QuotientSpace(f, ca_alg.dim, [])))
+    # the QuotientSpaces of C/J^e for e = 1, 2, 4, ... up to the first e >= n,
+    # where J^e = 0 and the stage is C itself, with no relations
+    quots = [QuotientSpace(f, ca_alg.dim, chain[min(2 ** i, n) - 1])
+             for i in range((n - 1).bit_length() + 1)]
     # psi_0 : H -> C/J, obtained from psi through the iso C/J ~ D, which
     # sends each class to varpi of its complement lift
-    q0, quot0 = stages[0]
     varpi_cols = varpi.native_cols()
-    iso_cols = [varpi_cols[j] for j in quot0.complement]
+    iso_cols = [varpi_cols[j] for j in quots[0].complement]
     try:
         inverse = Matrix.from_sparse_cols(f, d_alg.dim, iso_cols).inverse()
     except (ShapeMismatchError, SingularMatrixError):
         raise ValidationError("C/J is not isomorphic to D") from None
     current = inverse * psi  # H -> C/J
-    _check_comodule_algebra_map(h, q0, current)
-    for step in range(1, len(exps)):
-        upper, upper_quot = stages[step]
-        lower_quot = stages[step - 1][1]
+    certified = False  # whether split_extension certified current
+    for step in range(1, len(quots)):
+        upper = c_ca if step == len(quots) - 1 else quotient_comodule_algebra(c_ca, quots[step])
         # the step surjection C/J^{2^i} -> C/J^{2^{i-1}}, class by class
-        step_cols = [lower_quot.project(_basis_row(f, j)) for j in upper_quot.complement]
+        step_cols = [quots[step - 1].project(_basis_row(f, j)) for j in quots[step].complement]
         # one elimination of [psi_{step-1} | step map]: a class lies in the
         # pull-back A of the image of psi_{step-1} exactly when its column
         # vanishes below psi_{step-1}'s rank, and above it the column reads
@@ -864,14 +862,12 @@ def lift_comodule_algebra_map(c_ca, d_ca, varpi, psi):
         res = split_extension(ext)
         if not res.split:
             return LiftResult(None, step, res.obstruction)
-        if sub is upper:
-            # split_extension certified the splitting as a map into this very
-            # stage, against its algebra and its coaction
-            current = res.splitting
-        else:
-            current = inc * res.splitting  # H -> C/J^{2^step}
-            _check_comodule_algebra_map(h, upper, current)
-    # the last stage is C, so current is now checked as a map H -> C
+        # split_extension certified the splitting as a map into sub, against
+        # its algebra and its coaction; the last step's upper stage is C
+        certified = sub is upper
+        current = res.splitting if certified else inc * res.splitting  # H -> C/J^{2^step}
+    if not certified:
+        _check_comodule_algebra_map(h, c_ca, current)
     if varpi * current != psi:
         raise ValidationError("computed lift does not project to the given map")
     return LiftResult(current, None, None)

@@ -51,8 +51,8 @@ class ComoduleAlgebra(_RightComodule):
     coassociative, counital and an algebra map.  Every instance is valid:
     the constructor checks it and raises InvalidComoduleAlgebraError
     otherwise, and the library builds a derived one without that check
-    (`_certified`) only where the map its deriving call checks certifies
-    it.  Its coinvariants B = A^{co H} are computed once, when first read."""
+    (`_certified`) only where a map its deriving call checks, or a theorem,
+    certifies it.  Its coinvariants B = A^{co H} are computed once."""
 
     def __init__(self, algebra, hopf, coaction):
         self._bind(algebra, hopf, coaction)
@@ -66,7 +66,7 @@ class ComoduleAlgebra(_RightComodule):
         it by a map it checks, an isomorphism onto a valid comodule algebra,
         or the grading it is read from (graded.graded_bridge), or builds it
         inside a valid one, as a subcomodule subalgebra whose coordinates
-        check closure."""
+        check closure, or by a theorem (the quotients C/J^e of `lift`)."""
         ca = cls.__new__(cls)
         ca._bind(algebra, hopf, coaction)
         return ca

@@ -68,13 +68,13 @@ def check_grading(ga):
 
 
 def graded_bridge(ga):
-    """A as a k[G]-comodule algebra, e_i |-> e_i (x) g_i.  That coaction is
-    coassociative and counital for any degree map, and a unital algebra map
-    exactly when 1 is in A_e and A_g A_h lies in A_gh, so check_grading
-    alone decides it, and a failure raises with its report.  B = A_e is read
-    off the grading, with no elimination: the coaction fixes exactly the
-    basis vectors of degree e, and these, in index order, are the canonical
-    kernel basis coinvariants would find."""
+    """A as a k[G]-comodule algebra, e_i |-> e_i (x) g_i.
+    Certified by theorem: [graded-bridge] the coaction is coassociative and
+    counital for any degree map, and a unital algebra map exactly when 1 is
+    in A_e and A_g A_h lies in A_gh, so check_grading alone decides it.
+    B = A_e is read off the grading, with no elimination: the coaction fixes
+    exactly the basis vectors of degree e, and these, in index order, are
+    the canonical kernel basis coinvariants would find."""
     report = check_grading(ga)
     if not report.ok:
         raise ValidationError("input is not a graded algebra: %r" % (report,))

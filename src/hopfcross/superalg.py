@@ -268,10 +268,10 @@ def _self_dual_violations(h):
 def _super_tensor_violations(ext, base):
     """Witnesses that the product, antipode and parity of ext = Lambda(n) are
     not those of k (x) Lambda(1) (x) ... (x) Lambda(1), n Koszul-signed
-    factors, with base = Lambda(1) a checked Hopf superalgebra, in one O(3^n)
-    pass.  The coproduct and counit are not read: ext and base are checked
-    self-dual, and the lemma below makes the algebra isomorphism a
-    coalgebra isomorphism too.
+    factors, base = Lambda(1) a checked Hopf superalgebra, in one O(3^n) pass.
+    Certified by theorem: [tensor-coproduct, tensor-counit, ground-coproduct,
+    ground-counit] Delta and eps are not read: ext and base are checked
+    self-dual, so by the lemma below the algebra iso is a coalgebra iso too.
 
     Lambda([k]) is the span of the e_S with S in {1..k}.  Lambda([0]) = k e_{}
     must be the ground field as an algebra (e_{} e_{} = e_{}, S(e_{}) = e_{},
@@ -393,9 +393,10 @@ def duality_pairing(n, field):
     bases <e*_S, e_T> is the determinant of the 0/1 matrix [s = t] over
     s in S, t in T, which is the identity when S = T and has a zero row when
     S != T are of one size: the pairing matrix is the identity, and so is the
-    iso Lambda(V*) -> Lambda(V)*, e*_S |-> <e*_S, -> = row S.  Lambda(V*)
-    has Lambda(V)'s tables and Lambda(V)* their `dual_structure`, which
-    `exterior_hopf` certifies equal, so no check runs here."""
+    iso Lambda(V*) -> Lambda(V)*, e*_S |-> <e*_S, -> = row S.
+    Certified by theorem: [pairing-iso-product, pairing-iso-counit,
+    pairing-iso-antipode] no check runs: Lambda(V*) has Lambda(V)'s tables
+    and Lambda(V)* their `dual_structure`, certified equal by `exterior_hopf`."""
     ext = exterior_hopf(n, field)
     pairing = Matrix.identity(field, ext.dim)
     return DualityPairing(n, field, pairing, pairing.transpose(), ext)
@@ -503,10 +504,11 @@ def decompose(sp):
     """Theorem-style decomposition of a finite-dimensional super-commutative
     Hopf superalgebra A as Lambda(W) (x) H, W the dual of the odd primitives
     U of A*.  Checked: A's super-Hopf laws and super-commutativity, H's Hopf
-    laws, the pairing, alpha, pi_0 and the section; a theorem gives the rest
-    of the even quotient (see even_quotient): A_1A is a nilpotent Hopf ideal,
-    H purely even.  alpha is checked before Step A to be bijective, a unital
-    algebra map, colinear and augmented, which implies the Step 1 claims:
+    laws, the pairing, alpha and the section; by a theorem (even_quotient)
+    A_1A is a nilpotent Hopf ideal and H purely even, so pi_0 = pi on A_0 is
+    a colinear algebra map.  Certified by theorem: [odd-primitive-count]
+    alpha is checked before Step A to be bijective, a unital algebra map,
+    colinear and augmented, which implies the Step 1 claims:
     - alpha preserves parity: row S of delta is a product of |S| odd
       primitives, of parity |S| since Delta preserves it, and pi kills A_1,
       so alpha(a) = delta(a_1) (x) pi(a_2) has the parity of a;

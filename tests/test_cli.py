@@ -1238,11 +1238,12 @@ def count_calls(monkeypatch, owner, name):
      "check_crossed_system", 1),
     (["super-decompose", "lambda3.json"], SuperPresentation, "check_super_axioms", 2),
     (["crossed-product", "f3z3-crossed.json"], hopfcross.comodule, "check_crossed_system", 1),
-    # the constructor checks each parsed comodule algebra and, in lift, the
-    # proper quotients C/J^e; a derived one is certified by the map its
-    # deriving call checks instead: the crossed product B x|_sigma H by
-    # alpha : B x| H -> A, super-decompose's A by alpha : A -> Lambda(W) (x) H,
-    # and a subcomodule subalgebra (a pull-back, A_0) by its valid ambient.
+    # the constructor checks each parsed comodule algebra; a derived one is
+    # certified by the map its deriving call checks instead: the crossed
+    # product B x|_sigma H by alpha : B x| H -> A, super-decompose's A by
+    # alpha : A -> Lambda(W) (x) H, and a subcomodule subalgebra (a pull-back,
+    # A_0) by its valid ambient; or by a theorem, as lift's quotients C/J^e
+    # (of which lift-split builds none).
     # A row whose count moved keeps its id, which names the count first
     # pinned there
     pytest.param(["recognize-cleft", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 1,
@@ -1251,7 +1252,7 @@ def count_calls(monkeypatch, owner, name):
                  id="argv8-ComoduleAlgebra-validate-2"),
     pytest.param(["split", "f3z3-cleft.json"], ComoduleAlgebra, "validate", 1,
                  id="argv9-ComoduleAlgebra-validate-2"),
-    pytest.param(["lift", "lift-split.json"], ComoduleAlgebra, "validate", 3,
+    pytest.param(["lift", "lift-split.json"], ComoduleAlgebra, "validate", 2,
                  id="argv10-ComoduleAlgebra-validate-4"),
     pytest.param(["super-decompose", "lambda3.json"], ComoduleAlgebra, "validate", 0,
                  id="argv11-ComoduleAlgebra-validate-2"),
@@ -1299,11 +1300,12 @@ def count_calls(monkeypatch, owner, name):
     # comodule algebra built from it
     pytest.param(["strongly-graded", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1,
                  id="argv30-hopfcross.graded-check_grading-0"),
-    # lift checks psi, psi_0 and the map into each later stage, the last
-    # of which is C itself, except where the stage is the pull-back, whose
-    # splitting split_extension has certified: lift-split's one step (see
-    # also the algebra_map_violations row, last)
-    (["lift", "lift-split.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 2),
+    # lift checks psi and the returned lift H -> C once, here unless the last
+    # pull-back is all of C, whose splitting split_extension certifies:
+    # lift-split's one step (see also the algebra_map_violations row)
+    pytest.param(["lift", "lift-split.json"], hopfcross.cohomology,
+                 "_check_comodule_algebra_map", 1,
+                 id="argv31-hopfcross.cohomology-_check_comodule_algebra_map-2"),
     # ... and so is recognize-crossed's
     pytest.param(["recognize-crossed", "m2-z2-graded.json"], hopfcross.graded, "check_grading", 1,
                  id="argv32-hopfcross.graded-check_grading-0"),
@@ -1319,26 +1321,36 @@ def count_calls(monkeypatch, owner, name):
     (["classify-cleft", "f3z3-cleft.json"], hopfcross.algebra, "convolution_invert", 1),
     (["split", "f3z3-cleft.json"], hopfcross.algebra, "convolution_invert", 1),
     (["lift", "lift-split.json"], hopfcross.algebra, "convolution_invert", 1),
-    # ... and each of the three pairs (phi, phi^-1), the normalized and the
-    # re-augmented section, still passes the two-sided identity
-    (["classify-cleft", "f3z3-cleft.json"], hopfcross.algebra,
-     "require_convolution_inverse", 3),
+    # ... and the two solved pairs (phi, phi^-1) pass the two-sided identity:
+    # the section's and its normalization's; the re-augmented pair is
+    # certified by theorem
+    pytest.param(["classify-cleft", "f3z3-cleft.json"], hopfcross.algebra,
+                 "require_convolution_inverse", 2,
+                 id="argv40-hopfcross.algebra-require_convolution_inverse-3"),
     # lift-split's one step pulls back the whole of C, which is not rebuilt
     (["lift", "lift-split.json"], hopfcross.cohomology, "sub_comodule_algebra", 0),
     # ... nor is the splitting of that stage checked again after
     # split_extension certified it, nor the crossed product's coaction
     # after alpha certified it
-    pytest.param(["lift", "lift-split.json"], hopfcross.algebra, "algebra_map_violations", 10,
+    pytest.param(["lift", "lift-split.json"], hopfcross.algebra, "algebra_map_violations", 7,
                  id="argv42-hopfcross.algebra-algebra_map_violations-11"),
     # Lambda(4) is certified by its super tensor structure over Lambda(1),
     # the one structure the super axiom check runs on
     (["pairing", "--n", "4"], SuperPresentation, "check_super_axioms", 1),
+    # the negative path of lift checks what lift-split's does up to its
+    # obstruction at the one step: the parsed C and D, psi and varpi, the
+    # pull-back's section and its normalization, and no lift
+    (["lift", "lift-obstructed.json"], ComoduleAlgebra, "validate", 2),
+    (["lift", "lift-obstructed.json"], hopfcross.cohomology, "_check_comodule_algebra_map", 1),
+    (["lift", "lift-obstructed.json"], hopfcross.algebra, "algebra_map_violations", 6),
+    (["lift", "lift-obstructed.json"], hopfcross.algebra, "require_convolution_inverse", 2),
 ])
 def test_each_result_is_verified_once(argv, owner, name, expected, monkeypatch):
     calls = count_calls(monkeypatch, owner, name)
     # the class of f3z3-cleft.json is nonzero, so split reports the
     # obstruction; kx2-graded.json is not strongly graded
-    negative = argv[0] == "split" or argv[:2] == ["strongly-graded", "kx2-graded.json"]
+    negative = (argv[0] == "split" or argv[:2] == ["strongly-graded", "kx2-graded.json"]
+                or argv[:2] == ["lift", "lift-obstructed.json"])
     argv = [corpus(a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == (1 if negative else 0)
     assert len(calls) == expected

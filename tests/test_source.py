@@ -1,13 +1,17 @@
 """Source hygiene of src/hopfcross, read with the stdlib ast module: no
 top-level import goes unused, every module-level _private function or class
-is referenced somewhere in the package, and every public definition is read
-by the package, perfbench/ or tools/, so no code stays in the library for the
-tests alone."""
+is referenced somewhere in the package, every public definition is read by
+the package, perfbench/ or tools/, so no code stays in the library for the
+tests alone, and every docstring that cites a theorem in place of a check
+names its rows in the ledger of tests/test_certificates.py."""
 
 import ast
 import os
+import re
 
 import pytest
+
+from tests.test_certificates import ROWS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "hopfcross")
@@ -122,3 +126,29 @@ def test_q_scalars_are_made_by_the_field(name):
              or getattr(node.func, "attr", None) == "Fraction")
     ]
     assert calls == []
+
+
+MARKER = "Certified by theorem:"
+
+
+def test_every_theorem_marker_names_its_ledger_rows():
+    """Each "Certified by theorem: [row, ...]" in a docstring names rows of
+    the ledger, and each row is named by one marker; the marker appears
+    nowhere else in the source."""
+    cited, unnamed, in_source, in_docstrings = [], [], 0, 0
+    for name in MODULES:
+        with open(os.path.join(SRC, name)) as fh:
+            in_source += fh.read().count(MARKER)
+        for node in ast.walk(parse(name)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node, clean=False) or ""
+                for at in re.finditer(re.escape(MARKER), doc):
+                    in_docstrings += 1
+                    named = re.match(re.escape(MARKER) + r"\s*\[([^\]]+)\]", doc[at.start():])
+                    rows = named.group(1).replace(",", " ").split() if named else []
+                    if not rows or any(row not in ROWS for row in rows):
+                        unnamed.append((name, node.name, rows))
+                    cited += rows
+    assert unnamed == []
+    assert in_source == in_docstrings
+    assert sorted(cited) == sorted(ROWS)
